@@ -268,7 +268,8 @@ class IdentityFlags:
     malcev: bool
 
 
-def _jacobi_holds(a: StructureTensor) -> bool:
+def jacobi_holds(a: StructureTensor) -> bool:
+    """True iff the Jacobi identity holds on all basis triples (A is Lie)."""
     n = a.dim
     basis = [tuple(Fraction(int(i == k)) for k in range(n)) for i in range(n)]
     for i in range(n):
@@ -320,7 +321,7 @@ def _malcev_holds(a: StructureTensor) -> bool:
 def identity_flags(a: StructureTensor) -> IdentityFlags:
     return IdentityFlags(
         anticommutative_wellformed=True,
-        jacobi=_jacobi_holds(a),
+        jacobi=jacobi_holds(a),
         malcev=_malcev_holds(a),
     )
 

@@ -19,6 +19,7 @@ field extension would be needed instead of guessing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -588,13 +589,7 @@ def _binary_form_gcd(forms):
 
 
 def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = int(n ** 0.5)
-    for cand in (r - 1, r, r + 1, r + 2):
-        if cand >= 0 and cand * cand == n:
-            return True
-    return False
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 def classify_T22(a: StructureTensor):

@@ -29,6 +29,7 @@ from .algebra import (
 from .contraction import iw_max
 from .degeneration import verify_degeneration, verify_nondegeneration
 from .verification_db import (
+    InconsistentLedger,
     ParseError,
     _ref_from_json,
     hasse_dot,
@@ -101,6 +102,9 @@ def cmd_check(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if not isinstance(obj, dict):
+        print(f"error: {args.path} does not hold a JSON object", file=sys.stderr)
+        return 1
     try:
         if "kind" in obj:
             from .degeneration import NonDegenerationWitness
@@ -147,7 +151,7 @@ def cmd_check(args) -> int:
 def cmd_verify_paper(args) -> int:
     try:
         ledger = load_ledger(_ledger_path(args))
-    except ParseError as exc:
+    except (ParseError, InconsistentLedger) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = run_ledger(
@@ -221,6 +225,10 @@ def cmd_iwmax(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if not args.file and (args.name is None or args.dim is None):
+        print("error: classify needs a catalog name with --dim, or --file",
+              file=sys.stderr)
+        return 1
     try:
         if args.file:
             with open(args.file, "r", encoding="utf-8") as fh:

@@ -10,15 +10,22 @@ from a proper closed subset, so rational sampling finds the dominant
 sequence; incomparable sampled maxima are repaired by the c + alpha*b
 perturbation trick, and failure to repair is reported loudly because the
 theory says it cannot happen for Engel input.
+
+Rank sequences are computed over the integers.  The structure constants
+are scaled by the lcm of their denominators and the element by the lcm of
+its own, which turns L_x into c * L_x with an integer matrix and some
+c != 0; since (c L)^m = c^m L^m, every power keeps its rank.  iw_max
+scales the table once and reuses it for every candidate.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
-from .algebra import StructureTensor, left_mult_matrix
-from .linalg import Partition, power_rank_sequence
+from .algebra import DimensionMismatch, StructureTensor
+from .linalg import Partition, int_power_rank_sequence
 
 
 class NotEngelAt(ValueError):
@@ -56,13 +63,43 @@ class RankSequence(tuple):
         return f"RankSequence{tuple(self)}"
 
 
-def rank_sequence(a: StructureTensor, vec) -> RankSequence:
-    """Exact rank sequence of L_vec; NotEngelAt when it never vanishes."""
-    mat = left_mult_matrix(a, vec)
-    ranks = power_rank_sequence(mat, a.dim + 1)
-    if len(ranks) > a.dim:
+def _int_table(a: StructureTensor):
+    """Products as (i, j, ((k, coeff), ...)) with 0-based indices, scaled
+    to integers by the lcm of all denominators."""
+    mult = lcm(*(x.denominator for vec in a.products.values() for x in vec))
+    return [
+        (i - 1, j - 1, tuple((k, x.numerator * (mult // x.denominator))
+                             for k, x in enumerate(vec) if x))
+        for (i, j), vec in a.products.items()
+    ]
+
+
+def _int_rank_sequence(table, n: int, vec) -> RankSequence:
+    """Rank sequence of L_vec from an integer table (see _int_table)."""
+    if len(vec) != n:
+        raise DimensionMismatch("vector must have the algebra dimension")
+    mult = lcm(*(x.denominator for x in vec))
+    x = [c.numerator * (mult // c.denominator) for c in vec]
+    # column j of L_x is x e_j: e_i e_j = v adds x_i v to column j and,
+    # by anticommutativity, -x_j v to column i
+    mat = [[0] * n for _ in range(n)]
+    for i, j, entries in table:
+        xi, xj = x[i], x[j]
+        if xi:
+            for k, v in entries:
+                mat[k][j] += xi * v
+        if xj:
+            for k, v in entries:
+                mat[k][i] -= xj * v
+    ranks = int_power_rank_sequence(mat, n + 1)
+    if len(ranks) > n:
         raise NotEngelAt(vec)
     return RankSequence(ranks)
+
+
+def rank_sequence(a: StructureTensor, vec) -> RankSequence:
+    """Exact rank sequence of L_vec; NotEngelAt when it never vanishes."""
+    return _int_rank_sequence(_int_table(a), a.dim, vec)
 
 
 def dominates(p: RankSequence, q: RankSequence) -> bool:
@@ -122,10 +159,11 @@ def iw_max(a: StructureTensor, seed: int = 0, trials: int = 20):
     sequence, which is reported as the all-ones partition of the quotient.
     """
     pool, rng = _candidate_pool(a, seed)
+    table, n = _int_table(a), a.dim
     best_vec = pool[0]
-    best_seq = rank_sequence(a, best_vec)
+    best_seq = _int_rank_sequence(table, n, best_vec)
     for vec in pool[1:]:
-        seq = rank_sequence(a, vec)
+        seq = _int_rank_sequence(table, n, vec)
         if dominates(best_seq, seq):
             continue
         if dominates(seq, best_seq):
@@ -135,7 +173,7 @@ def iw_max(a: StructureTensor, seed: int = 0, trials: int = 20):
         for _ in range(trials):
             alpha = Fraction(rng.randint(1, 99))
             cand = tuple(b + alpha * v for b, v in zip(best_vec, vec))
-            cand_seq = rank_sequence(a, cand)
+            cand_seq = _int_rank_sequence(table, n, cand)
             if dominates(cand_seq, best_seq) and dominates(cand_seq, seq):
                 best_vec, best_seq = cand, cand_seq
                 repaired = True

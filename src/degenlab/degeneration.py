@@ -30,7 +30,7 @@ from .algebra import (
     annihilator,
     change_basis,
     dim_square,
-    identity_flags,
+    jacobi_holds,
 )
 from .contraction import dominates, iw_max, rank_sequence
 from .exactnum import (
@@ -497,8 +497,8 @@ def verify_nondegeneration(
             return Verdict("proved", f"dim Ann(source) = {ds} > {dt} = dim Ann(target)")
         return Verdict("refuted", f"dim Ann(source) = {ds} <= {dt} = dim Ann(target)")
     if w.kind == "LieClosure":
-        js = identity_flags(src).jacobi
-        jt = identity_flags(tgt).jacobi
+        js = jacobi_holds(src)
+        jt = jacobi_holds(tgt)
         if js and not jt:
             return Verdict("proved", "source is Lie, target is not")
         return Verdict("refuted", f"jacobi(source)={js}, jacobi(target)={jt}")

@@ -66,9 +66,6 @@ class Matrix:
     def _zero(self):
         return RF_ZERO if self.kind == RATFUN else Fraction(0)
 
-    def _one(self):
-        return RF_ONE if self.kind == RATFUN else Fraction(1)
-
     @staticmethod
     def identity(n: int, kind: str = RATIONAL) -> "Matrix":
         one = RF_ONE if kind == RATFUN else Fraction(1)
@@ -297,36 +294,6 @@ def invert(m: Matrix) -> Matrix:
     return Matrix(inv, m.kind)
 
 
-def determinant(m: Matrix):
-    """Exact determinant by elimination over the scalar field."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    rows = m.copy_entries()
-    det = m._one()
-    sign = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return m._zero()
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        pv = rows[c][c]
-        det = det * pv
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    if sign < 0:
-        det = -det
-    return det
-
-
 class Subspace:
     """Subspace of QQ^n held as an RREF basis with increasing pivots."""
 
@@ -509,21 +476,28 @@ def _int_matmul(a, b):
     return out
 
 
+def int_power_rank_sequence(base, max_power: int):
+    """Ranks of an integer square matrix (list of rows) and its powers.
+
+    Stops at the first zero rank or after max_power entries.
+    """
+    cur = base
+    ranks = []
+    for _ in range(max_power):
+        r = _int_rank(cur)
+        if r == 0:
+            break
+        ranks.append(r)
+        cur = _int_matmul(cur, base)
+    return tuple(ranks)
+
+
 def power_rank_sequence(m: Matrix, max_power: int):
     """Ranks of m, m^2, ..., stopping at zero or max_power entries."""
     if m.rows != m.cols:
         raise ValueError("rank sequence of a non-square matrix")
     if m.kind == RATIONAL:
-        cur = _int_scaled_square(m)
-        base = cur
-        ranks = []
-        for _ in range(max_power):
-            r = _int_rank(cur)
-            if r == 0:
-                break
-            ranks.append(r)
-            cur = _int_matmul(cur, base)
-        return tuple(ranks)
+        return int_power_rank_sequence(_int_scaled_square(m), max_power)
     cur = m
     ranks = []
     for _ in range(max_power):

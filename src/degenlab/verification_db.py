@@ -4,21 +4,23 @@ The ledger is a JSON file with three sections: degeneration certificates,
 non-degeneration witnesses, and level chains.  Loading validates the
 referential invariants (chains reference existing certificates with
 matching endpoints and the stated length; no ordered pair carries both a
-certificate and a witness).  Running the ledger re-verifies everything and
+certificate and a witness; ids are unique per section; one label names
+one table).  Running the ledger re-verifies everything and
 emits a deterministic report: same seed, same bytes.
 
 Verdict statuses are kept tier-honest:
 
-  VERIFIED    exact certificate check passed
-  PROVED      invariant-tier witness check passed
-  FALSIFIED-ONLY  closed-set emptiness supported by sampling, not proof
-  PAPER-ASSERTED  a non-isomorphism recorded on the source's authority
-  FAIL        anything that did not check out
+  VERIFIED            exact certificate check passed
+  PROVED              invariant-tier witness check passed
+  FALSIFICATION-ONLY  closed-set emptiness supported by sampling, not proof
+  PAPER-ASSERTED      a non-isomorphism recorded on the source's authority
+  FAIL                anything that did not check out
 
 Beside each verified certificate the runner re-checks the closed monotone
 invariants (square dimension down, annihilator dimension up, rank-sequence
 dominance of the dominant contractions), so a bad table or basis cannot
-slip through as a formally passing entry.
+slip through as a formally passing entry.  Those invariants are computed
+once per algebra label and run.
 """
 
 from __future__ import annotations
@@ -27,20 +29,21 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .algebra import (
     StructureTensor,
     annihilator,
     dim_square,
     engel_degree,
-    identity_flags,
     is_nilpotent,
+    jacobi_holds,
     power_ideal,
     product,
     subspace_product,
 )
 from .catalog import classify_T22, level_lookup, PreconditionViolated
-from .contraction import dominates, iw_max, rank_sequence
+from .contraction import RankSequence, dominates, iw_max, rank_sequence
 from .degeneration import (
     AlgebraRef,
     ClosedSetSpec,
@@ -144,11 +147,14 @@ def ledger_from_obj(obj, path: str = "") -> ClaimLedger:
             raise ParseError(f"witness record missing {exc}") from exc
     chains = []
     for rec in obj.get("chains", []):
-        chains.append(Chain(
-            chain_id=rec["id"], algebra=rec["algebra"], dim=int(rec["dim"]),
-            expected_level=int(rec["expected_level"]),
-            edges=tuple(rec["edges"]),
-        ))
+        try:
+            chains.append(Chain(
+                chain_id=rec["id"], algebra=rec["algebra"], dim=int(rec["dim"]),
+                expected_level=int(rec["expected_level"]),
+                edges=tuple(rec["edges"]),
+            ))
+        except KeyError as exc:
+            raise ParseError(f"chain record missing {exc}") from exc
     ledger = ClaimLedger(certs, witnesses, chains, path)
     _validate(ledger)
     return ledger
@@ -164,11 +170,27 @@ def load_ledger(path) -> ClaimLedger:
 
 
 def _validate(ledger: ClaimLedger):
-    ids = set()
-    for c in ledger.certificates:
-        if c.cert_id in ids:
-            raise InconsistentLedger(f"duplicate certificate id {c.cert_id}")
-        ids.add(c.cert_id)
+    for kind, ids in (
+        ("certificate", [c.cert_id for c in ledger.certificates]),
+        ("witness", [w.witness_id for w in ledger.witnesses]),
+        ("chain", [ch.chain_id for ch in ledger.chains]),
+    ):
+        seen = set()
+        for rid in ids:
+            if rid in seen:
+                raise InconsistentLedger(f"duplicate {kind} id {rid}")
+            seen.add(rid)
+    # the run caches resolved tables and invariants by label
+    tables = {}
+    for claim in ledger.certificates + ledger.witnesses:
+        for ref in (claim.source, claim.target):
+            table = None if ref.products is None else {
+                (i, j): vec for (i, j, vec) in ref.products if any(vec)
+            }
+            if tables.setdefault(ref.label, table) != table:
+                raise InconsistentLedger(
+                    f"label {ref.label} names two different tables"
+                )
     cert_pairs = {
         (c.source.label, c.target.label) for c in ledger.certificates
     }
@@ -322,7 +344,7 @@ def separator_check(kind: str, src: StructureTensor, tgt: StructureTensor,
         "ann_dim": lambda t: annihilator(t).dim,
         "nilindex": _nilindex,
         "engel_degree": lambda t: engel_degree(t, t.dim + 1),
-        "jacobi": lambda t: identity_flags(t).jacobi,
+        "jacobi": jacobi_holds,
         "centralizer_square": _centralizer_square_dim,
         "pfaffian_conic": _pfaffian_conic_profile,
         "classifier": _classifier_label,
@@ -330,35 +352,34 @@ def separator_check(kind: str, src: StructureTensor, tgt: StructureTensor,
     }
     if kind not in funcs:
         raise ValueError(f"unknown separator {kind!r}")
-    a, b = funcs[kind](src), funcs[kind](tgt)
+    return _separation(kind, funcs[kind](src), funcs[kind](tgt))
+
+
+def _separation(kind: str, a, b):
     return a != b, f"{kind}: source {a}, target {b}"
 
 
 # --- the run ----------------------------------------------------------------
 
 
-MONOTONE_SEED_TRIALS = 20
+class _LabelInvariants(NamedTuple):
+    """One algebra's table and the closed invariants the run reads."""
+
+    tensor: StructureTensor
+    dim_square: int
+    ann_dim: int
+    iw_seq: RankSequence  # rank sequence of the iw_max witness
 
 
-def _monotone_audit(src: StructureTensor, tgt: StructureTensor, seed: int,
-                    iw_cache: dict):
+def _monotone_audit(src: _LabelInvariants, tgt: _LabelInvariants):
     """Closed-invariant sanity for a passing certificate src -> tgt."""
     problems = []
-    ds, dt = dim_square(src), dim_square(tgt)
-    if ds < dt:
-        problems.append(f"dim square grows: {ds} -> {dt}")
-    as_, at = annihilator(src).dim, annihilator(tgt).dim
-    if as_ > at:
-        problems.append(f"annihilator shrinks: {as_} -> {at}")
-
-    def iw_seq(tensor):
-        key = id(tensor)
-        if key not in iw_cache:
-            _, w = iw_max(tensor, seed=seed)
-            iw_cache[key] = rank_sequence(tensor, w)
-        return iw_cache[key]
-
-    if not dominates(iw_seq(src), iw_seq(tgt)):
+    if src.dim_square < tgt.dim_square:
+        problems.append(
+            f"dim square grows: {src.dim_square} -> {tgt.dim_square}")
+    if src.ann_dim > tgt.ann_dim:
+        problems.append(f"annihilator shrinks: {src.ann_dim} -> {tgt.ann_dim}")
+    if not dominates(src.iw_seq, tgt.iw_seq):
         problems.append("dominant rank sequence not monotone")
     return problems
 
@@ -373,8 +394,17 @@ def run_ledger(ledger: ClaimLedger, seed: int = 0, trials: int = 200,
 
     cert_reports = []
     cert_status = {}
-    resolved = {}
-    iw_cache = {}
+    invariants = {}  # label -> _LabelInvariants; load_ledger keeps labels unique
+
+    def invariants_of(ref: AlgebraRef) -> _LabelInvariants:
+        if ref.label not in invariants:
+            tensor = ref.resolve()
+            _, witness = iw_max(tensor, seed=seed)
+            invariants[ref.label] = _LabelInvariants(
+                tensor, dim_square(tensor), annihilator(tensor).dim,
+                rank_sequence(tensor, witness))
+        return invariants[ref.label]
+
     for cert in ledger.certificates:
         if not in_scope(cert.source.dim):
             continue
@@ -388,14 +418,19 @@ def run_ledger(ledger: ClaimLedger, seed: int = 0, trials: int = 200,
             "reason": verdict.reason,
         }
         if verdict.ok:
-            src = resolved.setdefault(cert.source.label, cert.source.resolve())
-            tgt = resolved.setdefault(cert.target.label, cert.target.resolve())
-            problems = _monotone_audit(src, tgt, seed, iw_cache)
+            src, tgt = invariants_of(cert.source), invariants_of(cert.target)
+            problems = _monotone_audit(src, tgt)
             if problems:
                 entry["status"] = "FAIL"
                 entry["reason"] = "; ".join(problems)
             elif cert.proper:
-                ok, detail = separator_check(cert.separator, src, tgt, seed)
+                if cert.separator in ("dim_square", "ann_dim"):
+                    ok, detail = _separation(
+                        cert.separator, getattr(src, cert.separator),
+                        getattr(tgt, cert.separator))
+                else:
+                    ok, detail = separator_check(
+                        cert.separator, src.tensor, tgt.tensor, seed)
                 if ok is None:
                     entry["nontrivial"] = "PAPER-ASSERTED"
                 elif ok:

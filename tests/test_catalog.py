@@ -14,6 +14,7 @@ from degenlab.catalog import (
     NotSkew,
     NotSurjective,
     PreconditionViolated,
+    _is_square,
     build_manifest,
     build_skew_pair_algebra,
     classify_T22,
@@ -187,3 +188,11 @@ def test_catalog_name_keys():
     assert CatalogName("T", partition=(2, 2)).key == "T22"
     assert CatalogName("eta", m=4).key == "eta4"
     assert CatalogName("T2k2_special", m=4).key == "T2k2_special_m4"
+
+
+def test_is_square_is_exact_on_large_integers():
+    assert _is_square((10**30 + 7) ** 2)
+    assert not _is_square((10**30 + 7) ** 2 + 1)
+    assert _is_square(10**400)
+    assert not _is_square(10**400 - 1)
+    assert not _is_square(-4)

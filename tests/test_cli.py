@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from degenlab.cli import main
 from degenlab.paperdata import certificates, witnesses
 
@@ -142,3 +144,29 @@ def test_classify_from_file(tmp_path, capsys):
 
 def test_classify_precondition_error(capsys):
     assert main(["classify", "T4", "--dim", "5"]) == 1
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["classify", "T22_e34"]])
+def test_classify_without_algebra(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "5"])
+def test_check_rejects_json_that_is_not_an_object(tmp_path, capsys, text):
+    path = tmp_path / "claim.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_verify_paper_inconsistent_ledger(tmp_path, capsys):
+    chain = {"id": "c", "algebra": "n3", "dim": 3, "expected_level": 1,
+             "edges": []}
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps({"certificates": [], "witnesses": [],
+                                "chains": [chain, chain]}), encoding="utf-8")
+    code = main(["verify-paper", "--ledger", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -3,17 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from degenlab.algebra import StructureTensor
-from degenlab.catalog import instantiate
+from degenlab.algebra import (
+    DimensionMismatch,
+    StructureTensor,
+    change_basis,
+    left_mult_matrix,
+)
+from degenlab.catalog import MANIFEST_FAMILIES, instantiate
+from degenlab.catalog import tested_dims as catalog_tested_dims
 from degenlab.contraction import (
     NotASubalgebra,
+    NotEngelAt,
     RankSequence,
     dominates,
     iw_contract,
     iw_max,
     rank_sequence,
 )
-from degenlab.linalg import Partition
+from degenlab.linalg import Matrix, Partition, Singular, power_rank_sequence
 
 
 def e_vec(n, *idx):
@@ -129,8 +136,66 @@ def test_iw_contract_complement_is_an_abelian_ideal():
 
 
 def test_rank_sequence_not_engel():
-    from degenlab.contraction import NotEngelAt
-
     bad = StructureTensor(3, {(1, 2): (0, 1, 0)})  # e1e2 = e2, idempotent-ish
     with pytest.raises(NotEngelAt):
         rank_sequence(bad, (Fraction(1), Fraction(0), Fraction(0)))
+
+
+def fraction_rank_sequence(a, vec):
+    """Reference: Fraction matrix of L_vec and the generic power ranks."""
+    return power_rank_sequence(left_mult_matrix(a, vec), a.dim + 1)
+
+
+def reference_vectors(n, rng):
+    vecs = [e_vec(n, i) for i in range(1, n + 1)]
+    vecs += [e_vec(n, i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    vecs += [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(4)]
+    vecs += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+             for _ in range(4)]
+    return vecs
+
+
+def test_integer_rank_sequence_matches_fraction_reference():
+    rng = random.Random(17)
+    checked = 0
+    for key in MANIFEST_FAMILIES:
+        for n in catalog_tested_dims(key):
+            if n > 8:
+                continue
+            a = instantiate(key, n)
+            for vec in reference_vectors(n, rng):
+                assert tuple(rank_sequence(a, vec)) == fraction_rank_sequence(a, vec)
+                checked += 1
+    assert checked > 1000
+
+
+def test_integer_rank_sequence_on_a_dense_fraction_conjugate():
+    rng = random.Random(5)
+    while True:
+        basis = Matrix([[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                         for _ in range(6)] for _ in range(6)])
+        try:
+            a = change_basis(instantiate("T32_e23", 6), basis)
+        except Singular:
+            continue
+        break
+    assert any(x.denominator > 1 for vec in a.products.values() for x in vec)
+    for vec in reference_vectors(6, rng):
+        assert tuple(rank_sequence(a, vec)) == fraction_rank_sequence(a, vec)
+    part, witness = iw_max(a, seed=3)
+    assert part == Partition((3, 2))
+    assert all(isinstance(x, Fraction) for x in witness)
+
+
+def test_integer_rank_sequence_error_cases():
+    a = instantiate("T3", 5)
+    for short in ((1, 0, 0, 0), (Fraction(1, 2),) * 6):
+        with pytest.raises(DimensionMismatch):
+            rank_sequence(a, short)
+        with pytest.raises(DimensionMismatch):
+            fraction_rank_sequence(a, short)
+    bad = StructureTensor(3, {(1, 2): (0, Fraction(2, 3), 0)})
+    vec = (Fraction(1, 2), Fraction(0), Fraction(0))
+    assert len(fraction_rank_sequence(bad, vec)) > bad.dim
+    with pytest.raises(NotEngelAt):
+        rank_sequence(bad, vec)

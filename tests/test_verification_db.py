@@ -133,3 +133,41 @@ def test_transitivity_audit_reports_composed_arrows():
     # the stabilized form of the seven-dimensional exceptional structure
     # does reach the five-level three-block member one dimension up
     assert ("T2k2_special_m3@8", "T222_e24@8") in composed
+
+
+def test_chain_missing_field_is_a_parse_error():
+    obj = copy.deepcopy(shipped_obj())
+    del obj["chains"][0]["expected_level"]
+    with pytest.raises(ParseError):
+        ledger_from_obj(obj)
+
+
+@pytest.mark.parametrize("section", ["witnesses", "chains"])
+def test_duplicate_ids_are_rejected(section):
+    obj = copy.deepcopy(shipped_obj())
+    obj[section][1]["id"] = obj[section][0]["id"]
+    with pytest.raises(InconsistentLedger):
+        ledger_from_obj(obj)
+
+
+def _inline(name, tensor):
+    return {"name": name, "dim": tensor.dim,
+            "products": tensor.to_json_obj()["products"]}
+
+
+def test_label_bound_to_two_tables_is_rejected():
+    def cert(cid, source):
+        return {"id": cid, "source": source, "target": {"name": "zero", "dim": 5},
+                "basis": ["t*e1", "t*e2", "t*e3", "t*e4", "t*e5"]}
+
+    inline_t3 = _inline("X", instantiate("T3", 5))
+    inline_t4 = _inline("X", instantiate("T4", 5))
+    catalog_x = {"name": "X", "dim": 5}
+    same = {"certificates": [cert("a", inline_t3), cert("b", inline_t3)],
+            "witnesses": [], "chains": []}
+    assert len(ledger_from_obj(same).certificates) == 2
+    for other in (inline_t4, catalog_x):
+        obj = {"certificates": [cert("a", inline_t3), cert("b", other)],
+               "witnesses": [], "chains": []}
+        with pytest.raises(InconsistentLedger):
+            ledger_from_obj(obj)
