@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exactnum import rational_from_obj, rational_to_obj
 from .linalg import (
     Matrix,
+    Singular,
     Subspace,
-    invert,
+    int_scaled_inverse,
     kernel_basis,
     subspace_sum,
 )
@@ -50,6 +52,15 @@ class StructureTensor:
             if any(vec):
                 table[(i, j)] = vec
         self.products = table
+
+    @staticmethod
+    def from_trusted(dim: int, products) -> "StructureTensor":
+        """Wrap a table whose keys are i < j and whose vectors have length
+        dim and are nonzero, keeping its entries as given (ints, say)."""
+        a = StructureTensor.__new__(StructureTensor)
+        a.dim = dim
+        a.products = products
+        return a
 
     @staticmethod
     def zero_algebra(dim: int) -> "StructureTensor":
@@ -223,29 +234,71 @@ def dim_square(a: StructureTensor) -> int:
     return power_ideal(a, 2).dim
 
 
+def int_table(a: StructureTensor):
+    """(L, table): the products scaled by the lcm L of all denominators, as
+    (i, j, ((k, coeff), ...)) with 0-based indices and integer coeffs."""
+    mult = lcm(*(x.denominator for vec in a.products.values() for x in vec))
+    return mult, [
+        (i - 1, j - 1, tuple((k, x.numerator * (mult // x.denominator))
+                             for k, x in enumerate(vec) if x))
+        for (i, j), vec in a.products.items()
+    ]
+
+
+def int_change_basis(table, n: int, rows, inv):
+    """Integer products {(i, j): coords} of an integer table in a new basis.
+
+    table is int_table(a)[1] (a scaled by L), rows an invertible integer
+    basis g and inv = R from (d, R) = int_scaled_inverse(g).  The
+    coordinates of g_i g_j are T(g_i, g_j) R with no division: they are the
+    structure constants of a in the basis s g, where s = d L, because
+    scaling a basis by c scales its structure constants by c.
+    """
+    out = {}
+    for i in range(n - 1):
+        gi = rows[i]
+        for j in range(i + 1, n):
+            gj = rows[j]
+            p = [0] * n
+            for a, b, entries in table:
+                c = gi[a] * gj[b] - gi[b] * gj[a]
+                if c:
+                    for k, v in entries:
+                        p[k] += c * v
+            if not any(p):
+                continue
+            coords = tuple(
+                sum(p[r] * inv[r][k] for r in range(n) if p[r])
+                for k in range(n)
+            )
+            if any(coords):
+                out[(i + 1, j + 1)] = coords
+    return out
+
+
 def change_basis(a: StructureTensor, basis: Matrix) -> StructureTensor:
     """Structure constants of the same algebra in a new basis.
 
     Row i of `basis` expresses the new basis vector f_i in the standard
-    basis.  Raises linalg.Singular for non-invertible input.
+    basis.  Computed over Z on the integer-scaled table and basis m g, then
+    divided once by the total scale L m d.  Raises linalg.Singular for
+    non-invertible input.
     """
     n = a.dim
     if basis.rows != n or basis.cols != n:
         raise DimensionMismatch("basis matrix must be n x n")
-    inv = invert(basis)
-    table = {}
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            p = product(a, basis.entries[i - 1], basis.entries[j - 1])
-            if not any(p):
-                continue
-            # coords c with p = sum c_k f_k:  c = p . inv  (rows convention)
-            coords = tuple(
-                sum(p[r] * inv.entries[r][k] for r in range(n)) for k in range(n)
-            )
-            if any(coords):
-                table[(i, j)] = coords
-    return StructureTensor(n, table)
+    m = lcm(*(x.denominator for row in basis.entries for x in row))
+    rows = [[x.numerator * (m // x.denominator) for x in row]
+            for row in basis.entries]
+    d, inv = int_scaled_inverse(rows)
+    if not d:
+        raise Singular("basis matrix has zero determinant")
+    mult, table = int_table(a)
+    scale = mult * m * d
+    return StructureTensor(n, {
+        key: tuple(Fraction(x, scale) for x in vec)
+        for key, vec in int_change_basis(table, n, rows, inv).items()
+    })
 
 
 def direct_sum_trivial(a: StructureTensor, k: int) -> StructureTensor:

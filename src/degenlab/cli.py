@@ -6,8 +6,9 @@ formats.  The shipped ledger path can be overridden with the
 DEGENLAB_LEDGER environment variable.
 
 Exit codes for `check`: 0 pass/proved, 2 fail/refuted, 3 sampling-only
-(refutation not found), 1 I/O or parse errors.  `verify-paper` exits 0
-exactly when the report contains no FAIL entries.
+(refutation not found), 1 I/O, parse or argument errors (such as
+--trials below 1).  `verify-paper` exits 0 exactly when the report
+contains no FAIL entries, 2 when it does and 1 on the same errors.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from .algebra import (
 from .contraction import iw_max
 from .degeneration import verify_degeneration, verify_nondegeneration
 from .verification_db import (
-    InconsistentLedger,
-    ParseError,
     _ref_from_json,
     hasse_dot,
     load_ledger,
@@ -151,12 +150,12 @@ def cmd_check(args) -> int:
 def cmd_verify_paper(args) -> int:
     try:
         ledger = load_ledger(_ledger_path(args))
-    except (ParseError, InconsistentLedger) as exc:
+        report = run_ledger(
+            ledger, seed=args.seed, trials=args.trials, dims=args.dims
+        )
+    except ValueError as exc:  # ParseError, InconsistentLedger, trials < 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = run_ledger(
-        ledger, seed=args.seed, trials=args.trials, dims=args.dims
-    )
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -24,7 +24,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from .algebra import DimensionMismatch, StructureTensor
+from .algebra import DimensionMismatch, StructureTensor, int_table
 from .linalg import Partition, int_power_rank_sequence
 
 
@@ -63,19 +63,8 @@ class RankSequence(tuple):
         return f"RankSequence{tuple(self)}"
 
 
-def _int_table(a: StructureTensor):
-    """Products as (i, j, ((k, coeff), ...)) with 0-based indices, scaled
-    to integers by the lcm of all denominators."""
-    mult = lcm(*(x.denominator for vec in a.products.values() for x in vec))
-    return [
-        (i - 1, j - 1, tuple((k, x.numerator * (mult // x.denominator))
-                             for k, x in enumerate(vec) if x))
-        for (i, j), vec in a.products.items()
-    ]
-
-
 def _int_rank_sequence(table, n: int, vec) -> RankSequence:
-    """Rank sequence of L_vec from an integer table (see _int_table)."""
+    """Rank sequence of L_vec from an integer table (see algebra.int_table)."""
     if len(vec) != n:
         raise DimensionMismatch("vector must have the algebra dimension")
     mult = lcm(*(x.denominator for x in vec))
@@ -99,7 +88,7 @@ def _int_rank_sequence(table, n: int, vec) -> RankSequence:
 
 def rank_sequence(a: StructureTensor, vec) -> RankSequence:
     """Exact rank sequence of L_vec; NotEngelAt when it never vanishes."""
-    return _int_rank_sequence(_int_table(a), a.dim, vec)
+    return _int_rank_sequence(int_table(a)[1], a.dim, vec)
 
 
 def dominates(p: RankSequence, q: RankSequence) -> bool:
@@ -159,7 +148,7 @@ def iw_max(a: StructureTensor, seed: int = 0, trials: int = 20):
     sequence, which is reported as the all-ones partition of the quotient.
     """
     pool, rng = _candidate_pool(a, seed)
-    table, n = _int_table(a), a.dim
+    table, n = int_table(a)[1], a.dim
     best_vec = pool[0]
     best_seq = _int_rank_sequence(table, n, best_vec)
     for vec in pool[1:]:
@@ -204,12 +193,3 @@ def partition_from_rank_sequence(seq: RankSequence, dim: int) -> Partition:
     if any(conj[i] < conj[i + 1] for i in range(len(conj) - 1)):
         raise ValueError(f"not a rank sequence of a nilpotent operator: {seq}")
     return Partition(conj).conjugate()
-
-
-def rank_sequence_of_partition(partition: Partition, depth: int = None) -> RankSequence:
-    """Rank sequence realized by a nilpotent operator of the given type."""
-    if not partition:
-        return RankSequence()
-    top = partition[0]
-    ranks = [partition.rank_at(m) for m in range(1, (depth or top) + 1)]
-    return RankSequence(ranks)

@@ -13,6 +13,14 @@ identity surviving limits) are genuine proofs.  Closed-set witnesses prove
 the source side by a stored basis and only *falsify* the target side by
 seeded random orbit sampling; reports must keep the two tiers apart.
 
+Orbit samples are computed over Z: for an integer basis g, one
+fraction-free elimination gives d != 0 and R = d g^-1, and the table
+scaled by its denominator lcm L, written through R, is the exact orbit
+point of the basis s g, s = d L, with no division.  Scaling a table by c
+is the flag-preserving change c I, so each ClosedSetSpec set and R is a
+cone: the s g point is a member iff the g point is.  Sampling needs
+trials >= 1.
+
 Basis rows are written in a small text syntax, e.g.
 
     "e1", "e2+e3", "t*e4", "(1/t)*e5 - (1/t^2)*e7", "-e2-e5"
@@ -30,6 +38,8 @@ from .algebra import (
     annihilator,
     change_basis,
     dim_square,
+    int_change_basis,
+    int_table,
     jacobi_holds,
 )
 from .contraction import dominates, iw_max, rank_sequence
@@ -40,7 +50,7 @@ from .exactnum import (
     RF_ZERO,
     parse_rational_function,
 )
-from .linalg import Matrix, Singular, invert
+from .linalg import Matrix, Singular, int_scaled_inverse, invert
 
 
 class SingularFamily(ValueError):
@@ -298,42 +308,55 @@ def closed_set_member(a: StructureTensor, spec: ClosedSetSpec) -> bool:
     return True
 
 
-def random_anticommutative(dim: int, rng: random.Random, spread: int = 3) -> StructureTensor:
+def _int_anticommutative(dim: int, rng: random.Random, spread: int = 3):
+    """Random integer table {(i, j): vector}; zero vectors are left out."""
     table = {}
     for i in range(1, dim):
         for j in range(i + 1, dim + 1):
-            vec = tuple(Fraction(rng.randint(-spread, spread)) for _ in range(dim))
+            vec = tuple(rng.randint(-spread, spread) for _ in range(dim))
             if any(vec):
                 table[(i, j)] = vec
-    return StructureTensor(dim, table)
+    return table
 
 
-def project_to_spec(a: StructureTensor, spec: ClosedSetSpec) -> StructureTensor:
-    """Zero out exactly the coefficients the flag conditions forbid."""
-    n = a.dim
+def random_anticommutative(dim: int, rng: random.Random, spread: int = 3) -> StructureTensor:
+    return StructureTensor(dim, _int_anticommutative(dim, rng, spread))
+
+
+def _project_table(products, n: int, spec: ClosedSetSpec):
+    """The table with the coefficients the flag conditions forbid zeroed."""
     table = {}
-    for (p, q), vec in a.products.items():
+    for (p, q), vec in products.items():
         vec = list(vec)
         for (i, j, k) in spec.triples:
             if (p >= i and q >= j) or (q >= i and p >= j):
                 cut = n if k == n + 1 else k - 1
-                for r in range(cut):
-                    vec[r] = Fraction(0)
+                vec[:cut] = [0] * cut
         if any(vec):
             table[(p, q)] = tuple(vec)
-    return StructureTensor(n, table)
+    return table
+
+
+def project_to_spec(a: StructureTensor, spec: ClosedSetSpec) -> StructureTensor:
+    """Zero out exactly the coefficients the flag conditions forbid."""
+    return StructureTensor(a.dim, _project_table(a.products, a.dim, spec))
+
+
+def _int_lower_triangular(dim: int, rng: random.Random):
+    """Random integer flag-preserving basis: row i lives in <e_i, ..., e_n>."""
+    rows = []
+    for i in range(dim):
+        row = [0] * dim
+        row[i] = rng.choice([x for x in range(-3, 4) if x])
+        for k in range(i + 1, dim):
+            row[k] = rng.randint(-3, 3)
+        rows.append(row)
+    return rows
 
 
 def random_lower_triangular(dim: int, rng: random.Random) -> Matrix:
     """Random flag-preserving basis: row i lives in <e_i, ..., e_n>."""
-    rows = []
-    for i in range(dim):
-        row = [Fraction(0)] * dim
-        row[i] = Fraction(rng.choice([x for x in range(-3, 4) if x]))
-        for k in range(i + 1, dim):
-            row[k] = Fraction(rng.randint(-3, 3))
-        rows.append(row)
-    return Matrix(rows)
+    return Matrix(_int_lower_triangular(dim, rng))
 
 
 def lower_triangular_invariance_probe(
@@ -342,13 +365,16 @@ def lower_triangular_invariance_probe(
 ) -> Verdict:
     """Probe closure of a set under flag-preserving basis changes.
 
-    For ClosedSetSpec input the sampler projects random structures onto the
-    defining linear conditions; a custom (sampler, member) pair can probe
-    any candidate set, which the tests use as a negative control.
+    For ClosedSetSpec input the sampler projects random integer structures
+    onto the defining linear conditions; a custom (sampler, member) pair
+    can probe any candidate set, which the tests use as a negative
+    control.  The moved structure is the integer orbit point of s g, so
+    `member` must be a cone (invariant under nonzero scaling).
     """
     rng = random.Random(seed)
     if isinstance(spec, ClosedSetSpec):
-        sampler = sampler or (lambda r: project_to_spec(random_anticommutative(dim, r), spec))
+        sampler = sampler or (lambda r: StructureTensor.from_trusted(
+            dim, _project_table(_int_anticommutative(dim, r), dim, spec)))
         member = member or (lambda t: closed_set_member(t, spec))
     for trial in range(samples):
         tensor = sampler(rng)
@@ -356,20 +382,21 @@ def lower_triangular_invariance_probe(
             return Verdict(
                 "fail", f"sampler produced a non-member at trial {trial}"
             )
-        g = random_lower_triangular(dim, rng)
-        moved = change_basis(tensor, g)
-        if not member(moved):
+        g = _int_lower_triangular(dim, rng)
+        _, inv = int_scaled_inverse(g)  # nonzero diagonal: never singular
+        moved = int_change_basis(int_table(tensor)[1], dim, g, inv)
+        if not member(StructureTensor.from_trusted(dim, moved)):
             return Verdict(
                 "fail",
                 f"membership lost under a flag-preserving change at trial {trial}",
-                {"tensor": tensor.to_json_obj(), "basis": [[str(x) for x in row] for row in g.entries]},
+                {"tensor": tensor.to_json_obj(), "basis": [[str(x) for x in row] for row in g]},
             )
     return Verdict("pass")
 
 
 # --- the bespoke closed set R of the seven-dimensional analysis -----------
 
-_R_FLAG_CONDITIONS = (
+_R_FLAGS = ClosedSetSpec((
     (1, 7, 8),  # lambda(V, V_7) = 0
     (2, 6, 8),  # lambda(V_2, V_6) = 0
     (3, 5, 8),  # lambda(V_3, V_5) = 0
@@ -377,7 +404,7 @@ _R_FLAG_CONDITIONS = (
     (2, 3, 6),  # lambda(V_2, V_3) in V_6
     (1, 3, 5),  # lambda(V, V_3) in V_5
     (1, 1, 4),  # lambda(V, V) in V_4
-)
+))
 
 # quadratic relations as (monomial, monomial, sign) with monomials (i,j,k):
 # sum over entries of sign * l_{i,j}^k * l_{p,q}^r must vanish
@@ -395,15 +422,15 @@ _R_QUADRATICS = (
 def ex222_membership(a: StructureTensor) -> bool:
     """Exact membership in the bespoke lower-triangular-stable set R.
 
-    Only defined in dimension 7: flag containments plus seven quadratic
-    relations between structure constants.
+    Only defined in dimension 7: flag containments plus seven homogeneous
+    quadratic relations between structure constants, so R is a cone.
     """
     if a.dim != 7:
         raise ValueError("the set R lives in dimension 7")
-    if not closed_set_member(a, ClosedSetSpec(_R_FLAG_CONDITIONS)):
+    if not closed_set_member(a, _R_FLAGS):
         return False
     for relation in _R_QUADRATICS:
-        acc = Fraction(0)
+        acc = 0
         for (m1, m2, sign) in relation:
             acc += sign * a.constant(*m1) * a.constant(*m2)
         if acc != 0:
@@ -411,18 +438,16 @@ def ex222_membership(a: StructureTensor) -> bool:
     return True
 
 
-def random_invertible(dim: int, rng: random.Random, spread: int = 5) -> Matrix:
+def random_invertible(dim: int, rng: random.Random, spread: int = 5):
+    """(g, R): random integer rows g, R = d g^-1; singular draws are redrawn."""
     while True:
         rows = [
-            [Fraction(rng.randint(-spread, spread)) for _ in range(dim)]
+            [rng.randint(-spread, spread) for _ in range(dim)]
             for _ in range(dim)
         ]
-        m = Matrix(rows)
-        try:
-            invert(m)
-        except Singular:
-            continue
-        return m
+        d, inv = int_scaled_inverse(rows)
+        if d:
+            return rows, inv
 
 
 def randomized_orbit_refute(
@@ -432,16 +457,21 @@ def randomized_orbit_refute(
 
     refutation_not_found is evidence, never proof, that the orbit misses
     the set; a hit refutes the emptiness claim and returns the basis.
+    `member` sees the integer orbit point of s g and must be a cone.
+    Raises ValueError when trials < 1: zero samples are no evidence.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
+    _, table = int_table(b)
     for trial in range(trials):
-        g = random_invertible(b.dim, rng)
-        moved = change_basis(b, g)
-        if member(moved):
+        g, inv = random_invertible(b.dim, rng)
+        moved = int_change_basis(table, b.dim, g, inv)
+        if member(StructureTensor.from_trusted(b.dim, moved)):
             return Verdict(
                 "refuted",
                 f"orbit member found in the set at trial {trial}",
-                {"basis": [[str(x) for x in row] for row in g.entries]},
+                {"basis": [[str(x) for x in row] for row in g]},
             )
     return Verdict(
         "refutation_not_found",
@@ -515,6 +545,8 @@ def verify_nondegeneration(
             )
         return Verdict("refuted", "source IW-max dominates the target element")
     if w.kind in ("ClosedSet", "BespokeR"):
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
         if w.kind == "ClosedSet":
             spec = ClosedSetSpec(tuple(tuple(t) for t in w.payload["triples"]))
             member = lambda t: closed_set_member(t, spec)  # noqa: E731
@@ -523,8 +555,13 @@ def verify_nondegeneration(
         witness_rows = w.payload.get("source_basis")
         if witness_rows:
             rows = [parse_basis_row(r, src.dim) for r in witness_rows]
-            const_rows = [[x.eval_at_zero() for x in row] for row in rows]
-            moved = change_basis(src, Matrix(const_rows))
+            try:
+                const_rows = [[x.eval_at_zero() for x in row] for row in rows]
+                moved = change_basis(src, Matrix(const_rows))
+            except PoleAtZero:
+                return Verdict("refuted", "stored source basis has a pole at t = 0")
+            except Singular:
+                return Verdict("refuted", "stored source basis is singular at t = 0")
         else:
             moved = src
         if not member(moved):

@@ -1,11 +1,11 @@
 """Exact linear algebra over Rational and RationalFunction scalars.
 
 Matrices here are tiny (at most ~11x11) and dense.  Everything is computed
-exactly: rank over the rationals goes through an integer fraction-free
-elimination after clearing denominators, rank over rational functions runs
-ordinary Gaussian elimination in the field of fractions QQ(t).  Subspaces
-are kept in reduced row-echelon form so that equality and containment are
-structural checks.
+exactly: rank and inverse over the rationals go through integer
+fraction-free elimination after clearing denominators, over rational
+functions through ordinary Gaussian elimination in the field QQ(t).
+Subspaces are kept in reduced row-echelon form so that equality and
+containment are structural checks.
 
 ``nilpotent_partition`` recovers Jordan block sizes of a nilpotent operator
 from the rank sequence of its powers (rank(N^m) = sum_i max(lambda_i - m, 0))
@@ -15,7 +15,7 @@ rather than by chasing Jordan chains.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .exactnum import RationalFunction, RF_ONE, RF_ZERO
 
@@ -122,12 +122,6 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.kind,
-        )
-
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.kind})"
 
@@ -136,14 +130,11 @@ class Matrix:
 
 
 def _int_rows_per_row_scaled(entries):
-    """Clear denominators row by row (rank is unchanged)."""
-    out = []
-    for row in entries:
-        mult = 1
-        for x in row:
-            mult = mult * x.denominator // gcd(mult, x.denominator)
-        out.append([int(x * mult) for x in row])
-    return out
+    """Clear denominators row by row (rank is unchanged): (multipliers, rows)."""
+    mults = [lcm(*(x.denominator for x in row)) for row in entries]
+    rows = [[x.numerator * (mult // x.denominator) for x in row]
+            for row, mult in zip(entries, mults)]
+    return mults, rows
 
 
 def _int_rank(rows) -> int:
@@ -184,6 +175,33 @@ def _int_rank(rows) -> int:
     return rank
 
 
+def int_scaled_inverse(rows):
+    """(d, R) with R = d G^-1 for a square integer matrix G (list of rows).
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, 1968) on [G | I]:
+    after each pivot every entry is a minor of [G | I], so the division by
+    the previous pivot is exact and [G | I] ends as [d I | d G^-1] with
+    d = +-det G.  Returns (0, None) when G is singular.
+    """
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(rows)]
+    prev = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c]), None)
+        if piv is None:
+            return 0, None
+        aug[c], aug[piv] = aug[piv], aug[c]
+        row_c = aug[c]
+        pv = row_c[c]
+        for i in range(n):
+            if i != c:
+                f = aug[i][c]
+                aug[i] = [(pv * a - f * b) // prev for a, b in zip(aug[i], row_c)]
+        prev = pv
+    return prev, [row[n:] for row in aug]
+
+
 def _field_rank(entries) -> int:
     rows = [row[:] for row in entries]
     nrows = len(rows)
@@ -216,7 +234,7 @@ def _field_rank(entries) -> int:
 def rank(m: Matrix) -> int:
     """Exact rank; symbolic over QQ(t) for RationalFunction matrices."""
     if m.kind == RATIONAL:
-        return _int_rank(_int_rows_per_row_scaled(m.entries))
+        return _int_rank(_int_rows_per_row_scaled(m.entries)[1])
     return _field_rank(m.entries)
 
 
@@ -267,31 +285,28 @@ def kernel_basis(m: Matrix) -> "Subspace":
 
 
 def invert(m: Matrix) -> Matrix:
-    """Exact inverse over the scalar field; raises Singular."""
+    """Exact inverse over the scalar field; raises Singular.
+
+    Over Q: R = d (D m)^-1 for the row denominators D, so m^-1 = R D / d.
+    Over Q(t): the reduced echelon form of [m | I].
+    """
     if m.rows != m.cols:
         raise Singular("only square matrices are invertible")
     n = m.rows
-    rows = m.copy_entries()
-    inv = Matrix.identity(n, m.kind).copy_entries()
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
+    if m.kind == RATIONAL:
+        mults, rows = _int_rows_per_row_scaled(m.entries)
+        d, scaled = int_scaled_inverse(rows)
+        if not d:
             raise Singular("matrix has zero determinant")
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv[c], inv[piv] = inv[piv], inv[c]
-        pv = rows[c][c]
-        rows[c] = [x / pv for x in rows[c]]
-        inv[c] = [x / pv for x in inv[c]]
-        for i in range(n):
-            if i != c and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-                inv[i] = [a - f * b for a, b in zip(inv[i], inv[c])]
-    return Matrix(inv, m.kind)
+        return Matrix(
+            [[Fraction(x * mult, d) for x, mult in zip(row, mults)]
+             for row in scaled]
+        )
+    ident = Matrix.identity(n, m.kind).entries
+    rows, pivots = _rref([a + b for a, b in zip(m.entries, ident)])
+    if pivots[-1] >= n:
+        raise Singular("matrix has zero determinant")
+    return Matrix([row[n:] for row in rows], m.kind)
 
 
 class Subspace:
@@ -452,15 +467,6 @@ def partition_from_ranks(ranks, total: int) -> Partition:
     return Partition(conj).conjugate()
 
 
-def _int_scaled_square(m: Matrix):
-    """Globally scale a Rational square matrix to integers (powers keep rank)."""
-    mult = 1
-    for row in m.entries:
-        for x in row:
-            mult = mult * x.denominator // gcd(mult, x.denominator)
-    return [[int(x * mult) for x in row] for row in m.entries]
-
-
 def _int_matmul(a, b):
     n = len(a)
     out = [[0] * n for _ in range(n)]
@@ -497,7 +503,10 @@ def power_rank_sequence(m: Matrix, max_power: int):
     if m.rows != m.cols:
         raise ValueError("rank sequence of a non-square matrix")
     if m.kind == RATIONAL:
-        return int_power_rank_sequence(_int_scaled_square(m), max_power)
+        # one global scale to integers: (c m)^k = c^k m^k keeps every rank
+        mult = lcm(*(x.denominator for row in m.entries for x in row))
+        return int_power_rank_sequence(
+            [[int(x * mult) for x in row] for row in m.entries], max_power)
     cur = m
     ranks = []
     for _ in range(max_power):

@@ -101,20 +101,6 @@ def _ref_from_json(obj) -> AlgebraRef:
     return AlgebraRef(name, dim, products)
 
 
-def _ref_to_json(ref: AlgebraRef):
-    out = {"name": ref.name, "dim": ref.dim}
-    if ref.products is not None:
-        out["products"] = [
-            {"i": i, "j": j, "value": [_frac_json(x) for x in vec]}
-            for (i, j, vec) in ref.products
-        ]
-    return out
-
-
-def _frac_json(x: Fraction):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def ledger_from_obj(obj, path: str = "") -> ClaimLedger:
     if not isinstance(obj, dict) or "certificates" not in obj:
         raise ParseError("ledger object lacks a certificates section")
@@ -386,7 +372,12 @@ def _monotone_audit(src: _LabelInvariants, tgt: _LabelInvariants):
 
 def run_ledger(ledger: ClaimLedger, seed: int = 0, trials: int = 200,
                dims=None) -> dict:
-    """Verify every claim; returns the report as a JSON-ready dict."""
+    """Verify every claim; returns the report as a JSON-ready dict.
+
+    Raises ValueError when trials < 1: orbit sampling needs a sample.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     dims = set(dims) if dims else None
 
     def in_scope(dim):

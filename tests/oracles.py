@@ -77,3 +77,39 @@ def ann_dim_oracle(tensor):
             ])
     rank = row_reduce_dim(rows) if any(any(r) for r in rows) else 0
     return n - rank
+
+
+def fraction_inverse(rows):
+    """Inverse of a square matrix by Gauss-Jordan over Fraction; None when
+    the matrix is singular."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if piv is None:
+            return None
+        aug[c], aug[piv] = aug[piv], aug[c]
+        pr = [x / aug[c][c] for x in aug[c]]
+        aug[c] = pr
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], pr)]
+    return [row[n:] for row in aug]
+
+
+def change_basis_oracle(dim, pairs, basis_rows):
+    """{(i, j): coordinates of f_i f_j in the basis f} for a table given as
+    (i, j, k, coeff) entries; row i of basis_rows is f_i."""
+    rows = [[Fraction(x) for x in row] for row in basis_rows]
+    inv = fraction_inverse(rows)
+    out = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            p = table_product(dim, pairs, rows[i], rows[j])
+            coords = tuple(sum(p[r] * inv[r][k] for r in range(dim))
+                           for k in range(dim))
+            if any(coords):
+                out[(i + 1, j + 1)] = coords
+    return out

@@ -5,6 +5,7 @@ independent oracles in oracles.py (row reduction over plain Fractions,
 direct annihilator solves) and then frozen as a literal.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -35,6 +36,7 @@ from degenlab.linalg import (
 )
 from degenlab.verification_db import (
     load_ledger,
+    report_to_json_bytes,
     run_ledger,
     shipped_ledger_path,
 )
@@ -343,3 +345,26 @@ def test_criterion_9_property_suites(ledger, full_report):
         f"certificates; {len(full_report['closed_set_probes'])} closed-set "
         f"probes pass; 500 conjugation invariance checks clean",
     )
+
+
+# SHA-256 of report_to_json_bytes for the shipped ledger at SEED, with the
+# "ledger" field set to "ledger.json"; recorded before the integer orbit
+# engine replaced the Fraction sampling path, which must not move a byte.
+GOLDEN_REPORT_SHA256 = {
+    20: "2049268272fab363c50347a548d82a21afc51c7a9e093faa884b19d94459763a",
+    200: "f417b5911c11550551838d6f96994f3ff68adb28d145f01c86383be3a4400d81",
+}
+
+
+def _report_digest(report):
+    return hashlib.sha256(
+        report_to_json_bytes(dict(report, ledger="ledger.json"))).hexdigest()
+
+
+def test_golden_report_digest_20_trials(ledger):
+    report = run_ledger(ledger, seed=SEED, trials=20)
+    assert _report_digest(report) == GOLDEN_REPORT_SHA256[20]
+
+
+def test_golden_report_digest_200_trials(full_report):
+    assert _report_digest(full_report) == GOLDEN_REPORT_SHA256[200]

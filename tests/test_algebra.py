@@ -13,6 +13,8 @@ from degenlab.algebra import (
     engel_degree,
     generated_subalgebra,
     identity_flags,
+    int_change_basis,
+    int_table,
     is_nilpotent,
     left_mult_matrix,
     power_ideal,
@@ -20,7 +22,9 @@ from degenlab.algebra import (
     subspace_product,
 )
 from degenlab.catalog import instantiate
-from degenlab.linalg import Matrix, Subspace, Singular
+from degenlab.linalg import Matrix, Subspace, Singular, int_scaled_inverse
+
+from oracles import change_basis_oracle, fraction_inverse, pairs_of
 
 from oracles import ann_dim_oracle, square_dim_oracle
 
@@ -195,6 +199,59 @@ def test_change_basis_invariants():
         assert is_nilpotent(a) == is_nilpotent(b)
         assert engel_degree(a, n) == engel_degree(b, n)
         assert identity_flags(a) == identity_flags(b)
+
+
+def _random_fractional_table(n, rng):
+    table = {}
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            if rng.random() < 0.5:
+                table[(i, j)] = tuple(
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n))
+    return StructureTensor(n, table)
+
+
+def test_change_basis_fractional_tables_match_oracle():
+    rng = random.Random(23)
+    for trial in range(30):
+        n = 2 + trial % 6
+        a = _random_fractional_table(n, rng)
+        while True:
+            rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]
+                    for _ in range(n)]
+            if fraction_inverse(rows) is not None:
+                break
+        want = change_basis_oracle(n, pairs_of(a), rows)
+        assert change_basis(a, Matrix(rows)).products == want
+
+
+def test_change_basis_singular_basis_raises():
+    a = instantiate("T22", 5)
+    rows = Matrix.identity(5).copy_entries()
+    rows[4] = rows[3]
+    with pytest.raises(Singular):
+        change_basis(a, Matrix(rows))
+
+
+def test_int_change_basis_is_the_scaled_orbit_point():
+    # integer coordinates = s * (constants in the basis g), s = d * L
+    rng = random.Random(41)
+    cases = [instantiate("T222_e7special", 7), instantiate("T32_e23", 6)]
+    cases += [_random_fractional_table(n, rng) for n in (3, 5, 8)]
+    for a in cases:
+        n = a.dim
+        mult, table = int_table(a)
+        for _ in range(5):
+            g = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            d, inv = int_scaled_inverse(g)
+            if not d:
+                continue
+            point = int_change_basis(table, n, g, inv)
+            want = change_basis_oracle(n, pairs_of(a), g)
+            s = d * mult
+            assert point == {key: tuple(s * x for x in vec)
+                             for key, vec in want.items()}
+            assert all(type(x) is int for vec in point.values() for x in vec)
 
 
 def test_direct_sum_trivial():

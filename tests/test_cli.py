@@ -170,3 +170,48 @@ def test_verify_paper_inconsistent_ledger(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_check_rejects_zero_trials(tmp_path, capsys):
+    path = tmp_path / "wit.json"
+    path.write_text(json.dumps(witness_by_id("W.ex222.b.7")), encoding="utf-8")
+    assert main(["check", str(path), "--trials", "-3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_verify_paper_rejects_zero_trials(tmp_path, capsys):
+    code = main(["verify-paper", "--dims", "5", "--trials", "0",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def _bad_basis_witness():
+    wit = json.loads(json.dumps(witness_by_id("W.ex222.b.7")))
+    wit["payload"]["source_basis"] = ["(1/t)*e1"] + wit["payload"]["source_basis"][1:]
+    return wit
+
+
+def test_check_bad_source_basis_is_refuted(tmp_path, capsys):
+    path = tmp_path / "wit.json"
+    path.write_text(json.dumps(_bad_basis_witness()), encoding="utf-8")
+    code, out = run(capsys, "--json", "check", str(path), "--trials", "5")
+    assert code == 2
+    assert json.loads(out)["reason"] == "stored source basis has a pole at t = 0"
+
+
+def test_verify_paper_bad_source_basis_is_a_fail_entry(tmp_path, capsys):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps({"certificates": [], "chains": [],
+                                "witnesses": [_bad_basis_witness()]}),
+                    encoding="utf-8")
+    code = main(["verify-paper", "--ledger", str(path), "--trials", "5",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [w["status"] for w in report["witnesses"]] == ["FAIL"]
+    assert report["summary"]["failures"] == 1

@@ -6,6 +6,9 @@ import pytest
 from degenlab.algebra import StructureTensor, change_basis
 from degenlab.catalog import instantiate
 from degenlab.degeneration import (
+    _int_anticommutative,
+    _int_lower_triangular,
+    _project_table,
     AlgebraRef,
     ClosedSetSpec,
     DegenerationCertificate,
@@ -17,13 +20,19 @@ from degenlab.degeneration import (
     ex222_membership,
     lower_triangular_invariance_probe,
     parse_basis_row,
+    project_to_spec,
     randomized_orbit_refute,
     random_anticommutative,
+    random_invertible,
+    random_lower_triangular,
     verify_degeneration,
     verify_nondegeneration,
 )
 from degenlab.exactnum import parse_rational_function as parse
 from degenlab.linalg import Matrix
+from degenlab.verification_db import load_ledger, shipped_ledger_path
+
+from oracles import fraction_inverse
 
 
 def test_parse_basis_row_shapes():
@@ -222,3 +231,153 @@ def test_random_anticommutative_is_reproducible():
     a = random_anticommutative(5, random.Random(99))
     b = random_anticommutative(5, random.Random(99))
     assert a == b
+
+
+def _shipped_closed_set_specs():
+    ledger = load_ledger(shipped_ledger_path())
+    return sorted({
+        (tuple(tuple(t) for t in w.payload["triples"]), w.source.dim)
+        for w in ledger.witnesses if w.kind == "ClosedSet"
+    })
+
+
+def _fraction_projected_sample(n, rng, spec):
+    """Plain-Fraction draw: a random table with the forbidden entries zeroed."""
+    table = {}
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            vec = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+            for (p, q, k) in spec.triples:
+                if (i >= p and j >= q) or (j >= p and i >= q):
+                    for r in range(n if k == n + 1 else k - 1):
+                        vec[r] = Fraction(0)
+            if any(vec):
+                table[(i, j)] = tuple(vec)
+    return table
+
+
+def _fraction_lower_triangular(n, rng):
+    rows = []
+    for i in range(n):
+        row = [Fraction(0)] * n
+        row[i] = Fraction(rng.choice([x for x in range(-3, 4) if x]))
+        for k in range(i + 1, n):
+            row[k] = Fraction(rng.randint(-3, 3))
+        rows.append(row)
+    return rows
+
+
+def test_int_samplers_match_the_fraction_samplers():
+    for spec_triples, n in _shipped_closed_set_specs():
+        spec = ClosedSetSpec(spec_triples)
+        ref, a, b = random.Random(n), random.Random(n), random.Random(n)
+        for _ in range(5):
+            want = _fraction_projected_sample(n, ref, spec)
+            assert project_to_spec(random_anticommutative(n, a), spec).products == want
+            assert _project_table(_int_anticommutative(n, b), n, spec) == want
+            assert ref.getstate() == a.getstate() == b.getstate()
+            want_g = _fraction_lower_triangular(n, ref)
+            assert random_lower_triangular(n, a).entries == want_g
+            assert _int_lower_triangular(n, b) == want_g
+            assert ref.getstate() == a.getstate() == b.getstate()
+
+
+def test_random_invertible_draws_like_the_fraction_rejection_loop():
+    # the draw sequence of drawing Fraction matrices and rejecting the
+    # singular ones with an independent inverse
+    for dim in (2, 3, 7, 9):
+        a, b = random.Random(dim), random.Random(dim)
+        for _ in range(20):
+            while True:
+                want = [[Fraction(a.randint(-5, 5)) for _ in range(dim)]
+                        for _ in range(dim)]
+                inverse = fraction_inverse(want)
+                if inverse is not None:
+                    break
+            g, inv = random_invertible(dim, b)
+            assert g == want
+            d = next(x for x in inv[0] if x) / next(x for x in inverse[0] if x)
+            assert [[Fraction(x) for x in row] for row in inv] == [
+                [d * x for x in row] for row in inverse]
+        assert a.getstate() == b.getstate()
+
+
+def _scaled(tensor, c):
+    return StructureTensor(tensor.dim, {
+        key: tuple(c * x for x in vec) for key, vec in tensor.products.items()})
+
+
+SCALES = (Fraction(2), Fraction(-3), Fraction(1, 5), Fraction(-7, 4))
+
+
+def test_closed_set_membership_is_scale_invariant():
+    rng = random.Random(12)
+    for spec_triples, n in _shipped_closed_set_specs():
+        spec = ClosedSetSpec(spec_triples)
+        seen = set()
+        for _ in range(10):
+            member = project_to_spec(random_anticommutative(n, rng), spec)
+            outsider = random_anticommutative(n, rng)
+            for tensor in (member, outsider):
+                verdict = closed_set_member(tensor, spec)
+                seen.add(verdict)
+                for c in SCALES:
+                    assert closed_set_member(_scaled(tensor, c), spec) == verdict
+        assert seen == {True, False}
+
+
+def test_bespoke_set_membership_is_scale_invariant():
+    special = instantiate("T222_e7special", 7)
+    perm = [0, 1, 2, 4, 5, 3, 6]
+    rows = [[Fraction(int(j == perm[i])) for j in range(7)] for i in range(7)]
+    inside = change_basis(special, Matrix(rows))
+    rng = random.Random(3)
+    cases = [inside, special, instantiate("T22_e45", 7)]
+    cases += [change_basis(inside, random_lower_triangular(7, rng)) for _ in range(5)]
+    verdicts = [ex222_membership(t) for t in cases]
+    assert verdicts[0] and not verdicts[1] and not verdicts[2]
+    assert all(verdicts[3:])
+    for tensor, verdict in zip(cases, verdicts):
+        for c in SCALES:
+            assert ex222_membership(_scaled(tensor, c)) == verdict
+
+
+def test_orbit_refute_basis_renders_as_before():
+    special = instantiate("T222_e7special", 7)
+    verdict = randomized_orbit_refute(special, lambda t: True, trials=1, seed=5)
+    rng = random.Random(5)
+    want = [[str(Fraction(rng.randint(-5, 5))) for _ in range(7)] for _ in range(7)]
+    assert verdict.status == "refuted"
+    assert verdict.data == {"basis": want}
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sampling_needs_a_sample(trials):
+    with pytest.raises(ValueError):
+        randomized_orbit_refute(instantiate("T22_e45", 7), ex222_membership,
+                                trials=trials, seed=1)
+    w = NonDegenerationWitness(
+        kind="BespokeR",
+        source=AlgebraRef("T222_e7special", 7),
+        target=AlgebraRef("T222_e24", 7),
+        payload={"source_basis": ["e1", "e2", "e3", "e5", "e6", "e4", "e7"]},
+    )
+    with pytest.raises(ValueError):
+        verify_nondegeneration(w, trials=trials, seed=6)
+
+
+@pytest.mark.parametrize("rows, reason", [
+    (["e1", "e2", "e3", "e5", "e6", "e4", "e4"], "singular"),
+    (["e1", "e2", "e3", "e5", "e6", "e4", "t*e7"], "singular"),
+    (["(1/t)*e1", "e2", "e3", "e5", "e6", "e4", "e7"], "pole"),
+])
+def test_bad_stored_source_basis_is_refuted(rows, reason):
+    w = NonDegenerationWitness(
+        kind="BespokeR",
+        source=AlgebraRef("T222_e7special", 7),
+        target=AlgebraRef("T222_e24", 7),
+        payload={"source_basis": rows},
+    )
+    verdict = verify_nondegeneration(w, trials=5, seed=6)
+    assert verdict.status == "refuted"
+    assert reason in verdict.reason and "stored source basis" in verdict.reason

@@ -12,6 +12,7 @@ from degenlab.linalg import (
     Partition,
     Singular,
     Subspace,
+    int_scaled_inverse,
     invert,
     kernel_basis,
     nilpotent_partition,
@@ -22,7 +23,7 @@ from degenlab.linalg import (
 from degenlab.algebra import left_mult_matrix
 from degenlab.catalog import instantiate
 
-from oracles import row_reduce_dim
+from oracles import fraction_inverse, row_reduce_dim
 
 
 def e_vec(n, *idx):
@@ -84,6 +85,54 @@ def test_invert_diagonal_t_powers():
 def test_invert_singular_raises():
     with pytest.raises(Singular):
         invert(Matrix([[1, 2], [2, 4]]))
+
+
+def _random_square(n, rng, singular):
+    rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    if singular:
+        # the last row a combination of the others (zero when n = 1)
+        coeffs = [rng.randint(-2, 2) for _ in range(n - 1)]
+        rows[-1] = [sum(c * row[k] for c, row in zip(coeffs, rows))
+                    for k in range(n)]
+    return rows
+
+
+def test_int_scaled_inverse_matches_fraction_oracle():
+    rng = random.Random(31)
+    singular_seen = 0
+    for trial in range(120):
+        n = 1 + trial % 11
+        rows = _random_square(n, rng, singular=trial % 4 == 0)
+        want = fraction_inverse(rows)
+        d, scaled = int_scaled_inverse(rows)
+        if want is None:
+            singular_seen += 1
+            assert (d, scaled) == (0, None)
+            continue
+        assert d != 0
+        assert all(type(x) is int for row in scaled for x in row)
+        assert [[Fraction(x, d) for x in row] for row in scaled] == want
+    assert singular_seen >= 30
+
+
+def test_invert_rational_matches_fraction_oracle():
+    rng = random.Random(5)
+    for trial in range(40):
+        n = 1 + trial % 9
+        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+                for _ in range(n)]
+        want = fraction_inverse(rows)
+        if want is None:
+            with pytest.raises(Singular):
+                invert(Matrix(rows))
+        else:
+            assert invert(Matrix(rows)).entries == want
+
+
+def test_invert_singular_rational_function_matrix_raises():
+    t = parse("t")
+    with pytest.raises(Singular):
+        invert(Matrix([[t, parse("t^2")], [parse("1"), t]], kind="ratfun"))
 
 
 def test_nilpotent_partition_examples():

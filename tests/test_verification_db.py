@@ -36,6 +36,13 @@ def test_empty_ledger_is_vacuously_consistent():
     assert report["summary"]["failures"] == 0
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_run_ledger_needs_a_sample(trials):
+    ledger = ledger_from_obj({"certificates": [], "witnesses": [], "chains": []})
+    with pytest.raises(ValueError):
+        run_ledger(ledger, seed=1, trials=trials)
+
+
 def test_contradictory_pair_is_rejected():
     obj = shipped_obj()
     cert = next(c for c in obj["certificates"] if c["id"] == "T22deg.2.6")
