@@ -30,6 +30,8 @@ from .algebra import (
 from .contraction import iw_max
 from .degeneration import verify_degeneration, verify_nondegeneration
 from .verification_db import (
+    InconsistentLedger,
+    ParseError,
     _ref_from_json,
     hasse_dot,
     load_ledger,
@@ -148,14 +150,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    if args.trials < 1:
+        print(f"error: trials must be >= 1, got {args.trials}", file=sys.stderr)
+        return 1
     try:
         ledger = load_ledger(_ledger_path(args))
-        report = run_ledger(
-            ledger, seed=args.seed, trials=args.trials, dims=args.dims
-        )
-    except ValueError as exc:  # ParseError, InconsistentLedger, trials < 1
+    except (ParseError, InconsistentLedger) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    report = run_ledger(
+        ledger, seed=args.seed, trials=args.trials, dims=args.dims
+    )
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,9 +1,11 @@
 """Exact linear algebra over Rational and RationalFunction scalars.
 
 Matrices here are tiny (at most ~11x11) and dense.  Everything is computed
-exactly: rank and inverse over the rationals go through integer
-fraction-free elimination after clearing denominators, over rational
-functions through ordinary Gaussian elimination in the field QQ(t).
+exactly: rank over the rationals goes through an integer fraction-free
+elimination after clearing denominators, rank over rational functions runs
+ordinary Gaussian elimination in the field of fractions QQ(t), and `invert`
+reduces [M | I] to echelon form over either field.  Integer basis changes
+(orbit sampling) use the fraction-free inverse `int_scaled_inverse`.
 Subspaces are kept in reduced row-echelon form so that equality and
 containment are structural checks.
 
@@ -130,11 +132,14 @@ class Matrix:
 
 
 def _int_rows_per_row_scaled(entries):
-    """Clear denominators row by row (rank is unchanged): (multipliers, rows)."""
-    mults = [lcm(*(x.denominator for x in row)) for row in entries]
-    rows = [[x.numerator * (mult // x.denominator) for x in row]
-            for row, mult in zip(entries, mults)]
-    return mults, rows
+    """Clear denominators row by row (rank is unchanged)."""
+    out = []
+    for row in entries:
+        mult = 1
+        for x in row:
+            mult = mult * x.denominator // gcd(mult, x.denominator)
+        out.append([int(x * mult) for x in row])
+    return out
 
 
 def _int_rank(rows) -> int:
@@ -234,7 +239,7 @@ def _field_rank(entries) -> int:
 def rank(m: Matrix) -> int:
     """Exact rank; symbolic over QQ(t) for RationalFunction matrices."""
     if m.kind == RATIONAL:
-        return _int_rank(_int_rows_per_row_scaled(m.entries)[1])
+        return _int_rank(_int_rows_per_row_scaled(m.entries))
     return _field_rank(m.entries)
 
 
@@ -287,21 +292,11 @@ def kernel_basis(m: Matrix) -> "Subspace":
 def invert(m: Matrix) -> Matrix:
     """Exact inverse over the scalar field; raises Singular.
 
-    Over Q: R = d (D m)^-1 for the row denominators D, so m^-1 = R D / d.
-    Over Q(t): the reduced echelon form of [m | I].
+    Both fields take the reduced echelon form of [m | I].
     """
     if m.rows != m.cols:
         raise Singular("only square matrices are invertible")
     n = m.rows
-    if m.kind == RATIONAL:
-        mults, rows = _int_rows_per_row_scaled(m.entries)
-        d, scaled = int_scaled_inverse(rows)
-        if not d:
-            raise Singular("matrix has zero determinant")
-        return Matrix(
-            [[Fraction(x * mult, d) for x, mult in zip(row, mults)]
-             for row in scaled]
-        )
     ident = Matrix.identity(n, m.kind).entries
     rows, pivots = _rref([a + b for a, b in zip(m.entries, ident)])
     if pivots[-1] >= n:

@@ -190,6 +190,18 @@ def test_verify_paper_rejects_zero_trials(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_verify_paper_does_not_hide_verifier_errors(tmp_path, monkeypatch):
+    # only bad input maps to exit 1; a fault inside verification keeps its
+    # traceback even when it is a ValueError subclass
+    def broken_run_ledger(*args, **kwargs):
+        raise ValueError("internal verifier fault")
+
+    monkeypatch.setattr("degenlab.cli.run_ledger", broken_run_ledger)
+    with pytest.raises(ValueError, match="internal verifier fault"):
+        main(["verify-paper", "--dims", "5", "--trials", "1",
+              "--out", str(tmp_path / "out")])
+
+
 def _bad_basis_witness():
     wit = json.loads(json.dumps(witness_by_id("W.ex222.b.7")))
     wit["payload"]["source_basis"] = ["(1/t)*e1"] + wit["payload"]["source_basis"][1:]
