@@ -10,6 +10,13 @@ The Engel decision is exact: over a field of characteristic zero,
 (L_a)^m = 0 for every a iff the matrix (sum_i x_i L_{e_i})^m vanishes
 identically as a polynomial matrix, so we expand that power symbolically
 instead of sampling.
+
+The identity checks (Jacobi, Malcev, Engel) and basis changes run over Z
+on the table scaled by the lcm L of its denominators (`int_table`).  Each
+identity is homogeneous in the structure constants: scaling them by L
+multiplies the Jacobi defect by L^2, the Malcev defect by L^3 and
+(sum_i x_i L_{e_i})^m by L^m, so every zero test, and the least m, is
+the same as over Q.
 """
 
 from __future__ import annotations
@@ -245,6 +252,17 @@ def int_table(a: StructureTensor):
     ]
 
 
+def _int_product(table, n: int, x, y):
+    """x y over Z for an int_table table and integer vectors x, y."""
+    out = [0] * n
+    for i, j, entries in table:
+        c = x[i] * y[j] - x[j] * y[i]
+        if c:
+            for k, v in entries:
+                out[k] += c * v
+    return out
+
+
 def int_change_basis(table, n: int, rows, inv):
     """Integer products {(i, j): coords} of an integer table in a new basis.
 
@@ -256,15 +274,8 @@ def int_change_basis(table, n: int, rows, inv):
     """
     out = {}
     for i in range(n - 1):
-        gi = rows[i]
         for j in range(i + 1, n):
-            gj = rows[j]
-            p = [0] * n
-            for a, b, entries in table:
-                c = gi[a] * gj[b] - gi[b] * gj[a]
-                if c:
-                    for k, v in entries:
-                        p[k] += c * v
+            p = _int_product(table, n, rows[i], rows[j])
             if not any(p):
                 continue
             coords = tuple(
@@ -322,51 +333,55 @@ class IdentityFlags:
 
 
 def jacobi_holds(a: StructureTensor) -> bool:
-    """True iff the Jacobi identity holds on all basis triples (A is Lie)."""
+    """True iff the Jacobi identity holds on all basis triples (A is Lie).
+
+    Evaluated over Z on the L-scaled table; the defect scales by L^2.
+    """
     n = a.dim
-    basis = [tuple(Fraction(int(i == k)) for k in range(n)) for i in range(n)]
+    _, table = int_table(a)
+    e = [[int(i == k) for k in range(n)] for i in range(n)]
+    sq = [[_int_product(table, n, x, y) for y in e] for x in e]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                acc = [Fraction(0)] * n
-                for term in (
-                    product(a, a.basis_product(i + 1, j + 1), basis[k]),
-                    product(a, a.basis_product(j + 1, k + 1), basis[i]),
-                    product(a, a.basis_product(k + 1, i + 1), basis[j]),
-                ):
-                    for r in range(n):
-                        acc[r] += term[r]
-                if any(acc):
+                terms = (
+                    _int_product(table, n, sq[i][j], e[k]),
+                    _int_product(table, n, sq[j][k], e[i]),
+                    _int_product(table, n, sq[k][i], e[j]),
+                )
+                if any(map(sum, zip(*terms))):
                     return False
     return True
 
 
-def _malcev_defect(a: StructureTensor, x, y, z):
-    """(xy)(xz) - ((xy)z)x - ((yz)x)x - ((zx)x)y."""
-    xy = product(a, x, y)
-    xz = product(a, x, z)
-    yz = product(a, y, z)
-    zx = product(a, z, x)
-    lhs = product(a, xy, xz)
-    t1 = product(a, product(a, xy, z), x)
-    t2 = product(a, product(a, yz, x), x)
-    t3 = product(a, product(a, zx, x), y)
-    return tuple(lhs[r] - t1[r] - t2[r] - t3[r] for r in range(a.dim))
-
-
 def _malcev_holds(a: StructureTensor) -> bool:
-    # quadratic in x, linear in y and z: basis vectors and pair sums for x,
-    # basis vectors for y, z decide it over characteristic zero
+    """Malcev identity (xy)(xz) = ((xy)z)x + ((yz)x)x + ((zx)x)y.
+
+    Quadratic in x, linear in y and z: basis vectors and pair sums for x,
+    basis vectors for y, z decide it over characteristic zero.  Evaluated
+    over Z on the L-scaled table; the defect scales by L^3.
+    """
     n = a.dim
-    basis = [tuple(Fraction(int(i == k)) for k in range(n)) for i in range(n)]
-    xs = list(basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            xs.append(tuple(basis[i][k] + basis[j][k] for k in range(n)))
+    _, table = int_table(a)
+
+    def mul(x, y):
+        return _int_product(table, n, x, y)
+
+    e = [[int(i == k) for k in range(n)] for i in range(n)]
+    sq = [[mul(y, z) for z in e] for y in e]
+    xs = e + [[p + q for p, q in zip(e[i], e[j])]
+              for i in range(n) for j in range(i + 1, n)]
     for x in xs:
-        for y in basis:
-            for z in basis:
-                if any(_malcev_defect(a, x, y, z)):
+        xy = [mul(x, y) for y in e]
+        zxx = [mul(mul(z, x), x) for z in e]
+        for iy, y in enumerate(e):
+            for iz, z in enumerate(e):
+                lhs = mul(xy[iy], xy[iz])
+                t1 = mul(mul(xy[iy], z), x)
+                t2 = mul(mul(sq[iy][iz], x), x)
+                t3 = mul(zxx[iz], y)
+                if any(p - q - r - s
+                       for p, q, r, s in zip(lhs, t1, t2, t3)):
                     return False
     return True
 
@@ -414,19 +429,17 @@ def engel_degree(a: StructureTensor, max_m: int):
 
     Decided by full polarization: the polynomial matrix (sum x_i L_{e_i})^m
     must vanish identically, which over QQ is an exact finite computation.
+    The linear matrix is read off the L-scaled integer table, so every
+    coefficient is an integer and the m-th power scales by L^m.
     """
     n = a.dim
+    # lin[k][c] = {i: coefficient of e_k in e_i e_c}
     lin = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(1, n + 1):
-        mat = left_mult_matrix(
-            a, tuple(Fraction(int(i == k)) for k in range(1, n + 1))
-        )
-        for r in range(n):
-            for c in range(n):
-                v = mat.entries[r][c]
-                if v:
-                    lin[r][c][i] = v
-    cur = [[({(): Fraction(1)} if r == c else {}) for c in range(n)] for r in range(n)]
+    for i, j, entries in int_table(a)[1]:
+        for k, v in entries:
+            lin[k][j][i] = v
+            lin[k][i][j] = -v
+    cur = [[({(): 1} if r == c else {}) for c in range(n)] for r in range(n)]
     for m in range(1, max_m + 1):
         cur = _poly_matrix_mul_linear(cur, lin, n)
         if all(not cur[r][c] for r in range(n) for c in range(n)):

@@ -30,8 +30,8 @@ from .algebra import (
     power_ideal,
     subspace_product,
 )
-from .exactnum import Polynomial, RationalFunction, poly_gcd
-from .linalg import Matrix, Partition, Subspace, rank
+from .exactnum import Polynomial, poly_gcd
+from .linalg import Partition, Subspace, _int_rank
 
 
 class DimensionOutOfRange(ValueError):
@@ -512,14 +512,25 @@ def _pair_pencil(a: StructureTensor, square: Subspace):
 
 
 def _pencil_generic_rank(p_mat, q_mat) -> int:
+    """Rank of P + tQ over Q(t), as the largest rank of P + tQ at t = 0..d.
+
+    Exact: if the generic rank is r <= d, some r x r minor is a nonzero
+    polynomial in t of degree <= r, which cannot vanish at all d + 1
+    points, and no evaluation exceeds the generic rank.  Each evaluation
+    is an integer rank after scaling P and Q by their denominator lcm.
+    """
     d = len(p_mat)
-    t = RationalFunction(Polynomial((0, 1)))
-    entries = [
-        [RationalFunction(Polynomial((p_mat[i][j],))) + t * RationalFunction(Polynomial((q_mat[i][j],)))
-         for j in range(d)]
-        for i in range(d)
-    ]
-    return rank(Matrix(entries, kind="ratfun"))
+    mult = math.lcm(*(x.denominator for mat in (p_mat, q_mat)
+                      for row in mat for x in row))
+    p_int = [[int(x * mult) for x in row] for row in p_mat]
+    q_int = [[int(x * mult) for x in row] for row in q_mat]
+    best = 0
+    for t in range(d + 1):
+        best = max(best, _int_rank([[p + t * q for p, q in zip(pr, qr)]
+                                    for pr, qr in zip(p_int, q_int)]))
+        if best == d:
+            break
+    return best
 
 
 def _pfaffian_forms(p_mat, q_mat):

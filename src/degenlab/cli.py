@@ -33,6 +33,7 @@ from .verification_db import (
     InconsistentLedger,
     ParseError,
     _ref_from_json,
+    check_witness_payload,
     hasse_dot,
     load_ledger,
     report_to_json_bytes,
@@ -118,6 +119,7 @@ def cmd_check(args) -> int:
                 provenance=obj.get("provenance", ""),
                 witness_id=obj.get("id", "cli-witness"),
             )
+            check_witness_payload(witness)
             verdict = verify_nondegeneration(
                 witness, trials=args.trials, seed=args.seed
             )

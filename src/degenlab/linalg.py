@@ -2,8 +2,8 @@
 
 Matrices here are tiny (at most ~11x11) and dense.  Everything is computed
 exactly: rank over the rationals goes through an integer fraction-free
-elimination after clearing denominators, rank over rational functions runs
-ordinary Gaussian elimination in the field of fractions QQ(t), and `invert`
+elimination after clearing denominators, rank over rational functions is
+the pivot count of the reduced echelon form over QQ(t), and `invert`
 reduces [M | I] to echelon form over either field.  Integer basis changes
 (orbit sampling) use the fraction-free inverse `int_scaled_inverse`.
 Subspaces are kept in reduced row-echelon form so that equality and
@@ -207,40 +207,11 @@ def int_scaled_inverse(rows):
     return prev, [row[n:] for row in aug]
 
 
-def _field_rank(entries) -> int:
-    rows = [row[:] for row in entries]
-    nrows = len(rows)
-    ncols = len(rows[0])
-    rank = 0
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, nrows):
-            xi = rows[i][c]
-            if xi:
-                factor = xi / pv
-                for j in range(c, ncols):
-                    rows[i][j] = rows[i][j] - factor * rows[r][j]
-        r += 1
-        rank += 1
-        if r == nrows:
-            break
-    return rank
-
-
 def rank(m: Matrix) -> int:
     """Exact rank; symbolic over QQ(t) for RationalFunction matrices."""
     if m.kind == RATIONAL:
         return _int_rank(_int_rows_per_row_scaled(m.entries))
-    return _field_rank(m.entries)
+    return len(_rref(m.entries)[1])
 
 
 def _rref(entries):

@@ -5,7 +5,7 @@ non-degeneration witnesses, and level chains.  Loading validates the
 referential invariants (chains reference existing certificates with
 matching endpoints and the stated length; no ordered pair carries both a
 certificate and a witness; ids are unique per section; one label names
-one table).  Running the ledger re-verifies everything and
+one table) and the witness payloads each kind reads.  Running the ledger re-verifies everything and
 emits a deterministic report: same seed, same bytes.
 
 Verdict statuses are kept tier-honest:
@@ -53,6 +53,7 @@ from .degeneration import (
     verify_degeneration,
     verify_nondegeneration,
 )
+from .exactnum import rational_from_obj
 from .linalg import Matrix, Subspace, kernel_basis, rank
 
 
@@ -101,6 +102,45 @@ def _ref_from_json(obj) -> AlgebraRef:
     return AlgebraRef(name, dim, products)
 
 
+def check_witness_payload(w: NonDegenerationWitness):
+    """Raise ParseError unless the payload fields w's kind reads are well
+    formed: ClosedSet `triples` is a list of integer triples (i, j, k) with
+    1 <= i, j <= n and 1 <= k <= n + 1, IWDominance `element` a list of n
+    rationals, where n is the source dimension."""
+    n = w.source.dim
+    payload = w.payload
+    where = f"witness {w.witness_id}"
+    if not isinstance(payload, dict):
+        raise ParseError(f"{where}: payload is not an object")
+    if w.kind == "ClosedSet":
+        triples = payload.get("triples")
+        if not isinstance(triples, list) or not all(
+            isinstance(t, list) and len(t) == 3
+            and all(type(x) is int for x in t)
+            and 1 <= t[0] <= n and 1 <= t[1] <= n and 1 <= t[2] <= n + 1
+            for t in triples
+        ):
+            raise ParseError(
+                f"{where}: payload.triples must be a list of integer "
+                f"triples (i, j, k) with 1 <= i, j <= {n}, 1 <= k <= {n + 1}"
+            )
+    if w.kind == "IWDominance":
+        element = payload.get("element")
+        if not (isinstance(element, list) and len(element) == n
+                and all(map(_is_rational, element))):
+            raise ParseError(
+                f"{where}: payload.element must be a list of {n} rationals"
+            )
+
+
+def _is_rational(x) -> bool:
+    try:
+        rational_from_obj(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
 def ledger_from_obj(obj, path: str = "") -> ClaimLedger:
     if not isinstance(obj, dict) or "certificates" not in obj:
         raise ParseError("ledger object lacks a certificates section")
@@ -131,6 +171,7 @@ def ledger_from_obj(obj, path: str = "") -> ClaimLedger:
             ))
         except KeyError as exc:
             raise ParseError(f"witness record missing {exc}") from exc
+        check_witness_payload(witnesses[-1])
     chains = []
     for rec in obj.get("chains", []):
         try:

@@ -38,8 +38,9 @@ def table_product(dim, pairs, x, y):
     """Bilinear product from a list of (i, j, k, coeff) entries, 1-based."""
     out = [Fraction(0)] * dim
     for (i, j, k, coeff) in pairs:
-        c = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
-        out[k - 1] += Fraction(coeff) * c
+        xi, xj, yi, yj = x[i - 1], x[j - 1], y[i - 1], y[j - 1]
+        if (xi and yj) or (xj and yi):
+            out[k - 1] += Fraction(coeff) * (xi * yj - xj * yi)
     return out
 
 
@@ -113,3 +114,122 @@ def change_basis_oracle(dim, pairs, basis_rows):
             if any(coords):
                 out[(i + 1, j + 1)] = coords
     return out
+
+
+def _basis(n):
+    return [tuple(Fraction(int(i == k)) for k in range(n)) for i in range(n)]
+
+
+def jacobi_oracle(tensor):
+    """Jacobi identity on all basis triples, over Fraction."""
+    n = tensor.dim
+    pairs = pairs_of(tensor)
+    basis = _basis(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc = [Fraction(0)] * n
+                for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+                    uv = table_product(n, pairs, basis[u], basis[v])
+                    term = table_product(n, pairs, uv, basis[w])
+                    for r in range(n):
+                        acc[r] += term[r]
+                if any(acc):
+                    return False
+    return True
+
+
+def malcev_oracle(tensor):
+    """(xy)(xz) = ((xy)z)x + ((yz)x)x + ((zx)x)y over Fraction, for x among
+    basis vectors and pair sums, y and z among basis vectors."""
+    n = tensor.dim
+    pairs = pairs_of(tensor)
+
+    def mul(x, y):
+        return table_product(n, pairs, x, y)
+
+    basis = _basis(n)
+    xs = list(basis)
+    for i in range(n):
+        for j in range(i + 1, n):
+            xs.append(tuple(basis[i][k] + basis[j][k] for k in range(n)))
+    for x in xs:
+        xb = [mul(x, b) for b in basis]
+        bxx = [mul(mul(b, x), x) for b in basis]
+        for y in range(n):
+            for z in range(n):
+                lhs = mul(xb[y], xb[z])
+                t1 = mul(mul(xb[y], basis[z]), x)
+                t2 = mul(mul(mul(basis[y], basis[z]), x), x)
+                t3 = mul(bxx[z], basis[y])
+                if any(lhs[r] - t1[r] - t2[r] - t3[r] for r in range(n)):
+                    return False
+    return True
+
+
+def _poly_matrix_mul_linear(cur, lin, n):
+    """cur * (sum_i x_i L_i) for polynomial-matrix entries
+    {sorted variable tuple: coefficient} and lin[k][c] = {i: coefficient}."""
+    out = [[{} for _ in range(n)] for _ in range(n)]
+    for r in range(n):
+        for k in range(n):
+            for c in range(n):
+                for mono, coeff in cur[r][k].items():
+                    for var, lc in lin[k][c].items():
+                        key = tuple(sorted(mono + (var,)))
+                        out[r][c][key] = out[r][c].get(key, 0) + coeff * lc
+                        if not out[r][c][key]:
+                            del out[r][c][key]
+    return out
+
+
+def engel_degree_oracle(tensor, max_m):
+    """Least m <= max_m with (sum_i x_i L_{e_i})^m = 0, over Fraction."""
+    n = tensor.dim
+    pairs = pairs_of(tensor)
+    basis = _basis(n)
+    lin = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for c in range(n):
+            col = table_product(n, pairs, basis[i], basis[c])
+            for r in range(n):
+                if col[r]:
+                    lin[r][c][i] = col[r]
+    cur = [[({(): Fraction(1)} if r == c else {}) for c in range(n)]
+           for r in range(n)]
+    for m in range(1, max_m + 1):
+        cur = _poly_matrix_mul_linear(cur, lin, n)
+        if not any(cur[r][c] for r in range(n) for c in range(n)):
+            return m
+    return None
+
+
+def field_rank(rows):
+    """Rank by plain Gaussian elimination over any exact field."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pr = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                f = rows[i][c] / pr[c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+        rank += 1
+    return rank
+
+
+def pencil_rank_oracle(p_mat, q_mat):
+    """Rank of P + tQ over Q(t), by elimination with rational-function
+    entries."""
+    from degenlab.exactnum import Polynomial, RationalFunction
+
+    t = RationalFunction(Polynomial((0, 1)))
+    return field_rank([
+        [RationalFunction(Polynomial((p,))) + t * RationalFunction(Polynomial((q,)))
+         for p, q in zip(prow, qrow)]
+        for prow, qrow in zip(p_mat, q_mat)
+    ])

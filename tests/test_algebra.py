@@ -6,6 +6,7 @@ import pytest
 from degenlab.algebra import (
     DimensionMismatch,
     StructureTensor,
+    _malcev_holds,
     annihilator,
     change_basis,
     dim_square,
@@ -16,15 +17,19 @@ from degenlab.algebra import (
     int_change_basis,
     int_table,
     is_nilpotent,
+    jacobi_holds,
     left_mult_matrix,
     power_ideal,
     product,
     subspace_product,
 )
-from degenlab.catalog import instantiate
+from degenlab.catalog import MANIFEST_FAMILIES, instantiate
+from degenlab.catalog import tested_dims as catalog_tested_dims
+from degenlab.degeneration import random_anticommutative
 from degenlab.linalg import Matrix, Subspace, Singular, int_scaled_inverse
 
 from oracles import change_basis_oracle, fraction_inverse, pairs_of
+from oracles import engel_degree_oracle, jacobi_oracle, malcev_oracle
 
 from oracles import ann_dim_oracle, square_dim_oracle
 
@@ -168,6 +173,63 @@ def test_engel_degree_matches_random_spot_checks():
                 power = power @ mat
             assert power == Matrix.zero(n, n)
 
+
+
+def _kernel_answers(a, max_m):
+    return jacobi_holds(a), _malcev_holds(a), engel_degree(a, max_m)
+
+
+def _oracle_answers(a, max_m):
+    return jacobi_oracle(a), malcev_oracle(a), engel_degree_oracle(a, max_m)
+
+
+def test_identity_kernels_match_fraction_oracles_on_manifest_families():
+    seen = set()
+    for key in MANIFEST_FAMILIES:
+        for n in catalog_tested_dims(key):
+            if n <= 8:
+                a = instantiate(key, n)
+                got = _kernel_answers(a, n + 1)
+                assert got == _oracle_answers(a, n + 1), (key, n)
+                seen.add(got)
+    # the families cover Lie and non-Lie members and several Engel degrees
+    assert {j for j, _, _ in seen} == {True, False}
+    assert {m for _, _, m in seen} >= {1, 2, 3, 4}
+
+
+def test_identity_kernels_match_fraction_oracles_on_fractional_conjugates():
+    rng = random.Random(43)
+    for key, n in (("T3_e34", 5), ("eta2", 5), ("T4_e23", 5),
+                   ("T22_e34", 6)):
+        a = instantiate(key, n)
+        while True:
+            rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                     for _ in range(n)] for _ in range(n)]
+            if fraction_inverse(rows) is not None:
+                break
+        b = change_basis(a, Matrix(rows))
+        assert int_table(b)[0] > 1  # dense and fractional
+        assert _kernel_answers(b, n + 1) == _oracle_answers(b, n + 1), key
+        assert _kernel_answers(b, n + 1) == _kernel_answers(a, n + 1), key
+
+
+def test_identity_kernels_match_fraction_oracles_on_random_tables():
+    # seeded random tables, some with fractional constants: non-Lie,
+    # non-Malcev and non-Engel
+    rng = random.Random(47)
+    for trial in range(12):
+        n = 3 + trial % 2
+        a = random_anticommutative(n, rng)
+        if trial % 3 == 0:
+            # f_i = e_i / (1 + i mod 3) makes the constants fractional
+            a = change_basis(a, Matrix(
+                [[Fraction(int(i == k), 1 + i % 3) for k in range(n)]
+                 for i in range(n)]))
+        assert _oracle_answers(a, 3) == (False, False, None)
+        assert _kernel_answers(a, 3) == (False, False, None)
+    # non-Lie but Malcev and Engel: the decorated table of level five
+    a = instantiate("T222_e7special", 7)
+    assert _kernel_answers(a, 3) == _oracle_answers(a, 3) == (False, True, 2)
 
 def test_change_basis_identity_and_zero():
     a = instantiate("T22_e34", 6)

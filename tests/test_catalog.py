@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from degenlab.algebra import StructureTensor, change_basis
+from degenlab.algebra import StructureTensor, change_basis, power_ideal
 from degenlab.catalog import (
     CatalogName,
     DimensionOutOfRange,
@@ -13,8 +13,11 @@ from degenlab.catalog import (
     NeedsExtension,
     NotSkew,
     NotSurjective,
+    MANIFEST_FAMILIES,
     PreconditionViolated,
     _is_square,
+    _pair_pencil,
+    _pencil_generic_rank,
     build_manifest,
     build_skew_pair_algebra,
     classify_T22,
@@ -25,8 +28,10 @@ from degenlab.catalog import (
 )
 from degenlab.catalog import tested_dims as catalog_tested_dims
 from degenlab.degeneration import random_lower_triangular
-from degenlab.linalg import Partition
+from degenlab.linalg import Matrix, Partition
 from degenlab.verification_db import shipped_ledger_path
+
+from oracles import fraction_inverse, pencil_rank_oracle
 
 
 def test_instantiate_examples():
@@ -196,3 +201,72 @@ def test_is_square_is_exact_on_large_integers():
     assert _is_square(10**400)
     assert not _is_square(10**400 - 1)
     assert not _is_square(-4)
+
+
+def _catalog_pencils():
+    """(P, Q) of every two-block catalog member at its tested dims, of the
+    classifier's hand-built examples, and of random conjugates of them."""
+    rng = random.Random(53)
+    tables = [instantiate(key, n) for key in MANIFEST_FAMILIES
+              if expected_iw_max(key) == Partition((2, 2))
+              for n in catalog_tested_dims(key)]
+    tables += [
+        StructureTensor.from_pairs(6, [(1, 2, 5), (1, 3, 6), (3, 4, 5),
+                                       (2, 4, 6, 2)]),
+        StructureTensor.from_pairs(8, [(1, 2, 7), (1, 3, 8), (2, 4, 8),
+                                       (3, 5, 8), (3, 6, 7)]),
+    ]
+    for a in list(tables):
+        n = a.dim
+        tables.append(change_basis(a, random_lower_triangular(n, rng)))
+        while True:
+            rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     for _ in range(n)] for _ in range(n)]
+            if fraction_inverse(rows) is not None:
+                break
+        tables.append(change_basis(a, Matrix(rows)))
+    pencils = []
+    for a in tables:
+        square = power_ideal(a, 2)
+        if square.dim == 2:
+            pencils.append(_pair_pencil(a, square))
+    return pencils
+
+
+def test_pencil_generic_rank_matches_qt_rank_on_catalog_pencils():
+    pencils = _catalog_pencils()
+    assert len(pencils) >= 30
+    ranks = set()
+    for p_mat, q_mat in pencils:
+        r = _pencil_generic_rank(p_mat, q_mat)
+        assert r == pencil_rank_oracle(p_mat, q_mat)
+        ranks.add(r)
+    assert ranks == {2, 4}
+
+
+def _random_skew(d, vecs, rng):
+    """Sum of random multiples of u v^T - v u^T over pairs from vecs."""
+    mat = [[Fraction(0)] * d for _ in range(d)]
+    for _ in range(rng.randint(1, 3)):
+        u, v = rng.sample(vecs, 2)
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        for i in range(d):
+            for j in range(d):
+                mat[i][j] += c * (u[i] * v[j] - v[i] * u[j])
+    return mat
+
+
+def test_pencil_generic_rank_matches_qt_rank_on_random_skew_pencils():
+    rng = random.Random(59)
+    ranks = set()
+    for trial in range(40):
+        d = 2 + trial % 6
+        # few vectors give low generic ranks, d vectors can give full rank
+        k = d if trial % 2 else rng.randint(2, d)
+        vecs = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(k)]
+        p_mat = _random_skew(d, vecs, rng)
+        q_mat = _random_skew(d, vecs, rng)
+        r = _pencil_generic_rank(p_mat, q_mat)
+        assert r == pencil_rank_oracle(p_mat, q_mat)
+        ranks.add(r)
+    assert ranks >= {2, 4, 6}

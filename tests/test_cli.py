@@ -227,3 +227,40 @@ def test_verify_paper_bad_source_basis_is_a_fail_entry(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert [w["status"] for w in report["witnesses"]] == ["FAIL"]
     assert report["summary"]["failures"] == 1
+
+
+def _witness_of_kind(kind, payload):
+    wit = next(w for w in witnesses() if w["kind"] == kind)
+    return dict(wit, payload=payload)
+
+
+@pytest.mark.parametrize("kind, payload, field", [
+    ("ClosedSet", {}, "payload.triples"),
+    ("ClosedSet", {"triples": [[1, 2, "3"]]}, "payload.triples"),
+    ("ClosedSet", {"triples": [[1, 2, 99]]}, "payload.triples"),
+    ("IWDominance", {}, "payload.element"),
+    ("IWDominance", {"element": [1, 0]}, "payload.element"),
+    ("IWDominance", {"element": ["1/0", 0, 0, 0, 0]}, "payload.element"),
+])
+def test_verify_paper_rejects_bad_witness_payload(tmp_path, capsys, kind,
+                                                  payload, field):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps({"certificates": [], "chains": [],
+                                "witnesses": [_witness_of_kind(kind, payload)]}),
+                    encoding="utf-8")
+    code = main(["verify-paper", "--ledger", str(path), "--trials", "2",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert field in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["ClosedSet", "IWDominance"])
+def test_check_rejects_witness_without_payload(tmp_path, capsys, kind):
+    path = tmp_path / "wit.json"
+    path.write_text(json.dumps(_witness_of_kind(kind, {})), encoding="utf-8")
+    assert main(["check", str(path), "--trials", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1

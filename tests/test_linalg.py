@@ -135,6 +135,23 @@ def test_invert_singular_rational_function_matrix_raises():
         invert(Matrix([[t, parse("t^2")], [parse("1"), t]], kind="ratfun"))
 
 
+
+def test_rank_over_rational_functions():
+    # the third row is the first plus t/(t+1) times the second
+    singular = Matrix(
+        [[parse(x) for x in row] for row in (
+            ("t", "t^2", "1"), ("t+1", "0", "1/t"),
+            ("2*t", "t^2", "1+1/(t+1)"))],
+        kind="ratfun",
+    )
+    assert rank(singular) == 2
+    # det = (t - 1)(t + 1) is nonzero as a rational function, though it
+    # vanishes at t = 1
+    full = Matrix([[parse("t"), parse("1")], [parse("1"), parse("t")]],
+                  kind="ratfun")
+    assert rank(full) == 2
+    assert rank(Matrix.zero(2, 3, kind="ratfun")) == 0
+
 def test_nilpotent_partition_examples():
     assert nilpotent_partition(Matrix.zero(3, 3)) == Partition((1, 1, 1))
     block = Matrix([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])

@@ -1,9 +1,12 @@
 import copy
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
-from degenlab.catalog import instantiate
+from degenlab.catalog import build_manifest, instantiate
+from degenlab.paperdata import build_ledger
 from degenlab.verification_db import (
     InconsistentLedger,
     ParseError,
@@ -29,6 +32,18 @@ def test_shipped_ledger_loads_with_enough_claims():
     assert len(ledger.witnesses) >= 20
     assert len(ledger.chains) == 25
 
+
+
+def test_generators_reproduce_the_shipped_data_files():
+    # tools/make_ledger.py writes both files from these generators
+    tool = Path(__file__).resolve().parents[1] / "tools" / "make_ledger.py"
+    spec = importlib.util.spec_from_file_location("make_ledger", tool)
+    make_ledger = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_ledger)
+    data = Path(shipped_ledger_path()).parent
+    for name, obj in (("ledger.json", build_ledger()),
+                      ("manifest.json", build_manifest())):
+        assert make_ledger.render(obj).encode("utf-8") == (data / name).read_bytes()
 
 def test_empty_ledger_is_vacuously_consistent():
     ledger = ledger_from_obj({"certificates": [], "witnesses": [], "chains": []})

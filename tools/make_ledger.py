@@ -15,16 +15,17 @@ from degenlab.catalog import build_manifest
 DATA = Path("src/degenlab/data")
 
 
+def render(obj) -> str:
+    """The shipped JSON layout of a generated data file."""
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
 def main():
     DATA.mkdir(parents=True, exist_ok=True)
     ledger = build_ledger()
-    (DATA / "ledger.json").write_text(
-        json.dumps(ledger, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (DATA / "ledger.json").write_text(render(ledger), encoding="utf-8")
     manifest = build_manifest()
-    (DATA / "manifest.json").write_text(
-        json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (DATA / "manifest.json").write_text(render(manifest), encoding="utf-8")
     print(f"ledger: {len(ledger['certificates'])} certificates, "
           f"{len(ledger['witnesses'])} witnesses, "
           f"{len(ledger['chains'])} chains")
