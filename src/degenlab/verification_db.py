@@ -50,6 +50,7 @@ from .degeneration import (
     DegenerationCertificate,
     NonDegenerationWitness,
     lower_triangular_invariance_probe,
+    parse_basis_row,
     verify_degeneration,
     verify_nondegeneration,
 )
@@ -105,8 +106,9 @@ def _ref_from_json(obj) -> AlgebraRef:
 def check_witness_payload(w: NonDegenerationWitness):
     """Raise ParseError unless the payload fields w's kind reads are well
     formed: ClosedSet `triples` is a list of integer triples (i, j, k) with
-    1 <= i, j <= n and 1 <= k <= n + 1, IWDominance `element` a list of n
-    rationals, where n is the source dimension."""
+    1 <= i, j <= n and 1 <= k <= n + 1, a ClosedSet/BespokeR
+    `source_basis`, when given, a list of n basis rows, and IWDominance
+    `element` a list of n rationals, where n is the source dimension."""
     n = w.source.dim
     payload = w.payload
     where = f"witness {w.witness_id}"
@@ -124,6 +126,20 @@ def check_witness_payload(w: NonDegenerationWitness):
                 f"{where}: payload.triples must be a list of integer "
                 f"triples (i, j, k) with 1 <= i, j <= {n}, 1 <= k <= {n + 1}"
             )
+    rows = payload.get("source_basis")
+    if w.kind in ("ClosedSet", "BespokeR") and rows is not None:
+        if not (isinstance(rows, list) and len(rows) == n
+                and all(isinstance(r, str) for r in rows)):
+            raise ParseError(
+                f"{where}: payload.source_basis must be a list of {n} "
+                f"basis rows"
+            )
+        for r in rows:
+            try:
+                parse_basis_row(r, n)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(
+                    f"{where}: payload.source_basis: {exc}") from None
     if w.kind == "IWDominance":
         element = payload.get("element")
         if not (isinstance(element, list) and len(element) == n

@@ -241,6 +241,11 @@ def _witness_of_kind(kind, payload):
     ("IWDominance", {}, "payload.element"),
     ("IWDominance", {"element": [1, 0]}, "payload.element"),
     ("IWDominance", {"element": ["1/0", 0, 0, 0, 0]}, "payload.element"),
+    ("BespokeR", {"source_basis": 5}, "payload.source_basis"),
+    ("BespokeR", {"source_basis": ["e1", "e2"]}, "payload.source_basis"),
+    ("BespokeR", {"source_basis": ["e99"] + ["e1"] * 6}, "payload.source_basis"),
+    ("BespokeR", {"source_basis": ["(1/0)*e1"] + ["e1"] * 6},
+     "payload.source_basis"),
 ])
 def test_verify_paper_rejects_bad_witness_payload(tmp_path, capsys, kind,
                                                   payload, field):
