@@ -174,7 +174,6 @@ def test_engel_degree_matches_random_spot_checks():
             assert power == Matrix.zero(n, n)
 
 
-
 def _kernel_answers(a, max_m):
     return jacobi_holds(a), _malcev_holds(a), engel_degree(a, max_m)
 
@@ -230,6 +229,7 @@ def test_identity_kernels_match_fraction_oracles_on_random_tables():
     # non-Lie but Malcev and Engel: the decorated table of level five
     a = instantiate("T222_e7special", 7)
     assert _kernel_answers(a, 3) == _oracle_answers(a, 3) == (False, True, 2)
+
 
 def test_change_basis_identity_and_zero():
     a = instantiate("T22_e34", 6)

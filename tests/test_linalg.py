@@ -135,7 +135,6 @@ def test_invert_singular_rational_function_matrix_raises():
         invert(Matrix([[t, parse("t^2")], [parse("1"), t]], kind="ratfun"))
 
 
-
 def test_rank_over_rational_functions():
     # the third row is the first plus t/(t+1) times the second
     singular = Matrix(
@@ -151,6 +150,7 @@ def test_rank_over_rational_functions():
                   kind="ratfun")
     assert rank(full) == 2
     assert rank(Matrix.zero(2, 3, kind="ratfun")) == 0
+
 
 def test_nilpotent_partition_examples():
     assert nilpotent_partition(Matrix.zero(3, 3)) == Partition((1, 1, 1))

@@ -33,7 +33,6 @@ def test_shipped_ledger_loads_with_enough_claims():
     assert len(ledger.chains) == 25
 
 
-
 def test_generators_reproduce_the_shipped_data_files():
     # tools/make_ledger.py writes both files from these generators
     tool = Path(__file__).resolve().parents[1] / "tools" / "make_ledger.py"
@@ -44,6 +43,7 @@ def test_generators_reproduce_the_shipped_data_files():
     for name, obj in (("ledger.json", build_ledger()),
                       ("manifest.json", build_manifest())):
         assert make_ledger.render(obj).encode("utf-8") == (data / name).read_bytes()
+
 
 def test_empty_ledger_is_vacuously_consistent():
     ledger = ledger_from_obj({"certificates": [], "witnesses": [], "chains": []})
