@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .exactnum import rational_from_obj, rational_to_obj
 from .linalg import (
     Matrix,
     Singular,
     Subspace,
+    int_scaled,
     int_scaled_inverse,
     kernel_basis,
     subspace_sum,
@@ -244,11 +244,10 @@ def dim_square(a: StructureTensor) -> int:
 def int_table(a: StructureTensor):
     """(L, table): the products scaled by the lcm L of all denominators, as
     (i, j, ((k, coeff), ...)) with 0-based indices and integer coeffs."""
-    mult = lcm(*(x.denominator for vec in a.products.values() for x in vec))
+    mult, rows = int_scaled(a.products.values())
     return mult, [
-        (i - 1, j - 1, tuple((k, x.numerator * (mult // x.denominator))
-                             for k, x in enumerate(vec) if x))
-        for (i, j), vec in a.products.items()
+        (i - 1, j - 1, tuple((k, x) for k, x in enumerate(row) if x))
+        for (i, j), row in zip(a.products, rows)
     ]
 
 
@@ -298,9 +297,7 @@ def change_basis(a: StructureTensor, basis: Matrix) -> StructureTensor:
     n = a.dim
     if basis.rows != n or basis.cols != n:
         raise DimensionMismatch("basis matrix must be n x n")
-    m = lcm(*(x.denominator for row in basis.entries for x in row))
-    rows = [[x.numerator * (m // x.denominator) for x in row]
-            for row in basis.entries]
+    m, rows = int_scaled(basis.entries)
     d, inv = int_scaled_inverse(rows)
     if not d:
         raise Singular("basis matrix has zero determinant")

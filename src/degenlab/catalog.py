@@ -14,7 +14,10 @@ two Jordan blocks of size two: it rebuilds the algebra as a skew pair on
 the quotient modulo the square, and reads the canonical name off the pair
 pencil (generic rank plus the divisor of rank-two members).  When the
 decisive quadratic has no rational root the classifier reports that a
-field extension would be needed instead of guessing.
+field extension would be needed instead of guessing.  The pencil is the
+s = 2 case of the net of skew forms on A / A^2 (`_skew_net`); its 4 x 4
+Pfaffian quadrics (`_pfaffian_quadrics`) also feed the `pfaffian_conic`
+separator of the ledger run.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .algebra import (
     StructureTensor,
@@ -31,7 +35,7 @@ from .algebra import (
     subspace_product,
 )
 from .exactnum import Polynomial, poly_gcd
-from .linalg import Partition, Subspace, _int_rank
+from .linalg import Partition, Subspace, _int_rank, int_scaled
 
 
 class DimensionOutOfRange(ValueError):
@@ -473,42 +477,18 @@ def build_skew_pair_algebra(p_entries, q_entries) -> StructureTensor:
     return StructureTensor(n, table)
 
 
-def _square_complement_lift(a: StructureTensor, square: Subspace):
-    """Indices of standard coordinates complementing A^2 (pivot-free)."""
-    pivots = set()
-    for row in square.basis:
-        pivots.add(next(i for i, x in enumerate(row) if x))
-    return [i for i in range(a.dim) if i not in pivots]
+def _skew_net(a: StructureTensor, square: Subspace):
+    """The net of skew forms the product induces on A / A^2.
 
-
-def _pair_pencil(a: StructureTensor, square: Subspace):
-    """Skew pair (P, Q) of the induced map on A / A^2 in lifted coordinates."""
-    n = a.dim
-    lift = _square_complement_lift(a, square)
-    w1, w2 = square.basis
-    # solve p = x*w1 + y*w2 by the pivot coordinates of the RREF basis
-    p1 = next(i for i, x in enumerate(w1) if x)
-    p2 = next(i for i, x in enumerate(w2) if x)
-    d = len(lift)
-    p_mat = [[Fraction(0)] * d for _ in range(d)]
-    q_mat = [[Fraction(0)] * d for _ in range(d)]
-    basis_vecs = []
-    for idx in lift:
-        v = [Fraction(0)] * n
-        v[idx] = Fraction(1)
-        basis_vecs.append(tuple(v))
-    from .algebra import product as alg_product
-
-    for i in range(d):
-        for j in range(i + 1, d):
-            prod = alg_product(a, basis_vecs[i], basis_vecs[j])
-            x = prod[p1]
-            y = prod[p2]
-            # RREF basis means the rest of prod is x*w1 + y*w2 exactly,
-            # which the caller guarantees via prod in A^2
-            p_mat[i][j], p_mat[j][i] = x, -x
-            q_mat[i][j], q_mat[j][i] = y, -y
-    return p_mat, q_mat
+    A d x d matrix of s-vectors, s = dim A^2: entry (i, j) holds the
+    coordinates of u_i u_j on the RREF basis of A^2 (read at its pivot
+    columns), where u_1..u_d are the standard basis vectors off those
+    pivots, a lift of a basis of A / A^2.
+    """
+    pivots = [next(i for i, x in enumerate(row) if x) for row in square.basis]
+    lift = [i + 1 for i in range(a.dim) if i not in pivots]
+    return [[tuple(a.basis_product(i, j)[p] for p in pivots) for j in lift]
+            for i in lift]
 
 
 def _pencil_generic_rank(p_mat, q_mat) -> int:
@@ -520,10 +500,8 @@ def _pencil_generic_rank(p_mat, q_mat) -> int:
     is an integer rank after scaling P and Q by their denominator lcm.
     """
     d = len(p_mat)
-    mult = math.lcm(*(x.denominator for mat in (p_mat, q_mat)
-                      for row in mat for x in row))
-    p_int = [[int(x * mult) for x in row] for row in p_mat]
-    q_int = [[int(x * mult) for x in row] for row in q_mat]
+    _, rows = int_scaled(p_mat + q_mat)
+    p_int, q_int = rows[:d], rows[d:]
     best = 0
     for t in range(d + 1):
         best = max(best, _int_rank([[p + t * q for p, q in zip(pr, qr)]
@@ -533,29 +511,31 @@ def _pencil_generic_rank(p_mat, q_mat) -> int:
     return best
 
 
-def _pfaffian_forms(p_mat, q_mat):
-    """Binary quadratic (a, b, c) = a*x^2 + b*xy + c*y^2 per 4-subset."""
-    d = len(p_mat)
-    forms = []
-    from itertools import combinations
+def _pfaffian_quadrics(net):
+    """(monomials, rows): the 4 x 4 principal Pfaffians of a skew net.
 
-    for sub in combinations(range(d), 4):
-        i, j, k, l = sub
-        # pf = a12*a34 - a13*a24 + a14*a23 on the pencil x*P + y*Q
-        def lin(r, c):
-            return (p_mat[r][c], q_mat[r][c])
+    On w = sum_r y_r net_r the Pfaffian of rows i < j < k < l is
+    w_ij w_kl - w_ik w_jl + w_il w_jk, a quadric in y; its row holds the
+    coefficients of the monomials y_r y_q, r <= q.  Zero rows are left
+    out.  For a pencil (s = 2) a row is the binary form (a, b, c) of
+    a x^2 + b xy + c y^2.
+    """
+    d = len(net)
+    s = len(net[0][0]) if net else 0
+    monomials = [(r, q) for r in range(s) for q in range(r, s)]
 
-        def mul(u, v):
-            # (ux*x + uy*y)(vx*x + vy*y) -> quadratic coefficients
-            return (u[0] * v[0], u[0] * v[1] + u[1] * v[0], u[1] * v[1])
+    def sym(u, v):
+        return [u[r] * v[q] + u[q] * v[r] if r != q else u[r] * v[r]
+                for r, q in monomials]
 
-        t1 = mul(lin(i, j), lin(k, l))
-        t2 = mul(lin(i, k), lin(j, l))
-        t3 = mul(lin(i, l), lin(j, k))
-        form = tuple(t1[s] - t2[s] + t3[s] for s in range(3))
-        if any(form):
-            forms.append(form)
-    return forms
+    rows = []
+    for i, j, k, l in combinations(range(d), 4):
+        row = [x - y + z for x, y, z in zip(sym(net[i][j], net[k][l]),
+                                            sym(net[i][k], net[j][l]),
+                                            sym(net[i][l], net[j][k]))]
+        if any(row):
+            rows.append(row)
+    return monomials, rows
 
 
 def _binary_form_gcd(forms):
@@ -628,13 +608,14 @@ def classify_T22(a: StructureTensor):
         return CatalogName("T22_e23")
     if s != 2:
         raise PreconditionViolated(f"dim A^2 = {s} is incompatible with (2,2)")
-    p_mat, q_mat = _pair_pencil(a, square)
-    r_gen = _pencil_generic_rank(p_mat, q_mat)
+    net = _skew_net(a, square)
+    r_gen = _pencil_generic_rank([[w[0] for w in row] for row in net],
+                                 [[w[1] for w in row] for row in net])
     if r_gen <= 2:
         return CatalogName("T", partition=(2, 2))
     if r_gen >= 6:
         return LevelAtLeast6
-    forms = _pfaffian_forms(p_mat, q_mat)
+    _, forms = _pfaffian_quadrics(net)
     if not forms:
         # cannot happen with r_gen = 4, kept as a guard
         return LevelAtLeast6

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
 
 from .algebra import DimensionMismatch, StructureTensor, int_table
-from .linalg import Partition, int_power_rank_sequence
+from .linalg import Partition, int_power_rank_sequence, int_scaled
 
 
 class NotEngelAt(ValueError):
@@ -67,8 +66,7 @@ def _int_rank_sequence(table, n: int, vec) -> RankSequence:
     """Rank sequence of L_vec from an integer table (see algebra.int_table)."""
     if len(vec) != n:
         raise DimensionMismatch("vector must have the algebra dimension")
-    mult = lcm(*(x.denominator for x in vec))
-    x = [c.numerator * (mult // c.denominator) for c in vec]
+    x = int_scaled([vec])[1][0]
     # column j of L_x is x e_j: e_i e_j = v adds x_i v to column j and,
     # by anticommutativity, -x_j v to column i
     mat = [[0] * n for _ in range(n)]

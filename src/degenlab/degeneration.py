@@ -68,8 +68,13 @@ def parse_basis_row(text: str, dim: int):
     """One basis row as a vector of rational functions.
 
     Accepts sums of terms `[coeff*]e<k>` with rational-function
-    coefficients; a bare leading sign belongs to the first term.
+    coefficients; a bare leading sign belongs to the first term.  A row
+    ending in a sign is refused: it is a truncated row, not a shorter one.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"basis row {text!r} is not a string")
+    if text.rstrip().endswith(("+", "-")):
+        raise ValueError(f"dangling sign at the end of basis row {text!r}")
     out = [RF_ZERO] * dim
     terms = _split_terms(text)
     if not terms:
@@ -230,19 +235,30 @@ class DegenerationCertificate:
     separator: str | None = None  # invariant certifying non-isomorphism
     cert_id: str = ""
 
-    def basis(self) -> ParameterizedBasis:
-        return ParameterizedBasis(self.source.dim, list(self.basis_rows))
-
 
 def verify_degeneration(cert: DegenerationCertificate) -> Verdict:
-    """Exact pass/fail for one parameterized-basis certificate."""
+    """Exact pass/fail for one parameterized-basis certificate.
+
+    A basis of the wrong length, or a row that does not parse, is a fail
+    verdict (naming the row).
+    """
     src = cert.source.resolve()
     tgt = cert.target.resolve()
     if src.dim != tgt.dim:
         return Verdict("fail", "source and target dimensions differ")
     n = src.dim
+    if len(cert.basis_rows) != n:
+        return Verdict("fail", f"expected {n} basis rows, got "
+                               f"{len(cert.basis_rows)}")
+    rows = []
+    for k, text in enumerate(cert.basis_rows, start=1):
+        try:
+            rows.append(parse_basis_row(text, n))
+        except (ValueError, ZeroDivisionError) as exc:
+            return Verdict("fail",
+                           f"basis row {k} {text!r} does not parse: {exc}")
     try:
-        constants = apply_parameterized_basis(src, cert.basis())
+        constants = apply_parameterized_basis(src, ParameterizedBasis(n, rows))
     except SingularFamily as exc:
         return Verdict("fail", str(exc))
     limit = {}

@@ -6,6 +6,8 @@ elimination after clearing denominators, rank over rational functions is
 the pivot count of the reduced echelon form over QQ(t), and `invert`
 reduces [M | I] to echelon form over either field.  Integer basis changes
 (orbit sampling) use the fraction-free inverse `int_scaled_inverse`.
+`int_scaled` is the one place where rational rows are scaled to integer
+rows; tables, bases, elements and pencils all go through it.
 Subspaces are kept in reduced row-echelon form so that equality and
 containment are structural checks.
 
@@ -131,15 +133,16 @@ class Matrix:
 # --- integer fraction-free core -----------------------------------------
 
 
-def _int_rows_per_row_scaled(entries):
-    """Clear denominators row by row (rank is unchanged)."""
-    out = []
-    for row in entries:
-        mult = 1
-        for x in row:
-            mult = mult * x.denominator // gcd(mult, x.denominator)
-        out.append([int(x * mult) for x in row])
-    return out
+def int_scaled(rows):
+    """(mult, int_rows): rows times the lcm `mult` of their denominators.
+
+    Entries may be Fraction or int.  One common scale keeps every rank,
+    every power's rank ((c M)^k = c^k M^k) and every homogeneous identity.
+    """
+    rows = list(rows)
+    mult = lcm(*(x.denominator for row in rows for x in row))
+    return mult, [[x.numerator * (mult // x.denominator) for x in row]
+                  for row in rows]
 
 
 def _int_rank(rows) -> int:
@@ -210,7 +213,7 @@ def int_scaled_inverse(rows):
 def rank(m: Matrix) -> int:
     """Exact rank; symbolic over QQ(t) for RationalFunction matrices."""
     if m.kind == RATIONAL:
-        return _int_rank(_int_rows_per_row_scaled(m.entries))
+        return _int_rank(int_scaled(m.entries)[1])
     return len(_rref(m.entries)[1])
 
 
@@ -468,20 +471,9 @@ def power_rank_sequence(m: Matrix, max_power: int):
     """Ranks of m, m^2, ..., stopping at zero or max_power entries."""
     if m.rows != m.cols:
         raise ValueError("rank sequence of a non-square matrix")
-    if m.kind == RATIONAL:
-        # one global scale to integers: (c m)^k = c^k m^k keeps every rank
-        mult = lcm(*(x.denominator for row in m.entries for x in row))
-        return int_power_rank_sequence(
-            [[int(x * mult) for x in row] for row in m.entries], max_power)
-    cur = m
-    ranks = []
-    for _ in range(max_power):
-        r = rank(cur)
-        if r == 0:
-            break
-        ranks.append(r)
-        cur = cur @ m
-    return tuple(ranks)
+    if m.kind != RATIONAL:
+        raise TypeError("power_rank_sequence is defined for Rational matrices")
+    return int_power_rank_sequence(int_scaled(m.entries)[1], max_power)
 
 
 def nilpotent_partition(n_matrix: Matrix) -> Partition:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import NamedTuple
 
 from .algebra import (
@@ -42,7 +41,13 @@ from .algebra import (
     product,
     subspace_product,
 )
-from .catalog import classify_T22, level_lookup, PreconditionViolated
+from .catalog import (
+    PreconditionViolated,
+    _pfaffian_quadrics,
+    _skew_net,
+    classify_T22,
+    level_lookup,
+)
 from .contraction import RankSequence, dominates, iw_max, rank_sequence
 from .degeneration import (
     AlgebraRef,
@@ -310,62 +315,19 @@ def _pfaffian_conic_profile(a: StructureTensor):
     """
     square = power_ideal(a, 2)
     s = square.dim
-    n = a.dim
-    if s == 0 or subspace_product(a, Subspace.full(n), square).dim != 0:
+    if s == 0 or subspace_product(a, Subspace.full(a.dim), square).dim != 0:
         return None
-    pivots = [next(i for i, x in enumerate(row) if x) for row in square.basis]
-    lift = [i for i in range(n) if i not in pivots]
-    d = len(lift)
-    basis_vecs = []
-    for idx in lift:
-        v = [Fraction(0)] * n
-        v[idx] = Fraction(1)
-        basis_vecs.append(tuple(v))
-    # forms[r][i][j]: coefficient of the r-th square coordinate in u_i u_j
-    forms = [[[Fraction(0)] * d for _ in range(d)] for _ in range(s)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            p = product(a, basis_vecs[i], basis_vecs[j])
-            for r, piv in enumerate(pivots):
-                c = p[piv]
-                forms[r][i][j] = c
-                forms[r][j][i] = -c
-    monomials = [(r, q) for r in range(s) for q in range(r, s)]
-    quad_rows = []
-    for sub in combinations(range(d), 4):
-        i, j, k, l = sub
-        coeffs = {}
-
-        def add_quad(r, q, value, coeffs=coeffs):
-            key = (min(r, q), max(r, q))
-            coeffs[key] = coeffs.get(key, Fraction(0)) + value
-
-        for ((a1, b1), (a2, b2), sign) in (
-            ((i, j), (k, l), 1), ((i, k), (j, l), -1), ((i, l), (j, k), 1),
-        ):
-            for r in range(s):
-                x = forms[r][a1][b1]
-                if not x:
-                    continue
-                for q in range(s):
-                    y = forms[q][a2][b2]
-                    if y:
-                        add_quad(r, q, sign * x * y)
-        row = [coeffs.get(mono, Fraction(0)) for mono in monomials]
-        if any(row):
-            quad_rows.append(row)
-    if not quad_rows:
+    monomials, rows = _pfaffian_quadrics(_skew_net(a, square))
+    if not rows:
         return (0, None)
-    span = Subspace.from_vectors(len(monomials), quad_rows)
+    span = Subspace.from_vectors(len(monomials), rows)
     if span.dim != 1:
         return (span.dim, None)
-    gen = span.basis[0]
-    sym = [[Fraction(0)] * s for _ in range(s)]
-    for (r, q), c in zip(monomials, gen):
-        if r == q:
-            sym[r][r] = c
-        else:
-            sym[r][q] = sym[q][r] = c / 2
+    # twice the quadric's symmetric matrix: c y_r y_q, r < q, puts c at
+    # (r, q) and (q, r); c y_r^2 puts 2c at (r, r)
+    sym = [[0] * s for _ in range(s)]
+    for (r, q), c in zip(monomials, span.basis[0]):
+        sym[r][q] = sym[q][r] = 2 * c if r == q else c
     return (1, rank(Matrix(sym)))
 
 

@@ -16,8 +16,8 @@ from degenlab.catalog import (
     MANIFEST_FAMILIES,
     PreconditionViolated,
     _is_square,
-    _pair_pencil,
     _pencil_generic_rank,
+    _skew_net,
     build_manifest,
     build_skew_pair_algebra,
     classify_T22,
@@ -229,7 +229,9 @@ def _catalog_pencils():
     for a in tables:
         square = power_ideal(a, 2)
         if square.dim == 2:
-            pencils.append(_pair_pencil(a, square))
+            net = _skew_net(a, square)
+            pencils.append(([[w[0] for w in row] for row in net],
+                            [[w[1] for w in row] for row in net]))
     return pencils
 
 

@@ -65,6 +65,40 @@ def test_check_tampered_certificate_fails(tmp_path, capsys):
     assert "(2,3)" in json.loads(out)["reason"]
 
 
+def _cert_with_first_row(row):
+    cert = json.loads(json.dumps(certificates()[0]))
+    cert["basis"][0] = row
+    return cert
+
+
+@pytest.mark.parametrize("row", ["(1/0)*e1", "e99", "foo", "e1+"])
+def test_check_unparsable_certificate_row_fails(tmp_path, capsys, row):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_cert_with_first_row(row)), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert len(out.splitlines()) == 1
+    assert out.startswith(f"fail: basis row 1 {row!r} does not parse: ")
+
+
+@pytest.mark.parametrize("row", ["(1/0)*e1", "e99", "foo", "e1+"])
+def test_verify_paper_unparsable_certificate_row_is_a_fail_entry(
+        tmp_path, capsys, row):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps({"certificates": [_cert_with_first_row(row)],
+                                "witnesses": [], "chains": []}),
+                    encoding="utf-8")
+    code = main(["verify-paper", "--ledger", str(path), "--trials", "1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    [entry] = report["certificates"]
+    assert entry["status"] == "FAIL"
+    assert entry["reason"].startswith(f"basis row 1 {row!r} does not parse: ")
+    assert report["summary"]["failures"] == 1
+
+
 def test_check_bespoke_witness_exits_three(tmp_path, capsys):
     path = tmp_path / "wit.json"
     path.write_text(json.dumps(witness_by_id("W.ex222.b.7")), encoding="utf-8")
@@ -245,6 +279,8 @@ def _witness_of_kind(kind, payload):
     ("BespokeR", {"source_basis": ["e1", "e2"]}, "payload.source_basis"),
     ("BespokeR", {"source_basis": ["e99"] + ["e1"] * 6}, "payload.source_basis"),
     ("BespokeR", {"source_basis": ["(1/0)*e1"] + ["e1"] * 6},
+     "payload.source_basis"),
+    ("BespokeR", {"source_basis": ["e1+"] + ["e1"] * 6},
      "payload.source_basis"),
 ])
 def test_verify_paper_rejects_bad_witness_payload(tmp_path, capsys, kind,

@@ -46,6 +46,42 @@ def test_parse_basis_row_shapes():
     assert row[2] == parse("2*t^4")
 
 
+@pytest.mark.parametrize("text", ["e1+", "e1-", "e1 + ", "e1+e2-", "-"])
+def test_parse_basis_row_rejects_a_dangling_sign(text):
+    with pytest.raises(ValueError, match="dangling sign"):
+        parse_basis_row(text, 3)
+
+
+@pytest.mark.parametrize("row, detail", [
+    ("(1/0)*e1", "division by the zero"),
+    ("e99", "outside dimension 3"),
+    ("foo", "cannot parse"),
+    ("e1-", "dangling sign"),
+    (5, "not a string"),
+])
+def test_verify_unparsable_row_is_a_failure_verdict(row, detail):
+    cert = DegenerationCertificate(
+        source=AlgebraRef("n3", 3),
+        target=AlgebraRef("n3", 3),
+        basis_rows=("e1", row, "e3"),
+    )
+    verdict = verify_degeneration(cert)
+    assert verdict.status == "fail"
+    assert verdict.reason.startswith(f"basis row 2 {row!r} does not parse: ")
+    assert detail in verdict.reason
+
+
+def test_verify_basis_of_the_wrong_length_is_a_failure_verdict():
+    cert = DegenerationCertificate(
+        source=AlgebraRef("n3", 3),
+        target=AlgebraRef("n3", 3),
+        basis_rows=("e1", "e2"),
+    )
+    verdict = verify_degeneration(cert)
+    assert verdict.status == "fail"
+    assert verdict.reason == "expected 3 basis rows, got 2"
+
+
 def test_apply_identity_keeps_constants():
     a = instantiate("T32_e23", 6)
     constants = apply_parameterized_basis(a, ParameterizedBasis.identity(6))

@@ -12,11 +12,13 @@ from degenlab.linalg import (
     Partition,
     Singular,
     Subspace,
+    int_scaled,
     int_scaled_inverse,
     invert,
     kernel_basis,
     nilpotent_partition,
     partition_from_ranks,
+    power_rank_sequence,
     rank,
     subspace_ops,
 )
@@ -150,6 +152,24 @@ def test_rank_over_rational_functions():
                   kind="ratfun")
     assert rank(full) == 2
     assert rank(Matrix.zero(2, 3, kind="ratfun")) == 0
+
+
+def test_int_scaled_clears_denominators_with_one_scale():
+    rows = [[Fraction(1, 2), Fraction(-2, 3)], [Fraction(0), Fraction(5, 4)]]
+    assert int_scaled(rows) == (12, [[6, -8], [0, 15]])
+    # int entries (the probe's integer tables) pass through at scale 1
+    assert int_scaled([(3, 0, -1)]) == (1, [[3, 0, -1]])
+    assert int_scaled([[Fraction(3), 2]]) == (1, [[3, 2]])
+    assert int_scaled([]) == (1, [])
+
+
+def test_power_rank_sequence_refuses_rational_function_matrices():
+    m = Matrix([[parse("0"), parse("t")], [parse("0"), parse("0")]],
+               kind="ratfun")
+    with pytest.raises(TypeError):
+        power_rank_sequence(m, 3)
+    block = Matrix([[0, 0, 0], [Fraction(1, 2), 0, 0], [0, Fraction(2, 3), 0]])
+    assert power_rank_sequence(block, 4) == (2, 1)
 
 
 def test_nilpotent_partition_examples():

@@ -1,11 +1,15 @@
 import copy
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from degenlab.catalog import build_manifest, instantiate
+from degenlab.algebra import change_basis
+from degenlab.catalog import MANIFEST_FAMILIES, build_manifest, instantiate
+from degenlab.catalog import tested_dims as catalog_tested_dims
+from degenlab.degeneration import random_lower_triangular
 from degenlab.paperdata import build_ledger
 from degenlab.verification_db import (
     InconsistentLedger,
@@ -144,6 +148,36 @@ def test_pfaffian_conic_profile_distinguishes_the_three_block_pair():
     assert e24 == (1, 2)
     assert plain == (0, None)
     assert len({e23, e24, plain}) == 3
+
+
+# _pfaffian_conic_profile of every manifest family, the same at each of its
+# tested dims
+PFAFFIAN_PROFILES = {
+    None: ["zero", "eta_eps15", "eta_eps_double2", "eta_eps_double3", "T3",
+           "T4", "T32", "T33", "T322", "T222_e7special", "T2k2_special_m4",
+           "T2k2_special_m5", "T3_e23", "T3_e24", "T3_e34", "T3_e45",
+           "T32_e23", "T4_e23"],
+    (0, None): ["n3", "T22", "T222", "T2222", "T22222", "T22_e23"],
+    (1, 1): ["eta2", "eta3", "eta4", "eta5", "T22_e24", "T222_e23"],
+    (1, 2): ["T22_e34", "T222_e24", "T2k2_e23_shift_m3"],
+    (2, None): ["T22_e45", "T2k2_e23_m4", "T2k2_e23_shift_m4",
+                "T2k2_e2m2_m3"],
+    (3, None): ["T2k2_e23_m5", "T2k2_e2m2_m4"],
+}
+
+
+def test_pfaffian_conic_profile_golden_on_every_manifest_family():
+    expected = {key: profile for profile, keys in PFAFFIAN_PROFILES.items()
+                for key in keys}
+    assert sorted(expected) == sorted(MANIFEST_FAMILIES)
+    rng = random.Random(61)
+    for key in MANIFEST_FAMILIES:
+        for n in catalog_tested_dims(key):
+            a = instantiate(key, n)
+            assert _pfaffian_conic_profile(a) == expected[key], (key, n)
+            # a GL-invariant: a flag-preserving conjugate reads the same
+            moved = change_basis(a, random_lower_triangular(n, rng))
+            assert _pfaffian_conic_profile(moved) == expected[key], (key, n)
 
 
 def test_transitivity_audit_reports_composed_arrows():
