@@ -6,9 +6,8 @@ from .exactnum import (
     Polynomial,
     Rational,
     RationalFunction,
+    ZPoly,
     parse_rational_function,
-    rf_arith,
-    rf_eval_at_zero,
 )
 from .linalg import (
     AmbientMismatch,
@@ -53,7 +52,6 @@ from .degeneration import (
     ClosedSetSpec,
     DegenerationCertificate,
     NonDegenerationWitness,
-    ParameterizedBasis,
     SingularFamily,
     UnknownKind,
     Verdict,

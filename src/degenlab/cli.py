@@ -36,13 +36,13 @@ from .degeneration import verify_degeneration, verify_nondegeneration
 from .verification_db import (
     InconsistentLedger,
     ParseError,
-    _ref_from_json,
-    check_witness_payload,
+    certificate_from_json,
     hasse_dot,
     load_ledger,
     report_to_json_bytes,
     run_ledger,
     shipped_ledger_path,
+    witness_from_json,
 )
 
 DEFAULT_SEED = 20240917
@@ -113,31 +113,10 @@ def cmd_check(args) -> int:
         return 1
     try:
         if "kind" in obj:
-            from .degeneration import NonDegenerationWitness
-
-            witness = NonDegenerationWitness(
-                kind=obj["kind"],
-                source=_ref_from_json(obj["source"]),
-                target=_ref_from_json(obj["target"]),
-                payload=obj.get("payload", {}),
-                provenance=obj.get("provenance", ""),
-                witness_id=obj.get("id", "cli-witness"),
-            )
-            check_witness_payload(witness)
-            verdict = verify_nondegeneration(
-                witness, trials=args.trials, seed=args.seed
-            )
+            verdict = verify_nondegeneration(witness_from_json(obj, "cli-witness"),
+                                             trials=args.trials, seed=args.seed)
         else:
-            from .degeneration import DegenerationCertificate
-
-            cert = DegenerationCertificate(
-                source=_ref_from_json(obj["source"]),
-                target=_ref_from_json(obj["target"]),
-                basis_rows=tuple(obj["basis"]),
-                provenance=obj.get("provenance", ""),
-                cert_id=obj.get("id", "cli-cert"),
-            )
-            verdict = verify_degeneration(cert)
+            verdict = verify_degeneration(certificate_from_json(obj, "cli-cert"))
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,11 +1,20 @@
 """Certificate-checked degenerations and non-degeneration witnesses.
 
 A degeneration claim mu -> chi is certified by a parameterized basis: an
-n x n matrix of rational functions in t whose rows form a basis for all but
-finitely many t.  The checker recomputes the structure constants of the
-source in that basis exactly, demands regularity at t = 0, and compares the
-limit with the target constants entry by entry.  A pole or a mismatch is a
-verdict, not an exception.
+n x n matrix g(t) of rational functions in t whose rows form a basis for
+all but finitely many t.  The checker recomputes the structure constants
+of the source in that basis exactly, demands regularity at t = 0, and
+compares the limit with the target constants entry by entry.  A pole or a
+mismatch is a verdict, not an exception.
+
+The check runs over Z[t].  One scale s in Z[t], common to all entries
+(per-row scales would change the constants), gives G = s g in Z[t]^(n x n).
+`int_scaled_inverse` gives d and R = d G^-1 with exact divisions only
+(Bareiss, 1968), and `int_change_basis` on the table scaled by L gives the
+constants N in the basis d L G, so those of g are N / (L s d).  A constant
+has a pole at 0 iff ord_t N < v = ord_t(L s d), and otherwise its limit is
+N[v] / (L s d)[v]: once s is found, no gcd is taken, and that quotient
+is the only Fraction formed.
 
 Non-degenerations are two-tiered.  Invariant witnesses (dimension of the
 square, dimension of the annihilator, rank-sequence dominance, the Jacobi
@@ -44,13 +53,15 @@ from .algebra import (
 )
 from .contraction import dominates, iw_max, rank_sequence
 from .exactnum import (
+    POLY_ONE,
     PoleAtZero,
-    RationalFunction,
     RF_ONE,
     RF_ZERO,
+    ZPoly,
     parse_rational_function,
+    poly_gcd,
 )
-from .linalg import Matrix, Singular, int_scaled_inverse, invert
+from .linalg import Matrix, Singular, int_scaled, int_scaled_inverse
 
 
 class SingularFamily(ValueError):
@@ -119,77 +130,40 @@ def _split_terms(text: str):
     return [(s, t) for s, t in terms if t]
 
 
-class ParameterizedBasis:
-    """n x n matrix of rational functions; row i expresses E_i^t."""
+def clear_denominators(fs):
+    """(s, G) with s f = G in Z[t] for every f in fs, one s in Z[t] for all.
 
-    __slots__ = ("dim", "matrix")
-
-    def __init__(self, dim: int, rows):
-        if len(rows) != dim:
-            raise ValueError(f"expected {dim} rows, got {len(rows)}")
-        parsed = []
-        for row in rows:
-            if isinstance(row, str):
-                parsed.append(parse_basis_row(row, dim))
-            else:
-                parsed.append(list(row))
-        self.dim = dim
-        self.matrix = Matrix(parsed, kind="ratfun")
-
-    @staticmethod
-    def identity(dim: int) -> "ParameterizedBasis":
-        return ParameterizedBasis(dim, [[RF_ONE if i == j else RF_ZERO
-                                         for j in range(dim)] for i in range(dim)])
-
-
-def apply_parameterized_basis(a: StructureTensor, basis: ParameterizedBasis):
-    """Structure constants of `a` in the parameterized basis.
-
-    Returns a dict {(i, j): vector of RationalFunction} for i < j; raises
-    SingularFamily when the rows fail to be a basis for generic t.
+    s = c D: D is the lcm of the reduced denominators, c the lcm of the
+    coefficient denominators left over.
     """
+    fs = list(fs)
+    dens = {f.den for f in fs}
+    lcm_den = POLY_ONE
+    for den in dens:
+        if not lcm_den.divmod(den)[1].is_zero():
+            lcm_den = (lcm_den * den).divmod(poly_gcd(lcm_den, den))[0]
+    cofactor = {den: lcm_den.divmod(den)[0] for den in dens}
+    polys = [lcm_den] + [f.num if f.den == lcm_den else f.num * cofactor[f.den]
+                         for f in fs]
+    s, *g = map(ZPoly, int_scaled(p.coeffs for p in polys)[1])
+    return s, g
+
+
+def apply_parameterized_basis(a: StructureTensor, rows):
+    """(den, N): the structure constants of `a` in the parameterized basis
+    `rows` (parsed rows of RationalFunction) are N / den, with den in Z[t]
+    and N = {(i, j): coordinates in Z[t]} for i < j.  Raises SingularFamily
+    when the rows fail to be a basis for generic t."""
     n = a.dim
-    if basis.dim != n:
+    if len(rows) != n:
         raise ValueError("basis dimension does not match the algebra")
-    try:
-        inv = invert(basis.matrix)
-    except Singular:
+    s, flat = clear_denominators(f for row in rows for f in row)
+    g = [flat[i * n:(i + 1) * n] for i in range(n)]
+    d, inv = int_scaled_inverse(g)
+    if not d:
         raise SingularFamily("parameterized basis has identically zero determinant")
-    rows = basis.matrix.entries
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = _rf_product(a, rows[i], rows[j])
-            if all(x.is_zero() for x in vec):
-                continue
-            coords = tuple(
-                _dot_rf(vec, [inv.entries[r][k] for r in range(n)])
-                for k in range(n)
-            )
-            if any(coords):
-                out[(i + 1, j + 1)] = coords
-    return out
-
-
-def _rf_product(a: StructureTensor, x_row, y_row):
-    """Bilinear product of two RationalFunction vectors under `a`."""
-    n = a.dim
-    out = [RF_ZERO] * n
-    for (i, j), vec in a.products.items():
-        c = x_row[i - 1] * y_row[j - 1] - x_row[j - 1] * y_row[i - 1]
-        if not c.is_zero():
-            for k in range(n):
-                if vec[k]:
-                    out[k] = out[k] + c * RationalFunction.const(vec[k])
-    return out
-
-
-def _dot_rf(vec, col):
-    acc = RF_ZERO
-    for a, b in zip(vec, col):
-        if not a.is_zero() and not b.is_zero():
-            acc = acc + a * b
-    return acc
+    mult, table = int_table(a)
+    return s * d * mult, int_change_basis(table, n, g, inv)
 
 
 @dataclass(frozen=True)
@@ -258,38 +232,26 @@ def verify_degeneration(cert: DegenerationCertificate) -> Verdict:
             return Verdict("fail",
                            f"basis row {k} {text!r} does not parse: {exc}")
     try:
-        constants = apply_parameterized_basis(src, ParameterizedBasis(n, rows))
+        den, constants = apply_parameterized_basis(src, rows)
     except SingularFamily as exc:
         return Verdict("fail", str(exc))
-    limit = {}
+    v = den.order()
     for (i, j), vec in constants.items():
-        out = []
         for k, entry in enumerate(vec, start=1):
-            try:
-                val = entry.eval_at_zero()
-            except PoleAtZero:
-                return Verdict(
-                    "fail",
-                    f"pole at t=0 in constant ({i},{j})^{k}",
-                    {"position": (i, j, k)},
-                )
-            out.append(val)
-        if any(out):
-            limit[(i, j)] = tuple(out)
+            if entry and entry.order() < v:
+                return Verdict("fail", f"pole at t=0 in constant ({i},{j})^{k}",
+                               {"position": (i, j, k)})
+    zeros = (0,) * n
     for i in range(1, n):
         for j in range(i + 1, n + 1):
-            want = tgt.products.get((i, j), (Fraction(0),) * n)
-            got = limit.get((i, j), (Fraction(0),) * n)
-            if want != got:
-                k = next(
-                    idx + 1 for idx in range(n) if want[idx] != got[idx]
-                )
-                return Verdict(
-                    "fail",
-                    f"limit constant ({i},{j})^{k} is {got[k - 1]}, "
-                    f"target has {want[k - 1]}",
-                    {"position": (i, j, k)},
-                )
+            want = tgt.products.get((i, j), zeros)
+            got = [Fraction(x.coeffs[v], den.coeffs[v]) if x else 0
+                   for x in constants.get((i, j), zeros)]
+            k = next((k for k in range(1, n + 1) if want[k - 1] != got[k - 1]), None)
+            if k:
+                return Verdict("fail", f"limit constant ({i},{j})^{k} is "
+                                       f"{got[k - 1]}, target has {want[k - 1]}",
+                               {"position": (i, j, k)})
     return Verdict("pass")
 
 

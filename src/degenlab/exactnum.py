@@ -1,16 +1,16 @@
-"""Exact scalars: rationals and univariate rational functions in t.
-
-Every computation in this package is exact.  Scalars come in two kinds:
+"""Exact scalars: rationals, univariate rational functions in t, and
+integer polynomials in t.
 
   Rational          -- an alias of fractions.Fraction (arbitrary precision)
   RationalFunction  -- a reduced quotient num/den of Polynomials over the
                        rationals, with den monic, so equality is structural
+  ZPoly             -- a polynomial in t with int coefficients, the scalar
+                       of the certificate check
 
 Polynomials are immutable tuples of Fractions indexed by degree; the zero
-polynomial is the empty tuple.  Rational functions appear as the entries of
-parameterized bases such as (1/t)*e4 - (1/t^2)*e7, and the whole certificate
-machinery reduces to asking whether such an entry is regular at t = 0 and
-what its value there is.
+polynomial is the empty tuple.  Rational functions are what the entries of
+parameterized bases such as (1/t)*e4 - (1/t^2)*e7 parse to; the
+certificate check clears their denominators once and runs over Z[t].
 
 A small expression parser accepts the text syntax used in ledger files:
 integer literals, `t`, `+ - * / ^ ( )`, e.g. `1/t^2` or `(t+1)/t`.
@@ -70,10 +70,6 @@ class Polynomial:
     @staticmethod
     def const(c) -> "Polynomial":
         return Polynomial((Fraction(c),))
-
-    @staticmethod
-    def t_power(k: int, c=1) -> "Polynomial":
-        return Polynomial((0,) * k + (Fraction(c),))
 
     @property
     def degree(self) -> int:
@@ -167,15 +163,13 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 POLY_ZERO = Polynomial()
 POLY_ONE = Polynomial.const(1)
-POLY_T = Polynomial.t_power(1)
 
 
 class RationalFunction:
     """Reduced quotient of polynomials with monic denominator.
 
-    The normal form (gcd cancelled, den monic) makes == structural, which
-    the certificate checker relies on: two rational functions are equal as
-    functions iff they are equal as objects.
+    The normal form (gcd cancelled, den monic) makes == structural: two
+    rational functions are equal as functions iff they are equal as objects.
     """
 
     __slots__ = ("num", "den")
@@ -204,15 +198,6 @@ class RationalFunction:
     def const(c) -> "RationalFunction":
         return RationalFunction(Polynomial.const(c))
 
-    from_rational = const
-
-    @staticmethod
-    def t_power(k: int, c=1) -> "RationalFunction":
-        """c * t^k for any integer k (negative k gives c/t^|k|)."""
-        if k >= 0:
-            return RationalFunction(Polynomial.t_power(k, c))
-        return RationalFunction(Polynomial.const(c), Polynomial.t_power(-k))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -227,9 +212,6 @@ class RationalFunction:
             and self.num == other.num
             and self.den == other.den
         )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(
@@ -257,37 +239,128 @@ class RationalFunction:
         n0 = self.num.eval(0)
         return n0 / d0
 
-    def regular_at_zero(self) -> bool:
-        return self.den.eval(0) != 0
-
     def __repr__(self):
         return f"RF({format_rational_function(self)})"
 
 
 RF_ZERO = RationalFunction(POLY_ZERO)
 RF_ONE = RationalFunction(POLY_ONE)
-RF_T = RationalFunction(POLY_T)
-
-_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
+RF_T = RationalFunction(Polynomial((0, 1)))
 
 
-def rf_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
-    """Field arithmetic on rational functions; op in {add, sub, mul, div}."""
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown op {op!r}") from None
-    return fn(a, b)
+class ZPoly:
+    """Immutable polynomial in t with int coefficients (coeffs[i] of t^i,
+    no trailing zeros; zero is the empty tuple and falsy).  Ints mix in on
+    the right of + - * // and on the left of + *, all that the integer
+    kernels of `linalg` and `algebra` need.  `//` is exact division and
+    raises ArithmeticError when the quotient is not in Z[t]."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [int(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ZPoly is immutable")
+
+    def order(self) -> int:
+        """ord_t, the least i with coeffs[i] != 0; ValueError for zero."""
+        return min(i for i, c in enumerate(self.coeffs) if c)
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        return isinstance(other, ZPoly) and self.coeffs == other.coeffs
+
+    def __neg__(self):
+        return _zpoly(tuple(-c for c in self.coeffs))
+
+    def __add__(self, other):
+        if not other:
+            return self
+        b = (other,) if isinstance(other, int) else other.coeffs
+        return _zpoly(_add(self.coeffs, b))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if not other:
+            return self
+        b = (-other,) if isinstance(other, int) else tuple(-c for c in other.coeffs)
+        return _zpoly(_add(self.coeffs, b))
+
+    def __mul__(self, other):
+        # fast paths first: elimination on [G | I] meets mostly 0, 1, ints
+        a = self.coeffs
+        if isinstance(other, int):
+            if other == 1:
+                return self
+            return _zpoly(tuple(c * other for c in a)) if other and a else ZPOLY_ZERO
+        b = other.coeffs
+        if not a or not b:
+            return ZPOLY_ZERO
+        if len(b) == 1:
+            return self if b[0] == 1 else _zpoly(tuple(x * b[0] for x in a))
+        if len(a) == 1:
+            return other if a[0] == 1 else _zpoly(tuple(a[0] * y for y in b))
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _zpoly(tuple(out))
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        b = (other,) if isinstance(other, int) else other.coeffs
+        if not b or b == (0,):
+            raise DivisionByZero("ZPoly division by zero")
+        if not self.coeffs or b == (1,):
+            return self
+        rem = list(self.coeffs)
+        d, lc = len(b) - 1, b[-1]
+        quo = [0] * max(len(rem) - d, 0)
+        for i in range(len(rem) - 1, d - 1, -1):
+            if rem[i]:
+                q, r = divmod(rem[i], lc)
+                if r:
+                    raise ArithmeticError("inexact division in Z[t]")
+                quo[i - d] = q
+                for j in range(d):
+                    rem[i - d + j] -= q * b[j]
+        if any(rem[:d]):
+            raise ArithmeticError("inexact division in Z[t]")
+        return _zpoly(tuple(quo))
+
+    def __repr__(self):
+        return f"ZPoly({format_polynomial(Polynomial(self.coeffs))!r})"
 
 
-def rf_eval_at_zero(f: RationalFunction) -> Fraction:
-    """f(0), raising PoleAtZero when the reduced denominator vanishes at 0."""
-    return f.eval_at_zero()
+def _add(a: tuple, b: tuple) -> tuple:
+    """Coefficients of a + b, without trailing zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _zpoly(coeffs: tuple) -> ZPoly:
+    """ZPoly from a tuple of ints that has no trailing zeros."""
+    p = object.__new__(ZPoly)
+    object.__setattr__(p, "coeffs", coeffs)
+    return p
+
+
+ZPOLY_ZERO = _zpoly(())
 
 
 # --- text syntax --------------------------------------------------------

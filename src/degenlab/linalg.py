@@ -1,13 +1,13 @@
-"""Exact linear algebra over Rational and RationalFunction scalars.
+"""Exact linear algebra over the rationals and over integer rings.
 
 Matrices here are tiny (at most ~11x11) and dense.  Everything is computed
 exactly: rank over the rationals goes through an integer fraction-free
-elimination after clearing denominators, rank over rational functions is
-the pivot count of the reduced echelon form over QQ(t), and `invert`
-reduces [M | I] to echelon form over either field.  Integer basis changes
-(orbit sampling) use the fraction-free inverse `int_scaled_inverse`.
-`int_scaled` is the one place where rational rows are scaled to integer
-rows; tables, bases, elements and pencils all go through it.
+elimination after clearing denominators, and `int_scaled_inverse` is the
+one fraction-free inverse.  It needs only + - * and exact // of its
+entries, so it runs on ints (orbit sampling) and on integer polynomials
+`exactnum.ZPoly` (the certificate check) alike.  `int_scaled` is the one
+place where rational rows are scaled to integer rows; tables, bases,
+elements and pencils all go through it.
 Subspaces are kept in reduced row-echelon form so that equality and
 containment are structural checks.
 
@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-from .exactnum import RationalFunction, RF_ONE, RF_ZERO
 
 
 class Singular(ArithmeticError):
@@ -36,89 +34,65 @@ class AmbientMismatch(ValueError):
     """Subspace operation on subspaces of different ambient spaces."""
 
 
-RATIONAL = "rational"
-RATFUN = "ratfun"
-
-
-def _kind_of(entry):
-    if isinstance(entry, RationalFunction):
-        return RATFUN
-    return RATIONAL
-
-
 class Matrix:
-    """Dense matrix with Fraction or RationalFunction entries (one kind)."""
+    """Dense matrix with Fraction entries."""
 
-    __slots__ = ("rows", "cols", "entries", "kind")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries, kind=None):
-        entries = [list(row) for row in entries]
+    def __init__(self, entries):
+        entries = [[Fraction(x) for x in row] for row in entries]
         if not entries or not entries[0]:
             raise ValueError("matrices here are nonempty")
         ncols = len(entries[0])
         if any(len(row) != ncols for row in entries):
             raise ValueError("ragged rows")
-        if kind is None:
-            kind = _kind_of(entries[0][0])
-        if kind == RATIONAL:
-            entries = [[Fraction(x) for x in row] for row in entries]
         self.rows = len(entries)
         self.cols = ncols
         self.entries = entries
-        self.kind = kind
 
-    def _zero(self):
-        return RF_ZERO if self.kind == RATFUN else Fraction(0)
-
-    @staticmethod
-    def identity(n: int, kind: str = RATIONAL) -> "Matrix":
-        one = RF_ONE if kind == RATFUN else Fraction(1)
-        zero = RF_ZERO if kind == RATFUN else Fraction(0)
-        return Matrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)], kind
-        )
+    @property
+    def kind(self) -> str:
+        """Always "rational"; read by perfbench's tracer to name spans."""
+        return "rational"
 
     @staticmethod
-    def zero(rows: int, cols: int, kind: str = RATIONAL) -> "Matrix":
-        zero = RF_ZERO if kind == RATFUN else Fraction(0)
-        return Matrix([[zero] * cols for _ in range(rows)], kind)
+    def identity(n: int) -> "Matrix":
+        return Matrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+    @staticmethod
+    def zero(rows: int, cols: int) -> "Matrix":
+        return Matrix([[0] * cols for _ in range(rows)])
 
     def copy_entries(self):
         return [row[:] for row in self.entries]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.kind == other.kind
-            and self.entries == other.entries
-        )
+        return isinstance(other, Matrix) and self.entries == other.entries
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        zero = self._zero()
         out = []
         for i in range(self.rows):
             arow = self.entries[i]
             row = []
             for j in range(other.cols):
-                acc = zero
+                acc = Fraction(0)
                 for k in range(self.cols):
                     a = arow[k]
                     if a:
                         acc = acc + a * other.entries[k][j]
                 row.append(acc)
             out.append(row)
-        return Matrix(out, self.kind)
+        return Matrix(out)
 
     def apply(self, vec):
         """Matrix times column vector (vec as a sequence)."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        zero = self._zero()
         out = []
         for i in range(self.rows):
-            acc = zero
+            acc = Fraction(0)
             row = self.entries[i]
             for k in range(self.cols):
                 if row[k]:
@@ -127,7 +101,7 @@ class Matrix:
         return tuple(out)
 
     def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols}, {self.kind})"
+        return f"Matrix({self.rows}x{self.cols})"
 
 
 # --- integer fraction-free core -----------------------------------------
@@ -189,7 +163,8 @@ def int_scaled_inverse(rows):
     Fraction-free Gauss-Jordan elimination (Bareiss, 1968) on [G | I]:
     after each pivot every entry is a minor of [G | I], so the division by
     the previous pivot is exact and [G | I] ends as [d I | d G^-1] with
-    d = +-det G.  Returns (0, None) when G is singular.
+    d = +-det G.  Returns (0, None) when G is singular.  The entries may
+    come from any integral domain with exact //, such as Z[t].
     """
     n = len(rows)
     aug = [list(row) + [int(i == j) for j in range(n)]
@@ -211,10 +186,8 @@ def int_scaled_inverse(rows):
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank; symbolic over QQ(t) for RationalFunction matrices."""
-    if m.kind == RATIONAL:
-        return _int_rank(int_scaled(m.entries)[1])
-    return len(_rref(m.entries)[1])
+    """Exact rank, by integer elimination after clearing denominators."""
+    return _int_rank(int_scaled(m.entries)[1])
 
 
 def _rref(entries):
@@ -248,8 +221,6 @@ def _rref(entries):
 
 def kernel_basis(m: Matrix) -> "Subspace":
     """Null space of a Rational matrix, in reduced echelon form."""
-    if m.kind != RATIONAL:
-        raise TypeError("kernel_basis is defined for Rational matrices")
     rref_rows, pivots = _rref(m.entries)
     n = m.cols
     free = [c for c in range(n) if c not in pivots]
@@ -264,18 +235,16 @@ def kernel_basis(m: Matrix) -> "Subspace":
 
 
 def invert(m: Matrix) -> Matrix:
-    """Exact inverse over the scalar field; raises Singular.
-
-    Both fields take the reduced echelon form of [m | I].
-    """
+    """Exact inverse over Q, from the reduced echelon form of [m | I];
+    raises Singular."""
     if m.rows != m.cols:
         raise Singular("only square matrices are invertible")
     n = m.rows
-    ident = Matrix.identity(n, m.kind).entries
+    ident = Matrix.identity(n).entries
     rows, pivots = _rref([a + b for a, b in zip(m.entries, ident)])
     if pivots[-1] >= n:
         raise Singular("matrix has zero determinant")
-    return Matrix([row[n:] for row in rows], m.kind)
+    return Matrix([row[n:] for row in rows])
 
 
 class Subspace:
@@ -471,8 +440,6 @@ def power_rank_sequence(m: Matrix, max_power: int):
     """Ranks of m, m^2, ..., stopping at zero or max_power entries."""
     if m.rows != m.cols:
         raise ValueError("rank sequence of a non-square matrix")
-    if m.kind != RATIONAL:
-        raise TypeError("power_rank_sequence is defined for Rational matrices")
     return int_power_rank_sequence(int_scaled(m.entries)[1], max_power)
 
 

@@ -95,17 +95,31 @@ class ClaimLedger:
 
 
 def _ref_from_json(obj) -> AlgebraRef:
+    """A ledger algebra reference; malformed dim or products: ParseError."""
     try:
         name, dim = obj["name"], int(obj["dim"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad algebra reference {obj!r}") from exc
+    if dim < 1:
+        raise ParseError(f"algebra reference {name}@{dim}: dim is not positive")
     products = None
     if "products" in obj:
-        products = tuple(
-            (int(r["i"]), int(r["j"]), tuple(Fraction(str(x)) for x in r["value"]))
-            for r in obj["products"]
-        )
+        try:
+            products = tuple(_product_from_json(r, dim) for r in obj["products"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"algebra reference {name}@{dim}: bad products "
+                             f"entry: {exc}") from None
     return AlgebraRef(name, dim, products)
+
+
+def _product_from_json(rec, dim: int):
+    i, j = int(rec["i"]), int(rec["j"])
+    if not 1 <= i < j <= dim:
+        raise ValueError(f"product key ({i},{j}) is not 1 <= i < j <= {dim}")
+    value = tuple(Fraction(str(x)) for x in rec["value"])
+    if len(value) != dim:
+        raise ValueError(f"value of ({i},{j}) has {len(value)} entries, not {dim}")
+    return i, j, value
 
 
 def check_witness_payload(w: NonDegenerationWitness):
@@ -162,37 +176,44 @@ def _is_rational(x) -> bool:
     return True
 
 
+def certificate_from_json(rec, default_id=None) -> DegenerationCertificate:
+    """One certificate record; `default_id` stands in for a missing id."""
+    try:
+        return DegenerationCertificate(
+            source=_ref_from_json(rec["source"]),
+            target=_ref_from_json(rec["target"]),
+            basis_rows=tuple(rec["basis"]),
+            provenance=rec.get("provenance", ""),
+            proper=rec.get("proper"),
+            separator=rec.get("separator"),
+            cert_id=rec["id"] if default_id is None else rec.get("id", default_id),
+        )
+    except KeyError as exc:
+        raise ParseError(f"certificate record missing {exc}") from exc
+
+
+def witness_from_json(rec, default_id=None) -> NonDegenerationWitness:
+    """One witness record with a checked payload; `default_id` as above."""
+    try:
+        w = NonDegenerationWitness(
+            kind=rec["kind"],
+            source=_ref_from_json(rec["source"]),
+            target=_ref_from_json(rec["target"]),
+            payload=rec.get("payload", {}),
+            provenance=rec.get("provenance", ""),
+            witness_id=rec["id"] if default_id is None else rec.get("id", default_id),
+        )
+    except KeyError as exc:
+        raise ParseError(f"witness record missing {exc}") from exc
+    check_witness_payload(w)
+    return w
+
+
 def ledger_from_obj(obj, path: str = "") -> ClaimLedger:
     if not isinstance(obj, dict) or "certificates" not in obj:
         raise ParseError("ledger object lacks a certificates section")
-    certs = []
-    for rec in obj.get("certificates", []):
-        try:
-            certs.append(DegenerationCertificate(
-                source=_ref_from_json(rec["source"]),
-                target=_ref_from_json(rec["target"]),
-                basis_rows=tuple(rec["basis"]),
-                provenance=rec.get("provenance", ""),
-                proper=rec.get("proper"),
-                separator=rec.get("separator"),
-                cert_id=rec["id"],
-            ))
-        except KeyError as exc:
-            raise ParseError(f"certificate record missing {exc}") from exc
-    witnesses = []
-    for rec in obj.get("witnesses", []):
-        try:
-            witnesses.append(NonDegenerationWitness(
-                kind=rec["kind"],
-                source=_ref_from_json(rec["source"]),
-                target=_ref_from_json(rec["target"]),
-                payload=rec.get("payload", {}),
-                provenance=rec.get("provenance", ""),
-                witness_id=rec["id"],
-            ))
-        except KeyError as exc:
-            raise ParseError(f"witness record missing {exc}") from exc
-        check_witness_payload(witnesses[-1])
+    certs = [certificate_from_json(rec) for rec in obj.get("certificates", [])]
+    witnesses = [witness_from_json(rec) for rec in obj.get("witnesses", [])]
     chains = []
     for rec in obj.get("chains", []):
         try:

@@ -233,3 +233,112 @@ def pencil_rank_oracle(p_mat, q_mat):
          for p, q in zip(prow, qrow)]
         for prow, qrow in zip(p_mat, q_mat)
     ])
+
+
+# --- the certificate check over Q(t) ------------------------------------
+#
+# The former body of degeneration.verify_degeneration: constants of the
+# source in the parameterized basis by RationalFunction products and a
+# Gauss-Jordan inverse over Q(t), then eval_at_zero of each constant.
+
+
+def _rf(c):
+    from degenlab.exactnum import Polynomial, RationalFunction
+
+    return RationalFunction(Polynomial((c,)))
+
+
+def qt_inverse(rows):
+    """Inverse of a square RationalFunction matrix by Gauss-Jordan over
+    Q(t); None when the matrix is singular."""
+    n = len(rows)
+    aug = [list(row) + [_rf(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c]), None)
+        if piv is None:
+            return None
+        aug[c], aug[piv] = aug[piv], aug[c]
+        pr = [x / aug[c][c] for x in aug[c]]
+        aug[c] = pr
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], pr)]
+    return [row[n:] for row in aug]
+
+
+def qt_constants(tensor, rows):
+    """{(i, j): RationalFunction coordinates of f_i f_j} for i < j in the
+    basis f = rows over Q(t), nonzero ones only; None when the rows are
+    singular."""
+    n = tensor.dim
+    inv = qt_inverse(rows)
+    if inv is None:
+        return None
+    zero = _rf(0)
+    pairs = pairs_of(tensor)
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = rows[i], rows[j]
+            p = [zero] * n
+            for (a, b, k, coeff) in pairs:
+                c = x[a - 1] * y[b - 1] - x[b - 1] * y[a - 1]
+                if c:
+                    p[k - 1] = p[k - 1] + c * _rf(coeff)
+            coords = []
+            for k in range(n):
+                acc = zero
+                for r in range(n):
+                    if p[r] and inv[r][k]:
+                        acc = acc + p[r] * inv[r][k]
+                coords.append(acc)
+            if any(coords):
+                out[(i + 1, j + 1)] = tuple(coords)
+    return out
+
+
+def qt_certificate_verdict(cert):
+    """(status, reason, data) of a degeneration certificate, checked over
+    Q(t): poles first in (i, j, k) order, then limit mismatches."""
+    from degenlab.degeneration import parse_basis_row
+    from degenlab.exactnum import PoleAtZero
+
+    src, tgt = cert.source.resolve(), cert.target.resolve()
+    if src.dim != tgt.dim:
+        return ("fail", "source and target dimensions differ", {})
+    n = src.dim
+    if len(cert.basis_rows) != n:
+        return ("fail", f"expected {n} basis rows, got {len(cert.basis_rows)}", {})
+    rows = []
+    for k, text in enumerate(cert.basis_rows, start=1):
+        try:
+            rows.append(parse_basis_row(text, n))
+        except (ValueError, ZeroDivisionError) as exc:
+            return ("fail", f"basis row {k} {text!r} does not parse: {exc}", {})
+    constants = qt_constants(src, rows)
+    if constants is None:
+        return ("fail", "parameterized basis has identically zero determinant", {})
+    limit = {}
+    for (i, j), vec in constants.items():
+        out = []
+        for k, entry in enumerate(vec, start=1):
+            try:
+                out.append(entry.eval_at_zero())
+            except PoleAtZero:
+                return ("fail", f"pole at t=0 in constant ({i},{j})^{k}",
+                        {"position": (i, j, k)})
+        if any(out):
+            limit[(i, j)] = tuple(out)
+    zeros = (Fraction(0),) * n
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            want = tgt.products.get((i, j), zeros)
+            got = limit.get((i, j), zeros)
+            if want != got:
+                k = next(idx + 1 for idx in range(n) if want[idx] != got[idx])
+                return ("fail", f"limit constant ({i},{j})^{k} is {got[k - 1]}, "
+                                f"target has {want[k - 1]}",
+                        {"position": (i, j, k)})
+    return ("pass", "", {})

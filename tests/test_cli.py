@@ -305,3 +305,52 @@ def test_check_rejects_witness_without_payload(tmp_path, capsys, kind):
     assert main(["check", str(path), "--trials", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def _cert_with_bad_source(case):
+    cert = json.loads(json.dumps(certificates()[0]))
+    n = cert["source"]["dim"]
+    product = {"i": 1, "j": 2, "value": [0] * (n - 1) + [1]}
+    source = {"name": "inline", "dim": n, "products": [product]}
+    if case == "dim":
+        source["dim"] = "seven"
+    elif case == "zero-denominator":
+        product["value"][0] = "1/0"
+    elif case == "not-a-number":
+        product["value"][0] = "x"
+    elif case == "short-value":
+        product["value"] = [0] * (n - 1)
+    elif case == "key-order":
+        product["i"], product["j"] = 3, 2
+    cert["source"] = source
+    return cert
+
+
+BAD_SOURCES = ["dim", "zero-denominator", "not-a-number", "short-value",
+               "key-order"]
+
+
+@pytest.mark.parametrize("case", BAD_SOURCES)
+def test_verify_paper_rejects_a_malformed_inline_algebra(tmp_path, capsys, case):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps({"certificates": [_cert_with_bad_source(case)],
+                                "witnesses": [], "chains": []}),
+                    encoding="utf-8")
+    code = main(["verify-paper", "--ledger", str(path), "--trials", "1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "algebra reference" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("case", BAD_SOURCES)
+def test_check_rejects_a_malformed_inline_algebra(tmp_path, capsys, case):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_cert_with_bad_source(case)), encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "algebra reference" in err

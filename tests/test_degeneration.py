@@ -1,7 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenlab.algebra import StructureTensor, change_basis
 from degenlab.catalog import instantiate
@@ -13,9 +16,9 @@ from degenlab.degeneration import (
     ClosedSetSpec,
     DegenerationCertificate,
     NonDegenerationWitness,
-    ParameterizedBasis,
     SingularFamily,
     apply_parameterized_basis,
+    clear_denominators,
     closed_set_member,
     ex222_membership,
     lower_triangular_invariance_probe,
@@ -28,11 +31,12 @@ from degenlab.degeneration import (
     verify_degeneration,
     verify_nondegeneration,
 )
+from degenlab.exactnum import Polynomial, RationalFunction, ZPoly
 from degenlab.exactnum import parse_rational_function as parse
 from degenlab.linalg import Matrix
 from degenlab.verification_db import load_ledger, shipped_ledger_path
 
-from oracles import fraction_inverse
+from oracles import fraction_inverse, qt_certificate_verdict, qt_constants
 
 
 def test_parse_basis_row_shapes():
@@ -82,28 +86,114 @@ def test_verify_basis_of_the_wrong_length_is_a_failure_verdict():
     assert verdict.reason == "expected 3 basis rows, got 2"
 
 
+def _parse_rows(rows, n):
+    return [parse_basis_row(r, n) for r in rows]
+
+
+def _as_rational_functions(den, constants):
+    """{(i, j): N / den} as RationalFunction vectors."""
+    def poly(p):
+        return Polynomial(p.coeffs if isinstance(p, ZPoly) else (p,))
+    return {key: tuple(RationalFunction(poly(x), poly(den)) for x in vec)
+            for key, vec in constants.items()}
+
+
 def test_apply_identity_keeps_constants():
     a = instantiate("T32_e23", 6)
-    constants = apply_parameterized_basis(a, ParameterizedBasis.identity(6))
+    rows = _parse_rows([f"e{k}" for k in range(1, 7)], 6)
+    constants = _as_rational_functions(*apply_parameterized_basis(a, rows))
     assert set(constants) == set(a.products)
     for key, vec in constants.items():
         evaluated = tuple(x.eval_at_zero() for x in vec)
         assert evaluated == a.products[key]
+    assert constants == qt_constants(a, rows)
 
 
 def test_apply_single_scaling_pushes_constant_into_t():
     a = instantiate("n3", 3)
-    basis = ParameterizedBasis(3, ["t*e1", "e2", "e3"])
-    constants = apply_parameterized_basis(a, basis)
+    rows = _parse_rows(["t*e1", "e2", "e3"], 3)
+    constants = _as_rational_functions(*apply_parameterized_basis(a, rows))
     assert constants[(1, 2)][2] == parse("t")
+    assert constants == qt_constants(a, rows)
 
 
 def test_apply_rejects_singular_families():
     a = instantiate("n3", 3)
+    rows = _parse_rows(["e1+e2", "e1+e2", "e3"], 3)
+    assert qt_constants(a, rows) is None
     with pytest.raises(SingularFamily):
-        apply_parameterized_basis(
-            a, ParameterizedBasis(3, ["e1+e2", "e1+e2", "e3"])
-        )
+        apply_parameterized_basis(a, rows)
+
+
+def test_clear_denominators_uses_one_common_scale():
+    fs = [parse(x) for x in ("1/t", "1/t^2", "(t+1)/(2*t+1)", "3/2", "0",
+                             "t^2 - 1/3")]
+    s, g = clear_denominators(fs)
+    for f, gi in zip(fs, g):
+        assert all(isinstance(c, int) for c in gi.coeffs)
+        assert RationalFunction(Polynomial(gi.coeffs), Polynomial(s.coeffs)) == f
+    # s = c t^2 (t + 1/2) with c clearing the 1/2 and the 1/3
+    assert s.order() == 2 and len(s.coeffs) == 4
+
+
+def _verdict(cert):
+    v = verify_degeneration(cert)
+    return (v.status, v.reason, v.data)
+
+
+def test_zt_verdicts_match_the_qt_oracle_on_shipped_certificates():
+    certs = load_ledger(shipped_ledger_path()).certificates
+    assert len(certs) == 133
+    for cert in certs:
+        assert _verdict(cert) == qt_certificate_verdict(cert), cert.cert_id
+
+
+def test_zt_verdicts_match_the_qt_oracle_on_corrupted_certificates():
+    # each shipped basis with one row extended by a term; every tenth has a
+    # row replaced by a copy of another (a singular family)
+    certs = load_ledger(shipped_ledger_path()).certificates
+    rng = random.Random(20240917)
+    seen = set()
+    for index, cert in enumerate(certs):
+        rows = list(cert.basis_rows)
+        n = len(rows)
+        r = rng.randrange(n)
+        if index % 10 == 0:
+            rows[r] = rows[(r + 1) % n]
+        else:
+            term = rng.choice(["+e{}", "+(1/t)*e{}", "-t*e{}", "+(1/t^2)*e{}"])
+            rows[r] += term.format(rng.randint(1, n))
+        bad = replace(cert, basis_rows=tuple(rows))
+        want = qt_certificate_verdict(bad)
+        assert _verdict(bad) == want, (cert.cert_id, rows)
+        seen.add(want[1].split(" ")[0] if want[0] == "fail" else "pass")
+    assert seen == {"pass", "pole", "limit", "parameterized"}
+
+
+SMALL_ALGEBRAS = [("n3", 3), ("T3", 4), ("T22", 5), ("T22_e23", 6),
+                  ("T32_e23", 6)]
+COEFFS = ["", "t*", "(1/t)*", "(1/t^2)*", "-", "-t*", "-(1/t)*", "2*"]
+
+
+@st.composite
+def _random_certificates(draw):
+    name, n = draw(st.sampled_from(SMALL_ALGEBRAS))
+    rows = []
+    for i in range(1, n + 1):
+        terms = [f"{draw(st.sampled_from(COEFFS))}e{i}"]
+        for k in draw(st.lists(st.integers(1, n), max_size=2)):
+            terms.append(f"{draw(st.sampled_from(COEFFS))}e{k}")
+        rows.append("+".join(terms).replace("+-", "-"))
+    target = draw(st.sampled_from([name] + ["zero"]))
+    return DegenerationCertificate(
+        source=AlgebraRef(name, n), target=AlgebraRef(target, n),
+        basis_rows=tuple(rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_certificates())
+def test_zt_verdict_matches_the_qt_oracle_on_random_bases(cert):
+    assert _verdict(cert) == qt_certificate_verdict(cert)
 
 
 def test_verify_identity_certificate():

@@ -5,6 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degenlab.algebra import StructureTensor
+from degenlab.degeneration import (
+    SingularFamily,
+    apply_parameterized_basis,
+    clear_denominators,
+)
+from degenlab.exactnum import Polynomial, RationalFunction, ZPoly
 from degenlab.exactnum import parse_rational_function as parse
 from degenlab.linalg import (
     Matrix,
@@ -25,7 +32,7 @@ from degenlab.linalg import (
 from degenlab.algebra import left_mult_matrix
 from degenlab.catalog import instantiate
 
-from oracles import fraction_inverse, row_reduce_dim
+from oracles import field_rank, fraction_inverse, qt_inverse, row_reduce_dim
 
 
 def e_vec(n, *idx):
@@ -61,27 +68,49 @@ def test_rank_plus_kernel_dimension():
         assert rank(m) + kernel_basis(m).dim == m.cols
 
 
+def _qt(rows):
+    return [[parse(x) for x in row] for row in rows]
+
+
+def _zt(rows):
+    """Rows of t-polynomial texts as ZPoly rows (all denominators 1)."""
+    s, g = clear_denominators(f for row in _qt(rows) for f in row)
+    assert s == ZPoly((1,))
+    n = len(rows[0])
+    return [g[i:i + n] for i in range(0, len(g), n)]
+
+
+def _over(r, d):
+    """The Q(t) matrix R / d for ZPoly entries."""
+    def poly(p):
+        return Polynomial(p.coeffs if isinstance(p, ZPoly) else (p,))
+    return [[RationalFunction(poly(x), poly(d)) for x in row] for row in r]
+
+
+def _zt_matmul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), ZPoly())
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
 def test_invert_round_trip_rational_function_entries():
-    zero, one = parse("0"), parse("1")
-    t = parse("t")
-    m = Matrix([[one, zero], [one, t]], kind="ratfun")
-    inv = invert(m)
-    assert inv.entries[1][0] == parse("-1/t")
-    assert inv.entries[1][1] == parse("1/t")
-    assert (m @ inv) == Matrix.identity(2, kind="ratfun")
+    # the Q(t) oracle, and d G^-1 over Z[t] from the integer kernel
+    rows = [["1", "0"], ["1", "t"]]
+    inv = qt_inverse(_qt(rows))
+    assert inv[1][0] == parse("-1/t")
+    assert inv[1][1] == parse("1/t")
+    d, r = int_scaled_inverse(_zt(rows))
+    assert _over(r, d) == inv
+    assert _zt_matmul(_zt(rows), r) == [[d, ZPoly()], [ZPoly(), d]]
 
 
 def test_invert_diagonal_t_powers():
-    t = parse("t")
-    m = Matrix(
-        [[parse("1"), parse("0"), parse("0")],
-         [parse("0"), t, parse("0")],
-         [parse("0"), parse("0"), parse("t^2")]],
-        kind="ratfun",
-    )
-    inv = invert(m)
-    assert inv.entries[1][1] == parse("1/t")
-    assert inv.entries[2][2] == parse("1/t^2")
+    rows = [["1", "0", "0"], ["0", "t", "0"], ["0", "0", "t^2"]]
+    inv = qt_inverse(_qt(rows))
+    assert inv[1][1] == parse("1/t")
+    assert inv[2][2] == parse("1/t^2")
+    d, r = int_scaled_inverse(_zt(rows))
+    assert d.order() == 3
+    assert _over(r, d) == inv
 
 
 def test_invert_singular_raises():
@@ -132,26 +161,42 @@ def test_invert_rational_matches_fraction_oracle():
 
 
 def test_invert_singular_rational_function_matrix_raises():
-    t = parse("t")
-    with pytest.raises(Singular):
-        invert(Matrix([[t, parse("t^2")], [parse("1"), t]], kind="ratfun"))
+    rows = [["t", "t^2"], ["1", "t"]]
+    assert qt_inverse(_qt(rows)) is None
+    assert int_scaled_inverse(_zt(rows)) == (0, None)
+    with pytest.raises(SingularFamily):
+        apply_parameterized_basis(StructureTensor(2), _qt(rows))
 
 
 def test_rank_over_rational_functions():
     # the third row is the first plus t/(t+1) times the second
-    singular = Matrix(
-        [[parse(x) for x in row] for row in (
-            ("t", "t^2", "1"), ("t+1", "0", "1/t"),
-            ("2*t", "t^2", "1+1/(t+1)"))],
-        kind="ratfun",
-    )
-    assert rank(singular) == 2
+    singular = _qt([("t", "t^2", "1"), ("t+1", "0", "1/t"),
+                    ("2*t", "t^2", "1+1/(t+1)")])
+    assert field_rank(singular) == 2
+    _, g = clear_denominators(f for row in singular for f in row)
+    assert int_scaled_inverse([g[0:3], g[3:6], g[6:9]]) == (0, None)
     # det = (t - 1)(t + 1) is nonzero as a rational function, though it
     # vanishes at t = 1
-    full = Matrix([[parse("t"), parse("1")], [parse("1"), parse("t")]],
-                  kind="ratfun")
-    assert rank(full) == 2
-    assert rank(Matrix.zero(2, 3, kind="ratfun")) == 0
+    full = _qt([("t", "1"), ("1", "t")])
+    assert field_rank(full) == 2
+    d, _ = int_scaled_inverse(_zt([("t", "1"), ("1", "t")]))
+    assert d in (ZPoly((-1, 0, 1)), ZPoly((1, 0, -1)))
+    assert field_rank(_qt([("0", "0", "0"), ("0", "0", "0")])) == 0
+
+
+@pytest.mark.parametrize("rows", [
+    [["t"]],
+    [["1", "0", "0"], ["0", "t", "0"], ["0", "0", "t^3"]],
+    [["t", "0", "0"], ["1", "t^2", "0"], ["t", "-t", "2*t"]],
+    [["t^2", "t", "1"], ["0", "t", "t^2"], ["0", "0", "1"]],
+])
+def test_int_scaled_inverse_over_zpoly_t_power_matrices(rows):
+    g = _zt(rows)
+    d, r = int_scaled_inverse(g)
+    n = len(g)
+    scalar = [[d if i == j else ZPoly() for j in range(n)] for i in range(n)]
+    assert _zt_matmul(r, g) == scalar
+    assert _zt_matmul(g, r) == scalar
 
 
 def test_int_scaled_clears_denominators_with_one_scale():
@@ -164,10 +209,10 @@ def test_int_scaled_clears_denominators_with_one_scale():
 
 
 def test_power_rank_sequence_refuses_rational_function_matrices():
-    m = Matrix([[parse("0"), parse("t")], [parse("0"), parse("0")]],
-               kind="ratfun")
+    # Matrix holds Fractions only: Q(t) entries are refused on entry
     with pytest.raises(TypeError):
-        power_rank_sequence(m, 3)
+        power_rank_sequence(Matrix([[parse("0"), parse("t")],
+                                    [parse("0"), parse("0")]]), 3)
     block = Matrix([[0, 0, 0], [Fraction(1, 2), 0, 0], [0, Fraction(2, 3), 0]])
     assert power_rank_sequence(block, 4) == (2, 1)
 
