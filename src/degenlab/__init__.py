@@ -20,7 +20,6 @@ from .linalg import (
     kernel_basis,
     nilpotent_partition,
     rank,
-    subspace_ops,
 )
 from .algebra import (
     DimensionMismatch,

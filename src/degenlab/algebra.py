@@ -11,12 +11,19 @@ The Engel decision is exact: over a field of characteristic zero,
 identically as a polynomial matrix, so we expand that power symbolically
 instead of sampling.
 
-The identity checks (Jacobi, Malcev, Engel) and basis changes run over Z
-on the table scaled by the lcm L of its denominators (`int_table`).  Each
-identity is homogeneous in the structure constants: scaling them by L
-multiplies the Jacobi defect by L^2, the Malcev defect by L^3 and
-(sum_i x_i L_{e_i})^m by L^m, so every zero test, and the least m, is
-the same as over Q.
+Every closed invariant runs over Z on the table scaled by the lcm L of
+its denominators (`int_table`); Fraction appears only at the API boundary
+(`product`'s result, `Subspace` bases, `kernel_basis` on at most n
+integer rows).  Subspace invariants (A^i, A S, the annihilator, the
+nilpotency index, the centralizer of A^2) are exact because scaling the table or a
+spanning set by a nonzero integer changes no Q-span: A^{i+1} is spanned
+by the integer products e_j w for w in the integer echelon rows of A^i
+(`linalg.int_echelon`), and the lifted `Subspace` is the same canonical
+RREF.  The identity checks (Jacobi, Malcev, Engel) are homogeneous in the
+structure constants: scaling them by L multiplies the Jacobi defect by
+L^2, the Malcev defect by L^3 and (sum_i x_i L_{e_i})^m by L^m, so every
+zero test, and the least m, is the same as over Q.  Basis changes divide
+once by the total scale.
 """
 
 from __future__ import annotations
@@ -29,10 +36,10 @@ from .linalg import (
     Matrix,
     Singular,
     Subspace,
+    int_echelon,
     int_scaled,
     int_scaled_inverse,
     kernel_basis,
-    subspace_sum,
 )
 
 
@@ -149,20 +156,69 @@ class StructureTensor:
         return StructureTensor(dim, table)
 
 
+def int_table(a: StructureTensor):
+    """(L, table): the products scaled by the lcm L of all denominators, as
+    (i, j, ((k, coeff), ...)) with 0-based indices and integer coeffs."""
+    mult, rows = int_scaled(a.products.values())
+    return mult, [
+        (i - 1, j - 1, tuple((k, x) for k, x in enumerate(row) if x))
+        for (i, j), row in zip(a.products, rows)
+    ]
+
+
+def _int_product(table, n: int, x, y):
+    """x y over Z for an int_table table and integer vectors x, y."""
+    out = [0] * n
+    for i, j, entries in table:
+        c = x[i] * y[j] - x[j] * y[i]
+        if c:
+            for k, v in entries:
+                out[k] += c * v
+    return out
+
+
+def _int_left_products(table, n: int, w):
+    """[e_1 w, ..., e_n w] over Z, in one pass over an int_table table."""
+    out = [[0] * n for _ in range(n)]
+    for i, j, entries in table:
+        # e_i e_j = entries = -(e_j e_i)
+        if w[j]:
+            row, c = out[i], w[j]
+            for k, v in entries:
+                row[k] += c * v
+        if w[i]:
+            row, c = out[j], w[i]
+            for k, v in entries:
+                row[k] -= c * v
+    return out
+
+
+def _int_ideal_product(table, n: int, rows):
+    """Integer echelon rows of A W, W spanned by the integer rows given."""
+    return int_echelon([p for w in rows for p in _int_left_products(table, n, w)])
+
+
+def _int_identity(n: int):
+    return [[int(r == c) for c in range(n)] for r in range(n)]
+
+
+def _int_power_rows(table, n: int, i: int):
+    """Integer echelon rows spanning A^i (i >= 1) for an int_table table."""
+    rows = _int_identity(n)
+    for _ in range(i - 1):
+        rows = _int_ideal_product(table, n, rows)
+    return rows
+
+
 def product(a: StructureTensor, x, y):
     """Bilinear extension of the table to arbitrary vectors."""
     n = a.dim
     if len(x) != n or len(y) != n:
         raise DimensionMismatch("vectors must have the algebra dimension")
-    out = [Fraction(0)] * n
-    for (i, j), vec in a.products.items():
-        # anticommutative pairing picks up x_i y_j - x_j y_i
-        c = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
-        if c:
-            for k in range(n):
-                if vec[k]:
-                    out[k] += c * vec[k]
-    return tuple(out)
+    mult, table = int_table(a)
+    (mx, (xs,)), (my, (ys,)) = int_scaled([x]), int_scaled([y])
+    scale = mult * mx * my
+    return tuple(Fraction(v, scale) for v in _int_product(table, n, xs, ys))
 
 
 def left_mult_matrix(a: StructureTensor, vec) -> Matrix:
@@ -189,77 +245,59 @@ def subspace_product(a: StructureTensor, u: Subspace, w: Subspace) -> Subspace:
     n = a.dim
     if u.ambient_dim != n or w.ambient_dim != n:
         raise DimensionMismatch("subspace ambient dimension mismatch")
-    vecs = []
-    for x in u.basis:
-        for y in w.basis:
-            p = product(a, x, y)
-            if any(p):
-                vecs.append(p)
-    return Subspace.from_vectors(n, vecs)
+    _, table = int_table(a)
+    us, ws = int_scaled(u.basis)[1], int_scaled(w.basis)[1]
+    return Subspace.from_vectors(n, int_echelon(
+        [_int_product(table, n, x, y) for x in us for y in ws]))
 
 
 def power_ideal(a: StructureTensor, i: int) -> Subspace:
     """A^i with A^1 the whole space and A^i = A(A^{i-1}) + (A^{i-1})A."""
     if i < 1:
         raise ValueError("power index must be >= 1")
-    full = Subspace.full(a.dim)
-    cur = full
-    for _ in range(i - 1):
-        # anticommutativity makes the two summands equal
-        cur = subspace_product(a, full, cur)
-    return cur
+    # anticommutativity makes the two summands equal
+    return Subspace.from_vectors(a.dim, _int_power_rows(int_table(a)[1], a.dim, i))
+
+
+def dim_square(a: StructureTensor) -> int:
+    return len(_int_power_rows(int_table(a)[1], a.dim, 2))
 
 
 def is_nilpotent(a: StructureTensor):
     """(True, least m with A^m = 0) or (False, None) when powers stabilize."""
-    full = Subspace.full(a.dim)
-    cur = full
+    n = a.dim
+    _, table = int_table(a)
+    cur = _int_identity(n)
     m = 1
     while True:
-        nxt = subspace_product(a, full, cur)
+        nxt = _int_ideal_product(table, n, cur)
         m += 1
-        if nxt.dim == 0:
+        if not nxt:
             return True, m
-        if nxt.dim == cur.dim:
+        if len(nxt) == len(cur):
             return False, None
         cur = nxt
 
 
+def _int_centralizer_conditions(table, n: int, ws):
+    """Integer echelon rows of the conditions x w = 0 (w in ws) on x.
+
+    The condition for the e_k coordinate of x w has coefficient (e_i w)_k
+    on x_i: the conditions are the columns of [e_1 w, ..., e_n w].
+    """
+    return int_echelon([col for w in ws
+                        for col in zip(*_int_left_products(table, n, w))])
+
+
 def annihilator(a: StructureTensor) -> Subspace:
-    """{x : x A = A x = 0}; for anticommutative tables one side suffices."""
+    """{x : x A = A x = 0}; for anticommutative tables one side suffices.
+
+    The n^2 x n conditions x e_j = 0 are read off the integer table and
+    reduced to at most n integer rows before they are solved over Q.
+    """
     n = a.dim
-    rows = []
-    for j in range(1, n + 1):
-        # condition product(x, e_j) = 0, linear in x
-        for k in range(n):
-            row = [a.basis_product(i, j)[k] for i in range(1, n + 1)]
-            rows.append(row)
-    return kernel_basis(Matrix(rows))
-
-
-def dim_square(a: StructureTensor) -> int:
-    return power_ideal(a, 2).dim
-
-
-def int_table(a: StructureTensor):
-    """(L, table): the products scaled by the lcm L of all denominators, as
-    (i, j, ((k, coeff), ...)) with 0-based indices and integer coeffs."""
-    mult, rows = int_scaled(a.products.values())
-    return mult, [
-        (i - 1, j - 1, tuple((k, x) for k, x in enumerate(row) if x))
-        for (i, j), row in zip(a.products, rows)
-    ]
-
-
-def _int_product(table, n: int, x, y):
-    """x y over Z for an int_table table and integer vectors x, y."""
-    out = [0] * n
-    for i, j, entries in table:
-        c = x[i] * y[j] - x[j] * y[i]
-        if c:
-            for k, v in entries:
-                out[k] += c * v
-    return out
+    rows = _int_centralizer_conditions(int_table(a)[1], n, _int_identity(n))
+    return kernel_basis(Matrix(rows)) if rows else Subspace.full(n)
 
 
 def int_change_basis(table, n: int, rows, inv):
@@ -336,7 +374,7 @@ def jacobi_holds(a: StructureTensor) -> bool:
     """
     n = a.dim
     _, table = int_table(a)
-    e = [[int(i == k) for k in range(n)] for i in range(n)]
+    e = _int_identity(n)
     sq = [[_int_product(table, n, x, y) for y in e] for x in e]
     for i in range(n):
         for j in range(i + 1, n):
@@ -364,7 +402,7 @@ def _malcev_holds(a: StructureTensor) -> bool:
     def mul(x, y):
         return _int_product(table, n, x, y)
 
-    e = [[int(i == k) for k in range(n)] for i in range(n)]
+    e = _int_identity(n)
     sq = [[mul(y, z) for z in e] for y in e]
     xs = e + [[p + q for p, q in zip(e[i], e[j])]
               for i in range(n) for j in range(i + 1, n)]
@@ -442,14 +480,3 @@ def engel_degree(a: StructureTensor, max_m: int):
         if all(not cur[r][c] for r in range(n) for c in range(n)):
             return m
     return None
-
-
-def generated_subalgebra(a: StructureTensor, vec) -> Subspace:
-    """Smallest subalgebra containing vec (for anticommutative input: <vec>)."""
-    n = a.dim
-    cur = Subspace.from_vectors(n, [vec])
-    while True:
-        nxt = subspace_sum(cur, subspace_product(a, cur, cur))
-        if nxt.dim == cur.dim:
-            return cur
-        cur = nxt

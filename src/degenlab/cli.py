@@ -9,8 +9,9 @@ Exit codes for `check`: 0 pass/proved, 2 fail/refuted, 3 sampling-only
 (refutation not found), 1 I/O, parse or argument errors (such as
 --trials below 1).  `verify-paper` exits 0 exactly when the report
 contains no FAIL entries, 2 when it does and 1 on the same errors.
-Certificate basis rows are parsed when the certificate is verified, so
-a row that does not parse, or a basis of the wrong length, is a fail
+A certificate `basis` that is not a list of strings is a parse error
+(exit 1).  Its rows are parsed when the certificate is verified, so a
+row that does not parse, or a basis of the wrong length, is a fail
 verdict (exit 2, a FAIL entry in the report); witness payload rows are
 checked at load (exit 1).
 """

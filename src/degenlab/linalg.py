@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals and over integer rings.
 
 Matrices here are tiny (at most ~11x11) and dense.  Everything is computed
-exactly: rank over the rationals goes through an integer fraction-free
-elimination after clearing denominators, and `int_scaled_inverse` is the
-one fraction-free inverse.  It needs only + - * and exact // of its
+exactly: `int_echelon` is the one fraction-free elimination, giving integer
+echelon rows for spans and, by counting them, ranks over the rationals
+after clearing denominators; `int_scaled_inverse` is the one fraction-free
+inverse.  It needs only + - * and exact // of its
 entries, so it runs on ints (orbit sampling) and on integer polynomials
 `exactnum.ZPoly` (the certificate check) alike.  `int_scaled` is the one
 place where rational rows are scaled to integer rows; tables, bases,
@@ -119,14 +120,20 @@ def int_scaled(rows):
                   for row in rows]
 
 
-def _int_rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free Gaussian elimination."""
-    rows = [row[:] for row in rows]
+def int_echelon(rows):
+    """Echelon rows spanning the same Q-space as the integer rows given.
+
+    Fraction-free Gaussian elimination: each eliminated row is divided by
+    the gcd of its entries, which changes no span.  Zero rows are dropped,
+    so the result has rank-many rows with strictly increasing pivots.
+    """
+    rows = [list(row) for row in rows if any(row)]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    rank = 0
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         piv = None
         for i in range(r, nrows):
             if rows[i][c] != 0:
@@ -151,10 +158,12 @@ def _int_rank(rows) -> int:
                 for j in range(c, ncols):
                     row_i[j] //= g
         r += 1
-        rank += 1
-        if r == nrows:
-            break
-    return rank
+    return rows[:r]
+
+
+def _int_rank(rows) -> int:
+    """Rank of an integer matrix by fraction-free Gaussian elimination."""
+    return len(int_echelon(rows))
 
 
 def int_scaled_inverse(rows):
@@ -348,16 +357,6 @@ def subspace_contains(u: Subspace, w: Subspace) -> bool:
     if u.ambient_dim != w.ambient_dim:
         raise AmbientMismatch("containment across ambient spaces")
     return all(u.contains_vector(v) for v in w.basis)
-
-
-def subspace_ops(u: Subspace, w: Subspace, op: str):
-    if op == "sum":
-        return subspace_sum(u, w)
-    if op == "intersect":
-        return subspace_intersect(u, w)
-    if op == "contains":
-        return subspace_contains(u, w)
-    raise ValueError(f"unknown subspace op {op!r}")
 
 
 class Partition(tuple):

@@ -32,13 +32,15 @@ from typing import NamedTuple
 
 from .algebra import (
     StructureTensor,
+    _int_centralizer_conditions,
+    _int_power_rows,
     annihilator,
     dim_square,
     engel_degree,
+    int_table,
     is_nilpotent,
     jacobi_holds,
     power_ideal,
-    product,
     subspace_product,
 )
 from .catalog import (
@@ -60,7 +62,7 @@ from .degeneration import (
     verify_nondegeneration,
 )
 from .exactnum import rational_from_obj
-from .linalg import Matrix, Subspace, kernel_basis, rank
+from .linalg import Matrix, Subspace, rank
 
 
 class ParseError(ValueError):
@@ -177,12 +179,20 @@ def _is_rational(x) -> bool:
 
 
 def certificate_from_json(rec, default_id=None) -> DegenerationCertificate:
-    """One certificate record; `default_id` stands in for a missing id."""
+    """One certificate record; `default_id` stands in for a missing id.
+
+    `basis` must be a list of strings; whether each row parses is decided
+    when the certificate is verified.
+    """
     try:
+        basis = rec["basis"]
+        if not (isinstance(basis, list) and all(isinstance(r, str) for r in basis)):
+            raise ParseError(f"certificate basis must be a list of strings, "
+                             f"got {basis!r}")
         return DegenerationCertificate(
             source=_ref_from_json(rec["source"]),
             target=_ref_from_json(rec["target"]),
-            basis_rows=tuple(rec["basis"]),
+            basis_rows=tuple(basis),
             provenance=rec.get("provenance", ""),
             proper=rec.get("proper"),
             separator=rec.get("separator"),
@@ -190,6 +200,8 @@ def certificate_from_json(rec, default_id=None) -> DegenerationCertificate:
         )
     except KeyError as exc:
         raise ParseError(f"certificate record missing {exc}") from exc
+    except (AttributeError, TypeError) as exc:
+        raise ParseError(f"certificate record is malformed: {exc}") from None
 
 
 def witness_from_json(rec, default_id=None) -> NonDegenerationWitness:
@@ -205,6 +217,8 @@ def witness_from_json(rec, default_id=None) -> NonDegenerationWitness:
         )
     except KeyError as exc:
         raise ParseError(f"witness record missing {exc}") from exc
+    except (AttributeError, TypeError) as exc:
+        raise ParseError(f"witness record is malformed: {exc}") from None
     check_witness_payload(w)
     return w
 
@@ -224,6 +238,8 @@ def ledger_from_obj(obj, path: str = "") -> ClaimLedger:
             ))
         except KeyError as exc:
             raise ParseError(f"chain record missing {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError(f"chain record {rec!r} is malformed: {exc}") from None
     ledger = ClaimLedger(certs, witnesses, chains, path)
     _validate(ledger)
     return ledger
@@ -313,16 +329,11 @@ def _nilindex(a: StructureTensor):
 
 
 def _centralizer_square_dim(a: StructureTensor) -> int:
-    square = power_ideal(a, 2)
-    if square.dim == 0:
-        return a.dim
+    """dim {x : x A^2 = 0}, from the integer echelon rows of A^2."""
     n = a.dim
-    rows = []
-    basis = [tuple(Fraction(int(i == k)) for k in range(n)) for i in range(n)]
-    for w in square.basis:
-        for k in range(n):
-            rows.append([product(a, basis[i], w)[k] for i in range(n)])
-    return kernel_basis(Matrix(rows)).dim
+    _, table = int_table(a)
+    square = _int_power_rows(table, n, 2)
+    return n - len(_int_centralizer_conditions(table, n, square))
 
 
 def _pfaffian_conic_profile(a: StructureTensor):

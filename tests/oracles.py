@@ -2,7 +2,10 @@
 
 Deliberately separate from the package's linear algebra: plain Gaussian
 elimination over Fraction, direct product-span row reduction, and a direct
-annihilator solve.  Tests freeze the numbers these produce.
+annihilator solve.  Tests freeze the numbers these produce.  The former
+Fraction bodies of the algebra layer (products, power ideals, annihilator,
+centralizer of the square) are kept here too; they build the package's
+`Subspace` over Fraction, so whole subspaces can be compared.
 """
 
 from fractions import Fraction
@@ -342,3 +345,110 @@ def qt_certificate_verdict(cert):
                                 f"target has {want[k - 1]}",
                         {"position": (i, j, k)})
     return ("pass", "", {})
+
+
+# --- the algebra layer over Fraction ------------------------------------
+#
+# The former bodies of algebra.product, subspace_product, power_ideal,
+# is_nilpotent, annihilator and verification_db._centralizer_square_dim,
+# plus two helpers only tests use (generated_subalgebra, subspace_ops).
+
+
+def fraction_product(a, x, y):
+    """x y for a StructureTensor, by the bilinear extension over Fraction."""
+    n = a.dim
+    out = [Fraction(0)] * n
+    for (i, j), vec in a.products.items():
+        c = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
+        if c:
+            for k in range(n):
+                if vec[k]:
+                    out[k] += c * vec[k]
+    return tuple(out)
+
+
+def subspace_product_oracle(a, u, w):
+    from degenlab.linalg import Subspace
+
+    vecs = []
+    for x in u.basis:
+        for y in w.basis:
+            p = fraction_product(a, x, y)
+            if any(p):
+                vecs.append(p)
+    return Subspace.from_vectors(a.dim, vecs)
+
+
+def power_ideal_oracle(a, i):
+    from degenlab.linalg import Subspace
+
+    full = Subspace.full(a.dim)
+    cur = full
+    for _ in range(i - 1):
+        cur = subspace_product_oracle(a, full, cur)
+    return cur
+
+
+def is_nilpotent_oracle(a):
+    from degenlab.linalg import Subspace
+
+    full = Subspace.full(a.dim)
+    cur = full
+    m = 1
+    while True:
+        nxt = subspace_product_oracle(a, full, cur)
+        m += 1
+        if nxt.dim == 0:
+            return True, m
+        if nxt.dim == cur.dim:
+            return False, None
+        cur = nxt
+
+
+def annihilator_oracle(a):
+    from degenlab.linalg import Matrix, kernel_basis
+
+    n = a.dim
+    rows = []
+    for j in range(1, n + 1):
+        for k in range(n):
+            rows.append([a.basis_product(i, j)[k] for i in range(1, n + 1)])
+    return kernel_basis(Matrix(rows))
+
+
+def centralizer_square_dim_oracle(a):
+    from degenlab.linalg import Matrix, kernel_basis
+
+    square = power_ideal_oracle(a, 2)
+    if square.dim == 0:
+        return a.dim
+    n = a.dim
+    basis = _basis(n)
+    rows = []
+    for w in square.basis:
+        for k in range(n):
+            rows.append([fraction_product(a, basis[i], w)[k] for i in range(n)])
+    return kernel_basis(Matrix(rows)).dim
+
+
+def generated_subalgebra(a, vec):
+    """Smallest subalgebra containing vec (for anticommutative input: <vec>)."""
+    from degenlab.linalg import Subspace, subspace_sum
+
+    cur = Subspace.from_vectors(a.dim, [vec])
+    while True:
+        nxt = subspace_sum(cur, subspace_product_oracle(a, cur, cur))
+        if nxt.dim == cur.dim:
+            return cur
+        cur = nxt
+
+
+def subspace_ops(u, w, op):
+    """Dispatch "sum", "intersect" or "contains" to the linalg function."""
+    from degenlab.linalg import subspace_contains, subspace_intersect, subspace_sum
+
+    ops = {"sum": subspace_sum, "intersect": subspace_intersect,
+           "contains": subspace_contains}
+    if op not in ops:
+        raise ValueError(f"unknown subspace op {op!r}")
+    return ops[op](u, w)

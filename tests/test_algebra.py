@@ -12,7 +12,6 @@ from degenlab.algebra import (
     dim_square,
     direct_sum_trivial,
     engel_degree,
-    generated_subalgebra,
     identity_flags,
     int_change_basis,
     int_table,
@@ -25,13 +24,21 @@ from degenlab.algebra import (
 )
 from degenlab.catalog import MANIFEST_FAMILIES, instantiate
 from degenlab.catalog import tested_dims as catalog_tested_dims
-from degenlab.degeneration import random_anticommutative
+from degenlab.degeneration import random_anticommutative, random_lower_triangular
+from degenlab.verification_db import _centralizer_square_dim
 from degenlab.linalg import Matrix, Subspace, Singular, int_scaled_inverse
 
 from oracles import change_basis_oracle, fraction_inverse, pairs_of
 from oracles import engel_degree_oracle, jacobi_oracle, malcev_oracle
 
-from oracles import ann_dim_oracle, square_dim_oracle
+from oracles import ann_dim_oracle, generated_subalgebra, square_dim_oracle
+from oracles import (
+    annihilator_oracle,
+    centralizer_square_dim_oracle,
+    fraction_product,
+    is_nilpotent_oracle,
+    subspace_product_oracle,
+)
 
 
 def e_vec(n, *idx):
@@ -361,3 +368,85 @@ def test_json_round_trip():
 def test_is_nilpotent_detects_stabilization():
     bad = StructureTensor(3, {(1, 2): (0, 1, 0)})  # powers stabilize at <e2>
     assert is_nilpotent(bad) == (False, None)
+
+
+# --- the integer algebra layer against its former Fraction bodies ---------
+
+
+def _fractional_vec(n, rng):
+    return tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n))
+
+
+def _assert_layer_matches_oracles(a, rng):
+    """Every closed invariant equals its Fraction oracle, subspace for
+    subspace; returns is_nilpotent(a)."""
+    n = a.dim
+    full = Subspace.full(n)
+    powers = [full]  # A^1, ..., A^(n+2) over Fraction
+    for _ in range(n + 1):
+        done = not powers[-1].dim or powers[-1] == powers[-2:][0] != full
+        powers.append(powers[-1] if done else
+                      subspace_product_oracle(a, full, powers[-1]))
+    for i, want in enumerate(powers, start=1):
+        assert power_ideal(a, i) == want, i
+    assert dim_square(a) == powers[1].dim
+    assert subspace_product(a, full, powers[1]) == powers[2]
+    nil = is_nilpotent(a)
+    assert nil == is_nilpotent_oracle(a)
+    assert annihilator(a) == annihilator_oracle(a)
+    assert _centralizer_square_dim(a) == centralizer_square_dim_oracle(a)
+    u = Subspace.from_vectors(n, [_fractional_vec(n, rng) for _ in range(2)])
+    w = Subspace.from_vectors(n, [_fractional_vec(n, rng) for _ in range(3)])
+    assert subspace_product(a, u, w) == subspace_product_oracle(a, u, w)
+    x, y = _fractional_vec(n, rng), _fractional_vec(n, rng)
+    assert product(a, x, y) == fraction_product(a, x, y)
+    return nil
+
+
+def _dense_fractional_conjugate(a, rng):
+    n = a.dim
+    while True:
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                 for _ in range(n)] for _ in range(n)]
+        if fraction_inverse(rows) is not None:
+            return change_basis(a, Matrix(rows))
+
+
+def test_integer_layer_matches_fraction_oracles_on_manifest_families():
+    rng = random.Random(71)
+    indices = set()
+    for key in MANIFEST_FAMILIES:
+        for n in catalog_tested_dims(key):
+            a = instantiate(key, n)
+            indices.add(_assert_layer_matches_oracles(a, rng))
+            moved = change_basis(a, random_lower_triangular(n, rng))
+            assert _assert_layer_matches_oracles(moved, rng) == is_nilpotent(a)
+    # nilpotency indices 2 (zero algebra) through 6 (T4 at n = 6 is 5)
+    assert {m for _, m in indices} >= {2, 3, 4, 5}
+
+
+def test_integer_layer_matches_fraction_oracles_on_dense_conjugates():
+    rng = random.Random(73)
+    fractional = 0
+    for key in MANIFEST_FAMILIES:
+        n = catalog_tested_dims(key)[0]
+        if n > 8:
+            continue
+        a = instantiate(key, n)
+        b = _dense_fractional_conjugate(a, rng)
+        fractional += int_table(b)[0] > 1
+        assert _assert_layer_matches_oracles(b, rng) == is_nilpotent(a), key
+    assert fractional >= 20
+
+
+def test_integer_layer_matches_fraction_oracles_on_random_tables():
+    rng = random.Random(79)
+    seen = set()
+    for trial in range(24):
+        n = 2 + trial % 4
+        a = random_anticommutative(n, rng, spread=1 + trial % 3)
+        if trial % 2:
+            a = _dense_fractional_conjugate(a, rng)
+        seen.add(_assert_layer_matches_oracles(a, rng)[0])
+    assert seen == {True, False}
+

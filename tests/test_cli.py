@@ -354,3 +354,59 @@ def test_check_rejects_a_malformed_inline_algebra(tmp_path, capsys, case):
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "algebra reference" in err
+
+
+BAD_BASES = [5, "e1", None, ["e1", 5]]
+
+
+def _cert_with_basis(basis):
+    cert = json.loads(json.dumps(certificates()[0]))
+    cert["basis"] = basis if not isinstance(basis, list) else \
+        basis + cert["basis"][len(basis):]
+    return cert
+
+
+@pytest.mark.parametrize("basis", BAD_BASES)
+def test_verify_paper_rejects_a_basis_that_is_not_a_list_of_strings(
+        tmp_path, capsys, basis):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps({"certificates": [_cert_with_basis(basis)],
+                                "witnesses": [], "chains": []}),
+                    encoding="utf-8")
+    code = main(["verify-paper", "--ledger", str(path), "--trials", "1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: certificate basis must be a list of strings")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("basis", BAD_BASES)
+def test_check_rejects_a_basis_that_is_not_a_list_of_strings(
+        tmp_path, capsys, basis):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_cert_with_basis(basis)), encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: certificate basis must be a list of strings")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", "seven"), ("expected_level", None), ("edges", 5),
+])
+def test_verify_paper_rejects_a_malformed_chain(tmp_path, capsys, field, value):
+    from degenlab.verification_db import shipped_ledger_path
+
+    ledger = json.loads(open(shipped_ledger_path(), encoding="utf-8").read())
+    ledger["chains"][0][field] = value
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(ledger), encoding="utf-8")
+    code = main(["verify-paper", "--ledger", str(path), "--trials", "1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: chain record") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out" / "report.json").exists()

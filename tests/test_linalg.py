@@ -19,6 +19,7 @@ from degenlab.linalg import (
     Partition,
     Singular,
     Subspace,
+    int_echelon,
     int_scaled,
     int_scaled_inverse,
     invert,
@@ -27,12 +28,12 @@ from degenlab.linalg import (
     partition_from_ranks,
     power_rank_sequence,
     rank,
-    subspace_ops,
 )
 from degenlab.algebra import left_mult_matrix
 from degenlab.catalog import instantiate
 
 from oracles import field_rank, fraction_inverse, qt_inverse, row_reduce_dim
+from oracles import subspace_ops
 
 
 def e_vec(n, *idx):
@@ -66,6 +67,25 @@ def test_rank_plus_kernel_dimension():
                 for _ in range(rng.randint(1, 5))]
         m = Matrix(rows)
         assert rank(m) + kernel_basis(m).dim == m.cols
+
+
+def test_int_echelon_spans_the_same_space():
+    # tall, wide, rank-deficient and zero integer matrices
+    rng = random.Random(7)
+    for trial in range(60):
+        ncols = 1 + trial % 6
+        rows = [[rng.randint(-4, 4) * (rng.random() < 0.7) for _ in range(ncols)]
+                for _ in range(rng.randint(0, 12))]
+        if trial % 5 == 0 and rows:
+            rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+        ech = int_echelon(rows)
+        assert len(ech) == row_reduce_dim(rows)
+        assert all(type(x) is int for row in ech for x in row)
+        pivots = [next(c for c, x in enumerate(row) if x) for row in ech]
+        assert pivots == sorted(set(pivots))
+        assert Subspace.from_vectors(ncols, ech) == Subspace.from_vectors(ncols, rows)
+    assert int_echelon([]) == []
+    assert int_echelon([[0, 0], [0, 0]]) == []
 
 
 def _qt(rows):

@@ -1,5 +1,8 @@
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 
@@ -17,3 +20,15 @@ def test_tracer_targets_resolve():
                                 attr, None))
     ]
     assert missing == []
+
+
+def test_python_dash_m_runs_the_cli():
+    # an uninstalled checkout reaches the CLI as `python -m degenlab`
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-m", "degenlab", "catalog", "list"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0].startswith("zero ")
