@@ -200,7 +200,7 @@ def certificate_from_json(rec, default_id=None) -> DegenerationCertificate:
         )
     except KeyError as exc:
         raise ParseError(f"certificate record missing {exc}") from exc
-    except (AttributeError, TypeError) as exc:
+    except TypeError as exc:
         raise ParseError(f"certificate record is malformed: {exc}") from None
 
 
@@ -217,7 +217,7 @@ def witness_from_json(rec, default_id=None) -> NonDegenerationWitness:
         )
     except KeyError as exc:
         raise ParseError(f"witness record missing {exc}") from exc
-    except (AttributeError, TypeError) as exc:
+    except TypeError as exc:
         raise ParseError(f"witness record is malformed: {exc}") from None
     check_witness_payload(w)
     return w
@@ -238,7 +238,7 @@ def ledger_from_obj(obj, path: str = "") -> ClaimLedger:
             ))
         except KeyError as exc:
             raise ParseError(f"chain record missing {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ParseError(f"chain record {rec!r} is malformed: {exc}") from None
     ledger = ClaimLedger(certs, witnesses, chains, path)
     _validate(ledger)
