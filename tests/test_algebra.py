@@ -384,9 +384,7 @@ def _assert_layer_matches_oracles(a, rng):
     full = Subspace.full(n)
     powers = [full]  # A^1, ..., A^(n+2) over Fraction
     for _ in range(n + 1):
-        done = not powers[-1].dim or powers[-1] == powers[-2:][0] != full
-        powers.append(powers[-1] if done else
-                      subspace_product_oracle(a, full, powers[-1]))
+        powers.append(subspace_product_oracle(a, full, powers[-1]))
     for i, want in enumerate(powers, start=1):
         assert power_ideal(a, i) == want, i
     assert dim_square(a) == powers[1].dim
