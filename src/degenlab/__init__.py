@@ -2,10 +2,7 @@
 
 from .exactnum import (
     DivisionByZero,
-    PoleAtZero,
-    Polynomial,
     Rational,
-    RationalFunction,
     ZPoly,
     parse_rational_function,
 )
@@ -27,7 +24,6 @@ from .algebra import (
     annihilator,
     change_basis,
     dim_square,
-    direct_sum_trivial,
     engel_degree,
     identity_flags,
     is_nilpotent,

@@ -132,7 +132,7 @@ class StructureTensor:
             for k, c in enumerate(vec, start=1):
                 if c == 0:
                     continue
-                head = f"e{k}" if abs(c) == 1 else f"{c}*e{k}"
+                head = f"e{k}" if abs(c) == 1 else f"{abs(c)}*e{k}"
                 parts.append(("-" if c < 0 else "+") + head)
             rhs = "".join(parts).lstrip("+")
             terms.append(f"e{i}e{j}={rhs}")
@@ -345,19 +345,6 @@ def change_basis(a: StructureTensor, basis: Matrix) -> StructureTensor:
         key: tuple(Fraction(x, scale) for x in vec)
         for key, vec in int_change_basis(table, n, rows, inv).items()
     })
-
-
-def direct_sum_trivial(a: StructureTensor, k: int) -> StructureTensor:
-    """A + k extra central coordinates with zero products."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return a
-    n = a.dim
-    table = {
-        key: vec + (Fraction(0),) * k for key, vec in a.products.items()
-    }
-    return StructureTensor(n + k, table)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .algebra import (
     power_ideal,
     subspace_product,
 )
-from .exactnum import Polynomial, poly_gcd
+from .exactnum import ZPoly, poly_gcd
 from .linalg import Partition, Subspace, _int_rank, int_scaled
 
 
@@ -544,24 +544,24 @@ def _binary_form_gcd(forms):
     disc_kind for a degree-2 gcd is "double", "split" (two rational roots)
     or "irrational"; degree <= 1 gcds need no kind.
     """
-    # split off the y^k content: f = y^dinf * g(x) with g = f(x, 1)
+    # split off the y^k content: f = y^dinf * g(x) with g = f(x, 1), each
+    # form scaled to Z (a constant factor changes no degree or root kind)
     min_dinf = None
     polys = []
-    for (a, b, c) in forms:
-        coeffs = [c, b, a]  # g(x) = a x^2 + b x + c from f(x, 1)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        dinf = 2 - (len(coeffs) - 1) if coeffs else 2
-        if not coeffs:
+    for form in forms:
+        a, b, c = int_scaled([form])[1][0]
+        g = ZPoly((c, b, a))  # g(x) = a x^2 + b x + c from f(x, 1)
+        if not g:
             continue  # identically zero form (filtered earlier anyway)
+        dinf = 3 - len(g.coeffs)
         min_dinf = dinf if min_dinf is None else min(min_dinf, dinf)
-        polys.append(Polynomial(coeffs))
+        polys.append(g)
     g = polys[0]
     for p in polys[1:]:
         g = poly_gcd(g, p)
-        if g.degree == 0 and min_dinf == 0:
+        if len(g.coeffs) == 1 and min_dinf == 0:
             break
-    total = g.degree + (min_dinf or 0)
+    total = len(g.coeffs) - 1 + (min_dinf or 0)
     if total < 2:
         return total, None
     # reconstruct the quadratic's root structure
@@ -569,14 +569,11 @@ def _binary_form_gcd(forms):
         return 2, "double"  # y^2
     if min_dinf == 1:
         return 2, "split"  # y * (x - r) with r rational, distinct from infinity
-    a = g.coeffs[2] if g.degree == 2 else Fraction(0)
-    b = g.coeffs[1]
-    c = g.coeffs[0]
+    c, b, a = g.coeffs  # total = 2 with min_dinf = 0: g is a quadratic in Z[x]
     disc = b * b - 4 * a * c
     if disc == 0:
         return 2, "double"
-    num_sq = _is_square(disc.numerator * disc.denominator)
-    return 2, "split" if (disc > 0 and num_sq) else "irrational"
+    return 2, "split" if (disc > 0 and _is_square(disc)) else "irrational"
 
 
 def _is_square(n: int) -> bool:

@@ -7,14 +7,16 @@ of the source in that basis exactly, demands regularity at t = 0, and
 compares the limit with the target constants entry by entry.  A pole or a
 mismatch is a verdict, not an exception.
 
-The check runs over Z[t].  One scale s in Z[t], common to all entries
-(per-row scales would change the constants), gives G = s g in Z[t]^(n x n).
+The check runs over Z[t].  Each entry of g parses to an unreduced pair
+(num, den) of integer polynomials (`exactnum.ZPoly`).  One scale s in
+Z[t], common to all entries (per-row scales would change the constants),
+gives G = s g in Z[t]^(n x n).
 `int_scaled_inverse` gives d and R = d G^-1 with exact divisions only
 (Bareiss, 1968), and `int_change_basis` on the table scaled by L gives the
 constants N in the basis d L G, so those of g are N / (L s d).  A constant
 has a pole at 0 iff ord_t N < v = ord_t(L s d), and otherwise its limit is
-N[v] / (L s d)[v]: once s is found, no gcd is taken, and that quotient
-is the only Fraction formed.
+N[v] / (L s d)[v] (`exactnum.limit_at_zero`): gcds are taken only to find
+s, and that quotient is the only Fraction formed.
 
 Non-degenerations are two-tiered.  Invariant witnesses (dimension of the
 square, dimension of the annihilator, rank-sequence dominance, the Jacobi
@@ -41,6 +43,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     StructureTensor,
@@ -53,15 +56,15 @@ from .algebra import (
 )
 from .contraction import dominates, iw_max, rank_sequence
 from .exactnum import (
-    POLY_ONE,
-    PoleAtZero,
-    RF_ONE,
-    RF_ZERO,
-    ZPoly,
+    ZPOLY_ONE,
+    ZPOLY_ZERO,
+    add_pairs,
+    content,
+    limit_at_zero,
     parse_rational_function,
     poly_gcd,
 )
-from .linalg import Matrix, Singular, int_scaled, int_scaled_inverse
+from .linalg import Matrix, Singular, int_scaled_inverse
 
 
 class SingularFamily(ValueError):
@@ -76,7 +79,7 @@ TERM_RE = re.compile(r"^(?:(?P<coeff>.+)\*)?e(?P<idx>\d+)$")
 
 
 def parse_basis_row(text: str, dim: int):
-    """One basis row as a vector of rational functions.
+    """One basis row as a vector of (num, den) pairs of ZPolys.
 
     Accepts sums of terms `[coeff*]e<k>` with rational-function
     coefficients; a bare leading sign belongs to the first term.  A row
@@ -86,7 +89,7 @@ def parse_basis_row(text: str, dim: int):
         raise ValueError(f"basis row {text!r} is not a string")
     if text.rstrip().endswith(("+", "-")):
         raise ValueError(f"dangling sign at the end of basis row {text!r}")
-    out = [RF_ZERO] * dim
+    out = [(ZPOLY_ZERO, ZPOLY_ONE)] * dim
     terms = _split_terms(text)
     if not terms:
         raise ValueError(f"empty basis row: {text!r}")
@@ -98,10 +101,9 @@ def parse_basis_row(text: str, dim: int):
         if not (1 <= idx <= dim):
             raise ValueError(f"basis index e{idx} outside dimension {dim}")
         coeff_text = m.group("coeff")
-        coeff = RF_ONE if coeff_text is None else parse_rational_function(coeff_text)
-        if sign < 0:
-            coeff = -coeff
-        out[idx - 1] = out[idx - 1] + coeff
+        num, den = ((ZPOLY_ONE, ZPOLY_ONE) if coeff_text is None
+                    else parse_rational_function(coeff_text))
+        out[idx - 1] = add_pairs(out[idx - 1], (num if sign > 0 else -num, den))
     return out
 
 
@@ -131,27 +133,34 @@ def _split_terms(text: str):
 
 
 def clear_denominators(fs):
-    """(s, G) with s f = G in Z[t] for every f in fs, one s in Z[t] for all.
+    """(s, G) with s num / den = G in Z[t] for every pair (num, den) in fs,
+    one s in Z[t] for all.
 
-    s = c D: D is the lcm of the reduced denominators, c the lcm of the
-    coefficient denominators left over.
+    s = c D: c is the lcm of the denominators' contents and D the lcm of
+    their primitive parts, taken in Z[t] (by Gauss's lemma a primitive
+    polynomial that divides another over Q divides it over Z).
     """
     fs = list(fs)
-    dens = {f.den for f in fs}
-    lcm_den = POLY_ONE
-    for den in dens:
-        if not lcm_den.divmod(den)[1].is_zero():
-            lcm_den = (lcm_den * den).divmod(poly_gcd(lcm_den, den))[0]
-    cofactor = {den: lcm_den.divmod(den)[0] for den in dens}
-    polys = [lcm_den] + [f.num if f.den == lcm_den else f.num * cofactor[f.den]
-                         for f in fs]
-    s, *g = map(ZPoly, int_scaled(p.coeffs for p in polys)[1])
-    return s, g
+    parts = {}
+    c, lcm_den = 1, ZPOLY_ONE
+    for _, den in fs:
+        if den not in parts:
+            k = content(den.coeffs)
+            prim = den // k
+            parts[den] = k, prim
+            c = lcm(c, k)
+            try:
+                lcm_den // prim
+            except ArithmeticError:
+                lcm_den = lcm_den * prim // poly_gcd(lcm_den, prim)
+    cofactor = {den: (c // k) * (lcm_den // prim)
+                for den, (k, prim) in parts.items()}
+    return c * lcm_den, [num * cofactor[den] for num, den in fs]
 
 
 def apply_parameterized_basis(a: StructureTensor, rows):
     """(den, N): the structure constants of `a` in the parameterized basis
-    `rows` (parsed rows of RationalFunction) are N / den, with den in Z[t]
+    `rows` (parsed rows of (num, den) pairs) are N / den, with den in Z[t]
     and N = {(i, j): coordinates in Z[t]} for i < j.  Raises SingularFamily
     when the rows fail to be a basis for generic t."""
     n = a.dim
@@ -235,18 +244,18 @@ def verify_degeneration(cert: DegenerationCertificate) -> Verdict:
         den, constants = apply_parameterized_basis(src, rows)
     except SingularFamily as exc:
         return Verdict("fail", str(exc))
-    v = den.order()
-    for (i, j), vec in constants.items():
-        for k, entry in enumerate(vec, start=1):
-            if entry and entry.order() < v:
-                return Verdict("fail", f"pole at t=0 in constant ({i},{j})^{k}",
-                               {"position": (i, j, k)})
+    limits = {key: [limit_at_zero(x, den) for x in vec]
+              for key, vec in constants.items()}
+    for (i, j), vec in limits.items():
+        k = next((k for k, x in enumerate(vec, start=1) if x is None), None)
+        if k:
+            return Verdict("fail", f"pole at t=0 in constant ({i},{j})^{k}",
+                           {"position": (i, j, k)})
     zeros = (0,) * n
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             want = tgt.products.get((i, j), zeros)
-            got = [Fraction(x.coeffs[v], den.coeffs[v]) if x else 0
-                   for x in constants.get((i, j), zeros)]
+            got = limits.get((i, j), zeros)
             k = next((k for k in range(1, n + 1) if want[k - 1] != got[k - 1]), None)
             if k:
                 return Verdict("fail", f"limit constant ({i},{j})^{k} is "
@@ -313,11 +322,6 @@ def _project_table(products, n: int, spec: ClosedSetSpec):
         if any(vec):
             table[(p, q)] = tuple(vec)
     return table
-
-
-def project_to_spec(a: StructureTensor, spec: ClosedSetSpec) -> StructureTensor:
-    """Zero out exactly the coefficients the flag conditions forbid."""
-    return StructureTensor(a.dim, _project_table(a.products, a.dim, spec))
 
 
 def _int_lower_triangular(dim: int, rng: random.Random):
@@ -532,12 +536,12 @@ def verify_nondegeneration(
             member = ex222_membership
         witness_rows = w.payload.get("source_basis")
         if witness_rows:
-            rows = [parse_basis_row(r, src.dim) for r in witness_rows]
-            try:
-                const_rows = [[x.eval_at_zero() for x in row] for row in rows]
-                moved = change_basis(src, Matrix(const_rows))
-            except PoleAtZero:
+            const_rows = [[limit_at_zero(*x) for x in parse_basis_row(r, src.dim)]
+                          for r in witness_rows]
+            if any(x is None for row in const_rows for x in row):
                 return Verdict("refuted", "stored source basis has a pole at t = 0")
+            try:
+                moved = change_basis(src, Matrix(const_rows))
             except Singular:
                 return Verdict("refuted", "stored source basis is singular at t = 0")
         else:

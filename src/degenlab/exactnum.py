@@ -1,16 +1,17 @@
-"""Exact scalars: rationals, univariate rational functions in t, and
-integer polynomials in t.
+"""Exact scalars: rationals and integer polynomials in t.
 
-  Rational          -- an alias of fractions.Fraction (arbitrary precision)
-  RationalFunction  -- a reduced quotient num/den of Polynomials over the
-                       rationals, with den monic, so equality is structural
-  ZPoly             -- a polynomial in t with int coefficients, the scalar
-                       of the certificate check
+  Rational  -- an alias of fractions.Fraction (arbitrary precision)
+  ZPoly     -- a polynomial in t with int coefficients, the one polynomial
+               type: the scalar of the certificate check
 
-Polynomials are immutable tuples of Fractions indexed by degree; the zero
-polynomial is the empty tuple.  Rational functions are what the entries of
-parameterized bases such as (1/t)*e4 - (1/t^2)*e7 parse to; the
-certificate check clears their denominators once and runs over Z[t].
+A rational function in t is an unreduced pair (num, den) of ZPolys with
+den nonzero.  The entries of parameterized bases such as
+(1/t)*e4 - (1/t^2)*e7 parse to such pairs with no gcd taken; the
+certificate check puts them over one common denominator once
+(`degeneration.clear_denominators`, using `poly_gcd`) and runs over Z[t].
+The value of num/den at t = 0 has one rule, `limit_at_zero`: a pole iff
+ord_t num < ord_t den, and otherwise num[v] / den[v] with v = ord_t den.
+Neither side depends on whether the pair is reduced.
 
 A small expression parser accepts the text syntax used in ledger files:
 integer literals, `t`, `+ - * / ^ ( )`, e.g. `1/t^2` or `(t+1)/t`.
@@ -19,16 +20,13 @@ integer literals, `t`, `+ - * / ^ ( )`, e.g. `1/t^2` or `(t+1)/t`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 Rational = Fraction
 
 
 class DivisionByZero(ZeroDivisionError):
     """Division by the zero polynomial or zero rational function."""
-
-
-class PoleAtZero(ArithmeticError):
-    """Evaluation at t = 0 hit a pole (den(0) = 0 after reduction)."""
 
 
 def rational_from_obj(obj) -> Fraction:
@@ -47,205 +45,6 @@ def rational_to_obj(q: Fraction):
     if q.denominator == 1:
         return int(q)
     return f"{q.numerator}/{q.denominator}"
-
-
-class Polynomial:
-    """Univariate polynomial in t over the rationals.
-
-    coeffs[i] is the coefficient of t^i; the tuple carries no trailing
-    zeros, and the zero polynomial is the empty tuple.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    @staticmethod
-    def const(c) -> "Polynomial":
-        return Polynomial((Fraction(c),))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise DivisionByZero("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.coeffs or not other.coeffs:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial(tuple(a * c for a in self.coeffs))
-
-    def divmod(self, other: "Polynomial"):
-        """Long division; returns (quotient, remainder)."""
-        if other.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lc = other.leading()
-        quo = [Fraction(0)] * max(len(rem) - d, 0)
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i] == 0:
-                continue
-            q = rem[i] / lc
-            quo[i - d] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i - d + j] -= q * b
-        return Polynomial(quo), Polynomial(rem)
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.leading())
-
-    def eval(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self):
-        return f"Polynomial({format_polynomial(self)!r})"
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm (gcd(0, 0) = 0)."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic()
-
-
-POLY_ZERO = Polynomial()
-POLY_ONE = Polynomial.const(1)
-
-
-class RationalFunction:
-    """Reduced quotient of polynomials with monic denominator.
-
-    The normal form (gcd cancelled, den monic) makes == structural: two
-    rational functions are equal as functions iff they are equal as objects.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Polynomial, den: Polynomial = POLY_ONE):
-        if den.is_zero():
-            raise DivisionByZero("rational function with zero denominator")
-        if num.is_zero():
-            num, den = POLY_ZERO, POLY_ONE
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
-            lc = den.leading()
-            if lc != 1:
-                num = num.scale(1 / lc)
-                den = den.scale(1 / lc)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
-    @staticmethod
-    def const(c) -> "RationalFunction":
-        return RationalFunction(Polynomial.const(c))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunction.const(other)
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.is_zero():
-            raise DivisionByZero("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def eval_at_zero(self) -> Fraction:
-        d0 = self.den.eval(0)
-        if d0 == 0:
-            raise PoleAtZero(f"pole at t=0 in {format_rational_function(self)}")
-        n0 = self.num.eval(0)
-        return n0 / d0
-
-    def __repr__(self):
-        return f"RF({format_rational_function(self)})"
-
-
-RF_ZERO = RationalFunction(POLY_ZERO)
-RF_ONE = RationalFunction(POLY_ONE)
-RF_T = RationalFunction(Polynomial((0, 1)))
 
 
 class ZPoly:
@@ -268,13 +67,19 @@ class ZPoly:
 
     def order(self) -> int:
         """ord_t, the least i with coeffs[i] != 0; ValueError for zero."""
-        return min(i for i, c in enumerate(self.coeffs) if c)
+        for i, c in enumerate(self.coeffs):
+            if c:
+                return i
+        raise ValueError("the zero polynomial has no order")
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, ZPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     def __neg__(self):
         return _zpoly(tuple(-c for c in self.coeffs))
@@ -338,7 +143,7 @@ class ZPoly:
         return _zpoly(tuple(quo))
 
     def __repr__(self):
-        return f"ZPoly({format_polynomial(Polynomial(self.coeffs))!r})"
+        return f"ZPoly({self.coeffs!r})"
 
 
 def _add(a: tuple, b: tuple) -> tuple:
@@ -361,13 +166,55 @@ def _zpoly(coeffs: tuple) -> ZPoly:
 
 
 ZPOLY_ZERO = _zpoly(())
+ZPOLY_ONE = _zpoly((1,))
+
+
+def content(coeffs) -> int:
+    """gcd of the coefficients, signed like the leading one (0 for zero):
+    dividing by it leaves a primitive polynomial with positive leading
+    coefficient."""
+    c = gcd(*coeffs)
+    return -c if coeffs and coeffs[-1] < 0 else c
+
+
+def _primitive(coeffs) -> tuple:
+    c = content(coeffs)
+    return tuple(x // c for x in coeffs) if c else ()
+
+
+def poly_gcd(a: ZPoly, b: ZPoly) -> ZPoly:
+    """The primitive gcd in Z[t], leading coefficient positive (gcd(0, 0) =
+    0), by Euclid's algorithm on primitive parts: each remainder step is
+    scaled to stay in Z[t], which changes the gcd only by a constant."""
+    a, b = _primitive(a.coeffs), _primitive(b.coeffs)
+    while b:
+        while len(a) >= len(b):
+            k, la, lb = len(a) - len(b), a[-1], b[-1]
+            rem = [lb * x for x in a[:k]] + [lb * x - la * y
+                                             for x, y in zip(a[k:], b)]
+            while rem and not rem[-1]:
+                rem.pop()
+            a = _primitive(rem)
+        a, b = b, a
+    return _zpoly(a)
+
+
+def limit_at_zero(num: ZPoly, den: ZPoly):
+    """num / den at t = 0 as a Fraction, or None at a pole (ord_t num <
+    ord_t den); den is nonzero, and the pair need not be reduced."""
+    if not num:
+        return Fraction(0)
+    v = den.order()
+    if num.order() < v:
+        return None
+    return Fraction(num.coeffs[v], den.coeffs[v])
 
 
 # --- text syntax --------------------------------------------------------
 #
 # expr   := term (('+' | '-') term)*
 # term   := factor (('*' | '/') factor)*
-# factor := '-' factor | atom ('^' int)?
+# factor := '-' factor | atom ('^' '-'? int)?
 # atom   := int | 't' | '(' expr ')'
 
 
@@ -397,6 +244,32 @@ def _tokenize(text: str):
     return tokens
 
 
+def add_pairs(x, y):
+    """x + y for (num, den) pairs, kept over den when the denominators agree."""
+    (a, b), (c, d) = x, y
+    if not a:
+        return y
+    if not c:
+        return x
+    if b == d:
+        return a + c, b
+    return a * d + c * b, b * d
+
+
+def _mul(x, y):
+    return x[0] * y[0], x[1] * y[1]
+
+
+def _div(x, y):
+    if not y[0]:
+        raise DivisionByZero("division by the zero rational function")
+    return x[0] * y[1], x[1] * y[0]
+
+
+_T = (_zpoly((0, 1)), ZPOLY_ONE)
+_ONE = (ZPOLY_ONE, ZPOLY_ONE)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -416,31 +289,32 @@ class _Parser:
             raise ExprSyntaxError(f"expected {kind!r}, found {tok[0]!r}")
         return tok
 
-    def parse(self) -> RationalFunction:
+    def parse(self):
         value = self.expr()
         self.expect("end")
         return value
 
-    def expr(self) -> RationalFunction:
+    def expr(self):
         value = self.term()
         while self.peek() in "+-":
             op = self.next()[0]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            num, den = self.term()
+            value = add_pairs(value, (num if op == "+" else -num, den))
         return value
 
-    def term(self) -> RationalFunction:
+    def term(self):
         value = self.factor()
         while self.peek() in "*/":
             op = self.next()[0]
             rhs = self.factor()
-            value = value * rhs if op == "*" else value / rhs
+            value = _mul(value, rhs) if op == "*" else _div(value, rhs)
         return value
 
-    def factor(self) -> RationalFunction:
+    def factor(self):
         if self.peek() == "-":
             self.next()
-            return -self.factor()
+            num, den = self.factor()
+            return -num, den
         value = self.atom()
         if self.peek() == "^":
             self.next()
@@ -449,17 +323,20 @@ class _Parser:
                 self.next()
                 neg = True
             exp = self.expect("int")[1]
-            if neg:
-                exp = -exp
-            value = _rf_int_power(value, exp)
+            if neg and exp:
+                value = _div(_ONE, value)
+            out = _ONE
+            for _ in range(exp):
+                out = _mul(out, value)
+            value = out
         return value
 
-    def atom(self) -> RationalFunction:
+    def atom(self):
         kind, val = self.next()
         if kind == "int":
-            return RationalFunction.const(val)
+            return ZPoly((val,)), ZPOLY_ONE
         if kind == "t":
-            return RF_T
+            return _T
         if kind == "(":
             value = self.expr()
             self.expect(")")
@@ -467,48 +344,7 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {kind!r}")
 
 
-def _rf_int_power(base: RationalFunction, exp: int) -> RationalFunction:
-    if exp < 0:
-        return _rf_int_power(RF_ONE / base, -exp)
-    out = RF_ONE
-    for _ in range(exp):
-        out = out * base
-    return out
-
-
-def parse_rational_function(text: str) -> RationalFunction:
-    """Parse expressions like '1/t^2' or '(t+1)/t' into normal form."""
+def parse_rational_function(text: str):
+    """Parse expressions like '1/t^2' or '(t+1)/t' into an unreduced pair
+    (num, den) of ZPolys, den nonzero."""
     return _Parser(text).parse()
-
-
-def format_polynomial(p: Polynomial) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            body = str(abs(c))
-        else:
-            tpow = "t" if i == 1 else f"t^{i}"
-            body = tpow if abs(c) == 1 else f"{abs(c)}*{tpow}"
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, body))
-    text = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
-
-
-def format_rational_function(f: RationalFunction) -> str:
-    if f.den == POLY_ONE:
-        return format_polynomial(f.num)
-    num = format_polynomial(f.num)
-    den = format_polynomial(f.den)
-    if " " in num or "*" in num:
-        num = f"({num})"
-    if " " in den or "*" in den:
-        den = f"({den})"
-    return f"{num}/{den}"

@@ -4,8 +4,9 @@ The ledger is a JSON file with three sections: degeneration certificates,
 non-degeneration witnesses, and level chains.  Loading validates the
 referential invariants (chains reference existing certificates with
 matching endpoints and the stated length; no ordered pair carries both a
-certificate and a witness; ids are unique per section; one label names
-one table) and the witness payloads each kind reads.  Running the ledger re-verifies everything and
+certificate and a witness; ids are unique strings per section; one label
+names one table; catalog names and separators are known) and the witness
+payloads each kind reads.  Running the ledger re-verifies everything and
 emits a deterministic report: same seed, same bytes.
 
 Verdict statuses are kept tier-honest:
@@ -45,10 +46,12 @@ from .algebra import (
 )
 from .catalog import (
     PreconditionViolated,
+    _bound,
     _pfaffian_quadrics,
     _skew_net,
     classify_T22,
     level_lookup,
+    parse_name,
 )
 from .contraction import RankSequence, dominates, iw_max, rank_sequence
 from .degeneration import (
@@ -56,6 +59,7 @@ from .degeneration import (
     ClosedSetSpec,
     DegenerationCertificate,
     NonDegenerationWitness,
+    UnknownKind,
     lower_triangular_invariance_probe,
     parse_basis_row,
     verify_degeneration,
@@ -97,11 +101,14 @@ class ClaimLedger:
 
 
 def _ref_from_json(obj) -> AlgebraRef:
-    """A ledger algebra reference; malformed dim or products: ParseError."""
+    """A ledger algebra reference; malformed name, dim or products:
+    ParseError."""
     try:
         name, dim = obj["name"], int(obj["dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad algebra reference {obj!r}") from exc
+    if not isinstance(name, str):
+        raise ParseError(f"bad algebra reference {obj!r}: name is not a string")
     if dim < 1:
         raise ParseError(f"algebra reference {name}@{dim}: dim is not positive")
     products = None
@@ -112,6 +119,29 @@ def _ref_from_json(obj) -> AlgebraRef:
             raise ParseError(f"algebra reference {name}@{dim}: bad products "
                              f"entry: {exc}") from None
     return AlgebraRef(name, dim, products)
+
+
+def _check_catalog_ref(name, dim: int, where: str):
+    """ParseError unless `name` is a string naming a catalog family defined
+    at dimension `dim`; reads the name and the bounds, builds no table."""
+    bound = None
+    if isinstance(name, str):
+        try:
+            bound = _bound(parse_name(name))
+        except (KeyError, ValueError):
+            pass
+    if bound is None:
+        raise ParseError(f"{where}: unknown catalog family {name!r}")
+    lo, hi = bound
+    if dim < lo or (hi is not None and dim > hi):
+        raise ParseError(f"{where}: {name} is not defined at dim {dim}")
+
+
+def _record_id(rec, default_id, what: str) -> str:
+    rid = rec["id"] if default_id is None else rec.get("id", default_id)
+    if not isinstance(rid, str):
+        raise ParseError(f"{what} id must be a string, got {rid!r}")
+    return rid
 
 
 def _product_from_json(rec, dim: int):
@@ -189,14 +219,25 @@ def certificate_from_json(rec, default_id=None) -> DegenerationCertificate:
         if not (isinstance(basis, list) and all(isinstance(r, str) for r in basis)):
             raise ParseError(f"certificate basis must be a list of strings, "
                              f"got {basis!r}")
+        cert_id = _record_id(rec, default_id, "certificate")
+        proper, separator = rec.get("proper"), rec.get("separator")
+        if not (proper is None or isinstance(proper, bool)):
+            raise ParseError(f"certificate {cert_id}: proper must be true, "
+                             f"false or null, got {proper!r}")
+        if separator is not None and separator not in SEPARATORS:
+            raise ParseError(f"certificate {cert_id}: unknown separator "
+                             f"{separator!r}")
+        if proper and separator is None:
+            raise ParseError(f"certificate {cert_id}: a proper certificate "
+                             f"names its separator")
         return DegenerationCertificate(
             source=_ref_from_json(rec["source"]),
             target=_ref_from_json(rec["target"]),
             basis_rows=tuple(basis),
             provenance=rec.get("provenance", ""),
-            proper=rec.get("proper"),
-            separator=rec.get("separator"),
-            cert_id=rec["id"] if default_id is None else rec.get("id", default_id),
+            proper=proper,
+            separator=separator,
+            cert_id=cert_id,
         )
     except KeyError as exc:
         raise ParseError(f"certificate record missing {exc}") from exc
@@ -213,11 +254,11 @@ def witness_from_json(rec, default_id=None) -> NonDegenerationWitness:
             target=_ref_from_json(rec["target"]),
             payload=rec.get("payload", {}),
             provenance=rec.get("provenance", ""),
-            witness_id=rec["id"] if default_id is None else rec.get("id", default_id),
+            witness_id=_record_id(rec, default_id, "witness"),
         )
     except KeyError as exc:
         raise ParseError(f"witness record missing {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, UnknownKind) as exc:
         raise ParseError(f"witness record is malformed: {exc}") from None
     check_witness_payload(w)
     return w
@@ -226,15 +267,21 @@ def witness_from_json(rec, default_id=None) -> NonDegenerationWitness:
 def ledger_from_obj(obj, path: str = "") -> ClaimLedger:
     if not isinstance(obj, dict) or "certificates" not in obj:
         raise ParseError("ledger object lacks a certificates section")
-    certs = [certificate_from_json(rec) for rec in obj.get("certificates", [])]
+    for section in ("certificates", "witnesses", "chains"):
+        if not isinstance(obj.get(section, []), list):
+            raise ParseError(f"ledger section {section!r} is not a list")
+    certs = [certificate_from_json(rec) for rec in obj["certificates"]]
     witnesses = [witness_from_json(rec) for rec in obj.get("witnesses", [])]
     chains = []
     for rec in obj.get("chains", []):
         try:
+            edges = tuple(rec["edges"])
+            if not all(isinstance(e, str) for e in edges):
+                raise TypeError("edges must be certificate ids")
             chains.append(Chain(
-                chain_id=rec["id"], algebra=rec["algebra"], dim=int(rec["dim"]),
-                expected_level=int(rec["expected_level"]),
-                edges=tuple(rec["edges"]),
+                chain_id=_record_id(rec, None, "chain"), algebra=rec["algebra"],
+                dim=int(rec["dim"]), expected_level=int(rec["expected_level"]),
+                edges=edges,
             ))
         except KeyError as exc:
             raise ParseError(f"chain record missing {exc}") from exc
@@ -276,6 +323,13 @@ def _validate(ledger: ClaimLedger):
                 raise InconsistentLedger(
                     f"label {ref.label} names two different tables"
                 )
+    # after the bindings, so a label bound both inline and to the catalog
+    # reads as that conflict
+    for claim in ledger.certificates + ledger.witnesses:
+        for ref in (claim.source, claim.target):
+            if ref.products is None:
+                _check_catalog_ref(ref.name, ref.dim,
+                                   f"algebra reference {ref.label}")
     cert_pairs = {
         (c.source.label, c.target.label) for c in ledger.certificates
     }
@@ -293,6 +347,7 @@ def _validate(ledger: ClaimLedger):
                 f"{ch.chain_id}: {len(ch.edges)} edges != level "
                 f"{ch.expected_level}"
             )
+        _check_catalog_ref(ch.algebra, ch.dim, f"chain {ch.chain_id}")
         level = level_lookup(ch.algebra, ch.dim).level
         if level.exact != ch.expected_level:
             raise InconsistentLedger(
@@ -369,6 +424,11 @@ def _classifier_label(a: StructureTensor):
     except PreconditionViolated:
         return "outside-T22-scope"
     return getattr(res, "key", repr(res))
+
+
+SEPARATORS = ("paper", "dim_square", "ann_dim", "nilindex", "engel_degree",
+              "jacobi", "centralizer_square", "pfaffian_conic", "classifier",
+              "iw_partition")
 
 
 def separator_check(kind: str, src: StructureTensor, tgt: StructureTensor,

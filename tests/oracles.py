@@ -5,10 +5,12 @@ elimination over Fraction, direct product-span row reduction, and a direct
 annihilator solve.  Tests freeze the numbers these produce.  The former
 Fraction bodies of the algebra layer (products, power ideals, annihilator,
 centralizer of the square) are kept here too; they build the package's
-`Subspace` over Fraction, so whole subspaces can be compared.
+`Subspace` over Fraction, so whole subspaces can be compared.  The Q(t)
+oracles of the certificate check run on sympy's rational function field.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 def row_reduce_dim(vectors):
@@ -226,36 +228,122 @@ def field_rank(rows):
 
 
 def pencil_rank_oracle(p_mat, q_mat):
-    """Rank of P + tQ over Q(t), by elimination with rational-function
-    entries."""
-    from degenlab.exactnum import Polynomial, RationalFunction
-
-    t = RationalFunction(Polynomial((0, 1)))
+    """Rank of P + tQ over Q(t), by elimination in sympy's field."""
+    field, t = qt_field()
+    x = field.from_sympy(t)
     return field_rank([
-        [RationalFunction(Polynomial((p,))) + t * RationalFunction(Polynomial((q,)))
-         for p, q in zip(prow, qrow)]
+        [field.convert(p) + x * field.convert(q) for p, q in zip(prow, qrow)]
         for prow, qrow in zip(p_mat, q_mat)
     ])
 
 
 # --- the certificate check over Q(t) ------------------------------------
 #
-# The former body of degeneration.verify_degeneration: constants of the
-# source in the parameterized basis by RationalFunction products and a
-# Gauss-Jordan inverse over Q(t), then eval_at_zero of each constant.
+# The former body of degeneration.verify_degeneration, over sympy's field
+# Q(t) (sympy is a test-only dependency): sympy reads the basis rows, the
+# constants of the source in that basis come from products and a
+# Gauss-Jordan inverse over Q(t), and each reduced constant is evaluated at
+# t = 0.  Nothing here runs on degenlab's polynomial arithmetic.
 
 
-def _rf(c):
-    from degenlab.exactnum import Polynomial, RationalFunction
+@lru_cache(maxsize=None)
+def qt_field():
+    """(Q(t), t): sympy's rational function field and its variable."""
+    from sympy import QQ, Symbol
 
-    return RationalFunction(Polynomial((c,)))
+    t = Symbol("t")
+    return QQ.frac_field(t), t
+
+
+def sympy_expr(text, names=("t",), evaluate=True):
+    """sympy's reading of a text with `^` as the power, the given names as
+    symbols; evaluated, 1/0 reads as zoo rather than raising."""
+    from sympy import Symbol
+    from sympy.parsing.sympy_parser import (
+        convert_xor,
+        parse_expr,
+        standard_transformations,
+    )
+
+    local = {name: Symbol(name) for name in names}
+    local["t"] = qt_field()[1]
+    return parse_expr(text, local_dict=local, evaluate=evaluate,
+                      transformations=standard_transformations + (convert_xor,))
+
+
+def qt_parse(text):
+    """sympy's reading of a coefficient text as an element of Q(t)."""
+    return qt_field()[0].from_sympy(sympy_expr(text))
+
+
+def qt_eval(text):
+    """A coefficient text in Q(t), by walking sympy's unevaluated parse
+    tree; ZeroDivisionError where the text divides by zero (evaluated,
+    sympy would turn 1/0 into zoo and t/(1/0) into 0)."""
+    field, t = qt_field()
+
+    def walk(e):
+        if e.is_Rational:
+            return field.convert(Fraction(int(e.p), int(e.q)))
+        if e == t:
+            return field.from_sympy(t)
+        args = [walk(x) for x in e.args[:1 if e.is_Pow else None]]
+        if e.is_Add:
+            return sum(args, field.zero)
+        if e.is_Mul:
+            out = field.one
+            for x in args:
+                out = out * x
+            return out
+        if e.is_Pow:
+            base, k = args[0], int(e.exp)
+            if k < 0:
+                if not base:
+                    raise ZeroDivisionError(text)
+                base, k = field.one / base, -k
+            return base ** k
+        raise ValueError(f"unexpected node {e!r} in {text!r}")
+
+    return walk(sympy_expr(text, evaluate=False))
+
+
+def qt_value(num, den=1):
+    """num / den in Q(t) for ZPolys or ints."""
+    field, t = qt_field()
+    x = field.from_sympy(t)
+
+    def poly(p):
+        coeffs = (p,) if isinstance(p, int) else p.coeffs
+        return sum((field.convert(c) * x ** i for i, c in enumerate(coeffs)),
+                   field.zero)
+    return poly(num) / poly(den)
+
+
+def qt_basis_row(text, dim):
+    """A basis row read by sympy, as its dim coordinates in Q(t)."""
+    from sympy import Symbol
+
+    field, _ = qt_field()
+    names = [f"e{k}" for k in range(1, dim + 1)]
+    expr = sympy_expr(text, names)
+    return [field.from_sympy(expr.diff(Symbol(name))) for name in names]
+
+
+def qt_at_zero(f):
+    """A reduced element of Q(t) at t = 0 as a Fraction; None at a pole."""
+    den = f.denom(0)
+    if den == 0:
+        return None
+    v = f.numer(0) / den
+    return Fraction(int(v.numerator), int(v.denominator))
 
 
 def qt_inverse(rows):
-    """Inverse of a square RationalFunction matrix by Gauss-Jordan over
-    Q(t); None when the matrix is singular."""
+    """Inverse of a square matrix over Q(t) by Gauss-Jordan; None when the
+    matrix is singular."""
+    field, _ = qt_field()
     n = len(rows)
-    aug = [list(row) + [_rf(int(i == j)) for j in range(n)]
+    aug = [list(row) + [field.one if i == j else field.zero for j in range(n)]
            for i, row in enumerate(rows)]
     for c in range(n):
         piv = next((i for i in range(c, n) if aug[i][c]), None)
@@ -272,14 +360,14 @@ def qt_inverse(rows):
 
 
 def qt_constants(tensor, rows):
-    """{(i, j): RationalFunction coordinates of f_i f_j} for i < j in the
-    basis f = rows over Q(t), nonzero ones only; None when the rows are
-    singular."""
+    """{(i, j): Q(t) coordinates of f_i f_j} for i < j in the basis f =
+    rows over Q(t), nonzero ones only; None when the rows are singular."""
+    field, _ = qt_field()
     n = tensor.dim
     inv = qt_inverse(rows)
     if inv is None:
         return None
-    zero = _rf(0)
+    zero = field.zero
     pairs = pairs_of(tensor)
     out = {}
     for i in range(n):
@@ -289,7 +377,7 @@ def qt_constants(tensor, rows):
             for (a, b, k, coeff) in pairs:
                 c = x[a - 1] * y[b - 1] - x[b - 1] * y[a - 1]
                 if c:
-                    p[k - 1] = p[k - 1] + c * _rf(coeff)
+                    p[k - 1] = p[k - 1] + c * field.convert(coeff)
             coords = []
             for k in range(n):
                 acc = zero
@@ -304,9 +392,9 @@ def qt_constants(tensor, rows):
 
 def qt_certificate_verdict(cert):
     """(status, reason, data) of a degeneration certificate, checked over
-    Q(t): poles first in (i, j, k) order, then limit mismatches."""
+    Q(t): poles first in (i, j, k) order, then limit mismatches.  Whether a
+    row parses, and the message when it does not, is degenlab's."""
     from degenlab.degeneration import parse_basis_row
-    from degenlab.exactnum import PoleAtZero
 
     src, tgt = cert.source.resolve(), cert.target.resolve()
     if src.dim != tgt.dim:
@@ -314,24 +402,24 @@ def qt_certificate_verdict(cert):
     n = src.dim
     if len(cert.basis_rows) != n:
         return ("fail", f"expected {n} basis rows, got {len(cert.basis_rows)}", {})
-    rows = []
     for k, text in enumerate(cert.basis_rows, start=1):
         try:
-            rows.append(parse_basis_row(text, n))
+            parse_basis_row(text, n)
         except (ValueError, ZeroDivisionError) as exc:
             return ("fail", f"basis row {k} {text!r} does not parse: {exc}", {})
-    constants = qt_constants(src, rows)
+    constants = qt_constants(src, [qt_basis_row(text, n)
+                                   for text in cert.basis_rows])
     if constants is None:
         return ("fail", "parameterized basis has identically zero determinant", {})
     limit = {}
     for (i, j), vec in constants.items():
         out = []
         for k, entry in enumerate(vec, start=1):
-            try:
-                out.append(entry.eval_at_zero())
-            except PoleAtZero:
+            value = qt_at_zero(entry)
+            if value is None:
                 return ("fail", f"pole at t=0 in constant ({i},{j})^{k}",
                         {"position": (i, j, k)})
+            out.append(value)
         if any(out):
             limit[(i, j)] = tuple(out)
     zeros = (Fraction(0),) * n
@@ -351,7 +439,8 @@ def qt_certificate_verdict(cert):
 #
 # The former bodies of algebra.product, subspace_product, power_ideal,
 # is_nilpotent, annihilator and verification_db._centralizer_square_dim,
-# plus two helpers only tests use (generated_subalgebra, subspace_ops).
+# plus helpers only tests use (generated_subalgebra, subspace_ops,
+# direct_sum_trivial, project_to_spec).
 
 
 def fraction_product(a, x, y):
@@ -452,3 +541,30 @@ def subspace_ops(u, w, op):
     if op not in ops:
         raise ValueError(f"unknown subspace op {op!r}")
     return ops[op](u, w)
+
+
+def direct_sum_trivial(a, k):
+    """A + k extra central coordinates with zero products."""
+    from degenlab.algebra import StructureTensor
+
+    return StructureTensor(a.dim + k, {
+        key: tuple(vec) + (Fraction(0),) * k for key, vec in a.products.items()})
+
+
+def project_to_spec(a, spec):
+    """The structure with each coefficient a flag condition lambda(V_i,
+    V_j) in V_k forbids set to zero: coordinate r < k of e_p e_q whenever
+    p >= i, q >= j or q >= i, p >= j."""
+    from degenlab.algebra import StructureTensor
+
+    def forbidden(p, q, r):
+        return any(r < k and ((p >= i and q >= j) or (q >= i and p >= j))
+                   for (i, j, k) in spec.triples)
+
+    table = {}
+    for (p, q), vec in a.products.items():
+        kept = tuple(0 if forbidden(p, q, r) else x
+                     for r, x in enumerate(vec, start=1))
+        if any(kept):
+            table[(p, q)] = kept
+    return StructureTensor(a.dim, table)

@@ -10,7 +10,6 @@ from degenlab.algebra import (
     annihilator,
     change_basis,
     dim_square,
-    direct_sum_trivial,
     engel_degree,
     identity_flags,
     int_change_basis,
@@ -32,6 +31,7 @@ from oracles import change_basis_oracle, fraction_inverse, pairs_of
 from oracles import engel_degree_oracle, jacobi_oracle, malcev_oracle
 
 from oracles import ann_dim_oracle, generated_subalgebra, square_dim_oracle
+from oracles import direct_sum_trivial
 from oracles import (
     annihilator_oracle,
     centralizer_square_dim_oracle,
@@ -321,6 +321,14 @@ def test_int_change_basis_is_the_scaled_orbit_point():
             assert point == {key: tuple(s * x for x in vec)
                              for key, vec in want.items()}
             assert all(type(x) is int for vec in point.values() for x in vec)
+
+
+def test_repr_keeps_one_sign_per_coefficient():
+    a = StructureTensor(3, {(1, 2): (-24, 6, 18), (1, 3): (8, -2, 0),
+                            (2, 3): (Fraction(-3, 2), -1, 1)})
+    assert repr(a) == ("StructureTensor(dim=3: e1e2=-24*e1+6*e2+18*e3, "
+                       "e1e3=8*e1-2*e2, e2e3=-3/2*e1-e2+e3)")
+    assert repr(StructureTensor(2)) == "StructureTensor(dim=2: zero multiplication)"
 
 
 def test_direct_sum_trivial():

@@ -15,6 +15,7 @@ from degenlab.catalog import (
     NotSurjective,
     MANIFEST_FAMILIES,
     PreconditionViolated,
+    _binary_form_gcd,
     _is_square,
     _pencil_generic_rank,
     _skew_net,
@@ -117,6 +118,22 @@ def test_classify_needs_extension_for_irrational_eigenvalue():
         (2, 4, n, 2),           # lower-left entry 2
     ])
     assert classify_T22(a) is NeedsExtension
+
+
+@pytest.mark.parametrize("forms, want", [
+    ([(1, 0, 1)], (2, "irrational")),   # x^2 + y^2: no real root
+    ([(1, 0, -2)], (2, "irrational")),  # x^2 - 2 y^2
+    ([(1, 0, -1)], (2, "split")),       # (x - y)(x + y)
+    ([(Fraction(1, 2), 1, Fraction(1, 2))], (2, "double")),  # (x + y)^2 / 2
+    ([(0, 1, 0)], (2, "split")),        # x y
+    ([(0, 0, 3)], (2, "double")),       # 3 y^2
+    ([(1, 0, -1), (1, -2, 1)], (1, None)),  # gcd x - y
+    ([(1, 0, -1), (1, 0, 1)], (0, None)),
+    ([(2, -6, 4), (Fraction(1, 3), -1, Fraction(2, 3))], (2, "split")),
+    ([(3, 0, 3), (Fraction(-1, 2), 0, Fraction(-1, 2))], (2, "irrational")),
+])
+def test_binary_form_gcd_degree_and_root_kind(forms, want):
+    assert _binary_form_gcd(forms) == want
 
 
 def test_classify_level_at_least_six():

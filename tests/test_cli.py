@@ -395,7 +395,7 @@ def test_check_rejects_a_basis_that_is_not_a_list_of_strings(
 
 
 @pytest.mark.parametrize("field, value", [
-    ("dim", "seven"), ("expected_level", None), ("edges", 5),
+    ("dim", "seven"), ("expected_level", None), ("edges", 5), ("edges", [["x"]]),
 ])
 def test_verify_paper_rejects_a_malformed_chain(tmp_path, capsys, field, value):
     from degenlab.verification_db import shipped_ledger_path
@@ -409,4 +409,60 @@ def test_verify_paper_rejects_a_malformed_chain(tmp_path, capsys, field, value):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: chain record") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def _one_cert_ledger(case):
+    cert = json.loads(json.dumps(certificates()[0]))
+    ledger = {"certificates": [cert], "witnesses": [], "chains": []}
+    if case == "unknown-family":
+        cert["source"]["name"] = "nosuch"
+    elif case == "dim-out-of-range":
+        cert["source"]["name"] = "T22_e45"
+        cert["source"]["dim"] = cert["target"]["dim"] = 6
+    elif case == "unknown-partition":
+        cert["source"]["name"] = "T9"
+    elif case == "name-not-a-string":
+        cert["source"]["name"] = 5
+    elif case == "unknown-separator":
+        cert["separator"] = 7
+    elif case == "proper-without-separator":
+        cert["proper"] = True
+        cert.pop("separator", None)
+    elif case == "proper-not-a-bool":
+        cert["proper"] = "yes"
+    elif case == "list-id":
+        cert["id"] = ["T22deg.2.6"]
+    elif case == "section-not-a-list":
+        ledger["certificates"] = 5
+    elif case == "unknown-witness-kind":
+        ledger["witnesses"] = [dict(witnesses()[0], kind="Nosuch")]
+    elif case == "chain-unknown-family":
+        ledger["chains"] = [{"id": "c", "algebra": "nosuch", "dim": 3,
+                             "expected_level": 1, "edges": [cert["id"]]}]
+    return ledger
+
+
+@pytest.mark.parametrize("case, detail", [
+    ("unknown-family", "unknown catalog family 'nosuch'"),
+    ("dim-out-of-range", "T22_e45 is not defined at dim 6"),
+    ("unknown-partition", "unknown catalog family 'T9'"),
+    ("name-not-a-string", "name is not a string"),
+    ("unknown-separator", "unknown separator 7"),
+    ("proper-without-separator", "a proper certificate names its separator"),
+    ("proper-not-a-bool", "proper must be true, false or null, got 'yes'"),
+    ("list-id", "certificate id must be a string"),
+    ("section-not-a-list", "section 'certificates' is not a list"),
+    ("unknown-witness-kind", "unknown witness kind 'Nosuch'"),
+    ("chain-unknown-family", "unknown catalog family 'nosuch'"),
+])
+def test_verify_paper_rejects_a_malformed_ledger(tmp_path, capsys, case, detail):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(_one_cert_ledger(case)), encoding="utf-8")
+    code = main(["verify-paper", "--ledger", str(path), "--trials", "1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert detail in err
     assert not (tmp_path / "out" / "report.json").exists()

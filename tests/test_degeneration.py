@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,6 @@ from degenlab.degeneration import (
     ex222_membership,
     lower_triangular_invariance_probe,
     parse_basis_row,
-    project_to_spec,
     randomized_orbit_refute,
     random_anticommutative,
     random_invertible,
@@ -31,23 +31,25 @@ from degenlab.degeneration import (
     verify_degeneration,
     verify_nondegeneration,
 )
-from degenlab.exactnum import Polynomial, RationalFunction, ZPoly
 from degenlab.exactnum import parse_rational_function as parse
 from degenlab.linalg import Matrix
 from degenlab.verification_db import load_ledger, shipped_ledger_path
 
-from oracles import fraction_inverse, qt_certificate_verdict, qt_constants
+from oracles import fraction_inverse, project_to_spec, qt_at_zero, qt_basis_row
+from oracles import qt_certificate_verdict, qt_constants, qt_parse, qt_value
 
 
 def test_parse_basis_row_shapes():
     row = parse_basis_row("(1/t)*e5 - (1/t^2)*e7", 7)
-    assert row[4] == parse("1/t")
-    assert row[6] == parse("-1/t^2")
-    assert all(x.is_zero() for i, x in enumerate(row) if i not in (4, 6))
+    assert qt_value(*row[4]) == qt_parse("1/t")
+    assert qt_value(*row[6]) == qt_parse("-1/t^2")
+    assert all(not num for i, (num, _) in enumerate(row) if i not in (4, 6))
     row = parse_basis_row("-e2-e5", 6)
-    assert row[1] == parse("-1") and row[4] == parse("-1")
+    assert qt_value(*row[1]) == qt_value(*row[4]) == qt_parse("-1")
     row = parse_basis_row("2*t^4*e3", 4)
-    assert row[2] == parse("2*t^4")
+    assert qt_value(*row[2]) == qt_parse("2*t^4")
+    row = parse_basis_row("e1 + t*e1 - (1/t)*e2 + e2", 2)
+    assert [qt_value(*x) for x in row] == qt_basis_row("e1+t*e1-(1/t)*e2+e2", 2)
 
 
 @pytest.mark.parametrize("text", ["e1+", "e1-", "e1 + ", "e1+e2-", "-"])
@@ -90,50 +92,68 @@ def _parse_rows(rows, n):
     return [parse_basis_row(r, n) for r in rows]
 
 
-def _as_rational_functions(den, constants):
-    """{(i, j): N / den} as RationalFunction vectors."""
-    def poly(p):
-        return Polynomial(p.coeffs if isinstance(p, ZPoly) else (p,))
-    return {key: tuple(RationalFunction(poly(x), poly(den)) for x in vec)
+def _qt_rows(rows, n):
+    return [qt_basis_row(r, n) for r in rows]
+
+
+def _over_qt(den, constants):
+    """{(i, j): N / den} as vectors in Q(t)."""
+    return {key: tuple(qt_value(x, den) for x in vec)
             for key, vec in constants.items()}
 
 
 def test_apply_identity_keeps_constants():
     a = instantiate("T32_e23", 6)
-    rows = _parse_rows([f"e{k}" for k in range(1, 7)], 6)
-    constants = _as_rational_functions(*apply_parameterized_basis(a, rows))
+    texts = [f"e{k}" for k in range(1, 7)]
+    constants = _over_qt(*apply_parameterized_basis(a, _parse_rows(texts, 6)))
     assert set(constants) == set(a.products)
     for key, vec in constants.items():
-        evaluated = tuple(x.eval_at_zero() for x in vec)
+        evaluated = tuple(qt_at_zero(x) for x in vec)
         assert evaluated == a.products[key]
-    assert constants == qt_constants(a, rows)
+    assert constants == qt_constants(a, _qt_rows(texts, 6))
 
 
 def test_apply_single_scaling_pushes_constant_into_t():
     a = instantiate("n3", 3)
-    rows = _parse_rows(["t*e1", "e2", "e3"], 3)
-    constants = _as_rational_functions(*apply_parameterized_basis(a, rows))
-    assert constants[(1, 2)][2] == parse("t")
-    assert constants == qt_constants(a, rows)
+    texts = ["t*e1", "e2", "e3"]
+    constants = _over_qt(*apply_parameterized_basis(a, _parse_rows(texts, 3)))
+    assert constants[(1, 2)][2] == qt_parse("t")
+    assert constants == qt_constants(a, _qt_rows(texts, 3))
 
 
 def test_apply_rejects_singular_families():
     a = instantiate("n3", 3)
-    rows = _parse_rows(["e1+e2", "e1+e2", "e3"], 3)
-    assert qt_constants(a, rows) is None
+    texts = ["e1+e2", "e1+e2", "e3"]
+    assert qt_constants(a, _qt_rows(texts, 3)) is None
     with pytest.raises(SingularFamily):
-        apply_parameterized_basis(a, rows)
+        apply_parameterized_basis(a, _parse_rows(texts, 3))
 
 
 def test_clear_denominators_uses_one_common_scale():
-    fs = [parse(x) for x in ("1/t", "1/t^2", "(t+1)/(2*t+1)", "3/2", "0",
-                             "t^2 - 1/3")]
-    s, g = clear_denominators(fs)
-    for f, gi in zip(fs, g):
+    texts = ("1/t", "1/t^2", "(t+1)/(2*t+1)", "3/2", "0", "t^2 - 1/3",
+             "-1/(2*t^2 - 4*t)", "t/t")
+    s, g = clear_denominators(parse(x) for x in texts)
+    for text, gi in zip(texts, g):
         assert all(isinstance(c, int) for c in gi.coeffs)
-        assert RationalFunction(Polynomial(gi.coeffs), Polynomial(s.coeffs)) == f
-    # s = c t^2 (t + 1/2) with c clearing the 1/2 and the 1/3
-    assert s.order() == 2 and len(s.coeffs) == 4
+        assert qt_value(gi, s) == qt_parse(text)
+    # s = c t^2 (2t + 1) (t - 2) with c = 6 clearing the 2, the 3 and the
+    # content -2 of 2t^2 - 4t; the unreduced t/t costs nothing here
+    assert s.order() == 2 and len(s.coeffs) == 5 and abs(s.coeffs[-1]) == 12
+
+
+def test_clear_denominators_keeps_the_degree_of_the_reduced_lcm():
+    # the parser reduces nothing, so the degree of s must come out as the
+    # degree of the lcm of the reduced denominators on the shipped rows
+    ledger = load_ledger(shipped_ledger_path())
+    rows = [cert.basis_rows for cert in ledger.certificates]
+    rows += [w.payload["source_basis"] for w in ledger.witnesses
+             if w.payload.get("source_basis")]
+    for texts in rows:
+        n = len(texts)
+        s, _ = clear_denominators(f for text in texts
+                                  for f in parse_basis_row(text, n))
+        dens = [f.denom for text in texts for f in qt_basis_row(text, n)]
+        assert len(s.coeffs) - 1 == reduce(lambda a, b: a.lcm(b), dens).degree()
 
 
 def _verdict(cert):

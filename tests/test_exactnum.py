@@ -1,111 +1,160 @@
-from fractions import Fraction
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Poly, Symbol
 
 from degenlab.exactnum import (
     DivisionByZero,
-    PoleAtZero,
-    Polynomial,
-    RationalFunction,
-    RF_ONE,
+    ExprSyntaxError,
     ZPoly,
-    format_rational_function,
+    content,
+    limit_at_zero,
     parse_rational_function as parse,
+    poly_gcd,
 )
 
-# Field arithmetic on rational functions is what the basis-row parser
-# builds on; the certificate check itself runs over Z[t] (ZPoly below).
+from oracles import qt_eval, qt_parse, qt_value, sympy_expr
+
+# Coefficient texts parse to unreduced pairs (num, den) of ZPolys, the
+# input of the Z[t] certificate check; sympy's Q(t) is the reference for
+# their values.
+
+
+def value(text):
+    return qt_value(*parse(text))
 
 
 def test_inverse_pair_multiplies_to_one():
-    assert parse("t") * parse("1/t") == RF_ONE
+    assert parse("t * (1/t)") == (ZPoly((0, 1)), ZPoly((0, 1)))
+    assert value("t*(1/t)") == qt_parse("1")
 
 
 def test_common_denominator_subtraction():
-    assert parse("1/t") - parse("1/t^2") == parse("(t-1)/t^2")
+    assert value("1/t - 1/t^2") == qt_parse("(t-1)/t^2")
+    # equal denominators are kept, not multiplied
+    assert parse("1/t - 2/t") == (ZPoly((-1,)), ZPoly((0, 1)))
 
 
 def test_long_division_checked_by_remultiplication():
-    q = parse("t^2+t") / parse("t")
-    assert q == parse("t+1")
-    assert q * parse("t") == parse("t^2+t")
+    assert value("(t^2+t)/t") == qt_parse("t+1")
+    assert value("((t^2+t)/t)*t") == qt_parse("t^2+t")
 
 
 def test_division_by_zero_function():
-    with pytest.raises(DivisionByZero):
-        parse("1") / parse("0")
+    for text in ("1/0", "1/(t-t)", "0^-1", "t/(0*t)", "(t-t)^-2", "1/(1/t-1/t)"):
+        with pytest.raises(DivisionByZero,
+                           match="division by the zero rational function"):
+            parse(text)
+    assert parse("0^-0") == parse("1")
+
+
+def test_syntax_errors_are_refused():
+    for text in ("t t", "2*", "(t", "t^t", "x", "", "t^2^3"):
+        with pytest.raises(ExprSyntaxError):
+            parse(text)
 
 
 def test_eval_at_zero_cases():
-    assert parse("t^2").eval_at_zero() == 0
-    assert parse("(t+3)/(t+1)").eval_at_zero() == 3
-    with pytest.raises(PoleAtZero):
-        parse("1/t").eval_at_zero()
+    assert limit_at_zero(*parse("t^2")) == 0
+    assert limit_at_zero(*parse("(t+3)/(t+1)")) == 3
+    assert limit_at_zero(*parse("(2*t+6)/(4*t-2)")) == -3
+    assert limit_at_zero(*parse("0/t")) == 0
+    assert limit_at_zero(*parse("1/t")) is None
 
 
 def test_pole_detection_happens_after_reduction():
-    # t/t reduces to 1, no pole
-    assert parse("t/t").eval_at_zero() == 1
-    assert parse("(t^2+t)/t").eval_at_zero() == 1
-
-
-def test_denominator_is_monic():
-    f = parse("1/(2*t+2)") if False else parse("1/(2+2*t)")
-    assert f.den.leading() == 1
-    assert f.num.eval(0) == Fraction(1, 2) * f.den.eval(0)
+    # t/t is 1, with no pole, though the pair keeps the common factor t
+    assert parse("t/t") == (ZPoly((0, 1)), ZPoly((0, 1)))
+    assert limit_at_zero(*parse("t/t")) == 1
+    assert limit_at_zero(*parse("(t^2+t)/t")) == 1
+    assert limit_at_zero(*parse("t^2/t^3")) is None
 
 
 def test_parser_round_trip_on_formatting():
-    for text in ("1/t^2", "(t+1)/t", "t^3 - 2", "(t-1)/t^2", "-t"):
-        f = parse(text)
-        assert parse(format_rational_function(f)) == f
+    # sympy's printing of the value parses back to the value; sympy writes
+    # t**(-2), the ledger syntax t^-2
+    for text in ("1/t^2", "(t+1)/t", "t^3 - 2", "(t-1)/t^2", "-t",
+                 "(2*t+2)/(4*t)", "1/t^2 - 3/2"):
+        printed = re.sub(r"\*\*\((-\d+)\)", r"^\1", str(sympy_expr(text)))
+        printed = printed.replace("**", "^")
+        assert value(printed) == qt_parse(text), printed
 
 
-rationals = st.fractions(
-    min_value=-4, max_value=4, max_denominator=6
-)
+def _random_expr(rng, depth):
+    """Random text over the coefficient syntax: nesting, unary minus and
+    powers with negative exponents."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(["t", "t", str(rng.randint(0, 4))])
+    kind = rng.choice("+-*/^n(")
+    if kind == "n":
+        return "-" + _random_expr(rng, depth - 1)
+    if kind == "(":
+        return f"({_random_expr(rng, depth - 1)})"
+    if kind == "^":
+        base = rng.choice(["t", str(rng.randint(0, 3)),
+                           f"({_random_expr(rng, depth - 1)})"])
+        return f"{base}^{rng.choice(['', '-'])}{rng.randint(1, 3)}"
+    return _random_expr(rng, depth - 1) + kind + _random_expr(rng, depth - 1)
 
 
-@st.composite
-def rational_functions(draw):
-    num = draw(st.lists(rationals, min_size=0, max_size=3))
-    den = draw(st.lists(rationals, min_size=1, max_size=3))
-    den_poly = Polynomial(den)
-    if den_poly.is_zero():
-        den_poly = Polynomial((1,))
-    return RationalFunction(Polynomial(num), den_poly)
+def test_parse_matches_sympy_on_random_expressions():
+    rng = random.Random(8)
+    raised = 0
+    for _ in range(400):
+        text = _random_expr(rng, 4)
+        try:
+            want = qt_eval(text)
+        except ZeroDivisionError:
+            raised += 1
+            with pytest.raises(DivisionByZero):
+                parse(text)
+            continue
+        num, den = parse(text)
+        assert den, text
+        assert qt_value(num, den) == want, text
+    assert 5 <= raised <= 200
+
+
+def _text(num, den):
+    poly = "+".join(f"({c})*t^{i}" for i, c in enumerate(num)) or "0"
+    return f"({poly})/({'+'.join(f'({c})*t^{i}' for i, c in enumerate(den))})"
+
+
+small_polys = st.lists(st.integers(-4, 4), min_size=1, max_size=3)
+dens = small_polys.filter(any)
 
 
 @settings(max_examples=60, deadline=None)
-@given(rational_functions(), rational_functions())
-def test_sub_is_zero_iff_equal(a, b):
-    assert (a - b).is_zero() == (a == b)
+@given(small_polys, dens, small_polys, dens)
+def test_sub_is_zero_iff_equal(a, b, c, d):
+    x, y = _text(a, b), _text(c, d)
+    num, _ = parse(f"{x} - {y}")
+    assert (not num) == (qt_parse(x) == qt_parse(y))
 
 
 @settings(max_examples=60, deadline=None)
-@given(rational_functions(), rational_functions(),
-       st.sampled_from(["add", "sub", "mul"]))
-def test_eval_commutes_with_arithmetic_when_regular(a, b, op):
-    c = {"add": a + b, "sub": a - b, "mul": a * b}[op]
-    if any(f.den.eval(0) == 0 for f in (a, b, c)):
+@given(small_polys, dens, small_polys, dens, st.sampled_from("+-*"))
+def test_eval_commutes_with_arithmetic_when_regular(a, b, c, d, op):
+    x, y = _text(a, b), _text(c, d)
+    lx, ly = limit_at_zero(*parse(x)), limit_at_zero(*parse(y))
+    got = limit_at_zero(*parse(f"{x} {op} {y}"))
+    if lx is None or ly is None:
         return
-    x, y = a.eval_at_zero(), b.eval_at_zero()
-    want = {"add": x + y, "sub": x - y, "mul": x * y}[op]
-    assert c.eval_at_zero() == want
+    assert got == {"+": lx + ly, "-": lx - ly, "*": lx * ly}[op]
 
 
-@settings(max_examples=60, deadline=None)
-@given(rational_functions())
-def test_normalization_is_idempotent(f):
-    again = RationalFunction(f.num, f.den)
-    assert again.num == f.num and again.den == f.den
+# --- ZPoly: the one polynomial type ---------------------------------------
 
-
-# --- ZPoly: the scalar of the Z[t] certificate check ---------------------
-
+T = Symbol("t")
 int_polys = st.lists(st.integers(-5, 5), max_size=4)
+
+
+def _zz(p):
+    """A ZPoly as sympy's Poly over ZZ."""
+    return Poly(list(reversed(p.coeffs)) or [0], T, domain="ZZ")
 
 
 @settings(max_examples=80, deadline=None)
@@ -113,16 +162,41 @@ int_polys = st.lists(st.integers(-5, 5), max_size=4)
 def test_zpoly_ring_laws_match_polynomial(a, b, c):
     x, y, z = ZPoly(a), ZPoly(b), ZPoly(c)
     for got, want in (
-        (x + y, Polynomial(a) + Polynomial(b)),
-        (x - y, Polynomial(a) - Polynomial(b)),
-        (x * y, Polynomial(a) * Polynomial(b)),
-        (-x, -Polynomial(a)),
+        (x + y, _zz(x) + _zz(y)),
+        (x - y, _zz(x) - _zz(y)),
+        (x * y, _zz(x) * _zz(y)),
+        (-x, -_zz(x)),
     ):
-        assert Polynomial(got.coeffs) == want
+        assert _zz(got) == want
     assert (x + y) * z == x * z + y * z
     assert x * (y * z) == (x * y) * z
     assert x + y == y + x and x * y == y * x
-    assert bool(x) == bool(Polynomial(a).coeffs)
+    assert bool(x) == any(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_polys, int_polys, int_polys)
+def test_poly_gcd_is_the_primitive_gcd(a, b, c):
+    # a common factor c makes nontrivial gcds common
+    x, y = ZPoly(a) * ZPoly(c), ZPoly(b) * ZPoly(c)
+    g = poly_gcd(x, y)
+    want = _zz(x).gcd(_zz(y))
+    if want.is_zero:
+        assert not g
+        return
+    want = want.primitive()[1]
+    if want.LC() < 0:
+        want = -want
+    assert _zz(g) == want
+    assert content(g.coeffs) == 1
+    assert poly_gcd(y, x) == g
+
+
+def test_content_is_signed_like_the_leading_coefficient():
+    assert content((4, -6)) == -2
+    assert content((0, 3, 9)) == 3
+    assert content(()) == 0
+    assert ZPoly((4, -6)) // content((4, -6)) == ZPoly((-2, 3))
 
 
 @settings(max_examples=80, deadline=None)

@@ -11,7 +11,7 @@ from degenlab.degeneration import (
     apply_parameterized_basis,
     clear_denominators,
 )
-from degenlab.exactnum import Polynomial, RationalFunction, ZPoly
+from degenlab.exactnum import ZPoly
 from degenlab.exactnum import parse_rational_function as parse
 from degenlab.linalg import (
     Matrix,
@@ -33,6 +33,7 @@ from degenlab.algebra import left_mult_matrix
 from degenlab.catalog import instantiate
 
 from oracles import field_rank, fraction_inverse, qt_inverse, row_reduce_dim
+from oracles import qt_parse, qt_value
 from oracles import subspace_ops
 
 
@@ -89,12 +90,18 @@ def test_int_echelon_spans_the_same_space():
 
 
 def _qt(rows):
+    """Rows of texts as sympy's Q(t) rows."""
+    return [[qt_parse(x) for x in row] for row in rows]
+
+
+def _parsed(rows):
+    """Rows of texts as degenlab's rows of (num, den) pairs."""
     return [[parse(x) for x in row] for row in rows]
 
 
 def _zt(rows):
     """Rows of t-polynomial texts as ZPoly rows (all denominators 1)."""
-    s, g = clear_denominators(f for row in _qt(rows) for f in row)
+    s, g = clear_denominators(f for row in _parsed(rows) for f in row)
     assert s == ZPoly((1,))
     n = len(rows[0])
     return [g[i:i + n] for i in range(0, len(g), n)]
@@ -102,9 +109,7 @@ def _zt(rows):
 
 def _over(r, d):
     """The Q(t) matrix R / d for ZPoly entries."""
-    def poly(p):
-        return Polynomial(p.coeffs if isinstance(p, ZPoly) else (p,))
-    return [[RationalFunction(poly(x), poly(d)) for x in row] for row in r]
+    return [[qt_value(x, d) for x in row] for row in r]
 
 
 def _zt_matmul(a, b):
@@ -116,8 +121,8 @@ def test_invert_round_trip_rational_function_entries():
     # the Q(t) oracle, and d G^-1 over Z[t] from the integer kernel
     rows = [["1", "0"], ["1", "t"]]
     inv = qt_inverse(_qt(rows))
-    assert inv[1][0] == parse("-1/t")
-    assert inv[1][1] == parse("1/t")
+    assert inv[1][0] == qt_parse("-1/t")
+    assert inv[1][1] == qt_parse("1/t")
     d, r = int_scaled_inverse(_zt(rows))
     assert _over(r, d) == inv
     assert _zt_matmul(_zt(rows), r) == [[d, ZPoly()], [ZPoly(), d]]
@@ -126,8 +131,8 @@ def test_invert_round_trip_rational_function_entries():
 def test_invert_diagonal_t_powers():
     rows = [["1", "0", "0"], ["0", "t", "0"], ["0", "0", "t^2"]]
     inv = qt_inverse(_qt(rows))
-    assert inv[1][1] == parse("1/t")
-    assert inv[2][2] == parse("1/t^2")
+    assert inv[1][1] == qt_parse("1/t")
+    assert inv[2][2] == qt_parse("1/t^2")
     d, r = int_scaled_inverse(_zt(rows))
     assert d.order() == 3
     assert _over(r, d) == inv
@@ -185,15 +190,15 @@ def test_invert_singular_rational_function_matrix_raises():
     assert qt_inverse(_qt(rows)) is None
     assert int_scaled_inverse(_zt(rows)) == (0, None)
     with pytest.raises(SingularFamily):
-        apply_parameterized_basis(StructureTensor(2), _qt(rows))
+        apply_parameterized_basis(StructureTensor(2), _parsed(rows))
 
 
 def test_rank_over_rational_functions():
     # the third row is the first plus t/(t+1) times the second
-    singular = _qt([("t", "t^2", "1"), ("t+1", "0", "1/t"),
-                    ("2*t", "t^2", "1+1/(t+1)")])
-    assert field_rank(singular) == 2
-    _, g = clear_denominators(f for row in singular for f in row)
+    singular = [("t", "t^2", "1"), ("t+1", "0", "1/t"),
+                ("2*t", "t^2", "1+1/(t+1)")]
+    assert field_rank(_qt(singular)) == 2
+    _, g = clear_denominators(f for row in _parsed(singular) for f in row)
     assert int_scaled_inverse([g[0:3], g[3:6], g[6:9]]) == (0, None)
     # det = (t - 1)(t + 1) is nonzero as a rational function, though it
     # vanishes at t = 1

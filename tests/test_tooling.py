@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -32,3 +33,22 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0].startswith("zero ")
+
+
+def test_package_imports_only_the_standard_library():
+    # pins `dependencies = []` in pyproject.toml: sympy and the rest are
+    # test-side only
+    package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
+    outside = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names
+                        and name.split(".")[0] != "degenlab"]
+    assert outside == []

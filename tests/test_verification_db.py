@@ -14,6 +14,7 @@ from degenlab.paperdata import build_ledger
 from degenlab.verification_db import (
     InconsistentLedger,
     ParseError,
+    SEPARATORS,
     _pfaffian_conic_profile,
     hasse_dot,
     ledger_from_obj,
@@ -138,6 +139,16 @@ def test_separator_battery():
     ok, _ = separator_check("dim_square", src, same)
     assert not ok
     assert separator_check("paper", src, tgt)[0] is None
+
+
+def test_the_loader_accepts_exactly_the_separators_the_check_knows():
+    src, tgt = instantiate("T22_e24", 6), instantiate("T22_e23", 6)
+    for kind in SEPARATORS:
+        separator_check(kind, src, tgt)
+    with pytest.raises(ValueError, match="unknown separator"):
+        separator_check("nosuch", src, tgt)
+    shipped = {c.separator for c in load_ledger(shipped_ledger_path()).certificates}
+    assert shipped - {None} <= set(SEPARATORS)
 
 
 def test_pfaffian_conic_profile_distinguishes_the_three_block_pair():
