@@ -13,8 +13,9 @@ instead of sampling.
 
 Every closed invariant runs over Z on the table scaled by the lcm L of
 its denominators (`int_table`); Fraction appears only at the API boundary
-(`product`'s result, `Subspace` bases, `kernel_basis` on at most n
-integer rows).  Subspace invariants (A^i, A S, the annihilator, the
+(`product`'s result and `left_mult_matrix`, `Subspace` bases,
+`kernel_basis` on at most n integer rows).  `StructureTensor.from_json_obj`
+is the one reader of the JSON table format.  Subspace invariants (A^i, A S, the annihilator, the
 nilpotency index, the centralizer of A^2) are exact because scaling the table or a
 spanning set by a nonzero integer changes no Q-span: A^{i+1} is spanned
 by the integer products e_j w for w in the integer echelon rows of A^i
@@ -45,6 +46,10 @@ from .linalg import (
 
 class DimensionMismatch(ValueError):
     """Vector or basis size does not match the algebra dimension."""
+
+
+class TableFormatError(ValueError):
+    """An algebra table in JSON form does not parse."""
 
 
 class StructureTensor:
@@ -105,16 +110,6 @@ class StructureTensor:
         vec = self.products.get((j, i))
         return -vec[k - 1] if vec else Fraction(0)
 
-    def basis_product(self, i: int, j: int):
-        """e_i e_j as a coordinate vector (1-based indices)."""
-        zero = (Fraction(0),) * self.dim
-        if i == j:
-            return zero
-        if i < j:
-            return self.products.get((i, j), zero)
-        vec = self.products.get((j, i))
-        return tuple(-x for x in vec) if vec else zero
-
     def __eq__(self, other):
         return (
             isinstance(other, StructureTensor)
@@ -147,12 +142,30 @@ class StructureTensor:
 
     @staticmethod
     def from_json_obj(obj) -> "StructureTensor":
-        dim = int(obj["dim"])
-        table = {}
-        for rec in obj.get("products", []):
-            i, j = int(rec["i"]), int(rec["j"])
-            vec = tuple(rational_from_obj(x) for x in rec["value"])
-            table[(i, j)] = vec
+        """Read the object `to_json_obj` writes, else raise TableFormatError:
+        a positive int dim and a list of products, each with int keys
+        1 <= i < j <= dim given once and a value of dim rationals under
+        `rational_from_obj` (ints or "p/q" strings, never inexact floats).
+        """
+        dim = obj.get("dim") if isinstance(obj, dict) else None
+        if type(dim) is not int or dim < 1:
+            raise TableFormatError("an algebra table is an object with a "
+                                   "positive integer dim")
+        records, table = obj.get("products", []), {}
+        try:
+            if not isinstance(records, list):
+                raise TypeError("products is not a list")
+            for rec in records:
+                i, j, value = rec["i"], rec["j"], rec["value"]
+                if not (type(i) is type(j) is int and 1 <= i < j <= dim):
+                    raise ValueError(f"key ({i},{j}) is not 1 <= i < j <= {dim}")
+                if not isinstance(value, list) or len(value) != dim:
+                    raise ValueError(f"value of ({i},{j}) is not {dim} entries")
+                if (i, j) in table:
+                    raise ValueError(f"key ({i},{j}) is given twice")
+                table[(i, j)] = tuple(map(rational_from_obj, value))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise TableFormatError(f"bad products entry: {exc}") from None
         return StructureTensor(dim, table)
 
 
@@ -222,22 +235,19 @@ def product(a: StructureTensor, x, y):
 
 
 def left_mult_matrix(a: StructureTensor, vec) -> Matrix:
-    """Matrix of L_x in the standard basis; column j is product(x, e_j)."""
+    """Matrix of L_x in the standard basis; column j is product(x, e_j).
+
+    Row j of P = `_int_left_products` on the L-scaled table and the element
+    scaled by m is L m (e_j x) = -L m (x e_j), so L_x = -P^T / (L m).
+    """
     n = a.dim
     if len(vec) != n:
         raise DimensionMismatch("vector must have the algebra dimension")
-    cols = []
-    for j in range(1, n + 1):
-        col = [Fraction(0)] * n
-        for i in range(1, n + 1):
-            xi = vec[i - 1]
-            if xi:
-                prod = a.basis_product(i, j)
-                for k in range(n):
-                    if prod[k]:
-                        col[k] += xi * prod[k]
-        cols.append(col)
-    return Matrix([[cols[j][k] for j in range(n)] for k in range(n)])
+    mult, table = int_table(a)
+    m, (x,) = int_scaled([vec])
+    p = _int_left_products(table, n, x)
+    scale = -mult * m
+    return Matrix([[Fraction(p[j][k], scale) for j in range(n)] for k in range(n)])
 
 
 def subspace_product(a: StructureTensor, u: Subspace, w: Subspace) -> Subspace:

@@ -316,7 +316,8 @@ def level_lookup(name, n: int) -> LevelInfo:
 
     def info(level, infinite=None):
         inf = infinite if infinite is not None else level
-        return LevelInfo(_lv(level), _lv(inf))
+        return LevelInfo(LevelValue.from_json_obj(level),
+                         LevelValue.from_json_obj(inf))
 
     if fam == "zero":
         return info(0)
@@ -372,14 +373,6 @@ def level_lookup(name, n: int) -> LevelInfo:
     if fam == "T4_e23":
         return info(5, ">=6")
     raise UnknownFamily(fam)
-
-
-def _lv(value) -> LevelValue:
-    if isinstance(value, LevelValue):
-        return value
-    if isinstance(value, int):
-        return LevelValue(exact=value)
-    return LevelValue(at_least=int(str(value).lstrip(">=")))
 
 
 MANIFEST_FAMILIES = (
@@ -487,7 +480,7 @@ def _skew_net(a: StructureTensor, square: Subspace):
     """
     pivots = [next(i for i, x in enumerate(row) if x) for row in square.basis]
     lift = [i + 1 for i in range(a.dim) if i not in pivots]
-    return [[tuple(a.basis_product(i, j)[p] for p in pivots) for j in lift]
+    return [[tuple(a.constant(i, j, p + 1) for p in pivots) for j in lift]
             for i in lift]
 
 

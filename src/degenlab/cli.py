@@ -13,7 +13,11 @@ A certificate `basis` that is not a list of strings is a parse error
 (exit 1).  Its rows are parsed when the certificate is verified, so a
 row that does not parse, or a basis of the wrong length, is a fail
 verdict (exit 2, a FAIL entry in the report); witness payload rows are
-checked at load (exit 1).
+checked at load (exit 1).  `classify --file` reads the table format that
+`catalog table` writes; a file that does not parse, or a malformed table
+(`StructureTensor.from_json_obj`), is one error line and exit 1, as is an
+unknown family or dimension for `info`, `iwmax`, `catalog table` and
+`classify`.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from pathlib import Path
 
 from . import catalog
 from .algebra import (
+    StructureTensor,
+    TableFormatError,
     annihilator,
     dim_square,
     engel_degree,
@@ -63,11 +69,25 @@ def _emit(args, human_lines, payload):
             print(line)
 
 
-def cmd_info(args) -> int:
+def _error(message) -> int:
+    """Print one error line; returns exit code 1."""
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
+def _instantiate(args):
+    """The catalog algebra args.name at args.dim, or None after an error
+    line."""
     try:
-        tensor = catalog.instantiate(args.name, args.dim)
+        return catalog.instantiate(args.name, args.dim)
     except (catalog.DimensionOutOfRange, catalog.UnknownFamily) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
+        return None
+
+
+def cmd_info(args) -> int:
+    tensor = _instantiate(args)
+    if tensor is None:
         return 1
     flags = identity_flags(tensor)
     nil, nil_index = is_nilpotent(tensor)
@@ -106,12 +126,10 @@ def cmd_check(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return _error(exc)
     if not isinstance(obj, dict):
-        print(f"error: {args.path} does not hold a JSON object", file=sys.stderr)
-        return 1
+        return _error(f"{args.path} does not hold a JSON object")
     try:
         if "kind" in obj:
             verdict = verify_nondegeneration(witness_from_json(obj, "cli-witness"),
@@ -119,8 +137,7 @@ def cmd_check(args) -> int:
         else:
             verdict = verify_degeneration(certificate_from_json(obj, "cli-cert"))
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     payload = {
         "status": verdict.status,
         "reason": verdict.reason,
@@ -137,13 +154,11 @@ def cmd_check(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     if args.trials < 1:
-        print(f"error: trials must be >= 1, got {args.trials}", file=sys.stderr)
-        return 1
+        return _error(f"trials must be >= 1, got {args.trials}")
     try:
         ledger = load_ledger(_ledger_path(args))
     except (ParseError, InconsistentLedger) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     report = run_ledger(
         ledger, seed=args.seed, trials=args.trials, dims=args.dims
     )
@@ -159,8 +174,7 @@ def cmd_verify_paper(args) -> int:
                 hasse_dot(report, dim), encoding="utf-8"
             )
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     counts = report["summary"]["counts"]
     lines = [f"report written to {out_dir}/report.json"]
     lines += [f"  {k:<20} {v}" for k, v in sorted(counts.items())]
@@ -170,27 +184,16 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_catalog_table(args) -> int:
-    try:
-        tensor = catalog.instantiate(args.name, args.dim)
-    except (catalog.DimensionOutOfRange, catalog.UnknownFamily) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    tensor = _instantiate(args)
+    if tensor is None:
         return 1
     print(json.dumps(tensor.to_json_obj(), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_catalog_list(args) -> int:
-    rows = []
-    for key in catalog.MANIFEST_FAMILIES:
-        name = catalog.parse_name(key)
-        lo, hi = catalog._bound(name)
-        iw = catalog.expected_iw_max(name)
-        rows.append({
-            "name": key,
-            "min_dim": lo,
-            "max_dim": hi,
-            "iw_max": "ones" if isinstance(iw, str) else list(iw),
-        })
+    rows = [{key: fam[key] for key in ("name", "min_dim", "max_dim", "iw_max")}
+            for fam in catalog.build_manifest()["families"]]
     lines = [f"{r['name']:<22} dims {r['min_dim']}..{r['max_dim'] or ''}"
              f"  IW-max {r['iw_max']}" for r in rows]
     _emit(args, lines, rows)
@@ -198,10 +201,8 @@ def cmd_catalog_list(args) -> int:
 
 
 def cmd_iwmax(args) -> int:
-    try:
-        tensor = catalog.instantiate(args.name, args.dim)
-    except (catalog.DimensionOutOfRange, catalog.UnknownFamily) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    tensor = _instantiate(args)
+    if tensor is None:
         return 1
     partition, witness = iw_max(tensor, seed=args.seed, trials=args.trials)
     payload = {
@@ -215,27 +216,23 @@ def cmd_iwmax(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if not args.file and (args.name is None or args.dim is None):
-        print("error: classify needs a catalog name with --dim, or --file",
-              file=sys.stderr)
-        return 1
-    try:
-        if args.file:
+    if args.file:
+        try:
             with open(args.file, "r", encoding="utf-8") as fh:
-                from .algebra import StructureTensor
-
                 tensor = StructureTensor.from_json_obj(json.load(fh))
-        else:
-            tensor = catalog.instantiate(args.name, args.dim)
-    except (OSError, json.JSONDecodeError, KeyError,
-            catalog.DimensionOutOfRange, catalog.UnknownFamily) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+                TableFormatError) as exc:
+            return _error(exc)
+    elif args.name is None or args.dim is None:
+        return _error("classify needs a catalog name with --dim, or --file")
+    else:
+        tensor = _instantiate(args)
+        if tensor is None:
+            return 1
     try:
         result = catalog.classify_T22(tensor)
     except catalog.PreconditionViolated as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     label = getattr(result, "key", repr(result))
     _emit(args, [label], {"classification": label})
     return 0

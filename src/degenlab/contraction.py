@@ -24,7 +24,7 @@ import random
 from fractions import Fraction
 
 from .algebra import DimensionMismatch, StructureTensor, int_table
-from .linalg import Partition, int_power_rank_sequence, int_scaled
+from .linalg import Partition, int_power_rank_sequence, int_scaled, partition_from_ranks
 
 
 class NotEngelAt(ValueError):
@@ -176,18 +176,11 @@ def iw_max(a: StructureTensor, seed: int = 0, trials: int = 20):
 def partition_from_rank_sequence(seq: RankSequence, dim: int) -> Partition:
     """Partition label of a contraction with rank sequence seq.
 
-    Duality determines the parts >= 2 only; the zero sequence labels the
-    abelian contraction and is rendered as 1^(dim-1) (the zero operator on
-    the quotient by the witness line).
+    Duality determines the parts >= 2 only: they are those of
+    `linalg.partition_from_ranks`.  The zero sequence labels the abelian
+    contraction and is rendered as 1^(dim-1) (the zero operator on the
+    quotient by the witness line).
     """
     if not seq:
-        return Partition((1,) * (dim - 1)) if dim > 1 else Partition()
-    rs = list(seq) + [0]
-    diffs = [rs[i] - rs[i + 1] for i in range(len(rs) - 1)]
-    # diffs[m-2] equals #parts >= m (m >= 2); the part count itself equals
-    # #parts >= 2 because 1-parts are invisible to the duality
-    conj = [diffs[0]] + diffs
-    conj = [c for c in conj if c > 0]
-    if any(conj[i] < conj[i + 1] for i in range(len(conj) - 1)):
-        raise ValueError(f"not a rank sequence of a nilpotent operator: {seq}")
-    return Partition(conj).conjugate()
+        return Partition((1,) * (dim - 1))
+    return Partition(p for p in partition_from_ranks(seq, dim) if p >= 2)

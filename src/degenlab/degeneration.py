@@ -27,9 +27,11 @@ seeded random orbit sampling; reports must keep the two tiers apart.
 Orbit samples are computed over Z: for an integer basis g, one
 fraction-free elimination gives d != 0 and R = d g^-1, and the table
 scaled by its denominator lcm L, written through R, is the exact orbit
-point of the basis s g, s = d L, with no division.  Scaling a table by c
-is the flag-preserving change c I, so each ClosedSetSpec set and R is a
-cone: the s g point is a member iff the g point is.  Sampling needs
+point of the basis s g, s = d L, with no division (`_orbit_point`).
+Scaling a table by c is the flag-preserving change c I, so each
+ClosedSetSpec set and R is a cone: the s g point is a member iff the g
+point is.  The same point tests the lower-triangular probes and a stored
+source basis (its values at t = 0, scaled to integers).  Sampling needs
 trials >= 1.
 
 Basis rows are written in a small text syntax, e.g.
@@ -42,13 +44,12 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 
 from .algebra import (
+    DimensionMismatch,
     StructureTensor,
     annihilator,
-    change_basis,
     dim_square,
     int_change_basis,
     int_table,
@@ -63,8 +64,9 @@ from .exactnum import (
     limit_at_zero,
     parse_rational_function,
     poly_gcd,
+    rational_from_obj,
 )
-from .linalg import Matrix, Singular, int_scaled_inverse
+from .linalg import Matrix, int_scaled, int_scaled_inverse
 
 
 class SingularFamily(ValueError):
@@ -192,13 +194,11 @@ class AlgebraRef:
 
     name: str
     dim: int
-    products: tuple | None = None  # inline ((i, j, (coeffs...)), ...) or None
+    tensor: StructureTensor | None = None  # the inline table, read at load
 
     def resolve(self) -> StructureTensor:
-        if self.products is not None:
-            return StructureTensor(
-                self.dim, {(i, j): vec for (i, j, vec) in self.products}
-            )
+        if self.tensor is not None:
+            return self.tensor
         from .catalog import instantiate
 
         return instantiate(self.name, self.dim)
@@ -366,8 +366,7 @@ def lower_triangular_invariance_probe(
             )
         g = _int_lower_triangular(dim, rng)
         _, inv = int_scaled_inverse(g)  # nonzero diagonal: never singular
-        moved = int_change_basis(int_table(tensor)[1], dim, g, inv)
-        if not member(StructureTensor.from_trusted(dim, moved)):
+        if not member(_orbit_point(int_table(tensor)[1], dim, g, inv)):
             return Verdict(
                 "fail",
                 f"membership lost under a flag-preserving change at trial {trial}",
@@ -420,6 +419,12 @@ def ex222_membership(a: StructureTensor) -> bool:
     return True
 
 
+def _orbit_point(table, n: int, g, inv) -> StructureTensor:
+    """The orbit point of the basis s g, s = d L, for an `int_table` table
+    and (d != 0, inv) = int_scaled_inverse(g): exact for cone membership."""
+    return StructureTensor.from_trusted(n, int_change_basis(table, n, g, inv))
+
+
 def random_invertible(dim: int, rng: random.Random, spread: int = 5):
     """(g, R): random integer rows g, R = d g^-1; singular draws are redrawn."""
     while True:
@@ -448,8 +453,7 @@ def randomized_orbit_refute(
     _, table = int_table(b)
     for trial in range(trials):
         g, inv = random_invertible(b.dim, rng)
-        moved = int_change_basis(table, b.dim, g, inv)
-        if member(StructureTensor.from_trusted(b.dim, moved)):
+        if member(_orbit_point(table, b.dim, g, inv)):
             return Verdict(
                 "refuted",
                 f"orbit member found in the set at trial {trial}",
@@ -515,7 +519,7 @@ def verify_nondegeneration(
             return Verdict("proved", "source is Lie, target is not")
         return Verdict("refuted", f"jacobi(source)={js}, jacobi(target)={jt}")
     if w.kind == "IWDominance":
-        element = tuple(Fraction(x) for x in w.payload["element"])
+        element = tuple(map(rational_from_obj, w.payload["element"]))
         _, witness_vec = iw_max(src, seed=seed)
         src_seq = rank_sequence(src, witness_vec)
         tgt_seq = rank_sequence(tgt, element)
@@ -536,14 +540,17 @@ def verify_nondegeneration(
             member = ex222_membership
         witness_rows = w.payload.get("source_basis")
         if witness_rows:
+            if len(witness_rows) != src.dim:
+                raise DimensionMismatch(f"source basis must have {src.dim} rows")
             const_rows = [[limit_at_zero(*x) for x in parse_basis_row(r, src.dim)]
                           for r in witness_rows]
             if any(x is None for row in const_rows for x in row):
                 return Verdict("refuted", "stored source basis has a pole at t = 0")
-            try:
-                moved = change_basis(src, Matrix(const_rows))
-            except Singular:
+            g = int_scaled(const_rows)[1]
+            d, inv = int_scaled_inverse(g)
+            if not d:
                 return Verdict("refuted", "stored source basis is singular at t = 0")
+            moved = _orbit_point(int_table(src)[1], src.dim, g, inv)
         else:
             moved = src
         if not member(moved):

@@ -30,10 +30,11 @@ class DivisionByZero(ZeroDivisionError):
 
 
 def rational_from_obj(obj) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to an exact rational."""
+    """Coerce an int, Fraction or 'p/q' string to an exact rational (the
+    one rule for JSON input); a float, a bool or anything else: TypeError."""
     if isinstance(obj, Fraction):
         return obj
-    if isinstance(obj, int):
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return Fraction(obj)
     if isinstance(obj, str):
         return Fraction(obj.strip())

@@ -3,14 +3,14 @@
 Matrices here are tiny (at most ~11x11) and dense.  Everything is computed
 exactly: `int_echelon` is the one fraction-free elimination, giving integer
 echelon rows for spans and, by counting them, ranks over the rationals
-after clearing denominators; `int_scaled_inverse` is the one fraction-free
-inverse.  It needs only + - * and exact // of its
-entries, so it runs on ints (orbit sampling) and on integer polynomials
-`exactnum.ZPoly` (the certificate check) alike.  `int_scaled` is the one
-place where rational rows are scaled to integer rows; tables, bases,
-elements and pencils all go through it.
-Subspaces are kept in reduced row-echelon form so that equality and
-containment are structural checks.
+after clearing denominators; `int_scaled_inverse` is the package's one
+inverse (`invert` over Q divides its result once).  It needs only + - *
+and exact // of its entries, so it runs on ints (orbit sampling) and on
+integer polynomials `exactnum.ZPoly` (the certificate check) alike.
+`int_scaled` is the one place where rational rows are scaled to integer
+rows; tables, bases, elements and pencils all go through it.
+Subspaces are kept in reduced row-echelon form (`_rref`, over Q) so that
+equality and containment are structural checks.
 
 ``nilpotent_partition`` recovers Jordan block sizes of a nilpotent operator
 from the rank sequence of its powers (rank(N^m) = sum_i max(lambda_i - m, 0))
@@ -244,16 +244,18 @@ def kernel_basis(m: Matrix) -> "Subspace":
 
 
 def invert(m: Matrix) -> Matrix:
-    """Exact inverse over Q, from the reduced echelon form of [m | I];
-    raises Singular."""
+    """Exact inverse over Q; raises Singular.
+
+    With G = c m the integer rows of `int_scaled` and (d, R) =
+    `int_scaled_inverse(G)`, R = d G^-1, so m^-1 = c R / d.
+    """
     if m.rows != m.cols:
         raise Singular("only square matrices are invertible")
-    n = m.rows
-    ident = Matrix.identity(n).entries
-    rows, pivots = _rref([a + b for a, b in zip(m.entries, ident)])
-    if pivots[-1] >= n:
+    mult, rows = int_scaled(m.entries)
+    d, inv = int_scaled_inverse(rows)
+    if not d:
         raise Singular("matrix has zero determinant")
-    return Matrix([row[n:] for row in rows])
+    return Matrix([[Fraction(mult * x, d) for x in row] for row in inv])
 
 
 class Subspace:

@@ -5,9 +5,11 @@ non-degeneration witnesses, and level chains.  Loading validates the
 referential invariants (chains reference existing certificates with
 matching endpoints and the stated length; no ordered pair carries both a
 certificate and a witness; ids are unique strings per section; one label
-names one table; catalog names and separators are known) and the witness
-payloads each kind reads.  Running the ledger re-verifies everything and
-emits a deterministic report: same seed, same bytes.
+names one table; catalog names and separators are known), the witness
+payloads each kind reads, and that ids and provenances are strings.
+Inline tables become `StructureTensor`s at load (`from_json_obj`).
+Running the ledger re-verifies everything and emits a deterministic
+report: same seed, same bytes.
 
 Verdict statuses are kept tier-honest:
 
@@ -28,11 +30,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import (
     StructureTensor,
+    TableFormatError,
     _int_centralizer_conditions,
     _int_power_rows,
     annihilator,
@@ -111,14 +113,13 @@ def _ref_from_json(obj) -> AlgebraRef:
         raise ParseError(f"bad algebra reference {obj!r}: name is not a string")
     if dim < 1:
         raise ParseError(f"algebra reference {name}@{dim}: dim is not positive")
-    products = None
+    tensor = None
     if "products" in obj:
         try:
-            products = tuple(_product_from_json(r, dim) for r in obj["products"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"algebra reference {name}@{dim}: bad products "
-                             f"entry: {exc}") from None
-    return AlgebraRef(name, dim, products)
+            tensor = StructureTensor.from_json_obj(dict(obj, dim=dim))
+        except TableFormatError as exc:
+            raise ParseError(f"algebra reference {name}@{dim}: {exc}") from None
+    return AlgebraRef(name, dim, tensor)
 
 
 def _check_catalog_ref(name, dim: int, where: str):
@@ -137,21 +138,13 @@ def _check_catalog_ref(name, dim: int, where: str):
         raise ParseError(f"{where}: {name} is not defined at dim {dim}")
 
 
-def _record_id(rec, default_id, what: str) -> str:
-    rid = rec["id"] if default_id is None else rec.get("id", default_id)
-    if not isinstance(rid, str):
-        raise ParseError(f"{what} id must be a string, got {rid!r}")
-    return rid
-
-
-def _product_from_json(rec, dim: int):
-    i, j = int(rec["i"]), int(rec["j"])
-    if not 1 <= i < j <= dim:
-        raise ValueError(f"product key ({i},{j}) is not 1 <= i < j <= {dim}")
-    value = tuple(Fraction(str(x)) for x in rec["value"])
-    if len(value) != dim:
-        raise ValueError(f"value of ({i},{j}) has {len(value)} entries, not {dim}")
-    return i, j, value
+def _string_field(rec, key: str, default, where: str) -> str:
+    """rec[key], or `default` when it is not None and the key is missing;
+    ParseError unless the value is a string."""
+    value = rec[key] if default is None else rec.get(key, default)
+    if not isinstance(value, str):
+        raise ParseError(f"{where} {key} must be a string, got {value!r}")
+    return value
 
 
 def check_witness_payload(w: NonDegenerationWitness):
@@ -219,7 +212,7 @@ def certificate_from_json(rec, default_id=None) -> DegenerationCertificate:
         if not (isinstance(basis, list) and all(isinstance(r, str) for r in basis)):
             raise ParseError(f"certificate basis must be a list of strings, "
                              f"got {basis!r}")
-        cert_id = _record_id(rec, default_id, "certificate")
+        cert_id = _string_field(rec, "id", default_id, "certificate")
         proper, separator = rec.get("proper"), rec.get("separator")
         if not (proper is None or isinstance(proper, bool)):
             raise ParseError(f"certificate {cert_id}: proper must be true, "
@@ -234,7 +227,7 @@ def certificate_from_json(rec, default_id=None) -> DegenerationCertificate:
             source=_ref_from_json(rec["source"]),
             target=_ref_from_json(rec["target"]),
             basis_rows=tuple(basis),
-            provenance=rec.get("provenance", ""),
+            provenance=_string_field(rec, "provenance", "", f"certificate {cert_id}"),
             proper=proper,
             separator=separator,
             cert_id=cert_id,
@@ -248,13 +241,14 @@ def certificate_from_json(rec, default_id=None) -> DegenerationCertificate:
 def witness_from_json(rec, default_id=None) -> NonDegenerationWitness:
     """One witness record with a checked payload; `default_id` as above."""
     try:
+        witness_id = _string_field(rec, "id", default_id, "witness")
         w = NonDegenerationWitness(
             kind=rec["kind"],
             source=_ref_from_json(rec["source"]),
             target=_ref_from_json(rec["target"]),
             payload=rec.get("payload", {}),
-            provenance=rec.get("provenance", ""),
-            witness_id=_record_id(rec, default_id, "witness"),
+            provenance=_string_field(rec, "provenance", "", f"witness {witness_id}"),
+            witness_id=witness_id,
         )
     except KeyError as exc:
         raise ParseError(f"witness record missing {exc}") from exc
@@ -279,7 +273,7 @@ def ledger_from_obj(obj, path: str = "") -> ClaimLedger:
             if not all(isinstance(e, str) for e in edges):
                 raise TypeError("edges must be certificate ids")
             chains.append(Chain(
-                chain_id=_record_id(rec, None, "chain"), algebra=rec["algebra"],
+                chain_id=_string_field(rec, "id", None, "chain"), algebra=rec["algebra"],
                 dim=int(rec["dim"]), expected_level=int(rec["expected_level"]),
                 edges=edges,
             ))
@@ -296,7 +290,7 @@ def load_ledger(path) -> ClaimLedger:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read ledger {path}: {exc}") from exc
     return ledger_from_obj(obj, str(path))
 
@@ -316,10 +310,7 @@ def _validate(ledger: ClaimLedger):
     tables = {}
     for claim in ledger.certificates + ledger.witnesses:
         for ref in (claim.source, claim.target):
-            table = None if ref.products is None else {
-                (i, j): vec for (i, j, vec) in ref.products if any(vec)
-            }
-            if tables.setdefault(ref.label, table) != table:
+            if tables.setdefault(ref.label, ref.tensor) != ref.tensor:
                 raise InconsistentLedger(
                     f"label {ref.label} names two different tables"
                 )
@@ -327,7 +318,7 @@ def _validate(ledger: ClaimLedger):
     # reads as that conflict
     for claim in ledger.certificates + ledger.witnesses:
         for ref in (claim.source, claim.target):
-            if ref.products is None:
+            if ref.tensor is None:
                 _check_catalog_ref(ref.name, ref.dim,
                                    f"algebra reference {ref.label}")
     cert_pairs = {

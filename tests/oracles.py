@@ -456,6 +456,14 @@ def fraction_product(a, x, y):
     return tuple(out)
 
 
+def left_mult_oracle(a, vec):
+    """Rows of L_x read off the structure constants: entry (k, j) is
+    (x e_j)_k = sum_i x_i mu_{i,j}^k."""
+    n = a.dim
+    return [[sum(Fraction(vec[i - 1]) * a.constant(i, j, k) for i in range(1, n + 1))
+             for j in range(1, n + 1)] for k in range(1, n + 1)]
+
+
 def subspace_product_oracle(a, u, w):
     from degenlab.linalg import Subspace
 
@@ -501,7 +509,7 @@ def annihilator_oracle(a):
     rows = []
     for j in range(1, n + 1):
         for k in range(n):
-            rows.append([a.basis_product(i, j)[k] for i in range(1, n + 1)])
+            rows.append([a.constant(i, j, k + 1) for i in range(1, n + 1)])
     return kernel_basis(Matrix(rows))
 
 

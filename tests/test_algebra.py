@@ -37,6 +37,7 @@ from oracles import (
     centralizer_square_dim_oracle,
     fraction_product,
     is_nilpotent_oracle,
+    left_mult_oracle,
     subspace_product_oracle,
 )
 
@@ -352,6 +353,22 @@ def test_left_mult_matrix_examples():
     rng = random.Random(31)
     v = rand_vec(4, rng)
     assert left_mult_matrix(a, v).apply(v) == (0,) * 4
+
+
+def test_left_mult_matrix_matches_the_constant_oracle():
+    rng = random.Random(37)
+    tables = [instantiate(key, n) for key in MANIFEST_FAMILIES
+              for n in catalog_tested_dims(key)]
+    tables += [_dense_fractional_conjugate(instantiate(key, n), rng)
+               for key in MANIFEST_FAMILIES
+               for n in catalog_tested_dims(key)[:1] if n <= 8]
+    tables += [_random_fractional_table(2 + k % 6, rng) for k in range(20)]
+    for a in tables:
+        n = a.dim
+        for vec in (e_vec(n, 1), e_vec(n, n), (0,) * n, rand_vec(n, rng),
+                    _fractional_vec(n, rng)):
+            assert left_mult_matrix(a, vec).entries == left_mult_oracle(a, vec), a
+    assert sum(int_table(a)[0] > 1 for a in tables) >= 40
 
 
 def test_one_generated_subalgebras_are_lines():

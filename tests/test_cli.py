@@ -3,7 +3,7 @@ import json
 import pytest
 
 from degenlab.cli import main
-from degenlab.paperdata import certificates, witnesses
+from paperdata import certificates, witnesses
 
 
 def run(capsys, *argv):
@@ -180,6 +180,43 @@ def test_classify_precondition_error(capsys):
     assert main(["classify", "T4", "--dim", "5"]) == 1
 
 
+def _bad_table(case):
+    from degenlab.catalog import instantiate
+
+    obj = instantiate("T22_e24", 6).to_json_obj()
+    product = obj["products"][0]
+    if case == "dim":
+        obj["dim"] = "seven"
+    elif case == "list":
+        obj = [obj]
+    elif case == "key-order":
+        product["i"], product["j"] = product["j"], product["i"]
+    elif case == "float":
+        product["value"][0] = 0.5
+    elif case == "short-value":
+        product["value"] = product["value"][1:]
+    elif case == "zero-denominator":
+        product["value"][0] = "1/0"
+    elif case == "bool":
+        product["value"][product["value"].index(1)] = True
+    elif case == "repeated-key":
+        obj["products"].append(dict(product))
+    return obj
+
+
+@pytest.mark.parametrize("case", [
+    "dim", "list", "key-order", "float", "short-value", "zero-denominator",
+    "bool", "repeated-key",
+])
+def test_classify_rejects_a_malformed_table_file(tmp_path, capsys, case):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(_bad_table(case)), encoding="utf-8")
+    assert main(["classify", "--file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [["classify"], ["classify", "T22_e34"]])
 def test_classify_without_algebra(capsys, argv):
     assert main(argv) == 1
@@ -322,12 +359,14 @@ def _cert_with_bad_source(case):
         product["value"] = [0] * (n - 1)
     elif case == "key-order":
         product["i"], product["j"] = 3, 2
+    elif case == "float":
+        product["value"][0] = 0.5
     cert["source"] = source
     return cert
 
 
 BAD_SOURCES = ["dim", "zero-denominator", "not-a-number", "short-value",
-               "key-order"]
+               "key-order", "float"]
 
 
 @pytest.mark.parametrize("case", BAD_SOURCES)
@@ -437,6 +476,10 @@ def _one_cert_ledger(case):
         ledger["certificates"] = 5
     elif case == "unknown-witness-kind":
         ledger["witnesses"] = [dict(witnesses()[0], kind="Nosuch")]
+    elif case == "provenance-not-a-string":
+        cert["provenance"] = [1]
+    elif case == "witness-provenance-not-a-string":
+        ledger["witnesses"] = [dict(witnesses()[0], provenance=[1])]
     elif case == "chain-unknown-family":
         ledger["chains"] = [{"id": "c", "algebra": "nosuch", "dim": 3,
                              "expected_level": 1, "edges": [cert["id"]]}]
@@ -455,6 +498,8 @@ def _one_cert_ledger(case):
     ("section-not-a-list", "section 'certificates' is not a list"),
     ("unknown-witness-kind", "unknown witness kind 'Nosuch'"),
     ("chain-unknown-family", "unknown catalog family 'nosuch'"),
+    ("provenance-not-a-string", "provenance must be a string, got [1]"),
+    ("witness-provenance-not-a-string", "provenance must be a string, got [1]"),
 ])
 def test_verify_paper_rejects_a_malformed_ledger(tmp_path, capsys, case, detail):
     path = tmp_path / "ledger.json"
@@ -466,3 +511,29 @@ def test_verify_paper_rejects_a_malformed_ledger(tmp_path, capsys, case, detail)
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert detail in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("claim", [
+    lambda: cert_by_id("T22deg.2.6"), lambda: witness_by_id("W.ex222.b.7"),
+], ids=["certificate", "witness"])
+def test_check_rejects_a_provenance_that_is_not_a_string(tmp_path, capsys, claim):
+    path = tmp_path / "claim.json"
+    path.write_text(json.dumps(dict(claim(), provenance=[1])), encoding="utf-8")
+    assert main(["check", str(path), "--trials", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "provenance must be a string" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--file", "{path}"], ["check", "{path}"],
+    ["verify-paper", "--ledger", "{path}", "--out", "{out}"],
+])
+def test_a_file_that_is_not_utf8_is_an_error_line(tmp_path, capsys, argv):
+    path = tmp_path / "claim.json"
+    path.write_bytes(b'\xff\xfe{"dim": 3}')
+    assert main([a.format(path=path, out=tmp_path / "out") for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -18,6 +18,7 @@ from degenlab.contraction import (
     dominates,
     iw_contract,
     iw_max,
+    partition_from_rank_sequence,
     rank_sequence,
 )
 from degenlab.linalg import Matrix, Partition, Singular, power_rank_sequence
@@ -199,3 +200,26 @@ def test_integer_rank_sequence_error_cases():
     assert len(fraction_rank_sequence(bad, vec)) > bad.dim
     with pytest.raises(NotEngelAt):
         rank_sequence(bad, vec)
+
+
+def _partitions(n, largest=None):
+    """Every partition of n with parts <= largest, as weakly decreasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def test_partition_label_is_the_parts_above_one_of_every_partition():
+    # the label of a rank sequence is read off linalg.partition_from_ranks
+    count = 0
+    for dim in range(1, 12):
+        for parts in _partitions(dim):
+            seq = RankSequence(Partition(parts).rank_at(m) for m in range(1, dim + 1))
+            big = tuple(p for p in parts if p >= 2)
+            want = Partition(big) if big else Partition((1,) * (dim - 1))
+            assert partition_from_rank_sequence(seq, dim) == want, parts
+            count += 1
+    assert count == 194  # p(1) + ... + p(11)

@@ -527,3 +527,36 @@ def test_bad_stored_source_basis_is_refuted(rows, reason):
     verdict = verify_nondegeneration(w, trials=5, seed=6)
     assert verdict.status == "refuted"
     assert reason in verdict.reason and "stored source basis" in verdict.reason
+
+
+_SCALED_R_BASIS = ["(1/2)*e1", "(2/3+t)*e2", "e3", "(3/5)*e5",
+                   "(t+1)/(2*t+3)*e6", "(-7/4)*e4"]
+
+
+@pytest.mark.parametrize("last, status, reason", [
+    ("e7", "refutation_not_found", "source meets the set"),
+    ("(1/3)*e1+e7", "refuted", "does not land in the set"),
+    ("(2/3)*e4+t*e7", "refuted", "singular at t = 0"),
+    ("(1/(2*t))*e7", "refuted", "has a pole at t = 0"),
+])
+def test_fractional_stored_source_basis_verdicts(last, status, reason):
+    # the source_basis path tests membership on the integer orbit point of
+    # the scaled basis; the Fraction basis change through sympy's values at
+    # t = 0 decides the same membership
+    rows = _SCALED_R_BASIS + [last]
+    w = NonDegenerationWitness(
+        kind="BespokeR",
+        source=AlgebraRef("T222_e7special", 7),
+        target=AlgebraRef("T222_e24", 7),
+        payload={"source_basis": rows},
+    )
+    verdict = verify_nondegeneration(w, trials=5, seed=6)
+    assert (verdict.status, reason in verdict.reason) == (status, True)
+    at_zero = [[qt_at_zero(f) for f in qt_basis_row(r, 7)] for r in rows]
+    if reason in ("source meets the set", "does not land in the set"):
+        moved = change_basis(instantiate("T222_e7special", 7), Matrix(at_zero))
+        assert ex222_membership(moved) == (status == "refutation_not_found")
+    elif "singular" in reason:
+        assert fraction_inverse(at_zero) is None
+    else:
+        assert any(x is None for row in at_zero for x in row)

@@ -173,16 +173,25 @@ def test_int_scaled_inverse_matches_fraction_oracle():
 
 def test_invert_rational_matches_fraction_oracle():
     rng = random.Random(5)
-    for trial in range(40):
+    singular_seen = 0
+    for trial in range(80):
         n = 1 + trial % 9
         rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
                 for _ in range(n)]
+        if trial % 3 == 0:
+            # the last row a rational combination of the others
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                      for _ in range(n - 1)]
+            rows[-1] = [sum(c * row[k] for c, row in zip(coeffs, rows))
+                        for k in range(n)]
         want = fraction_inverse(rows)
         if want is None:
+            singular_seen += 1
             with pytest.raises(Singular):
                 invert(Matrix(rows))
         else:
             assert invert(Matrix(rows)).entries == want
+    assert singular_seen >= 27
 
 
 def test_invert_singular_rational_function_matrix_raises():

@@ -52,3 +52,34 @@ def test_package_imports_only_the_standard_library():
                         if name.split(".")[0] not in sys.stdlib_module_names
                         and name.split(".")[0] != "degenlab"]
     assert outside == []
+
+
+def _package_imports(path: Path) -> set:
+    """Names of the degenlab modules one package file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["degenlab" * (node.level == 1),
+                                          node.module]))
+            dotted = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        names |= {name.split(".")[1] for name in dotted
+                  if name.startswith("degenlab.")}
+    return names
+
+
+def test_every_package_module_is_reached_from_the_package_or_the_cli():
+    # a module that only tests or tools import belongs beside them, not in
+    # the package (the ledger generator lives in tools/)
+    package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
+    imports = {path.stem: _package_imports(path) for path in package.glob("*.py")}
+    reached, todo = set(), ["__init__", "cli"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo += [name for name in imports[module] if name in imports]
+    assert sorted(set(imports) - reached - {"__main__"}) == []

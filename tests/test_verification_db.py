@@ -2,15 +2,15 @@ import copy
 import importlib.util
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from degenlab.algebra import change_basis
+from degenlab.algebra import StructureTensor, change_basis
 from degenlab.catalog import MANIFEST_FAMILIES, build_manifest, instantiate
 from degenlab.catalog import tested_dims as catalog_tested_dims
 from degenlab.degeneration import random_lower_triangular
-from degenlab.paperdata import build_ledger
 from degenlab.verification_db import (
     InconsistentLedger,
     ParseError,
@@ -24,6 +24,7 @@ from degenlab.verification_db import (
     separator_check,
     shipped_ledger_path,
 )
+from paperdata import build_ledger
 
 
 def shipped_obj():
@@ -220,6 +221,23 @@ def test_duplicate_ids_are_rejected(section):
 def _inline(name, tensor):
     return {"name": name, "dim": tensor.dim,
             "products": tensor.to_json_obj()["products"]}
+
+
+def test_a_json_float_in_an_inline_product_is_a_parse_error():
+    # an inline table is read by StructureTensor.from_json_obj at load:
+    # rationals are ints or "p/q" strings, never inexact floats
+    source = _inline("X", instantiate("T3", 5))
+    obj = {"certificates": [{"id": "a", "source": source,
+                             "target": {"name": "zero", "dim": 5},
+                             "basis": ["t*e1", "t*e2", "t*e3", "t*e4", "t*e5"]}],
+           "witnesses": [], "chains": []}
+    source["products"][0]["value"][0] = 0.5
+    with pytest.raises(ParseError, match="algebra reference X@5"):
+        ledger_from_obj(obj)
+    source["products"][0]["value"][0] = "1/2"
+    tensor = ledger_from_obj(obj).certificates[0].source.resolve()
+    assert tensor == StructureTensor.from_json_obj(source)
+    assert tensor.products[(1, 2)][0] == Fraction(1, 2)
 
 
 def test_label_bound_to_two_tables_is_rejected():

@@ -1,4 +1,5 @@
-"""Regenerate the shipped data files from the in-package generators.
+"""Regenerate the shipped data files: the ledger from `paperdata.py` beside
+this script, the manifest from `degenlab.catalog.build_manifest`.
 
 Run from the repository root:  python tools/make_ledger.py
 """
@@ -9,8 +10,8 @@ from pathlib import Path
 
 sys.path.insert(0, "src")
 
-from degenlab.paperdata import build_ledger
 from degenlab.catalog import build_manifest
+from paperdata import build_ledger
 
 DATA = Path("src/degenlab/data")
 

@@ -1,8 +1,9 @@
 """The transcribed claim database: certificates, witnesses, chains.
 
 Each entry is generated per concrete dimension from the dimension-generic
-bases stated in the source material, then frozen into data/ledger.json by
-tools/make_ledger.py.  Nothing here is trusted: the verification driver
+bases stated in the source material, then frozen into
+src/degenlab/data/ledger.json by tools/make_ledger.py; the package itself
+reads only that file.  Nothing here is trusted: the verification driver
 re-checks every certificate exactly and every witness at its tier.
 
 Certificates whose stated source is a generic structure (a case inside a
