@@ -11,6 +11,18 @@ sequence; incomparable sampled maxima are repaired by the c + alpha*b
 perturbation trick, and failure to repair is reported loudly because the
 theory says it cannot happen for Engel input.
 
+The scan stops early at an exact bound.  (L_x)^m maps A into A^{m+1},
+L_x kills x and Ann(A), and the ranks of a nilpotent operator fall
+strictly, so b_1 = min(dim A^2, n - 1 - dim Ann A) and
+b_m = min(dim A^{m+1}, b_{m-1} - 1), cut at the first 0, bound every rank
+sequence pointwise.  Once the best sequence equals the bound, every later
+candidate is dominated and could change nothing.  The bound is used only
+when A is nilpotent: otherwise a later candidate may still raise
+NotEngelAt, so the scan runs to the end.  The pool is built only as far
+as it is read; its random block is drawn in one go, when the scan reaches
+it or a repair needs its first alpha, so every alpha comes from the rng
+state a fully built pool would leave.
+
 Rank sequences are computed over the integers.  The structure constants
 are scaled by the lcm of their denominators and the element by the lcm of
 its own, which turns L_x into c * L_x with an integer matrix and some
@@ -23,7 +35,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import DimensionMismatch, StructureTensor, int_table
+from .algebra import (
+    DimensionMismatch,
+    StructureTensor,
+    _int_centralizer_conditions,
+    _int_identity,
+    _int_ideal_product,
+    int_table,
+)
 from .linalg import Partition, int_power_rank_sequence, int_scaled, partition_from_ranks
 
 
@@ -123,18 +142,61 @@ def iw_contract(a: StructureTensor, m: int) -> StructureTensor:
     return StructureTensor(n, table)
 
 
-def _candidate_pool(a: StructureTensor, seed: int, random_count: int = 64):
-    n = a.dim
-    rng = random.Random(seed)
-    pool = []
-    for i in range(n):
-        pool.append(tuple(Fraction(int(i == k)) for k in range(n)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            pool.append(tuple(Fraction(int(k in (i, j))) for k in range(n)))
-    for _ in range(random_count):
-        pool.append(tuple(Fraction(rng.randint(-9, 9)) for _ in range(n)))
-    return pool, rng
+def _rank_bound(table, n: int):
+    """The bound (b_1, b_2, ...) on every rank sequence, or None when the
+    table is not nilpotent; see the module docstring."""
+    ident = _int_identity(n)
+    dims, rows = [], ident
+    while rows:
+        nxt = _int_ideal_product(table, n, rows)
+        if len(nxt) == len(rows):
+            return None  # the power chain stalls above 0
+        dims.append(len(nxt))  # dim A^{m+1}
+        rows = nxt
+    bound = []
+    # n - 1 - dim Ann A is one less than the number of annihilator conditions
+    prev = len(_int_centralizer_conditions(table, n, ident))
+    for dim_power in dims:
+        prev = min(dim_power, prev - 1)
+        if prev <= 0:
+            break
+        bound.append(prev)
+    return tuple(bound)
+
+
+class _CandidatePool:
+    """iw_max's candidates in scan order, built only as far as they are read.
+
+    Basis vectors and pair sums come first, then random_count random
+    integer vectors, all drawn from rng in one block the first time the
+    scan reaches them or `alpha` is called.
+    """
+
+    def __init__(self, n: int, seed: int, random_count: int = 64):
+        self.n, self.random_count = n, random_count
+        self.rng = random.Random(seed)
+        self._block = None
+
+    def _random_block(self):
+        if self._block is None:
+            rng, n = self.rng, self.n
+            self._block = [tuple(Fraction(rng.randint(-9, 9)) for _ in range(n))
+                           for _ in range(self.random_count)]
+        return self._block
+
+    def __iter__(self):
+        n = self.n
+        for i in range(n):
+            yield tuple(Fraction(int(i == k)) for k in range(n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                yield tuple(Fraction(int(k in (i, j))) for k in range(n))
+        yield from self._random_block()
+
+    def alpha(self) -> Fraction:
+        """A perturbation scale, drawn after the random block."""
+        self._random_block()
+        return Fraction(self.rng.randint(1, 99))
 
 
 def iw_max(a: StructureTensor, seed: int = 0, trials: int = 20):
@@ -145,11 +207,16 @@ def iw_max(a: StructureTensor, seed: int = 0, trials: int = 20):
     that duality, so the label carries only parts >= 2 except for the zero
     sequence, which is reported as the all-ones partition of the quotient.
     """
-    pool, rng = _candidate_pool(a, seed)
     table, n = int_table(a)[1], a.dim
-    best_vec = pool[0]
+    bound = _rank_bound(table, n)
+    pool = _CandidatePool(n, seed)
+    candidates = iter(pool)
+    best_vec = next(candidates)
     best_seq = _int_rank_sequence(table, n, best_vec)
-    for vec in pool[1:]:
+    while best_seq != bound:
+        vec = next(candidates, None)
+        if vec is None:
+            break
         seq = _int_rank_sequence(table, n, vec)
         if dominates(best_seq, seq):
             continue
@@ -158,7 +225,7 @@ def iw_max(a: StructureTensor, seed: int = 0, trials: int = 20):
             continue
         repaired = False
         for _ in range(trials):
-            alpha = Fraction(rng.randint(1, 99))
+            alpha = pool.alpha()
             cand = tuple(b + alpha * v for b, v in zip(best_vec, vec))
             cand_seq = _int_rank_sequence(table, n, cand)
             if dominates(cand_seq, best_seq) and dominates(cand_seq, seq):

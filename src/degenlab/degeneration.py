@@ -66,7 +66,7 @@ from .exactnum import (
     poly_gcd,
     rational_from_obj,
 )
-from .linalg import Matrix, int_scaled, int_scaled_inverse
+from .linalg import int_scaled, int_scaled_inverse
 
 
 class SingularFamily(ValueError):
@@ -306,10 +306,6 @@ def _int_anticommutative(dim: int, rng: random.Random, spread: int = 3):
     return table
 
 
-def random_anticommutative(dim: int, rng: random.Random, spread: int = 3) -> StructureTensor:
-    return StructureTensor(dim, _int_anticommutative(dim, rng, spread))
-
-
 def _project_table(products, n: int, spec: ClosedSetSpec):
     """The table with the coefficients the flag conditions forbid zeroed."""
     table = {}
@@ -334,11 +330,6 @@ def _int_lower_triangular(dim: int, rng: random.Random):
             row[k] = rng.randint(-3, 3)
         rows.append(row)
     return rows
-
-
-def random_lower_triangular(dim: int, rng: random.Random) -> Matrix:
-    """Random flag-preserving basis: row i lives in <e_i, ..., e_n>."""
-    return Matrix(_int_lower_triangular(dim, rng))
 
 
 def lower_triangular_invariance_probe(

@@ -31,13 +31,17 @@ class DivisionByZero(ZeroDivisionError):
 
 def rational_from_obj(obj) -> Fraction:
     """Coerce an int, Fraction or 'p/q' string to an exact rational (the
-    one rule for JSON input); a float, a bool or anything else: TypeError."""
+    one rule for JSON input); a float, a bool or anything else: TypeError;
+    a zero denominator: DivisionByZero naming the text."""
     if isinstance(obj, Fraction):
         return obj
     if isinstance(obj, int) and not isinstance(obj, bool):
         return Fraction(obj)
     if isinstance(obj, str):
-        return Fraction(obj.strip())
+        try:
+            return Fraction(obj.strip())
+        except ZeroDivisionError:
+            raise DivisionByZero(f"zero denominator in {obj!r}") from None
     raise TypeError(f"cannot interpret {obj!r} as a rational number")
 
 

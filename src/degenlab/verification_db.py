@@ -106,17 +106,19 @@ def _ref_from_json(obj) -> AlgebraRef:
     """A ledger algebra reference; malformed name, dim or products:
     ParseError."""
     try:
-        name, dim = obj["name"], int(obj["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+        name, dim = obj["name"], obj["dim"]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad algebra reference {obj!r}") from exc
     if not isinstance(name, str):
         raise ParseError(f"bad algebra reference {obj!r}: name is not a string")
+    if type(dim) is not int:
+        raise ParseError(f"bad algebra reference {obj!r}: dim is not an integer")
     if dim < 1:
         raise ParseError(f"algebra reference {name}@{dim}: dim is not positive")
     tensor = None
     if "products" in obj:
         try:
-            tensor = StructureTensor.from_json_obj(dict(obj, dim=dim))
+            tensor = StructureTensor.from_json_obj(obj)
         except TableFormatError as exc:
             raise ParseError(f"algebra reference {name}@{dim}: {exc}") from None
     return AlgebraRef(name, dim, tensor)
@@ -272,10 +274,12 @@ def ledger_from_obj(obj, path: str = "") -> ClaimLedger:
             edges = tuple(rec["edges"])
             if not all(isinstance(e, str) for e in edges):
                 raise TypeError("edges must be certificate ids")
+            dim, level = rec["dim"], rec["expected_level"]
+            if not type(dim) is type(level) is int:
+                raise TypeError("dim and expected_level must be integers")
             chains.append(Chain(
                 chain_id=_string_field(rec, "id", None, "chain"), algebra=rec["algebra"],
-                dim=int(rec["dim"]), expected_level=int(rec["expected_level"]),
-                edges=edges,
+                dim=dim, expected_level=level, edges=edges,
             ))
         except KeyError as exc:
             raise ParseError(f"chain record missing {exc}") from exc

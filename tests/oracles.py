@@ -576,3 +576,74 @@ def project_to_spec(a, spec):
         if any(kept):
             table[(p, q)] = kept
     return StructureTensor(a.dim, table)
+
+
+def _candidate_pool_oracle(a, seed: int, random_count: int = 64):
+    """The whole iw_max candidate pool, built up front (rng drawn first)."""
+    import random
+
+    n = a.dim
+    rng = random.Random(seed)
+    pool = []
+    for i in range(n):
+        pool.append(tuple(Fraction(int(i == k)) for k in range(n)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            pool.append(tuple(Fraction(int(k in (i, j))) for k in range(n)))
+    for _ in range(random_count):
+        pool.append(tuple(Fraction(rng.randint(-9, 9)) for _ in range(n)))
+    return pool, rng
+
+
+def iw_max_oracle(a, seed: int = 0, trials: int = 20):
+    """iw_max scanning the whole pool: no rank bound, no early stop."""
+    from degenlab.algebra import int_table
+    from degenlab.contraction import (
+        IncomparableMaxima,
+        _int_rank_sequence,
+        dominates,
+        partition_from_rank_sequence,
+    )
+
+    pool, rng = _candidate_pool_oracle(a, seed)
+    table, n = int_table(a)[1], a.dim
+    best_vec = pool[0]
+    best_seq = _int_rank_sequence(table, n, best_vec)
+    for vec in pool[1:]:
+        seq = _int_rank_sequence(table, n, vec)
+        if dominates(best_seq, seq):
+            continue
+        if dominates(seq, best_seq):
+            best_vec, best_seq = vec, seq
+            continue
+        repaired = False
+        for _ in range(trials):
+            alpha = Fraction(rng.randint(1, 99))
+            cand = tuple(b + alpha * v for b, v in zip(best_vec, vec))
+            cand_seq = _int_rank_sequence(table, n, cand)
+            if dominates(cand_seq, best_seq) and dominates(cand_seq, seq):
+                best_vec, best_seq = cand, cand_seq
+                repaired = True
+                break
+        if not repaired:
+            raise IncomparableMaxima(
+                f"maxima {best_seq} and {seq} stayed incomparable after "
+                f"{trials} perturbations; input is not Engel or pool too small"
+            )
+    return partition_from_rank_sequence(best_seq, a.dim), best_vec
+
+
+def random_anticommutative(dim, rng, spread=3):
+    """Random integer table; the draws of degeneration._int_anticommutative."""
+    from degenlab.algebra import StructureTensor
+    from degenlab.degeneration import _int_anticommutative
+
+    return StructureTensor(dim, _int_anticommutative(dim, rng, spread))
+
+
+def random_lower_triangular(dim, rng):
+    """Random flag-preserving basis: row i lives in <e_i, ..., e_n>."""
+    from degenlab.degeneration import _int_lower_triangular
+    from degenlab.linalg import Matrix
+
+    return Matrix(_int_lower_triangular(dim, rng))

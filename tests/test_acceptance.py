@@ -23,7 +23,6 @@ from degenlab.catalog import (
 from degenlab.contraction import iw_max
 from degenlab.degeneration import (
     ex222_membership,
-    random_lower_triangular,
     randomized_orbit_refute,
     verify_degeneration,
 )
@@ -41,7 +40,7 @@ from degenlab.verification_db import (
     shipped_ledger_path,
 )
 
-from oracles import ann_dim_oracle, square_dim_oracle
+from oracles import ann_dim_oracle, random_lower_triangular, square_dim_oracle
 
 SEED = 20240917
 

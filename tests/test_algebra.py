@@ -23,7 +23,6 @@ from degenlab.algebra import (
 )
 from degenlab.catalog import MANIFEST_FAMILIES, instantiate
 from degenlab.catalog import tested_dims as catalog_tested_dims
-from degenlab.degeneration import random_anticommutative, random_lower_triangular
 from degenlab.verification_db import _centralizer_square_dim
 from degenlab.linalg import Matrix, Subspace, Singular, int_scaled_inverse
 
@@ -31,7 +30,7 @@ from oracles import change_basis_oracle, fraction_inverse, pairs_of
 from oracles import engel_degree_oracle, jacobi_oracle, malcev_oracle
 
 from oracles import ann_dim_oracle, generated_subalgebra, square_dim_oracle
-from oracles import direct_sum_trivial
+from oracles import direct_sum_trivial, random_anticommutative, random_lower_triangular
 from oracles import (
     annihilator_oracle,
     centralizer_square_dim_oracle,

@@ -28,11 +28,10 @@ from degenlab.catalog import (
     parse_name,
 )
 from degenlab.catalog import tested_dims as catalog_tested_dims
-from degenlab.degeneration import random_lower_triangular
 from degenlab.linalg import Matrix, Partition
 from degenlab.verification_db import shipped_ledger_path
 
-from oracles import fraction_inverse, pencil_rank_oracle
+from oracles import fraction_inverse, pencil_rank_oracle, random_lower_triangular
 
 
 def test_instantiate_examples():

@@ -435,6 +435,7 @@ def test_check_rejects_a_basis_that_is_not_a_list_of_strings(
 
 @pytest.mark.parametrize("field, value", [
     ("dim", "seven"), ("expected_level", None), ("edges", 5), ("edges", [["x"]]),
+    ("dim", 5.9), ("dim", True), ("expected_level", 3.0), ("expected_level", True),
 ])
 def test_verify_paper_rejects_a_malformed_chain(tmp_path, capsys, field, value):
     from degenlab.verification_db import shipped_ledger_path
@@ -480,6 +481,12 @@ def _one_cert_ledger(case):
         cert["provenance"] = [1]
     elif case == "witness-provenance-not-a-string":
         ledger["witnesses"] = [dict(witnesses()[0], provenance=[1])]
+    elif case == "dim-float":
+        cert["source"]["dim"] = 7.9
+    elif case == "dim-bool":
+        cert["source"]["dim"] = True
+    elif case == "dim-string":
+        cert["source"]["dim"] = "7"
     elif case == "chain-unknown-family":
         ledger["chains"] = [{"id": "c", "algebra": "nosuch", "dim": 3,
                              "expected_level": 1, "edges": [cert["id"]]}]
@@ -500,6 +507,9 @@ def _one_cert_ledger(case):
     ("chain-unknown-family", "unknown catalog family 'nosuch'"),
     ("provenance-not-a-string", "provenance must be a string, got [1]"),
     ("witness-provenance-not-a-string", "provenance must be a string, got [1]"),
+    ("dim-float", "'dim': 7.9}: dim is not an integer"),
+    ("dim-bool", "'dim': True}: dim is not an integer"),
+    ("dim-string", "'dim': '7'}: dim is not an integer"),
 ])
 def test_verify_paper_rejects_a_malformed_ledger(tmp_path, capsys, case, detail):
     path = tmp_path / "ledger.json"
@@ -511,6 +521,34 @@ def test_verify_paper_rejects_a_malformed_ledger(tmp_path, capsys, case, detail)
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert detail in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("dim", [7.9, True, "7"])
+def test_check_rejects_a_dim_that_is_not_an_integer(tmp_path, capsys, dim):
+    # int() used to read 7.9 as 7 and true as 1
+    cert = json.loads(json.dumps(certificates()[0]))
+    cert["source"]["dim"] = dim
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: bad algebra reference {cert['source']!r}: "
+                   "dim is not an integer\n")
+
+
+def test_a_zero_denominator_is_named(tmp_path, capsys):
+    table = tmp_path / "algebra.json"
+    table.write_text(json.dumps(_bad_table("zero-denominator")), encoding="utf-8")
+    assert main(["classify", "--file", str(table)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: bad products entry: zero denominator in '1/0'\n")
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(_cert_with_bad_source("zero-denominator")),
+                    encoding="utf-8")
+    assert main(["check", str(cert)]) == 1
+    assert capsys.readouterr() == ("", "error: algebra reference inline@7: bad "
+                                       "products entry: zero denominator in '1/0'\n")
 
 
 @pytest.mark.parametrize("claim", [

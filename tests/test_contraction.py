@@ -11,10 +11,13 @@ from degenlab.algebra import (
 )
 from degenlab.catalog import MANIFEST_FAMILIES, instantiate
 from degenlab.catalog import tested_dims as catalog_tested_dims
+from degenlab import contraction
+from degenlab.algebra import int_table
 from degenlab.contraction import (
     NotASubalgebra,
     NotEngelAt,
     RankSequence,
+    _rank_bound,
     dominates,
     iw_contract,
     iw_max,
@@ -22,6 +25,13 @@ from degenlab.contraction import (
     rank_sequence,
 )
 from degenlab.linalg import Matrix, Partition, Singular, power_rank_sequence
+from oracles import (
+    annihilator_oracle,
+    is_nilpotent_oracle,
+    iw_max_oracle,
+    power_ideal_oracle,
+    random_anticommutative,
+)
 
 
 def e_vec(n, *idx):
@@ -223,3 +233,163 @@ def test_partition_label_is_the_parts_above_one_of_every_partition():
             assert partition_from_rank_sequence(seq, dim) == want, parts
             count += 1
     assert count == 194  # p(1) + ... + p(11)
+
+
+# --- iw_max's exact stop and lazy pool against the full-scan oracle ---
+
+
+def _outcome(search, a, seed):
+    """(partition, witness) of a search, or the type and text it raised."""
+    try:
+        part, witness = search(a, seed=seed)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+    assert all(type(x) is Fraction for x in witness)
+    return part, witness
+
+
+def _random_nilpotent(n, rng, density):
+    """Sparse random table with e_i e_j in <e_{j+1}, ..., e_n>: nilpotent."""
+    table = {}
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                vec = tuple(rng.randint(-2, 2) if k >= j and rng.random() < density
+                            else 0 for k in range(n))
+                if any(vec):
+                    table[(i, j)] = vec
+    return StructureTensor(n, table)
+
+
+def _dense_conjugate(a, rng):
+    while True:
+        basis = Matrix([[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                         for _ in range(a.dim)] for _ in range(a.dim)])
+        try:
+            return change_basis(a, basis)
+        except Singular:
+            continue
+
+
+def _manifest_algebras():
+    for key in MANIFEST_FAMILIES:
+        for n in catalog_tested_dims(key):
+            yield instantiate(key, n)
+
+
+# repairs with the random block not yet drawn, and inside the random block
+REPAIR_BEFORE_BLOCK = StructureTensor(7, {
+    (1, 3): (0, 0, 0, 1, 1, 0, 0), (2, 4): (0, 0, 0, 0, -1, 0, -1),
+    (4, 6): (0, 0, 0, 0, 0, 0, 1)})
+REPAIR_IN_BLOCK = StructureTensor(7, {
+    (1, 2): (0, 0, 0, 0, 1, 0, 0), (2, 3): (0, 0, 0, -1, 0, 1, 0),
+    (3, 4): (0, 0, 0, 0, 0, -1, 0), (5, 6): (0, 0, 0, 0, 0, 0, 1)})
+# e1e2 = e3, e2e3 = e3: e1 meets the bound (1,) of a nilpotent table of
+# this shape, but L_{e2} is not nilpotent
+NOT_NILPOTENT = StructureTensor(3, {(1, 2): (0, 0, 1), (2, 3): (0, 0, 1)})
+# e1e2 = e3, e1e3 = e4, e2e3 = e5: the strict fall cuts b_2 from 2 to 1
+STRICT_FALL = StructureTensor(5, {
+    (1, 2): (0, 0, 1, 0, 0), (1, 3): (0, 0, 0, 1, 0), (2, 3): (0, 0, 0, 0, 1)})
+
+
+def test_iw_max_matches_the_full_scan_oracle():
+    rng = random.Random(1021)
+    cases = list(_manifest_algebras())
+    cases += [_dense_conjugate(instantiate(key, catalog_tested_dims(key)[0]), rng)
+              for key in MANIFEST_FAMILIES if catalog_tested_dims(key)[0] <= 8]
+    for trial in range(300):
+        a = _random_nilpotent(rng.randint(3, 9), rng, rng.choice((0.2, 0.35, 0.5)))
+        cases.append(_dense_conjugate(a, rng) if trial % 10 == 0 else a)
+    cases += [random_anticommutative(rng.randint(2, 6), rng, spread=1 + t % 3)
+              for t in range(100)]
+    cases += [REPAIR_BEFORE_BLOCK, REPAIR_IN_BLOCK, NOT_NILPOTENT, STRICT_FALL]
+    raised = stopped = 0
+    for a in cases:
+        seed = rng.randint(0, 99)
+        want = _outcome(iw_max_oracle, a, seed)
+        assert _outcome(iw_max, a, seed) == want, (a.products, seed)
+        raised += isinstance(want[0], type)
+        stopped += _rank_bound(int_table(a)[1], a.dim) is not None
+    assert (len(cases), raised, stopped) == (503, 99, 404)
+
+
+def test_iw_max_repairs_with_the_rng_state_of_a_full_pool(monkeypatch):
+    drawn_at_repair = []
+    alpha = contraction._CandidatePool.alpha
+
+    def spy(pool):
+        drawn_at_repair.append(pool._block is not None)
+        return alpha(pool)
+
+    monkeypatch.setattr(contraction._CandidatePool, "alpha", spy)
+    for a, drawn in ((REPAIR_BEFORE_BLOCK, False), (REPAIR_IN_BLOCK, True)):
+        drawn_at_repair.clear()
+        part, witness = iw_max(a, seed=4)
+        assert drawn_at_repair == [drawn]
+        assert (part, witness) == iw_max_oracle(a, seed=4)
+        assert witness not in list(contraction._CandidatePool(7, 4))  # c + alpha b
+
+
+def test_iw_max_scans_to_the_end_when_the_table_is_not_nilpotent():
+    assert _rank_bound(int_table(NOT_NILPOTENT)[1], 3) is None
+    assert rank_sequence(NOT_NILPOTENT, e_vec(3, 1)) == RankSequence((1,))
+    with pytest.raises(NotEngelAt) as got:
+        iw_max(NOT_NILPOTENT)
+    with pytest.raises(NotEngelAt) as want:
+        iw_max_oracle(NOT_NILPOTENT)
+    assert str(got.value) == str(want.value)
+    assert got.value.element == (0, 1, 0)
+
+
+def test_iw_max_stops_once_the_best_sequence_meets_the_bound(monkeypatch):
+    calls = []
+    rank_seq = contraction._int_rank_sequence
+
+    def counted(table, n, vec):
+        calls.append(vec)
+        return rank_seq(table, n, vec)
+
+    monkeypatch.setattr(contraction, "_int_rank_sequence", counted)
+    assert _rank_bound(int_table(STRICT_FALL)[1], 5) == (2, 1)
+    assert iw_max(STRICT_FALL) == (Partition((3,)), e_vec(5, 1))
+    assert calls == [e_vec(5, 1)]
+    calls.clear()
+    assert iw_max(StructureTensor.zero_algebra(4))[0] == Partition((1, 1, 1))
+    assert len(calls) == 1
+
+
+def _bound_from_oracles(a):
+    """The rank bound from Fraction power ideals and annihilator."""
+    if not is_nilpotent_oracle(a)[0]:
+        return None
+    bound, prev, m = [], a.dim - annihilator_oracle(a).dim, 1
+    while True:
+        prev = min(power_ideal_oracle(a, m + 1).dim, prev - 1)
+        if prev <= 0:
+            return tuple(bound)
+        bound.append(prev)
+        m += 1
+
+
+def test_rank_bound_matches_the_fraction_oracles():
+    rng = random.Random(1022)
+    cases = list(_manifest_algebras()) + [STRICT_FALL, NOT_NILPOTENT,
+                                          StructureTensor.zero_algebra(1)]
+    cases += [_random_nilpotent(rng.randint(2, 8), rng, 0.4) for _ in range(40)]
+    cases += [random_anticommutative(rng.randint(2, 5), rng) for _ in range(10)]
+    cases.append(_dense_conjugate(STRICT_FALL, rng))
+    for a in cases:
+        assert _rank_bound(int_table(a)[1], a.dim) == _bound_from_oracles(a), a.products
+    assert _bound_from_oracles(STRICT_FALL) == (2, 1)
+
+
+def test_rank_bound_dominates_every_rank_sequence():
+    rng = random.Random(1023)
+    met = 0
+    for a in _manifest_algebras():
+        n = a.dim
+        bound = RankSequence(_rank_bound(int_table(a)[1], n))
+        seqs = [rank_sequence(a, vec) for vec in reference_vectors(n, rng)]
+        assert all(dominates(bound, seq) for seq in seqs), a.products
+        met += bound in seqs
+    assert met >= 40

@@ -25,9 +25,7 @@ from degenlab.degeneration import (
     lower_triangular_invariance_probe,
     parse_basis_row,
     randomized_orbit_refute,
-    random_anticommutative,
     random_invertible,
-    random_lower_triangular,
     verify_degeneration,
     verify_nondegeneration,
 )
@@ -37,6 +35,7 @@ from degenlab.verification_db import load_ledger, shipped_ledger_path
 
 from oracles import fraction_inverse, project_to_spec, qt_at_zero, qt_basis_row
 from oracles import qt_certificate_verdict, qt_constants, qt_parse, qt_value
+from oracles import random_anticommutative, random_lower_triangular
 
 
 def test_parse_basis_row_shapes():

@@ -10,7 +10,6 @@ import pytest
 from degenlab.algebra import StructureTensor, change_basis
 from degenlab.catalog import MANIFEST_FAMILIES, build_manifest, instantiate
 from degenlab.catalog import tested_dims as catalog_tested_dims
-from degenlab.degeneration import random_lower_triangular
 from degenlab.verification_db import (
     InconsistentLedger,
     ParseError,
@@ -24,6 +23,7 @@ from degenlab.verification_db import (
     separator_check,
     shipped_ledger_path,
 )
+from oracles import random_lower_triangular
 from paperdata import build_ledger
 
 
