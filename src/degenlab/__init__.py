@@ -7,15 +7,11 @@ from .exactnum import (
     parse_rational_function,
 )
 from .linalg import (
-    AmbientMismatch,
-    Matrix,
-    NotNilpotent,
     Partition,
     Singular,
     Subspace,
     invert,
     kernel_basis,
-    nilpotent_partition,
     rank,
 )
 from .algebra import (

@@ -11,10 +11,11 @@ The Engel decision is exact: over a field of characteristic zero,
 identically as a polynomial matrix, so we expand that power symbolically
 instead of sampling.
 
-Every closed invariant runs over Z on the table scaled by the lcm L of
-its denominators (`int_table`); Fraction appears only at the API boundary
-(`product`'s result and `left_mult_matrix`, `Subspace` bases,
-`kernel_basis` on at most n integer rows).  `StructureTensor.from_json_obj`
+Matrices are lists of rows.  Every closed invariant runs over Z on the
+table scaled by the lcm L of its denominators (`int_table`); Fraction
+appears only at the API boundary (`product`'s result and the rows of
+`left_mult_matrix`, `Subspace` bases, `kernel_basis` on at most n integer
+rows).  `StructureTensor.from_json_obj`
 is the one reader of the JSON table format.  Subspace invariants (A^i, A S, the annihilator, the
 nilpotency index, the centralizer of A^2) are exact because scaling the table or a
 spanning set by a nonzero integer changes no Q-span: A^{i+1} is spanned
@@ -34,7 +35,6 @@ from fractions import Fraction
 
 from .exactnum import rational_from_obj, rational_to_obj
 from .linalg import (
-    Matrix,
     Singular,
     Subspace,
     int_echelon,
@@ -80,10 +80,6 @@ class StructureTensor:
         a.dim = dim
         a.products = products
         return a
-
-    @staticmethod
-    def zero_algebra(dim: int) -> "StructureTensor":
-        return StructureTensor(dim)
 
     @staticmethod
     def from_pairs(dim: int, pairs) -> "StructureTensor":
@@ -234,8 +230,9 @@ def product(a: StructureTensor, x, y):
     return tuple(Fraction(v, scale) for v in _int_product(table, n, xs, ys))
 
 
-def left_mult_matrix(a: StructureTensor, vec) -> Matrix:
-    """Matrix of L_x in the standard basis; column j is product(x, e_j).
+def left_mult_matrix(a: StructureTensor, vec):
+    """Rows of the matrix of L_x in the standard basis; column j is
+    product(x, e_j).
 
     Row j of P = `_int_left_products` on the L-scaled table and the element
     scaled by m is L m (e_j x) = -L m (x e_j), so L_x = -P^T / (L m).
@@ -247,7 +244,7 @@ def left_mult_matrix(a: StructureTensor, vec) -> Matrix:
     m, (x,) = int_scaled([vec])
     p = _int_left_products(table, n, x)
     scale = -mult * m
-    return Matrix([[Fraction(p[j][k], scale) for j in range(n)] for k in range(n)])
+    return [[Fraction(p[j][k], scale) for j in range(n)] for k in range(n)]
 
 
 def subspace_product(a: StructureTensor, u: Subspace, w: Subspace) -> Subspace:
@@ -307,7 +304,7 @@ def annihilator(a: StructureTensor) -> Subspace:
     """
     n = a.dim
     rows = _int_centralizer_conditions(int_table(a)[1], n, _int_identity(n))
-    return kernel_basis(Matrix(rows)) if rows else Subspace.full(n)
+    return kernel_basis(rows) if rows else Subspace.full(n)
 
 
 def int_change_basis(table, n: int, rows, inv):
@@ -334,7 +331,7 @@ def int_change_basis(table, n: int, rows, inv):
     return out
 
 
-def change_basis(a: StructureTensor, basis: Matrix) -> StructureTensor:
+def change_basis(a: StructureTensor, basis) -> StructureTensor:
     """Structure constants of the same algebra in a new basis.
 
     Row i of `basis` expresses the new basis vector f_i in the standard
@@ -343,9 +340,9 @@ def change_basis(a: StructureTensor, basis: Matrix) -> StructureTensor:
     non-invertible input.
     """
     n = a.dim
-    if basis.rows != n or basis.cols != n:
+    if len(basis) != n or any(len(row) != n for row in basis):
         raise DimensionMismatch("basis matrix must be n x n")
-    m, rows = int_scaled(basis.entries)
+    m, rows = int_scaled(basis)
     d, inv = int_scaled_inverse(rows)
     if not d:
         raise Singular("basis matrix has zero determinant")

@@ -119,21 +119,27 @@ LevelAtLeast6 = _Sentinel("LevelAtLeast6")
 NeedsExtension = _Sentinel("NeedsExtension")
 
 
+def _digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 def parse_name(key: str) -> CatalogName:
+    """The catalog name a key spells; a family parameter m is ASCII digits
+    with m >= 1, else UnknownFamily."""
     key = key.strip()
     if key in ("zero", "n3", "eta_eps15", "T22_e23", "T22_e24", "T22_e34",
                "T22_e45", "T222_e23", "T222_e24", "T222_e7special",
                "T3_e23", "T3_e24", "T3_e34", "T3_e45", "T32_e23", "T4_e23"):
         return CatalogName(key)
-    if key.startswith("eta_eps_double"):
-        return CatalogName("eta_eps_double", m=int(key[len("eta_eps_double"):]))
-    if key.startswith("eta"):
-        return CatalogName("eta", m=int(key[3:]))
-    for fam in ("T2k2_e23_shift", "T2k2_e23", "T2k2_special", "T2k2_e2m2"):
-        prefix = fam + "_m"
+    for fam in ("eta_eps_double", "eta", "T2k2_e23_shift", "T2k2_e23",
+                "T2k2_special", "T2k2_e2m2"):
+        prefix = fam + "_m" if fam.startswith("T2k2") else fam
         if key.startswith(prefix):
-            return CatalogName(fam, m=int(key[len(prefix):]))
-    if key.startswith("T") and key[1:].isdigit():
+            m = key[len(prefix):]
+            if not _digits(m) or int(m) < 1:
+                raise UnknownFamily(key)
+            return CatalogName(fam, m=int(m))
+    if key.startswith("T") and _digits(key[1:]):
         return CatalogName("T", partition=tuple(int(ch) for ch in key[1:]))
     raise UnknownFamily(key)
 
@@ -176,6 +182,9 @@ def _bound(name: CatalogName) -> tuple[int, int | None]:
     if fam == "T2k2_e23_shift":
         return 2 * m + 2, None
     if fam == "T2k2_special":
+        if m < 2:
+            # e_2 e_{n-m+2} would leave 1..n
+            raise UnknownFamily(name.key)
         return 2 * m + 1, None
     if fam == "T2k2_e2m2":
         return 2 * m + 2, None

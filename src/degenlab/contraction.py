@@ -73,10 +73,6 @@ class RankSequence(tuple):
             raise ValueError(f"ranks must be weakly decreasing: {ranks}")
         return super().__new__(cls, ranks)
 
-    def rank_at(self, m: int) -> int:
-        """r_m with missing entries read as zero (m is 1-based)."""
-        return self[m - 1] if 1 <= m <= len(self) else 0
-
     def __repr__(self):
         return f"RankSequence{tuple(self)}"
 

@@ -489,10 +489,16 @@ def verify_nondegeneration(
 
     DimSquare / AnnDim / IWDominance / LieClosure are proofs built on
     closed invariants; ClosedSet / BespokeR prove the source side with a
-    stored basis and only falsify the target side by orbit sampling.
+    stored basis and only falsify the target side by orbit sampling.  A
+    witness between different dimensions, or a BespokeR witness outside
+    dimension 7, is a fail verdict.
     """
     src = w.source.resolve()
     tgt = w.target.resolve()
+    if src.dim != tgt.dim:
+        return Verdict("fail", "source and target dimensions differ")
+    if w.kind == "BespokeR" and src.dim != 7:
+        return Verdict("fail", "the set R lives in dimension 7")
     if w.kind == "DimSquare":
         ds, dt = dim_square(src), dim_square(tgt)
         if ds < dt:

@@ -1,20 +1,19 @@
 """Exact linear algebra over the rationals and over integer rings.
 
-Matrices here are tiny (at most ~11x11) and dense.  Everything is computed
-exactly: `int_echelon` is the one fraction-free elimination, giving integer
-echelon rows for spans and, by counting them, ranks over the rationals
-after clearing denominators; `int_scaled_inverse` is the package's one
-inverse (`invert` over Q divides its result once).  It needs only + - *
+A matrix is a list of rows; matrices here are tiny (at most ~11x11) and
+dense.  Everything is computed exactly: `int_echelon` is the one
+fraction-free elimination, giving integer echelon rows for spans and, by
+counting them, ranks over the rationals after clearing denominators;
+`int_scaled_inverse` is the package's one inverse.  It needs only + - *
 and exact // of its entries, so it runs on ints (orbit sampling) and on
 integer polynomials `exactnum.ZPoly` (the certificate check) alike.
 `int_scaled` is the one place where rational rows are scaled to integer
 rows; tables, bases, elements and pencils all go through it.
 Subspaces are kept in reduced row-echelon form (`_rref`, over Q) so that
-equality and containment are structural checks.
+equality is a structural check.
 
-``nilpotent_partition`` recovers Jordan block sizes of a nilpotent operator
-from the rank sequence of its powers (rank(N^m) = sum_i max(lambda_i - m, 0))
-rather than by chasing Jordan chains.
+`partition_from_ranks` reads the block sizes of a nilpotent operator off
+the ranks of its powers (rank(N^m) = sum_i max(lambda_i - m, 0)).
 """
 
 from __future__ import annotations
@@ -24,85 +23,7 @@ from math import gcd, lcm
 
 
 class Singular(ArithmeticError):
-    """Matrix inversion was asked of a singular matrix."""
-
-
-class NotNilpotent(ValueError):
-    """nilpotent_partition was asked of a non-nilpotent matrix."""
-
-
-class AmbientMismatch(ValueError):
-    """Subspace operation on subspaces of different ambient spaces."""
-
-
-class Matrix:
-    """Dense matrix with Fraction entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        entries = [[Fraction(x) for x in row] for row in entries]
-        if not entries or not entries[0]:
-            raise ValueError("matrices here are nonempty")
-        ncols = len(entries[0])
-        if any(len(row) != ncols for row in entries):
-            raise ValueError("ragged rows")
-        self.rows = len(entries)
-        self.cols = ncols
-        self.entries = entries
-
-    @property
-    def kind(self) -> str:
-        """Always "rational"; read by perfbench's tracer to name spans."""
-        return "rational"
-
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix([[int(i == j) for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix([[0] * cols for _ in range(rows)])
-
-    def copy_entries(self):
-        return [row[:] for row in self.entries]
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.entries == other.entries
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            arow = self.entries[i]
-            row = []
-            for j in range(other.cols):
-                acc = Fraction(0)
-                for k in range(self.cols):
-                    a = arow[k]
-                    if a:
-                        acc = acc + a * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix(out)
-
-    def apply(self, vec):
-        """Matrix times column vector (vec as a sequence)."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = Fraction(0)
-            row = self.entries[i]
-            for k in range(self.cols):
-                if row[k]:
-                    acc = acc + row[k] * vec[k]
-            out.append(acc)
-        return tuple(out)
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols})"
+    """Inversion was asked of a singular matrix."""
 
 
 # --- integer fraction-free core -----------------------------------------
@@ -194,9 +115,10 @@ def int_scaled_inverse(rows):
     return prev, [row[n:] for row in aug]
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank, by integer elimination after clearing denominators."""
-    return _int_rank(int_scaled(m.entries)[1])
+def rank(rows) -> int:
+    """Exact rank of rational rows, by integer elimination after clearing
+    denominators."""
+    return _int_rank(int_scaled(rows)[1])
 
 
 def _rref(entries):
@@ -228,10 +150,14 @@ def _rref(entries):
     return rows[: len(pivots)], pivots
 
 
-def kernel_basis(m: Matrix) -> "Subspace":
-    """Null space of a Rational matrix, in reduced echelon form."""
-    rref_rows, pivots = _rref(m.entries)
-    n = m.cols
+def kernel_basis(rows) -> "Subspace":
+    """Null space of nonempty rational rows, in reduced echelon form.
+
+    The rows are lifted to Fraction first: `_rref` divides with `/`, which
+    would turn integer rows into floats.
+    """
+    rref_rows, pivots = _rref([[Fraction(x) for x in row] for row in rows])
+    n = len(rows[0])
     free = [c for c in range(n) if c not in pivots]
     vecs = []
     for fc in free:
@@ -243,19 +169,19 @@ def kernel_basis(m: Matrix) -> "Subspace":
     return Subspace.from_vectors(n, vecs)
 
 
-def invert(m: Matrix) -> Matrix:
-    """Exact inverse over Q; raises Singular.
+def invert(rows):
+    """Exact inverse over Q of square rational rows; raises Singular.
 
-    With G = c m the integer rows of `int_scaled` and (d, R) =
-    `int_scaled_inverse(G)`, R = d G^-1, so m^-1 = c R / d.
+    With G = c M the integer rows of `int_scaled` and (d, R) =
+    `int_scaled_inverse(G)`, R = d G^-1, so M^-1 = c R / d.
     """
-    if m.rows != m.cols:
+    if any(len(row) != len(rows) for row in rows):
         raise Singular("only square matrices are invertible")
-    mult, rows = int_scaled(m.entries)
-    d, inv = int_scaled_inverse(rows)
+    mult, scaled = int_scaled(rows)
+    d, inv = int_scaled_inverse(scaled)
     if not d:
         raise Singular("matrix has zero determinant")
-    return Matrix([[Fraction(mult * x, d) for x in row] for row in inv])
+    return [[Fraction(mult * x, d) for x in row] for row in inv]
 
 
 class Subspace:
@@ -276,24 +202,9 @@ class Subspace:
         return Subspace(ambient_dim, rows)
 
     @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
-
-    @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(
-            ambient_dim, Matrix.identity(ambient_dim).entries
-        )
-
-    @staticmethod
-    def tail_flag(ambient_dim: int, i: int) -> "Subspace":
-        """V_i = <e_i, ..., e_n> with 1-based i; V_{n+1} = 0."""
-        vecs = []
-        for k in range(i - 1, ambient_dim):
-            v = [Fraction(0)] * ambient_dim
-            v[k] = Fraction(1)
-            vecs.append(v)
-        return Subspace.from_vectors(ambient_dim, vecs)
+        return Subspace(ambient_dim, [[int(i == j) for j in range(ambient_dim)]
+                                      for i in range(ambient_dim)])
 
     @property
     def dim(self) -> int:
@@ -309,56 +220,8 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient_dim, self.basis))
 
-    def contains_vector(self, v) -> bool:
-        v = [Fraction(x) for x in v]
-        if len(v) != self.ambient_dim:
-            raise AmbientMismatch("vector length != ambient dimension")
-        for row in self.basis:
-            pc = next(i for i, x in enumerate(row) if x)
-            if v[pc]:
-                f = v[pc]
-                v = [a - f * b for a, b in zip(v, row)]
-        return not any(v)
-
     def __repr__(self):
         return f"Subspace(dim {self.dim} of QQ^{self.ambient_dim})"
-
-
-def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
-    if u.ambient_dim != w.ambient_dim:
-        raise AmbientMismatch("subspace sum across ambient spaces")
-    return Subspace.from_vectors(u.ambient_dim, list(u.basis) + list(w.basis))
-
-
-def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
-    if u.ambient_dim != w.ambient_dim:
-        raise AmbientMismatch("subspace intersection across ambient spaces")
-    if u.dim == 0 or w.dim == 0:
-        return Subspace.zero(u.ambient_dim)
-    # Solve sum_i x_i u_i = sum_j y_j w_j: kernel of [U^T | -W^T].
-    n = u.ambient_dim
-    entries = []
-    for r in range(n):
-        row = [u.basis[i][r] for i in range(u.dim)]
-        row += [-w.basis[j][r] for j in range(w.dim)]
-        entries.append(row)
-    ker = kernel_basis(Matrix(entries))
-    vecs = []
-    for coeffs in ker.basis:
-        v = [Fraction(0)] * n
-        for i in range(u.dim):
-            if coeffs[i]:
-                for r in range(n):
-                    v[r] += coeffs[i] * u.basis[i][r]
-        vecs.append(v)
-    return Subspace.from_vectors(n, vecs)
-
-
-def subspace_contains(u: Subspace, w: Subspace) -> bool:
-    """True iff w is contained in u."""
-    if u.ambient_dim != w.ambient_dim:
-        raise AmbientMismatch("containment across ambient spaces")
-    return all(u.contains_vector(v) for v in w.basis)
 
 
 class Partition(tuple):
@@ -372,20 +235,12 @@ class Partition(tuple):
             raise ValueError("partition parts must be weakly decreasing")
         return super().__new__(cls, parts)
 
-    @property
-    def total(self) -> int:
-        return sum(self)
-
     def conjugate(self) -> "Partition":
         if not self:
             return Partition()
         return Partition(
             tuple(sum(1 for p in self if p >= m) for m in range(1, self[0] + 1))
         )
-
-    def rank_at(self, m: int) -> int:
-        """sum_i max(lambda_i - m, 0): the rank of the m-th power."""
-        return sum(max(p - m, 0) for p in self)
 
     def __repr__(self):
         return f"Partition{tuple(self)}"
@@ -437,19 +292,9 @@ def int_power_rank_sequence(base, max_power: int):
     return tuple(ranks)
 
 
-def power_rank_sequence(m: Matrix, max_power: int):
-    """Ranks of m, m^2, ..., stopping at zero or max_power entries."""
-    if m.rows != m.cols:
+def power_rank_sequence(rows, max_power: int):
+    """Ranks of a square rational matrix M, M^2, ..., stopping at zero or
+    max_power entries."""
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("rank sequence of a non-square matrix")
-    return int_power_rank_sequence(int_scaled(m.entries)[1], max_power)
-
-
-def nilpotent_partition(n_matrix: Matrix) -> Partition:
-    """Jordan block-size partition of a nilpotent matrix (1-blocks included)."""
-    if n_matrix.rows != n_matrix.cols:
-        raise NotNilpotent("matrix is not square")
-    dim = n_matrix.rows
-    ranks = power_rank_sequence(n_matrix, dim + 1)
-    if len(ranks) > dim or (len(ranks) == dim and ranks[-1] > 0):
-        raise NotNilpotent(f"N^{dim} != 0 (rank sequence starts {ranks[:dim]})")
-    return partition_from_ranks(ranks, dim)
+    return int_power_rank_sequence(int_scaled(rows)[1], max_power)

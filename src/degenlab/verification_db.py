@@ -68,7 +68,7 @@ from .degeneration import (
     verify_nondegeneration,
 )
 from .exactnum import rational_from_obj
-from .linalg import Matrix, Subspace, rank
+from .linalg import Subspace, rank
 
 
 class ParseError(ValueError):
@@ -94,12 +94,6 @@ class ClaimLedger:
     witnesses: list
     chains: list
     path: str = ""
-
-    def cert_by_id(self, cid: str) -> DegenerationCertificate:
-        return self._index[cid]
-
-    def __post_init__(self):
-        self._index = {c.cert_id: c for c in self.certificates}
 
 
 def _ref_from_json(obj) -> AlgebraRef:
@@ -410,7 +404,7 @@ def _pfaffian_conic_profile(a: StructureTensor):
     sym = [[0] * s for _ in range(s)]
     for (r, q), c in zip(monomials, span.basis[0]):
         sym[r][q] = sym[q][r] = 2 * c if r == q else c
-    return (1, rank(Matrix(sym)))
+    return (1, rank(sym))
 
 
 def _classifier_label(a: StructureTensor):

@@ -105,6 +105,11 @@ def fraction_inverse(rows):
     return [row[n:] for row in aug]
 
 
+def matmul(a, b):
+    """Product of two matrices given as lists of rows."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def change_basis_oracle(dim, pairs, basis_rows):
     """{(i, j): coordinates of f_i f_j in the basis f} for a table given as
     (i, j, k, coeff) entries; row i of basis_rows is f_i."""
@@ -439,8 +444,8 @@ def qt_certificate_verdict(cert):
 #
 # The former bodies of algebra.product, subspace_product, power_ideal,
 # is_nilpotent, annihilator and verification_db._centralizer_square_dim,
-# plus helpers only tests use (generated_subalgebra, subspace_ops,
-# direct_sum_trivial, project_to_spec).
+# plus helpers only tests use (generated_subalgebra, direct_sum_trivial,
+# project_to_spec).
 
 
 def fraction_product(a, x, y):
@@ -503,18 +508,18 @@ def is_nilpotent_oracle(a):
 
 
 def annihilator_oracle(a):
-    from degenlab.linalg import Matrix, kernel_basis
+    from degenlab.linalg import kernel_basis
 
     n = a.dim
     rows = []
     for j in range(1, n + 1):
         for k in range(n):
             rows.append([a.constant(i, j, k + 1) for i in range(1, n + 1)])
-    return kernel_basis(Matrix(rows))
+    return kernel_basis(rows)
 
 
 def centralizer_square_dim_oracle(a):
-    from degenlab.linalg import Matrix, kernel_basis
+    from degenlab.linalg import kernel_basis
 
     square = power_ideal_oracle(a, 2)
     if square.dim == 0:
@@ -525,30 +530,20 @@ def centralizer_square_dim_oracle(a):
     for w in square.basis:
         for k in range(n):
             rows.append([fraction_product(a, basis[i], w)[k] for i in range(n)])
-    return kernel_basis(Matrix(rows)).dim
+    return kernel_basis(rows).dim
 
 
 def generated_subalgebra(a, vec):
     """Smallest subalgebra containing vec (for anticommutative input: <vec>)."""
-    from degenlab.linalg import Subspace, subspace_sum
+    from degenlab.linalg import Subspace
 
     cur = Subspace.from_vectors(a.dim, [vec])
     while True:
-        nxt = subspace_sum(cur, subspace_product_oracle(a, cur, cur))
+        nxt = Subspace.from_vectors(
+            a.dim, cur.basis + subspace_product_oracle(a, cur, cur).basis)
         if nxt.dim == cur.dim:
             return cur
         cur = nxt
-
-
-def subspace_ops(u, w, op):
-    """Dispatch "sum", "intersect" or "contains" to the linalg function."""
-    from degenlab.linalg import subspace_contains, subspace_intersect, subspace_sum
-
-    ops = {"sum": subspace_sum, "intersect": subspace_intersect,
-           "contains": subspace_contains}
-    if op not in ops:
-        raise ValueError(f"unknown subspace op {op!r}")
-    return ops[op](u, w)
 
 
 def direct_sum_trivial(a, k):
@@ -644,6 +639,5 @@ def random_anticommutative(dim, rng, spread=3):
 def random_lower_triangular(dim, rng):
     """Random flag-preserving basis: row i lives in <e_i, ..., e_n>."""
     from degenlab.degeneration import _int_lower_triangular
-    from degenlab.linalg import Matrix
 
-    return Matrix(_int_lower_triangular(dim, rng))
+    return _int_lower_triangular(dim, rng)

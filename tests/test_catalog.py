@@ -28,7 +28,7 @@ from degenlab.catalog import (
     parse_name,
 )
 from degenlab.catalog import tested_dims as catalog_tested_dims
-from degenlab.linalg import Matrix, Partition
+from degenlab.linalg import Partition
 from degenlab.verification_db import shipped_ledger_path
 
 from oracles import fraction_inverse, pencil_rank_oracle, random_lower_triangular
@@ -240,7 +240,7 @@ def _catalog_pencils():
                      for _ in range(n)] for _ in range(n)]
             if fraction_inverse(rows) is not None:
                 break
-        tables.append(change_basis(a, Matrix(rows)))
+        tables.append(change_basis(a, rows))
     pencils = []
     for a in tables:
         square = power_ideal(a, 2)

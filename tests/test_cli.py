@@ -48,6 +48,24 @@ def test_info_dimension_out_of_range(capsys):
     assert main(["info", "T22_e45", "--dim", "6"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["info", "etaX", "--dim", "5"], ["info", "eta-1", "--dim", "3"],
+    ["info", "eta+2", "--dim", "5"], ["info", "eta0", "--dim", "3"],
+    ["catalog", "table", "eta_eps_double", "--dim", "5"],
+    ["iwmax", "T2k2_e23_mq", "--dim", "7"],
+    ["info", "T2k2_e23_m0", "--dim", "5"],
+    ["classify", "T2k2_special_m1", "--dim", "5"],
+    ["info", "T\u00b2", "--dim", "5"],
+])
+def test_a_malformed_catalog_name_is_an_error_line(capsys, argv):
+    # a family parameter is ASCII digits >= 1, and T2k2_special needs
+    # m >= 2 for its products to stay inside 1..n
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_check_certificate_pass(tmp_path, capsys):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(cert_by_id("T22deg.2.6")), encoding="utf-8")
@@ -104,6 +122,39 @@ def test_check_bespoke_witness_exits_three(tmp_path, capsys):
     path.write_text(json.dumps(witness_by_id("W.ex222.b.7")), encoding="utf-8")
     code, _ = run(capsys, "check", str(path), "--trials", "20")
     assert code == 3
+
+
+# a witness between dimensions, and the bespoke set R outside dimension 7
+MISMATCHED_WITNESSES = [
+    {"id": "W.dims", "kind": "DimSquare", "source": {"name": "zero", "dim": 6},
+     "target": {"name": "n3", "dim": 7}, "payload": {}, "provenance": "test"},
+    {"id": "W.R8", "kind": "BespokeR", "source": {"name": "T22_e45", "dim": 8},
+     "target": {"name": "T222_e24", "dim": 8},
+     "payload": {"source_basis": [f"e{k}" for k in range(1, 9)]},
+     "provenance": "test"},
+]
+
+
+@pytest.mark.parametrize("wit", MISMATCHED_WITNESSES)
+def test_check_fails_a_witness_outside_its_dimension(tmp_path, capsys, wit):
+    path = tmp_path / "wit.json"
+    path.write_text(json.dumps(wit), encoding="utf-8")
+    code, out = run(capsys, "--json", "check", str(path), "--trials", "2")
+    assert code == 2
+    assert json.loads(out)["status"] == "fail"
+
+
+def test_verify_paper_fails_witnesses_outside_their_dimension(tmp_path, capsys):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps({"certificates": [], "chains": [],
+                                "witnesses": MISMATCHED_WITNESSES}),
+                    encoding="utf-8")
+    code = main(["verify-paper", "--ledger", str(path), "--trials", "2",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [w["status"] for w in report["witnesses"]] == ["FAIL", "FAIL"]
+    assert report["summary"]["failures"] == 2
 
 
 def test_check_io_error():

@@ -30,7 +30,6 @@ from degenlab.degeneration import (
     verify_nondegeneration,
 )
 from degenlab.exactnum import parse_rational_function as parse
-from degenlab.linalg import Matrix
 from degenlab.verification_db import load_ledger, shipped_ledger_path
 
 from oracles import fraction_inverse, project_to_spec, qt_at_zero, qt_basis_row
@@ -248,7 +247,7 @@ def test_verify_paper_arrow_with_limit_mismatch_detected():
 
 
 def test_closed_set_member_examples():
-    z = StructureTensor.zero_algebra(5)
+    z = StructureTensor(5)
     assert closed_set_member(z, ClosedSetSpec(((1, 1, 4), (2, 3, 6))))
     a = instantiate("T22", 5)
     assert closed_set_member(a, ClosedSetSpec(((1, 1, 4),)))
@@ -337,8 +336,8 @@ def test_ex222_membership_examples():
     special = instantiate("T222_e7special", 7)
     perm = [0, 1, 2, 4, 5, 3, 6]
     rows = [[Fraction(int(j == perm[i])) for j in range(7)] for i in range(7)]
-    assert ex222_membership(change_basis(special, Matrix(rows)))
-    assert ex222_membership(StructureTensor.zero_algebra(7))
+    assert ex222_membership(change_basis(special, rows))
+    assert ex222_membership(StructureTensor(7))
     assert not ex222_membership(instantiate("T22_e45", 7))
 
 
@@ -351,7 +350,7 @@ def test_randomized_orbit_refute_finds_planted_member():
     # not find it, but a found basis must be a genuine membership witness
     if verdict.status == "refuted":
         rows = [[Fraction(x) for x in row] for row in verdict.data["basis"]]
-        assert ex222_membership(change_basis(special, Matrix(rows)))
+        assert ex222_membership(change_basis(special, rows))
 
 
 def test_randomized_orbit_refute_misses_for_e45():
@@ -422,7 +421,7 @@ def test_int_samplers_match_the_fraction_samplers():
             assert _project_table(_int_anticommutative(n, b), n, spec) == want
             assert ref.getstate() == a.getstate() == b.getstate()
             want_g = _fraction_lower_triangular(n, ref)
-            assert random_lower_triangular(n, a).entries == want_g
+            assert random_lower_triangular(n, a) == want_g
             assert _int_lower_triangular(n, b) == want_g
             assert ref.getstate() == a.getstate() == b.getstate()
 
@@ -475,7 +474,7 @@ def test_bespoke_set_membership_is_scale_invariant():
     special = instantiate("T222_e7special", 7)
     perm = [0, 1, 2, 4, 5, 3, 6]
     rows = [[Fraction(int(j == perm[i])) for j in range(7)] for i in range(7)]
-    inside = change_basis(special, Matrix(rows))
+    inside = change_basis(special, rows)
     rng = random.Random(3)
     cases = [inside, special, instantiate("T22_e45", 7)]
     cases += [change_basis(inside, random_lower_triangular(7, rng)) for _ in range(5)]
@@ -553,7 +552,7 @@ def test_fractional_stored_source_basis_verdicts(last, status, reason):
     assert (verdict.status, reason in verdict.reason) == (status, True)
     at_zero = [[qt_at_zero(f) for f in qt_basis_row(r, 7)] for r in rows]
     if reason in ("source meets the set", "does not land in the set"):
-        moved = change_basis(instantiate("T222_e7special", 7), Matrix(at_zero))
+        moved = change_basis(instantiate("T222_e7special", 7), at_zero)
         assert ex222_membership(moved) == (status == "refutation_not_found")
     elif "singular" in reason:
         assert fraction_inverse(at_zero) is None

@@ -14,8 +14,6 @@ from degenlab.degeneration import (
 from degenlab.exactnum import ZPoly
 from degenlab.exactnum import parse_rational_function as parse
 from degenlab.linalg import (
-    Matrix,
-    NotNilpotent,
     Partition,
     Singular,
     Subspace,
@@ -24,26 +22,40 @@ from degenlab.linalg import (
     int_scaled_inverse,
     invert,
     kernel_basis,
-    nilpotent_partition,
     partition_from_ranks,
     power_rank_sequence,
     rank,
 )
-from degenlab.algebra import left_mult_matrix
+from degenlab.algebra import annihilator, left_mult_matrix
 from degenlab.catalog import instantiate
 
-from oracles import field_rank, fraction_inverse, qt_inverse, row_reduce_dim
+from oracles import field_rank, fraction_inverse, matmul, qt_inverse, row_reduce_dim
 from oracles import qt_parse, qt_value
-from oracles import subspace_ops
 
 
 def e_vec(n, *idx):
     return tuple(Fraction(int(k + 1 in idx)) for k in range(n))
 
 
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def zero(n):
+    return [[0] * n for _ in range(n)]
+
+
+def block_sizes(rows):
+    """Partition of a nilpotent n x n matrix, from the ranks of its powers."""
+    n = len(rows)
+    ranks = power_rank_sequence(rows, n + 1)
+    assert len(ranks) < n + 1, "not nilpotent"
+    return partition_from_ranks(ranks, n)
+
+
 def test_rank_identity_and_zero():
-    assert rank(Matrix.identity(3)) == 3
-    assert rank(Matrix.zero(4, 4)) == 0
+    assert rank(identity(3)) == 3
+    assert rank(zero(4)) == 0
 
 
 def test_rank_of_left_multiplication_in_the_two_block_algebra():
@@ -53,12 +65,25 @@ def test_rank_of_left_multiplication_in_the_two_block_algebra():
 
 
 def test_kernel_examples():
-    assert kernel_basis(Matrix.zero(2, 2)).dim == 2
-    assert kernel_basis(Matrix.identity(3)).dim == 0
+    assert kernel_basis(zero(2)).dim == 2
+    assert kernel_basis(identity(3)).dim == 0
     # left multiplication by e1 in T3 at n=4 kills exactly e1 and e4
     a = instantiate("T3", 4)
     ker = kernel_basis(left_mult_matrix(a, e_vec(4, 1)))
     assert ker == Subspace.from_vectors(4, [e_vec(4, 1), e_vec(4, 4)])
+
+
+def test_kernel_basis_and_annihilator_of_integer_rows_are_exact():
+    # the pivot 3 divides: integer rows must not turn into floats
+    ker = kernel_basis([[3, 1, 0, 0], [0, 0, 0, 1]])
+    assert ker.basis == ((1, -3, 0, 0), (0, 0, 1, 0))
+    assert all(type(x) is Fraction for row in ker.basis for x in row)
+    # e1 e3 = 3 e4 and e2 e3 = e4: Ann = <3 e2 - e1, e4> from the integer
+    # condition 3 x1 + x2 = 0 (and x3 = 0)
+    a = StructureTensor(4, {(1, 3): (0, 0, 0, 3), (2, 3): (0, 0, 0, 1)})
+    ann = annihilator(a)
+    assert ann.basis == ((1, -3, 0, 0), (0, 0, 0, 1))
+    assert all(type(x) is Fraction for row in ann.basis for x in row)
 
 
 def test_rank_plus_kernel_dimension():
@@ -66,8 +91,7 @@ def test_rank_plus_kernel_dimension():
     for _ in range(25):
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(4)]
                 for _ in range(rng.randint(1, 5))]
-        m = Matrix(rows)
-        assert rank(m) + kernel_basis(m).dim == m.cols
+        assert rank(rows) + kernel_basis(rows).dim == 4
 
 
 def test_int_echelon_spans_the_same_space():
@@ -140,7 +164,7 @@ def test_invert_diagonal_t_powers():
 
 def test_invert_singular_raises():
     with pytest.raises(Singular):
-        invert(Matrix([[1, 2], [2, 4]]))
+        invert([[1, 2], [2, 4]])
 
 
 def _random_square(n, rng, singular):
@@ -188,9 +212,9 @@ def test_invert_rational_matches_fraction_oracle():
         if want is None:
             singular_seen += 1
             with pytest.raises(Singular):
-                invert(Matrix(rows))
+                invert(rows)
         else:
-            assert invert(Matrix(rows)).entries == want
+            assert invert(rows) == want
     assert singular_seen >= 27
 
 
@@ -243,18 +267,21 @@ def test_int_scaled_clears_denominators_with_one_scale():
 
 
 def test_power_rank_sequence_refuses_rational_function_matrices():
-    # Matrix holds Fractions only: Q(t) entries are refused on entry
-    with pytest.raises(TypeError):
-        power_rank_sequence(Matrix([[parse("0"), parse("t")],
-                                    [parse("0"), parse("0")]]), 3)
-    block = Matrix([[0, 0, 0], [Fraction(1, 2), 0, 0], [0, Fraction(2, 3), 0]])
+    # rows are scaled by their entries' denominators: Q(t) entries, which
+    # are (num, den) pairs, have none and are refused
+    with pytest.raises(AttributeError):
+        power_rank_sequence([[parse("0"), parse("t")],
+                             [parse("0"), parse("0")]], 3)
+    block = [[0, 0, 0], [Fraction(1, 2), 0, 0], [0, Fraction(2, 3), 0]]
     assert power_rank_sequence(block, 4) == (2, 1)
+    # the identity never reaches rank zero: all max_power ranks are kept
+    assert power_rank_sequence(identity(2), 3) == (2, 2, 2)
 
 
 def test_nilpotent_partition_examples():
-    assert nilpotent_partition(Matrix.zero(3, 3)) == Partition((1, 1, 1))
-    block = Matrix([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
-    assert nilpotent_partition(block) == Partition((4,))
+    assert block_sizes(zero(3)) == Partition((1, 1, 1))
+    block = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    assert block_sizes(block) == Partition((4,))
 
 
 def test_nilpotent_partition_of_induced_operator():
@@ -262,13 +289,8 @@ def test_nilpotent_partition_of_induced_operator():
     # e3 -> e4 -> e6 and e2 -> e5
     a = instantiate("T32", 6)
     full = left_mult_matrix(a, e_vec(6, 1))
-    induced = Matrix([row[1:] for row in full.entries[1:]])
-    assert nilpotent_partition(induced) == Partition((3, 2))
-
-
-def test_not_nilpotent_raises():
-    with pytest.raises(NotNilpotent):
-        nilpotent_partition(Matrix.identity(2))
+    induced = [row[1:] for row in full[1:]]
+    assert block_sizes(induced) == Partition((3, 2))
 
 
 def test_conjugation_invariance_spot():
@@ -277,17 +299,14 @@ def test_conjugation_invariance_spot():
         n = rng.randint(2, 6)
         nil = [[Fraction(rng.randint(-2, 2)) if j > i else Fraction(0)
                 for j in range(n)] for i in range(n)]
-        nmat = Matrix(nil)
         while True:
-            p = Matrix([[Fraction(rng.randint(-3, 3)) for _ in range(n)]
-                        for _ in range(n)])
-            try:
-                pinv = invert(p)
+            p = [[Fraction(rng.randint(-3, 3)) for _ in range(n)]
+                 for _ in range(n)]
+            pinv = fraction_inverse(p)
+            if pinv is not None:
                 break
-            except Singular:
-                continue
-        conj = p @ nmat @ pinv
-        assert nilpotent_partition(conj) == nilpotent_partition(nmat)
+        conj = matmul(matmul(p, nil), pinv)
+        assert block_sizes(conj) == block_sizes(nil)
 
 
 partitions = st.lists(st.integers(1, 5), min_size=1, max_size=5).map(
@@ -298,44 +317,6 @@ partitions = st.lists(st.integers(1, 5), min_size=1, max_size=5).map(
 @settings(max_examples=50, deadline=None)
 @given(partitions)
 def test_partition_rank_duality_round_trip(p):
-    ranks = []
-    m = 1
-    while True:
-        r = p.rank_at(m)
-        if r == 0:
-            break
-        ranks.append(r)
-        m += 1
-    assert partition_from_ranks(ranks, p.total) == p
-
-
-def test_subspace_ops_examples():
-    v3 = Subspace.tail_flag(7, 3)
-    v5 = Subspace.tail_flag(7, 5)
-    assert subspace_ops(v3, v5, "contains") is True
-    assert subspace_ops(v5, v3, "contains") is False
-    e1 = Subspace.from_vectors(3, [e_vec(3, 1)])
-    e2 = Subspace.from_vectors(3, [e_vec(3, 2)])
-    assert subspace_ops(e1, e2, "intersect").dim == 0
-    mixed = Subspace.from_vectors(3, [(1, 1, 0)])
-    assert subspace_ops(mixed, e2, "sum") == Subspace.from_vectors(
-        3, [e_vec(3, 1), e_vec(3, 2)]
-    )
-
-
-def test_subspace_intersection_against_oracle():
-    rng = random.Random(13)
-    for _ in range(20):
-        n = 5
-        u = Subspace.from_vectors(
-            n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(2)]
-        )
-        w = Subspace.from_vectors(
-            n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(2)]
-        )
-        inter = subspace_ops(u, w, "intersect")
-        # dim(U) + dim(W) = dim(U+W) + dim(U cap W)
-        total = row_reduce_dim(list(u.basis) + list(w.basis)) if (u.dim + w.dim) else 0
-        assert u.dim + w.dim == total + inter.dim
-        for v in inter.basis:
-            assert u.contains_vector(v) and w.contains_vector(v)
+    # rank(N^m) = sum_i max(lambda_i - m, 0), truncated at zero
+    ranks = [sum(max(q - m, 0) for q in p) for m in range(1, p[0])]
+    assert partition_from_ranks(ranks, sum(p)) == p

@@ -7,13 +7,18 @@ import sys
 from pathlib import Path
 
 
-def test_tracer_targets_resolve():
-    # the tracer patches each target with getattr: a renamed or deleted
-    # function would break `perfbench/run.py --trace 1`
+def _tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve():
+    # the tracer patches each target with getattr: a renamed or deleted
+    # function would break `perfbench/run.py --trace 1`
+    tracer = _tracer()
     assert tracer.TARGETS
     missing = [
         (module, attr) for module, attr, _ in tracer.TARGETS
@@ -83,3 +88,44 @@ def test_every_package_module_is_reached_from_the_package_or_the_cli():
             reached.add(module)
             todo += [name for name in imports[module] if name in imports]
     assert sorted(set(imports) - reached - {"__main__"}) == []
+
+
+def _public_definitions(tree):
+    """(qualified name, name) of the public top-level functions, classes
+    and assignments of a module and the public methods of its classes."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, name
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_linalg_and_algebra_define_no_api_that_only_tests_reach():
+    # every public name of the two layers is used by the package itself or
+    # is a tracer target; an export from __init__ is not a use
+    package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in package.glob("*.py") if path.stem != "__init__"}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    traced = {(module, attr) for module, attr, _ in _tracer().TARGETS}
+    unused = [f"{module}.{qualified}"
+              for module in ("linalg", "algebra")
+              for qualified, name in _public_definitions(trees[module])
+              if name not in used and (module, qualified) not in traced]
+    assert unused == []
