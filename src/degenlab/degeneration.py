@@ -24,15 +24,25 @@ identity surviving limits) are genuine proofs.  Closed-set witnesses prove
 the source side by a stored basis and only *falsify* the target side by
 seeded random orbit sampling; reports must keep the two tiers apart.
 
-Orbit samples are computed over Z: for an integer basis g, one
-fraction-free elimination gives d != 0 and R = d g^-1, and the table
-scaled by its denominator lcm L, written through R, is the exact orbit
-point of the basis s g, s = d L, with no division (`_orbit_point`).
-Scaling a table by c is the flag-preserving change c I, so each
-ClosedSetSpec set and R is a cone: the s g point is a member iff the g
-point is.  The same point tests the lower-triangular probes and a stored
-source basis (its values at t = 0, scaled to integers).  Sampling needs
-trials >= 1.
+Orbit samples are tested over Z on the rows of the basis g, with no
+inverse: the orbit point meets the flag conditions of a ClosedSetSpec iff
+each product A(g_p, g_q) that a triple (i, j, k) hits lies in
+W_k = span(g_k, ..., g_n), and is 0 for k = n + 1 (`_orbit_meets`).  The
+hit pairs, each with its strictest k, are listed once per call
+(`_hit_pairs`).  One fraction-free elimination of g from its last row
+upward both rejects singular draws and gives reduced rows of every W_k
+(`linalg.int_suffix_spans`), and the products are reduced against them
+until the first pair that fails.  A lower-triangular probe basis has
+W_k = V_k, so its test reads the standard coordinates 1..k-1
+(`_flag_change_meets`).
+The full orbit point, the table scaled by its denominator lcm L and
+written through R = d g^-1, is the point of the basis s g, s = d L, with
+no division (`_orbit_point`); it is built only for a stored source basis
+(its values at t = 0, scaled to integers) and for the R quadratics of a
+sample that meets R's flags.  Scaling a table by c is the
+flag-preserving change c I, so each ClosedSetSpec set and R is a cone:
+the s g point is a member iff the g point is.  Sampling needs trials >= 1
+and probing samples >= 1.
 
 Basis rows are written in a small text syntax, e.g.
 
@@ -49,6 +59,7 @@ from math import lcm
 from .algebra import (
     DimensionMismatch,
     StructureTensor,
+    _int_product,
     annihilator,
     dim_square,
     int_change_basis,
@@ -66,7 +77,7 @@ from .exactnum import (
     poly_gcd,
     rational_from_obj,
 )
-from .linalg import int_scaled, int_scaled_inverse
+from .linalg import int_reduce, int_scaled, int_scaled_inverse, int_suffix_spans
 
 
 class SingularFamily(ValueError):
@@ -295,6 +306,48 @@ def closed_set_member(a: StructureTensor, spec: ClosedSetSpec) -> bool:
     return True
 
 
+def _hit_pairs(spec: ClosedSetSpec, n: int):
+    """((p, q, k), ...): each pair p < q (0-based) that a triple of `spec`
+    hits, with the strictest k of those triples, in pair order.
+
+    The set's members are the tables whose product e_p e_q lies in V_k for
+    each listed (p, q, k); k = n + 1 asks for a zero product.  Raises
+    ValueError for a triple outside 1 <= i, j <= n, 1 <= k <= n + 1.
+    """
+    strictest = {}
+    for (i, j, k) in spec.triples:
+        if not (1 <= i <= n and 1 <= j <= n and 1 <= k <= n + 1):
+            raise ValueError(
+                f"triple {(i, j, k)} outside dimension {n}: need "
+                f"1 <= i, j <= {n} and 1 <= k <= {n + 1}")
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                hit = (p >= i - 1 and q >= j - 1) or (q >= i - 1 and p >= j - 1)
+                if hit and k > strictest.get((p, q), 1):
+                    strictest[(p, q)] = k
+    return tuple((p, q, k) for (p, q), k in sorted(strictest.items()))
+
+
+def _flag_change_meets(table, n: int, g, pairs) -> bool:
+    """Membership of the orbit point of a flag-preserving basis g (row i in
+    <e_i, ..., e_n>, nonzero diagonal) in the set of `_hit_pairs` `pairs`:
+    span(g_k, ..., g_n) = V_k, so the product A(g_p, g_q) of the
+    `int_table` table must vanish in its standard coordinates 1..k-1."""
+    return not any(any(_int_product(table, n, g[p], g[q])[:k - 1])
+                   for p, q, k in pairs)
+
+
+def _orbit_meets(table, n: int, g, spans, pairs) -> bool:
+    """Membership of the orbit point of an invertible basis g in the set of
+    `_hit_pairs` `pairs`: every hit product A(g_p, g_q) of the `int_table`
+    table lies in W_k = span(g_k, ..., g_n), whose reduced rows `spans`
+    (`int_suffix_spans`) decide it; W_{n+1} = 0.  Stops at the first
+    failure."""
+    return not any(
+        any(int_reduce(_int_product(table, n, g[p], g[q]), spans, k - 1))
+        for p, q, k in pairs)
+
+
 def _int_anticommutative(dim: int, rng: random.Random, spread: int = 3):
     """Random integer table {(i, j): vector}; zero vectors are left out."""
     table = {}
@@ -333,31 +386,31 @@ def _int_lower_triangular(dim: int, rng: random.Random):
 
 
 def lower_triangular_invariance_probe(
-    spec, dim: int, samples: int = 100, seed: int = 0,
-    sampler=None, member=None,
+    spec: ClosedSetSpec, dim: int, samples: int = 100, seed: int = 0
 ) -> Verdict:
-    """Probe closure of a set under flag-preserving basis changes.
+    """Probe closure of a flag-condition set under flag-preserving changes.
 
-    For ClosedSetSpec input the sampler projects random integer structures
-    onto the defining linear conditions; a custom (sampler, member) pair
-    can probe any candidate set, which the tests use as a negative
-    control.  The moved structure is the integer orbit point of s g, so
-    `member` must be a cone (invariant under nonzero scaling).
+    Each sample projects a random integer table onto the set's linear
+    conditions and moves it by a random lower-triangular integer basis g.
+    Such a g has a nonzero diagonal, so span(g_k, ..., g_n) is V_k and the
+    moved table is a member iff the coordinates 1..k-1 of each hit product
+    A(g_p, g_q) vanish (`_flag_change_meets`); no inverse is formed.
+    Raises ValueError when samples < 1 (zero samples are no evidence) or
+    when a triple lies outside dimension `dim`.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    pairs = _hit_pairs(spec, dim)
     rng = random.Random(seed)
-    if isinstance(spec, ClosedSetSpec):
-        sampler = sampler or (lambda r: StructureTensor.from_trusted(
-            dim, _project_table(_int_anticommutative(dim, r), dim, spec)))
-        member = member or (lambda t: closed_set_member(t, spec))
     for trial in range(samples):
-        tensor = sampler(rng)
-        if not member(tensor):
+        tensor = StructureTensor.from_trusted(
+            dim, _project_table(_int_anticommutative(dim, rng), dim, spec))
+        if not closed_set_member(tensor, spec):
             return Verdict(
                 "fail", f"sampler produced a non-member at trial {trial}"
             )
         g = _int_lower_triangular(dim, rng)
-        _, inv = int_scaled_inverse(g)  # nonzero diagonal: never singular
-        if not member(_orbit_point(int_table(tensor)[1], dim, g, inv)):
+        if not _flag_change_meets(int_table(tensor)[1], dim, g, pairs):
             return Verdict(
                 "fail",
                 f"membership lost under a flag-preserving change at trial {trial}",
@@ -399,8 +452,11 @@ def ex222_membership(a: StructureTensor) -> bool:
     """
     if a.dim != 7:
         raise ValueError("the set R lives in dimension 7")
-    if not closed_set_member(a, _R_FLAGS):
-        return False
+    return closed_set_member(a, _R_FLAGS) and _r_quadratics_hold(a)
+
+
+def _r_quadratics_hold(a: StructureTensor) -> bool:
+    """The quadratic relations of R, for a seven-dimensional table."""
     for relation in _R_QUADRATICS:
         acc = 0
         for (m1, m2, sign) in relation:
@@ -410,41 +466,54 @@ def ex222_membership(a: StructureTensor) -> bool:
     return True
 
 
-def _orbit_point(table, n: int, g, inv) -> StructureTensor:
+def _orbit_point(table, n: int, g) -> StructureTensor | None:
     """The orbit point of the basis s g, s = d L, for an `int_table` table
-    and (d != 0, inv) = int_scaled_inverse(g): exact for cone membership."""
+    and (d, R) = int_scaled_inverse(g), exact for cone membership; None
+    when g is singular."""
+    d, inv = int_scaled_inverse(g)
+    if not d:
+        return None
     return StructureTensor.from_trusted(n, int_change_basis(table, n, g, inv))
 
 
 def random_invertible(dim: int, rng: random.Random, spread: int = 5):
-    """(g, R): random integer rows g, R = d g^-1; singular draws are redrawn."""
+    """(g, spans): random integer rows g and their `int_suffix_spans`;
+    singular draws are redrawn."""
     while True:
         rows = [
             [rng.randint(-spread, spread) for _ in range(dim)]
             for _ in range(dim)
         ]
-        d, inv = int_scaled_inverse(rows)
-        if d:
-            return rows, inv
+        spans = int_suffix_spans(rows)
+        if spans is not None:
+            return rows, spans
 
 
 def randomized_orbit_refute(
-    b: StructureTensor, member, trials: int, seed: int
+    b: StructureTensor, spec: ClosedSetSpec, trials: int, seed: int,
+    cone=None,
 ) -> Verdict:
-    """Sample the orbit of b for members of a closed set.
+    """Sample the orbit of b for members of a closed set: the flag
+    conditions `spec`, and the predicate `cone` when given.
 
     refutation_not_found is evidence, never proof, that the orbit misses
     the set; a hit refutes the emptiness claim and returns the basis.
-    `member` sees the integer orbit point of s g and must be a cone.
-    Raises ValueError when trials < 1: zero samples are no evidence.
+    Each sample g is tested on its rows (`_orbit_meets`); only a sample
+    that meets `spec` is written out in full, and `cone` sees that integer
+    orbit point of s g, so it must be invariant under nonzero scaling.
+    Raises ValueError when trials < 1 (zero samples are no evidence) or
+    when a triple lies outside the dimension of b.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    n = b.dim
+    pairs = _hit_pairs(spec, n)
     rng = random.Random(seed)
     _, table = int_table(b)
     for trial in range(trials):
-        g, inv = random_invertible(b.dim, rng)
-        if member(_orbit_point(table, b.dim, g, inv)):
+        g, spans = random_invertible(n, rng)
+        if _orbit_meets(table, n, g, spans, pairs) and (
+                cone is None or cone(_orbit_point(table, n, g))):
             return Verdict(
                 "refuted",
                 f"orbit member found in the set at trial {trial}",
@@ -532,9 +601,9 @@ def verify_nondegeneration(
             raise ValueError(f"trials must be >= 1, got {trials}")
         if w.kind == "ClosedSet":
             spec = ClosedSetSpec(tuple(tuple(t) for t in w.payload["triples"]))
-            member = lambda t: closed_set_member(t, spec)  # noqa: E731
+            cone = None
         else:
-            member = ex222_membership
+            spec, cone = _R_FLAGS, _r_quadratics_hold
         witness_rows = w.payload.get("source_basis")
         if witness_rows:
             if len(witness_rows) != src.dim:
@@ -543,16 +612,15 @@ def verify_nondegeneration(
                           for r in witness_rows]
             if any(x is None for row in const_rows for x in row):
                 return Verdict("refuted", "stored source basis has a pole at t = 0")
-            g = int_scaled(const_rows)[1]
-            d, inv = int_scaled_inverse(g)
-            if not d:
+            moved = _orbit_point(int_table(src)[1], src.dim,
+                                 int_scaled(const_rows)[1])
+            if moved is None:
                 return Verdict("refuted", "stored source basis is singular at t = 0")
-            moved = _orbit_point(int_table(src)[1], src.dim, g, inv)
         else:
             moved = src
-        if not member(moved):
+        if not (closed_set_member(moved, spec) and (cone is None or cone(moved))):
             return Verdict("refuted", "stored source basis does not land in the set")
-        verdict = randomized_orbit_refute(tgt, member, trials, seed)
+        verdict = randomized_orbit_refute(tgt, spec, trials, seed, cone)
         if verdict.status == "refuted":
             return Verdict(
                 "refuted",

@@ -2,11 +2,14 @@
 
 A matrix is a list of rows; matrices here are tiny (at most ~11x11) and
 dense.  Everything is computed exactly: `int_echelon` is the one
-fraction-free elimination, giving integer echelon rows for spans and, by
+fraction-free elimination of a span, giving integer echelon rows and, by
 counting them, ranks over the rationals after clearing denominators;
-`int_scaled_inverse` is the package's one inverse.  It needs only + - *
-and exact // of its entries, so it runs on ints (orbit sampling) and on
-integer polynomials `exactnum.ZPoly` (the certificate check) alike.
+`int_suffix_spans` eliminates an ordered basis from its last row upward,
+so that `int_reduce` decides membership in each suffix span (orbit
+sampling); `int_scaled_inverse` is the package's one inverse.  It needs
+only + - * and exact // of its entries, so it runs on ints (stored source
+bases) and on integer polynomials `exactnum.ZPoly` (the certificate
+check) alike.
 `int_scaled` is the one place where rational rows are scaled to integer
 rows; tables, bases, elements and pencils all go through it.
 Subspaces are kept in reduced row-echelon form (`_rref`, over Q) so that
@@ -80,6 +83,45 @@ def int_echelon(rows):
                     row_i[j] //= g
         r += 1
     return rows[:r]
+
+
+def int_suffix_spans(rows):
+    """Reduced rows h_1, ..., h_n with span(h_k, ..., h_n) = W_k =
+    span(g_k, ..., g_n) for the integer rows g, as (pivot, row) pairs;
+    None when the rows are dependent (det g = 0).
+
+    One fraction-free elimination from the last row upward: g_k is reduced
+    against h_n, ..., h_{k+1} in that order (`int_reduce`), divided by the gcd
+    of its entries, and pivots at its first nonzero column.  So h_k
+    vanishes at the pivots of h_{k+1}, ..., h_n, and a row reducing to 0
+    means g_k lies in W_{k+1}.
+    """
+    n = len(rows)
+    spans = [None] * n
+    for k in range(n - 1, -1, -1):
+        h = int_reduce(rows[k], spans, k + 1)
+        pivot = next((c for c, x in enumerate(h) if x), None)
+        if pivot is None:
+            return None
+        c = gcd(*h)
+        spans[k] = (pivot, [x // c for x in h] if c > 1 else h)
+    return spans
+
+
+def int_reduce(v, spans, k: int):
+    """v reduced against the `int_suffix_spans` rows h_n, ..., h_{k+1}
+    (0-based index k onward) in that order: 0 iff v lies in their span.
+
+    Each step clears the pivot of h_m and keeps the pivots already cleared,
+    since h_m vanishes at the pivots of the rows after it.
+    """
+    for m in range(len(spans) - 1, k - 1, -1):
+        pivot, h = spans[m]
+        x = v[pivot]
+        if x:
+            pv = h[pivot]
+            v = [a * pv - x * b for a, b in zip(v, h)]
+    return v
 
 
 def _int_rank(rows) -> int:

@@ -7,6 +7,9 @@ Fraction bodies of the algebra layer (products, power ideals, annihilator,
 centralizer of the square) are kept here too; they build the package's
 `Subspace` over Fraction, so whole subspaces can be compared.  The Q(t)
 oracles of the certificate check run on sympy's rational function field.
+The inverse-based orbit sampling and lower-triangular probe, which write
+out the whole orbit point of every sample, are the reference for the
+package's span tests.
 """
 
 from fractions import Fraction
@@ -641,3 +644,70 @@ def random_lower_triangular(dim, rng):
     from degenlab.degeneration import _int_lower_triangular
 
     return _int_lower_triangular(dim, rng)
+
+
+def inverse_orbit_point(table, n, g):
+    """Orbit point of the basis s g (s = d L) through the full inverse
+    R = d g^-1 and every product of the int_table table; None if g is
+    singular."""
+    from degenlab.algebra import StructureTensor, int_change_basis
+    from degenlab.linalg import int_scaled_inverse
+
+    d, inv = int_scaled_inverse(g)
+    if not d:
+        return None
+    return StructureTensor(n, int_change_basis(table, n, g, inv))
+
+
+def inverse_orbit_refute(b, member, trials, seed):
+    """Orbit sampling through the full inverse: each draw of integer rows
+    is inverted, singular draws are redrawn, and `member` (a cone) tests
+    the whole orbit point.  The verdicts of randomized_orbit_refute."""
+    import random
+
+    from degenlab.algebra import int_table
+    from degenlab.degeneration import Verdict
+
+    rng = random.Random(seed)
+    table, n = int_table(b)[1], b.dim
+    for trial in range(trials):
+        while True:
+            g = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            moved = inverse_orbit_point(table, n, g)
+            if moved is not None:
+                break
+        if member(moved):
+            return Verdict(
+                "refuted",
+                f"orbit member found in the set at trial {trial}",
+                {"basis": [[str(x) for x in row] for row in g]},
+            )
+    return Verdict(
+        "refutation_not_found",
+        f"no orbit sample of {trials} landed in the set (falsification only)",
+    )
+
+
+def inverse_lower_triangular_probe(dim, samples, seed, sampler, member):
+    """The lower-triangular probe through the full inverse, for any
+    (sampler, member) pair: `sampler(rng)` draws a table that `member` (a
+    cone) must accept, and each moved orbit point must stay a member."""
+    import random
+
+    from degenlab.algebra import int_table
+    from degenlab.degeneration import Verdict, _int_lower_triangular
+
+    rng = random.Random(seed)
+    for trial in range(samples):
+        tensor = sampler(rng)
+        if not member(tensor):
+            return Verdict("fail", f"sampler produced a non-member at trial {trial}")
+        g = _int_lower_triangular(dim, rng)
+        if not member(inverse_orbit_point(int_table(tensor)[1], dim, g)):
+            return Verdict(
+                "fail",
+                f"membership lost under a flag-preserving change at trial {trial}",
+                {"tensor": tensor.to_json_obj(),
+                 "basis": [[str(x) for x in row] for row in g]},
+            )
+    return Verdict("pass")

@@ -22,6 +22,7 @@ from degenlab.catalog import (
 )
 from degenlab.contraction import iw_max
 from degenlab.degeneration import (
+    _R_FLAGS,
     ex222_membership,
     randomized_orbit_refute,
     verify_degeneration,
@@ -229,10 +230,12 @@ def test_criterion_6_bespoke_set_reproduction():
     rows = [[Fraction(int(j == perm[i])) for j in range(7)] for i in range(7)]
     inside = ex222_membership(change_basis(special, rows))
     v1 = randomized_orbit_refute(
-        instantiate("T22_e45", 7), ex222_membership, trials=1000, seed=SEED
+        instantiate("T22_e45", 7), _R_FLAGS, trials=1000, seed=SEED,
+        cone=ex222_membership,
     )
     v2 = randomized_orbit_refute(
-        instantiate("T222_e24", 7), ex222_membership, trials=1000, seed=SEED
+        instantiate("T222_e24", 7), _R_FLAGS, trials=1000, seed=SEED,
+        cone=ex222_membership,
     )
     elapsed = time.time() - start
     _report(

@@ -9,9 +9,14 @@ from hypothesis import strategies as st
 
 from degenlab.algebra import StructureTensor, change_basis
 from degenlab.catalog import instantiate
+from degenlab.algebra import int_table
 from degenlab.degeneration import (
+    _R_FLAGS,
+    _flag_change_meets,
+    _hit_pairs,
     _int_anticommutative,
     _int_lower_triangular,
+    _orbit_meets,
     _project_table,
     AlgebraRef,
     ClosedSetSpec,
@@ -30,9 +35,12 @@ from degenlab.degeneration import (
     verify_nondegeneration,
 )
 from degenlab.exactnum import parse_rational_function as parse
+from degenlab.linalg import int_suffix_spans
 from degenlab.verification_db import load_ledger, shipped_ledger_path
 
 from oracles import fraction_inverse, project_to_spec, qt_at_zero, qt_basis_row
+from oracles import inverse_lower_triangular_probe, inverse_orbit_point
+from oracles import inverse_orbit_refute, row_reduce_dim
 from oracles import qt_certificate_verdict, qt_constants, qt_parse, qt_value
 from oracles import random_anticommutative, random_lower_triangular
 
@@ -263,7 +271,7 @@ def test_lower_triangular_probe_passes_on_flag_specs():
 
 def test_lower_triangular_probe_negative_control():
     # head-span condition: products must lie in <e1>; this is NOT stable
-    # under flag-preserving transformations and the probe must notice
+    # under flag-preserving transformations and the probe loop must notice
     def sampler(rng):
         tensor = random_anticommutative(4, rng)
         table = {}
@@ -278,9 +286,7 @@ def test_lower_triangular_probe_negative_control():
             not any(vec[1:]) for vec in tensor.products.values()
         )
 
-    verdict = lower_triangular_invariance_probe(
-        None, dim=4, samples=60, seed=4, sampler=sampler, member=member
-    )
+    verdict = inverse_lower_triangular_probe(4, 60, 4, sampler, member)
     assert verdict.status == "fail"
 
 
@@ -344,7 +350,7 @@ def test_ex222_membership_examples():
 def test_randomized_orbit_refute_finds_planted_member():
     special = instantiate("T222_e7special", 7)
     verdict = randomized_orbit_refute(
-        special, ex222_membership, trials=400, seed=8
+        special, _R_FLAGS, trials=400, seed=8, cone=ex222_membership
     )
     # the orbit of the special structure does meet R; sampling may or may
     # not find it, but a found basis must be a genuine membership witness
@@ -355,7 +361,8 @@ def test_randomized_orbit_refute_finds_planted_member():
 
 def test_randomized_orbit_refute_misses_for_e45():
     verdict = randomized_orbit_refute(
-        instantiate("T22_e45", 7), ex222_membership, trials=60, seed=8
+        instantiate("T22_e45", 7), _R_FLAGS, trials=60, seed=8,
+        cone=ex222_membership,
     )
     assert verdict.status == "refutation_not_found"
 
@@ -428,22 +435,28 @@ def test_int_samplers_match_the_fraction_samplers():
 
 def test_random_invertible_draws_like_the_fraction_rejection_loop():
     # the draw sequence of drawing Fraction matrices and rejecting the
-    # singular ones with an independent inverse
+    # singular ones with an independent inverse; the spans returned are
+    # reduced bases of the suffix spans W_k = <g_k, ..., g_n>
+    redrawn = 0
     for dim in (2, 3, 7, 9):
         a, b = random.Random(dim), random.Random(dim)
         for _ in range(20):
             while True:
                 want = [[Fraction(a.randint(-5, 5)) for _ in range(dim)]
                         for _ in range(dim)]
-                inverse = fraction_inverse(want)
-                if inverse is not None:
+                if fraction_inverse(want) is not None:
                     break
-            g, inv = random_invertible(dim, b)
+                redrawn += 1
+            g, spans = random_invertible(dim, b)
             assert g == want
-            d = next(x for x in inv[0] if x) / next(x for x in inverse[0] if x)
-            assert [[Fraction(x) for x in row] for row in inv] == [
-                [d * x for x in row] for row in inverse]
+            rows = [h for _, h in spans]
+            for k in range(dim):
+                assert row_reduce_dim(rows[k:]) == dim - k
+                assert row_reduce_dim(rows[k:] + g[k:]) == dim - k
+                assert rows[k][spans[k][0]]
+                assert not any(rows[k][spans[m][0]] for m in range(k + 1, dim))
         assert a.getstate() == b.getstate()
+    assert redrawn  # the stream includes singular draws
 
 
 def _scaled(tensor, c):
@@ -488,7 +501,7 @@ def test_bespoke_set_membership_is_scale_invariant():
 
 def test_orbit_refute_basis_renders_as_before():
     special = instantiate("T222_e7special", 7)
-    verdict = randomized_orbit_refute(special, lambda t: True, trials=1, seed=5)
+    verdict = randomized_orbit_refute(special, ClosedSetSpec(()), trials=1, seed=5)
     rng = random.Random(5)
     want = [[str(Fraction(rng.randint(-5, 5))) for _ in range(7)] for _ in range(7)]
     assert verdict.status == "refuted"
@@ -498,8 +511,8 @@ def test_orbit_refute_basis_renders_as_before():
 @pytest.mark.parametrize("trials", [0, -3])
 def test_sampling_needs_a_sample(trials):
     with pytest.raises(ValueError):
-        randomized_orbit_refute(instantiate("T22_e45", 7), ex222_membership,
-                                trials=trials, seed=1)
+        randomized_orbit_refute(instantiate("T22_e45", 7), _R_FLAGS,
+                                trials=trials, seed=1, cone=ex222_membership)
     w = NonDegenerationWitness(
         kind="BespokeR",
         source=AlgebraRef("T222_e7special", 7),
@@ -508,6 +521,123 @@ def test_sampling_needs_a_sample(trials):
     )
     with pytest.raises(ValueError):
         verify_nondegeneration(w, trials=trials, seed=6)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_probe_needs_a_sample(samples):
+    with pytest.raises(ValueError):
+        lower_triangular_invariance_probe(ClosedSetSpec(((1, 1, 4),)), 4,
+                                          samples=samples)
+
+
+@pytest.mark.parametrize("triple", [(9, 1, 3), (1, 5, 2), (0, 1, 2),
+                                    (1, 1, 6), (2, 2, 0)])
+def test_a_triple_outside_the_dimension_is_refused(triple):
+    # dimension 4: 1 <= i, j <= 4 and 1 <= k <= 5
+    spec = ClosedSetSpec(((1, 1, 4), triple))
+    with pytest.raises(ValueError, match="outside dimension 4"):
+        lower_triangular_invariance_probe(spec, 4, samples=3)
+    with pytest.raises(ValueError, match="outside dimension 4"):
+        randomized_orbit_refute(StructureTensor(4), spec, trials=3, seed=1)
+
+
+def test_hit_pairs_keep_the_strictest_condition():
+    spec = ClosedSetSpec(((1, 1, 3), (2, 3, 5), (3, 1, 4), (1, 2, 1)))
+    # (2, 3, 5): pairs (2,3), (2,4), (3,4) must vanish; (3, 1, 4) moves
+    # (1,3), (1,4) from V_3 to V_4; (1, 2, 1) asks nothing
+    assert _hit_pairs(spec, 4) == ((0, 1, 3), (0, 2, 4), (0, 3, 4),
+                                   (1, 2, 5), (1, 3, 5), (2, 3, 5))
+
+
+def _random_spec(n, rng):
+    return ClosedSetSpec(tuple(
+        (rng.randint(1, n), rng.randint(1, n), rng.randint(1, n + 1))
+        for _ in range(rng.randint(1, 3))))
+
+
+def _sparse_table(n, rng):
+    """Random integer table whose coefficients are 0 with probability 1/2
+    or more, so that flag conditions hold often enough to matter."""
+    zero = rng.random()
+    table = {}
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            vec = tuple(0 if rng.random() < zero or rng.random() < 0.5
+                        else rng.randint(-3, 3) for _ in range(n))
+            if any(vec):
+                table[(i, j)] = vec
+    return StructureTensor(n, table)
+
+
+def _quadrant(t):
+    # a cone: scaling the table by c scales the product by c^2
+    return t.constant(1, 2, 1) * t.constant(1, 2, t.dim) >= 0
+
+
+def test_orbit_sampling_matches_the_inverse_path_on_random_specs():
+    # status, reason, trial index and basis equal the inverse-based
+    # reference, with and without a cone predicate
+    rng = random.Random(2024)
+    statuses = set()
+    for case in range(240):
+        n = rng.randint(2, 4)
+        b = _sparse_table(n, rng)
+        spec = _random_spec(n, rng)
+        cone = _quadrant if case % 3 == 0 else None
+        seed = rng.randint(0, 10 ** 6)
+        got = randomized_orbit_refute(b, spec, 30, seed, cone)
+        want = inverse_orbit_refute(
+            b, lambda t: closed_set_member(t, spec) and (cone is None or cone(t)),
+            30, seed)
+        assert got == want, (b.products, spec, cone, seed)
+        statuses.add((got.status, cone is None))
+    assert len(statuses) == 4
+
+
+def test_orbit_sampling_matches_the_inverse_path_on_shipped_witnesses():
+    ledger = load_ledger(shipped_ledger_path())
+    closed = [w for w in ledger.witnesses if w.kind == "ClosedSet"]
+    assert closed
+    for w in closed:
+        spec = ClosedSetSpec(tuple(tuple(t) for t in w.payload["triples"]))
+        for side in (w.source, w.target):
+            b = side.resolve()
+            got = randomized_orbit_refute(b, spec, 20, 20240917)
+            want = inverse_orbit_refute(
+                b, lambda t: closed_set_member(t, spec), 20, 20240917)
+            assert got == want, w.witness_id
+
+
+def test_bespoke_sampling_matches_the_inverse_path():
+    # T222_e7special meets R (a permutation basis lands in it)
+    special = instantiate("T222_e7special", 7)
+    for seed in (8, 20240917):
+        got = randomized_orbit_refute(special, _R_FLAGS, 100, seed,
+                                      cone=ex222_membership)
+        assert got == inverse_orbit_refute(special, ex222_membership, 100, seed)
+
+
+def test_orbit_membership_matches_the_inverse_path():
+    # on unprojected tables: the prefix test of a flag-preserving basis,
+    # and the span test of any invertible basis, against the membership
+    # of the whole orbit point
+    rng = random.Random(77)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        b = _sparse_table(n, rng)
+        spec = _random_spec(n, rng)
+        table, pairs = int_table(b)[1], _hit_pairs(spec, n)
+        flag = _int_lower_triangular(n, rng)
+        want = closed_set_member(inverse_orbit_point(table, n, flag), spec)
+        assert _flag_change_meets(table, n, flag, pairs) == want
+        assert _orbit_meets(table, n, flag, int_suffix_spans(flag), pairs) == want
+        seen.add(want)
+        g, spans = random_invertible(n, rng)
+        want = closed_set_member(inverse_orbit_point(table, n, g), spec)
+        assert _orbit_meets(table, n, g, spans, pairs) == want
+        seen.add(("general", want))
+    assert seen == {True, False, ("general", True), ("general", False)}
 
 
 @pytest.mark.parametrize("rows, reason", [

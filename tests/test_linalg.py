@@ -18,8 +18,10 @@ from degenlab.linalg import (
     Singular,
     Subspace,
     int_echelon,
+    int_reduce,
     int_scaled,
     int_scaled_inverse,
+    int_suffix_spans,
     invert,
     kernel_basis,
     partition_from_ranks,
@@ -92,6 +94,33 @@ def test_rank_plus_kernel_dimension():
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(4)]
                 for _ in range(rng.randint(1, 5))]
         assert rank(rows) + kernel_basis(rows).dim == 4
+
+
+def test_int_suffix_spans_decide_membership_in_every_suffix_span():
+    # square integer rows, a third of them singular; vectors inside and
+    # outside W_k = <g_k, ..., g_n> against the naive rank
+    rng = random.Random(11)
+    seen = set()
+    for trial in range(150):
+        n = 1 + trial % 6
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0:
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            rows[i] = [rng.randint(-2, 2) * x for x in rows[j]]
+        spans = int_suffix_spans(rows)
+        assert (spans is None) == (row_reduce_dim(rows) < n)
+        if spans is None:
+            continue
+        for k in range(n + 1):
+            inside = [0] * n
+            for row in rows[k:]:
+                c = rng.randint(-2, 2)
+                inside = [a + c * b for a, b in zip(inside, row)]
+            for v in (inside, [rng.randint(-3, 3) for _ in range(n)]):
+                want = row_reduce_dim(rows[k:] + [v]) == n - k
+                assert (not any(int_reduce(v, spans, k))) == want
+                seen.add(want)
+    assert seen == {True, False}
 
 
 def test_int_echelon_spans_the_same_space():
