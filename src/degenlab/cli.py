@@ -7,8 +7,10 @@ DEGENLAB_LEDGER environment variable.
 
 Exit codes for `check`: 0 pass/proved, 2 fail/refuted, 3 sampling-only
 (refutation not found), 1 I/O, parse or argument errors (such as
---trials below 1).  `verify-paper` exits 0 exactly when the report
-contains no FAIL entries, 2 when it does and 1 on the same errors.
+--trials below 1, which `iwmax` refuses too).  `verify-paper` exits 0
+exactly when the report contains no FAIL entries, 2 when it does and 1 on
+the same errors; `--dims` that selects no certificate, witness or chain
+of the ledger is such an error and writes no report.
 A certificate `basis` that is not a list of strings is a parse error
 (exit 1).  Its rows are parsed when the certificate is verified, so a
 row that does not parse, or a basis of the wrong length, is a fail
@@ -152,6 +154,13 @@ def cmd_check(args) -> int:
     return 2
 
 
+def _ledger_dims(ledger) -> set:
+    """The dimensions of the ledger's certificates, witnesses and chains."""
+    return ({c.source.dim for c in ledger.certificates}
+            | {w.source.dim for w in ledger.witnesses}
+            | {ch.dim for ch in ledger.chains})
+
+
 def cmd_verify_paper(args) -> int:
     if args.trials < 1:
         return _error(f"trials must be >= 1, got {args.trials}")
@@ -159,6 +168,9 @@ def cmd_verify_paper(args) -> int:
         ledger = load_ledger(_ledger_path(args))
     except (ParseError, InconsistentLedger) as exc:
         return _error(exc)
+    if args.dims and not set(args.dims) & _ledger_dims(ledger):
+        return _error(f"--dims {' '.join(map(str, args.dims))} selects no "
+                      f"certificate, witness or chain of the ledger")
     report = run_ledger(
         ledger, seed=args.seed, trials=args.trials, dims=args.dims
     )
@@ -201,6 +213,8 @@ def cmd_catalog_list(args) -> int:
 
 
 def cmd_iwmax(args) -> int:
+    if args.trials < 1:
+        return _error(f"trials must be >= 1, got {args.trials}")
     tensor = _instantiate(args)
     if tensor is None:
         return 1

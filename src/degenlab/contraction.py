@@ -202,7 +202,10 @@ def iw_max(a: StructureTensor, seed: int = 0, trials: int = 20):
     r_m = sum_i max(lambda_i - m, 0); parts of size one are invisible to
     that duality, so the label carries only parts >= 2 except for the zero
     sequence, which is reported as the all-ones partition of the quotient.
+    Raises ValueError when trials < 1: a repair needs a perturbation.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     table, n = int_table(a)[1], a.dim
     bound = _rank_bound(table, n)
     pool = _CandidatePool(n, seed)

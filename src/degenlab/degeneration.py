@@ -7,16 +7,21 @@ of the source in that basis exactly, demands regularity at t = 0, and
 compares the limit with the target constants entry by entry.  A pole or a
 mismatch is a verdict, not an exception.
 
-The check runs over Z[t].  Each entry of g parses to an unreduced pair
+The check is exact in Z[t].  Each entry of g parses to an unreduced pair
 (num, den) of integer polynomials (`exactnum.ZPoly`).  One scale s in
 Z[t], common to all entries (per-row scales would change the constants),
 gives G = s g in Z[t]^(n x n).
 `int_scaled_inverse` gives d and R = d G^-1 with exact divisions only
 (Bareiss, 1968), and `int_change_basis` on the table scaled by L gives the
-constants N in the basis d L G, so those of g are N / (L s d).  A constant
-has a pole at 0 iff ord_t N < v = ord_t(L s d), and otherwise its limit is
-N[v] / (L s d)[v] (`exactnum.limit_at_zero`): gcds are taken only to find
-s, and that quotient is the only Fraction formed.
+constants N in the basis d L G, so those of g are N / (L s d).  Both
+kernels run on plain ints: G is evaluated at t = 2^B (Kronecker
+substitution), and d and N are read back as balanced base-2^B digits.
+`packing_bits` bounds the coefficients of every value the kernels test
+for zero or hand back, so their ints are the images of the same
+computation over Z[t].  A constant has a pole at 0 iff
+ord_t N < v = ord_t(L s d), and otherwise its limit is N[v] / (L s d)[v]
+(`exactnum.limit_at_zero`): gcds are taken only to find s, and that
+quotient is the only Fraction formed.
 
 Non-degenerations are two-tiered.  Invariant witnesses (dimension of the
 square, dimension of the annihilator, rank-sequence dominance, the Jacobi
@@ -54,7 +59,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from math import lcm
+from math import lcm, prod
 
 from .algebra import (
     DimensionMismatch,
@@ -70,6 +75,7 @@ from .contraction import dominates, iw_max, rank_sequence
 from .exactnum import (
     ZPOLY_ONE,
     ZPOLY_ZERO,
+    ZPoly,
     add_pairs,
     content,
     limit_at_zero,
@@ -175,17 +181,58 @@ def apply_parameterized_basis(a: StructureTensor, rows):
     """(den, N): the structure constants of `a` in the parameterized basis
     `rows` (parsed rows of (num, den) pairs) are N / den, with den in Z[t]
     and N = {(i, j): coordinates in Z[t]} for i < j.  Raises SingularFamily
-    when the rows fail to be a basis for generic t."""
+    when the rows fail to be a basis for generic t.
+
+    The integer kernels run on the values at t = X = 2^B of G in Z[t]
+    (`packing_bits`), and the determinant d and N are read back as
+    balanced base-X digits.
+    """
     n = a.dim
     if len(rows) != n:
         raise ValueError("basis dimension does not match the algebra")
     s, flat = clear_denominators(f for row in rows for f in row)
     g = [flat[i * n:(i + 1) * n] for i in range(n)]
-    d, inv = int_scaled_inverse(g)
+    mult, table = int_table(a)
+    bits = packing_bits(g, table)
+    packed = [[x.at_power_of_two(bits) for x in row] for row in g]
+    d, inv = int_scaled_inverse(packed)
     if not d:
         raise SingularFamily("parameterized basis has identically zero determinant")
-    mult, table = int_table(a)
-    return s * d * mult, int_change_basis(table, n, g, inv)
+    constants = int_change_basis(table, n, packed, inv)
+    return (s * ZPoly.from_balanced_digits(d, bits) * mult,
+            {key: tuple(ZPoly.from_balanced_digits(x, bits) for x in vec)
+             for key, vec in constants.items()})
+
+
+def packing_bits(g, table) -> int:
+    """B such that the certificate check over Z[t] may run on the values
+    at t = X = 2^B of G = g and of the integer table `table`.
+
+    Evaluation at X is a ring map Z[t] -> Z, so the fraction-free inverse
+    and `int_change_basis` commute with it as long as every value they
+    test for zero, and every value read back, is determined by its image:
+    then the same pivots are chosen, and Bareiss's divisions, exact in
+    Z[t], stay exact in Z.  A polynomial whose coefficients all lie
+    strictly inside +-X/2 maps to 0 only if it is 0 (its top term
+    outweighs the rest), and its balanced base-X digits give it back.
+    Intermediate products need no bound.  With ||.|| the 1-norm of the
+    coefficients, which is submultiplicative, r_i = sum_j ||G_ij|| + 1 the
+    1-norm of row i of [G | I] and r_max the largest r_i:
+
+      - every entry of [G | I] after a pivot, the pivot candidates, d and
+        R included, is up to sign a minor of [G | I]; expanding it as a
+        signed sum over permutations bounds its norm by M = prod_i r_i
+        (each r_i >= 1);
+      - a product coordinate p_r of g_i g_j has norm <= T r_i r_j, T the
+        largest |coefficient| of `table` (1 for the zero table);
+      - a coordinate sum_r p_r R_rk of N has norm <= n T r_max^2 M.
+
+    All three are at most K = n T r_max^2 M, and B = bitlength(K) + 1
+    gives K < X / 2.
+    """
+    norms = [sum(sum(map(abs, x.coeffs)) for x in row) + 1 for row in g]
+    top = max((abs(v) for _, _, entries in table for _, v in entries), default=1)
+    return (len(g) * top * max(norms) ** 2 * prod(norms)).bit_length() + 1
 
 
 @dataclass(frozen=True)

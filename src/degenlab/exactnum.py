@@ -2,13 +2,16 @@
 
   Rational  -- an alias of fractions.Fraction (arbitrary precision)
   ZPoly     -- a polynomial in t with int coefficients, the one polynomial
-               type: the scalar of the certificate check
+               type: the entries of the certificate check, packed into
+               ints at t = 2^B for its linear algebra
 
 A rational function in t is an unreduced pair (num, den) of ZPolys with
 den nonzero.  The entries of parameterized bases such as
 (1/t)*e4 - (1/t^2)*e7 parse to such pairs with no gcd taken; the
 certificate check puts them over one common denominator once
-(`degeneration.clear_denominators`, using `poly_gcd`) and runs over Z[t].
+(`degeneration.clear_denominators`, using `poly_gcd`) and runs its
+linear algebra on the values at t = 2^B (`ZPoly.at_power_of_two`), reading
+the results back from their balanced digits (`ZPoly.from_balanced_digits`).
 The value of num/den at t = 0 has one rule, `limit_at_zero`: a pole iff
 ord_t num < ord_t den, and otherwise num[v] / den[v] with v = ord_t den.
 Neither side depends on whether the pair is reduced.
@@ -56,8 +59,10 @@ class ZPoly:
     """Immutable polynomial in t with int coefficients (coeffs[i] of t^i,
     no trailing zeros; zero is the empty tuple and falsy).  Ints mix in on
     the right of + - * // and on the left of + *, all that the integer
-    kernels of `linalg` and `algebra` need.  `//` is exact division and
-    raises ArithmeticError when the quotient is not in Z[t]."""
+    kernels of `linalg` and `algebra` need to run over Z[t] unpacked, as
+    the tests' reference for the packed certificate check does.  `//` is
+    exact division and raises ArithmeticError when the quotient is not in
+    Z[t]."""
 
     __slots__ = ("coeffs",)
 
@@ -104,7 +109,8 @@ class ZPoly:
         return _zpoly(_add(self.coeffs, b))
 
     def __mul__(self, other):
-        # fast paths first: elimination on [G | I] meets mostly 0, 1, ints
+        # fast paths first: parsed entries and the cofactors of
+        # `degeneration.clear_denominators` are mostly 0, 1, ints
         a = self.coeffs
         if isinstance(other, int):
             if other == 1:
@@ -146,6 +152,28 @@ class ZPoly:
         if any(rem[:d]):
             raise ArithmeticError("inexact division in Z[t]")
         return _zpoly(tuple(quo))
+
+    def at_power_of_two(self, bits: int) -> int:
+        """The value at t = 2^bits, an int (Kronecker substitution)."""
+        v = 0
+        for c in reversed(self.coeffs):
+            v = (v << bits) + c
+        return v
+
+    @staticmethod
+    def from_balanced_digits(v: int, bits: int) -> ZPoly:
+        """The ZPoly p with p(2^bits) = v and every coefficient in
+        [-2^(bits-1), 2^(bits-1)): the balanced base-2^bits digits of v.
+        It inverts `at_power_of_two` on every p whose coefficients lie
+        strictly inside +-2^(bits-1), since such a p is determined by its
+        value."""
+        half, mask = 1 << (bits - 1), (1 << bits) - 1
+        out = []
+        while v:
+            c = ((v + half) & mask) - half
+            out.append(c)
+            v = (v - c) >> bits
+        return _zpoly(tuple(out))
 
     def __repr__(self):
         return f"ZPoly({self.coeffs!r})"

@@ -6,10 +6,11 @@ fraction-free elimination of a span, giving integer echelon rows and, by
 counting them, ranks over the rationals after clearing denominators;
 `int_suffix_spans` eliminates an ordered basis from its last row upward,
 so that `int_reduce` decides membership in each suffix span (orbit
-sampling); `int_scaled_inverse` is the package's one inverse.  It needs
-only + - * and exact // of its entries, so it runs on ints (stored source
-bases) and on integer polynomials `exactnum.ZPoly` (the certificate
-check) alike.
+sampling); `int_scaled_inverse` is the package's one inverse.  It runs on
+ints: stored source bases, and certificate bases in Z[t] packed into ints
+at t = 2^B (`degeneration.packing_bits`).  It needs only + - * and exact
+// of its entries, so it runs over any integral domain with exact //,
+such as `exactnum.ZPoly`, unchanged.
 `int_scaled` is the one place where rational rows are scaled to integer
 rows; tables, bases, elements and pencils all go through it.
 Subspaces are kept in reduced row-echelon form (`_rref`, over Q) so that

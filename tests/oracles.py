@@ -9,7 +9,10 @@ centralizer of the square) are kept here too; they build the package's
 oracles of the certificate check run on sympy's rational function field.
 The inverse-based orbit sampling and lower-triangular probe, which write
 out the whole orbit point of every sample, are the reference for the
-package's span tests.
+package's span tests.  The certificate check with the integer kernels run
+over `ZPoly`, before the values were packed into ints at t = 2^B, is the
+reference for the packed check, and an instrumented copy of its Bareiss
+loop gives every entry the packing bound must cover.
 """
 
 from fractions import Fraction
@@ -441,6 +444,51 @@ def qt_certificate_verdict(cert):
                                 f"target has {want[k - 1]}",
                         {"position": (i, j, k)})
     return ("pass", "", {})
+
+
+# --- the certificate check over Z[t] ------------------------------------
+
+
+def zpoly_apply_parameterized_basis(a, rows):
+    """(den, N) of degeneration.apply_parameterized_basis, with
+    int_scaled_inverse and int_change_basis run on the ZPoly entries of G."""
+    from degenlab.algebra import int_change_basis, int_table
+    from degenlab.degeneration import SingularFamily, clear_denominators
+    from degenlab.linalg import int_scaled_inverse
+
+    n = a.dim
+    s, flat = clear_denominators(f for row in rows for f in row)
+    g = [flat[i * n:(i + 1) * n] for i in range(n)]
+    d, inv = int_scaled_inverse(g)
+    if not d:
+        raise SingularFamily("parameterized basis has identically zero determinant")
+    mult, table = int_table(a)
+    return s * d * mult, int_change_basis(table, n, g, inv)
+
+
+def bareiss_entries(rows):
+    """Every entry of [G | I] after each pivot of linalg.int_scaled_inverse
+    (a copy of its loop), pivot candidates included, stopping at a column
+    with no pivot."""
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(rows)]
+    seen = []
+    prev = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c]), None)
+        if piv is None:
+            break
+        aug[c], aug[piv] = aug[piv], aug[c]
+        row_c = aug[c]
+        pv = row_c[c]
+        for i in range(n):
+            if i != c:
+                f = aug[i][c]
+                aug[i] = [(pv * a - f * b) // prev for a, b in zip(aug[i], row_c)]
+        prev = pv
+        seen += [x for row in aug for x in row]
+    return seen
 
 
 # --- the algebra layer over Fraction ------------------------------------

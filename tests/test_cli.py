@@ -312,6 +312,42 @@ def test_verify_paper_rejects_zero_trials(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+@pytest.mark.parametrize("name, dim", [("eta_eps_double2", "7"), ("n3", "3")])
+def test_iwmax_rejects_fewer_than_one_trial(capsys, name, dim, trials):
+    assert main(["iwmax", name, "--dim", dim, "--trials", trials]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: trials must be >= 1, got {trials}\n"
+
+
+@pytest.mark.parametrize("dims", [["99"], ["0", "12"]])
+def test_verify_paper_rejects_dims_that_select_nothing(tmp_path, capsys, dims):
+    code = main(["verify-paper", "--dims", *dims, "--trials", "5",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --dims ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_paper_runs_when_dims_select_some_claim(tmp_path, capsys):
+    # an empty ledger has no dimension to select; a known dimension next
+    # to an unknown one is a run
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(json.dumps({"certificates": [], "witnesses": [],
+                                  "chains": []}), encoding="utf-8")
+    code = main(["verify-paper", "--ledger", str(ledger), "--dims", "4",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    code, _ = run(capsys, "verify-paper", "--dims", "99", "4", "--trials", "3",
+                  "--out", str(tmp_path / "out"))
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["dims"] == [4, 99] and report["certificates"]
+
+
 def test_verify_paper_does_not_hide_verifier_errors(tmp_path, monkeypatch):
     # only bad input maps to exit 1; a fault inside verification keeps its
     # traceback even when it is a ValueError subclass

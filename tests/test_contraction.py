@@ -102,6 +102,15 @@ def test_iw_max_examples():
     assert iw_max(t4e, seed=5)[0] == Partition((4,))
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_iw_max_refuses_fewer_than_one_trial(trials):
+    # a repair needs a perturbation; eta_eps_double2 at dim 7 needs one
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        iw_max(instantiate("eta_eps_double2", 7), seed=5, trials=trials)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        iw_max(instantiate("n3", 3), trials=trials)
+
+
 def test_iw_max_perturbation_closure():
     # r_m(c + alpha b) >= max(r_m(b), r_m(c)) for some small alpha
     rng = random.Random(9)

@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from degenlab.algebra import StructureTensor, change_basis
 from degenlab.catalog import instantiate
-from degenlab.algebra import int_table
+from degenlab.algebra import _int_product, int_change_basis, int_table
 from degenlab.degeneration import (
     _R_FLAGS,
     _flag_change_meets,
@@ -28,14 +29,16 @@ from degenlab.degeneration import (
     closed_set_member,
     ex222_membership,
     lower_triangular_invariance_probe,
+    packing_bits,
     parse_basis_row,
     randomized_orbit_refute,
     random_invertible,
     verify_degeneration,
     verify_nondegeneration,
 )
+from degenlab.exactnum import ZPOLY_ONE, ZPOLY_ZERO, ZPoly
 from degenlab.exactnum import parse_rational_function as parse
-from degenlab.linalg import int_suffix_spans
+from degenlab.linalg import int_scaled_inverse, int_suffix_spans
 from degenlab.verification_db import load_ledger, shipped_ledger_path
 
 from oracles import fraction_inverse, project_to_spec, qt_at_zero, qt_basis_row
@@ -43,6 +46,7 @@ from oracles import inverse_lower_triangular_probe, inverse_orbit_point
 from oracles import inverse_orbit_refute, row_reduce_dim
 from oracles import qt_certificate_verdict, qt_constants, qt_parse, qt_value
 from oracles import random_anticommutative, random_lower_triangular
+from oracles import bareiss_entries, zpoly_apply_parameterized_basis
 
 
 def test_parse_basis_row_shapes():
@@ -194,6 +198,109 @@ def test_zt_verdicts_match_the_qt_oracle_on_corrupted_certificates():
         assert _verdict(bad) == want, (cert.cert_id, rows)
         seen.add(want[1].split(" ")[0] if want[0] == "fail" else "pass")
     assert seen == {"pass", "pole", "limit", "parameterized"}
+
+
+# The packed check: G in Z[t] is evaluated at t = 2^B, the integer kernels
+# run on ints, and d and N are read back as balanced digits.  The same
+# kernels run over ZPoly are the reference (`zpoly_apply_parameterized_basis`).
+
+
+def _shipped_parsed_bases():
+    for cert in load_ledger(shipped_ledger_path()).certificates:
+        a = cert.source.resolve()
+        yield cert.cert_id, a, _parse_rows(cert.basis_rows, a.dim)
+
+
+def test_packed_check_equals_the_zpoly_check_on_shipped_certificates():
+    count = 0
+    for cert_id, a, rows in _shipped_parsed_bases():
+        assert (apply_parameterized_basis(a, rows)
+                == zpoly_apply_parameterized_basis(a, rows)), cert_id
+        count += 1
+    assert count == 133
+
+
+_T = ZPoly((0, 1))
+_DENS = [ZPoly((1,)), _T, _T * _T, ZPoly((1, 2)), ZPoly((3,)),
+         ZPoly((-1, 0, 1)), ZPoly((0, 0, 0, -5))]
+
+
+@st.composite
+def polynomial_bases(draw):
+    """(algebra, parsed rows, singular): a random table (zero among them),
+    dim 2-6, entries num / den with deg num <= 4 and coefficients up to
+    10^6, the diagonal nonzero; half of the bases are made singular, and
+    the rest are singular only by chance."""
+    n = draw(st.integers(2, 6))
+    a = random_anticommutative(n, random.Random(draw(st.integers(0, 10 ** 6))),
+                               spread=draw(st.sampled_from([3, 0, 1000])))
+    big = st.integers(-10 ** 6, 10 ** 6)
+    num = st.builds(lambda low, top: ZPoly(low + [top]),
+                    st.lists(big, max_size=4), big.filter(bool))
+    nonzero = st.tuples(num, st.sampled_from(_DENS))
+    entry = st.one_of(nonzero, nonzero, st.just((ZPOLY_ZERO, ZPOLY_ONE)))
+    rows = [[draw(nonzero if i == j else entry) for j in range(n)]
+            for i in range(n)]
+    kind = draw(st.sampled_from(["any", "any", "multiple", "zero column"]))
+    if kind == "multiple":
+        # a row times a polynomial stands in for another row
+        c = ZPoly(draw(st.lists(big, min_size=1, max_size=3)))
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[j] = [(num * c, den) for num, den in rows[i]]
+    elif kind == "zero column":
+        k = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[k] = (ZPOLY_ZERO, ZPOLY_ONE)
+    return a, rows, kind != "any"
+
+
+def _apply_or_singular(apply, a, rows):
+    try:
+        return apply(a, rows)
+    except SingularFamily:
+        return "singular"
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_bases())
+def test_packed_check_equals_the_zpoly_check_on_drawn_bases(case):
+    a, rows, singular = case
+    want = _apply_or_singular(zpoly_apply_parameterized_basis, a, rows)
+    assert _apply_or_singular(apply_parameterized_basis, a, rows) == want
+    if singular:
+        assert want == "singular"
+
+
+def _norm(p):
+    """1-norm of a ZPoly's coefficients; the kernels leave some ints."""
+    return sum(map(abs, p.coeffs)) if isinstance(p, ZPoly) else abs(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_bases())
+def test_packing_bits_bound_every_tested_and_unpacked_value(case):
+    # the bound of the `packing_bits` docstring, value by value, on the
+    # ZPoly run: minors of [G | I] <= M, products <= T r_i r_j, N <= K
+    a, rows, _ = case
+    n = a.dim
+    _, flat = clear_denominators(f for row in rows for f in row)
+    g = [flat[i * n:(i + 1) * n] for i in range(n)]
+    table = int_table(a)[1]
+    r = [sum(_norm(x) for x in row) + 1 for row in g]
+    top = max((abs(v) for _, _, entries in table for _, v in entries), default=1)
+    big_m = prod(r)
+    bound = n * top * max(r) ** 2 * big_m
+    assert bound < 2 ** (packing_bits(g, table) - 1)
+    assert all(_norm(x) <= big_m for x in bareiss_entries(g))
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = _int_product(table, n, g[i], g[j])
+            assert all(_norm(x) <= top * r[i] * r[j] for x in p)
+    d, inv = int_scaled_inverse(g)
+    if d:
+        assert _norm(d) <= big_m
+        constants = int_change_basis(table, n, g, inv)
+        assert all(_norm(x) <= bound for vec in constants.values() for x in vec)
 
 
 SMALL_ALGEBRAS = [("n3", 3), ("T3", 4), ("T22", 5), ("T22_e23", 6),

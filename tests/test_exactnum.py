@@ -245,3 +245,47 @@ def test_zpoly_order():
     assert (ZPoly((0, 1)) * ZPoly((0, 0, 2))).order() == 3
     with pytest.raises(ValueError):
         ZPoly().order()
+
+
+# Packing at t = 2^bits: the certificate check runs its integer kernels on
+# these values and reads d and N back from their balanced digits.
+
+
+def _round_trip(p, bits):
+    return ZPoly.from_balanced_digits(p.at_power_of_two(bits), bits)
+
+
+@pytest.mark.parametrize("bits", [2, 3, 8, 20, 64])
+def test_packing_round_trips_at_the_edge_of_the_digit_range(bits):
+    edge = 2 ** (bits - 1) - 1
+    for coeffs in ((), (0, 0, 3), (5, -1), (-edge,), (edge, -edge, edge),
+                   (-edge, 0, 0, -edge), (0, edge), (edge,) * 5):
+        coeffs = tuple(c for c in coeffs if abs(c) <= edge)
+        p = ZPoly(coeffs)
+        assert _round_trip(p, bits) == p
+
+
+def test_packing_the_zero_polynomial_and_a_negative_leading_coefficient():
+    assert ZPoly().at_power_of_two(8) == 0
+    assert ZPoly.from_balanced_digits(0, 8) == ZPoly()
+    p = ZPoly((7, 0, -3))
+    assert p.at_power_of_two(8) == 7 - 3 * 2 ** 16 < 0
+    assert _round_trip(p, 8) == p
+
+
+def test_packing_needs_coefficients_inside_half_the_base():
+    # 2^(bits-1) is the first coefficient that comes back as another
+    # polynomial with the same value: the bound must be strict
+    bits = 8
+    p = ZPoly((2 ** (bits - 1),))
+    q = _round_trip(p, bits)
+    assert q != p and q.at_power_of_two(bits) == p.at_power_of_two(bits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 40), st.data())
+def test_packing_round_trips_every_polynomial_inside_the_range(bits, data):
+    edge = 2 ** (bits - 1) - 1
+    p = ZPoly(data.draw(st.lists(st.integers(-edge, edge), max_size=6)))
+    assert _round_trip(p, bits) == p
+    assert (p.at_power_of_two(bits) == 0) == (not p)

@@ -129,3 +129,30 @@ def test_linalg_and_algebra_define_no_api_that_only_tests_reach():
               for qualified, name in _public_definitions(trees[module])
               if name not in used and (module, qualified) not in traced]
     assert unused == []
+
+
+def test_the_certificate_check_hands_only_ints_to_the_integer_kernels(monkeypatch):
+    # the check packs Z[t] into ints at t = 2^B; a ZPoly reaching the
+    # kernels would mean it silently went back to polynomial arithmetic
+    from degenlab import degeneration
+    from degenlab.verification_db import load_ledger, shipped_ledger_path
+
+    matrices = []
+
+    def spy(kernel, picks):
+        def wrapped(*args):
+            matrices.extend((kernel.__name__, args[k]) for k in picks)
+            return kernel(*args)
+        return wrapped
+
+    monkeypatch.setattr(degeneration, "int_scaled_inverse",
+                        spy(degeneration.int_scaled_inverse, [0]))
+    monkeypatch.setattr(degeneration, "int_change_basis",
+                        spy(degeneration.int_change_basis, [2, 3]))
+    certs = load_ledger(shipped_ledger_path()).certificates
+    assert all(degeneration.verify_degeneration(c).ok for c in certs)
+    assert [name for name, _ in matrices] == (
+        ["int_scaled_inverse", "int_change_basis", "int_change_basis"]
+        * len(certs))
+    assert all(type(x) is int
+               for _, matrix in matrices for row in matrix for x in row)
