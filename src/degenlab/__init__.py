@@ -26,7 +26,6 @@ from .algebra import (
     left_mult_matrix,
     power_ideal,
     product,
-    subspace_product,
 )
 from .contraction import (
     IncomparableMaxima,

@@ -3,8 +3,8 @@
 A StructureTensor stores only the products e_i e_j with i < j as coordinate
 vectors; e_j e_i = -(e_i e_j) and e_i e_i = 0 hold by construction, never by
 validation.  All the closed invariants used by the degeneration machinery
-live here: products of subspaces, the power ideals A^i, the annihilator,
-the Jacobi/Malcev identity flags, and the Engel degree.
+live here: the power ideals A^i, the annihilator, the Jacobi/Malcev
+identity flags, and the Engel degree.
 
 The Engel decision is exact: over a field of characteristic zero,
 (L_a)^m = 0 for every a iff the matrix (sum_i x_i L_{e_i})^m vanishes
@@ -13,15 +13,17 @@ instead of sampling.
 
 Matrices are lists of rows.  Every closed invariant runs over Z on the
 table scaled by the lcm L of its denominators (`int_table`); Fraction
-appears only at the API boundary (`product`'s result and the rows of
-`left_mult_matrix`, `Subspace` bases, `kernel_basis` on at most n integer
-rows).  `StructureTensor.from_json_obj`
-is the one reader of the JSON table format.  Subspace invariants (A^i, A S, the annihilator, the
-nilpotency index, the centralizer of A^2) are exact because scaling the table or a
-spanning set by a nonzero integer changes no Q-span: A^{i+1} is spanned
-by the integer products e_j w for w in the integer echelon rows of A^i
-(`linalg.int_echelon`), and the lifted `Subspace` is the same canonical
-RREF.  The identity checks (Jacobi, Malcev, Engel) are homogeneous in the
+appears only at the API boundary (`product`'s result, the rows of
+`left_mult_matrix`, the RREF bases of `power_ideal` and `annihilator`,
+`kernel_basis` on at most n integer rows).  `StructureTensor.from_json_obj`
+is the one reader of the JSON table format.  The power chain (A^i, the
+nilpotency index, the centralizer of A^2) is exact because scaling the
+table or a spanning set by a nonzero integer changes no Q-span: A^{i+1}
+is spanned by the integer products e_j w for w in the integer echelon
+rows of A^i (`linalg.int_echelon`).  `_int_powers` is the one walk down
+that chain, and `_int_left_products` (the products e_j w, the rows of
+-L_w^T) the one builder of L_w.
+The identity checks (Jacobi, Malcev, Engel) are homogeneous in the
 structure constants: scaling them by L multiplies the Jacobi defect by
 L^2, the Malcev defect by L^3 and (sum_i x_i L_{e_i})^m by L^m, so every
 zero test, and the least m, is the same as over Q.  Basis changes divide
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .exactnum import rational_from_obj, rational_to_obj
 from .linalg import (
@@ -202,20 +205,32 @@ def _int_left_products(table, n: int, w):
     return out
 
 
-def _int_ideal_product(table, n: int, rows):
-    """Integer echelon rows of A W, W spanned by the integer rows given."""
-    return int_echelon([p for w in rows for p in _int_left_products(table, n, w)])
-
-
 def _int_identity(n: int):
     return [[int(r == c) for c in range(n)] for r in range(n)]
 
 
+def _int_powers(table, n: int):
+    """Integer echelon rows of A^1, A^2, ... for an int_table table.
+
+    A^{i+1} is spanned by the products e_j w, w in the rows of A^i.  The
+    walk ends after the first zero power, which it yields as [], or
+    before the first power with the rank of the one before it: then that
+    power equals the last one yielded, and so does every later power.
+    """
+    rows = _int_identity(n)
+    yield rows
+    while rows:
+        nxt = int_echelon([p for w in rows
+                           for p in _int_left_products(table, n, w)])
+        if len(nxt) == len(rows):
+            return  # the chain stalls above 0
+        rows = nxt
+        yield rows
+
+
 def _int_power_rows(table, n: int, i: int):
     """Integer echelon rows spanning A^i (i >= 1) for an int_table table."""
-    rows = _int_identity(n)
-    for _ in range(i - 1):
-        rows = _int_ideal_product(table, n, rows)
+    *_, rows = islice(_int_powers(table, n), i)
     return rows
 
 
@@ -247,17 +262,6 @@ def left_mult_matrix(a: StructureTensor, vec):
     return [[Fraction(p[j][k], scale) for j in range(n)] for k in range(n)]
 
 
-def subspace_product(a: StructureTensor, u: Subspace, w: Subspace) -> Subspace:
-    """Span of the pairwise products of basis vectors of u and w."""
-    n = a.dim
-    if u.ambient_dim != n or w.ambient_dim != n:
-        raise DimensionMismatch("subspace ambient dimension mismatch")
-    _, table = int_table(a)
-    us, ws = int_scaled(u.basis)[1], int_scaled(w.basis)[1]
-    return Subspace.from_vectors(n, int_echelon(
-        [_int_product(table, n, x, y) for x in us for y in ws]))
-
-
 def power_ideal(a: StructureTensor, i: int) -> Subspace:
     """A^i with A^1 the whole space and A^i = A(A^{i-1}) + (A^{i-1})A."""
     if i < 1:
@@ -272,18 +276,8 @@ def dim_square(a: StructureTensor) -> int:
 
 def is_nilpotent(a: StructureTensor):
     """(True, least m with A^m = 0) or (False, None) when powers stabilize."""
-    n = a.dim
-    _, table = int_table(a)
-    cur = _int_identity(n)
-    m = 1
-    while True:
-        nxt = _int_ideal_product(table, n, cur)
-        m += 1
-        if not nxt:
-            return True, m
-        if len(nxt) == len(cur):
-            return False, None
-        cur = nxt
+    powers = list(_int_powers(int_table(a)[1], a.dim))
+    return (False, None) if powers[-1] else (True, len(powers))
 
 
 def _int_centralizer_conditions(table, n: int, ws):

@@ -29,13 +29,13 @@ from itertools import combinations
 
 from .algebra import (
     StructureTensor,
+    _int_power_rows,
     annihilator,
     engel_degree,
-    power_ideal,
-    subspace_product,
+    int_table,
 )
 from .exactnum import ZPoly, poly_gcd
-from .linalg import Partition, Subspace, _int_rank, int_scaled
+from .linalg import Partition, _int_rank, int_scaled, rank
 
 
 class DimensionOutOfRange(ValueError):
@@ -464,8 +464,7 @@ def build_skew_pair_algebra(p_entries, q_entries) -> StructureTensor:
                 if mat[i][j] != -mat[j][i]:
                     raise NotSkew(f"{tag} matrix is not skew-symmetric")
     pairs = [(p[i][j], q[i][j]) for i in range(d) for j in range(i + 1, d)]
-    span = Subspace.from_vectors(2, [list(v) for v in pairs])
-    if span.dim != 2:
+    if rank(pairs) != 2:
         raise NotSurjective("pair image does not span the 2-dimensional target")
     n = d + 2
     table = {}
@@ -479,15 +478,17 @@ def build_skew_pair_algebra(p_entries, q_entries) -> StructureTensor:
     return StructureTensor(n, table)
 
 
-def _skew_net(a: StructureTensor, square: Subspace):
+def _skew_net(a: StructureTensor, square):
     """The net of skew forms the product induces on A / A^2.
 
     A d x d matrix of s-vectors, s = dim A^2: entry (i, j) holds the
-    coordinates of u_i u_j on the RREF basis of A^2 (read at its pivot
-    columns), where u_1..u_d are the standard basis vectors off those
-    pivots, a lift of a basis of A / A^2.
+    coordinates of u_i u_j on the RREF basis of A^2, which are its entries
+    at the pivot columns; u_1..u_d are the standard basis vectors off those
+    columns, a lift of a basis of A / A^2.  `square` may be any echelon
+    basis of A^2, such as the integer rows of `_int_power_rows`: only its
+    pivot columns are read, and every echelon basis has those of the RREF.
     """
-    pivots = [next(i for i, x in enumerate(row) if x) for row in square.basis]
+    pivots = [next(i for i, x in enumerate(row) if x) for row in square]
     lift = [i + 1 for i in range(a.dim) if i not in pivots]
     return [[tuple(a.constant(i, j, p + 1) for p in pivots) for j in lift]
             for i in lift]
@@ -593,10 +594,10 @@ def classify_T22(a: StructureTensor):
     n = a.dim
     if engel_degree(a, 2) is None:
         raise PreconditionViolated("not 2-Engel, so IW-max is not (2,2)")
-    square = power_ideal(a, 2)
-    s = square.dim
-    full = Subspace.full(n)
-    if subspace_product(a, full, square).dim != 0:
+    _, table = int_table(a)
+    square = _int_power_rows(table, n, 2)
+    s = len(square)
+    if _int_power_rows(table, n, 3):
         raise PreconditionViolated("A * A^2 != 0, so IW-max is not (2,2)")
     if s == 3:
         ann = annihilator(a)

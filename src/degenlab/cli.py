@@ -7,10 +7,12 @@ DEGENLAB_LEDGER environment variable.
 
 Exit codes for `check`: 0 pass/proved, 2 fail/refuted, 3 sampling-only
 (refutation not found), 1 I/O, parse or argument errors (such as
---trials below 1, which `iwmax` refuses too).  `verify-paper` exits 0
-exactly when the report contains no FAIL entries, 2 when it does and 1 on
-the same errors; `--dims` that selects no certificate, witness or chain
-of the ledger is such an error and writes no report.
+--trials below 1, for a certificate file as for a witness file, which
+`iwmax` refuses too).  `verify-paper` exits 0 exactly when the report
+contains no FAIL entries, 2 when it does and 1 on the same errors;
+`--dims` given with no value, or with values that select no certificate,
+witness or chain of the ledger, is such an error and writes no report.
+Leaving out `--dims` runs the whole ledger.
 A certificate `basis` that is not a list of strings is a parse error
 (exit 1).  Its rows are parsed when the certificate is verified, so a
 row that does not parse, or a basis of the wrong length, is a fail
@@ -125,6 +127,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.trials < 1:
+        return _error(f"trials must be >= 1, got {args.trials}")
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -164,6 +168,8 @@ def _ledger_dims(ledger) -> set:
 def cmd_verify_paper(args) -> int:
     if args.trials < 1:
         return _error(f"trials must be >= 1, got {args.trials}")
+    if args.dims == []:
+        return _error("--dims needs at least one dimension")
     try:
         ledger = load_ledger(_ledger_path(args))
     except (ParseError, InconsistentLedger) as exc:

@@ -40,7 +40,8 @@ from .algebra import (
     StructureTensor,
     _int_centralizer_conditions,
     _int_identity,
-    _int_ideal_product,
+    _int_left_products,
+    _int_powers,
     int_table,
 )
 from .linalg import Partition, int_power_rank_sequence, int_scaled, partition_from_ranks
@@ -82,18 +83,9 @@ def _int_rank_sequence(table, n: int, vec) -> RankSequence:
     if len(vec) != n:
         raise DimensionMismatch("vector must have the algebra dimension")
     x = int_scaled([vec])[1][0]
-    # column j of L_x is x e_j: e_i e_j = v adds x_i v to column j and,
-    # by anticommutativity, -x_j v to column i
-    mat = [[0] * n for _ in range(n)]
-    for i, j, entries in table:
-        xi, xj = x[i], x[j]
-        if xi:
-            for k, v in entries:
-                mat[k][j] += xi * v
-        if xj:
-            for k, v in entries:
-                mat[k][i] -= xj * v
-    ranks = int_power_rank_sequence(mat, n + 1)
+    # the rows e_j x = -(x e_j) form P = -L_x^T, and P^m has the rank of
+    # (L_x)^m
+    ranks = int_power_rank_sequence(_int_left_products(table, n, x), n + 1)
     if len(ranks) > n:
         raise NotEngelAt(vec)
     return RankSequence(ranks)
@@ -141,19 +133,14 @@ def iw_contract(a: StructureTensor, m: int) -> StructureTensor:
 def _rank_bound(table, n: int):
     """The bound (b_1, b_2, ...) on every rank sequence, or None when the
     table is not nilpotent; see the module docstring."""
-    ident = _int_identity(n)
-    dims, rows = [], ident
-    while rows:
-        nxt = _int_ideal_product(table, n, rows)
-        if len(nxt) == len(rows):
-            return None  # the power chain stalls above 0
-        dims.append(len(nxt))  # dim A^{m+1}
-        rows = nxt
+    *powers, last = _int_powers(table, n)
+    if last:
+        return None  # the power chain stalls above 0
     bound = []
     # n - 1 - dim Ann A is one less than the number of annihilator conditions
-    prev = len(_int_centralizer_conditions(table, n, ident))
-    for dim_power in dims:
-        prev = min(dim_power, prev - 1)
+    prev = len(_int_centralizer_conditions(table, n, _int_identity(n)))
+    for rows in powers[1:]:  # A^2, A^3, ..., the last nonzero power
+        prev = min(len(rows), prev - 1)
         if prev <= 0:
             break
         bound.append(prev)

@@ -33,9 +33,11 @@ Orbit samples are tested over Z on the rows of the basis g, with no
 inverse: the orbit point meets the flag conditions of a ClosedSetSpec iff
 each product A(g_p, g_q) that a triple (i, j, k) hits lies in
 W_k = span(g_k, ..., g_n), and is 0 for k = n + 1 (`_orbit_meets`).  The
-hit pairs, each with its strictest k, are listed once per call
-(`_hit_pairs`).  One fraction-free elimination of g from its last row
-upward both rejects singular draws and gives reduced rows of every W_k
+hit pairs, each with its strictest k, are listed once per spec and
+dimension (`_hit_pairs`, cached; it is the one reading of a spec's
+triples, which membership and the member drawer `_random_member` use
+too).  One fraction-free elimination of g from its last row upward both
+rejects singular draws and gives reduced rows of every W_k
 (`linalg.int_suffix_spans`), and the products are reduced against them
 until the first pair that fails.  A lower-triangular probe basis has
 W_k = V_k, so its test reads the standard coordinates 1..k-1
@@ -59,6 +61,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import lcm, prod
 
 from .algebra import (
@@ -343,16 +346,13 @@ class ClosedSetSpec:
 
 
 def closed_set_member(a: StructureTensor, spec: ClosedSetSpec) -> bool:
-    n = a.dim
-    for (i, j, k) in spec.triples:
-        cut = min(k - 1, n)  # k = n+1 forbids every component
-        for (p, q), vec in a.products.items():
-            hit = (p >= i and q >= j) or (q >= i and p >= j)
-            if hit and any(vec[:cut]):
-                return False
-    return True
+    """Membership in the flag-condition set: the coordinates 1..k-1 of each
+    product e_p e_q that `_hit_pairs` lists with k are 0."""
+    return not any(any(a.products.get((p + 1, q + 1), ())[:k - 1])
+                   for p, q, k in _hit_pairs(spec, a.dim))
 
 
+@lru_cache  # read once per sample; the tuple returned is safe to share
 def _hit_pairs(spec: ClosedSetSpec, n: int):
     """((p, q, k), ...): each pair p < q (0-based) that a triple of `spec`
     hits, with the strictest k of those triples, in pair order.
@@ -395,28 +395,20 @@ def _orbit_meets(table, n: int, g, spans, pairs) -> bool:
         for p, q, k in pairs)
 
 
-def _int_anticommutative(dim: int, rng: random.Random, spread: int = 3):
-    """Random integer table {(i, j): vector}; zero vectors are left out."""
+def _random_member(dim: int, pairs, rng: random.Random, spread: int = 3):
+    """Random integer member {(i, j): vector} of the set of `_hit_pairs`
+    `pairs`, zero vectors left out.  Only the free coordinates are drawn,
+    in pair order: k..n of a hit product (none for k = n + 1) and all n of
+    any other, so `pairs = ()` draws a whole table."""
+    start = {(p, q): k - 1 for p, q, k in pairs}
     table = {}
-    for i in range(1, dim):
-        for j in range(i + 1, dim + 1):
-            vec = tuple(rng.randint(-spread, spread) for _ in range(dim))
+    for p in range(dim - 1):
+        for q in range(p + 1, dim):
+            lo = start.get((p, q), 0)
+            vec = (0,) * lo + tuple(rng.randint(-spread, spread)
+                                    for _ in range(lo, dim))
             if any(vec):
-                table[(i, j)] = vec
-    return table
-
-
-def _project_table(products, n: int, spec: ClosedSetSpec):
-    """The table with the coefficients the flag conditions forbid zeroed."""
-    table = {}
-    for (p, q), vec in products.items():
-        vec = list(vec)
-        for (i, j, k) in spec.triples:
-            if (p >= i and q >= j) or (q >= i and p >= j):
-                cut = n if k == n + 1 else k - 1
-                vec[:cut] = [0] * cut
-        if any(vec):
-            table[(p, q)] = tuple(vec)
+                table[(p + 1, q + 1)] = vec
     return table
 
 
@@ -437,11 +429,12 @@ def lower_triangular_invariance_probe(
 ) -> Verdict:
     """Probe closure of a flag-condition set under flag-preserving changes.
 
-    Each sample projects a random integer table onto the set's linear
-    conditions and moves it by a random lower-triangular integer basis g.
-    Such a g has a nonzero diagonal, so span(g_k, ..., g_n) is V_k and the
-    moved table is a member iff the coordinates 1..k-1 of each hit product
-    A(g_p, g_q) vanish (`_flag_change_meets`); no inverse is formed.
+    Each sample draws a random integer member of the set, only the
+    coefficients its conditions leave free (`_random_member`), and moves
+    it by a random lower-triangular integer basis g.  Such a g has a
+    nonzero diagonal, so span(g_k, ..., g_n) is V_k and the moved table is
+    a member iff the coordinates 1..k-1 of each hit product A(g_p, g_q)
+    vanish (`_flag_change_meets`); no inverse is formed.
     Raises ValueError when samples < 1 (zero samples are no evidence) or
     when a triple lies outside dimension `dim`.
     """
@@ -450,8 +443,7 @@ def lower_triangular_invariance_probe(
     pairs = _hit_pairs(spec, dim)
     rng = random.Random(seed)
     for trial in range(samples):
-        tensor = StructureTensor.from_trusted(
-            dim, _project_table(_int_anticommutative(dim, rng), dim, spec))
+        tensor = StructureTensor.from_trusted(dim, _random_member(dim, pairs, rng))
         if not closed_set_member(tensor, spec):
             return Verdict(
                 "fail", f"sampler produced a non-member at trial {trial}"

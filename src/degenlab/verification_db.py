@@ -43,8 +43,6 @@ from .algebra import (
     int_table,
     is_nilpotent,
     jacobi_holds,
-    power_ideal,
-    subspace_product,
 )
 from .catalog import (
     PreconditionViolated,
@@ -68,7 +66,7 @@ from .degeneration import (
     verify_nondegeneration,
 )
 from .exactnum import rational_from_obj
-from .linalg import Subspace, rank
+from .linalg import rank
 
 
 class ParseError(ValueError):
@@ -389,20 +387,23 @@ def _pfaffian_conic_profile(a: StructureTensor):
     quadrics whose span (and, when it is a single quadric, its rank) is a
     GL-invariant.
     """
-    square = power_ideal(a, 2)
-    s = square.dim
-    if s == 0 or subspace_product(a, Subspace.full(a.dim), square).dim != 0:
+    n = a.dim
+    _, table = int_table(a)
+    square = _int_power_rows(table, n, 2)
+    s = len(square)
+    if s == 0 or _int_power_rows(table, n, 3):
         return None
     monomials, rows = _pfaffian_quadrics(_skew_net(a, square))
     if not rows:
         return (0, None)
-    span = Subspace.from_vectors(len(monomials), rows)
-    if span.dim != 1:
-        return (span.dim, None)
-    # twice the quadric's symmetric matrix: c y_r y_q, r < q, puts c at
+    span_dim = rank(rows)
+    if span_dim != 1:
+        return (span_dim, None)
+    # rows[0] spans the quadrics, and a quadric's rank does not depend on
+    # scale; twice its symmetric matrix: c y_r y_q, r < q, puts c at
     # (r, q) and (q, r); c y_r^2 puts 2c at (r, r)
     sym = [[0] * s for _ in range(s)]
-    for (r, q), c in zip(monomials, span.basis[0]):
+    for (r, q), c in zip(monomials, rows[0]):
         sym[r][q] = sym[q][r] = 2 * c if r == q else c
     return (1, rank(sym))
 

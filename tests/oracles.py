@@ -679,12 +679,26 @@ def iw_max_oracle(a, seed: int = 0, trials: int = 20):
     return partition_from_rank_sequence(best_seq, a.dim), best_vec
 
 
-def random_anticommutative(dim, rng, spread=3):
-    """Random integer table; the draws of degeneration._int_anticommutative."""
-    from degenlab.algebra import StructureTensor
-    from degenlab.degeneration import _int_anticommutative
+def whole_table_draws(dim, rng, spread=3):
+    """Random integer table {(i, j): vector}, zero vectors left out, every
+    coefficient drawn in pair order: the former body of
+    degeneration._int_anticommutative."""
+    table = {}
+    for i in range(1, dim):
+        for j in range(i + 1, dim + 1):
+            vec = tuple(rng.randint(-spread, spread) for _ in range(dim))
+            if any(vec):
+                table[(i, j)] = vec
+    return table
 
-    return StructureTensor(dim, _int_anticommutative(dim, rng, spread))
+
+def random_anticommutative(dim, rng, spread=3):
+    """Random integer table: degeneration._random_member with no flag
+    conditions, the draws of `whole_table_draws`."""
+    from degenlab.algebra import StructureTensor
+    from degenlab.degeneration import _random_member
+
+    return StructureTensor(dim, _random_member(dim, (), rng, spread))
 
 
 def random_lower_triangular(dim, rng):

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from degenlab.algebra import StructureTensor, change_basis, power_ideal
+from degenlab.algebra import (
+    StructureTensor,
+    _int_power_rows,
+    change_basis,
+    int_table,
+    power_ideal,
+)
 from degenlab.catalog import (
     CatalogName,
     DimensionOutOfRange,
@@ -219,9 +225,9 @@ def test_is_square_is_exact_on_large_integers():
     assert not _is_square(-4)
 
 
-def _catalog_pencils():
-    """(P, Q) of every two-block catalog member at its tested dims, of the
-    classifier's hand-built examples, and of random conjugates of them."""
+def _two_block_tables():
+    """Every two-block catalog member at its tested dims, the classifier's
+    hand-built examples, and random conjugates of them."""
     rng = random.Random(53)
     tables = [instantiate(key, n) for key in MANIFEST_FAMILIES
               if expected_iw_max(key) == Partition((2, 2))
@@ -235,20 +241,45 @@ def _catalog_pencils():
     for a in list(tables):
         n = a.dim
         tables.append(change_basis(a, random_lower_triangular(n, rng)))
-        while True:
-            rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                     for _ in range(n)] for _ in range(n)]
-            if fraction_inverse(rows) is not None:
-                break
-        tables.append(change_basis(a, rows))
+        tables.append(_dense_conjugate(a, rng))
+    return tables
+
+
+def _dense_conjugate(a, rng):
+    n = a.dim
+    while True:
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for _ in range(n)] for _ in range(n)]
+        if fraction_inverse(rows) is not None:
+            return change_basis(a, rows)
+
+
+def _catalog_pencils():
+    """(P, Q) of every table of `_two_block_tables` whose square is
+    two-dimensional."""
     pencils = []
-    for a in tables:
+    for a in _two_block_tables():
         square = power_ideal(a, 2)
         if square.dim == 2:
-            net = _skew_net(a, square)
+            net = _skew_net(a, square.basis)
             pencils.append(([[w[0] for w in row] for row in net],
                             [[w[1] for w in row] for row in net]))
     return pencils
+
+
+def test_skew_net_reads_only_the_pivots_of_the_square():
+    # integer echelon rows of A^2 give the net of its RREF basis, entry for
+    # entry, on the catalog pencils' tables and on conjugates of every family
+    rng = random.Random(1403)
+    tables = _two_block_tables()
+    tables += [_dense_conjugate(instantiate(key, catalog_tested_dims(key)[0]), rng)
+               for key in MANIFEST_FAMILIES if catalog_tested_dims(key)[0] <= 8]
+    squares = set()
+    for a in tables:
+        rows = _int_power_rows(int_table(a)[1], a.dim, 2)
+        assert _skew_net(a, rows) == _skew_net(a, power_ideal(a, 2).basis)
+        squares.add(len(rows))
+    assert len(tables) >= 60 and squares >= {0, 1, 2, 3}
 
 
 def test_pencil_generic_rank_matches_qt_rank_on_catalog_pencils():

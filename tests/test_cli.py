@@ -303,6 +303,40 @@ def test_check_rejects_zero_trials(tmp_path, capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+@pytest.mark.parametrize("claim", [cert_by_id("T22deg.2.6"),
+                                   witness_by_id("W.T22lev.b.6")])
+def test_check_rejects_fewer_than_one_trial_for_every_kind_of_file(
+        tmp_path, capsys, claim, trials):
+    # a certificate and a DimSquare witness read no trials, and would pass
+    path = tmp_path / "claim.json"
+    path.write_text(json.dumps(claim), encoding="utf-8")
+    assert main(["check", str(path), "--trials", trials]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: trials must be >= 1, got {trials}\n"
+    assert main(["check", str(path), "--trials", "1"]) == 0
+
+
+def test_verify_paper_rejects_dims_without_a_value(tmp_path, capsys):
+    # `--dims` with its value lost would otherwise run the whole ledger
+    code = main(["verify-paper", "--dims", "--trials", "2",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --dims needs at least one dimension\n"
+    assert not (tmp_path / "out").exists()
+    # leaving --dims out selects every dimension
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(json.dumps({"certificates": [], "witnesses": [],
+                                  "chains": []}), encoding="utf-8")
+    code, _ = run(capsys, "verify-paper", "--ledger", str(ledger),
+                  "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["dims"] is None
+
+
 def test_verify_paper_rejects_zero_trials(tmp_path, capsys):
     code = main(["verify-paper", "--dims", "5", "--trials", "0",
                  "--out", str(tmp_path / "out")])

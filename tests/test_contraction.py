@@ -298,6 +298,10 @@ REPAIR_IN_BLOCK = StructureTensor(7, {
 # e1e2 = e3, e2e3 = e3: e1 meets the bound (1,) of a nilpotent table of
 # this shape, but L_{e2} is not nilpotent
 NOT_NILPOTENT = StructureTensor(3, {(1, 2): (0, 0, 1), (2, 3): (0, 0, 1)})
+# e1e2 = e3, e2e3 = e1, e3e1 = e2: A^2 = A, so the power chain stalls at
+# its first step
+CROSS_PRODUCT = StructureTensor(3, {
+    (1, 2): (0, 0, 1), (1, 3): (0, -1, 0), (2, 3): (1, 0, 0)})
 # e1e2 = e3, e1e3 = e4, e2e3 = e5: the strict fall cuts b_2 from 2 to 1
 STRICT_FALL = StructureTensor(5, {
     (1, 2): (0, 0, 1, 0, 0), (1, 3): (0, 0, 0, 1, 0), (2, 3): (0, 0, 0, 0, 1)})
@@ -385,7 +389,7 @@ def _bound_from_oracles(a):
 def test_rank_bound_matches_the_fraction_oracles():
     rng = random.Random(1022)
     cases = list(_manifest_algebras()) + [STRICT_FALL, NOT_NILPOTENT,
-                                          StructureTensor(1)]
+                                          CROSS_PRODUCT, StructureTensor(1)]
     cases += [_random_nilpotent(rng.randint(2, 8), rng, 0.4) for _ in range(40)]
     cases += [random_anticommutative(rng.randint(2, 5), rng) for _ in range(10)]
     cases.append(_dense_conjugate(STRICT_FALL, rng))

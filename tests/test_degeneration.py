@@ -15,10 +15,9 @@ from degenlab.degeneration import (
     _R_FLAGS,
     _flag_change_meets,
     _hit_pairs,
-    _int_anticommutative,
     _int_lower_triangular,
     _orbit_meets,
-    _project_table,
+    _random_member,
     AlgebraRef,
     ClosedSetSpec,
     DegenerationCertificate,
@@ -43,7 +42,7 @@ from degenlab.verification_db import load_ledger, shipped_ledger_path
 
 from oracles import fraction_inverse, project_to_spec, qt_at_zero, qt_basis_row
 from oracles import inverse_lower_triangular_probe, inverse_orbit_point
-from oracles import inverse_orbit_refute, row_reduce_dim
+from oracles import inverse_orbit_refute, row_reduce_dim, whole_table_draws
 from oracles import qt_certificate_verdict, qt_constants, qt_parse, qt_value
 from oracles import random_anticommutative, random_lower_triangular
 from oracles import bareiss_entries, zpoly_apply_parameterized_basis
@@ -528,16 +527,69 @@ def _fraction_lower_triangular(n, rng):
 def test_int_samplers_match_the_fraction_samplers():
     for spec_triples, n in _shipped_closed_set_specs():
         spec = ClosedSetSpec(spec_triples)
-        ref, a, b = random.Random(n), random.Random(n), random.Random(n)
+        ref, a = random.Random(n), random.Random(n)
         for _ in range(5):
             want = _fraction_projected_sample(n, ref, spec)
             assert project_to_spec(random_anticommutative(n, a), spec).products == want
-            assert _project_table(_int_anticommutative(n, b), n, spec) == want
-            assert ref.getstate() == a.getstate() == b.getstate()
+            assert ref.getstate() == a.getstate()
             want_g = _fraction_lower_triangular(n, ref)
-            assert random_lower_triangular(n, a) == want_g
-            assert _int_lower_triangular(n, b) == want_g
-            assert ref.getstate() == a.getstate() == b.getstate()
+            assert _int_lower_triangular(n, a) == want_g
+            assert ref.getstate() == a.getstate()
+
+
+def test_random_member_without_pairs_draws_whole_tables():
+    # pairs = () is the whole-table draw: same tables, same rng state
+    for n in range(1, 10):
+        for spread in (1, 3, 5):
+            a, b = random.Random(n * spread), random.Random(n * spread)
+            for _ in range(4):
+                want = whole_table_draws(n, b, spread)
+                assert _random_member(n, (), a, spread) == want
+                assert a.getstate() == b.getstate()
+
+
+class _Ones:
+    """A stand-in rng whose every draw is 1; counts the draws."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def randint(self, lo, hi):
+        self.draws += 1
+        return 1
+
+
+def _specs_to_check():
+    """Every shipped flag-condition set with its dimension, and 200 random
+    specs at dims 2-8."""
+    rng = random.Random(1401)
+    specs = [(ClosedSetSpec(t), n) for t, n in _shipped_closed_set_specs()]
+    specs.append((_R_FLAGS, 7))
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        specs.append((_random_spec(n, rng), n))
+    return specs
+
+
+def test_random_member_draws_exactly_the_free_coefficients():
+    # with every draw 1, the member is the all-ones table with the
+    # forbidden coefficients zeroed, and one draw is made per free one
+    for spec, n in _specs_to_check():
+        ones = StructureTensor(n, {(i, j): (1,) * n for i in range(1, n)
+                                   for j in range(i + 1, n + 1)})
+        want = project_to_spec(ones, spec).products
+        rng = _Ones()
+        assert _random_member(n, _hit_pairs(spec, n), rng) == want, (spec, n)
+        assert rng.draws == sum(sum(vec) for vec in want.values())
+
+
+def test_random_members_are_members():
+    rng = random.Random(1402)
+    for spec, n in _specs_to_check():
+        pairs = _hit_pairs(spec, n)
+        for _ in range(5):
+            table = _random_member(n, pairs, rng)
+            assert closed_set_member(StructureTensor(n, table), spec), (spec, table)
 
 
 def test_random_invertible_draws_like_the_fraction_rejection_loop():

@@ -131,6 +131,29 @@ def test_linalg_and_algebra_define_no_api_that_only_tests_reach():
     assert unused == []
 
 
+def test_only_linalg_and_algebra_name_the_fraction_subspace():
+    # the run paths above the algebra layer work on integer echelon rows;
+    # Subspace and the ideals built on it stay inside the two layers (and
+    # the exports of __init__)
+    package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
+    banned = {"Subspace", "power_ideal", "subspace_product"}
+    named = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem in ("linalg", "algebra", "__init__"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            named += [(path.stem, name) for name in names if name in banned]
+    assert named == []
+
+
 def test_the_certificate_check_hands_only_ints_to_the_integer_kernels(monkeypatch):
     # the check packs Z[t] into ints at t = 2^B; a ZPoly reaching the
     # kernels would mean it silently went back to polynomial arithmetic
