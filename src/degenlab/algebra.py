@@ -8,8 +8,10 @@ identity flags, and the Engel degree.
 
 The Engel decision is exact: over a field of characteristic zero,
 (L_a)^m = 0 for every a iff the matrix (sum_i x_i L_{e_i})^m vanishes
-identically as a polynomial matrix, so we expand that power symbolically
-instead of sampling.
+identically as a polynomial matrix, that is iff each of its integer
+coefficient matrices S_alpha (|alpha| = m) is zero.  `engel_degree`
+builds them degree by degree (S_alpha = sum L_{e_i} S_{alpha - e_i} over
+i in supp alpha), keeping only the nonzero ones, instead of sampling.
 
 Matrices are lists of rows.  Every closed invariant runs over Z on the
 table scaled by the lcm L of its denominators (`int_table`); Fraction
@@ -229,9 +231,11 @@ def _int_powers(table, n: int):
 
 
 def _int_power_rows(table, n: int, i: int):
-    """Integer echelon rows spanning A^i (i >= 1) for an int_table table."""
-    *_, rows = islice(_int_powers(table, n), i)
-    return rows
+    """[A^1, ..., A^i] (i >= 1) as integer echelon rows, from one walk of
+    `_int_powers` on an int_table table; a power past its end equals the
+    last one it yields (0, or the power where the chain stalls)."""
+    powers = list(islice(_int_powers(table, n), i))
+    return powers + powers[-1:] * (i - len(powers))
 
 
 def product(a: StructureTensor, x, y):
@@ -267,11 +271,12 @@ def power_ideal(a: StructureTensor, i: int) -> Subspace:
     if i < 1:
         raise ValueError("power index must be >= 1")
     # anticommutativity makes the two summands equal
-    return Subspace.from_vectors(a.dim, _int_power_rows(int_table(a)[1], a.dim, i))
+    return Subspace.from_vectors(
+        a.dim, _int_power_rows(int_table(a)[1], a.dim, i)[-1])
 
 
 def dim_square(a: StructureTensor) -> int:
-    return len(_int_power_rows(int_table(a)[1], a.dim, 2))
+    return len(_int_power_rows(int_table(a)[1], a.dim, 2)[1])
 
 
 def is_nilpotent(a: StructureTensor):
@@ -417,54 +422,49 @@ def identity_flags(a: StructureTensor) -> IdentityFlags:
     )
 
 
-def _poly_matrix_mul_linear(cur, lin, n):
-    """Multiply a polynomial matrix by the linear matrix sum_i x_i L_i.
-
-    Entries are dicts {sorted index tuple: coefficient}; lin[k][c] is a
-    dict {i: coefficient} over single variable indices.
+def _engel_packing_bits(table, n: int, max_m: int) -> int:
+    """B such that every entry of every S_alpha of `engel_degree` with
+    |alpha| <= max_m lies strictly inside +-2^(B-1), for an int_table
+    table: then a row packed with base-2^B digits is 0 only if its digits
+    are (the top nonzero digit outweighs the rest).  With K = sum_i |L_i|
+    entrywise, |S_alpha| <= K^|alpha| entrywise, and every entry of K^m is
+    at most s^m, s the largest row sum of K: the sum over ordered pairs
+    (i, k) of |(e_i e_k)_r|, largest over r.
     """
-    out = [[{} for _ in range(n)] for _ in range(n)]
-    for r in range(n):
-        cur_r = cur[r]
-        out_r = out[r]
-        for k in range(n):
-            poly = cur_r[k]
-            if not poly:
-                continue
-            for c in range(n):
-                lin_entry = lin[k][c]
-                if not lin_entry:
-                    continue
-                target = out_r[c]
-                for mono, coeff in poly.items():
-                    for var, lc in lin_entry.items():
-                        key = tuple(sorted(mono + (var,)))
-                        val = target.get(key, 0) + coeff * lc
-                        if val:
-                            target[key] = val
-                        elif key in target:
-                            del target[key]
-    return out
+    sums = [0] * n
+    for _, _, entries in table:
+        for r, v in entries:
+            sums[r] += 2 * abs(v)
+    return (max(sums) ** max_m).bit_length() + 1
 
 
 def engel_degree(a: StructureTensor, max_m: int):
     """Least m <= max_m with (L_x)^m = 0 for every x, or None.
 
-    Decided by full polarization: the polynomial matrix (sum x_i L_{e_i})^m
-    must vanish identically, which over QQ is an exact finite computation.
-    The linear matrix is read off the L-scaled integer table, so every
-    coefficient is an integer and the m-th power scales by L^m.
+    (sum_i x_i L_i)^m = sum_{|alpha| = m} x^alpha S_alpha, L_i = L_{e_i},
+    vanishes iff every S_alpha does.  S_0 = I and S_alpha = sum_{i in
+    supp alpha} L_i S_{alpha - e_i}; a zero S_alpha adds nothing to the
+    next degree, so only the nonzero ones are kept.  They are integer
+    matrices on the L-scaled table (the m-th power scales by L^m), each
+    row packed into one int (`_engel_packing_bits`).  Row r of L_i S is
+    sum_k (e_i e_k)_r S_k, so one `_int_left_products` pass on the packed
+    rows of S gives every L_i S, and on those of S_0 every L_i.
     """
     n = a.dim
-    # lin[k][c] = {i: coefficient of e_k in e_i e_c}
-    lin = [[{} for _ in range(n)] for _ in range(n)]
-    for i, j, entries in int_table(a)[1]:
-        for k, v in entries:
-            lin[k][j][i] = v
-            lin[k][i][j] = -v
-    cur = [[({(): 1} if r == c else {}) for c in range(n)] for r in range(n)]
+    _, table = int_table(a)
+    bits = _engel_packing_bits(table, n, max_m)
+    # alpha, as its sorted tuple of indices -> the packed rows of S_alpha
+    level = {(): [1 << (bits * c) for c in range(n)]}
     for m in range(1, max_m + 1):
-        cur = _poly_matrix_mul_linear(cur, lin, n)
-        if all(not cur[r][c] for r in range(n) for c in range(n)):
+        nxt = {}
+        for beta, rows in level.items():
+            for i, prod in enumerate(_int_left_products(table, n, rows)):
+                if any(prod):
+                    alpha = tuple(sorted(beta + (i,)))
+                    acc = nxt.get(alpha)
+                    nxt[alpha] = prod if acc is None else [
+                        x + y for x, y in zip(acc, prod)]
+        level = {alpha: rows for alpha, rows in nxt.items() if any(rows)}
+        if not level:
             return m
     return None

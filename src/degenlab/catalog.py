@@ -29,8 +29,9 @@ from itertools import combinations
 
 from .algebra import (
     StructureTensor,
+    _int_centralizer_conditions,
+    _int_identity,
     _int_power_rows,
-    annihilator,
     engel_degree,
     int_table,
 )
@@ -595,15 +596,16 @@ def classify_T22(a: StructureTensor):
     if engel_degree(a, 2) is None:
         raise PreconditionViolated("not 2-Engel, so IW-max is not (2,2)")
     _, table = int_table(a)
-    square = _int_power_rows(table, n, 2)
+    _, square, cube = _int_power_rows(table, n, 3)
     s = len(square)
-    if _int_power_rows(table, n, 3):
+    if cube:
         raise PreconditionViolated("A * A^2 != 0, so IW-max is not (2,2)")
     if s == 3:
-        ann = annihilator(a)
-        if ann.dim != n - 3:
+        ann_dim = n - len(_int_centralizer_conditions(table, n,
+                                                      _int_identity(n)))
+        if ann_dim != n - 3:
             raise PreconditionViolated(
-                f"square has dim 3 but Ann has dim {ann.dim} != n-3"
+                f"square has dim 3 but Ann has dim {ann_dim} != n-3"
             )
         return CatalogName("T22_e23")
     if s != 2:

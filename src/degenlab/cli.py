@@ -21,7 +21,8 @@ checked at load (exit 1).  `classify --file` reads the table format that
 `catalog table` writes; a file that does not parse, or a malformed table
 (`StructureTensor.from_json_obj`), is one error line and exit 1, as is an
 unknown family or dimension for `info`, `iwmax`, `catalog table` and
-`classify`.
+`classify`.  `classify` given a name or `--dim` together with `--file`
+is an argument error (exit 1), not a run on the file.
 """
 
 from __future__ import annotations
@@ -236,6 +237,9 @@ def cmd_iwmax(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.file and (args.name is not None or args.dim is not None):
+        return _error("classify takes a catalog name with --dim, or --file, "
+                      "not both")
     if args.file:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:

@@ -374,7 +374,7 @@ def _centralizer_square_dim(a: StructureTensor) -> int:
     """dim {x : x A^2 = 0}, from the integer echelon rows of A^2."""
     n = a.dim
     _, table = int_table(a)
-    square = _int_power_rows(table, n, 2)
+    square = _int_power_rows(table, n, 2)[1]
     return n - len(_int_centralizer_conditions(table, n, square))
 
 
@@ -389,9 +389,9 @@ def _pfaffian_conic_profile(a: StructureTensor):
     """
     n = a.dim
     _, table = int_table(a)
-    square = _int_power_rows(table, n, 2)
+    _, square, cube = _int_power_rows(table, n, 3)
     s = len(square)
-    if s == 0 or _int_power_rows(table, n, 3):
+    if s == 0 or cube:
         return None
     monomials, rows = _pfaffian_quadrics(_skew_net(a, square))
     if not rows:

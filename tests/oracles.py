@@ -199,8 +199,9 @@ def _poly_matrix_mul_linear(cur, lin, n):
     return out
 
 
-def engel_degree_oracle(tensor, max_m):
-    """Least m <= max_m with (sum_i x_i L_{e_i})^m = 0, over Fraction."""
+def engel_powers_oracle(tensor, max_m):
+    """(sum_i x_i L_{e_i})^m for m = 1..max_m over Fraction: the entry
+    (r, c) is {sorted variable tuple of alpha: entry (r, c) of S_alpha}."""
     n = tensor.dim
     pairs = pairs_of(tensor)
     basis = _basis(n)
@@ -213,9 +214,15 @@ def engel_degree_oracle(tensor, max_m):
                     lin[r][c][i] = col[r]
     cur = [[({(): Fraction(1)} if r == c else {}) for c in range(n)]
            for r in range(n)]
-    for m in range(1, max_m + 1):
+    for _ in range(max_m):
         cur = _poly_matrix_mul_linear(cur, lin, n)
-        if not any(cur[r][c] for r in range(n) for c in range(n)):
+        yield cur
+
+
+def engel_degree_oracle(tensor, max_m):
+    """Least m <= max_m with (sum_i x_i L_{e_i})^m = 0, over Fraction."""
+    for m, cur in enumerate(engel_powers_oracle(tensor, max_m), start=1):
+        if not any(map(any, cur)):
             return m
     return None
 

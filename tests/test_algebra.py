@@ -6,6 +6,8 @@ import pytest
 from degenlab.algebra import (
     DimensionMismatch,
     StructureTensor,
+    _engel_packing_bits,
+    _int_power_rows,
     _malcev_holds,
     annihilator,
     change_basis,
@@ -26,7 +28,8 @@ from degenlab.verification_db import _centralizer_square_dim
 from degenlab.linalg import Subspace, Singular, int_scaled_inverse
 
 from oracles import change_basis_oracle, fraction_inverse, matmul, pairs_of
-from oracles import engel_degree_oracle, jacobi_oracle, malcev_oracle
+from oracles import engel_degree_oracle, engel_powers_oracle
+from oracles import jacobi_oracle, malcev_oracle
 
 from oracles import ann_dim_oracle, generated_subalgebra, square_dim_oracle
 from oracles import direct_sum_trivial, random_anticommutative, random_lower_triangular
@@ -167,6 +170,83 @@ def test_engel_degree_matches_random_spot_checks():
             for _ in range(m - 1):
                 power = matmul(power, mat)
             assert not any(map(any, power))
+
+
+# the zero algebra; e1e2 = e2 (L_e1 is not nilpotent); the cross product
+_NOT_NILPOTENT = (
+    StructureTensor(2, {(1, 2): (0, 1)}),
+    StructureTensor(3, {(1, 2): (0, 0, 1), (1, 3): (0, -1, 0),
+                        (2, 3): (1, 0, 0)}),
+)
+
+
+def test_engel_degree_matches_oracle_on_dense_conjugates_at_max_m_2():
+    # the gate of classify_T22: 2-Engel or not, at dims 7 and 8
+    rng = random.Random(89)
+    seen = set()
+    for key, n in (("T22_e45", 7), ("T22_e34", 8), ("T22_e23", 7),
+                   ("T4", 7), ("T3_e45", 7), ("eta3", 8), ("T222", 8)):
+        b = _dense_fractional_conjugate(instantiate(key, n), rng)
+        got = engel_degree(b, 2)
+        assert got == engel_degree_oracle(b, 2), (key, n)
+        seen.add(got)
+    assert seen == {2, None}
+
+
+def test_engel_degree_matches_oracle_on_dense_conjugates_up_to_n_plus_1():
+    rng = random.Random(97)
+    seen = set()
+    for key, n in (("T4", 5), ("T4_e23", 5), ("T3", 5), ("eta2", 5),
+                   ("T3_e34", 6), ("T22_e34", 6), ("T4", 6)):
+        b = _dense_fractional_conjugate(instantiate(key, n), rng)
+        got = engel_degree(b, n + 1)
+        assert got == engel_degree_oracle(b, n + 1), (key, n)
+        seen.add(got)
+    assert seen >= {2, 3, 4}
+
+
+def test_engel_degree_of_tables_that_are_not_nilpotent_is_none():
+    rng = random.Random(101)
+    for a in _NOT_NILPOTENT:
+        for b in (a, _dense_fractional_conjugate(a, rng)):
+            assert engel_degree(b, b.dim + 1) is None
+            assert engel_degree_oracle(b, b.dim + 1) is None
+
+
+def test_engel_degree_at_exactly_max_m():
+    # the least m is found at max_m = m and missed at max_m = m - 1
+    rng = random.Random(103)
+    for key, n, m in (("T4", 5, 4), ("T3", 6, 3), ("eta2", 5, 2)):
+        a = instantiate(key, n)
+        for b in (a, _dense_fractional_conjugate(a, rng)):
+            assert engel_degree(b, m) == engel_degree_oracle(b, m) == m
+            assert engel_degree(b, m - 1) is None
+            assert engel_degree_oracle(b, m - 1) is None
+
+
+def test_engel_degree_of_the_zero_algebra_is_1():
+    for n in range(1, 5):
+        z = StructureTensor(n)
+        assert engel_degree(z, 1) == engel_degree_oracle(z, 1) == 1
+        assert engel_degree(z, n + 1) == 1
+        assert engel_degree(z, 0) is None
+
+
+def test_engel_packing_bits_bound_every_coefficient():
+    # every entry of every S_alpha, on the L-scaled table, lies strictly
+    # inside the digit range at its own degree
+    rng = random.Random(109)
+    tables = [_dense_fractional_conjugate(instantiate(key, n), rng)
+              for key, n in (("T4", 5), ("T22_e34", 6), ("eta2", 5))]
+    tables += [random_anticommutative(n, rng) for n in (2, 3, 4)]
+    tables += list(_NOT_NILPOTENT) + [StructureTensor(3)]
+    for a in tables:
+        mult, table = int_table(a)
+        max_m = 4 if a.dim > 4 else a.dim + 1
+        for m, cur in enumerate(engel_powers_oracle(a, max_m), start=1):
+            top = max((abs(c) * mult ** m for row in cur for entry in row
+                       for c in entry.values()), default=0)
+            assert top < 2 ** (_engel_packing_bits(table, a.dim, m) - 1)
 
 
 def _kernel_answers(a, max_m):
@@ -406,6 +486,9 @@ def _assert_layer_matches_oracles(a, rng):
         powers.append(subspace_product_oracle(a, full, powers[-1]))
     for i, want in enumerate(powers, start=1):
         assert power_ideal(a, i) == want, i
+    # one walk gives the whole chain; past its end a power repeats the last
+    chain = _int_power_rows(int_table(a)[1], n, n + 2)
+    assert [Subspace.from_vectors(n, rows) for rows in chain] == powers
     assert dim_square(a) == powers[1].dim
     nil = is_nilpotent(a)
     assert nil == is_nilpotent_oracle(a)

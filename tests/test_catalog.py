@@ -152,8 +152,19 @@ def test_classify_level_at_least_six():
 
 
 def test_classify_precondition_violated():
-    with pytest.raises(PreconditionViolated):
-        classify_T22(instantiate("T4", 5))       # not 2-Engel
+    with pytest.raises(PreconditionViolated, match="not 2-Engel"):
+        classify_T22(instantiate("T4", 5))
+    rng = random.Random(107)
+    while True:
+        g = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
+        if fraction_inverse(g) is not None:
+            break
+    with pytest.raises(PreconditionViolated, match="not 2-Engel"):
+        classify_T22(change_basis(instantiate("T4", 5), g))  # dense
+    # A * A^2 = 0 (so 2-Engel) and dim A^2 = 3, but Ann = A^2 has dim 3 != 4
+    with pytest.raises(PreconditionViolated, match="Ann has dim 3 != n-3"):
+        classify_T22(StructureTensor.from_pairs(7, [(1, 2, 5), (3, 4, 6),
+                                                    (1, 3, 7)]))
     with pytest.raises(PreconditionViolated):
         classify_T22(instantiate("T222", 7))     # square too big
     with pytest.raises(PreconditionViolated):
@@ -276,7 +287,7 @@ def test_skew_net_reads_only_the_pivots_of_the_square():
                for key in MANIFEST_FAMILIES if catalog_tested_dims(key)[0] <= 8]
     squares = set()
     for a in tables:
-        rows = _int_power_rows(int_table(a)[1], a.dim, 2)
+        rows = _int_power_rows(int_table(a)[1], a.dim, 2)[1]
         assert _skew_net(a, rows) == _skew_net(a, power_ideal(a, 2).basis)
         squares.add(len(rows))
     assert len(tables) >= 60 and squares >= {0, 1, 2, 3}

@@ -274,6 +274,21 @@ def test_classify_without_algebra(capsys, argv):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("extra", [["T22_e45", "--dim", "6"], ["T22_e45"],
+                                   ["--dim", "6"]])
+def test_classify_rejects_a_name_or_dim_with_file(tmp_path, capsys, extra):
+    from degenlab.catalog import instantiate
+
+    path = tmp_path / "algebra.json"
+    path.write_text(
+        json.dumps(instantiate("T22_e24", 6).to_json_obj()), encoding="utf-8"
+    )
+    assert main(["classify", *extra, "--file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", "5"])
 def test_check_rejects_json_that_is_not_an_object(tmp_path, capsys, text):
     path = tmp_path / "claim.json"
