@@ -17,6 +17,7 @@ from .linalg import (
 from .algebra import (
     DimensionMismatch,
     StructureTensor,
+    ann_dim,
     annihilator,
     change_basis,
     dim_square,

@@ -295,6 +295,13 @@ def _int_centralizer_conditions(table, n: int, ws):
                         for col in zip(*_int_left_products(table, n, w))])
 
 
+def ann_dim(a: StructureTensor) -> int:
+    """dim Ann(A): n minus the rank of the conditions x e_j = 0."""
+    n = a.dim
+    rows = _int_centralizer_conditions(int_table(a)[1], n, _int_identity(n))
+    return n - len(rows)
+
+
 def annihilator(a: StructureTensor) -> Subspace:
     """{x : x A = A x = 0}; for anticommutative tables one side suffices.
 

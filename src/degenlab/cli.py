@@ -21,8 +21,13 @@ checked at load (exit 1).  `classify --file` reads the table format that
 `catalog table` writes; a file that does not parse, or a malformed table
 (`StructureTensor.from_json_obj`), is one error line and exit 1, as is an
 unknown family or dimension for `info`, `iwmax`, `catalog table` and
-`classify`.  `classify` given a name or `--dim` together with `--file`
-is an argument error (exit 1), not a run on the file.
+`classify`; an unknown family reads `unknown catalog family 'name'`, as
+in a ledger.  `classify` given a name or `--dim` together with `--file`
+is an argument error (exit 1), not a run on the file.  A table that is
+not Engel, where the run needs its dominant contraction (the audit of a
+verified certificate, the source of an IWDominance witness), is one
+`error:` line naming an element a whose L_a is not nilpotent, and exit
+1: for `check` as for `verify-paper`, which then writes no report.
 """
 
 from __future__ import annotations
@@ -37,13 +42,13 @@ from . import catalog
 from .algebra import (
     StructureTensor,
     TableFormatError,
-    annihilator,
+    ann_dim,
     dim_square,
     engel_degree,
     identity_flags,
     is_nilpotent,
 )
-from .contraction import iw_max
+from .contraction import NotEngelAt, iw_max
 from .degeneration import verify_degeneration, verify_nondegeneration
 from .verification_db import (
     InconsistentLedger,
@@ -85,9 +90,11 @@ def _instantiate(args):
     line."""
     try:
         return catalog.instantiate(args.name, args.dim)
-    except (catalog.DimensionOutOfRange, catalog.UnknownFamily) as exc:
+    except catalog.DimensionOutOfRange as exc:
         _error(exc)
-        return None
+    except catalog.UnknownFamily:
+        _error(f"unknown catalog family {args.name!r}")
+    return None
 
 
 def cmd_info(args) -> int:
@@ -102,7 +109,7 @@ def cmd_info(args) -> int:
         "name": args.name,
         "dim": args.dim,
         "dim_square": dim_square(tensor),
-        "ann_dim": annihilator(tensor).dim,
+        "ann_dim": ann_dim(tensor),
         "nilpotent": nil,
         "nilpotency_index": nil_index,
         "engel_degree": engel_degree(tensor, tensor.dim + 1),
@@ -178,9 +185,12 @@ def cmd_verify_paper(args) -> int:
     if args.dims and not set(args.dims) & _ledger_dims(ledger):
         return _error(f"--dims {' '.join(map(str, args.dims))} selects no "
                       f"certificate, witness or chain of the ledger")
-    report = run_ledger(
-        ledger, seed=args.seed, trials=args.trials, dims=args.dims
-    )
+    try:
+        report = run_ledger(
+            ledger, seed=args.seed, trials=args.trials, dims=args.dims
+        )
+    except NotEngelAt as exc:
+        return _error(exc)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -52,7 +52,8 @@ class NotEngelAt(ValueError):
 
     def __init__(self, element, message=None):
         self.element = tuple(element)
-        super().__init__(message or f"L_a is not nilpotent at a = {self.element}")
+        shown = ", ".join(map(str, self.element))
+        super().__init__(message or f"L_a is not nilpotent at a = ({shown})")
 
 
 class NotASubalgebra(ValueError):

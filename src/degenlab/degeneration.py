@@ -35,21 +35,22 @@ each product A(g_p, g_q) that a triple (i, j, k) hits lies in
 W_k = span(g_k, ..., g_n), and is 0 for k = n + 1 (`_orbit_meets`).  The
 hit pairs, each with its strictest k, are listed once per spec and
 dimension (`_hit_pairs`, cached; it is the one reading of a spec's
-triples, which membership and the member drawer `_random_member` use
-too).  One fraction-free elimination of g from its last row upward both
-rejects singular draws and gives reduced rows of every W_k
+triples, which membership and the stability verdict use too).  One
+fraction-free elimination of g from its last row upward both rejects
+singular draws and gives reduced rows of every W_k
 (`linalg.int_suffix_spans`), and the products are reduced against them
-until the first pair that fails.  A lower-triangular probe basis has
-W_k = V_k, so its test reads the standard coordinates 1..k-1
-(`_flag_change_meets`).
+until the first pair that fails.
 The full orbit point, the table scaled by its denominator lcm L and
 written through R = d g^-1, is the point of the basis s g, s = d L, with
 no division (`_orbit_point`); it is built only for a stored source basis
 (its values at t = 0, scaled to integers) and for the R quadratics of a
 sample that meets R's flags.  Scaling a table by c is the
 flag-preserving change c I, so each ClosedSetSpec set and R is a cone:
-the s g point is a member iff the g point is.  Sampling needs trials >= 1
-and probing samples >= 1.
+the s g point is a member iff the g point is.  Sampling needs trials >= 1.
+
+Stability of a flag-condition set under the lower-triangular group B is
+decided exactly, on its hit pairs alone (`_pair_map_verdict`), with no
+arithmetic and no random numbers, so a probe's pass is a proof.
 
 Basis rows are written in a small text syntax, e.g.
 
@@ -68,7 +69,7 @@ from .algebra import (
     DimensionMismatch,
     StructureTensor,
     _int_product,
-    annihilator,
+    ann_dim,
     dim_square,
     int_change_basis,
     int_table,
@@ -333,8 +334,10 @@ class ClosedSetSpec:
     """Conditions lambda(V_i, V_j) in V_k over the standard flag.
 
     Each triple (i, j, k) has 1 <= i, j <= n and 1 <= k <= n + 1, where
-    V_{n+1} = 0; such sets are stable under flag-preserving (lower
-    triangular) transformations.
+    V_{n+1} = 0.  A triple hits every pair at or above (i, j), so the
+    strictest k of `_hit_pairs` never falls going up and the set is
+    stable under flag-preserving (lower triangular) changes;
+    `lower_triangular_invariance_probe` checks that on the pair map.
     """
 
     triples: tuple
@@ -375,15 +378,6 @@ def _hit_pairs(spec: ClosedSetSpec, n: int):
     return tuple((p, q, k) for (p, q), k in sorted(strictest.items()))
 
 
-def _flag_change_meets(table, n: int, g, pairs) -> bool:
-    """Membership of the orbit point of a flag-preserving basis g (row i in
-    <e_i, ..., e_n>, nonzero diagonal) in the set of `_hit_pairs` `pairs`:
-    span(g_k, ..., g_n) = V_k, so the product A(g_p, g_q) of the
-    `int_table` table must vanish in its standard coordinates 1..k-1."""
-    return not any(any(_int_product(table, n, g[p], g[q])[:k - 1])
-                   for p, q, k in pairs)
-
-
 def _orbit_meets(table, n: int, g, spans, pairs) -> bool:
     """Membership of the orbit point of an invertible basis g in the set of
     `_hit_pairs` `pairs`: every hit product A(g_p, g_q) of the `int_table`
@@ -395,66 +389,39 @@ def _orbit_meets(table, n: int, g, spans, pairs) -> bool:
         for p, q, k in pairs)
 
 
-def _random_member(dim: int, pairs, rng: random.Random, spread: int = 3):
-    """Random integer member {(i, j): vector} of the set of `_hit_pairs`
-    `pairs`, zero vectors left out.  Only the free coordinates are drawn,
-    in pair order: k..n of a hit product (none for k = n + 1) and all n of
-    any other, so `pairs = ()` draws a whole table."""
-    start = {(p, q): k - 1 for p, q, k in pairs}
-    table = {}
-    for p in range(dim - 1):
-        for q in range(p + 1, dim):
-            lo = start.get((p, q), 0)
-            vec = (0,) * lo + tuple(rng.randint(-spread, spread)
-                                    for _ in range(lo, dim))
-            if any(vec):
-                table[(p + 1, q + 1)] = vec
-    return table
-
-
-def _int_lower_triangular(dim: int, rng: random.Random):
-    """Random integer flag-preserving basis: row i lives in <e_i, ..., e_n>."""
-    rows = []
-    for i in range(dim):
-        row = [0] * dim
-        row[i] = rng.choice([x for x in range(-3, 4) if x])
-        for k in range(i + 1, dim):
-            row[k] = rng.randint(-3, 3)
-        rows.append(row)
-    return rows
-
-
-def lower_triangular_invariance_probe(
-    spec: ClosedSetSpec, dim: int, samples: int = 100, seed: int = 0
-) -> Verdict:
-    """Probe closure of a flag-condition set under flag-preserving changes.
-
-    Each sample draws a random integer member of the set, only the
-    coefficients its conditions leave free (`_random_member`), and moves
-    it by a random lower-triangular integer basis g.  Such a g has a
-    nonzero diagonal, so span(g_k, ..., g_n) is V_k and the moved table is
-    a member iff the coordinates 1..k-1 of each hit product A(g_p, g_q)
-    vanish (`_flag_change_meets`); no inverse is formed.
-    Raises ValueError when samples < 1 (zero samples are no evidence) or
-    when a triple lies outside dimension `dim`.
+def lower_triangular_invariance_probe(spec: ClosedSetSpec, dim: int) -> Verdict:
+    """Exact verdict on the stability of a flag-condition set under
+    flag-preserving (lower triangular) changes of basis, from its
+    `_hit_pairs` (`_pair_map_verdict`).  Raises ValueError when a triple
+    lies outside dimension `dim`.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    pairs = _hit_pairs(spec, dim)
-    rng = random.Random(seed)
-    for trial in range(samples):
-        tensor = StructureTensor.from_trusted(dim, _random_member(dim, pairs, rng))
-        if not closed_set_member(tensor, spec):
-            return Verdict(
-                "fail", f"sampler produced a non-member at trial {trial}"
-            )
-        g = _int_lower_triangular(dim, rng)
-        if not _flag_change_meets(int_table(tensor)[1], dim, g, pairs):
-            return Verdict(
-                "fail",
-                f"membership lost under a flag-preserving change at trial {trial}",
-                {"tensor": tensor.to_json_obj(), "basis": [[str(x) for x in row] for row in g]},
-            )
+    return _pair_map_verdict(_hit_pairs(spec, dim), dim)
+
+
+def _pair_map_verdict(pairs, n: int) -> Verdict:
+    """pass iff the set of the pair map `pairs` ((p, q, k), p < q, 0-based)
+    is stable under the lower-triangular group B; a fail names both pairs.
+
+    Let k(p, q) be the listed k of a pair, 1 for an unlisted one.  The set
+    is B-stable iff k({a, b}) >= k(p, q) for every listed (p, q), a >= p,
+    b >= q, a != b.  Sufficient: g in B has g_p in V_p, so
+    A(g_p, g_q) = sum g_pa g_qb A(e_a, e_b) over such a, b lies in
+    V_k(p, q) = span(g_k, ..., g_n).  Necessary: a member whose one nonzero
+    constant is coordinate k(p, q) - 1 of e_a e_b, moved by g_p = e_p + e_a,
+    g_q = e_q + e_b (other rows e_r), leaves the set.  Taking a < b
+    suffices: for a > b, the pair (b, a) has b >= q > p and a > b >= q.
+    """
+    strictest = {(p, q): k for p, q, k in pairs}
+    for p, q, k in pairs:
+        for a in range(p, n):
+            for b in range(max(q, a + 1), n):
+                low = strictest.get((a, b), 1)
+                if low < k:
+                    return Verdict(
+                        "fail",
+                        f"e{p + 1}e{q + 1} must lie in V_{k}, but a "
+                        f"flag-preserving change mixes in e{a + 1}e{b + 1}, "
+                        f"which need only lie in V_{low}")
     return Verdict("pass")
 
 
@@ -613,7 +580,7 @@ def verify_nondegeneration(
             return Verdict("proved", f"dim source^2 = {ds} < {dt} = dim target^2")
         return Verdict("refuted", f"dim source^2 = {ds} >= {dt} = dim target^2")
     if w.kind == "AnnDim":
-        ds, dt = annihilator(src).dim, annihilator(tgt).dim
+        ds, dt = ann_dim(src), ann_dim(tgt)
         if ds > dt:
             return Verdict("proved", f"dim Ann(source) = {ds} > {dt} = dim Ann(target)")
         return Verdict("refuted", f"dim Ann(source) = {ds} <= {dt} = dim Ann(target)")

@@ -37,7 +37,7 @@ from .algebra import (
     TableFormatError,
     _int_centralizer_conditions,
     _int_power_rows,
-    annihilator,
+    ann_dim,
     dim_square,
     engel_degree,
     int_table,
@@ -428,7 +428,7 @@ def separator_check(kind: str, src: StructureTensor, tgt: StructureTensor,
         return None, "non-isomorphism recorded on the source material's authority"
     funcs = {
         "dim_square": dim_square,
-        "ann_dim": lambda t: annihilator(t).dim,
+        "ann_dim": ann_dim,
         "nilindex": _nilindex,
         "engel_degree": lambda t: engel_degree(t, t.dim + 1),
         "jacobi": jacobi_holds,
@@ -493,7 +493,7 @@ def run_ledger(ledger: ClaimLedger, seed: int = 0, trials: int = 200,
             tensor = ref.resolve()
             _, witness = iw_max(tensor, seed=seed)
             invariants[ref.label] = _LabelInvariants(
-                tensor, dim_square(tensor), annihilator(tensor).dim,
+                tensor, dim_square(tensor), ann_dim(tensor),
                 rank_sequence(tensor, witness))
         return invariants[ref.label]
 
@@ -563,9 +563,7 @@ def run_ledger(ledger: ClaimLedger, seed: int = 0, trials: int = 200,
 
     probe_reports = []
     for (triples, dim), owner in sorted(probes_needed.items()):
-        verdict = lower_triangular_invariance_probe(
-            ClosedSetSpec(triples), dim, samples=100, seed=seed
-        )
+        verdict = lower_triangular_invariance_probe(ClosedSetSpec(triples), dim)
         probe_reports.append({
             "triples": [list(t) for t in triples],
             "dim": dim,

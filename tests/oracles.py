@@ -9,7 +9,9 @@ centralizer of the square) are kept here too; they build the package's
 oracles of the certificate check run on sympy's rational function field.
 The inverse-based orbit sampling and lower-triangular probe, which write
 out the whole orbit point of every sample, are the reference for the
-package's span tests.  The certificate check with the integer kernels run
+package's span tests, and the former sampled lower-triangular probe is
+the reference for the exact stability verdict on the pair map.  The
+certificate check with the integer kernels run
 over `ZPoly`, before the values were packed into ints at t = 2^B, is the
 reference for the packed check, and an instrumented copy of its Bareiss
 loop gives every entry the packing bound must cover.
@@ -699,20 +701,82 @@ def whole_table_draws(dim, rng, spread=3):
     return table
 
 
-def random_anticommutative(dim, rng, spread=3):
-    """Random integer table: degeneration._random_member with no flag
-    conditions, the draws of `whole_table_draws`."""
-    from degenlab.algebra import StructureTensor
-    from degenlab.degeneration import _random_member
+def random_member(dim, pairs, rng, spread=3):
+    """Random integer member {(i, j): vector} of the set of `_hit_pairs`
+    `pairs`, zero vectors left out: the draws of the former sampled
+    lower-triangular probe.  Only the free coordinates are drawn, in pair
+    order: k..n of a hit product (none for k = n + 1) and all n of any
+    other, so `pairs = ()` draws a whole table."""
+    start = {(p, q): k - 1 for p, q, k in pairs}
+    table = {}
+    for p in range(dim - 1):
+        for q in range(p + 1, dim):
+            lo = start.get((p, q), 0)
+            vec = (0,) * lo + tuple(rng.randint(-spread, spread)
+                                    for _ in range(lo, dim))
+            if any(vec):
+                table[(p + 1, q + 1)] = vec
+    return table
 
-    return StructureTensor(dim, _random_member(dim, (), rng, spread))
+
+def random_anticommutative(dim, rng, spread=3):
+    """Random integer table: `random_member` with no flag conditions, the
+    draws of `whole_table_draws`."""
+    from degenlab.algebra import StructureTensor
+
+    return StructureTensor(dim, random_member(dim, (), rng, spread))
 
 
 def random_lower_triangular(dim, rng):
-    """Random flag-preserving basis: row i lives in <e_i, ..., e_n>."""
-    from degenlab.degeneration import _int_lower_triangular
+    """Random integer flag-preserving basis: row i lives in <e_i, ..., e_n>,
+    with a nonzero diagonal."""
+    rows = []
+    for i in range(dim):
+        row = [0] * dim
+        row[i] = rng.choice([x for x in range(-3, 4) if x])
+        for k in range(i + 1, dim):
+            row[k] = rng.randint(-3, 3)
+        rows.append(row)
+    return rows
 
-    return _int_lower_triangular(dim, rng)
+
+def flag_change_meets(table, n, g, pairs):
+    """Membership of the orbit point of a flag-preserving basis g in the
+    set of the pair map `pairs`: span(g_k, ..., g_n) = V_k, so each hit
+    product A(g_p, g_q) of the int_table table must vanish in its standard
+    coordinates 1..k-1."""
+    from degenlab.algebra import _int_product
+
+    return not any(any(_int_product(table, n, g[p], g[q])[:k - 1])
+                   for p, q, k in pairs)
+
+
+def sampled_lower_triangular_probe(pairs, dim, samples=100, seed=0):
+    """The former sampled lower-triangular probe, for any pair map `pairs`
+    ((p, q, k), p < q, 0-based): each sample draws a random member
+    (`random_member`) and moves it by a random lower-triangular basis; a
+    moved table outside the set is a fail verdict.  Evidence only: a pass
+    says that `samples` draws found no counterexample."""
+    import random
+
+    from degenlab.algebra import StructureTensor, _int_identity, int_table
+    from degenlab.degeneration import Verdict
+
+    rng = random.Random(seed)
+    for trial in range(samples):
+        tensor = StructureTensor.from_trusted(dim, random_member(dim, pairs, rng))
+        table = int_table(tensor)[1]
+        if not flag_change_meets(table, dim, _int_identity(dim), pairs):
+            return Verdict("fail", f"sampler produced a non-member at trial {trial}")
+        g = random_lower_triangular(dim, rng)
+        if not flag_change_meets(table, dim, g, pairs):
+            return Verdict(
+                "fail",
+                f"membership lost under a flag-preserving change at trial {trial}",
+                {"tensor": tensor.to_json_obj(),
+                 "basis": [[str(x) for x in row] for row in g]},
+            )
+    return Verdict("pass")
 
 
 def inverse_orbit_point(table, n, g):
@@ -764,14 +828,14 @@ def inverse_lower_triangular_probe(dim, samples, seed, sampler, member):
     import random
 
     from degenlab.algebra import int_table
-    from degenlab.degeneration import Verdict, _int_lower_triangular
+    from degenlab.degeneration import Verdict
 
     rng = random.Random(seed)
     for trial in range(samples):
         tensor = sampler(rng)
         if not member(tensor):
             return Verdict("fail", f"sampler produced a non-member at trial {trial}")
-        g = _int_lower_triangular(dim, rng)
+        g = random_lower_triangular(dim, rng)
         if not member(inverse_orbit_point(int_table(tensor)[1], dim, g)):
             return Verdict(
                 "fail",

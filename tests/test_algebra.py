@@ -9,6 +9,7 @@ from degenlab.algebra import (
     _engel_packing_bits,
     _int_power_rows,
     _malcev_holds,
+    ann_dim,
     annihilator,
     change_basis,
     dim_square,
@@ -24,7 +25,8 @@ from degenlab.algebra import (
 )
 from degenlab.catalog import MANIFEST_FAMILIES, instantiate
 from degenlab.catalog import tested_dims as catalog_tested_dims
-from degenlab.verification_db import _centralizer_square_dim
+from degenlab.verification_db import _centralizer_square_dim, load_ledger
+from degenlab.verification_db import shipped_ledger_path
 from degenlab.linalg import Subspace, Singular, int_scaled_inverse
 
 from oracles import change_basis_oracle, fraction_inverse, matmul, pairs_of
@@ -117,6 +119,29 @@ def test_dims_pin_against_independent_oracle():
         a = instantiate(key, n)
         assert dim_square(a) == square_dim_oracle(a)
         assert annihilator(a).dim == ann_dim_oracle(a)
+
+
+def test_ann_dim_is_the_annihilator_dim_on_every_shipped_label():
+    ledger = load_ledger(shipped_ledger_path())
+    refs = {ref.label: ref for claim in ledger.certificates + ledger.witnesses
+            for ref in (claim.source, claim.target)}
+    assert len(refs) > 100
+    for ref in refs.values():
+        a = ref.resolve()
+        assert ann_dim(a) == annihilator(a).dim, ref.label
+
+
+def test_ann_dim_matches_the_oracle_on_random_tables():
+    # a random table plus central coordinates, moved off the standard basis
+    rng = random.Random(1604)
+    seen = set()
+    for _ in range(60):
+        m, k = rng.randint(1, 5), rng.randint(0, 3)
+        a = direct_sum_trivial(random_anticommutative(m, rng, spread=1), k)
+        a = change_basis(a, random_lower_triangular(m + k, rng)[::-1])
+        assert ann_dim(a) == ann_dim_oracle(a), a.products
+        seen.add(ann_dim(a))
+    assert len(seen) >= 4
 
 
 def test_identity_flags_examples():

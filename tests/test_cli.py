@@ -66,6 +66,17 @@ def test_a_malformed_catalog_name_is_an_error_line(capsys, argv):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", [["info"], ["iwmax"], ["classify"],
+                                     ["catalog", "table"]])
+@pytest.mark.parametrize("name", ["nosuch", "T9"])
+def test_an_unknown_family_is_named(capsys, command, name):
+    # the text a ledger reference with the same name gets
+    assert main(command + [name, "--dim", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: unknown catalog family '{name}'\n"
+
+
 def test_check_certificate_pass(tmp_path, capsys):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(cert_by_id("T22deg.2.6")), encoding="utf-8")
@@ -407,6 +418,36 @@ def test_verify_paper_does_not_hide_verifier_errors(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="internal verifier fault"):
         main(["verify-paper", "--dims", "5", "--trials", "1",
               "--out", str(tmp_path / "out")])
+
+
+# e1e2 = e3, e2e3 = e3: L_{e2} is not nilpotent
+NOT_ENGEL = {"name": "notengel", "dim": 3, "products": [
+    {"i": 1, "j": 2, "value": [0, 0, 1]}, {"i": 2, "j": 3, "value": [0, 0, 1]}]}
+
+
+@pytest.mark.parametrize("claim", [
+    {"certificates": [{"id": "c", "source": NOT_ENGEL, "target": NOT_ENGEL,
+                       "basis": ["e1", "e2", "e3"]}]},
+    {"certificates": [], "witnesses": [{
+        "id": "w", "kind": "IWDominance", "source": NOT_ENGEL,
+        "target": {"name": "zero", "dim": 3},
+        "payload": {"element": [1, 0, 0]}}]},
+], ids=["certificate-audit", "iw-dominance-source"])
+def test_verify_paper_names_a_table_that_is_not_engel(tmp_path, capsys, claim):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(claim), encoding="utf-8")
+    code = main(["verify-paper", "--ledger", str(path), "--trials", "1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: L_a is not nilpotent at a = (0, 1, 0)\n"
+    assert not (tmp_path / "out" / "report.json").exists()
+    if claim["certificates"]:
+        return
+    wit = tmp_path / "wit.json"
+    wit.write_text(json.dumps(claim["witnesses"][0]), encoding="utf-8")
+    assert main(["check", str(wit)]) == 1
+    assert capsys.readouterr().err == err
 
 
 def _bad_basis_witness():

@@ -13,16 +13,15 @@ from degenlab.catalog import instantiate
 from degenlab.algebra import _int_product, int_change_basis, int_table
 from degenlab.degeneration import (
     _R_FLAGS,
-    _flag_change_meets,
     _hit_pairs,
-    _int_lower_triangular,
     _orbit_meets,
-    _random_member,
+    _pair_map_verdict,
     AlgebraRef,
     ClosedSetSpec,
     DegenerationCertificate,
     NonDegenerationWitness,
     SingularFamily,
+    Verdict,
     apply_parameterized_basis,
     clear_denominators,
     closed_set_member,
@@ -44,7 +43,8 @@ from oracles import fraction_inverse, project_to_spec, qt_at_zero, qt_basis_row
 from oracles import inverse_lower_triangular_probe, inverse_orbit_point
 from oracles import inverse_orbit_refute, row_reduce_dim, whole_table_draws
 from oracles import qt_certificate_verdict, qt_constants, qt_parse, qt_value
-from oracles import random_anticommutative, random_lower_triangular
+from oracles import flag_change_meets, random_anticommutative, random_member
+from oracles import random_lower_triangular, sampled_lower_triangular_probe
 from oracles import bareiss_entries, zpoly_apply_parameterized_basis
 
 
@@ -371,8 +371,7 @@ def test_closed_set_member_examples():
 
 def test_lower_triangular_probe_passes_on_flag_specs():
     spec = ClosedSetSpec(((1, 1, 4), (2, 3, 7)))
-    verdict = lower_triangular_invariance_probe(spec, dim=6, samples=60, seed=4)
-    assert verdict.ok
+    assert lower_triangular_invariance_probe(spec, dim=6) == Verdict("pass")
 
 
 def test_lower_triangular_probe_negative_control():
@@ -513,17 +512,6 @@ def _fraction_projected_sample(n, rng, spec):
     return table
 
 
-def _fraction_lower_triangular(n, rng):
-    rows = []
-    for i in range(n):
-        row = [Fraction(0)] * n
-        row[i] = Fraction(rng.choice([x for x in range(-3, 4) if x]))
-        for k in range(i + 1, n):
-            row[k] = Fraction(rng.randint(-3, 3))
-        rows.append(row)
-    return rows
-
-
 def test_int_samplers_match_the_fraction_samplers():
     for spec_triples, n in _shipped_closed_set_specs():
         spec = ClosedSetSpec(spec_triples)
@@ -531,9 +519,6 @@ def test_int_samplers_match_the_fraction_samplers():
         for _ in range(5):
             want = _fraction_projected_sample(n, ref, spec)
             assert project_to_spec(random_anticommutative(n, a), spec).products == want
-            assert ref.getstate() == a.getstate()
-            want_g = _fraction_lower_triangular(n, ref)
-            assert _int_lower_triangular(n, a) == want_g
             assert ref.getstate() == a.getstate()
 
 
@@ -544,7 +529,7 @@ def test_random_member_without_pairs_draws_whole_tables():
             a, b = random.Random(n * spread), random.Random(n * spread)
             for _ in range(4):
                 want = whole_table_draws(n, b, spread)
-                assert _random_member(n, (), a, spread) == want
+                assert random_member(n, (), a, spread) == want
                 assert a.getstate() == b.getstate()
 
 
@@ -579,7 +564,7 @@ def test_random_member_draws_exactly_the_free_coefficients():
                                    for j in range(i + 1, n + 1)})
         want = project_to_spec(ones, spec).products
         rng = _Ones()
-        assert _random_member(n, _hit_pairs(spec, n), rng) == want, (spec, n)
+        assert random_member(n, _hit_pairs(spec, n), rng) == want, (spec, n)
         assert rng.draws == sum(sum(vec) for vec in want.values())
 
 
@@ -588,7 +573,7 @@ def test_random_members_are_members():
     for spec, n in _specs_to_check():
         pairs = _hit_pairs(spec, n)
         for _ in range(5):
-            table = _random_member(n, pairs, rng)
+            table = random_member(n, pairs, rng)
             assert closed_set_member(StructureTensor(n, table), spec), (spec, table)
 
 
@@ -682,20 +667,13 @@ def test_sampling_needs_a_sample(trials):
         verify_nondegeneration(w, trials=trials, seed=6)
 
 
-@pytest.mark.parametrize("samples", [0, -3])
-def test_probe_needs_a_sample(samples):
-    with pytest.raises(ValueError):
-        lower_triangular_invariance_probe(ClosedSetSpec(((1, 1, 4),)), 4,
-                                          samples=samples)
-
-
 @pytest.mark.parametrize("triple", [(9, 1, 3), (1, 5, 2), (0, 1, 2),
                                     (1, 1, 6), (2, 2, 0)])
 def test_a_triple_outside_the_dimension_is_refused(triple):
     # dimension 4: 1 <= i, j <= 4 and 1 <= k <= 5
     spec = ClosedSetSpec(((1, 1, 4), triple))
     with pytest.raises(ValueError, match="outside dimension 4"):
-        lower_triangular_invariance_probe(spec, 4, samples=3)
+        lower_triangular_invariance_probe(spec, 4)
     with pytest.raises(ValueError, match="outside dimension 4"):
         randomized_orbit_refute(StructureTensor(4), spec, trials=3, seed=1)
 
@@ -712,6 +690,70 @@ def _random_spec(n, rng):
     return ClosedSetSpec(tuple(
         (rng.randint(1, n), rng.randint(1, n), rng.randint(1, n + 1))
         for _ in range(rng.randint(1, 3))))
+
+
+def test_exact_probe_agrees_with_the_sampled_oracle_on_shipped_specs():
+    for triples, n in _shipped_closed_set_specs():
+        pairs = _hit_pairs(ClosedSetSpec(triples), n)
+        assert sampled_lower_triangular_probe(pairs, n, 100, 20240917).ok
+        assert lower_triangular_invariance_probe(
+            ClosedSetSpec(triples), n) == Verdict("pass")
+
+
+def test_exact_probe_agrees_with_the_sampled_oracle_on_random_specs():
+    # every spec's pair map is upward closed, so both must pass; the specs
+    # hold triples with i > j, whose hits come from the symmetric half
+    rng = random.Random(1601)
+    swapped = 0
+    for _ in range(320):
+        n = rng.randint(2, 8)
+        spec = _random_spec(n, rng)
+        swapped += any(i > j for i, j, _ in spec.triples)
+        assert lower_triangular_invariance_probe(spec, n) == Verdict("pass")
+        assert sampled_lower_triangular_probe(
+            _hit_pairs(spec, n), n, 20, rng.randint(0, 10 ** 6)).ok, spec
+    assert swapped >= 100
+
+
+NOT_MONOTONE = [
+    # e1e2 in V_3, but e1e3 and e2e3 are free
+    (((0, 1, 3),), 3),
+    # every product in V_3 except e3e4, which lies above all of them
+    (((0, 1, 3), (0, 2, 3), (0, 3, 3), (1, 2, 3), (1, 3, 3), (2, 3, 2)), 4),
+    # e2e4 = 0, but e3e4 only in V_4
+    (((1, 3, 6), (2, 3, 4)), 5),
+    # e1e4 in V_3 alone
+    (((0, 3, 3),), 6),
+]
+
+
+@pytest.mark.parametrize("pairs, n", NOT_MONOTONE)
+def test_a_pair_map_that_falls_going_up_fails_both_probes(pairs, n):
+    assert _pair_map_verdict(pairs, n).status == "fail"
+    assert sampled_lower_triangular_probe(pairs, n, 100, 1602).status == "fail"
+
+
+def test_a_failing_verdict_names_both_pairs():
+    verdict = _pair_map_verdict(NOT_MONOTONE[1][0], 4)
+    assert verdict.reason == (
+        "e1e2 must lie in V_3, but a flag-preserving change mixes in e3e4, "
+        "which need only lie in V_2")
+
+
+def test_hitting_only_the_pair_of_each_triple_fails_every_shipped_spec():
+    # the mutant reading of a triple (i, j, k) that hits e_i e_j alone and
+    # not the pairs above it: no shipped set stays stable
+    specs = _shipped_closed_set_specs()
+    assert len(specs) == 9
+    for triples, n in specs:
+        strictest = {}
+        for i, j, k in triples:
+            if i != j:
+                pair = (min(i, j) - 1, max(i, j) - 1)
+                strictest[pair] = max(k, strictest.get(pair, 1))
+        pairs = tuple((p, q, k) for (p, q), k in sorted(strictest.items()))
+        assert _pair_map_verdict(pairs, n).status == "fail", triples
+        assert sampled_lower_triangular_probe(pairs, n, 100, 1603).status == "fail"
 
 
 def _sparse_table(n, rng):
@@ -787,9 +829,9 @@ def test_orbit_membership_matches_the_inverse_path():
         b = _sparse_table(n, rng)
         spec = _random_spec(n, rng)
         table, pairs = int_table(b)[1], _hit_pairs(spec, n)
-        flag = _int_lower_triangular(n, rng)
+        flag = random_lower_triangular(n, rng)
         want = closed_set_member(inverse_orbit_point(table, n, flag), spec)
-        assert _flag_change_meets(table, n, flag, pairs) == want
+        assert flag_change_meets(table, n, flag, pairs) == want
         assert _orbit_meets(table, n, flag, int_suffix_spans(flag), pairs) == want
         seen.add(want)
         g, spans = random_invertible(n, rng)

@@ -133,10 +133,10 @@ def test_linalg_and_algebra_define_no_api_that_only_tests_reach():
 
 def test_only_linalg_and_algebra_name_the_fraction_subspace():
     # the run paths above the algebra layer work on integer echelon rows;
-    # Subspace and the ideals built on it stay inside the two layers (and
-    # the exports of __init__)
+    # Subspace and the ideals and annihilator built on it stay inside the
+    # two layers (and the exports of __init__)
     package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
-    banned = {"Subspace", "power_ideal", "subspace_product"}
+    banned = {"Subspace", "power_ideal", "subspace_product", "annihilator"}
     named = []
     for path in sorted(package.glob("*.py")):
         if path.stem in ("linalg", "algebra", "__init__"):
@@ -179,3 +179,34 @@ def test_the_certificate_check_hands_only_ints_to_the_integer_kernels(monkeypatc
         * len(certs))
     assert all(type(x) is int
                for _, matrix in matrices for row in matrix for x in row)
+
+
+def test_proved_and_probe_verdicts_draw_no_random_numbers(monkeypatch):
+    # tier honesty: a closed-set probe PASS and a PROVED DimSquare, AnnDim
+    # or LieClosure witness must not rest on sampling.  IWDominance is the
+    # one PROVED kind that still does: it reads the sampled iw_max.
+    import types
+
+    from degenlab import contraction, degeneration
+    from degenlab.verification_db import load_ledger, shipped_ledger_path
+
+    def no_sampling(*args):
+        raise AssertionError("a random number was drawn")
+
+    stub = types.SimpleNamespace(Random=no_sampling)
+    monkeypatch.setattr(degeneration, "random", stub)
+    monkeypatch.setattr(contraction, "random", stub)
+    witnesses = load_ledger(shipped_ledger_path()).witnesses
+    specs = {(tuple(map(tuple, w.payload["triples"])), w.source.dim)
+             for w in witnesses if w.kind == "ClosedSet"}
+    assert len(specs) == 9
+    for triples, dim in specs:
+        verdict = degeneration.lower_triangular_invariance_probe(
+            degeneration.ClosedSetSpec(triples), dim)
+        assert verdict.status == "pass", triples
+    exact = [w for w in witnesses
+             if w.kind in ("DimSquare", "AnnDim", "LieClosure")]
+    assert len(exact) == 40
+    for w in exact:
+        assert degeneration.verify_nondegeneration(w).status == "proved", (
+            w.witness_id)
