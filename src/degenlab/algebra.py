@@ -30,6 +30,16 @@ structure constants: scaling them by L multiplies the Jacobi defect by
 L^2, the Malcev defect by L^3 and (sum_i x_i L_{e_i})^m by L^m, so every
 zero test, and the least m, is the same as over Q.  Basis changes divide
 once by the total scale.
+
+The Engel and Malcev checks run on ints packed with base-2^B digits.
+The Engel degree packs each row of S_alpha; the Malcev check packs y and
+z, so a few products per x give the defect at every basis pair (y, z),
+one digit each, because the defect is bilinear in (y, z).  The packed
+tests are exact because B is proved to keep every digit strictly inside
++-2^(B-1) (`_engel_packing_bits`, `_malcev_packing_bits`, both from the
+table's largest row sum): a packed value is then 0 iff its digits are.
+The Jacobi check keeps its loop over basis triples, which stops at the
+first nonzero defect.
 """
 
 from __future__ import annotations
@@ -394,7 +404,12 @@ def _malcev_holds(a: StructureTensor) -> bool:
 
     Quadratic in x, linear in y and z: basis vectors and pair sums for x,
     basis vectors for y, z decide it over characteristic zero.  Evaluated
-    over Z on the L-scaled table; the defect scales by L^3.
+    over Z on the L-scaled table; the defect scales by L^3.  y and z are
+    packed: Y_k = 2^(B n k) and Z_k = 2^(B k), so by bilinearity each
+    coordinate of the defect at (x, Y, Z) is sum_{a,b} 2^(B (n a + b))
+    times that coordinate at (x, e_a, e_b), one base-2^B digit per (y, z),
+    and `_malcev_packing_bits` keeps every digit strictly inside
+    +-2^(B-1): a packed coordinate is 0 iff all its digits are.
     """
     n = a.dim
     _, table = int_table(a)
@@ -402,22 +417,21 @@ def _malcev_holds(a: StructureTensor) -> bool:
     def mul(x, y):
         return _int_product(table, n, x, y)
 
+    bits = _malcev_packing_bits(table, n)
+    ys = [1 << (bits * n * k) for k in range(n)]
+    zs = [1 << (bits * k) for k in range(n)]
+    yz = mul(ys, zs)
     e = _int_identity(n)
-    sq = [[mul(y, z) for z in e] for y in e]
     xs = e + [[p + q for p, q in zip(e[i], e[j])]
               for i in range(n) for j in range(i + 1, n)]
     for x in xs:
-        xy = [mul(x, y) for y in e]
-        zxx = [mul(mul(z, x), x) for z in e]
-        for iy, y in enumerate(e):
-            for iz, z in enumerate(e):
-                lhs = mul(xy[iy], xy[iz])
-                t1 = mul(mul(xy[iy], z), x)
-                t2 = mul(mul(sq[iy][iz], x), x)
-                t3 = mul(zxx[iz], y)
-                if any(p - q - r - s
-                       for p, q, r, s in zip(lhs, t1, t2, t3)):
-                    return False
+        xy, xz = mul(x, ys), mul(x, zs)
+        lhs = mul(xy, xz)
+        t1 = mul(mul(xy, zs), x)
+        t2 = mul(mul(yz, x), x)
+        t3 = mul(mul(xz, x), ys)  # ((zx)x)y = -((xz)x)y
+        if any(p - q - r + s for p, q, r, s in zip(lhs, t1, t2, t3)):
+            return False
     return True
 
 
@@ -429,20 +443,38 @@ def identity_flags(a: StructureTensor) -> IdentityFlags:
     )
 
 
+def _row_sum_bound(table, n: int) -> int:
+    """s, the largest over r of sum_{i,k} |(e_i e_k)_r| over ordered pairs,
+    for an int_table table: |(uv)_r| <= s |u|_oo |v|_oo for every u, v,
+    and s bounds every row sum of K = sum_i |L_{e_i}| entrywise."""
+    sums = [0] * n
+    for _, _, entries in table:
+        for r, v in entries:
+            sums[r] += 2 * abs(v)
+    return max(sums)
+
+
 def _engel_packing_bits(table, n: int, max_m: int) -> int:
     """B such that every entry of every S_alpha of `engel_degree` with
     |alpha| <= max_m lies strictly inside +-2^(B-1), for an int_table
     table: then a row packed with base-2^B digits is 0 only if its digits
     are (the top nonzero digit outweighs the rest).  With K = sum_i |L_i|
     entrywise, |S_alpha| <= K^|alpha| entrywise, and every entry of K^m is
-    at most s^m, s the largest row sum of K: the sum over ordered pairs
-    (i, k) of |(e_i e_k)_r|, largest over r.
+    at most s^m, s = `_row_sum_bound`.
     """
-    sums = [0] * n
-    for _, _, entries in table:
-        for r, v in entries:
-            sums[r] += 2 * abs(v)
-    return (max(sums) ** max_m).bit_length() + 1
+    return (_row_sum_bound(table, n) ** max_m).bit_length() + 1
+
+
+def _malcev_packing_bits(table, n: int) -> int:
+    """B such that every digit of `_malcev_holds`' packed defect lies
+    strictly inside +-2^(B-1), for an int_table table.  A digit is the
+    defect at (x, e_a, e_b) with x a basis vector or a pair sum, so x, y
+    and z have entries in {0, 1}.  Each of its four terms is three
+    products of such vectors, and a product multiplies |.|_oo by at most
+    s = `_row_sum_bound`, so each term is at most s^3 and the digit at
+    most 4 s^3 in absolute value.
+    """
+    return (4 * _row_sum_bound(table, n) ** 3).bit_length() + 1
 
 
 def engel_degree(a: StructureTensor, max_m: int):

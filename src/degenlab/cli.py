@@ -24,10 +24,12 @@ unknown family or dimension for `info`, `iwmax`, `catalog table` and
 `classify`; an unknown family reads `unknown catalog family 'name'`, as
 in a ledger.  `classify` given a name or `--dim` together with `--file`
 is an argument error (exit 1), not a run on the file.  A table that is
-not Engel, where the run needs its dominant contraction (the audit of a
-verified certificate, the source of an IWDominance witness), is one
-`error:` line naming an element a whose L_a is not nilpotent, and exit
-1: for `check` as for `verify-paper`, which then writes no report.
+not Engel, where the run needs its rank sequences (the audit of a
+verified certificate, the source of an IWDominance witness or its target
+at the given element), is one `error:` line naming its label and an
+element a whose L_a is not nilpotent (`error: name@3: L_a is not
+nilpotent at a = (0, 1, 0)`), and exit 1: for `check` as for
+`verify-paper`, which then writes no report.
 """
 
 from __future__ import annotations

@@ -55,6 +55,10 @@ class NotEngelAt(ValueError):
         shown = ", ".join(map(str, self.element))
         super().__init__(message or f"L_a is not nilpotent at a = ({shown})")
 
+    def named(self, label: str) -> "NotEngelAt":
+        """The same error, its message led by the label of its algebra."""
+        return NotEngelAt(self.element, f"{label}: {self}")
+
 
 class NotASubalgebra(ValueError):
     """IW contraction asked with respect to a span that is not closed."""

@@ -75,7 +75,7 @@ from .algebra import (
     int_table,
     jacobi_holds,
 )
-from .contraction import dominates, iw_max, rank_sequence
+from .contraction import NotEngelAt, dominates, iw_max, rank_sequence
 from .exactnum import (
     ZPOLY_ONE,
     ZPOLY_ZERO,
@@ -592,9 +592,15 @@ def verify_nondegeneration(
         return Verdict("refuted", f"jacobi(source)={js}, jacobi(target)={jt}")
     if w.kind == "IWDominance":
         element = tuple(map(rational_from_obj, w.payload["element"]))
-        _, witness_vec = iw_max(src, seed=seed)
-        src_seq = rank_sequence(src, witness_vec)
-        tgt_seq = rank_sequence(tgt, element)
+        try:
+            _, witness_vec = iw_max(src, seed=seed)
+            src_seq = rank_sequence(src, witness_vec)
+        except NotEngelAt as exc:
+            raise exc.named(w.source.label) from None
+        try:
+            tgt_seq = rank_sequence(tgt, element)
+        except NotEngelAt as exc:
+            raise exc.named(w.target.label) from None
         if not dominates(src_seq, tgt_seq):
             return Verdict(
                 "proved",

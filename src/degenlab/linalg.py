@@ -304,34 +304,35 @@ def partition_from_ranks(ranks, total: int) -> Partition:
     return Partition(conj).conjugate()
 
 
-def _int_matmul(a, b):
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                for j in range(n):
-                    oi[j] += x * bk[j]
-    return out
-
-
 def int_power_rank_sequence(base, max_power: int):
-    """Ranks of an integer square matrix (list of rows) and its powers.
+    """Ranks of an integer square matrix P (list of rows) and its powers.
 
-    Stops at the first zero rank or after max_power entries.
+    Stops at the first zero rank or after max_power entries.  Walks the
+    image chain: rowspace(X P) = rowspace(X) P, so with E_0 = I the
+    integer echelon rows E_m = int_echelon(E_{m-1} P) span the row space
+    of P^m and rank(P^m) = len(E_m).  Each step is an r x n product on
+    rows divided by their gcd, never a full power, whose entries grow.
+    Since P^m = P P^{m-1}, rowspace(P^m) lies in rowspace(P^{m-1}): once
+    a rank repeats the row space is fixed, and so is every later rank.
     """
-    cur = base
     ranks = []
-    for _ in range(max_power):
-        r = _int_rank(cur)
-        if r == 0:
+    rows = int_echelon(base)
+    while rows and len(ranks) < max_power:
+        ranks.append(len(rows))
+        prods = []
+        for row in rows:
+            prod = [0] * len(base)
+            for x, brow in zip(row, base):
+                if x:
+                    for j, y in enumerate(brow):
+                        prod[j] += x * y
+            c = gcd(*prod)
+            prods.append([v // c for v in prod] if c > 1 else prod)
+        nxt = int_echelon(prods)
+        if len(nxt) == len(rows):
+            ranks += ranks[-1:] * (max_power - len(ranks))
             break
-        ranks.append(r)
-        cur = _int_matmul(cur, base)
+        rows = nxt
     return tuple(ranks)
 
 

@@ -53,7 +53,7 @@ from .catalog import (
     level_lookup,
     parse_name,
 )
-from .contraction import RankSequence, dominates, iw_max, rank_sequence
+from .contraction import NotEngelAt, RankSequence, dominates, iw_max, rank_sequence
 from .degeneration import (
     AlgebraRef,
     ClosedSetSpec,
@@ -491,7 +491,10 @@ def run_ledger(ledger: ClaimLedger, seed: int = 0, trials: int = 200,
     def invariants_of(ref: AlgebraRef) -> _LabelInvariants:
         if ref.label not in invariants:
             tensor = ref.resolve()
-            _, witness = iw_max(tensor, seed=seed)
+            try:
+                _, witness = iw_max(tensor, seed=seed)
+            except NotEngelAt as exc:
+                raise exc.named(ref.label) from None
             invariants[ref.label] = _LabelInvariants(
                 tensor, dim_square(tensor), ann_dim(tensor),
                 rank_sequence(tensor, witness))

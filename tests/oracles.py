@@ -11,6 +11,8 @@ The inverse-based orbit sampling and lower-triangular probe, which write
 out the whole orbit point of every sample, are the reference for the
 package's span tests, and the former sampled lower-triangular probe is
 the reference for the exact stability verdict on the pair map.  The
+ranks of full integer matrix powers are the reference for the image
+chain of `linalg.int_power_rank_sequence`.  The
 certificate check with the integer kernels run
 over `ZPoly`, before the values were packed into ints at t = 2^B, is the
 reference for the packed check, and an instrumented copy of its Bareiss
@@ -157,9 +159,10 @@ def jacobi_oracle(tensor):
     return True
 
 
-def malcev_oracle(tensor):
-    """(xy)(xz) = ((xy)z)x + ((yz)x)x + ((zx)x)y over Fraction, for x among
-    basis vectors and pair sums, y and z among basis vectors."""
+def malcev_terms_oracle(tensor):
+    """The four terms (lhs, t1, t2, t3) of the Malcev identity
+    (xy)(xz) = ((xy)z)x + ((yz)x)x + ((zx)x)y over Fraction, one tuple per
+    x among basis vectors and pair sums, y and z among basis vectors."""
     n = tensor.dim
     pairs = pairs_of(tensor)
 
@@ -176,13 +179,16 @@ def malcev_oracle(tensor):
         bxx = [mul(mul(b, x), x) for b in basis]
         for y in range(n):
             for z in range(n):
-                lhs = mul(xb[y], xb[z])
-                t1 = mul(mul(xb[y], basis[z]), x)
-                t2 = mul(mul(mul(basis[y], basis[z]), x), x)
-                t3 = mul(bxx[z], basis[y])
-                if any(lhs[r] - t1[r] - t2[r] - t3[r] for r in range(n)):
-                    return False
-    return True
+                yield (mul(xb[y], xb[z]),
+                       mul(mul(xb[y], basis[z]), x),
+                       mul(mul(mul(basis[y], basis[z]), x), x),
+                       mul(bxx[z], basis[y]))
+
+
+def malcev_oracle(tensor):
+    """The Malcev identity on the triples of `malcev_terms_oracle`."""
+    return not any(any(p - q - r - s for p, q, r, s in zip(*terms))
+                   for terms in malcev_terms_oracle(tensor))
 
 
 def _poly_matrix_mul_linear(cur, lin, n):
@@ -227,6 +233,21 @@ def engel_degree_oracle(tensor, max_m):
         if not any(map(any, cur)):
             return m
     return None
+
+
+def power_rank_sequence_oracle(base, max_power):
+    """Ranks of an integer square matrix and its full matrix powers,
+    stopping at the first zero rank or after max_power entries: the
+    former body of `linalg.int_power_rank_sequence`, ranked over
+    Fraction here."""
+    cur, ranks = base, []
+    for _ in range(max_power):
+        r = row_reduce_dim(cur)
+        if r == 0:
+            break
+        ranks.append(r)
+        cur = matmul(cur, base)
+    return tuple(ranks)
 
 
 def field_rank(rows):
@@ -614,19 +635,21 @@ def direct_sum_trivial(a, k):
         key: tuple(vec) + (Fraction(0),) * k for key, vec in a.products.items()})
 
 
-def project_to_spec(a, spec):
-    """The structure with each coefficient a flag condition lambda(V_i,
-    V_j) in V_k forbids set to zero: coordinate r < k of e_p e_q whenever
-    p >= i, q >= j or q >= i, p >= j."""
-    from degenlab.algebra import StructureTensor
+def spec_forbids(spec, p, q, r):
+    """True iff a flag condition lambda(V_i, V_j) in V_k of spec forbids
+    coordinate r of e_p e_q (1-based): r < k with p >= i, q >= j or
+    q >= i, p >= j."""
+    return any(r < k and ((p >= i and q >= j) or (q >= i and p >= j))
+               for (i, j, k) in spec.triples)
 
-    def forbidden(p, q, r):
-        return any(r < k and ((p >= i and q >= j) or (q >= i and p >= j))
-                   for (i, j, k) in spec.triples)
+
+def project_to_spec(a, spec):
+    """The structure with each coefficient `spec_forbids` set to zero."""
+    from degenlab.algebra import StructureTensor
 
     table = {}
     for (p, q), vec in a.products.items():
-        kept = tuple(0 if forbidden(p, q, r) else x
+        kept = tuple(0 if spec_forbids(spec, p, q, r) else x
                      for r, x in enumerate(vec, start=1))
         if any(kept):
             table[(p, q)] = kept

@@ -9,6 +9,7 @@ from degenlab.algebra import (
     _engel_packing_bits,
     _int_power_rows,
     _malcev_holds,
+    _malcev_packing_bits,
     ann_dim,
     annihilator,
     change_basis,
@@ -31,7 +32,7 @@ from degenlab.linalg import Subspace, Singular, int_scaled_inverse
 
 from oracles import change_basis_oracle, fraction_inverse, matmul, pairs_of
 from oracles import engel_degree_oracle, engel_powers_oracle
-from oracles import jacobi_oracle, malcev_oracle
+from oracles import jacobi_oracle, malcev_oracle, malcev_terms_oracle
 
 from oracles import ann_dim_oracle, generated_subalgebra, square_dim_oracle
 from oracles import direct_sum_trivial, random_anticommutative, random_lower_triangular
@@ -328,6 +329,62 @@ def test_identity_kernels_match_fraction_oracles_on_random_tables():
     # non-Lie but Malcev and Engel: the decorated table of level five
     a = instantiate("T222_e7special", 7)
     assert _kernel_answers(a, 3) == _oracle_answers(a, 3) == (False, True, 2)
+
+
+def _row_sum_oracle(a):
+    """s on the L-scaled table: the largest over r of the sum over ordered
+    basis pairs (i, k) of |(e_i e_k)_r|, from `constant`."""
+    mult, n = int_table(a)[0], a.dim
+    return max(sum(abs(a.constant(i, k, r)) * mult
+                   for i in range(1, n + 1) for k in range(1, n + 1))
+               for r in range(1, n + 1))
+
+
+def test_malcev_packing_bits_bound_every_defect_digit():
+    # a digit is the defect at (x, e_a, e_b) on the L-scaled table, a sum
+    # of four terms: four times the largest term, found one triple at a
+    # time, and the proved bound 4 s^3 both lie strictly inside the digit
+    # range
+    rng = random.Random(113)
+    tables = [instantiate(key, n) for key in MANIFEST_FAMILIES
+              for n in catalog_tested_dims(key) if n <= 8]
+    tables += [_dense_fractional_conjugate(instantiate(key, n), rng)
+               for key, n in (("eta2", 5), ("T4_e23", 5), ("T22_e34", 6))]
+    for a in tables:
+        mult, table = int_table(a)
+        half = 2 ** (_malcev_packing_bits(table, a.dim) - 1)
+        assert 4 * _row_sum_oracle(a) ** 3 < half
+        top = max((abs(v) for terms in malcev_terms_oracle(a)
+                   for term in terms for v in term if v), default=0)
+        assert 4 * top * mult ** 3 < half, a
+
+
+# (family, dim, (i, j, k)): adding e_k to e_i e_j breaks the Malcev
+# identity.  Packing y and z with one stride would sum the defects of all
+# (y, z) with one index sum into a digit, and on these tables they cancel.
+MALCEV_BREAKERS = [
+    ("eta2", 5, (1, 5, 2)),
+    ("T22_e34", 6, (3, 5, 4)),
+    ("T32_e23", 6, (4, 5, 6)),
+    ("T222_e7special", 7, (1, 4, 4)),
+    ("eta3", 7, (5, 7, 6)),
+    ("T22_e45", 8, (1, 8, 2)),
+]
+
+
+@pytest.mark.parametrize("key, n, added", MALCEV_BREAKERS)
+def test_one_added_product_breaks_the_malcev_identity(key, n, added):
+    a = instantiate(key, n)
+    assert _malcev_holds(a) and malcev_oracle(a)
+    i, j, k = added
+    products = dict(a.products)
+    vec = list(products.get((i, j), (0,) * n))
+    vec[k - 1] += 1
+    products[(i, j)] = tuple(vec)
+    b = StructureTensor(n, products)
+    assert not malcev_oracle(b)
+    assert not _malcev_holds(b)
+    assert not _malcev_holds(_dense_fractional_conjugate(b, random.Random(n)))
 
 
 def test_change_basis_identity_and_zero():

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from degenlab import catalog
 from degenlab.cli import main
 from paperdata import certificates, witnesses
 
@@ -18,6 +20,29 @@ def cert_by_id(cid):
 
 def witness_by_id(wid):
     return next(w for w in witnesses() if w["id"] == wid)
+
+
+# SHA-256 of the `--json info` output for every manifest family and level
+# at dim <= 6, then of `--json iwmax` at each family's first tested
+# dimension, in manifest order: a flipped Jacobi or Malcev flag, Engel
+# degree, partition or witness changes it
+QUERY_OUTPUTS_SHA256 = (
+    "2b5212bea22690e1497c8d99684780c65f227edf739b0a369a7d0bf284ed9e21")
+
+
+def test_query_outputs_are_golden(capsys):
+    digest = hashlib.sha256()
+    families = catalog.build_manifest()["families"]
+    queries = [("info", fam["name"], lv["dim"]) for fam in families
+               for lv in fam["levels"] if lv["dim"] <= 6]
+    queries += [("iwmax", fam["name"], fam["tested_dims"][0])
+                for fam in families]
+    for kind, name, dim in queries:
+        code, out = run(capsys, "--json", kind, name, "--dim", str(dim))
+        assert code == 0, (kind, name, dim)
+        digest.update(out.encode("utf-8"))
+    assert len(queries) == 65
+    assert digest.hexdigest() == QUERY_OUTPUTS_SHA256
 
 
 def test_info_level_five_lie_member(capsys):
@@ -432,7 +457,10 @@ NOT_ENGEL = {"name": "notengel", "dim": 3, "products": [
         "id": "w", "kind": "IWDominance", "source": NOT_ENGEL,
         "target": {"name": "zero", "dim": 3},
         "payload": {"element": [1, 0, 0]}}]},
-], ids=["certificate-audit", "iw-dominance-source"])
+    {"certificates": [], "witnesses": [{
+        "id": "w", "kind": "IWDominance", "source": {"name": "zero", "dim": 3},
+        "target": NOT_ENGEL, "payload": {"element": [0, 1, 0]}}]},
+], ids=["certificate-audit", "iw-dominance-source", "iw-dominance-target"])
 def test_verify_paper_names_a_table_that_is_not_engel(tmp_path, capsys, claim):
     path = tmp_path / "ledger.json"
     path.write_text(json.dumps(claim), encoding="utf-8")
@@ -440,7 +468,7 @@ def test_verify_paper_names_a_table_that_is_not_engel(tmp_path, capsys, claim):
                  "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err == "error: L_a is not nilpotent at a = (0, 1, 0)\n"
+    assert err == "error: notengel@3: L_a is not nilpotent at a = (0, 1, 0)\n"
     assert not (tmp_path / "out" / "report.json").exists()
     if claim["certificates"]:
         return

@@ -25,10 +25,12 @@ from degenlab.contraction import (
     rank_sequence,
 )
 from degenlab.linalg import Partition, Singular, power_rank_sequence
+from degenlab.verification_db import load_ledger, shipped_ledger_path
 from oracles import (
     annihilator_oracle,
     is_nilpotent_oracle,
     iw_max_oracle,
+    power_rank_sequence_oracle,
     power_ideal_oracle,
     random_anticommutative,
 )
@@ -326,6 +328,21 @@ def test_iw_max_matches_the_full_scan_oracle():
         raised += isinstance(want[0], type)
         stopped += _rank_bound(int_table(a)[1], a.dim) is not None
     assert (len(cases), raised, stopped) == (503, 99, 404)
+
+
+def test_iw_max_on_shipped_labels_is_that_of_full_matrix_powers(monkeypatch):
+    # the image chain of int_power_rank_sequence against the ranks of full
+    # powers of L_x: same partition and witness on every label
+    ledger = load_ledger(shipped_ledger_path())
+    tables = {ref.label: ref.resolve()
+              for claim in ledger.certificates + ledger.witnesses
+              for ref in (claim.source, claim.target)}
+    assert len(tables) > 100
+    got = {label: iw_max(a, seed=20240917) for label, a in tables.items()}
+    monkeypatch.setattr(contraction, "int_power_rank_sequence",
+                        power_rank_sequence_oracle)
+    for label, a in tables.items():
+        assert got[label] == iw_max(a, seed=20240917), label
 
 
 def test_iw_max_repairs_with_the_rng_state_of_a_full_pool(monkeypatch):

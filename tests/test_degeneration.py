@@ -40,6 +40,7 @@ from degenlab.linalg import int_scaled_inverse, int_suffix_spans
 from degenlab.verification_db import load_ledger, shipped_ledger_path
 
 from oracles import fraction_inverse, project_to_spec, qt_at_zero, qt_basis_row
+from oracles import spec_forbids
 from oracles import inverse_lower_triangular_probe, inverse_orbit_point
 from oracles import inverse_orbit_refute, row_reduce_dim, whole_table_draws
 from oracles import qt_certificate_verdict, qt_constants, qt_parse, qt_value
@@ -690,6 +691,27 @@ def _random_spec(n, rng):
     return ClosedSetSpec(tuple(
         (rng.randint(1, n), rng.randint(1, n), rng.randint(1, n + 1))
         for _ in range(rng.randint(1, 3))))
+
+
+def test_hit_pairs_match_the_coordinate_rule_of_project_to_spec():
+    # a listed (p, q, k) is the pair whose coordinates r < k, and no more,
+    # are forbidden; triples with i > j hit pairs only through the
+    # symmetric half, q >= i and p >= j
+    rng = random.Random(1701)
+    swapped = 0
+    for _ in range(240):
+        n = rng.randint(2, 8)
+        spec = _random_spec(n, rng)
+        swapped += any(i > j for i, j, _ in spec.triples)
+        want = []
+        for p in range(1, n):
+            for q in range(p + 1, n + 1):
+                top = max((r for r in range(1, n + 1)
+                           if spec_forbids(spec, p, q, r)), default=0)
+                if top:
+                    want.append((p - 1, q - 1, top + 1))
+        assert _hit_pairs(spec, n) == tuple(want), spec
+    assert swapped >= 100
 
 
 def test_exact_probe_agrees_with_the_sampled_oracle_on_shipped_specs():

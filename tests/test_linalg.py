@@ -18,6 +18,7 @@ from degenlab.linalg import (
     Singular,
     Subspace,
     int_echelon,
+    int_power_rank_sequence,
     int_reduce,
     int_scaled,
     int_scaled_inverse,
@@ -32,6 +33,7 @@ from degenlab.algebra import annihilator, left_mult_matrix
 from degenlab.catalog import instantiate
 
 from oracles import field_rank, fraction_inverse, matmul, qt_inverse, row_reduce_dim
+from oracles import power_rank_sequence_oracle
 from oracles import qt_parse, qt_value
 
 
@@ -305,6 +307,58 @@ def test_power_rank_sequence_refuses_rational_function_matrices():
     assert power_rank_sequence(block, 4) == (2, 1)
     # the identity never reaches rank zero: all max_power ranks are kept
     assert power_rank_sequence(identity(2), 3) == (2, 2, 2)
+
+
+def _unimodular(n, rng):
+    """A dense integer matrix of determinant +-1: a product of row
+    additions, one row swap and a sign."""
+    g = identity(n)
+    if n > 1:
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(-2, 2)
+            g[i] = [x + c * y for x, y in zip(g[i], g[j])]
+        g[0], g[1] = g[1], g[0]
+    g[-1] = [-x for x in g[-1]]
+    return g
+
+
+def test_image_chain_matches_full_powers_on_nilpotent_matrices():
+    # g N g^-1 with N strictly upper triangular: dense, nilpotent, and its
+    # ranks fall through every pattern of blocks
+    rng = random.Random(1701)
+    for trial in range(60):
+        n = 1 + trial % 11
+        nil = [[rng.choice((0, 0, 1, -2, 3)) if c > r else 0
+                for c in range(n)] for r in range(n)]
+        g = _unimodular(n, rng)
+        g_inv = [[int(x) for x in row] for row in fraction_inverse(g)]
+        dense = matmul(matmul(g, nil), g_inv)
+        want = power_rank_sequence_oracle(dense, n + 1)
+        assert len(want) <= n
+        assert int_power_rank_sequence(dense, n + 1) == want, dense
+        assert int_power_rank_sequence(nil, n + 1) == want
+
+
+def test_image_chain_keeps_max_power_ranks_when_not_nilpotent():
+    rng = random.Random(1702)
+    for trial in range(60):
+        n = 1 + trial % 8
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        # a nilpotent block beside a random one: the ranks fall, then
+        # repeat up to max_power
+        k = rng.randint(0, n - 1)
+        for r in range(n):
+            for c in range(n):
+                if (r < k) != (c < k) or (r < k and c <= r):
+                    rows[r][c] = 0
+        for max_power in (0, 1, n, n + 2):
+            want = power_rank_sequence_oracle(rows, max_power)
+            assert int_power_rank_sequence(rows, max_power) == want, rows
+    assert int_power_rank_sequence(identity(4), 6) == (4,) * 6
+    assert int_power_rank_sequence(identity(3), 0) == ()
+    assert int_power_rank_sequence(zero(5), 6) == ()
+    assert power_rank_sequence_oracle(zero(5), 6) == ()
 
 
 def test_nilpotent_partition_examples():
