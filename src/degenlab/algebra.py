@@ -24,7 +24,8 @@ table or a spanning set by a nonzero integer changes no Q-span: A^{i+1}
 is spanned by the integer products e_j w for w in the integer echelon
 rows of A^i (`linalg.int_echelon`).  `_int_powers` is the one walk down
 that chain, and `_int_left_products` (the products e_j w, the rows of
--L_w^T) the one builder of L_w.
+-L_w^T) the one builder of L_w.  Outside this module the chain is read
+through `Invariants`, one record per table.
 The identity checks (Jacobi, Malcev, Engel) are homogeneous in the
 structure constants: scaling them by L multiplies the Jacobi defect by
 L^2, the Malcev defect by L^3 and (sum_i x_i L_{e_i})^m by L^m, so every
@@ -240,14 +241,6 @@ def _int_powers(table, n: int):
         yield rows
 
 
-def _int_power_rows(table, n: int, i: int):
-    """[A^1, ..., A^i] (i >= 1) as integer echelon rows, from one walk of
-    `_int_powers` on an int_table table; a power past its end equals the
-    last one it yields (0, or the power where the chain stalls)."""
-    powers = list(islice(_int_powers(table, n), i))
-    return powers + powers[-1:] * (i - len(powers))
-
-
 def product(a: StructureTensor, x, y):
     """Bilinear extension of the table to arbitrary vectors."""
     n = a.dim
@@ -278,21 +271,18 @@ def left_mult_matrix(a: StructureTensor, vec):
 
 def power_ideal(a: StructureTensor, i: int) -> Subspace:
     """A^i with A^1 the whole space and A^i = A(A^{i-1}) + (A^{i-1})A."""
-    if i < 1:
-        raise ValueError("power index must be >= 1")
     # anticommutativity makes the two summands equal
-    return Subspace.from_vectors(
-        a.dim, _int_power_rows(int_table(a)[1], a.dim, i)[-1])
+    return Subspace.from_vectors(a.dim, Invariants(a).power(i))
 
 
 def dim_square(a: StructureTensor) -> int:
-    return len(_int_power_rows(int_table(a)[1], a.dim, 2)[1])
+    return Invariants(a).dim_square
 
 
 def is_nilpotent(a: StructureTensor):
     """(True, least m with A^m = 0) or (False, None) when powers stabilize."""
-    powers = list(_int_powers(int_table(a)[1], a.dim))
-    return (False, None) if powers[-1] else (True, len(powers))
+    index = Invariants(a).nilindex
+    return index is not None, index
 
 
 def _int_centralizer_conditions(table, n: int, ws):
@@ -307,9 +297,59 @@ def _int_centralizer_conditions(table, n: int, ws):
 
 def ann_dim(a: StructureTensor) -> int:
     """dim Ann(A): n minus the rank of the conditions x e_j = 0."""
-    n = a.dim
-    rows = _int_centralizer_conditions(int_table(a)[1], n, _int_identity(n))
-    return n - len(rows)
+    return Invariants(a).ann_dim
+
+
+class Invariants:
+    """The closed invariants of one table, each computed at most once.
+
+    Built from one `int_table`: every value below reads one `_int_powers`
+    walk, taken only as far as it is read, or the identity rows for
+    dim Ann(A).
+    """
+
+    def __init__(self, a: StructureTensor):
+        self.tensor, self.dim = a, a.dim
+        self.table = int_table(a)[1]
+        self._walk, self._powers = _int_powers(self.table, a.dim), []
+        self._centralizers = {}
+
+    @property
+    def powers(self):
+        """Every power `_int_powers` yields, the walk taken to its end."""
+        self._powers += self._walk
+        return self._powers
+
+    def power(self, i: int):
+        """Integer echelon rows of A^i (i >= 1); a power past the walk's
+        end equals the last one it yields (0, or the stalled power)."""
+        if i < 1:
+            raise ValueError("power index must be >= 1")
+        self._powers += islice(self._walk, max(i - len(self._powers), 0))
+        return self._powers[min(i, len(self._powers)) - 1]
+
+    def centralizer_dim(self, i: int) -> int:
+        """dim {x : x A^i = 0}; at i = 1 this is dim Ann(A), read from the
+        identity rows without walking the chain."""
+        if i not in self._centralizers:
+            ws = _int_identity(self.dim) if i == 1 else self.power(i)
+            self._centralizers[i] = self.dim - len(
+                _int_centralizer_conditions(self.table, self.dim, ws))
+        return self._centralizers[i]
+
+    @property
+    def dim_square(self) -> int:
+        return len(self.power(2))
+
+    @property
+    def ann_dim(self) -> int:
+        return self.centralizer_dim(1)
+
+    @property
+    def nilindex(self):
+        """Least m with A^m = 0, or None when the chain stalls above 0."""
+        powers = self.powers
+        return None if powers[-1] else len(powers)
 
 
 def annihilator(a: StructureTensor) -> Subspace:

@@ -27,14 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import (
-    StructureTensor,
-    _int_centralizer_conditions,
-    _int_identity,
-    _int_power_rows,
-    engel_degree,
-    int_table,
-)
+from .algebra import Invariants, StructureTensor, engel_degree
 from .exactnum import ZPoly, poly_gcd
 from .linalg import Partition, _int_rank, int_scaled, rank
 
@@ -126,7 +119,7 @@ def _digits(text: str) -> bool:
 
 def parse_name(key: str) -> CatalogName:
     """The catalog name a key spells; a family parameter m is ASCII digits
-    with m >= 1, else UnknownFamily."""
+    with no leading zero and m >= 1, else UnknownFamily."""
     key = key.strip()
     if key in ("zero", "n3", "eta_eps15", "T22_e23", "T22_e24", "T22_e34",
                "T22_e45", "T222_e23", "T222_e24", "T222_e7special",
@@ -137,7 +130,7 @@ def parse_name(key: str) -> CatalogName:
         prefix = fam + "_m" if fam.startswith("T2k2") else fam
         if key.startswith(prefix):
             m = key[len(prefix):]
-            if not _digits(m) or int(m) < 1:
+            if not _digits(m) or m[0] == "0":
                 raise UnknownFamily(key)
             return CatalogName(fam, m=int(m))
     if key.startswith("T") and _digits(key[1:]):
@@ -178,15 +171,15 @@ def _bound(name: CatalogName) -> tuple[int, int | None]:
         return 7, None
     if fam == "T222_e7special":
         return 7, 7
-    if fam == "T2k2_e23":
+    if fam.startswith("T2k2_") and m < 3:
+        # the all-twos families start at m = 3: below it a table is not
+        # nilpotent (T2k2_e23_m1 at n = 3) or not the family its level
+        # claims
+        raise UnknownFamily(name.key)
+    if fam in ("T2k2_e23", "T2k2_special"):
         return 2 * m + 1, None
     if fam == "T2k2_e23_shift":
         return 2 * m + 2, None
-    if fam == "T2k2_special":
-        if m < 2:
-            # e_2 e_{n-m+2} would leave 1..n
-            raise UnknownFamily(name.key)
-        return 2 * m + 1, None
     if fam == "T2k2_e2m2":
         return 2 * m + 2, None
     if fam in ("T3_e23", "T3_e24", "T3_e34"):
@@ -486,7 +479,7 @@ def _skew_net(a: StructureTensor, square):
     coordinates of u_i u_j on the RREF basis of A^2, which are its entries
     at the pivot columns; u_1..u_d are the standard basis vectors off those
     columns, a lift of a basis of A / A^2.  `square` may be any echelon
-    basis of A^2, such as the integer rows of `_int_power_rows`: only its
+    basis of A^2, such as the integer rows of `Invariants.power(2)`: only its
     pivot columns are read, and every echelon basis has those of the RREF.
     """
     pivots = [next(i for i, x in enumerate(row) if x) for row in square]
@@ -595,17 +588,15 @@ def classify_T22(a: StructureTensor):
     n = a.dim
     if engel_degree(a, 2) is None:
         raise PreconditionViolated("not 2-Engel, so IW-max is not (2,2)")
-    _, table = int_table(a)
-    _, square, cube = _int_power_rows(table, n, 3)
+    inv = Invariants(a)
+    square = inv.power(2)
     s = len(square)
-    if cube:
+    if inv.power(3):
         raise PreconditionViolated("A * A^2 != 0, so IW-max is not (2,2)")
     if s == 3:
-        ann_dim = n - len(_int_centralizer_conditions(table, n,
-                                                      _int_identity(n)))
-        if ann_dim != n - 3:
+        if inv.ann_dim != n - 3:
             raise PreconditionViolated(
-                f"square has dim 3 but Ann has dim {ann_dim} != n-3"
+                f"square has dim 3 but Ann has dim {inv.ann_dim} != n-3"
             )
         return CatalogName("T22_e23")
     if s != 2:

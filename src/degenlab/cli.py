@@ -42,10 +42,9 @@ from pathlib import Path
 
 from . import catalog
 from .algebra import (
+    Invariants,
     StructureTensor,
     TableFormatError,
-    ann_dim,
-    dim_square,
     engel_degree,
     identity_flags,
     is_nilpotent,
@@ -107,11 +106,12 @@ def cmd_info(args) -> int:
     nil, nil_index = is_nilpotent(tensor)
     partition, _ = iw_max(tensor, seed=args.seed)
     levels = catalog.level_lookup(args.name, args.dim)
+    inv = Invariants(tensor)
     payload = {
         "name": args.name,
         "dim": args.dim,
-        "dim_square": dim_square(tensor),
-        "ann_dim": ann_dim(tensor),
+        "dim_square": inv.dim_square,
+        "ann_dim": inv.ann_dim,
         "nilpotent": nil,
         "nilpotency_index": nil_index,
         "engel_degree": engel_degree(tensor, tensor.dim + 1),

@@ -37,11 +37,9 @@ from fractions import Fraction
 
 from .algebra import (
     DimensionMismatch,
+    Invariants,
     StructureTensor,
-    _int_centralizer_conditions,
-    _int_identity,
     _int_left_products,
-    _int_powers,
     int_table,
 )
 from .linalg import Partition, int_power_rank_sequence, int_scaled, partition_from_ranks
@@ -135,16 +133,15 @@ def iw_contract(a: StructureTensor, m: int) -> StructureTensor:
     return StructureTensor(n, table)
 
 
-def _rank_bound(table, n: int):
+def _rank_bound(inv: Invariants):
     """The bound (b_1, b_2, ...) on every rank sequence, or None when the
     table is not nilpotent; see the module docstring."""
-    *powers, last = _int_powers(table, n)
-    if last:
+    if inv.nilindex is None:
         return None  # the power chain stalls above 0
     bound = []
     # n - 1 - dim Ann A is one less than the number of annihilator conditions
-    prev = len(_int_centralizer_conditions(table, n, _int_identity(n)))
-    for rows in powers[1:]:  # A^2, A^3, ..., the last nonzero power
+    prev = inv.dim - inv.ann_dim
+    for rows in inv.powers[1:-1]:  # A^2, A^3, ..., the last nonzero power
         prev = min(len(rows), prev - 1)
         if prev <= 0:
             break
@@ -198,8 +195,9 @@ def iw_max(a: StructureTensor, seed: int = 0, trials: int = 20):
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    table, n = int_table(a)[1], a.dim
-    bound = _rank_bound(table, n)
+    inv = Invariants(a)
+    table, n = inv.table, a.dim
+    bound = _rank_bound(inv)
     pool = _CandidatePool(n, seed)
     candidates = iter(pool)
     best_vec = next(candidates)
@@ -229,6 +227,14 @@ def iw_max(a: StructureTensor, seed: int = 0, trials: int = 20):
                 f"{trials} perturbations; input is not Engel or pool too small"
             )
     return partition_from_rank_sequence(best_seq, a.dim), best_vec
+
+
+def iw_sequence(partition: Partition) -> RankSequence:
+    """The rank sequence r_m = sum_i max(lambda_i - m, 0) of an `iw_max`
+    label: exact, as the parts of size one `partition_from_rank_sequence`
+    drops add 0 and its all-ones label of the zero sequence gives ()."""
+    return RankSequence(sum(max(p - m, 0) for p in partition)
+                        for m in range(1, max(partition, default=1)))
 
 
 def partition_from_rank_sequence(seq: RankSequence, dim: int) -> Partition:

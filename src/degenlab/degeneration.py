@@ -75,7 +75,7 @@ from .algebra import (
     int_table,
     jacobi_holds,
 )
-from .contraction import NotEngelAt, dominates, iw_max, rank_sequence
+from .contraction import NotEngelAt, dominates, iw_max, iw_sequence, rank_sequence
 from .exactnum import (
     ZPOLY_ONE,
     ZPOLY_ZERO,
@@ -593,8 +593,7 @@ def verify_nondegeneration(
     if w.kind == "IWDominance":
         element = tuple(map(rational_from_obj, w.payload["element"]))
         try:
-            _, witness_vec = iw_max(src, seed=seed)
-            src_seq = rank_sequence(src, witness_vec)
+            src_seq = iw_sequence(iw_max(src, seed=seed)[0])
         except NotEngelAt as exc:
             raise exc.named(w.source.label) from None
         try:

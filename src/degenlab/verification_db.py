@@ -22,26 +22,22 @@ Verdict statuses are kept tier-honest:
 Beside each verified certificate the runner re-checks the closed monotone
 invariants (square dimension down, annihilator dimension up, rank-sequence
 dominance of the dominant contractions), so a bad table or basis cannot
-slip through as a formally passing entry.  Those invariants are computed
-once per algebra label and run.
+slip through as a formally passing entry.  Each label gets one
+`algebra.Invariants` record per run, beside the rank sequence of its
+`iw_max` label (`contraction.iw_sequence`); the audit and every separator
+read only those.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .algebra import (
+    Invariants,
     StructureTensor,
     TableFormatError,
-    _int_centralizer_conditions,
-    _int_power_rows,
-    ann_dim,
-    dim_square,
     engel_degree,
-    int_table,
-    is_nilpotent,
     jacobi_holds,
 )
 from .catalog import (
@@ -53,7 +49,7 @@ from .catalog import (
     level_lookup,
     parse_name,
 )
-from .contraction import NotEngelAt, RankSequence, dominates, iw_max, rank_sequence
+from .contraction import NotEngelAt, dominates, iw_max, iw_sequence
 from .degeneration import (
     AlgebraRef,
     ClosedSetSpec,
@@ -365,20 +361,7 @@ def _validate(ledger: ClaimLedger):
 # --- separating invariants -------------------------------------------------
 
 
-def _nilindex(a: StructureTensor):
-    flag, idx = is_nilpotent(a)
-    return idx if flag else None
-
-
-def _centralizer_square_dim(a: StructureTensor) -> int:
-    """dim {x : x A^2 = 0}, from the integer echelon rows of A^2."""
-    n = a.dim
-    _, table = int_table(a)
-    square = _int_power_rows(table, n, 2)[1]
-    return n - len(_int_centralizer_conditions(table, n, square))
-
-
-def _pfaffian_conic_profile(a: StructureTensor):
+def _pfaffian_conic_profile(inv: Invariants):
     """(span dim, quadric rank) of the degree-2 Pfaffian ideal piece.
 
     Defined for algebras with A * A^2 = 0: the products induce a net of
@@ -387,13 +370,11 @@ def _pfaffian_conic_profile(a: StructureTensor):
     quadrics whose span (and, when it is a single quadric, its rank) is a
     GL-invariant.
     """
-    n = a.dim
-    _, table = int_table(a)
-    _, square, cube = _int_power_rows(table, n, 3)
+    square, cube = inv.power(2), inv.power(3)
     s = len(square)
     if s == 0 or cube:
         return None
-    monomials, rows = _pfaffian_quadrics(_skew_net(a, square))
+    monomials, rows = _pfaffian_quadrics(_skew_net(inv.tensor, square))
     if not rows:
         return (0, None)
     span_dim = rank(rows)
@@ -421,44 +402,32 @@ SEPARATORS = ("paper", "dim_square", "ann_dim", "nilindex", "engel_degree",
               "iw_partition")
 
 
-def separator_check(kind: str, src: StructureTensor, tgt: StructureTensor,
+def separator_check(kind: str, src: Invariants, tgt: Invariants,
                     seed: int = 0):
     """Certify src != tgt as isomorphism classes by a named invariant."""
     if kind == "paper":
         return None, "non-isomorphism recorded on the source material's authority"
     funcs = {
-        "dim_square": dim_square,
-        "ann_dim": ann_dim,
-        "nilindex": _nilindex,
-        "engel_degree": lambda t: engel_degree(t, t.dim + 1),
-        "jacobi": jacobi_holds,
-        "centralizer_square": _centralizer_square_dim,
+        "dim_square": lambda inv: inv.dim_square,
+        "ann_dim": lambda inv: inv.ann_dim,
+        "nilindex": lambda inv: inv.nilindex,
+        "engel_degree": lambda inv: engel_degree(inv.tensor, inv.dim + 1),
+        "jacobi": lambda inv: jacobi_holds(inv.tensor),
+        "centralizer_square": lambda inv: inv.centralizer_dim(2),
         "pfaffian_conic": _pfaffian_conic_profile,
-        "classifier": _classifier_label,
-        "iw_partition": lambda t: tuple(iw_max(t, seed=seed)[0]),
+        "classifier": lambda inv: _classifier_label(inv.tensor),
+        "iw_partition": lambda inv: tuple(iw_max(inv.tensor, seed=seed)[0]),
     }
     if kind not in funcs:
         raise ValueError(f"unknown separator {kind!r}")
-    return _separation(kind, funcs[kind](src), funcs[kind](tgt))
-
-
-def _separation(kind: str, a, b):
+    a, b = funcs[kind](src), funcs[kind](tgt)
     return a != b, f"{kind}: source {a}, target {b}"
 
 
 # --- the run ----------------------------------------------------------------
 
 
-class _LabelInvariants(NamedTuple):
-    """One algebra's table and the closed invariants the run reads."""
-
-    tensor: StructureTensor
-    dim_square: int
-    ann_dim: int
-    iw_seq: RankSequence  # rank sequence of the iw_max witness
-
-
-def _monotone_audit(src: _LabelInvariants, tgt: _LabelInvariants):
+def _monotone_audit(src: Invariants, tgt: Invariants, src_seq, tgt_seq):
     """Closed-invariant sanity for a passing certificate src -> tgt."""
     problems = []
     if src.dim_square < tgt.dim_square:
@@ -466,7 +435,7 @@ def _monotone_audit(src: _LabelInvariants, tgt: _LabelInvariants):
             f"dim square grows: {src.dim_square} -> {tgt.dim_square}")
     if src.ann_dim > tgt.ann_dim:
         problems.append(f"annihilator shrinks: {src.ann_dim} -> {tgt.ann_dim}")
-    if not dominates(src.iw_seq, tgt.iw_seq):
+    if not dominates(src_seq, tgt_seq):
         problems.append("dominant rank sequence not monotone")
     return problems
 
@@ -486,18 +455,17 @@ def run_ledger(ledger: ClaimLedger, seed: int = 0, trials: int = 200,
 
     cert_reports = []
     cert_status = {}
-    invariants = {}  # label -> _LabelInvariants; load_ledger keeps labels unique
+    # label -> (Invariants, iw rank sequence); load_ledger keeps labels unique
+    invariants = {}
 
-    def invariants_of(ref: AlgebraRef) -> _LabelInvariants:
+    def invariants_of(ref: AlgebraRef):
         if ref.label not in invariants:
-            tensor = ref.resolve()
+            inv = Invariants(ref.resolve())
             try:
-                _, witness = iw_max(tensor, seed=seed)
+                partition, _ = iw_max(inv.tensor, seed=seed)
             except NotEngelAt as exc:
                 raise exc.named(ref.label) from None
-            invariants[ref.label] = _LabelInvariants(
-                tensor, dim_square(tensor), ann_dim(tensor),
-                rank_sequence(tensor, witness))
+            invariants[ref.label] = inv, iw_sequence(partition)
         return invariants[ref.label]
 
     for cert in ledger.certificates:
@@ -513,19 +481,14 @@ def run_ledger(ledger: ClaimLedger, seed: int = 0, trials: int = 200,
             "reason": verdict.reason,
         }
         if verdict.ok:
-            src, tgt = invariants_of(cert.source), invariants_of(cert.target)
-            problems = _monotone_audit(src, tgt)
+            (src, src_seq), (tgt, tgt_seq) = (invariants_of(cert.source),
+                                              invariants_of(cert.target))
+            problems = _monotone_audit(src, tgt, src_seq, tgt_seq)
             if problems:
                 entry["status"] = "FAIL"
                 entry["reason"] = "; ".join(problems)
             elif cert.proper:
-                if cert.separator in ("dim_square", "ann_dim"):
-                    ok, detail = _separation(
-                        cert.separator, getattr(src, cert.separator),
-                        getattr(tgt, cert.separator))
-                else:
-                    ok, detail = separator_check(
-                        cert.separator, src.tensor, tgt.tensor, seed)
+                ok, detail = separator_check(cert.separator, src, tgt, seed)
                 if ok is None:
                     entry["nontrivial"] = "PAPER-ASSERTED"
                 elif ok:

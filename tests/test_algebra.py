@@ -5,9 +5,9 @@ import pytest
 
 from degenlab.algebra import (
     DimensionMismatch,
+    Invariants,
     StructureTensor,
     _engel_packing_bits,
-    _int_power_rows,
     _malcev_holds,
     _malcev_packing_bits,
     ann_dim,
@@ -26,7 +26,7 @@ from degenlab.algebra import (
 )
 from degenlab.catalog import MANIFEST_FAMILIES, instantiate
 from degenlab.catalog import tested_dims as catalog_tested_dims
-from degenlab.verification_db import _centralizer_square_dim, load_ledger
+from degenlab.verification_db import load_ledger
 from degenlab.verification_db import shipped_ledger_path
 from degenlab.linalg import Subspace, Singular, int_scaled_inverse
 
@@ -559,23 +559,26 @@ def _fractional_vec(n, rng):
 
 
 def _assert_layer_matches_oracles(a, rng):
-    """Every closed invariant equals its Fraction oracle, subspace for
-    subspace; returns is_nilpotent(a)."""
+    """Every closed invariant, public and on the Invariants record, equals
+    its Fraction oracle, subspace for subspace; returns is_nilpotent(a)."""
     n = a.dim
     full = Subspace.full(n)
     powers = [full]  # A^1, ..., A^(n+2) over Fraction
     for _ in range(n + 1):
         powers.append(subspace_product_oracle(a, full, powers[-1]))
+    inv = Invariants(a)
     for i, want in enumerate(powers, start=1):
         assert power_ideal(a, i) == want, i
-    # one walk gives the whole chain; past its end a power repeats the last
-    chain = _int_power_rows(int_table(a)[1], n, n + 2)
-    assert [Subspace.from_vectors(n, rows) for rows in chain] == powers
-    assert dim_square(a) == powers[1].dim
+        # one walk gives the whole chain; past its end a power repeats the last
+        assert Subspace.from_vectors(n, inv.power(i)) == want, i
+    assert dim_square(a) == inv.dim_square == powers[1].dim
     nil = is_nilpotent(a)
     assert nil == is_nilpotent_oracle(a)
-    assert annihilator(a) == annihilator_oracle(a)
-    assert _centralizer_square_dim(a) == centralizer_square_dim_oracle(a)
+    assert inv.nilindex == nil[1]
+    ann = annihilator_oracle(a)
+    assert annihilator(a) == ann
+    assert ann_dim(a) == inv.ann_dim == inv.centralizer_dim(1) == ann.dim
+    assert inv.centralizer_dim(2) == centralizer_square_dim_oracle(a)
     x, y = _fractional_vec(n, rng), _fractional_vec(n, rng)
     assert product(a, x, y) == fraction_product(a, x, y)
     return nil

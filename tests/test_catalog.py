@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 
 from degenlab.algebra import (
+    Invariants,
     StructureTensor,
-    _int_power_rows,
     change_basis,
-    int_table,
     power_ideal,
 )
 from degenlab.catalog import (
@@ -287,7 +286,7 @@ def test_skew_net_reads_only_the_pivots_of_the_square():
                for key in MANIFEST_FAMILIES if catalog_tested_dims(key)[0] <= 8]
     squares = set()
     for a in tables:
-        rows = _int_power_rows(int_table(a)[1], a.dim, 2)[1]
+        rows = Invariants(a).power(2)
         assert _skew_net(a, rows) == _skew_net(a, power_ideal(a, 2).basis)
         squares.add(len(rows))
     assert len(tables) >= 60 and squares >= {0, 1, 2, 3}

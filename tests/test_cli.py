@@ -4,6 +4,7 @@ import json
 import pytest
 
 from degenlab import catalog
+from degenlab.algebra import is_nilpotent
 from degenlab.cli import main
 from paperdata import certificates, witnesses
 
@@ -81,14 +82,47 @@ def test_info_dimension_out_of_range(capsys):
     ["info", "T2k2_e23_m0", "--dim", "5"],
     ["classify", "T2k2_special_m1", "--dim", "5"],
     ["info", "T\u00b2", "--dim", "5"],
+    ["info", "T2k2_e23_m1", "--dim", "3"],
+    ["iwmax", "T2k2_e23_m1", "--dim", "3"],
+    ["info", "T2k2_e23_shift_m1", "--dim", "4"],
+    ["info", "T2k2_special_m2", "--dim", "5"],
+    ["iwmax", "T2k2_special_m2", "--dim", "6"],
+    ["info", "T2k2_e2m2_m2", "--dim", "6"],
+    ["info", "eta02", "--dim", "5"],
+    ["iwmax", "T2k2_e23_m04", "--dim", "9"],
 ])
 def test_a_malformed_catalog_name_is_an_error_line(capsys, argv):
-    # a family parameter is ASCII digits >= 1, and T2k2_special needs
-    # m >= 2 for its products to stay inside 1..n
+    # a family parameter is ASCII digits >= 1 with no leading zero, and
+    # the all-twos families T2k2_* start at m = 3
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_every_accepted_family_parameter_gives_a_nilpotent_table(capsys):
+    # m = 1..6 for each parameterized family, at its least two dims
+    refused = []
+    for prefix in ("eta", "eta_eps_double", "T2k2_e23_m", "T2k2_e23_shift_m",
+                   "T2k2_special_m", "T2k2_e2m2_m"):
+        for m in range(1, 7):
+            name = f"{prefix}{m}"
+            try:
+                lo, _ = catalog._bound(catalog.parse_name(name))
+            except catalog.UnknownFamily:
+                refused.append(name)
+                assert main(["info", name, "--dim", "9"]) == 1
+                assert capsys.readouterr() == (
+                    "", f"error: unknown catalog family '{name}'\n")
+                continue
+            for n in (lo, lo + 1):
+                a = catalog.instantiate(name, n)
+                assert is_nilpotent(a)[0], (name, n)
+                assert main(["info", name, "--dim", str(n)]) == 0, (name, n)
+                capsys.readouterr()
+    assert refused == [f"T2k2_{fam}_m{m}" for fam in ("e23", "e23_shift",
+                                                     "special", "e2m2")
+                       for m in (1, 2)]
 
 
 @pytest.mark.parametrize("command", [["info"], ["iwmax"], ["classify"],

@@ -12,7 +12,7 @@ from degenlab.algebra import (
 from degenlab.catalog import MANIFEST_FAMILIES, instantiate
 from degenlab.catalog import tested_dims as catalog_tested_dims
 from degenlab import contraction
-from degenlab.algebra import int_table
+from degenlab.algebra import Invariants
 from degenlab.contraction import (
     NotASubalgebra,
     NotEngelAt,
@@ -21,6 +21,7 @@ from degenlab.contraction import (
     dominates,
     iw_contract,
     iw_max,
+    iw_sequence,
     partition_from_rank_sequence,
     rank_sequence,
 )
@@ -326,7 +327,7 @@ def test_iw_max_matches_the_full_scan_oracle():
         want = _outcome(iw_max_oracle, a, seed)
         assert _outcome(iw_max, a, seed) == want, (a.products, seed)
         raised += isinstance(want[0], type)
-        stopped += _rank_bound(int_table(a)[1], a.dim) is not None
+        stopped += _rank_bound(Invariants(a)) is not None
     assert (len(cases), raised, stopped) == (503, 99, 404)
 
 
@@ -363,7 +364,7 @@ def test_iw_max_repairs_with_the_rng_state_of_a_full_pool(monkeypatch):
 
 
 def test_iw_max_scans_to_the_end_when_the_table_is_not_nilpotent():
-    assert _rank_bound(int_table(NOT_NILPOTENT)[1], 3) is None
+    assert _rank_bound(Invariants(NOT_NILPOTENT)) is None
     assert rank_sequence(NOT_NILPOTENT, e_vec(3, 1)) == RankSequence((1,))
     with pytest.raises(NotEngelAt) as got:
         iw_max(NOT_NILPOTENT)
@@ -382,7 +383,7 @@ def test_iw_max_stops_once_the_best_sequence_meets_the_bound(monkeypatch):
         return rank_seq(table, n, vec)
 
     monkeypatch.setattr(contraction, "_int_rank_sequence", counted)
-    assert _rank_bound(int_table(STRICT_FALL)[1], 5) == (2, 1)
+    assert _rank_bound(Invariants(STRICT_FALL)) == (2, 1)
     assert iw_max(STRICT_FALL) == (Partition((3,)), e_vec(5, 1))
     assert calls == [e_vec(5, 1)]
     calls.clear()
@@ -411,7 +412,7 @@ def test_rank_bound_matches_the_fraction_oracles():
     cases += [random_anticommutative(rng.randint(2, 5), rng) for _ in range(10)]
     cases.append(_dense_conjugate(STRICT_FALL, rng))
     for a in cases:
-        assert _rank_bound(int_table(a)[1], a.dim) == _bound_from_oracles(a), a.products
+        assert _rank_bound(Invariants(a)) == _bound_from_oracles(a), a.products
     assert _bound_from_oracles(STRICT_FALL) == (2, 1)
 
 
@@ -420,8 +421,46 @@ def test_rank_bound_dominates_every_rank_sequence():
     met = 0
     for a in _manifest_algebras():
         n = a.dim
-        bound = RankSequence(_rank_bound(int_table(a)[1], n))
+        bound = RankSequence(_rank_bound(Invariants(a)))
         seqs = [rank_sequence(a, vec) for vec in reference_vectors(n, rng)]
         assert all(dominates(bound, seq) for seq in seqs), a.products
         met += bound in seqs
     assert met >= 40
+
+
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for p in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - p, p):
+            yield (p,) + rest
+
+
+def test_iw_sequence_inverts_the_partition_label():
+    # every nilpotent Jordan type up to n = 8: the label of its rank
+    # sequence, ranked as full matrix powers, gives that sequence back
+    for n in range(1, 9):
+        for parts in _partitions(n):
+            jordan = [[0] * n for _ in range(n)]
+            start = 0
+            for p in parts:
+                for r in range(start, start + p - 1):
+                    jordan[r][r + 1] = 1
+                start += p
+            ranks = RankSequence(power_rank_sequence_oracle(jordan, n))
+            label = partition_from_rank_sequence(ranks, n)
+            assert iw_sequence(label) == ranks, parts
+    assert iw_sequence(Partition((1, 1, 1))) == iw_sequence(Partition()) == ()
+
+
+def test_iw_sequence_is_the_rank_sequence_of_the_iw_max_witness():
+    ledger = load_ledger(shipped_ledger_path())
+    tables = [ref.resolve() for claim in ledger.certificates + ledger.witnesses
+              for ref in (claim.source, claim.target)]
+    tables += list(_manifest_algebras())
+    tables += [StructureTensor(n) for n in range(1, 5)]
+    for a in tables:
+        partition, witness = iw_max(a, seed=20240917)
+        assert iw_sequence(partition) == rank_sequence(a, witness), a.products
+

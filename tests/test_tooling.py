@@ -131,15 +131,13 @@ def test_linalg_and_algebra_define_no_api_that_only_tests_reach():
     assert unused == []
 
 
-def test_only_linalg_and_algebra_name_the_fraction_subspace():
-    # the run paths above the algebra layer work on integer echelon rows;
-    # Subspace and the ideals and annihilator built on it stay inside the
-    # two layers (and the exports of __init__)
+def _package_names(banned, allowed_modules):
+    """(module, name) for each name in banned that a package module outside
+    allowed_modules names, imports or reads as an attribute."""
     package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
-    banned = {"Subspace", "power_ideal", "subspace_product", "annihilator"}
     named = []
     for path in sorted(package.glob("*.py")):
-        if path.stem in ("linalg", "algebra", "__init__"):
+        if path.stem in allowed_modules:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
@@ -151,7 +149,24 @@ def test_only_linalg_and_algebra_name_the_fraction_subspace():
             else:
                 continue
             named += [(path.stem, name) for name in names if name in banned]
-    assert named == []
+    return named
+
+
+def test_only_linalg_and_algebra_name_the_fraction_subspace():
+    # the run paths above the algebra layer work on integer echelon rows;
+    # Subspace and the ideals and annihilator built on it stay inside the
+    # two layers (and the exports of __init__)
+    assert _package_names(
+        {"Subspace", "power_ideal", "subspace_product", "annihilator"},
+        ("linalg", "algebra", "__init__")) == []
+
+
+def test_only_algebra_names_the_power_chain_internals():
+    # the power chain and the centralizer conditions are read through
+    # algebra.Invariants; no module above algebra walks them itself
+    assert _package_names(
+        {"_int_powers", "_int_centralizer_conditions", "_int_identity"},
+        ("algebra",)) == []
 
 
 def test_the_certificate_check_hands_only_ints_to_the_integer_kernels(monkeypatch):

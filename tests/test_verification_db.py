@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from degenlab.algebra import StructureTensor, change_basis
+from degenlab import contraction, degeneration, verification_db
+from degenlab.algebra import Invariants, StructureTensor, change_basis
 from degenlab.catalog import MANIFEST_FAMILIES, build_manifest, instantiate
 from degenlab.catalog import tested_dims as catalog_tested_dims
+from degenlab.contraction import rank_sequence
 from degenlab.verification_db import (
     InconsistentLedger,
     ParseError,
@@ -130,20 +132,24 @@ def test_hasse_dot_contains_solid_and_declared_nodes():
 
 
 def test_separator_battery():
-    src = instantiate("T22_e24", 6)
-    tgt = instantiate("T22_e23", 6)
-    ok, detail = separator_check("dim_square", src, tgt)
-    assert ok and "2" in detail and "3" in detail
-    ok, _ = separator_check("classifier", src, instantiate("T22_e34", 6))
+    src = Invariants(instantiate("T22_e24", 6))
+    tgt = Invariants(instantiate("T22_e23", 6))
+    assert separator_check("dim_square", src, tgt) == (
+        True, "dim_square: source 2, target 3")
+    assert separator_check("ann_dim", src, tgt) == (
+        True, "ann_dim: source 2, target 3")
+    ok, _ = separator_check("classifier", src,
+                            Invariants(instantiate("T22_e34", 6)))
     assert ok
-    same = instantiate("T22_e24", 6)
-    ok, _ = separator_check("dim_square", src, same)
-    assert not ok
+    same = Invariants(instantiate("T22_e24", 6))
+    for kind in SEPARATORS[1:]:
+        assert separator_check(kind, src, same)[0] is False, kind
     assert separator_check("paper", src, tgt)[0] is None
 
 
 def test_the_loader_accepts_exactly_the_separators_the_check_knows():
-    src, tgt = instantiate("T22_e24", 6), instantiate("T22_e23", 6)
+    src = Invariants(instantiate("T22_e24", 6))
+    tgt = Invariants(instantiate("T22_e23", 6))
     for kind in SEPARATORS:
         separator_check(kind, src, tgt)
     with pytest.raises(ValueError, match="unknown separator"):
@@ -152,10 +158,34 @@ def test_the_loader_accepts_exactly_the_separators_the_check_knows():
     assert shipped - {None} <= set(SEPARATORS)
 
 
+def test_the_run_reads_each_dominant_sequence_off_its_iw_max_label(monkeypatch):
+    # the audit needs no rank sequence beside iw_max: on the certificates
+    # and chains of the shipped ledger rank_sequence is never called, and
+    # on the whole ledger only for the target elements of IWDominance
+    def refuse(a, vec):
+        raise AssertionError("rank_sequence called")
+
+    for module in (contraction, degeneration, verification_db):
+        monkeypatch.setattr(module, "rank_sequence", refuse, raising=False)
+    obj = shipped_obj()
+    obj["witnesses"] = []
+    report = run_ledger(ledger_from_obj(obj), seed=20240917, trials=1)
+    assert report["summary"]["failures"] == 0
+
+    calls = []
+    monkeypatch.setattr(degeneration, "rank_sequence",
+                        lambda a, vec: calls.append(vec) or rank_sequence(a, vec))
+    ledger = load_ledger(shipped_ledger_path())
+    run_ledger(ledger, seed=20240917, trials=1)
+    elements = [tuple(map(Fraction, w.payload["element"]))
+                for w in ledger.witnesses if w.kind == "IWDominance"]
+    assert len(elements) == 3 and calls == elements
+
+
 def test_pfaffian_conic_profile_distinguishes_the_three_block_pair():
-    e23 = _pfaffian_conic_profile(instantiate("T222_e23", 7))
-    e24 = _pfaffian_conic_profile(instantiate("T222_e24", 7))
-    plain = _pfaffian_conic_profile(instantiate("T222", 7))
+    e23 = _pfaffian_conic_profile(Invariants(instantiate("T222_e23", 7)))
+    e24 = _pfaffian_conic_profile(Invariants(instantiate("T222_e24", 7)))
+    plain = _pfaffian_conic_profile(Invariants(instantiate("T222", 7)))
     assert e23 == (1, 1)
     assert e24 == (1, 2)
     assert plain == (0, None)
@@ -186,10 +216,11 @@ def test_pfaffian_conic_profile_golden_on_every_manifest_family():
     for key in MANIFEST_FAMILIES:
         for n in catalog_tested_dims(key):
             a = instantiate(key, n)
-            assert _pfaffian_conic_profile(a) == expected[key], (key, n)
+            assert _pfaffian_conic_profile(Invariants(a)) == expected[key], (key, n)
             # a GL-invariant: a flag-preserving conjugate reads the same
             moved = change_basis(a, random_lower_triangular(n, rng))
-            assert _pfaffian_conic_profile(moved) == expected[key], (key, n)
+            assert (_pfaffian_conic_profile(Invariants(moved))
+                    == expected[key]), (key, n)
 
 
 def test_transitivity_audit_reports_composed_arrows():
