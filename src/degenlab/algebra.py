@@ -60,6 +60,13 @@ from .linalg import (
 )
 
 
+# The largest dimension a table may have, checked before anything is built
+# wherever a dimension comes from outside the program (a JSON table, a
+# catalog instantiation, a ledger reference).  Tables are dense, so a
+# dimension n costs about n^3 integers; the paper's algebras stop at 11.
+MAX_DIM = 64
+
+
 class DimensionMismatch(ValueError):
     """Vector or basis size does not match the algebra dimension."""
 
@@ -155,14 +162,17 @@ class StructureTensor:
     @staticmethod
     def from_json_obj(obj) -> "StructureTensor":
         """Read the object `to_json_obj` writes, else raise TableFormatError:
-        a positive int dim and a list of products, each with int keys
-        1 <= i < j <= dim given once and a value of dim rationals under
-        `rational_from_obj` (ints or "p/q" strings, never inexact floats).
+        a positive int dim of at most MAX_DIM and a list of products, each
+        with int keys 1 <= i < j <= dim given once and a value of dim
+        rationals under `rational_from_obj` (ints or "p/q" strings, never
+        inexact floats).
         """
         dim = obj.get("dim") if isinstance(obj, dict) else None
         if type(dim) is not int or dim < 1:
             raise TableFormatError("an algebra table is an object with a "
                                    "positive integer dim")
+        if dim > MAX_DIM:
+            raise TableFormatError(f"dim {dim} exceeds MAX_DIM = {MAX_DIM}")
         records, table = obj.get("products", []), {}
         try:
             if not isinstance(records, list):

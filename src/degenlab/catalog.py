@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import Invariants, StructureTensor, engel_degree
+from .algebra import MAX_DIM, Invariants, StructureTensor, engel_degree
 from .exactnum import ZPoly, poly_gcd
 from .linalg import Partition, _int_rank, int_scaled, rank
 
@@ -261,13 +261,17 @@ def _pairs(name: CatalogName, n: int):
 
 
 def instantiate(name, n: int) -> StructureTensor:
-    """Exact multiplication table of a catalog family at dimension n."""
+    """Exact multiplication table of a catalog family at dimension n;
+    DimensionOutOfRange outside the family's bounds or above MAX_DIM."""
     if isinstance(name, str):
         name = parse_name(name)
     lo, hi = _bound(name)
     if n < lo or (hi is not None and n > hi):
         bound = f"n >= {lo}" if hi is None else f"{lo} <= n <= {hi}"
         raise DimensionOutOfRange(f"{name.key} requires {bound}, got n = {n}")
+    if n > MAX_DIM:
+        raise DimensionOutOfRange(
+            f"{name.key}: n = {n} exceeds MAX_DIM = {MAX_DIM}")
     return StructureTensor.from_pairs(n, _pairs(name, n))
 
 

@@ -22,14 +22,16 @@ checked at load (exit 1).  `classify --file` reads the table format that
 (`StructureTensor.from_json_obj`), is one error line and exit 1, as is an
 unknown family or dimension for `info`, `iwmax`, `catalog table` and
 `classify`; an unknown family reads `unknown catalog family 'name'`, as
-in a ledger.  `classify` given a name or `--dim` together with `--file`
-is an argument error (exit 1), not a run on the file.  A table that is
-not Engel, where the run needs its rank sequences (the audit of a
-verified certificate, the source of an IWDominance witness or its target
-at the given element), is one `error:` line naming its label and an
-element a whose L_a is not nilpotent (`error: name@3: L_a is not
-nilpotent at a = (0, 1, 0)`), and exit 1: for `check` as for
-`verify-paper`, which then writes no report.
+in a ledger.  No dimension may exceed `algebra.MAX_DIM` (64): a larger
+`--dim`, table `dim` or ledger reference `dim` is refused before any
+table is built, with one `error:` line and exit 1.  `classify` given a
+name or `--dim` together with `--file` is an argument error (exit 1), not
+a run on the file.  A table that is not Engel, where the run needs its
+rank sequences (the audit of a verified certificate, the source of an
+IWDominance witness or its target at the given element), is one `error:`
+line naming its label and an element a whose L_a is not nilpotent
+(`error: name@3: L_a is not nilpotent at a = (0, 1, 0)`), and exit 1:
+for `check` as for `verify-paper`, which then writes no report.
 """
 
 from __future__ import annotations
@@ -104,9 +106,9 @@ def cmd_info(args) -> int:
         return 1
     flags = identity_flags(tensor)
     nil, nil_index = is_nilpotent(tensor)
-    partition, _ = iw_max(tensor, seed=args.seed)
-    levels = catalog.level_lookup(args.name, args.dim)
     inv = Invariants(tensor)
+    partition, _ = iw_max(inv, seed=args.seed)
+    levels = catalog.level_lookup(args.name, args.dim)
     payload = {
         "name": args.name,
         "dim": args.dim,

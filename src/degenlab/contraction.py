@@ -24,10 +24,15 @@ it or a repair needs its first alpha, so every alpha comes from the rng
 state a fully built pool would leave.
 
 Rank sequences are computed over the integers.  The structure constants
-are scaled by the lcm of their denominators and the element by the lcm of
-its own, which turns L_x into c * L_x with an integer matrix and some
-c != 0; since (c L)^m = c^m L^m, every power keeps its rank.  iw_max
-scales the table once and reuses it for every candidate.
+are scaled by the lcm of their denominators, which turns L_x into c * L_x
+with an integer matrix and some c != 0; since (c L)^m = c^m L^m, every
+power keeps its rank.  The candidate pool is integer from the start
+(basis vectors, pair sums, random integer vectors and repairs
+b + alpha*v with an integer alpha), so iw_max scales nothing per
+candidate: it reads the table of one `algebra.Invariants` record, the
+caller's own when it passes one, and turns only the witness it returns
+into Fractions.  The public `rank_sequence` scales its rational element
+once, by the lcm of its denominators.
 """
 
 from __future__ import annotations
@@ -81,22 +86,26 @@ class RankSequence(tuple):
         return f"RankSequence{tuple(self)}"
 
 
-def _int_rank_sequence(table, n: int, vec) -> RankSequence:
-    """Rank sequence of L_vec from an integer table (see algebra.int_table)."""
-    if len(vec) != n:
-        raise DimensionMismatch("vector must have the algebra dimension")
-    x = int_scaled([vec])[1][0]
+def _int_rank_sequence(table, n: int, x) -> RankSequence:
+    """Rank sequence of L_x for an integer vector x of length n on an
+    integer table (see algebra.int_table)."""
     # the rows e_j x = -(x e_j) form P = -L_x^T, and P^m has the rank of
     # (L_x)^m
     ranks = int_power_rank_sequence(_int_left_products(table, n, x), n + 1)
     if len(ranks) > n:
-        raise NotEngelAt(vec)
+        raise NotEngelAt(x)
     return RankSequence(ranks)
 
 
 def rank_sequence(a: StructureTensor, vec) -> RankSequence:
     """Exact rank sequence of L_vec; NotEngelAt when it never vanishes."""
-    return _int_rank_sequence(int_table(a)[1], a.dim, vec)
+    if len(vec) != a.dim:
+        raise DimensionMismatch("vector must have the algebra dimension")
+    x = int_scaled([vec])[1][0]
+    try:
+        return _int_rank_sequence(int_table(a)[1], a.dim, x)
+    except NotEngelAt:
+        raise NotEngelAt(vec) from None
 
 
 def dominates(p: RankSequence, q: RankSequence) -> bool:
@@ -150,7 +159,8 @@ def _rank_bound(inv: Invariants):
 
 
 class _CandidatePool:
-    """iw_max's candidates in scan order, built only as far as they are read.
+    """iw_max's integer candidates in scan order, built only as far as they
+    are read.
 
     Basis vectors and pair sums come first, then random_count random
     integer vectors, all drawn from rng in one block the first time the
@@ -165,38 +175,41 @@ class _CandidatePool:
     def _random_block(self):
         if self._block is None:
             rng, n = self.rng, self.n
-            self._block = [tuple(Fraction(rng.randint(-9, 9)) for _ in range(n))
+            self._block = [tuple(rng.randint(-9, 9) for _ in range(n))
                            for _ in range(self.random_count)]
         return self._block
 
     def __iter__(self):
         n = self.n
         for i in range(n):
-            yield tuple(Fraction(int(i == k)) for k in range(n))
+            yield tuple(int(i == k) for k in range(n))
         for i in range(n):
             for j in range(i + 1, n):
-                yield tuple(Fraction(int(k in (i, j))) for k in range(n))
+                yield tuple(int(k in (i, j)) for k in range(n))
         yield from self._random_block()
 
-    def alpha(self) -> Fraction:
+    def alpha(self) -> int:
         """A perturbation scale, drawn after the random block."""
         self._random_block()
-        return Fraction(self.rng.randint(1, 99))
+        return self.rng.randint(1, 99)
 
 
-def iw_max(a: StructureTensor, seed: int = 0, trials: int = 20):
+def iw_max(a: StructureTensor | Invariants, seed: int = 0, trials: int = 20):
     """Dominant one-dimensional IW contraction as (Partition, witness).
 
+    a is a table or its `algebra.Invariants` record; a record is read as
+    it stands, so a caller that holds one walks no power chain twice.
     The partition is read off the dominant rank sequence through
     r_m = sum_i max(lambda_i - m, 0); parts of size one are invisible to
     that duality, so the label carries only parts >= 2 except for the zero
     sequence, which is reported as the all-ones partition of the quotient.
+    The witness is a tuple of Fractions.
     Raises ValueError when trials < 1: a repair needs a perturbation.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    inv = Invariants(a)
-    table, n = inv.table, a.dim
+    inv = a if isinstance(a, Invariants) else Invariants(a)
+    table, n = inv.table, inv.dim
     bound = _rank_bound(inv)
     pool = _CandidatePool(n, seed)
     candidates = iter(pool)
@@ -226,7 +239,8 @@ def iw_max(a: StructureTensor, seed: int = 0, trials: int = 20):
                 f"maxima {best_seq} and {seq} stayed incomparable after "
                 f"{trials} perturbations; input is not Engel or pool too small"
             )
-    return partition_from_rank_sequence(best_seq, a.dim), best_vec
+    witness = tuple(map(Fraction, best_vec))
+    return partition_from_rank_sequence(best_seq, n), witness
 
 
 def iw_sequence(partition: Partition) -> RankSequence:

@@ -24,8 +24,8 @@ invariants (square dimension down, annihilator dimension up, rank-sequence
 dominance of the dominant contractions), so a bad table or basis cannot
 slip through as a formally passing entry.  Each label gets one
 `algebra.Invariants` record per run, beside the rank sequence of its
-`iw_max` label (`contraction.iw_sequence`); the audit and every separator
-read only those.
+`iw_max` label (`contraction.iw_sequence`); `iw_max` reads that record,
+and the audit and every separator read only those.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import json
 from dataclasses import dataclass
 
 from .algebra import (
+    MAX_DIM,
     Invariants,
     StructureTensor,
     TableFormatError,
@@ -91,8 +92,8 @@ class ClaimLedger:
 
 
 def _ref_from_json(obj) -> AlgebraRef:
-    """A ledger algebra reference; malformed name, dim or products:
-    ParseError."""
+    """A ledger algebra reference; malformed name, dim (not in
+    1..MAX_DIM) or products: ParseError."""
     try:
         name, dim = obj["name"], obj["dim"]
     except (KeyError, TypeError) as exc:
@@ -103,6 +104,9 @@ def _ref_from_json(obj) -> AlgebraRef:
         raise ParseError(f"bad algebra reference {obj!r}: dim is not an integer")
     if dim < 1:
         raise ParseError(f"algebra reference {name}@{dim}: dim is not positive")
+    if dim > MAX_DIM:
+        raise ParseError(
+            f"algebra reference {name}@{dim}: dim exceeds MAX_DIM = {MAX_DIM}")
     tensor = None
     if "products" in obj:
         try:
@@ -416,7 +420,7 @@ def separator_check(kind: str, src: Invariants, tgt: Invariants,
         "centralizer_square": lambda inv: inv.centralizer_dim(2),
         "pfaffian_conic": _pfaffian_conic_profile,
         "classifier": lambda inv: _classifier_label(inv.tensor),
-        "iw_partition": lambda inv: tuple(iw_max(inv.tensor, seed=seed)[0]),
+        "iw_partition": lambda inv: tuple(iw_max(inv, seed=seed)[0]),
     }
     if kind not in funcs:
         raise ValueError(f"unknown separator {kind!r}")
@@ -462,7 +466,7 @@ def run_ledger(ledger: ClaimLedger, seed: int = 0, trials: int = 200,
         if ref.label not in invariants:
             inv = Invariants(ref.resolve())
             try:
-                partition, _ = iw_max(inv.tensor, seed=seed)
+                partition, _ = iw_max(inv, seed=seed)
             except NotEngelAt as exc:
                 raise exc.named(ref.label) from None
             invariants[ref.label] = inv, iw_sequence(partition)

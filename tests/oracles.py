@@ -674,7 +674,8 @@ def _candidate_pool_oracle(a, seed: int, random_count: int = 64):
 
 
 def iw_max_oracle(a, seed: int = 0, trials: int = 20):
-    """iw_max scanning the whole pool: no rank bound, no early stop."""
+    """iw_max scanning the whole pool: no rank bound, no early stop, and
+    every Fraction candidate scaled to integers on its own."""
     from degenlab.algebra import int_table
     from degenlab.contraction import (
         IncomparableMaxima,
@@ -682,13 +683,18 @@ def iw_max_oracle(a, seed: int = 0, trials: int = 20):
         dominates,
         partition_from_rank_sequence,
     )
+    from degenlab.linalg import int_scaled
 
     pool, rng = _candidate_pool_oracle(a, seed)
     table, n = int_table(a)[1], a.dim
+
+    def seq_of(vec):
+        return _int_rank_sequence(table, n, int_scaled([vec])[1][0])
+
     best_vec = pool[0]
-    best_seq = _int_rank_sequence(table, n, best_vec)
+    best_seq = seq_of(best_vec)
     for vec in pool[1:]:
-        seq = _int_rank_sequence(table, n, vec)
+        seq = seq_of(vec)
         if dominates(best_seq, seq):
             continue
         if dominates(seq, best_seq):
@@ -698,7 +704,7 @@ def iw_max_oracle(a, seed: int = 0, trials: int = 20):
         for _ in range(trials):
             alpha = Fraction(rng.randint(1, 99))
             cand = tuple(b + alpha * v for b, v in zip(best_vec, vec))
-            cand_seq = _int_rank_sequence(table, n, cand)
+            cand_seq = seq_of(cand)
             if dominates(cand_seq, best_seq) and dominates(cand_seq, seq):
                 best_vec, best_seq = cand, cand_seq
                 repaired = True

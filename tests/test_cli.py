@@ -4,7 +4,12 @@ import json
 import pytest
 
 from degenlab import catalog
-from degenlab.algebra import is_nilpotent
+from degenlab.algebra import (
+    MAX_DIM,
+    StructureTensor,
+    TableFormatError,
+    is_nilpotent,
+)
 from degenlab.cli import main
 from paperdata import certificates, witnesses
 
@@ -814,3 +819,77 @@ def test_a_file_that_is_not_utf8_is_an_error_line(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+# --- the dimension ceiling ---------------------------------------------------
+
+HUGE_DIM = 10 ** 8
+
+
+@pytest.fixture
+def no_table_is_built(monkeypatch):
+    # a huge dimension that got past the ceiling would allocate without
+    # limit; fail at the first table instead
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(StructureTensor, "__init__", refuse)
+    monkeypatch.setattr(catalog, "_pairs", refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "T22_e23"], ["iwmax", "T22_e23"], ["catalog", "table", "zero"],
+    ["classify", "T22_e23"],
+])
+def test_a_dim_above_the_ceiling_is_refused_by_every_catalog_command(
+        capsys, no_table_is_built, argv):
+    assert main(argv + ["--dim", str(HUGE_DIM)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {argv[-1]}: n = {HUGE_DIM} exceeds "
+                   f"MAX_DIM = {MAX_DIM}\n")
+
+
+def test_a_table_file_above_the_ceiling_is_refused(tmp_path, capsys,
+                                                    no_table_is_built):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"dim": HUGE_DIM, "products": []}),
+                    encoding="utf-8")
+    assert main(["classify", "--file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: dim {HUGE_DIM} exceeds MAX_DIM = {MAX_DIM}\n"
+
+
+@pytest.mark.parametrize("inline", [False, True])
+def test_a_ledger_reference_above_the_ceiling_is_refused(
+        tmp_path, capsys, no_table_is_built, inline):
+    cert = json.loads(json.dumps(certificates()[0]))
+    cert["target"] = {"name": "huge", "dim": HUGE_DIM}
+    if inline:
+        cert["target"]["products"] = []
+    else:
+        cert["target"]["name"] = "zero"
+    name = cert["target"]["name"]
+    want = (f"error: algebra reference {name}@{HUGE_DIM}: dim exceeds "
+            f"MAX_DIM = {MAX_DIM}\n")
+    cert_path, ledger_path = tmp_path / "cert.json", tmp_path / "ledger.json"
+    cert_path.write_text(json.dumps(cert), encoding="utf-8")
+    ledger_path.write_text(json.dumps({"certificates": [cert], "witnesses": [],
+                                       "chains": []}), encoding="utf-8")
+    assert main(["check", str(cert_path)]) == 1
+    assert capsys.readouterr() == ("", want)
+    assert main(["verify-paper", "--ledger", str(ledger_path), "--trials", "1",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", want)
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_ceiling_admits_max_dim_itself(capsys):
+    code, out = run(capsys, "--json", "catalog", "table", "zero",
+                    "--dim", str(MAX_DIM))
+    assert code == 0 and json.loads(out) == {"dim": MAX_DIM, "products": []}
+    with pytest.raises(catalog.DimensionOutOfRange, match="exceeds MAX_DIM"):
+        catalog.instantiate("zero", MAX_DIM + 1)
+    with pytest.raises(TableFormatError, match="exceeds MAX_DIM"):
+        StructureTensor.from_json_obj({"dim": MAX_DIM + 1, "products": []})

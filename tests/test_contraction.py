@@ -28,6 +28,7 @@ from degenlab.contraction import (
 from degenlab.linalg import Partition, Singular, power_rank_sequence
 from degenlab.verification_db import load_ledger, shipped_ledger_path
 from oracles import (
+    _candidate_pool_oracle,
     annihilator_oracle,
     is_nilpotent_oracle,
     iw_max_oracle,
@@ -258,6 +259,7 @@ def _outcome(search, a, seed):
         part, witness = search(a, seed=seed)
     except Exception as exc:  # noqa: BLE001 - compared, not swallowed
         return type(exc), str(exc)
+    assert type(witness) is tuple
     assert all(type(x) is Fraction for x in witness)
     return part, witness
 
@@ -331,19 +333,44 @@ def test_iw_max_matches_the_full_scan_oracle():
     assert (len(cases), raised, stopped) == (503, 99, 404)
 
 
+def _shipped_tables():
+    """{label: table} over every claim of the shipped ledger."""
+    ledger = load_ledger(shipped_ledger_path())
+    return {ref.label: ref.resolve()
+            for claim in ledger.certificates + ledger.witnesses
+            for ref in (claim.source, claim.target)}
+
+
 def test_iw_max_on_shipped_labels_is_that_of_full_matrix_powers(monkeypatch):
     # the image chain of int_power_rank_sequence against the ranks of full
     # powers of L_x: same partition and witness on every label
-    ledger = load_ledger(shipped_ledger_path())
-    tables = {ref.label: ref.resolve()
-              for claim in ledger.certificates + ledger.witnesses
-              for ref in (claim.source, claim.target)}
+    tables = _shipped_tables()
     assert len(tables) > 100
     got = {label: iw_max(a, seed=20240917) for label, a in tables.items()}
     monkeypatch.setattr(contraction, "int_power_rank_sequence",
                         power_rank_sequence_oracle)
     for label, a in tables.items():
         assert got[label] == iw_max(a, seed=20240917), label
+
+
+def test_iw_max_reads_a_record_as_it_reads_its_table():
+    for seed, (label, a) in enumerate(sorted(_shipped_tables().items())):
+        assert iw_max(Invariants(a), seed=seed) == iw_max(a, seed=seed), label
+
+
+def test_the_candidate_pool_is_the_oracle_pool_in_integers():
+    # same rng calls in the same order: the basis vectors, the pair sums,
+    # the random block and then the alpha draws
+    for n in range(1, 12):
+        for seed in (0, 1, 7, 1021, 20240917):
+            want, rng = _candidate_pool_oracle(StructureTensor(n), seed)
+            pool = contraction._CandidatePool(n, seed)
+            got = list(pool)
+            assert got == want, (n, seed)
+            assert all(type(x) is int for vec in got for x in vec)
+            alphas = [pool.alpha() for _ in range(8)]
+            assert alphas == [rng.randint(1, 99) for _ in range(8)], (n, seed)
+            assert all(type(x) is int for x in alphas)
 
 
 def test_iw_max_repairs_with_the_rng_state_of_a_full_pool(monkeypatch):

@@ -225,3 +225,46 @@ def test_proved_and_probe_verdicts_draw_no_random_numbers(monkeypatch):
     for w in exact:
         assert degeneration.verify_nondegeneration(w).status == "proved", (
             w.witness_id)
+
+
+def test_iw_max_scales_no_candidate_and_rank_sequence_scales_its_element(
+        monkeypatch):
+    # the candidate pool is integer, so iw_max never calls int_scaled; the
+    # public rank_sequence still checks and scales the rational element
+    from fractions import Fraction
+
+    import pytest
+
+    from degenlab import contraction
+    from degenlab.algebra import DimensionMismatch, left_mult_matrix
+    from degenlab.verification_db import load_ledger, shipped_ledger_path
+    from oracles import power_rank_sequence_oracle
+
+    def refuse(rows):
+        raise AssertionError("int_scaled called")
+
+    ledger = load_ledger(shipped_ledger_path())
+    tables = {ref.label: ref.resolve()
+              for claim in ledger.certificates + ledger.witnesses
+              for ref in (claim.source, claim.target)}
+    with monkeypatch.context() as patched:
+        patched.setattr(contraction, "int_scaled", refuse)
+        for label, a in tables.items():
+            partition, witness = contraction.iw_max(a, seed=20240917)
+            assert all(type(x) is Fraction for x in witness), label
+
+    iw = [w for w in ledger.witnesses if w.kind == "IWDominance"]
+    assert len(iw) == 3
+    for w in iw:
+        tgt, n = w.target.resolve(), w.target.dim
+        element = tuple(map(Fraction, w.payload["element"]))
+        with pytest.raises(DimensionMismatch):
+            contraction.rank_sequence(tgt, element[:-1])
+        # a nonzero multiple of the element has its rank sequence
+        scaled = tuple(Fraction(2, 3) * x for x in element)
+        assert (contraction.rank_sequence(tgt, scaled)
+                == contraction.rank_sequence(tgt, element))
+        # and a fractional element as full powers of its Fraction L_x
+        mixed = tuple(x + Fraction(1, k + 2) for k, x in enumerate(element))
+        want = power_rank_sequence_oracle(left_mult_matrix(tgt, mixed), n)
+        assert contraction.rank_sequence(tgt, mixed) == want

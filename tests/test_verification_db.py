@@ -1,7 +1,9 @@
+import collections
 import copy
 import importlib.util
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -180,6 +182,32 @@ def test_the_run_reads_each_dominant_sequence_off_its_iw_max_label(monkeypatch):
     elements = [tuple(map(Fraction, w.payload["element"]))
                 for w in ledger.witnesses if w.kind == "IWDominance"]
     assert len(elements) == 3 and calls == elements
+
+
+def test_the_run_builds_one_invariant_record_per_label(monkeypatch):
+    # iw_max reads the record the run holds for its label, so a certs-only
+    # run builds one record per label (144) and the classifier separator's
+    # classify_T22 the only others; iw_max itself builds none
+    built = collections.Counter()
+    init = Invariants.__init__
+
+    def counted(self, a):
+        built[sys._getframe(1).f_code.co_name] += 1
+        init(self, a)
+
+    monkeypatch.setattr(Invariants, "__init__", counted)
+    obj = shipped_obj()
+    obj["witnesses"] = []
+    report = run_ledger(ledger_from_obj(obj), seed=20240917, trials=1)
+    assert report["summary"]["failures"] == 0
+    assert built == {"invariants_of": 144, "classify_T22": 10}
+
+    src = Invariants(instantiate("T222", 7))
+    tgt = Invariants(instantiate("T3", 7))
+    built.clear()
+    assert separator_check("iw_partition", src, tgt) == (
+        True, "iw_partition: source (2, 2, 2), target (3,)")
+    assert not built
 
 
 def test_pfaffian_conic_profile_distinguishes_the_three_block_pair():
