@@ -6,7 +6,12 @@ ledger depend on these exact coordinates, so nothing here renormalizes.
 
 Family keys are plain strings ("T22_e45", "eta3", "T2k2_e23_m4", ...) used
 uniformly by the CLI, the ledger files and the manifest.  Parameterized
-families carry their parameter inside the key.
+families carry their parameter inside the key.  Each family is declared
+once, in `_FAMILIES`: its spelling, its dimension bound, its products, the
+IW-max partition it promises and its levels, each a function of the
+parameter m.  Parsing, key spelling, tables, levels and the manifest all
+read that one declaration, and one range check (`_out_of_range`) serves
+`instantiate`, `level_lookup` and the ledger loader.
 
 `classify_T22` follows the matrix-pair analysis behind the level <= 5
 classification of algebras whose dominant one-dimensional contraction has
@@ -26,6 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 from .algebra import MAX_DIM, Invariants, StructureTensor, engel_degree
 from .exactnum import ZPoly, poly_gcd
@@ -60,15 +66,7 @@ class CatalogName:
 
     @property
     def key(self) -> str:
-        if self.family == "T":
-            return "T" + "".join(str(p) for p in self.partition)
-        if self.family == "eta":
-            return f"eta{self.m}"
-        if self.family == "eta_eps_double":
-            return f"eta_eps_double{self.m}"
-        if self.family.startswith("T2k2_"):
-            return f"{self.family}_m{self.m}"
-        return self.family
+        return _family(self).spelling + ("" if self.m is None else str(self.m))
 
     def __str__(self):
         return self.key
@@ -113,29 +111,180 @@ LevelAtLeast6 = _Sentinel("LevelAtLeast6")
 NeedsExtension = _Sentinel("NeedsExtension")
 
 
-def _digits(text: str) -> bool:
-    return text.isascii() and text.isdigit()
+# --- the family declarations -----------------------------------------------
+
+
+class _Family(NamedTuple):
+    """One family: each fact is a function of its parameter m (None for a
+    family without one) and, for products and levels, of the dimension n."""
+
+    spelling: str  # the key, less the parameter m
+    bound: Callable  # m -> (min_dim, max_dim or None for unbounded)
+    pairs: Callable  # (n, m) -> nonzero products (i, j, k[, coeff])
+    iw_max: Callable  # m -> the promised IW-max partition, or "ones"
+    levels: Callable  # (n, m) -> (level, infinite level), or (both,)
+    min_m: int | None = None  # the least parameter; None: no parameter
+    first_tested: int | None = None  # least tested dim, if not min_dim
+
+
+def _const(value):
+    """A fact that depends on neither m nor n."""
+    return lambda *args: value
+
+
+def _eta(m):
+    """e_{2i-1} e_{2i} = e_{2m+1}, i = 1..m: the products of eta_m."""
+    return [(2 * i - 1, 2 * i, 2 * m + 1) for i in range(1, m + 1)]
+
+
+def _twos(m, n):
+    """e_1 e_{i+1} = e_{i+n-m}, i = 1..m: the products of T^(2^m) at n."""
+    return [(1, i + 1, i + n - m) for i in range(1, m + 1)]
+
+
+def _decorated(spelling, lo, lam, extra, levels):
+    """T^lam with one more product, extra(n), from dimension lo on: it
+    promises the IW-max lam of T^lam."""
+    return _Family(spelling, _const((lo, None)),
+                   lambda n, m: _FAMILIES["T", lam].pairs(n, m) + [extra(n)],
+                   _const(lam), levels)
+
+
+def _past_three(n, m):
+    """The level of an all-twos family for m >= 4."""
+    return (">=7" if m == 4 else ">=6",)
+
+
+# (family, partition) -> declaration
+_FAMILIES = {
+    # the trivial family is tested at a small desk dimension
+    ("zero", None): _Family("zero", _const((1, None)), _const([]), _const("ones"),
+                            _const((0,)), first_tested=4),
+    ("n3", None): _Family("n3", _const((3, None)), lambda n, m: [(1, 2, n)],
+                          _const((2,)), _const((1,))),
+    ("eta", None): _Family("eta", lambda m: (2 * m + 1, None), lambda n, m: _eta(m),
+                           _const((2,)), lambda n, m: (m,), min_m=1),
+    ("eta_eps15", None): _Family(
+        "eta_eps15", _const((6, None)), lambda n, m: [(1, 2, 5), (3, 4, 5), (1, 5, n)],
+        _const((3,)), lambda n, m: (">=6" if n == 6 else ">=7", ">=7")),
+    # for m >= 2 a generic element composes a pair product with both
+    # decorations, reaching rank sequence (3, 1); with one pair product it
+    # stays at (2, 1), as eta_eps15 does
+    ("eta_eps_double", None): _Family(
+        "eta_eps_double", lambda m: (2 * m + 3, None),
+        lambda n, m: _eta(m) + [(1, 2 * m + 1, n - 1), (2, 2 * m + 1, n)],
+        lambda m: (3,) if m == 1 else (3, 2),
+        lambda n, m: (4,) if m == 1 else (">=7",), min_m=1),
+    ("T", (3,)): _Family("T3", _const((4, None)), lambda n, m: [(1, 2, 3), (1, 3, n)],
+                         _const((3,)), lambda n, m: (2 if n == 4 else 3, 3)),
+    ("T", (2, 2)): _Family("T22", _const((5, None)), lambda n, m: _twos(2, n),
+                           _const((2, 2)), _const((2,))),
+    ("T", (2, 2, 2)): _Family("T222", _const((7, None)), lambda n, m: _twos(3, n),
+                              _const((2, 2, 2)), _const((3,))),
+    ("T", (4,)): _Family("T4", _const((5, None)),
+                         lambda n, m: [(1, 2, 3), (1, 3, 4), (1, 4, n)],
+                         _const((4,)), lambda n, m: (4 if n == 5 else 5, 5)),
+    ("T", (3, 2)): _Family("T32", _const((6, None)),
+                           lambda n, m: [(1, 2, n - 1), (1, 3, 4), (1, 4, n)],
+                           _const((3, 2)), _const((4,))),
+    ("T", (2, 2, 2, 2)): _Family("T2222", _const((9, None)), lambda n, m: _twos(4, n),
+                                 _const((2, 2, 2, 2)), _const((4,))),
+    ("T", (3, 3)): _Family("T33", _const((7, 7)),
+                           _const([(1, 2, 3), (1, 3, 4), (1, 5, 6), (1, 6, 7)]),
+                           _const((3, 3)), _const((5, ">=6"))),
+    ("T", (3, 2, 2)): _Family(
+        "T322", _const((8, None)),
+        lambda n, m: [(1, 2, n - 2), (1, 3, n - 1), (1, 4, 5), (1, 5, n)],
+        _const((3, 2, 2)), _const((5,))),
+    ("T", (2, 2, 2, 2, 2)): _Family(
+        "T22222", _const((11, None)), lambda n, m: _twos(5, n),
+        _const((2, 2, 2, 2, 2)), _const((5,))),
+    ("T22_e23", None): _decorated("T22_e23", 6, (2, 2), lambda n: (2, 3, n - 2),
+                                  _const((3,))),
+    ("T22_e24", None): _decorated("T22_e24", 6, (2, 2), lambda n: (2, 4, n),
+                                  _const((3,))),
+    ("T22_e34", None): _decorated("T22_e34", 6, (2, 2), lambda n: (3, 4, n),
+                                  _const((4,))),
+    ("T22_e45", None): _decorated("T22_e45", 7, (2, 2), lambda n: (4, 5, n),
+                                  _const((5,))),
+    ("T222_e23", None): _decorated("T222_e23", 7, (2, 2, 2), lambda n: (2, 3, n),
+                                   _const((4,))),
+    ("T222_e24", None): _decorated("T222_e24", 7, (2, 2, 2), lambda n: (2, 4, n),
+                                   _const((5,))),
+    ("T222_e7special", None): _Family(
+        "T222_e7special", _const((7, 7)),
+        _const([(1, 2, 5), (1, 3, 6), (1, 4, 7), (2, 3, 4), (2, 6, 7, -1), (3, 5, 7)]),
+        _const((2, 2, 2)), _const((5, ">=7"))),
+    # the all-twos families start at m = 3: below it a table is not
+    # nilpotent (T2k2_e23_m1 at n = 3) or not the family its level claims
+    ("T2k2_e23", None): _Family(
+        "T2k2_e23_m", lambda m: (2 * m + 1, None),
+        lambda n, m: _twos(m, n) + [(2, 3, n)], lambda m: (2,) * m,
+        lambda n, m: (4,) if m == 3 else _past_three(n, m), min_m=3),
+    ("T2k2_e23_shift", None): _Family(
+        "T2k2_e23_shift_m", lambda m: (2 * m + 2, None),
+        lambda n, m: _twos(m, n) + [(2, 3, n - m)], lambda m: (2,) * m,
+        _past_three, min_m=3),
+    ("T2k2_special", None): _Family(
+        "T2k2_special_m", lambda m: (2 * m + 1, None),
+        lambda n, m: _twos(m, n) + [(2, 3, m + 1), (2, 2 + n - m, n, -1),
+                                    (3, 1 + n - m, n)],
+        lambda m: (2,) * m,
+        lambda n, m: (((5, ">=7") if n == 7 else (">=7",)) if m == 3
+                      else _past_three(n, m)), min_m=3),
+    ("T2k2_e2m2", None): _Family(
+        "T2k2_e2m2_m", lambda m: (2 * m + 2, None),
+        lambda n, m: _twos(m, n) + [(2, m + 2, n)], lambda m: (2,) * m,
+        _past_three, min_m=3),
+    ("T3_e23", None): _decorated("T3_e23", 5, (3,), lambda n: (2, 3, n - 1),
+                                 _const((4,))),
+    ("T3_e24", None): _decorated("T3_e24", 5, (3,), lambda n: (2, 4, n), _const((4,))),
+    ("T3_e34", None): _decorated("T3_e34", 5, (3,), lambda n: (3, 4, n), _const((5,))),
+    ("T3_e45", None): _decorated("T3_e45", 6, (3,), lambda n: (4, 5, n),
+                                 lambda n, m: (5, ">=6") if n == 6 else (">=6",)),
+    ("T32_e23", None): _decorated("T32_e23", 6, (3, 2), lambda n: (2, 3, n),
+                                  _const((5,))),
+    ("T4_e23", None): _Family(
+        "T4_e23", _const((5, 5)), _const([(1, 2, 3), (1, 3, 4), (1, 4, 5), (2, 3, 5)]),
+        _const((4,)), _const((5, ">=6"))),
+}
+_SPELLINGS = {fam.spelling: key for key, fam in _FAMILIES.items()}
+
+
+def _admits(fam: _Family, m) -> bool:
+    """The parameter rule: m is absent exactly when the family has none,
+    and otherwise an int of at least the family's least m."""
+    if fam.min_m is None:
+        return m is None
+    return isinstance(m, int) and m >= fam.min_m
+
+
+def _family(name: CatalogName) -> _Family:
+    """The declaration of name's family; UnknownFamily if there is none or
+    the family does not admit name's parameter."""
+    fam = _FAMILIES.get((name.family, name.partition))
+    if fam is None or not _admits(fam, name.m):
+        raise UnknownFamily(name.family)
+    return fam
 
 
 def parse_name(key: str) -> CatalogName:
-    """The catalog name a key spells; a family parameter m is ASCII digits
-    with no leading zero and m >= 1, else UnknownFamily."""
-    key = key.strip()
-    if key in ("zero", "n3", "eta_eps15", "T22_e23", "T22_e24", "T22_e34",
-               "T22_e45", "T222_e23", "T222_e24", "T222_e7special",
-               "T3_e23", "T3_e24", "T3_e34", "T3_e45", "T32_e23", "T4_e23"):
-        return CatalogName(key)
-    for fam in ("eta_eps_double", "eta", "T2k2_e23_shift", "T2k2_e23",
-                "T2k2_special", "T2k2_e2m2"):
-        prefix = fam + "_m" if fam.startswith("T2k2") else fam
-        if key.startswith(prefix):
-            m = key[len(prefix):]
-            if not _digits(m) or m[0] == "0":
-                raise UnknownFamily(key)
-            return CatalogName(fam, m=int(m))
-    if key.startswith("T") and _digits(key[1:]):
-        return CatalogName("T", partition=tuple(int(ch) for ch in key[1:]))
+    """The catalog name a key spells exactly: a declared spelling followed,
+    for a parameterized family, by m in ASCII digits with no leading zero;
+    else UnknownFamily.  A padded or respelled key names no family, so one
+    table has one label."""
+    stem = key.rstrip("0123456789")
+    for spelling, m in ((key, ""), (stem, key[len(stem):])):
+        if spelling in _SPELLINGS:
+            family, partition = _SPELLINGS[spelling]
+            name = CatalogName(family, int(m) if m else None, partition)
+            if _admits(_FAMILIES[family, partition], name.m) and name.key == key:
+                return name
     raise UnknownFamily(key)
+
+
+def _as_name(name) -> CatalogName:
+    return parse_name(name) if isinstance(name, str) else name
 
 
 # --- multiplication tables ------------------------------------------------
@@ -143,135 +292,34 @@ def parse_name(key: str) -> CatalogName:
 
 def _bound(name: CatalogName) -> tuple[int, int | None]:
     """(min_dim, max_dim or None for unbounded)."""
-    fam, m, lam = name.family, name.m, name.partition
-    if fam == "zero":
-        return 1, None
-    if fam == "n3":
-        return 3, None
-    if fam == "eta":
-        return 2 * m + 1, None
-    if fam == "eta_eps15":
-        return 6, None
-    if fam == "eta_eps_double":
-        return 2 * m + 3, None
-    if fam == "T":
-        bounds = {
-            (3,): (4, None), (2, 2): (5, None), (2, 2, 2): (7, None),
-            (4,): (5, None), (3, 2): (6, None), (2, 2, 2, 2): (9, None),
-            (3, 3): (7, 7), (3, 2, 2): (8, None), (2, 2, 2, 2, 2): (11, None),
-        }
-        if lam not in bounds:
-            raise UnknownFamily(f"no table for partition T^{lam}")
-        return bounds[lam]
-    if fam in ("T22_e23", "T22_e24", "T22_e34"):
-        return 6, None
-    if fam == "T22_e45":
-        return 7, None
-    if fam in ("T222_e23", "T222_e24"):
-        return 7, None
-    if fam == "T222_e7special":
-        return 7, 7
-    if fam.startswith("T2k2_") and m < 3:
-        # the all-twos families start at m = 3: below it a table is not
-        # nilpotent (T2k2_e23_m1 at n = 3) or not the family its level
-        # claims
-        raise UnknownFamily(name.key)
-    if fam in ("T2k2_e23", "T2k2_special"):
-        return 2 * m + 1, None
-    if fam == "T2k2_e23_shift":
-        return 2 * m + 2, None
-    if fam == "T2k2_e2m2":
-        return 2 * m + 2, None
-    if fam in ("T3_e23", "T3_e24", "T3_e34"):
-        return 5, None
-    if fam == "T3_e45":
-        return 6, None
-    if fam == "T32_e23":
-        return 6, None
-    if fam == "T4_e23":
-        return 5, 5
-    raise UnknownFamily(name.family)
+    return _family(name).bound(name.m)
 
 
 def _pairs(name: CatalogName, n: int):
     """Nonzero products (i, j, k[, coeff]) of the family at dimension n."""
-    fam, m, lam = name.family, name.m, name.partition
-    if fam == "zero":
-        return []
-    if fam == "n3":
-        return [(1, 2, n)]
-    if fam == "eta":
-        return [(2 * i - 1, 2 * i, 2 * m + 1) for i in range(1, m + 1)]
-    if fam == "eta_eps15":
-        return [(1, 2, 5), (3, 4, 5), (1, 5, n)]
-    if fam == "eta_eps_double":
-        pairs = [(2 * i - 1, 2 * i, 2 * m + 1) for i in range(1, m + 1)]
-        pairs += [(1, 2 * m + 1, n - 1), (2, 2 * m + 1, n)]
-        return pairs
-    if fam == "T":
-        if lam == (3,):
-            return [(1, 2, 3), (1, 3, n)]
-        if lam == (4,):
-            return [(1, 2, 3), (1, 3, 4), (1, 4, n)]
-        if lam == (3, 2):
-            return [(1, 2, n - 1), (1, 3, 4), (1, 4, n)]
-        if lam == (3, 3):
-            return [(1, 2, 3), (1, 3, 4), (1, 5, 6), (1, 6, 7)]
-        if lam == (3, 2, 2):
-            return [(1, 2, n - 2), (1, 3, n - 1), (1, 4, 5), (1, 5, n)]
-        k = len(lam)  # all-twos partitions
-        return [(1, i + 1, i + n - k) for i in range(1, k + 1)]
-    if fam == "T22_e23":
-        return [(1, 2, n - 1), (1, 3, n), (2, 3, n - 2)]
-    if fam == "T22_e24":
-        return [(1, 2, n - 1), (1, 3, n), (2, 4, n)]
-    if fam == "T22_e34":
-        return [(1, 2, n - 1), (1, 3, n), (3, 4, n)]
-    if fam == "T22_e45":
-        return [(1, 2, n - 1), (1, 3, n), (4, 5, n)]
-    if fam in ("T222_e23", "T222_e24"):
-        base = [(1, i + 1, i + n - 3) for i in range(1, 4)]
-        base.append((2, 3, n) if fam == "T222_e23" else (2, 4, n))
-        return base
-    if fam == "T222_e7special":
-        return [(1, 2, 5), (1, 3, 6), (1, 4, 7), (2, 3, 4), (2, 6, 7, -1), (3, 5, 7)]
-    if fam == "T2k2_e23":
-        return [(1, i + 1, i + n - m) for i in range(1, m + 1)] + [(2, 3, n)]
-    if fam == "T2k2_e23_shift":
-        return [(1, i + 1, i + n - m) for i in range(1, m + 1)] + [(2, 3, n - m)]
-    if fam == "T2k2_special":
-        base = [(1, i + 1, i + n - m) for i in range(1, m + 1)]
-        base += [(2, 3, m + 1), (2, 2 + n - m, n, -1), (3, 1 + n - m, n)]
-        return base
-    if fam == "T2k2_e2m2":
-        return [(1, i + 1, i + n - m) for i in range(1, m + 1)] + [(2, m + 2, n)]
-    if fam == "T3_e23":
-        return [(1, 2, 3), (1, 3, n), (2, 3, n - 1)]
-    if fam == "T3_e24":
-        return [(1, 2, 3), (1, 3, n), (2, 4, n)]
-    if fam == "T3_e34":
-        return [(1, 2, 3), (1, 3, n), (3, 4, n)]
-    if fam == "T3_e45":
-        return [(1, 2, 3), (1, 3, n), (4, 5, n)]
-    if fam == "T32_e23":
-        return [(1, 2, n - 1), (1, 3, 4), (1, 4, n), (2, 3, n)]
-    if fam == "T4_e23":
-        return [(1, 2, 3), (1, 3, 4), (1, 4, 5), (2, 3, 5)]
-    raise UnknownFamily(fam)
+    return _family(name).pairs(n, name.m)
+
+
+def _out_of_range(name: CatalogName, n: int) -> str | None:
+    """Why the family has no member at dimension n (n outside its bound, or
+    above MAX_DIM), or None; UnknownFamily for an undeclared family.  The
+    one range check of `instantiate`, `level_lookup` and the ledger."""
+    lo, hi = _bound(name)
+    if n < lo or (hi is not None and n > hi):
+        bound = f"n >= {lo}" if hi is None else f"{lo} <= n <= {hi}"
+        return f"{name.key} requires {bound}, got n = {n}"
+    if n > MAX_DIM:
+        return f"{name.key}: n = {n} exceeds MAX_DIM = {MAX_DIM}"
+    return None
 
 
 def instantiate(name, n: int) -> StructureTensor:
     """Exact multiplication table of a catalog family at dimension n;
     DimensionOutOfRange outside the family's bounds or above MAX_DIM."""
-    if isinstance(name, str):
-        name = parse_name(name)
-    lo, hi = _bound(name)
-    if n < lo or (hi is not None and n > hi):
-        bound = f"n >= {lo}" if hi is None else f"{lo} <= n <= {hi}"
-        raise DimensionOutOfRange(f"{name.key} requires {bound}, got n = {n}")
-    if n > MAX_DIM:
-        raise DimensionOutOfRange(
-            f"{name.key}: n = {n} exceeds MAX_DIM = {MAX_DIM}")
+    name = _as_name(name)
+    undefined = _out_of_range(name, n)
+    if undefined:
+        raise DimensionOutOfRange(undefined)
     return StructureTensor.from_pairs(n, _pairs(name, n))
 
 
@@ -281,105 +329,19 @@ def expected_iw_max(name) -> Partition | str:
     The zero algebra's label is dimension dependent (all ones); it is
     returned as the string "ones" and resolved per dimension by callers.
     """
-    if isinstance(name, str):
-        name = parse_name(name)
-    fam = name.family
-    if fam == "zero":
-        return "ones"
-    if fam in ("n3", "eta"):
-        return Partition((2,))
-    if fam == "eta_eps15":
-        return Partition((3,))
-    if fam == "eta_eps_double":
-        # a generic element composes a pair product with both decorations,
-        # reaching rank sequence (3, 1); the single-decoration family
-        # eta_eps15 stays at (2, 1)
-        return Partition((3, 2))
-    if fam == "T":
-        return Partition(name.partition)
-    if fam.startswith("T22_"):
-        return Partition((2, 2))
-    if fam.startswith("T222_"):
-        return Partition((2, 2, 2))
-    if fam.startswith("T2k2_"):
-        return Partition((2,) * name.m)
-    if fam.startswith("T3_"):
-        return Partition((3,))
-    if fam == "T32_e23":
-        return Partition((3, 2))
-    if fam == "T4_e23":
-        return Partition((4,))
-    raise UnknownFamily(fam)
+    name = _as_name(name)
+    iw = _family(name).iw_max(name.m)
+    return iw if isinstance(iw, str) else Partition(iw)
 
 
 def level_lookup(name, n: int) -> LevelInfo:
     """Level and infinite level of the family member at dimension n."""
-    if isinstance(name, str):
-        name = parse_name(name)
-    lo, hi = _bound(name)
-    if n < lo or (hi is not None and n > hi):
+    name = _as_name(name)
+    if _out_of_range(name, n):
         raise DimensionOutOfRange(f"{name.key} not defined at n = {n}")
-    fam, m, lam = name.family, name.m, name.partition
-
-    def info(level, infinite=None):
-        inf = infinite if infinite is not None else level
-        return LevelInfo(LevelValue.from_json_obj(level),
-                         LevelValue.from_json_obj(inf))
-
-    if fam == "zero":
-        return info(0)
-    if fam == "n3":
-        return info(1)
-    if fam == "eta":
-        return info(m)
-    if fam == "eta_eps15":
-        return info(">=6" if n == 6 else ">=7", ">=7")
-    if fam == "eta_eps_double":
-        if m == 1:
-            return info(4)
-        return info(">=7")
-    if fam == "T":
-        if lam == (3,):
-            return info(2 if n == 4 else 3, 3)
-        if lam == (4,):
-            return info(4 if n == 5 else 5, 5)
-        if lam == (3, 3):
-            return info(5, ">=6")
-        return info({(2, 2): 2, (2, 2, 2): 3, (3, 2): 4, (2, 2, 2, 2): 4,
-                     (3, 2, 2): 5, (2, 2, 2, 2, 2): 5}[lam])
-    if fam in ("T22_e23", "T22_e24"):
-        return info(3)
-    if fam == "T22_e34":
-        return info(4)
-    if fam == "T22_e45":
-        return info(5)
-    if fam == "T222_e23":
-        return info(4)
-    if fam == "T222_e24":
-        return info(5)
-    if fam == "T222_e7special":
-        return info(5, ">=7")
-    if fam == "T2k2_e23":
-        return info({3: 4}.get(m, ">=7" if m == 4 else ">=6"))
-    if fam == "T2k2_e23_shift":
-        return info(">=7" if m == 4 else ">=6")
-    if fam == "T2k2_special":
-        if m == 3:
-            return info(5, ">=7") if n == 7 else info(">=7")
-        return info(">=7" if m == 4 else ">=6")
-    if fam == "T2k2_e2m2":
-        return info(">=7" if m == 4 else ">=6")
-    if fam in ("T3_e23", "T3_e24"):
-        return info(4)
-    if fam == "T3_e34":
-        return info(5)
-    if fam == "T3_e45":
-        return info(5, ">=6") if n == 6 else info(">=6")
-    if fam == "T32_e23":
-        return info(5)
-    if fam == "T4_e23":
-        return info(5, ">=6")
-    raise UnknownFamily(fam)
+    levels = _family(name).levels(n, name.m)
+    return LevelInfo(LevelValue.from_json_obj(levels[0]),
+                     LevelValue.from_json_obj(levels[-1]))
 
 
 MANIFEST_FAMILIES = (
@@ -400,14 +362,12 @@ DIM_CAP = 11
 
 
 def tested_dims(name) -> list[int]:
-    """Minimal legal dimension and its successor, capped at DIM_CAP."""
-    if isinstance(name, str):
-        name = parse_name(name)
+    """The family's least tested dimension (its minimal legal one, unless
+    it declares another) and its successor, capped at DIM_CAP."""
+    name = _as_name(name)
     lo, hi = _bound(name)
-    if name.family == "zero":
-        lo = 4  # arbitrary small desk dimension for the trivial family
-    dims = [d for d in (lo, lo + 1) if (hi is None or d <= hi) and d <= DIM_CAP]
-    return dims
+    lo = _family(name).first_tested or lo
+    return [d for d in (lo, lo + 1) if (hi is None or d <= hi) and d <= DIM_CAP]
 
 
 def build_manifest() -> dict:
@@ -415,28 +375,15 @@ def build_manifest() -> dict:
     entries = []
     for key in MANIFEST_FAMILIES:
         name = parse_name(key)
-        lo, hi = _bound(name)
-        iw = expected_iw_max(name)
-        levels = []
-        for n in tested_dims(name):
-            li = level_lookup(name, n)
-            levels.append(
-                {
-                    "dim": n,
-                    "level": li.level.to_json_obj(),
-                    "infinite_level": li.infinite_level.to_json_obj(),
-                }
-            )
-        entries.append(
-            {
-                "name": key,
-                "min_dim": lo,
-                "max_dim": hi,
-                "tested_dims": tested_dims(name),
-                "iw_max": "ones" if isinstance(iw, str) else list(iw),
-                "levels": levels,
-            }
-        )
+        (lo, hi), iw, dims = _bound(name), expected_iw_max(name), tested_dims(name)
+        levels = [(n, level_lookup(name, n)) for n in dims]
+        entries.append({
+            "name": key, "min_dim": lo, "max_dim": hi, "tested_dims": dims,
+            "iw_max": "ones" if isinstance(iw, str) else list(iw),
+            "levels": [{"dim": n, "level": li.level.to_json_obj(),
+                        "infinite_level": li.infinite_level.to_json_obj()}
+                       for n, li in levels],
+        })
     return {"families": entries}
 
 

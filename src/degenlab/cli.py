@@ -22,9 +22,12 @@ checked at load (exit 1).  `classify --file` reads the table format that
 (`StructureTensor.from_json_obj`), is one error line and exit 1, as is an
 unknown family or dimension for `info`, `iwmax`, `catalog table` and
 `classify`; an unknown family reads `unknown catalog family 'name'`, as
-in a ledger.  No dimension may exceed `algebra.MAX_DIM` (64): a larger
-`--dim`, table `dim` or ledger reference `dim` is refused before any
-table is built, with one `error:` line and exit 1.  `classify` given a
+in a ledger.  A catalog name must be a family's exact key, here as in a
+ledger: a padded name (" eta2") or a parameter with a leading zero
+("eta02") is an unknown family.  No dimension may exceed
+`algebra.MAX_DIM` (64): a larger `--dim`, table `dim`, ledger reference
+`dim` or chain `dim` is refused before any table is built, with one
+`error:` line and exit 1.  `classify` given a
 name or `--dim` together with `--file` is an argument error (exit 1), not
 a run on the file.  A table that is not Engel, where the run needs its
 rank sequences (the audit of a verified certificate, the source of an

@@ -43,7 +43,8 @@ from .algebra import (
 )
 from .catalog import (
     PreconditionViolated,
-    _bound,
+    UnknownFamily,
+    _out_of_range,
     _pfaffian_quadrics,
     _skew_net,
     classify_T22,
@@ -117,18 +118,16 @@ def _ref_from_json(obj) -> AlgebraRef:
 
 
 def _check_catalog_ref(name, dim: int, where: str):
-    """ParseError unless `name` is a string naming a catalog family defined
-    at dimension `dim`; reads the name and the bounds, builds no table."""
-    bound = None
-    if isinstance(name, str):
-        try:
-            bound = _bound(parse_name(name))
-        except (KeyError, ValueError):
-            pass
-    if bound is None:
-        raise ParseError(f"{where}: unknown catalog family {name!r}")
-    lo, hi = bound
-    if dim < lo or (hi is not None and dim > hi):
+    """ParseError unless `name` is a string naming a catalog family with a
+    member at dimension `dim`, by the catalog's one range check (its bound
+    and MAX_DIM); builds no table."""
+    try:
+        if not isinstance(name, str):
+            raise UnknownFamily(name)
+        undefined = _out_of_range(parse_name(name), dim)
+    except UnknownFamily:
+        raise ParseError(f"{where}: unknown catalog family {name!r}") from None
+    if undefined:
         raise ParseError(f"{where}: {name} is not defined at dim {dim}")
 
 

@@ -206,6 +206,9 @@ def test_expected_iw_max_examples():
     assert expected_iw_max("T32_e23") == Partition((3, 2))
     assert expected_iw_max("T2k2_e23_m4") == Partition((2, 2, 2, 2))
     assert expected_iw_max("zero") == "ones"
+    # one pair product: a generic element reaches rank sequence (2, 1)
+    assert expected_iw_max("eta_eps_double1") == Partition((3,))
+    assert expected_iw_max("eta_eps_double2") == Partition((3, 2))
 
 
 def test_manifest_ships_and_matches_the_generator(tmp_path):

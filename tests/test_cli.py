@@ -11,6 +11,8 @@ from degenlab.algebra import (
     is_nilpotent,
 )
 from degenlab.cli import main
+from degenlab.contraction import iw_max
+from degenlab.linalg import Partition
 from paperdata import certificates, witnesses
 
 
@@ -95,10 +97,11 @@ def test_info_dimension_out_of_range(capsys):
     ["info", "T2k2_e2m2_m2", "--dim", "6"],
     ["info", "eta02", "--dim", "5"],
     ["iwmax", "T2k2_e23_m04", "--dim", "9"],
+    ["info", " eta2", "--dim", "5"],
 ])
 def test_a_malformed_catalog_name_is_an_error_line(capsys, argv):
-    # a family parameter is ASCII digits >= 1 with no leading zero, and
-    # the all-twos families T2k2_* start at m = 3
+    # a family parameter is ASCII digits >= 1 with no leading zero, the
+    # all-twos families T2k2_* start at m = 3, and a name is an exact key
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -106,27 +109,42 @@ def test_a_malformed_catalog_name_is_an_error_line(capsys, argv):
 
 
 def test_every_accepted_family_parameter_gives_a_nilpotent_table(capsys):
-    # m = 1..6 for each parameterized family, at its least two dims
+    # every declared family, and m = 1..6 for each parameterized one, at
+    # its least two dims: the key round-trips, the table is nilpotent with
+    # the promised IW-max and a level, and the bound is the whole range
+    declared = catalog._FAMILIES
+    listed = {(name.family, name.partition)
+              for name in map(catalog.parse_name, catalog.MANIFEST_FAMILIES)}
+    assert listed == set(declared)
     refused = []
-    for prefix in ("eta", "eta_eps_double", "T2k2_e23_m", "T2k2_e23_shift_m",
-                   "T2k2_special_m", "T2k2_e2m2_m"):
-        for m in range(1, 7):
-            name = f"{prefix}{m}"
+    for (family, partition), fam in declared.items():
+        for m in [None] if fam.min_m is None else range(1, 7):
+            key = fam.spelling + ("" if m is None else str(m))
             try:
-                lo, _ = catalog._bound(catalog.parse_name(name))
+                name = catalog.parse_name(key)
             except catalog.UnknownFamily:
-                refused.append(name)
-                assert main(["info", name, "--dim", "9"]) == 1
+                refused.append(key)
+                assert main(["info", key, "--dim", "9"]) == 1
                 assert capsys.readouterr() == (
-                    "", f"error: unknown catalog family '{name}'\n")
+                    "", f"error: unknown catalog family '{key}'\n")
                 continue
-            for n in (lo, lo + 1):
+            assert name == catalog.CatalogName(family, m, partition)
+            assert name.key == key
+            lo, hi = catalog._bound(name)
+            want = catalog.expected_iw_max(name)
+            for n in [n for n in (lo, lo + 1) if hi is None or n <= hi]:
                 a = catalog.instantiate(name, n)
-                assert is_nilpotent(a)[0], (name, n)
-                assert main(["info", name, "--dim", str(n)]) == 0, (name, n)
+                assert is_nilpotent(a)[0], (key, n)
+                assert iw_max(a)[0] == (Partition((1,) * (n - 1))
+                                        if want == "ones" else want), (key, n)
+                catalog.level_lookup(name, n)
+                assert main(["info", key, "--dim", str(n)]) == 0, (key, n)
                 capsys.readouterr()
-    assert refused == [f"T2k2_{fam}_m{m}" for fam in ("e23", "e23_shift",
-                                                     "special", "e2m2")
+            for n in (lo - 1, (hi or MAX_DIM) + 1):
+                with pytest.raises(catalog.DimensionOutOfRange):
+                    catalog.instantiate(name, n)
+    assert refused == [f"T2k2_{kind}_m{m}" for kind in ("e23", "e23_shift",
+                                                       "special", "e2m2")
                        for m in (1, 2)]
 
 
@@ -734,6 +752,14 @@ def _one_cert_ledger(case):
     elif case == "chain-unknown-family":
         ledger["chains"] = [{"id": "c", "algebra": "nosuch", "dim": 3,
                              "expected_level": 1, "edges": [cert["id"]]}]
+    elif case == "padded-name":
+        # one table under a second label, ' eta2' -> 'eta2'
+        cert["source"] = {"name": " eta2", "dim": 5}
+        cert["target"] = {"name": "eta2", "dim": 5}
+    elif case == "chain-dim-above-the-ceiling":
+        ledger = {"certificates": [], "chains": [
+            {"id": "ch", "algebra": "zero", "dim": 10 ** 8,
+             "expected_level": 0, "edges": []}]}
     return ledger
 
 
@@ -749,6 +775,8 @@ def _one_cert_ledger(case):
     ("section-not-a-list", "section 'certificates' is not a list"),
     ("unknown-witness-kind", "unknown witness kind 'Nosuch'"),
     ("chain-unknown-family", "unknown catalog family 'nosuch'"),
+    ("padded-name", "algebra reference  eta2@5: unknown catalog family ' eta2'"),
+    ("chain-dim-above-the-ceiling", "chain ch: zero is not defined at dim 100000000"),
     ("provenance-not-a-string", "provenance must be a string, got [1]"),
     ("witness-provenance-not-a-string", "provenance must be a string, got [1]"),
     ("dim-float", "'dim': 7.9}: dim is not an integer"),

@@ -169,6 +169,50 @@ def test_only_algebra_names_the_power_chain_internals():
         ("algebra",)) == []
 
 
+def _strings(node):
+    """The string constants an expression is or lists."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return [s for elt in node.elts for s in _strings(elt)]
+    return []
+
+
+def test_no_catalog_function_branches_on_a_family_name():
+    # each family is declared once, in the table `catalog._FAMILIES`; a
+    # function that compares a value with a family's name, key or a prefix
+    # of one (==, in, startswith) would be a second declaration
+    from degenlab import catalog
+
+    words = {family for family, _ in catalog._FAMILIES}
+    words |= {fam.spelling for fam in catalog._FAMILIES.values()}
+
+    def names_a_family(text):
+        try:
+            catalog.parse_name(text)
+            return True
+        except catalog.UnknownFamily:
+            return bool(text) and any(word.startswith(text) for word in words)
+
+    tree = ast.parse(Path(catalog.__file__).read_text(encoding="utf-8"))
+    found = []
+    for top in tree.body:
+        if (not isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                or top.name == "classify_T22"):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("startswith", "endswith")):
+                operands = node.args
+            else:
+                continue
+            found += [(top.name, text) for operand in operands
+                      for text in _strings(operand) if names_a_family(text)]
+    assert found == []
+
+
 def test_the_certificate_check_hands_only_ints_to_the_integer_kernels(monkeypatch):
     # the check packs Z[t] into ints at t = 2^B; a ZPoly reaching the
     # kernels would mean it silently went back to polynomial arithmetic
