@@ -17,7 +17,6 @@ from .linalg import (
 from .algebra import (
     DimensionMismatch,
     StructureTensor,
-    ann_dim,
     annihilator,
     change_basis,
     dim_square,
@@ -43,6 +42,7 @@ from .degeneration import (
     ClosedSetSpec,
     DegenerationCertificate,
     NonDegenerationWitness,
+    Records,
     SingularFamily,
     UnknownKind,
     Verdict,

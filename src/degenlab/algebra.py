@@ -289,9 +289,9 @@ def dim_square(a: StructureTensor) -> int:
     return Invariants(a).dim_square
 
 
-def is_nilpotent(a: StructureTensor):
+def is_nilpotent(a: StructureTensor | Invariants):
     """(True, least m with A^m = 0) or (False, None) when powers stabilize."""
-    index = Invariants(a).nilindex
+    index = (a if isinstance(a, Invariants) else Invariants(a)).nilindex
     return index is not None, index
 
 
@@ -303,11 +303,6 @@ def _int_centralizer_conditions(table, n: int, ws):
     """
     return int_echelon([col for w in ws
                         for col in zip(*_int_left_products(table, n, w))])
-
-
-def ann_dim(a: StructureTensor) -> int:
-    """dim Ann(A): n minus the rank of the conditions x e_j = 0."""
-    return Invariants(a).ann_dim
 
 
 class Invariants:
@@ -427,13 +422,17 @@ class IdentityFlags:
     malcev: bool
 
 
-def jacobi_holds(a: StructureTensor) -> bool:
+def _int_table_of(a: StructureTensor | Invariants):
+    """The `int_table` table of a table, or the one its record holds."""
+    return a.table if isinstance(a, Invariants) else int_table(a)[1]
+
+
+def jacobi_holds(a: StructureTensor | Invariants) -> bool:
     """True iff the Jacobi identity holds on all basis triples (A is Lie).
 
     Evaluated over Z on the L-scaled table; the defect scales by L^2.
     """
-    n = a.dim
-    _, table = int_table(a)
+    n, table = a.dim, _int_table_of(a)
     e = _int_identity(n)
     sq = [[_int_product(table, n, x, y) for y in e] for x in e]
     for i in range(n):
@@ -449,7 +448,7 @@ def jacobi_holds(a: StructureTensor) -> bool:
     return True
 
 
-def _malcev_holds(a: StructureTensor) -> bool:
+def _malcev_holds(a: StructureTensor | Invariants) -> bool:
     """Malcev identity (xy)(xz) = ((xy)z)x + ((yz)x)x + ((zx)x)y.
 
     Quadratic in x, linear in y and z: basis vectors and pair sums for x,
@@ -461,8 +460,7 @@ def _malcev_holds(a: StructureTensor) -> bool:
     and `_malcev_packing_bits` keeps every digit strictly inside
     +-2^(B-1): a packed coordinate is 0 iff all its digits are.
     """
-    n = a.dim
-    _, table = int_table(a)
+    n, table = a.dim, _int_table_of(a)
 
     def mul(x, y):
         return _int_product(table, n, x, y)
@@ -485,7 +483,7 @@ def _malcev_holds(a: StructureTensor) -> bool:
     return True
 
 
-def identity_flags(a: StructureTensor) -> IdentityFlags:
+def identity_flags(a: StructureTensor | Invariants) -> IdentityFlags:
     return IdentityFlags(
         anticommutative_wellformed=True,
         jacobi=jacobi_holds(a),
@@ -527,7 +525,7 @@ def _malcev_packing_bits(table, n: int) -> int:
     return (4 * _row_sum_bound(table, n) ** 3).bit_length() + 1
 
 
-def engel_degree(a: StructureTensor, max_m: int):
+def engel_degree(a: StructureTensor | Invariants, max_m: int):
     """Least m <= max_m with (L_x)^m = 0 for every x, or None.
 
     (sum_i x_i L_i)^m = sum_{|alpha| = m} x^alpha S_alpha, L_i = L_{e_i},
@@ -539,8 +537,7 @@ def engel_degree(a: StructureTensor, max_m: int):
     sum_k (e_i e_k)_r S_k, so one `_int_left_products` pass on the packed
     rows of S gives every L_i S, and on those of S_0 every L_i.
     """
-    n = a.dim
-    _, table = int_table(a)
+    n, table = a.dim, _int_table_of(a)
     bits = _engel_packing_bits(table, n, max_m)
     # alpha, as its sorted tuple of indices -> the packed rows of S_alpha
     level = {(): [1 << (bits * c) for c in range(n)]}

@@ -528,18 +528,19 @@ def _is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def classify_T22(a: StructureTensor):
+def classify_T22(a: StructureTensor | Invariants):
     """Canonical name of an algebra with dominant contraction (2,2).
 
     Returns a CatalogName among T22/T22_e23/T22_e24/T22_e34/T22_e45, or the
     sentinels LevelAtLeast6 / NeedsExtension.  The (2,2) precondition is
     validated exactly: the algebra must be 2-Engel with a two- or
-    three-dimensional square annihilated by the whole algebra.
+    three-dimensional square annihilated by the whole algebra.  a is a
+    table or its `algebra.Invariants` record, read as it stands.
     """
-    n = a.dim
-    if engel_degree(a, 2) is None:
+    inv = a if isinstance(a, Invariants) else Invariants(a)
+    n = inv.dim
+    if engel_degree(inv, 2) is None:
         raise PreconditionViolated("not 2-Engel, so IW-max is not (2,2)")
-    inv = Invariants(a)
     square = inv.power(2)
     s = len(square)
     if inv.power(3):
@@ -552,7 +553,7 @@ def classify_T22(a: StructureTensor):
         return CatalogName("T22_e23")
     if s != 2:
         raise PreconditionViolated(f"dim A^2 = {s} is incompatible with (2,2)")
-    net = _skew_net(a, square)
+    net = _skew_net(inv.tensor, square)
     r_gen = _pencil_generic_rank([[w[0] for w in row] for row in net],
                                  [[w[1] for w in row] for row in net])
     if r_gen <= 2:

@@ -22,7 +22,11 @@ checked at load (exit 1).  `classify --file` reads the table format that
 (`StructureTensor.from_json_obj`), is one error line and exit 1, as is an
 unknown family or dimension for `info`, `iwmax`, `catalog table` and
 `classify`; an unknown family reads `unknown catalog family 'name'`, as
-in a ledger.  A catalog name must be a family's exact key, here as in a
+in a ledger.  `check` checks its claim's references as the loader does
+(exit 1): there an unknown family reads `algebra reference name@n: unknown
+catalog family 'name'`, and a source and target that share a label but
+not a table read `label name@n names two different tables`.  A catalog
+name must be a family's exact key, here as in a
 ledger: a padded name (" eta2") or a parameter with a leading zero
 ("eta02") is an unknown family.  No dimension may exceed
 `algebra.MAX_DIM` (64): a larger `--dim`, table `dim`, ledger reference
@@ -55,11 +59,12 @@ from .algebra import (
     is_nilpotent,
 )
 from .contraction import NotEngelAt, iw_max
-from .degeneration import verify_degeneration, verify_nondegeneration
+from .degeneration import Records, verify_degeneration, verify_nondegeneration
 from .verification_db import (
     InconsistentLedger,
     ParseError,
     certificate_from_json,
+    check_references,
     hasse_dot,
     load_ledger,
     report_to_json_bytes,
@@ -107,9 +112,9 @@ def cmd_info(args) -> int:
     tensor = _instantiate(args)
     if tensor is None:
         return 1
-    flags = identity_flags(tensor)
-    nil, nil_index = is_nilpotent(tensor)
     inv = Invariants(tensor)
+    flags = identity_flags(inv)
+    nil, nil_index = is_nilpotent(inv)
     partition, _ = iw_max(inv, seed=args.seed)
     levels = catalog.level_lookup(args.name, args.dim)
     payload = {
@@ -119,7 +124,7 @@ def cmd_info(args) -> int:
         "ann_dim": inv.ann_dim,
         "nilpotent": nil,
         "nilpotency_index": nil_index,
-        "engel_degree": engel_degree(tensor, tensor.dim + 1),
+        "engel_degree": engel_degree(inv, tensor.dim + 1),
         "jacobi": flags.jacobi,
         "malcev": flags.malcev,
         "iw_max": list(partition),
@@ -152,11 +157,13 @@ def cmd_check(args) -> int:
     if not isinstance(obj, dict):
         return _error(f"{args.path} does not hold a JSON object")
     try:
-        if "kind" in obj:
-            verdict = verify_nondegeneration(witness_from_json(obj, "cli-witness"),
-                                             trials=args.trials, seed=args.seed)
-        else:
-            verdict = verify_degeneration(certificate_from_json(obj, "cli-cert"))
+        witness = "kind" in obj
+        claim = (witness_from_json(obj, "cli-witness") if witness
+                 else certificate_from_json(obj, "cli-cert"))
+        check_references([claim])
+        verdict = (verify_nondegeneration(claim, Records(args.seed),
+                                          trials=args.trials)
+                   if witness else verify_degeneration(claim))
     except (KeyError, ValueError) as exc:
         return _error(exc)
     payload = {

@@ -45,7 +45,7 @@ from .algebra import (
     Invariants,
     StructureTensor,
     _int_left_products,
-    int_table,
+    _int_table_of,
 )
 from .linalg import Partition, int_power_rank_sequence, int_scaled, partition_from_ranks
 
@@ -97,13 +97,14 @@ def _int_rank_sequence(table, n: int, x) -> RankSequence:
     return RankSequence(ranks)
 
 
-def rank_sequence(a: StructureTensor, vec) -> RankSequence:
-    """Exact rank sequence of L_vec; NotEngelAt when it never vanishes."""
+def rank_sequence(a: StructureTensor | Invariants, vec) -> RankSequence:
+    """Exact rank sequence of L_vec on a table or its `algebra.Invariants`
+    record; NotEngelAt when it never vanishes."""
     if len(vec) != a.dim:
         raise DimensionMismatch("vector must have the algebra dimension")
     x = int_scaled([vec])[1][0]
     try:
-        return _int_rank_sequence(int_table(a)[1], a.dim, x)
+        return _int_rank_sequence(_int_table_of(a), a.dim, x)
     except NotEngelAt:
         raise NotEngelAt(vec) from None
 

@@ -67,10 +67,10 @@ from math import lcm, prod
 
 from .algebra import (
     DimensionMismatch,
+    Invariants,
     StructureTensor,
     _int_product,
-    ann_dim,
-    dim_square,
+    _int_table_of,
     int_change_basis,
     int_table,
     jacobi_holds,
@@ -268,6 +268,37 @@ class AlgebraRef:
     @property
     def label(self) -> str:
         return f"{self.name}@{self.dim}"
+
+
+class Records:
+    """One run's records at one seed, keyed by label (one table each): the
+    `algebra.Invariants` of a label and the rank sequence of its `iw_max`
+    label (`contraction.iw_sequence`), built at most once, when first read.
+    A table that is not Engel raises NotEngelAt led by its label."""
+
+    def __init__(self, seed: int = 0):
+        self.seed, self._records, self._sequences = seed, {}, {}
+
+    def invariants(self, ref: AlgebraRef) -> Invariants:
+        if ref.label not in self._records:
+            self._records[ref.label] = Invariants(ref.resolve())
+        return self._records[ref.label]
+
+    def iw_sequence(self, ref: AlgebraRef):
+        if ref.label not in self._sequences:
+            partition, _ = self._named(ref, iw_max, seed=self.seed)
+            self._sequences[ref.label] = iw_sequence(partition)
+        return self._sequences[ref.label]
+
+    def rank_sequence(self, ref: AlgebraRef, element):
+        """The rank sequence of L_element on the table of ref."""
+        return self._named(ref, rank_sequence, element)
+
+    def _named(self, ref: AlgebraRef, fn, *args, **kwargs):
+        try:
+            return fn(self.invariants(ref), *args, **kwargs)
+        except NotEngelAt as exc:
+            raise exc.named(ref.label) from None
 
 
 @dataclass(frozen=True)
@@ -496,11 +527,11 @@ def random_invertible(dim: int, rng: random.Random, spread: int = 5):
 
 
 def randomized_orbit_refute(
-    b: StructureTensor, spec: ClosedSetSpec, trials: int, seed: int,
-    cone=None,
+    b: StructureTensor | Invariants, spec: ClosedSetSpec, trials: int,
+    seed: int, cone=None,
 ) -> Verdict:
-    """Sample the orbit of b for members of a closed set: the flag
-    conditions `spec`, and the predicate `cone` when given.
+    """Sample the orbit of b (a table or its record) for members of a closed
+    set: the flag conditions `spec`, and the predicate `cone` when given.
 
     refutation_not_found is evidence, never proof, that the orbit misses
     the set; a hit refutes the emptiness claim and returns the basis.
@@ -515,7 +546,7 @@ def randomized_orbit_refute(
     n = b.dim
     pairs = _hit_pairs(spec, n)
     rng = random.Random(seed)
-    _, table = int_table(b)
+    table = _int_table_of(b)
     for trial in range(trials):
         g, spans = random_invertible(n, rng)
         if _orbit_meets(table, n, g, spans, pairs) and (
@@ -533,14 +564,9 @@ def randomized_orbit_refute(
 
 # --- non-degeneration witnesses -------------------------------------------
 
-WITNESS_KINDS = (
-    "DimSquare",
-    "AnnDim",
-    "IWDominance",
-    "LieClosure",
-    "ClosedSet",
-    "BespokeR",
-)
+# the invariant tier, whose verdicts are proofs, then the closed-set tier
+INVARIANT_KINDS = ("DimSquare", "AnnDim", "IWDominance", "LieClosure")
+WITNESS_KINDS = INVARIANT_KINDS + ("ClosedSet", "BespokeR")
 
 
 @dataclass(frozen=True)
@@ -558,9 +584,10 @@ class NonDegenerationWitness:
 
 
 def verify_nondegeneration(
-    w: NonDegenerationWitness, trials: int = 200, seed: int = 0
+    w: NonDegenerationWitness, records: Records, trials: int = 200
 ) -> Verdict:
-    """Tiered verdict for one non-degeneration witness.
+    """Tiered verdict for one non-degeneration witness, read from the run's
+    `records` and sampled at their seed.
 
     DimSquare / AnnDim / IWDominance / LieClosure are proofs built on
     closed invariants; ClosedSet / BespokeR prove the source side with a
@@ -568,38 +595,30 @@ def verify_nondegeneration(
     witness between different dimensions, or a BespokeR witness outside
     dimension 7, is a fail verdict.
     """
-    src = w.source.resolve()
-    tgt = w.target.resolve()
+    src, tgt = records.invariants(w.source), records.invariants(w.target)
     if src.dim != tgt.dim:
         return Verdict("fail", "source and target dimensions differ")
     if w.kind == "BespokeR" and src.dim != 7:
         return Verdict("fail", "the set R lives in dimension 7")
     if w.kind == "DimSquare":
-        ds, dt = dim_square(src), dim_square(tgt)
+        ds, dt = src.dim_square, tgt.dim_square
         if ds < dt:
             return Verdict("proved", f"dim source^2 = {ds} < {dt} = dim target^2")
         return Verdict("refuted", f"dim source^2 = {ds} >= {dt} = dim target^2")
     if w.kind == "AnnDim":
-        ds, dt = ann_dim(src), ann_dim(tgt)
+        ds, dt = src.ann_dim, tgt.ann_dim
         if ds > dt:
             return Verdict("proved", f"dim Ann(source) = {ds} > {dt} = dim Ann(target)")
         return Verdict("refuted", f"dim Ann(source) = {ds} <= {dt} = dim Ann(target)")
     if w.kind == "LieClosure":
-        js = jacobi_holds(src)
-        jt = jacobi_holds(tgt)
+        js, jt = jacobi_holds(src), jacobi_holds(tgt)
         if js and not jt:
             return Verdict("proved", "source is Lie, target is not")
         return Verdict("refuted", f"jacobi(source)={js}, jacobi(target)={jt}")
     if w.kind == "IWDominance":
         element = tuple(map(rational_from_obj, w.payload["element"]))
-        try:
-            src_seq = iw_sequence(iw_max(src, seed=seed)[0])
-        except NotEngelAt as exc:
-            raise exc.named(w.source.label) from None
-        try:
-            tgt_seq = rank_sequence(tgt, element)
-        except NotEngelAt as exc:
-            raise exc.named(w.target.label) from None
+        src_seq = records.iw_sequence(w.source)
+        tgt_seq = records.rank_sequence(w.target, element)
         if not dominates(src_seq, tgt_seq):
             return Verdict(
                 "proved",
@@ -607,39 +626,36 @@ def verify_nondegeneration(
                 f"target sequence {tuple(tgt_seq)}",
             )
         return Verdict("refuted", "source IW-max dominates the target element")
-    if w.kind in ("ClosedSet", "BespokeR"):
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
-        if w.kind == "ClosedSet":
-            spec = ClosedSetSpec(tuple(tuple(t) for t in w.payload["triples"]))
-            cone = None
-        else:
-            spec, cone = _R_FLAGS, _r_quadratics_hold
-        witness_rows = w.payload.get("source_basis")
-        if witness_rows:
-            if len(witness_rows) != src.dim:
-                raise DimensionMismatch(f"source basis must have {src.dim} rows")
-            const_rows = [[limit_at_zero(*x) for x in parse_basis_row(r, src.dim)]
-                          for r in witness_rows]
-            if any(x is None for row in const_rows for x in row):
-                return Verdict("refuted", "stored source basis has a pole at t = 0")
-            moved = _orbit_point(int_table(src)[1], src.dim,
-                                 int_scaled(const_rows)[1])
-            if moved is None:
-                return Verdict("refuted", "stored source basis is singular at t = 0")
-        else:
-            moved = src
-        if not (closed_set_member(moved, spec) and (cone is None or cone(moved))):
-            return Verdict("refuted", "stored source basis does not land in the set")
-        verdict = randomized_orbit_refute(tgt, spec, trials, seed, cone)
-        if verdict.status == "refuted":
-            return Verdict(
-                "refuted",
-                "target orbit meets the set: " + verdict.reason,
-                verdict.data,
-            )
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if w.kind == "ClosedSet":
+        spec = ClosedSetSpec(tuple(tuple(t) for t in w.payload["triples"]))
+        cone = None
+    else:
+        spec, cone = _R_FLAGS, _r_quadratics_hold
+    witness_rows = w.payload.get("source_basis")
+    if witness_rows:
+        if len(witness_rows) != src.dim:
+            raise DimensionMismatch(f"source basis must have {src.dim} rows")
+        const_rows = [[limit_at_zero(*x) for x in parse_basis_row(r, src.dim)]
+                      for r in witness_rows]
+        if any(x is None for row in const_rows for x in row):
+            return Verdict("refuted", "stored source basis has a pole at t = 0")
+        moved = _orbit_point(src.table, src.dim, int_scaled(const_rows)[1])
+        if moved is None:
+            return Verdict("refuted", "stored source basis is singular at t = 0")
+    else:
+        moved = src.tensor
+    if not (closed_set_member(moved, spec) and (cone is None or cone(moved))):
+        return Verdict("refuted", "stored source basis does not land in the set")
+    verdict = randomized_orbit_refute(tgt, spec, trials, records.seed, cone)
+    if verdict.status == "refuted":
         return Verdict(
-            "refutation_not_found",
-            f"source meets the set; {trials} target orbit samples all miss it",
+            "refuted",
+            "target orbit meets the set: " + verdict.reason,
+            verdict.data,
         )
-    raise UnknownKind(w.kind)
+    return Verdict(
+        "refutation_not_found",
+        f"source meets the set; {trials} target orbit samples all miss it",
+    )

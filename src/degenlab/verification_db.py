@@ -22,15 +22,19 @@ Verdict statuses are kept tier-honest:
 Beside each verified certificate the runner re-checks the closed monotone
 invariants (square dimension down, annihilator dimension up, rank-sequence
 dominance of the dominant contractions), so a bad table or basis cannot
-slip through as a formally passing entry.  Each label gets one
-`algebra.Invariants` record per run, beside the rank sequence of its
-`iw_max` label (`contraction.iw_sequence`); `iw_max` reads that record,
-and the audit and every separator read only those.
+slip through as a formally passing entry.  A run keeps one
+`degeneration.Records` store, each label's `algebra.Invariants` record and
+`iw_max` rank sequence built once, and makes each report entry with one
+function per section (`_certificate_entry`, `_witness_entry`,
+`_probe_entry`, `_chain_entry`); the audit, separators and witnesses read
+only the store.  `degenlab check` hands `verify_nondegeneration` a fresh
+store after the loader's reference checks (`check_references`).
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import (
@@ -51,12 +55,14 @@ from .catalog import (
     level_lookup,
     parse_name,
 )
-from .contraction import NotEngelAt, dominates, iw_max, iw_sequence
+from .contraction import dominates, iw_max
 from .degeneration import (
+    INVARIANT_KINDS,
     AlgebraRef,
     ClosedSetSpec,
     DegenerationCertificate,
     NonDegenerationWitness,
+    Records,
     UnknownKind,
     lower_triangular_invariance_probe,
     parse_basis_row,
@@ -290,6 +296,20 @@ def load_ledger(path) -> ClaimLedger:
     return ledger_from_obj(obj, str(path))
 
 
+def check_references(claims):
+    """InconsistentLedger unless each label names one table, as `Records`
+    keys them; then ParseError unless each catalog reference names a family
+    member, so a label bound inline and to the catalog reads as the first."""
+    refs = [ref for claim in claims for ref in (claim.source, claim.target)]
+    tables = {}
+    for ref in refs:
+        if tables.setdefault(ref.label, ref.tensor) != ref.tensor:
+            raise InconsistentLedger(f"label {ref.label} names two different tables")
+    for ref in refs:
+        if ref.tensor is None:
+            _check_catalog_ref(ref.name, ref.dim, f"algebra reference {ref.label}")
+
+
 def _validate(ledger: ClaimLedger):
     for kind, ids in (
         ("certificate", [c.cert_id for c in ledger.certificates]),
@@ -301,21 +321,7 @@ def _validate(ledger: ClaimLedger):
             if rid in seen:
                 raise InconsistentLedger(f"duplicate {kind} id {rid}")
             seen.add(rid)
-    # the run caches resolved tables and invariants by label
-    tables = {}
-    for claim in ledger.certificates + ledger.witnesses:
-        for ref in (claim.source, claim.target):
-            if tables.setdefault(ref.label, ref.tensor) != ref.tensor:
-                raise InconsistentLedger(
-                    f"label {ref.label} names two different tables"
-                )
-    # after the bindings, so a label bound both inline and to the catalog
-    # reads as that conflict
-    for claim in ledger.certificates + ledger.witnesses:
-        for ref in (claim.source, claim.target):
-            if ref.tensor is None:
-                _check_catalog_ref(ref.name, ref.dim,
-                                   f"algebra reference {ref.label}")
+    check_references(ledger.certificates + ledger.witnesses)
     cert_pairs = {
         (c.source.label, c.target.label) for c in ledger.certificates
     }
@@ -392,9 +398,9 @@ def _pfaffian_conic_profile(inv: Invariants):
     return (1, rank(sym))
 
 
-def _classifier_label(a: StructureTensor):
+def _classifier_label(inv: Invariants):
     try:
-        res = classify_T22(a)
+        res = classify_T22(inv)
     except PreconditionViolated:
         return "outside-T22-scope"
     return getattr(res, "key", repr(res))
@@ -414,11 +420,11 @@ def separator_check(kind: str, src: Invariants, tgt: Invariants,
         "dim_square": lambda inv: inv.dim_square,
         "ann_dim": lambda inv: inv.ann_dim,
         "nilindex": lambda inv: inv.nilindex,
-        "engel_degree": lambda inv: engel_degree(inv.tensor, inv.dim + 1),
-        "jacobi": lambda inv: jacobi_holds(inv.tensor),
+        "engel_degree": lambda inv: engel_degree(inv, inv.dim + 1),
+        "jacobi": jacobi_holds,
         "centralizer_square": lambda inv: inv.centralizer_dim(2),
         "pfaffian_conic": _pfaffian_conic_profile,
-        "classifier": lambda inv: _classifier_label(inv.tensor),
+        "classifier": _classifier_label,
         "iw_partition": lambda inv: tuple(iw_max(inv, seed=seed)[0]),
     }
     if kind not in funcs:
@@ -443,6 +449,81 @@ def _monotone_audit(src: Invariants, tgt: Invariants, src_seq, tgt_seq):
     return problems
 
 
+def _certificate_entry(cert: DegenerationCertificate, records: Records) -> dict:
+    """The report entry of one certificate: its exact check, then for a
+    pass the monotone audit and, for a proper one, its separator."""
+    verdict = verify_degeneration(cert)
+    entry = {
+        "id": cert.cert_id,
+        "source": cert.source.label,
+        "target": cert.target.label,
+        "provenance": cert.provenance,
+        "status": "VERIFIED" if verdict.ok else "FAIL",
+        "reason": verdict.reason,
+    }
+    if verdict.ok:
+        src, tgt = records.invariants(cert.source), records.invariants(cert.target)
+        problems = _monotone_audit(src, tgt, records.iw_sequence(cert.source),
+                                   records.iw_sequence(cert.target))
+        if problems:
+            entry["status"] = "FAIL"
+            entry["reason"] = "; ".join(problems)
+        elif cert.proper:
+            ok, detail = separator_check(cert.separator, src, tgt, records.seed)
+            if ok is None:
+                entry["nontrivial"] = "PAPER-ASSERTED"
+            elif ok:
+                entry["nontrivial"] = "PROVED"
+                entry["separator"] = detail
+            else:
+                entry["status"] = "FAIL"
+                entry["reason"] = f"separator failed: {detail}"
+    return entry
+
+
+_WITNESS_STATUS = {"proved": "PROVED", "refutation_not_found": "FALSIFICATION-ONLY"}
+
+
+def _witness_entry(w: NonDegenerationWitness, records: Records, trials: int) -> dict:
+    """The report entry of one witness, its verdict by tier."""
+    verdict = verify_nondegeneration(w, records, trials=trials)
+    return {
+        "id": w.witness_id,
+        "kind": w.kind,
+        "source": w.source.label,
+        "target": w.target.label,
+        "provenance": w.provenance,
+        "tier": "invariant" if w.kind in INVARIANT_KINDS else "closed-set",
+        "status": _WITNESS_STATUS.get(verdict.status, "FAIL"),
+        "reason": verdict.reason,
+    }
+
+
+def _probe_entry(triples, dim: int, owner: str) -> dict:
+    """The report entry of the lower-triangular probe of one closed set."""
+    verdict = lower_triangular_invariance_probe(ClosedSetSpec(triples), dim)
+    return {
+        "triples": [list(t) for t in triples],
+        "dim": dim,
+        "first_witness": owner,
+        "status": "PASS" if verdict.ok else "FAIL",
+        "reason": verdict.reason,
+    }
+
+
+def _chain_entry(ch: Chain, cert_status: dict) -> dict:
+    """The report entry of one level chain, from its edges' statuses."""
+    ok = all(cert_status.get(eid) == "VERIFIED" for eid in ch.edges)
+    return {
+        "id": ch.chain_id,
+        "algebra": ch.algebra,
+        "dim": ch.dim,
+        "expected_level": ch.expected_level,
+        "edges": list(ch.edges),
+        "status": "VERIFIED" if ok else "FAIL",
+    }
+
+
 def run_ledger(ledger: ClaimLedger, seed: int = 0, trials: int = 200,
                dims=None) -> dict:
     """Verify every claim; returns the report as a JSON-ready dict.
@@ -456,119 +537,23 @@ def run_ledger(ledger: ClaimLedger, seed: int = 0, trials: int = 200,
     def in_scope(dim):
         return dims is None or dim in dims
 
-    cert_reports = []
-    cert_status = {}
-    # label -> (Invariants, iw rank sequence); load_ledger keeps labels unique
-    invariants = {}
+    records = Records(seed)
+    cert_reports = [_certificate_entry(cert, records)
+                    for cert in ledger.certificates if in_scope(cert.source.dim)]
+    cert_status = {e["id"]: e["status"] for e in cert_reports}
+    witnesses = [w for w in ledger.witnesses if in_scope(w.source.dim)]
+    witness_reports = [_witness_entry(w, records, trials) for w in witnesses]
+    # each closed set once, under the first witness that names it
+    probes = {(tuple(map(tuple, w.payload["triples"])), w.source.dim): w.witness_id
+              for w in reversed(witnesses) if w.kind == "ClosedSet"}
+    probe_reports = [_probe_entry(triples, dim, owner)
+                     for (triples, dim), owner in sorted(probes.items())]
+    chain_reports = [_chain_entry(ch, cert_status)
+                     for ch in ledger.chains if in_scope(ch.dim)]
 
-    def invariants_of(ref: AlgebraRef):
-        if ref.label not in invariants:
-            inv = Invariants(ref.resolve())
-            try:
-                partition, _ = iw_max(inv, seed=seed)
-            except NotEngelAt as exc:
-                raise exc.named(ref.label) from None
-            invariants[ref.label] = inv, iw_sequence(partition)
-        return invariants[ref.label]
-
-    for cert in ledger.certificates:
-        if not in_scope(cert.source.dim):
-            continue
-        verdict = verify_degeneration(cert)
-        entry = {
-            "id": cert.cert_id,
-            "source": cert.source.label,
-            "target": cert.target.label,
-            "provenance": cert.provenance,
-            "status": "VERIFIED" if verdict.ok else "FAIL",
-            "reason": verdict.reason,
-        }
-        if verdict.ok:
-            (src, src_seq), (tgt, tgt_seq) = (invariants_of(cert.source),
-                                              invariants_of(cert.target))
-            problems = _monotone_audit(src, tgt, src_seq, tgt_seq)
-            if problems:
-                entry["status"] = "FAIL"
-                entry["reason"] = "; ".join(problems)
-            elif cert.proper:
-                ok, detail = separator_check(cert.separator, src, tgt, seed)
-                if ok is None:
-                    entry["nontrivial"] = "PAPER-ASSERTED"
-                elif ok:
-                    entry["nontrivial"] = "PROVED"
-                    entry["separator"] = detail
-                else:
-                    entry["status"] = "FAIL"
-                    entry["reason"] = f"separator failed: {detail}"
-        cert_status[cert.cert_id] = entry["status"]
-        cert_reports.append(entry)
-
-    witness_reports = []
-    probes_needed = {}
-    for w in ledger.witnesses:
-        if not in_scope(w.source.dim):
-            continue
-        verdict = verify_nondegeneration(w, trials=trials, seed=seed)
-        tier1 = w.kind in ("DimSquare", "AnnDim", "IWDominance", "LieClosure")
-        if verdict.status == "proved":
-            status = "PROVED"
-        elif verdict.status == "refutation_not_found":
-            status = "FALSIFICATION-ONLY"
-        else:
-            status = "FAIL"
-        witness_reports.append({
-            "id": w.witness_id,
-            "kind": w.kind,
-            "source": w.source.label,
-            "target": w.target.label,
-            "provenance": w.provenance,
-            "tier": "invariant" if tier1 else "closed-set",
-            "status": status,
-            "reason": verdict.reason,
-        })
-        if w.kind == "ClosedSet":
-            key = (tuple(tuple(t) for t in w.payload["triples"]), w.source.dim)
-            probes_needed.setdefault(key, w.witness_id)
-
-    probe_reports = []
-    for (triples, dim), owner in sorted(probes_needed.items()):
-        verdict = lower_triangular_invariance_probe(ClosedSetSpec(triples), dim)
-        probe_reports.append({
-            "triples": [list(t) for t in triples],
-            "dim": dim,
-            "first_witness": owner,
-            "status": "PASS" if verdict.ok else "FAIL",
-            "reason": verdict.reason,
-        })
-
-    chain_reports = []
-    for ch in ledger.chains:
-        if not in_scope(ch.dim):
-            continue
-        edge_status = [cert_status.get(eid, "SKIPPED") for eid in ch.edges]
-        ok = all(s == "VERIFIED" for s in edge_status)
-        chain_reports.append({
-            "id": ch.chain_id,
-            "algebra": ch.algebra,
-            "dim": ch.dim,
-            "expected_level": ch.expected_level,
-            "edges": list(ch.edges),
-            "status": "VERIFIED" if ok else "FAIL",
-        })
-
-    composed = _composed_edges(ledger, cert_status, in_scope)
-
-    counts = {}
-    for entry in cert_reports:
-        counts[entry["status"]] = counts.get(entry["status"], 0) + 1
-    for entry in witness_reports:
-        counts[entry["status"]] = counts.get(entry["status"], 0) + 1
-    fails = (
-        [e for e in cert_reports if e["status"] == "FAIL"]
-        + [e for e in witness_reports if e["status"] == "FAIL"]
-        + [e for e in chain_reports if e["status"] == "FAIL"]
-        + [e for e in probe_reports if e["status"] == "FAIL"]
-    )
+    counts = Counter(e["status"] for e in cert_reports + witness_reports)
+    failures = sum(e["status"] == "FAIL" for e in cert_reports + witness_reports
+                   + chain_reports + probe_reports)
     return {
         "ledger": ledger.path,
         "seed": seed,
@@ -578,26 +563,25 @@ def run_ledger(ledger: ClaimLedger, seed: int = 0, trials: int = 200,
         "witnesses": witness_reports,
         "closed_set_probes": probe_reports,
         "chains": chain_reports,
-        "composed": composed,
+        "composed": _composed_edges(ledger, cert_status),
         "summary": {
             "counts": dict(sorted(counts.items())),
-            "failures": len(fails),
+            "failures": failures,
         },
     }
 
 
-def _composed_edges(ledger, cert_status, in_scope):
-    """Transitive arrows implied by two verified certificates."""
+def _composed_edges(ledger, cert_status):
+    """Transitive arrows implied by two verified certificates, each pair
+    once and none that a certificate states."""
     by_dim = {}
     for cert in ledger.certificates:
-        if cert_status.get(cert.cert_id) != "VERIFIED" or not cert.proper:
-            continue
-        if not in_scope(cert.source.dim):
-            continue
-        by_dim.setdefault(cert.source.dim, []).append(
-            (cert.source.label, cert.target.label, cert.cert_id)
-        )
-    direct = {
+        if cert_status.get(cert.cert_id) == "VERIFIED" and cert.proper:
+            by_dim.setdefault(cert.source.dim, []).append(
+                (cert.source.label, cert.target.label, cert.cert_id)
+            )
+    # the stated pairs, then each composed pair once it is listed
+    known = {
         (s, t) for edges in by_dim.values() for (s, t, _) in edges
     }
     composed = []
@@ -608,19 +592,13 @@ def _composed_edges(ledger, cert_status, in_scope):
             outgoing.setdefault(s, []).append((t, cid))
         for (s, t, cid) in edges:
             for (t2, cid2) in outgoing.get(t, []):
-                if (s, t2) not in direct and s != t2:
+                if (s, t2) not in known and s != t2:
+                    known.add((s, t2))
                     composed.append({
                         "dim": dim, "source": s, "target": t2,
                         "via": [cid, cid2],
                     })
-    seen = set()
-    unique = []
-    for entry in composed:
-        key = (entry["source"], entry["target"])
-        if key not in seen:
-            seen.add(key)
-            unique.append(entry)
-    return unique
+    return composed
 
 
 def report_to_json_bytes(report: dict) -> bytes:

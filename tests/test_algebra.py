@@ -10,7 +10,6 @@ from degenlab.algebra import (
     _engel_packing_bits,
     _malcev_holds,
     _malcev_packing_bits,
-    ann_dim,
     annihilator,
     change_basis,
     dim_square,
@@ -129,7 +128,7 @@ def test_ann_dim_is_the_annihilator_dim_on_every_shipped_label():
     assert len(refs) > 100
     for ref in refs.values():
         a = ref.resolve()
-        assert ann_dim(a) == annihilator(a).dim, ref.label
+        assert Invariants(a).ann_dim == annihilator(a).dim, ref.label
 
 
 def test_ann_dim_matches_the_oracle_on_random_tables():
@@ -140,9 +139,31 @@ def test_ann_dim_matches_the_oracle_on_random_tables():
         m, k = rng.randint(1, 5), rng.randint(0, 3)
         a = direct_sum_trivial(random_anticommutative(m, rng, spread=1), k)
         a = change_basis(a, random_lower_triangular(m + k, rng)[::-1])
-        assert ann_dim(a) == ann_dim_oracle(a), a.products
-        seen.add(ann_dim(a))
+        ann_dim = Invariants(a).ann_dim
+        assert ann_dim == ann_dim_oracle(a), a.products
+        seen.add(ann_dim)
     assert len(seen) >= 4
+
+
+def test_a_record_gives_the_identity_flags_engel_degree_and_nilpotency():
+    # the checks read the record's table, and the record's own power chain,
+    # instead of scaling the table again
+    from degenlab.catalog import PreconditionViolated, classify_T22
+
+    def classified(a):
+        try:
+            return classify_T22(a)
+        except PreconditionViolated as exc:
+            return str(exc)
+
+    for key in MANIFEST_FAMILIES:
+        for n in catalog_tested_dims(key):
+            a = instantiate(key, n)
+            inv = Invariants(a)
+            assert identity_flags(inv) == identity_flags(a), (key, n)
+            assert is_nilpotent(inv) == is_nilpotent(a), (key, n)
+            assert engel_degree(inv, n + 1) == engel_degree(a, n + 1), (key, n)
+            assert classified(inv) == classified(a), (key, n)
 
 
 def test_identity_flags_examples():
@@ -573,11 +594,11 @@ def _assert_layer_matches_oracles(a, rng):
         assert Subspace.from_vectors(n, inv.power(i)) == want, i
     assert dim_square(a) == inv.dim_square == powers[1].dim
     nil = is_nilpotent(a)
-    assert nil == is_nilpotent_oracle(a)
+    assert nil == is_nilpotent_oracle(a) == is_nilpotent(inv)
     assert inv.nilindex == nil[1]
     ann = annihilator_oracle(a)
     assert annihilator(a) == ann
-    assert ann_dim(a) == inv.ann_dim == inv.centralizer_dim(1) == ann.dim
+    assert Invariants(a).ann_dim == inv.ann_dim == inv.centralizer_dim(1) == ann.dim
     assert inv.centralizer_dim(2) == centralizer_square_dim_oracle(a)
     x, y = _fractional_vec(n, rng), _fractional_vec(n, rng)
     assert product(a, x, y) == fraction_product(a, x, y)

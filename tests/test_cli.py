@@ -176,6 +176,58 @@ def test_check_tampered_certificate_fails(tmp_path, capsys):
     assert "(2,3)" in json.loads(out)["reason"]
 
 
+@pytest.mark.parametrize("claim", ["certificate", "witness"])
+def test_check_names_an_unknown_family_as_the_loader_does(tmp_path, capsys,
+                                                          claim):
+    rec = json.loads(json.dumps(cert_by_id("T22deg.2.6") if claim == "certificate"
+                                else witness_by_id("W.ex222.b.7")))
+    rec["target"]["name"] = "nosuch"
+    path = tmp_path / "claim.json"
+    path.write_text(json.dumps(rec), encoding="utf-8")
+    label = f"nosuch@{rec['target']['dim']}"
+    assert main(["check", str(path), "--trials", "1"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: algebra reference {label}: unknown catalog family "
+            f"'nosuch'\n")
+
+
+def test_check_refuses_a_label_that_names_two_tables(tmp_path, capsys):
+    # the store keys records by label: read as one table, the zero table's
+    # square (dim 0) would not be below its own
+    wit = {"id": "w", "kind": "DimSquare",
+           "source": {"name": "x", "dim": 3, "products": []},
+           "target": {"name": "x", "dim": 3, "products": [
+               {"i": 1, "j": 2, "value": [0, 0, 1]}]}}
+    path = tmp_path / "wit.json"
+    path.write_text(json.dumps(wit), encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: label x@3 names two different tables\n")
+    wit["target"]["name"] = "y"
+    path.write_text(json.dumps(wit), encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "proved: dim source^2 = 0 < 1 = dim target^2\n"
+
+
+def test_info_builds_one_integer_table(capsys, monkeypatch):
+    # the identity flags, nilpotency, Engel degree and iw_max all read the
+    # one record cmd_info builds
+    from degenlab import algebra, contraction, degeneration
+
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return int_table(a)
+
+    int_table = algebra.int_table
+    for module in (algebra, contraction, degeneration):
+        monkeypatch.setattr(module, "int_table", counted, raising=False)
+    assert main(["info", "T32_e23", "--dim", "6"]) == 0
+    assert "jacobi / malcev" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def _cert_with_first_row(row):
     cert = json.loads(json.dumps(certificates()[0]))
     cert["basis"][0] = row

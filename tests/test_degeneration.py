@@ -20,6 +20,7 @@ from degenlab.degeneration import (
     ClosedSetSpec,
     DegenerationCertificate,
     NonDegenerationWitness,
+    Records,
     SingularFamily,
     Verdict,
     apply_parameterized_basis,
@@ -402,7 +403,7 @@ def test_witness_dim_square_proved():
         source=AlgebraRef("T22_e24", 6),
         target=AlgebraRef("T22_e23", 6),
     )
-    verdict = verify_nondegeneration(w)
+    verdict = verify_nondegeneration(w, Records())
     assert verdict.status == "proved"
     assert "2 < 3" in verdict.reason
 
@@ -413,7 +414,7 @@ def test_witness_ann_dim_proved():
         source=AlgebraRef("T22_e23", 6),
         target=AlgebraRef("T22_e24", 6),
     )
-    assert verify_nondegeneration(w).status == "proved"
+    assert verify_nondegeneration(w, Records()).status == "proved"
 
 
 def test_witness_lie_closure_proved():
@@ -422,7 +423,7 @@ def test_witness_lie_closure_proved():
         source=AlgebraRef("T32_e23", 6),
         target=AlgebraRef("T3_e34", 6),
     )
-    assert verify_nondegeneration(w).status == "proved"
+    assert verify_nondegeneration(w, Records()).status == "proved"
 
 
 def test_witness_refuted_when_invariant_goes_the_wrong_way():
@@ -431,7 +432,7 @@ def test_witness_refuted_when_invariant_goes_the_wrong_way():
         source=AlgebraRef("T22_e23", 6),
         target=AlgebraRef("T22_e24", 6),
     )
-    assert verify_nondegeneration(w).status == "refuted"
+    assert verify_nondegeneration(w, Records()).status == "refuted"
 
 
 def test_witness_iw_dominance():
@@ -441,7 +442,7 @@ def test_witness_iw_dominance():
         target=AlgebraRef("T3", 5),
         payload={"element": [1, 0, 0, 0, 0]},
     )
-    assert verify_nondegeneration(w, seed=3).status == "proved"
+    assert verify_nondegeneration(w, Records(3)).status == "proved"
 
 
 def test_ex222_membership_examples():
@@ -480,7 +481,7 @@ def test_bespoke_witness_runs_both_sides():
         target=AlgebraRef("T222_e24", 7),
         payload={"source_basis": ["e1", "e2", "e3", "e5", "e6", "e4", "e7"]},
     )
-    verdict = verify_nondegeneration(w, trials=40, seed=6)
+    verdict = verify_nondegeneration(w, Records(6), trials=40)
     assert verdict.status == "refutation_not_found"
 
 
@@ -665,7 +666,7 @@ def test_sampling_needs_a_sample(trials):
         payload={"source_basis": ["e1", "e2", "e3", "e5", "e6", "e4", "e7"]},
     )
     with pytest.raises(ValueError):
-        verify_nondegeneration(w, trials=trials, seed=6)
+        verify_nondegeneration(w, Records(6), trials=trials)
 
 
 @pytest.mark.parametrize("triple", [(9, 1, 3), (1, 5, 2), (0, 1, 2),
@@ -875,7 +876,7 @@ def test_bad_stored_source_basis_is_refuted(rows, reason):
         target=AlgebraRef("T222_e24", 7),
         payload={"source_basis": rows},
     )
-    verdict = verify_nondegeneration(w, trials=5, seed=6)
+    verdict = verify_nondegeneration(w, Records(6), trials=5)
     assert verdict.status == "refuted"
     assert reason in verdict.reason and "stored source basis" in verdict.reason
 
@@ -901,7 +902,7 @@ def test_fractional_stored_source_basis_verdicts(last, status, reason):
         target=AlgebraRef("T222_e24", 7),
         payload={"source_basis": rows},
     )
-    verdict = verify_nondegeneration(w, trials=5, seed=6)
+    verdict = verify_nondegeneration(w, Records(6), trials=5)
     assert (verdict.status, reason in verdict.reason) == (status, True)
     at_zero = [[qt_at_zero(f) for f in qt_basis_row(r, 7)] for r in rows]
     if reason in ("source meets the set", "does not land in the set"):

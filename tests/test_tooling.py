@@ -169,6 +169,29 @@ def test_only_algebra_names_the_power_chain_internals():
         ("algebra",)) == []
 
 
+def _function_names(module: str, functions) -> set:
+    """The bare names that the named functions of a package module read or
+    call (ast.Name; an attribute such as `inv.ann_dim` is not a name)."""
+    path = Path(__file__).resolve().parents[1] / "src" / "degenlab" / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = {node.name: {name.id for name in ast.walk(node)
+                         if isinstance(name, ast.Name)}
+             for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(functions) <= set(found)
+    return set().union(*(found[name] for name in functions))
+
+
+def test_the_witness_check_and_the_per_claim_functions_read_the_store():
+    # records are built and read through degeneration.Records alone: one
+    # record per label per run, whichever claim reads it first
+    banned = {"Invariants", "dim_square", "ann_dim", "iw_max", "int_table"}
+    assert _function_names("degeneration",
+                           ["verify_nondegeneration"]) & banned == set()
+    assert _function_names("verification_db", [
+        "_certificate_entry", "_witness_entry", "_probe_entry", "_chain_entry",
+        "run_ledger"]) & banned == set()
+
+
 def _strings(node):
     """The string constants an expression is or lists."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -267,7 +290,8 @@ def test_proved_and_probe_verdicts_draw_no_random_numbers(monkeypatch):
              if w.kind in ("DimSquare", "AnnDim", "LieClosure")]
     assert len(exact) == 40
     for w in exact:
-        assert degeneration.verify_nondegeneration(w).status == "proved", (
+        assert degeneration.verify_nondegeneration(
+            w, degeneration.Records()).status == "proved", (
             w.witness_id)
 
 

@@ -185,9 +185,9 @@ def test_the_run_reads_each_dominant_sequence_off_its_iw_max_label(monkeypatch):
 
 
 def test_the_run_builds_one_invariant_record_per_label(monkeypatch):
-    # iw_max reads the record the run holds for its label, so a certs-only
-    # run builds one record per label (144) and the classifier separator's
-    # classify_T22 the only others; iw_max itself builds none
+    # the run's Records store builds every record, one per label (160),
+    # witnesses included; iw_max, classify_T22 and the witness checks read
+    # the store's record and build none of their own
     built = collections.Counter()
     init = Invariants.__init__
 
@@ -196,11 +196,13 @@ def test_the_run_builds_one_invariant_record_per_label(monkeypatch):
         init(self, a)
 
     monkeypatch.setattr(Invariants, "__init__", counted)
-    obj = shipped_obj()
-    obj["witnesses"] = []
-    report = run_ledger(ledger_from_obj(obj), seed=20240917, trials=1)
+    ledger = load_ledger(shipped_ledger_path())
+    report = run_ledger(ledger, seed=20240917, trials=1)
     assert report["summary"]["failures"] == 0
-    assert built == {"invariants_of": 144, "classify_T22": 10}
+    labels = {ref.label for claim in ledger.certificates + ledger.witnesses
+              for ref in (claim.source, claim.target)}
+    assert len(labels) == 160
+    assert built == {"invariants": 160}
 
     src = Invariants(instantiate("T222", 7))
     tgt = Invariants(instantiate("T3", 7))
@@ -208,6 +210,21 @@ def test_the_run_builds_one_invariant_record_per_label(monkeypatch):
     assert separator_check("iw_partition", src, tgt) == (
         True, "iw_partition: source (2, 2, 2), target (3,)")
     assert not built
+
+
+def test_a_fresh_store_gives_each_witness_the_verdict_of_the_run():
+    # `degenlab check` hands verify_nondegeneration a fresh store; the run
+    # shares one across the ledger, and no verdict depends on which
+    ledger = load_ledger(shipped_ledger_path())
+    report = run_ledger(ledger, seed=5, trials=3)
+    assert len(ledger.witnesses) == len(report["witnesses"]) == 56
+    status = {"proved": "PROVED", "refutation_not_found": "FALSIFICATION-ONLY"}
+    for w, entry in zip(ledger.witnesses, report["witnesses"]):
+        verdict = degeneration.verify_nondegeneration(
+            w, degeneration.Records(5), trials=3)
+        assert entry["id"] == w.witness_id
+        assert (status.get(verdict.status, "FAIL"), verdict.reason) == (
+            entry["status"], entry["reason"]), w.witness_id
 
 
 def test_pfaffian_conic_profile_distinguishes_the_three_block_pair():
