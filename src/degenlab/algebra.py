@@ -308,14 +308,14 @@ def _int_centralizer_conditions(table, n: int, ws):
 class Invariants:
     """The closed invariants of one table, each computed at most once.
 
-    Built from one `int_table`: every value below reads one `_int_powers`
-    walk, taken only as far as it is read, or the identity rows for
-    dim Ann(A).
+    Built from one `int_table`, kept as `mult` and `table`: every value
+    below reads one `_int_powers` walk, taken only as far as it is read,
+    or the identity rows for dim Ann(A).
     """
 
     def __init__(self, a: StructureTensor):
         self.tensor, self.dim = a, a.dim
-        self.table = int_table(a)[1]
+        self.mult, self.table = int_table(a)
         self._walk, self._powers = _int_powers(self.table, a.dim), []
         self._centralizers = {}
 

@@ -161,9 +161,9 @@ def cmd_check(args) -> int:
         claim = (witness_from_json(obj, "cli-witness") if witness
                  else certificate_from_json(obj, "cli-cert"))
         check_references([claim])
-        verdict = (verify_nondegeneration(claim, Records(args.seed),
-                                          trials=args.trials)
-                   if witness else verify_degeneration(claim))
+        records = Records(args.seed)
+        verdict = (verify_nondegeneration(claim, records, trials=args.trials)
+                   if witness else verify_degeneration(claim, records))
     except (KeyError, ValueError) as exc:
         return _error(exc)
     payload = {

@@ -21,7 +21,9 @@ when A is nilpotent: otherwise a later candidate may still raise
 NotEngelAt, so the scan runs to the end.  The pool is built only as far
 as it is read; its random block is drawn in one go, when the scan reaches
 it or a repair needs its first alpha, so every alpha comes from the rng
-state a fully built pool would leave.
+state a fully built pool would leave.  The scan, `iw_scan`, yields the
+running best after each candidate; `iw_max` reads it to its end, and
+`degeneration.Records` only as far as a dominance verdict needs.
 
 Rank sequences are computed over the integers.  The structure constants
 are scaled by the lcm of their denominators, which turns L_x into c * L_x
@@ -47,7 +49,8 @@ from .algebra import (
     _int_left_products,
     _int_table_of,
 )
-from .linalg import Partition, int_power_rank_sequence, int_scaled, partition_from_ranks
+from .linalg import (Partition, int_power_rank_sequence, int_scaled,
+                     partition_from_ranks, random_int_rows)
 
 
 class NotEngelAt(ValueError):
@@ -175,9 +178,8 @@ class _CandidatePool:
 
     def _random_block(self):
         if self._block is None:
-            rng, n = self.rng, self.n
-            self._block = [tuple(rng.randint(-9, 9) for _ in range(n))
-                           for _ in range(self.random_count)]
+            self._block = [tuple(row) for row in random_int_rows(
+                self.rng, self.random_count, self.n, -9, 9)]
         return self._block
 
     def __iter__(self):
@@ -195,8 +197,49 @@ class _CandidatePool:
         return self.rng.randint(1, 99)
 
 
+def iw_scan(inv: Invariants, seed: int = 0, trials: int = 20):
+    """`iw_max`'s scan of a table's record: yields the running best
+    (vector, rank sequence) after each candidate, each sequence dominating
+    the ones before it, so a caller that stops early holds a lower bound.
+    Raises ValueError when trials < 1: a repair needs a perturbation.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    table, n = inv.table, inv.dim
+    bound = _rank_bound(inv)
+    pool = _CandidatePool(n, seed)
+    candidates = iter(pool)
+    best_vec = next(candidates)
+    best_seq = _int_rank_sequence(table, n, best_vec)
+    yield best_vec, best_seq
+    while best_seq != bound:
+        vec = next(candidates, None)
+        if vec is None:
+            return
+        seq = _int_rank_sequence(table, n, vec)
+        if dominates(best_seq, seq):
+            pass
+        elif dominates(seq, best_seq):
+            best_vec, best_seq = vec, seq
+        else:
+            for _ in range(trials):
+                alpha = pool.alpha()
+                cand = tuple(b + alpha * v for b, v in zip(best_vec, vec))
+                cand_seq = _int_rank_sequence(table, n, cand)
+                if dominates(cand_seq, best_seq) and dominates(cand_seq, seq):
+                    best_vec, best_seq = cand, cand_seq
+                    break
+            else:
+                raise IncomparableMaxima(
+                    f"maxima {best_seq} and {seq} stayed incomparable after "
+                    f"{trials} perturbations; input is not Engel or pool too small"
+                )
+        yield best_vec, best_seq
+
+
 def iw_max(a: StructureTensor | Invariants, seed: int = 0, trials: int = 20):
-    """Dominant one-dimensional IW contraction as (Partition, witness).
+    """Dominant one-dimensional IW contraction as (Partition, witness): the
+    last running best of `iw_scan`.
 
     a is a table or its `algebra.Invariants` record; a record is read as
     it stands, so a caller that holds one walks no power chain twice.
@@ -207,41 +250,11 @@ def iw_max(a: StructureTensor | Invariants, seed: int = 0, trials: int = 20):
     The witness is a tuple of Fractions.
     Raises ValueError when trials < 1: a repair needs a perturbation.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     inv = a if isinstance(a, Invariants) else Invariants(a)
-    table, n = inv.table, inv.dim
-    bound = _rank_bound(inv)
-    pool = _CandidatePool(n, seed)
-    candidates = iter(pool)
-    best_vec = next(candidates)
-    best_seq = _int_rank_sequence(table, n, best_vec)
-    while best_seq != bound:
-        vec = next(candidates, None)
-        if vec is None:
-            break
-        seq = _int_rank_sequence(table, n, vec)
-        if dominates(best_seq, seq):
-            continue
-        if dominates(seq, best_seq):
-            best_vec, best_seq = vec, seq
-            continue
-        repaired = False
-        for _ in range(trials):
-            alpha = pool.alpha()
-            cand = tuple(b + alpha * v for b, v in zip(best_vec, vec))
-            cand_seq = _int_rank_sequence(table, n, cand)
-            if dominates(cand_seq, best_seq) and dominates(cand_seq, seq):
-                best_vec, best_seq = cand, cand_seq
-                repaired = True
-                break
-        if not repaired:
-            raise IncomparableMaxima(
-                f"maxima {best_seq} and {seq} stayed incomparable after "
-                f"{trials} perturbations; input is not Engel or pool too small"
-            )
+    for best_vec, best_seq in iw_scan(inv, seed, trials):
+        pass
     witness = tuple(map(Fraction, best_vec))
-    return partition_from_rank_sequence(best_seq, n), witness
+    return partition_from_rank_sequence(best_seq, inv.dim), witness
 
 
 def iw_sequence(partition: Partition) -> RankSequence:

@@ -72,10 +72,9 @@ from .algebra import (
     _int_product,
     _int_table_of,
     int_change_basis,
-    int_table,
     jacobi_holds,
 )
-from .contraction import NotEngelAt, dominates, iw_max, iw_sequence, rank_sequence
+from .contraction import NotEngelAt, _rank_bound, dominates, iw_scan, rank_sequence
 from .exactnum import (
     ZPOLY_ONE,
     ZPOLY_ZERO,
@@ -87,7 +86,8 @@ from .exactnum import (
     poly_gcd,
     rational_from_obj,
 )
-from .linalg import int_reduce, int_scaled, int_scaled_inverse, int_suffix_spans
+from .linalg import (int_reduce, int_scaled, int_scaled_inverse, int_suffix_spans,
+                     random_int_rows)
 
 
 class SingularFamily(ValueError):
@@ -181,9 +181,10 @@ def clear_denominators(fs):
     return c * lcm_den, [num * cofactor[den] for num, den in fs]
 
 
-def apply_parameterized_basis(a: StructureTensor, rows):
-    """(den, N): the structure constants of `a` in the parameterized basis
-    `rows` (parsed rows of (num, den) pairs) are N / den, with den in Z[t]
+def apply_parameterized_basis(a: StructureTensor | Invariants, rows):
+    """(den, N): the structure constants of `a` (a table or its record, whose
+    `int_table` is read as it stands) in the parameterized basis `rows`
+    (parsed rows of (num, den) pairs) are N / den, with den in Z[t]
     and N = {(i, j): coordinates in Z[t]} for i < j.  Raises SingularFamily
     when the rows fail to be a basis for generic t.
 
@@ -191,12 +192,13 @@ def apply_parameterized_basis(a: StructureTensor, rows):
     (`packing_bits`), and the determinant d and N are read back as
     balanced base-X digits.
     """
-    n = a.dim
+    record = a if isinstance(a, Invariants) else Invariants(a)
+    n = record.dim
     if len(rows) != n:
         raise ValueError("basis dimension does not match the algebra")
     s, flat = clear_denominators(f for row in rows for f in row)
     g = [flat[i * n:(i + 1) * n] for i in range(n)]
-    mult, table = int_table(a)
+    mult, table = record.mult, record.table
     bits = packing_bits(g, table)
     packed = [[x.at_power_of_two(bits) for x in row] for row in g]
     d, inv = int_scaled_inverse(packed)
@@ -272,31 +274,61 @@ class AlgebraRef:
 
 class Records:
     """One run's records at one seed, keyed by label (one table each): the
-    `algebra.Invariants` of a label and the rank sequence of its `iw_max`
-    label (`contraction.iw_sequence`), built at most once, when first read.
-    A table that is not Engel raises NotEngelAt led by its label."""
+    `algebra.Invariants` of a label, built once, when first read, and one
+    `contraction.iw_scan` of its table, taken only as far as it is read.
+    A lazy audit (`iw_monotone`) may so leave a repair unreached, and never
+    raise the IncomparableMaxima that `contraction` says cannot happen for
+    Engel input.  A table that is not Engel raises NotEngelAt led by its
+    label."""
 
     def __init__(self, seed: int = 0):
-        self.seed, self._records, self._sequences = seed, {}, {}
+        self.seed, self._records, self._scans = seed, {}, {}
 
     def invariants(self, ref: AlgebraRef) -> Invariants:
         if ref.label not in self._records:
             self._records[ref.label] = Invariants(ref.resolve())
         return self._records[ref.label]
 
+    def _best(self, ref: AlgebraRef, enough=lambda seq: False):
+        """The label's running best, scanned on until `enough` holds of it
+        or the scan ends: then it is the sequence of its `iw_max` label."""
+        if ref.label not in self._scans:
+            self._scans[ref.label] = [iw_scan(self.invariants(ref), self.seed), None]
+        state = self._scans[ref.label]  # [the scan, its best so far]
+        try:
+            while state[1] is None or not enough(state[1]):
+                state[1] = next(state[0])[1]
+        except StopIteration:
+            pass
+        except Exception as exc:
+            del self._scans[ref.label]  # a later read scans and raises again
+            if isinstance(exc, NotEngelAt):
+                raise exc.named(ref.label) from None
+            raise
+        return state[1]
+
     def iw_sequence(self, ref: AlgebraRef):
-        if ref.label not in self._sequences:
-            partition, _ = self._named(ref, iw_max, seed=self.seed)
-            self._sequences[ref.label] = iw_sequence(partition)
-        return self._sequences[ref.label]
+        return self._best(ref)
+
+    def iw_monotone(self, src: AlgebraRef, tgt: AlgebraRef) -> bool:
+        """dominates(iw_sequence(src), iw_sequence(tgt)), read off running
+        bests, which every later best dominates.  A source that is not
+        nilpotent is scanned to its end, so NotEngelAt is raised as before;
+        True when the source's best dominates the target's exact
+        `_rank_bound`; else the target is scanned to its end, and the
+        source until its best dominates the target's sequence."""
+        if _rank_bound(self.invariants(src)) is None:
+            self.iw_sequence(src)
+        bound = _rank_bound(self.invariants(tgt))
+        if bound is not None and dominates(self._best(src, lambda s: True), bound):
+            return True
+        tgt_seq = self.iw_sequence(tgt)
+        return dominates(self._best(src, lambda s: dominates(s, tgt_seq)), tgt_seq)
 
     def rank_sequence(self, ref: AlgebraRef, element):
         """The rank sequence of L_element on the table of ref."""
-        return self._named(ref, rank_sequence, element)
-
-    def _named(self, ref: AlgebraRef, fn, *args, **kwargs):
         try:
-            return fn(self.invariants(ref), *args, **kwargs)
+            return rank_sequence(self.invariants(ref), element)
         except NotEngelAt as exc:
             raise exc.named(ref.label) from None
 
@@ -312,14 +344,14 @@ class DegenerationCertificate:
     cert_id: str = ""
 
 
-def verify_degeneration(cert: DegenerationCertificate) -> Verdict:
-    """Exact pass/fail for one parameterized-basis certificate.
+def verify_degeneration(cert: DegenerationCertificate, records: Records) -> Verdict:
+    """Exact pass/fail for one parameterized-basis certificate, on the
+    tables of the run's `records`.
 
     A basis of the wrong length, or a row that does not parse, is a fail
     verdict (naming the row).
     """
-    src = cert.source.resolve()
-    tgt = cert.target.resolve()
+    src, tgt = records.invariants(cert.source), records.invariants(cert.target)
     if src.dim != tgt.dim:
         return Verdict("fail", "source and target dimensions differ")
     n = src.dim
@@ -347,7 +379,7 @@ def verify_degeneration(cert: DegenerationCertificate) -> Verdict:
     zeros = (0,) * n
     for i in range(1, n):
         for j in range(i + 1, n + 1):
-            want = tgt.products.get((i, j), zeros)
+            want = tgt.tensor.products.get((i, j), zeros)
             got = limits.get((i, j), zeros)
             k = next((k for k in range(1, n + 1) if want[k - 1] != got[k - 1]), None)
             if k:
@@ -517,10 +549,7 @@ def random_invertible(dim: int, rng: random.Random, spread: int = 5):
     """(g, spans): random integer rows g and their `int_suffix_spans`;
     singular draws are redrawn."""
     while True:
-        rows = [
-            [rng.randint(-spread, spread) for _ in range(dim)]
-            for _ in range(dim)
-        ]
+        rows = random_int_rows(rng, dim, dim, -spread, spread)
         spans = int_suffix_spans(rows)
         if spans is not None:
             return rows, spans

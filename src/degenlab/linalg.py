@@ -23,6 +23,8 @@ the ranks of its powers (rank(N^m) = sum_i max(lambda_i - m, 0)).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from itertools import islice
 from math import gcd, lcm
 
 
@@ -43,6 +45,16 @@ def int_scaled(rows):
     mult = lcm(*(x.denominator for row in rows for x in row))
     return mult, [[x.numerator * (mult // x.denominator) for x in row]
                   for row in rows]
+
+
+def random_int_rows(rng, count: int, n: int, lo: int, hi: int):
+    """count rows of n draws of rng.randint(lo, hi), value for value and
+    leaving the same rng state: lo plus the first rng.getrandbits(k) below
+    span = hi - lo + 1, k = span.bit_length(), as CPython draws it."""
+    span = hi - lo + 1
+    draws = (lo + r for r in iter(partial(rng.getrandbits, span.bit_length()), -1)
+             if r < span)
+    return [list(islice(draws, n)) for _ in range(count)]
 
 
 def int_echelon(rows):

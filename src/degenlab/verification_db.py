@@ -23,12 +23,13 @@ Beside each verified certificate the runner re-checks the closed monotone
 invariants (square dimension down, annihilator dimension up, rank-sequence
 dominance of the dominant contractions), so a bad table or basis cannot
 slip through as a formally passing entry.  A run keeps one
-`degeneration.Records` store, each label's `algebra.Invariants` record and
-`iw_max` rank sequence built once, and makes each report entry with one
+`degeneration.Records` store, each label's `algebra.Invariants` record
+built once and its `iw_max` scan taken only as far as the dominance audit
+needs (`Records.iw_monotone`), and makes each report entry with one
 function per section (`_certificate_entry`, `_witness_entry`,
-`_probe_entry`, `_chain_entry`); the audit, separators and witnesses read
-only the store.  `degenlab check` hands `verify_nondegeneration` a fresh
-store after the loader's reference checks (`check_references`).
+`_probe_entry`, `_chain_entry`); the checks, audit, separators and
+witnesses read only the store.  `degenlab check` hands its one check a
+fresh store after the loader's reference checks (`check_references`).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .catalog import (
     level_lookup,
     parse_name,
 )
-from .contraction import dominates, iw_max
+from .contraction import iw_max
 from .degeneration import (
     INVARIANT_KINDS,
     AlgebraRef,
@@ -134,7 +135,7 @@ def _check_catalog_ref(name, dim: int, where: str):
     except UnknownFamily:
         raise ParseError(f"{where}: unknown catalog family {name!r}") from None
     if undefined:
-        raise ParseError(f"{where}: {name} is not defined at dim {dim}")
+        raise ParseError(f"{where}: {undefined}")
 
 
 def _string_field(rec, key: str, default, where: str) -> str:
@@ -436,15 +437,17 @@ def separator_check(kind: str, src: Invariants, tgt: Invariants,
 # --- the run ----------------------------------------------------------------
 
 
-def _monotone_audit(src: Invariants, tgt: Invariants, src_seq, tgt_seq):
-    """Closed-invariant sanity for a passing certificate src -> tgt."""
+def _monotone_audit(src: Invariants, tgt: Invariants, iw_monotone: bool):
+    """Closed-invariant sanity for a passing certificate src -> tgt;
+    `iw_monotone` is whether src's dominant rank sequence dominates tgt's
+    (`Records.iw_monotone`)."""
     problems = []
     if src.dim_square < tgt.dim_square:
         problems.append(
             f"dim square grows: {src.dim_square} -> {tgt.dim_square}")
     if src.ann_dim > tgt.ann_dim:
         problems.append(f"annihilator shrinks: {src.ann_dim} -> {tgt.ann_dim}")
-    if not dominates(src_seq, tgt_seq):
+    if not iw_monotone:
         problems.append("dominant rank sequence not monotone")
     return problems
 
@@ -452,7 +455,7 @@ def _monotone_audit(src: Invariants, tgt: Invariants, src_seq, tgt_seq):
 def _certificate_entry(cert: DegenerationCertificate, records: Records) -> dict:
     """The report entry of one certificate: its exact check, then for a
     pass the monotone audit and, for a proper one, its separator."""
-    verdict = verify_degeneration(cert)
+    verdict = verify_degeneration(cert, records)
     entry = {
         "id": cert.cert_id,
         "source": cert.source.label,
@@ -463,8 +466,8 @@ def _certificate_entry(cert: DegenerationCertificate, records: Records) -> dict:
     }
     if verdict.ok:
         src, tgt = records.invariants(cert.source), records.invariants(cert.target)
-        problems = _monotone_audit(src, tgt, records.iw_sequence(cert.source),
-                                   records.iw_sequence(cert.target))
+        problems = _monotone_audit(
+            src, tgt, records.iw_monotone(cert.source, cert.target))
         if problems:
             entry["status"] = "FAIL"
             entry["reason"] = "; ".join(problems)

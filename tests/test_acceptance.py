@@ -23,6 +23,7 @@ from degenlab.catalog import (
 from degenlab.contraction import iw_max
 from degenlab.degeneration import (
     _R_FLAGS,
+    Records,
     ex222_membership,
     randomized_orbit_refute,
     verify_degeneration,
@@ -69,7 +70,7 @@ def test_criterion_1_certificate_suite(ledger):
     ]
     failures = []
     for cert in lemma_certs:
-        verdict = verify_degeneration(cert)
+        verdict = verify_degeneration(cert, Records())
         if verdict.status != "pass":
             failures.append((cert.cert_id, verdict.reason))
     elapsed = time.time() - start

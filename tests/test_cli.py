@@ -817,7 +817,7 @@ def _one_cert_ledger(case):
 
 @pytest.mark.parametrize("case, detail", [
     ("unknown-family", "unknown catalog family 'nosuch'"),
-    ("dim-out-of-range", "T22_e45 is not defined at dim 6"),
+    ("dim-out-of-range", "T22_e45 requires n >= 7, got n = 6"),
     ("unknown-partition", "unknown catalog family 'T9'"),
     ("name-not-a-string", "name is not a string"),
     ("unknown-separator", "unknown separator 7"),
@@ -828,7 +828,7 @@ def _one_cert_ledger(case):
     ("unknown-witness-kind", "unknown witness kind 'Nosuch'"),
     ("chain-unknown-family", "unknown catalog family 'nosuch'"),
     ("padded-name", "algebra reference  eta2@5: unknown catalog family ' eta2'"),
-    ("chain-dim-above-the-ceiling", "chain ch: zero is not defined at dim 100000000"),
+    ("chain-dim-above-the-ceiling", "chain ch: zero: n = 100000000 exceeds MAX_DIM = 64"),
     ("provenance-not-a-string", "provenance must be a string, got [1]"),
     ("witness-provenance-not-a-string", "provenance must be a string, got [1]"),
     ("dim-float", "'dim': 7.9}: dim is not an integer"),

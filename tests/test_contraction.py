@@ -21,6 +21,7 @@ from degenlab.contraction import (
     dominates,
     iw_contract,
     iw_max,
+    iw_scan,
     iw_sequence,
     partition_from_rank_sequence,
     rank_sequence,
@@ -356,6 +357,16 @@ def test_iw_max_on_shipped_labels_is_that_of_full_matrix_powers(monkeypatch):
 def test_iw_max_reads_a_record_as_it_reads_its_table():
     for seed, (label, a) in enumerate(sorted(_shipped_tables().items())):
         assert iw_max(Invariants(a), seed=seed) == iw_max(a, seed=seed), label
+
+
+def test_iw_scan_bests_rise_to_the_iw_max_label():
+    # each running best dominates the ones before it, and the last one is
+    # the sequence of iw_max's label, so a caller that stops early holds a
+    # lower bound and one that reads to the end holds iw_max's answer
+    for seed, (label, a) in enumerate(sorted(_shipped_tables().items())):
+        bests = [seq for _, seq in iw_scan(Invariants(a), seed)]
+        assert all(dominates(q, p) for p, q in zip(bests, bests[1:])), label
+        assert iw_sequence(iw_max(a, seed=seed)[0]) == bests[-1], label
 
 
 def test_the_candidate_pool_is_the_oracle_pool_in_integers():

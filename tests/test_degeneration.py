@@ -82,7 +82,7 @@ def test_verify_unparsable_row_is_a_failure_verdict(row, detail):
         target=AlgebraRef("n3", 3),
         basis_rows=("e1", row, "e3"),
     )
-    verdict = verify_degeneration(cert)
+    verdict = verify_degeneration(cert, Records())
     assert verdict.status == "fail"
     assert verdict.reason.startswith(f"basis row 2 {row!r} does not parse: ")
     assert detail in verdict.reason
@@ -94,7 +94,7 @@ def test_verify_basis_of_the_wrong_length_is_a_failure_verdict():
         target=AlgebraRef("n3", 3),
         basis_rows=("e1", "e2"),
     )
-    verdict = verify_degeneration(cert)
+    verdict = verify_degeneration(cert, Records())
     assert verdict.status == "fail"
     assert verdict.reason == "expected 3 basis rows, got 2"
 
@@ -168,7 +168,7 @@ def test_clear_denominators_keeps_the_degree_of_the_reduced_lcm():
 
 
 def _verdict(cert):
-    v = verify_degeneration(cert)
+    v = verify_degeneration(cert, Records())
     return (v.status, v.reason, v.data)
 
 
@@ -336,7 +336,7 @@ def test_verify_identity_certificate():
         target=AlgebraRef("T22_e45", 7),
         basis_rows=tuple(f"e{k}" for k in range(1, 8)),
     )
-    assert verify_degeneration(cert).status == "pass"
+    assert verify_degeneration(cert, Records()).status == "pass"
 
 
 def test_verify_pole_is_a_failure_verdict():
@@ -345,7 +345,7 @@ def test_verify_pole_is_a_failure_verdict():
         target=AlgebraRef("n3", 3),
         basis_rows=("(1/t)*e1", "e2", "e3"),
     )
-    verdict = verify_degeneration(cert)
+    verdict = verify_degeneration(cert, Records())
     assert verdict.status == "fail"
     assert "pole" in verdict.reason
     assert verdict.data["position"] == (1, 2, 3)
@@ -357,7 +357,7 @@ def test_verify_paper_arrow_with_limit_mismatch_detected():
         target=AlgebraRef("T22_e23", 6),  # wrong target on purpose
         basis_rows=("e1", "e2+e3", "t*e3", "t*e4", "e5+e6", "t*e6"),
     )
-    verdict = verify_degeneration(cert)
+    verdict = verify_degeneration(cert, Records())
     assert verdict.status == "fail"
     assert "target has" in verdict.reason
 

@@ -27,6 +27,7 @@ from degenlab.linalg import (
     kernel_basis,
     partition_from_ranks,
     power_rank_sequence,
+    random_int_rows,
     rank,
 )
 from degenlab.algebra import annihilator, left_mult_matrix
@@ -403,3 +404,17 @@ def test_partition_rank_duality_round_trip(p):
     # rank(N^m) = sum_i max(lambda_i - m, 0), truncated at zero
     ranks = [sum(max(q - m, 0) for q in p) for m in range(1, p[0])]
     assert partition_from_ranks(ranks, sum(p)) == p
+
+
+def test_random_int_rows_draws_as_randint_draws():
+    # the values and the rng state of one rng.randint(lo, hi) per entry, row
+    # by row, at the spans of orbit sampling (11) and of the iw_max pool
+    # (19); iw_max's repairs draw their alphas after the pool's block, so
+    # the next randint must match too
+    for seed in range(200):
+        for lo, hi in ((-5, 5), (-9, 9)):
+            got, want = random.Random(seed), random.Random(seed)
+            assert random_int_rows(got, 6, 7, lo, hi) == [
+                [want.randint(lo, hi) for _ in range(7)] for _ in range(6)]
+            assert got.randint(1, 99) == want.randint(1, 99)
+            assert got.getstate() == want.getstate()

@@ -255,7 +255,8 @@ def test_the_certificate_check_hands_only_ints_to_the_integer_kernels(monkeypatc
     monkeypatch.setattr(degeneration, "int_change_basis",
                         spy(degeneration.int_change_basis, [2, 3]))
     certs = load_ledger(shipped_ledger_path()).certificates
-    assert all(degeneration.verify_degeneration(c).ok for c in certs)
+    records = degeneration.Records()
+    assert all(degeneration.verify_degeneration(c, records).ok for c in certs)
     assert [name for name, _ in matrices] == (
         ["int_scaled_inverse", "int_change_basis", "int_change_basis"]
         * len(certs))

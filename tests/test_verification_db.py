@@ -1,6 +1,7 @@
 import collections
 import copy
 import importlib.util
+import inspect
 import json
 import random
 import sys
@@ -9,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from degenlab import contraction, degeneration, verification_db
+from degenlab import catalog, contraction, degeneration, verification_db
 from degenlab.algebra import Invariants, StructureTensor, change_basis
 from degenlab.catalog import MANIFEST_FAMILIES, build_manifest, instantiate
 from degenlab.catalog import tested_dims as catalog_tested_dims
-from degenlab.contraction import rank_sequence
+from degenlab.contraction import dominates, iw_max, iw_sequence, rank_sequence
 from degenlab.verification_db import (
     InconsistentLedger,
     ParseError,
@@ -27,7 +28,7 @@ from degenlab.verification_db import (
     separator_check,
     shipped_ledger_path,
 )
-from oracles import random_lower_triangular
+from oracles import iw_max_oracle, random_lower_triangular
 from paperdata import build_ledger
 
 
@@ -210,6 +211,75 @@ def test_the_run_builds_one_invariant_record_per_label(monkeypatch):
     assert separator_check("iw_partition", src, tgt) == (
         True, "iw_partition: source (2, 2, 2), target (3,)")
     assert not built
+
+
+@pytest.mark.parametrize("seed", [20240917, 1, 5])
+def test_iw_monotone_is_the_dominance_of_full_scans(seed):
+    # every shipped certificate pair, and its reverse (where dominance often
+    # fails), against iw_max_oracle's full scan with no rank bound: once on
+    # the run's shared store, whose scans earlier pairs have advanced, and
+    # once on a fresh store, whose scans start at their first candidate
+    full = {}
+
+    def oracle(ref):
+        if ref.label not in full:
+            partition, _ = iw_max_oracle(ref.resolve(), seed=seed)
+            full[ref.label] = iw_sequence(partition)
+        return full[ref.label]
+
+    shared = degeneration.Records(seed)
+    answers = collections.Counter()
+    for cert in load_ledger(shipped_ledger_path()).certificates:
+        for src, tgt in ((cert.source, cert.target), (cert.target, cert.source)):
+            want = dominates(oracle(src), oracle(tgt))
+            assert shared.iw_monotone(src, tgt) == want, (src.label, tgt.label)
+            assert degeneration.Records(seed).iw_monotone(src, tgt) == want
+            answers[want] += 1
+    assert answers[True] >= 133 and answers[False] > 0
+
+
+def test_a_scan_left_in_part_finishes_as_a_fresh_iw_max():
+    ledger = load_ledger(shipped_ledger_path())
+    records = degeneration.Records(20240917)
+    for cert in ledger.certificates:
+        assert records.iw_monotone(cert.source, cert.target)
+    refs = {ref.label: ref for cert in ledger.certificates
+            for ref in (cert.source, cert.target)}
+    left = [label for label, (scan, _) in records._scans.items()
+            if inspect.getgeneratorstate(scan) != inspect.GEN_CLOSED]
+    assert len(left) > 50
+    for label in left:
+        partition, _ = iw_max(refs[label].resolve(), seed=20240917)
+        assert records.iw_sequence(refs[label]) == iw_sequence(partition), label
+
+
+def test_a_certificate_run_builds_each_table_once_and_few_rank_sequences(
+        monkeypatch):
+    # certificates only, as the ledger-certs benchmark runs them: the check,
+    # the audit and the separators read the store's tables, so each catalog
+    # label is instantiated once (331 calls when each certificate check
+    # resolved its own), and the audit scans each label only as far as its
+    # verdict needs (2222 rank sequences when every iw_max ran to its end)
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    obj = shipped_obj()
+    ledger = ledger_from_obj(dict(obj, witnesses=[]))
+    catalog_labels = {ref.label for cert in ledger.certificates
+                      for ref in (cert.source, cert.target) if ref.tensor is None}
+    monkeypatch.setattr(catalog, "instantiate",
+                        counted("instantiate", catalog.instantiate))
+    monkeypatch.setattr(contraction, "_int_rank_sequence",
+                        counted("rank", contraction._int_rank_sequence))
+    report = run_ledger(ledger, seed=20240917, trials=200)
+    assert report["summary"] == {"counts": {"VERIFIED": 133}, "failures": 0}
+    assert counts["instantiate"] == len(catalog_labels) == 108
+    assert counts["rank"] <= 800
 
 
 def test_a_fresh_store_gives_each_witness_the_verdict_of_the_run():
