@@ -2,14 +2,12 @@
 
 from .exactnum import (
     DivisionByZero,
-    Rational,
     ZPoly,
     parse_rational_function,
 )
 from .linalg import (
     Partition,
     Singular,
-    Subspace,
     invert,
     kernel_basis,
     rank,
@@ -29,11 +27,9 @@ from .algebra import (
 )
 from .contraction import (
     IncomparableMaxima,
-    NotASubalgebra,
     NotEngelAt,
     RankSequence,
     dominates,
-    iw_contract,
     iw_max,
     rank_sequence,
 )
@@ -48,7 +44,6 @@ from .degeneration import (
     Verdict,
     apply_parameterized_basis,
     closed_set_member,
-    ex222_membership,
     lower_triangular_invariance_probe,
     randomized_orbit_refute,
     verify_degeneration,
@@ -60,10 +55,7 @@ from .catalog import (
     LevelAtLeast6,
     LevelValue,
     NeedsExtension,
-    NotSkew,
-    NotSurjective,
     PreconditionViolated,
-    build_skew_pair_algebra,
     classify_T22,
     expected_iw_max,
     instantiate,

@@ -16,8 +16,9 @@ i in supp alpha), keeping only the nonzero ones, instead of sampling.
 Matrices are lists of rows.  Every closed invariant runs over Z on the
 table scaled by the lcm L of its denominators (`int_table`); Fraction
 appears only at the API boundary (`product`'s result, the rows of
-`left_mult_matrix`, the RREF bases of `power_ideal` and `annihilator`,
-`kernel_basis` on at most n integer rows).  `StructureTensor.from_json_obj`
+`left_mult_matrix`).  `power_ideal` and `annihilator` return integer
+echelon rows: the record's `power(i)`, and the `linalg.kernel_basis` of
+at most n integer conditions.  `StructureTensor.from_json_obj`
 is the one reader of the JSON table format.  The power chain (A^i, the
 nilpotency index, the centralizer of A^2) is exact because scaling the
 table or a spanning set by a nonzero integer changes no Q-span: A^{i+1}
@@ -52,7 +53,6 @@ from itertools import islice
 from .exactnum import rational_from_obj, rational_to_obj
 from .linalg import (
     Singular,
-    Subspace,
     int_echelon,
     int_scaled,
     int_scaled_inverse,
@@ -279,10 +279,11 @@ def left_mult_matrix(a: StructureTensor, vec):
     return [[Fraction(p[j][k], scale) for j in range(n)] for k in range(n)]
 
 
-def power_ideal(a: StructureTensor, i: int) -> Subspace:
-    """A^i with A^1 the whole space and A^i = A(A^{i-1}) + (A^{i-1})A."""
+def power_ideal(a: StructureTensor, i: int):
+    """Integer echelon rows of A^i, with A^1 the whole space and
+    A^i = A(A^{i-1}) + (A^{i-1})A."""
     # anticommutativity makes the two summands equal
-    return Subspace.from_vectors(a.dim, Invariants(a).power(i))
+    return Invariants(a).power(i)
 
 
 def dim_square(a: StructureTensor) -> int:
@@ -357,15 +358,16 @@ class Invariants:
         return None if powers[-1] else len(powers)
 
 
-def annihilator(a: StructureTensor) -> Subspace:
-    """{x : x A = A x = 0}; for anticommutative tables one side suffices.
+def annihilator(a: StructureTensor):
+    """Integer echelon rows of {x : x A = A x = 0}; for anticommutative
+    tables one side suffices.
 
     The n^2 x n conditions x e_j = 0 are read off the integer table and
-    reduced to at most n integer rows before they are solved over Q.
+    reduced to at most n integer rows before `kernel_basis` solves them.
     """
     n = a.dim
     rows = _int_centralizer_conditions(int_table(a)[1], n, _int_identity(n))
-    return kernel_basis(rows) if rows else Subspace.full(n)
+    return kernel_basis(rows) if rows else _int_identity(n)
 
 
 def int_change_basis(table, n: int, rows, inv):

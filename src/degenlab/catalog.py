@@ -29,25 +29,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Callable, NamedTuple
 
 from .algebra import MAX_DIM, Invariants, StructureTensor, engel_degree
 from .exactnum import ZPoly, poly_gcd
-from .linalg import Partition, _int_rank, int_scaled, rank
+from .linalg import Partition, _int_rank, int_scaled
 
 
 class DimensionOutOfRange(ValueError):
     """Family instantiated outside its dimension bound."""
-
-
-class NotSkew(ValueError):
-    """Skew-pair constructor fed a non-skew-symmetric matrix."""
-
-
-class NotSurjective(ValueError):
-    """Skew pair whose image does not span the two-dimensional target."""
 
 
 class PreconditionViolated(ValueError):
@@ -387,40 +378,7 @@ def build_manifest() -> dict:
     return {"families": entries}
 
 
-# --- skew pairs and the T22 classifier ------------------------------------
-
-
-def build_skew_pair_algebra(p_entries, q_entries) -> StructureTensor:
-    """U x U -> k^2 skew pair as an algebra on U + k^2.
-
-    p_entries/q_entries are (n-2)x(n-2) rational matrices; entry (i, j)
-    gives the e_{n-1} / e_n component of e_i e_j.
-    """
-    p = [[Fraction(x) for x in row] for row in p_entries]
-    q = [[Fraction(x) for x in row] for row in q_entries]
-    d = len(p)
-    if any(len(row) != d for row in p) or len(q) != d or any(len(r) != d for r in q):
-        raise ValueError("skew pair matrices must be square and equal-sized")
-    for mat, tag in ((p, "first"), (q, "second")):
-        for i in range(d):
-            if mat[i][i] != 0:
-                raise NotSkew(f"{tag} matrix has nonzero diagonal")
-            for j in range(i + 1, d):
-                if mat[i][j] != -mat[j][i]:
-                    raise NotSkew(f"{tag} matrix is not skew-symmetric")
-    pairs = [(p[i][j], q[i][j]) for i in range(d) for j in range(i + 1, d)]
-    if rank(pairs) != 2:
-        raise NotSurjective("pair image does not span the 2-dimensional target")
-    n = d + 2
-    table = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            if p[i][j] or q[i][j]:
-                vec = [Fraction(0)] * n
-                vec[n - 2] = p[i][j]
-                vec[n - 1] = q[i][j]
-                table[(i + 1, j + 1)] = tuple(vec)
-    return StructureTensor(n, table)
+# --- the skew net and the T22 classifier ----------------------------------
 
 
 def _skew_net(a: StructureTensor, square):

@@ -1,4 +1,4 @@
-"""Inonu-Wigner contractions and the dominant one-dimensional contraction.
+"""Rank sequences and the dominant one-dimensional Inonu-Wigner contraction.
 
 The rank sequence r_m(x) = rank((L_x)^m) of an element controls which
 one-dimensional contractions dominate which: IW_x dominates IW_y exactly
@@ -66,10 +66,6 @@ class NotEngelAt(ValueError):
         return NotEngelAt(self.element, f"{label}: {self}")
 
 
-class NotASubalgebra(ValueError):
-    """IW contraction asked with respect to a span that is not closed."""
-
-
 class IncomparableMaxima(RuntimeError):
     """Sampled maximal rank sequences could not be made comparable."""
 
@@ -117,33 +113,6 @@ def dominates(p: RankSequence, q: RankSequence) -> bool:
     if len(q) > len(p):
         return False
     return all(p[i] >= q[i] for i in range(len(q)))
-
-
-def iw_contract(a: StructureTensor, m: int) -> StructureTensor:
-    """IW contraction with respect to the subalgebra <e_1, ..., e_m>.
-
-    The result keeps the subalgebra block and the high components of the
-    mixed products; everything else is scaled away by the t-limit.
-    """
-    n = a.dim
-    if not (1 <= m < n):
-        raise ValueError("need 1 <= m < n")
-    for (i, j), vec in a.products.items():
-        if j <= m and any(vec[m:]):
-            raise NotASubalgebra(
-                f"e{i}e{j} leaves the span of the first {m} coordinates"
-            )
-    table = {}
-    for (i, j), vec in a.products.items():
-        if j <= m:
-            kept = vec
-        elif i <= m < j:
-            kept = (Fraction(0),) * m + vec[m:]
-        else:
-            continue
-        if any(kept):
-            table[(i, j)] = kept
-    return StructureTensor(n, table)
 
 
 def _rank_bound(inv: Invariants):

@@ -513,17 +513,6 @@ _R_QUADRATICS = (
 )
 
 
-def ex222_membership(a: StructureTensor) -> bool:
-    """Exact membership in the bespoke lower-triangular-stable set R.
-
-    Only defined in dimension 7: flag containments plus seven homogeneous
-    quadratic relations between structure constants, so R is a cone.
-    """
-    if a.dim != 7:
-        raise ValueError("the set R lives in dimension 7")
-    return closed_set_member(a, _R_FLAGS) and _r_quadratics_hold(a)
-
-
 def _r_quadratics_hold(a: StructureTensor) -> bool:
     """The quadratic relations of R, for a seven-dimensional table."""
     for relation in _R_QUADRATICS:

@@ -1,6 +1,6 @@
 """Exact scalars: rationals and integer polynomials in t.
 
-  Rational  -- an alias of fractions.Fraction (arbitrary precision)
+  Fraction  -- fractions.Fraction, the one rational type
   ZPoly     -- a polynomial in t with int coefficients, the one polynomial
                type: the entries of the certificate check, packed into
                ints at t = 2^B for its linear algebra
@@ -17,7 +17,10 @@ ord_t num < ord_t den, and otherwise num[v] / den[v] with v = ord_t den.
 Neither side depends on whether the pair is reduced.
 
 A small expression parser accepts the text syntax used in ledger files:
-integer literals, `t`, `+ - * / ^ ( )`, e.g. `1/t^2` or `(t+1)/t`.
+integer literals, `t`, `+ - * / ^ ( )`, e.g. `1/t^2` or `(t+1)/t`.  A
+power is expanded by repeated multiplication, so it is refused, before
+it is expanded, when its num or den would pass degree `MAX_DEGREE`; the
+exponent of a constant is held to `MAX_DEGREE` too.
 """
 
 from __future__ import annotations
@@ -25,7 +28,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-Rational = Fraction
+# The largest degree in t that a parsed power may reach.  Text comes from
+# outside the program (ledger, certificate and witness files), and
+# `((t^64)^64)^64` would reach degree 262144 from 14 characters; the
+# shipped ledger's largest exponent is 5.
+MAX_DEGREE = 64
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -305,6 +312,7 @@ _ONE = (ZPOLY_ONE, ZPOLY_ONE)
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -356,6 +364,11 @@ class _Parser:
                 self.next()
                 neg = True
             exp = self.expect("int")[1]
+            degree = max(len(value[0].coeffs), len(value[1].coeffs)) - 1
+            if exp * max(degree, 1) > MAX_DEGREE:
+                raise ExprSyntaxError(
+                    f"power ^{'-' * neg}{exp} in {self.text!r} exceeds "
+                    f"MAX_DEGREE = {MAX_DEGREE}")
             if neg and exp:
                 value = _div(_ONE, value)
             out = _ONE

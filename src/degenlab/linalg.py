@@ -12,9 +12,10 @@ at t = 2^B (`degeneration.packing_bits`).  It needs only + - * and exact
 // of its entries, so it runs over any integral domain with exact //,
 such as `exactnum.ZPoly`, unchanged.
 `int_scaled` is the one place where rational rows are scaled to integer
-rows; tables, bases, elements and pencils all go through it.
-Subspaces are kept in reduced row-echelon form (`_rref`, over Q) so that
-equality is a structural check.
+rows; tables, bases, elements and pencils all go through it.  A null
+space (`kernel_basis`) is read off the `int_echelon` of [M^T | I], so
+spans and null spaces come out as integer echelon rows, and Fraction
+appears only in the result of `invert`.
 
 `partition_from_ranks` reads the block sizes of a nilpotent operator off
 the ranks of its powers (rank(N^m) = sum_i max(lambda_i - m, 0)).
@@ -176,52 +177,20 @@ def rank(rows) -> int:
     return _int_rank(int_scaled(rows)[1])
 
 
-def _rref(entries):
-    """Reduced row echelon form over a field; returns (rows, pivot_cols)."""
-    rows = [row[:] for row in entries]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[: len(pivots)], pivots
+def kernel_basis(rows):
+    """Integer echelon rows spanning {x : M x = 0} for nonempty rational
+    rows M with n columns: n - rank M of them.
 
-
-def kernel_basis(rows) -> "Subspace":
-    """Null space of nonempty rational rows, in reduced echelon form.
-
-    The rows are lifted to Fraction first: `_rref` divides with `/`, which
-    would turn integer rows into floats.
+    Row j of [M^T | I] is (e_j M^T, e_j), so its `int_echelon` spans
+    every (u M^T, u).  The echelon rows with a zero M^T part are its last
+    ones, n - rank M of them; their I parts are independent and each has
+    u M^T = 0.
     """
-    rref_rows, pivots = _rref([[Fraction(x) for x in row] for row in rows])
-    n = len(rows[0])
-    free = [c for c in range(n) if c not in pivots]
-    vecs = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref_rows[r][fc]
-        vecs.append(v)
-    return Subspace.from_vectors(n, vecs)
+    scaled = int_scaled(rows)[1]
+    m, n = len(scaled), len(scaled[0])
+    aug = [[row[j] for row in scaled] + [int(i == j) for i in range(n)]
+           for j in range(n)]
+    return [row[m:] for row in int_echelon(aug) if not any(row[:m])]
 
 
 def invert(rows):
@@ -237,46 +206,6 @@ def invert(rows):
     if not d:
         raise Singular("matrix has zero determinant")
     return [[Fraction(mult * x, d) for x in row] for row in inv]
-
-
-class Subspace:
-    """Subspace of QQ^n held as an RREF basis with increasing pivots."""
-
-    __slots__ = ("ambient_dim", "basis")
-
-    def __init__(self, ambient_dim: int, basis):
-        self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(Fraction(x) for x in row) for row in basis)
-
-    @staticmethod
-    def from_vectors(ambient_dim: int, vectors) -> "Subspace":
-        vecs = [list(map(Fraction, v)) for v in vectors if any(v)]
-        if not vecs:
-            return Subspace(ambient_dim, ())
-        rows, _ = _rref(vecs)
-        return Subspace(ambient_dim, rows)
-
-    @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, [[int(i == j) for j in range(ambient_dim)]
-                                      for i in range(ambient_dim)])
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
-
-    def __repr__(self):
-        return f"Subspace(dim {self.dim} of QQ^{self.ambient_dim})"
 
 
 class Partition(tuple):

@@ -609,7 +609,8 @@ def report_to_json_bytes(report: dict) -> bytes:
 
 
 def hasse_dot(report: dict, dim: int) -> str:
-    """DOT digraph of verified (solid) and composed (dashed) arrows."""
+    """DOT digraph of verified (solid, grey when not claimed proper) and
+    composed (dashed) arrows."""
     lines = [f'digraph "degenerations_dim{dim}" {{', "  rankdir=TB;"]
     nodes = set()
     edges = []
@@ -621,8 +622,9 @@ def hasse_dot(report: dict, dim: int) -> str:
             continue
         nodes.add(src)
         nodes.add(tgt)
-        style = "solid" if entry.get("nontrivial") else "solid, color=gray"
-        edges.append(f'  "{src}" -> "{tgt}" [style="{style}"];')
+        attrs = ('style="solid"' if entry.get("nontrivial")
+                 else "style=solid, color=gray")
+        edges.append(f'  "{src}" -> "{tgt}" [{attrs}];')
     for entry in report["composed"]:
         if entry["dim"] != dim:
             continue

@@ -4,8 +4,11 @@ Deliberately separate from the package's linear algebra: plain Gaussian
 elimination over Fraction, direct product-span row reduction, and a direct
 annihilator solve.  Tests freeze the numbers these produce.  The former
 Fraction bodies of the algebra layer (products, power ideals, annihilator,
-centralizer of the square) are kept here too; they build the package's
-`Subspace` over Fraction, so whole subspaces can be compared.  The Q(t)
+centralizer of the square) are kept here too, on this module's own
+Fraction RREF: `Subspace` holds a subspace as its reduced row echelon
+basis, so whole subspaces can be compared, and `kernel_oracle` reads a
+null space off the RREF, the reference for the package's integer
+`linalg.kernel_basis`.  The Q(t)
 oracles of the certificate check run on sympy's rational function field.
 The inverse-based orbit sampling and lower-triangular probe, which write
 out the whole orbit point of every sample, are the reference for the
@@ -521,6 +524,96 @@ def bareiss_entries(rows):
     return seen
 
 
+# --- subspaces over Fraction ---------------------------------------------
+#
+# The package's former RREF and Subspace: a subspace of Q^n held as its
+# reduced row echelon basis, so equal subspaces compare equal.
+
+
+def _rref(entries):
+    """Reduced row echelon form over a field; returns (rows, pivot_cols)."""
+    rows = [row[:] for row in entries]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows[: len(pivots)], pivots
+
+
+class Subspace:
+    """Subspace of QQ^n held as an RREF basis with increasing pivots."""
+
+    __slots__ = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim: int, basis):
+        self.ambient_dim = ambient_dim
+        self.basis = tuple(tuple(Fraction(x) for x in row) for row in basis)
+
+    @staticmethod
+    def from_vectors(ambient_dim: int, vectors) -> "Subspace":
+        vecs = [list(map(Fraction, v)) for v in vectors if any(v)]
+        if not vecs:
+            return Subspace(ambient_dim, ())
+        rows, _ = _rref(vecs)
+        return Subspace(ambient_dim, rows)
+
+    @staticmethod
+    def full(ambient_dim: int) -> "Subspace":
+        return Subspace(ambient_dim, [[int(i == j) for j in range(ambient_dim)]
+                                      for i in range(ambient_dim)])
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Subspace)
+            and self.ambient_dim == other.ambient_dim
+            and self.basis == other.basis
+        )
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.basis))
+
+    def __repr__(self):
+        return f"Subspace(dim {self.dim} of QQ^{self.ambient_dim})"
+
+
+def kernel_oracle(rows) -> Subspace:
+    """Null space of nonempty rational rows, read off their RREF: one
+    vector per free column."""
+    rref_rows, pivots = _rref([[Fraction(x) for x in row] for row in rows])
+    n = len(rows[0])
+    vecs = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rref_rows[r][fc]
+        vecs.append(v)
+    return Subspace.from_vectors(n, vecs)
+
+
 # --- the algebra layer over Fraction ------------------------------------
 #
 # The former bodies of algebra.product, subspace_product, power_ideal,
@@ -551,8 +644,6 @@ def left_mult_oracle(a, vec):
 
 
 def subspace_product_oracle(a, u, w):
-    from degenlab.linalg import Subspace
-
     vecs = []
     for x in u.basis:
         for y in w.basis:
@@ -563,8 +654,6 @@ def subspace_product_oracle(a, u, w):
 
 
 def power_ideal_oracle(a, i):
-    from degenlab.linalg import Subspace
-
     full = Subspace.full(a.dim)
     cur = full
     for _ in range(i - 1):
@@ -573,8 +662,6 @@ def power_ideal_oracle(a, i):
 
 
 def is_nilpotent_oracle(a):
-    from degenlab.linalg import Subspace
-
     full = Subspace.full(a.dim)
     cur = full
     m = 1
@@ -589,19 +676,15 @@ def is_nilpotent_oracle(a):
 
 
 def annihilator_oracle(a):
-    from degenlab.linalg import kernel_basis
-
     n = a.dim
     rows = []
     for j in range(1, n + 1):
         for k in range(n):
             rows.append([a.constant(i, j, k + 1) for i in range(1, n + 1)])
-    return kernel_basis(rows)
+    return kernel_oracle(rows)
 
 
 def centralizer_square_dim_oracle(a):
-    from degenlab.linalg import kernel_basis
-
     square = power_ideal_oracle(a, 2)
     if square.dim == 0:
         return a.dim
@@ -611,13 +694,11 @@ def centralizer_square_dim_oracle(a):
     for w in square.basis:
         for k in range(n):
             rows.append([fraction_product(a, basis[i], w)[k] for i in range(n)])
-    return kernel_basis(rows).dim
+    return kernel_oracle(rows).dim
 
 
 def generated_subalgebra(a, vec):
     """Smallest subalgebra containing vec (for anticommutative input: <vec>)."""
-    from degenlab.linalg import Subspace
-
     cur = Subspace.from_vectors(a.dim, [vec])
     while True:
         nxt = Subspace.from_vectors(

@@ -24,7 +24,8 @@ from degenlab.contraction import iw_max
 from degenlab.degeneration import (
     _R_FLAGS,
     Records,
-    ex222_membership,
+    _r_quadratics_hold,
+    closed_set_member,
     randomized_orbit_refute,
     verify_degeneration,
 )
@@ -229,14 +230,15 @@ def test_criterion_6_bespoke_set_reproduction():
     special = instantiate("T222_e7special", 7)
     perm = [0, 1, 2, 4, 5, 3, 6]
     rows = [[Fraction(int(j == perm[i])) for j in range(7)] for i in range(7)]
-    inside = ex222_membership(change_basis(special, rows))
+    moved = change_basis(special, rows)
+    inside = closed_set_member(moved, _R_FLAGS) and _r_quadratics_hold(moved)
     v1 = randomized_orbit_refute(
         instantiate("T22_e45", 7), _R_FLAGS, trials=1000, seed=SEED,
-        cone=ex222_membership,
+        cone=_r_quadratics_hold,
     )
     v2 = randomized_orbit_refute(
         instantiate("T222_e24", 7), _R_FLAGS, trials=1000, seed=SEED,
-        cone=ex222_membership,
+        cone=_r_quadratics_hold,
     )
     elapsed = time.time() - start
     _report(

@@ -27,7 +27,7 @@ from degenlab.catalog import MANIFEST_FAMILIES, instantiate
 from degenlab.catalog import tested_dims as catalog_tested_dims
 from degenlab.verification_db import load_ledger
 from degenlab.verification_db import shipped_ledger_path
-from degenlab.linalg import Subspace, Singular, int_scaled_inverse
+from degenlab.linalg import Singular, int_scaled_inverse
 
 from oracles import change_basis_oracle, fraction_inverse, matmul, pairs_of
 from oracles import engel_degree_oracle, engel_powers_oracle
@@ -36,6 +36,7 @@ from oracles import jacobi_oracle, malcev_oracle, malcev_terms_oracle
 from oracles import ann_dim_oracle, generated_subalgebra, square_dim_oracle
 from oracles import direct_sum_trivial, random_anticommutative, random_lower_triangular
 from oracles import (
+    Subspace,
     annihilator_oracle,
     centralizer_square_dim_oracle,
     fraction_product,
@@ -88,10 +89,11 @@ def test_product_dimension_mismatch():
 
 def test_power_ideals_of_the_four_chain():
     a = instantiate("T4", 5)
-    assert power_ideal(a, 1) == Subspace.full(5)
-    assert power_ideal(a, 3) == Subspace.from_vectors(5, [e_vec(5, 4), e_vec(5, 5)])
-    assert power_ideal(a, 5).dim == 0
-    assert [power_ideal(a, i).dim for i in range(1, 7)] == [5, 3, 2, 1, 0, 0]
+    assert power_ideal(a, 1) == identity(5)
+    assert Subspace.from_vectors(5, power_ideal(a, 3)) == Subspace.from_vectors(
+        5, [e_vec(5, 4), e_vec(5, 5)])
+    assert power_ideal(a, 5) == []
+    assert [len(power_ideal(a, i)) for i in range(1, 7)] == [5, 3, 2, 1, 0, 0]
 
 
 def test_is_nilpotent_examples():
@@ -102,15 +104,26 @@ def test_is_nilpotent_examples():
 
 
 def test_annihilator_examples():
-    assert annihilator(StructureTensor(5)).dim == 5
-    a = instantiate("T22", 6)
-    assert annihilator(a) == Subspace.from_vectors(
-        6, [e_vec(6, 4), e_vec(6, 5), e_vec(6, 6)]
-    )
-    b = instantiate("T22_e23", 6)
-    assert annihilator(b) == Subspace.from_vectors(
-        6, [e_vec(6, 4), e_vec(6, 5), e_vec(6, 6)]
-    )
+    assert annihilator(StructureTensor(5)) == identity(5)
+    top = Subspace.from_vectors(6, [e_vec(6, 4), e_vec(6, 5), e_vec(6, 6)])
+    for key in ("T22", "T22_e23"):
+        assert Subspace.from_vectors(6, annihilator(instantiate(key, 6))) == top
+
+
+def test_annihilator_matches_the_oracle_on_every_manifest_family():
+    # integer echelon rows spanning the Fraction RREF annihilator, at every
+    # tested dimension of every family
+    count = 0
+    for key in MANIFEST_FAMILIES:
+        for n in catalog_tested_dims(key):
+            a = instantiate(key, n)
+            ann = annihilator(a)
+            assert all(type(x) is int for row in ann for x in row), (key, n)
+            pivots = [next(c for c, x in enumerate(row) if x) for row in ann]
+            assert pivots == sorted(set(pivots)), (key, n)
+            assert Subspace.from_vectors(n, ann) == annihilator_oracle(a), (key, n)
+            count += 1
+    assert count >= 70
 
 
 def test_dims_pin_against_independent_oracle():
@@ -118,7 +131,7 @@ def test_dims_pin_against_independent_oracle():
                    ("T222_e7special", 7), ("T32_e23", 6), ("eta3", 7)):
         a = instantiate(key, n)
         assert dim_square(a) == square_dim_oracle(a)
-        assert annihilator(a).dim == ann_dim_oracle(a)
+        assert len(annihilator(a)) == ann_dim_oracle(a)
 
 
 def test_ann_dim_is_the_annihilator_dim_on_every_shipped_label():
@@ -128,7 +141,7 @@ def test_ann_dim_is_the_annihilator_dim_on_every_shipped_label():
     assert len(refs) > 100
     for ref in refs.values():
         a = ref.resolve()
-        assert Invariants(a).ann_dim == annihilator(a).dim, ref.label
+        assert Invariants(a).ann_dim == len(annihilator(a)), ref.label
 
 
 def test_ann_dim_matches_the_oracle_on_random_tables():
@@ -434,7 +447,7 @@ def test_change_basis_invariants():
         g = rand_invertible(n, rng)
         b = change_basis(a, g)
         assert dim_square(a) == dim_square(b)
-        assert annihilator(a).dim == annihilator(b).dim
+        assert len(annihilator(a)) == len(annihilator(b))
         assert is_nilpotent(a) == is_nilpotent(b)
         assert engel_degree(a, n) == engel_degree(b, n)
         assert identity_flags(a) == identity_flags(b)
@@ -506,7 +519,7 @@ def test_direct_sum_trivial():
     assert direct_sum_trivial(a, 0) == a
     padded = direct_sum_trivial(a, 2)
     assert padded.dim == 5
-    assert annihilator(padded).dim == annihilator(a).dim + 2
+    assert len(annihilator(padded)) == len(annihilator(a)) + 2
     # same table at n=5 after moving the product target to the top slot
     rows = identity(5)
     rows[2], rows[4] = rows[4], rows[2]
@@ -589,7 +602,7 @@ def _assert_layer_matches_oracles(a, rng):
         powers.append(subspace_product_oracle(a, full, powers[-1]))
     inv = Invariants(a)
     for i, want in enumerate(powers, start=1):
-        assert power_ideal(a, i) == want, i
+        assert Subspace.from_vectors(n, power_ideal(a, i)) == want, i
         # one walk gives the whole chain; past its end a power repeats the last
         assert Subspace.from_vectors(n, inv.power(i)) == want, i
     assert dim_square(a) == inv.dim_square == powers[1].dim
@@ -597,7 +610,7 @@ def _assert_layer_matches_oracles(a, rng):
     assert nil == is_nilpotent_oracle(a) == is_nilpotent(inv)
     assert inv.nilindex == nil[1]
     ann = annihilator_oracle(a)
-    assert annihilator(a) == ann
+    assert Subspace.from_vectors(n, annihilator(a)) == ann
     assert Invariants(a).ann_dim == inv.ann_dim == inv.centralizer_dim(1) == ann.dim
     assert inv.centralizer_dim(2) == centralizer_square_dim_oracle(a)
     x, y = _fractional_vec(n, rng), _fractional_vec(n, rng)

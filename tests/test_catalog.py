@@ -16,8 +16,6 @@ from degenlab.catalog import (
     LevelAtLeast6,
     LevelValue,
     NeedsExtension,
-    NotSkew,
-    NotSurjective,
     MANIFEST_FAMILIES,
     PreconditionViolated,
     _binary_form_gcd,
@@ -25,7 +23,6 @@ from degenlab.catalog import (
     _pencil_generic_rank,
     _skew_net,
     build_manifest,
-    build_skew_pair_algebra,
     classify_T22,
     expected_iw_max,
     instantiate,
@@ -36,7 +33,8 @@ from degenlab.catalog import tested_dims as catalog_tested_dims
 from degenlab.linalg import Partition
 from degenlab.verification_db import shipped_ledger_path
 
-from oracles import fraction_inverse, pencil_rank_oracle, random_lower_triangular
+from oracles import Subspace, fraction_inverse, pencil_rank_oracle
+from oracles import random_lower_triangular
 
 
 def test_instantiate_examples():
@@ -70,30 +68,11 @@ def test_parse_name_round_trip():
 
 
 def test_build_skew_pair_canonical_pair_is_the_level_five_structure():
-    d = 5
-    p = [[0] * d for _ in range(d)]
-    q = [[0] * d for _ in range(d)]
-
-    def put(mat, i, j):
-        mat[i - 1][j - 1] = 1
-        mat[j - 1][i - 1] = -1
-
-    put(p, 1, 2)          # e1e2 -> first target coordinate
-    put(q, 1, 3)          # e1e3 -> second target coordinate
-    put(q, 2, 4)          # M4 lower-left
-    put(q, 3, 5)          # M5 lower-right
-    algebra = build_skew_pair_algebra(p, q)
-    assert algebra.dim == 7
+    # the skew pair on U = <e1, ..., e5> with target <e6, e7>: the first
+    # form is e1e2, the second e1e3 plus the M4 and M5 blocks e2e4, e3e5
+    algebra = StructureTensor.from_pairs(7, [(1, 2, 6), (1, 3, 7),
+                                             (2, 4, 7), (3, 5, 7)])
     assert classify_T22(algebra).key == "T22_e45"
-
-
-def test_build_skew_pair_validation():
-    bad = [[0, 1], [1, 0]]
-    ok = [[0, 1], [-1, 0]]
-    with pytest.raises(NotSkew):
-        build_skew_pair_algebra(bad, ok)
-    with pytest.raises(NotSurjective):
-        build_skew_pair_algebra(ok, [[0, 2], [-2, 0]])
 
 
 def test_classify_examples():
@@ -273,8 +252,8 @@ def _catalog_pencils():
     pencils = []
     for a in _two_block_tables():
         square = power_ideal(a, 2)
-        if square.dim == 2:
-            net = _skew_net(a, square.basis)
+        if len(square) == 2:
+            net = _skew_net(a, square)
             pencils.append(([[w[0] for w in row] for row in net],
                             [[w[1] for w in row] for row in net]))
     return pencils
@@ -290,7 +269,8 @@ def test_skew_net_reads_only_the_pivots_of_the_square():
     squares = set()
     for a in tables:
         rows = Invariants(a).power(2)
-        assert _skew_net(a, rows) == _skew_net(a, power_ideal(a, 2).basis)
+        rref = Subspace.from_vectors(a.dim, rows).basis
+        assert _skew_net(a, rows) == _skew_net(a, rref)
         squares.add(len(rows))
     assert len(tables) >= 60 and squares >= {0, 1, 2, 3}
 

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -260,6 +264,48 @@ def test_verify_paper_unparsable_certificate_row_is_a_fail_entry(
     assert entry["status"] == "FAIL"
     assert entry["reason"].startswith(f"basis row 1 {row!r} does not parse: ")
     assert report["summary"]["failures"] == 1
+
+
+def _check_within_a_minute(tmp_path, claim):
+    """`python -m degenlab check` on a claim, killed after 60 s: a power
+    expanded term by term would run for minutes."""
+    path = tmp_path / "claim.json"
+    path.write_text(json.dumps(claim), encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run(
+        [sys.executable, "-m", "degenlab", "check", str(path), "--trials", "1"],
+        capture_output=True, text=True, env=env, timeout=60)
+
+
+# a power past exactnum.MAX_DEGREE, as the text that parses it
+HUGE_POWERS = [("t^100000*e1", "^100000", "t^100000"),
+               ("t^-100000*e1", "^-100000", "t^-100000"),
+               ("((t^64)^64)^64*e1", "^64", "((t^64)^64)^64")]
+
+
+@pytest.mark.parametrize("row, power, text", HUGE_POWERS)
+def test_check_fails_a_certificate_row_with_a_huge_power(tmp_path, row,
+                                                         power, text):
+    done = _check_within_a_minute(tmp_path, _cert_with_first_row(row))
+    assert (done.returncode, done.stderr) == (2, "")
+    assert done.stdout == (
+        f"fail: basis row 1 {row!r} does not parse: power {power} in "
+        f"{text!r} exceeds MAX_DEGREE = 64\n")
+
+
+@pytest.mark.parametrize("row, power, text", HUGE_POWERS)
+def test_check_refuses_a_witness_source_basis_with_a_huge_power(tmp_path, row,
+                                                                power, text):
+    wit = json.loads(json.dumps(witness_by_id("W.ex222.b.7")))
+    wit["payload"]["source_basis"][0] = row
+    done = _check_within_a_minute(tmp_path, wit)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (
+        f"error: witness W.ex222.b.7: payload.source_basis: power {power} "
+        f"in {text!r} exceeds MAX_DEGREE = 64\n")
 
 
 def test_check_bespoke_witness_exits_three(tmp_path, capsys):

@@ -14,12 +14,10 @@ from degenlab.catalog import tested_dims as catalog_tested_dims
 from degenlab import contraction
 from degenlab.algebra import Invariants
 from degenlab.contraction import (
-    NotASubalgebra,
     NotEngelAt,
     RankSequence,
     _rank_bound,
     dominates,
-    iw_contract,
     iw_max,
     iw_scan,
     iw_sequence,
@@ -56,42 +54,6 @@ def test_dominates_examples():
     assert dominates(RankSequence((3, 1)), RankSequence(()))
     assert not dominates(RankSequence((4,)), RankSequence((3, 1)))
     assert not dominates(RankSequence((3, 1)), RankSequence((4,)))
-
-
-def test_iw_contract_fixes_already_contracted_table():
-    a = instantiate("T22", 5)
-    assert iw_contract(a, 1) == a
-
-
-def test_iw_contract_keeps_mixed_products_and_kills_doubly_scaled_ones():
-    # one scaled argument and a scaled output cancel: the product survives
-    # (this is why the Heisenberg algebras contract onto a single pair)
-    eta1 = StructureTensor.from_pairs(3, [(1, 2, 3)])
-    assert iw_contract(eta1, 1) == eta1
-    # a product with both arguments in the complement picks up a net factor
-    # of t and dies in the limit
-    eta2 = instantiate("eta2", 5)
-    assert iw_contract(eta2, 1) == StructureTensor.from_pairs(5, [(1, 2, 5)])
-
-
-def test_iw_contract_zero_algebra():
-    z = StructureTensor(4)
-    assert iw_contract(z, 2) == z
-
-
-def test_iw_contract_requires_a_subalgebra():
-    # <e1, e2> is not closed in the Heisenberg table
-    with pytest.raises(NotASubalgebra):
-        iw_contract(StructureTensor.from_pairs(3, [(1, 2, 3)]), 2)
-
-
-def test_iw_contract_output_shape():
-    a = instantiate("T3_e23", 5)
-    chi = iw_contract(a, 1)
-    assert chi == instantiate("T3", 5)
-    # complement has zero square inside the contraction
-    for (i, j) in chi.products:
-        assert i == 1
 
 
 def test_iw_max_examples():
@@ -144,20 +106,6 @@ def test_iw_max_witness_dominates_pool_members():
     for _ in range(30):
         v = tuple(Fraction(rng.randint(-9, 9)) for _ in range(8))
         assert dominates(top, rank_sequence(a, v))
-
-
-def test_iw_contract_complement_is_an_abelian_ideal():
-    # every IW contraction is a trivial singular extension: the scaled
-    # complement has zero square, and the subalgebra block is unchanged
-    for key, n, m in (("T22_e24", 6, 1), ("T222_e7special", 7, 1),
-                      ("T4_e23", 5, 1)):
-        a = instantiate(key, n)
-        chi = iw_contract(a, m)
-        for (i, j), _ in chi.products.items():
-            assert i <= m  # no product with both factors in the complement
-        for (i, j), vec in a.products.items():
-            if j <= m:
-                assert chi.products.get((i, j)) == vec
 
 
 def test_rank_sequence_not_engel():

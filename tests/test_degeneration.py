@@ -16,6 +16,7 @@ from degenlab.degeneration import (
     _hit_pairs,
     _orbit_meets,
     _pair_map_verdict,
+    _r_quadratics_hold,
     AlgebraRef,
     ClosedSetSpec,
     DegenerationCertificate,
@@ -26,7 +27,6 @@ from degenlab.degeneration import (
     apply_parameterized_basis,
     clear_denominators,
     closed_set_member,
-    ex222_membership,
     lower_triangular_invariance_probe,
     packing_bits,
     parse_basis_row,
@@ -445,31 +445,36 @@ def test_witness_iw_dominance():
     assert verify_nondegeneration(w, Records(3)).status == "proved"
 
 
+def _in_r(a):
+    """Membership in the bespoke closed set R of dimension 7."""
+    return closed_set_member(a, _R_FLAGS) and _r_quadratics_hold(a)
+
+
 def test_ex222_membership_examples():
     special = instantiate("T222_e7special", 7)
     perm = [0, 1, 2, 4, 5, 3, 6]
     rows = [[Fraction(int(j == perm[i])) for j in range(7)] for i in range(7)]
-    assert ex222_membership(change_basis(special, rows))
-    assert ex222_membership(StructureTensor(7))
-    assert not ex222_membership(instantiate("T22_e45", 7))
+    assert _in_r(change_basis(special, rows))
+    assert _in_r(StructureTensor(7))
+    assert not _in_r(instantiate("T22_e45", 7))
 
 
 def test_randomized_orbit_refute_finds_planted_member():
     special = instantiate("T222_e7special", 7)
     verdict = randomized_orbit_refute(
-        special, _R_FLAGS, trials=400, seed=8, cone=ex222_membership
+        special, _R_FLAGS, trials=400, seed=8, cone=_r_quadratics_hold
     )
     # the orbit of the special structure does meet R; sampling may or may
     # not find it, but a found basis must be a genuine membership witness
     if verdict.status == "refuted":
         rows = [[Fraction(x) for x in row] for row in verdict.data["basis"]]
-        assert ex222_membership(change_basis(special, rows))
+        assert _in_r(change_basis(special, rows))
 
 
 def test_randomized_orbit_refute_misses_for_e45():
     verdict = randomized_orbit_refute(
         instantiate("T22_e45", 7), _R_FLAGS, trials=60, seed=8,
-        cone=ex222_membership,
+        cone=_r_quadratics_hold,
     )
     assert verdict.status == "refutation_not_found"
 
@@ -637,12 +642,12 @@ def test_bespoke_set_membership_is_scale_invariant():
     rng = random.Random(3)
     cases = [inside, special, instantiate("T22_e45", 7)]
     cases += [change_basis(inside, random_lower_triangular(7, rng)) for _ in range(5)]
-    verdicts = [ex222_membership(t) for t in cases]
+    verdicts = [_in_r(t) for t in cases]
     assert verdicts[0] and not verdicts[1] and not verdicts[2]
     assert all(verdicts[3:])
     for tensor, verdict in zip(cases, verdicts):
         for c in SCALES:
-            assert ex222_membership(_scaled(tensor, c)) == verdict
+            assert _in_r(_scaled(tensor, c)) == verdict
 
 
 def test_orbit_refute_basis_renders_as_before():
@@ -658,7 +663,7 @@ def test_orbit_refute_basis_renders_as_before():
 def test_sampling_needs_a_sample(trials):
     with pytest.raises(ValueError):
         randomized_orbit_refute(instantiate("T22_e45", 7), _R_FLAGS,
-                                trials=trials, seed=1, cone=ex222_membership)
+                                trials=trials, seed=1, cone=_r_quadratics_hold)
     w = NonDegenerationWitness(
         kind="BespokeR",
         source=AlgebraRef("T222_e7special", 7),
@@ -837,8 +842,8 @@ def test_bespoke_sampling_matches_the_inverse_path():
     special = instantiate("T222_e7special", 7)
     for seed in (8, 20240917):
         got = randomized_orbit_refute(special, _R_FLAGS, 100, seed,
-                                      cone=ex222_membership)
-        assert got == inverse_orbit_refute(special, ex222_membership, 100, seed)
+                                      cone=_r_quadratics_hold)
+        assert got == inverse_orbit_refute(special, _in_r, 100, seed)
 
 
 def test_orbit_membership_matches_the_inverse_path():
@@ -907,7 +912,7 @@ def test_fractional_stored_source_basis_verdicts(last, status, reason):
     at_zero = [[qt_at_zero(f) for f in qt_basis_row(r, 7)] for r in rows]
     if reason in ("source meets the set", "does not land in the set"):
         moved = change_basis(instantiate("T222_e7special", 7), at_zero)
-        assert ex222_membership(moved) == (status == "refutation_not_found")
+        assert _in_r(moved) == (status == "refutation_not_found")
     elif "singular" in reason:
         assert fraction_inverse(at_zero) is None
     else:

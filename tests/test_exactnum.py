@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sympy import Poly, Symbol
 
 from degenlab.exactnum import (
+    MAX_DEGREE,
     DivisionByZero,
     ExprSyntaxError,
     ZPoly,
@@ -55,6 +56,25 @@ def test_syntax_errors_are_refused():
     for text in ("t t", "2*", "(t", "t^t", "x", "", "t^2^3"):
         with pytest.raises(ExprSyntaxError):
             parse(text)
+
+
+def test_a_power_past_max_degree_is_refused_before_it_is_expanded():
+    # degree MAX_DEGREE itself parses, in num or den and after a power
+    # of a power; one more is refused with the text, whatever its sign
+    assert MAX_DEGREE == 64
+    assert parse("t^64") == (ZPoly((0,) * 64 + (1,)), ZPoly((1,)))
+    assert parse("(t^2+1)^32")[0].coeffs[-1] == 1
+    assert parse("((t^4)^4)^4/(t+1)^-64")[0].coeffs[-1] == 1
+    assert parse("(1/t^3)^-21") == (ZPoly((0,) * 63 + (1,)), ZPoly((1,)))
+    assert parse("2^64") == (ZPoly((2 ** 64,)), ZPoly((1,)))
+    for text, power in (("t^65", "^65"), ("(t^2+1)^33", "^33"),
+                        ("1/t^-100000", "^-100000"),
+                        ("((t^64)^64)^64", "^64"), ("(t/(t+1))^-65", "^-65"),
+                        ("9^65", "^65"), ("0^100000", "^100000")):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(text)
+        assert str(info.value) == (
+            f"power {power} in {text!r} exceeds MAX_DEGREE = 64")
 
 
 def test_eval_at_zero_cases():

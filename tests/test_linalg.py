@@ -16,7 +16,6 @@ from degenlab.exactnum import parse_rational_function as parse
 from degenlab.linalg import (
     Partition,
     Singular,
-    Subspace,
     int_echelon,
     int_power_rank_sequence,
     int_reduce,
@@ -34,7 +33,7 @@ from degenlab.algebra import annihilator, left_mult_matrix
 from degenlab.catalog import instantiate
 
 from oracles import field_rank, fraction_inverse, matmul, qt_inverse, row_reduce_dim
-from oracles import power_rank_sequence_oracle
+from oracles import Subspace, kernel_oracle, power_rank_sequence_oracle
 from oracles import qt_parse, qt_value
 
 
@@ -70,25 +69,26 @@ def test_rank_of_left_multiplication_in_the_two_block_algebra():
 
 
 def test_kernel_examples():
-    assert kernel_basis(zero(2)).dim == 2
-    assert kernel_basis(identity(3)).dim == 0
+    assert kernel_basis(zero(2)) == identity(2)
+    assert kernel_basis(identity(3)) == []
     # left multiplication by e1 in T3 at n=4 kills exactly e1 and e4
     a = instantiate("T3", 4)
     ker = kernel_basis(left_mult_matrix(a, e_vec(4, 1)))
-    assert ker == Subspace.from_vectors(4, [e_vec(4, 1), e_vec(4, 4)])
+    assert Subspace.from_vectors(4, ker) == Subspace.from_vectors(
+        4, [e_vec(4, 1), e_vec(4, 4)])
 
 
 def test_kernel_basis_and_annihilator_of_integer_rows_are_exact():
-    # the pivot 3 divides: integer rows must not turn into floats
+    # the pivot 3 divides nothing: the null space comes out as integer rows
     ker = kernel_basis([[3, 1, 0, 0], [0, 0, 0, 1]])
-    assert ker.basis == ((1, -3, 0, 0), (0, 0, 1, 0))
-    assert all(type(x) is Fraction for row in ker.basis for x in row)
+    assert ker == [[-1, 3, 0, 0], [0, 0, 1, 0]]
+    assert all(type(x) is int for row in ker for x in row)
     # e1 e3 = 3 e4 and e2 e3 = e4: Ann = <3 e2 - e1, e4> from the integer
     # condition 3 x1 + x2 = 0 (and x3 = 0)
     a = StructureTensor(4, {(1, 3): (0, 0, 0, 3), (2, 3): (0, 0, 0, 1)})
     ann = annihilator(a)
-    assert ann.basis == ((1, -3, 0, 0), (0, 0, 0, 1))
-    assert all(type(x) is Fraction for row in ann.basis for x in row)
+    assert ann == [[-1, 3, 0, 0], [0, 0, 0, 1]]
+    assert all(type(x) is int for row in ann for x in row)
 
 
 def test_rank_plus_kernel_dimension():
@@ -96,7 +96,45 @@ def test_rank_plus_kernel_dimension():
     for _ in range(25):
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(4)]
                 for _ in range(rng.randint(1, 5))]
-        assert rank(rows) + kernel_basis(rows).dim == 4
+        assert rank(rows) + len(kernel_basis(rows)) == 4
+
+
+def _random_rational_rows(rng, m, n):
+    """m x n rational rows: sparse, fractional, and for a third of the
+    draws of rank at most 1 plus a random combination row."""
+    rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * (rng.random() < 0.6)
+             for _ in range(n)] for _ in range(m)]
+    if rng.random() < 1 / 3:
+        base = rows[0]
+        rows = [[rng.randint(-2, 2) * x for x in base] for _ in range(m)]
+    if m > 1 and rng.random() < 0.5:
+        rows[-1] = [2 * x - Fraction(1, 3) * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+def test_kernel_basis_spans_the_fraction_rref_null_space():
+    # 2400 seeded random rational matrices of every shape up to 9 x 9,
+    # among them zero, 1 x n and m x 1 matrices and rank-deficient ones:
+    # the integer kernel is n - rank echelon rows spanning the RREF kernel
+    rng = random.Random(2309)
+    shapes = set()
+    deficient = 0
+    for trial in range(2400):
+        m, n = 1 + trial % 9, 1 + (trial // 9) % 9
+        rows = (_random_rational_rows(rng, m, n) if trial % 40
+                else [[Fraction(0)] * n for _ in range(m)])
+        ker = kernel_basis(rows)
+        r = row_reduce_dim(rows)
+        assert len(ker) == n - r
+        assert all(type(x) is int for row in ker for x in row)
+        pivots = [next(c for c, x in enumerate(row) if x) for row in ker]
+        assert pivots == sorted(set(pivots))
+        assert Subspace.from_vectors(n, ker) == kernel_oracle(rows)
+        shapes.add((m == 1, n == 1, r == 0))
+        deficient += 0 < r < min(m, n)
+    assert shapes >= {(True, False, False), (False, True, False),
+                      (False, False, True), (True, True, True)}
+    assert deficient > 400
 
 
 def test_int_suffix_spans_decide_membership_in_every_suffix_span():

@@ -111,21 +111,24 @@ def _public_definitions(tree):
 
 
 def test_linalg_and_algebra_define_no_api_that_only_tests_reach():
-    # every public name of the two layers is used by the package itself or
-    # is a tracer target; an export from __init__ is not a use
+    # every public name of the numeric, algebra, contraction, catalog and
+    # degeneration layers is read by the package itself or is a tracer
+    # target; an export from __init__ is not a use, and neither is the
+    # assignment that defines a name
     package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in package.glob("*.py") if path.stem != "__init__"}
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     traced = {(module, attr) for module, attr, _ in _tracer().TARGETS}
     unused = [f"{module}.{qualified}"
-              for module in ("linalg", "algebra")
+              for module in ("exactnum", "linalg", "algebra", "contraction",
+                             "catalog", "degeneration")
               for qualified, name in _public_definitions(trees[module])
               if name not in used and (module, qualified) not in traced]
     assert unused == []
@@ -153,11 +156,19 @@ def _package_names(banned, allowed_modules):
 
 
 def test_only_linalg_and_algebra_name_the_fraction_subspace():
-    # the run paths above the algebra layer work on integer echelon rows;
-    # Subspace and the ideals and annihilator built on it stay inside the
-    # two layers (and the exports of __init__)
+    # spans and null spaces are integer echelon rows: no package module
+    # defines or names a Fraction RREF or a Subspace (the tests' oracles
+    # keep their own), and the run paths above the algebra layer read the
+    # ideals and the annihilator through algebra.Invariants
+    assert _package_names({"Subspace", "_rref"}, ()) == []
+    package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
+    defined = [(path.stem, node.name) for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name in ("Subspace", "_rref")]
+    assert defined == []
     assert _package_names(
-        {"Subspace", "power_ideal", "subspace_product", "annihilator"},
+        {"power_ideal", "subspace_product", "annihilator"},
         ("linalg", "algebra", "__init__")) == []
 
 

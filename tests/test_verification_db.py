@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -132,6 +133,36 @@ def test_hasse_dot_contains_solid_and_declared_nodes():
     assert '"T4@5" -> "T3@5"' in dot
     assert '"n3@5" -> "zero@5"' in dot
     assert "digraph" in dot
+
+
+def _edge_attributes(dot):
+    """(source, target, {key: value}) for each edge line of a DOT digraph,
+    its attribute list read as comma-separated key=value pairs (a value is
+    a bare word or a quoted string, whose quotes are dropped)."""
+    edges = []
+    for line in dot.splitlines():
+        if "->" not in line:
+            continue
+        match = re.fullmatch(r'  "([^"]+)" -> "([^"]+)" \[(.*)\];', line)
+        assert match, line
+        pairs = re.findall(r'(\w+)=("[^"]*"|[^",\s]+)', match[3])
+        assert ", ".join(f"{k}={v}" for k, v in pairs) == match[3], line
+        edges.append((match[1], match[2], {k: v.strip('"') for k, v in pairs}))
+    return edges
+
+
+def test_hasse_dot_edges_have_a_style_name_and_grey_edges_a_color():
+    # style is a list of style names; the grey of an arrow that is not
+    # claimed proper must be its own color attribute
+    ledger = load_ledger(shipped_ledger_path())
+    report = run_ledger(ledger, seed=2, trials=5, dims=[5])
+    edges = _edge_attributes(hasse_dot(report, 5))
+    assert all(attrs["style"] in ("solid", "dashed") and set(attrs) <= {"style", "color"}
+               for _, _, attrs in edges)
+    grey = [(src, tgt) for src, tgt, attrs in edges if attrs.get("color") == "gray"]
+    assert grey
+    assert all(attrs["style"] == "solid" for _, _, attrs in edges
+               if attrs.get("color") == "gray")
 
 
 def test_separator_battery():
