@@ -383,14 +383,11 @@ def int_change_basis(table, n: int, rows, inv):
     for i in range(n - 1):
         for j in range(i + 1, n):
             p = _int_product(table, n, rows[i], rows[j])
-            if not any(p):
-                continue
-            coords = tuple(
-                sum(p[r] * inv[r][k] for r in range(n) if p[r])
-                for k in range(n)
-            )
-            if any(coords):
-                out[(i + 1, j + 1)] = coords
+            if any(p):
+                coords = tuple(map(sum, zip(*([x * y for y in inv[r]]
+                                              for r, x in enumerate(p) if x))))
+                if any(coords):
+                    out[(i + 1, j + 1)] = coords
     return out
 
 

@@ -15,13 +15,14 @@ gives G = s g in Z[t]^(n x n).
 (Bareiss, 1968), and `int_change_basis` on the table scaled by L gives the
 constants N in the basis d L G, so those of g are N / (L s d).  Both
 kernels run on plain ints: G is evaluated at t = 2^B (Kronecker
-substitution), and d and N are read back as balanced base-2^B digits.
+substitution), and only d is read back as balanced base-2^B digits.
 `packing_bits` bounds the coefficients of every value the kernels test
 for zero or hand back, so their ints are the images of the same
 computation over Z[t].  A constant has a pole at 0 iff
-ord_t N < v = ord_t(L s d), and otherwise its limit is N[v] / (L s d)[v]
-(`exactnum.limit_at_zero`): gcds are taken only to find s, and that
-quotient is the only Fraction formed.
+ord_t N < v = ord_t(L s d), and otherwise its limit is N[v] / (L s d)[v],
+both read off packed N (`exactnum.packed_limit_at_zero`).  One `==` with
+the target's products passes a certificate; a mismatch walks the
+constants in order to name the first that differs.
 
 Non-degenerations are two-tiered.  Invariant witnesses (dimension of the
 square, dimension of the annihilator, rank-sequence dominance, the Jacobi
@@ -82,6 +83,7 @@ from .exactnum import (
     add_pairs,
     content,
     limit_at_zero,
+    packed_limit_at_zero,
     parse_rational_function,
     poly_gcd,
     rational_from_obj,
@@ -178,19 +180,16 @@ def clear_denominators(fs):
                 lcm_den = lcm_den * prim // poly_gcd(lcm_den, prim)
     cofactor = {den: (c // k) * (lcm_den // prim)
                 for den, (k, prim) in parts.items()}
-    return c * lcm_den, [num * cofactor[den] for num, den in fs]
+    return c * lcm_den, [num * cofactor[den] if num else num for num, den in fs]
 
 
 def apply_parameterized_basis(a: StructureTensor | Invariants, rows):
-    """(den, N): the structure constants of `a` (a table or its record, whose
-    `int_table` is read as it stands) in the parameterized basis `rows`
-    (parsed rows of (num, den) pairs) are N / den, with den in Z[t]
-    and N = {(i, j): coordinates in Z[t]} for i < j.  Raises SingularFamily
-    when the rows fail to be a basis for generic t.
-
-    The integer kernels run on the values at t = X = 2^B of G in Z[t]
-    (`packing_bits`), and the determinant d and N are read back as
-    balanced base-X digits.
+    """(den, N, B): the structure constants of `a` (a table or its record,
+    whose `int_table` is read as it stands) in the parameterized basis
+    `rows` (parsed rows of (num, den) pairs) are N / den, with den in Z[t]
+    and N = {(i, j): coordinates} for i < j, each the value at t = X = 2^B
+    of a polynomial with coefficients strictly inside +-X/2 (`packing_bits`).
+    Raises SingularFamily when the rows fail to be a basis for generic t.
     """
     record = a if isinstance(a, Invariants) else Invariants(a)
     n = record.dim
@@ -200,14 +199,12 @@ def apply_parameterized_basis(a: StructureTensor | Invariants, rows):
     g = [flat[i * n:(i + 1) * n] for i in range(n)]
     mult, table = record.mult, record.table
     bits = packing_bits(g, table)
-    packed = [[x.at_power_of_two(bits) for x in row] for row in g]
+    packed = [[x.at_power_of_two(bits) if x else 0 for x in row] for row in g]
     d, inv = int_scaled_inverse(packed)
     if not d:
         raise SingularFamily("parameterized basis has identically zero determinant")
-    constants = int_change_basis(table, n, packed, inv)
     return (s * ZPoly.from_balanced_digits(d, bits) * mult,
-            {key: tuple(ZPoly.from_balanced_digits(x, bits) for x in vec)
-             for key, vec in constants.items()})
+            int_change_basis(table, n, packed, inv), bits)
 
 
 def packing_bits(g, table) -> int:
@@ -236,7 +233,7 @@ def packing_bits(g, table) -> int:
     All three are at most K = n T r_max^2 M, and B = bitlength(K) + 1
     gives K < X / 2.
     """
-    norms = [sum(sum(map(abs, x.coeffs)) for x in row) + 1 for row in g]
+    norms = [sum(sum(map(abs, x.coeffs)) for x in row if x) + 1 for row in g]
     top = max((abs(v) for _, _, entries in table for _, v in entries), default=1)
     return (len(g) * top * max(norms) ** 2 * prod(norms)).bit_length() + 1
 
@@ -366,26 +363,28 @@ def verify_degeneration(cert: DegenerationCertificate, records: Records) -> Verd
             return Verdict("fail",
                            f"basis row {k} {text!r} does not parse: {exc}")
     try:
-        den, constants = apply_parameterized_basis(src, rows)
+        den, constants, bits = apply_parameterized_basis(src, rows)
     except SingularFamily as exc:
         return Verdict("fail", str(exc))
-    limits = {key: [limit_at_zero(x, den) for x in vec]
-              for key, vec in constants.items()}
-    for (i, j), vec in limits.items():
-        k = next((k for k, x in enumerate(vec, start=1) if x is None), None)
+    limits = {}
+    for (i, j), vec in constants.items():
+        got = tuple(packed_limit_at_zero(x, bits, den) for x in vec)
+        k = next((k for k, x in enumerate(got, start=1) if x is None), None)
         if k:
             return Verdict("fail", f"pole at t=0 in constant ({i},{j})^{k}",
                            {"position": (i, j, k)})
-    zeros = (0,) * n
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            want = tgt.tensor.products.get((i, j), zeros)
-            got = limits.get((i, j), zeros)
-            k = next((k for k in range(1, n + 1) if want[k - 1] != got[k - 1]), None)
-            if k:
-                return Verdict("fail", f"limit constant ({i},{j})^{k} is "
-                                       f"{got[k - 1]}, target has {want[k - 1]}",
-                               {"position": (i, j, k)})
+        if any(got):
+            limits[(i, j)] = got
+    products, zeros = tgt.tensor.products, (0,) * n
+    if limits == products:
+        return Verdict("pass")
+    for i, j in sorted(limits.keys() | products.keys()):
+        want, got = products.get((i, j), zeros), limits.get((i, j), zeros)
+        k = next((k for k in range(1, n + 1) if want[k - 1] != got[k - 1]), None)
+        if k:
+            return Verdict("fail", f"limit constant ({i},{j})^{k} is "
+                                   f"{got[k - 1]}, target has {want[k - 1]}",
+                           {"position": (i, j, k)})
     return Verdict("pass")
 
 

@@ -11,16 +11,17 @@ den nonzero.  The entries of parameterized bases such as
 certificate check puts them over one common denominator once
 (`degeneration.clear_denominators`, using `poly_gcd`) and runs its
 linear algebra on the values at t = 2^B (`ZPoly.at_power_of_two`), reading
-the results back from their balanced digits (`ZPoly.from_balanced_digits`).
-The value of num/den at t = 0 has one rule, `limit_at_zero`: a pole iff
-ord_t num < ord_t den, and otherwise num[v] / den[v] with v = ord_t den.
-Neither side depends on whether the pair is reduced.
+d back from its balanced digits (`ZPoly.from_balanced_digits`).  The value
+of num/den at t = 0 has one rule, `limit_at_zero`, also read off num(2^B)
+(`packed_limit_at_zero`): a pole iff ord_t num < ord_t den, and otherwise
+num[v] / den[v] with v = ord_t den, whether or not the pair is reduced.
 
 A small expression parser accepts the text syntax used in ledger files:
 integer literals, `t`, `+ - * / ^ ( )`, e.g. `1/t^2` or `(t+1)/t`.  A
 power is expanded by repeated multiplication, so it is refused, before
 it is expanded, when its num or den would pass degree `MAX_DEGREE`; the
-exponent of a constant is held to `MAX_DEGREE` too.
+exponent of a constant is held to `MAX_DEGREE` too, and a product,
+quotient or sum to 2 `MAX_DEGREE` (a quotient of two powers at the cap).
 """
 
 from __future__ import annotations
@@ -207,6 +208,7 @@ def _zpoly(coeffs: tuple) -> ZPoly:
 
 ZPOLY_ZERO = _zpoly(())
 ZPOLY_ONE = _zpoly((1,))
+_ZERO = Fraction(0)
 
 
 def content(coeffs) -> int:
@@ -250,6 +252,19 @@ def limit_at_zero(num: ZPoly, den: ZPoly):
     return Fraction(num.coeffs[v], den.coeffs[v])
 
 
+def packed_limit_at_zero(x: int, bits: int, den: ZPoly):
+    """`limit_at_zero(num, den)` read off x = num(2^bits), num's coefficients
+    strictly inside +-2^(bits-1): x has bits ord_t(num) + (< bits - 1)
+    trailing zero bits, and num[v] is the balanced residue of x >> (bits v)."""
+    if not x:
+        return _ZERO
+    v, order = den.order(), ((x & -x).bit_length() - 1) // bits
+    if order != v:
+        return None if order < v else _ZERO
+    half = 1 << (bits - 1)
+    return Fraction(((x >> (bits * v)) + half) % (2 * half) - half, den.coeffs[v])
+
+
 # --- text syntax --------------------------------------------------------
 #
 # expr   := term (('+' | '-') term)*
@@ -284,6 +299,14 @@ def _tokenize(text: str):
     return tokens
 
 
+def _bounded(what: str, *factors):
+    """Refuse, unformed, a value with a product p q past 2 MAX_DEGREE."""
+    degree = max(len(p.coeffs) + len(q.coeffs) - 2 for p, q in factors)
+    if degree > 2 * MAX_DEGREE:
+        raise ExprSyntaxError(f"{what} of degree {degree} exceeds "
+                              f"2 * MAX_DEGREE = {2 * MAX_DEGREE}")
+
+
 def add_pairs(x, y):
     """x + y for (num, den) pairs, kept over den when the denominators agree."""
     (a, b), (c, d) = x, y
@@ -293,17 +316,19 @@ def add_pairs(x, y):
         return x
     if b == d:
         return a + c, b
+    _bounded("sum", (a, d), (c, b), (b, d))
     return a * d + c * b, b * d
 
 
-def _mul(x, y):
+def _mul(x, y, what="product"):
+    _bounded(what, (x[0], y[0]), (x[1], y[1]))
     return x[0] * y[0], x[1] * y[1]
 
 
 def _div(x, y):
     if not y[0]:
         raise DivisionByZero("division by the zero rational function")
-    return x[0] * y[1], x[1] * y[0]
+    return _mul(x, y[::-1], "quotient")
 
 
 _T = (_zpoly((0, 1)), ZPOLY_ONE)

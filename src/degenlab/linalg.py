@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals and over integer rings.
 
 A matrix is a list of rows; matrices here are tiny (at most ~11x11) and
-dense.  Everything is computed exactly: `int_echelon` is the one
+often sparse.  Everything is computed exactly: `int_echelon` is the one
 fraction-free elimination of a span, giving integer echelon rows and, by
 counting them, ranks over the rationals after clearing denominators;
 `int_suffix_spans` eliminates an ordered basis from its last row upward,
@@ -10,7 +10,7 @@ sampling); `int_scaled_inverse` is the package's one inverse.  It runs on
 ints: stored source bases, and certificate bases in Z[t] packed into ints
 at t = 2^B (`degeneration.packing_bits`).  It needs only + - * and exact
 // of its entries, so it runs over any integral domain with exact //,
-such as `exactnum.ZPoly`, unchanged.
+such as `exactnum.ZPoly`, unchanged, and scales rows lazily.
 `int_scaled` is the one place where rational rows are scaled to integer
 rows; tables, bases, elements and pencils all go through it.  A null
 space (`kernel_basis`) is read off the `int_echelon` of [M^T | I], so
@@ -147,28 +147,42 @@ def int_scaled_inverse(rows):
     """(d, R) with R = d G^-1 for a square integer matrix G (list of rows).
 
     Fraction-free Gauss-Jordan elimination (Bareiss, 1968) on [G | I]:
-    after each pivot every entry is a minor of [G | I], so the division by
-    the previous pivot is exact and [G | I] ends as [d I | d G^-1] with
-    d = +-det G.  Returns (0, None) when G is singular.  The entries may
-    come from any integral domain with exact //, such as Z[t].
+    step c replaces each row r but the pivot row by (p_{c+1} r - r_c
+    row_c) / p_c, p_c the pivots (p_0 = 1).  Every entry after a step is a
+    minor, so the division is exact and [G | I] ends as [d I | d G^-1],
+    d = p_n = +-det G; (0, None) when G is singular.  With r_c = 0 a step
+    only scales r by p_{c+1} / p_c, and these factors telescope: a row goes
+    from step s to step t at once, as x p_t // p_s (a minor: exact, though
+    p_s need not divide p_t), when a step reads it or at the end.  Scaling
+    keeps zeros, so stale rows give the same pivots.
     """
     n = len(rows)
     aug = [list(row) + [int(i == j) for j in range(n)]
            for i, row in enumerate(rows)]
-    prev = 1
+    pivots, at = [1], [0] * n  # p_0, ..., p_c; the step each row is at
+
+    def current(i, t):
+        if at[i] < t:
+            now, then = pivots[t], pivots[at[i]]
+            aug[i] = [x * now // then for x in aug[i]]
+            at[i] = t
+        return aug[i]
+
     for c in range(n):
         piv = next((i for i in range(c, n) if aug[i][c]), None)
         if piv is None:
             return 0, None
-        aug[c], aug[piv] = aug[piv], aug[c]
-        row_c = aug[c]
-        pv = row_c[c]
+        aug[c], aug[piv], at[c], at[piv] = aug[piv], aug[c], at[piv], at[c]
+        row_c = current(c, c)
+        pv, prev = row_c[c], pivots[c]
         for i in range(n):
-            if i != c:
-                f = aug[i][c]
+            if i != c and aug[i][c]:
+                f = current(i, c)[c]
                 aug[i] = [(pv * a - f * b) // prev for a, b in zip(aug[i], row_c)]
-        prev = pv
-    return prev, [row[n:] for row in aug]
+                at[i] = c + 1
+        at[c] = c + 1  # a pivot row is left as it is by its own step
+        pivots.append(pv)
+    return pivots[n], [current(i, n)[n:] for i in range(n)]
 
 
 def rank(rows) -> int:

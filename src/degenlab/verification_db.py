@@ -16,7 +16,7 @@ Verdict statuses are kept tier-honest:
   VERIFIED            exact certificate check passed
   PROVED              invariant-tier witness check passed
   FALSIFICATION-ONLY  closed-set emptiness supported by sampling, not proof
-  PAPER-ASSERTED      a non-isomorphism recorded on the source's authority
+  PAPER-ASSERTED      resting on a non-isomorphism on the source's authority
   FAIL                anything that did not check out
 
 Beside each verified certificate the runner re-checks the closed monotone
@@ -514,16 +514,20 @@ def _probe_entry(triples, dim: int, owner: str) -> dict:
     }
 
 
-def _chain_entry(ch: Chain, cert_status: dict) -> dict:
-    """The report entry of one level chain, from its edges' statuses."""
-    ok = all(cert_status.get(eid) == "VERIFIED" for eid in ch.edges)
+def _chain_entry(ch: Chain, cert_entries: dict) -> dict:
+    """The report entry of one level chain: FAIL unless every edge is
+    VERIFIED, PAPER-ASSERTED unless every edge is also PROVED nontrivial."""
+    edges = [cert_entries.get(eid, {}) for eid in ch.edges]
+    status = ("FAIL" if any(e.get("status") != "VERIFIED" for e in edges)
+              else "VERIFIED" if all(e.get("nontrivial") == "PROVED" for e in edges)
+              else "PAPER-ASSERTED")
     return {
         "id": ch.chain_id,
         "algebra": ch.algebra,
         "dim": ch.dim,
         "expected_level": ch.expected_level,
         "edges": list(ch.edges),
-        "status": "VERIFIED" if ok else "FAIL",
+        "status": status,
     }
 
 
@@ -543,7 +547,7 @@ def run_ledger(ledger: ClaimLedger, seed: int = 0, trials: int = 200,
     records = Records(seed)
     cert_reports = [_certificate_entry(cert, records)
                     for cert in ledger.certificates if in_scope(cert.source.dim)]
-    cert_status = {e["id"]: e["status"] for e in cert_reports}
+    cert_entries = {e["id"]: e for e in cert_reports}
     witnesses = [w for w in ledger.witnesses if in_scope(w.source.dim)]
     witness_reports = [_witness_entry(w, records, trials) for w in witnesses]
     # each closed set once, under the first witness that names it
@@ -551,7 +555,7 @@ def run_ledger(ledger: ClaimLedger, seed: int = 0, trials: int = 200,
               for w in reversed(witnesses) if w.kind == "ClosedSet"}
     probe_reports = [_probe_entry(triples, dim, owner)
                      for (triples, dim), owner in sorted(probes.items())]
-    chain_reports = [_chain_entry(ch, cert_status)
+    chain_reports = [_chain_entry(ch, cert_entries)
                      for ch in ledger.chains if in_scope(ch.dim)]
 
     counts = Counter(e["status"] for e in cert_reports + witness_reports)
@@ -566,7 +570,7 @@ def run_ledger(ledger: ClaimLedger, seed: int = 0, trials: int = 200,
         "witnesses": witness_reports,
         "closed_set_probes": probe_reports,
         "chains": chain_reports,
-        "composed": _composed_edges(ledger, cert_status),
+        "composed": _composed_edges(ledger, cert_entries),
         "summary": {
             "counts": dict(sorted(counts.items())),
             "failures": failures,
@@ -574,12 +578,12 @@ def run_ledger(ledger: ClaimLedger, seed: int = 0, trials: int = 200,
     }
 
 
-def _composed_edges(ledger, cert_status):
+def _composed_edges(ledger, cert_entries):
     """Transitive arrows implied by two verified certificates, each pair
     once and none that a certificate states."""
     by_dim = {}
     for cert in ledger.certificates:
-        if cert_status.get(cert.cert_id) == "VERIFIED" and cert.proper:
+        if cert.proper and cert_entries.get(cert.cert_id, {}).get("status") == "VERIFIED":
             by_dim.setdefault(cert.source.dim, []).append(
                 (cert.source.label, cert.target.label, cert.cert_id)
             )

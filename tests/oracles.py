@@ -18,8 +18,9 @@ ranks of full integer matrix powers are the reference for the image
 chain of `linalg.int_power_rank_sequence`.  The
 certificate check with the integer kernels run
 over `ZPoly`, before the values were packed into ints at t = 2^B, is the
-reference for the packed check, and an instrumented copy of its Bareiss
-loop gives every entry the packing bound must cover.
+reference for the packed check.  The dense Bareiss loop that the lazily
+scaled `linalg.int_scaled_inverse` replaced is the reference for its
+(d, R), and records every entry the packing bound must cover.
 """
 
 from fractions import Fraction
@@ -499,19 +500,19 @@ def zpoly_apply_parameterized_basis(a, rows):
     return s * d * mult, int_change_basis(table, n, g, inv)
 
 
-def bareiss_entries(rows):
-    """Every entry of [G | I] after each pivot of linalg.int_scaled_inverse
-    (a copy of its loop), pivot candidates included, stopping at a column
-    with no pivot."""
+def bareiss_inverse_oracle(rows, seen=None):
+    """(d, R) of linalg.int_scaled_inverse by the dense loop it replaced:
+    every step rewrites every row but the pivot row, also a row with a 0 in
+    the pivot column.  Every entry after each step, pivot candidates
+    included, is appended to `seen` when a list is given."""
     n = len(rows)
     aug = [list(row) + [int(i == j) for j in range(n)]
            for i, row in enumerate(rows)]
-    seen = []
     prev = 1
     for c in range(n):
         piv = next((i for i in range(c, n) if aug[i][c]), None)
         if piv is None:
-            break
+            return 0, None
         aug[c], aug[piv] = aug[piv], aug[c]
         row_c = aug[c]
         pv = row_c[c]
@@ -520,7 +521,18 @@ def bareiss_entries(rows):
                 f = aug[i][c]
                 aug[i] = [(pv * a - f * b) // prev for a, b in zip(aug[i], row_c)]
         prev = pv
-        seen += [x for row in aug for x in row]
+        if seen is not None:
+            seen += [x for row in aug for x in row]
+    return prev, [row[n:] for row in aug]
+
+
+def bareiss_entries(rows):
+    """Every entry of [G | I] after each pivot of the dense Bareiss loop,
+    stopping at a column with no pivot.  The lazily scaled loop of
+    linalg.int_scaled_inverse holds only such entries: a row it has not
+    brought up to date holds the dense loop's entries of an earlier step."""
+    seen = []
+    bareiss_inverse_oracle(rows, seen)
     return seen
 
 

@@ -238,6 +238,37 @@ def _cert_with_first_row(row):
     return cert
 
 
+# shipped certificates with one row changed, and the fail line `check`
+# printed for each before limits were read off packed digits
+MUTATED_CERTIFICATES = [
+    ("T22deg.1.7", 0, "(1/t^3)*e1", "pole at t=0 in constant (1,2)^6",
+     (1, 2, 6)),
+    ("T22rest.r6.8", 7, "e8+e1", "limit constant (1,3)^1 is -1, target has 0",
+     (1, 3, 1)),
+    ("T22rest.r6.8", 7, "(1/t^3)*e8", "limit constant (1,3)^8 is 0, target has 1",
+     (1, 3, 8)),
+    ("T2k2rest1.case1.m3.9", 5, "t^4*e6+e7", "pole at t=0 in constant (2,3)^7",
+     (2, 3, 7)),
+    ("T22deg.1.7", 0, "e2", "parameterized basis has identically zero "
+     "determinant", None),
+]
+
+
+@pytest.mark.parametrize("cid, index, row, reason, position",
+                         MUTATED_CERTIFICATES)
+def test_check_names_the_first_failing_constant_of_a_mutated_certificate(
+        tmp_path, capsys, cid, index, row, reason, position):
+    cert = json.loads(json.dumps(cert_by_id(cid)))
+    cert["basis"][index] = row
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    assert run(capsys, "check", str(path)) == (2, f"fail: {reason}\n")
+    code, out = run(capsys, "--json", "check", str(path))
+    data = {"position": str(position)} if position else {}
+    assert (code, json.loads(out)) == (
+        2, {"data": data, "reason": reason, "status": "fail"})
+
+
 @pytest.mark.parametrize("row", ["(1/0)*e1", "e99", "foo", "e1+"])
 def test_check_unparsable_certificate_row_fails(tmp_path, capsys, row):
     path = tmp_path / "cert.json"
@@ -294,6 +325,17 @@ def test_check_fails_a_certificate_row_with_a_huge_power(tmp_path, row,
     assert done.stdout == (
         f"fail: basis row 1 {row!r} does not parse: power {power} in "
         f"{text!r} exceeds MAX_DEGREE = 64\n")
+
+
+@pytest.mark.parametrize("factors", [160, 320])
+def test_check_fails_a_certificate_row_with_a_long_product_of_powers(tmp_path,
+                                                                    factors):
+    row = "(" + "*".join(["t^64"] * factors) + ")*e1"
+    done = _check_within_a_minute(tmp_path, _cert_with_first_row(row))
+    assert (done.returncode, done.stderr) == (2, "")
+    assert done.stdout == (
+        f"fail: basis row 1 {row!r} does not parse: product of degree 192 "
+        f"exceeds 2 * MAX_DEGREE = 128\n")
 
 
 @pytest.mark.parametrize("row, power, text", HUGE_POWERS)

@@ -113,10 +113,17 @@ def _over_qt(den, constants):
             for key, vec in constants.items()}
 
 
+def _unpacked(a, rows):
+    """apply_parameterized_basis(a, rows) with N read back as ZPolys."""
+    den, constants, bits = apply_parameterized_basis(a, rows)
+    return den, {key: tuple(ZPoly.from_balanced_digits(x, bits) for x in vec)
+                 for key, vec in constants.items()}
+
+
 def test_apply_identity_keeps_constants():
     a = instantiate("T32_e23", 6)
     texts = [f"e{k}" for k in range(1, 7)]
-    constants = _over_qt(*apply_parameterized_basis(a, _parse_rows(texts, 6)))
+    constants = _over_qt(*_unpacked(a, _parse_rows(texts, 6)))
     assert set(constants) == set(a.products)
     for key, vec in constants.items():
         evaluated = tuple(qt_at_zero(x) for x in vec)
@@ -127,7 +134,7 @@ def test_apply_identity_keeps_constants():
 def test_apply_single_scaling_pushes_constant_into_t():
     a = instantiate("n3", 3)
     texts = ["t*e1", "e2", "e3"]
-    constants = _over_qt(*apply_parameterized_basis(a, _parse_rows(texts, 3)))
+    constants = _over_qt(*_unpacked(a, _parse_rows(texts, 3)))
     assert constants[(1, 2)][2] == qt_parse("t")
     assert constants == qt_constants(a, _qt_rows(texts, 3))
 
@@ -202,8 +209,9 @@ def test_zt_verdicts_match_the_qt_oracle_on_corrupted_certificates():
 
 
 # The packed check: G in Z[t] is evaluated at t = 2^B, the integer kernels
-# run on ints, and d and N are read back as balanced digits.  The same
-# kernels run over ZPoly are the reference (`zpoly_apply_parameterized_basis`).
+# run on ints, and d is read back as balanced digits (N too, by `_unpacked`,
+# here only).  The same kernels run over ZPoly are the reference
+# (`zpoly_apply_parameterized_basis`).
 
 
 def _shipped_parsed_bases():
@@ -215,7 +223,7 @@ def _shipped_parsed_bases():
 def test_packed_check_equals_the_zpoly_check_on_shipped_certificates():
     count = 0
     for cert_id, a, rows in _shipped_parsed_bases():
-        assert (apply_parameterized_basis(a, rows)
+        assert (_unpacked(a, rows)
                 == zpoly_apply_parameterized_basis(a, rows)), cert_id
         count += 1
     assert count == 133
@@ -267,7 +275,7 @@ def _apply_or_singular(apply, a, rows):
 def test_packed_check_equals_the_zpoly_check_on_drawn_bases(case):
     a, rows, singular = case
     want = _apply_or_singular(zpoly_apply_parameterized_basis, a, rows)
-    assert _apply_or_singular(apply_parameterized_basis, a, rows) == want
+    assert _apply_or_singular(_unpacked, a, rows) == want
     if singular:
         assert want == "singular"
 

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from degenlab.exactnum import (
     ZPoly,
     content,
     limit_at_zero,
+    packed_limit_at_zero,
     parse_rational_function as parse,
     poly_gcd,
 )
@@ -75,6 +77,33 @@ def test_a_power_past_max_degree_is_refused_before_it_is_expanded():
             parse(text)
         assert str(info.value) == (
             f"power {power} in {text!r} exceeds MAX_DEGREE = 64")
+
+
+def test_a_product_quotient_or_sum_past_twice_max_degree_is_refused():
+    # a power stops at MAX_DEGREE, and a value made of several stops at
+    # 2 MAX_DEGREE, the degree of a quotient of two powers at the cap:
+    # one more is refused before the value is formed
+    assert parse("t^32*t^32")[0] == ZPoly((0,) * 64 + (1,))
+    assert parse("t^64*t^64")[0] == ZPoly((0,) * 128 + (1,))
+    assert parse("t^40/(t^64*t^24+1)")[1].coeffs[-1] == 1
+    assert parse("1/(t^64+2) + 1/(t^64+1)")[1].coeffs[-1] == 1
+    for text, message in (("t^64*t^64*t", "product of degree 129"),
+                          ("(1/t^64)/(t^64*t)", "quotient of degree 129"),
+                          ("(t^64*t^64)/(1/t)", "quotient of degree 129"),
+                          ("1/(t^64*t) + 1/(t^64+1)", "sum of degree 129")):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(text)
+        assert str(info.value) == f"{message} exceeds 2 * MAX_DEGREE = 128"
+
+
+@pytest.mark.parametrize("factors", [160, 320])
+def test_a_long_product_of_powers_is_refused_in_under_a_second(factors):
+    text = "(" + "*".join(["t^64"] * factors) + ")"
+    start = time.perf_counter()
+    with pytest.raises(ExprSyntaxError) as info:
+        parse(text)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == "product of degree 192 exceeds 2 * MAX_DEGREE = 128"
 
 
 def test_eval_at_zero_cases():
@@ -309,3 +338,26 @@ def test_packing_round_trips_every_polynomial_inside_the_range(bits, data):
     p = ZPoly(data.draw(st.lists(st.integers(-edge, edge), max_size=6)))
     assert _round_trip(p, bits) == p
     assert (p.at_power_of_two(bits) == 0) == (not p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 4), st.sampled_from([-1, 0, 1]),
+       st.data())
+def test_the_packed_limit_read_equals_limit_at_zero(bits, v, side, data):
+    # num has its order below, at or above v = ord_t den; digits of either
+    # sign up to the edge of the digit range, and sometimes num = 0
+    edge = 2 ** (bits - 1) - 1
+    digit = st.integers(-edge, edge)
+    low = data.draw(digit.filter(bool))
+    order = max(v + side, 0)
+    num = ZPoly([0] * order + [low] + data.draw(st.lists(digit, max_size=4)))
+    if data.draw(st.integers(0, 9)) == 0:
+        num = ZPoly()
+    den = ZPoly([0] * v + [data.draw(st.integers(-9, 9).filter(bool))]
+                + data.draw(st.lists(st.integers(-9, 9), max_size=3)))
+    x = num.at_power_of_two(bits)
+    want = limit_at_zero(num, den)
+    assert want == limit_at_zero(ZPoly.from_balanced_digits(x, bits), den)
+    assert packed_limit_at_zero(x, bits, den) == want
+    if num and order < v:
+        assert want is None

@@ -34,7 +34,7 @@ from degenlab.catalog import instantiate
 
 from oracles import field_rank, fraction_inverse, matmul, qt_inverse, row_reduce_dim
 from oracles import Subspace, kernel_oracle, power_rank_sequence_oracle
-from oracles import qt_parse, qt_value
+from oracles import bareiss_inverse_oracle, qt_parse, qt_value
 
 
 def e_vec(n, *idx):
@@ -263,6 +263,63 @@ def test_int_scaled_inverse_matches_fraction_oracle():
         assert all(type(x) is int for row in scaled for x in row)
         assert [[Fraction(x, d) for x in row] for row in scaled] == want
     assert singular_seen >= 30
+
+
+def _sparse_square(n, rng, kind):
+    """A seeded n x n integer matrix of one kind: a scaled permutation with
+    a few entries added, lower or upper triangular, dense, or singular
+    (a zero column, or a row that is a combination of two others)."""
+    if kind == "permutation":
+        perm = rng.sample(range(n), n)
+        rows = [[rng.choice([-3, -1, 1, 2, 5]) if j == perm[i] else 0
+                 for j in range(n)] for i in range(n)]
+        for _ in range(rng.randint(0, n)):
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.randint(-4, 4)
+        return rows
+    if kind in ("lower", "upper"):
+        return [[rng.randint(-5, 5) if (j <= i) == (kind == "lower") else 0
+                 for j in range(n)] for i in range(n)]
+    if kind == "dense":
+        return [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    rows = [[rng.choice([0, 0, 0, 1, -2, 3]) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.5:
+        k = rng.randrange(n)
+        for row in rows:
+            row[k] = 0
+    elif n > 2:
+        i, j, k = rng.sample(range(n), 3)
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+def test_int_scaled_inverse_equals_the_dense_bareiss_loop():
+    # the lazily scaled loop against the dense loop it replaced: equal
+    # (d, R), singular answers included, on seeded integer matrices
+    rng = random.Random(2025)
+    kinds = ["permutation", "lower", "upper", "dense", "singular"]
+    singular = 0
+    for trial in range(6000):
+        n = 1 + trial % 9
+        rows = _sparse_square(n, rng, kinds[trial % len(kinds)])
+        want = bareiss_inverse_oracle(rows)
+        assert int_scaled_inverse(rows) == want, rows
+        singular += want == (0, None)
+    assert singular >= 1000
+
+
+def test_int_scaled_inverse_equals_the_dense_bareiss_loop_over_zpoly():
+    rng = random.Random(2026)
+    singular = 0
+    for trial in range(600):
+        n = 1 + trial % 5
+        rows = [[ZPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+                 if rng.random() < 0.5 else ZPoly() for _ in range(n)]
+                for _ in range(n)]
+        want = bareiss_inverse_oracle(rows)
+        assert int_scaled_inverse(rows) == want, rows
+        singular += want == (0, None)
+    assert 50 <= singular <= 550
 
 
 def test_invert_rational_matches_fraction_oracle():

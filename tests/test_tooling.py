@@ -275,6 +275,26 @@ def test_the_certificate_check_hands_only_ints_to_the_integer_kernels(monkeypatc
                for _, matrix in matrices for row in matrix for x in row)
 
 
+def test_the_certificate_check_unpacks_only_the_denominator(monkeypatch):
+    # limits are read off the packed coordinates: one balanced-digit
+    # unpacking per certificate, of d, and none per coordinate
+    from degenlab import degeneration
+    from degenlab.exactnum import ZPoly
+    from degenlab.verification_db import load_ledger, shipped_ledger_path
+
+    unpack, calls = ZPoly.from_balanced_digits, []
+
+    def counted(v, bits):
+        calls.append(v)
+        return unpack(v, bits)
+
+    monkeypatch.setattr(ZPoly, "from_balanced_digits", staticmethod(counted))
+    certs = load_ledger(shipped_ledger_path()).certificates
+    records = degeneration.Records()
+    assert all(degeneration.verify_degeneration(c, records).ok for c in certs)
+    assert len(calls) == len(certs) == 133
+
+
 def test_proved_and_probe_verdicts_draw_no_random_numbers(monkeypatch):
     # tier honesty: a closed-set probe PASS and a PROVED DimSquare, AnnDim
     # or LieClosure witness must not rest on sampling.  IWDominance is the

@@ -119,6 +119,24 @@ def test_corrupted_entry_is_isolated():
     assert chains["chain.T222_e24.7"] == "VERIFIED"
 
 
+def test_a_chain_with_a_paper_asserted_edge_is_not_verified():
+    # a chain proves its level only if each edge is proved nontrivial
+    obj = copy.deepcopy(shipped_obj())
+    chain = next(c for c in obj["chains"] if c["id"] == "chain.T22_e45.7")
+    edge = chain["edges"][0]
+    cert = next(c for c in obj["certificates"] if c["id"] == edge)
+    assert cert["separator"] != "paper"
+    cert["separator"] = "paper"
+    report = run_ledger(ledger_from_obj(obj), seed=3, trials=5, dims=[7])
+    certs = {e["id"]: e for e in report["certificates"]}
+    assert certs[edge]["status"] == "VERIFIED"
+    assert certs[edge]["nontrivial"] == "PAPER-ASSERTED"
+    chains = {c["id"]: c["status"] for c in report["chains"]}
+    assert chains["chain.T22_e45.7"] == "PAPER-ASSERTED"
+    assert chains["chain.T222_e24.7"] == "VERIFIED"
+    assert report["summary"]["failures"] == 0
+
+
 def test_report_determinism_same_seed_same_bytes():
     ledger = load_ledger(shipped_ledger_path())
     r1 = run_ledger(ledger, seed=9, trials=10, dims=[6])
