@@ -13,20 +13,20 @@ coefficient matrices S_alpha (|alpha| = m) is zero.  `engel_degree`
 builds them degree by degree (S_alpha = sum L_{e_i} S_{alpha - e_i} over
 i in supp alpha), keeping only the nonzero ones, instead of sampling.
 
-Matrices are lists of rows.  Every closed invariant runs over Z on the
-table scaled by the lcm L of its denominators (`int_table`); Fraction
-appears only at the API boundary (`product`'s result, the rows of
-`left_mult_matrix`).  `power_ideal` and `annihilator` return integer
-echelon rows: the record's `power(i)`, and the `linalg.kernel_basis` of
-at most n integer conditions.  `StructureTensor.from_json_obj`
-is the one reader of the JSON table format.  The power chain (A^i, the
-nilpotency index, the centralizer of A^2) is exact because scaling the
-table or a spanning set by a nonzero integer changes no Q-span: A^{i+1}
-is spanned by the integer products e_j w for w in the integer echelon
-rows of A^i (`linalg.int_echelon`).  `_int_powers` is the one walk down
-that chain, and `_int_left_products` (the products e_j w, the rows of
--L_w^T) the one builder of L_w.  Outside this module the chain is read
-through `Invariants`, one record per table.
+Matrices are lists of rows.  A StructureTensor is the one algebra object,
+and it keeps what it computes: every closed invariant runs over Z on its
+table scaled by the lcm L of its denominators (`mult` and `table`, from
+`int_table`), built once per tensor; Fraction appears only at the API
+boundary (`product`'s result, the rows of `left_mult_matrix`).
+`power_ideal` and `annihilator` return integer echelon rows: the tensor's
+`power(i)`, and the `linalg.kernel_basis` of at most n integer conditions.
+`StructureTensor.from_json_obj` is the one reader of the JSON table
+format.  The power chain (A^i, the nilpotency index, the centralizer of
+A^2) is exact because scaling the table or a spanning set by a nonzero
+integer changes no Q-span: A^{i+1} is spanned by the integer products
+e_j w for w in the integer echelon rows of A^i (`linalg.int_echelon`).
+`_int_powers` is the one walk down that chain, and `_int_left_products`
+(the products e_j w, the rows of -L_w^T) the one builder of L_w.
 The identity checks (Jacobi, Malcev, Engel) are homogeneous in the
 structure constants: scaling them by L multiplies the Jacobi defect by
 L^2, the Malcev defect by L^3 and (sum_i x_i L_{e_i})^m by L^m, so every
@@ -76,9 +76,15 @@ class TableFormatError(ValueError):
 
 
 class StructureTensor:
-    """Anticommutative multiplication table on QQ^n, keyed by pairs i < j."""
+    """Anticommutative multiplication table on QQ^n, keyed by pairs i < j,
+    and its closed invariants, each computed when first read, at most once.
 
-    __slots__ = ("dim", "products")
+    Immutable: nothing writes `dim` or `products` after construction, so a
+    cached invariant stays true; `__eq__` and `__hash__` read only those.
+    """
+
+    __slots__ = ("dim", "products", "mult", "table", "_walk", "_powers",
+                 "_centralizers")
 
     def __init__(self, dim: int, products=None):
         if dim < 1:
@@ -128,6 +134,57 @@ class StructureTensor:
             return vec[k - 1] if vec else Fraction(0)
         vec = self.products.get((j, i))
         return -vec[k - 1] if vec else Fraction(0)
+
+    def __getattr__(self, name):
+        # reached when normal lookup fails: fill the empty cache slot named
+        if name in ("mult", "table"):
+            self.mult, self.table = int_table(self)
+        elif name in ("_walk", "_powers"):
+            self._walk, self._powers = _int_powers(self.table, self.dim), []
+        elif name == "_centralizers":
+            self._centralizers = {}
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
+
+    @property
+    def powers(self):
+        """Every power `_int_powers` yields, the walk taken to its end."""
+        self._powers += self._walk
+        return self._powers
+
+    def power(self, i: int):
+        """Integer echelon rows of A^i (i >= 1), with A^1 the whole space
+        and A^i = A(A^{i-1}) + (A^{i-1})A (anticommutativity makes the
+        two summands equal); a power past the walk's end equals the last
+        one it yields (0, or the stalled power)."""
+        if i < 1:
+            raise ValueError("power index must be >= 1")
+        self._powers += islice(self._walk, max(i - len(self._powers), 0))
+        return self._powers[min(i, len(self._powers)) - 1]
+
+    def centralizer_dim(self, i: int) -> int:
+        """dim {x : x A^i = 0}; at i = 1 this is dim Ann(A), read from the
+        identity rows without walking the chain."""
+        if i not in self._centralizers:
+            ws = _int_identity(self.dim) if i == 1 else self.power(i)
+            self._centralizers[i] = self.dim - len(
+                _int_centralizer_conditions(self.table, self.dim, ws))
+        return self._centralizers[i]
+
+    @property
+    def dim_square(self) -> int:
+        return len(self.power(2))
+
+    @property
+    def ann_dim(self) -> int:
+        return self.centralizer_dim(1)
+
+    @property
+    def nilindex(self):
+        """Least m with A^m = 0, or None when the chain stalls above 0."""
+        powers = self.powers
+        return None if powers[-1] else len(powers)
 
     def __eq__(self, other):
         return (
@@ -256,10 +313,9 @@ def product(a: StructureTensor, x, y):
     n = a.dim
     if len(x) != n or len(y) != n:
         raise DimensionMismatch("vectors must have the algebra dimension")
-    mult, table = int_table(a)
     (mx, (xs,)), (my, (ys,)) = int_scaled([x]), int_scaled([y])
-    scale = mult * mx * my
-    return tuple(Fraction(v, scale) for v in _int_product(table, n, xs, ys))
+    scale = a.mult * mx * my
+    return tuple(Fraction(v, scale) for v in _int_product(a.table, n, xs, ys))
 
 
 def left_mult_matrix(a: StructureTensor, vec):
@@ -272,27 +328,24 @@ def left_mult_matrix(a: StructureTensor, vec):
     n = a.dim
     if len(vec) != n:
         raise DimensionMismatch("vector must have the algebra dimension")
-    mult, table = int_table(a)
     m, (x,) = int_scaled([vec])
-    p = _int_left_products(table, n, x)
-    scale = -mult * m
+    p = _int_left_products(a.table, n, x)
+    scale = -a.mult * m
     return [[Fraction(p[j][k], scale) for j in range(n)] for k in range(n)]
 
 
 def power_ideal(a: StructureTensor, i: int):
-    """Integer echelon rows of A^i, with A^1 the whole space and
-    A^i = A(A^{i-1}) + (A^{i-1})A."""
-    # anticommutativity makes the two summands equal
-    return Invariants(a).power(i)
+    """Integer echelon rows of A^i: the tensor's `power(i)`."""
+    return a.power(i)
 
 
 def dim_square(a: StructureTensor) -> int:
-    return Invariants(a).dim_square
+    return a.dim_square
 
 
-def is_nilpotent(a: StructureTensor | Invariants):
+def is_nilpotent(a: StructureTensor):
     """(True, least m with A^m = 0) or (False, None) when powers stabilize."""
-    index = (a if isinstance(a, Invariants) else Invariants(a)).nilindex
+    index = a.nilindex
     return index is not None, index
 
 
@@ -306,58 +359,6 @@ def _int_centralizer_conditions(table, n: int, ws):
                         for col in zip(*_int_left_products(table, n, w))])
 
 
-class Invariants:
-    """The closed invariants of one table, each computed at most once.
-
-    Built from one `int_table`, kept as `mult` and `table`: every value
-    below reads one `_int_powers` walk, taken only as far as it is read,
-    or the identity rows for dim Ann(A).
-    """
-
-    def __init__(self, a: StructureTensor):
-        self.tensor, self.dim = a, a.dim
-        self.mult, self.table = int_table(a)
-        self._walk, self._powers = _int_powers(self.table, a.dim), []
-        self._centralizers = {}
-
-    @property
-    def powers(self):
-        """Every power `_int_powers` yields, the walk taken to its end."""
-        self._powers += self._walk
-        return self._powers
-
-    def power(self, i: int):
-        """Integer echelon rows of A^i (i >= 1); a power past the walk's
-        end equals the last one it yields (0, or the stalled power)."""
-        if i < 1:
-            raise ValueError("power index must be >= 1")
-        self._powers += islice(self._walk, max(i - len(self._powers), 0))
-        return self._powers[min(i, len(self._powers)) - 1]
-
-    def centralizer_dim(self, i: int) -> int:
-        """dim {x : x A^i = 0}; at i = 1 this is dim Ann(A), read from the
-        identity rows without walking the chain."""
-        if i not in self._centralizers:
-            ws = _int_identity(self.dim) if i == 1 else self.power(i)
-            self._centralizers[i] = self.dim - len(
-                _int_centralizer_conditions(self.table, self.dim, ws))
-        return self._centralizers[i]
-
-    @property
-    def dim_square(self) -> int:
-        return len(self.power(2))
-
-    @property
-    def ann_dim(self) -> int:
-        return self.centralizer_dim(1)
-
-    @property
-    def nilindex(self):
-        """Least m with A^m = 0, or None when the chain stalls above 0."""
-        powers = self.powers
-        return None if powers[-1] else len(powers)
-
-
 def annihilator(a: StructureTensor):
     """Integer echelon rows of {x : x A = A x = 0}; for anticommutative
     tables one side suffices.
@@ -366,7 +367,7 @@ def annihilator(a: StructureTensor):
     reduced to at most n integer rows before `kernel_basis` solves them.
     """
     n = a.dim
-    rows = _int_centralizer_conditions(int_table(a)[1], n, _int_identity(n))
+    rows = _int_centralizer_conditions(a.table, n, _int_identity(n))
     return kernel_basis(rows) if rows else _int_identity(n)
 
 
@@ -406,11 +407,10 @@ def change_basis(a: StructureTensor, basis) -> StructureTensor:
     d, inv = int_scaled_inverse(rows)
     if not d:
         raise Singular("basis matrix has zero determinant")
-    mult, table = int_table(a)
-    scale = mult * m * d
+    scale = a.mult * m * d
     return StructureTensor(n, {
         key: tuple(Fraction(x, scale) for x in vec)
-        for key, vec in int_change_basis(table, n, rows, inv).items()
+        for key, vec in int_change_basis(a.table, n, rows, inv).items()
     })
 
 
@@ -421,17 +421,12 @@ class IdentityFlags:
     malcev: bool
 
 
-def _int_table_of(a: StructureTensor | Invariants):
-    """The `int_table` table of a table, or the one its record holds."""
-    return a.table if isinstance(a, Invariants) else int_table(a)[1]
-
-
-def jacobi_holds(a: StructureTensor | Invariants) -> bool:
+def jacobi_holds(a: StructureTensor) -> bool:
     """True iff the Jacobi identity holds on all basis triples (A is Lie).
 
     Evaluated over Z on the L-scaled table; the defect scales by L^2.
     """
-    n, table = a.dim, _int_table_of(a)
+    n, table = a.dim, a.table
     e = _int_identity(n)
     sq = [[_int_product(table, n, x, y) for y in e] for x in e]
     for i in range(n):
@@ -447,7 +442,7 @@ def jacobi_holds(a: StructureTensor | Invariants) -> bool:
     return True
 
 
-def _malcev_holds(a: StructureTensor | Invariants) -> bool:
+def _malcev_holds(a: StructureTensor) -> bool:
     """Malcev identity (xy)(xz) = ((xy)z)x + ((yz)x)x + ((zx)x)y.
 
     Quadratic in x, linear in y and z: basis vectors and pair sums for x,
@@ -459,7 +454,7 @@ def _malcev_holds(a: StructureTensor | Invariants) -> bool:
     and `_malcev_packing_bits` keeps every digit strictly inside
     +-2^(B-1): a packed coordinate is 0 iff all its digits are.
     """
-    n, table = a.dim, _int_table_of(a)
+    n, table = a.dim, a.table
 
     def mul(x, y):
         return _int_product(table, n, x, y)
@@ -482,7 +477,7 @@ def _malcev_holds(a: StructureTensor | Invariants) -> bool:
     return True
 
 
-def identity_flags(a: StructureTensor | Invariants) -> IdentityFlags:
+def identity_flags(a: StructureTensor) -> IdentityFlags:
     return IdentityFlags(
         anticommutative_wellformed=True,
         jacobi=jacobi_holds(a),
@@ -524,7 +519,7 @@ def _malcev_packing_bits(table, n: int) -> int:
     return (4 * _row_sum_bound(table, n) ** 3).bit_length() + 1
 
 
-def engel_degree(a: StructureTensor | Invariants, max_m: int):
+def engel_degree(a: StructureTensor, max_m: int):
     """Least m <= max_m with (L_x)^m = 0 for every x, or None.
 
     (sum_i x_i L_i)^m = sum_{|alpha| = m} x^alpha S_alpha, L_i = L_{e_i},
@@ -536,7 +531,7 @@ def engel_degree(a: StructureTensor | Invariants, max_m: int):
     sum_k (e_i e_k)_r S_k, so one `_int_left_products` pass on the packed
     rows of S gives every L_i S, and on those of S_0 every L_i.
     """
-    n, table = a.dim, _int_table_of(a)
+    n, table = a.dim, a.table
     bits = _engel_packing_bits(table, n, max_m)
     # alpha, as its sorted tuple of indices -> the packed rows of S_alpha
     level = {(): [1 << (bits * c) for c in range(n)]}

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from .algebra import MAX_DIM, Invariants, StructureTensor, engel_degree
+from .algebra import MAX_DIM, StructureTensor, engel_degree
 from .exactnum import ZPoly, poly_gcd
 from .linalg import Partition, _int_rank, int_scaled
 
@@ -388,7 +388,7 @@ def _skew_net(a: StructureTensor, square):
     coordinates of u_i u_j on the RREF basis of A^2, which are its entries
     at the pivot columns; u_1..u_d are the standard basis vectors off those
     columns, a lift of a basis of A / A^2.  `square` may be any echelon
-    basis of A^2, such as the integer rows of `Invariants.power(2)`: only its
+    basis of A^2, such as the tensor's integer rows `a.power(2)`: only its
     pivot columns are read, and every echelon basis has those of the RREF.
     """
     pivots = [next(i for i, x in enumerate(row) if x) for row in square]
@@ -486,32 +486,31 @@ def _is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def classify_T22(a: StructureTensor | Invariants):
+def classify_T22(a: StructureTensor):
     """Canonical name of an algebra with dominant contraction (2,2).
 
     Returns a CatalogName among T22/T22_e23/T22_e24/T22_e34/T22_e45, or the
     sentinels LevelAtLeast6 / NeedsExtension.  The (2,2) precondition is
     validated exactly: the algebra must be 2-Engel with a two- or
-    three-dimensional square annihilated by the whole algebra.  a is a
-    table or its `algebra.Invariants` record, read as it stands.
+    three-dimensional square annihilated by the whole algebra, read off
+    the powers and annihilator the tensor holds.
     """
-    inv = a if isinstance(a, Invariants) else Invariants(a)
-    n = inv.dim
-    if engel_degree(inv, 2) is None:
+    n = a.dim
+    if engel_degree(a, 2) is None:
         raise PreconditionViolated("not 2-Engel, so IW-max is not (2,2)")
-    square = inv.power(2)
+    square = a.power(2)
     s = len(square)
-    if inv.power(3):
+    if a.power(3):
         raise PreconditionViolated("A * A^2 != 0, so IW-max is not (2,2)")
     if s == 3:
-        if inv.ann_dim != n - 3:
+        if a.ann_dim != n - 3:
             raise PreconditionViolated(
-                f"square has dim 3 but Ann has dim {inv.ann_dim} != n-3"
+                f"square has dim 3 but Ann has dim {a.ann_dim} != n-3"
             )
         return CatalogName("T22_e23")
     if s != 2:
         raise PreconditionViolated(f"dim A^2 = {s} is incompatible with (2,2)")
-    net = _skew_net(inv.tensor, square)
+    net = _skew_net(a, square)
     r_gen = _pencil_generic_rank([[w[0] for w in row] for row in net],
                                  [[w[1] for w in row] for row in net])
     if r_gen <= 2:

@@ -51,7 +51,6 @@ from pathlib import Path
 
 from . import catalog
 from .algebra import (
-    Invariants,
     StructureTensor,
     TableFormatError,
     engel_degree,
@@ -112,19 +111,18 @@ def cmd_info(args) -> int:
     tensor = _instantiate(args)
     if tensor is None:
         return 1
-    inv = Invariants(tensor)
-    flags = identity_flags(inv)
-    nil, nil_index = is_nilpotent(inv)
-    partition, _ = iw_max(inv, seed=args.seed)
+    flags = identity_flags(tensor)
+    nil, nil_index = is_nilpotent(tensor)
+    partition, _ = iw_max(tensor, seed=args.seed)
     levels = catalog.level_lookup(args.name, args.dim)
     payload = {
         "name": args.name,
         "dim": args.dim,
-        "dim_square": inv.dim_square,
-        "ann_dim": inv.ann_dim,
+        "dim_square": tensor.dim_square,
+        "ann_dim": tensor.ann_dim,
         "nilpotent": nil,
         "nilpotency_index": nil_index,
-        "engel_degree": engel_degree(inv, tensor.dim + 1),
+        "engel_degree": engel_degree(tensor, tensor.dim + 1),
         "jacobi": flags.jacobi,
         "malcev": flags.malcev,
         "iw_max": list(partition),

@@ -31,10 +31,10 @@ with an integer matrix and some c != 0; since (c L)^m = c^m L^m, every
 power keeps its rank.  The candidate pool is integer from the start
 (basis vectors, pair sums, random integer vectors and repairs
 b + alpha*v with an integer alpha), so iw_max scales nothing per
-candidate: it reads the table of one `algebra.Invariants` record, the
-caller's own when it passes one, and turns only the witness it returns
-into Fractions.  The public `rank_sequence` scales its rational element
-once, by the lcm of its denominators.
+candidate: it reads the tensor's own integer table, built once per
+tensor, and turns only the witness it returns into Fractions.  The public
+`rank_sequence` scales its rational element once, by the lcm of its
+denominators.
 """
 
 from __future__ import annotations
@@ -42,13 +42,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import (
-    DimensionMismatch,
-    Invariants,
-    StructureTensor,
-    _int_left_products,
-    _int_table_of,
-)
+from .algebra import DimensionMismatch, StructureTensor, _int_left_products
 from .linalg import (Partition, int_power_rank_sequence, int_scaled,
                      partition_from_ranks, random_int_rows)
 
@@ -96,14 +90,13 @@ def _int_rank_sequence(table, n: int, x) -> RankSequence:
     return RankSequence(ranks)
 
 
-def rank_sequence(a: StructureTensor | Invariants, vec) -> RankSequence:
-    """Exact rank sequence of L_vec on a table or its `algebra.Invariants`
-    record; NotEngelAt when it never vanishes."""
+def rank_sequence(a: StructureTensor, vec) -> RankSequence:
+    """Exact rank sequence of L_vec; NotEngelAt when it never vanishes."""
     if len(vec) != a.dim:
         raise DimensionMismatch("vector must have the algebra dimension")
     x = int_scaled([vec])[1][0]
     try:
-        return _int_rank_sequence(_int_table_of(a), a.dim, x)
+        return _int_rank_sequence(a.table, a.dim, x)
     except NotEngelAt:
         raise NotEngelAt(vec) from None
 
@@ -115,15 +108,15 @@ def dominates(p: RankSequence, q: RankSequence) -> bool:
     return all(p[i] >= q[i] for i in range(len(q)))
 
 
-def _rank_bound(inv: Invariants):
+def _rank_bound(a: StructureTensor):
     """The bound (b_1, b_2, ...) on every rank sequence, or None when the
     table is not nilpotent; see the module docstring."""
-    if inv.nilindex is None:
+    if a.nilindex is None:
         return None  # the power chain stalls above 0
     bound = []
     # n - 1 - dim Ann A is one less than the number of annihilator conditions
-    prev = inv.dim - inv.ann_dim
-    for rows in inv.powers[1:-1]:  # A^2, A^3, ..., the last nonzero power
+    prev = a.dim - a.ann_dim
+    for rows in a.powers[1:-1]:  # A^2, A^3, ..., the last nonzero power
         prev = min(len(rows), prev - 1)
         if prev <= 0:
             break
@@ -166,16 +159,16 @@ class _CandidatePool:
         return self.rng.randint(1, 99)
 
 
-def iw_scan(inv: Invariants, seed: int = 0, trials: int = 20):
-    """`iw_max`'s scan of a table's record: yields the running best
+def iw_scan(a: StructureTensor, seed: int = 0, trials: int = 20):
+    """`iw_max`'s scan of a table: yields the running best
     (vector, rank sequence) after each candidate, each sequence dominating
     the ones before it, so a caller that stops early holds a lower bound.
     Raises ValueError when trials < 1: a repair needs a perturbation.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    table, n = inv.table, inv.dim
-    bound = _rank_bound(inv)
+    table, n = a.table, a.dim
+    bound = _rank_bound(a)
     pool = _CandidatePool(n, seed)
     candidates = iter(pool)
     best_vec = next(candidates)
@@ -206,12 +199,10 @@ def iw_scan(inv: Invariants, seed: int = 0, trials: int = 20):
         yield best_vec, best_seq
 
 
-def iw_max(a: StructureTensor | Invariants, seed: int = 0, trials: int = 20):
+def iw_max(a: StructureTensor, seed: int = 0, trials: int = 20):
     """Dominant one-dimensional IW contraction as (Partition, witness): the
-    last running best of `iw_scan`.
-
-    a is a table or its `algebra.Invariants` record; a record is read as
-    it stands, so a caller that holds one walks no power chain twice.
+    last running best of `iw_scan`, whose rank bound reads the tensor's own
+    power chain, so a tensor read before walks no chain twice.
     The partition is read off the dominant rank sequence through
     r_m = sum_i max(lambda_i - m, 0); parts of size one are invisible to
     that duality, so the label carries only parts >= 2 except for the zero
@@ -219,11 +210,10 @@ def iw_max(a: StructureTensor | Invariants, seed: int = 0, trials: int = 20):
     The witness is a tuple of Fractions.
     Raises ValueError when trials < 1: a repair needs a perturbation.
     """
-    inv = a if isinstance(a, Invariants) else Invariants(a)
-    for best_vec, best_seq in iw_scan(inv, seed, trials):
+    for best_vec, best_seq in iw_scan(a, seed, trials):
         pass
     witness = tuple(map(Fraction, best_vec))
-    return partition_from_rank_sequence(best_seq, inv.dim), witness
+    return partition_from_rank_sequence(best_seq, a.dim), witness
 
 
 def iw_sequence(partition: Partition) -> RankSequence:

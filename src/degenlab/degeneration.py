@@ -68,10 +68,8 @@ from math import lcm, prod
 
 from .algebra import (
     DimensionMismatch,
-    Invariants,
     StructureTensor,
     _int_product,
-    _int_table_of,
     int_change_basis,
     jacobi_holds,
 )
@@ -183,21 +181,20 @@ def clear_denominators(fs):
     return c * lcm_den, [num * cofactor[den] if num else num for num, den in fs]
 
 
-def apply_parameterized_basis(a: StructureTensor | Invariants, rows):
-    """(den, N, B): the structure constants of `a` (a table or its record,
-    whose `int_table` is read as it stands) in the parameterized basis
-    `rows` (parsed rows of (num, den) pairs) are N / den, with den in Z[t]
-    and N = {(i, j): coordinates} for i < j, each the value at t = X = 2^B
-    of a polynomial with coefficients strictly inside +-X/2 (`packing_bits`).
+def apply_parameterized_basis(a: StructureTensor, rows):
+    """(den, N, B): the structure constants of `a`, read on its integer
+    table, in the parameterized basis `rows` (parsed rows of (num, den)
+    pairs) are N / den, with den in Z[t] and N = {(i, j): coordinates} for
+    i < j, each the value at t = X = 2^B of a polynomial with coefficients
+    strictly inside +-X/2 (`packing_bits`).
     Raises SingularFamily when the rows fail to be a basis for generic t.
     """
-    record = a if isinstance(a, Invariants) else Invariants(a)
-    n = record.dim
+    n = a.dim
     if len(rows) != n:
         raise ValueError("basis dimension does not match the algebra")
     s, flat = clear_denominators(f for row in rows for f in row)
     g = [flat[i * n:(i + 1) * n] for i in range(n)]
-    mult, table = record.mult, record.table
+    mult, table = a.mult, a.table
     bits = packing_bits(g, table)
     packed = [[x.at_power_of_two(bits) if x else 0 for x in row] for row in g]
     d, inv = int_scaled_inverse(packed)
@@ -270,27 +267,28 @@ class AlgebraRef:
 
 
 class Records:
-    """One run's records at one seed, keyed by label (one table each): the
-    `algebra.Invariants` of a label, built once, when first read, and one
-    `contraction.iw_scan` of its table, taken only as far as it is read.
+    """One run's store at one seed, keyed by label (one table each): the
+    tensor of a label, resolved once, when first read, so that each of its
+    invariants is computed once per run, and one `contraction.iw_scan` of
+    it, taken only as far as it is read.
     A lazy audit (`iw_monotone`) may so leave a repair unreached, and never
     raise the IncomparableMaxima that `contraction` says cannot happen for
     Engel input.  A table that is not Engel raises NotEngelAt led by its
     label."""
 
     def __init__(self, seed: int = 0):
-        self.seed, self._records, self._scans = seed, {}, {}
+        self.seed, self._tensors, self._scans = seed, {}, {}
 
-    def invariants(self, ref: AlgebraRef) -> Invariants:
-        if ref.label not in self._records:
-            self._records[ref.label] = Invariants(ref.resolve())
-        return self._records[ref.label]
+    def tensor(self, ref: AlgebraRef) -> StructureTensor:
+        if ref.label not in self._tensors:
+            self._tensors[ref.label] = ref.resolve()
+        return self._tensors[ref.label]
 
     def _best(self, ref: AlgebraRef, enough=lambda seq: False):
         """The label's running best, scanned on until `enough` holds of it
         or the scan ends: then it is the sequence of its `iw_max` label."""
         if ref.label not in self._scans:
-            self._scans[ref.label] = [iw_scan(self.invariants(ref), self.seed), None]
+            self._scans[ref.label] = [iw_scan(self.tensor(ref), self.seed), None]
         state = self._scans[ref.label]  # [the scan, its best so far]
         try:
             while state[1] is None or not enough(state[1]):
@@ -314,9 +312,9 @@ class Records:
         True when the source's best dominates the target's exact
         `_rank_bound`; else the target is scanned to its end, and the
         source until its best dominates the target's sequence."""
-        if _rank_bound(self.invariants(src)) is None:
+        if _rank_bound(self.tensor(src)) is None:
             self.iw_sequence(src)
-        bound = _rank_bound(self.invariants(tgt))
+        bound = _rank_bound(self.tensor(tgt))
         if bound is not None and dominates(self._best(src, lambda s: True), bound):
             return True
         tgt_seq = self.iw_sequence(tgt)
@@ -325,7 +323,7 @@ class Records:
     def rank_sequence(self, ref: AlgebraRef, element):
         """The rank sequence of L_element on the table of ref."""
         try:
-            return rank_sequence(self.invariants(ref), element)
+            return rank_sequence(self.tensor(ref), element)
         except NotEngelAt as exc:
             raise exc.named(ref.label) from None
 
@@ -348,7 +346,7 @@ def verify_degeneration(cert: DegenerationCertificate, records: Records) -> Verd
     A basis of the wrong length, or a row that does not parse, is a fail
     verdict (naming the row).
     """
-    src, tgt = records.invariants(cert.source), records.invariants(cert.target)
+    src, tgt = records.tensor(cert.source), records.tensor(cert.target)
     if src.dim != tgt.dim:
         return Verdict("fail", "source and target dimensions differ")
     n = src.dim
@@ -375,7 +373,7 @@ def verify_degeneration(cert: DegenerationCertificate, records: Records) -> Verd
                            {"position": (i, j, k)})
         if any(got):
             limits[(i, j)] = got
-    products, zeros = tgt.tensor.products, (0,) * n
+    products, zeros = tgt.products, (0,) * n
     if limits == products:
         return Verdict("pass")
     for i, j in sorted(limits.keys() | products.keys()):
@@ -544,11 +542,11 @@ def random_invertible(dim: int, rng: random.Random, spread: int = 5):
 
 
 def randomized_orbit_refute(
-    b: StructureTensor | Invariants, spec: ClosedSetSpec, trials: int,
+    b: StructureTensor, spec: ClosedSetSpec, trials: int,
     seed: int, cone=None,
 ) -> Verdict:
-    """Sample the orbit of b (a table or its record) for members of a closed
-    set: the flag conditions `spec`, and the predicate `cone` when given.
+    """Sample the orbit of b for members of a closed set: the flag
+    conditions `spec`, and the predicate `cone` when given.
 
     refutation_not_found is evidence, never proof, that the orbit misses
     the set; a hit refutes the emptiness claim and returns the basis.
@@ -563,7 +561,7 @@ def randomized_orbit_refute(
     n = b.dim
     pairs = _hit_pairs(spec, n)
     rng = random.Random(seed)
-    table = _int_table_of(b)
+    table = b.table
     for trial in range(trials):
         g, spans = random_invertible(n, rng)
         if _orbit_meets(table, n, g, spans, pairs) and (
@@ -612,7 +610,7 @@ def verify_nondegeneration(
     witness between different dimensions, or a BespokeR witness outside
     dimension 7, is a fail verdict.
     """
-    src, tgt = records.invariants(w.source), records.invariants(w.target)
+    src, tgt = records.tensor(w.source), records.tensor(w.target)
     if src.dim != tgt.dim:
         return Verdict("fail", "source and target dimensions differ")
     if w.kind == "BespokeR" and src.dim != 7:
@@ -662,7 +660,7 @@ def verify_nondegeneration(
         if moved is None:
             return Verdict("refuted", "stored source basis is singular at t = 0")
     else:
-        moved = src.tensor
+        moved = src
     if not (closed_set_member(moved, spec) and (cone is None or cone(moved))):
         return Verdict("refuted", "stored source basis does not land in the set")
     verdict = randomized_orbit_refute(tgt, spec, trials, records.seed, cone)

@@ -3,10 +3,10 @@
 The ledger is a JSON file with three sections: degeneration certificates,
 non-degeneration witnesses, and level chains.  Loading validates the
 referential invariants (chains reference existing certificates with
-matching endpoints and the stated length; no ordered pair carries both a
-certificate and a witness; ids are unique strings per section; one label
-names one table; catalog names and separators are known), the witness
-payloads each kind reads, and that ids and provenances are strings.
+matching endpoints and the stated length; no witness denies A -> B when
+certificates lead from A to B; ids are unique strings per section; one
+label names one table; catalog names and separators are known), the
+witness payloads each kind reads, and that ids and provenances are strings.
 Inline tables become `StructureTensor`s at load (`from_json_obj`).
 Running the ledger re-verifies everything and emits a deterministic
 report: same seed, same bytes.
@@ -23,13 +23,13 @@ Beside each verified certificate the runner re-checks the closed monotone
 invariants (square dimension down, annihilator dimension up, rank-sequence
 dominance of the dominant contractions), so a bad table or basis cannot
 slip through as a formally passing entry.  A run keeps one
-`degeneration.Records` store, each label's `algebra.Invariants` record
-built once and its `iw_max` scan taken only as far as the dominance audit
-needs (`Records.iw_monotone`), and makes each report entry with one
+`degeneration.Records` store, one tensor and one `iw_max` scan per label,
+the scan taken only as far as the audit (`Records.iw_monotone`) or an
+`iw_partition` separator needs, and makes each report entry with one
 function per section (`_certificate_entry`, `_witness_entry`,
 `_probe_entry`, `_chain_entry`); the checks, audit, separators and
-witnesses read only the store.  `degenlab check` hands its one check a
-fresh store after the loader's reference checks (`check_references`).
+witnesses read only the store, so no label is scanned twice.  `degenlab
+check` hands its one check a fresh store after `check_references`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 from .algebra import (
     MAX_DIM,
-    Invariants,
     StructureTensor,
     TableFormatError,
     engel_degree,
@@ -56,7 +55,7 @@ from .catalog import (
     level_lookup,
     parse_name,
 )
-from .contraction import iw_max
+from .contraction import partition_from_rank_sequence
 from .degeneration import (
     INVARIANT_KINDS,
     AlgebraRef,
@@ -323,15 +322,16 @@ def _validate(ledger: ClaimLedger):
                 raise InconsistentLedger(f"duplicate {kind} id {rid}")
             seen.add(rid)
     check_references(ledger.certificates + ledger.witnesses)
-    cert_pairs = {
-        (c.source.label, c.target.label) for c in ledger.certificates
-    }
+    certs_from = {}
+    for c in ledger.certificates:
+        certs_from.setdefault(c.source.label, []).append(c)
     for w in ledger.witnesses:
-        pair = (w.source.label, w.target.label)
-        if pair in cert_pairs:
+        path = _certificate_path(certs_from, w.source.label, w.target.label)
+        if path:
             raise InconsistentLedger(
-                f"pair {pair[0]} -> {pair[1]} carries both a certificate "
-                f"and witness {w.witness_id}"
+                f"witness {w.witness_id} denies {w.source.label} -> "
+                f"{w.target.label}, but certificates {', '.join(path)} "
+                f"lead there"
             )
     index = {c.cert_id: c for c in ledger.certificates}
     for ch in ledger.chains:
@@ -368,10 +368,23 @@ def _validate(ledger: ClaimLedger):
             )
 
 
+def _certificate_path(certs_from, source: str, target: str):
+    """The ids of a shortest path of certificates from label `source` to
+    label `target`, or None; `certs_from` lists them by source label."""
+    paths, queue = {}, [(source, ())]
+    for label, path in queue:
+        for cert in certs_from.get(label, ()):
+            nxt = cert.target.label
+            if nxt not in paths:
+                paths[nxt] = path + (cert.cert_id,)
+                queue.append((nxt, paths[nxt]))
+    return paths.get(target)
+
+
 # --- separating invariants -------------------------------------------------
 
 
-def _pfaffian_conic_profile(inv: Invariants):
+def _pfaffian_conic_profile(a: StructureTensor):
     """(span dim, quadric rank) of the degree-2 Pfaffian ideal piece.
 
     Defined for algebras with A * A^2 = 0: the products induce a net of
@@ -380,11 +393,11 @@ def _pfaffian_conic_profile(inv: Invariants):
     quadrics whose span (and, when it is a single quadric, its rank) is a
     GL-invariant.
     """
-    square, cube = inv.power(2), inv.power(3)
+    square, cube = a.power(2), a.power(3)
     s = len(square)
     if s == 0 or cube:
         return None
-    monomials, rows = _pfaffian_quadrics(_skew_net(inv.tensor, square))
+    monomials, rows = _pfaffian_quadrics(_skew_net(a, square))
     if not rows:
         return (0, None)
     span_dim = rank(rows)
@@ -399,9 +412,9 @@ def _pfaffian_conic_profile(inv: Invariants):
     return (1, rank(sym))
 
 
-def _classifier_label(inv: Invariants):
+def _classifier_label(a: StructureTensor):
     try:
-        res = classify_T22(inv)
+        res = classify_T22(a)
     except PreconditionViolated:
         return "outside-T22-scope"
     return getattr(res, "key", repr(res))
@@ -412,21 +425,24 @@ SEPARATORS = ("paper", "dim_square", "ann_dim", "nilindex", "engel_degree",
               "iw_partition")
 
 
-def separator_check(kind: str, src: Invariants, tgt: Invariants,
-                    seed: int = 0):
-    """Certify src != tgt as isomorphism classes by a named invariant."""
+def separator_check(kind: str, records: Records, src: AlgebraRef,
+                    tgt: AlgebraRef):
+    """Certify src != tgt as isomorphism classes by a named invariant of
+    their tables and scans in the run's `records`."""
     if kind == "paper":
         return None, "non-isomorphism recorded on the source material's authority"
+    t = records.tensor
     funcs = {
-        "dim_square": lambda inv: inv.dim_square,
-        "ann_dim": lambda inv: inv.ann_dim,
-        "nilindex": lambda inv: inv.nilindex,
-        "engel_degree": lambda inv: engel_degree(inv, inv.dim + 1),
-        "jacobi": jacobi_holds,
-        "centralizer_square": lambda inv: inv.centralizer_dim(2),
-        "pfaffian_conic": _pfaffian_conic_profile,
-        "classifier": _classifier_label,
-        "iw_partition": lambda inv: tuple(iw_max(inv, seed=seed)[0]),
+        "dim_square": lambda ref: t(ref).dim_square,
+        "ann_dim": lambda ref: t(ref).ann_dim,
+        "nilindex": lambda ref: t(ref).nilindex,
+        "engel_degree": lambda ref: engel_degree(t(ref), ref.dim + 1),
+        "jacobi": lambda ref: jacobi_holds(t(ref)),
+        "centralizer_square": lambda ref: t(ref).centralizer_dim(2),
+        "pfaffian_conic": lambda ref: _pfaffian_conic_profile(t(ref)),
+        "classifier": lambda ref: _classifier_label(t(ref)),
+        "iw_partition": lambda ref: tuple(partition_from_rank_sequence(
+            records.iw_sequence(ref), ref.dim)),
     }
     if kind not in funcs:
         raise ValueError(f"unknown separator {kind!r}")
@@ -437,7 +453,8 @@ def separator_check(kind: str, src: Invariants, tgt: Invariants,
 # --- the run ----------------------------------------------------------------
 
 
-def _monotone_audit(src: Invariants, tgt: Invariants, iw_monotone: bool):
+def _monotone_audit(src: StructureTensor, tgt: StructureTensor,
+                    iw_monotone: bool):
     """Closed-invariant sanity for a passing certificate src -> tgt;
     `iw_monotone` is whether src's dominant rank sequence dominates tgt's
     (`Records.iw_monotone`)."""
@@ -465,14 +482,15 @@ def _certificate_entry(cert: DegenerationCertificate, records: Records) -> dict:
         "reason": verdict.reason,
     }
     if verdict.ok:
-        src, tgt = records.invariants(cert.source), records.invariants(cert.target)
         problems = _monotone_audit(
-            src, tgt, records.iw_monotone(cert.source, cert.target))
+            records.tensor(cert.source), records.tensor(cert.target),
+            records.iw_monotone(cert.source, cert.target))
         if problems:
             entry["status"] = "FAIL"
             entry["reason"] = "; ".join(problems)
         elif cert.proper:
-            ok, detail = separator_check(cert.separator, src, tgt, records.seed)
+            ok, detail = separator_check(cert.separator, records, cert.source,
+                                         cert.target)
             if ok is None:
                 entry["nontrivial"] = "PAPER-ASSERTED"
             elif ok:

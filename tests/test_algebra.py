@@ -5,7 +5,6 @@ import pytest
 
 from degenlab.algebra import (
     DimensionMismatch,
-    Invariants,
     StructureTensor,
     _engel_packing_bits,
     _malcev_holds,
@@ -141,7 +140,7 @@ def test_ann_dim_is_the_annihilator_dim_on_every_shipped_label():
     assert len(refs) > 100
     for ref in refs.values():
         a = ref.resolve()
-        assert Invariants(a).ann_dim == len(annihilator(a)), ref.label
+        assert a.ann_dim == len(annihilator(a)), ref.label
 
 
 def test_ann_dim_matches_the_oracle_on_random_tables():
@@ -152,16 +151,19 @@ def test_ann_dim_matches_the_oracle_on_random_tables():
         m, k = rng.randint(1, 5), rng.randint(0, 3)
         a = direct_sum_trivial(random_anticommutative(m, rng, spread=1), k)
         a = change_basis(a, random_lower_triangular(m + k, rng)[::-1])
-        ann_dim = Invariants(a).ann_dim
+        ann_dim = a.ann_dim
         assert ann_dim == ann_dim_oracle(a), a.products
         seen.add(ann_dim)
     assert len(seen) >= 4
 
 
-def test_a_record_gives_the_identity_flags_engel_degree_and_nilpotency():
-    # the checks read the record's table, and the record's own power chain,
-    # instead of scaling the table again
+def test_every_invariant_read_on_a_warm_tensor_equals_the_read_on_a_fresh_one():
+    # a tensor computes each invariant at most once and keeps it: after
+    # earlier reads have filled its caches, and walked its power chain in
+    # part or to its end, every read equals the same read on a fresh, equal
+    # tensor, on integer tables and on dense fractional conjugates
     from degenlab.catalog import PreconditionViolated, classify_T22
+    from degenlab.contraction import _rank_bound, iw_max, rank_sequence
 
     def classified(a):
         try:
@@ -169,14 +171,51 @@ def test_a_record_gives_the_identity_flags_engel_degree_and_nilpotency():
         except PreconditionViolated as exc:
             return str(exc)
 
+    def reads(a):
+        n = a.dim
+        x, y = e_vec(n, 1, n), e_vec(n, 2)
+        return (a.nilindex, a.powers, a.mult, a.table,
+                [a.power(i) for i in range(1, n + 2)],
+                [a.centralizer_dim(i) for i in (1, 2, 3)],
+                a.dim_square, a.ann_dim, is_nilpotent(a),
+                power_ideal(a, 2), dim_square(a), annihilator(a),
+                identity_flags(a), engel_degree(a, n + 1), classified(a),
+                _rank_bound(a), rank_sequence(a, x), iw_max(a, seed=n),
+                product(a, x, y), left_mult_matrix(a, x))
+
+    rng = random.Random(1609)
+    fractional = 0
     for key in MANIFEST_FAMILIES:
         for n in catalog_tested_dims(key):
             a = instantiate(key, n)
-            inv = Invariants(a)
-            assert identity_flags(inv) == identity_flags(a), (key, n)
-            assert is_nilpotent(inv) == is_nilpotent(a), (key, n)
-            assert engel_degree(inv, n + 1) == engel_degree(a, n + 1), (key, n)
-            assert classified(inv) == classified(a), (key, n)
+            for warm in (a, change_basis(a, random_lower_triangular(n, rng)[::-1])):
+                fresh = StructureTensor(n, warm.products)
+                if n % 2:
+                    warm.centralizer_dim(2)  # the walk to A^2 only
+                else:
+                    iw_max(warm, seed=0)  # the walk to its end
+                assert reads(warm) == reads(fresh), (key, n)
+                assert reads(warm) == reads(fresh), (key, n)
+                fractional += warm.mult > 1
+    assert fractional >= 30
+
+
+def test_equality_and_hash_ignore_the_caches():
+    # check_references compares the tensors of a label and AlgebraRef
+    # hashes them: filled caches change neither
+    from degenlab.contraction import iw_max
+    from degenlab.degeneration import AlgebraRef, DegenerationCertificate
+    from degenlab.verification_db import check_references
+
+    for key, n in (("T22_e24", 6), ("T3", 5), ("eta2", 5)):
+        warm, fresh = instantiate(key, n), instantiate(key, n)
+        iw_max(warm)
+        warm.centralizer_dim(2)
+        assert warm == fresh and hash(warm) == hash(fresh)
+        assert {warm, fresh} == {fresh}
+        refs = AlgebraRef("X", n, warm), AlgebraRef("X", n, fresh)
+        assert refs[0] == refs[1] and hash(refs[0]) == hash(refs[1])
+        check_references([DegenerationCertificate(*refs, basis_rows=())])
 
 
 def test_identity_flags_examples():
@@ -593,14 +632,14 @@ def _fractional_vec(n, rng):
 
 
 def _assert_layer_matches_oracles(a, rng):
-    """Every closed invariant, public and on the Invariants record, equals
+    """Every closed invariant, public and on a fresh, equal tensor, equals
     its Fraction oracle, subspace for subspace; returns is_nilpotent(a)."""
     n = a.dim
     full = Subspace.full(n)
     powers = [full]  # A^1, ..., A^(n+2) over Fraction
     for _ in range(n + 1):
         powers.append(subspace_product_oracle(a, full, powers[-1]))
-    inv = Invariants(a)
+    inv = StructureTensor(n, a.products)
     for i, want in enumerate(powers, start=1):
         assert Subspace.from_vectors(n, power_ideal(a, i)) == want, i
         # one walk gives the whole chain; past its end a power repeats the last
@@ -611,7 +650,8 @@ def _assert_layer_matches_oracles(a, rng):
     assert inv.nilindex == nil[1]
     ann = annihilator_oracle(a)
     assert Subspace.from_vectors(n, annihilator(a)) == ann
-    assert Invariants(a).ann_dim == inv.ann_dim == inv.centralizer_dim(1) == ann.dim
+    assert (StructureTensor(n, a.products).ann_dim == inv.ann_dim
+            == inv.centralizer_dim(1) == ann.dim)
     assert inv.centralizer_dim(2) == centralizer_square_dim_oracle(a)
     x, y = _fractional_vec(n, rng), _fractional_vec(n, rng)
     assert product(a, x, y) == fraction_product(a, x, y)

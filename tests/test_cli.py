@@ -215,7 +215,8 @@ def test_check_refuses_a_label_that_names_two_tables(tmp_path, capsys):
 
 def test_info_builds_one_integer_table(capsys, monkeypatch):
     # the identity flags, nilpotency, Engel degree and iw_max all read the
-    # one record cmd_info builds
+    # integer table of the one tensor cmd_info instantiates, and so does the
+    # same sequence of library calls on a bare tensor
     from degenlab import algebra, contraction, degeneration
 
     calls = []
@@ -230,6 +231,17 @@ def test_info_builds_one_integer_table(capsys, monkeypatch):
     assert main(["info", "T32_e23", "--dim", "6"]) == 0
     assert "jacobi / malcev" in capsys.readouterr().out
     assert len(calls) == 1
+
+    t = algebra.StructureTensor.from_pairs(
+        6, [(1, 2, 4), (1, 4, 5), (2, 4, 6), (1, 3, 6, "1/2")])
+    calls.clear()
+    algebra.identity_flags(t)
+    algebra.is_nilpotent(t)
+    contraction.iw_max(t, seed=3)
+    algebra.dim_square(t)
+    algebra.annihilator(t)
+    algebra.engel_degree(t, t.dim + 1)
+    assert calls == [t]
 
 
 def _cert_with_first_row(row):

@@ -159,7 +159,7 @@ def test_only_linalg_and_algebra_name_the_fraction_subspace():
     # spans and null spaces are integer echelon rows: no package module
     # defines or names a Fraction RREF or a Subspace (the tests' oracles
     # keep their own), and the run paths above the algebra layer read the
-    # ideals and the annihilator through algebra.Invariants
+    # ideals and the annihilator off the tensor's own invariants
     assert _package_names({"Subspace", "_rref"}, ()) == []
     package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
     defined = [(path.stem, node.name) for path in sorted(package.glob("*.py"))
@@ -173,34 +173,59 @@ def test_only_linalg_and_algebra_name_the_fraction_subspace():
 
 
 def test_only_algebra_names_the_power_chain_internals():
-    # the power chain and the centralizer conditions are read through
-    # algebra.Invariants; no module above algebra walks them itself
+    # the power chain and the centralizer conditions are read through the
+    # StructureTensor that holds them; no module above algebra walks them
     assert _package_names(
         {"_int_powers", "_int_centralizer_conditions", "_int_identity"},
         ("algebra",)) == []
 
 
+def test_the_structure_tensor_is_the_one_algebra_object():
+    # no second record of a table's invariants beside the tensor, and no
+    # function that takes an algebra branches on what kind of object it is
+    assert _package_names({"Invariants", "_int_table_of"}, ()) == []
+    package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
+    branching = []
+    for module in ("algebra", "contraction", "catalog", "degeneration"):
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            algebras = {arg.arg for arg in func.args.args if arg.annotation
+                        and "StructureTensor" in ast.unparse(arg.annotation)}
+            branching += [
+                (module, func.name) for node in ast.walk(func)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("isinstance", "type") and node.args
+                and isinstance(node.args[0], ast.Name)
+                and node.args[0].id in algebras]
+    assert branching == []
+
+
 def _function_names(module: str, functions) -> set:
-    """The bare names that the named functions of a package module read or
-    call (ast.Name; an attribute such as `inv.ann_dim` is not a name)."""
+    """The names that the named functions of a package module read or call,
+    bare (ast.Name) or as attributes (`ref.resolve`)."""
     path = Path(__file__).resolve().parents[1] / "src" / "degenlab" / f"{module}.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    found = {node.name: {name.id for name in ast.walk(node)
-                         if isinstance(name, ast.Name)}
+    found = {node.name: {name.id if isinstance(name, ast.Name) else name.attr
+                         for name in ast.walk(node)
+                         if isinstance(name, (ast.Name, ast.Attribute))}
              for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert set(functions) <= set(found)
     return set().union(*(found[name] for name in functions))
 
 
 def test_the_witness_check_and_the_per_claim_functions_read_the_store():
-    # records are built and read through degeneration.Records alone: one
-    # record per label per run, whichever claim reads it first
-    banned = {"Invariants", "dim_square", "ann_dim", "iw_max", "int_table"}
+    # tables are resolved and scanned through degeneration.Records alone:
+    # one tensor and one scan per label per run, whichever claim reads it
+    # first; none of these functions builds or scans an algebra of its own
+    banned = {"instantiate", "resolve", "int_table", "StructureTensor",
+              "iw_max", "iw_scan"}
     assert _function_names("degeneration",
                            ["verify_nondegeneration"]) & banned == set()
     assert _function_names("verification_db", [
         "_certificate_entry", "_witness_entry", "_probe_entry", "_chain_entry",
-        "run_ledger"]) & banned == set()
+        "separator_check", "run_ledger"]) & banned == set()
 
 
 def _strings(node):

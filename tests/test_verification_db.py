@@ -12,10 +12,12 @@ from pathlib import Path
 import pytest
 
 from degenlab import catalog, contraction, degeneration, verification_db
-from degenlab.algebra import Invariants, StructureTensor, change_basis
+from degenlab import algebra
+from degenlab.algebra import StructureTensor, change_basis
 from degenlab.catalog import MANIFEST_FAMILIES, build_manifest, instantiate
 from degenlab.catalog import tested_dims as catalog_tested_dims
 from degenlab.contraction import dominates, iw_max, iw_sequence, rank_sequence
+from degenlab.degeneration import AlgebraRef, Records
 from degenlab.verification_db import (
     InconsistentLedger,
     ParseError,
@@ -71,20 +73,26 @@ def test_run_ledger_needs_a_sample(trials):
 
 
 def test_contradictory_pair_is_rejected():
-    obj = shipped_obj()
-    cert = next(c for c in obj["certificates"] if c["id"] == "T22deg.2.6")
-    witness = {
-        "id": "W.bogus",
-        "kind": "DimSquare",
-        "source": cert["source"],
-        "target": cert["target"],
-        "payload": {},
-        "provenance": "synthetic contradiction",
-    }
-    obj = copy.deepcopy(obj)
-    obj["witnesses"].append(witness)
-    with pytest.raises(InconsistentLedger):
-        ledger_from_obj(obj)
+    # a witness A -/-> B is refused when certificates lead from A to B, by
+    # one certificate or, as for a composed pair of the report, by several
+    for source, target, path in (
+            ("T22_e34@6", "T22_e24@6", "T22deg.2.6"),
+            ("T22_e45@7", "T22_e24@7", "T22deg.1.7, T22deg.2.7")):
+        obj = copy.deepcopy(shipped_obj())
+        refs = {f"{r['name']}@{r['dim']}": r for c in obj["certificates"]
+                for r in (c["source"], c["target"])}
+        obj["witnesses"].append({
+            "id": "W.bogus",
+            "kind": "DimSquare",
+            "source": refs[source],
+            "target": refs[target],
+            "payload": {},
+            "provenance": "synthetic contradiction",
+        })
+        with pytest.raises(InconsistentLedger, match=(
+                f"witness W.bogus denies {source} -> {target}, but "
+                f"certificates {path} lead there")):
+            ledger_from_obj(obj)
 
 
 def test_chain_length_must_match_catalog_level():
@@ -184,28 +192,28 @@ def test_hasse_dot_edges_have_a_style_name_and_grey_edges_a_color():
 
 
 def test_separator_battery():
-    src = Invariants(instantiate("T22_e24", 6))
-    tgt = Invariants(instantiate("T22_e23", 6))
-    assert separator_check("dim_square", src, tgt) == (
+    records = Records()
+    src, tgt = AlgebraRef("T22_e24", 6), AlgebraRef("T22_e23", 6)
+    assert separator_check("dim_square", records, src, tgt) == (
         True, "dim_square: source 2, target 3")
-    assert separator_check("ann_dim", src, tgt) == (
+    assert separator_check("ann_dim", records, src, tgt) == (
         True, "ann_dim: source 2, target 3")
-    ok, _ = separator_check("classifier", src,
-                            Invariants(instantiate("T22_e34", 6)))
+    ok, _ = separator_check("classifier", records, src,
+                            AlgebraRef("T22_e34", 6))
     assert ok
-    same = Invariants(instantiate("T22_e24", 6))
+    same = AlgebraRef("X", 6, instantiate("T22_e24", 6))
     for kind in SEPARATORS[1:]:
-        assert separator_check(kind, src, same)[0] is False, kind
-    assert separator_check("paper", src, tgt)[0] is None
+        assert separator_check(kind, records, src, same)[0] is False, kind
+    assert separator_check("paper", records, src, tgt)[0] is None
 
 
 def test_the_loader_accepts_exactly_the_separators_the_check_knows():
-    src = Invariants(instantiate("T22_e24", 6))
-    tgt = Invariants(instantiate("T22_e23", 6))
+    records = Records()
+    src, tgt = AlgebraRef("T22_e24", 6), AlgebraRef("T22_e23", 6)
     for kind in SEPARATORS:
-        separator_check(kind, src, tgt)
+        separator_check(kind, records, src, tgt)
     with pytest.raises(ValueError, match="unknown separator"):
-        separator_check("nosuch", src, tgt)
+        separator_check("nosuch", records, src, tgt)
     shipped = {c.separator for c in load_ledger(shipped_ledger_path()).certificates}
     assert shipped - {None} <= set(SEPARATORS)
 
@@ -235,31 +243,60 @@ def test_the_run_reads_each_dominant_sequence_off_its_iw_max_label(monkeypatch):
 
 
 def test_the_run_builds_one_invariant_record_per_label(monkeypatch):
-    # the run's Records store builds every record, one per label (160),
-    # witnesses included; iw_max, classify_T22 and the witness checks read
-    # the store's record and build none of their own
+    # the run's Records store holds one tensor per label (160), witnesses
+    # included, and each builds its integer table once, when the store's
+    # reads first need it; the checks, the audit, the separators, iw_max
+    # and classify_T22 read that table and build none of their own
     built = collections.Counter()
-    init = Invariants.__init__
+    int_table = algebra.int_table
 
-    def counted(self, a):
+    def counted(a):
         built[sys._getframe(1).f_code.co_name] += 1
-        init(self, a)
+        return int_table(a)
 
-    monkeypatch.setattr(Invariants, "__init__", counted)
+    monkeypatch.setattr(algebra, "int_table", counted)
     ledger = load_ledger(shipped_ledger_path())
     report = run_ledger(ledger, seed=20240917, trials=1)
     assert report["summary"]["failures"] == 0
     labels = {ref.label for claim in ledger.certificates + ledger.witnesses
               for ref in (claim.source, claim.target)}
     assert len(labels) == 160
-    assert built == {"invariants": 160}
+    assert built == {"__getattr__": 160}
 
-    src = Invariants(instantiate("T222", 7))
-    tgt = Invariants(instantiate("T3", 7))
+    records = Records(20240917)
+    src, tgt = AlgebraRef("T222", 7), AlgebraRef("T3", 7)
+    for ref in (src, tgt):
+        records.tensor(ref).table
     built.clear()
-    assert separator_check("iw_partition", src, tgt) == (
+    for kind in SEPARATORS:
+        separator_check(kind, records, src, tgt)
+    assert separator_check("iw_partition", records, src, tgt) == (
         True, "iw_partition: source (2, 2, 2), target (3,)")
     assert not built
+
+
+def test_an_iw_partition_separator_continues_the_audit_scan(monkeypatch):
+    # the separator reads each label's scan in the run's store, the one the
+    # dominance audit left: one iw_scan per label of the claim
+    cert = {"id": "c", "source": {"name": "T222", "dim": 7},
+            "target": {"name": "T22", "dim": 7},
+            "basis": ["e1", "e2", "e3", "t*e4", "e7", "e5", "e6"],
+            "proper": True, "separator": "iw_partition"}
+    ledger = ledger_from_obj({"certificates": [cert]})
+    scans = collections.Counter()
+    iw_scan = contraction.iw_scan
+
+    def counted(a, *args):
+        scans[id(a)] += 1
+        return iw_scan(a, *args)
+
+    for module in (contraction, degeneration):
+        monkeypatch.setattr(module, "iw_scan", counted)
+    report = run_ledger(ledger, seed=20240917, trials=1)
+    entry = report["certificates"][0]
+    assert (entry["status"], entry.get("nontrivial")) == ("VERIFIED", "PROVED")
+    assert entry["separator"] == "iw_partition: source (2, 2, 2), target (2, 2)"
+    assert list(scans.values()) == [1, 1]
 
 
 @pytest.mark.parametrize("seed", [20240917, 1, 5])
@@ -347,9 +384,9 @@ def test_a_fresh_store_gives_each_witness_the_verdict_of_the_run():
 
 
 def test_pfaffian_conic_profile_distinguishes_the_three_block_pair():
-    e23 = _pfaffian_conic_profile(Invariants(instantiate("T222_e23", 7)))
-    e24 = _pfaffian_conic_profile(Invariants(instantiate("T222_e24", 7)))
-    plain = _pfaffian_conic_profile(Invariants(instantiate("T222", 7)))
+    e23 = _pfaffian_conic_profile(instantiate("T222_e23", 7))
+    e24 = _pfaffian_conic_profile(instantiate("T222_e24", 7))
+    plain = _pfaffian_conic_profile(instantiate("T222", 7))
     assert e23 == (1, 1)
     assert e24 == (1, 2)
     assert plain == (0, None)
@@ -380,11 +417,10 @@ def test_pfaffian_conic_profile_golden_on_every_manifest_family():
     for key in MANIFEST_FAMILIES:
         for n in catalog_tested_dims(key):
             a = instantiate(key, n)
-            assert _pfaffian_conic_profile(Invariants(a)) == expected[key], (key, n)
+            assert _pfaffian_conic_profile(a) == expected[key], (key, n)
             # a GL-invariant: a flag-preserving conjugate reads the same
             moved = change_basis(a, random_lower_triangular(n, rng))
-            assert (_pfaffian_conic_profile(Invariants(moved))
-                    == expected[key]), (key, n)
+            assert _pfaffian_conic_profile(moved) == expected[key], (key, n)
 
 
 def test_transitivity_audit_reports_composed_arrows():
