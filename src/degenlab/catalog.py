@@ -20,9 +20,9 @@ the quotient modulo the square, and reads the canonical name off the pair
 pencil (generic rank plus the divisor of rank-two members).  When the
 decisive quadratic has no rational root the classifier reports that a
 field extension would be needed instead of guessing.  The pencil is the
-s = 2 case of the net of skew forms on A / A^2 (`_skew_net`); its 4 x 4
-Pfaffian quadrics (`_pfaffian_quadrics`) also feed the `pfaffian_conic`
-separator of the ledger run.
+s = 2 case of the net of skew forms on A / A^2 (`_skew_net`); the
+integer echelon rows spanning its 4 x 4 Pfaffian quadrics (`_pfaffian_span`)
+give both the pencil's divisor and the `pfaffian_conic` separator.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from itertools import combinations
 from typing import Callable, NamedTuple
 
 from .algebra import MAX_DIM, StructureTensor, engel_degree
-from .exactnum import ZPoly, poly_gcd
-from .linalg import Partition, _int_rank, int_scaled
+from .linalg import Partition, _int_rank, int_echelon, int_scaled
 
 
 class DimensionOutOfRange(ValueError):
@@ -335,6 +334,14 @@ def level_lookup(name, n: int) -> LevelInfo:
                      LevelValue.from_json_obj(levels[-1]))
 
 
+def level_forbids(source: LevelValue, target: LevelValue) -> bool:
+    """Whether levels rule out a proper degeneration source -> target: one
+    strictly lowers the level, so a source of exact level L cannot reach a
+    target whose exact level or lower bound is L or more."""
+    floor = target.exact if target.exact is not None else target.at_least
+    return source.exact is not None and floor >= source.exact
+
+
 MANIFEST_FAMILIES = (
     ["zero", "n3"]
     + [f"eta{m}" for m in (2, 3, 4, 5)]
@@ -417,14 +424,15 @@ def _pencil_generic_rank(p_mat, q_mat) -> int:
     return best
 
 
-def _pfaffian_quadrics(net):
-    """(monomials, rows): the 4 x 4 principal Pfaffians of a skew net.
+def _pfaffian_span(net):
+    """(monomials, rows): the `int_echelon` rows spanning the 4 x 4
+    principal Pfaffians of a skew net, the one reading of its quadrics.
 
     On w = sum_r y_r net_r the Pfaffian of rows i < j < k < l is
-    w_ij w_kl - w_ik w_jl + w_il w_jk, a quadric in y; its row holds the
-    coefficients of the monomials y_r y_q, r <= q.  Zero rows are left
-    out.  For a pencil (s = 2) a row is the binary form (a, b, c) of
-    a x^2 + b xy + c y^2.
+    w_ij w_kl - w_ik w_jl + w_il w_jk, a quadric in y; a row holds the
+    coefficients of the monomials y_r y_q, r <= q, so len(rows) is the
+    dimension of the span.  For a pencil (s = 2) a row is the binary form
+    (a, b, c) of a x^2 + b xy + c y^2.
     """
     d = len(net)
     s = len(net[0][0]) if net else 0
@@ -434,56 +442,54 @@ def _pfaffian_quadrics(net):
         return [u[r] * v[q] + u[q] * v[r] if r != q else u[r] * v[r]
                 for r, q in monomials]
 
-    rows = []
-    for i, j, k, l in combinations(range(d), 4):
-        row = [x - y + z for x, y, z in zip(sym(net[i][j], net[k][l]),
-                                            sym(net[i][k], net[j][l]),
-                                            sym(net[i][l], net[j][k]))]
-        if any(row):
-            rows.append(row)
-    return monomials, rows
+    rows = [[x - y + z for x, y, z in zip(sym(net[i][j], net[k][l]),
+                                          sym(net[i][k], net[j][l]),
+                                          sym(net[i][l], net[j][k]))]
+            for i, j, k, l in combinations(range(d), 4)]
+    return monomials, int_echelon(int_scaled(rows)[1])
 
 
-def _binary_form_gcd(forms):
-    """gcd of homogeneous binary forms, returned as (degree, disc_kind).
+def pfaffian_conic_profile(a: StructureTensor):
+    """(span dim, quadric rank) of the degree-2 Pfaffian ideal piece.
 
-    disc_kind for a degree-2 gcd is "double", "split" (two rational roots)
-    or "irrational"; degree <= 1 gcds need no kind.
+    Defined for algebras with A * A^2 = 0: the products induce a net of
+    skew forms on A/A^2 indexed by a basis of A^2; the rank-two locus of
+    the net is cut out by the 4x4 principal Pfaffians, homogeneous
+    quadrics whose span (and, when it is a single quadric, its rank) is a
+    GL-invariant.
     """
-    # split off the y^k content: f = y^dinf * g(x) with g = f(x, 1), each
-    # form scaled to Z (a constant factor changes no degree or root kind)
-    min_dinf = None
-    polys = []
-    for form in forms:
-        a, b, c = int_scaled([form])[1][0]
-        g = ZPoly((c, b, a))  # g(x) = a x^2 + b x + c from f(x, 1)
-        if not g:
-            continue  # identically zero form (filtered earlier anyway)
-        dinf = 3 - len(g.coeffs)
-        min_dinf = dinf if min_dinf is None else min(min_dinf, dinf)
-        polys.append(g)
-    g = polys[0]
-    for p in polys[1:]:
-        g = poly_gcd(g, p)
-        if len(g.coeffs) == 1 and min_dinf == 0:
-            break
-    total = len(g.coeffs) - 1 + (min_dinf or 0)
-    if total < 2:
-        return total, None
-    # reconstruct the quadratic's root structure
-    if min_dinf == 2:
-        return 2, "double"  # y^2
-    if min_dinf == 1:
-        return 2, "split"  # y * (x - r) with r rational, distinct from infinity
-    c, b, a = g.coeffs  # total = 2 with min_dinf = 0: g is a quadratic in Z[x]
+    square = a.power(2)
+    s = len(square)
+    if s == 0 or a.power(3):
+        return None
+    monomials, span = _pfaffian_span(_skew_net(a, square))
+    if len(span) != 1:
+        return (len(span), None)
+    # a quadric's rank does not depend on scale; twice its symmetric
+    # matrix: c y_r y_q, r < q, puts c at (r, q) and (q, r); c y_r^2 puts
+    # 2c at (r, r)
+    sym = [[0] * s for _ in range(s)]
+    for (r, q), c in zip(monomials, span[0]):
+        sym[r][q] = sym[q][r] = 2 * c if r == q else c
+    return (1, _int_rank(sym))
+
+
+def _pencil_divisor(span):
+    """(degree, root kind) of the gcd of a pencil's Pfaffian forms, off the
+    rows of their span: three share no factor, two share one iff their
+    resultant is 0, and one is its own gcd, "double", "split" or
+    "irrational" as its discriminant is 0, a nonzero square or neither."""
+    if len(span) == 2:
+        (a, b, c), (p, q, r) = span
+        resultant = (a * r - p * c) ** 2 - (a * q - p * b) * (b * r - q * c)
+        return (0 if resultant else 1), None
+    if len(span) != 1:
+        return 0, None
+    a, b, c = span[0]
     disc = b * b - 4 * a * c
     if disc == 0:
         return 2, "double"
-    return 2, "split" if (disc > 0 and _is_square(disc)) else "irrational"
-
-
-def _is_square(n: int) -> bool:
-    return n >= 0 and math.isqrt(n) ** 2 == n
+    return 2, "split" if disc > 0 and math.isqrt(disc) ** 2 == disc else "irrational"
 
 
 def classify_T22(a: StructureTensor):
@@ -517,11 +523,7 @@ def classify_T22(a: StructureTensor):
         return CatalogName("T", partition=(2, 2))
     if r_gen >= 6:
         return LevelAtLeast6
-    _, forms = _pfaffian_quadrics(net)
-    if not forms:
-        # cannot happen with r_gen = 4, kept as a guard
-        return LevelAtLeast6
-    degree, kind = _binary_form_gcd(forms)
+    degree, kind = _pencil_divisor(_pfaffian_span(net)[1])
     if degree == 0:
         return LevelAtLeast6
     if degree == 1:

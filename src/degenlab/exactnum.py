@@ -22,6 +22,7 @@ power is expanded by repeated multiplication, so it is refused, before
 it is expanded, when its num or den would pass degree `MAX_DEGREE`; the
 exponent of a constant is held to `MAX_DEGREE` too, and a product,
 quotient or sum to 2 `MAX_DEGREE` (a quotient of two powers at the cap).
+Parentheses and unary minus signs nest at most `MAX_NESTING` deep.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ from math import gcd
 # `((t^64)^64)^64` would reach degree 262144 from 14 characters; the
 # shipped ledger's largest exponent is 5.
 MAX_DEGREE = 64
+
+# Text may nest parentheses and unary minus signs this deep, one parser
+# recursion per level (`_Parser.nested`); shipped rows nest 1 deep.
+MAX_NESTING = 32
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -340,6 +345,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -354,6 +360,14 @@ class _Parser:
         if tok[0] != kind:
             raise ExprSyntaxError(f"expected {kind!r}, found {tok[0]!r}")
         return tok
+
+    def nested(self, parse):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than MAX_NESTING = {MAX_NESTING}")
+        value = parse()
+        self.depth -= 1
+        return value
 
     def parse(self):
         value = self.expr()
@@ -379,7 +393,7 @@ class _Parser:
     def factor(self):
         if self.peek() == "-":
             self.next()
-            num, den = self.factor()
+            num, den = self.nested(self.factor)
             return -num, den
         value = self.atom()
         if self.peek() == "^":
@@ -409,7 +423,7 @@ class _Parser:
         if kind == "t":
             return _T
         if kind == "(":
-            value = self.expr()
+            value = self.nested(self.expr)
             self.expect(")")
             return value
         raise ExprSyntaxError(f"unexpected token {kind!r}")

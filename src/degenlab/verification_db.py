@@ -49,11 +49,11 @@ from .catalog import (
     PreconditionViolated,
     UnknownFamily,
     _out_of_range,
-    _pfaffian_quadrics,
-    _skew_net,
     classify_T22,
+    level_forbids,
     level_lookup,
     parse_name,
+    pfaffian_conic_profile,
 )
 from .contraction import partition_from_rank_sequence
 from .degeneration import (
@@ -70,7 +70,6 @@ from .degeneration import (
     verify_nondegeneration,
 )
 from .exactnum import rational_from_obj
-from .linalg import rank
 
 
 class ParseError(ValueError):
@@ -322,6 +321,14 @@ def _validate(ledger: ClaimLedger):
                 raise InconsistentLedger(f"duplicate {kind} id {rid}")
             seen.add(rid)
     check_references(ledger.certificates + ledger.witnesses)
+    for c in ledger.certificates:
+        refs = (c.source, c.target)
+        if c.proper and all(ref.tensor is None for ref in refs):
+            src, tgt = (level_lookup(ref.name, ref.dim).level for ref in refs)
+            if level_forbids(src, tgt):
+                raise InconsistentLedger(
+                    f"certificate {c.cert_id} claims {c.source.label} -> "
+                    f"{c.target.label} proper, from level {src} to {tgt}")
     certs_from = {}
     for c in ledger.certificates:
         certs_from.setdefault(c.source.label, []).append(c)
@@ -384,34 +391,6 @@ def _certificate_path(certs_from, source: str, target: str):
 # --- separating invariants -------------------------------------------------
 
 
-def _pfaffian_conic_profile(a: StructureTensor):
-    """(span dim, quadric rank) of the degree-2 Pfaffian ideal piece.
-
-    Defined for algebras with A * A^2 = 0: the products induce a net of
-    skew forms on A/A^2 indexed by a basis of A^2; the rank-two locus of
-    the net is cut out by the 4x4 principal Pfaffians, homogeneous
-    quadrics whose span (and, when it is a single quadric, its rank) is a
-    GL-invariant.
-    """
-    square, cube = a.power(2), a.power(3)
-    s = len(square)
-    if s == 0 or cube:
-        return None
-    monomials, rows = _pfaffian_quadrics(_skew_net(a, square))
-    if not rows:
-        return (0, None)
-    span_dim = rank(rows)
-    if span_dim != 1:
-        return (span_dim, None)
-    # rows[0] spans the quadrics, and a quadric's rank does not depend on
-    # scale; twice its symmetric matrix: c y_r y_q, r < q, puts c at
-    # (r, q) and (q, r); c y_r^2 puts 2c at (r, r)
-    sym = [[0] * s for _ in range(s)]
-    for (r, q), c in zip(monomials, rows[0]):
-        sym[r][q] = sym[q][r] = 2 * c if r == q else c
-    return (1, rank(sym))
-
-
 def _classifier_label(a: StructureTensor):
     try:
         res = classify_T22(a)
@@ -427,8 +406,8 @@ SEPARATORS = ("paper", "dim_square", "ann_dim", "nilindex", "engel_degree",
 
 def separator_check(kind: str, records: Records, src: AlgebraRef,
                     tgt: AlgebraRef):
-    """Certify src != tgt as isomorphism classes by a named invariant of
-    their tables and scans in the run's `records`."""
+    """Certify src != tgt by a named invariant of their tables and scans in
+    the run's `records`; `pfaffian_conic` is `catalog.pfaffian_conic_profile`."""
     if kind == "paper":
         return None, "non-isomorphism recorded on the source material's authority"
     t = records.tensor
@@ -439,7 +418,7 @@ def separator_check(kind: str, records: Records, src: AlgebraRef,
         "engel_degree": lambda ref: engel_degree(t(ref), ref.dim + 1),
         "jacobi": lambda ref: jacobi_holds(t(ref)),
         "centralizer_square": lambda ref: t(ref).centralizer_dim(2),
-        "pfaffian_conic": lambda ref: _pfaffian_conic_profile(t(ref)),
+        "pfaffian_conic": lambda ref: pfaffian_conic_profile(t(ref)),
         "classifier": lambda ref: _classifier_label(t(ref)),
         "iw_partition": lambda ref: tuple(partition_from_rank_sequence(
             records.iw_sequence(ref), ref.dim)),
@@ -630,6 +609,11 @@ def report_to_json_bytes(report: dict) -> bytes:
     return json.dumps(report, indent=2, sort_keys=True).encode("utf-8") + b"\n"
 
 
+def _dot_id(label: str) -> str:
+    """A label as a quoted DOT id, its quotes and backslashes escaped."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def hasse_dot(report: dict, dim: int) -> str:
     """DOT digraph of verified (solid, grey when not claimed proper) and
     composed (dashed) arrows."""
@@ -646,17 +630,16 @@ def hasse_dot(report: dict, dim: int) -> str:
         nodes.add(tgt)
         attrs = ('style="solid"' if entry.get("nontrivial")
                  else "style=solid, color=gray")
-        edges.append(f'  "{src}" -> "{tgt}" [{attrs}];')
+        edges.append(f"  {_dot_id(src)} -> {_dot_id(tgt)} [{attrs}];")
     for entry in report["composed"]:
         if entry["dim"] != dim:
             continue
         nodes.add(entry["source"])
         nodes.add(entry["target"])
-        edges.append(
-            f'  "{entry["source"]}" -> "{entry["target"]}" [style=dashed];'
-        )
+        edges.append(f"  {_dot_id(entry['source'])} -> "
+                     f"{_dot_id(entry['target'])} [style=dashed];")
     for node in sorted(nodes):
-        lines.append(f'  "{node}";')
+        lines.append(f"  {_dot_id(node)};")
     lines.extend(sorted(edges))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -20,7 +20,9 @@ certificate check with the integer kernels run
 over `ZPoly`, before the values were packed into ints at t = 2^B, is the
 reference for the packed check.  The dense Bareiss loop that the lazily
 scaled `linalg.int_scaled_inverse` replaced is the reference for its
-(d, R), and records every entry the packing bound must cover.
+(d, R), and records every entry the packing bound must cover.  The
+polynomial gcd of binary forms that the T22 classifier once took is the
+reference for its divisor read off the span of the Pfaffian forms.
 """
 
 from fractions import Fraction
@@ -280,6 +282,46 @@ def pencil_rank_oracle(p_mat, q_mat):
         [field.convert(p) + x * field.convert(q) for p, q in zip(prow, qrow)]
         for prow, qrow in zip(p_mat, q_mat)
     ])
+
+
+def binary_form_gcd(forms):
+    """gcd of nonzero binary quadratic forms (a, b, c) = a x^2 + b xy + c y^2,
+    as (degree, root kind): the kind of a degree-2 gcd is "double", "split"
+    (two rational roots) or "irrational"; degree <= 1 needs no kind.
+
+    The former body of the T22 classifier's divisor, by polynomial gcds:
+    each form is f = y^dinf g(x) with g = f(x, 1), so the gcd is y to the
+    least dinf times the gcd of the g.  The reference for
+    `catalog._pencil_divisor`, which reads the same answer off the span.
+    """
+    from math import isqrt, lcm
+
+    from degenlab.exactnum import ZPoly, poly_gcd
+
+    min_dinf = None
+    polys = []
+    for form in forms:
+        scale = lcm(*(Fraction(x).denominator for x in form))
+        a, b, c = (int(Fraction(x) * scale) for x in form)
+        g = ZPoly((c, b, a))  # g(x) = a x^2 + b x + c from f(x, 1)
+        dinf = 3 - len(g.coeffs)
+        min_dinf = dinf if min_dinf is None else min(min_dinf, dinf)
+        polys.append(g)
+    g = polys[0]
+    for p in polys[1:]:
+        g = poly_gcd(g, p)
+    total = len(g.coeffs) - 1 + min_dinf
+    if total < 2:
+        return total, None
+    if min_dinf == 2:
+        return 2, "double"  # y^2
+    if min_dinf == 1:
+        return 2, "split"  # y (x - r) with r rational
+    c, b, a = g.coeffs
+    disc = b * b - 4 * a * c
+    if disc == 0:
+        return 2, "double"
+    return 2, "split" if disc > 0 and isqrt(disc) ** 2 == disc else "irrational"
 
 
 # --- the certificate check over Q(t) ------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import json
 import random
 from fractions import Fraction
@@ -17,8 +18,7 @@ from degenlab.catalog import (
     NeedsExtension,
     MANIFEST_FAMILIES,
     PreconditionViolated,
-    _binary_form_gcd,
-    _is_square,
+    _pencil_divisor,
     _pencil_generic_rank,
     _skew_net,
     build_manifest,
@@ -29,10 +29,10 @@ from degenlab.catalog import (
     parse_name,
 )
 from degenlab.catalog import tested_dims as catalog_tested_dims
-from degenlab.linalg import Partition
+from degenlab.linalg import Partition, int_echelon, int_scaled
 from degenlab.verification_db import shipped_ledger_path
 
-from oracles import Subspace, fraction_inverse, pencil_rank_oracle
+from oracles import Subspace, binary_form_gcd, fraction_inverse, pencil_rank_oracle
 from oracles import random_lower_triangular
 
 
@@ -115,7 +115,66 @@ def test_classify_needs_extension_for_irrational_eigenvalue():
     ([(3, 0, 3), (Fraction(-1, 2), 0, Fraction(-1, 2))], (2, "irrational")),
 ])
 def test_binary_form_gcd_degree_and_root_kind(forms, want):
-    assert _binary_form_gcd(forms) == want
+    # the polynomial gcd of the forms and the divisor read off their span
+    assert binary_form_gcd(forms) == want
+    assert _pencil_divisor(_span(forms)) == want
+
+
+def _span(forms):
+    """The integer echelon rows spanning binary forms, as `_pfaffian_span`
+    returns them."""
+    return int_echelon(int_scaled(forms)[1])
+
+
+def _times(u, v):
+    """The binary quadratic form u v of two linear forms (u0 x + u1 y)."""
+    return (u[0] * v[0], u[0] * v[1] + u[1] * v[0], u[1] * v[1])
+
+
+def _random_linear(rng):
+    """A random nonzero linear form, y (a root at infinity) three times in
+    ten."""
+    if rng.random() < 0.3:
+        return (0, 1)
+    return rng.choice([(x, y) for x in range(-3, 4) for y in range(-3, 4)
+                       if x or y])
+
+
+def _random_forms(rng):
+    """One to four nonzero binary quadratic forms, each a product of two
+    linear forms or a random one, each scaled by a random fraction; four
+    times in ten all share one linear factor."""
+    common = _random_linear(rng) if rng.random() < 0.4 else None
+    forms = []
+    for _ in range(rng.randint(1, 4)):
+        if common:
+            form = _times(common, _random_linear(rng))
+        elif rng.random() < 0.6:
+            form = _times(_random_linear(rng), _random_linear(rng))
+        else:
+            form = tuple(rng.randint(-3, 3) for _ in range(3))
+        scale = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7]))
+        forms.append(tuple(scale * x for x in form) if any(form) else (0, 0, 1))
+    return forms
+
+
+def test_pencil_divisor_matches_the_polynomial_gcd_on_random_forms():
+    # every outcome the classifier branches on is reached, with forms that
+    # y divides and with fractional coefficients, and the divisor read off
+    # the span agrees with the polynomial gcd of the forms
+    rng = random.Random(2027)
+    seen = collections.Counter()
+    for _ in range(3000):
+        forms = _random_forms(rng)
+        want = binary_form_gcd(forms)
+        assert _pencil_divisor(_span(forms)) == want, forms
+        seen[want] += 1
+        seen["y divides every form"] += all(f[0] == 0 for f in forms)
+        seen["fractional"] += any(Fraction(x).denominator > 1
+                                  for f in forms for x in f)
+    assert set(seen) == {(0, None), (1, None), (2, "double"), (2, "split"),
+                         (2, "irrational"), "y divides every form", "fractional"}
+    assert min(seen.values()) >= 20, seen
 
 
 def test_classify_level_at_least_six():
@@ -208,12 +267,15 @@ def test_catalog_name_keys():
     assert CatalogName("T2k2_special", m=4).key == "T2k2_special_m4"
 
 
-def test_is_square_is_exact_on_large_integers():
-    assert _is_square((10**30 + 7) ** 2)
-    assert not _is_square((10**30 + 7) ** 2 + 1)
-    assert _is_square(10**400)
-    assert not _is_square(10**400 - 1)
-    assert not _is_square(-4)
+def test_pencil_divisor_is_exact_on_large_discriminants():
+    # x^2 + b xy with b = 10^30 + 7 has discriminant b^2, a square; a near
+    # miss (b^2 + 4, from the form x^2 + b xy - y^2) is not
+    b = 10**30 + 7
+    assert _pencil_divisor([[1, b, 0]]) == (2, "split")
+    assert _pencil_divisor([[1, b, -1]]) == (2, "irrational")
+    assert _pencil_divisor([[1, 0, -(10**200)]]) == (2, "split")
+    assert _pencil_divisor([[1, 0, -(10**200) + 1]]) == (2, "irrational")
+    assert _pencil_divisor([[1, 0, 4]]) == (2, "irrational")
 
 
 def _two_block_tables():

@@ -362,6 +362,67 @@ def test_check_refuses_a_witness_source_basis_with_a_huge_power(tmp_path, row,
         f"in {text!r} exceeds MAX_DEGREE = 64\n")
 
 
+# rows that nest past exactnum.MAX_NESTING, by parentheses or by unary
+# minus signs; either once raised RecursionError out of the parser
+DEEP_ROWS = ["(" * 300 + "t" + ")" * 300 + "*e1", "(" + "-" * 1200 + "1)*e1"]
+NESTING = "nesting deeper than MAX_NESTING = 32"
+
+
+@pytest.mark.parametrize("row", DEEP_ROWS, ids=["parentheses", "minus-signs"])
+def test_check_fails_a_certificate_row_nested_too_deep(tmp_path, capsys, row):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_cert_with_first_row(row)), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == (
+        f"fail: basis row 1 {row!r} does not parse: {NESTING}\n", "")
+
+
+@pytest.mark.parametrize("row", DEEP_ROWS, ids=["parentheses", "minus-signs"])
+def test_verify_paper_fails_a_certificate_row_nested_too_deep(tmp_path, capsys,
+                                                             row):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps({"certificates": [_cert_with_first_row(row)],
+                                "witnesses": [], "chains": []}),
+                    encoding="utf-8")
+    code = main(["verify-paper", "--ledger", str(path), "--trials", "1",
+                 "--out", str(tmp_path / "out")])
+    assert (code, capsys.readouterr().err) == (2, "")
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    [entry] = report["certificates"]
+    assert (entry["status"], entry["reason"]) == (
+        "FAIL", f"basis row 1 {row!r} does not parse: {NESTING}")
+
+
+def _witness_with_first_row(row):
+    wit = json.loads(json.dumps(witness_by_id("W.ex222.b.7")))
+    wit["payload"]["source_basis"][0] = row
+    return wit
+
+
+@pytest.mark.parametrize("row", DEEP_ROWS, ids=["parentheses", "minus-signs"])
+def test_check_refuses_a_witness_source_basis_nested_too_deep(tmp_path, capsys,
+                                                             row):
+    path = tmp_path / "wit.json"
+    path.write_text(json.dumps(_witness_with_first_row(row)), encoding="utf-8")
+    assert main(["check", str(path), "--trials", "1"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: witness W.ex222.b.7: payload.source_basis: {NESTING}\n")
+
+
+@pytest.mark.parametrize("row", DEEP_ROWS, ids=["parentheses", "minus-signs"])
+def test_verify_paper_refuses_a_witness_source_basis_nested_too_deep(
+        tmp_path, capsys, row):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps({"certificates": [], "chains": [],
+                                "witnesses": [_witness_with_first_row(row)]}),
+                    encoding="utf-8")
+    code = main(["verify-paper", "--ledger", str(path), "--trials", "1",
+                 "--out", str(tmp_path / "out")])
+    assert (code, capsys.readouterr().err) == (
+        1, f"error: witness W.ex222.b.7: payload.source_basis: {NESTING}\n")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_check_bespoke_witness_exits_three(tmp_path, capsys):
     path = tmp_path / "wit.json"
     path.write_text(json.dumps(witness_by_id("W.ex222.b.7")), encoding="utf-8")

@@ -9,6 +9,7 @@ from sympy import Poly, Symbol
 
 from degenlab.exactnum import (
     MAX_DEGREE,
+    MAX_NESTING,
     DivisionByZero,
     ExprSyntaxError,
     ZPoly,
@@ -104,6 +105,23 @@ def test_a_long_product_of_powers_is_refused_in_under_a_second(factors):
         parse(text)
     assert time.perf_counter() - start < 1.0
     assert str(info.value) == "product of degree 192 exceeds 2 * MAX_DEGREE = 128"
+
+
+def test_nesting_past_max_nesting_is_refused_before_the_stack_runs_out():
+    # parentheses and unary minus signs each count one level, together;
+    # MAX_NESTING levels parse, and one more is a syntax error however
+    # deep the text goes, where the parser's recursion would once exhaust
+    # the stack (RecursionError)
+    assert MAX_NESTING == 32
+    assert parse("(" * 32 + "t" + ")" * 32) == parse("t")
+    assert parse("-" * 32 + "t") == parse("t")
+    assert parse("(-" * 16 + "t" + ")" * 16) == parse("t")
+    for text in ("(" * 33 + "t" + ")" * 33, "-" * 33 + "t",
+                 "(-" * 16 + "-t" + ")" * 16, "(" * 300 + "t" + ")" * 300,
+                 "(" + "-" * 5000 + "1)", "2*" + "(" * 400 + "t"):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(text)
+        assert str(info.value) == "nesting deeper than MAX_NESTING = 32"
 
 
 def test_eval_at_zero_cases():

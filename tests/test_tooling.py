@@ -393,3 +393,14 @@ def test_iw_max_scales_no_candidate_and_rank_sequence_scales_its_element(
         mixed = tuple(x + Fraction(1, k + 2) for k, x in enumerate(element))
         want = power_rank_sequence_oracle(left_mult_matrix(tgt, mixed), n)
         assert contraction.rank_sequence(tgt, mixed) == want
+
+
+def test_the_skew_net_has_one_pfaffian_reading_in_the_catalog():
+    # the classifier and the pfaffian_conic separator read one span of the
+    # Pfaffian forms: the catalog takes no polynomial gcd, no other module
+    # names the skew net or its span, and the separators rank nothing
+    package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
+    assert "exactnum" not in _package_imports(package / "catalog.py")
+    assert _package_names({"_skew_net", "_pfaffian_span", "_pencil_divisor"},
+                          ("catalog",)) == []
+    assert "linalg" not in _package_imports(package / "verification_db.py")

@@ -14,7 +14,12 @@ import pytest
 from degenlab import catalog, contraction, degeneration, verification_db
 from degenlab import algebra
 from degenlab.algebra import StructureTensor, change_basis
-from degenlab.catalog import MANIFEST_FAMILIES, build_manifest, instantiate
+from degenlab.catalog import (
+    MANIFEST_FAMILIES,
+    build_manifest,
+    instantiate,
+    pfaffian_conic_profile,
+)
 from degenlab.catalog import tested_dims as catalog_tested_dims
 from degenlab.contraction import dominates, iw_max, iw_sequence, rank_sequence
 from degenlab.degeneration import AlgebraRef, Records
@@ -22,7 +27,6 @@ from degenlab.verification_db import (
     InconsistentLedger,
     ParseError,
     SEPARATORS,
-    _pfaffian_conic_profile,
     hasse_dot,
     ledger_from_obj,
     load_ledger,
@@ -95,6 +99,37 @@ def test_contradictory_pair_is_rejected():
             ledger_from_obj(obj)
 
 
+def test_a_proper_certificate_must_lower_the_catalog_level():
+    # conn.n3_zero.4 reversed claims zero@4 -> n3@4 proper, from level 0
+    # to level 1; the shipped ledger has no such certificate
+    obj = copy.deepcopy(shipped_obj())
+    cert = next(c for c in obj["certificates"] if c["id"] == "conn.n3_zero.4")
+    assert cert["proper"] is True
+    cert["source"], cert["target"] = cert["target"], cert["source"]
+    with pytest.raises(InconsistentLedger, match=(
+            "certificate conn.n3_zero.4 claims zero@4 -> n3@4 proper, from "
+            "level 0 to 1")):
+        ledger_from_obj(obj)
+    # the same pair not claimed proper is left to the certificate check
+    cert["proper"] = None
+    cert.pop("separator", None)
+    assert ledger_from_obj(obj)
+
+
+def test_the_level_rule_reads_exact_levels_and_bounds():
+    level, forbids = catalog.LevelValue, catalog.level_forbids
+    assert forbids(level(exact=3), level(exact=3))
+    assert forbids(level(exact=3), level(exact=4))
+    assert not forbids(level(exact=3), level(exact=2))
+    # a target known by a lower bound at least the source's level
+    assert forbids(level(exact=5), level(at_least=6))
+    assert forbids(level(exact=6), level(at_least=6))
+    assert not forbids(level(exact=7), level(at_least=6))
+    # a source known only by a bound decides nothing
+    assert not forbids(level(at_least=6), level(exact=6))
+    assert not forbids(level(at_least=6), level(at_least=7))
+
+
 def test_chain_length_must_match_catalog_level():
     obj = copy.deepcopy(shipped_obj())
     chain = next(c for c in obj["chains"] if c["algebra"] == "T22_e45")
@@ -159,6 +194,30 @@ def test_hasse_dot_contains_solid_and_declared_nodes():
     assert '"T4@5" -> "T3@5"' in dot
     assert '"n3@5" -> "zero@5"' in dot
     assert "digraph" in dot
+
+
+def test_hasse_dot_escapes_quotes_and_backslashes_in_labels():
+    # an inline table's name is free text; every node id stays one DOT
+    # string, and the ids of shipped labels are unchanged
+    report = {"certificates": [
+        {"status": "VERIFIED", "source": 'my "alg"@4', "target": "zero@4",
+         "nontrivial": True},
+        {"status": "VERIFIED", "source": "back\\slash@4", "target": 'my "alg"@4'}],
+        "composed": [{"dim": 4, "source": "back\\slash@4", "target": "zero@4"}]}
+    dot = hasse_dot(report, 4)
+    assert dot.splitlines()[2:] == [
+        '  "back\\\\slash@4";',
+        '  "my \\"alg\\"@4";',
+        '  "zero@4";',
+        '  "back\\\\slash@4" -> "my \\"alg\\"@4" [style=solid, color=gray];',
+        '  "back\\\\slash@4" -> "zero@4" [style=dashed];',
+        '  "my \\"alg\\"@4" -> "zero@4" [style="solid"];',
+        "}"]
+    # each line reads as DOT ids: quoted strings whose inner quotes are
+    # escaped
+    ident = r'"(?:[^"\\]|\\.)*"'
+    for line in dot.splitlines()[2:-1]:
+        assert re.fullmatch(rf"  {ident}( -> {ident} \[.*\])?;", line), line
 
 
 def _edge_attributes(dot):
@@ -384,16 +443,16 @@ def test_a_fresh_store_gives_each_witness_the_verdict_of_the_run():
 
 
 def test_pfaffian_conic_profile_distinguishes_the_three_block_pair():
-    e23 = _pfaffian_conic_profile(instantiate("T222_e23", 7))
-    e24 = _pfaffian_conic_profile(instantiate("T222_e24", 7))
-    plain = _pfaffian_conic_profile(instantiate("T222", 7))
+    e23 = pfaffian_conic_profile(instantiate("T222_e23", 7))
+    e24 = pfaffian_conic_profile(instantiate("T222_e24", 7))
+    plain = pfaffian_conic_profile(instantiate("T222", 7))
     assert e23 == (1, 1)
     assert e24 == (1, 2)
     assert plain == (0, None)
     assert len({e23, e24, plain}) == 3
 
 
-# _pfaffian_conic_profile of every manifest family, the same at each of its
+# pfaffian_conic_profile of every manifest family, the same at each of its
 # tested dims
 PFAFFIAN_PROFILES = {
     None: ["zero", "eta_eps15", "eta_eps_double2", "eta_eps_double3", "T3",
@@ -417,10 +476,10 @@ def test_pfaffian_conic_profile_golden_on_every_manifest_family():
     for key in MANIFEST_FAMILIES:
         for n in catalog_tested_dims(key):
             a = instantiate(key, n)
-            assert _pfaffian_conic_profile(a) == expected[key], (key, n)
+            assert pfaffian_conic_profile(a) == expected[key], (key, n)
             # a GL-invariant: a flag-preserving conjugate reads the same
             moved = change_basis(a, random_lower_triangular(n, rng))
-            assert _pfaffian_conic_profile(moved) == expected[key], (key, n)
+            assert pfaffian_conic_profile(moved) == expected[key], (key, n)
 
 
 def test_transitivity_audit_reports_composed_arrows():
