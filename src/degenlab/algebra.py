@@ -416,7 +416,6 @@ def change_basis(a: StructureTensor, basis) -> StructureTensor:
 
 @dataclass(frozen=True)
 class IdentityFlags:
-    anticommutative_wellformed: bool
     jacobi: bool
     malcev: bool
 
@@ -479,7 +478,6 @@ def _malcev_holds(a: StructureTensor) -> bool:
 
 def identity_flags(a: StructureTensor) -> IdentityFlags:
     return IdentityFlags(
-        anticommutative_wellformed=True,
         jacobi=jacobi_holds(a),
         malcev=_malcev_holds(a),
     )

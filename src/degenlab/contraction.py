@@ -216,14 +216,6 @@ def iw_max(a: StructureTensor, seed: int = 0, trials: int = 20):
     return partition_from_rank_sequence(best_seq, a.dim), witness
 
 
-def iw_sequence(partition: Partition) -> RankSequence:
-    """The rank sequence r_m = sum_i max(lambda_i - m, 0) of an `iw_max`
-    label: exact, as the parts of size one `partition_from_rank_sequence`
-    drops add 0 and its all-ones label of the zero sequence gives ()."""
-    return RankSequence(sum(max(p - m, 0) for p in partition)
-                        for m in range(1, max(partition, default=1)))
-
-
 def partition_from_rank_sequence(seq: RankSequence, dim: int) -> Partition:
     """Partition label of a contraction with rank sequence seq.
 

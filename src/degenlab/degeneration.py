@@ -53,15 +53,12 @@ Stability of a flag-condition set under the lower-triangular group B is
 decided exactly, on its hit pairs alone (`_pair_map_verdict`), with no
 arithmetic and no random numbers, so a probe's pass is a proof.
 
-Basis rows are written in a small text syntax, e.g.
-
-    "e1", "e2+e3", "t*e4", "(1/t)*e5 - (1/t^2)*e7", "-e2-e5"
+Basis rows are text, read by `exactnum.parse_basis_row`.
 """
 
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm, prod
@@ -76,13 +73,11 @@ from .algebra import (
 from .contraction import NotEngelAt, _rank_bound, dominates, iw_scan, rank_sequence
 from .exactnum import (
     ZPOLY_ONE,
-    ZPOLY_ZERO,
     ZPoly,
-    add_pairs,
     content,
     limit_at_zero,
     packed_limit_at_zero,
-    parse_rational_function,
+    parse_basis_row,
     poly_gcd,
     rational_from_obj,
 )
@@ -96,63 +91,6 @@ class SingularFamily(ValueError):
 
 class UnknownKind(ValueError):
     """Non-degeneration witness of an unrecognized kind."""
-
-
-TERM_RE = re.compile(r"^(?:(?P<coeff>.+)\*)?e(?P<idx>\d+)$")
-
-
-def parse_basis_row(text: str, dim: int):
-    """One basis row as a vector of (num, den) pairs of ZPolys.
-
-    Accepts sums of terms `[coeff*]e<k>` with rational-function
-    coefficients; a bare leading sign belongs to the first term.  A row
-    ending in a sign is refused: it is a truncated row, not a shorter one.
-    """
-    if not isinstance(text, str):
-        raise ValueError(f"basis row {text!r} is not a string")
-    if text.rstrip().endswith(("+", "-")):
-        raise ValueError(f"dangling sign at the end of basis row {text!r}")
-    out = [(ZPOLY_ZERO, ZPOLY_ONE)] * dim
-    terms = _split_terms(text)
-    if not terms:
-        raise ValueError(f"empty basis row: {text!r}")
-    for sign, term in terms:
-        m = TERM_RE.match(term.replace(" ", ""))
-        if not m:
-            raise ValueError(f"cannot parse basis term {term!r} in {text!r}")
-        idx = int(m.group("idx"))
-        if not (1 <= idx <= dim):
-            raise ValueError(f"basis index e{idx} outside dimension {dim}")
-        coeff_text = m.group("coeff")
-        num, den = ((ZPOLY_ONE, ZPOLY_ONE) if coeff_text is None
-                    else parse_rational_function(coeff_text))
-        out[idx - 1] = add_pairs(out[idx - 1], (num if sign > 0 else -num, den))
-    return out
-
-
-def _split_terms(text: str):
-    """Split on top-level + and -, keeping signs; respects parentheses."""
-    terms = []
-    depth = 0
-    cur = []
-    pending_sign = 1
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch in "+-" and cur and cur[-1] not in "*/^(+-":
-            terms.append((pending_sign, "".join(cur).strip()))
-            cur = []
-            pending_sign = 1 if ch == "+" else -1
-            continue
-        if depth == 0 and ch in "+-" and not cur:
-            pending_sign *= 1 if ch == "+" else -1
-            continue
-        cur.append(ch)
-    if cur:
-        terms.append((pending_sign, "".join(cur).strip()))
-    return [(s, t) for s, t in terms if t]
 
 
 def clear_denominators(fs):

@@ -16,17 +16,21 @@ of num/den at t = 0 has one rule, `limit_at_zero`, also read off num(2^B)
 (`packed_limit_at_zero`): a pole iff ord_t num < ord_t den, and otherwise
 num[v] / den[v] with v = ord_t den, whether or not the pair is reduced.
 
-A small expression parser accepts the text syntax used in ledger files:
-integer literals, `t`, `+ - * / ^ ( )`, e.g. `1/t^2` or `(t+1)/t`.  A
-power is expanded by repeated multiplication, so it is refused, before
-it is expanded, when its num or den would pass degree `MAX_DEGREE`; the
-exponent of a constant is held to `MAX_DEGREE` too, and a product,
-quotient or sum to 2 `MAX_DEGREE` (a quotient of two powers at the cap).
-Parentheses and unary minus signs nest at most `MAX_NESTING` deep.
+One expression parser reads all ledger text: rational functions such
+as `1/t^2` or `(t+1)/t` (`parse_rational_function`), and basis rows such
+as `(1/t)*e5 - (1/t^2)*e7`, sums of `e<k>` with such coefficients
+(`parse_basis_row`).  Whitespace between tokens means nothing, and a run
+of signs multiplies out.  A power is expanded by repeated
+multiplication, so it is refused, before it is expanded, when its num or
+den would pass degree `MAX_DEGREE`; the exponent of a constant is held to
+`MAX_DEGREE` too, and a product, quotient or sum to 2 `MAX_DEGREE` (a
+quotient of two powers at the cap).  Parentheses and unary minus signs
+nest at most `MAX_NESTING` deep.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -41,19 +45,27 @@ MAX_DEGREE = 64
 MAX_NESTING = 32
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 class DivisionByZero(ZeroDivisionError):
     """Division by the zero polynomial or zero rational function."""
 
 
 def rational_from_obj(obj) -> Fraction:
     """Coerce an int, Fraction or 'p/q' string to an exact rational (the
-    one rule for JSON input); a float, a bool or anything else: TypeError;
-    a zero denominator: DivisionByZero naming the text."""
+    one rule for JSON input).  A string is an integer or 'p/q' in ASCII
+    digits, with an optional sign, else ValueError: no decimals, exponents
+    or underscores, which `Fraction` would also read (`'1e20000000'` builds
+    a 66-million-bit int).  A float, a bool or anything else: TypeError; a
+    zero denominator: DivisionByZero naming the text."""
     if isinstance(obj, Fraction):
         return obj
     if isinstance(obj, int) and not isinstance(obj, bool):
         return Fraction(obj)
     if isinstance(obj, str):
+        if not _RATIONAL.fullmatch(obj.strip()):
+            raise ValueError(f"cannot interpret {obj!r} as a rational number")
         try:
             return Fraction(obj.strip())
         except ZeroDivisionError:
@@ -272,10 +284,17 @@ def packed_limit_at_zero(x: int, bits: int, den: ZPoly):
 
 # --- text syntax --------------------------------------------------------
 #
-# expr   := term (('+' | '-') term)*
-# term   := factor (('*' | '/') factor)*
+# row    := sign* basis (sign+ basis)*          e.g. "(1/t)*e5 - (1/t^2)*e7"
+# basis  := (term '*')? e<k>                    1 <= k <= dim
+# expr   := term (sign term)*
+# term   := factor (('*' | '/') factor)*        stops before an operator and e<k>
 # factor := '-' factor | atom ('^' '-'? int)?
 # atom   := int | 't' | '(' expr ')'
+# sign   := '+' | '-'
+#
+# Tokens are ints and e<k> (`e` directly followed by k) in ASCII digits,
+# `t` and `+ - * / ^ ( )`; whitespace between tokens is skipped.  The signs
+# before a basis multiply, so "e1 - - e2" and "e1--e2" are both e1 + e2.
 
 
 class ExprSyntaxError(ValueError):
@@ -289,17 +308,17 @@ def _tokenize(text: str):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
         elif ch in "+-*/^()t":
             tokens.append((ch, ch))
             i += 1
         else:
-            raise ExprSyntaxError(f"unexpected character {ch!r} in {text!r}")
+            start = end = i + (ch == "e")
+            while end < len(text) and text[end] in "0123456789":
+                end += 1
+            if end == start:
+                raise ExprSyntaxError(f"unexpected character {ch!r} in {text!r}")
+            tokens.append(("e" if start > i else "int", int(text[start:end])))
+            i = end
     tokens.append(("end", None))
     return tokens
 
@@ -382,9 +401,32 @@ class _Parser:
             value = add_pairs(value, (num if op == "+" else -num, den))
         return value
 
+    def row(self, dim: int):
+        out = [(ZPOLY_ZERO, ZPOLY_ONE)] * dim
+        if self.peek() == "end":
+            raise ExprSyntaxError(f"empty basis row: {self.text!r}")
+        while self.peek() != "end":
+            sign = 1
+            while self.peek() in "+-":
+                sign *= -1 if self.next()[0] == "-" else 1
+            if self.peek() == "end":
+                raise ExprSyntaxError(
+                    f"dangling sign at the end of basis row {self.text!r}")
+            num, den = _ONE
+            if self.peek() != "e":
+                num, den = self.term()
+                self.expect("*")
+            k = self.expect("e")[1]
+            if not 1 <= k <= dim:
+                raise ExprSyntaxError(f"basis index e{k} outside dimension {dim}")
+            out[k - 1] = add_pairs(out[k - 1], (num if sign > 0 else -num, den))
+            if self.peek() not in ("+", "-", "end"):
+                raise ExprSyntaxError(f"expected a sign, found {self.peek()!r}")
+        return out
+
     def term(self):
         value = self.factor()
-        while self.peek() in "*/":
+        while self.peek() in "*/" and self.tokens[self.pos + 1][0] != "e":
             op = self.next()[0]
             rhs = self.factor()
             value = _mul(value, rhs) if op == "*" else _div(value, rhs)
@@ -433,3 +475,13 @@ def parse_rational_function(text: str):
     """Parse expressions like '1/t^2' or '(t+1)/t' into an unreduced pair
     (num, den) of ZPolys, den nonzero."""
     return _Parser(text).parse()
+
+
+def parse_basis_row(text: str, dim: int):
+    """One basis row such as '(1/t)*e5 - (1/t^2)*e7' as its dim
+    coordinates in e1, ..., e<dim>, unreduced (num, den) pairs of ZPolys.
+    A row ending in a sign is refused: it is a truncated row, not a
+    shorter one."""
+    if not isinstance(text, str):
+        raise ValueError(f"basis row {text!r} is not a string")
+    return _Parser(text).row(dim)

@@ -65,11 +65,10 @@ from .degeneration import (
     Records,
     UnknownKind,
     lower_triangular_invariance_probe,
-    parse_basis_row,
     verify_degeneration,
     verify_nondegeneration,
 )
-from .exactnum import rational_from_obj
+from .exactnum import parse_basis_row, rational_from_obj
 
 
 class ParseError(ValueError):

@@ -481,7 +481,7 @@ def qt_certificate_verdict(cert):
     """(status, reason, data) of a degeneration certificate, checked over
     Q(t): poles first in (i, j, k) order, then limit mismatches.  Whether a
     row parses, and the message when it does not, is degenlab's."""
-    from degenlab.degeneration import parse_basis_row
+    from degenlab.exactnum import parse_basis_row
 
     src, tgt = cert.source.resolve(), cert.target.resolve()
     if src.dim != tgt.dim:
@@ -850,6 +850,16 @@ def iw_max_oracle(a, seed: int = 0, trials: int = 20):
                 f"{trials} perturbations; input is not Engel or pool too small"
             )
     return partition_from_rank_sequence(best_seq, a.dim), best_vec
+
+
+def iw_sequence(partition):
+    """The rank sequence r_m = sum_i max(lambda_i - m, 0) of an `iw_max`
+    label: exact, as the parts of size one `partition_from_rank_sequence`
+    drops add 0 and its all-ones label of the zero sequence gives ()."""
+    from degenlab.contraction import RankSequence
+
+    return RankSequence(sum(max(p - m, 0) for p in partition)
+                        for m in range(1, max(partition, default=1)))
 
 
 def whole_table_draws(dim, rng, spread=3):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -324,9 +325,9 @@ def _check_within_a_minute(tmp_path, claim):
 
 
 # a power past exactnum.MAX_DEGREE, as the text that parses it
-HUGE_POWERS = [("t^100000*e1", "^100000", "t^100000"),
-               ("t^-100000*e1", "^-100000", "t^-100000"),
-               ("((t^64)^64)^64*e1", "^64", "((t^64)^64)^64")]
+HUGE_POWERS = [("t^100000*e1", "^100000", "t^100000*e1"),
+               ("t^-100000*e1", "^-100000", "t^-100000*e1"),
+               ("((t^64)^64)^64*e1", "^64", "((t^64)^64)^64*e1")]
 
 
 @pytest.mark.parametrize("row, power, text", HUGE_POWERS)
@@ -868,6 +869,43 @@ def test_check_rejects_a_malformed_inline_algebra(tmp_path, capsys, case):
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "algebra reference" in err
+
+
+def _claim_with_rational_text(tmp_path, entry, text):
+    """(argv, JSON object) of a command whose input holds one rational as
+    the string text: an inline table value of a ledger, a checked
+    certificate or a classified table, or an IWDominance element."""
+    if entry == "element":
+        wit = json.loads(json.dumps(_witness_of_kind("IWDominance", {})))
+        wit["payload"] = {"element": [text] + [0] * (wit["target"]["dim"] - 1)}
+        return ["check"], wit
+    if entry == "classify":
+        obj = _bad_table("zero-denominator")
+        obj["products"][0]["value"][0] = text
+        return ["classify", "--file"], obj
+    cert = _cert_with_bad_source("zero-denominator")
+    cert["source"]["products"][0]["value"][0] = text
+    if entry == "ledger":
+        return (["verify-paper", "--trials", "1", "--out", str(tmp_path / "out"),
+                 "--ledger"],
+                {"certificates": [cert], "witnesses": [], "chains": []})
+    return ["check"], cert
+
+
+@pytest.mark.parametrize("text", ["1e20000000", "1.5", "1_000"])
+@pytest.mark.parametrize("entry", ["ledger", "check", "classify", "element"])
+def test_a_rational_string_that_is_not_p_over_q_is_refused_fast(
+        tmp_path, capsys, entry, text):
+    # Fraction would read "1e20000000" as a 66-million-bit int
+    argv, obj = _claim_with_rational_text(tmp_path, entry, text)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(argv + [str(path)]) == 1
+    assert time.perf_counter() - start < 10
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 BAD_BASES = [5, "e1", None, ["e1", 5]]

@@ -19,7 +19,6 @@ from degenlab.contraction import (
     dominates,
     iw_max,
     iw_scan,
-    iw_sequence,
     partition_from_rank_sequence,
     rank_sequence,
 )
@@ -30,6 +29,7 @@ from oracles import (
     annihilator_oracle,
     is_nilpotent_oracle,
     iw_max_oracle,
+    iw_sequence,
     power_rank_sequence_oracle,
     power_ideal_oracle,
     random_anticommutative,

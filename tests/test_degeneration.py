@@ -29,13 +29,12 @@ from degenlab.degeneration import (
     closed_set_member,
     lower_triangular_invariance_probe,
     packing_bits,
-    parse_basis_row,
     randomized_orbit_refute,
     random_invertible,
     verify_degeneration,
     verify_nondegeneration,
 )
-from degenlab.exactnum import ZPOLY_ONE, ZPOLY_ZERO, ZPoly
+from degenlab.exactnum import ZPOLY_ONE, ZPOLY_ZERO, ZPoly, parse_basis_row
 from degenlab.exactnum import parse_rational_function as parse
 from degenlab.linalg import int_scaled_inverse, int_suffix_spans
 from degenlab.verification_db import load_ledger, shipped_ledger_path
@@ -72,7 +71,7 @@ def test_parse_basis_row_rejects_a_dangling_sign(text):
 @pytest.mark.parametrize("row, detail", [
     ("(1/0)*e1", "division by the zero"),
     ("e99", "outside dimension 3"),
-    ("foo", "cannot parse"),
+    ("foo", "unexpected character"),
     ("e1-", "dangling sign"),
     (5, "not a string"),
 ])

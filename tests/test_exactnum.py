@@ -16,11 +16,13 @@ from degenlab.exactnum import (
     content,
     limit_at_zero,
     packed_limit_at_zero,
+    parse_basis_row,
     parse_rational_function as parse,
     poly_gcd,
+    rational_from_obj,
 )
 
-from oracles import qt_eval, qt_parse, qt_value, sympy_expr
+from oracles import qt_basis_row, qt_eval, qt_parse, qt_value, sympy_expr
 
 # Coefficient texts parse to unreduced pairs (num, den) of ZPolys, the
 # input of the Z[t] certificate check; sympy's Q(t) is the reference for
@@ -211,6 +213,83 @@ def test_eval_commutes_with_arithmetic_when_regular(a, b, c, d, op):
     if lx is None or ly is None:
         return
     assert got == {"+": lx + ly, "-": lx - ly, "*": lx * ly}[op]
+
+
+# --- basis rows: the same tokens and parser -------------------------------
+
+# coefficients as token lists, so that whitespace can go between any two
+COEFFS = [re.findall(r"\d+|[-+*/^()t]", text) for text in (
+    "2", "t", "1/t", "(1/t^2)", "t^3", "(t+1)/t", "3*t^-1", "(1-t)*t", "-2",
+    "(2*t-1)/(t^2+1)", "2*-t")]
+DIM = 5
+
+
+@st.composite
+def basis_rows(draw):
+    """row := sign* basis (sign+ basis)*, basis := (term '*')? e<k>, as a
+    token list; runs of signs lead the row and join its bases."""
+    signs = st.lists(st.sampled_from("+-"), max_size=3)
+    tokens = []
+    for first in [True] + [False] * draw(st.integers(0, 3)):
+        tokens += draw(signs if first else signs.filter(bool))
+        coeff = draw(st.none() | st.sampled_from(COEFFS))
+        if coeff is not None:
+            tokens += coeff + ["*"]
+        tokens.append(f"e{draw(st.integers(1, DIM))}")
+    return tokens
+
+
+@settings(max_examples=200, deadline=None)
+@given(basis_rows(), st.data())
+def test_parse_basis_row_matches_sympy_on_rows_of_the_grammar(tokens, data):
+    # whitespace between tokens means nothing, and signs multiply
+    gaps = data.draw(st.lists(st.sampled_from(["", " ", "  ", "\t"]),
+                              min_size=len(tokens) + 1,
+                              max_size=len(tokens) + 1))
+    text = "".join(gap + token for gap, token in zip(gaps, tokens + [""]))
+    got = [qt_value(*x) for x in parse_basis_row(text, DIM)]
+    assert got == qt_basis_row(text, DIM), text
+
+
+def test_a_run_of_signs_multiplies_whatever_the_spacing():
+    want = parse_basis_row("e1 + e2", 3)
+    assert parse_basis_row("e1 - - e2", 3) == parse_basis_row("e1--e2", 3) == want
+    assert parse_basis_row("e1 --e2", 3) == parse_basis_row("-+-e1+e2", 3) == want
+    assert [qt_value(*x) for x in want] == qt_basis_row("e1--e2", 3)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("e1 e2", "expected a sign, found 'e'"),
+    ("2e1", "expected '*', found 'e'"),
+    ("e1*t", "expected a sign, found '*'"),
+    ("1 2*e1", "expected '*', found 'int'"),
+    ("e 1", "unexpected character 'e' in 'e 1'"),
+    ("t*-e1", "unexpected token 'e'"),
+    ("", "empty basis row: ''"),
+])
+def test_parse_basis_row_refuses_text_outside_the_grammar(text, message):
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_basis_row(text, 3)
+    assert str(info.value) == message
+
+
+def test_only_ascii_digits_are_read_as_numbers():
+    # str.isdigit holds for Arabic-Indic and superscript digits too
+    for text in ("e\u0661", "\u00b2*e1"):
+        with pytest.raises(ExprSyntaxError, match="unexpected character"):
+            parse_basis_row(text, 3)
+    with pytest.raises(ExprSyntaxError, match="unexpected character"):
+        parse("\u0663/t")
+
+
+def test_a_rational_string_is_an_integer_or_p_over_q():
+    assert rational_from_obj(" -3/4 ") == rational_from_obj("-3/4")
+    assert rational_from_obj("+7") == 7
+    for text in ("1e20000000", "1.5", "1_000", "1 / 2", "\u0663", "0x10", ""):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cannot interpret"):
+            rational_from_obj(text)
+        assert time.perf_counter() - start < 1.0
 
 
 # --- ZPoly: the one polynomial type ---------------------------------------

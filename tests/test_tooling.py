@@ -110,27 +110,43 @@ def _public_definitions(tree):
                     yield f"{node.name}.{item.name}", item.name
 
 
+def _child_calls() -> set:
+    """The attribute names that perfbench/child.py calls, such as
+    `degenlab.dim_square` in `degenlab.dim_square(t)`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    return {node.func.attr
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+
+
 def test_linalg_and_algebra_define_no_api_that_only_tests_reach():
     # every public name of the numeric, algebra, contraction, catalog and
-    # degeneration layers is read by the package itself or is a tracer
-    # target; an export from __init__ is not a use, and neither is the
-    # assignment that defines a name
+    # degeneration layers is read by the package itself, is a tracer target
+    # or is called by the benchmark's child process; an export from
+    # __init__ is not a use, and neither is the assignment that defines a
+    # name.  A top-level name is read bare or as `module.name`
+    # (`catalog.instantiate`): an attribute of the same name on some other
+    # object (`records.iw_sequence`) reads a method, not the function
     package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in package.glob("*.py") if path.stem != "__init__"}
-    used = set()
+    names, attributes = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in trees:
+                    names.add(node.attr)
+    names |= _child_calls()
     traced = {(module, attr) for module, attr, _ in _tracer().TARGETS}
     unused = [f"{module}.{qualified}"
               for module in ("exactnum", "linalg", "algebra", "contraction",
                              "catalog", "degeneration")
               for qualified, name in _public_definitions(trees[module])
-              if name not in used and (module, qualified) not in traced]
+              if name not in (names if qualified == name else attributes)
+              and (module, qualified) not in traced]
     assert unused == []
 
 
@@ -404,3 +420,18 @@ def test_the_skew_net_has_one_pfaffian_reading_in_the_catalog():
     assert _package_names({"_skew_net", "_pfaffian_span", "_pencil_divisor"},
                           ("catalog",)) == []
     assert "linalg" not in _package_imports(package / "verification_db.py")
+
+
+def test_ledger_text_has_one_grammar():
+    # basis rows and rational functions are read by one tokenizer and one
+    # parser in exactnum: no module splits rows into terms on its own
+    assert _package_names({"_tokenize", "_Parser"}, ("exactnum",)) == []
+    package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
+    tree = ast.parse((package / "degeneration.py").read_text(encoding="utf-8"))
+    assert "re" not in {alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.Import) for alias in node.names}
+    defined = [path.stem for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "parse_basis_row"]
+    assert defined == ["exactnum"]

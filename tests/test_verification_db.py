@@ -21,7 +21,7 @@ from degenlab.catalog import (
     pfaffian_conic_profile,
 )
 from degenlab.catalog import tested_dims as catalog_tested_dims
-from degenlab.contraction import dominates, iw_max, iw_sequence, rank_sequence
+from degenlab.contraction import dominates, iw_max, rank_sequence
 from degenlab.degeneration import AlgebraRef, Records
 from degenlab.verification_db import (
     InconsistentLedger,
@@ -35,7 +35,7 @@ from degenlab.verification_db import (
     separator_check,
     shipped_ledger_path,
 )
-from oracles import iw_max_oracle, random_lower_triangular
+from oracles import iw_max_oracle, iw_sequence, random_lower_triangular
 from paperdata import build_ledger
 
 
