@@ -16,19 +16,21 @@ Leaving out `--dims` runs the whole ledger.
 A certificate `basis` that is not a list of strings is a parse error
 (exit 1).  Its rows are parsed when the certificate is verified, so a
 row that does not parse, or a basis of the wrong length, is a fail
-verdict (exit 2, a FAIL entry in the report); witness payload rows are
-checked at load (exit 1).  `classify --file` reads the table format that
+verdict (exit 2, a FAIL entry in the report); a witness payload is read
+at load (exit 1).  `classify --file` reads the table format that
 `catalog table` writes; a file that does not parse, or a malformed table
 (`StructureTensor.from_json_obj`), is one error line and exit 1, as is an
 unknown family or dimension for `info`, `iwmax`, `catalog table` and
 `classify`; an unknown family reads `unknown catalog family 'name'`, as
-in a ledger.  `check` checks its claim's references as the loader does
-(exit 1): there an unknown family reads `algebra reference name@n: unknown
-catalog family 'name'`, and a source and target that share a label but
-not a table read `label name@n names two different tables`.  A catalog
-name must be a family's exact key, here as in a
-ledger: a padded name (" eta2") or a parameter with a leading zero
-("eta02") is an unknown family.  No dimension may exceed
+in a ledger.  `check` loads its claim as a one-claim ledger, so every
+loader rule holds for it (exit 1): an unknown family reads `algebra
+reference name@n: unknown catalog family 'name'`, a source and target
+that share a label but not a table read `label name@n names two different
+tables`, and a proper certificate between catalog levels that rule it out
+is refused; it judges a certificate as `verify-paper` does, by its exact
+check, monotone audit and separator.  A catalog name must be a family's
+exact key, here as in a ledger: a padded name (" eta2") or a parameter
+with a leading zero ("eta02") is an unknown family.  No dimension may exceed
 `algebra.MAX_DIM` (64): a larger `--dim`, table `dim`, ledger reference
 `dim` or chain `dim` is refused before any table is built, with one
 `error:` line and exit 1.  `classify` given a
@@ -58,18 +60,17 @@ from .algebra import (
     is_nilpotent,
 )
 from .contraction import NotEngelAt, iw_max
-from .degeneration import Records, verify_degeneration, verify_nondegeneration
+from .degeneration import Records, verify_nondegeneration
 from .verification_db import (
     InconsistentLedger,
     ParseError,
-    certificate_from_json,
-    check_references,
     hasse_dot,
+    judge_certificate,
+    ledger_from_obj,
     load_ledger,
     report_to_json_bytes,
     run_ledger,
     shipped_ledger_path,
-    witness_from_json,
 )
 
 DEFAULT_SEED = 20240917
@@ -154,14 +155,15 @@ def cmd_check(args) -> int:
         return _error(exc)
     if not isinstance(obj, dict):
         return _error(f"{args.path} does not hold a JSON object")
+    witness = "kind" in obj
+    claim = {"id": "cli-witness" if witness else "cli-cert", **obj}
     try:
-        witness = "kind" in obj
-        claim = (witness_from_json(obj, "cli-witness") if witness
-                 else certificate_from_json(obj, "cli-cert"))
-        check_references([claim])
+        ledger = ledger_from_obj({"certificates": [] if witness else [claim],
+                                  "witnesses": [claim] if witness else []})
         records = Records(args.seed)
-        verdict = (verify_nondegeneration(claim, records, trials=args.trials)
-                   if witness else verify_degeneration(claim, records))
+        verdict = (verify_nondegeneration(ledger.witnesses[0], records,
+                                          trials=args.trials) if witness
+                   else judge_certificate(ledger.certificates[0], records)[0])
     except (KeyError, ValueError) as exc:
         return _error(exc)
     payload = {

@@ -128,20 +128,18 @@ class _CandidatePool:
     """iw_max's integer candidates in scan order, built only as far as they
     are read.
 
-    Basis vectors and pair sums come first, then random_count random
-    integer vectors, all drawn from rng in one block the first time the
-    scan reaches them or `alpha` is called.
+    Basis vectors and pair sums come first, then 64 random integer
+    vectors, entries in -9..9, all drawn from rng in one block the first
+    time the scan reaches them or `alpha` is called.
     """
 
-    def __init__(self, n: int, seed: int, random_count: int = 64):
-        self.n, self.random_count = n, random_count
-        self.rng = random.Random(seed)
-        self._block = None
+    def __init__(self, n: int, seed: int):
+        self.n, self.rng, self._block = n, random.Random(seed), None
 
     def _random_block(self):
         if self._block is None:
             self._block = [tuple(row) for row in random_int_rows(
-                self.rng, self.random_count, self.n, -9, 9)]
+                self.rng, 64, self.n, -9, 9)]
         return self._block
 
     def __iter__(self):

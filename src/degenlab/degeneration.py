@@ -53,7 +53,9 @@ Stability of a flag-condition set under the lower-triangular group B is
 decided exactly, on its hit pairs alone (`_pair_map_verdict`), with no
 arithmetic and no random numbers, so a probe's pass is a proof.
 
-Basis rows are text, read by `exactnum.parse_basis_row`.
+Basis rows are text, read by `exactnum.parse_basis_row`: a certificate's
+when it is verified, and a witness's stored source basis once, with the
+rest of its payload, when the witness is built.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from functools import lru_cache
 from math import lcm, prod
 
 from .algebra import (
-    DimensionMismatch,
     StructureTensor,
     _int_product,
     int_change_basis,
@@ -469,11 +470,11 @@ def _orbit_point(table, n: int, g) -> StructureTensor | None:
     return StructureTensor.from_trusted(n, int_change_basis(table, n, g, inv))
 
 
-def random_invertible(dim: int, rng: random.Random, spread: int = 5):
-    """(g, spans): random integer rows g and their `int_suffix_spans`;
-    singular draws are redrawn."""
+def random_invertible(dim: int, rng: random.Random):
+    """(g, spans): random integer rows g, entries in -5..5, and their
+    `int_suffix_spans`; singular draws are redrawn."""
     while True:
-        rows = random_int_rows(rng, dim, dim, -spread, spread)
+        rows = random_int_rows(rng, dim, dim, -5, 5)
         spans = int_suffix_spans(rows)
         if spans is not None:
             return rows, spans
@@ -524,16 +525,64 @@ WITNESS_KINDS = INVARIANT_KINDS + ("ClosedSet", "BespokeR")
 
 @dataclass(frozen=True)
 class NonDegenerationWitness:
+    """A claim that source does not degenerate to target, by one of
+    `WITNESS_KINDS`.  The payload fields its kind reads are read once,
+    here, where n is the source dimension: ClosedSet `triples`, a list of
+    integer triples (i, j, k) with 1 <= i, j <= n and 1 <= k <= n + 1, as
+    `spec`; a ClosedSet/BespokeR `source_basis`, when given, a list of n
+    basis rows, as parsed rows `source_rows`; IWDominance `element`, a
+    list of n rationals, as Fractions.  A malformed payload raises
+    ValueError naming its field."""
+
     kind: str
     source: AlgebraRef
     target: AlgebraRef
     payload: dict = field(default_factory=dict)
     provenance: str = ""
     witness_id: str = ""
+    spec: ClosedSetSpec | None = field(default=None, init=False, repr=False)
+    source_rows: tuple | None = field(default=None, init=False, repr=False)
+    element: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in WITNESS_KINDS:
             raise UnknownKind(f"unknown witness kind {self.kind!r}")
+        n, payload = self.source.dim, self.payload
+        if not isinstance(payload, dict):
+            raise ValueError("payload is not an object")
+        if self.kind == "ClosedSet":
+            triples = payload.get("triples")
+            if not isinstance(triples, list) or not all(
+                isinstance(t, list) and len(t) == 3
+                and all(type(x) is int for x in t)
+                and 1 <= t[0] <= n and 1 <= t[1] <= n and 1 <= t[2] <= n + 1
+                for t in triples
+            ):
+                raise ValueError(
+                    f"payload.triples must be a list of integer triples "
+                    f"(i, j, k) with 1 <= i, j <= {n}, 1 <= k <= {n + 1}")
+            object.__setattr__(self, "spec", ClosedSetSpec(triples))
+        rows = payload.get("source_basis")
+        if self.kind in ("ClosedSet", "BespokeR") and rows is not None:
+            if not (isinstance(rows, list) and len(rows) == n
+                    and all(isinstance(r, str) for r in rows)):
+                raise ValueError(
+                    f"payload.source_basis must be a list of {n} basis rows")
+            try:
+                rows = tuple(parse_basis_row(r, n) for r in rows)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"payload.source_basis: {exc}") from None
+            object.__setattr__(self, "source_rows", rows)
+        if self.kind == "IWDominance":
+            element = payload.get("element")
+            try:
+                if not (isinstance(element, list) and len(element) == n):
+                    raise TypeError
+                element = tuple(map(rational_from_obj, element))
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(
+                    f"payload.element must be a list of {n} rationals") from None
+            object.__setattr__(self, "element", element)
 
 
 def verify_nondegeneration(
@@ -569,9 +618,8 @@ def verify_nondegeneration(
             return Verdict("proved", "source is Lie, target is not")
         return Verdict("refuted", f"jacobi(source)={js}, jacobi(target)={jt}")
     if w.kind == "IWDominance":
-        element = tuple(map(rational_from_obj, w.payload["element"]))
         src_seq = records.iw_sequence(w.source)
-        tgt_seq = records.rank_sequence(w.target, element)
+        tgt_seq = records.rank_sequence(w.target, w.element)
         if not dominates(src_seq, tgt_seq):
             return Verdict(
                 "proved",
@@ -581,17 +629,10 @@ def verify_nondegeneration(
         return Verdict("refuted", "source IW-max dominates the target element")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if w.kind == "ClosedSet":
-        spec = ClosedSetSpec(tuple(tuple(t) for t in w.payload["triples"]))
-        cone = None
-    else:
-        spec, cone = _R_FLAGS, _r_quadratics_hold
-    witness_rows = w.payload.get("source_basis")
-    if witness_rows:
-        if len(witness_rows) != src.dim:
-            raise DimensionMismatch(f"source basis must have {src.dim} rows")
-        const_rows = [[limit_at_zero(*x) for x in parse_basis_row(r, src.dim)]
-                      for r in witness_rows]
+    spec, cone = ((w.spec, None) if w.kind == "ClosedSet"
+                  else (_R_FLAGS, _r_quadratics_hold))
+    if w.source_rows:
+        const_rows = [[limit_at_zero(*x) for x in row] for row in w.source_rows]
         if any(x is None for row in const_rows for x in row):
             return Verdict("refuted", "stored source basis has a pole at t = 0")
         moved = _orbit_point(src.table, src.dim, int_scaled(const_rows)[1])

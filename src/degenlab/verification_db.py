@@ -6,8 +6,10 @@ referential invariants (chains reference existing certificates with
 matching endpoints and the stated length; no witness denies A -> B when
 certificates lead from A to B; ids are unique strings per section; one
 label names one table; catalog names and separators are known), the
-witness payloads each kind reads, and that ids and provenances are strings.
-Inline tables become `StructureTensor`s at load (`from_json_obj`).
+level rule of proper certificates, and that ids and provenances are
+strings.  Inline tables become `StructureTensor`s at load
+(`from_json_obj`), and a witness's payload is read once, as the witness
+is built (`NonDegenerationWitness`).
 Running the ledger re-verifies everything and emits a deterministic
 report: same seed, same bytes.
 
@@ -29,7 +31,9 @@ the scan taken only as far as the audit (`Records.iw_monotone`) or an
 function per section (`_certificate_entry`, `_witness_entry`,
 `_probe_entry`, `_chain_entry`); the checks, audit, separators and
 witnesses read only the store, so no label is scanned twice.  `degenlab
-check` hands its one check a fresh store after `check_references`.
+check` loads its claim as a one-claim ledger and judges it on a fresh
+store by the run's own function (`judge_certificate`: exact check, audit,
+separator; or `verify_nondegeneration`).
 """
 
 from __future__ import annotations
@@ -59,16 +63,15 @@ from .contraction import partition_from_rank_sequence
 from .degeneration import (
     INVARIANT_KINDS,
     AlgebraRef,
-    ClosedSetSpec,
     DegenerationCertificate,
     NonDegenerationWitness,
     Records,
     UnknownKind,
+    Verdict,
     lower_triangular_invariance_probe,
     verify_degeneration,
     verify_nondegeneration,
 )
-from .exactnum import parse_basis_row, rational_from_obj
 
 
 class ParseError(ValueError):
@@ -144,72 +147,15 @@ def _string_field(rec, key: str, default, where: str) -> str:
     return value
 
 
-def check_witness_payload(w: NonDegenerationWitness):
-    """Raise ParseError unless the payload fields w's kind reads are well
-    formed: ClosedSet `triples` is a list of integer triples (i, j, k) with
-    1 <= i, j <= n and 1 <= k <= n + 1, a ClosedSet/BespokeR
-    `source_basis`, when given, a list of n basis rows, and IWDominance
-    `element` a list of n rationals, where n is the source dimension."""
-    n = w.source.dim
-    payload = w.payload
-    where = f"witness {w.witness_id}"
-    if not isinstance(payload, dict):
-        raise ParseError(f"{where}: payload is not an object")
-    if w.kind == "ClosedSet":
-        triples = payload.get("triples")
-        if not isinstance(triples, list) or not all(
-            isinstance(t, list) and len(t) == 3
-            and all(type(x) is int for x in t)
-            and 1 <= t[0] <= n and 1 <= t[1] <= n and 1 <= t[2] <= n + 1
-            for t in triples
-        ):
-            raise ParseError(
-                f"{where}: payload.triples must be a list of integer "
-                f"triples (i, j, k) with 1 <= i, j <= {n}, 1 <= k <= {n + 1}"
-            )
-    rows = payload.get("source_basis")
-    if w.kind in ("ClosedSet", "BespokeR") and rows is not None:
-        if not (isinstance(rows, list) and len(rows) == n
-                and all(isinstance(r, str) for r in rows)):
-            raise ParseError(
-                f"{where}: payload.source_basis must be a list of {n} "
-                f"basis rows"
-            )
-        for r in rows:
-            try:
-                parse_basis_row(r, n)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(
-                    f"{where}: payload.source_basis: {exc}") from None
-    if w.kind == "IWDominance":
-        element = payload.get("element")
-        if not (isinstance(element, list) and len(element) == n
-                and all(map(_is_rational, element))):
-            raise ParseError(
-                f"{where}: payload.element must be a list of {n} rationals"
-            )
-
-
-def _is_rational(x) -> bool:
-    try:
-        rational_from_obj(x)
-    except (TypeError, ValueError, ZeroDivisionError):
-        return False
-    return True
-
-
-def certificate_from_json(rec, default_id=None) -> DegenerationCertificate:
-    """One certificate record; `default_id` stands in for a missing id.
-
-    `basis` must be a list of strings; whether each row parses is decided
-    when the certificate is verified.
-    """
+def certificate_from_json(rec) -> DegenerationCertificate:
+    """One certificate record; `basis` must be a list of strings, and
+    whether each row parses is decided when the certificate is verified."""
     try:
         basis = rec["basis"]
         if not (isinstance(basis, list) and all(isinstance(r, str) for r in basis)):
             raise ParseError(f"certificate basis must be a list of strings, "
                              f"got {basis!r}")
-        cert_id = _string_field(rec, "id", default_id, "certificate")
+        cert_id = _string_field(rec, "id", None, "certificate")
         proper, separator = rec.get("proper"), rec.get("separator")
         if not (proper is None or isinstance(proper, bool)):
             raise ParseError(f"certificate {cert_id}: proper must be true, "
@@ -235,24 +181,28 @@ def certificate_from_json(rec, default_id=None) -> DegenerationCertificate:
         raise ParseError(f"certificate record is malformed: {exc}") from None
 
 
-def witness_from_json(rec, default_id=None) -> NonDegenerationWitness:
-    """One witness record with a checked payload; `default_id` as above."""
+def witness_from_json(rec) -> NonDegenerationWitness:
+    """One witness record; its payload is read as the witness is built, and
+    a malformed one is a ParseError naming the witness."""
     try:
-        witness_id = _string_field(rec, "id", default_id, "witness")
-        w = NonDegenerationWitness(
+        witness_id = _string_field(rec, "id", None, "witness")
+        fields = dict(
             kind=rec["kind"],
             source=_ref_from_json(rec["source"]),
             target=_ref_from_json(rec["target"]),
             payload=rec.get("payload", {}),
             provenance=_string_field(rec, "provenance", "", f"witness {witness_id}"),
-            witness_id=witness_id,
         )
     except KeyError as exc:
         raise ParseError(f"witness record missing {exc}") from exc
-    except (TypeError, UnknownKind) as exc:
+    except TypeError as exc:
         raise ParseError(f"witness record is malformed: {exc}") from None
-    check_witness_payload(w)
-    return w
+    try:
+        return NonDegenerationWitness(**fields, witness_id=witness_id)
+    except UnknownKind as exc:
+        raise ParseError(f"witness record is malformed: {exc}") from None
+    except ValueError as exc:
+        raise ParseError(f"witness {witness_id}: {exc}") from None
 
 
 def ledger_from_obj(obj, path: str = "") -> ClaimLedger:
@@ -266,15 +216,15 @@ def ledger_from_obj(obj, path: str = "") -> ClaimLedger:
     chains = []
     for rec in obj.get("chains", []):
         try:
-            edges = tuple(rec["edges"])
-            if not all(isinstance(e, str) for e in edges):
-                raise TypeError("edges must be certificate ids")
+            edges = rec["edges"]
+            if not (isinstance(edges, list) and all(isinstance(e, str) for e in edges)):
+                raise TypeError("edges must be a list of certificate ids")
             dim, level = rec["dim"], rec["expected_level"]
             if not type(dim) is type(level) is int:
                 raise TypeError("dim and expected_level must be integers")
             chains.append(Chain(
                 chain_id=_string_field(rec, "id", None, "chain"), algebra=rec["algebra"],
-                dim=dim, expected_level=level, edges=edges,
+                dim=dim, expected_level=level, edges=tuple(edges),
             ))
         except KeyError as exc:
             raise ParseError(f"chain record missing {exc}") from exc
@@ -447,37 +397,43 @@ def _monotone_audit(src: StructureTensor, tgt: StructureTensor,
     return problems
 
 
-def _certificate_entry(cert: DegenerationCertificate, records: Records) -> dict:
-    """The report entry of one certificate: its exact check, then for a
-    pass the monotone audit and, for a proper one, its separator."""
+def judge_certificate(cert: DegenerationCertificate, records: Records):
+    """(verdict, nontrivial) for one certificate: its exact check, then for
+    a pass the monotone audit and, for a proper one, its separator; a
+    failed audit or separator is a fail verdict.  `nontrivial` holds the
+    report fields of a passing proper certificate's tier ("nontrivial",
+    and "separator" when PROVED), and is empty otherwise."""
     verdict = verify_degeneration(cert, records)
-    entry = {
+    if not verdict.ok:
+        return verdict, {}
+    problems = _monotone_audit(
+        records.tensor(cert.source), records.tensor(cert.target),
+        records.iw_monotone(cert.source, cert.target))
+    if problems:
+        return Verdict("fail", "; ".join(problems)), {}
+    if not cert.proper:
+        return verdict, {}
+    ok, detail = separator_check(cert.separator, records, cert.source,
+                                 cert.target)
+    if ok is None:
+        return verdict, {"nontrivial": "PAPER-ASSERTED"}
+    if ok:
+        return verdict, {"nontrivial": "PROVED", "separator": detail}
+    return Verdict("fail", f"separator failed: {detail}"), {}
+
+
+def _certificate_entry(cert: DegenerationCertificate, records: Records) -> dict:
+    """The report entry of one certificate, as `judge_certificate` judges it."""
+    verdict, nontrivial = judge_certificate(cert, records)
+    return {
         "id": cert.cert_id,
         "source": cert.source.label,
         "target": cert.target.label,
         "provenance": cert.provenance,
         "status": "VERIFIED" if verdict.ok else "FAIL",
         "reason": verdict.reason,
+        **nontrivial,
     }
-    if verdict.ok:
-        problems = _monotone_audit(
-            records.tensor(cert.source), records.tensor(cert.target),
-            records.iw_monotone(cert.source, cert.target))
-        if problems:
-            entry["status"] = "FAIL"
-            entry["reason"] = "; ".join(problems)
-        elif cert.proper:
-            ok, detail = separator_check(cert.separator, records, cert.source,
-                                         cert.target)
-            if ok is None:
-                entry["nontrivial"] = "PAPER-ASSERTED"
-            elif ok:
-                entry["nontrivial"] = "PROVED"
-                entry["separator"] = detail
-            else:
-                entry["status"] = "FAIL"
-                entry["reason"] = f"separator failed: {detail}"
-    return entry
 
 
 _WITNESS_STATUS = {"proved": "PROVED", "refutation_not_found": "FALSIFICATION-ONLY"}
@@ -498,13 +454,14 @@ def _witness_entry(w: NonDegenerationWitness, records: Records, trials: int) -> 
     }
 
 
-def _probe_entry(triples, dim: int, owner: str) -> dict:
-    """The report entry of the lower-triangular probe of one closed set."""
-    verdict = lower_triangular_invariance_probe(ClosedSetSpec(triples), dim)
+def _probe_entry(w: NonDegenerationWitness) -> dict:
+    """The report entry of the lower-triangular probe of a ClosedSet
+    witness's set, in its source dimension."""
+    verdict = lower_triangular_invariance_probe(w.spec, w.source.dim)
     return {
-        "triples": [list(t) for t in triples],
-        "dim": dim,
-        "first_witness": owner,
+        "triples": [list(t) for t in w.spec.triples],
+        "dim": w.source.dim,
+        "first_witness": w.witness_id,
         "status": "PASS" if verdict.ok else "FAIL",
         "reason": verdict.reason,
     }
@@ -547,10 +504,9 @@ def run_ledger(ledger: ClaimLedger, seed: int = 0, trials: int = 200,
     witnesses = [w for w in ledger.witnesses if in_scope(w.source.dim)]
     witness_reports = [_witness_entry(w, records, trials) for w in witnesses]
     # each closed set once, under the first witness that names it
-    probes = {(tuple(map(tuple, w.payload["triples"])), w.source.dim): w.witness_id
+    probes = {(w.spec.triples, w.source.dim): w
               for w in reversed(witnesses) if w.kind == "ClosedSet"}
-    probe_reports = [_probe_entry(triples, dim, owner)
-                     for (triples, dim), owner in sorted(probes.items())]
+    probe_reports = [_probe_entry(w) for _, w in sorted(probes.items())]
     chain_reports = [_chain_entry(ch, cert_entries)
                      for ch in ledger.chains if in_scope(ch.dim)]
 

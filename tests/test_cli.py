@@ -781,7 +781,7 @@ def _witness_of_kind(kind, payload):
     return dict(wit, payload=payload)
 
 
-@pytest.mark.parametrize("kind, payload, field", [
+BAD_PAYLOADS = [
     ("ClosedSet", {}, "payload.triples"),
     ("ClosedSet", {"triples": [[1, 2, "3"]]}, "payload.triples"),
     ("ClosedSet", {"triples": [[1, 2, 99]]}, "payload.triples"),
@@ -795,7 +795,10 @@ def _witness_of_kind(kind, payload):
      "payload.source_basis"),
     ("BespokeR", {"source_basis": ["e1+"] + ["e1"] * 6},
      "payload.source_basis"),
-])
+]
+
+
+@pytest.mark.parametrize("kind, payload, field", BAD_PAYLOADS)
 def test_verify_paper_rejects_bad_witness_payload(tmp_path, capsys, kind,
                                                   payload, field):
     path = tmp_path / "ledger.json"
@@ -809,6 +812,19 @@ def test_verify_paper_rejects_bad_witness_payload(tmp_path, capsys, kind,
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert field in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("kind, payload, field", BAD_PAYLOADS)
+def test_a_bad_witness_payload_raises_where_the_witness_is_built(
+        kind, payload, field):
+    # the loader reads no payload of its own: building the witness does
+    from degenlab.degeneration import AlgebraRef, NonDegenerationWitness
+
+    wit = _witness_of_kind(kind, payload)
+    refs = [AlgebraRef(wit[side]["name"], wit[side]["dim"])
+            for side in ("source", "target")]
+    with pytest.raises(ValueError, match=field):
+        NonDegenerationWitness(kind, *refs, payload=payload)
 
 
 @pytest.mark.parametrize("kind", ["ClosedSet", "IWDominance"])
@@ -949,6 +965,7 @@ def test_check_rejects_a_basis_that_is_not_a_list_of_strings(
 @pytest.mark.parametrize("field, value", [
     ("dim", "seven"), ("expected_level", None), ("edges", 5), ("edges", [["x"]]),
     ("dim", 5.9), ("dim", True), ("expected_level", 3.0), ("expected_level", True),
+    ("edges", "conn.t3_t22.5"),  # not split into one-character edges
 ])
 def test_verify_paper_rejects_a_malformed_chain(tmp_path, capsys, field, value):
     from degenlab.verification_db import shipped_ledger_path
@@ -962,6 +979,7 @@ def test_verify_paper_rejects_a_malformed_chain(tmp_path, capsys, field, value):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: chain record") and len(err.splitlines()) == 1
+    assert field in err.split(" is malformed: ")[1]
     assert not (tmp_path / "out" / "report.json").exists()
 
 
@@ -1172,3 +1190,64 @@ def test_the_ceiling_admits_max_dim_itself(capsys):
         catalog.instantiate("zero", MAX_DIM + 1)
     with pytest.raises(TableFormatError, match="exceeds MAX_DIM"):
         StructureTensor.from_json_obj({"dim": MAX_DIM + 1, "products": []})
+
+
+def _check_outputs(capsys, tmp_path, claim):
+    """(exit code, human stdout, --json stdout, stderr) of `check` on one
+    claim."""
+    path = tmp_path / "claim.json"
+    path.write_text(json.dumps(claim), encoding="utf-8")
+    code = main(["check", str(path), "--trials", "2"])
+    human, err = capsys.readouterr()
+    assert main(["--json", "check", str(path), "--trials", "2"]) == code
+    out, json_err = capsys.readouterr()
+    assert json_err == err
+    return code, human, out, err
+
+
+def test_check_fails_a_separator_that_does_not_separate(tmp_path, capsys):
+    # the Jacobi identity holds on both sides of T22deg.1.7: verify-paper
+    # and check both fail the claim on its separator
+    cert = dict(cert_by_id("T22deg.1.7"), separator="jacobi")
+    reason = "separator failed: jacobi: source True, target True"
+    code, human, out, err = _check_outputs(capsys, tmp_path, cert)
+    assert (code, human, err) == (2, f"fail: {reason}\n", "")
+    assert json.loads(out) == {"status": "fail", "reason": reason, "data": {}}
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps({"certificates": [cert]}), encoding="utf-8")
+    assert main(["verify-paper", "--ledger", str(path), "--trials", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["certificates"][0]["reason"] == reason
+
+
+def test_check_applies_the_loaders_level_rule(tmp_path, capsys):
+    cert = cert_by_id("conn.n3_zero.4")
+    cert = dict(cert, source=cert["target"], target=cert["source"])
+    code, human, out, err = _check_outputs(capsys, tmp_path, cert)
+    assert (code, human, out) == (1, "", "")
+    assert err == ("error: certificate conn.n3_zero.4 claims zero@4 -> n3@4 "
+                   "proper, from level 0 to 1\n")
+
+
+def test_check_passes_exactly_the_certificates_the_report_verifies(
+        tmp_path, capsys):
+    # the shipped certificates, one failing its exact check and one its
+    # separator
+    from degenlab.verification_db import ledger_from_obj, run_ledger
+
+    certs = json.loads(json.dumps(certificates()))
+    by_id = {c["id"]: c for c in certs}
+    by_id["T22deg.1.7"]["basis"][4] = "t*e5"
+    by_id["T22deg.2.7"]["separator"] = "jacobi"
+    report = run_ledger(ledger_from_obj({"certificates": certs}), trials=1)
+    statuses = {e["id"]: (e["status"], e["reason"])
+                for e in report["certificates"]}
+    assert sorted(cid for cid, (status, _) in statuses.items()
+                  if status != "VERIFIED") == ["T22deg.1.7", "T22deg.2.7"]
+    assert statuses["T22deg.2.7"][1].startswith("separator failed: jacobi")
+    for cert in certs:
+        code, human, _, _ = _check_outputs(capsys, tmp_path, cert)
+        status, reason = statuses[cert["id"]]
+        assert (code == 0) == (status == "VERIFIED"), cert["id"]
+        assert human == (f"fail: {reason}\n" if code else "pass\n")

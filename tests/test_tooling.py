@@ -240,8 +240,75 @@ def test_the_witness_check_and_the_per_claim_functions_read_the_store():
     assert _function_names("degeneration",
                            ["verify_nondegeneration"]) & banned == set()
     assert _function_names("verification_db", [
-        "_certificate_entry", "_witness_entry", "_probe_entry", "_chain_entry",
-        "separator_check", "run_ledger"]) & banned == set()
+        "judge_certificate", "_certificate_entry", "_witness_entry",
+        "_probe_entry", "_chain_entry", "separator_check",
+        "run_ledger"]) & banned == set()
+
+
+def test_check_loads_and_judges_a_claim_as_the_ledger_run_does():
+    # `degenlab check` reads its claim with the ledger loader and judges it
+    # with the run's own function: the CLI names no reader or checker of
+    # its own
+    def cli_names(names):
+        return {name for module, name in _package_names(names, ())
+                if module == "cli"}
+
+    assert cli_names({"verify_degeneration", "certificate_from_json",
+                      "witness_from_json", "check_references",
+                      "check_witness_payload"}) == set()
+    assert cli_names({"ledger_from_obj", "judge_certificate"}) == {
+        "ledger_from_obj", "judge_certificate"}
+
+
+def test_a_witness_payload_is_read_where_the_witness_is_built():
+    # the payload keys are read (rec[key], rec.get(key)) in one place:
+    # NonDegenerationWitness, which keeps what it parsed
+    package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
+    keys = {"triples", "source_basis", "element"}
+    readers = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Subscript):
+                    key = node.slice
+                elif (isinstance(node, ast.Call) and node.args
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("get", "pop", "setdefault")):
+                    key = node.args[0]
+                else:
+                    continue
+                if isinstance(key, ast.Constant) and key.value in keys:
+                    readers.add((path.stem, getattr(top, "name", None)))
+    assert readers == {("degeneration", "NonDegenerationWitness")}
+
+
+def test_a_full_run_parses_each_basis_row_once(monkeypatch):
+    # certificate rows are parsed when the certificate is checked, a
+    # witness's source-basis rows when the witness is built; neither again
+    from degenlab import degeneration, exactnum
+    from degenlab.verification_db import (load_ledger, run_ledger,
+                                          shipped_ledger_path)
+
+    calls = []
+
+    def counting(text, dim):
+        calls.append(text)
+        return exactnum.parse_basis_row(text, dim)
+
+    for module in sys.modules.values():
+        if (getattr(module, "__name__", "").startswith("degenlab.")
+                and module is not exactnum
+                and hasattr(module, "parse_basis_row")):
+            monkeypatch.setattr(module, "parse_basis_row", counting)
+    ledger = load_ledger(shipped_ledger_path())
+    witness_rows = len(calls)
+    run_ledger(ledger, seed=20240917, trials=1)
+    assert witness_rows == sum(len(w.source_rows or ()) for w in ledger.witnesses)
+    assert witness_rows == 27
+    assert len(calls) - witness_rows == sum(
+        len(c.basis_rows) for c in ledger.certificates) == 1051
+    assert degeneration.parse_basis_row is counting
 
 
 def _strings(node):
