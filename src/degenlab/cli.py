@@ -173,7 +173,7 @@ def cmd_check(args) -> int:
     }
     _emit(args, [f"{verdict.status}: {verdict.reason}" if verdict.reason
                  else verdict.status], payload)
-    if verdict.status in ("pass", "proved"):
+    if verdict.ok:
         return 0
     if verdict.status == "refutation_not_found":
         return 3

@@ -1,21 +1,23 @@
 """Exact linear algebra over the rationals and over integer rings.
 
 A matrix is a list of rows; matrices here are tiny (at most ~11x11) and
-often sparse.  Everything is computed exactly: `int_echelon` is the one
-fraction-free elimination of a span, giving integer echelon rows and, by
-counting them, ranks over the rationals after clearing denominators;
-`int_suffix_spans` eliminates an ordered basis from its last row upward,
-so that `int_reduce` decides membership in each suffix span (orbit
-sampling); `int_scaled_inverse` is the package's one inverse.  It runs on
-ints: stored source bases, and certificate bases in Z[t] packed into ints
-at t = 2^B (`degeneration.packing_bits`).  It needs only + - * and exact
-// of its entries, so it runs over any integral domain with exact //,
-such as `exactnum.ZPoly`, unchanged, and scales rows lazily.
-`int_scaled` is the one place where rational rows are scaled to integer
-rows; tables, bases, elements and pencils all go through it.  A null
-space (`kernel_basis`) is read off the `int_echelon` of [M^T | I], so
-spans and null spaces come out as integer echelon rows, and Fraction
-appears only in the result of `invert`.
+often sparse.  Everything is computed exactly.  `_span_rows` is the one
+fraction-free elimination of a span: it reduces each row against the
+rows kept so far (`int_reduce`) and keeps what is left.  `int_echelon`
+is its rows sorted by pivot, `_int_rank` their count (a rank over Q
+after clearing denominators), and `int_suffix_spans` its rows of a basis
+read from the last row upward, so that `int_reduce` decides membership
+in each suffix span (orbit sampling).  `int_scaled_inverse` (Bareiss) is
+the one inverse.  It runs on ints: stored source bases, and certificate
+bases in Z[t] packed into ints at t = 2^B, a bound that holds because
+each of its entries is a minor (`degeneration.packing_bits`).  It needs
+only + - * and exact // of its entries, so it runs over any integral
+domain with exact //, such as `exactnum.ZPoly`, unchanged, and scales
+rows lazily.  `int_scaled` is the one place where rational rows are
+scaled to integer rows; tables, bases, elements and pencils all go
+through it.  A null space (`kernel_basis`) is read off the `int_echelon`
+of [M^T | I], so spans and null spaces come out as integer echelon rows,
+and Fraction appears only in the result of `invert`.
 
 `partition_from_ranks` reads the block sizes of a nilpotent operator off
 the ranks of its powers (rank(N^m) = sum_i max(lambda_i - m, 0)).
@@ -58,72 +60,45 @@ def random_int_rows(rng, count: int, n: int, lo: int, hi: int):
     return [list(islice(draws, n)) for _ in range(count)]
 
 
-def int_echelon(rows):
-    """Echelon rows spanning the same Q-space as the integer rows given.
+def _span_rows(rows):
+    """The package's one elimination of a span: (pivot, row) pairs, the
+    last kept first, spanning the same Q-space as the integer rows given.
 
-    Fraction-free Gaussian elimination: each eliminated row is divided by
-    the gcd of its entries, which changes no span.  Zero rows are dropped,
-    so the result has rank-many rows with strictly increasing pivots.
+    Each nonzero row is reduced against the rows kept so far (`int_reduce`);
+    a remainder is divided by the gcd of its entries and kept, pivoting at
+    its first nonzero column.  So a kept row vanishes at every earlier
+    pivot, no two share a pivot, and a row reducing to 0 lies in the span
+    of the rows before it.  Stops at full rank; kept rows are fresh lists.
     """
-    rows = [list(row) for row in rows if any(row)]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                piv = i
+    kept = []
+    for row in filter(any, rows):
+        h = int_reduce(row, kept)
+        lead = next(filter(None, h), 0)  # the first nonzero entry, or 0
+        if lead:
+            c = gcd(*h)
+            kept.insert(0, (h.index(lead), [x // c for x in h]))
+            if len(kept) == len(h):
                 break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, nrows):
-            xi = rows[i][c]
-            if xi == 0:
-                continue
-            row_i = rows[i]
-            row_r = rows[r]
-            for j in range(c, ncols):
-                row_i[j] = row_i[j] * pv - xi * row_r[j]
-            g = 0
-            for j in range(c, ncols):
-                g = gcd(g, row_i[j])
-            if g > 1:
-                for j in range(c, ncols):
-                    row_i[j] //= g
-        r += 1
-    return rows[:r]
+    return kept
+
+
+def int_echelon(rows):
+    """Echelon rows spanning the same Q-space as the integer rows given: the
+    `_span_rows` by pivot, rank-many with strictly increasing pivots."""
+    return [row for _, row in sorted(_span_rows(rows))]
 
 
 def int_suffix_spans(rows):
     """Reduced rows h_1, ..., h_n with span(h_k, ..., h_n) = W_k =
-    span(g_k, ..., g_n) for the integer rows g, as (pivot, row) pairs;
-    None when the rows are dependent (det g = 0).
-
-    One fraction-free elimination from the last row upward: g_k is reduced
-    against h_n, ..., h_{k+1} in that order (`int_reduce`), divided by the gcd
-    of its entries, and pivots at its first nonzero column.  So h_k
-    vanishes at the pivots of h_{k+1}, ..., h_n, and a row reducing to 0
-    means g_k lies in W_{k+1}.
-    """
-    n = len(rows)
-    spans = [None] * n
-    for k in range(n - 1, -1, -1):
-        h = int_reduce(rows[k], spans, k + 1)
-        pivot = next((c for c, x in enumerate(h) if x), None)
-        if pivot is None:
-            return None
-        c = gcd(*h)
-        spans[k] = (pivot, [x // c for x in h] if c > 1 else h)
-    return spans
+    span(g_k, ..., g_n) for the integer rows g, as (pivot, row) pairs: the
+    `_span_rows` of g_n, ..., g_1 (g_k reduces to 0 iff it lies in
+    W_{k+1}).  None when the rows are dependent (det g = 0)."""
+    spans = _span_rows(reversed(rows))
+    return spans if len(spans) == len(rows) else None
 
 
-def int_reduce(v, spans, k: int):
-    """v reduced against the `int_suffix_spans` rows h_n, ..., h_{k+1}
+def int_reduce(v, spans, k: int = 0):
+    """v reduced against the kept rows h_n, ..., h_{k+1} of `_span_rows`
     (0-based index k onward) in that order: 0 iff v lies in their span.
 
     Each step clears the pivot of h_m and keeps the pivots already cleared,
@@ -139,8 +114,8 @@ def int_reduce(v, spans, k: int):
 
 
 def _int_rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free Gaussian elimination."""
-    return len(int_echelon(rows))
+    """Rank of an integer matrix: the number of its `_span_rows`."""
+    return len(_span_rows(rows))
 
 
 def int_scaled_inverse(rows):

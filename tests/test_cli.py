@@ -1221,6 +1221,18 @@ def test_check_fails_a_separator_that_does_not_separate(tmp_path, capsys):
     assert report["certificates"][0]["reason"] == reason
 
 
+def test_check_fails_a_certificate_whose_dominance_audit_fails(
+        tmp_path, capsys, monkeypatch):
+    from degenlab.degeneration import Records
+
+    monkeypatch.setattr(Records, "iw_monotone", lambda self, src, tgt: False)
+    reason = "dominant rank sequence not monotone"
+    code, human, out, err = _check_outputs(capsys, tmp_path,
+                                           cert_by_id("T22deg.2.6"))
+    assert (code, human, err) == (2, f"fail: {reason}\n", "")
+    assert json.loads(out) == {"status": "fail", "reason": reason, "data": {}}
+
+
 def test_check_applies_the_loaders_level_rule(tmp_path, capsys):
     cert = cert_by_id("conn.n3_zero.4")
     cert = dict(cert, source=cert["target"], target=cert["source"])

@@ -29,12 +29,13 @@ from degenlab.linalg import (
     random_int_rows,
     rank,
 )
-from degenlab.algebra import annihilator, left_mult_matrix
+from degenlab.algebra import _int_left_products, annihilator, left_mult_matrix
 from degenlab.catalog import instantiate
 
 from oracles import field_rank, fraction_inverse, matmul, qt_inverse, row_reduce_dim
 from oracles import Subspace, kernel_oracle, power_rank_sequence_oracle
 from oracles import bareiss_inverse_oracle, qt_parse, qt_value
+from oracles import random_anticommutative
 
 
 def e_vec(n, *idx):
@@ -161,11 +162,40 @@ def test_int_suffix_spans_decide_membership_in_every_suffix_span():
                 want = row_reduce_dim(rows[k:] + [v]) == n - k
                 assert (not any(int_reduce(v, spans, k))) == want
                 seen.add(want)
+        # the reduced rows are fresh lists: changing them leaves g as it was
+        before = [list(row) for row in rows]
+        for _, h in spans:
+            h[:] = [x + 1 for x in h]
+        assert rows == before
     assert seen == {True, False}
 
 
-def test_int_echelon_spans_the_same_space():
-    # tall, wide, rank-deficient and zero integer matrices
+def _assert_echelon_of(ncols, rows):
+    """int_echelon(rows) against the Fraction RREF: rank-many integer rows
+    with strictly increasing pivots, the RREF's, spanning the same space;
+    rows it returns are its own, so changing them leaves the input as it
+    was."""
+    before = [list(row) for row in rows]
+    ech = int_echelon(rows)
+    assert len(ech) == row_reduce_dim(rows)
+    assert all(type(x) is int for row in ech for x in row)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in ech]
+    assert pivots == sorted(set(pivots))
+    want = Subspace.from_vectors(ncols, rows)
+    assert Subspace.from_vectors(ncols, ech) == want
+    assert pivots == [next(c for c, x in enumerate(row) if x)
+                      for row in want.basis]
+    for row in ech:
+        row[:] = [x + 1 for x in row]
+    assert [list(row) for row in rows] == before
+
+
+def _echelon_inputs():
+    """(ncols, rows): tall, wide, rank-deficient and zero integer matrices,
+    then the rows the package passes in at dims up to 11: the power chain's
+    n^2 x n products e_j w, the centralizer conditions as zip's tuple
+    columns, kernel_basis's [M^T | I], and full-rank rows with zero rows
+    among them and a row repeated after full rank."""
     rng = random.Random(7)
     for trial in range(60):
         ncols = 1 + trial % 6
@@ -173,14 +203,46 @@ def test_int_echelon_spans_the_same_space():
                 for _ in range(rng.randint(0, 12))]
         if trial % 5 == 0 and rows:
             rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
-        ech = int_echelon(rows)
-        assert len(ech) == row_reduce_dim(rows)
-        assert all(type(x) is int for row in ech for x in row)
-        pivots = [next(c for c, x in enumerate(row) if x) for row in ech]
-        assert pivots == sorted(set(pivots))
-        assert Subspace.from_vectors(ncols, ech) == Subspace.from_vectors(ncols, rows)
+        yield ncols, rows
+    rng = random.Random(30)
+    algebras = [instantiate(name, n) for name, n in (
+        ("eta5", 11), ("T22222", 11), ("T2k2_e23_m5", 11), ("T322", 9),
+        ("T4_e23", 5))]
+    algebras += [random_anticommutative(n, rng, 2) for n in (3, 5, 8)]
+    for a in algebras:
+        n = a.dim
+        for i in (1, 2, 3):
+            products = [_int_left_products(a.table, n, w) for w in a.power(i)]
+            yield n, [p for block in products for p in block]
+            yield n, [col for block in products for col in zip(*block)]
+    for trial in range(40):
+        m, n = 1 + trial % 11, 1 + (trial * 7) % 11
+        scaled = int_scaled(_random_rational_rows(rng, m, n))[1]
+        yield m + n, [[row[j] for row in scaled] + [int(i == j) for i in range(n)]
+                      for j in range(n)]
+        # unitriangular, so of full rank, then shuffled
+        full = [[int(i == j) + (j > i) * rng.randint(-3, 3) for j in range(n)]
+                for i in range(n)]
+        rng.shuffle(full)
+        rows = full + [full[rng.randrange(n)], [0] * n]
+        rows.insert(rng.randrange(n + 1), (0,) * n)
+        yield n, rows
+
+
+def test_int_echelon_spans_the_same_space():
+    for ncols, rows in _echelon_inputs():
+        _assert_echelon_of(ncols, rows)
     assert int_echelon([]) == []
     assert int_echelon([[0, 0], [0, 0]]) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+                         | st.just([0] * n), max_size=12))))
+def test_int_echelon_matches_the_fraction_rref(case):
+    ncols, rows = case
+    _assert_echelon_of(ncols, rows)
 
 
 def _qt(rows):

@@ -502,3 +502,19 @@ def test_ledger_text_has_one_grammar():
                if isinstance(node, ast.FunctionDef)
                and node.name == "parse_basis_row"]
     assert defined == ["exactnum"]
+
+
+def test_spans_have_one_elimination_loop():
+    # int_echelon, int_suffix_spans and the rank read the kept rows of
+    # linalg._span_rows: none of them runs a loop of its own
+    path = Path(__file__).resolve().parents[1] / "src" / "degenlab" / "linalg.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    for name in ("int_echelon", "int_suffix_spans", "_int_rank"):
+        nodes = list(ast.walk(functions[name]))
+        assert not [node for node in nodes
+                    if isinstance(node, (ast.For, ast.While))], name
+        assert "_span_rows" in {node.func.id for node in nodes
+                                if isinstance(node, ast.Call)
+                                and isinstance(node.func, ast.Name)}, name

@@ -383,6 +383,29 @@ def test_iw_monotone_is_the_dominance_of_full_scans(seed):
     assert answers[True] >= 133 and answers[False] > 0
 
 
+def test_the_monotone_audit_names_each_invariant_a_reversed_arrow_breaks():
+    # T2k2rest3.a1.m3.7 degenerates T222_e7special@7 to T222_e23@7; read
+    # backwards, the arrow raises dim A^2 and shrinks the annihilator
+    src, tgt = instantiate("T222_e23", 7), instantiate("T222_e7special", 7)
+    assert verification_db._monotone_audit(src, tgt, True) == [
+        "dim square grows: 3 -> 4", "annihilator shrinks: 3 -> 1"]
+    assert verification_db._monotone_audit(tgt, src, True) == []
+
+
+def test_a_failed_dominance_audit_fails_every_certificate(monkeypatch):
+    # with the dominant rank sequences made to fail the audit, each
+    # certificate that passes its exact check reads FAIL, with no tier
+    monkeypatch.setattr(Records, "iw_monotone", lambda self, src, tgt: False)
+    obj = shipped_obj()
+    report = run_ledger(ledger_from_obj({"certificates": obj["certificates"]}),
+                        seed=20240917, trials=1)
+    assert len(report["certificates"]) == len(obj["certificates"])
+    for entry in report["certificates"]:
+        assert (entry["status"], entry["reason"]) == (
+            "FAIL", "dominant rank sequence not monotone"), entry["id"]
+        assert "nontrivial" not in entry
+
+
 def test_a_scan_left_in_part_finishes_as_a_fresh_iw_max():
     ledger = load_ledger(shipped_ledger_path())
     records = degeneration.Records(20240917)
