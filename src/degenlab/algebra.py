@@ -46,9 +46,9 @@ first nonzero defect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
 from .exactnum import rational_from_obj, rational_to_obj
 from .linalg import (
@@ -81,6 +81,8 @@ class StructureTensor:
 
     Immutable: nothing writes `dim` or `products` after construction, so a
     cached invariant stays true; `__eq__` and `__hash__` read only those.
+    An entry that is a Fraction is kept as given, anything else becomes
+    Fraction(x), so a parsed table entry is one Fraction.
     """
 
     __slots__ = ("dim", "products", "mult", "table", "_walk", "_powers",
@@ -94,7 +96,7 @@ class StructureTensor:
         for (i, j), vec in (products or {}).items():
             if not (1 <= i < j <= dim):
                 raise ValueError(f"product key ({i},{j}) is not 1 <= i < j <= n")
-            vec = tuple(Fraction(x) for x in vec)
+            vec = tuple(x if type(x) is Fraction else Fraction(x) for x in vec)
             if len(vec) != dim:
                 raise DimensionMismatch(f"product vector for ({i},{j}) has wrong length")
             if any(vec):
@@ -414,8 +416,7 @@ def change_basis(a: StructureTensor, basis) -> StructureTensor:
     })
 
 
-@dataclass(frozen=True)
-class IdentityFlags:
+class IdentityFlags(NamedTuple):
     jacobi: bool
     malcev: bool
 

@@ -28,7 +28,6 @@ give both the pencil's divisor and the `pfaffian_conic` separator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -48,8 +47,7 @@ class UnknownFamily(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class CatalogName:
+class CatalogName(NamedTuple):
     family: str
     m: int | None = None
     partition: tuple | None = None
@@ -62,8 +60,7 @@ class CatalogName:
         return self.key
 
 
-@dataclass(frozen=True)
-class LevelValue:
+class LevelValue(NamedTuple):
     """An exact level 0..5 or a lower bound 'at least 6/7'."""
 
     exact: int | None = None
@@ -82,8 +79,7 @@ class LevelValue:
         return LevelValue(at_least=int(str(obj).lstrip(">=")))
 
 
-@dataclass(frozen=True)
-class LevelInfo:
+class LevelInfo(NamedTuple):
     level: LevelValue
     infinite_level: LevelValue
 

@@ -61,9 +61,10 @@ rest of its payload, when the witness is built.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm, prod
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .algebra import (
     StructureTensor,
@@ -174,19 +175,21 @@ def packing_bits(g, table) -> int:
     return (len(g) * top * max(norms) ** 2 * prod(norms)).bit_length() + 1
 
 
-@dataclass(frozen=True)
-class Verdict:
+# read-only: the one empty default that every Verdict and witness shares
+_EMPTY = MappingProxyType({})
+
+
+class Verdict(NamedTuple):
     status: str  # pass | fail | proved | refutation_not_found | refuted
     reason: str = ""
-    data: dict = field(default_factory=dict)
+    data: dict = _EMPTY
 
     @property
     def ok(self) -> bool:
         return self.status in ("pass", "proved")
 
 
-@dataclass(frozen=True)
-class AlgebraRef:
+class AlgebraRef(NamedTuple):
     """Reference to an algebra: catalog name + dim, or an inline table."""
 
     name: str
@@ -267,8 +270,7 @@ class Records:
             raise exc.named(ref.label) from None
 
 
-@dataclass(frozen=True)
-class DegenerationCertificate:
+class DegenerationCertificate(NamedTuple):
     source: AlgebraRef
     target: AlgebraRef
     basis_rows: tuple
@@ -328,9 +330,13 @@ def verify_degeneration(cert: DegenerationCertificate, records: Records) -> Verd
 # --- closed sets ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosedSetSpec:
-    """Conditions lambda(V_i, V_j) in V_k over the standard flag.
+class _Triples(NamedTuple):
+    triples: tuple
+
+
+class ClosedSetSpec(_Triples):
+    """Conditions lambda(V_i, V_j) in V_k over the standard flag, its
+    triples held as int tuples.
 
     Each triple (i, j, k) has 1 <= i, j <= n and 1 <= k <= n + 1, where
     V_{n+1} = 0.  A triple hits every pair at or above (i, j), so the
@@ -339,12 +345,10 @@ class ClosedSetSpec:
     `lower_triangular_invariance_probe` checks that on the pair map.
     """
 
-    triples: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "triples", tuple(tuple(int(x) for x in t) for t in self.triples)
-        )
+    def __new__(cls, triples):
+        return super().__new__(cls, tuple(tuple(map(int, t)) for t in triples))
 
 
 def closed_set_member(a: StructureTensor, spec: ClosedSetSpec) -> bool:
@@ -523,8 +527,19 @@ INVARIANT_KINDS = ("DimSquare", "AnnDim", "IWDominance", "LieClosure")
 WITNESS_KINDS = INVARIANT_KINDS + ("ClosedSet", "BespokeR")
 
 
-@dataclass(frozen=True)
-class NonDegenerationWitness:
+class _WitnessFields(NamedTuple):
+    kind: str
+    source: AlgebraRef
+    target: AlgebraRef
+    payload: dict
+    provenance: str
+    witness_id: str
+    spec: ClosedSetSpec | None
+    source_rows: tuple | None
+    element: tuple | None
+
+
+class NonDegenerationWitness(_WitnessFields):
     """A claim that source does not degenerate to target, by one of
     `WITNESS_KINDS`.  The payload fields its kind reads are read once,
     here, where n is the source dimension: ClosedSet `triples`, a list of
@@ -532,25 +547,18 @@ class NonDegenerationWitness:
     `spec`; a ClosedSet/BespokeR `source_basis`, when given, a list of n
     basis rows, as parsed rows `source_rows`; IWDominance `element`, a
     list of n rationals, as Fractions.  A malformed payload raises
-    ValueError naming its field."""
+    ValueError naming its field.  `_replace` would skip that reading."""
 
-    kind: str
-    source: AlgebraRef
-    target: AlgebraRef
-    payload: dict = field(default_factory=dict)
-    provenance: str = ""
-    witness_id: str = ""
-    spec: ClosedSetSpec | None = field(default=None, init=False, repr=False)
-    source_rows: tuple | None = field(default=None, init=False, repr=False)
-    element: tuple | None = field(default=None, init=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in WITNESS_KINDS:
-            raise UnknownKind(f"unknown witness kind {self.kind!r}")
-        n, payload = self.source.dim, self.payload
-        if not isinstance(payload, dict):
+    def __new__(cls, kind, source, target, payload=_EMPTY, provenance="",
+                witness_id=""):
+        if kind not in WITNESS_KINDS:
+            raise UnknownKind(f"unknown witness kind {kind!r}")
+        n, spec, source_rows, element = source.dim, None, None, None
+        if not (isinstance(payload, dict) or payload is _EMPTY):
             raise ValueError("payload is not an object")
-        if self.kind == "ClosedSet":
+        if kind == "ClosedSet":
             triples = payload.get("triples")
             if not isinstance(triples, list) or not all(
                 isinstance(t, list) and len(t) == 3
@@ -561,19 +569,18 @@ class NonDegenerationWitness:
                 raise ValueError(
                     f"payload.triples must be a list of integer triples "
                     f"(i, j, k) with 1 <= i, j <= {n}, 1 <= k <= {n + 1}")
-            object.__setattr__(self, "spec", ClosedSetSpec(triples))
+            spec = ClosedSetSpec(triples)
         rows = payload.get("source_basis")
-        if self.kind in ("ClosedSet", "BespokeR") and rows is not None:
+        if kind in ("ClosedSet", "BespokeR") and rows is not None:
             if not (isinstance(rows, list) and len(rows) == n
                     and all(isinstance(r, str) for r in rows)):
                 raise ValueError(
                     f"payload.source_basis must be a list of {n} basis rows")
             try:
-                rows = tuple(parse_basis_row(r, n) for r in rows)
+                source_rows = tuple(parse_basis_row(r, n) for r in rows)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"payload.source_basis: {exc}") from None
-            object.__setattr__(self, "source_rows", rows)
-        if self.kind == "IWDominance":
+        if kind == "IWDominance":
             element = payload.get("element")
             try:
                 if not (isinstance(element, list) and len(element) == n):
@@ -582,7 +589,11 @@ class NonDegenerationWitness:
             except (TypeError, ValueError, ZeroDivisionError):
                 raise ValueError(
                     f"payload.element must be a list of {n} rationals") from None
-            object.__setattr__(self, "element", element)
+        return super().__new__(cls, kind, source, target, payload, provenance,
+                               witness_id, spec, source_rows, element)
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return tuple(self[:6])
 
 
 def verify_nondegeneration(

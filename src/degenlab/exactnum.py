@@ -45,7 +45,7 @@ MAX_DEGREE = 64
 MAX_NESTING = 32
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -57,19 +57,22 @@ def rational_from_obj(obj) -> Fraction:
     one rule for JSON input).  A string is an integer or 'p/q' in ASCII
     digits, with an optional sign, else ValueError: no decimals, exponents
     or underscores, which `Fraction` would also read (`'1e20000000'` builds
-    a 66-million-bit int).  A float, a bool or anything else: TypeError; a
-    zero denominator: DivisionByZero naming the text."""
-    if isinstance(obj, Fraction):
-        return obj
+    a 66-million-bit int); its one match gives the ints of one Fraction.
+    A float, a bool or anything else: TypeError; a zero denominator:
+    DivisionByZero naming the text."""
     if isinstance(obj, int) and not isinstance(obj, bool):
         return Fraction(obj)
     if isinstance(obj, str):
-        if not _RATIONAL.fullmatch(obj.strip()):
+        match = _RATIONAL.fullmatch(obj.strip())
+        if not match:
             raise ValueError(f"cannot interpret {obj!r} as a rational number")
+        num, den = match.groups()
         try:
-            return Fraction(obj.strip())
+            return Fraction(int(num), int(den or 1))
         except ZeroDivisionError:
             raise DivisionByZero(f"zero denominator in {obj!r}") from None
+    if isinstance(obj, Fraction):  # last: an ABC check, slow on an int
+        return obj
     raise TypeError(f"cannot interpret {obj!r} as a rational number")
 
 

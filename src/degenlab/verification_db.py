@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     MAX_DIM,
@@ -82,8 +82,7 @@ class InconsistentLedger(ValueError):
     """Ledger violates a referential invariant."""
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     chain_id: str
     algebra: str
     dim: int
@@ -91,8 +90,7 @@ class Chain:
     edges: tuple
 
 
-@dataclass
-class ClaimLedger:
+class ClaimLedger(NamedTuple):
     certificates: list
     witnesses: list
     chains: list

@@ -22,9 +22,13 @@ reference for the packed check.  The dense Bareiss loop that the lazily
 scaled `linalg.int_scaled_inverse` replaced is the reference for its
 (d, R), and records every entry the packing bound must cover.  The
 polynomial gcd of binary forms that the T22 classifier once took is the
-reference for its divisor read off the span of the Pfaffian forms.
+reference for its divisor read off the span of the Pfaffian forms.  The
+rational rule that matched a string twice, once by its own regex and once
+by `Fraction`'s, and the table reader that then wrapped each entry in a
+second Fraction, are the reference for the one-match, one-Fraction reader.
 """
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -1018,3 +1022,60 @@ def inverse_lower_triangular_probe(dim, samples, seed, sampler, member):
                  "basis": [[str(x) for x in row] for row in g]},
             )
     return Verdict("pass")
+
+
+# --- the two-pass table reader --------------------------------------------
+
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def rational_from_obj_oracle(obj):
+    """The rational rule as it read before the one-match reader: a string
+    is matched by a group-free regex, then handed whole to `Fraction`,
+    which matches it again with its own."""
+    from degenlab.exactnum import DivisionByZero
+
+    if isinstance(obj, Fraction):
+        return obj
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return Fraction(obj)
+    if isinstance(obj, str):
+        if not _RATIONAL_TEXT.fullmatch(obj.strip()):
+            raise ValueError(f"cannot interpret {obj!r} as a rational number")
+        try:
+            return Fraction(obj.strip())
+        except ZeroDivisionError:
+            raise DivisionByZero(f"zero denominator in {obj!r}") from None
+    raise TypeError(f"cannot interpret {obj!r} as a rational number")
+
+
+def from_json_obj_oracle(obj):
+    """(dim, products) as the two-pass reader built them: each entry read
+    by `rational_from_obj_oracle`, then wrapped again by `Fraction(x)` as
+    the tensor stored it, and the all-zero vectors dropped; the same
+    TableFormatError texts."""
+    from degenlab.algebra import MAX_DIM, TableFormatError
+
+    dim = obj.get("dim") if isinstance(obj, dict) else None
+    if type(dim) is not int or dim < 1:
+        raise TableFormatError("an algebra table is an object with a "
+                               "positive integer dim")
+    if dim > MAX_DIM:
+        raise TableFormatError(f"dim {dim} exceeds MAX_DIM = {MAX_DIM}")
+    records, table = obj.get("products", []), {}
+    try:
+        if not isinstance(records, list):
+            raise TypeError("products is not a list")
+        for rec in records:
+            i, j, value = rec["i"], rec["j"], rec["value"]
+            if not (type(i) is type(j) is int and 1 <= i < j <= dim):
+                raise ValueError(f"key ({i},{j}) is not 1 <= i < j <= {dim}")
+            if not isinstance(value, list) or len(value) != dim:
+                raise ValueError(f"value of ({i},{j}) is not {dim} entries")
+            if (i, j) in table:
+                raise ValueError(f"key ({i},{j}) is given twice")
+            table[(i, j)] = tuple(map(rational_from_obj_oracle, value))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise TableFormatError(f"bad products entry: {exc}") from None
+    return dim, {key: tuple(Fraction(x) for x in vec)
+                 for key, vec in table.items() if any(vec)}

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenlab.algebra import (
     DimensionMismatch,
     StructureTensor,
+    TableFormatError,
     _engel_packing_bits,
     _malcev_holds,
     _malcev_packing_bits,
@@ -33,6 +36,7 @@ from oracles import engel_degree_oracle, engel_powers_oracle
 from oracles import jacobi_oracle, malcev_oracle, malcev_terms_oracle
 
 from oracles import ann_dim_oracle, generated_subalgebra, square_dim_oracle
+from oracles import from_json_obj_oracle
 from oracles import direct_sum_trivial, random_anticommutative, random_lower_triangular
 from oracles import (
     Subspace,
@@ -609,6 +613,97 @@ def test_json_round_trip():
     fancy = StructureTensor(3, {(1, 2): (0, 0, Fraction(1, 2))})
     again = StructureTensor.from_json_obj(fancy.to_json_obj())
     assert again == fancy
+
+
+def test_a_fraction_entry_is_stored_as_given():
+    # one Fraction per entry: the tensor keeps the Fractions it is handed
+    # and converts anything else as Fraction(x) did
+    given_vec = (Fraction(1, 3), Fraction(0), Fraction(-7, 2))
+    a = StructureTensor(3, {(1, 2): given_vec})
+    assert all(x is y for x, y in zip(a.products[(1, 2)], given_vec))
+    mixed = (1, "2/4", 0.5, Fraction(3), -2)
+    b = StructureTensor(5, {(2, 4): mixed})
+    assert b.products == {(2, 4): tuple(Fraction(x) for x in mixed)}
+    assert all(type(x) is Fraction for x in b.products[(2, 4)])
+    assert b.products[(2, 4)][3] is mixed[3]
+    with pytest.raises(ValueError, match=r"product key \(2,1\)"):
+        StructureTensor(3, {(2, 1): given_vec})
+    with pytest.raises(ValueError, match=r"product key \(1,4\)"):
+        StructureTensor(3, {(1, 4): given_vec})
+    with pytest.raises(DimensionMismatch, match="wrong length"):
+        StructureTensor(3, {(1, 2): given_vec[:2]})
+    zero = StructureTensor(3, {(1, 2): (Fraction(0),) * 3, (1, 3): (0, "0/5", 0.0)})
+    assert zero.products == {}
+
+
+_ENTRIES = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.tuples(st.sampled_from(["", "+", "-"]), st.integers(0, 10**12),
+              st.integers(1, 10**6), st.sampled_from(["", " ", "\t"]))
+    .map(lambda t: f"{t[3]}{t[0]}{t[1]}/{t[2]}{t[3]}"),
+    st.integers(-50, 50).map(str),
+    st.just(0),
+)
+_BAD_ENTRIES = st.sampled_from(
+    ["1.5", "1e3", "3/0", " ", "1_0", "\u0663", True, 2.5, None, [1], {}])
+
+
+@st.composite
+def _tables(draw, bad=False):
+    """A table object as `to_json_obj` writes it, some of its entries zero;
+    with bad=True, one defect of a kind the reader refuses."""
+    dim = draw(st.integers(1, 5))
+    keys = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
+    products = [{"i": i, "j": j, "value": draw(st.lists(
+        st.one_of(_ENTRIES, st.just(0)), min_size=dim, max_size=dim))}
+        for i, j in chosen]
+    obj = {"dim": dim, "products": products}
+    if not bad:
+        return obj
+    defect = draw(st.sampled_from(
+        ["entry", "key", "length", "twice", "missing", "products", "dim"]))
+    if defect == "dim":
+        obj["dim"] = draw(st.sampled_from([0, -1, "3", 3.0, True, 65, None]))
+        return obj
+    if defect == "products":
+        obj["products"] = draw(st.sampled_from([{}, "x", 5, None]))
+        return obj
+    if not products:
+        products.append({"i": 1, "j": dim + 1, "value": [0] * dim})
+        return obj
+    rec = draw(st.sampled_from(products))
+    if defect == "entry":
+        rec["value"][draw(st.integers(0, dim - 1))] = draw(_BAD_ENTRIES)
+    elif defect == "key":
+        rec["i"], rec["j"] = draw(st.sampled_from(
+            [(rec["j"], rec["i"]), (0, rec["j"]), (rec["i"], dim + 1),
+             (str(rec["i"]), rec["j"]), (rec["i"], True)]))
+    elif defect == "length":
+        rec["value"] = rec["value"] + [1] if draw(st.booleans()) else rec["value"][1:]
+    elif defect == "twice":
+        products.append(dict(rec))
+    else:
+        del rec[draw(st.sampled_from(["i", "j", "value"]))]
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables())
+def test_from_json_obj_reads_a_table_as_the_two_pass_reader(obj):
+    a = StructureTensor.from_json_obj(obj)
+    assert (a.dim, a.products) == from_json_obj_oracle(obj)
+    assert all(type(x) is Fraction for vec in a.products.values() for x in vec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables(bad=True))
+def test_from_json_obj_refuses_a_table_as_the_two_pass_reader(obj):
+    with pytest.raises(TableFormatError) as want:
+        from_json_obj_oracle(obj)
+    with pytest.raises(TableFormatError) as got:
+        StructureTensor.from_json_obj(obj)
+    assert str(got.value) == str(want.value)
 
 
 def test_is_nilpotent_detects_stabilization():

@@ -16,6 +16,7 @@ from degenlab.algebra import (
     is_nilpotent,
 )
 from degenlab.cli import main
+from degenlab.degeneration import UnknownKind
 from degenlab.contraction import iw_max
 from degenlab.linalg import Partition
 from paperdata import certificates, witnesses
@@ -796,6 +797,39 @@ BAD_PAYLOADS = [
     ("BespokeR", {"source_basis": ["e1+"] + ["e1"] * 6},
      "payload.source_basis"),
 ]
+
+# the exact text of each BAD_PAYLOADS error, and of two more: a payload
+# that is not an object and an unknown kind
+BAD_PAYLOAD_MESSAGES = [
+    (ValueError, "payload.triples must be a list of integer triples (i, j, k) "
+                 "with 1 <= i, j <= 6, 1 <= k <= 7"),
+] * 3 + [
+    (ValueError, "payload.element must be a list of 5 rationals"),
+] * 3 + [
+    (ValueError, "payload.source_basis must be a list of 7 basis rows"),
+] * 2 + [
+    (ValueError, "payload.source_basis: basis index e99 outside dimension 7"),
+    (ValueError, "payload.source_basis: division by the zero rational function"),
+    (ValueError, "payload.source_basis: dangling sign at the end of basis row "
+                 "'e1+'"),
+]
+
+
+@pytest.mark.parametrize("case, message", list(zip(
+    BAD_PAYLOADS + [("DimSquare", [1], ""), ("DimSquare", None, ""),
+                    ("Nope", {}, "")],
+    BAD_PAYLOAD_MESSAGES + [(ValueError, "payload is not an object")] * 2
+    + [(UnknownKind, "unknown witness kind 'Nope'")])))
+def test_a_bad_witness_payload_keeps_its_message(case, message):
+    from degenlab.degeneration import AlgebraRef, NonDegenerationWitness
+
+    kind, payload, _ = case
+    wit = _witness_of_kind("DimSquare" if kind == "Nope" else kind, payload)
+    refs = [AlgebraRef(wit[side]["name"], wit[side]["dim"])
+            for side in ("source", "target")]
+    with pytest.raises(Exception) as raised:
+        NonDegenerationWitness(kind, *refs, payload=payload)
+    assert (type(raised.value), str(raised.value)) == message
 
 
 @pytest.mark.parametrize("kind, payload, field", BAD_PAYLOADS)

@@ -1,5 +1,6 @@
+import copy
+import pickle
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from math import prod
@@ -200,7 +201,7 @@ def test_zt_verdicts_match_the_qt_oracle_on_corrupted_certificates():
         else:
             term = rng.choice(["+e{}", "+(1/t)*e{}", "-t*e{}", "+(1/t^2)*e{}"])
             rows[r] += term.format(rng.randint(1, n))
-        bad = replace(cert, basis_rows=tuple(rows))
+        bad = cert._replace(basis_rows=tuple(rows))
         want = qt_certificate_verdict(bad)
         assert _verdict(bad) == want, (cert.cert_id, rows)
         seen.add(want[1].split(" ")[0] if want[0] == "fail" else "pass")
@@ -698,6 +699,39 @@ def test_hit_pairs_keep_the_strictest_condition():
     # (1,3), (1,4) from V_3 to V_4; (1, 2, 1) asks nothing
     assert _hit_pairs(spec, 4) == ((0, 1, 3), (0, 2, 4), (0, 3, 4),
                                    (1, 2, 5), (1, 3, 5), (2, 3, 5))
+
+
+def test_a_spec_holds_int_tuples_and_keys_the_hit_pair_cache():
+    # the spec is a NamedTuple whose __new__ normalises its triples, so a
+    # list of lists and a tuple of tuples make one spec and one cache entry
+    spec = ClosedSetSpec([[1, 2, 3]])
+    assert spec.triples == ((1, 2, 3),)
+    assert type(spec.triples) is tuple and type(spec.triples[0]) is tuple
+    assert all(type(x) is int for x in spec.triples[0])
+    same = ClosedSetSpec((("1", 2.0, 3),))
+    assert same == spec and hash(same) == hash(spec)
+    assert _hit_pairs(same, 4) is _hit_pairs(spec, 4)
+    with pytest.raises(ValueError):
+        ClosedSetSpec([[1, "x", 3]])
+
+
+def test_a_default_verdict_carries_empty_read_only_data():
+    # every Verdict built without data shares one empty mapping, which no
+    # verdict can write into
+    first, second = Verdict("pass"), Verdict("fail", "why")
+    assert first.data == {} and second.data == {}
+    with pytest.raises(TypeError):
+        first.data["position"] = (1, 2, 3)
+    assert second.data == {} and Verdict("pass").data == {}
+    own = Verdict("fail", "x", {"position": (1, 2, 3)})
+    assert own.data == {"position": (1, 2, 3)} and Verdict("fail").data == {}
+
+
+def test_a_witness_copies_and_pickles_through_its_reading():
+    # copy and pickle hand __new__ the six given fields, which it reads again
+    for w in load_ledger(shipped_ledger_path()).witnesses:
+        for again in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+            assert again == w and type(again) is NonDegenerationWitness
 
 
 def _random_spec(n, rng):

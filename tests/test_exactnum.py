@@ -23,6 +23,7 @@ from degenlab.exactnum import (
 )
 
 from oracles import qt_basis_row, qt_eval, qt_parse, qt_value, sympy_expr
+from oracles import rational_from_obj_oracle
 
 # Coefficient texts parse to unreduced pairs (num, den) of ZPolys, the
 # input of the Z[t] certificate check; sympy's Q(t) is the reference for
@@ -290,6 +291,49 @@ def test_a_rational_string_is_an_integer_or_p_over_q():
         with pytest.raises(ValueError, match="cannot interpret"):
             rational_from_obj(text)
         assert time.perf_counter() - start < 1.0
+
+
+def _outcome(read, obj):
+    """What one rational reader makes of obj: its value and type, or its
+    exception's type and text."""
+    try:
+        value = read(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+_SPACE = st.text(alphabet=" \t\n\r\x0b\x0c\u00a0\u2003", max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_SPACE, st.from_regex(r"[+-]?[0-9]+(/[0-9]+)?", fullmatch=True),
+                 _SPACE).map("".join))
+def test_a_rational_string_reads_as_it_did_before_the_one_match_reader(text):
+    # one regex with groups and Fraction(int(num), int(den)) give the value
+    # (or the DivisionByZero of a zero denominator) of the two-regex reader
+    assert _outcome(rational_from_obj, text) == _outcome(rational_from_obj_oracle, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=8))
+def test_any_text_is_read_or_refused_as_before(text):
+    assert _outcome(rational_from_obj, text) == _outcome(rational_from_obj_oracle, text)
+
+
+@pytest.mark.parametrize("obj", [
+    "1e5", "1_0", "1.5", "\u0663", "1/", "/2", "+-1", " ", "3/0", "-3/00 ",
+    "1" * 5000, "-" + "1" * 5000, "1/" + "2" * 5000, True, 1.5, None,
+])
+def test_a_refused_rational_raises_as_before(obj):
+    # the same exception type and text: ValueError for a malformed string
+    # or an int past the interpreter's digit limit, DivisionByZero naming
+    # the text, TypeError for a bool, a float or None
+    got = _outcome(rational_from_obj, obj)
+    assert issubclass(got[0], Exception)
+    assert got == _outcome(rational_from_obj_oracle, obj)
+    if obj in ("3/0", "-3/00 "):
+        assert got == (DivisionByZero, f"zero denominator in {obj!r}")
 
 
 # --- ZPoly: the one polynomial type ---------------------------------------

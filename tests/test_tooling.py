@@ -59,6 +59,39 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # start-up cost: `dataclasses` pulls in inspect, ast, dis and tokenize,
+    # about 11 ms before any claim is checked; the records are NamedTuples.
+    # Modules the bare interpreter already holds (site's) do not count
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; before = set(sys.modules); "
+            f"sys.path.insert(0, {str(src)!r}); "
+            "import degenlab, degenlab.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "degenlab.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()
+
+
+def test_no_package_module_imports_dataclasses():
+    package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
 def _package_imports(path: Path) -> set:
     """Names of the degenlab modules one package file imports."""
     names = set()
