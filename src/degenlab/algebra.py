@@ -23,10 +23,14 @@ boundary (`product`'s result, the rows of `left_mult_matrix`).
 `StructureTensor.from_json_obj` is the one reader of the JSON table
 format.  The power chain (A^i, the nilpotency index, the centralizer of
 A^2) is exact because scaling the table or a spanning set by a nonzero
-integer changes no Q-span: A^{i+1} is spanned by the integer products
-e_j w for w in the integer echelon rows of A^i (`linalg.int_echelon`).
-`_int_powers` is the one walk down that chain, and `_int_left_products`
-(the products e_j w, the rows of -L_w^T) the one builder of L_w.
+integer changes no Q-span: A^2 is spanned by the table's own products
+e_i e_j, i < j, and A^{i+1} by the integer products e_j w for w in the
+integer echelon rows of A^i (`linalg.int_echelon`).  `_int_powers` is
+the one walk down that chain, and `_int_left_products` (the products
+e_j w, the rows of -L_w^T) the one place where L_w is built.
+dim {x : x A^i = 0} is n minus the rank of n rows, row r the products
+e_r w over the echelon rows w of A^i: the transpose of the conditions
+x w = 0 on x, which only `annihilator` reduces, because it solves them.
 The identity checks (Jacobi, Malcev, Engel) are homogeneous in the
 structure constants: scaling them by L multiplies the Jacobi defect by
 L^2, the Malcev defect by L^3 and (sum_i x_i L_{e_i})^m by L^m, so every
@@ -53,6 +57,7 @@ from typing import NamedTuple
 from .exactnum import rational_from_obj, rational_to_obj
 from .linalg import (
     Singular,
+    _int_rank,
     int_echelon,
     int_scaled,
     int_scaled_inverse,
@@ -169,9 +174,12 @@ class StructureTensor:
         """dim {x : x A^i = 0}; at i = 1 this is dim Ann(A), read from the
         identity rows without walking the chain."""
         if i not in self._centralizers:
-            ws = _int_identity(self.dim) if i == 1 else self.power(i)
-            self._centralizers[i] = self.dim - len(
-                _int_centralizer_conditions(self.table, self.dim, ws))
+            n = self.dim
+            ws = _int_identity(n) if i == 1 else self.power(i)
+            # row r is e_r w over every w: the conditions x w = 0, transposed
+            prods = [_int_left_products(self.table, n, w) for w in ws]
+            self._centralizers[i] = n - _int_rank(
+                [[x for p in prods for x in p[r]] for r in range(n)])
         return self._centralizers[i]
 
     @property
@@ -294,20 +302,28 @@ def _int_identity(n: int):
 def _int_powers(table, n: int):
     """Integer echelon rows of A^1, A^2, ... for an int_table table.
 
-    A^{i+1} is spanned by the products e_j w, w in the rows of A^i.  The
-    walk ends after the first zero power, which it yields as [], or
-    before the first power with the rank of the one before it: then that
-    power equals the last one yielded, and so does every later power.
+    A^2 is spanned by the table's own products e_i e_j, i < j, and A^{i+1}
+    by the products e_j w, w in the rows of A^i.  The walk ends after the
+    first zero power, which it yields as [], or before the first power
+    with the rank of the one before it: then that power equals the last
+    one yielded, and so does every later power.
     """
     rows = _int_identity(n)
     yield rows
-    while rows:
-        nxt = int_echelon([p for w in rows
-                           for p in _int_left_products(table, n, w)])
-        if len(nxt) == len(rows):
-            return  # the chain stalls above 0
+    nxt = int_echelon([_int_dense(entries, n) for _, _, entries in table])
+    while len(nxt) < len(rows):  # else the chain stalls above 0
         rows = nxt
         yield rows
+        nxt = int_echelon([p for w in rows
+                           for p in _int_left_products(table, n, w)])
+
+
+def _int_dense(entries, n: int):
+    """The length-n integer vector of an int_table entry's (k, coeff) pairs."""
+    row = [0] * n
+    for k, v in entries:
+        row[k] = v
+    return row
 
 
 def product(a: StructureTensor, x, y):

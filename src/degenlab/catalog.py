@@ -20,9 +20,13 @@ the quotient modulo the square, and reads the canonical name off the pair
 pencil (generic rank plus the divisor of rank-two members).  When the
 decisive quadratic has no rational root the classifier reports that a
 field extension would be needed instead of guessing.  The pencil is the
-s = 2 case of the net of skew forms on A / A^2 (`_skew_net`); the
-integer echelon rows spanning its 4 x 4 Pfaffian quadrics (`_pfaffian_span`)
-give both the pencil's divisor and the `pfaffian_conic` separator.
+s = 2 case of the net of skew forms on A / A^2 (`_skew_net`), read off the
+tensor's integer table, which is scaled by the lcm L of its denominators:
+that scales the net by L and every Pfaffian quadric by L^2, so no rank
+and no span moves, and the classifier reads no Fraction.  The integer
+echelon rows spanning its 4 x 4 Pfaffian quadrics (`_pfaffian_span`, a
+sum over pairs of disjoint nonzero net entries) give both the pencil's
+divisor and the `pfaffian_conic` separator.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from itertools import combinations
 from typing import Callable, NamedTuple
 
 from .algebra import MAX_DIM, StructureTensor, engel_degree
-from .linalg import Partition, _int_rank, int_echelon, int_scaled
+from .linalg import Partition, _int_rank, int_echelon
 
 
 class DimensionOutOfRange(ValueError):
@@ -385,36 +389,42 @@ def build_manifest() -> dict:
 
 
 def _skew_net(a: StructureTensor, square):
-    """The net of skew forms the product induces on A / A^2.
+    """The net of skew forms the product induces on A / A^2, scaled by L.
 
-    A d x d matrix of s-vectors, s = dim A^2: entry (i, j) holds the
-    coordinates of u_i u_j on the RREF basis of A^2, which are its entries
-    at the pivot columns; u_1..u_d are the standard basis vectors off those
-    columns, a lift of a basis of A / A^2.  `square` may be any echelon
-    basis of A^2, such as the tensor's integer rows `a.power(2)`: only its
-    pivot columns are read, and every echelon basis has those of the RREF.
+    A d x d matrix of s-vectors, s = dim A^2: entry (i, j) holds L times
+    the coordinates of u_i u_j on the RREF basis of A^2, which are the
+    entries of the integer table `a.table` at the pivot columns; u_1..u_d
+    are the standard basis vectors off those columns, a lift of a basis
+    of A / A^2.  `square` may be any echelon basis of A^2, such as the
+    tensor's integer rows `a.power(2)`: only its pivot columns are read,
+    and every echelon basis has those of the RREF.
     """
     pivots = [next(i for i, x in enumerate(row) if x) for row in square]
-    lift = [i + 1 for i in range(a.dim) if i not in pivots]
-    return [[tuple(a.constant(i, j, p + 1) for p in pivots) for j in lift]
-            for i in lift]
+    # column of u_r -> r
+    lift = {c: r for r, c in enumerate(i for i in range(a.dim) if i not in pivots)}
+    zero = (0,) * len(pivots)
+    net = [[zero] * len(lift) for _ in lift]
+    for i, j, entries in a.table:
+        if i in lift and j in lift:
+            coeffs = dict(entries)
+            w = tuple(coeffs.get(p, 0) for p in pivots)
+            net[lift[i]][lift[j]], net[lift[j]][lift[i]] = w, tuple(-x for x in w)
+    return net
 
 
 def _pencil_generic_rank(p_mat, q_mat) -> int:
-    """Rank of P + tQ over Q(t), as the largest rank of P + tQ at t = 0..d.
+    """Rank of P + tQ over Q(t), as the largest rank of P + tQ at t = 0..d,
+    for integer matrices P and Q.
 
     Exact: if the generic rank is r <= d, some r x r minor is a nonzero
     polynomial in t of degree <= r, which cannot vanish at all d + 1
-    points, and no evaluation exceeds the generic rank.  Each evaluation
-    is an integer rank after scaling P and Q by their denominator lcm.
+    points, and no evaluation exceeds the generic rank.
     """
     d = len(p_mat)
-    _, rows = int_scaled(p_mat + q_mat)
-    p_int, q_int = rows[:d], rows[d:]
     best = 0
     for t in range(d + 1):
         best = max(best, _int_rank([[p + t * q for p, q in zip(pr, qr)]
-                                    for pr, qr in zip(p_int, q_int)]))
+                                    for pr, qr in zip(p_mat, q_mat)]))
         if best == d:
             break
     return best
@@ -422,27 +432,32 @@ def _pencil_generic_rank(p_mat, q_mat) -> int:
 
 def _pfaffian_span(net):
     """(monomials, rows): the `int_echelon` rows spanning the 4 x 4
-    principal Pfaffians of a skew net, the one reading of its quadrics.
+    principal Pfaffians of an integer skew net, the one reading of its
+    quadrics.
 
-    On w = sum_r y_r net_r the Pfaffian of rows i < j < k < l is
-    w_ij w_kl - w_ik w_jl + w_il w_jk, a quadric in y; a row holds the
+    On w = sum_r y_r net_r the Pfaffian of rows a < b < c < d is
+    w_ab w_cd - w_ac w_bd + w_ad w_bc, a quadric in y; a row holds the
     coefficients of the monomials y_r y_q, r <= q, so len(rows) is the
     dimension of the span.  For a pencil (s = 2) a row is the binary form
-    (a, b, c) of a x^2 + b xy + c y^2.
+    (a, b, c) of a x^2 + b xy + c y^2.  Only pairs of disjoint nonzero
+    entries w_ij, w_kl (i < j, k < l, (i, j) before (k, l)) add a term:
+    then a = i, and the term's sign is - iff i's partner j is c, that is
+    k < j < l.  The rows come in `combinations` order of their 4-sets;
+    a 4-set with no term has a zero row, which spans nothing.
     """
     d = len(net)
     s = len(net[0][0]) if net else 0
     monomials = [(r, q) for r in range(s) for q in range(r, s)]
-
-    def sym(u, v):
-        return [u[r] * v[q] + u[q] * v[r] if r != q else u[r] * v[r]
-                for r, q in monomials]
-
-    rows = [[x - y + z for x, y, z in zip(sym(net[i][j], net[k][l]),
-                                          sym(net[i][k], net[j][l]),
-                                          sym(net[i][l], net[j][k]))]
-            for i, j, k, l in combinations(range(d), 4)]
-    return monomials, int_echelon(int_scaled(rows)[1])
+    entries = [(i, j, net[i][j]) for i, j in combinations(range(d), 2)
+               if any(net[i][j])]
+    rows = {}
+    for (i, j, u), (k, l, v) in combinations(entries, 2):
+        if i != k and j != k and j != l:  # disjoint: i <= k < l, i < j
+            row = rows.setdefault(tuple(sorted((i, j, k, l))), [0] * len(monomials))
+            sign = -1 if k < j < l else 1
+            for m, (r, q) in enumerate(monomials):
+                row[m] += sign * (u[r] * v[q] + u[q] * v[r] if r != q else u[r] * v[r])
+    return monomials, int_echelon([rows[quad] for quad in sorted(rows)])
 
 
 def pfaffian_conic_profile(a: StructureTensor):
@@ -495,15 +510,17 @@ def classify_T22(a: StructureTensor):
     sentinels LevelAtLeast6 / NeedsExtension.  The (2,2) precondition is
     validated exactly: the algebra must be 2-Engel with a two- or
     three-dimensional square annihilated by the whole algebra, read off
-    the powers and annihilator the tensor holds.
+    the powers and annihilator the tensor holds.  A * A^2 = 0 puts every
+    x(xy) in A * A^2 = 0, so it makes the algebra 2-Engel; the Engel
+    degree is read only to say why a table with A * A^2 != 0 is refused.
     """
     n = a.dim
-    if engel_degree(a, 2) is None:
-        raise PreconditionViolated("not 2-Engel, so IW-max is not (2,2)")
+    if a.power(3):
+        if engel_degree(a, 2) is None:
+            raise PreconditionViolated("not 2-Engel, so IW-max is not (2,2)")
+        raise PreconditionViolated("A * A^2 != 0, so IW-max is not (2,2)")
     square = a.power(2)
     s = len(square)
-    if a.power(3):
-        raise PreconditionViolated("A * A^2 != 0, so IW-max is not (2,2)")
     if s == 3:
         if a.ann_dim != n - 3:
             raise PreconditionViolated(

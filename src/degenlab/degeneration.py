@@ -188,6 +188,9 @@ class Verdict(NamedTuple):
     def ok(self) -> bool:
         return self.status in ("pass", "proved")
 
+    def __getnewargs_ex__(self):  # a copy takes the shared default, not a copy
+        return (tuple(self[:2]) if self.data is _EMPTY else tuple(self)), {}
+
 
 class AlgebraRef(NamedTuple):
     """Reference to an algebra: catalog name + dim, or an inline table."""
@@ -592,8 +595,13 @@ class NonDegenerationWitness(_WitnessFields):
         return super().__new__(cls, kind, source, target, payload, provenance,
                                witness_id, spec, source_rows, element)
 
-    def __getnewargs__(self):  # copy and pickle rebuild through __new__
-        return tuple(self[:6])
+    def __getnewargs_ex__(self):
+        # copy and pickle rebuild through __new__, an omitted payload
+        # with the shared default
+        kind, source, target, payload, provenance, witness_id = self[:6]
+        given = {} if payload is _EMPTY else {"payload": payload}
+        return (kind, source, target), dict(given, provenance=provenance,
+                                            witness_id=witness_id)
 
 
 def verify_nondegeneration(

@@ -23,6 +23,10 @@ scaled `linalg.int_scaled_inverse` replaced is the reference for its
 (d, R), and records every entry the packing bound must cover.  The
 polynomial gcd of binary forms that the T22 classifier once took is the
 reference for its divisor read off the span of the Pfaffian forms.  The
+classifier's former Fraction skew net (read through `a.constant`), its
+dense Pfaffians over every 4-subset, its scaled pencil rank and its
+order (the Engel test first) are the reference for the integer net, the
+sparse Pfaffians and the classifier that tests A * A^2 = 0 first.  The
 rational rule that matched a string twice, once by its own regex and once
 by `Fraction`'s, and the table reader that then wrapped each entry in a
 second Fraction, are the reference for the one-match, one-Fraction reader.
@@ -326,6 +330,117 @@ def binary_form_gcd(forms):
     if disc == 0:
         return 2, "double"
     return 2, "split" if disc > 0 and isqrt(disc) ** 2 == disc else "irrational"
+
+
+# --- the T22 classifier over Fraction -------------------------------------
+#
+# The former bodies of catalog's skew net, Pfaffian span, pencil rank,
+# classifier and pfaffian_conic profile: the net read through
+# `a.constant` as Fractions, every 4 x 4 Pfaffian of every 4-subset
+# formed in Fraction arithmetic and scaled to integers, and the 2-Engel
+# test run before anything else.  The reference for the integer net, the
+# sparse Pfaffians and the classifier that tests A * A^2 = 0 first.
+
+
+def skew_net_oracle(a, square):
+    """The net of skew forms on A / A^2 as Fractions, entry (i, j) the
+    coordinates of u_i u_j at the pivot columns of the echelon rows
+    `square` of A^2."""
+    pivots = [next(i for i, x in enumerate(row) if x) for row in square]
+    lift = [i + 1 for i in range(a.dim) if i not in pivots]
+    return [[tuple(a.constant(i, j, p + 1) for p in pivots) for j in lift]
+            for i in lift]
+
+
+def pfaffian_span_oracle(net):
+    """(monomials, integer echelon rows) spanning the 4 x 4 principal
+    Pfaffians w_ij w_kl - w_ik w_jl + w_il w_jk of a skew net, every
+    4-subset formed densely and the rows scaled to integers together."""
+    from itertools import combinations
+
+    from degenlab.linalg import int_echelon, int_scaled
+
+    d = len(net)
+    s = len(net[0][0]) if net else 0
+    monomials = [(r, q) for r in range(s) for q in range(r, s)]
+
+    def sym(u, v):
+        return [u[r] * v[q] + u[q] * v[r] if r != q else u[r] * v[r]
+                for r, q in monomials]
+
+    rows = [[x - y + z for x, y, z in zip(sym(net[i][j], net[k][l]),
+                                          sym(net[i][k], net[j][l]),
+                                          sym(net[i][l], net[j][k]))]
+            for i, j, k, l in combinations(range(d), 4)]
+    return monomials, int_echelon(int_scaled(rows)[1])
+
+
+def pencil_generic_rank_oracle(p_mat, q_mat):
+    """Rank of P + tQ over Q(t) for rational P and Q, as the largest integer
+    rank of P + tQ at t = 0..d after scaling both by one denominator lcm."""
+    from degenlab.linalg import _int_rank, int_scaled
+
+    d = len(p_mat)
+    _, rows = int_scaled(p_mat + q_mat)
+    p_int, q_int = rows[:d], rows[d:]
+    return max((_int_rank([[p + t * q for p, q in zip(pr, qr)]
+                           for pr, qr in zip(p_int, q_int)])
+                for t in range(d + 1)), default=0)
+
+
+def pencil_of(net):
+    """(P, Q): the two forms of a net of s = 2 skew forms."""
+    return ([[w[0] for w in row] for row in net], [[w[1] for w in row] for row in net])
+
+
+def classify_T22_oracle(a):
+    """The classifier's label on the Fraction net, or the PreconditionViolated
+    message as a string, with the Engel test first."""
+    from degenlab.algebra import engel_degree
+    from degenlab.catalog import (CatalogName, LevelAtLeast6, NeedsExtension,
+                                  _pencil_divisor)
+
+    if engel_degree(a, 2) is None:
+        return "not 2-Engel, so IW-max is not (2,2)"
+    square = a.power(2)
+    s = len(square)
+    if a.power(3):
+        return "A * A^2 != 0, so IW-max is not (2,2)"
+    if s == 3:
+        if a.ann_dim != a.dim - 3:
+            return f"square has dim 3 but Ann has dim {a.ann_dim} != n-3"
+        return CatalogName("T22_e23")
+    if s != 2:
+        return f"dim A^2 = {s} is incompatible with (2,2)"
+    net = skew_net_oracle(a, square)
+    r_gen = pencil_generic_rank_oracle(*pencil_of(net))
+    if r_gen <= 2:
+        return CatalogName("T", partition=(2, 2))
+    if r_gen >= 6:
+        return LevelAtLeast6
+    degree, kind = _pencil_divisor(pfaffian_span_oracle(net)[1])
+    if degree != 2:
+        return (LevelAtLeast6, CatalogName("T22_e45"))[degree]
+    return {"double": CatalogName("T22_e24"), "split": CatalogName("T22_e34"),
+            "irrational": NeedsExtension}[kind]
+
+
+def pfaffian_conic_profile_oracle(a):
+    """(span dim, quadric rank) of the Pfaffian quadrics of the Fraction net,
+    or None unless A^2 != 0 = A * A^2."""
+    from degenlab.linalg import _int_rank
+
+    square = a.power(2)
+    s = len(square)
+    if s == 0 or a.power(3):
+        return None
+    monomials, span = pfaffian_span_oracle(skew_net_oracle(a, square))
+    if len(span) != 1:
+        return (len(span), None)
+    sym = [[0] * s for _ in range(s)]
+    for (r, q), c in zip(monomials, span[0]):
+        sym[r][q] = sym[q][r] = 2 * c if r == q else c
+    return (1, _int_rank(sym))
 
 
 # --- the certificate check over Q(t) ------------------------------------

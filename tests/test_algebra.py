@@ -161,6 +161,49 @@ def test_ann_dim_matches_the_oracle_on_random_tables():
     assert len(seen) >= 4
 
 
+def _random_nilpotent(n, rng):
+    """A random table whose products e_i e_j (i < j) lie in <e_{j+1}, ...>:
+    nilpotent, with power chains of every length."""
+    table = {}
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            vec = tuple(rng.randint(-2, 2) * (k > j and rng.random() < 0.5)
+                        for k in range(1, n + 1))
+            if any(vec):
+                table[(i, j)] = vec
+    return StructureTensor(n, table)
+
+
+def test_centralizer_dim_is_n_minus_the_rank_of_the_n_squared_conditions():
+    # the n rows e_r w over the echelon rows w of A^i are the transpose of
+    # the former n|ws| x n conditions x w = 0 on x, so their ranks agree,
+    # on nilpotent tables, on tables that are not, and off the basis
+    from degenlab.algebra import _int_centralizer_conditions, _int_identity
+
+    rng = random.Random(1611)
+    seen = set()
+    for trial in range(90):
+        n = rng.randint(1, 7)
+        if trial % 3 == 0:
+            a = random_anticommutative(n, rng, spread=1 + trial % 2)
+        elif trial % 3 == 1:
+            a = _random_nilpotent(n, rng)
+        else:
+            m = rng.randint(1, n)
+            a = direct_sum_trivial(random_anticommutative(m, rng, spread=1), n - m)
+        if trial % 2:
+            a = change_basis(a, rand_invertible(n, rng))
+        for i in (1, 2, 3):
+            ws = _int_identity(n) if i == 1 else a.power(i)
+            want = n - len(_int_centralizer_conditions(a.table, n, ws))
+            assert StructureTensor(n, a.products).centralizer_dim(i) == want, (i, a)
+            seen.add((a.nilindex is None, i, 0 < want < n))
+        assert a.centralizer_dim(1) == ann_dim_oracle(a)
+        assert a.centralizer_dim(2) == centralizer_square_dim_oracle(a)
+    assert seen == {(nil, i, mid) for nil in (True, False) for i in (1, 2, 3)
+                    for mid in (True, False)}
+
+
 def test_every_invariant_read_on_a_warm_tensor_equals_the_read_on_a_fresh_one():
     # a tensor computes each invariant at most once and keeps it: after
     # earlier reads have filled its caches, and walked its power chain in

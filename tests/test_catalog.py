@@ -2,8 +2,11 @@ import collections
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenlab.algebra import (
     StructureTensor,
@@ -20,6 +23,7 @@ from degenlab.catalog import (
     PreconditionViolated,
     _pencil_divisor,
     _pencil_generic_rank,
+    _pfaffian_span,
     _skew_net,
     build_manifest,
     classify_T22,
@@ -27,6 +31,7 @@ from degenlab.catalog import (
     instantiate,
     level_lookup,
     parse_name,
+    pfaffian_conic_profile,
 )
 from degenlab.catalog import tested_dims as catalog_tested_dims
 from degenlab.linalg import Partition, int_echelon, int_scaled
@@ -34,6 +39,14 @@ from degenlab.verification_db import shipped_ledger_path
 
 from oracles import Subspace, binary_form_gcd, fraction_inverse, pencil_rank_oracle
 from oracles import random_lower_triangular
+from oracles import (
+    classify_T22_oracle,
+    pencil_generic_rank_oracle,
+    pencil_of,
+    pfaffian_conic_profile_oracle,
+    pfaffian_span_oracle,
+    skew_net_oracle,
+)
 
 
 def test_instantiate_examples():
@@ -314,9 +327,7 @@ def _catalog_pencils():
     for a in _two_block_tables():
         square = power_ideal(a, 2)
         if len(square) == 2:
-            net = _skew_net(a, square)
-            pencils.append(([[w[0] for w in row] for row in net],
-                            [[w[1] for w in row] for row in net]))
+            pencils.append(pencil_of(_skew_net(a, square)))
     return pencils
 
 
@@ -369,7 +380,142 @@ def test_pencil_generic_rank_matches_qt_rank_on_random_skew_pencils():
         vecs = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(k)]
         p_mat = _random_skew(d, vecs, rng)
         q_mat = _random_skew(d, vecs, rng)
-        r = _pencil_generic_rank(p_mat, q_mat)
+        # the classifier hands over the integer pencil: P and Q scaled by
+        # one denominator lcm, which keeps every rank
+        rows = int_scaled(p_mat + q_mat)[1]
+        r = _pencil_generic_rank(rows[:d], rows[d:])
         assert r == pencil_rank_oracle(p_mat, q_mat)
         ranks.add(r)
     assert ranks >= {2, 4, 6}
+
+
+# --- the integer net and sparse Pfaffians against their Fraction oracles --
+
+
+def _classified(classify, a):
+    try:
+        return classify(a)
+    except PreconditionViolated as exc:
+        return str(exc)
+
+
+def _assert_net_matches_the_oracles(a):
+    """The integer net is L times the Fraction net, entry for entry; the
+    span rows, the pencil's rank, the label and the pfaffian_conic profile
+    are the oracles', row for row."""
+    want_label = classify_T22_oracle(a)
+    assert _classified(classify_T22, a) == want_label
+    assert pfaffian_conic_profile(a) == pfaffian_conic_profile_oracle(a)
+    square = a.power(2)
+    if not square:
+        return want_label
+    net, old = _skew_net(a, square), skew_net_oracle(a, square)
+    assert net == [[tuple(a.mult * x for x in w) for w in row] for row in old]
+    assert _pfaffian_span(net) == pfaffian_span_oracle(old)
+    if len(square) == 2:
+        assert (_pencil_generic_rank(*pencil_of(net))
+                == pencil_generic_rank_oracle(*pencil_of(old)))
+    return want_label
+
+
+def test_integer_net_matches_the_fraction_oracles_on_dense_conjugates():
+    # on a dense conjugate nearly every net entry is nonzero and the table
+    # carries denominators, so the net is L times the Fraction one; dims
+    # up to 12
+    # (T222_e23 has a three-dimensional square, a net of s = 3 forms)
+    rng = random.Random(3203)
+    profiles = {}
+    for key in ("T22_e45", "T22_e34", "T22_e24", "T222_e23"):
+        lo = catalog_tested_dims(key)[0]
+        for n in (lo, lo + 2, 12):
+            a = _dense_conjugate(instantiate(key, n), rng)
+            assert a.mult > 1
+            label = _assert_net_matches_the_oracles(a)
+            if key == "T222_e23":
+                assert label.startswith("square has dim 3 but Ann has dim")
+            else:
+                assert label.key == key
+            profiles.setdefault(key, set()).add(pfaffian_conic_profile(a))
+    assert profiles == {"T22_e45": {(2, None)}, "T22_e34": {(1, 2)},
+                        "T22_e24": {(1, 1)}, "T222_e23": {(1, 1)}}
+
+
+def test_integer_net_matches_the_fraction_oracles_on_two_block_tables():
+    # the catalog's two-block members, the classifier's hand-built tables
+    # and their conjugates: every label the classifier gives is reached
+    labels = {repr(_assert_net_matches_the_oracles(a)) for a in _two_block_tables()}
+    assert {"LevelAtLeast6", "NeedsExtension"} <= labels and len(labels) == 7
+
+
+_nets = st.integers(0, 9).flatmap(lambda d: st.integers(1, 3).flatmap(
+    lambda s: st.lists(
+        st.tuples(*[st.sampled_from([0, 0, 0, -2, -1, 1, 3])] * s),
+        min_size=d * (d - 1) // 2, max_size=d * (d - 1) // 2).map(
+            lambda upper: _skew_from_upper(d, s, upper))))
+
+
+def _skew_from_upper(d, s, upper):
+    """The d x d skew net whose entries above the diagonal are `upper`, in
+    `combinations` order."""
+    net = [[(0,) * s] * d for _ in range(d)]
+    for (i, j), w in zip(combinations(range(d), 2), upper):
+        net[i][j], net[j][i] = w, tuple(-x for x in w)
+    return net
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nets, st.integers(1, 6))
+def test_sparse_pfaffians_give_the_dense_span_rows_on_random_nets(net, den):
+    # the same rows, not only the same dimension, and for a net of
+    # Fractions the span of its integer multiple L net
+    assert _pfaffian_span(net) == pfaffian_span_oracle(net)
+    fractions = [[tuple(Fraction(x, den) for x in w) for w in row] for row in net]
+    assert _pfaffian_span(net) == pfaffian_span_oracle(fractions)
+    if net and len(net[0][0]) == 2:
+        assert (_pencil_generic_rank(*pencil_of(net))
+                == pencil_generic_rank_oracle(*pencil_of(net)))
+
+
+# --- the classifier's preconditions ----------------------------------------
+
+
+# e1e2 = e4, e2e3 = e5, e3e1 = e6 and e1e5 = e2e6 = e3e4 = e7: x(yz) is
+# alternating, so x(xy) = 0 and the algebra is 2-Engel, with A^3 = <e7>
+TWO_ENGEL_CUBED = StructureTensor.from_pairs(7, [
+    (1, 2, 4), (2, 3, 5), (1, 3, 6, -1), (1, 5, 7), (2, 6, 7), (3, 4, 7)])
+
+
+def test_the_classifier_names_why_a_nonzero_cube_is_refused():
+    from degenlab.algebra import engel_degree
+
+    rng = random.Random(3211)
+    for a in (TWO_ENGEL_CUBED, _dense_conjugate(TWO_ENGEL_CUBED, rng)):
+        assert a.power(3) and engel_degree(a, 2) == 2
+        with pytest.raises(PreconditionViolated, match=r"^A \* A\^2 != 0"):
+            classify_T22(a)
+    for a in (instantiate("T4", 5), _dense_conjugate(instantiate("T3", 6), rng)):
+        assert a.power(3) and engel_degree(a, 2) is None
+        with pytest.raises(PreconditionViolated, match="^not 2-Engel"):
+            classify_T22(a)
+
+
+def test_the_classifier_runs_no_engel_test_when_the_cube_is_zero(monkeypatch):
+    # A * A^2 = 0 makes the algebra 2-Engel, so every two-block member
+    # is labelled without the Engel degree
+    import degenlab.catalog as cat
+
+    def refuse(*args):
+        raise AssertionError("engel_degree called")
+
+    monkeypatch.setattr(cat, "engel_degree", refuse)
+    rng = random.Random(3217)
+    labelled = 0
+    for key in MANIFEST_FAMILIES:
+        if expected_iw_max(key) != Partition((2, 2)):
+            continue
+        for n in catalog_tested_dims(key):
+            a = instantiate(key, n)
+            for b in (a, _dense_conjugate(a, rng)):
+                assert classify_T22(b).key == key
+                labelled += 1
+    assert labelled == 20

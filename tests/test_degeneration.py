@@ -734,6 +734,41 @@ def test_a_witness_copies_and_pickles_through_its_reading():
             assert again == w and type(again) is NonDegenerationWitness
 
 
+def _copies(record):
+    """copy, deepcopy and a pickle round trip at every protocol from 2 on."""
+    return [copy.copy(record), copy.deepcopy(record)] + [
+        pickle.loads(pickle.dumps(record, protocol))
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+
+
+def test_records_with_the_shared_empty_default_copy_and_pickle():
+    # a copy takes the one read-only default again; given data is copied
+    from degenlab.degeneration import _EMPTY
+
+    for verdict in (Verdict("pass"), Verdict("fail", "why")):
+        for again in _copies(verdict):
+            assert again == verdict and type(again) is Verdict
+            assert again.data is _EMPTY
+    own = Verdict("fail", "x", {"position": [1, 2, 3]})
+    deep = copy.deepcopy(own)
+    assert deep == own and deep.data is not own.data
+    assert all(again == own for again in _copies(own))
+    bare = NonDegenerationWitness("DimSquare", AlgebraRef("T22", 6),
+                                  AlgebraRef("eta2", 5), provenance="paper",
+                                  witness_id="W.bare")
+    assert bare.payload is _EMPTY
+    for again in _copies(bare):
+        assert again == bare and type(again) is NonDegenerationWitness
+        assert again.payload is _EMPTY
+        with pytest.raises(TypeError):
+            again.payload["element"] = [1]
+    given = NonDegenerationWitness("IWDominance", AlgebraRef("T22", 6),
+                                   AlgebraRef("eta2", 6),
+                                   {"element": [1, 0, 0, 0, 0, 0]})
+    for again in _copies(given):
+        assert again == given and again.element == given.element
+
+
 def _random_spec(n, rng):
     return ClosedSetSpec(tuple(
         (rng.randint(1, n), rng.randint(1, n), rng.randint(1, n + 1))

@@ -551,3 +551,18 @@ def test_spans_have_one_elimination_loop():
         assert "_span_rows" in {node.func.id for node in nodes
                                 if isinstance(node, ast.Call)
                                 and isinstance(node.func, ast.Name)}, name
+
+
+def test_the_classifier_reads_only_the_integer_table():
+    # the skew net is read off `a.table` and the pencil is integer: the
+    # catalog calls no `.constant(` and names no Fraction
+    path = Path(__file__).resolve().parents[1] / "src" / "degenlab" / "catalog.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [node.func.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    assert "constant" not in calls
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not {name for name in named if "Fraction" in name or name == "fractions"}
