@@ -18,12 +18,25 @@ b_m = min(dim A^{m+1}, b_{m-1} - 1), cut at the first 0, bound every rank
 sequence pointwise.  Once the best sequence equals the bound, every later
 candidate is dominated and could change nothing.  The bound is used only
 when A is nilpotent: otherwise a later candidate may still raise
-NotEngelAt, so the scan runs to the end.  The pool is built only as far
-as it is read; its random block is drawn in one go, when the scan reaches
-it or a repair needs its first alpha, so every alpha comes from the rng
-state a fully built pool would leave.  The scan, `iw_scan`, yields the
-running best after each candidate; `iw_max` reads it to its end, and
-`degeneration.Records` only as far as a dominance verdict needs.
+NotEngelAt, so the scan runs to the end.
+
+When the first candidate misses that bound, the scan lowers it by three
+exact rules (`_tight_bound`), again at each new running best x0.  They
+bound the generic sequence r, the one reached away from a proper closed
+subset, and every rank sequence lies below r (rank is lower
+semicontinuous): (i) Jordan convexity and (ii) the kernel on the powers
+of A, read at x0, cost a few ranks; (iii) the Engel cut, whose cost grows
+with the bound's length, runs once, and only if the best still falls
+short.  A best that meets the lowered bound is r itself and dominates
+every later candidate, so the scan stops with the running bests, witness,
+partition, rng draws and errors of a scan of the whole pool.
+
+The pool is built only as far as it is read; its random block is drawn
+in one go, when the scan reaches it or a repair needs its first alpha,
+so every alpha comes from the rng state a fully built pool would leave.
+The scan, `iw_scan`, yields the running best after each candidate;
+`iw_max` reads it to its end, and `degeneration.Records` only as far as
+a dominance verdict needs.
 
 Rank sequences are computed over the integers.  The structure constants
 are scaled by the lcm of their denominators, which turns L_x into c * L_x
@@ -42,8 +55,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import DimensionMismatch, StructureTensor, _int_left_products
-from .linalg import (Partition, int_power_rank_sequence, int_scaled,
+from .algebra import (DimensionMismatch, StructureTensor, _int_left_products,
+                      _int_product, engel_degree)
+from .linalg import (Partition, _int_rank, int_power_rank_sequence, int_scaled,
                      partition_from_ranks, random_int_rows)
 
 
@@ -124,6 +138,55 @@ def _rank_bound(a: StructureTensor):
     return tuple(bound)
 
 
+def _engel_cut(a: StructureTensor, bound) -> int:
+    """Rule (iii) of `_tight_bound`, the Engel cut: e - 1 for the exact
+    Engel degree e of a nilpotent table (L_x^e = 0 for every x, so
+    r_m = 0 for m >= e), or len(bound) when e exceeds it."""
+    e = engel_degree(a, len(bound))
+    return len(bound) if e is None else e - 1
+
+
+def _tight_bound(a: StructureTensor, x0, bound, cut=None):
+    """A bound u on the generic rank sequence r of a nilpotent table, and
+    so on every rank sequence: `bound`, itself a bound on r (such as
+    `_rank_bound`), cut to length `cut` (`_engel_cut`) and lowered by the
+    rules below, read at the integer vector x0, until nothing changes.
+    At a generic x, r is the rank sequence of the one operator L_x, and
+    each rule bounds r_m by bounds on its neighbours, with r_0 = n and
+    r_m = 0 past the end of u.
+
+    (i) Jordan convexity: 2 r_m <= r_{m-1} + r_{m+1}.  r_{m-1} - r_m is
+    the number of Jordan blocks of L_x of size >= m, which never rises
+    with m.
+
+    (ii) The kernel on the powers: r_m <= r_{m+1} + dim A^{m+1}
+    - rank(L_x0 on A^{m+1}).  At any x, L_x maps im L_x^m onto
+    im L_x^{m+1} with kernel im L_x^m meet ker L_x, so
+    r_m - r_{m+1} = dim(im L_x^m meet ker L_x)
+    <= dim(A^{m+1} meet ker L_x) = dim A^{m+1} - rank(L_x on A^{m+1}),
+    as L_x^m maps A into A^{m+1}.  Each of these ranks is at its maximum
+    away from a proper closed subset, so some x has every rank maximal at
+    once: there r_m and r_{m+1} are the generic ranks, and the rank of
+    L_x on A^{m+1} is at least its value at x0.
+    """
+    n, table = a.dim, a.table
+    u = list(bound[:cut])
+    # slack[i] = dim A^{i+2} - rank(L_x0 on A^{i+2}), for r_{i+1}
+    slack = [len(rows) - _int_rank([_int_product(table, n, x0, w) for w in rows])
+             for rows in map(a.power, range(2, len(u) + 2))]
+    changed = True
+    while changed:
+        changed = False
+        for i, r in enumerate(u):
+            prev = u[i - 1] if i else n
+            nxt = u[i + 1] if i + 1 < len(u) else 0
+            low = min((prev + nxt) // 2, nxt + slack[i])  # rules (i), (ii)
+            if low < r:
+                u[i], changed = low, True
+    # (i) holds at every m, so u falls from r_0 = n; a 0 cuts it
+    return RankSequence(u)
+
+
 class _CandidatePool:
     """iw_max's integer candidates in scan order, built only as far as they
     are read.
@@ -161,6 +224,9 @@ def iw_scan(a: StructureTensor, seed: int = 0, trials: int = 20):
     """`iw_max`'s scan of a table: yields the running best
     (vector, rank sequence) after each candidate, each sequence dominating
     the ones before it, so a caller that stops early holds a lower bound.
+    On a nilpotent table it stops once the best meets `_rank_bound`, as
+    lowered by `_tight_bound` at each new best and cut by `_engel_cut`
+    when the cheap rules fall short.
     Raises ValueError when trials < 1: a repair needs a perturbation.
     """
     if trials < 1:
@@ -172,7 +238,15 @@ def iw_scan(a: StructureTensor, seed: int = 0, trials: int = 20):
     best_vec = next(candidates)
     best_seq = _int_rank_sequence(table, n, best_vec)
     yield best_vec, best_seq
+    stale, cut = bound is not None, None  # the bound has not read best_vec
     while best_seq != bound:
+        if stale:
+            stale = False
+            bound = _tight_bound(a, best_vec, bound, cut)
+            if best_seq != bound and cut is None:
+                cut = _engel_cut(a, bound)
+                bound = _tight_bound(a, best_vec, bound, cut)
+            continue
         vec = next(candidates, None)
         if vec is None:
             return
@@ -180,14 +254,14 @@ def iw_scan(a: StructureTensor, seed: int = 0, trials: int = 20):
         if dominates(best_seq, seq):
             pass
         elif dominates(seq, best_seq):
-            best_vec, best_seq = vec, seq
+            best_vec, best_seq, stale = vec, seq, True
         else:
             for _ in range(trials):
                 alpha = pool.alpha()
                 cand = tuple(b + alpha * v for b, v in zip(best_vec, vec))
                 cand_seq = _int_rank_sequence(table, n, cand)
                 if dominates(cand_seq, best_seq) and dominates(cand_seq, seq):
-                    best_vec, best_seq = cand, cand_seq
+                    best_vec, best_seq, stale = cand, cand_seq, True
                     break
             else:
                 raise IncomparableMaxima(

@@ -60,6 +60,7 @@ rest of its payload, when the witness is built.
 
 from __future__ import annotations
 
+import copyreg
 import random
 from functools import lru_cache
 from math import lcm, prod
@@ -188,8 +189,11 @@ class Verdict(NamedTuple):
     def ok(self) -> bool:
         return self.status in ("pass", "proved")
 
-    def __getnewargs_ex__(self):  # a copy takes the shared default, not a copy
-        return (tuple(self[:2]) if self.data is _EMPTY else tuple(self)), {}
+    def __reduce__(self):
+        # copy and every pickle protocol rebuild through the class, an
+        # omitted data with the shared default (protocols 0 and 1 would
+        # otherwise pickle the mappingproxy, which they cannot)
+        return type(self), (tuple(self[:2]) if self.data is _EMPTY else tuple(self))
 
 
 class AlgebraRef(NamedTuple):
@@ -595,13 +599,13 @@ class NonDegenerationWitness(_WitnessFields):
         return super().__new__(cls, kind, source, target, payload, provenance,
                                witness_id, spec, source_rows, element)
 
-    def __getnewargs_ex__(self):
-        # copy and pickle rebuild through __new__, an omitted payload
-        # with the shared default
+    def __reduce__(self):
+        # copy and every pickle protocol rebuild through __new__, an
+        # omitted payload with the shared default, as Verdict does
         kind, source, target, payload, provenance, witness_id = self[:6]
         given = {} if payload is _EMPTY else {"payload": payload}
-        return (kind, source, target), dict(given, provenance=provenance,
-                                            witness_id=witness_id)
+        return copyreg.__newobj_ex__, (type(self), (kind, source, target), dict(
+            given, provenance=provenance, witness_id=witness_id))
 
 
 def verify_nondegeneration(

@@ -30,6 +30,9 @@ sparse Pfaffians and the classifier that tests A * A^2 = 0 first.  The
 rational rule that matched a string twice, once by its own regex and once
 by `Fraction`'s, and the table reader that then wrapped each entry in a
 second Fraction, are the reference for the one-match, one-Fraction reader.
+The ranks of the powers of sum_i x_i L_{e_i} over Q(x_1, ..., x_n), in
+sympy's field, are the generic rank sequence that the scan's exact
+stopping bound must dominate.
 """
 
 import re
@@ -969,6 +972,30 @@ def iw_max_oracle(a, seed: int = 0, trials: int = 20):
                 f"{trials} perturbations; input is not Engel or pool too small"
             )
     return partition_from_rank_sequence(best_seq, a.dim), best_vec
+
+
+def generic_rank_sequence_oracle(a):
+    """The generic rank sequence of a table: the ranks of the powers of
+    L_x = sum_i x_i L_{e_i} over Q(x_1, ..., x_n), by sympy's field and
+    plain elimination, stopping at the first zero rank or after n + 1."""
+    from sympy import QQ, symbols
+
+    n = a.dim
+    names = symbols(f"x1:{n + 1}")
+    field = QQ.frac_field(*names)
+    xs = [field.from_sympy(x) for x in names]
+    lx = [[sum((xs[i - 1] * field.convert(a.constant(i, j, k))
+                for i in range(1, n + 1)), field.zero)
+           for j in range(1, n + 1)] for k in range(1, n + 1)]
+    cur, ranks = lx, []
+    for _ in range(n + 1):
+        r = field_rank(cur)
+        if r == 0:
+            break
+        ranks.append(r)
+        cur = [[sum((row[t] * lx[t][c] for t in range(n)), field.zero)
+                for c in range(n)] for row in cur]
+    return tuple(ranks)
 
 
 def iw_sequence(partition):

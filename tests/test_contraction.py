@@ -9,13 +9,15 @@ from degenlab.algebra import (
     change_basis,
     left_mult_matrix,
 )
-from degenlab.catalog import MANIFEST_FAMILIES, instantiate
+from degenlab.catalog import _FAMILIES, MANIFEST_FAMILIES, CatalogName, instantiate
 from degenlab.catalog import tested_dims as catalog_tested_dims
 from degenlab import contraction
 from degenlab.contraction import (
     NotEngelAt,
     RankSequence,
+    _engel_cut,
     _rank_bound,
+    _tight_bound,
     dominates,
     iw_max,
     iw_scan,
@@ -27,6 +29,7 @@ from degenlab.verification_db import load_ledger, shipped_ledger_path
 from oracles import (
     _candidate_pool_oracle,
     annihilator_oracle,
+    generic_rank_sequence_oracle,
     is_nilpotent_oracle,
     iw_max_oracle,
     iw_sequence,
@@ -366,7 +369,8 @@ def test_iw_max_scans_to_the_end_when_the_table_is_not_nilpotent():
     assert got.value.element == (0, 1, 0)
 
 
-def test_iw_max_stops_once_the_best_sequence_meets_the_bound(monkeypatch):
+def _counting_rank_sequences(monkeypatch):
+    """The vectors `_int_rank_sequence` is called on, from now on."""
     calls = []
     rank_seq = contraction._int_rank_sequence
 
@@ -375,6 +379,11 @@ def test_iw_max_stops_once_the_best_sequence_meets_the_bound(monkeypatch):
         return rank_seq(table, n, vec)
 
     monkeypatch.setattr(contraction, "_int_rank_sequence", counted)
+    return calls
+
+
+def test_iw_max_stops_once_the_best_sequence_meets_the_bound(monkeypatch):
+    calls = _counting_rank_sequences(monkeypatch)
     assert _rank_bound(STRICT_FALL) == (2, 1)
     assert iw_max(STRICT_FALL) == (Partition((3,)), e_vec(5, 1))
     assert calls == [e_vec(5, 1)]
@@ -418,6 +427,156 @@ def test_rank_bound_dominates_every_rank_sequence():
         assert all(dominates(bound, seq) for seq in seqs), a.products
         met += bound in seqs
     assert met >= 40
+
+
+# --- the scan's exact stopping bound: _rank_bound lowered by three rules ---
+
+
+def _tight(a, x0, cut):
+    """The scan's stopping bound read at x0, every rule applied."""
+    return _tight_bound(a, x0, _rank_bound(a), cut)
+
+
+def _bound_points(n, rng):
+    """x0 = 0, each basis vector and a random integer vector."""
+    return ([(0,) * n] + [tuple(int(i == k) for k in range(n)) for i in range(n)]
+            + [tuple(rng.randint(-9, 9) for _ in range(n))])
+
+
+def test_tight_bound_dominates_every_rank_sequence():
+    rng = random.Random(1026)
+    cases = list(_manifest_algebras())
+    cases += [_dense_conjugate(a, rng) for a in cases]
+    cases += [_random_nilpotent(rng.randint(3, 9), rng, rng.choice((0.2, 0.35, 0.5)))
+              for _ in range(60)]
+    met = 0
+    for a in cases:
+        cut = _engel_cut(a, _rank_bound(a))
+        seqs = [rank_sequence(a, vec) for vec in reference_vectors(a.dim, rng)]
+        for x0 in _bound_points(a.dim, rng):
+            bound = _tight(a, x0, cut)
+            assert type(bound) is RankSequence
+            assert all(dominates(bound, seq) for seq in seqs), (a.products, x0)
+            met += bound in seqs
+    assert (len(cases), met) == (202, 1814)
+
+
+def test_tight_bound_dominates_the_generic_rank_sequence():
+    # sympy ranks over Q(x_1, ..., x_n), so only at dim <= 5
+    rng = random.Random(1027)
+    cases = [a for a in _manifest_algebras() if a.dim <= 5] + [STRICT_FALL]
+    cases += [_dense_conjugate(a, rng) for a in cases if a.dim <= 4]
+    cases += [_random_nilpotent(rng.randint(3, 5), rng, 0.5) for _ in range(40)]
+    met = 0
+    for a in cases:
+        generic = generic_rank_sequence_oracle(a)
+        cut = _engel_cut(a, _rank_bound(a))
+        for x0 in _bound_points(a.dim, rng):
+            bound = _tight(a, x0, cut)
+            assert dominates(bound, generic), (a.products, x0)
+            met += bound == generic
+        best_vec, best_seq = list(iw_scan(a))[-1]
+        assert best_seq == generic == _tight(a, best_vec, cut), a.products
+    assert (len(cases), met) == (58, 347)
+
+
+def _catalog_labels(max_dim=12):
+    """{label: table} for every catalog name at every dim up to max_dim."""
+    tables = {}
+    for (family, partition), fam in _FAMILIES.items():
+        m = fam.min_m
+        while fam.bound(m)[0] <= max_dim:
+            name = CatalogName(family, m, partition)
+            lo, hi = fam.bound(m)
+            for n in range(lo, min(hi or max_dim, max_dim) + 1):
+                tables[f"{name.key}@{n}"] = instantiate(name, n)
+            if m is None:
+                break
+            m += 1
+    return tables
+
+
+def _inline_tables():
+    """{label: table} for the inline tables of the shipped ledger."""
+    ledger = load_ledger(shipped_ledger_path())
+    return {ref.label: ref.tensor for claim in ledger.certificates + ledger.witnesses
+            for ref in (claim.source, claim.target) if ref.tensor is not None}
+
+
+# the labels whose best misses _rank_bound, named by the manifest or the
+# ledger, that the lowered bound closes: 23 catalog labels and 3 inline
+CLOSED_LABELS = (
+    ["T222_e7special@7"]
+    + [f"T2k2_special_m3@{n}" for n in range(7, 13)]
+    + [f"T2k2_special_m4@{n}" for n in range(9, 13)]
+    + [f"T2k2_special_m5@{n}" for n in (11, 12)]
+    + [f"eta_eps_double2@{n}" for n in range(7, 13)]
+    + [f"eta_eps_double3@{n}" for n in range(9, 13)]
+    + ["T2k2rest1_case2_m3@9", "T2k2rest1_case2_m3@10", "T2k2rest1_case2_m4@11"])
+
+
+def _closed_tables():
+    tables = dict(_catalog_labels(), **_inline_tables())
+    return {label: tables[label] for label in CLOSED_LABELS}
+
+
+def test_the_closed_labels_stop_before_the_random_block_with_the_full_scan_answer(
+        monkeypatch):
+    # a scan that stops only at _rank_bound evaluates all n + C(n, 2) + 64
+    # candidates of each of these labels
+    rng = random.Random(1028)
+    closed = _closed_tables()
+    assert len(closed) == 26
+    calls = _counting_rank_sequences(monkeypatch)
+    for label, a in closed.items():
+        assert iw_sequence(iw_max(a)[0]) != _rank_bound(a), label
+        n = a.dim
+        cases = [a] + [_dense_conjugate(a, rng) for _ in range(3 if n <= 8 else 0)]
+        for b in cases:
+            for seed in (0, 1, 20240917):
+                calls.clear()
+                got = _outcome(iw_max, b, seed)
+                assert len(calls) <= n + n * (n - 1) // 2, (label, seed, len(calls))
+                assert got == _outcome(iw_max_oracle, b, seed), (label, b.products, seed)
+
+
+def test_the_bound_is_lowered_again_at_each_new_best(monkeypatch):
+    # rotated so that e_1 is the former e_8, which is central: the bound
+    # read at e_1 is met by no candidate; read again at e_2 it is met
+    a = instantiate("T2k2_special_m3", 8)
+    rotated = change_basis(a, [[int(c == (r + 7) % 8) for c in range(8)]
+                               for r in range(8)])
+    calls = _counting_rank_sequences(monkeypatch)
+    got = iw_max(rotated)
+    assert len(calls) == 2
+    assert got == iw_max_oracle(rotated)
+
+
+def test_the_lowered_bound_misses_only_T32_chain_a(monkeypatch):
+    # over every catalog name at dims <= 12 and the ledger's inline tables,
+    # the scans that still read their whole pool: the only labels whose
+    # sampled maximum, (3, 1), the lowered bound, (4, 2), does not certify
+    inline = _inline_tables()
+    tables = dict(_catalog_labels(), **inline)
+    assert (len(tables), len(inline)) == (286, 36)
+    calls = _counting_rank_sequences(monkeypatch)
+    loose, whole_pool = {}, {}
+    for label, a in tables.items():
+        calls.clear()
+        best_vec, best_seq = list(iw_scan(a))[-1]
+        bound = _rank_bound(a)
+        if bound is None:
+            continue
+        n = a.dim
+        if best_seq != bound:
+            loose[label] = best_seq
+        if len(calls) >= n + n * (n - 1) // 2 + 64:
+            whole_pool[label] = (best_seq, _tight(a, best_vec, _engel_cut(a, bound)))
+    assert set(CLOSED_LABELS) < set(loose)
+    assert set(loose) - set(CLOSED_LABELS) == {
+        "T32_chain_a@6", "T32_chain_a@7", "eta_eps_double4@11", "eta_eps_double4@12"}
+    assert whole_pool == {"T32_chain_a@6": ((3, 1), (4, 2)),
+                          "T32_chain_a@7": ((3, 1), (4, 2))}
 
 
 def _partitions(n, largest=None):

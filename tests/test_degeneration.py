@@ -735,10 +735,10 @@ def test_a_witness_copies_and_pickles_through_its_reading():
 
 
 def _copies(record):
-    """copy, deepcopy and a pickle round trip at every protocol from 2 on."""
+    """copy, deepcopy and a pickle round trip at every protocol."""
     return [copy.copy(record), copy.deepcopy(record)] + [
         pickle.loads(pickle.dumps(record, protocol))
-        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
 
 
 def test_records_with_the_shared_empty_default_copy_and_pickle():
