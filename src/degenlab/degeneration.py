@@ -24,11 +24,11 @@ both read off packed N (`exactnum.packed_limit_at_zero`).  One `==` with
 the target's products passes a certificate; a mismatch walks the
 constants in order to name the first that differs.
 
-Non-degenerations are two-tiered.  Invariant witnesses (dimension of the
-square, dimension of the annihilator, rank-sequence dominance, the Jacobi
-identity surviving limits) are genuine proofs.  Closed-set witnesses prove
-the source side by a stored basis and only *falsify* the target side by
-seeded random orbit sampling; reports must keep the two tiers apart.
+Non-degenerations are two-tiered.  Invariant witnesses are proofs on
+closed invariants, each declared once, with its order under degeneration,
+in `INVARIANTS`.  Closed-set witnesses prove the source side by a stored
+basis and only *falsify* the target side by seeded random orbit sampling;
+reports must keep the two tiers apart.
 
 Orbit samples are tested over Z on the rows of the basis g, with no
 inverse: the orbit point meets the flag conditions of a ClosedSetSpec iff
@@ -64,16 +64,15 @@ import copyreg
 import random
 from functools import lru_cache
 from math import lcm, prod
+from operator import ge, le
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .algebra import (
-    StructureTensor,
-    _int_product,
-    int_change_basis,
-    jacobi_holds,
-)
-from .contraction import NotEngelAt, _rank_bound, dominates, iw_scan, rank_sequence
+from . import catalog
+from .algebra import (StructureTensor, _int_product, engel_degree, int_change_basis,
+                      jacobi_holds)
+from .contraction import (NotEngelAt, _rank_bound, dominates, iw_scan,
+                          partition_from_rank_sequence, rank_sequence)
 from .exactnum import (
     ZPOLY_ONE,
     ZPoly,
@@ -206,9 +205,7 @@ class AlgebraRef(NamedTuple):
     def resolve(self) -> StructureTensor:
         if self.tensor is not None:
             return self.tensor
-        from .catalog import instantiate
-
-        return instantiate(self.name, self.dim)
+        return catalog.instantiate(self.name, self.dim)
 
     @property
     def label(self) -> str:
@@ -529,8 +526,59 @@ def randomized_orbit_refute(
 
 # --- non-degeneration witnesses -------------------------------------------
 
+
+class Invariant(NamedTuple):
+    """A closed invariant: values of `read(records, ref)` that differ prove
+    A != B.  A -> B only if `order(value of A, value of B)` holds
+    (Grunewald-O'Halloran 1988; Burde-Steinhoff 1999): a failed order
+    proves a `kind` witness and fails the audit with `audit`."""
+
+    read: Callable
+    order: Callable | None = None
+    kind: str | None = None
+    proved: str = ""
+    refuted: str = ""
+    audit: str = ""
+
+
+def _classifier_label(records, ref: AlgebraRef):
+    try:
+        res = catalog.classify_T22(records.tensor(ref))
+    except catalog.PreconditionViolated:
+        return "outside-T22-scope"
+    return getattr(res, "key", repr(res))
+
+
+INVARIANTS = {
+    "dim_square": Invariant(
+        lambda records, ref: records.tensor(ref).dim_square, ge, "DimSquare",
+        "dim source^2 = {} < {} = dim target^2",
+        "dim source^2 = {} >= {} = dim target^2", "dim square grows: {} -> {}"),
+    "ann_dim": Invariant(
+        lambda records, ref: records.tensor(ref).ann_dim, le, "AnnDim",
+        "dim Ann(source) = {} > {} = dim Ann(target)",
+        "dim Ann(source) = {} <= {} = dim Ann(target)",
+        "annihilator shrinks: {} -> {}"),
+    "nilindex": Invariant(lambda records, ref: records.tensor(ref).nilindex, ge),
+    "engel_degree": Invariant(
+        lambda records, ref: engel_degree(records.tensor(ref), ref.dim + 1), ge),
+    "jacobi": Invariant(  # on bools, le is implication: source Lie => target Lie
+        lambda records, ref: jacobi_holds(records.tensor(ref)), le, "LieClosure",
+        "source is Lie, target is not", "jacobi(source)={}, jacobi(target)={}"),
+    "centralizer_square": Invariant(
+        lambda records, ref: records.tensor(ref).centralizer_dim(2), le),
+    "pfaffian_conic": Invariant(
+        lambda records, ref: catalog.pfaffian_conic_profile(records.tensor(ref))),
+    "classifier": Invariant(_classifier_label),
+    # IWDominance, judged apart, reads the source's scanned maximum: a proof
+    # where the scan met its exact bound, as each shipped source's does
+    "iw_partition": Invariant(
+        lambda records, ref: tuple(partition_from_rank_sequence(
+            records.iw_sequence(ref), ref.dim)), kind="IWDominance"),
+}
+
 # the invariant tier, whose verdicts are proofs, then the closed-set tier
-INVARIANT_KINDS = ("DimSquare", "AnnDim", "IWDominance", "LieClosure")
+INVARIANT_KINDS = tuple(row.kind for row in INVARIANTS.values() if row.kind)
 WITNESS_KINDS = INVARIANT_KINDS + ("ClosedSet", "BespokeR")
 
 
@@ -614,10 +662,12 @@ def verify_nondegeneration(
     """Tiered verdict for one non-degeneration witness, read from the run's
     `records` and sampled at their seed.
 
-    DimSquare / AnnDim / IWDominance / LieClosure are proofs built on
-    closed invariants; ClosedSet / BespokeR prove the source side with a
-    stored basis and only falsify the target side by orbit sampling.  A
-    witness between different dimensions, or a BespokeR witness outside
+    DimSquare / AnnDim / LieClosure are proofs by the order of their row of
+    `INVARIANTS`; IWDominance is one as far as the source's scanned IW
+    maximum is exact, which every shipped source's is (a test pins it) but
+    the verdict does not check.  ClosedSet / BespokeR prove the source side
+    with a stored basis and only falsify the target side by orbit sampling.
+    A witness between different dimensions, or a BespokeR witness outside
     dimension 7, is a fail verdict.
     """
     src, tgt = records.tensor(w.source), records.tensor(w.target)
@@ -625,21 +675,6 @@ def verify_nondegeneration(
         return Verdict("fail", "source and target dimensions differ")
     if w.kind == "BespokeR" and src.dim != 7:
         return Verdict("fail", "the set R lives in dimension 7")
-    if w.kind == "DimSquare":
-        ds, dt = src.dim_square, tgt.dim_square
-        if ds < dt:
-            return Verdict("proved", f"dim source^2 = {ds} < {dt} = dim target^2")
-        return Verdict("refuted", f"dim source^2 = {ds} >= {dt} = dim target^2")
-    if w.kind == "AnnDim":
-        ds, dt = src.ann_dim, tgt.ann_dim
-        if ds > dt:
-            return Verdict("proved", f"dim Ann(source) = {ds} > {dt} = dim Ann(target)")
-        return Verdict("refuted", f"dim Ann(source) = {ds} <= {dt} = dim Ann(target)")
-    if w.kind == "LieClosure":
-        js, jt = jacobi_holds(src), jacobi_holds(tgt)
-        if js and not jt:
-            return Verdict("proved", "source is Lie, target is not")
-        return Verdict("refuted", f"jacobi(source)={js}, jacobi(target)={jt}")
     if w.kind == "IWDominance":
         src_seq = records.iw_sequence(w.source)
         tgt_seq = records.rank_sequence(w.target, w.element)
@@ -650,6 +685,12 @@ def verify_nondegeneration(
                 f"target sequence {tuple(tgt_seq)}",
             )
         return Verdict("refuted", "source IW-max dominates the target element")
+    row = next((row for row in INVARIANTS.values() if row.kind == w.kind), None)
+    if row:
+        a, b = row.read(records, w.source), row.read(records, w.target)
+        if row.order(a, b):
+            return Verdict("refuted", row.refuted.format(a, b))
+        return Verdict("proved", row.proved.format(a, b))
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     spec, cone = ((w.spec, None) if w.kind == "ClosedSet"

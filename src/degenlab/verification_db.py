@@ -21,19 +21,17 @@ Verdict statuses are kept tier-honest:
   PAPER-ASSERTED      resting on a non-isomorphism on the source's authority
   FAIL                anything that did not check out
 
-Beside each verified certificate the runner re-checks the closed monotone
-invariants (square dimension down, annihilator dimension up, rank-sequence
-dominance of the dominant contractions), so a bad table or basis cannot
-slip through as a formally passing entry.  A run keeps one
-`degeneration.Records` store, one tensor and one `iw_max` scan per label,
-the scan taken only as far as the audit (`Records.iw_monotone`) or an
-`iw_partition` separator needs, and makes each report entry with one
-function per section (`_certificate_entry`, `_witness_entry`,
-`_probe_entry`, `_chain_entry`); the checks, audit, separators and
-witnesses read only the store, so no label is scanned twice.  `degenlab
-check` loads its claim as a one-claim ledger and judges it on a fresh
-store by the run's own function (`judge_certificate`: exact check, audit,
-separator; or `verify_nondegeneration`).
+Beside each verified certificate the runner audits the rows of
+`degeneration.INVARIANTS` that have an audit text (dim A^2 down, dim Ann
+up) and the dominance of the dominant rank sequences, so a bad table or
+basis cannot slip through as a formally passing entry; every separator but
+`paper` is a row of that table.  A run keeps one `degeneration.Records`
+store, one tensor and one `iw_max` scan per label, each scan taken only as
+far as the audit or an `iw_partition` separator needs, and one function
+per section (`_certificate_entry`, `_witness_entry`, `_probe_entry`,
+`_chain_entry`) makes its report entries from the store alone, so no label
+is scanned twice.  `degenlab check` judges its claim, loaded as a
+one-claim ledger, on a fresh store by the run's own function.
 """
 
 from __future__ import annotations
@@ -42,26 +40,12 @@ import json
 from collections import Counter
 from typing import NamedTuple
 
-from .algebra import (
-    MAX_DIM,
-    StructureTensor,
-    TableFormatError,
-    engel_degree,
-    jacobi_holds,
-)
-from .catalog import (
-    PreconditionViolated,
-    UnknownFamily,
-    _out_of_range,
-    classify_T22,
-    level_forbids,
-    level_lookup,
-    parse_name,
-    pfaffian_conic_profile,
-)
-from .contraction import partition_from_rank_sequence
+from .algebra import MAX_DIM, StructureTensor, TableFormatError
+from .catalog import (UnknownFamily, _out_of_range, level_forbids, level_lookup,
+                      parse_name)
 from .degeneration import (
     INVARIANT_KINDS,
+    INVARIANTS,
     AlgebraRef,
     DegenerationCertificate,
     NonDegenerationWitness,
@@ -338,59 +322,36 @@ def _certificate_path(certs_from, source: str, target: str):
 # --- separating invariants -------------------------------------------------
 
 
-def _classifier_label(a: StructureTensor):
-    try:
-        res = classify_T22(a)
-    except PreconditionViolated:
-        return "outside-T22-scope"
-    return getattr(res, "key", repr(res))
-
-
-SEPARATORS = ("paper", "dim_square", "ann_dim", "nilindex", "engel_degree",
-              "jacobi", "centralizer_square", "pfaffian_conic", "classifier",
-              "iw_partition")
+SEPARATORS = ("paper", *INVARIANTS)
 
 
 def separator_check(kind: str, records: Records, src: AlgebraRef,
                     tgt: AlgebraRef):
-    """Certify src != tgt by a named invariant of their tables and scans in
-    the run's `records`; `pfaffian_conic` is `catalog.pfaffian_conic_profile`."""
+    """Certify src != tgt by the invariant `kind`, read on their tables and
+    scans in the run's `records`."""
     if kind == "paper":
         return None, "non-isomorphism recorded on the source material's authority"
-    t = records.tensor
-    funcs = {
-        "dim_square": lambda ref: t(ref).dim_square,
-        "ann_dim": lambda ref: t(ref).ann_dim,
-        "nilindex": lambda ref: t(ref).nilindex,
-        "engel_degree": lambda ref: engel_degree(t(ref), ref.dim + 1),
-        "jacobi": lambda ref: jacobi_holds(t(ref)),
-        "centralizer_square": lambda ref: t(ref).centralizer_dim(2),
-        "pfaffian_conic": lambda ref: pfaffian_conic_profile(t(ref)),
-        "classifier": lambda ref: _classifier_label(t(ref)),
-        "iw_partition": lambda ref: tuple(partition_from_rank_sequence(
-            records.iw_sequence(ref), ref.dim)),
-    }
-    if kind not in funcs:
+    if kind not in INVARIANTS:
         raise ValueError(f"unknown separator {kind!r}")
-    a, b = funcs[kind](src), funcs[kind](tgt)
+    read = INVARIANTS[kind].read
+    a, b = read(records, src), read(records, tgt)
     return a != b, f"{kind}: source {a}, target {b}"
 
 
 # --- the run ----------------------------------------------------------------
 
 
-def _monotone_audit(src: StructureTensor, tgt: StructureTensor,
-                    iw_monotone: bool):
-    """Closed-invariant sanity for a passing certificate src -> tgt;
-    `iw_monotone` is whether src's dominant rank sequence dominates tgt's
-    (`Records.iw_monotone`)."""
+def _monotone_audit(records: Records, src: AlgebraRef, tgt: AlgebraRef):
+    """Closed-invariant sanity for a passing certificate src -> tgt: each
+    invariant with an audit text keeps its order, and src's dominant rank
+    sequence dominates tgt's (`Records.iw_monotone`)."""
     problems = []
-    if src.dim_square < tgt.dim_square:
-        problems.append(
-            f"dim square grows: {src.dim_square} -> {tgt.dim_square}")
-    if src.ann_dim > tgt.ann_dim:
-        problems.append(f"annihilator shrinks: {src.ann_dim} -> {tgt.ann_dim}")
-    if not iw_monotone:
+    for row in INVARIANTS.values():
+        if row.audit:
+            a, b = row.read(records, src), row.read(records, tgt)
+            if not row.order(a, b):
+                problems.append(row.audit.format(a, b))
+    if not records.iw_monotone(src, tgt):
         problems.append("dominant rank sequence not monotone")
     return problems
 
@@ -404,9 +365,7 @@ def judge_certificate(cert: DegenerationCertificate, records: Records):
     verdict = verify_degeneration(cert, records)
     if not verdict.ok:
         return verdict, {}
-    problems = _monotone_audit(
-        records.tensor(cert.source), records.tensor(cert.target),
-        records.iw_monotone(cert.source, cert.target))
+    problems = _monotone_audit(records, cert.source, cert.target)
     if problems:
         return Verdict("fail", "; ".join(problems)), {}
     if not cert.proper:

@@ -579,6 +579,19 @@ def test_the_lowered_bound_misses_only_T32_chain_a(monkeypatch):
                           "T32_chain_a@7": ((3, 1), (4, 2))}
 
 
+def test_every_iw_dominance_source_meets_its_exact_bound():
+    # a PROVED IWDominance verdict reads the source's scanned maximum; no
+    # shipped source is loose in the sense of the test above (its best at
+    # each run seed is _rank_bound), so each proof rests on an exact maximum
+    witnesses = [w for w in load_ledger(shipped_ledger_path()).witnesses
+                 if w.kind == "IWDominance"]
+    sources = {w.source.label: w.source.resolve() for w in witnesses}
+    assert sorted(sources) == ["T22@5", "T22@6", "eta3@7"]
+    for label, a in sources.items():
+        for seed in (0, 1, 2, 99, 20240917):
+            assert list(iw_scan(a, seed))[-1][1] == _rank_bound(a), (label, seed)
+
+
 def _partitions(n, largest=None):
     if n == 0:
         yield ()

@@ -274,8 +274,67 @@ def test_the_witness_check_and_the_per_claim_functions_read_the_store():
                            ["verify_nondegeneration"]) & banned == set()
     assert _function_names("verification_db", [
         "judge_certificate", "_certificate_entry", "_witness_entry",
-        "_probe_entry", "_chain_entry", "separator_check",
+        "_probe_entry", "_chain_entry", "separator_check", "_monotone_audit",
         "run_ledger"]) & banned == set()
+    # so do the invariant table's readers, and the functions it names
+    tree, table = _invariant_table()
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(table)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    functions = {node.name for node in tree.body
+                 if isinstance(node, ast.FunctionDef)} & named
+    assert functions == {"_classifier_label"}
+    readers = named | _function_names("degeneration", functions)
+    assert readers & banned == set()
+    assert {"tensor", "iw_sequence"} <= readers
+
+
+def _invariant_table():
+    """The tree of degeneration.py and its assignment of `INVARIANTS`."""
+    path = Path(__file__).resolve().parents[1] / "src" / "degenlab" / "degeneration.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (table,) = [node for node in tree.body if isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == ["INVARIANTS"]]
+    return tree, table
+
+
+def test_each_closed_invariant_is_named_only_in_its_table():
+    # each closed invariant is one row of degeneration.INVARIANTS, as each
+    # catalog family is one entry of _FAMILIES: no string naming a row, or
+    # a witness kind that a row judges (all but IWDominance, which reads an
+    # element payload in its own branch), appears elsewhere in the modules
+    # that read the table.  "paper" is the one separator that is no
+    # invariant; cli's `info` keys are output, not a declaration
+    from degenlab.degeneration import INVARIANTS
+
+    kinds = {row.kind for row in INVARIANTS.values() if row.proved}
+    assert kinds == {"DimSquare", "AnnDim", "LieClosure"}
+    words = set(INVARIANTS) | kinds
+    table = ast.dump(_invariant_table()[1])
+    found = []
+    package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
+    for module in ("degeneration", "verification_db"):
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        for top in tree.body:
+            if ast.dump(top) != table:
+                found += [(module, node.value) for node in ast.walk(top)
+                          if isinstance(node, ast.Constant) and node.value in words]
+    assert found == []
+
+
+def test_the_benchmark_copies_of_the_kinds_and_separators_follow_the_table():
+    # perfbench/run.py keeps its own copy of the proof-tier witness kinds,
+    # for which its correctness gate expects PROVED, and the tracer names
+    # the separators whose seconds it reports; both must stay the table's
+    from degenlab.degeneration import INVARIANT_KINDS
+    from degenlab.verification_db import SEPARATORS
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    (kinds,) = [node.value for node in ast.parse(path.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == ["INVARIANT_KINDS"]]
+    assert set(ast.literal_eval(kinds)) == set(INVARIANT_KINDS)
+    assert set(_tracer().SEPARATOR_KINDS) <= set(SEPARATORS)
 
 
 def test_check_loads_and_judges_a_claim_as_the_ledger_run_does():

@@ -386,10 +386,36 @@ def test_iw_monotone_is_the_dominance_of_full_scans(seed):
 def test_the_monotone_audit_names_each_invariant_a_reversed_arrow_breaks():
     # T2k2rest3.a1.m3.7 degenerates T222_e7special@7 to T222_e23@7; read
     # backwards, the arrow raises dim A^2 and shrinks the annihilator
-    src, tgt = instantiate("T222_e23", 7), instantiate("T222_e7special", 7)
-    assert verification_db._monotone_audit(src, tgt, True) == [
+    records = Records()
+    src, tgt = AlgebraRef("T222_e23", 7), AlgebraRef("T222_e7special", 7)
+    assert verification_db._monotone_audit(records, src, tgt) == [
         "dim square grows: 3 -> 4", "annihilator shrinks: 3 -> 1"]
-    assert verification_db._monotone_audit(tgt, src, True) == []
+    assert verification_db._monotone_audit(records, tgt, src) == []
+
+
+def test_each_declared_order_holds_on_every_passing_shipped_certificate():
+    # A -> B keeps order(value of A, value of B) for every row of the
+    # invariant table that declares an order: dim A^2, the nilpotency index
+    # and the Engel degree fall, dim Ann and C(A^2) rise, and a Lie source
+    # has a Lie target; checked on each shipped certificate that passes
+    ordered = {name: row for name, row in degeneration.INVARIANTS.items()
+               if row.order}
+    assert sorted(ordered) == ["ann_dim", "centralizer_square", "dim_square",
+                               "engel_degree", "jacobi", "nilindex"]
+    records = Records(20240917)
+    passing = [c for c in load_ledger(shipped_ledger_path()).certificates
+               if verification_db.judge_certificate(c, records)[0].ok]
+    assert len(passing) == 133
+    broken = [(c.cert_id, name) for c in passing for name, row in ordered.items()
+              if not row.order(row.read(records, c.source),
+                               row.read(records, c.target))]
+    assert broken == []
+    # each order is strict on some certificate (for jacobi: a source that
+    # is not Lie with a Lie target), so a reversed order fails above
+    strict = {name for c in passing for name, row in ordered.items()
+              if not row.order(row.read(records, c.target),
+                               row.read(records, c.source))}
+    assert strict == set(ordered)
 
 
 def test_a_failed_dominance_audit_fails_every_certificate(monkeypatch):
