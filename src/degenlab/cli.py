@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: info, check, verify-paper, catalog list, iwmax, classify.
-Every number printed here is produced by a library call; the CLI only
-formats.  The shipped ledger path can be overridden with the
-DEGENLAB_LEDGER environment variable.
+Subcommands: info, check, verify-paper, catalog list, catalog table,
+iwmax, classify.  Every number printed here is produced by a library
+call; the CLI only formats.  `verify-paper --ledger PATH` runs the ledger
+at PATH instead of the shipped one.
 
 Exit codes for `check`: 0 pass/proved, 2 fail/refuted, 3 sampling-only
 (refutation not found), 1 I/O, parse or argument errors (such as
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -74,12 +73,6 @@ from .verification_db import (
 )
 
 DEFAULT_SEED = 20240917
-
-
-def _ledger_path(args) -> str:
-    if getattr(args, "ledger", None):
-        return args.ledger
-    return os.environ.get("DEGENLAB_LEDGER") or shipped_ledger_path()
 
 
 def _emit(args, human_lines, payload):
@@ -193,7 +186,7 @@ def cmd_verify_paper(args) -> int:
     if args.dims == []:
         return _error("--dims needs at least one dimension")
     try:
-        ledger = load_ledger(_ledger_path(args))
+        ledger = load_ledger(args.ledger or shipped_ledger_path())
     except (ParseError, InconsistentLedger) as exc:
         return _error(exc)
     if args.dims and not set(args.dims) & _ledger_dims(ledger):
@@ -315,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--out", default="verify-out")
     p.add_argument("--ledger", default=None,
-                   help="override the ledger path (also: DEGENLAB_LEDGER)")
+                   help="run this ledger instead of the shipped one")
     p.set_defaults(func=cmd_verify_paper)
 
     p = sub.add_parser("catalog", help="catalog operations")

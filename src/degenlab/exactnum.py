@@ -16,16 +16,18 @@ of num/den at t = 0 has one rule, `limit_at_zero`, also read off num(2^B)
 (`packed_limit_at_zero`): a pole iff ord_t num < ord_t den, and otherwise
 num[v] / den[v] with v = ord_t den, whether or not the pair is reduced.
 
-One expression parser reads all ledger text: rational functions such
-as `1/t^2` or `(t+1)/t` (`parse_rational_function`), and basis rows such
-as `(1/t)*e5 - (1/t^2)*e7`, sums of `e<k>` with such coefficients
-(`parse_basis_row`).  Whitespace between tokens means nothing, and a run
-of signs multiplies out.  A power is expanded by repeated
-multiplication, so it is refused, before it is expanded, when its num or
-den would pass degree `MAX_DEGREE`; the exponent of a constant is held to
-`MAX_DEGREE` too, and a product, quotient or sum to 2 `MAX_DEGREE` (a
-quotient of two powers at the cap).  Parentheses and unary minus signs
-nest at most `MAX_NESTING` deep.
+One expression parser reads all ledger text: every ledger basis row,
+such as `(1/t)*e5 - (1/t^2)*e7`, a sum of `e<k>` with coefficients such
+as `1/t^2` or `(t+1)/t`, is read by `_Parser.row` (`parse_basis_row`).
+`parse_rational_function` parses one such coefficient alone; no run path
+calls it, and it is kept for the benchmark's tracer and the tests.
+Whitespace between tokens means nothing, and a run of signs multiplies
+out.  A power is expanded by repeated multiplication, so it is refused,
+before it is expanded, when its num or den would pass degree
+`MAX_DEGREE`; the exponent of a constant is held to `MAX_DEGREE` too,
+and a product, quotient or sum to 2 `MAX_DEGREE` (a quotient of two
+powers at the cap).  Parentheses and unary minus signs nest at most
+`MAX_NESTING` deep.
 """
 
 from __future__ import annotations

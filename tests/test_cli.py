@@ -492,13 +492,13 @@ def test_verify_paper_report_bytes_reproducible(tmp_path, capsys):
     assert a == b
 
 
-def test_verify_paper_env_override(tmp_path, capsys, monkeypatch):
-    bogus = tmp_path / "ledger.json"
-    bogus.write_text(json.dumps(
+def test_verify_paper_ledger_override(tmp_path, capsys):
+    empty = tmp_path / "ledger.json"
+    empty.write_text(json.dumps(
         {"certificates": [], "witnesses": [], "chains": []}
     ), encoding="utf-8")
-    monkeypatch.setenv("DEGENLAB_LEDGER", str(bogus))
-    code, _ = run(capsys, "verify-paper", "--out", str(tmp_path / "out"))
+    code, _ = run(capsys, "verify-paper", "--ledger", str(empty),
+                  "--out", str(tmp_path / "out"))
     assert code == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["certificates"] == []

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -74,6 +75,25 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     added = set(done.stdout.split())
     assert "degenlab.cli" in added
     assert added & {"dataclasses", "inspect"} == set()
+
+
+def test_importing_the_package_loads_only_the_modules_below_the_run():
+    # `import degenlab` binds what perfbench/child.py reads, all of it from
+    # algebra, contraction and catalog; the degeneration records, the
+    # ledger run and the CLI load when they are imported themselves
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; before = set(sys.modules); "
+            f"sys.path.insert(0, {str(src)!r}); "
+            "import degenlab; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = {name for name in done.stdout.split()
+              if name.split(".")[0] == "degenlab"}
+    assert loaded == {"degenlab", "degenlab.exactnum", "degenlab.linalg",
+                      "degenlab.algebra", "degenlab.contraction",
+                      "degenlab.catalog"}
 
 
 def test_no_package_module_imports_dataclasses():
@@ -153,13 +173,13 @@ def _child_calls() -> set:
 
 
 def test_linalg_and_algebra_define_no_api_that_only_tests_reach():
-    # every public name of the numeric, algebra, contraction, catalog and
-    # degeneration layers is read by the package itself, is a tracer target
-    # or is called by the benchmark's child process; an export from
-    # __init__ is not a use, and neither is the assignment that defines a
-    # name.  A top-level name is read bare or as `module.name`
-    # (`catalog.instantiate`): an attribute of the same name on some other
-    # object (`records.iw_sequence`) reads a method, not the function
+    # every public name of every package module is read by the package
+    # itself, is a tracer target or is called by the benchmark's child
+    # process; an export from __init__ is not a use, and neither is the
+    # assignment that defines a name.  A top-level name is read bare or as
+    # `module.name` (`catalog.instantiate`): an attribute of the same name
+    # on some other object (`records.iw_sequence`) reads a method, not the
+    # function
     package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in package.glob("*.py") if path.stem != "__init__"}
@@ -176,11 +196,31 @@ def test_linalg_and_algebra_define_no_api_that_only_tests_reach():
     traced = {(module, attr) for module, attr, _ in _tracer().TARGETS}
     unused = [f"{module}.{qualified}"
               for module in ("exactnum", "linalg", "algebra", "contraction",
-                             "catalog", "degeneration")
+                             "catalog", "degeneration", "verification_db",
+                             "cli")
               for qualified, name in _public_definitions(trees[module])
               if name not in (names if qualified == name else attributes)
               and (module, qualified) not in traced]
     assert unused == []
+
+
+def test_the_package_exports_exactly_what_the_benchmark_child_reads():
+    # one import path per name: every library name is imported from the
+    # module that defines it, and the package namespace keeps only the
+    # names that perfbench/child.py reads as `degenlab.<name>` (besides the
+    # submodules themselves)
+    import degenlab
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    reads = {node.attr
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "degenlab"
+             and not node.attr.startswith("_")}
+    exported = {name for name, value in vars(degenlab).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == {name for name in reads
+                        if not inspect.ismodule(getattr(degenlab, name))}
 
 
 def _package_names(banned, allowed_modules):
