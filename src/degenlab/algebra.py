@@ -15,9 +15,11 @@ i in supp alpha), keeping only the nonzero ones, instead of sampling.
 
 Matrices are lists of rows.  A StructureTensor is the one algebra object,
 and it keeps what it computes: every closed invariant runs over Z on its
-table scaled by the lcm L of its denominators (`mult` and `table`, from
-`int_table`), built once per tensor; Fraction appears only at the API
-boundary (`product`'s result, the rows of `left_mult_matrix`).
+table scaled by the lcm L of its denominators (`mult` and `table`), built
+once per tensor: at construction for a table read from JSON or from
+integer pairs, else by `int_table` when first read.  Fraction appears
+only at the API boundary (`products`, made when first read for a tensor
+built as its table, `product`'s result, the rows of `left_mult_matrix`).
 `power_ideal` and `annihilator` return integer echelon rows: the tensor's
 `power(i)`, and the `linalg.kernel_basis` of at most n integer conditions.
 `StructureTensor.from_json_obj` is the one reader of the JSON table
@@ -52,9 +54,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 from typing import NamedTuple
 
-from .exactnum import rational_from_obj, rational_to_obj
+from .exactnum import rational_pair_from_obj, rational_to_obj
 from .linalg import (
     Singular,
     _int_rank,
@@ -84,10 +87,21 @@ class StructureTensor:
     """Anticommutative multiplication table on QQ^n, keyed by pairs i < j,
     and its closed invariants, each computed when first read, at most once.
 
-    Immutable: nothing writes `dim` or `products` after construction, so a
-    cached invariant stays true; `__eq__` and `__hash__` read only those.
-    An entry that is a Fraction is kept as given, anything else becomes
-    Fraction(x), so a parsed table entry is one Fraction.
+    A tensor holds the form it was built from, and derives the other when
+    first read.  `from_json_obj` and `from_pairs` build the integer table
+    (`mult` and `table`, as `int_table` would give them) and no Fraction:
+    `products`, keyed in the table's order, is Fraction(x, mult) of its
+    entries, made only for a caller that reads it.  `__init__` and
+    `from_trusted` keep `products` as given, and `int_table` builds the
+    integer table when a kernel first reads it.  In `__init__` an entry
+    that is a Fraction is kept as given, anything else becomes Fraction(x).
+
+    Immutable: nothing writes `dim`, `products` or the table after
+    construction, so a cached invariant stays true.  `__eq__` and
+    `__hash__` read only `dim`, `mult` and the table in key order, the
+    one integer form of a rational table (a Fraction is reduced, so the
+    lcm of the denominators is the same for equal tables), and build no
+    Fraction for a tensor read from text or pairs.
     """
 
     __slots__ = ("dim", "products", "mult", "table", "_walk", "_powers",
@@ -99,8 +113,7 @@ class StructureTensor:
         self.dim = dim
         table = {}
         for (i, j), vec in (products or {}).items():
-            if not (1 <= i < j <= dim):
-                raise ValueError(f"product key ({i},{j}) is not 1 <= i < j <= n")
+            _check_key(i, j, dim)
             vec = tuple(x if type(x) is Fraction else Fraction(x) for x in vec)
             if len(vec) != dim:
                 raise DimensionMismatch(f"product vector for ({i},{j}) has wrong length")
@@ -119,18 +132,34 @@ class StructureTensor:
 
     @staticmethod
     def from_pairs(dim: int, pairs) -> "StructureTensor":
-        """Build from entries (i, j, k) or (i, j, k, coeff): e_i e_j = coeff*e_k."""
-        table = {}
+        """Build from entries (i, j, k) or (i, j, k, coeff): e_i e_j = coeff*e_k,
+        the coefficients of a pair summed; a coefficient that is not an int
+        is read as Fraction(coeff).  Builds the integer table, not `products`."""
+        rows = {}
         for entry in pairs:
             if len(entry) == 3:
                 i, j, k = entry
                 coeff = 1
             else:
                 i, j, k, coeff = entry
-            vec = list(table.get((i, j), (Fraction(0),) * dim))
-            vec[k - 1] += Fraction(coeff)
-            table[(i, j)] = tuple(vec)
-        return StructureTensor(dim, table)
+            vec = rows.setdefault((i, j), [0] * dim)
+            vec[k - 1] += coeff if type(coeff) is int else Fraction(coeff)
+        if dim < 1:
+            raise ValueError("dimension must be positive")
+        for i, j in rows:
+            _check_key(i, j, dim)
+        return StructureTensor._from_rational_pairs(dim, {
+            key: [(x.numerator, x.denominator) for x in vec]
+            for key, vec in rows.items()})
+
+    @staticmethod
+    def _from_rational_pairs(dim: int, rows) -> "StructureTensor":
+        """The tensor of `_scaled_table` rows, keys checked, built as its
+        integer table."""
+        a = StructureTensor.__new__(StructureTensor)
+        a.dim = dim
+        a.mult, a.table = _scaled_table(rows)
+        return a
 
     def constant(self, i: int, j: int, k: int) -> Fraction:
         """mu_{i,j}^k with anticommutativity filled in (1-based indices)."""
@@ -146,6 +175,8 @@ class StructureTensor:
         # reached when normal lookup fails: fill the empty cache slot named
         if name in ("mult", "table"):
             self.mult, self.table = int_table(self)
+        elif name == "products":
+            self.products = _rational_products(self.table, self.mult, self.dim)
         elif name in ("_walk", "_powers"):
             self._walk, self._powers = _int_powers(self.table, self.dim), []
         elif name == "_centralizers":
@@ -200,11 +231,12 @@ class StructureTensor:
         return (
             isinstance(other, StructureTensor)
             and self.dim == other.dim
-            and self.products == other.products
+            and self.mult == other.mult
+            and sorted(self.table) == sorted(other.table)
         )
 
     def __hash__(self):
-        return hash((self.dim, tuple(sorted(self.products.items()))))
+        return hash((self.dim, self.mult, tuple(sorted(self.table))))
 
     def __repr__(self):
         terms = []
@@ -232,7 +264,10 @@ class StructureTensor:
         a positive int dim of at most MAX_DIM and a list of products, each
         with int keys 1 <= i < j <= dim given once and a value of dim
         rationals under `rational_from_obj` (ints or "p/q" strings, never
-        inexact floats).
+        inexact floats).  Each entry is read straight into a reduced int
+        pair (`rational_pair_from_obj`), and the tensor is built as its
+        integer table, `mult` and `table`, in the records' key order;
+        `products` is made only when read.
         """
         dim = obj.get("dim") if isinstance(obj, dict) else None
         if type(dim) is not int or dim < 1:
@@ -240,7 +275,7 @@ class StructureTensor:
                                    "positive integer dim")
         if dim > MAX_DIM:
             raise TableFormatError(f"dim {dim} exceeds MAX_DIM = {MAX_DIM}")
-        records, table = obj.get("products", []), {}
+        records, rows = obj.get("products", []), {}
         try:
             if not isinstance(records, list):
                 raise TypeError("products is not a list")
@@ -250,22 +285,50 @@ class StructureTensor:
                     raise ValueError(f"key ({i},{j}) is not 1 <= i < j <= {dim}")
                 if not isinstance(value, list) or len(value) != dim:
                     raise ValueError(f"value of ({i},{j}) is not {dim} entries")
-                if (i, j) in table:
+                if (i, j) in rows:
                     raise ValueError(f"key ({i},{j}) is given twice")
-                table[(i, j)] = tuple(map(rational_from_obj, value))
+                rows[(i, j)] = list(map(rational_pair_from_obj, value))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise TableFormatError(f"bad products entry: {exc}") from None
-        return StructureTensor(dim, table)
+        return StructureTensor._from_rational_pairs(dim, rows)
+
+
+def _check_key(i: int, j: int, dim: int):
+    if not (1 <= i < j <= dim):
+        raise ValueError(f"product key ({i},{j}) is not 1 <= i < j <= n")
+
+
+def _rational_products(table, mult: int, n: int):
+    """{(i, j): the n Fractions of e_i e_j}, 1-based, of an int_table table
+    scaled by mult: the `products` of the tensor it was built as."""
+    products = {}
+    for i, j, entries in table:
+        vec = [Fraction(0)] * n
+        for k, v in entries:
+            vec[k] = Fraction(v, mult)
+        products[(i + 1, j + 1)] = tuple(vec)
+    return products
+
+
+def _scaled_table(rows):
+    """(L, table) of rows {(i, j): [(num, den), ...]}, each pair reduced
+    with den > 0: the rows scaled by the lcm L of their denominators, as
+    (i, j, ((k, coeff), ...)) with 0-based indices and integer coeffs,
+    all-zero rows dropped, in the rows' key order."""
+    mult = lcm(*(den for vec in rows.values() for _, den in vec))
+    table = []
+    for (i, j), vec in rows.items():
+        entries = tuple((k, num * (mult // den))
+                        for k, (num, den) in enumerate(vec) if num)
+        if entries:
+            table.append((i - 1, j - 1, entries))
+    return mult, table
 
 
 def int_table(a: StructureTensor):
-    """(L, table): the products scaled by the lcm L of all denominators, as
-    (i, j, ((k, coeff), ...)) with 0-based indices and integer coeffs."""
-    mult, rows = int_scaled(a.products.values())
-    return mult, [
-        (i - 1, j - 1, tuple((k, x) for k, x in enumerate(row) if x))
-        for (i, j), row in zip(a.products, rows)
-    ]
+    """(L, table): the `_scaled_table` of the tensor's products."""
+    return _scaled_table({key: [(x.numerator, x.denominator) for x in vec]
+                          for key, vec in a.products.items()})
 
 
 def _int_product(table, n: int, x, y):

@@ -3,7 +3,9 @@
 Subcommands: info, check, verify-paper, catalog list, catalog table,
 iwmax, classify.  Every number printed here is produced by a library
 call; the CLI only formats.  `verify-paper --ledger PATH` runs the ledger
-at PATH instead of the shipped one.
+at PATH instead of the shipped one, and its report records PATH as
+given; the shipped ledger is recorded as `degenlab/data/ledger.json`, so
+a seed gives the same report bytes from any checkout.
 
 Exit codes for `check`: 0 pass/proved, 2 fail/refuted, 3 sampling-only
 (refutation not found), 1 I/O, parse or argument errors (such as
@@ -61,6 +63,7 @@ from .algebra import (
 from .contraction import NotEngelAt, iw_max
 from .degeneration import Records, verify_nondegeneration
 from .verification_db import (
+    SHIPPED_LEDGER_NAME,
     InconsistentLedger,
     ParseError,
     hasse_dot,
@@ -186,7 +189,11 @@ def cmd_verify_paper(args) -> int:
     if args.dims == []:
         return _error("--dims needs at least one dimension")
     try:
-        ledger = load_ledger(args.ledger or shipped_ledger_path())
+        if args.ledger:
+            ledger = load_ledger(args.ledger)
+        else:
+            ledger = load_ledger(shipped_ledger_path())._replace(
+                path=SHIPPED_LEDGER_NAME)
     except (ParseError, InconsistentLedger) as exc:
         return _error(exc)
     if args.dims and not set(args.dims) & _ledger_dims(ledger):

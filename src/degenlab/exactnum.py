@@ -78,6 +78,23 @@ def rational_from_obj(obj) -> Fraction:
     raise TypeError(f"cannot interpret {obj!r} as a rational number")
 
 
+def rational_pair_from_obj(obj) -> tuple[int, int]:
+    """(num, den), reduced and den > 0, of `rational_from_obj(obj)`: an int
+    or a 'p/q' string of the one `_RATIONAL` match is read straight into
+    ints, with no Fraction; anything else, and every refusal, is
+    `rational_from_obj`'s, with its exception and text."""
+    if type(obj) is int:
+        return obj, 1
+    match = _RATIONAL.fullmatch(obj.strip()) if type(obj) is str else None
+    if match:
+        num, den = int(match[1]), int(match[2] or 1)
+        if den:
+            g = gcd(num, den)
+            return num // g, den // g
+    q = rational_from_obj(obj)
+    return q.numerator, q.denominator
+
+
 def rational_to_obj(q: Fraction):
     """Render a rational as an int when possible, else a 'p/q' string."""
     if q.denominator == 1:

@@ -557,6 +557,10 @@ def hasse_dot(report: dict, dim: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# what a report records as the shipped ledger, the same from any checkout
+SHIPPED_LEDGER_NAME = "degenlab/data/ledger.json"
+
+
 def shipped_ledger_path() -> str:
     import importlib.resources as resources
 

@@ -30,6 +30,9 @@ sparse Pfaffians and the classifier that tests A * A^2 = 0 first.  The
 rational rule that matched a string twice, once by its own regex and once
 by `Fraction`'s, and the table reader that then wrapped each entry in a
 second Fraction, are the reference for the one-match, one-Fraction reader.
+That reader and `from_pairs`'s Fraction sums, each handing its products
+to `StructureTensor(dim, products)`, and `==` read off `products`, are
+the reference for the tensors built straight as their integer table.
 The ranks of the powers of sum_i x_i L_{e_i} over Q(x_1, ..., x_n), in
 sympy's field, are the generic rank sequence that the scan's exact
 stopping bound must dominate.
@@ -1221,3 +1224,27 @@ def from_json_obj_oracle(obj):
         raise TableFormatError(f"bad products entry: {exc}") from None
     return dim, {key: tuple(Fraction(x) for x in vec)
                  for key, vec in table.items() if any(vec)}
+
+
+def from_pairs_oracle(dim, pairs):
+    """The tensor as `from_pairs` built it from Fractions: each coefficient
+    summed as Fraction(coeff), the vectors handed to `StructureTensor`,
+    which keeps them as `products` and scales them by `int_table`."""
+    from degenlab.algebra import StructureTensor
+
+    table = {}
+    for entry in pairs:
+        if len(entry) == 3:
+            i, j, k = entry
+            coeff = 1
+        else:
+            i, j, k, coeff = entry
+        vec = list(table.get((i, j), (Fraction(0),) * dim))
+        vec[k - 1] += Fraction(coeff)
+        table[(i, j)] = tuple(vec)
+    return StructureTensor(dim, table)
+
+
+def tensor_eq_oracle(a, b):
+    """`==` as it read `products`: the same dimension and the same dict."""
+    return a.dim == b.dim and a.products == b.products

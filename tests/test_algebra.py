@@ -36,7 +36,7 @@ from oracles import engel_degree_oracle, engel_powers_oracle
 from oracles import jacobi_oracle, malcev_oracle, malcev_terms_oracle
 
 from oracles import ann_dim_oracle, generated_subalgebra, square_dim_oracle
-from oracles import from_json_obj_oracle
+from oracles import from_json_obj_oracle, from_pairs_oracle, tensor_eq_oracle
 from oracles import direct_sum_trivial, random_anticommutative, random_lower_triangular
 from oracles import (
     Subspace,
@@ -747,6 +747,92 @@ def test_from_json_obj_refuses_a_table_as_the_two_pass_reader(obj):
     with pytest.raises(TableFormatError) as got:
         StructureTensor.from_json_obj(obj)
     assert str(got.value) == str(want.value)
+
+
+def _holds(a, slot):
+    """Whether the tensor's slot is set, read without filling it."""
+    try:
+        getattr(StructureTensor, slot).__get__(a)
+    except AttributeError:
+        return False
+    return True
+
+
+def _same_tensor(got, want):
+    """got, built as its integer table, against want, built from its
+    Fraction products: every public reading and its order agree."""
+    assert _holds(got, "table") and _holds(got, "mult")
+    assert not _holds(got, "products")
+    assert (got.dim, got.mult, got.table) == (want.dim, want.mult, want.table)
+    assert list(got.products.items()) == list(want.products.items())
+    assert all(type(x) is Fraction for vec in got.products.values() for x in vec)
+    assert got == want and want == got and hash(got) == hash(want)
+    assert got.to_json_obj() == want.to_json_obj()
+    assert repr(got) == repr(want)
+    n = got.dim
+    assert all(got.constant(i, j, k) == want.constant(i, j, k)
+               for i in range(1, n + 1) for j in range(1, n + 1)
+               for k in range(1, n + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables())
+def test_a_json_table_is_built_as_the_fraction_path_builds_it(obj):
+    # ints, signed, unreduced and padded "p/q" strings, zero vectors and
+    # the empty table: read straight to the integer table, the same tensor
+    _same_tensor(StructureTensor.from_json_obj(obj),
+                 StructureTensor(*from_json_obj_oracle(obj)))
+
+
+_COEFFS = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.fractions(max_denominator=10**6),
+    st.tuples(st.integers(-99, 99), st.integers(1, 99)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
+
+
+@st.composite
+def _pair_lists(draw):
+    """from_pairs entries, some with no coefficient, some repeated with
+    the opposite coefficient so that a constant, or a whole pair, cancels."""
+    dim = draw(st.integers(1, 5))
+    if dim == 1:
+        return dim, []
+    slot = st.tuples(st.integers(1, dim - 1), st.integers(2, dim),
+                     st.integers(1, dim)).filter(lambda t: t[0] < t[1])
+    pairs = []
+    for i, j, k in draw(st.lists(slot, max_size=8)):
+        if draw(st.booleans()):
+            pairs.append((i, j, k))
+            continue
+        coeff = draw(_COEFFS)
+        pairs.append((i, j, k, coeff))
+        if draw(st.booleans()):
+            pairs.append((i, j, k, -Fraction(coeff)))
+    return dim, draw(st.permutations(pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pair_lists())
+def test_pairs_are_built_as_the_fraction_path_builds_them(case):
+    dim, pairs = case
+    _same_tensor(StructureTensor.from_pairs(dim, pairs),
+                 from_pairs_oracle(dim, pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables(), _tables(), st.randoms(use_true_random=False))
+def test_tables_compare_as_their_fraction_products(obj, other, rnd):
+    # == and hash read the integer table; they agree with == on products,
+    # for the same records in another order and for two unrelated tables
+    shuffled = dict(obj, products=rnd.sample(obj["products"], len(obj["products"])))
+    a = StructureTensor.from_json_obj(obj)
+    for obj_b in (shuffled, other):
+        b = StructureTensor.from_json_obj(obj_b)
+        want = tensor_eq_oracle(StructureTensor(*from_json_obj_oracle(obj)),
+                                StructureTensor(*from_json_obj_oracle(obj_b)))
+        assert (a == b) == want and (b == a) == want
+        assert not want or hash(a) == hash(b)
 
 
 def test_is_nilpotent_detects_stabilization():

@@ -216,34 +216,46 @@ def test_check_refuses_a_label_that_names_two_tables(tmp_path, capsys):
 
 
 def test_info_builds_one_integer_table(capsys, monkeypatch):
-    # the identity flags, nilpotency, Engel degree and iw_max all read the
-    # integer table of the one tensor cmd_info instantiates, and so does the
-    # same sequence of library calls on a bare tensor
-    from degenlab import algebra, contraction, degeneration
+    # a catalog tensor (cmd_info's), one from pairs and one read from JSON
+    # carry their integer table from construction and no Fraction products:
+    # the identity flags, nilpotency, Engel degree and iw_max read the
+    # table, no reader builds one (int_table) and none makes the products;
+    # nor does a seeded queries stream run through the benchmark child's
+    # library calls
+    import importlib
 
-    calls = []
+    import degenlab
+    from degenlab import algebra
 
-    def counted(a):
-        calls.append(a)
-        return int_table(a)
-
-    int_table = algebra.int_table
-    for module in (algebra, contraction, degeneration):
-        monkeypatch.setattr(module, "int_table", counted, raising=False)
-    assert main(["info", "T32_e23", "--dim", "6"]) == 0
-    assert "jacobi / malcev" in capsys.readouterr().out
-    assert len(calls) == 1
-
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    child, inputs = (importlib.import_module(name) for name in ("child", "inputs"))
+    stream = inputs.make_queries(perfbench.parent, 37001)
+    tensors = [algebra.StructureTensor.from_json_obj(q["table"]) if "table" in q
+               else None for q in stream]
     t = algebra.StructureTensor.from_pairs(
         6, [(1, 2, 4), (1, 4, 5), (2, 4, 6), (1, 3, 6, "1/2")])
-    calls.clear()
+    for a in [catalog.instantiate("T32_e23", 6), t,
+              *(a for a in tensors if a is not None)]:
+        algebra.StructureTensor.table.__get__(a)  # AttributeError if unset
+        with pytest.raises(AttributeError):
+            algebra.StructureTensor.products.__get__(a)
+
+    built = []
+    for name in ("int_table", "_rational_products"):
+        monkeypatch.setattr(algebra, name, lambda *args, fn=getattr(algebra, name),
+                            name=name: built.append(name) or fn(*args))
+    assert main(["info", "T32_e23", "--dim", "6"]) == 0
+    assert "jacobi / malcev" in capsys.readouterr().out
     algebra.identity_flags(t)
     algebra.is_nilpotent(t)
-    contraction.iw_max(t, seed=3)
+    iw_max(t, seed=3)
     algebra.dim_square(t)
     algebra.annihilator(t)
     algebra.engel_degree(t, t.dim + 1)
-    assert calls == [t]
+    for query, tensor in zip(stream, tensors):
+        assert "error" not in child._run_query(degenlab, query, tensor)
+    assert built == [] and t.mult == 2
 
 
 def _cert_with_first_row(row):
@@ -492,16 +504,41 @@ def test_verify_paper_report_bytes_reproducible(tmp_path, capsys):
     assert a == b
 
 
-def test_verify_paper_ledger_override(tmp_path, capsys):
+def test_the_shipped_ledger_report_is_the_same_from_any_checkout(tmp_path):
+    # two copies of the package, same seed: the report names the shipped
+    # ledger by its package-relative path, so the bytes are the same
+    import shutil
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    reports = []
+    for copy in ("a", "b"):
+        shutil.copytree(src, tmp_path / copy / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=str(tmp_path / copy / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "degenlab", "verify-paper", "--dims", "4",
+             "--trials", "2", "--seed", "7", "--out", "out"],
+            cwd=tmp_path / copy, capture_output=True, text=True, env=env,
+            timeout=300)
+        assert done.returncode == 0, done.stderr
+        reports.append((tmp_path / copy / "out" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["ledger"] == "degenlab/data/ledger.json"
+
+
+def test_verify_paper_ledger_override(tmp_path, capsys, monkeypatch):
+    # the report records --ledger PATH as given, relative or not
     empty = tmp_path / "ledger.json"
     empty.write_text(json.dumps(
         {"certificates": [], "witnesses": [], "chains": []}
     ), encoding="utf-8")
-    code, _ = run(capsys, "verify-paper", "--ledger", str(empty),
-                  "--out", str(tmp_path / "out"))
-    assert code == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["certificates"] == []
+    monkeypatch.chdir(tmp_path)
+    for given in (str(empty), "ledger.json", "./ledger.json"):
+        code, _ = run(capsys, "verify-paper", "--ledger", given,
+                      "--out", str(tmp_path / "out"))
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["certificates"] == [] and report["ledger"] == given
 
 
 def test_catalog_list(capsys):
@@ -560,20 +597,34 @@ def _bad_table(case):
         product["value"][product["value"].index(1)] = True
     elif case == "repeated-key":
         obj["products"].append(dict(product))
+    elif case in ("0/0", "1/-2", "1e5"):
+        product["value"][0] = case
     return obj
 
 
-@pytest.mark.parametrize("case", [
-    "dim", "list", "key-order", "float", "short-value", "zero-denominator",
-    "bool", "repeated-key",
-])
+# each malformed table's one error line, as the Fraction reader gave it:
+# reading entries straight into int pairs refuses each with the same text
+MALFORMED_TABLE_LINES = {
+    "dim": "an algebra table is an object with a positive integer dim",
+    "list": "an algebra table is an object with a positive integer dim",
+    "key-order": "bad products entry: key (2,1) is not 1 <= i < j <= 6",
+    "float": "bad products entry: cannot interpret 0.5 as a rational number",
+    "short-value": "bad products entry: value of (1,2) is not 6 entries",
+    "zero-denominator": "bad products entry: zero denominator in '1/0'",
+    "bool": "bad products entry: cannot interpret True as a rational number",
+    "repeated-key": "bad products entry: key (1,2) is given twice",
+    "0/0": "bad products entry: zero denominator in '0/0'",
+    "1/-2": "bad products entry: cannot interpret '1/-2' as a rational number",
+    "1e5": "bad products entry: cannot interpret '1e5' as a rational number",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_TABLE_LINES))
 def test_classify_rejects_a_malformed_table_file(tmp_path, capsys, case):
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(_bad_table(case)), encoding="utf-8")
     assert main(["classify", "--file", str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert capsys.readouterr() == ("", f"error: {MALFORMED_TABLE_LINES[case]}\n")
 
 
 @pytest.mark.parametrize("argv", [["classify"], ["classify", "T22_e34"]])

@@ -1,6 +1,8 @@
 import random
 import re
 import time
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from degenlab.exactnum import (
     parse_rational_function as parse,
     poly_gcd,
     rational_from_obj,
+    rational_pair_from_obj,
 )
 
 from oracles import qt_basis_row, qt_eval, qt_parse, qt_value, sympy_expr
@@ -293,6 +296,14 @@ def test_a_rational_string_is_an_integer_or_p_over_q():
         assert time.perf_counter() - start < 1.0
 
 
+def _pair_as_fraction(obj):
+    """`rational_pair_from_obj` as a Fraction, after checking that its pair
+    is reduced with a positive denominator."""
+    num, den = rational_pair_from_obj(obj)
+    assert type(num) is type(den) is int and den > 0 and gcd(num, den) == 1
+    return Fraction(num, den)
+
+
 def _outcome(read, obj):
     """What one rational reader makes of obj: its value and type, or its
     exception's type and text."""
@@ -313,12 +324,14 @@ def test_a_rational_string_reads_as_it_did_before_the_one_match_reader(text):
     # one regex with groups and Fraction(int(num), int(den)) give the value
     # (or the DivisionByZero of a zero denominator) of the two-regex reader
     assert _outcome(rational_from_obj, text) == _outcome(rational_from_obj_oracle, text)
+    assert _outcome(_pair_as_fraction, text) == _outcome(rational_from_obj_oracle, text)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=8))
 def test_any_text_is_read_or_refused_as_before(text):
     assert _outcome(rational_from_obj, text) == _outcome(rational_from_obj_oracle, text)
+    assert _outcome(_pair_as_fraction, text) == _outcome(rational_from_obj_oracle, text)
 
 
 @pytest.mark.parametrize("obj", [
@@ -332,6 +345,7 @@ def test_a_refused_rational_raises_as_before(obj):
     got = _outcome(rational_from_obj, obj)
     assert issubclass(got[0], Exception)
     assert got == _outcome(rational_from_obj_oracle, obj)
+    assert got == _outcome(rational_pair_from_obj, obj)
     if obj in ("3/0", "-3/00 "):
         assert got == (DivisionByZero, f"zero denominator in {obj!r}")
 

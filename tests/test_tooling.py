@@ -377,6 +377,21 @@ def test_the_benchmark_copies_of_the_kinds_and_separators_follow_the_table():
     assert set(_tracer().SEPARATOR_KINDS) <= set(SEPARATORS)
 
 
+def test_the_ci_smoke_step_runs_every_benchmark_workload():
+    # the tier-1 workflow runs each workload of perfbench/run.py for one
+    # second and fails unless its last line reports "correct": true
+    root = Path(__file__).resolve().parents[1]
+    (workloads,) = [node.value for node in ast.parse(
+        (root / "perfbench" / "run.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and [ast.unparse(t) for t in node.targets] == ["WORKLOADS"]]
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(
+        encoding="utf-8")
+    loop = f"for workload in {' '.join(ast.literal_eval(workloads))}; do"
+    assert loop in workflow and "--seconds 1 --trace 0" in workflow
+    assert '.get("correct") is not True' in workflow
+
+
 def test_check_loads_and_judges_a_claim_as_the_ledger_run_does():
     # `degenlab check` reads its claim with the ledger loader and judges it
     # with the run's own function: the CLI names no reader or checker of

@@ -5,7 +5,6 @@ import inspect
 import json
 import random
 import re
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -303,24 +302,27 @@ def test_the_run_reads_each_dominant_sequence_off_its_iw_max_label(monkeypatch):
 
 def test_the_run_builds_one_invariant_record_per_label(monkeypatch):
     # the run's Records store holds one tensor per label (160), witnesses
-    # included, and each builds its integer table once, when the store's
-    # reads first need it; the checks, the audit, the separators, iw_max
-    # and classify_T22 read that table and build none of their own
-    built = collections.Counter()
-    int_table = algebra.int_table
+    # included, each a catalog or inline JSON table that carries its
+    # integer table from construction; the checks, the audit, the
+    # separators, iw_max and classify_T22 read that table, and no reader
+    # builds one of its own (int_table is never called)
+    built, tensors = [], {}
+    int_table, resolve = algebra.int_table, AlgebraRef.resolve
 
-    def counted(a):
-        built[sys._getframe(1).f_code.co_name] += 1
-        return int_table(a)
+    def resolved(ref):
+        tensor = tensors[ref.label] = resolve(ref)
+        StructureTensor.table.__get__(tensor)  # set, not filled when read
+        return tensor
 
-    monkeypatch.setattr(algebra, "int_table", counted)
+    monkeypatch.setattr(algebra, "int_table", lambda a: built.append(a) or int_table(a))
+    monkeypatch.setattr(AlgebraRef, "resolve", resolved)
     ledger = load_ledger(shipped_ledger_path())
     report = run_ledger(ledger, seed=20240917, trials=1)
     assert report["summary"]["failures"] == 0
     labels = {ref.label for claim in ledger.certificates + ledger.witnesses
               for ref in (claim.source, claim.target)}
-    assert len(labels) == 160
-    assert built == {"__getattr__": 160}
+    assert len(labels) == 160 and tensors.keys() == labels
+    assert not built
 
     records = Records(20240917)
     src, tgt = AlgebraRef("T222", 7), AlgebraRef("T3", 7)
