@@ -14,12 +14,12 @@ builds them degree by degree (S_alpha = sum L_{e_i} S_{alpha - e_i} over
 i in supp alpha), keeping only the nonzero ones, instead of sampling.
 
 Matrices are lists of rows.  A StructureTensor is the one algebra object,
-and it keeps what it computes: every closed invariant runs over Z on its
-table scaled by the lcm L of its denominators (`mult` and `table`), built
-once per tensor: at construction for a table read from JSON or from
-integer pairs, else by `int_table` when first read.  Fraction appears
-only at the API boundary (`products`, made when first read for a tensor
-built as its table, `product`'s result, the rows of `left_mult_matrix`).
+and it keeps what it computes.  It has one form: its table scaled by the
+lcm L of its denominators (`mult` and `table`), built at construction by
+`_scaled_table` whatever the constructor, and every closed invariant runs
+over Z on it.  Fraction appears only at the API boundary (`products`, made
+from the table when first read, `product`'s result, the rows of
+`left_mult_matrix`).
 `power_ideal` and `annihilator` return integer echelon rows: the tensor's
 `power(i)`, and the `linalg.kernel_basis` of at most n integer conditions.
 `StructureTensor.from_json_obj` is the one reader of the JSON table
@@ -87,21 +87,18 @@ class StructureTensor:
     """Anticommutative multiplication table on QQ^n, keyed by pairs i < j,
     and its closed invariants, each computed when first read, at most once.
 
-    A tensor holds the form it was built from, and derives the other when
-    first read.  `from_json_obj` and `from_pairs` build the integer table
-    (`mult` and `table`, as `int_table` would give them) and no Fraction:
-    `products`, keyed in the table's order, is Fraction(x, mult) of its
-    entries, made only for a caller that reads it.  `__init__` and
-    `from_trusted` keep `products` as given, and `int_table` builds the
-    integer table when a kernel first reads it.  In `__init__` an entry
-    that is a Fraction is kept as given, anything else becomes Fraction(x).
+    Every constructor reads the entries into reduced (num, den) pairs and
+    builds the integer table, `mult` and `table` (`_scaled_table`), in the
+    given key order; no constructor stores `products`.  `products`, the
+    Fraction(x, mult) of the table's entries, is made only for a caller
+    that reads it.  `__init__` reads each entry as Fraction(x).
 
-    Immutable: nothing writes `dim`, `products` or the table after
-    construction, so a cached invariant stays true.  `__eq__` and
-    `__hash__` read only `dim`, `mult` and the table in key order, the
-    one integer form of a rational table (a Fraction is reduced, so the
-    lcm of the denominators is the same for equal tables), and build no
-    Fraction for a tensor read from text or pairs.
+    Immutable: nothing writes `dim` or the table after construction, so a
+    cached invariant stays true.  `__eq__` and `__hash__` read only `dim`,
+    `mult` and the table in key order, the one integer form of a rational
+    table (the pairs are reduced, so the lcm of the denominators is the
+    same for equal tables).  A copy or a pickle is rebuilt from that form
+    with its caches empty (`__reduce__`).
     """
 
     __slots__ = ("dim", "products", "mult", "table", "_walk", "_powers",
@@ -110,31 +107,21 @@ class StructureTensor:
     def __init__(self, dim: int, products=None):
         if dim < 1:
             raise ValueError("dimension must be positive")
-        self.dim = dim
-        table = {}
+        rows = {}
         for (i, j), vec in (products or {}).items():
             _check_key(i, j, dim)
-            vec = tuple(x if type(x) is Fraction else Fraction(x) for x in vec)
+            vec = [(x.numerator, x.denominator) for x in map(Fraction, vec)]
             if len(vec) != dim:
                 raise DimensionMismatch(f"product vector for ({i},{j}) has wrong length")
-            if any(vec):
-                table[(i, j)] = vec
-        self.products = table
-
-    @staticmethod
-    def from_trusted(dim: int, products) -> "StructureTensor":
-        """Wrap a table whose keys are i < j and whose vectors have length
-        dim and are nonzero, keeping its entries as given (ints, say)."""
-        a = StructureTensor.__new__(StructureTensor)
-        a.dim = dim
-        a.products = products
-        return a
+            rows[(i, j)] = vec
+        self.dim = dim
+        self.mult, self.table = _scaled_table(rows)
 
     @staticmethod
     def from_pairs(dim: int, pairs) -> "StructureTensor":
         """Build from entries (i, j, k) or (i, j, k, coeff): e_i e_j = coeff*e_k,
         the coefficients of a pair summed; a coefficient that is not an int
-        is read as Fraction(coeff).  Builds the integer table, not `products`."""
+        is read as Fraction(coeff)."""
         rows = {}
         for entry in pairs:
             if len(entry) == 3:
@@ -154,12 +141,13 @@ class StructureTensor:
 
     @staticmethod
     def _from_rational_pairs(dim: int, rows) -> "StructureTensor":
-        """The tensor of `_scaled_table` rows, keys checked, built as its
-        integer table."""
-        a = StructureTensor.__new__(StructureTensor)
-        a.dim = dim
-        a.mult, a.table = _scaled_table(rows)
-        return a
+        """The tensor of `_scaled_table` rows, their keys already checked."""
+        return _from_table(dim, *_scaled_table(rows))
+
+    def __reduce__(self):
+        # the integer form alone: a cache may hold a half-taken power walk,
+        # a generator, which neither pickles nor may be shared by a copy
+        return _from_table, (self.dim, self.mult, self.table)
 
     def constant(self, i: int, j: int, k: int) -> Fraction:
         """mu_{i,j}^k with anticommutativity filled in (1-based indices)."""
@@ -173,9 +161,7 @@ class StructureTensor:
 
     def __getattr__(self, name):
         # reached when normal lookup fails: fill the empty cache slot named
-        if name in ("mult", "table"):
-            self.mult, self.table = int_table(self)
-        elif name == "products":
+        if name == "products":
             self.products = _rational_products(self.table, self.mult, self.dim)
         elif name in ("_walk", "_powers"):
             self._walk, self._powers = _int_powers(self.table, self.dim), []
@@ -263,11 +249,8 @@ class StructureTensor:
         """Read the object `to_json_obj` writes, else raise TableFormatError:
         a positive int dim of at most MAX_DIM and a list of products, each
         with int keys 1 <= i < j <= dim given once and a value of dim
-        rationals under `rational_from_obj` (ints or "p/q" strings, never
-        inexact floats).  Each entry is read straight into a reduced int
-        pair (`rational_pair_from_obj`), and the tensor is built as its
-        integer table, `mult` and `table`, in the records' key order;
-        `products` is made only when read.
+        rationals (ints or "p/q" strings, never inexact floats), each read
+        straight into a reduced int pair by `rational_pair_from_obj`.
         """
         dim = obj.get("dim") if isinstance(obj, dict) else None
         if type(dim) is not int or dim < 1:
@@ -298,9 +281,16 @@ def _check_key(i: int, j: int, dim: int):
         raise ValueError(f"product key ({i},{j}) is not 1 <= i < j <= n")
 
 
+def _from_table(dim: int, mult: int, table) -> StructureTensor:
+    """The tensor of an integer table scaled by mult, its caches empty."""
+    a = StructureTensor.__new__(StructureTensor)
+    a.dim, a.mult, a.table = dim, mult, table
+    return a
+
+
 def _rational_products(table, mult: int, n: int):
-    """{(i, j): the n Fractions of e_i e_j}, 1-based, of an int_table table
-    scaled by mult: the `products` of the tensor it was built as."""
+    """{(i, j): the n Fractions of e_i e_j}, 1-based, of a tensor's table
+    scaled by mult: its `products`."""
     products = {}
     for i, j, entries in table:
         vec = [Fraction(0)] * n
@@ -325,14 +315,8 @@ def _scaled_table(rows):
     return mult, table
 
 
-def int_table(a: StructureTensor):
-    """(L, table): the `_scaled_table` of the tensor's products."""
-    return _scaled_table({key: [(x.numerator, x.denominator) for x in vec]
-                          for key, vec in a.products.items()})
-
-
 def _int_product(table, n: int, x, y):
-    """x y over Z for an int_table table and integer vectors x, y."""
+    """x y over Z for a tensor's table and integer vectors x, y."""
     out = [0] * n
     for i, j, entries in table:
         c = x[i] * y[j] - x[j] * y[i]
@@ -343,7 +327,7 @@ def _int_product(table, n: int, x, y):
 
 
 def _int_left_products(table, n: int, w):
-    """[e_1 w, ..., e_n w] over Z, in one pass over an int_table table."""
+    """[e_1 w, ..., e_n w] over Z, in one pass over a tensor's table."""
     out = [[0] * n for _ in range(n)]
     for i, j, entries in table:
         # e_i e_j = entries = -(e_j e_i)
@@ -363,7 +347,7 @@ def _int_identity(n: int):
 
 
 def _int_powers(table, n: int):
-    """Integer echelon rows of A^1, A^2, ... for an int_table table.
+    """Integer echelon rows of A^1, A^2, ... for a tensor's table.
 
     A^2 is spanned by the table's own products e_i e_j, i < j, and A^{i+1}
     by the products e_j w, w in the rows of A^i.  The walk ends after the
@@ -382,7 +366,7 @@ def _int_powers(table, n: int):
 
 
 def _int_dense(entries, n: int):
-    """The length-n integer vector of an int_table entry's (k, coeff) pairs."""
+    """The length-n integer vector of a table entry's (k, coeff) pairs."""
     row = [0] * n
     for k, v in entries:
         row[k] = v
@@ -455,7 +439,7 @@ def annihilator(a: StructureTensor):
 def int_change_basis(table, n: int, rows, inv):
     """Integer products {(i, j): coords} of an integer table in a new basis.
 
-    table is int_table(a)[1] (a scaled by L), rows an invertible integer
+    table is a.table (a scaled by L), rows an invertible integer
     basis g and inv = R from (d, R) = int_scaled_inverse(g).  The
     coordinates of g_i g_j are T(g_i, g_j) R with no division: they are the
     structure constants of a in the basis s g, where s = d L, because
@@ -565,7 +549,7 @@ def identity_flags(a: StructureTensor) -> IdentityFlags:
 
 def _row_sum_bound(table, n: int) -> int:
     """s, the largest over r of sum_{i,k} |(e_i e_k)_r| over ordered pairs,
-    for an int_table table: |(uv)_r| <= s |u|_oo |v|_oo for every u, v,
+    for a tensor's table: |(uv)_r| <= s |u|_oo |v|_oo for every u, v,
     and s bounds every row sum of K = sum_i |L_{e_i}| entrywise."""
     sums = [0] * n
     for _, _, entries in table:
@@ -576,7 +560,7 @@ def _row_sum_bound(table, n: int) -> int:
 
 def _engel_packing_bits(table, n: int, max_m: int) -> int:
     """B such that every entry of every S_alpha of `engel_degree` with
-    |alpha| <= max_m lies strictly inside +-2^(B-1), for an int_table
+    |alpha| <= max_m lies strictly inside +-2^(B-1), for a tensor's
     table: then a row packed with base-2^B digits is 0 only if its digits
     are (the top nonzero digit outweighs the rest).  With K = sum_i |L_i|
     entrywise, |S_alpha| <= K^|alpha| entrywise, and every entry of K^m is
@@ -587,7 +571,7 @@ def _engel_packing_bits(table, n: int, max_m: int) -> int:
 
 def _malcev_packing_bits(table, n: int) -> int:
     """B such that every digit of `_malcev_holds`' packed defect lies
-    strictly inside +-2^(B-1), for an int_table table.  A digit is the
+    strictly inside +-2^(B-1), for a tensor's table.  A digit is the
     defect at (x, e_a, e_b) with x a basis vector or a pair sum, so x, y
     and z have entries in {0, 1}.  Each of its four terms is three
     products of such vectors, and a product multiplies |.|_oo by at most

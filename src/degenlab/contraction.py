@@ -95,7 +95,7 @@ class RankSequence(tuple):
 
 def _int_rank_sequence(table, n: int, x) -> RankSequence:
     """Rank sequence of L_x for an integer vector x of length n on an
-    integer table (see algebra.int_table)."""
+    integer table (a tensor's `table`)."""
     # the rows e_j x = -(x e_j) form P = -L_x^T, and P^m has the rank of
     # (L_x)^m
     ranks = int_power_rank_sequence(_int_left_products(table, n, x), n + 1)

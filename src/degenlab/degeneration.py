@@ -387,7 +387,7 @@ def _hit_pairs(spec: ClosedSetSpec, n: int):
 
 def _orbit_meets(table, n: int, g, spans, pairs) -> bool:
     """Membership of the orbit point of an invertible basis g in the set of
-    `_hit_pairs` `pairs`: every hit product A(g_p, g_q) of the `int_table`
+    `_hit_pairs` `pairs`: every hit product A(g_p, g_q) of the tensor's
     table lies in W_k = span(g_k, ..., g_n), whose reduced rows `spans`
     (`int_suffix_spans`) decide it; W_{n+1} = 0.  Stops at the first
     failure."""
@@ -469,13 +469,15 @@ def _r_quadratics_hold(a: StructureTensor) -> bool:
 
 
 def _orbit_point(table, n: int, g) -> StructureTensor | None:
-    """The orbit point of the basis s g, s = d L, for an `int_table` table
+    """The orbit point of the basis s g, s = d L, for a tensor's table
     and (d, R) = int_scaled_inverse(g), exact for cone membership; None
     when g is singular."""
     d, inv = int_scaled_inverse(g)
     if not d:
         return None
-    return StructureTensor.from_trusted(n, int_change_basis(table, n, g, inv))
+    return StructureTensor._from_rational_pairs(n, {
+        key: [(x, 1) for x in vec]
+        for key, vec in int_change_basis(table, n, g, inv).items()})
 
 
 def random_invertible(dim: int, rng: random.Random):

@@ -54,45 +54,33 @@ class DivisionByZero(ZeroDivisionError):
     """Division by the zero polynomial or zero rational function."""
 
 
-def rational_from_obj(obj) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to an exact rational (the
-    one rule for JSON input).  A string is an integer or 'p/q' in ASCII
-    digits, with an optional sign, else ValueError: no decimals, exponents
-    or underscores, which `Fraction` would also read (`'1e20000000'` builds
-    a 66-million-bit int); its one match gives the ints of one Fraction.
-    A float, a bool or anything else: TypeError; a zero denominator:
-    DivisionByZero naming the text."""
+def rational_pair_from_obj(obj) -> tuple[int, int]:
+    """(num, den), reduced and den > 0, of an int, Fraction or 'p/q' string
+    (the one rule for JSON input).  A string is an integer or 'p/q' in
+    ASCII digits, with an optional sign, else ValueError: no decimals,
+    exponents or underscores, which `Fraction` would also read
+    (`'1e20000000'` builds a 66-million-bit int); its one match is read
+    straight into ints.  A float, a bool or anything else: TypeError; a
+    zero denominator: DivisionByZero naming the text."""
     if isinstance(obj, int) and not isinstance(obj, bool):
-        return Fraction(obj)
+        return int(obj), 1
     if isinstance(obj, str):
         match = _RATIONAL.fullmatch(obj.strip())
         if not match:
             raise ValueError(f"cannot interpret {obj!r} as a rational number")
-        num, den = match.groups()
-        try:
-            return Fraction(int(num), int(den or 1))
-        except ZeroDivisionError:
-            raise DivisionByZero(f"zero denominator in {obj!r}") from None
+        num, den = int(match[1]), int(match[2] or 1)
+        if not den:
+            raise DivisionByZero(f"zero denominator in {obj!r}")
+        g = gcd(num, den)
+        return num // g, den // g
     if isinstance(obj, Fraction):  # last: an ABC check, slow on an int
-        return obj
+        return obj.numerator, obj.denominator
     raise TypeError(f"cannot interpret {obj!r} as a rational number")
 
 
-def rational_pair_from_obj(obj) -> tuple[int, int]:
-    """(num, den), reduced and den > 0, of `rational_from_obj(obj)`: an int
-    or a 'p/q' string of the one `_RATIONAL` match is read straight into
-    ints, with no Fraction; anything else, and every refusal, is
-    `rational_from_obj`'s, with its exception and text."""
-    if type(obj) is int:
-        return obj, 1
-    match = _RATIONAL.fullmatch(obj.strip()) if type(obj) is str else None
-    if match:
-        num, den = int(match[1]), int(match[2] or 1)
-        if den:
-            g = gcd(num, den)
-            return num // g, den // g
-    q = rational_from_obj(obj)
-    return q.numerator, q.denominator
+def rational_from_obj(obj) -> Fraction:
+    """The exact rational of `rational_pair_from_obj(obj)`."""
+    return Fraction(*rational_pair_from_obj(obj))
 
 
 def rational_to_obj(q: Fraction):

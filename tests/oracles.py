@@ -653,7 +653,7 @@ def qt_certificate_verdict(cert):
 def zpoly_apply_parameterized_basis(a, rows):
     """(den, N) of degeneration.apply_parameterized_basis, with
     int_scaled_inverse and int_change_basis run on the ZPoly entries of G."""
-    from degenlab.algebra import int_change_basis, int_table
+    from degenlab.algebra import int_change_basis
     from degenlab.degeneration import SingularFamily, clear_denominators
     from degenlab.linalg import int_scaled_inverse
 
@@ -663,7 +663,7 @@ def zpoly_apply_parameterized_basis(a, rows):
     d, inv = int_scaled_inverse(g)
     if not d:
         raise SingularFamily("parameterized basis has identically zero determinant")
-    mult, table = int_table(a)
+    mult, table = a.mult, a.table
     return s * d * mult, int_change_basis(table, n, g, inv)
 
 
@@ -936,7 +936,6 @@ def _candidate_pool_oracle(a, seed: int, random_count: int = 64):
 def iw_max_oracle(a, seed: int = 0, trials: int = 20):
     """iw_max scanning the whole pool: no rank bound, no early stop, and
     every Fraction candidate scaled to integers on its own."""
-    from degenlab.algebra import int_table
     from degenlab.contraction import (
         IncomparableMaxima,
         _int_rank_sequence,
@@ -946,7 +945,7 @@ def iw_max_oracle(a, seed: int = 0, trials: int = 20):
     from degenlab.linalg import int_scaled
 
     pool, rng = _candidate_pool_oracle(a, seed)
-    table, n = int_table(a)[1], a.dim
+    table, n = a.table, a.dim
 
     def seq_of(vec):
         return _int_rank_sequence(table, n, int_scaled([vec])[1][0])
@@ -1066,7 +1065,7 @@ def random_lower_triangular(dim, rng):
 def flag_change_meets(table, n, g, pairs):
     """Membership of the orbit point of a flag-preserving basis g in the
     set of the pair map `pairs`: span(g_k, ..., g_n) = V_k, so each hit
-    product A(g_p, g_q) of the int_table table must vanish in its standard
+    product A(g_p, g_q) of the tensor's table must vanish in its standard
     coordinates 1..k-1."""
     from degenlab.algebra import _int_product
 
@@ -1082,13 +1081,13 @@ def sampled_lower_triangular_probe(pairs, dim, samples=100, seed=0):
     says that `samples` draws found no counterexample."""
     import random
 
-    from degenlab.algebra import StructureTensor, _int_identity, int_table
+    from degenlab.algebra import StructureTensor, _int_identity
     from degenlab.degeneration import Verdict
 
     rng = random.Random(seed)
     for trial in range(samples):
-        tensor = StructureTensor.from_trusted(dim, random_member(dim, pairs, rng))
-        table = int_table(tensor)[1]
+        tensor = StructureTensor(dim, random_member(dim, pairs, rng))
+        table = tensor.table
         if not flag_change_meets(table, dim, _int_identity(dim), pairs):
             return Verdict("fail", f"sampler produced a non-member at trial {trial}")
         g = random_lower_triangular(dim, rng)
@@ -1104,7 +1103,7 @@ def sampled_lower_triangular_probe(pairs, dim, samples=100, seed=0):
 
 def inverse_orbit_point(table, n, g):
     """Orbit point of the basis s g (s = d L) through the full inverse
-    R = d g^-1 and every product of the int_table table; None if g is
+    R = d g^-1 and every product of the tensor's table; None if g is
     singular."""
     from degenlab.algebra import StructureTensor, int_change_basis
     from degenlab.linalg import int_scaled_inverse
@@ -1121,11 +1120,10 @@ def inverse_orbit_refute(b, member, trials, seed):
     the whole orbit point.  The verdicts of randomized_orbit_refute."""
     import random
 
-    from degenlab.algebra import int_table
     from degenlab.degeneration import Verdict
 
     rng = random.Random(seed)
-    table, n = int_table(b)[1], b.dim
+    table, n = b.table, b.dim
     for trial in range(trials):
         while True:
             g = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
@@ -1150,7 +1148,6 @@ def inverse_lower_triangular_probe(dim, samples, seed, sampler, member):
     cone) must accept, and each moved orbit point must stay a member."""
     import random
 
-    from degenlab.algebra import int_table
     from degenlab.degeneration import Verdict
 
     rng = random.Random(seed)
@@ -1159,7 +1156,7 @@ def inverse_lower_triangular_probe(dim, samples, seed, sampler, member):
         if not member(tensor):
             return Verdict("fail", f"sampler produced a non-member at trial {trial}")
         g = random_lower_triangular(dim, rng)
-        if not member(inverse_orbit_point(int_table(tensor)[1], dim, g)):
+        if not member(inverse_orbit_point(tensor.table, dim, g)):
             return Verdict(
                 "fail",
                 f"membership lost under a flag-preserving change at trial {trial}",
@@ -1229,7 +1226,7 @@ def from_json_obj_oracle(obj):
 def from_pairs_oracle(dim, pairs):
     """The tensor as `from_pairs` built it from Fractions: each coefficient
     summed as Fraction(coeff), the vectors handed to `StructureTensor`,
-    which keeps them as `products` and scales them by `int_table`."""
+    which scales them to its integer table."""
     from degenlab.algebra import StructureTensor
 
     table = {}

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,7 +20,6 @@ from degenlab.algebra import (
     engel_degree,
     identity_flags,
     int_change_basis,
-    int_table,
     is_nilpotent,
     jacobi_holds,
     left_mult_matrix,
@@ -387,7 +388,7 @@ def test_engel_packing_bits_bound_every_coefficient():
     tables += [random_anticommutative(n, rng) for n in (2, 3, 4)]
     tables += list(_NOT_NILPOTENT) + [StructureTensor(3)]
     for a in tables:
-        mult, table = int_table(a)
+        mult, table = a.mult, a.table
         max_m = 4 if a.dim > 4 else a.dim + 1
         for m, cur in enumerate(engel_powers_oracle(a, max_m), start=1):
             top = max((abs(c) * mult ** m for row in cur for entry in row
@@ -428,7 +429,7 @@ def test_identity_kernels_match_fraction_oracles_on_fractional_conjugates():
             if fraction_inverse(rows) is not None:
                 break
         b = change_basis(a, rows)
-        assert int_table(b)[0] > 1  # dense and fractional
+        assert b.mult > 1  # dense and fractional
         assert _kernel_answers(b, n + 1) == _oracle_answers(b, n + 1), key
         assert _kernel_answers(b, n + 1) == _kernel_answers(a, n + 1), key
 
@@ -454,7 +455,7 @@ def test_identity_kernels_match_fraction_oracles_on_random_tables():
 def _row_sum_oracle(a):
     """s on the L-scaled table: the largest over r of the sum over ordered
     basis pairs (i, k) of |(e_i e_k)_r|, from `constant`."""
-    mult, n = int_table(a)[0], a.dim
+    mult, n = a.mult, a.dim
     return max(sum(abs(a.constant(i, k, r)) * mult
                    for i in range(1, n + 1) for k in range(1, n + 1))
                for r in range(1, n + 1))
@@ -471,7 +472,7 @@ def test_malcev_packing_bits_bound_every_defect_digit():
     tables += [_dense_fractional_conjugate(instantiate(key, n), rng)
                for key, n in (("eta2", 5), ("T4_e23", 5), ("T22_e34", 6))]
     for a in tables:
-        mult, table = int_table(a)
+        mult, table = a.mult, a.table
         half = 2 ** (_malcev_packing_bits(table, a.dim) - 1)
         assert 4 * _row_sum_oracle(a) ** 3 < half
         top = max((abs(v) for terms in malcev_terms_oracle(a)
@@ -578,7 +579,7 @@ def test_int_change_basis_is_the_scaled_orbit_point():
     cases += [_random_fractional_table(n, rng) for n in (3, 5, 8)]
     for a in cases:
         n = a.dim
-        mult, table = int_table(a)
+        mult, table = a.mult, a.table
         for _ in range(5):
             g = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
             d, inv = int_scaled_inverse(g)
@@ -636,7 +637,7 @@ def test_left_mult_matrix_matches_the_constant_oracle():
         for vec in (e_vec(n, 1), e_vec(n, n), (0,) * n, rand_vec(n, rng),
                     _fractional_vec(n, rng)):
             assert left_mult_matrix(a, vec) == left_mult_oracle(a, vec), a
-    assert sum(int_table(a)[0] > 1 for a in tables) >= 40
+    assert sum(a.mult > 1 for a in tables) >= 40
 
 
 def test_one_generated_subalgebras_are_lines():
@@ -659,16 +660,15 @@ def test_json_round_trip():
 
 
 def test_a_fraction_entry_is_stored_as_given():
-    # one Fraction per entry: the tensor keeps the Fractions it is handed
-    # and converts anything else as Fraction(x) did
+    # each entry is read as Fraction(x): the Fractions the tensor is
+    # handed keep their value, and anything else converts as it did
     given_vec = (Fraction(1, 3), Fraction(0), Fraction(-7, 2))
     a = StructureTensor(3, {(1, 2): given_vec})
-    assert all(x is y for x, y in zip(a.products[(1, 2)], given_vec))
+    assert a.products == {(1, 2): given_vec}
     mixed = (1, "2/4", 0.5, Fraction(3), -2)
     b = StructureTensor(5, {(2, 4): mixed})
     assert b.products == {(2, 4): tuple(Fraction(x) for x in mixed)}
     assert all(type(x) is Fraction for x in b.products[(2, 4)])
-    assert b.products[(2, 4)][3] is mixed[3]
     with pytest.raises(ValueError, match=r"product key \(2,1\)"):
         StructureTensor(3, {(2, 1): given_vec})
     with pytest.raises(ValueError, match=r"product key \(1,4\)"):
@@ -824,15 +824,85 @@ def test_pairs_are_built_as_the_fraction_path_builds_them(case):
 @given(_tables(), _tables(), st.randoms(use_true_random=False))
 def test_tables_compare_as_their_fraction_products(obj, other, rnd):
     # == and hash read the integer table; they agree with == on products,
-    # for the same records in another order and for two unrelated tables
+    # for the same records in another order and for two unrelated tables,
+    # read from JSON or handed to __init__ as Fractions, in any pairing
     shuffled = dict(obj, products=rnd.sample(obj["products"], len(obj["products"])))
     a = StructureTensor.from_json_obj(obj)
+    a_init = StructureTensor(*from_json_obj_oracle(obj))
     for obj_b in (shuffled, other):
         b = StructureTensor.from_json_obj(obj_b)
-        want = tensor_eq_oracle(StructureTensor(*from_json_obj_oracle(obj)),
-                                StructureTensor(*from_json_obj_oracle(obj_b)))
-        assert (a == b) == want and (b == a) == want
-        assert not want or hash(a) == hash(b)
+        b_init = StructureTensor(*from_json_obj_oracle(obj_b))
+        want = tensor_eq_oracle(a_init, b_init)
+        for x, y in ((a, b), (a_init, b_init), (a, b_init), (a_init, b)):
+            assert (x == y) == want and (y == x) == want
+            assert not want or hash(x) == hash(y)
+
+
+def test_every_constructor_builds_the_integer_table():
+    # one form: each constructor sets mult and table and leaves the
+    # Fraction products unmade; the orbit point, built from integer
+    # products, keeps mult 1 and the table of those products
+    from degenlab.degeneration import _orbit_point
+
+    half = Fraction(1, 2)
+    a = StructureTensor(4, {(1, 2): (0, 0, half, 0), (1, 3): (0, 0, 0, 1),
+                            (2, 3): (0, 0, 0, 0)})
+    g = [[1, 0, 0, 0], [2, 1, 0, 0], [0, -1, 1, 0], [0, 0, 3, 1]]
+    built = {
+        "__init__": a,
+        "from_pairs": StructureTensor.from_pairs(4, [(1, 2, 3, half), (1, 3, 4)]),
+        "from_json_obj": StructureTensor.from_json_obj({"dim": 4, "products": [
+            {"i": 1, "j": 2, "value": [0, 0, "1/2", 0]},
+            {"i": 1, "j": 3, "value": [0, 0, 0, 1]}]}),
+        "change_basis": change_basis(a, g),
+        "_orbit_point": _orbit_point(a.table, 4, g),
+    }
+    for name, b in built.items():
+        assert _holds(b, "mult") and _holds(b, "table"), name
+        assert not _holds(b, "products"), name
+    assert (a.mult, a.table) == (2, [(0, 1, ((2, 1),)), (0, 2, ((3, 2),))])
+    assert a == built["from_pairs"] == built["from_json_obj"]
+    point = built["_orbit_point"]
+    moved = int_change_basis(a.table, 4, g, int_scaled_inverse(g)[1])
+    assert point.mult == 1 and point == StructureTensor(4, moved)
+    assert point.table == [(i - 1, j - 1, tuple((k, x) for k, x in enumerate(vec) if x))
+                           for (i, j), vec in moved.items()]
+    assert built["change_basis"] == StructureTensor(
+        4, change_basis_oracle(4, pairs_of(a), g))
+
+
+def _copies(a):
+    """copy, deepcopy and a pickle round trip at every protocol."""
+    return [copy.copy(a), copy.deepcopy(a)] + [
+        pickle.loads(pickle.dumps(a, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+
+def test_a_tensor_copies_and_pickles_as_its_integer_table():
+    # a copy is rebuilt from (dim, mult, table) with its caches empty, so a
+    # half-taken power walk (a generator) neither blocks a pickle nor is
+    # shared; equality, hash and the invariants are the original's
+    fresh = [instantiate("T22", 5), instantiate("T4", 5),
+             StructureTensor(3, {(1, 2): (0, 0, Fraction(1, 2))}),
+             StructureTensor(3, {(1, 2): (0, 1, 0)}), StructureTensor(2)]
+    for key, n in (("T22", 5), ("T4", 5), ("eta2", 5)):
+        a = instantiate(key, n)
+        a.power(2)  # the walk is half taken: A^1 and A^2 read, no further
+        a.centralizer_dim(1)
+        fresh.append(a)
+    for a in fresh:
+        want = (a.dim, a.mult, a.table, hash(a))
+        for b in _copies(a):
+            assert type(b) is StructureTensor
+            assert (b.dim, b.mult, b.table, hash(b)) == want
+            assert b == a and a == b
+            for slot in ("products", "_walk", "_powers", "_centralizers"):
+                assert not _holds(b, slot), slot
+            assert b.nilindex == is_nilpotent_oracle(a)[1]
+            assert b.ann_dim == ann_dim_oracle(a)
+            assert b._walk is not a._walk and b._powers is not a._powers
+            assert b._centralizers is not a._centralizers
+        assert a.nilindex == is_nilpotent_oracle(a)[1]
 
 
 def test_is_nilpotent_detects_stabilization():
@@ -913,7 +983,7 @@ def test_integer_layer_matches_fraction_oracles_on_dense_conjugates():
             continue
         a = instantiate(key, n)
         b = _dense_fractional_conjugate(a, rng)
-        fractional += int_table(b)[0] > 1
+        fractional += b.mult > 1
         assert _assert_layer_matches_oracles(b, rng) == is_nilpotent(a), key
     assert fractional >= 20
 

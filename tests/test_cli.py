@@ -219,9 +219,8 @@ def test_info_builds_one_integer_table(capsys, monkeypatch):
     # a catalog tensor (cmd_info's), one from pairs and one read from JSON
     # carry their integer table from construction and no Fraction products:
     # the identity flags, nilpotency, Engel degree and iw_max read the
-    # table, no reader builds one (int_table) and none makes the products;
-    # nor does a seeded queries stream run through the benchmark child's
-    # library calls
+    # table and none makes the products; nor does a seeded queries stream
+    # run through the benchmark child's library calls
     import importlib
 
     import degenlab
@@ -241,10 +240,9 @@ def test_info_builds_one_integer_table(capsys, monkeypatch):
         with pytest.raises(AttributeError):
             algebra.StructureTensor.products.__get__(a)
 
-    built = []
-    for name in ("int_table", "_rational_products"):
-        monkeypatch.setattr(algebra, name, lambda *args, fn=getattr(algebra, name),
-                            name=name: built.append(name) or fn(*args))
+    built, products = [], algebra._rational_products
+    monkeypatch.setattr(algebra, "_rational_products",
+                        lambda *args: built.append(args) or products(*args))
     assert main(["info", "T32_e23", "--dim", "6"]) == 0
     assert "jacobi / malcev" in capsys.readouterr().out
     algebra.identity_flags(t)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from degenlab.algebra import StructureTensor, change_basis
 from degenlab.catalog import instantiate
-from degenlab.algebra import _int_product, int_change_basis, int_table
+from degenlab.algebra import _int_product, int_change_basis
 from degenlab.degeneration import (
     _R_FLAGS,
     _hit_pairs,
@@ -294,7 +294,7 @@ def test_packing_bits_bound_every_tested_and_unpacked_value(case):
     n = a.dim
     _, flat = clear_denominators(f for row in rows for f in row)
     g = [flat[i * n:(i + 1) * n] for i in range(n)]
-    table = int_table(a)[1]
+    table = a.table
     r = [sum(_norm(x) for x in row) + 1 for row in g]
     top = max((abs(v) for _, _, entries in table for _, v in entries), default=1)
     big_m = prod(r)
@@ -932,7 +932,7 @@ def test_orbit_membership_matches_the_inverse_path():
         n = rng.randint(3, 8)
         b = _sparse_table(n, rng)
         spec = _random_spec(n, rng)
-        table, pairs = int_table(b)[1], _hit_pairs(spec, n)
+        table, pairs = b.table, _hit_pairs(spec, n)
         flag = random_lower_triangular(n, rng)
         want = closed_set_member(inverse_orbit_point(table, n, flag), spec)
         assert flag_change_meets(table, n, flag, pairs) == want

@@ -350,6 +350,21 @@ def test_a_refused_rational_raises_as_before(obj):
         assert got == (DivisionByZero, f"zero denominator in {obj!r}")
 
 
+class _Count(int):
+    """An int subclass other than bool, read as the int it holds."""
+
+
+@pytest.mark.parametrize("obj", [
+    0, -7, 10**40, _Count(5), _Count(-12), Fraction(-6, 4), Fraction(3),
+])
+def test_an_accepted_number_reads_as_before(obj):
+    # ints (and their subclasses but bool) and Fractions: the value and
+    # type of the reader before its rules moved into the pair reader
+    got = _outcome(rational_from_obj, obj)
+    assert got == _outcome(rational_from_obj_oracle, obj)
+    assert got == _outcome(_pair_as_fraction, obj)
+
+
 # --- ZPoly: the one polynomial type ---------------------------------------
 
 T = Symbol("t")

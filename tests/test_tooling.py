@@ -392,6 +392,23 @@ def test_the_ci_smoke_step_runs_every_benchmark_workload():
     assert '.get("correct") is not True' in workflow
 
 
+def test_the_ci_installs_the_declared_test_dependencies():
+    # the tier-1 workflow installs exactly the `test` extra of
+    # pyproject.toml, so the tools CI runs with and those the project
+    # declares cannot drift apart
+    import tomllib
+
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    declared = project["project"]["optional-dependencies"]["test"]
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(
+        encoding="utf-8")
+    prefix = "run: python -m pip install "
+    (line,) = [line.strip() for line in workflow.splitlines()
+               if line.strip().startswith(prefix)]
+    assert line[len(prefix):].split() == declared
+
+
 def test_check_loads_and_judges_a_claim_as_the_ledger_run_does():
     # `degenlab check` reads its claim with the ledger loader and judges it
     # with the run's own function: the CLI names no reader or checker of

@@ -304,17 +304,16 @@ def test_the_run_builds_one_invariant_record_per_label(monkeypatch):
     # the run's Records store holds one tensor per label (160), witnesses
     # included, each a catalog or inline JSON table that carries its
     # integer table from construction; the checks, the audit, the
-    # separators, iw_max and classify_T22 read that table, and no reader
-    # builds one of its own (int_table is never called)
+    # separators, iw_max and classify_T22 read that table, and no
+    # separator makes the Fraction products
     built, tensors = [], {}
-    int_table, resolve = algebra.int_table, AlgebraRef.resolve
+    products, resolve = algebra._rational_products, AlgebraRef.resolve
 
     def resolved(ref):
         tensor = tensors[ref.label] = resolve(ref)
         StructureTensor.table.__get__(tensor)  # set, not filled when read
         return tensor
 
-    monkeypatch.setattr(algebra, "int_table", lambda a: built.append(a) or int_table(a))
     monkeypatch.setattr(AlgebraRef, "resolve", resolved)
     ledger = load_ledger(shipped_ledger_path())
     report = run_ledger(ledger, seed=20240917, trials=1)
@@ -322,13 +321,13 @@ def test_the_run_builds_one_invariant_record_per_label(monkeypatch):
     labels = {ref.label for claim in ledger.certificates + ledger.witnesses
               for ref in (claim.source, claim.target)}
     assert len(labels) == 160 and tensors.keys() == labels
-    assert not built
 
     records = Records(20240917)
     src, tgt = AlgebraRef("T222", 7), AlgebraRef("T3", 7)
     for ref in (src, tgt):
         records.tensor(ref).table
-    built.clear()
+    monkeypatch.setattr(algebra, "_rational_products",
+                        lambda *args: built.append(args) or products(*args))
     for kind in SEPARATORS:
         separator_check(kind, records, src, tgt)
     assert separator_check("iw_partition", records, src, tgt) == (
