@@ -62,8 +62,8 @@ def rational_pair_from_obj(obj) -> tuple[int, int]:
     (`'1e20000000'` builds a 66-million-bit int); its one match is read
     straight into ints.  A float, a bool or anything else: TypeError; a
     zero denominator: DivisionByZero naming the text."""
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return int(obj), 1
+    if type(obj) is int:  # most entries: one type test, no isinstance or int()
+        return obj, 1
     if isinstance(obj, str):
         match = _RATIONAL.fullmatch(obj.strip())
         if not match:
@@ -73,6 +73,8 @@ def rational_pair_from_obj(obj) -> tuple[int, int]:
             raise DivisionByZero(f"zero denominator in {obj!r}")
         g = gcd(num, den)
         return num // g, den // g
+    if isinstance(obj, int) and not isinstance(obj, bool):  # an int subclass
+        return int(obj), 1
     if isinstance(obj, Fraction):  # last: an ABC check, slow on an int
         return obj.numerator, obj.denominator
     raise TypeError(f"cannot interpret {obj!r} as a rational number")
