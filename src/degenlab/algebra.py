@@ -16,10 +16,13 @@ i in supp alpha), keeping only the nonzero ones, instead of sampling.
 Matrices are lists of rows.  A StructureTensor is the one algebra object,
 and it keeps what it computes.  It has one form: its table scaled by the
 lcm L of its denominators (`mult` and `table`), built at construction by
-`_scaled_table` whatever the constructor, and every closed invariant runs
-over Z on it.  Fraction appears only at the API boundary (`products`, made
-from the table when first read, `product`'s result, the rows of
-`left_mult_matrix`).
+`_scaled_table` whatever the constructor, and every closed invariant, and
+every check of a ledger run, runs over Z on it.  Fraction appears only in
+output: `products`, a view made from the table at each read (for
+`to_json_obj` and `repr`), `product`'s result, the rows of
+`left_mult_matrix` and the table of `change_basis`'s result.  Above this
+module it remains only in the `iw_max` witness, IWDominance elements and
+the values at t = 0 of a stored source basis (`degeneration`).
 `power_ideal` and `annihilator` return integer echelon rows: the tensor's
 `power(i)`, and the `linalg.kernel_basis` of at most n integer conditions.
 `StructureTensor.from_json_obj` is the one reader of the JSON table
@@ -89,9 +92,9 @@ class StructureTensor:
 
     Every constructor reads the entries into reduced (num, den) pairs and
     builds the integer table, `mult` and `table` (`_scaled_table`), in the
-    given key order; no constructor stores `products`.  `products`, the
-    Fraction(x, mult) of the table's entries, is made only for a caller
-    that reads it.  `__init__` reads each entry as Fraction(x).
+    given key order; that is the tensor's one form.  `products`, the
+    Fraction(x, mult) of the table's entries, is an output view made at
+    each read.  `__init__` reads each entry as Fraction(x).
 
     Immutable: nothing writes `dim` or the table after construction, so a
     cached invariant stays true.  `__eq__` and `__hash__` read only `dim`,
@@ -101,8 +104,7 @@ class StructureTensor:
     with its caches empty (`__reduce__`).
     """
 
-    __slots__ = ("dim", "products", "mult", "table", "_walk", "_powers",
-                 "_centralizers")
+    __slots__ = ("dim", "mult", "table", "_walk", "_powers", "_centralizers")
 
     def __init__(self, dim: int, products=None):
         if dim < 1:
@@ -121,7 +123,10 @@ class StructureTensor:
     def from_pairs(dim: int, pairs) -> "StructureTensor":
         """Build from entries (i, j, k) or (i, j, k, coeff): e_i e_j = coeff*e_k,
         the coefficients of a pair summed; a coefficient that is not an int
-        is read as Fraction(coeff)."""
+        is read as Fraction(coeff).  Raises ValueError for dim < 1, a key
+        outside 1 <= i < j <= dim or an index k outside 1..dim."""
+        if dim < 1:
+            raise ValueError("dimension must be positive")
         rows = {}
         for entry in pairs:
             if len(entry) == 3:
@@ -129,12 +134,11 @@ class StructureTensor:
                 coeff = 1
             else:
                 i, j, k, coeff = entry
+            _check_key(i, j, dim)
+            if not 1 <= k <= dim:
+                raise ValueError(f"product index {k} is not 1 <= k <= {dim}")
             vec = rows.setdefault((i, j), [0] * dim)
             vec[k - 1] += coeff if type(coeff) is int else Fraction(coeff)
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        for i, j in rows:
-            _check_key(i, j, dim)
         return StructureTensor._from_rational_pairs(dim, {
             key: [(x.numerator, x.denominator) for x in vec]
             for key, vec in rows.items()})
@@ -149,27 +153,27 @@ class StructureTensor:
         # a generator, which neither pickles nor may be shared by a copy
         return _from_table, (self.dim, self.mult, self.table)
 
-    def constant(self, i: int, j: int, k: int) -> Fraction:
-        """mu_{i,j}^k with anticommutativity filled in (1-based indices)."""
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            vec = self.products.get((i, j))
-            return vec[k - 1] if vec else Fraction(0)
-        vec = self.products.get((j, i))
-        return -vec[k - 1] if vec else Fraction(0)
-
     def __getattr__(self, name):
         # reached when normal lookup fails: fill the empty cache slot named
-        if name == "products":
-            self.products = _rational_products(self.table, self.mult, self.dim)
-        elif name in ("_walk", "_powers"):
+        if name in ("_walk", "_powers"):
             self._walk, self._powers = _int_powers(self.table, self.dim), []
         elif name == "_centralizers":
             self._centralizers = {}
         else:
             raise AttributeError(name)
         return getattr(self, name)
+
+    @property
+    def products(self):
+        """{(i, j): the n Fractions of e_i e_j}, 1-based, in the table's
+        key order: the table over mult, an output view made at each read."""
+        n, mult, products = self.dim, self.mult, {}
+        for i, j, entries in self.table:
+            vec = [Fraction(0)] * n
+            for k, v in entries:
+                vec[k] = Fraction(v, mult)
+            products[(i + 1, j + 1)] = tuple(vec)
+        return products
 
     @property
     def powers(self):
@@ -286,18 +290,6 @@ def _from_table(dim: int, mult: int, table) -> StructureTensor:
     a = StructureTensor.__new__(StructureTensor)
     a.dim, a.mult, a.table = dim, mult, table
     return a
-
-
-def _rational_products(table, mult: int, n: int):
-    """{(i, j): the n Fractions of e_i e_j}, 1-based, of a tensor's table
-    scaled by mult: its `products`."""
-    products = {}
-    for i, j, entries in table:
-        vec = [Fraction(0)] * n
-        for k, v in entries:
-            vec[k] = Fraction(v, mult)
-        products[(i + 1, j + 1)] = tuple(vec)
-    return products
 
 
 def _scaled_table(rows):

@@ -20,9 +20,11 @@ substitution), and only d is read back as balanced base-2^B digits.
 for zero or hand back, so their ints are the images of the same
 computation over Z[t].  A constant has a pole at 0 iff
 ord_t N < v = ord_t(L s d), and otherwise its limit is N[v] / (L s d)[v],
-both read off packed N (`exactnum.packed_limit_at_zero`).  One `==` with
-the target's products passes a certificate; a mismatch walks the
-constants in order to name the first that differs.
+both read off packed N (`exactnum.packed_limit_at_zero`, which returns
+N[v]).  Every limit has the one denominator D = (L s d)[v], so the limits
+equal the target's table T / M iff N[v] M = T D: one `==` of those integer
+rows passes a certificate, and a mismatch walks the constants in order to
+name the first that differs, the one place a Fraction is made.
 
 Non-degenerations are two-tiered.  Invariant witnesses are proofs on
 closed invariants, each declared once, with its order under degeneration,
@@ -47,7 +49,13 @@ no division (`_orbit_point`); it is built only for a stored source basis
 (its values at t = 0, scaled to integers) and for the R quadratics of a
 sample that meets R's flags.  Scaling a table by c is the
 flag-preserving change c I, so each ClosedSetSpec set and R is a cone:
-the s g point is a member iff the g point is.  Sampling needs trials >= 1.
+the s g point is a member iff the g point is, and both membership and the
+R quadratics read its integer table.  Sampling needs trials >= 1.
+
+Every check here reads integer tables.  Fraction remains only in output
+(a tensor's `products`, a mismatch message), in a stored source basis's
+values at t = 0 (scaled to integers before its orbit point is built), in
+IWDominance elements (read with the payload) and in the `iw_max` witness.
 
 Stability of a flag-condition set under the lower-triangular group B is
 decided exactly, on its hit pairs alone (`_pair_map_verdict`), with no
@@ -62,6 +70,7 @@ from __future__ import annotations
 
 import copyreg
 import random
+from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
 from operator import ge, le
@@ -69,8 +78,8 @@ from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from . import catalog
-from .algebra import (StructureTensor, _int_product, engel_degree, int_change_basis,
-                      jacobi_holds)
+from .algebra import (StructureTensor, _int_dense, _int_product, engel_degree,
+                      int_change_basis, jacobi_holds)
 from .contraction import (NotEngelAt, _rank_bound, dominates, iw_scan,
                           partition_from_rank_sequence, rank_sequence)
 from .exactnum import (
@@ -309,6 +318,9 @@ def verify_degeneration(cert: DegenerationCertificate, records: Records) -> Verd
         den, constants, bits = apply_parameterized_basis(src, rows)
     except SingularFamily as exc:
         return Verdict("fail", str(exc))
+    # a limit N[v] / D, D = den[v], equals a target constant T / M iff
+    # N[v] M = T D
+    mult, lead = tgt.mult, den.coeffs[den.order()]
     limits = {}
     for (i, j), vec in constants.items():
         got = tuple(packed_limit_at_zero(x, bits, den) for x in vec)
@@ -317,17 +329,19 @@ def verify_degeneration(cert: DegenerationCertificate, records: Records) -> Verd
             return Verdict("fail", f"pole at t=0 in constant ({i},{j})^{k}",
                            {"position": (i, j, k)})
         if any(got):
-            limits[(i, j)] = got
-    products, zeros = tgt.products, (0,) * n
-    if limits == products:
+            limits[(i, j)] = tuple(mult * x for x in got)
+    target = {(i + 1, j + 1): tuple(lead * x for x in _int_dense(entries, n))
+              for i, j, entries in tgt.table}
+    if limits == target:
         return Verdict("pass")
-    for i, j in sorted(limits.keys() | products.keys()):
-        want, got = products.get((i, j), zeros), limits.get((i, j), zeros)
+    zeros = (0,) * n
+    for i, j in sorted(limits.keys() | target.keys()):
+        want, got = target.get((i, j), zeros), limits.get((i, j), zeros)
         k = next((k for k in range(1, n + 1) if want[k - 1] != got[k - 1]), None)
         if k:
-            return Verdict("fail", f"limit constant ({i},{j})^{k} is "
-                                   f"{got[k - 1]}, target has {want[k - 1]}",
-                           {"position": (i, j, k)})
+            got, want = (Fraction(x[k - 1], mult * lead) for x in (got, want))
+            return Verdict("fail", f"limit constant ({i},{j})^{k} is {got}, "
+                                   f"target has {want}", {"position": (i, j, k)})
     return Verdict("pass")
 
 
@@ -357,8 +371,10 @@ class ClosedSetSpec(_Triples):
 
 def closed_set_member(a: StructureTensor, spec: ClosedSetSpec) -> bool:
     """Membership in the flag-condition set: the coordinates 1..k-1 of each
-    product e_p e_q that `_hit_pairs` lists with k are 0."""
-    return not any(any(a.products.get((p + 1, q + 1), ())[:k - 1])
+    product e_p e_q that `_hit_pairs` lists with k are 0, read off the
+    integer table, whose entries of a pair are nonzero and in order."""
+    first = {(i, j): entries[0][0] for i, j, entries in a.table}
+    return not any(first.get((p, q), k) < k - 1
                    for p, q, k in _hit_pairs(spec, a.dim))
 
 
@@ -458,14 +474,12 @@ _R_QUADRATICS = (
 
 
 def _r_quadratics_hold(a: StructureTensor) -> bool:
-    """The quadratic relations of R, for a seven-dimensional table."""
-    for relation in _R_QUADRATICS:
-        acc = 0
-        for (m1, m2, sign) in relation:
-            acc += sign * a.constant(*m1) * a.constant(*m2)
-        if acc != 0:
-            return False
-    return True
+    """The quadratic relations of R, for a seven-dimensional table.  They
+    are homogeneous, so the integer table, scaled by mult, decides them;
+    every monomial (i, j, k) has i < j, a key of the table."""
+    c = {(i + 1, j + 1, k + 1): v for i, j, entries in a.table for k, v in entries}
+    return not any(sum(sign * c.get(m1, 0) * c.get(m2, 0) for m1, m2, sign in relation)
+                   for relation in _R_QUADRATICS)
 
 
 def _orbit_point(table, n: int, g) -> StructureTensor | None:

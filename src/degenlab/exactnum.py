@@ -12,9 +12,11 @@ certificate check puts them over one common denominator once
 (`degeneration.clear_denominators`, using `poly_gcd`) and runs its
 linear algebra on the values at t = 2^B (`ZPoly.at_power_of_two`), reading
 d back from its balanced digits (`ZPoly.from_balanced_digits`).  The value
-of num/den at t = 0 has one rule, `limit_at_zero`, also read off num(2^B)
-(`packed_limit_at_zero`): a pole iff ord_t num < ord_t den, and otherwise
-num[v] / den[v] with v = ord_t den, whether or not the pair is reduced.
+of num/den at t = 0 has one rule, `limit_at_zero`: a pole iff
+ord_t num < ord_t den, and otherwise num[v] / den[v] with v = ord_t den,
+whether or not the pair is reduced.  `packed_limit_at_zero` reads the
+integer num[v] off num(2^B), or None at a pole, for a caller that holds
+the one denominator den[v] of many limits.
 
 One expression parser reads all ledger text: every ledger basis row,
 such as `(1/t)*e5 - (1/t^2)*e7`, a sum of `e<k>` with coefficients such
@@ -237,7 +239,6 @@ def _zpoly(coeffs: tuple) -> ZPoly:
 
 ZPOLY_ZERO = _zpoly(())
 ZPOLY_ONE = _zpoly((1,))
-_ZERO = Fraction(0)
 
 
 def content(coeffs) -> int:
@@ -282,16 +283,17 @@ def limit_at_zero(num: ZPoly, den: ZPoly):
 
 
 def packed_limit_at_zero(x: int, bits: int, den: ZPoly):
-    """`limit_at_zero(num, den)` read off x = num(2^bits), num's coefficients
-    strictly inside +-2^(bits-1): x has bits ord_t(num) + (< bits - 1)
+    """num[v], v = ord_t den, or None at a pole, read off x = num(2^bits),
+    num's coefficients strictly inside +-2^(bits-1): `limit_at_zero(num,
+    den)` is num[v] / den[v].  x has bits ord_t(num) + (< bits - 1)
     trailing zero bits, and num[v] is the balanced residue of x >> (bits v)."""
     if not x:
-        return _ZERO
+        return 0
     v, order = den.order(), ((x & -x).bit_length() - 1) // bits
     if order != v:
-        return None if order < v else _ZERO
+        return None if order < v else 0
     half = 1 << (bits - 1)
-    return Fraction(((x >> (bits * v)) + half) % (2 * half) - half, den.coeffs[v])
+    return ((x >> (bits * v)) + half) % (2 * half) - half
 
 
 # --- text syntax --------------------------------------------------------

@@ -23,7 +23,7 @@ scaled `linalg.int_scaled_inverse` replaced is the reference for its
 (d, R), and records every entry the packing bound must cover.  The
 polynomial gcd of binary forms that the T22 classifier once took is the
 reference for its divisor read off the span of the Pfaffian forms.  The
-classifier's former Fraction skew net (read through `a.constant`), its
+classifier's former Fraction skew net (read through `constant`), its
 dense Pfaffians over every 4-subset, its scaled pencil rank and its
 order (the Engel test first) are the reference for the integer net, the
 sparse Pfaffians and the classifier that tests A * A^2 = 0 first.  The
@@ -35,9 +35,13 @@ to `StructureTensor(dim, products)`, and `==` read off `products`, are
 the reference for the tensors built straight as their integer table.
 The ranks of the powers of sum_i x_i L_{e_i} over Q(x_1, ..., x_n), in
 sympy's field, are the generic rank sequence that the scan's exact
-stopping bound must dominate.
+stopping bound must dominate.  `constant(a, i, j, k)`, the per-entry
+accessor that the package dropped once no run path read Fractions, reads
+a tensor's Fraction `products` for the oracles above, and
+`products_reads` lists who reads that view while a block runs.
 """
 
+import contextlib
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -87,6 +91,38 @@ def pairs_of(tensor):
             if c:
                 out.append((i, j, k, c))
     return out
+
+
+@contextlib.contextmanager
+def products_reads():
+    """A list of the tensors whose `products` view is read in the block:
+    the run paths read only the integer table."""
+    from degenlab.algebra import StructureTensor
+
+    reads, view = [], StructureTensor.products
+    StructureTensor.products = property(lambda a: reads.append(a) or view.fget(a))
+    try:
+        yield reads
+    finally:
+        StructureTensor.products = view
+
+
+@lru_cache(maxsize=64)
+def _products_of(tensor):
+    """The Fraction products of a StructureTensor, read once per tensor
+    (the tensor makes them at each read)."""
+    return tensor.products
+
+
+def constant(a, i, j, k):
+    """mu_{i,j}^k of a StructureTensor with anticommutativity filled in
+    (1-based indices), as a Fraction."""
+    if i == j:
+        return Fraction(0)
+    vec = _products_of(a).get((min(i, j), max(i, j)))
+    if not vec:
+        return Fraction(0)
+    return vec[k - 1] if i < j else -vec[k - 1]
 
 
 def square_dim_oracle(tensor):
@@ -342,7 +378,7 @@ def binary_form_gcd(forms):
 #
 # The former bodies of catalog's skew net, Pfaffian span, pencil rank,
 # classifier and pfaffian_conic profile: the net read through
-# `a.constant` as Fractions, every 4 x 4 Pfaffian of every 4-subset
+# `constant` as Fractions, every 4 x 4 Pfaffian of every 4-subset
 # formed in Fraction arithmetic and scaled to integers, and the 2-Engel
 # test run before anything else.  The reference for the integer net, the
 # sparse Pfaffians and the classifier that tests A * A^2 = 0 first.
@@ -354,7 +390,7 @@ def skew_net_oracle(a, square):
     `square` of A^2."""
     pivots = [next(i for i, x in enumerate(row) if x) for row in square]
     lift = [i + 1 for i in range(a.dim) if i not in pivots]
-    return [[tuple(a.constant(i, j, p + 1) for p in pivots) for j in lift]
+    return [[tuple(constant(a, i, j, p + 1) for p in pivots) for j in lift]
             for i in lift]
 
 
@@ -818,7 +854,7 @@ def left_mult_oracle(a, vec):
     """Rows of L_x read off the structure constants: entry (k, j) is
     (x e_j)_k = sum_i x_i mu_{i,j}^k."""
     n = a.dim
-    return [[sum(Fraction(vec[i - 1]) * a.constant(i, j, k) for i in range(1, n + 1))
+    return [[sum(Fraction(vec[i - 1]) * constant(a, i, j, k) for i in range(1, n + 1))
              for j in range(1, n + 1)] for k in range(1, n + 1)]
 
 
@@ -859,7 +895,7 @@ def annihilator_oracle(a):
     rows = []
     for j in range(1, n + 1):
         for k in range(n):
-            rows.append([a.constant(i, j, k + 1) for i in range(1, n + 1)])
+            rows.append([constant(a, i, j, k + 1) for i in range(1, n + 1)])
     return kernel_oracle(rows)
 
 
@@ -986,7 +1022,7 @@ def generic_rank_sequence_oracle(a):
     names = symbols(f"x1:{n + 1}")
     field = QQ.frac_field(*names)
     xs = [field.from_sympy(x) for x in names]
-    lx = [[sum((xs[i - 1] * field.convert(a.constant(i, j, k))
+    lx = [[sum((xs[i - 1] * field.convert(constant(a, i, j, k))
                 for i in range(1, n + 1)), field.zero)
            for j in range(1, n + 1)] for k in range(1, n + 1)]
     cur, ranks = lx, []

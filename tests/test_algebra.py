@@ -32,7 +32,8 @@ from degenlab.verification_db import load_ledger
 from degenlab.verification_db import shipped_ledger_path
 from degenlab.linalg import Singular, int_scaled_inverse
 
-from oracles import change_basis_oracle, fraction_inverse, matmul, pairs_of
+from oracles import change_basis_oracle, constant, fraction_inverse, matmul, pairs_of
+from oracles import products_reads
 from oracles import engel_degree_oracle, engel_powers_oracle
 from oracles import jacobi_oracle, malcev_oracle, malcev_terms_oracle
 
@@ -456,7 +457,7 @@ def _row_sum_oracle(a):
     """s on the L-scaled table: the largest over r of the sum over ordered
     basis pairs (i, k) of |(e_i e_k)_r|, from `constant`."""
     mult, n = a.mult, a.dim
-    return max(sum(abs(a.constant(i, k, r)) * mult
+    return max(sum(abs(constant(a, i, k, r)) * mult
                    for i in range(1, n + 1) for k in range(1, n + 1))
                for r in range(1, n + 1))
 
@@ -758,11 +759,28 @@ def _holds(a, slot):
     return True
 
 
+def _int_form(a):
+    """Whether the tensor holds its integer table and nothing else: an int
+    mult and (i, j, ((k, coeff), ...)) rows of nonzero ints, in order."""
+    return (type(a.mult) is int and a.mult > 0
+            and all(type(i) is type(j) is int and 0 <= i < j < a.dim
+                    and [k for k, _ in entries] == sorted({k for k, _ in entries})
+                    and all(type(x) is int and x for _, x in entries)
+                    for i, j, entries in a.table))
+
+
+def _built(make, *args):
+    """make(*args), a constructor, checked to read no `products` and to
+    hold only its integer table."""
+    with products_reads() as reads:
+        a = make(*args)
+    assert reads == [] and _int_form(a)
+    return a
+
+
 def _same_tensor(got, want):
     """got, built as its integer table, against want, built from its
     Fraction products: every public reading and its order agree."""
-    assert _holds(got, "table") and _holds(got, "mult")
-    assert not _holds(got, "products")
     assert (got.dim, got.mult, got.table) == (want.dim, want.mult, want.table)
     assert list(got.products.items()) == list(want.products.items())
     assert all(type(x) is Fraction for vec in got.products.values() for x in vec)
@@ -770,7 +788,7 @@ def _same_tensor(got, want):
     assert got.to_json_obj() == want.to_json_obj()
     assert repr(got) == repr(want)
     n = got.dim
-    assert all(got.constant(i, j, k) == want.constant(i, j, k)
+    assert all(constant(got, i, j, k) == constant(want, i, j, k)
                for i in range(1, n + 1) for j in range(1, n + 1)
                for k in range(1, n + 1))
 
@@ -780,8 +798,8 @@ def _same_tensor(got, want):
 def test_a_json_table_is_built_as_the_fraction_path_builds_it(obj):
     # ints, signed, unreduced and padded "p/q" strings, zero vectors and
     # the empty table: read straight to the integer table, the same tensor
-    _same_tensor(StructureTensor.from_json_obj(obj),
-                 StructureTensor(*from_json_obj_oracle(obj)))
+    _same_tensor(_built(StructureTensor.from_json_obj, obj),
+                 _built(StructureTensor, *from_json_obj_oracle(obj)))
 
 
 _COEFFS = st.one_of(
@@ -816,8 +834,28 @@ def _pair_lists(draw):
 @given(_pair_lists())
 def test_pairs_are_built_as_the_fraction_path_builds_them(case):
     dim, pairs = case
-    _same_tensor(StructureTensor.from_pairs(dim, pairs),
+    _same_tensor(_built(StructureTensor.from_pairs, dim, pairs),
                  from_pairs_oracle(dim, pairs))
+
+
+@pytest.mark.parametrize("dim, pairs, message", [
+    (3, [(1, 2, 0)], r"product index 0 is not 1 <= k <= 3"),
+    (3, [(1, 2, -1, 5)], r"product index -1 is not 1 <= k <= 3"),
+    (3, [(1, 2, 3), (1, 3, 4)], r"product index 4 is not 1 <= k <= 3"),
+    (2, [(1, 2, 3, "1/2")], r"product index 3 is not 1 <= k <= 2"),
+    (3, [(2, 1, 3)], r"product key \(2,1\)"),
+    (3, [(1, 4, 3)], r"product key \(1,4\)"),
+    (0, [(1, 2, 1)], "dimension must be positive"),
+    (-1, [], "dimension must be positive"),
+])
+def test_from_pairs_refuses_an_entry_outside_the_dimension(dim, pairs, message):
+    # k = 0 or k < 0 would index e_n or e_{n+k}, and k > dim or dim < 1
+    # would raise IndexError: each is a ValueError naming the entry
+    with pytest.raises(ValueError, match=message):
+        StructureTensor.from_pairs(dim, pairs)
+    # k = 1 and k = dim are inside
+    assert StructureTensor.from_pairs(3, [(1, 2, 1), (1, 3, 3)]) == StructureTensor(
+        3, {(1, 2): (1, 0, 0), (1, 3): (0, 0, 1)})
 
 
 @settings(max_examples=200, deadline=None)
@@ -839,27 +877,31 @@ def test_tables_compare_as_their_fraction_products(obj, other, rnd):
 
 
 def test_every_constructor_builds_the_integer_table():
-    # one form: each constructor sets mult and table and leaves the
-    # Fraction products unmade; the orbit point, built from integer
-    # products, keeps mult 1 and the table of those products
+    # one form: each constructor sets mult and table, holds only ints and
+    # reads no Fraction products; `products` is a read-only view, made
+    # anew at each read; the orbit point, built from integer products,
+    # keeps mult 1 and the table of those products
     from degenlab.degeneration import _orbit_point
 
     half = Fraction(1, 2)
-    a = StructureTensor(4, {(1, 2): (0, 0, half, 0), (1, 3): (0, 0, 0, 1),
-                            (2, 3): (0, 0, 0, 0)})
+    a = _built(StructureTensor, 4, {(1, 2): (0, 0, half, 0), (1, 3): (0, 0, 0, 1),
+                                    (2, 3): (0, 0, 0, 0)})
     g = [[1, 0, 0, 0], [2, 1, 0, 0], [0, -1, 1, 0], [0, 0, 3, 1]]
     built = {
         "__init__": a,
-        "from_pairs": StructureTensor.from_pairs(4, [(1, 2, 3, half), (1, 3, 4)]),
-        "from_json_obj": StructureTensor.from_json_obj({"dim": 4, "products": [
+        "from_pairs": _built(StructureTensor.from_pairs, 4, [(1, 2, 3, half), (1, 3, 4)]),
+        "from_json_obj": _built(StructureTensor.from_json_obj, {"dim": 4, "products": [
             {"i": 1, "j": 2, "value": [0, 0, "1/2", 0]},
             {"i": 1, "j": 3, "value": [0, 0, 0, 1]}]}),
-        "change_basis": change_basis(a, g),
-        "_orbit_point": _orbit_point(a.table, 4, g),
+        "change_basis": _built(change_basis, a, g),
+        "_orbit_point": _built(_orbit_point, a.table, 4, g),
     }
+    assert "products" not in StructureTensor.__slots__
     for name, b in built.items():
         assert _holds(b, "mult") and _holds(b, "table"), name
-        assert not _holds(b, "products"), name
+        assert b.products == b.products and b.products is not b.products, name
+        with pytest.raises(AttributeError):
+            b.products = {}
     assert (a.mult, a.table) == (2, [(0, 1, ((2, 1),)), (0, 2, ((3, 2),))])
     assert a == built["from_pairs"] == built["from_json_obj"]
     point = built["_orbit_point"]
@@ -892,11 +934,14 @@ def test_a_tensor_copies_and_pickles_as_its_integer_table():
         fresh.append(a)
     for a in fresh:
         want = (a.dim, a.mult, a.table, hash(a))
-        for b in _copies(a):
-            assert type(b) is StructureTensor
+        with products_reads() as reads:
+            copies = _copies(a)
+        assert reads == []
+        for b in copies:
+            assert type(b) is StructureTensor and _int_form(b)
             assert (b.dim, b.mult, b.table, hash(b)) == want
-            assert b == a and a == b
-            for slot in ("products", "_walk", "_powers", "_centralizers"):
+            assert b == a and a == b and b.products == a.products
+            for slot in ("_walk", "_powers", "_centralizers"):
                 assert not _holds(b, slot), slot
             assert b.nilindex == is_nilpotent_oracle(a)[1]
             assert b.ann_dim == ann_dim_oracle(a)

@@ -19,6 +19,7 @@ from degenlab.cli import main
 from degenlab.degeneration import UnknownKind
 from degenlab.contraction import iw_max
 from degenlab.linalg import Partition
+from oracles import products_reads
 from paperdata import certificates, witnesses
 
 
@@ -217,10 +218,10 @@ def test_check_refuses_a_label_that_names_two_tables(tmp_path, capsys):
 
 def test_info_builds_one_integer_table(capsys, monkeypatch):
     # a catalog tensor (cmd_info's), one from pairs and one read from JSON
-    # carry their integer table from construction and no Fraction products:
-    # the identity flags, nilpotency, Engel degree and iw_max read the
-    # table and none makes the products; nor does a seeded queries stream
-    # run through the benchmark child's library calls
+    # carry their integer table from construction: the identity flags,
+    # nilpotency, Engel degree and iw_max read the table and none reads
+    # the Fraction products; nor does a seeded queries stream run through
+    # the benchmark child's library calls
     import importlib
 
     import degenlab
@@ -230,30 +231,45 @@ def test_info_builds_one_integer_table(capsys, monkeypatch):
     monkeypatch.syspath_prepend(str(perfbench))
     child, inputs = (importlib.import_module(name) for name in ("child", "inputs"))
     stream = inputs.make_queries(perfbench.parent, 37001)
-    tensors = [algebra.StructureTensor.from_json_obj(q["table"]) if "table" in q
-               else None for q in stream]
-    t = algebra.StructureTensor.from_pairs(
-        6, [(1, 2, 4), (1, 4, 5), (2, 4, 6), (1, 3, 6, "1/2")])
-    for a in [catalog.instantiate("T32_e23", 6), t,
-              *(a for a in tensors if a is not None)]:
-        algebra.StructureTensor.table.__get__(a)  # AttributeError if unset
-        with pytest.raises(AttributeError):
-            algebra.StructureTensor.products.__get__(a)
+    with products_reads() as reads:
+        tensors = [algebra.StructureTensor.from_json_obj(q["table"]) if "table" in q
+                   else None for q in stream]
+        t = algebra.StructureTensor.from_pairs(
+            6, [(1, 2, 4), (1, 4, 5), (2, 4, 6), (1, 3, 6, "1/2")])
+        for a in [catalog.instantiate("T32_e23", 6), t,
+                  *(a for a in tensors if a is not None)]:
+            algebra.StructureTensor.table.__get__(a)  # AttributeError if unset
+        assert main(["info", "T32_e23", "--dim", "6"]) == 0
+        assert "jacobi / malcev" in capsys.readouterr().out
+        algebra.identity_flags(t)
+        algebra.is_nilpotent(t)
+        iw_max(t, seed=3)
+        algebra.dim_square(t)
+        algebra.annihilator(t)
+        algebra.engel_degree(t, t.dim + 1)
+        for query, tensor in zip(stream, tensors):
+            assert "error" not in child._run_query(degenlab, query, tensor)
+    assert reads == [] and t.mult == 2
 
-    built, products = [], algebra._rational_products
-    monkeypatch.setattr(algebra, "_rational_products",
-                        lambda *args: built.append(args) or products(*args))
-    assert main(["info", "T32_e23", "--dim", "6"]) == 0
-    assert "jacobi / malcev" in capsys.readouterr().out
-    algebra.identity_flags(t)
-    algebra.is_nilpotent(t)
-    iw_max(t, seed=3)
-    algebra.dim_square(t)
-    algebra.annihilator(t)
-    algebra.engel_degree(t, t.dim + 1)
-    for query, tensor in zip(stream, tensors):
-        assert "error" not in child._run_query(degenlab, query, tensor)
-    assert built == [] and t.mult == 2
+
+def test_check_reads_no_products_on_any_shipped_claim(tmp_path, capsys):
+    # `check` judges every shipped claim on the integer tables: the
+    # certificate check, the closed sets and the R quadratics read the
+    # Fraction products of no tensor
+    from degenlab.verification_db import shipped_ledger_path
+
+    ledger = json.loads(open(shipped_ledger_path(), encoding="utf-8").read())
+    claims = ledger["certificates"] + ledger["witnesses"]
+    assert len(claims) == 189
+    path = tmp_path / "claim.json"
+    codes = []
+    with products_reads() as reads:
+        for claim in claims:
+            path.write_text(json.dumps(claim), encoding="utf-8")
+            codes.append(main(["check", "--trials", "1", str(path)]))
+    capsys.readouterr()
+    assert (codes.count(0), codes.count(3)) == (176, 13)
+    assert reads == []
 
 
 def _cert_with_first_row(row):

@@ -41,7 +41,7 @@ from degenlab.linalg import int_scaled_inverse, int_suffix_spans
 from degenlab.verification_db import load_ledger, shipped_ledger_path
 
 from oracles import fraction_inverse, project_to_spec, qt_at_zero, qt_basis_row
-from oracles import spec_forbids
+from oracles import constant, spec_forbids
 from oracles import inverse_lower_triangular_probe, inverse_orbit_point
 from oracles import inverse_orbit_refute, row_reduce_dim, whole_table_draws
 from oracles import qt_certificate_verdict, qt_constants, qt_parse, qt_value
@@ -368,6 +368,44 @@ def test_verify_paper_arrow_with_limit_mismatch_detected():
     verdict = verify_degeneration(cert, Records())
     assert verdict.status == "fail"
     assert "target has" in verdict.reason
+
+
+# Rational limits against a rational target: the check compares N[v] M
+# with T den[v] over the common denominator den[v] M, and names a mismatch
+# by its two Fractions.  The source and the targets have non-integer
+# constants (mult > 1); den[v] < 0 for every basis but the last.
+_RATIONAL_SOURCE = {(1, 2): (0, 0, Fraction(2, 3), 0),
+                    (1, 3): (0, 0, 0, Fraction(-5, 4)),
+                    (2, 3): (0, 0, 0, Fraction(1, 6))}
+_SCALED = ("t*e1", "e2", "t*e3", "(-5/7)*t*e4")
+_RATIONAL_LIMIT = {(1, 2): (0, 0, Fraction(2, 3), 0),
+                   (2, 3): (0, 0, 0, Fraction(-7, 30))}
+RATIONAL_CERTIFICATES = [
+    (_SCALED, _RATIONAL_LIMIT, ""),
+    (_SCALED, {(1, 2): (0, 0, Fraction(2, 3), 0), (2, 3): (0, 0, 0, Fraction(7, 30))},
+     "limit constant (2,3)^4 is -7/30, target has 7/30"),
+    (_SCALED, {(1, 2): (0, 0, Fraction(2, 3), 0)},
+     "limit constant (2,3)^4 is -7/30, target has 0"),
+    (_SCALED, {**_RATIONAL_LIMIT, (1, 3): (0, 0, 0, Fraction(1, 2))},
+     "limit constant (1,3)^4 is 0, target has 1/2"),
+    (("t*e1", "-e2", "t*e3", "(5/7)*t*e4"), _RATIONAL_LIMIT,
+     "limit constant (1,2)^3 is -2/3, target has 2/3"),
+    (("-e1", "(2/5)*e2", "(-1/2)*e3", "e4 - t*e1"), _RATIONAL_LIMIT,
+     "limit constant (1,2)^3 is 8/15, target has 2/3"),
+]
+
+
+@pytest.mark.parametrize("rows, target, reason", RATIONAL_CERTIFICATES)
+def test_rational_limits_are_compared_over_one_denominator(rows, target, reason):
+    src, tgt = StructureTensor(4, _RATIONAL_SOURCE), StructureTensor(4, target)
+    assert src.mult > 1 and tgt.mult > 1
+    den, _, _ = apply_parameterized_basis(src, _parse_rows(rows, 4))
+    assert (den.coeffs[den.order()] < 0) == (rows != RATIONAL_CERTIFICATES[-1][0])
+    cert = DegenerationCertificate(source=AlgebraRef("S", 4, src),
+                                   target=AlgebraRef("T", 4, tgt), basis_rows=rows)
+    got = _verdict(cert)
+    assert got == qt_certificate_verdict(cert)
+    assert got[:2] == ("fail" if reason else "pass", reason)
 
 
 def test_closed_set_member_examples():
@@ -876,7 +914,7 @@ def _sparse_table(n, rng):
 
 def _quadrant(t):
     # a cone: scaling the table by c scales the product by c^2
-    return t.constant(1, 2, 1) * t.constant(1, 2, t.dim) >= 0
+    return constant(t, 1, 2, 1) * constant(t, 1, 2, t.dim) >= 0
 
 
 def test_orbit_sampling_matches_the_inverse_path_on_random_specs():

@@ -269,6 +269,25 @@ def test_only_algebra_names_the_power_chain_internals():
         ("algebra",)) == []
 
 
+def test_a_tensor_has_one_form_and_products_is_only_output():
+    # no package module defines, names or reads `constant` or
+    # `_rational_products`; `products` is no slot but a view made at each
+    # read, and only algebra's own output (`to_json_obj`, `repr`) reads it
+    from degenlab.algebra import StructureTensor
+
+    banned = {"constant", "_rational_products"}
+    assert _package_names(banned, ()) == []
+    package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
+    defined = [(path.stem, node.name) for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name in banned]
+    assert defined == []
+    assert "products" not in StructureTensor.__slots__
+    assert isinstance(StructureTensor.products, property)
+    assert _package_names({"products"}, ("algebra",)) == []
+
+
 def test_the_structure_tensor_is_the_one_algebra_object():
     # no second record of a table's invariants beside the tensor, and no
     # function that takes an algebra branches on what kind of object it is
@@ -407,6 +426,17 @@ def test_the_ci_installs_the_declared_test_dependencies():
     (line,) = [line.strip() for line in workflow.splitlines()
                if line.strip().startswith(prefix)]
     assert line[len(prefix):].split() == declared
+
+
+def test_the_ci_job_has_a_time_limit():
+    # a hung subprocess or hypothesis run ends the tier-1 job within its
+    # limit instead of holding a runner for the platform's default 6 h
+    root = Path(__file__).resolve().parents[1]
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(
+        encoding="utf-8")
+    (line,) = [line.strip() for line in workflow.splitlines()
+               if line.strip().startswith("timeout-minutes:")]
+    assert 0 < int(line.split(":")[1]) <= 30
 
 
 def test_check_loads_and_judges_a_claim_as_the_ledger_run_does():

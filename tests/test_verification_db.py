@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from degenlab import catalog, contraction, degeneration, verification_db
-from degenlab import algebra
 from degenlab.algebra import StructureTensor, change_basis
 from degenlab.catalog import (
     MANIFEST_FAMILIES,
@@ -34,7 +33,7 @@ from degenlab.verification_db import (
     separator_check,
     shipped_ledger_path,
 )
-from oracles import iw_max_oracle, iw_sequence, random_lower_triangular
+from oracles import iw_max_oracle, iw_sequence, products_reads, random_lower_triangular
 from paperdata import build_ledger
 
 
@@ -304,10 +303,10 @@ def test_the_run_builds_one_invariant_record_per_label(monkeypatch):
     # the run's Records store holds one tensor per label (160), witnesses
     # included, each a catalog or inline JSON table that carries its
     # integer table from construction; the checks, the audit, the
-    # separators, iw_max and classify_T22 read that table, and no
-    # separator makes the Fraction products
-    built, tensors = [], {}
-    products, resolve = algebra._rational_products, AlgebraRef.resolve
+    # separators, iw_max and classify_T22 read that table, and no step of
+    # the run reads the Fraction products (91 reads when the certificate
+    # check compared Fraction limits)
+    tensors, resolve = {}, AlgebraRef.resolve
 
     def resolved(ref):
         tensor = tensors[ref.label] = resolve(ref)
@@ -315,24 +314,20 @@ def test_the_run_builds_one_invariant_record_per_label(monkeypatch):
         return tensor
 
     monkeypatch.setattr(AlgebraRef, "resolve", resolved)
-    ledger = load_ledger(shipped_ledger_path())
-    report = run_ledger(ledger, seed=20240917, trials=1)
+    with products_reads() as reads:
+        ledger = load_ledger(shipped_ledger_path())
+        report = run_ledger(ledger, seed=20240917, trials=1)
+        records = Records(20240917)
+        src, tgt = AlgebraRef("T222", 7), AlgebraRef("T3", 7)
+        for kind in SEPARATORS:
+            separator_check(kind, records, src, tgt)
+        assert separator_check("iw_partition", records, src, tgt) == (
+            True, "iw_partition: source (2, 2, 2), target (3,)")
     assert report["summary"]["failures"] == 0
     labels = {ref.label for claim in ledger.certificates + ledger.witnesses
               for ref in (claim.source, claim.target)}
     assert len(labels) == 160 and tensors.keys() == labels
-
-    records = Records(20240917)
-    src, tgt = AlgebraRef("T222", 7), AlgebraRef("T3", 7)
-    for ref in (src, tgt):
-        records.tensor(ref).table
-    monkeypatch.setattr(algebra, "_rational_products",
-                        lambda *args: built.append(args) or products(*args))
-    for kind in SEPARATORS:
-        separator_check(kind, records, src, tgt)
-    assert separator_check("iw_partition", records, src, tgt) == (
-        True, "iw_partition: source (2, 2, 2), target (3,)")
-    assert not built
+    assert reads == []
 
 
 def test_an_iw_partition_separator_continues_the_audit_scan(monkeypatch):
