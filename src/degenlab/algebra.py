@@ -15,14 +15,16 @@ i in supp alpha), keeping only the nonzero ones, instead of sampling.
 
 Matrices are lists of rows.  A StructureTensor is the one algebra object,
 and it keeps what it computes.  It has one form: its table scaled by the
-lcm L of its denominators (`mult` and `table`), built at construction by
-`_scaled_table` whatever the constructor, and every closed invariant, and
-every check of a ledger run, runs over Z on it.  Fraction appears only in
+lcm L of its denominators (`mult` and `table`), built at construction
+whatever the constructor, and every closed invariant, and every check of
+a ledger run, runs over Z on it.  The table's rows (i, j, ((k, coeff),
+...)), 0-based with zero entries and rows dropped, are the one integer
+product format: `int_change_basis` writes them for a basis change, an
+orbit point and the certificate check alike.  Fraction appears only in
 output: `products`, a view made from the table at each read (for
-`to_json_obj` and `repr`), `product`'s result, the rows of
-`left_mult_matrix` and the table of `change_basis`'s result.  Above this
-module it remains only in the `iw_max` witness, IWDominance elements and
-the values at t = 0 of a stored source basis (`degeneration`).
+`to_json_obj` and `repr`), `product`'s result and the rows of
+`left_mult_matrix`.  Above this module it remains only in the `iw_max`
+witness and IWDominance elements (`degeneration`).
 `power_ideal` and `annihilator` return integer echelon rows: the tensor's
 `power(i)`, and the `linalg.kernel_basis` of at most n integer conditions.
 `StructureTensor.from_json_obj` is the one reader of the JSON table
@@ -39,8 +41,8 @@ x w = 0 on x, which only `annihilator` reduces, because it solves them.
 The identity checks (Jacobi, Malcev, Engel) are homogeneous in the
 structure constants: scaling them by L multiplies the Jacobi defect by
 L^2, the Malcev defect by L^3 and (sum_i x_i L_{e_i})^m by L^m, so every
-zero test, and the least m, is the same as over Q.  Basis changes divide
-once by the total scale.
+zero test, and the least m, is the same as over Q.  A basis change
+divides its integer constants once, by their gcd with the total scale.
 
 The Engel and Malcev checks run on ints packed with base-2^B digits.
 The Engel degree packs each row of S_alpha; the Malcev check packs y and
@@ -56,8 +58,7 @@ first nonzero defect.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .exactnum import rational_pair_from_obj, rational_to_obj
@@ -90,11 +91,13 @@ class StructureTensor:
     """Anticommutative multiplication table on QQ^n, keyed by pairs i < j,
     and its closed invariants, each computed when first read, at most once.
 
-    Every constructor reads the entries into reduced (num, den) pairs and
-    builds the integer table, `mult` and `table` (`_scaled_table`), in the
-    given key order; that is the tensor's one form.  `products`, the
-    Fraction(x, mult) of the table's entries, is an output view made at
-    each read.  `__init__` reads each entry as Fraction(x).
+    Every constructor builds the integer table, `mult` and `table`, in the
+    given key order; that is the tensor's one form.  `__init__`,
+    `from_pairs` and `from_json_obj` read the entries into reduced
+    (num, den) pairs for `_scaled_table` (`__init__` reads each entry as
+    Fraction(x)); `change_basis` and the orbit points of `degeneration`
+    hand over integer rows.  `products`, the Fraction(x, mult) of the
+    table's entries, is an output view made at each read.
 
     Immutable: nothing writes `dim` or the table after construction, so a
     cached invariant stays true.  `__eq__` and `__hash__` read only `dim`,
@@ -104,7 +107,9 @@ class StructureTensor:
     with its caches empty (`__reduce__`).
     """
 
-    __slots__ = ("dim", "mult", "table", "_walk", "_powers", "_centralizers")
+    # powers: the integer echelon rows of A^1, A^2, ... that `_int_powers`
+    # yields, filled whole when first read
+    __slots__ = ("dim", "mult", "table", "powers", "_centralizers")
 
     def __init__(self, dim: int, products=None):
         if dim < 1:
@@ -139,24 +144,18 @@ class StructureTensor:
                 raise ValueError(f"product index {k} is not 1 <= k <= {dim}")
             vec = rows.setdefault((i, j), [0] * dim)
             vec[k - 1] += coeff if type(coeff) is int else Fraction(coeff)
-        return StructureTensor._from_rational_pairs(dim, {
+        return _from_table(dim, *_scaled_table({
             key: [(x.numerator, x.denominator) for x in vec]
-            for key, vec in rows.items()})
-
-    @staticmethod
-    def _from_rational_pairs(dim: int, rows) -> "StructureTensor":
-        """The tensor of `_scaled_table` rows, their keys already checked."""
-        return _from_table(dim, *_scaled_table(rows))
+            for key, vec in rows.items()}))
 
     def __reduce__(self):
-        # the integer form alone: a cache may hold a half-taken power walk,
-        # a generator, which neither pickles nor may be shared by a copy
+        # the integer form alone: a copy starts with empty caches
         return _from_table, (self.dim, self.mult, self.table)
 
     def __getattr__(self, name):
         # reached when normal lookup fails: fill the empty cache slot named
-        if name in ("_walk", "_powers"):
-            self._walk, self._powers = _int_powers(self.table, self.dim), []
+        if name == "powers":
+            self.powers = list(_int_powers(self.table, self.dim))
         elif name == "_centralizers":
             self._centralizers = {}
         else:
@@ -175,21 +174,15 @@ class StructureTensor:
             products[(i + 1, j + 1)] = tuple(vec)
         return products
 
-    @property
-    def powers(self):
-        """Every power `_int_powers` yields, the walk taken to its end."""
-        self._powers += self._walk
-        return self._powers
-
     def power(self, i: int):
         """Integer echelon rows of A^i (i >= 1), with A^1 the whole space
         and A^i = A(A^{i-1}) + (A^{i-1})A (anticommutativity makes the
-        two summands equal); a power past the walk's end equals the last
-        one it yields (0, or the stalled power)."""
+        two summands equal); a power past the chain's end equals the last
+        one `powers` holds (0, or the stalled power)."""
         if i < 1:
             raise ValueError("power index must be >= 1")
-        self._powers += islice(self._walk, max(i - len(self._powers), 0))
-        return self._powers[min(i, len(self._powers)) - 1]
+        powers = self.powers
+        return powers[min(i, len(powers)) - 1]
 
     def centralizer_dim(self, i: int) -> int:
         """dim {x : x A^i = 0}; at i = 1 this is dim Ann(A), read from the
@@ -277,7 +270,7 @@ class StructureTensor:
                 rows[(i, j)] = list(map(rational_pair_from_obj, value))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise TableFormatError(f"bad products entry: {exc}") from None
-        return StructureTensor._from_rational_pairs(dim, rows)
+        return _from_table(dim, *_scaled_table(rows))
 
 
 def _check_key(i: int, j: int, dim: int):
@@ -429,7 +422,8 @@ def annihilator(a: StructureTensor):
 
 
 def int_change_basis(table, n: int, rows, inv):
-    """Integer products {(i, j): coords} of an integer table in a new basis.
+    """Integer table rows (i, j, ((k, coeff), ...)) of an integer table in
+    a new basis, in the tensor's own format.
 
     table is a.table (a scaled by L), rows an invertible integer
     basis g and inv = R from (d, R) = int_scaled_inverse(g).  The
@@ -437,15 +431,16 @@ def int_change_basis(table, n: int, rows, inv):
     structure constants of a in the basis s g, where s = d L, because
     scaling a basis by c scales its structure constants by c.
     """
-    out = {}
+    out = []
     for i in range(n - 1):
         for j in range(i + 1, n):
             p = _int_product(table, n, rows[i], rows[j])
             if any(p):
-                coords = tuple(map(sum, zip(*([x * y for y in inv[r]]
-                                              for r, x in enumerate(p) if x))))
-                if any(coords):
-                    out[(i + 1, j + 1)] = coords
+                coords = map(sum, zip(*([x * y for y in inv[r]]
+                                        for r, x in enumerate(p) if x)))
+                entries = tuple((k, x) for k, x in enumerate(coords) if x)
+                if entries:
+                    out.append((i, j, entries))
     return out
 
 
@@ -453,9 +448,11 @@ def change_basis(a: StructureTensor, basis) -> StructureTensor:
     """Structure constants of the same algebra in a new basis.
 
     Row i of `basis` expresses the new basis vector f_i in the standard
-    basis.  Computed over Z on the integer-scaled table and basis m g, then
-    divided once by the total scale L m d.  Raises linalg.Singular for
-    non-invertible input.
+    basis.  Computed over Z on the integer-scaled table and basis m g; the
+    constants are those rows over the total scale L m d, divided once by
+    the gcd c of the scale and every entry (signed like the scale, so that
+    mult = L m d / c > 0).  Raises linalg.Singular for non-invertible
+    input.
     """
     n = a.dim
     if len(basis) != n or any(len(row) != n for row in basis):
@@ -465,10 +462,11 @@ def change_basis(a: StructureTensor, basis) -> StructureTensor:
     if not d:
         raise Singular("basis matrix has zero determinant")
     scale = a.mult * m * d
-    return StructureTensor(n, {
-        key: tuple(Fraction(x, scale) for x in vec)
-        for key, vec in int_change_basis(a.table, n, rows, inv).items()
-    })
+    table = int_change_basis(a.table, n, rows, inv)
+    c = gcd(scale, *(v for _, _, entries in table for _, v in entries))
+    c = c if scale > 0 else -c
+    return _from_table(n, scale // c, [
+        (i, j, tuple((k, v // c) for k, v in entries)) for i, j, entries in table])
 
 
 class IdentityFlags(NamedTuple):

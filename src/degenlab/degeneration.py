@@ -21,16 +21,24 @@ for zero or hand back, so their ints are the images of the same
 computation over Z[t].  A constant has a pole at 0 iff
 ord_t N < v = ord_t(L s d), and otherwise its limit is N[v] / (L s d)[v],
 both read off packed N (`exactnum.packed_limit_at_zero`, which returns
-N[v]).  Every limit has the one denominator D = (L s d)[v], so the limits
-equal the target's table T / M iff N[v] M = T D: one `==` of those integer
-rows passes a certificate, and a mismatch walks the constants in order to
-name the first that differs, the one place a Fraction is made.
+N[v]).  N is written in the tensor's own format, table rows
+(i, j, ((k, coeff), ...)) with the zero entries dropped.  Every limit has
+the one denominator D = (L s d)[v], so the limits equal the target's
+table T / M iff N[v] M = T D: one `==` of those integer entries passes a
+certificate, and a mismatch names the first entry that differs, the one
+place a Fraction is made.
 
 Non-degenerations are two-tiered.  Invariant witnesses are proofs on
 closed invariants, each declared once, with its order under degeneration,
 in `INVARIANTS`.  Closed-set witnesses prove the source side by a stored
 basis and only *falsify* the target side by seeded random orbit sampling;
-reports must keep the two tiers apart.
+reports must keep the two tiers apart.  The source side is tested as a
+sample is, on the rows of one integer basis g: the identity, or the
+stored basis at t = 0, read with the certificate check's own scale: with
+(s, G) from `clear_denominators` and v = ord_t s, a nonzero G_e with
+ord_t G_e < v is a pole, and row entry e of g is G_e[v], the value at
+t = 0 times the nonzero constant s[v].  The basis is singular at t = 0
+iff `int_suffix_spans(g)` is None.
 
 Orbit samples are tested over Z on the rows of the basis g, with no
 inverse: the orbit point meets the flag conditions of a ClosedSetSpec iff
@@ -45,17 +53,16 @@ singular draws and gives reduced rows of every W_k
 until the first pair that fails.
 The full orbit point, the table scaled by its denominator lcm L and
 written through R = d g^-1, is the point of the basis s g, s = d L, with
-no division (`_orbit_point`); it is built only for a stored source basis
-(its values at t = 0, scaled to integers) and for the R quadratics of a
-sample that meets R's flags.  Scaling a table by c is the
-flag-preserving change c I, so each ClosedSetSpec set and R is a cone:
-the s g point is a member iff the g point is, and both membership and the
-R quadratics read its integer table.  Sampling needs trials >= 1.
+no division (`_orbit_point`, the rows of `int_change_basis` with mult 1);
+it is built only for the R quadratics, of a basis that meets R's flags.
+Scaling a table or a basis by c != 0 is a flag-preserving change, so
+each ClosedSetSpec set and R is a cone: the s g point is a member iff
+the g point is, and the R quadratics read its integer table.  Sampling
+needs trials >= 1.
 
 Every check here reads integer tables.  Fraction remains only in output
-(a tensor's `products`, a mismatch message), in a stored source basis's
-values at t = 0 (scaled to integers before its orbit point is built), in
-IWDominance elements (read with the payload) and in the `iw_max` witness.
+(a tensor's `products`, a mismatch message), in IWDominance elements
+(read with the payload) and in the `iw_max` witness.
 
 Stability of a flag-condition set under the lower-triangular group B is
 decided exactly, on its hit pairs alone (`_pair_map_verdict`), with no
@@ -78,7 +85,7 @@ from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from . import catalog
-from .algebra import (StructureTensor, _int_dense, _int_product, engel_degree,
+from .algebra import (StructureTensor, _from_table, _int_product, engel_degree,
                       int_change_basis, jacobi_holds)
 from .contraction import (NotEngelAt, _rank_bound, dominates, iw_scan,
                           partition_from_rank_sequence, rank_sequence)
@@ -86,14 +93,12 @@ from .exactnum import (
     ZPOLY_ONE,
     ZPoly,
     content,
-    limit_at_zero,
     packed_limit_at_zero,
     parse_basis_row,
     poly_gcd,
     rational_from_obj,
 )
-from .linalg import (int_reduce, int_scaled, int_scaled_inverse, int_suffix_spans,
-                     random_int_rows)
+from .linalg import int_reduce, int_scaled_inverse, int_suffix_spans, random_int_rows
 
 
 class SingularFamily(ValueError):
@@ -133,9 +138,9 @@ def clear_denominators(fs):
 def apply_parameterized_basis(a: StructureTensor, rows):
     """(den, N, B): the structure constants of `a`, read on its integer
     table, in the parameterized basis `rows` (parsed rows of (num, den)
-    pairs) are N / den, with den in Z[t] and N = {(i, j): coordinates} for
-    i < j, each the value at t = X = 2^B of a polynomial with coefficients
-    strictly inside +-X/2 (`packing_bits`).
+    pairs) are N / den, with den in Z[t] and N the table rows of
+    `int_change_basis`, each coordinate the value at t = X = 2^B of a
+    polynomial with coefficients strictly inside +-X/2 (`packing_bits`).
     Raises SingularFamily when the rows fail to be a basis for generic t.
     """
     n = a.dim
@@ -319,30 +324,27 @@ def verify_degeneration(cert: DegenerationCertificate, records: Records) -> Verd
     except SingularFamily as exc:
         return Verdict("fail", str(exc))
     # a limit N[v] / D, D = den[v], equals a target constant T / M iff
-    # N[v] M = T D
+    # N[v] M = T D: the limit entries against the target's scaled by D
     mult, lead = tgt.mult, den.coeffs[den.order()]
     limits = {}
-    for (i, j), vec in constants.items():
-        got = tuple(packed_limit_at_zero(x, bits, den) for x in vec)
-        k = next((k for k, x in enumerate(got, start=1) if x is None), None)
-        if k:
-            return Verdict("fail", f"pole at t=0 in constant ({i},{j})^{k}",
-                           {"position": (i, j, k)})
-        if any(got):
-            limits[(i, j)] = tuple(mult * x for x in got)
-    target = {(i + 1, j + 1): tuple(lead * x for x in _int_dense(entries, n))
-              for i, j, entries in tgt.table}
+    for i, j, entries in constants:
+        for k, x in entries:
+            x = packed_limit_at_zero(x, bits, den)
+            if x is None:
+                i, j, k = i + 1, j + 1, k + 1
+                return Verdict("fail", f"pole at t=0 in constant ({i},{j})^{k}",
+                               {"position": (i, j, k)})
+            if x:
+                limits[(i, j, k)] = mult * x
+    target = {(i, j, k): lead * v for i, j, entries in tgt.table for k, v in entries}
     if limits == target:
         return Verdict("pass")
-    zeros = (0,) * n
-    for i, j in sorted(limits.keys() | target.keys()):
-        want, got = target.get((i, j), zeros), limits.get((i, j), zeros)
-        k = next((k for k in range(1, n + 1) if want[k - 1] != got[k - 1]), None)
-        if k:
-            got, want = (Fraction(x[k - 1], mult * lead) for x in (got, want))
-            return Verdict("fail", f"limit constant ({i},{j})^{k} is {got}, "
-                                   f"target has {want}", {"position": (i, j, k)})
-    return Verdict("pass")
+    first = min(key for key in limits.keys() | target.keys()
+                if limits.get(key) != target.get(key))
+    got, want = (Fraction(x.get(first, 0), mult * lead) for x in (limits, target))
+    i, j, k = (x + 1 for x in first)
+    return Verdict("fail", f"limit constant ({i},{j})^{k} is {got}, "
+                           f"target has {want}", {"position": (i, j, k)})
 
 
 # --- closed sets ----------------------------------------------------------
@@ -367,15 +369,6 @@ class ClosedSetSpec(_Triples):
 
     def __new__(cls, triples):
         return super().__new__(cls, tuple(tuple(map(int, t)) for t in triples))
-
-
-def closed_set_member(a: StructureTensor, spec: ClosedSetSpec) -> bool:
-    """Membership in the flag-condition set: the coordinates 1..k-1 of each
-    product e_p e_q that `_hit_pairs` lists with k are 0, read off the
-    integer table, whose entries of a pair are nonzero and in order."""
-    first = {(i, j): entries[0][0] for i, j, entries in a.table}
-    return not any(first.get((p, q), k) < k - 1
-                   for p, q, k in _hit_pairs(spec, a.dim))
 
 
 @lru_cache  # read once per sample; the tuple returned is safe to share
@@ -482,16 +475,11 @@ def _r_quadratics_hold(a: StructureTensor) -> bool:
                    for relation in _R_QUADRATICS)
 
 
-def _orbit_point(table, n: int, g) -> StructureTensor | None:
-    """The orbit point of the basis s g, s = d L, for a tensor's table
-    and (d, R) = int_scaled_inverse(g), exact for cone membership; None
-    when g is singular."""
-    d, inv = int_scaled_inverse(g)
-    if not d:
-        return None
-    return StructureTensor._from_rational_pairs(n, {
-        key: [(x, 1) for x in vec]
-        for key, vec in int_change_basis(table, n, g, inv).items()})
+def _orbit_point(table, n: int, g) -> StructureTensor:
+    """The orbit point of the basis s g, s = d L, for a tensor's table, an
+    invertible integer basis g and (d, R) = int_scaled_inverse(g): its
+    integer table, with mult 1, exact for cone membership."""
+    return _from_table(n, 1, int_change_basis(table, n, g, int_scaled_inverse(g)[1]))
 
 
 def random_invertible(dim: int, rng: random.Random):
@@ -711,16 +699,23 @@ def verify_nondegeneration(
         raise ValueError(f"trials must be >= 1, got {trials}")
     spec, cone = ((w.spec, None) if w.kind == "ClosedSet"
                   else (_R_FLAGS, _r_quadratics_hold))
+    # the source side is tested as a sample is, on the rows of g: the
+    # stored basis at t = 0 scaled by s[v] (a cone is scale invariant),
+    # or the identity
+    n, table = src.dim, src.table
+    g = [[int(r == c) for c in range(n)] for r in range(n)]
     if w.source_rows:
-        const_rows = [[limit_at_zero(*x) for x in row] for row in w.source_rows]
-        if any(x is None for row in const_rows for x in row):
+        s, flat = clear_denominators(x for row in w.source_rows for x in row)
+        v = s.order()
+        if any(x and x.order() < v for x in flat):
             return Verdict("refuted", "stored source basis has a pole at t = 0")
-        moved = _orbit_point(src.table, src.dim, int_scaled(const_rows)[1])
-        if moved is None:
-            return Verdict("refuted", "stored source basis is singular at t = 0")
-    else:
-        moved = src
-    if not (closed_set_member(moved, spec) and (cone is None or cone(moved))):
+        g = [[x.coeffs[v] if x else 0 for x in flat[r * n:(r + 1) * n]]
+             for r in range(n)]
+    spans = int_suffix_spans(g)
+    if spans is None:
+        return Verdict("refuted", "stored source basis is singular at t = 0")
+    if not (_orbit_meets(table, n, g, spans, _hit_pairs(spec, n))
+            and (cone is None or cone(_orbit_point(table, n, g)))):
         return Verdict("refuted", "stored source basis does not land in the set")
     verdict = randomized_orbit_refute(tgt, spec, trials, records.seed, cone)
     if verdict.status == "refuted":

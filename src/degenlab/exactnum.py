@@ -12,11 +12,14 @@ certificate check puts them over one common denominator once
 (`degeneration.clear_denominators`, using `poly_gcd`) and runs its
 linear algebra on the values at t = 2^B (`ZPoly.at_power_of_two`), reading
 d back from its balanced digits (`ZPoly.from_balanced_digits`).  The value
-of num/den at t = 0 has one rule, `limit_at_zero`: a pole iff
-ord_t num < ord_t den, and otherwise num[v] / den[v] with v = ord_t den,
-whether or not the pair is reduced.  `packed_limit_at_zero` reads the
-integer num[v] off num(2^B), or None at a pole, for a caller that holds
-the one denominator den[v] of many limits.
+of num/den at t = 0 is None (a pole) iff num != 0 and ord_t num < ord_t
+den, and otherwise num[v] / den[v] with v = ord_t den, whether or not the
+pair is reduced.  The package reads it in two places, both as integers
+over one denominator: `packed_limit_at_zero` reads num[v] off num(2^B),
+or None at a pole, for the certificate check, which holds the one
+denominator den[v] of all its limits; the witness check reads a stored
+source basis G / s at t = 0 as the rows G[v], v = ord_t s
+(`degeneration.verify_nondegeneration`).
 
 One expression parser reads all ledger text: every ledger basis row,
 such as `(1/t)*e5 - (1/t^2)*e7`, a sum of `e<k>` with coefficients such
@@ -271,22 +274,11 @@ def poly_gcd(a: ZPoly, b: ZPoly) -> ZPoly:
     return _zpoly(a)
 
 
-def limit_at_zero(num: ZPoly, den: ZPoly):
-    """num / den at t = 0 as a Fraction, or None at a pole (ord_t num <
-    ord_t den); den is nonzero, and the pair need not be reduced."""
-    if not num:
-        return Fraction(0)
-    v = den.order()
-    if num.order() < v:
-        return None
-    return Fraction(num.coeffs[v], den.coeffs[v])
-
-
 def packed_limit_at_zero(x: int, bits: int, den: ZPoly):
     """num[v], v = ord_t den, or None at a pole, read off x = num(2^bits),
-    num's coefficients strictly inside +-2^(bits-1): `limit_at_zero(num,
-    den)` is num[v] / den[v].  x has bits ord_t(num) + (< bits - 1)
-    trailing zero bits, and num[v] is the balanced residue of x >> (bits v)."""
+    num's coefficients strictly inside +-2^(bits-1): num / den at t = 0 is
+    num[v] / den[v].  x has bits ord_t(num) + (< bits - 1) trailing zero
+    bits, and num[v] is the balanced residue of x >> (bits v)."""
     if not x:
         return 0
     v, order = den.order(), ((x & -x).bit_length() - 1) // bits

@@ -7,17 +7,28 @@ rows kept so far (`int_reduce`) and keeps what is left.  `int_echelon`
 is its rows sorted by pivot, `_int_rank` their count (a rank over Q
 after clearing denominators), and `int_suffix_spans` its rows of a basis
 read from the last row upward, so that `int_reduce` decides membership
-in each suffix span (orbit sampling).  `int_scaled_inverse` (Bareiss) is
-the one inverse.  It runs on ints: stored source bases, and certificate
-bases in Z[t] packed into ints at t = 2^B, a bound that holds because
-each of its entries is a minor (`degeneration.packing_bits`).  It needs
-only + - * and exact // of its entries, so it runs over any integral
-domain with exact //, such as `exactnum.ZPoly`, unchanged, and scales
-rows lazily.  `int_scaled` is the one place where rational rows are
-scaled to integer rows; tables, bases, elements and pencils all go
-through it.  A null space (`kernel_basis`) is read off the `int_echelon`
-of [M^T | I], so spans and null spaces come out as integer echelon rows,
-and Fraction appears only in the result of `invert`.
+in each suffix span (orbit sampling and a witness's source side).
+`int_scaled_inverse` (Bareiss) is the one inverse.  It runs on ints:
+the bases of `change_basis` and `invert`, the orbit points that the R
+quadratics read, and certificate bases in Z[t] packed into ints at
+t = 2^B, a bound that holds because each of its entries is a minor
+(`degeneration.packing_bits`).  It needs only + - * and exact // of its
+entries, so it runs over any integral domain with exact //, such as
+`exactnum.ZPoly`, unchanged, and scales rows lazily.
+
+Rational input is scaled to integers by one of three scalers, each for
+its own input.  `int_scaled` scales rows of Fractions or ints by the lcm
+of their denominators: a basis of `change_basis`, the elements of
+`product`, `left_mult_matrix` and `rank_sequence`, and the matrices of
+`rank`, `kernel_basis`, `invert` and `power_rank_sequence`.
+`algebra._scaled_table` scales a table's reduced (num, den) pairs, in
+every `StructureTensor` constructor.  `degeneration.clear_denominators`
+scales bases in Q(t), a certificate's rows and a stored source basis,
+by one common polynomial.  The classifier's net and pencil are read off
+the integer table and need none.  A null space (`kernel_basis`) is read
+off the `int_echelon` of [M^T | I], so spans and null spaces come out as
+integer echelon rows, and Fraction appears only in the result of
+`invert`.
 
 `partition_from_ranks` reads the block sizes of a nilpotent operator off
 the ranks of its powers (rank(N^m) = sum_i max(lambda_i - m, 0)).

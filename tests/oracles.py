@@ -38,7 +38,12 @@ sympy's field, are the generic rank sequence that the scan's exact
 stopping bound must dominate.  `constant(a, i, j, k)`, the per-entry
 accessor that the package dropped once no run path read Fractions, reads
 a tensor's Fraction `products` for the oracles above, and
-`products_reads` lists who reads that view while a block runs.
+`products_reads` lists who reads that view while a block runs.  The
+package's former source side of a closed-set witness, the stored basis
+read at t = 0 by `limit_at_zero` into Fractions, scaled by
+`linalg.int_scaled`, written out by `inverse_orbit_point` and tested by
+`closed_set_member` on the moved table, is the reference for the source
+side that `verify_nondegeneration` now tests as a sample is.
 """
 
 import contextlib
@@ -688,7 +693,8 @@ def qt_certificate_verdict(cert):
 
 def zpoly_apply_parameterized_basis(a, rows):
     """(den, N) of degeneration.apply_parameterized_basis, with
-    int_scaled_inverse and int_change_basis run on the ZPoly entries of G."""
+    int_scaled_inverse and int_change_basis run on the ZPoly entries of G:
+    N is the table rows (i, j, ((k, ZPoly), ...)) of int_change_basis."""
     from degenlab.algebra import int_change_basis
     from degenlab.degeneration import SingularFamily, clear_denominators
     from degenlab.linalg import int_scaled_inverse
@@ -1139,7 +1145,8 @@ def sampled_lower_triangular_probe(pairs, dim, samples=100, seed=0):
 
 def inverse_orbit_point(table, n, g):
     """Orbit point of the basis s g (s = d L) through the full inverse
-    R = d g^-1 and every product of the tensor's table; None if g is
+    R = d g^-1 and every product of the tensor's table, handed to
+    `StructureTensor(n, {(i, j): dense coordinates})`; None if g is
     singular."""
     from degenlab.algebra import StructureTensor, int_change_basis
     from degenlab.linalg import int_scaled_inverse
@@ -1147,7 +1154,59 @@ def inverse_orbit_point(table, n, g):
     d, inv = int_scaled_inverse(g)
     if not d:
         return None
-    return StructureTensor(n, int_change_basis(table, n, g, inv))
+    products = {}
+    for i, j, entries in int_change_basis(table, n, g, inv):
+        vec = [0] * n
+        for k, x in entries:
+            vec[k] = x
+        products[(i + 1, j + 1)] = tuple(vec)
+    return StructureTensor(n, products)
+
+
+def closed_set_member(a, spec):
+    """Membership in the flag-condition set: the coordinates 1..k-1 of each
+    product e_p e_q that `_hit_pairs` lists with k are 0, read off the
+    integer table, whose entries of a pair are nonzero and in order."""
+    from degenlab.degeneration import _hit_pairs
+
+    first = {(i, j): entries[0][0] for i, j, entries in a.table}
+    return not any(first.get((p, q), k) < k - 1
+                   for p, q, k in _hit_pairs(spec, a.dim))
+
+
+def limit_at_zero(num, den):
+    """num / den at t = 0 as a Fraction, or None at a pole (ord_t num <
+    ord_t den); den is nonzero, and the pair need not be reduced."""
+    if not num:
+        return Fraction(0)
+    v = den.order()
+    if num.order() < v:
+        return None
+    return Fraction(num.coeffs[v], den.coeffs[v])
+
+
+def source_side_oracle(w, src):
+    """The reason a closed-set witness's source side refutes it, or None
+    when the source meets the set: the stored basis at t = 0 by
+    `limit_at_zero`, scaled by `int_scaled`, moved by `inverse_orbit_point`
+    and tested by `closed_set_member` (and the R quadratics for BespokeR);
+    the source itself when no basis is stored."""
+    from degenlab.degeneration import _R_FLAGS, _r_quadratics_hold
+    from degenlab.linalg import int_scaled
+
+    spec, cone = ((w.spec, None) if w.kind == "ClosedSet"
+                  else (_R_FLAGS, _r_quadratics_hold))
+    moved = src
+    if w.source_rows:
+        rows = [[limit_at_zero(*x) for x in row] for row in w.source_rows]
+        if any(x is None for row in rows for x in row):
+            return "stored source basis has a pole at t = 0"
+        moved = inverse_orbit_point(src.table, src.dim, int_scaled(rows)[1])
+        if moved is None:
+            return "stored source basis is singular at t = 0"
+    if not (closed_set_member(moved, spec) and (cone is None or cone(moved))):
+        return "stored source basis does not land in the set"
+    return None
 
 
 def inverse_orbit_refute(b, member, trials, seed):

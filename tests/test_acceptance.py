@@ -25,7 +25,6 @@ from degenlab.degeneration import (
     _R_FLAGS,
     Records,
     _r_quadratics_hold,
-    closed_set_member,
     randomized_orbit_refute,
     verify_degeneration,
 )
@@ -38,7 +37,7 @@ from degenlab.verification_db import (
 )
 
 from oracles import ann_dim_oracle, random_lower_triangular, square_dim_oracle
-from oracles import fraction_inverse, matmul
+from oracles import closed_set_member, fraction_inverse, matmul
 
 SEED = 20240917
 

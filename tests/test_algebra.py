@@ -30,7 +30,7 @@ from degenlab.catalog import MANIFEST_FAMILIES, instantiate
 from degenlab.catalog import tested_dims as catalog_tested_dims
 from degenlab.verification_db import load_ledger
 from degenlab.verification_db import shipped_ledger_path
-from degenlab.linalg import Singular, int_scaled_inverse
+from degenlab.linalg import Singular, int_scaled, int_scaled_inverse
 
 from oracles import change_basis_oracle, constant, fraction_inverse, matmul, pairs_of
 from oracles import products_reads
@@ -589,9 +589,38 @@ def test_int_change_basis_is_the_scaled_orbit_point():
             point = int_change_basis(table, n, g, inv)
             want = change_basis_oracle(n, pairs_of(a), g)
             s = d * mult
-            assert point == {key: tuple(s * x for x in vec)
-                             for key, vec in want.items()}
-            assert all(type(x) is int for vec in point.values() for x in vec)
+            # the tensor's own rows: 0-based keys, nonzero entries, in order
+            assert point == [
+                (i - 1, j - 1, tuple((k, s * x) for k, x in enumerate(vec) if x))
+                for (i, j), vec in want.items()]
+            assert all(type(x) is int for _, _, entries in point for _, x in entries)
+
+
+def test_change_basis_builds_the_table_of_its_fraction_constants():
+    # the integer constants over the scale L m d, divided once by their gcd
+    # with the scale (signed so that mult > 0), are the tensor that the
+    # Fraction constants build: the same mult, table and repr, for a scale
+    # of either sign (a row negated flips the sign of the determinant)
+    rng = random.Random(40)
+    cases = [instantiate("T222_e7special", 7), instantiate("T32_e23", 6),
+             instantiate("T4", 5), StructureTensor(3)]
+    cases += [_random_fractional_table(n, rng) for n in (2, 3, 4, 6)]
+    signs = set()
+    for a in cases:
+        n = a.dim
+        for _ in range(4):
+            while True:
+                rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                         for _ in range(n)] for _ in range(n)]
+                if fraction_inverse(rows) is not None:
+                    break
+            for basis in (rows, [[-x for x in rows[0]]] + rows[1:]):
+                signs.add(int_scaled_inverse(int_scaled(basis)[1])[0] > 0)
+                got = _built(change_basis, a, basis)
+                want = StructureTensor(n, change_basis_oracle(n, pairs_of(a), basis))
+                assert (got.mult, got.table, repr(got)) == (
+                    want.mult, want.table, repr(want)), (a, basis)
+    assert signs == {True, False}
 
 
 def test_repr_keeps_one_sign_per_coefficient():
@@ -879,8 +908,8 @@ def test_tables_compare_as_their_fraction_products(obj, other, rnd):
 def test_every_constructor_builds_the_integer_table():
     # one form: each constructor sets mult and table, holds only ints and
     # reads no Fraction products; `products` is a read-only view, made
-    # anew at each read; the orbit point, built from integer products,
-    # keeps mult 1 and the table of those products
+    # anew at each read; the orbit point is the table rows of
+    # int_change_basis, with mult 1
     from degenlab.degeneration import _orbit_point
 
     half = Fraction(1, 2)
@@ -906,9 +935,14 @@ def test_every_constructor_builds_the_integer_table():
     assert a == built["from_pairs"] == built["from_json_obj"]
     point = built["_orbit_point"]
     moved = int_change_basis(a.table, 4, g, int_scaled_inverse(g)[1])
-    assert point.mult == 1 and point == StructureTensor(4, moved)
-    assert point.table == [(i - 1, j - 1, tuple((k, x) for k, x in enumerate(vec) if x))
-                           for (i, j), vec in moved.items()]
+    assert point.mult == 1 and point.table == moved
+    dense = {}
+    for i, j, entries in moved:
+        vec = [0] * 4
+        for k, x in entries:
+            vec[k] = x
+        dense[(i + 1, j + 1)] = tuple(vec)
+    assert point == StructureTensor(4, dense)
     assert built["change_basis"] == StructureTensor(
         4, change_basis_oracle(4, pairs_of(a), g))
 
@@ -921,15 +955,15 @@ def _copies(a):
 
 
 def test_a_tensor_copies_and_pickles_as_its_integer_table():
-    # a copy is rebuilt from (dim, mult, table) with its caches empty, so a
-    # half-taken power walk (a generator) neither blocks a pickle nor is
-    # shared; equality, hash and the invariants are the original's
+    # a copy is rebuilt from (dim, mult, table) with its caches empty, so
+    # a filled cache is neither pickled nor shared; equality, hash and the
+    # invariants are the original's
     fresh = [instantiate("T22", 5), instantiate("T4", 5),
              StructureTensor(3, {(1, 2): (0, 0, Fraction(1, 2))}),
              StructureTensor(3, {(1, 2): (0, 1, 0)}), StructureTensor(2)]
     for key, n in (("T22", 5), ("T4", 5), ("eta2", 5)):
         a = instantiate(key, n)
-        a.power(2)  # the walk is half taken: A^1 and A^2 read, no further
+        a.power(2)  # fills the whole power chain
         a.centralizer_dim(1)
         fresh.append(a)
     for a in fresh:
@@ -941,11 +975,11 @@ def test_a_tensor_copies_and_pickles_as_its_integer_table():
             assert type(b) is StructureTensor and _int_form(b)
             assert (b.dim, b.mult, b.table, hash(b)) == want
             assert b == a and a == b and b.products == a.products
-            for slot in ("_walk", "_powers", "_centralizers"):
+            for slot in ("powers", "_centralizers"):
                 assert not _holds(b, slot), slot
             assert b.nilindex == is_nilpotent_oracle(a)[1]
             assert b.ann_dim == ann_dim_oracle(a)
-            assert b._walk is not a._walk and b._powers is not a._powers
+            assert b.powers == a.powers and b.powers is not a.powers
             assert b._centralizers is not a._centralizers
         assert a.nilindex == is_nilpotent_oracle(a)[1]
 

@@ -27,7 +27,6 @@ from degenlab.degeneration import (
     Verdict,
     apply_parameterized_basis,
     clear_denominators,
-    closed_set_member,
     lower_triangular_invariance_probe,
     packing_bits,
     randomized_orbit_refute,
@@ -48,6 +47,7 @@ from oracles import qt_certificate_verdict, qt_constants, qt_parse, qt_value
 from oracles import flag_change_meets, random_anticommutative, random_member
 from oracles import random_lower_triangular, sampled_lower_triangular_probe
 from oracles import bareiss_entries, zpoly_apply_parameterized_basis
+from oracles import closed_set_member, source_side_oracle
 
 
 def test_parse_basis_row_shapes():
@@ -107,23 +107,30 @@ def _qt_rows(rows, n):
     return [qt_basis_row(r, n) for r in rows]
 
 
-def _over_qt(den, constants):
-    """{(i, j): N / den} as vectors in Q(t)."""
-    return {key: tuple(qt_value(x, den) for x in vec)
-            for key, vec in constants.items()}
+def _over_qt(a, texts):
+    """{(i, j): N / den} as vectors in Q(t), 1-based, from the table rows
+    N of apply_parameterized_basis(a, parsed texts)."""
+    n = a.dim
+    den, constants = _unpacked(a, _parse_rows(texts, n))
+    out = {}
+    for i, j, entries in constants:
+        vec = dict(entries)
+        out[(i + 1, j + 1)] = tuple(qt_value(vec.get(k, 0), den) for k in range(n))
+    return out
 
 
 def _unpacked(a, rows):
     """apply_parameterized_basis(a, rows) with N read back as ZPolys."""
     den, constants, bits = apply_parameterized_basis(a, rows)
-    return den, {key: tuple(ZPoly.from_balanced_digits(x, bits) for x in vec)
-                 for key, vec in constants.items()}
+    return den, [(i, j, tuple((k, ZPoly.from_balanced_digits(x, bits))
+                              for k, x in entries))
+                 for i, j, entries in constants]
 
 
 def test_apply_identity_keeps_constants():
     a = instantiate("T32_e23", 6)
     texts = [f"e{k}" for k in range(1, 7)]
-    constants = _over_qt(*_unpacked(a, _parse_rows(texts, 6)))
+    constants = _over_qt(a, texts)
     assert set(constants) == set(a.products)
     for key, vec in constants.items():
         evaluated = tuple(qt_at_zero(x) for x in vec)
@@ -134,7 +141,7 @@ def test_apply_identity_keeps_constants():
 def test_apply_single_scaling_pushes_constant_into_t():
     a = instantiate("n3", 3)
     texts = ["t*e1", "e2", "e3"]
-    constants = _over_qt(*_unpacked(a, _parse_rows(texts, 3)))
+    constants = _over_qt(a, texts)
     assert constants[(1, 2)][2] == qt_parse("t")
     assert constants == qt_constants(a, _qt_rows(texts, 3))
 
@@ -309,7 +316,8 @@ def test_packing_bits_bound_every_tested_and_unpacked_value(case):
     if d:
         assert _norm(d) <= big_m
         constants = int_change_basis(table, n, g, inv)
-        assert all(_norm(x) <= bound for vec in constants.values() for x in vec)
+        assert all(_norm(x) <= bound for _, _, entries in constants
+                   for _, x in entries)
 
 
 SMALL_ALGEBRAS = [("n3", 3), ("T3", 4), ("T22", 5), ("T22_e23", 6),
@@ -1031,3 +1039,51 @@ def test_fractional_stored_source_basis_verdicts(last, status, reason):
         assert fraction_inverse(at_zero) is None
     else:
         assert any(x is None for row in at_zero for x in row)
+
+
+def _mutated_stored_bases(w, rng, count):
+    """count stored source bases for a closed-set witness: its own (the
+    identity when it stores none) with one or two rows changed by a
+    rational multiple of a basis vector, a rational function with a value
+    at t = 0, a pole at t = 0, or a copy of another row plus a t-term
+    (singular at t = 0)."""
+    n = w.source.dim
+    own = w.payload.get("source_basis") or [f"e{k}" for k in range(1, n + 1)]
+    for _ in range(count):
+        rows = list(own)
+        for _ in range(rng.randint(1, 2)):
+            r, k = rng.randrange(n), rng.randint(1, n)
+            coeff = rng.choice([f"({rng.randint(-5, 5)}/{rng.randint(1, 4)})",
+                                "(t+2)/(3*t+1)", "(2*t-1)/(t^2+5)",
+                                "(1/t)", "(3/(2*t))", "(t+1)/t^2"])
+            if rng.random() < 0.2:
+                rows[r] = f"{rows[(r + 1) % n]}+t*e{k}"
+            else:
+                rows[r] = f"{rows[r]}+{coeff}*e{k}"
+        yield NonDegenerationWitness(w.kind, w.source, w.target,
+                                     dict(w.payload, source_basis=rows),
+                                     w.provenance, w.witness_id)
+
+
+def test_the_source_side_is_tested_as_the_inverse_path_tests_it():
+    # the stored basis read at t = 0 as G[v] and tested on its rows, as a
+    # sample is, gives the verdict of the former path: Fraction values by
+    # limit_at_zero, int_scaled, the orbit point through the inverse and
+    # closed_set_member on it; shipped witnesses and stored bases with
+    # rational entries, poles and singular values at t = 0
+    ledger = load_ledger(shipped_ledger_path())
+    rng = random.Random(40)
+    seen = {}
+    for w in ledger.witnesses:
+        if w.kind not in ("ClosedSet", "BespokeR"):
+            continue
+        src = w.source.resolve()
+        for case in [w, *_mutated_stored_bases(w, rng, 6)]:
+            want = source_side_oracle(case, src)
+            verdict = verify_nondegeneration(case, Records(5), trials=1)
+            if want is None:
+                assert not verdict.reason.startswith("stored source basis"), case
+            else:
+                assert verdict == Verdict("refuted", want), case
+            seen[want] = seen.get(want, 0) + 1
+    assert seen[None] and len(seen) == 4, seen

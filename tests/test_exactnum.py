@@ -16,7 +16,6 @@ from degenlab.exactnum import (
     ExprSyntaxError,
     ZPoly,
     content,
-    limit_at_zero,
     packed_limit_at_zero,
     parse_basis_row,
     parse_rational_function as parse,
@@ -26,7 +25,7 @@ from degenlab.exactnum import (
 )
 
 from oracles import qt_basis_row, qt_eval, qt_parse, qt_value, sympy_expr
-from oracles import rational_from_obj_oracle
+from oracles import limit_at_zero, rational_from_obj_oracle
 
 # Coefficient texts parse to unreduced pairs (num, den) of ZPolys, the
 # input of the Z[t] certificate check; sympy's Q(t) is the reference for

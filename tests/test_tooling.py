@@ -288,6 +288,24 @@ def test_a_tensor_has_one_form_and_products_is_only_output():
     assert _package_names({"products"}, ("algebra",)) == []
 
 
+def test_the_integer_table_is_the_one_product_format():
+    # basis changes and orbit points write the tensor's own rows, and a
+    # witness's source side is tested as its samples are: no package
+    # module defines or names the former membership test, the Fraction
+    # read of a basis at t = 0, the rational-pair constructor or the lazy
+    # power walk, and degeneration scales no rational rows
+    banned = {"closed_set_member", "limit_at_zero", "_from_rational_pairs", "_walk"}
+    assert _package_names(banned, ()) == []
+    package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
+    defined = [(path.stem, node.name) for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name in banned]
+    assert defined == []
+    others = {path.stem for path in package.glob("*.py")} - {"degeneration"}
+    assert _package_names({"int_scaled"}, others) == []
+
+
 def test_the_structure_tensor_is_the_one_algebra_object():
     # no second record of a table's invariants beside the tensor, and no
     # function that takes an algebra branches on what kind of object it is
@@ -398,7 +416,9 @@ def test_the_benchmark_copies_of_the_kinds_and_separators_follow_the_table():
 
 def test_the_ci_smoke_step_runs_every_benchmark_workload():
     # the tier-1 workflow runs each workload of perfbench/run.py for one
-    # second and fails unless its last line reports "correct": true
+    # second, untraced and traced (the tracer patches the program and
+    # computes its metrics only in a traced run), and fails unless each
+    # run's last line reports "correct": true
     root = Path(__file__).resolve().parents[1]
     (workloads,) = [node.value for node in ast.parse(
         (root / "perfbench" / "run.py").read_text(encoding="utf-8")).body
@@ -407,7 +427,8 @@ def test_the_ci_smoke_step_runs_every_benchmark_workload():
     workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(
         encoding="utf-8")
     loop = f"for workload in {' '.join(ast.literal_eval(workloads))}; do"
-    assert loop in workflow and "--seconds 1 --trace 0" in workflow
+    assert loop in workflow and "for trace in 0 1; do" in workflow
+    assert '--seconds 1 --trace "$trace"' in workflow
     assert '.get("correct") is not True' in workflow
 
 
