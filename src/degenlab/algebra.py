@@ -14,10 +14,12 @@ builds them degree by degree (S_alpha = sum L_{e_i} S_{alpha - e_i} over
 i in supp alpha), keeping only the nonzero ones, instead of sampling.
 
 Matrices are lists of rows.  A StructureTensor is the one algebra object,
-and it keeps what it computes.  It has one form: its table scaled by the
-lcm L of its denominators (`mult` and `table`), built at construction
-whatever the constructor, and every closed invariant, and every check of
-a ledger run, runs over Z on it.  The table's rows (i, j, ((k, coeff),
+and it keeps what it computes.  It has one form, its table scaled by the
+lcm L of its denominators (`mult` and `table`), and one constructor,
+`StructureTensor(dim, mult, table)`, which takes that form as it is.
+Outside input enters through `from_pairs` and `from_json_obj`, which
+check it and scale it.  Every closed invariant, and every check of a
+ledger run, runs over Z on the table.  The table's rows (i, j, ((k, coeff),
 ...)), 0-based with zero entries and rows dropped, are the one integer
 product format: `int_change_basis` writes them for a basis change, an
 orbit point and the certificate check alike.  Fraction appears only in
@@ -26,7 +28,8 @@ output: `products`, a view made from the table at each read (for
 `left_mult_matrix`.  Above this module it remains only in the `iw_max`
 witness and IWDominance elements (`degeneration`).
 `power_ideal` and `annihilator` return integer echelon rows: the tensor's
-`power(i)`, and the `linalg.kernel_basis` of at most n integer conditions.
+`power(i)`, and the `linalg.kernel_basis` of the n^2 integer conditions
+x e_j = 0, handed over as they stand.
 `StructureTensor.from_json_obj` is the one reader of the JSON table
 format.  The power chain (A^i, the nilpotency index, the centralizer of
 A^2) is exact because scaling the table or a spanning set by a nonzero
@@ -37,7 +40,8 @@ the one walk down that chain, and `_int_left_products` (the products
 e_j w, the rows of -L_w^T) the one place where L_w is built.
 dim {x : x A^i = 0} is n minus the rank of n rows, row r the products
 e_r w over the echelon rows w of A^i: the transpose of the conditions
-x w = 0 on x, which only `annihilator` reduces, because it solves them.
+x w = 0 on x.  At i = 1 they are the rows of [M^T | I] that
+`kernel_basis` builds for `annihilator`, without I.
 The identity checks (Jacobi, Malcev, Engel) are homogeneous in the
 structure constants: scaling them by L multiplies the Jacobi defect by
 L^2, the Malcev defect by L^3 and (sum_i x_i L_{e_i})^m by L^m, so every
@@ -91,38 +95,30 @@ class StructureTensor:
     """Anticommutative multiplication table on QQ^n, keyed by pairs i < j,
     and its closed invariants, each computed when first read, at most once.
 
-    Every constructor builds the integer table, `mult` and `table`, in the
-    given key order; that is the tensor's one form.  `__init__`,
-    `from_pairs` and `from_json_obj` read the entries into reduced
-    (num, den) pairs for `_scaled_table` (`__init__` reads each entry as
-    Fraction(x)); `change_basis` and the orbit points of `degeneration`
-    hand over integer rows.  `products`, the Fraction(x, mult) of the
-    table's entries, is an output view made at each read.
+    `StructureTensor(dim, mult, table)` is the one constructor: it takes
+    the integer table, `mult` and rows (i, j, ((k, coeff), ...)), 0-based
+    with zero entries and rows dropped, and that is the tensor's one form.
+    `from_pairs` and `from_json_obj` read outside input into reduced
+    (num, den) pairs for `_scaled_table` and hand it its result;
+    `change_basis` and the orbit points of `degeneration` hand it integer
+    rows.  `products`, the Fraction(x, mult) of the table's entries, is an
+    output view made at each read.
 
     Immutable: nothing writes `dim` or the table after construction, so a
     cached invariant stays true.  `__eq__` and `__hash__` read only `dim`,
     `mult` and the table in key order, the one integer form of a rational
     table (the pairs are reduced, so the lcm of the denominators is the
     same for equal tables).  A copy or a pickle is rebuilt from that form
-    with its caches empty (`__reduce__`).
+    by the constructor, with its caches empty (`__reduce__`).
     """
 
     # powers: the integer echelon rows of A^1, A^2, ... that `_int_powers`
     # yields, filled whole when first read
     __slots__ = ("dim", "mult", "table", "powers", "_centralizers")
 
-    def __init__(self, dim: int, products=None):
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        rows = {}
-        for (i, j), vec in (products or {}).items():
-            _check_key(i, j, dim)
-            vec = [(x.numerator, x.denominator) for x in map(Fraction, vec)]
-            if len(vec) != dim:
-                raise DimensionMismatch(f"product vector for ({i},{j}) has wrong length")
-            rows[(i, j)] = vec
-        self.dim = dim
-        self.mult, self.table = _scaled_table(rows)
+    def __init__(self, dim: int, mult: int, table):
+        self.dim, self.mult, self.table = dim, mult, table
+        self._centralizers = {}
 
     @staticmethod
     def from_pairs(dim: int, pairs) -> "StructureTensor":
@@ -139,28 +135,26 @@ class StructureTensor:
                 coeff = 1
             else:
                 i, j, k, coeff = entry
-            _check_key(i, j, dim)
+            if not 1 <= i < j <= dim:
+                raise ValueError(f"product key ({i},{j}) is not 1 <= i < j <= n")
             if not 1 <= k <= dim:
                 raise ValueError(f"product index {k} is not 1 <= k <= {dim}")
             vec = rows.setdefault((i, j), [0] * dim)
             vec[k - 1] += coeff if type(coeff) is int else Fraction(coeff)
-        return _from_table(dim, *_scaled_table({
+        return StructureTensor(dim, *_scaled_table({
             key: [(x.numerator, x.denominator) for x in vec]
             for key, vec in rows.items()}))
 
     def __reduce__(self):
         # the integer form alone: a copy starts with empty caches
-        return _from_table, (self.dim, self.mult, self.table)
+        return StructureTensor, (self.dim, self.mult, self.table)
 
     def __getattr__(self, name):
-        # reached when normal lookup fails: fill the empty cache slot named
-        if name == "powers":
-            self.powers = list(_int_powers(self.table, self.dim))
-        elif name == "_centralizers":
-            self._centralizers = {}
-        else:
+        # reached when normal lookup fails: fill the empty `powers` slot
+        if name != "powers":
             raise AttributeError(name)
-        return getattr(self, name)
+        self.powers = list(_int_powers(self.table, self.dim))
+        return self.powers
 
     @property
     def products(self):
@@ -270,19 +264,7 @@ class StructureTensor:
                 rows[(i, j)] = list(map(rational_pair_from_obj, value))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise TableFormatError(f"bad products entry: {exc}") from None
-        return _from_table(dim, *_scaled_table(rows))
-
-
-def _check_key(i: int, j: int, dim: int):
-    if not (1 <= i < j <= dim):
-        raise ValueError(f"product key ({i},{j}) is not 1 <= i < j <= n")
-
-
-def _from_table(dim: int, mult: int, table) -> StructureTensor:
-    """The tensor of an integer table scaled by mult, its caches empty."""
-    a = StructureTensor.__new__(StructureTensor)
-    a.dim, a.mult, a.table = dim, mult, table
-    return a
+        return StructureTensor(dim, *_scaled_table(rows))
 
 
 def _scaled_table(rows):
@@ -399,26 +381,17 @@ def is_nilpotent(a: StructureTensor):
     return index is not None, index
 
 
-def _int_centralizer_conditions(table, n: int, ws):
-    """Integer echelon rows of the conditions x w = 0 (w in ws) on x.
-
-    The condition for the e_k coordinate of x w has coefficient (e_i w)_k
-    on x_i: the conditions are the columns of [e_1 w, ..., e_n w].
-    """
-    return int_echelon([col for w in ws
-                        for col in zip(*_int_left_products(table, n, w))])
-
-
 def annihilator(a: StructureTensor):
     """Integer echelon rows of {x : x A = A x = 0}; for anticommutative
     tables one side suffices.
 
-    The n^2 x n conditions x e_j = 0 are read off the integer table and
-    reduced to at most n integer rows before `kernel_basis` solves them.
+    `kernel_basis` solves the n^2 conditions x e_j = 0 as they stand: the
+    condition for the e_k coordinate of x e_j has coefficient (e_i e_j)_k
+    on x_i, so the conditions are the columns of [e_1 e_j, ..., e_n e_j].
     """
     n = a.dim
-    rows = _int_centralizer_conditions(a.table, n, _int_identity(n))
-    return kernel_basis(rows) if rows else _int_identity(n)
+    return kernel_basis([col for e in _int_identity(n)
+                         for col in zip(*_int_left_products(a.table, n, e))])
 
 
 def int_change_basis(table, n: int, rows, inv):
@@ -465,7 +438,7 @@ def change_basis(a: StructureTensor, basis) -> StructureTensor:
     table = int_change_basis(a.table, n, rows, inv)
     c = gcd(scale, *(v for _, _, entries in table for _, v in entries))
     c = c if scale > 0 else -c
-    return _from_table(n, scale // c, [
+    return StructureTensor(n, scale // c, [
         (i, j, tuple((k, v // c) for k, v in entries)) for i, j, entries in table])
 
 

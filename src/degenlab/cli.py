@@ -15,6 +15,10 @@ contains no FAIL entries, 2 when it does and 1 on the same errors;
 `--dims` given with no value, or with values that select no certificate,
 witness or chain of the ledger, is such an error and writes no report.
 Leaving out `--dims` runs the whole ledger.
+A file that `verify-paper --ledger`, `check` or `classify --file` cannot
+read is one error line and exit 1, never a traceback: it cannot be
+opened, is not UTF-8, does not parse as JSON, or nests too deep for the
+parser (`verification_db.read_json`, the one reader of the three).
 A certificate `basis` that is not a list of strings is a parse error
 (exit 1).  Its rows are parsed when the certificate is verified, so a
 row that does not parse, or a basis of the wrong length, is a fail
@@ -70,6 +74,7 @@ from .verification_db import (
     judge_certificate,
     ledger_from_obj,
     load_ledger,
+    read_json,
     report_to_json_bytes,
     run_ledger,
     shipped_ledger_path,
@@ -145,9 +150,8 @@ def cmd_check(args) -> int:
     if args.trials < 1:
         return _error(f"trials must be >= 1, got {args.trials}")
     try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        obj = read_json(args.path)
+    except ParseError as exc:
         return _error(exc)
     if not isinstance(obj, dict):
         return _error(f"{args.path} does not hold a JSON object")
@@ -266,10 +270,8 @@ def cmd_classify(args) -> int:
                       "not both")
     if args.file:
         try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                tensor = StructureTensor.from_json_obj(json.load(fh))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError,
-                TableFormatError) as exc:
+            tensor = StructureTensor.from_json_obj(read_json(args.file))
+        except (ParseError, TableFormatError) as exc:
             return _error(exc)
     elif args.name is None or args.dim is None:
         return _error("classify needs a catalog name with --dim, or --file")

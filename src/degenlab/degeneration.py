@@ -85,7 +85,7 @@ from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from . import catalog
-from .algebra import (StructureTensor, _from_table, _int_product, engel_degree,
+from .algebra import (StructureTensor, _int_product, engel_degree,
                       int_change_basis, jacobi_holds)
 from .contraction import (NotEngelAt, _rank_bound, dominates, iw_scan,
                           partition_from_rank_sequence, rank_sequence)
@@ -479,7 +479,8 @@ def _orbit_point(table, n: int, g) -> StructureTensor:
     """The orbit point of the basis s g, s = d L, for a tensor's table, an
     invertible integer basis g and (d, R) = int_scaled_inverse(g): its
     integer table, with mult 1, exact for cone membership."""
-    return _from_table(n, 1, int_change_basis(table, n, g, int_scaled_inverse(g)[1]))
+    inv = int_scaled_inverse(g)[1]
+    return StructureTensor(n, 1, int_change_basis(table, n, g, inv))
 
 
 def random_invertible(dim: int, rng: random.Random):

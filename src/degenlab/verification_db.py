@@ -217,13 +217,20 @@ def ledger_from_obj(obj, path: str = "") -> ClaimLedger:
     return ledger
 
 
-def load_ledger(path) -> ClaimLedger:
+def read_json(path, context: str = ""):
+    """The JSON value in the file at path, else ParseError: context and the
+    reason's own text, for a file that cannot be opened, is not UTF-8 or
+    not JSON (ValueError, as is an int past Python's digit limit) or nests
+    deeper than the parser's recursion limit (RecursionError)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read ledger {path}: {exc}") from exc
-    return ledger_from_obj(obj, str(path))
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(f"{context}{exc}") from None
+
+
+def load_ledger(path) -> ClaimLedger:
+    return ledger_from_obj(read_json(path, f"cannot read ledger {path}: "), str(path))
 
 
 def check_references(claims):

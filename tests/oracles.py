@@ -31,8 +31,12 @@ rational rule that matched a string twice, once by its own regex and once
 by `Fraction`'s, and the table reader that then wrapped each entry in a
 second Fraction, are the reference for the one-match, one-Fraction reader.
 That reader and `from_pairs`'s Fraction sums, each handing its products
-to `StructureTensor(dim, products)`, and `==` read off `products`, are
+to `fraction_tensor(dim, products)`, and `==` read off `products`, are
 the reference for the tensors built straight as their integer table.
+`fraction_tensor` is the Fraction-dict reader that `StructureTensor`'s
+constructor was until the constructor took only the integer form
+`(dim, mult, table)`; the tests build their hand-written tables with
+it.
 The ranks of the powers of sum_i x_i L_{e_i} over Q(x_1, ..., x_n), in
 sympy's field, are the generic rank sequence that the scan's exact
 stopping bound must dominate.  `constant(a, i, j, k)`, the per-entry
@@ -43,7 +47,9 @@ package's former source side of a closed-set witness, the stored basis
 read at t = 0 by `limit_at_zero` into Fractions, scaled by
 `linalg.int_scaled`, written out by `inverse_orbit_point` and tested by
 `closed_set_member` on the moved table, is the reference for the source
-side that `verify_nondegeneration` now tests as a sample is.
+side that `verify_nondegeneration` now tests as a sample is.  The
+annihilator's former reduced conditions, `int_centralizer_conditions`,
+are the reference for the rank that `centralizer_dim` reads off n rows.
 """
 
 import contextlib
@@ -905,6 +911,17 @@ def annihilator_oracle(a):
     return kernel_oracle(rows)
 
 
+def int_centralizer_conditions(table, n, ws):
+    """Integer echelon rows of the conditions x w = 0 (w in ws) on x: the
+    columns of [e_1 w, ..., e_n w], reduced, as the package's annihilator
+    reduced them before `kernel_basis` read them as they stand."""
+    from degenlab.algebra import _int_left_products
+    from degenlab.linalg import int_echelon
+
+    return int_echelon([col for w in ws
+                        for col in zip(*_int_left_products(table, n, w))])
+
+
 def centralizer_square_dim_oracle(a):
     square = power_ideal_oracle(a, 2)
     if square.dim == 0:
@@ -931,9 +948,7 @@ def generated_subalgebra(a, vec):
 
 def direct_sum_trivial(a, k):
     """A + k extra central coordinates with zero products."""
-    from degenlab.algebra import StructureTensor
-
-    return StructureTensor(a.dim + k, {
+    return fraction_tensor(a.dim + k, {
         key: tuple(vec) + (Fraction(0),) * k for key, vec in a.products.items()})
 
 
@@ -947,15 +962,13 @@ def spec_forbids(spec, p, q, r):
 
 def project_to_spec(a, spec):
     """The structure with each coefficient `spec_forbids` set to zero."""
-    from degenlab.algebra import StructureTensor
-
     table = {}
     for (p, q), vec in a.products.items():
         kept = tuple(0 if spec_forbids(spec, p, q, r) else x
                      for r, x in enumerate(vec, start=1))
         if any(kept):
             table[(p, q)] = kept
-    return StructureTensor(a.dim, table)
+    return fraction_tensor(a.dim, table)
 
 
 def _candidate_pool_oracle(a, seed: int, random_count: int = 64):
@@ -1086,9 +1099,7 @@ def random_member(dim, pairs, rng, spread=3):
 def random_anticommutative(dim, rng, spread=3):
     """Random integer table: `random_member` with no flag conditions, the
     draws of `whole_table_draws`."""
-    from degenlab.algebra import StructureTensor
-
-    return StructureTensor(dim, random_member(dim, (), rng, spread))
+    return fraction_tensor(dim, random_member(dim, (), rng, spread))
 
 
 def random_lower_triangular(dim, rng):
@@ -1123,12 +1134,12 @@ def sampled_lower_triangular_probe(pairs, dim, samples=100, seed=0):
     says that `samples` draws found no counterexample."""
     import random
 
-    from degenlab.algebra import StructureTensor, _int_identity
+    from degenlab.algebra import _int_identity
     from degenlab.degeneration import Verdict
 
     rng = random.Random(seed)
     for trial in range(samples):
-        tensor = StructureTensor(dim, random_member(dim, pairs, rng))
+        tensor = fraction_tensor(dim, random_member(dim, pairs, rng))
         table = tensor.table
         if not flag_change_meets(table, dim, _int_identity(dim), pairs):
             return Verdict("fail", f"sampler produced a non-member at trial {trial}")
@@ -1146,9 +1157,9 @@ def sampled_lower_triangular_probe(pairs, dim, samples=100, seed=0):
 def inverse_orbit_point(table, n, g):
     """Orbit point of the basis s g (s = d L) through the full inverse
     R = d g^-1 and every product of the tensor's table, handed to
-    `StructureTensor(n, {(i, j): dense coordinates})`; None if g is
+    `fraction_tensor(n, {(i, j): dense coordinates})`; None if g is
     singular."""
-    from degenlab.algebra import StructureTensor, int_change_basis
+    from degenlab.algebra import int_change_basis
     from degenlab.linalg import int_scaled_inverse
 
     d, inv = int_scaled_inverse(g)
@@ -1160,7 +1171,7 @@ def inverse_orbit_point(table, n, g):
         for k, x in entries:
             vec[k] = x
         products[(i + 1, j + 1)] = tuple(vec)
-    return StructureTensor(n, products)
+    return fraction_tensor(n, products)
 
 
 def closed_set_member(a, spec):
@@ -1318,12 +1329,30 @@ def from_json_obj_oracle(obj):
                  for key, vec in table.items() if any(vec)}
 
 
+def fraction_tensor(dim, products=None):
+    """The tensor as the former Fraction reader built it from a dict
+    {(i, j): vector}, 1-based: each entry read as Fraction(x) into a
+    reduced pair, the key and the vector's length checked, the rows
+    scaled by `_scaled_table` and handed to the one constructor."""
+    from degenlab.algebra import DimensionMismatch, StructureTensor, _scaled_table
+
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    rows = {}
+    for (i, j), vec in (products or {}).items():
+        if not 1 <= i < j <= dim:
+            raise ValueError(f"product key ({i},{j}) is not 1 <= i < j <= n")
+        vec = [(x.numerator, x.denominator) for x in map(Fraction, vec)]
+        if len(vec) != dim:
+            raise DimensionMismatch(f"product vector for ({i},{j}) has wrong length")
+        rows[(i, j)] = vec
+    return StructureTensor(dim, *_scaled_table(rows))
+
+
 def from_pairs_oracle(dim, pairs):
     """The tensor as `from_pairs` built it from Fractions: each coefficient
-    summed as Fraction(coeff), the vectors handed to `StructureTensor`,
-    which scales them to its integer table."""
-    from degenlab.algebra import StructureTensor
-
+    summed as Fraction(coeff), the vectors handed to `fraction_tensor`,
+    which scales them to the integer table."""
     table = {}
     for entry in pairs:
         if len(entry) == 3:
@@ -1334,7 +1363,7 @@ def from_pairs_oracle(dim, pairs):
         vec = list(table.get((i, j), (Fraction(0),) * dim))
         vec[k - 1] += Fraction(coeff)
         table[(i, j)] = tuple(vec)
-    return StructureTensor(dim, table)
+    return fraction_tensor(dim, table)
 
 
 def tensor_eq_oracle(a, b):

@@ -39,6 +39,7 @@ from oracles import jacobi_oracle, malcev_oracle, malcev_terms_oracle
 
 from oracles import ann_dim_oracle, generated_subalgebra, square_dim_oracle
 from oracles import from_json_obj_oracle, from_pairs_oracle, tensor_eq_oracle
+from oracles import fraction_tensor, int_centralizer_conditions
 from oracles import direct_sum_trivial, random_anticommutative, random_lower_triangular
 from oracles import (
     Subspace,
@@ -102,14 +103,14 @@ def test_power_ideals_of_the_four_chain():
 
 
 def test_is_nilpotent_examples():
-    assert is_nilpotent(StructureTensor(5)) == (True, 2)
+    assert is_nilpotent(fraction_tensor(5)) == (True, 2)
     # the length-four chain dies at the fifth power ideal
     assert is_nilpotent(instantiate("T4", 5)) == (True, 5)
     assert is_nilpotent(instantiate("eta2", 5)) == (True, 3)
 
 
 def test_annihilator_examples():
-    assert annihilator(StructureTensor(5)) == identity(5)
+    assert annihilator(fraction_tensor(5)) == identity(5)
     top = Subspace.from_vectors(6, [e_vec(6, 4), e_vec(6, 5), e_vec(6, 6)])
     for key in ("T22", "T22_e23"):
         assert Subspace.from_vectors(6, annihilator(instantiate(key, 6))) == top
@@ -173,14 +174,14 @@ def _random_nilpotent(n, rng):
                         for k in range(1, n + 1))
             if any(vec):
                 table[(i, j)] = vec
-    return StructureTensor(n, table)
+    return fraction_tensor(n, table)
 
 
 def test_centralizer_dim_is_n_minus_the_rank_of_the_n_squared_conditions():
     # the n rows e_r w over the echelon rows w of A^i are the transpose of
     # the former n|ws| x n conditions x w = 0 on x, so their ranks agree,
     # on nilpotent tables, on tables that are not, and off the basis
-    from degenlab.algebra import _int_centralizer_conditions, _int_identity
+    from degenlab.algebra import _int_identity
 
     rng = random.Random(1611)
     seen = set()
@@ -197,8 +198,8 @@ def test_centralizer_dim_is_n_minus_the_rank_of_the_n_squared_conditions():
             a = change_basis(a, rand_invertible(n, rng))
         for i in (1, 2, 3):
             ws = _int_identity(n) if i == 1 else a.power(i)
-            want = n - len(_int_centralizer_conditions(a.table, n, ws))
-            assert StructureTensor(n, a.products).centralizer_dim(i) == want, (i, a)
+            want = n - len(int_centralizer_conditions(a.table, n, ws))
+            assert fraction_tensor(n, a.products).centralizer_dim(i) == want, (i, a)
             seen.add((a.nilindex is None, i, 0 < want < n))
         assert a.centralizer_dim(1) == ann_dim_oracle(a)
         assert a.centralizer_dim(2) == centralizer_square_dim_oracle(a)
@@ -238,7 +239,7 @@ def test_every_invariant_read_on_a_warm_tensor_equals_the_read_on_a_fresh_one():
         for n in catalog_tested_dims(key):
             a = instantiate(key, n)
             for warm in (a, change_basis(a, random_lower_triangular(n, rng)[::-1])):
-                fresh = StructureTensor(n, warm.products)
+                fresh = fraction_tensor(n, warm.products)
                 if n % 2:
                     warm.centralizer_dim(2)  # the walk to A^2 only
                 else:
@@ -298,7 +299,7 @@ def test_jacobi_on_random_vectors_agrees_with_basis_decision():
 
 
 def test_engel_degree_examples():
-    assert engel_degree(StructureTensor(4), 4) == 1
+    assert engel_degree(fraction_tensor(4), 4) == 1
     assert engel_degree(instantiate("eta2", 5), 5) == 2
     assert engel_degree(instantiate("T4", 5), 5) == 4
     assert engel_degree(instantiate("T4_e23", 5), 5) == 4
@@ -322,8 +323,8 @@ def test_engel_degree_matches_random_spot_checks():
 
 # the zero algebra; e1e2 = e2 (L_e1 is not nilpotent); the cross product
 _NOT_NILPOTENT = (
-    StructureTensor(2, {(1, 2): (0, 1)}),
-    StructureTensor(3, {(1, 2): (0, 0, 1), (1, 3): (0, -1, 0),
+    fraction_tensor(2, {(1, 2): (0, 1)}),
+    fraction_tensor(3, {(1, 2): (0, 0, 1), (1, 3): (0, -1, 0),
                         (2, 3): (1, 0, 0)}),
 )
 
@@ -374,7 +375,7 @@ def test_engel_degree_at_exactly_max_m():
 
 def test_engel_degree_of_the_zero_algebra_is_1():
     for n in range(1, 5):
-        z = StructureTensor(n)
+        z = fraction_tensor(n)
         assert engel_degree(z, 1) == engel_degree_oracle(z, 1) == 1
         assert engel_degree(z, n + 1) == 1
         assert engel_degree(z, 0) is None
@@ -387,7 +388,7 @@ def test_engel_packing_bits_bound_every_coefficient():
     tables = [_dense_fractional_conjugate(instantiate(key, n), rng)
               for key, n in (("T4", 5), ("T22_e34", 6), ("eta2", 5))]
     tables += [random_anticommutative(n, rng) for n in (2, 3, 4)]
-    tables += list(_NOT_NILPOTENT) + [StructureTensor(3)]
+    tables += list(_NOT_NILPOTENT) + [fraction_tensor(3)]
     for a in tables:
         mult, table = a.mult, a.table
         max_m = 4 if a.dim > 4 else a.dim + 1
@@ -503,7 +504,7 @@ def test_one_added_product_breaks_the_malcev_identity(key, n, added):
     vec = list(products.get((i, j), (0,) * n))
     vec[k - 1] += 1
     products[(i, j)] = tuple(vec)
-    b = StructureTensor(n, products)
+    b = fraction_tensor(n, products)
     assert not malcev_oracle(b)
     assert not _malcev_holds(b)
     assert not _malcev_holds(_dense_fractional_conjugate(b, random.Random(n)))
@@ -512,7 +513,7 @@ def test_one_added_product_breaks_the_malcev_identity(key, n, added):
 def test_change_basis_identity_and_zero():
     a = instantiate("T22_e34", 6)
     assert change_basis(a, identity(6)) == a
-    z = StructureTensor(4)
+    z = fraction_tensor(4)
     rng = random.Random(2)
     assert change_basis(z, rand_invertible(4, rng)) == z
 
@@ -548,7 +549,7 @@ def _random_fractional_table(n, rng):
             if rng.random() < 0.5:
                 table[(i, j)] = tuple(
                     Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n))
-    return StructureTensor(n, table)
+    return fraction_tensor(n, table)
 
 
 def test_change_basis_fractional_tables_match_oracle():
@@ -603,7 +604,7 @@ def test_change_basis_builds_the_table_of_its_fraction_constants():
     # of either sign (a row negated flips the sign of the determinant)
     rng = random.Random(40)
     cases = [instantiate("T222_e7special", 7), instantiate("T32_e23", 6),
-             instantiate("T4", 5), StructureTensor(3)]
+             instantiate("T4", 5), fraction_tensor(3)]
     cases += [_random_fractional_table(n, rng) for n in (2, 3, 4, 6)]
     signs = set()
     for a in cases:
@@ -617,18 +618,18 @@ def test_change_basis_builds_the_table_of_its_fraction_constants():
             for basis in (rows, [[-x for x in rows[0]]] + rows[1:]):
                 signs.add(int_scaled_inverse(int_scaled(basis)[1])[0] > 0)
                 got = _built(change_basis, a, basis)
-                want = StructureTensor(n, change_basis_oracle(n, pairs_of(a), basis))
+                want = fraction_tensor(n, change_basis_oracle(n, pairs_of(a), basis))
                 assert (got.mult, got.table, repr(got)) == (
                     want.mult, want.table, repr(want)), (a, basis)
     assert signs == {True, False}
 
 
 def test_repr_keeps_one_sign_per_coefficient():
-    a = StructureTensor(3, {(1, 2): (-24, 6, 18), (1, 3): (8, -2, 0),
+    a = fraction_tensor(3, {(1, 2): (-24, 6, 18), (1, 3): (8, -2, 0),
                             (2, 3): (Fraction(-3, 2), -1, 1)})
     assert repr(a) == ("StructureTensor(dim=3: e1e2=-24*e1+6*e2+18*e3, "
                        "e1e3=8*e1-2*e2, e2e3=-3/2*e1-e2+e3)")
-    assert repr(StructureTensor(2)) == "StructureTensor(dim=2: zero multiplication)"
+    assert repr(fraction_tensor(2)) == "StructureTensor(dim=2: zero multiplication)"
 
 
 def test_direct_sum_trivial():
@@ -684,28 +685,28 @@ def test_json_round_trip():
     a = instantiate("T222_e7special", 7)
     again = StructureTensor.from_json_obj(a.to_json_obj())
     assert again == a
-    fancy = StructureTensor(3, {(1, 2): (0, 0, Fraction(1, 2))})
+    fancy = fraction_tensor(3, {(1, 2): (0, 0, Fraction(1, 2))})
     again = StructureTensor.from_json_obj(fancy.to_json_obj())
     assert again == fancy
 
 
 def test_a_fraction_entry_is_stored_as_given():
-    # each entry is read as Fraction(x): the Fractions the tensor is
-    # handed keep their value, and anything else converts as it did
+    # the tests' Fraction reader reads each entry as Fraction(x): the
+    # Fractions it is handed keep their value, and anything else converts
     given_vec = (Fraction(1, 3), Fraction(0), Fraction(-7, 2))
-    a = StructureTensor(3, {(1, 2): given_vec})
+    a = fraction_tensor(3, {(1, 2): given_vec})
     assert a.products == {(1, 2): given_vec}
     mixed = (1, "2/4", 0.5, Fraction(3), -2)
-    b = StructureTensor(5, {(2, 4): mixed})
+    b = fraction_tensor(5, {(2, 4): mixed})
     assert b.products == {(2, 4): tuple(Fraction(x) for x in mixed)}
     assert all(type(x) is Fraction for x in b.products[(2, 4)])
     with pytest.raises(ValueError, match=r"product key \(2,1\)"):
-        StructureTensor(3, {(2, 1): given_vec})
+        fraction_tensor(3, {(2, 1): given_vec})
     with pytest.raises(ValueError, match=r"product key \(1,4\)"):
-        StructureTensor(3, {(1, 4): given_vec})
+        fraction_tensor(3, {(1, 4): given_vec})
     with pytest.raises(DimensionMismatch, match="wrong length"):
-        StructureTensor(3, {(1, 2): given_vec[:2]})
-    zero = StructureTensor(3, {(1, 2): (Fraction(0),) * 3, (1, 3): (0, "0/5", 0.0)})
+        fraction_tensor(3, {(1, 2): given_vec[:2]})
+    zero = fraction_tensor(3, {(1, 2): (Fraction(0),) * 3, (1, 3): (0, "0/5", 0.0)})
     assert zero.products == {}
 
 
@@ -828,7 +829,7 @@ def test_a_json_table_is_built_as_the_fraction_path_builds_it(obj):
     # ints, signed, unreduced and padded "p/q" strings, zero vectors and
     # the empty table: read straight to the integer table, the same tensor
     _same_tensor(_built(StructureTensor.from_json_obj, obj),
-                 _built(StructureTensor, *from_json_obj_oracle(obj)))
+                 _built(fraction_tensor, *from_json_obj_oracle(obj)))
 
 
 _COEFFS = st.one_of(
@@ -883,7 +884,7 @@ def test_from_pairs_refuses_an_entry_outside_the_dimension(dim, pairs, message):
     with pytest.raises(ValueError, match=message):
         StructureTensor.from_pairs(dim, pairs)
     # k = 1 and k = dim are inside
-    assert StructureTensor.from_pairs(3, [(1, 2, 1), (1, 3, 3)]) == StructureTensor(
+    assert StructureTensor.from_pairs(3, [(1, 2, 1), (1, 3, 3)]) == fraction_tensor(
         3, {(1, 2): (1, 0, 0), (1, 3): (0, 0, 1)})
 
 
@@ -895,10 +896,10 @@ def test_tables_compare_as_their_fraction_products(obj, other, rnd):
     # read from JSON or handed to __init__ as Fractions, in any pairing
     shuffled = dict(obj, products=rnd.sample(obj["products"], len(obj["products"])))
     a = StructureTensor.from_json_obj(obj)
-    a_init = StructureTensor(*from_json_obj_oracle(obj))
+    a_init = fraction_tensor(*from_json_obj_oracle(obj))
     for obj_b in (shuffled, other):
         b = StructureTensor.from_json_obj(obj_b)
-        b_init = StructureTensor(*from_json_obj_oracle(obj_b))
+        b_init = fraction_tensor(*from_json_obj_oracle(obj_b))
         want = tensor_eq_oracle(a_init, b_init)
         for x, y in ((a, b), (a_init, b_init), (a, b_init), (a_init, b)):
             assert (x == y) == want and (y == x) == want
@@ -913,8 +914,7 @@ def test_every_constructor_builds_the_integer_table():
     from degenlab.degeneration import _orbit_point
 
     half = Fraction(1, 2)
-    a = _built(StructureTensor, 4, {(1, 2): (0, 0, half, 0), (1, 3): (0, 0, 0, 1),
-                                    (2, 3): (0, 0, 0, 0)})
+    a = _built(StructureTensor, 4, 2, [(0, 1, ((2, 1),)), (0, 2, ((3, 2),))])
     g = [[1, 0, 0, 0], [2, 1, 0, 0], [0, -1, 1, 0], [0, 0, 3, 1]]
     built = {
         "__init__": a,
@@ -931,7 +931,8 @@ def test_every_constructor_builds_the_integer_table():
         assert b.products == b.products and b.products is not b.products, name
         with pytest.raises(AttributeError):
             b.products = {}
-    assert (a.mult, a.table) == (2, [(0, 1, ((2, 1),)), (0, 2, ((3, 2),))])
+    assert a == fraction_tensor(4, {(1, 2): (0, 0, half, 0), (1, 3): (0, 0, 0, 1),
+                                    (2, 3): (0, 0, 0, 0)})
     assert a == built["from_pairs"] == built["from_json_obj"]
     point = built["_orbit_point"]
     moved = int_change_basis(a.table, 4, g, int_scaled_inverse(g)[1])
@@ -942,9 +943,22 @@ def test_every_constructor_builds_the_integer_table():
         for k, x in entries:
             vec[k] = x
         dense[(i + 1, j + 1)] = tuple(vec)
-    assert point == StructureTensor(4, dense)
-    assert built["change_basis"] == StructureTensor(
+    assert point == fraction_tensor(4, dense)
+    assert built["change_basis"] == fraction_tensor(
         4, change_basis_oracle(4, pairs_of(a), g))
+
+
+@pytest.mark.parametrize("args", [
+    (3, {(1, 2): (0, 0, 1)}),
+    (3,),
+    (),
+])
+def test_the_removed_constructor_forms_raise_type_error(args):
+    # (dim, mult, table) is the one constructor: a dict of Fraction
+    # vectors, or a dimension alone, is refused at once, never read as
+    # a wrong tensor
+    with pytest.raises(TypeError):
+        StructureTensor(*args)
 
 
 def _copies(a):
@@ -959,8 +973,8 @@ def test_a_tensor_copies_and_pickles_as_its_integer_table():
     # a filled cache is neither pickled nor shared; equality, hash and the
     # invariants are the original's
     fresh = [instantiate("T22", 5), instantiate("T4", 5),
-             StructureTensor(3, {(1, 2): (0, 0, Fraction(1, 2))}),
-             StructureTensor(3, {(1, 2): (0, 1, 0)}), StructureTensor(2)]
+             fraction_tensor(3, {(1, 2): (0, 0, Fraction(1, 2))}),
+             fraction_tensor(3, {(1, 2): (0, 1, 0)}), fraction_tensor(2)]
     for key, n in (("T22", 5), ("T4", 5), ("eta2", 5)):
         a = instantiate(key, n)
         a.power(2)  # fills the whole power chain
@@ -975,8 +989,7 @@ def test_a_tensor_copies_and_pickles_as_its_integer_table():
             assert type(b) is StructureTensor and _int_form(b)
             assert (b.dim, b.mult, b.table, hash(b)) == want
             assert b == a and a == b and b.products == a.products
-            for slot in ("powers", "_centralizers"):
-                assert not _holds(b, slot), slot
+            assert not _holds(b, "powers") and b._centralizers == {}
             assert b.nilindex == is_nilpotent_oracle(a)[1]
             assert b.ann_dim == ann_dim_oracle(a)
             assert b.powers == a.powers and b.powers is not a.powers
@@ -985,14 +998,14 @@ def test_a_tensor_copies_and_pickles_as_its_integer_table():
 
 
 def test_is_nilpotent_detects_stabilization():
-    bad = StructureTensor(3, {(1, 2): (0, 1, 0)})  # powers stabilize at <e2>
+    bad = fraction_tensor(3, {(1, 2): (0, 1, 0)})  # powers stabilize at <e2>
     assert is_nilpotent(bad) == (False, None)
     # e1e2 = e3, e2e3 = e3 stalls at A^2 = <e3>; the cross product e1e2 = e3,
     # e2e3 = e1, e3e1 = e2 at its first step, A^2 = A
     rng = random.Random(83)
     for a in (bad,
-              StructureTensor(3, {(1, 2): (0, 0, 1), (2, 3): (0, 0, 1)}),
-              StructureTensor(3, {(1, 2): (0, 0, 1), (1, 3): (0, -1, 0),
+              fraction_tensor(3, {(1, 2): (0, 0, 1), (2, 3): (0, 0, 1)}),
+              fraction_tensor(3, {(1, 2): (0, 0, 1), (1, 3): (0, -1, 0),
                                   (2, 3): (1, 0, 0)})):
         assert _assert_layer_matches_oracles(a, rng) == (False, None)
 
@@ -1012,7 +1025,7 @@ def _assert_layer_matches_oracles(a, rng):
     powers = [full]  # A^1, ..., A^(n+2) over Fraction
     for _ in range(n + 1):
         powers.append(subspace_product_oracle(a, full, powers[-1]))
-    inv = StructureTensor(n, a.products)
+    inv = fraction_tensor(n, a.products)
     for i, want in enumerate(powers, start=1):
         assert Subspace.from_vectors(n, power_ideal(a, i)) == want, i
         # one walk gives the whole chain; past its end a power repeats the last
@@ -1023,7 +1036,7 @@ def _assert_layer_matches_oracles(a, rng):
     assert inv.nilindex == nil[1]
     ann = annihilator_oracle(a)
     assert Subspace.from_vectors(n, annihilator(a)) == ann
-    assert (StructureTensor(n, a.products).ann_dim == inv.ann_dim
+    assert (fraction_tensor(n, a.products).ann_dim == inv.ann_dim
             == inv.centralizer_dim(1) == ann.dim)
     assert inv.centralizer_dim(2) == centralizer_square_dim_oracle(a)
     x, y = _fractional_vec(n, rng), _fractional_vec(n, rng)

@@ -1217,6 +1217,35 @@ def test_a_file_that_is_not_utf8_is_an_error_line(tmp_path, capsys, argv):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--file", "{path}"], ["check", "{path}"],
+    ["verify-paper", "--ledger", "{path}", "--out", "{out}"],
+], ids=["classify", "check", "verify-paper"])
+@pytest.mark.parametrize("text", [
+    "[" * 200_000 + "]" * 200_000,  # deeper than the parser's recursion limit
+    "1" * 5000,  # an int past Python's digit limit
+], ids=["nested", "long-int"])
+def test_a_file_the_json_parser_gives_up_on_is_an_error_line(tmp_path, argv, text):
+    # the parser raises RecursionError or a bare ValueError here, not a
+    # JSONDecodeError: still one error line and exit 1, no traceback
+    path = tmp_path / "claim.json"
+    path.write_text(text, encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-m", "degenlab"]
+        + [a.format(path=path, out=tmp_path / "out") for a in argv],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
+    assert "Traceback" not in done.stderr
+    if argv[0] == "verify-paper":
+        assert done.stderr.startswith(f"error: cannot read ledger {path}: ")
+        assert not (tmp_path / "out").exists()
+
+
 # --- the dimension ceiling ---------------------------------------------------
 
 HUGE_DIM = 10 ** 8

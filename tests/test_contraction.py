@@ -5,7 +5,6 @@ import pytest
 
 from degenlab.algebra import (
     DimensionMismatch,
-    StructureTensor,
     change_basis,
     left_mult_matrix,
 )
@@ -29,6 +28,7 @@ from degenlab.verification_db import load_ledger, shipped_ledger_path
 from oracles import (
     _candidate_pool_oracle,
     annihilator_oracle,
+    fraction_tensor,
     generic_rank_sequence_oracle,
     is_nilpotent_oracle,
     iw_max_oracle,
@@ -64,7 +64,7 @@ def test_iw_max_examples():
     assert part == Partition((2, 2))
     assert rank_sequence(a, witness) == RankSequence((2,))
 
-    z = StructureTensor(5)
+    z = fraction_tensor(5)
     assert iw_max(z, seed=5)[0] == Partition((1, 1, 1, 1))
 
     t4e = instantiate("T4_e23", 5)
@@ -111,7 +111,7 @@ def test_iw_max_witness_dominates_pool_members():
 
 
 def test_rank_sequence_not_engel():
-    bad = StructureTensor(3, {(1, 2): (0, 1, 0)})  # e1e2 = e2, idempotent-ish
+    bad = fraction_tensor(3, {(1, 2): (0, 1, 0)})  # e1e2 = e2, idempotent-ish
     with pytest.raises(NotEngelAt):
         rank_sequence(bad, (Fraction(1), Fraction(0), Fraction(0)))
 
@@ -169,7 +169,7 @@ def test_integer_rank_sequence_error_cases():
             rank_sequence(a, short)
         with pytest.raises(DimensionMismatch):
             fraction_rank_sequence(a, short)
-    bad = StructureTensor(3, {(1, 2): (0, Fraction(2, 3), 0)})
+    bad = fraction_tensor(3, {(1, 2): (0, Fraction(2, 3), 0)})
     vec = (Fraction(1, 2), Fraction(0), Fraction(0))
     assert len(fraction_rank_sequence(bad, vec)) > bad.dim
     with pytest.raises(NotEngelAt):
@@ -225,7 +225,7 @@ def _random_nilpotent(n, rng, density):
                             else 0 for k in range(n))
                 if any(vec):
                     table[(i, j)] = vec
-    return StructureTensor(n, table)
+    return fraction_tensor(n, table)
 
 
 def _dense_conjugate(a, rng):
@@ -245,21 +245,21 @@ def _manifest_algebras():
 
 
 # repairs with the random block not yet drawn, and inside the random block
-REPAIR_BEFORE_BLOCK = StructureTensor(7, {
+REPAIR_BEFORE_BLOCK = fraction_tensor(7, {
     (1, 3): (0, 0, 0, 1, 1, 0, 0), (2, 4): (0, 0, 0, 0, -1, 0, -1),
     (4, 6): (0, 0, 0, 0, 0, 0, 1)})
-REPAIR_IN_BLOCK = StructureTensor(7, {
+REPAIR_IN_BLOCK = fraction_tensor(7, {
     (1, 2): (0, 0, 0, 0, 1, 0, 0), (2, 3): (0, 0, 0, -1, 0, 1, 0),
     (3, 4): (0, 0, 0, 0, 0, -1, 0), (5, 6): (0, 0, 0, 0, 0, 0, 1)})
 # e1e2 = e3, e2e3 = e3: e1 meets the bound (1,) of a nilpotent table of
 # this shape, but L_{e2} is not nilpotent
-NOT_NILPOTENT = StructureTensor(3, {(1, 2): (0, 0, 1), (2, 3): (0, 0, 1)})
+NOT_NILPOTENT = fraction_tensor(3, {(1, 2): (0, 0, 1), (2, 3): (0, 0, 1)})
 # e1e2 = e3, e2e3 = e1, e3e1 = e2: A^2 = A, so the power chain stalls at
 # its first step
-CROSS_PRODUCT = StructureTensor(3, {
+CROSS_PRODUCT = fraction_tensor(3, {
     (1, 2): (0, 0, 1), (1, 3): (0, -1, 0), (2, 3): (1, 0, 0)})
 # e1e2 = e3, e1e3 = e4, e2e3 = e5: the strict fall cuts b_2 from 2 to 1
-STRICT_FALL = StructureTensor(5, {
+STRICT_FALL = fraction_tensor(5, {
     (1, 2): (0, 0, 1, 0, 0), (1, 3): (0, 0, 0, 1, 0), (2, 3): (0, 0, 0, 0, 1)})
 
 
@@ -312,7 +312,7 @@ def test_iw_max_on_a_warm_tensor_is_iw_max_on_a_fresh_one():
             a.power(2)
         else:
             iw_max(a, seed=seed + 1)
-        fresh = StructureTensor(a.dim, a.products)
+        fresh = fraction_tensor(a.dim, a.products)
         assert iw_max(a, seed=seed) == iw_max(fresh, seed=seed), label
 
 
@@ -331,7 +331,7 @@ def test_the_candidate_pool_is_the_oracle_pool_in_integers():
     # the random block and then the alpha draws
     for n in range(1, 12):
         for seed in (0, 1, 7, 1021, 20240917):
-            want, rng = _candidate_pool_oracle(StructureTensor(n), seed)
+            want, rng = _candidate_pool_oracle(fraction_tensor(n), seed)
             pool = contraction._CandidatePool(n, seed)
             got = list(pool)
             assert got == want, (n, seed)
@@ -388,7 +388,7 @@ def test_iw_max_stops_once_the_best_sequence_meets_the_bound(monkeypatch):
     assert iw_max(STRICT_FALL) == (Partition((3,)), e_vec(5, 1))
     assert calls == [e_vec(5, 1)]
     calls.clear()
-    assert iw_max(StructureTensor(4))[0] == Partition((1, 1, 1))
+    assert iw_max(fraction_tensor(4))[0] == Partition((1, 1, 1))
     assert len(calls) == 1
 
 
@@ -408,7 +408,7 @@ def _bound_from_oracles(a):
 def test_rank_bound_matches_the_fraction_oracles():
     rng = random.Random(1022)
     cases = list(_manifest_algebras()) + [STRICT_FALL, NOT_NILPOTENT,
-                                          CROSS_PRODUCT, StructureTensor(1)]
+                                          CROSS_PRODUCT, fraction_tensor(1)]
     cases += [_random_nilpotent(rng.randint(2, 8), rng, 0.4) for _ in range(40)]
     cases += [random_anticommutative(rng.randint(2, 5), rng) for _ in range(10)]
     cases.append(_dense_conjugate(STRICT_FALL, rng))
@@ -623,7 +623,7 @@ def test_iw_sequence_is_the_rank_sequence_of_the_iw_max_witness():
     tables = [ref.resolve() for claim in ledger.certificates + ledger.witnesses
               for ref in (claim.source, claim.target)]
     tables += list(_manifest_algebras())
-    tables += [StructureTensor(n) for n in range(1, 5)]
+    tables += [fraction_tensor(n) for n in range(1, 5)]
     for a in tables:
         partition, witness = iw_max(a, seed=20240917)
         assert iw_sequence(partition) == rank_sequence(a, witness), a.products

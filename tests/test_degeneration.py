@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenlab.algebra import StructureTensor, change_basis
+from degenlab.algebra import change_basis
 from degenlab.catalog import instantiate
 from degenlab.algebra import _int_product, int_change_basis
 from degenlab.degeneration import (
@@ -40,7 +40,7 @@ from degenlab.linalg import int_scaled_inverse, int_suffix_spans
 from degenlab.verification_db import load_ledger, shipped_ledger_path
 
 from oracles import fraction_inverse, project_to_spec, qt_at_zero, qt_basis_row
-from oracles import constant, spec_forbids
+from oracles import constant, fraction_tensor, spec_forbids
 from oracles import inverse_lower_triangular_probe, inverse_orbit_point
 from oracles import inverse_orbit_refute, row_reduce_dim, whole_table_draws
 from oracles import qt_certificate_verdict, qt_constants, qt_parse, qt_value
@@ -405,7 +405,7 @@ RATIONAL_CERTIFICATES = [
 
 @pytest.mark.parametrize("rows, target, reason", RATIONAL_CERTIFICATES)
 def test_rational_limits_are_compared_over_one_denominator(rows, target, reason):
-    src, tgt = StructureTensor(4, _RATIONAL_SOURCE), StructureTensor(4, target)
+    src, tgt = fraction_tensor(4, _RATIONAL_SOURCE), fraction_tensor(4, target)
     assert src.mult > 1 and tgt.mult > 1
     den, _, _ = apply_parameterized_basis(src, _parse_rows(rows, 4))
     assert (den.coeffs[den.order()] < 0) == (rows != RATIONAL_CERTIFICATES[-1][0])
@@ -417,7 +417,7 @@ def test_rational_limits_are_compared_over_one_denominator(rows, target, reason)
 
 
 def test_closed_set_member_examples():
-    z = StructureTensor(5)
+    z = fraction_tensor(5)
     assert closed_set_member(z, ClosedSetSpec(((1, 1, 4), (2, 3, 6))))
     a = instantiate("T22", 5)
     assert closed_set_member(a, ClosedSetSpec(((1, 1, 4),)))
@@ -440,7 +440,7 @@ def test_lower_triangular_probe_negative_control():
             kept = (vec[0],) + (Fraction(0),) * 3
             if any(kept):
                 table[(i, j)] = kept
-        return StructureTensor(4, table)
+        return fraction_tensor(4, table)
 
     def member(tensor):
         return all(
@@ -509,7 +509,7 @@ def test_ex222_membership_examples():
     perm = [0, 1, 2, 4, 5, 3, 6]
     rows = [[Fraction(int(j == perm[i])) for j in range(7)] for i in range(7)]
     assert _in_r(change_basis(special, rows))
-    assert _in_r(StructureTensor(7))
+    assert _in_r(fraction_tensor(7))
     assert not _in_r(instantiate("T22_e45", 7))
 
 
@@ -621,7 +621,7 @@ def test_random_member_draws_exactly_the_free_coefficients():
     # with every draw 1, the member is the all-ones table with the
     # forbidden coefficients zeroed, and one draw is made per free one
     for spec, n in _specs_to_check():
-        ones = StructureTensor(n, {(i, j): (1,) * n for i in range(1, n)
+        ones = fraction_tensor(n, {(i, j): (1,) * n for i in range(1, n)
                                    for j in range(i + 1, n + 1)})
         want = project_to_spec(ones, spec).products
         rng = _Ones()
@@ -635,7 +635,7 @@ def test_random_members_are_members():
         pairs = _hit_pairs(spec, n)
         for _ in range(5):
             table = random_member(n, pairs, rng)
-            assert closed_set_member(StructureTensor(n, table), spec), (spec, table)
+            assert closed_set_member(fraction_tensor(n, table), spec), (spec, table)
 
 
 def test_random_invertible_draws_like_the_fraction_rejection_loop():
@@ -665,7 +665,7 @@ def test_random_invertible_draws_like_the_fraction_rejection_loop():
 
 
 def _scaled(tensor, c):
-    return StructureTensor(tensor.dim, {
+    return fraction_tensor(tensor.dim, {
         key: tuple(c * x for x in vec) for key, vec in tensor.products.items()})
 
 
@@ -736,7 +736,7 @@ def test_a_triple_outside_the_dimension_is_refused(triple):
     with pytest.raises(ValueError, match="outside dimension 4"):
         lower_triangular_invariance_probe(spec, 4)
     with pytest.raises(ValueError, match="outside dimension 4"):
-        randomized_orbit_refute(StructureTensor(4), spec, trials=3, seed=1)
+        randomized_orbit_refute(fraction_tensor(4), spec, trials=3, seed=1)
 
 
 def test_hit_pairs_keep_the_strictest_condition():
@@ -917,7 +917,7 @@ def _sparse_table(n, rng):
                         else rng.randint(-3, 3) for _ in range(n))
             if any(vec):
                 table[(i, j)] = vec
-    return StructureTensor(n, table)
+    return fraction_tensor(n, table)
 
 
 def _quadrant(t):

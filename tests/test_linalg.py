@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenlab.algebra import StructureTensor
 from degenlab.degeneration import (
     SingularFamily,
     apply_parameterized_basis,
@@ -35,7 +34,7 @@ from degenlab.catalog import instantiate
 from oracles import field_rank, fraction_inverse, matmul, qt_inverse, row_reduce_dim
 from oracles import Subspace, kernel_oracle, power_rank_sequence_oracle
 from oracles import bareiss_inverse_oracle, qt_parse, qt_value
-from oracles import random_anticommutative
+from oracles import fraction_tensor, random_anticommutative
 
 
 def e_vec(n, *idx):
@@ -86,7 +85,7 @@ def test_kernel_basis_and_annihilator_of_integer_rows_are_exact():
     assert all(type(x) is int for row in ker for x in row)
     # e1 e3 = 3 e4 and e2 e3 = e4: Ann = <3 e2 - e1, e4> from the integer
     # condition 3 x1 + x2 = 0 (and x3 = 0)
-    a = StructureTensor(4, {(1, 3): (0, 0, 0, 3), (2, 3): (0, 0, 0, 1)})
+    a = fraction_tensor(4, {(1, 3): (0, 0, 0, 3), (2, 3): (0, 0, 0, 1)})
     ann = annihilator(a)
     assert ann == [[-1, 3, 0, 0], [0, 0, 0, 1]]
     assert all(type(x) is int for row in ann for x in row)
@@ -412,7 +411,7 @@ def test_invert_singular_rational_function_matrix_raises():
     assert qt_inverse(_qt(rows)) is None
     assert int_scaled_inverse(_zt(rows)) == (0, None)
     with pytest.raises(SingularFamily):
-        apply_parameterized_basis(StructureTensor(2), _parsed(rows))
+        apply_parameterized_basis(fraction_tensor(2), _parsed(rows))
 
 
 def test_rank_over_rational_functions():

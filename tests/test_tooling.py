@@ -262,11 +262,30 @@ def test_only_linalg_and_algebra_name_the_fraction_subspace():
 
 
 def test_only_algebra_names_the_power_chain_internals():
-    # the power chain and the centralizer conditions are read through the
-    # StructureTensor that holds them; no module above algebra walks them
-    assert _package_names(
-        {"_int_powers", "_int_centralizer_conditions", "_int_identity"},
-        ("algebra",)) == []
+    # the power chain is read through the StructureTensor that holds it;
+    # no module above algebra walks it
+    assert _package_names({"_int_powers", "_int_identity"}, ("algebra",)) == []
+
+
+def test_a_tensor_has_one_constructor():
+    # StructureTensor(dim, mult, table) is the one way to build a tensor:
+    # no package module defines or names the former `__new__` bypass, the
+    # key check that only the Fraction reader shared with `from_pairs`, or
+    # the annihilator's reduced conditions, and none calls
+    # `StructureTensor.__new__`
+    banned = {"_from_table", "_check_key", "_int_centralizer_conditions"}
+    assert _package_names(banned, ()) == []
+    package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
+    defined, bypasses = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(path.stem, node.name) for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name in banned]
+        bypasses += [(path.stem, node.lineno) for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr == "__new__"
+                     and ast.unparse(node.value) == "StructureTensor"]
+    assert defined == [] and bypasses == []
 
 
 def test_a_tensor_has_one_form_and_products_is_only_output():
@@ -430,6 +449,51 @@ def test_the_ci_smoke_step_runs_every_benchmark_workload():
     assert loop in workflow and "for trace in 0 1; do" in workflow
     assert '--seconds 1 --trace "$trace"' in workflow
     assert '.get("correct") is not True' in workflow
+
+
+_LOC_FIXTURE = '''"""A module docstring,
+over two lines."""
+
+# a comment
+def f(x):
+    """A function docstring."""
+    s = """a string
+that is no docstring"""
+    return (x +  # a trailing comment
+            1)
+
+
+class C:
+    """A class docstring."""
+'''
+
+
+def test_the_line_counter_counts_code_lines_by_its_rules(tmp_path, capsys):
+    # blank lines, comment lines and the docstrings of the module, a class
+    # and a function are lines but no code lines; a string that is no
+    # docstring and a statement over two lines are code lines, each line
+    import loc
+
+    assert loc.count(_LOC_FIXTURE) == (6, 14)
+    assert loc.count("") == (0, 0)
+    (tmp_path / "a.py").write_text(_LOC_FIXTURE, encoding="utf-8")
+    (tmp_path / "b.py").write_text("x = 1\n\n", encoding="utf-8")
+    assert loc.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "  code  lines  module",
+        "     6     14  a.py",
+        "     1      2  b.py",
+        "     7     16  total",
+    ]
+
+
+def test_the_ci_reports_the_code_lines_after_the_tests():
+    # every tier-1 log carries the line counts that the roadmap quotes
+    root = Path(__file__).resolve().parents[1]
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(
+        encoding="utf-8")
+    tests = workflow.index("python -m pytest")
+    assert workflow.index("run: python tools/loc.py") > tests
 
 
 def test_the_ci_installs_the_declared_test_dependencies():
