@@ -117,6 +117,12 @@ class StructureTensor:
     __slots__ = ("dim", "mult", "table", "powers", "_centralizers")
 
     def __init__(self, dim: int, mult: int, table):
+        """Store the table as given, which must be in its canonical form:
+        mult > 0 and gcd(mult, every entry) = 1, each key i < j at most
+        once, each row's entries in ascending k, no zero entry and no row
+        without entries.  `__eq__` and `__hash__` are right only on that
+        form.  Integers in any other form, or Fractions, enter through
+        `from_pairs` or `from_json_obj`, which reduce them to it."""
         self.dim, self.mult, self.table = dim, mult, table
         self._centralizers = {}
 

@@ -468,7 +468,8 @@ class C:
 '''
 
 
-def test_the_line_counter_counts_code_lines_by_its_rules(tmp_path, capsys):
+def test_the_line_counter_counts_code_lines_by_its_rules(
+        tmp_path, capsys, monkeypatch):
     # blank lines, comment lines and the docstrings of the module, a class
     # and a function are lines but no code lines; a string that is no
     # docstring and a statement over two lines are code lines, each line
@@ -478,7 +479,8 @@ def test_the_line_counter_counts_code_lines_by_its_rules(tmp_path, capsys):
     assert loc.count("") == (0, 0)
     (tmp_path / "a.py").write_text(_LOC_FIXTURE, encoding="utf-8")
     (tmp_path / "b.py").write_text("x = 1\n\n", encoding="utf-8")
-    assert loc.main([str(tmp_path)]) == 0
+    monkeypatch.setattr(loc, "PACKAGE", tmp_path)
+    assert loc.main() == 0
     assert capsys.readouterr().out.splitlines() == [
         "  code  lines  module",
         "     6     14  a.py",

@@ -7,9 +7,9 @@ the module, its classes and its functions.  So blank lines, comment lines
 and docstrings count only as lines, while every line of a statement, a
 multi-line string that is no docstring included, is a code line.
 
-    python tools/loc.py [DIR]
+    python tools/loc.py
 
-counts the *.py files of DIR, by default the package, src/degenlab.
+counts the *.py files of the package, src/degenlab.
 """
 
 import ast
@@ -44,11 +44,9 @@ def count(text: str):
     return len(code - _docstring_lines(ast.parse(text))), len(text.splitlines())
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    root = Path(args[0]) if args else PACKAGE
+def main() -> int:
     rows = [(path.name, *count(path.read_text(encoding="utf-8")))
-            for path in sorted(root.glob("*.py"))]
+            for path in sorted(PACKAGE.glob("*.py"))]
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
     print(f"{'code':>6} {'lines':>6}  module")
     for name, code, lines in rows:
