@@ -28,8 +28,8 @@ output: `products`, a view made from the table at each read (for
 `left_mult_matrix`.  Above this module it remains only in the `iw_max`
 witness and IWDominance elements (`degeneration`).
 `power_ideal` and `annihilator` return integer echelon rows: the tensor's
-`power(i)`, and the `linalg.kernel_basis` of the n^2 integer conditions
-x e_j = 0, handed over as they stand.
+`power(i)`, and the `linalg.kernel_basis` of the integer conditions
+x e_j = 0 that a product reaches, handed over as they stand.
 `StructureTensor.from_json_obj` is the one reader of the JSON table
 format.  The power chain (A^i, the nilpotency index, the centralizer of
 A^2) is exact because scaling the table or a spanning set by a nonzero
@@ -38,10 +38,16 @@ e_i e_j, i < j, and A^{i+1} by the integer products e_j w for w in the
 integer echelon rows of A^i (`linalg.int_echelon`).  `_int_powers` is
 the one walk down that chain, and `_int_left_products` (the products
 e_j w, the rows of -L_w^T) the one place where L_w is built.
-dim {x : x A^i = 0} is n minus the rank of n rows, row r the products
-e_r w over the echelon rows w of A^i: the transpose of the conditions
-x w = 0 on x.  At i = 1 they are the rows of [M^T | I] that
-`kernel_basis` builds for `annihilator`, without I.
+dim {x : x A^i = 0} is n minus the rank of the conditions x w = 0 on x
+over the echelon rows w of A^i, built in one pass over the table's
+nonzero products (`_int_conditions`): one condition for each (w, k) that
+a product reaches, so the identity's one-entry rows make dim Ann cost
+what the table's nonzero entries cost.  `annihilator` hands the same
+conditions at i = 1 to `kernel_basis` in their (j, k) order; the zero
+conditions left out are zero columns of its [M^T | I], which change none
+of its rows.  `int_change_basis` forms each g_i g_j from the column
+supports of the basis: a table entry e_a e_b reaches only the rows
+nonzero at a and at b.
 The identity checks (Jacobi, Malcev, Engel) are homogeneous in the
 structure constants: scaling them by L multiplies the Jacobi defect by
 L^2, the Malcev defect by L^3 and (sum_i x_i L_{e_i})^m by L^m, so every
@@ -185,15 +191,17 @@ class StructureTensor:
         return powers[min(i, len(powers)) - 1]
 
     def centralizer_dim(self, i: int) -> int:
-        """dim {x : x A^i = 0}; at i = 1 this is dim Ann(A), read from the
-        identity rows without walking the chain."""
+        """dim {x : x A^i = 0}: n minus the rank of the conditions x w = 0
+        over the echelon rows w of A^i that a product reaches
+        (`_int_conditions`), ranked as their transpose, n rows with one
+        column per condition; at i = 1 this is dim Ann(A), read from the
+        identity's one-entry supports without walking the chain."""
         if i not in self._centralizers:
             n = self.dim
-            ws = _int_identity(n) if i == 1 else self.power(i)
-            # row r is e_r w over every w: the conditions x w = 0, transposed
-            prods = [_int_left_products(self.table, n, w) for w in ws]
+            supports = (_unit_supports(n) if i == 1
+                        else _int_supports(self.power(i), n))
             self._centralizers[i] = n - _int_rank(
-                [[x for p in prods for x in p[r]] for r in range(n)])
+                zip(*_int_conditions(self.table, n, supports).values()))
         return self._centralizers[i]
 
     @property
@@ -319,6 +327,44 @@ def _int_identity(n: int):
     return [[int(r == c) for c in range(n)] for r in range(n)]
 
 
+def _int_supports(rows, n: int):
+    """[(r, x), ...] for each column c: the rows r with x = rows[r][c] != 0."""
+    supports = [[] for _ in range(n)]
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            if x:
+                supports[c].append((r, x))
+    return supports
+
+
+def _unit_supports(n: int):
+    """The `_int_supports` of the identity rows: one entry per column."""
+    return [[(c, 1)] for c in range(n)]
+
+
+def _int_conditions(table, n: int, supports):
+    """{w n + k: row}: the conditions (x w)_k = 0 on x that a product
+    reaches, keyed in (w, k) order, for the rows w whose `_int_supports`
+    are `supports`, built in one pass over a tensor's table.
+
+    Entry r of condition (w, k) is (e_r w)_k = sum_c w_c (e_r e_c)_k, so a
+    table entry e_i e_j = sum_k v e_k adds w_j v at r = i and, through
+    e_j e_i = -(e_i e_j), -w_i v at r = j, for each w nonzero at j or i.
+    Every other condition is 0 = 0.
+    """
+    conds = {}
+    for i, j, entries in table:
+        for r, c, sign in ((i, j, 1), (j, i, -1)):
+            for w, x in supports[c]:
+                x, key = sign * x, w * n
+                for k, v in entries:
+                    row = conds.get(key + k)
+                    if row is None:
+                        row = conds[key + k] = [0] * n
+                    row[r] += x * v
+    return conds
+
+
 def _int_powers(table, n: int):
     """Integer echelon rows of A^1, A^2, ... for a tensor's table.
 
@@ -391,13 +437,18 @@ def annihilator(a: StructureTensor):
     """Integer echelon rows of {x : x A = A x = 0}; for anticommutative
     tables one side suffices.
 
-    `kernel_basis` solves the n^2 conditions x e_j = 0 as they stand: the
+    `kernel_basis` solves the conditions x e_j = 0 that a product reaches
+    (`_int_conditions` on the identity's supports), in (j, k) order: the
     condition for the e_k coordinate of x e_j has coefficient (e_i e_j)_k
-    on x_i, so the conditions are the columns of [e_1 e_j, ..., e_n e_j].
+    on x_i.  The zero conditions it leaves out are zero columns of
+    `kernel_basis`'s [M^T | I], which change none of its rows; with no
+    condition left, the table is zero and every x is in Ann.
     """
     n = a.dim
-    return kernel_basis([col for e in _int_identity(n)
-                         for col in zip(*_int_left_products(a.table, n, e))])
+    conds = _int_conditions(a.table, n, _unit_supports(n))
+    if not conds:
+        return _int_identity(n)
+    return kernel_basis([conds[key] for key in sorted(conds)])
 
 
 def int_change_basis(table, n: int, rows, inv):
@@ -409,17 +460,34 @@ def int_change_basis(table, n: int, rows, inv):
     coordinates of g_i g_j are T(g_i, g_j) R with no division: they are the
     structure constants of a in the basis s g, where s = d L, because
     scaling a basis by c scales its structure constants by c.
+
+    The products are formed from the basis' column supports: a table
+    entry e_a e_b reaches only the pairs of rows g_p, g_q nonzero at a and
+    at b, with coefficient g_pa g_qb (negated for p > q, since
+    g_q g_p = -(g_p g_q)), and R is read by its nonzero entries.
     """
+    supports, prods = _int_supports(rows, n), {}
+    for a, b, entries in table:
+        for p, x in supports[a]:
+            for q, y in supports[b]:
+                if p != q:
+                    c, key = (x * y, (p, q)) if p < q else (-x * y, (q, p))
+                    vec = prods.get(key)
+                    if vec is None:
+                        vec = prods[key] = [0] * n
+                    for k, v in entries:
+                        vec[k] += c * v
+    inv_rows = [[(k, y) for k, y in enumerate(row) if y] for row in inv]
     out = []
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            p = _int_product(table, n, rows[i], rows[j])
-            if any(p):
-                coords = map(sum, zip(*([x * y for y in inv[r]]
-                                        for r, x in enumerate(p) if x)))
-                entries = tuple((k, x) for k, x in enumerate(coords) if x)
-                if entries:
-                    out.append((i, j, entries))
+    for (i, j), p in sorted(prods.items()):
+        coords = [0] * n
+        for r, x in enumerate(p):
+            if x:
+                for k, y in inv_rows[r]:
+                    coords[k] += x * y
+        entries = tuple((k, x) for k, x in enumerate(coords) if x)
+        if entries:
+            out.append((i, j, entries))
     return out
 
 

@@ -32,6 +32,7 @@ divisor and the `pfaffian_conic` separator.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -258,11 +259,14 @@ def _family(name: CatalogName) -> _Family:
     return fam
 
 
+@lru_cache(maxsize=None)  # the name is immutable; a raise is not kept
 def parse_name(key: str) -> CatalogName:
     """The catalog name a key spells exactly: a declared spelling followed,
     for a parameterized family, by m in ASCII digits with no leading zero;
     else UnknownFamily.  A padded or respelled key names no family, so one
-    table has one label."""
+    table has one label.  Memoized: a ledger names each label many times
+    (its references, checks and levels), and an unknown key raises
+    UnknownFamily at every call."""
     stem = key.rstrip("0123456789")
     for spelling, m in ((key, ""), (stem, key[len(stem):])):
         if spelling in _SPELLINGS:

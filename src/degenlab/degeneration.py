@@ -69,8 +69,12 @@ decided exactly, on its hit pairs alone (`_pair_map_verdict`), with no
 arithmetic and no random numbers, so a probe's pass is a proof.
 
 Basis rows are text, read by `exactnum.parse_basis_row`: a certificate's
-when it is verified, and a witness's stored source basis once, with the
-rest of its payload, when the witness is built.
+when it is verified, through the run's store, which parses each distinct
+(text, dim) once (`Records.basis_row`), and a witness's stored source
+basis once, with the rest of its payload, when the witness is built.
+Only the nonzero entries of parsed rows are read after that: they alone
+are put over one denominator (`_cleared_terms`), bound the packing and
+are packed.
 """
 
 from __future__ import annotations
@@ -135,6 +139,16 @@ def clear_denominators(fs):
     return c * lcm_den, [num * cofactor[den] if num else num for num, den in fs]
 
 
+def _cleared_terms(rows):
+    """(s, [(r, k, G_rk), ...]): `clear_denominators` of the nonzero
+    entries (num, den) of parsed basis rows alone, each with its row r and
+    column k; the entries left out are 0 in every scale."""
+    at = [(r, k) for r, row in enumerate(rows)
+          for k, (num, _) in enumerate(row) if num]
+    s, nums = clear_denominators(rows[r][k] for r, k in at)
+    return s, [(r, k, x) for (r, k), x in zip(at, nums)]
+
+
 def apply_parameterized_basis(a: StructureTensor, rows):
     """(den, N, B): the structure constants of `a`, read on its integer
     table, in the parameterized basis `rows` (parsed rows of (num, den)
@@ -146,11 +160,15 @@ def apply_parameterized_basis(a: StructureTensor, rows):
     n = a.dim
     if len(rows) != n:
         raise ValueError("basis dimension does not match the algebra")
-    s, flat = clear_denominators(f for row in rows for f in row)
-    g = [flat[i * n:(i + 1) * n] for i in range(n)]
+    s, terms = _cleared_terms(rows)
+    g = [[] for _ in range(n)]  # the nonzero entries of each row of G
+    for r, _, x in terms:
+        g[r].append(x)
     mult, table = a.mult, a.table
     bits = packing_bits(g, table)
-    packed = [[x.at_power_of_two(bits) if x else 0 for x in row] for row in g]
+    packed = [[0] * n for _ in range(n)]
+    for r, k, x in terms:
+        packed[r][k] = x.at_power_of_two(bits)
     d, inv = int_scaled_inverse(packed)
     if not d:
         raise SingularFamily("parameterized basis has identically zero determinant")
@@ -160,7 +178,8 @@ def apply_parameterized_basis(a: StructureTensor, rows):
 
 def packing_bits(g, table) -> int:
     """B such that the certificate check over Z[t] may run on the values
-    at t = X = 2^B of G = g and of the integer table `table`.
+    at t = X = 2^B of G and of the integer table `table`, for g the rows
+    of G or only their nonzero entries, which alone add to a norm.
 
     Evaluation at X is a ring map Z[t] -> Z, so the fraction-free inverse
     and `int_change_basis` commute with it as long as every value they
@@ -227,17 +246,30 @@ class AlgebraRef(NamedTuple):
 
 
 class Records:
-    """One run's store at one seed, keyed by label (one table each): the
-    tensor of a label, resolved once, when first read, so that each of its
-    invariants is computed once per run, and one `contraction.iw_scan` of
-    it, taken only as far as it is read.
+    """One run's store at one seed: each distinct certificate row (text,
+    dim), parsed once (`basis_row`), and, keyed by label (one table each),
+    the tensor of a label, resolved once, when first read, so that each of
+    its invariants is computed once per run, and one `contraction.iw_scan`
+    of it, taken only as far as it is read.
     A lazy audit (`iw_monotone`) may so leave a repair unreached, and never
     raise the IncomparableMaxima that `contraction` says cannot happen for
     Engel input.  A table that is not Engel raises NotEngelAt led by its
     label."""
 
     def __init__(self, seed: int = 0):
-        self.seed, self._tensors, self._scans = seed, {}, {}
+        self.seed, self._tensors, self._scans, self._rows = seed, {}, {}, {}
+
+    def basis_row(self, text, dim: int):
+        """`parse_basis_row(text, dim)`, parsed once per run for each
+        distinct (text, dim): certificates share most of their rows.  The
+        parsed row is shared, and nothing writes it.  A row that does not
+        parse raises at each read, as does a text that is not a string."""
+        if not isinstance(text, str):
+            return parse_basis_row(text, dim)
+        key = (text, dim)
+        if key not in self._rows:
+            self._rows[key] = parse_basis_row(text, dim)
+        return self._rows[key]
 
     def tensor(self, ref: AlgebraRef) -> StructureTensor:
         if ref.label not in self._tensors:
@@ -315,7 +347,7 @@ def verify_degeneration(cert: DegenerationCertificate, records: Records) -> Verd
     rows = []
     for k, text in enumerate(cert.basis_rows, start=1):
         try:
-            rows.append(parse_basis_row(text, n))
+            rows.append(records.basis_row(text, n))
         except (ValueError, ZeroDivisionError) as exc:
             return Verdict("fail",
                            f"basis row {k} {text!r} does not parse: {exc}")
@@ -706,12 +738,13 @@ def verify_nondegeneration(
     n, table = src.dim, src.table
     g = [[int(r == c) for c in range(n)] for r in range(n)]
     if w.source_rows:
-        s, flat = clear_denominators(x for row in w.source_rows for x in row)
+        s, terms = _cleared_terms(w.source_rows)
         v = s.order()
-        if any(x and x.order() < v for x in flat):
+        if any(x.order() < v for _, _, x in terms):
             return Verdict("refuted", "stored source basis has a pole at t = 0")
-        g = [[x.coeffs[v] if x else 0 for x in flat[r * n:(r + 1) * n]]
-             for r in range(n)]
+        g = [[0] * n for _ in range(n)]
+        for r, k, x in terms:
+            g[r][k] = x.coeffs[v]
     spans = int_suffix_spans(g)
     if spans is None:
         return Verdict("refuted", "stored source basis is singular at t = 0")

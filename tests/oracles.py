@@ -50,6 +50,11 @@ read at t = 0 by `limit_at_zero` into Fractions, scaled by
 side that `verify_nondegeneration` now tests as a sample is.  The
 annihilator's former reduced conditions, `int_centralizer_conditions`,
 are the reference for the rank that `centralizer_dim` reads off n rows.
+The dense builders that `centralizer_dim` and `annihilator` used before
+their conditions were read off the table's nonzero products
+(`dense_centralizer_dim`, `dense_annihilator`), and the pair loop of
+`int_change_basis` before it formed products from the basis' column
+supports (`pair_loop_change_basis`), are the references for those.
 """
 
 import contextlib
@@ -920,6 +925,50 @@ def int_centralizer_conditions(table, n, ws):
 
     return int_echelon([col for w in ws
                         for col in zip(*_int_left_products(table, n, w))])
+
+
+def dense_centralizer_dim(a, i):
+    """`StructureTensor.centralizer_dim(i)` as the package built it before
+    its conditions were read off the table's nonzero products: n minus the
+    rank of n rows, row r the n dense products e_r w over every echelon
+    row w of A^i (the identity rows at i = 1), n |ws| entries each."""
+    from degenlab.algebra import _int_identity, _int_left_products
+    from degenlab.linalg import _int_rank
+
+    n = a.dim
+    ws = _int_identity(n) if i == 1 else a.power(i)
+    prods = [_int_left_products(a.table, n, w) for w in ws]
+    return n - _int_rank([[x for p in prods for x in p[r]] for r in range(n)])
+
+
+def dense_annihilator(a):
+    """`algebra.annihilator` as it was before the zero conditions were
+    left out: `kernel_basis` of all n^2 conditions x e_j = 0, the columns
+    of the dense [e_1 e_j, ..., e_n e_j], in (j, k) order."""
+    from degenlab.algebra import _int_identity, _int_left_products
+    from degenlab.linalg import kernel_basis
+
+    n = a.dim
+    return kernel_basis([col for e in _int_identity(n)
+                         for col in zip(*_int_left_products(a.table, n, e))])
+
+
+def pair_loop_change_basis(table, n, rows, inv):
+    """`algebra.int_change_basis` as the pair loop it was: `_int_product`
+    over the whole table for each pair i < j, then the dense row of R."""
+    from degenlab.algebra import _int_product
+
+    out = []
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            p = _int_product(table, n, rows[i], rows[j])
+            if any(p):
+                coords = map(sum, zip(*([x * y for y in inv[r]]
+                                        for r, x in enumerate(p) if x)))
+                entries = tuple((k, x) for k, x in enumerate(coords) if x)
+                if entries:
+                    out.append((i, j, entries))
+    return out
 
 
 def centralizer_square_dim_oracle(a):

@@ -40,6 +40,7 @@ from oracles import jacobi_oracle, malcev_oracle, malcev_terms_oracle
 from oracles import ann_dim_oracle, generated_subalgebra, square_dim_oracle
 from oracles import from_json_obj_oracle, from_pairs_oracle, tensor_eq_oracle
 from oracles import fraction_tensor, int_centralizer_conditions
+from oracles import dense_annihilator, dense_centralizer_dim, pair_loop_change_basis
 from oracles import direct_sum_trivial, random_anticommutative, random_lower_triangular
 from oracles import (
     Subspace,
@@ -205,6 +206,75 @@ def test_centralizer_dim_is_n_minus_the_rank_of_the_n_squared_conditions():
         assert a.centralizer_dim(2) == centralizer_square_dim_oracle(a)
     assert seen == {(nil, i, mid) for nil in (True, False) for i in (1, 2, 3)
                     for mid in (True, False)}
+
+
+def test_centralizers_and_annihilator_match_the_dense_builders():
+    # the conditions read off the table's nonzero products give the ranks
+    # of the n dense products e_r w over every w, and the annihilator rows
+    # of all n^2 dense conditions, byte for byte: on every manifest family
+    # and dim, dense conjugates, zero tables and tables that are not
+    # nilpotent
+    rng = random.Random(42)
+    catalog = [instantiate(key, n) for key in MANIFEST_FAMILIES
+               for n in catalog_tested_dims(key)]
+    conjugates = []
+    while len(conjugates) < 100:
+        a = rng.choice(catalog)
+        if a.dim <= 8:
+            conjugates.append(change_basis(a, rand_invertible(a.dim, rng)))
+    zero = [fraction_tensor(n) for n in range(1, 7)]
+    wild = [random_anticommutative(rng.randint(2, 7), rng, spread=1 + t % 3)
+            for t in range(40)]
+    seen = set()
+    for kind, cases in (("catalog", catalog), ("conjugate", conjugates),
+                        ("zero", zero), ("wild", wild)):
+        for a in cases:
+            for i in (1, 2, 3):
+                assert a.centralizer_dim(i) == dense_centralizer_dim(a, i), (kind, i, a)
+            assert annihilator(a) == dense_annihilator(a), (kind, a)
+            seen.add((kind, a.nilindex is None))
+    assert len(catalog) >= 70 and sum(a.mult > 1 for a in conjugates) >= 90
+    assert all(annihilator(a) == identity(a.dim) for a in zero)
+    assert seen == {("catalog", False), ("conjugate", False), ("zero", False),
+                    ("wild", True)}
+
+
+def _monomial(n, rng):
+    """A permutation matrix with nonzero entries in -3..3."""
+    perm = rng.sample(range(n), n)
+    return [[rng.choice([-3, -2, -1, 1, 2, 3]) * (c == perm[r]) for c in range(n)]
+            for r in range(n)]
+
+
+def test_int_change_basis_matches_the_pair_loop():
+    # the products formed from the basis' column supports equal the pair
+    # loop over the whole table, on monomial bases, on monomial bases with
+    # one shear and on dense bases, integer entries and packed-sized ones
+    rng = random.Random(4242)
+    cases = [instantiate(key, n) for key in MANIFEST_FAMILIES
+             for n in catalog_tested_dims(key)]
+    cases += [_random_fractional_table(n, rng) for n in (2, 3, 5, 8)]
+    cases += [random_anticommutative(n, rng) for n in (1, 2, 4, 6)]
+    seen = set()
+    for a in cases:
+        n = a.dim
+        for kind in ("monomial", "shear", "dense", "packed"):
+            g = _monomial(n, rng)
+            if kind == "shear" and n > 1:
+                r, c = rng.sample(range(n), 2)
+                g[r][c] = rng.choice([-2, -1, 1, 2])
+            elif kind == "dense":
+                g = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            elif kind == "packed":
+                g = [[x << (50 * rng.randint(0, 2)) for x in row] for row in g]
+            d, inv = int_scaled_inverse(g)
+            if not d:
+                continue
+            got = int_change_basis(a.table, n, g, inv)
+            assert got == pair_loop_change_basis(a.table, n, g, inv), (kind, a, g)
+            seen.add((kind, bool(got)))
+    assert {(kind, True) for kind in ("monomial", "shear", "dense", "packed")} <= seen
+    assert ("monomial", False) in seen
 
 
 def test_every_invariant_read_on_a_warm_tensor_equals_the_read_on_a_fresh_one():

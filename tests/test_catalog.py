@@ -21,6 +21,7 @@ from degenlab.catalog import (
     NeedsExtension,
     MANIFEST_FAMILIES,
     PreconditionViolated,
+    UnknownFamily,
     _pencil_divisor,
     _pencil_generic_rank,
     _pfaffian_span,
@@ -70,6 +71,17 @@ def test_tables_have_unit_coefficients():
             for vec in tensor.products.values():
                 for c in vec:
                     assert c in (0, 1, -1, Fraction(1), Fraction(-1))
+
+
+def test_parse_name_is_memoized_and_an_unknown_key_raises_at_every_call():
+    # the name is an immutable NamedTuple, so a key parses once; a key that
+    # names no family is not remembered and raises UnknownFamily each time
+    name = parse_name("T22_e45")
+    assert parse_name("T22_e45") is name and name.key == "T22_e45"
+    for key in ("T22_e99", "eta02", "T22_e45 "):
+        for _ in range(3):
+            with pytest.raises(UnknownFamily):
+                parse_name(key)
 
 
 def test_parse_name_round_trip():

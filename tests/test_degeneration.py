@@ -75,6 +75,7 @@ def test_parse_basis_row_rejects_a_dangling_sign(text):
     ("foo", "unexpected character"),
     ("e1-", "dangling sign"),
     (5, "not a string"),
+    (["e2"], "not a string"),
 ])
 def test_verify_unparsable_row_is_a_failure_verdict(row, detail):
     cert = DegenerationCertificate(
@@ -86,6 +87,27 @@ def test_verify_unparsable_row_is_a_failure_verdict(row, detail):
     assert verdict.status == "fail"
     assert verdict.reason.startswith(f"basis row 2 {row!r} does not parse: ")
     assert detail in verdict.reason
+
+
+def test_a_row_text_read_at_two_dimensions_keeps_the_verdict_of_each():
+    # the run's store parses a row once per (text, dim): a text that parses
+    # at dim 9 still fails at dim 7 with its own error, in either order and
+    # at every read, and a text read at both dims gives a row of each length
+    records = Records()
+    identity = tuple(f"e{k}" for k in range(1, 10))
+    big = DegenerationCertificate(AlgebraRef("zero", 9), AlgebraRef("zero", 9),
+                                  identity)
+    small = DegenerationCertificate(AlgebraRef("zero", 7), AlgebraRef("zero", 7),
+                                    identity[:6] + ("e9",))
+    error = ("basis row 7 'e9' does not parse: basis index e9 outside "
+             "dimension 7")
+    for cert, want in ((big, ("pass", "")), (small, ("fail", error)),
+                       (big, ("pass", "")), (small, ("fail", error))):
+        assert verify_degeneration(cert, records)[:2] == want
+    assert len(records.basis_row("e1", 7)) == 7
+    assert len(records.basis_row("e1", 9)) == 9
+    assert records.basis_row("e1", 9) is records.basis_row("e1", 9)
+    assert verify_degeneration(small, Records())[:2] == ("fail", error)
 
 
 def test_verify_basis_of_the_wrong_length_is_a_failure_verdict():

@@ -565,30 +565,38 @@ def test_a_witness_payload_is_read_where_the_witness_is_built():
 
 
 def test_a_full_run_parses_each_basis_row_once(monkeypatch):
-    # certificate rows are parsed when the certificate is checked, a
-    # witness's source-basis rows when the witness is built; neither again
+    # a witness's source-basis rows are parsed when the witness is built;
+    # a certificate's rows are read through the run's store, which parses
+    # each distinct (text, dim) once, and neither is parsed again
     from degenlab import degeneration, exactnum
     from degenlab.verification_db import (load_ledger, run_ledger,
                                           shipped_ledger_path)
 
-    calls = []
+    calls, reads = [], []
 
     def counting(text, dim):
-        calls.append(text)
+        calls.append((text, dim))
         return exactnum.parse_basis_row(text, dim)
+
+    def reading(self, text, dim, read=degeneration.Records.basis_row):
+        reads.append((text, dim))
+        return read(self, text, dim)
 
     for module in sys.modules.values():
         if (getattr(module, "__name__", "").startswith("degenlab.")
                 and module is not exactnum
                 and hasattr(module, "parse_basis_row")):
             monkeypatch.setattr(module, "parse_basis_row", counting)
+    monkeypatch.setattr(degeneration.Records, "basis_row", reading)
     ledger = load_ledger(shipped_ledger_path())
     witness_rows = len(calls)
     run_ledger(ledger, seed=20240917, trials=1)
     assert witness_rows == sum(len(w.source_rows or ()) for w in ledger.witnesses)
     assert witness_rows == 27
-    assert len(calls) - witness_rows == sum(
+    assert len(reads) == sum(
         len(c.basis_rows) for c in ledger.certificates) == 1051
+    parsed = calls[witness_rows:]
+    assert sorted(parsed) == sorted(set(reads)) and len(parsed) == 269
     assert degeneration.parse_basis_row is counting
 
 
