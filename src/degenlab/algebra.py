@@ -35,9 +35,11 @@ format.  The power chain (A^i, the nilpotency index, the centralizer of
 A^2) is exact because scaling the table or a spanning set by a nonzero
 integer changes no Q-span: A^2 is spanned by the table's own products
 e_i e_j, i < j, and A^{i+1} by the integer products e_j w for w in the
-integer echelon rows of A^i (`linalg.int_echelon`).  `_int_powers` is
-the one walk down that chain, and `_int_left_products` (the products
-e_j w, the rows of -L_w^T) the one place where L_w is built.
+integer echelon rows of A^i (`linalg.int_echelon`).  The tensor's
+`powers` are the identity and the `linalg.int_image_chain` of the
+table's products under w -> the products e_j w, and
+`_int_left_products` (the products e_j w, the rows of -L_w^T) is the one
+place where L_w is built.
 dim {x : x A^i = 0} is n minus the rank of the conditions x w = 0 on x
 over the echelon rows w of A^i, built in one pass over the table's
 nonzero products (`_int_conditions`): one condition for each (w, k) that
@@ -54,15 +56,15 @@ L^2, the Malcev defect by L^3 and (sum_i x_i L_{e_i})^m by L^m, so every
 zero test, and the least m, is the same as over Q.  A basis change
 divides its integer constants once, by their gcd with the total scale.
 
-The Engel and Malcev checks run on ints packed with base-2^B digits.
-The Engel degree packs each row of S_alpha; the Malcev check packs y and
-z, so a few products per x give the defect at every basis pair (y, z),
-one digit each, because the defect is bilinear in (y, z).  The packed
-tests are exact because B is proved to keep every digit strictly inside
-+-2^(B-1) (`_engel_packing_bits`, `_malcev_packing_bits`, both from the
-table's largest row sum): a packed value is then 0 iff its digits are.
-The Jacobi check keeps its loop over basis triples, which stops at the
-first nonzero defect.
+The three identity checks run on ints packed with base-2^B digits.  The
+Engel degree packs each row of S_alpha; the Jacobi and Malcev checks
+pack y and z (`_packed_pair`), so a few products per x give the defect
+at every basis pair (y, z), one digit each, because the defect is
+bilinear in (y, z).  The packed tests are exact because B is proved to
+keep every digit strictly inside +-2^(B-1): one rule, `_digit_bits`,
+gives B from the table's largest row sum s and a digit's bound
+terms * s^degree, (1, m) for the Engel degree m, (3, 2) for Jacobi and
+(4, 3) for Malcev.  A packed value is then 0 iff its digits are.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ from .exactnum import rational_pair_from_obj, rational_to_obj
 from .linalg import (
     Singular,
     _int_rank,
-    int_echelon,
+    int_image_chain,
     int_scaled,
     int_scaled_inverse,
     kernel_basis,
@@ -118,8 +120,8 @@ class StructureTensor:
     by the constructor, with its caches empty (`__reduce__`).
     """
 
-    # powers: the integer echelon rows of A^1, A^2, ... that `_int_powers`
-    # yields, filled whole when first read
+    # powers: the integer echelon rows of A^1, A^2, ...: the identity, then
+    # the image chain of the table's products, filled whole when first read
     __slots__ = ("dim", "mult", "table", "powers", "_centralizers")
 
     def __init__(self, dim: int, mult: int, table):
@@ -165,7 +167,10 @@ class StructureTensor:
         # reached when normal lookup fails: fill the empty `powers` slot
         if name != "powers":
             raise AttributeError(name)
-        self.powers = list(_int_powers(self.table, self.dim))
+        table, n = self.table, self.dim
+        self.powers = [_int_identity(n), *int_image_chain(
+            n, [_int_dense(entries, n) for _, _, entries in table],
+            lambda w: _int_left_products(table, n, w))]
         return self.powers
 
     @property
@@ -365,25 +370,6 @@ def _int_conditions(table, n: int, supports):
     return conds
 
 
-def _int_powers(table, n: int):
-    """Integer echelon rows of A^1, A^2, ... for a tensor's table.
-
-    A^2 is spanned by the table's own products e_i e_j, i < j, and A^{i+1}
-    by the products e_j w, w in the rows of A^i.  The walk ends after the
-    first zero power, which it yields as [], or before the first power
-    with the rank of the one before it: then that power equals the last
-    one yielded, and so does every later power.
-    """
-    rows = _int_identity(n)
-    yield rows
-    nxt = int_echelon([_int_dense(entries, n) for _, _, entries in table])
-    while len(nxt) < len(rows):  # else the chain stalls above 0
-        rows = nxt
-        yield rows
-        nxt = int_echelon([p for w in rows
-                           for p in _int_left_products(table, n, w)])
-
-
 def _int_dense(entries, n: int):
     """The length-n integer vector of a table entry's (k, coeff) pairs."""
     row = [0] * n
@@ -525,21 +511,35 @@ def jacobi_holds(a: StructureTensor) -> bool:
     """True iff the Jacobi identity holds on all basis triples (A is Lie).
 
     Evaluated over Z on the L-scaled table; the defect scales by L^2.
+    The defect (xy)z + (yz)x + (zx)y is linear in each argument, so at a
+    basis vector x and the packed Y and Z of `_packed_pair` each of its
+    coordinates holds the defect at every (x, e_a, e_b), one base-2^B
+    digit each: three terms of two products, so B = `_digit_bits` with
+    (3, 2).
     """
     n, table = a.dim, a.table
-    e = _int_identity(n)
-    sq = [[_int_product(table, n, x, y) for y in e] for x in e]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                terms = (
-                    _int_product(table, n, sq[i][j], e[k]),
-                    _int_product(table, n, sq[j][k], e[i]),
-                    _int_product(table, n, sq[k][i], e[j]),
-                )
-                if any(map(sum, zip(*terms))):
-                    return False
+
+    def mul(x, y):
+        return _int_product(table, n, x, y)
+
+    ys, zs = _packed_pair(n, _digit_bits(table, n, 3, 2))
+    yz = mul(ys, zs)
+    for x in _int_identity(n):
+        # (zx)y = -((xz)y)
+        terms = zip(mul(mul(x, ys), zs), mul(yz, x), mul(mul(x, zs), ys))
+        if any(p + q - r for p, q, r in terms):
+            return False
     return True
+
+
+def _packed_pair(n: int, bits: int):
+    """Y and Z with Y_k = 2^(B n k) and Z_k = 2^(B k), B = bits: by
+    bilinearity, coordinate r of a form f at (x, Y, Z) is
+    sum_{a,b} 2^(B (n a + b)) f(x, e_a, e_b)_r, one base-2^B digit per
+    (y, z), and a packed coordinate is 0 iff all its digits are, once B
+    keeps every digit strictly inside +-2^(B-1) (`_digit_bits`)."""
+    return ([1 << (bits * n * k) for k in range(n)],
+            [1 << (bits * k) for k in range(n)])
 
 
 def _malcev_holds(a: StructureTensor) -> bool:
@@ -548,20 +548,17 @@ def _malcev_holds(a: StructureTensor) -> bool:
     Quadratic in x, linear in y and z: basis vectors and pair sums for x,
     basis vectors for y, z decide it over characteristic zero.  Evaluated
     over Z on the L-scaled table; the defect scales by L^3.  y and z are
-    packed: Y_k = 2^(B n k) and Z_k = 2^(B k), so by bilinearity each
-    coordinate of the defect at (x, Y, Z) is sum_{a,b} 2^(B (n a + b))
-    times that coordinate at (x, e_a, e_b), one base-2^B digit per (y, z),
-    and `_malcev_packing_bits` keeps every digit strictly inside
-    +-2^(B-1): a packed coordinate is 0 iff all its digits are.
+    packed (`_packed_pair`), so each coordinate of the defect at (x, Y, Z)
+    holds the defect at every (x, e_a, e_b), one base-2^B digit each.  x,
+    e_a and e_b have entries in {0, 1}, and each of the defect's four
+    terms is three products, so B = `_digit_bits` with (4, 3).
     """
     n, table = a.dim, a.table
 
     def mul(x, y):
         return _int_product(table, n, x, y)
 
-    bits = _malcev_packing_bits(table, n)
-    ys = [1 << (bits * n * k) for k in range(n)]
-    zs = [1 << (bits * k) for k in range(n)]
+    ys, zs = _packed_pair(n, _digit_bits(table, n, 4, 3))
     yz = mul(ys, zs)
     e = _int_identity(n)
     xs = e + [[p + q for p, q in zip(e[i], e[j])]
@@ -584,38 +581,22 @@ def identity_flags(a: StructureTensor) -> IdentityFlags:
     )
 
 
-def _row_sum_bound(table, n: int) -> int:
-    """s, the largest over r of sum_{i,k} |(e_i e_k)_r| over ordered pairs,
-    for a tensor's table: |(uv)_r| <= s |u|_oo |v|_oo for every u, v,
-    and s bounds every row sum of K = sum_i |L_{e_i}| entrywise."""
+def _digit_bits(table, n: int, terms: int, degree: int) -> int:
+    """B = bitlength(terms s^degree) + 1 for a tensor's table, with s the
+    largest over r of sum_{i,k} |(e_i e_k)_r| over ordered pairs.
+
+    |(uv)_r| <= s |u|_oo |v|_oo for every u, v, and s bounds every row sum
+    of K = sum_i |L_{e_i}| entrywise.  So a sum of `terms` terms, each
+    `degree` products of vectors with entries in {0, 1}, or an entry of
+    K^degree, lies strictly inside +-2^(B-1): a value packed with base-2^B
+    digits of that size is 0 iff its digits are (the top nonzero digit
+    outweighs the rest).
+    """
     sums = [0] * n
     for _, _, entries in table:
         for r, v in entries:
             sums[r] += 2 * abs(v)
-    return max(sums)
-
-
-def _engel_packing_bits(table, n: int, max_m: int) -> int:
-    """B such that every entry of every S_alpha of `engel_degree` with
-    |alpha| <= max_m lies strictly inside +-2^(B-1), for a tensor's
-    table: then a row packed with base-2^B digits is 0 only if its digits
-    are (the top nonzero digit outweighs the rest).  With K = sum_i |L_i|
-    entrywise, |S_alpha| <= K^|alpha| entrywise, and every entry of K^m is
-    at most s^m, s = `_row_sum_bound`.
-    """
-    return (_row_sum_bound(table, n) ** max_m).bit_length() + 1
-
-
-def _malcev_packing_bits(table, n: int) -> int:
-    """B such that every digit of `_malcev_holds`' packed defect lies
-    strictly inside +-2^(B-1), for a tensor's table.  A digit is the
-    defect at (x, e_a, e_b) with x a basis vector or a pair sum, so x, y
-    and z have entries in {0, 1}.  Each of its four terms is three
-    products of such vectors, and a product multiplies |.|_oo by at most
-    s = `_row_sum_bound`, so each term is at most s^3 and the digit at
-    most 4 s^3 in absolute value.
-    """
-    return (4 * _row_sum_bound(table, n) ** 3).bit_length() + 1
+    return (terms * max(sums) ** degree).bit_length() + 1
 
 
 def engel_degree(a: StructureTensor, max_m: int):
@@ -626,12 +607,13 @@ def engel_degree(a: StructureTensor, max_m: int):
     supp alpha} L_i S_{alpha - e_i}; a zero S_alpha adds nothing to the
     next degree, so only the nonzero ones are kept.  They are integer
     matrices on the L-scaled table (the m-th power scales by L^m), each
-    row packed into one int (`_engel_packing_bits`).  Row r of L_i S is
+    row packed into one int.  |S_alpha| <= K^|alpha| entrywise, so B =
+    `_digit_bits` with (1, max_m) bounds every entry.  Row r of L_i S is
     sum_k (e_i e_k)_r S_k, so one `_int_left_products` pass on the packed
     rows of S gives every L_i S, and on those of S_0 every L_i.
     """
     n, table = a.dim, a.table
-    bits = _engel_packing_bits(table, n, max_m)
+    bits = _digit_bits(table, n, 1, max_m)
     # alpha, as its sorted tuple of indices -> the packed rows of S_alpha
     level = {(): [1 << (bits * c) for c in range(n)]}
     for m in range(1, max_m + 1):

@@ -21,15 +21,17 @@ when A is nilpotent: otherwise a later candidate may still raise
 NotEngelAt, so the scan runs to the end.
 
 When the first candidate misses that bound, the scan lowers it by three
-exact rules (`_tight_bound`), again at each new running best x0.  They
-bound the generic sequence r, the one reached away from a proper closed
-subset, and every rank sequence lies below r (rank is lower
-semicontinuous): (i) Jordan convexity and (ii) the kernel on the powers
-of A, read at x0, cost a few ranks; (iii) the Engel cut, whose cost grows
-with the bound's length, runs once, and only if the best still falls
-short.  A best that meets the lowered bound is r itself and dominates
-every later candidate, so the scan stops with the running bests, witness,
-partition, rng draws and errors of a scan of the whole pool.
+exact rules, again at each new running best x0.  They bound the generic
+sequence r, the one reached away from a proper closed subset, and every
+rank sequence lies below r (rank is lower semicontinuous): (iii) the
+Engel cut (`_engel_cut`), whose cost grows with the bound's length, runs
+once, at the first lowering, and cuts the bound to the Engel degree;
+(i) Jordan convexity and (ii) the kernel on the powers of A, read at x0
+(`_tight_bound`), cost a few ranks and run at every lowering.  A best
+that meets the lowered bound is r itself and dominates every later
+candidate, so the scan stops with the running bests, witness, partition,
+rng draws and errors of a scan of the whole pool.  A table that is not
+nilpotent has no bound, so nothing is lowered.
 
 The pool is built only as far as it is read; its random block is drawn
 in one go, when the scan reaches it or a repair needs its first alpha,
@@ -57,7 +59,7 @@ from fractions import Fraction
 
 from .algebra import (DimensionMismatch, StructureTensor, _int_left_products,
                       _int_product, engel_degree)
-from .linalg import (Partition, _int_rank, int_power_rank_sequence, int_scaled,
+from .linalg import (Partition, _int_rank, int_image_chain, int_scaled,
                      partition_from_ranks, random_int_rows)
 
 
@@ -97,11 +99,15 @@ def _int_rank_sequence(table, n: int, x) -> RankSequence:
     """Rank sequence of L_x for an integer vector x of length n on an
     integer table (a tensor's `table`)."""
     # the rows e_j x = -(x e_j) form P = -L_x^T, and P^m has the rank of
-    # (L_x)^m
-    ranks = int_power_rank_sequence(_int_left_products(table, n, x), n + 1)
-    if len(ranks) > n:
+    # (L_x)^m; u P = sum_j u_j (e_j x) = u x, so the image chain of
+    # u -> u P is that of u -> u x, and it stalls above 0 iff L_x is not
+    # nilpotent
+    ranks = [n, *map(len, int_image_chain(
+        n, _int_left_products(table, n, x),
+        lambda u: [_int_product(table, n, u, x)]))]
+    if ranks[-1]:
         raise NotEngelAt(x)
-    return RankSequence(ranks)
+    return RankSequence(ranks[1:])
 
 
 def rank_sequence(a: StructureTensor, vec) -> RankSequence:
@@ -139,9 +145,10 @@ def _rank_bound(a: StructureTensor):
 
 
 def _engel_cut(a: StructureTensor, bound) -> int:
-    """Rule (iii) of `_tight_bound`, the Engel cut: e - 1 for the exact
-    Engel degree e of a nilpotent table (L_x^e = 0 for every x, so
-    r_m = 0 for m >= e), or len(bound) when e exceeds it."""
+    """Rule (iii) of the scan's lowering, the Engel cut, taken once, at the
+    first lowering of `_rank_bound`: e - 1 for the exact Engel degree e of
+    a nilpotent table (L_x^e = 0 for every x, so r_m = 0 for m >= e), or
+    len(bound) when e exceeds it."""
     e = engel_degree(a, len(bound))
     return len(bound) if e is None else e - 1
 
@@ -225,8 +232,9 @@ def iw_scan(a: StructureTensor, seed: int = 0, trials: int = 20):
     (vector, rank sequence) after each candidate, each sequence dominating
     the ones before it, so a caller that stops early holds a lower bound.
     On a nilpotent table it stops once the best meets `_rank_bound`, as
-    lowered by `_tight_bound` at each new best and cut by `_engel_cut`
-    when the cheap rules fall short.
+    cut by `_engel_cut` at its first lowering and lowered by
+    `_tight_bound` at each new best; a table that is not nilpotent has
+    no bound to lower, and its scan runs to its end or to NotEngelAt.
     Raises ValueError when trials < 1: a repair needs a perturbation.
     """
     if trials < 1:
@@ -238,14 +246,13 @@ def iw_scan(a: StructureTensor, seed: int = 0, trials: int = 20):
     best_vec = next(candidates)
     best_seq = _int_rank_sequence(table, n, best_vec)
     yield best_vec, best_seq
-    stale, cut = bound is not None, None  # the bound has not read best_vec
+    stale, cut = True, None  # the bound has not read best_vec
     while best_seq != bound:
-        if stale:
+        if stale and bound is not None:
             stale = False
-            bound = _tight_bound(a, best_vec, bound, cut)
-            if best_seq != bound and cut is None:
+            if cut is None:
                 cut = _engel_cut(a, bound)
-                bound = _tight_bound(a, best_vec, bound, cut)
+            bound = _tight_bound(a, best_vec, bound, cut)
             continue
         vec = next(candidates, None)
         if vec is None:

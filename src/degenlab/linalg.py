@@ -8,6 +8,11 @@ is its rows sorted by pivot, `_int_rank` their count (a rank over Q
 after clearing denominators), and `int_suffix_spans` its rows of a basis
 read from the last row upward, so that `int_reduce` decides membership
 in each suffix span (orbit sampling and a witness's source side).
+`int_image_chain` is the one walk down a chain of spans E_{m+1} =
+image(E_m), each the `int_echelon` of the images of the rows before,
+stopped at 0 or at the first rank that repeats: the powers A^m of a
+tensor (`algebra`), the rank sequences of L_x (`contraction`) and
+`power_rank_sequence`.
 `int_scaled_inverse` (Bareiss) is the one inverse.  It runs on ints:
 the bases of `change_basis` and `invert`, the orbit points that the R
 quadratics read, and certificate bases in Z[t] packed into ints at
@@ -40,6 +45,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import islice
 from math import gcd, lcm
+from operator import mul
 
 
 class Singular(ArithmeticError):
@@ -245,41 +251,42 @@ def partition_from_ranks(ranks, total: int) -> Partition:
     return Partition(conj).conjugate()
 
 
-def int_power_rank_sequence(base, max_power: int):
-    """Ranks of an integer square matrix P (list of rows) and its powers.
+def int_image_chain(n: int, first, image):
+    """The image chain of a map on Q^n read from its integer rows: E_1 =
+    `int_echelon(first)`, then E_{m+1} = the `int_echelon` of image(u)
+    over the rows u of E_m (image(u) is a list of integer rows), each
+    yielded while its rank falls from the one before (E_0, of rank n).
 
-    Stops at the first zero rank or after max_power entries.  Walks the
-    image chain: rowspace(X P) = rowspace(X) P, so with E_0 = I the
-    integer echelon rows E_m = int_echelon(E_{m-1} P) span the row space
-    of P^m and rank(P^m) = len(E_m).  Each step is an r x n product on
-    rows divided by their gcd, never a full power, whose entries grow.
-    Since P^m = P P^{m-1}, rowspace(P^m) lies in rowspace(P^{m-1}): once
-    a rank repeats the row space is fixed, and so is every later rank.
+    It ends after an empty E_m, or before the first E_m whose rank
+    equals the one before it.  In a chain with E_{m+1} inside E_m, such
+    as the powers of an algebra or the row spaces of P^m, that E_m and
+    every later one span the space of the last one yielded (E_0 = Q^n
+    when nothing is yielded).
     """
-    ranks = []
-    rows = int_echelon(base)
-    while rows and len(ranks) < max_power:
-        ranks.append(len(rows))
-        prods = []
-        for row in rows:
-            prod = [0] * len(base)
-            for x, brow in zip(row, base):
-                if x:
-                    for j, y in enumerate(brow):
-                        prod[j] += x * y
-            c = gcd(*prod)
-            prods.append([v // c for v in prod] if c > 1 else prod)
-        nxt = int_echelon(prods)
-        if len(nxt) == len(rows):
-            ranks += ranks[-1:] * (max_power - len(ranks))
-            break
-        rows = nxt
-    return tuple(ranks)
+    rank, rows = n, int_echelon(first)
+    while len(rows) < rank:
+        yield rows
+        rank, rows = len(rows), int_echelon([v for u in rows for v in image(u)])
 
 
 def power_rank_sequence(rows, max_power: int):
     """Ranks of a square rational matrix M, M^2, ..., stopping at zero or
-    max_power entries."""
+    max_power entries.
+
+    rowspace(X P) = rowspace(X) P, so the `int_image_chain` of the
+    scaled rows P under u -> u P spans the row space of each P^m, and
+    rank(P^m) is its length: each step multiplies echelon rows, divided
+    by their gcd, by P, never forming a full power, whose entries grow.
+    Since P^m = P P^(m-1), rowspace(P^m) lies in rowspace(P^(m-1)), so a
+    rank the chain stalls at (n when M is invertible) is every later
+    rank, and repeats to max_power.
+    """
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("rank sequence of a non-square matrix")
-    return int_power_rank_sequence(int_scaled(rows)[1], max_power)
+    base = int_scaled(rows)[1]
+    cols = list(zip(*base))
+    chain = int_image_chain(len(base), base,
+                            lambda u: [[sum(map(mul, u, col)) for col in cols]])
+    ranks = [len(base), *map(len, chain)]
+    ranks += ranks[-1:] * max_power
+    return tuple(filter(None, ranks[1:max_power + 1]))

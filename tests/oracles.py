@@ -15,7 +15,13 @@ out the whole orbit point of every sample, are the reference for the
 package's span tests, and the former sampled lower-triangular probe is
 the reference for the exact stability verdict on the pair map.  The
 ranks of full integer matrix powers are the reference for the image
-chain of `linalg.int_power_rank_sequence`.  The
+chain of `linalg.power_rank_sequence` and of the rank sequences of
+`contraction`.  The two walks that `linalg.int_image_chain` replaced,
+`algebra._int_powers` (`int_powers_walk`) and
+`linalg.int_power_rank_sequence` (`int_power_rank_walk`), are the
+references for the tensor's `powers` and for the rank sequences read
+off the chain, and the Jacobi check's former loop over basis triples
+(`triple_loop_jacobi`) is the reference for the packed check.  The
 certificate check with the integer kernels run
 over `ZPoly`, before the values were packed into ints at t = 2^B, is the
 reference for the packed check.  The dense Bareiss loop that the lazily
@@ -231,6 +237,20 @@ def jacobi_oracle(tensor):
     return True
 
 
+def jacobi_terms_oracle(tensor):
+    """The three terms ((xy)z, (yz)x, (zx)y) of the Jacobi defect over
+    Fraction, one tuple per x, y and z among basis vectors."""
+    n = tensor.dim
+    pairs = pairs_of(tensor)
+    basis = _basis(n)
+    for x in basis:
+        for y in basis:
+            for z in basis:
+                yield (table_product(n, pairs, table_product(n, pairs, x, y), z),
+                       table_product(n, pairs, table_product(n, pairs, y, z), x),
+                       table_product(n, pairs, table_product(n, pairs, z, x), y))
+
+
 def malcev_terms_oracle(tensor):
     """The four terms (lhs, t1, t2, t3) of the Malcev identity
     (xy)(xz) = ((xy)z)x + ((yz)x)x + ((zx)x)y over Fraction, one tuple per
@@ -320,6 +340,78 @@ def power_rank_sequence_oracle(base, max_power):
         ranks.append(r)
         cur = matmul(cur, base)
     return tuple(ranks)
+
+
+def int_powers_walk(table, n):
+    """The echelon rows of A^1, A^2, ... as `algebra._int_powers` walked
+    them before `linalg.int_image_chain`: the identity, the echelon rows
+    of the table's own products, then those of the products e_j w over
+    the rows w of each power, ending after the first zero power or before
+    the first power with the rank of the one before it."""
+    from degenlab.algebra import _int_dense, _int_identity, _int_left_products
+    from degenlab.linalg import int_echelon
+
+    rows = _int_identity(n)
+    yield rows
+    nxt = int_echelon([_int_dense(entries, n) for _, _, entries in table])
+    while len(nxt) < len(rows):
+        rows = nxt
+        yield rows
+        nxt = int_echelon([p for w in rows
+                           for p in _int_left_products(table, n, w)])
+
+
+def int_power_rank_walk(base, max_power):
+    """`linalg.int_power_rank_sequence` as it was before
+    `linalg.int_image_chain`: the ranks of the integer echelon rows E_m of
+    P^m, E_m = int_echelon(E_{m-1} P), each product divided by its gcd,
+    stopping at the first zero rank or after max_power entries, and a
+    rank that repeats repeated to max_power."""
+    from math import gcd
+
+    from degenlab.linalg import int_echelon
+
+    ranks = []
+    rows = int_echelon(base)
+    while rows and len(ranks) < max_power:
+        ranks.append(len(rows))
+        prods = []
+        for row in rows:
+            prod = [0] * len(base)
+            for x, brow in zip(row, base):
+                if x:
+                    for j, y in enumerate(brow):
+                        prod[j] += x * y
+            c = gcd(*prod)
+            prods.append([v // c for v in prod] if c > 1 else prod)
+        nxt = int_echelon(prods)
+        if len(nxt) == len(rows):
+            ranks += ranks[-1:] * (max_power - len(ranks))
+            break
+        rows = nxt
+    return tuple(ranks)
+
+
+def triple_loop_jacobi(a):
+    """`algebra.jacobi_holds` as it was before its y and z were packed: an
+    n^2 table of basis products, then the integer defect at each basis
+    triple i < j < k, stopping at the first nonzero one."""
+    from degenlab.algebra import _int_identity, _int_product
+
+    n, table = a.dim, a.table
+    e = _int_identity(n)
+    sq = [[_int_product(table, n, x, y) for y in e] for x in e]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                terms = (
+                    _int_product(table, n, sq[i][j], e[k]),
+                    _int_product(table, n, sq[j][k], e[i]),
+                    _int_product(table, n, sq[k][i], e[j]),
+                )
+                if any(map(sum, zip(*terms))):
+                    return False
+    return True
 
 
 def field_rank(rows):

@@ -1,3 +1,4 @@
+import collections
 import copy
 import pickle
 import random
@@ -11,9 +12,8 @@ from degenlab.algebra import (
     DimensionMismatch,
     StructureTensor,
     TableFormatError,
-    _engel_packing_bits,
+    _digit_bits,
     _malcev_holds,
-    _malcev_packing_bits,
     annihilator,
     change_basis,
     dim_square,
@@ -36,6 +36,7 @@ from oracles import change_basis_oracle, constant, fraction_inverse, matmul, pai
 from oracles import products_reads
 from oracles import engel_degree_oracle, engel_powers_oracle
 from oracles import jacobi_oracle, malcev_oracle, malcev_terms_oracle
+from oracles import int_powers_walk, jacobi_terms_oracle, triple_loop_jacobi
 
 from oracles import ann_dim_oracle, generated_subalgebra, square_dim_oracle
 from oracles import from_json_obj_oracle, from_pairs_oracle, tensor_eq_oracle
@@ -451,9 +452,27 @@ def test_engel_degree_of_the_zero_algebra_is_1():
         assert engel_degree(z, 0) is None
 
 
+def _bits_used(check, *args):
+    """The digit size B that check(*args) packs its values with: the one
+    result of `_digit_bits` while it runs."""
+    from degenlab import algebra
+
+    used, digit_bits = [], algebra._digit_bits
+
+    def spy(*spy_args):
+        used.append(digit_bits(*spy_args))
+        return used[-1]
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(algebra, "_digit_bits", spy)
+        check(*args)
+    (bits,) = used
+    return bits
+
+
 def test_engel_packing_bits_bound_every_coefficient():
-    # every entry of every S_alpha, on the L-scaled table, lies strictly
-    # inside the digit range at its own degree
+    # every entry of every S_alpha, on the L-scaled table, and the proved
+    # bound s^m lie strictly inside the digit range of engel_degree(a, m)
     rng = random.Random(109)
     tables = [_dense_fractional_conjugate(instantiate(key, n), rng)
               for key, n in (("T4", 5), ("T22_e34", 6), ("eta2", 5))]
@@ -465,7 +484,8 @@ def test_engel_packing_bits_bound_every_coefficient():
         for m, cur in enumerate(engel_powers_oracle(a, max_m), start=1):
             top = max((abs(c) * mult ** m for row in cur for entry in row
                        for c in entry.values()), default=0)
-            assert top < 2 ** (_engel_packing_bits(table, a.dim, m) - 1)
+            half = 2 ** (_bits_used(engel_degree, a, m) - 1)
+            assert top < half and _row_sum_oracle(a) ** m < half
 
 
 def _kernel_answers(a, max_m):
@@ -524,6 +544,61 @@ def test_identity_kernels_match_fraction_oracles_on_random_tables():
     assert _kernel_answers(a, 3) == _oracle_answers(a, 3) == (False, True, 2)
 
 
+def _random_jacobi_cases(rng, count):
+    """count seeded tables with Fraction constants, Lie and not: whole
+    random tables (Lie only at dims 1 and 2), sparse ones with one term or
+    none per product, and dense conjugates of the Lie manifest families."""
+    lie = [instantiate(key, n) for key in MANIFEST_FAMILIES
+           for n in catalog_tested_dims(key) if n <= 6]
+    lie = [a for a in lie if jacobi_oracle(a)]
+    for trial in range(count):
+        n = 1 + trial % 5
+        if trial % 3 == 0:
+            yield random_anticommutative(n, rng, spread=1 + trial % 2)
+        elif trial % 3 == 1:
+            yield StructureTensor.from_pairs(n, [
+                (i, j, rng.randint(1, n),
+                 Fraction(rng.choice((1, -1, 0, 0, 2)), rng.randint(1, 3)))
+                for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+        else:
+            yield _dense_fractional_conjugate(rng.choice(lie), rng)
+
+
+def test_packed_jacobi_matches_the_triple_loop():
+    # the check at each basis x on packed y and z against the former loop
+    # over basis triples: on every manifest table and on 3000 random ones
+    # with Fraction constants, Lie and not
+    manifest = [instantiate(key, n) for key in MANIFEST_FAMILIES
+                for n in catalog_tested_dims(key)]
+    rng = random.Random(4402)
+    verdicts = collections.Counter()
+    for a in manifest + list(_random_jacobi_cases(rng, 3000)):
+        got = jacobi_holds(a)
+        assert got == triple_loop_jacobi(a), a
+        verdicts[got, a.mult > 1] += 1
+    assert min(verdicts.values()) > 300 and len(verdicts) == 4
+
+
+def test_powers_are_those_of_the_former_walk():
+    # the tensor's powers, read off linalg.int_image_chain, row for row
+    # against the walk of _int_powers: on every manifest family and dim,
+    # 100 dense conjugates and tables that are not nilpotent
+    rng = random.Random(4404)
+    manifest = [instantiate(key, n) for key in MANIFEST_FAMILIES
+                for n in catalog_tested_dims(key)]
+    small = [a for a in manifest if a.dim <= 8]
+    cases = manifest + [_dense_fractional_conjugate(rng.choice(small), rng)
+                        for _ in range(100)]
+    cases += list(_NOT_NILPOTENT) + [random_anticommutative(rng.randint(1, 6), rng)
+                                     for _ in range(40)]
+    stalled = 0
+    for a in cases:
+        fresh = StructureTensor(a.dim, a.mult, a.table)
+        assert fresh.powers == list(int_powers_walk(a.table, a.dim)), a
+        stalled += fresh.nilindex is None
+    assert stalled > 20
+
+
 def _row_sum_oracle(a):
     """s on the L-scaled table: the largest over r of the sum over ordered
     basis pairs (i, k) of |(e_i e_k)_r|, from `constant`."""
@@ -545,11 +620,45 @@ def test_malcev_packing_bits_bound_every_defect_digit():
                for key, n in (("eta2", 5), ("T4_e23", 5), ("T22_e34", 6))]
     for a in tables:
         mult, table = a.mult, a.table
-        half = 2 ** (_malcev_packing_bits(table, a.dim) - 1)
+        half = 2 ** (_bits_used(_malcev_holds, a) - 1)
         assert 4 * _row_sum_oracle(a) ** 3 < half
         top = max((abs(v) for terms in malcev_terms_oracle(a)
                    for term in terms for v in term if v), default=0)
         assert 4 * top * mult ** 3 < half, a
+
+
+def _digit_bound_tables(rng):
+    """Manifest tables and dense conjugates, whose row sums s take many
+    values, so a digit size one bit short of the proof shows on some."""
+    tables = [instantiate(key, n) for key in MANIFEST_FAMILIES
+              for n in catalog_tested_dims(key) if n <= 8]
+    tables += [_dense_fractional_conjugate(instantiate(key, n), rng)
+               for key, n in (("eta2", 5), ("T4_e23", 5), ("T22_e34", 6))]
+    tables += [StructureTensor.from_pairs(3, [(1, 2, 3, c), (1, 3, 2, 1)])
+               for c in range(1, 12)]
+    return tables
+
+
+def test_jacobi_digit_bits_bound_every_defect_digit():
+    # a digit is the Jacobi defect at (e_x, e_a, e_b) on the L-scaled table,
+    # three terms of two products each: three times the largest term and
+    # the proved bound 3 s^2 both lie strictly inside the digit range that
+    # jacobi_holds packs with
+    rng = random.Random(4403)
+    sums = set()
+    for a in _digit_bound_tables(rng):
+        half = 2 ** (_bits_used(jacobi_holds, a) - 1)
+        s = _row_sum_oracle(a)
+        sums.add(s)
+        assert 3 * s ** 2 < half, a
+        # the one rule: bitlength(terms s^degree) + 1, s the oracle's row sum
+        for terms, degree in ((1, 1), (1, 4), (3, 2), (4, 3)):
+            assert _digit_bits(a.table, a.dim, terms, degree) == (
+                terms * int(s) ** degree).bit_length() + 1
+        top = max((abs(v) for terms in jacobi_terms_oracle(a)
+                   for term in terms for v in term if v), default=0)
+        assert 3 * top * a.mult ** 2 < half, a
+    assert len(sums) > 10
 
 
 # (family, dim, (i, j, k)): adding e_k to e_i e_j breaks the Malcev

@@ -815,6 +815,31 @@ def test_verify_paper_names_a_table_that_is_not_engel(tmp_path, capsys, claim):
     assert capsys.readouterr().err == err
 
 
+# e1e3 = e2, e3e4 = -e3: the scan meets a new best, e1 + e3, before L_e4,
+# which is not nilpotent
+NEW_BEST_FIRST = {"name": "X", "dim": 5, "products": [
+    {"i": 1, "j": 3, "value": [0, 1, 0, 0, 0]},
+    {"i": 3, "j": 4, "value": [0, 0, -1, 0, 0]}]}
+
+
+def test_a_table_that_is_not_engel_is_named_after_a_new_best(tmp_path, capsys):
+    # the audit of a certificate from the table to itself: one error line,
+    # exit 1 and no report, for verify-paper as for check
+    cert = {"id": "c", "source": NEW_BEST_FIRST, "target": NEW_BEST_FIRST,
+            "basis": ["e1", "e2", "e3", "e4", "e5"]}
+    err = "error: X@5: L_a is not nilpotent at a = (0, 0, 0, 1, 0)\n"
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps({"certificates": [cert]}), encoding="utf-8")
+    assert main(["verify-paper", "--ledger", str(path), "--trials", "1",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", err)
+    assert not (tmp_path / "out" / "report.json").exists()
+    claim = tmp_path / "cert.json"
+    claim.write_text(json.dumps(cert), encoding="utf-8")
+    assert main(["check", str(claim)]) == 1
+    assert capsys.readouterr() == ("", err)
+
+
 def _bad_basis_witness():
     wit = json.loads(json.dumps(witness_by_id("W.ex222.b.7")))
     wit["payload"]["source_basis"] = ["(1/t)*e1"] + wit["payload"]["source_basis"][1:]

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +7,8 @@ import pytest
 
 from degenlab.algebra import (
     DimensionMismatch,
+    StructureTensor,
+    _int_left_products,
     change_basis,
     left_mult_matrix,
 )
@@ -30,6 +34,7 @@ from oracles import (
     annihilator_oracle,
     fraction_tensor,
     generic_rank_sequence_oracle,
+    int_power_rank_walk,
     is_nilpotent_oracle,
     iw_max_oracle,
     iw_sequence,
@@ -292,16 +297,54 @@ def _shipped_tables():
             for ref in (claim.source, claim.target)}
 
 
+def _full_powers_rank_sequence(table, n, x):
+    """`contraction._int_rank_sequence` read off the ranks of full powers
+    of P = -L_x^T (`power_rank_sequence_oracle`)."""
+    ranks = power_rank_sequence_oracle(_int_left_products(table, n, x), n + 1)
+    if len(ranks) > n:
+        raise NotEngelAt(x)
+    return RankSequence(ranks)
+
+
 def test_iw_max_on_shipped_labels_is_that_of_full_matrix_powers(monkeypatch):
-    # the image chain of int_power_rank_sequence against the ranks of full
+    # the image chain of _int_rank_sequence against the ranks of full
     # powers of L_x: same partition and witness on every label
     tables = _shipped_tables()
     assert len(tables) > 100
     got = {label: iw_max(a, seed=20240917) for label, a in tables.items()}
-    monkeypatch.setattr(contraction, "int_power_rank_sequence",
-                        power_rank_sequence_oracle)
+    monkeypatch.setattr(contraction, "_int_rank_sequence",
+                        _full_powers_rank_sequence)
     for label, a in tables.items():
         assert got[label] == iw_max(a, seed=20240917), label
+
+
+def test_rank_sequences_are_those_of_the_former_walk_and_of_full_powers():
+    # the image chain under u -> u x against the parent walk on the rows of
+    # P and against full powers of P, at basis vectors, pair sums and
+    # random vectors, on nilpotent tables and on tables that are not
+    rng = random.Random(4401)
+    cases = list(_manifest_algebras()) + [NOT_NILPOTENT, CROSS_PRODUCT]
+    cases += [random_anticommutative(rng.randint(2, 5), rng) for _ in range(20)]
+    raised = 0
+    for a in cases:
+        n, table = a.dim, a.table
+        # the scan's own integer candidates: basis vectors, pair sums and
+        # the first random ones
+        pool = contraction._CandidatePool(n, rng.randrange(100))
+        for x in itertools.islice(pool, n * (n + 1) // 2 + 4):
+            walk = int_power_rank_walk(_int_left_products(table, n, x), n + 1)
+            try:
+                got = contraction._int_rank_sequence(table, n, x)
+            except NotEngelAt as exc:
+                assert len(walk) > n and exc.element == x
+                with pytest.raises(NotEngelAt):
+                    _full_powers_rank_sequence(table, n, x)
+                raised += 1
+                continue
+            assert len(walk) <= n
+            assert got == RankSequence(walk) == _full_powers_rank_sequence(
+                table, n, x), (a, x)
+    assert raised > 20
 
 
 def test_iw_max_on_a_warm_tensor_is_iw_max_on_a_fresh_one():
@@ -367,6 +410,54 @@ def test_iw_max_scans_to_the_end_when_the_table_is_not_nilpotent():
         iw_max_oracle(NOT_NILPOTENT)
     assert str(got.value) == str(want.value)
     assert got.value.element == (0, 1, 0)
+
+
+# e1e3 = e2, e3e4 = -e3: not nilpotent, and e1 + e3 is a new best before
+# e4 shows that L_e4 is not nilpotent
+NEW_BEST_BEFORE_RAISE = fraction_tensor(5, {(1, 3): (0, 1, 0, 0, 0),
+                                            (3, 4): (0, 0, -1, 0, 0)})
+
+
+def test_a_new_best_on_a_table_that_is_not_nilpotent_lowers_no_bound():
+    # with no rank bound the scan lowers none: a new best before the
+    # element that is not Engel gave a TypeError from _tight_bound
+    a = NEW_BEST_BEFORE_RAISE
+    assert _rank_bound(a) is None
+    bests = []
+    with pytest.raises(NotEngelAt) as got:
+        for best in iw_scan(a):
+            bests.append(best)
+    assert len({seq for _, seq in bests}) > 1
+    assert got.value.element == (0, 0, 0, 1, 0)
+    with pytest.raises(NotEngelAt) as want:
+        iw_max_oracle(a)
+    assert str(got.value) == str(want.value)
+
+
+def test_every_random_table_that_is_not_nilpotent_raises_not_engel_at():
+    # one +-1 term or none per product, dims 3-5: every table that is not
+    # nilpotent gives NotEngelAt (or a label), as the full scan does
+    rng = random.Random(11)
+    outcomes = collections.Counter()
+    for trial in range(3000):
+        n = 3 + trial % 3
+        a = StructureTensor.from_pairs(n, [
+            (i, j, rng.randint(1, n), rng.choice((1, -1, 0, 0)))
+            for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+        if a.nilindex is not None:
+            continue
+        try:
+            got = iw_max(a)
+        except NotEngelAt as exc:
+            got = str(exc)
+        outcomes[type(got)] += 1
+        if trial < 300:
+            try:
+                want = iw_max_oracle(a)
+            except NotEngelAt as exc:
+                want = str(exc)
+            assert got == want, a
+    assert outcomes[str] > 2500
 
 
 def _counting_rank_sequences(monkeypatch):

@@ -16,7 +16,7 @@ from degenlab.linalg import (
     Partition,
     Singular,
     int_echelon,
-    int_power_rank_sequence,
+    int_image_chain,
     int_reduce,
     int_scaled,
     int_scaled_inverse,
@@ -33,6 +33,7 @@ from degenlab.catalog import instantiate
 
 from oracles import field_rank, fraction_inverse, matmul, qt_inverse, row_reduce_dim
 from oracles import Subspace, kernel_oracle, power_rank_sequence_oracle
+from oracles import int_power_rank_walk
 from oracles import bareiss_inverse_oracle, qt_parse, qt_value
 from oracles import fraction_tensor, random_anticommutative
 
@@ -493,8 +494,9 @@ def test_image_chain_matches_full_powers_on_nilpotent_matrices():
         dense = matmul(matmul(g, nil), g_inv)
         want = power_rank_sequence_oracle(dense, n + 1)
         assert len(want) <= n
-        assert int_power_rank_sequence(dense, n + 1) == want, dense
-        assert int_power_rank_sequence(nil, n + 1) == want
+        assert power_rank_sequence(dense, n + 1) == want, dense
+        assert power_rank_sequence(nil, n + 1) == want
+        assert int_power_rank_walk(dense, n + 1) == want
 
 
 def test_image_chain_keeps_max_power_ranks_when_not_nilpotent():
@@ -509,13 +511,46 @@ def test_image_chain_keeps_max_power_ranks_when_not_nilpotent():
             for c in range(n):
                 if (r < k) != (c < k) or (r < k and c <= r):
                     rows[r][c] = 0
-        for max_power in (0, 1, n, n + 2):
+        for max_power in (-1, 0, 1, n, n + 2):
             want = power_rank_sequence_oracle(rows, max_power)
-            assert int_power_rank_sequence(rows, max_power) == want, rows
-    assert int_power_rank_sequence(identity(4), 6) == (4,) * 6
-    assert int_power_rank_sequence(identity(3), 0) == ()
-    assert int_power_rank_sequence(zero(5), 6) == ()
+            assert power_rank_sequence(rows, max_power) == want, rows
+            assert int_power_rank_walk(rows, max_power) == want, rows
+    # a full-rank matrix stalls at once: its rank n repeats to max_power
+    assert power_rank_sequence(identity(4), 6) == (4,) * 6
+    assert power_rank_sequence(identity(2), 1) == (2,)
+    for max_power in (-1, 0):
+        assert power_rank_sequence(identity(3), max_power) == ()
+        assert power_rank_sequence(shift3(), max_power) == ()
+    assert power_rank_sequence(zero(5), 6) == ()
     assert power_rank_sequence_oracle(zero(5), 6) == ()
+    assert power_rank_sequence([], 3) == ()
+
+
+def shift3():
+    """A nilpotent 3 x 3 Jordan block, ranks (2, 1)."""
+    return [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+
+
+def test_image_chain_ends_after_zero_or_before_a_stall():
+    # E_1 = int_echelon(first), then the images of the rows of each E_m,
+    # yielded while the rank falls from n
+    def times(base):
+        return lambda u: [[sum(x * y for x, y in zip(u, col))
+                           for col in zip(*base)]]
+
+    shift = shift3()
+    assert list(int_image_chain(3, shift, times(shift))) == [
+        [[0, 1, 0], [0, 0, 1]], [[0, 0, 1]], []]
+    assert power_rank_sequence(shift, 5) == (2, 1)
+    # zero ends after its one empty E_1; full rank stalls before E_1
+    assert list(int_image_chain(3, zero(3), times(zero(3)))) == [[]]
+    assert list(int_image_chain(3, identity(3), times(identity(3)))) == []
+    # a nilpotent block beside an invertible one stalls at rank 1
+    mixed = [[0, 1, 0], [0, 0, 0], [0, 0, 2]]
+    assert [len(rows) for rows in int_image_chain(3, mixed, times(mixed))] == [2, 1]
+    assert power_rank_sequence(mixed, 4) == (2, 1, 1, 1)
+    # the empty space: rank 0 from the start, nothing to yield
+    assert list(int_image_chain(0, [], times([]))) == []
 
 
 def test_nilpotent_partition_examples():

@@ -263,8 +263,57 @@ def test_only_linalg_and_algebra_name_the_fraction_subspace():
 
 def test_only_algebra_names_the_power_chain_internals():
     # the power chain is read through the StructureTensor that holds it;
-    # no module above algebra walks it
-    assert _package_names({"_int_powers", "_int_identity"}, ("algebra",)) == []
+    # no module above algebra builds its rows, and only the two chains
+    # (algebra's powers, contraction's rank sequences) and linalg's own
+    # power_rank_sequence walk an image chain
+    assert _package_names({"_int_identity", "_int_dense"}, ("algebra",)) == []
+    assert _package_names({"int_image_chain"},
+                          ("linalg", "algebra", "contraction")) == []
+
+
+def test_the_chains_and_the_digit_rule_have_one_kernel_each():
+    # the two former chain walks and the three former digit bounds are gone
+    # from the package: no module defines or names them
+    banned = {"_int_powers", "int_power_rank_sequence", "_row_sum_bound",
+              "_engel_packing_bits", "_malcev_packing_bits"}
+    assert _package_names(banned, ()) == []
+    package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
+    defined = [(path.stem, node.name) for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name in banned]
+    assert defined == []
+
+
+def _function(module, qualified):
+    """The FunctionDef of a package function, `Class.method` or `name`."""
+    path = Path(__file__).resolve().parents[1] / "src" / "degenlab" / f"{module}.py"
+    node = ast.parse(path.read_text(encoding="utf-8"))
+    for name in qualified.split("."):
+        node = next(child for child in node.body
+                    if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                    and child.name == name)
+    return node
+
+
+def test_every_image_chain_is_read_off_int_image_chain():
+    # the tensor's powers, the rank sequences of L_x and of a matrix call
+    # linalg.int_image_chain and run no loop of their own; the identity
+    # checks take their digit size from algebra._digit_bits
+    for module, qualified, callee in (
+            ("algebra", "StructureTensor.__getattr__", "int_image_chain"),
+            ("contraction", "_int_rank_sequence", "int_image_chain"),
+            ("linalg", "power_rank_sequence", "int_image_chain"),
+            ("algebra", "engel_degree", "_digit_bits"),
+            ("algebra", "_malcev_holds", "_digit_bits"),
+            ("algebra", "jacobi_holds", "_digit_bits")):
+        nodes = list(ast.walk(_function(module, qualified)))
+        assert callee in {node.func.id for node in nodes
+                          if isinstance(node, ast.Call)
+                          and isinstance(node.func, ast.Name)}, qualified
+        if callee == "int_image_chain":
+            assert not [node for node in nodes
+                        if isinstance(node, (ast.For, ast.While))], qualified
 
 
 def test_a_tensor_has_one_constructor():
