@@ -22,9 +22,11 @@ check it and scale it.  Every closed invariant, and every check of a
 ledger run, runs over Z on the table.  The table's rows (i, j, ((k, coeff),
 ...)), 0-based with zero entries and rows dropped, are the one integer
 product format: `int_change_basis` writes them for a basis change, an
-orbit point and the certificate check alike.  Fraction appears only in
-output: `products`, a view made from the table at each read (for
-`to_json_obj` and `repr`), `product`'s result and the rows of
+orbit point and the certificate check alike.  It owns the basis change's
+inverse: it takes (d, R = d g^-1) from `linalg.int_scaled_inverse` and
+returns d with the rows, or (0, None) for a singular basis.  Fraction
+appears only in output: `products`, a view made from the table at each
+read (for `to_json_obj` and `repr`), `product`'s result and the rows of
 `left_mult_matrix`.  Above this module it remains only in the `iw_max`
 witness and IWDominance elements (`degeneration`).
 `power_ideal` and `annihilator` return integer echelon rows: the tensor's
@@ -437,21 +439,25 @@ def annihilator(a: StructureTensor):
     return kernel_basis([conds[key] for key in sorted(conds)])
 
 
-def int_change_basis(table, n: int, rows, inv):
-    """Integer table rows (i, j, ((k, coeff), ...)) of an integer table in
-    a new basis, in the tensor's own format.
+def int_change_basis(table, n: int, rows):
+    """(d, N): N the integer table rows (i, j, ((k, coeff), ...)) of an
+    integer table in a new basis, in the tensor's own format; (0, None)
+    when the basis is singular.
 
-    table is a.table (a scaled by L), rows an invertible integer
-    basis g and inv = R from (d, R) = int_scaled_inverse(g).  The
-    coordinates of g_i g_j are T(g_i, g_j) R with no division: they are the
-    structure constants of a in the basis s g, where s = d L, because
-    scaling a basis by c scales its structure constants by c.
+    table is a.table (a scaled by L) and rows an integer basis g, whose
+    (d, R) = int_scaled_inverse(g) is taken here.  The coordinates of
+    g_i g_j are T(g_i, g_j) R with no division: they are the structure
+    constants of a in the basis s g, where s = d L, because scaling a
+    basis by c scales its structure constants by c.
 
     The products are formed from the basis' column supports: a table
     entry e_a e_b reaches only the pairs of rows g_p, g_q nonzero at a and
     at b, with coefficient g_pa g_qb (negated for p > q, since
     g_q g_p = -(g_p g_q)), and R is read by its nonzero entries.
     """
+    d, inv = int_scaled_inverse(rows)
+    if not d:
+        return 0, None
     supports, prods = _int_supports(rows, n), {}
     for a, b, entries in table:
         for p, x in supports[a]:
@@ -474,7 +480,7 @@ def int_change_basis(table, n: int, rows, inv):
         entries = tuple((k, x) for k, x in enumerate(coords) if x)
         if entries:
             out.append((i, j, entries))
-    return out
+    return d, out
 
 
 def change_basis(a: StructureTensor, basis) -> StructureTensor:
@@ -491,11 +497,10 @@ def change_basis(a: StructureTensor, basis) -> StructureTensor:
     if len(basis) != n or any(len(row) != n for row in basis):
         raise DimensionMismatch("basis matrix must be n x n")
     m, rows = int_scaled(basis)
-    d, inv = int_scaled_inverse(rows)
+    d, table = int_change_basis(a.table, n, rows)
     if not d:
         raise Singular("basis matrix has zero determinant")
     scale = a.mult * m * d
-    table = int_change_basis(a.table, n, rows, inv)
     c = gcd(scale, *(v for _, _, entries in table for _, v in entries))
     c = c if scale > 0 else -c
     return StructureTensor(n, scale // c, [

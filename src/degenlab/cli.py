@@ -18,7 +18,9 @@ Leaving out `--dims` runs the whole ledger.
 A file that `verify-paper --ledger`, `check` or `classify --file` cannot
 read is one error line and exit 1, never a traceback: it cannot be
 opened, is not UTF-8, does not parse as JSON, or nests too deep for the
-parser (`verification_db.read_json`, the one reader of the three).
+parser (`verification_db.read_json`, the one reader of the three).  The
+line names the file and the reason: `cannot read ledger PATH: ...`, and
+`claim` or `table` in place of `ledger` for `check` and `classify`.
 A certificate `basis` that is not a list of strings is a parse error
 (exit 1).  Its rows are parsed when the certificate is verified, so a
 row that does not parse, or a basis of the wrong length, is a fail
@@ -150,7 +152,7 @@ def cmd_check(args) -> int:
     if args.trials < 1:
         return _error(f"trials must be >= 1, got {args.trials}")
     try:
-        obj = read_json(args.path)
+        obj = read_json(args.path, f"cannot read claim {args.path}: ")
     except ParseError as exc:
         return _error(exc)
     if not isinstance(obj, dict):
@@ -270,7 +272,8 @@ def cmd_classify(args) -> int:
                       "not both")
     if args.file:
         try:
-            tensor = StructureTensor.from_json_obj(read_json(args.file))
+            tensor = StructureTensor.from_json_obj(
+                read_json(args.file, f"cannot read table {args.file}: "))
         except (ParseError, TableFormatError) as exc:
             return _error(exc)
     elif args.name is None or args.dim is None:

@@ -50,6 +50,11 @@ candidate: it reads the tensor's own integer table, built once per
 tensor, and turns only the witness it returns into Fractions.  The public
 `rank_sequence` scales its rational element once, by the lcm of its
 denominators.
+
+The IW label is read off the dominant rank sequence by one rule: since
+rank(N^m) = sum_i max(lambda_i - m, 0), N has r_{m-1} - 2 r_m + r_{m+1}
+Jordan blocks of size m, with r_0 = dim (`partition_from_rank_sequence`),
+and a negative count refuses a sequence that no nilpotent operator has.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from fractions import Fraction
 from .algebra import (DimensionMismatch, StructureTensor, _int_left_products,
                       _int_product, engel_degree)
 from .linalg import (Partition, _int_rank, int_image_chain, int_scaled,
-                     partition_from_ranks, random_int_rows)
+                     random_int_rows)
 
 
 class NotEngelAt(ValueError):
@@ -296,13 +301,22 @@ def iw_max(a: StructureTensor, seed: int = 0, trials: int = 20):
 
 
 def partition_from_rank_sequence(seq: RankSequence, dim: int) -> Partition:
-    """Partition label of a contraction with rank sequence seq.
+    """Partition label of a contraction with rank sequence seq, the ranks
+    r_1, r_2, ... of N, N^2, ... truncated at zero, on a `dim`-dim space.
 
-    Duality determines the parts >= 2 only: they are those of
-    `linalg.partition_from_ranks`.  The zero sequence labels the abelian
-    contraction and is rendered as 1^(dim-1) (the zero operator on the
-    quotient by the witness line).
+    rank(N^m) = sum_i max(lambda_i - m, 0), so N has
+    r_{m-1} - 2 r_m + r_{m+1} Jordan blocks of size m, with r_0 = dim and
+    r_m = 0 past seq.  A negative count, m = 1 included, means that no
+    nilpotent operator has these ranks: ValueError.  The label is the
+    blocks of size >= 2; the zero sequence labels the abelian contraction
+    and is rendered as 1^(dim-1) (the zero operator on the quotient by the
+    witness line).
     """
+    r = (dim, *seq, 0, 0)
+    counts = [r[m - 1] - 2 * r[m] + r[m + 1] for m in range(1, len(r) - 1)]
+    if min(counts) < 0:
+        raise ValueError(f"not the rank sequence of a nilpotent operator: {seq}")
     if not seq:
         return Partition((1,) * (dim - 1))
-    return Partition(p for p in partition_from_ranks(seq, dim) if p >= 2)
+    return Partition(m for m in range(len(counts), 1, -1)
+                     for _ in range(counts[m - 1]))

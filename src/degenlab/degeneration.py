@@ -11,11 +11,12 @@ The check is exact in Z[t].  Each entry of g parses to an unreduced pair
 (num, den) of integer polynomials (`exactnum.ZPoly`).  One scale s in
 Z[t], common to all entries (per-row scales would change the constants),
 gives G = s g in Z[t]^(n x n).
-`int_scaled_inverse` gives d and R = d G^-1 with exact divisions only
-(Bareiss, 1968), and `int_change_basis` on the table scaled by L gives the
-constants N in the basis d L G, so those of g are N / (L s d).  Both
-kernels run on plain ints: G is evaluated at t = 2^B (Kronecker
-substitution), and only d is read back as balanced base-2^B digits.
+`int_change_basis` on the table scaled by L takes d and R = d G^-1 from
+`int_scaled_inverse`, with exact divisions only (Bareiss, 1968), and
+gives d and the constants N in the basis d L G, so those of g are
+N / (L s d).  Both kernels run on plain ints: G is evaluated at t = 2^B
+(Kronecker substitution), and only d is read back as balanced base-2^B
+digits.
 `packing_bits` bounds the coefficients of every value the kernels test
 for zero or hand back, so their ints are the images of the same
 computation over Z[t].  A constant has a pole at 0 iff
@@ -40,33 +41,36 @@ ord_t G_e < v is a pole, and row entry e of g is G_e[v], the value at
 t = 0 times the nonzero constant s[v].  The basis is singular at t = 0
 iff `int_suffix_spans(g)` is None.
 
+A flag-condition set is its triples (i, j, k), a tuple of int tuples:
+a ClosedSet witness's, read with its payload, or R's flags (`_R_FLAGS`).
 Orbit samples are tested over Z on the rows of the basis g, with no
-inverse: the orbit point meets the flag conditions of a ClosedSetSpec iff
-each product A(g_p, g_q) that a triple (i, j, k) hits lies in
-W_k = span(g_k, ..., g_n), and is 0 for k = n + 1 (`_orbit_meets`).  The
-hit pairs, each with its strictest k, are listed once per spec and
-dimension (`_hit_pairs`, cached; it is the one reading of a spec's
-triples, which membership and the stability verdict use too).  One
-fraction-free elimination of g from its last row upward both rejects
-singular draws and gives reduced rows of every W_k
-(`linalg.int_suffix_spans`), and the products are reduced against them
-until the first pair that fails.
-The full orbit point, the table scaled by its denominator lcm L and
-written through R = d g^-1, is the point of the basis s g, s = d L, with
-no division (`_orbit_point`, the rows of `int_change_basis` with mult 1);
-it is built only for the R quadratics, of a basis that meets R's flags.
-Scaling a table or a basis by c != 0 is a flag-preserving change, so
-each ClosedSetSpec set and R is a cone: the s g point is a member iff
-the g point is, and the R quadratics read its integer table.  Sampling
-needs trials >= 1.
+inverse: the orbit point meets the flag conditions iff each product
+A(g_p, g_q) that a triple hits lies in W_k = span(g_k, ..., g_n), and is
+0 for k = n + 1 (`_orbit_meets`).  The hit pairs, each with its
+strictest k, are listed once per set and dimension (`_hit_pairs`,
+cached; it is the one reading of a set's triples, which membership and
+the stability verdict use too).  One fraction-free elimination of g from
+its last row upward both rejects singular draws and gives reduced rows
+of every W_k (`linalg.int_suffix_spans`), and the products are reduced
+against them until the first pair that fails.
+`_in_set` is the one membership test, of the source side and of every
+sample: `_orbit_meets`, then, for R, its quadratics on the orbit point,
+which is its integer table rows and no tensor: the table scaled by its
+denominator lcm L and written through R = d g^-1 by `int_change_basis`,
+the point of the basis s g, s = d L, with no division.  It is written
+out only for a basis that meets R's flags.  Scaling a table or a basis
+by c != 0 is a flag-preserving change, so each flag-condition set and R
+is a cone: the s g point is a member iff the g point is.  Sampling needs
+trials >= 1.
 
 Every check here reads integer tables.  Fraction remains only in output
 (a tensor's `products`, a mismatch message), in IWDominance elements
 (read with the payload) and in the `iw_max` witness.
 
 Stability of a flag-condition set under the lower-triangular group B is
-decided exactly, on its hit pairs alone (`_pair_map_verdict`), with no
-arithmetic and no random numbers, so a probe's pass is a proof.
+decided exactly, on its hit pairs alone
+(`lower_triangular_invariance_probe`), with no arithmetic and no random
+numbers, so a probe's pass is a proof.
 
 Basis rows are text, read by `exactnum.parse_basis_row`: a certificate's
 when it is verified, through the run's store, which parses each distinct
@@ -102,7 +106,7 @@ from .exactnum import (
     poly_gcd,
     rational_from_obj,
 )
-from .linalg import int_reduce, int_scaled_inverse, int_suffix_spans, random_int_rows
+from .linalg import int_reduce, int_suffix_spans, random_int_rows
 
 
 class SingularFamily(ValueError):
@@ -169,11 +173,10 @@ def apply_parameterized_basis(a: StructureTensor, rows):
     packed = [[0] * n for _ in range(n)]
     for r, k, x in terms:
         packed[r][k] = x.at_power_of_two(bits)
-    d, inv = int_scaled_inverse(packed)
+    d, constants = int_change_basis(table, n, packed)
     if not d:
         raise SingularFamily("parameterized basis has identically zero determinant")
-    return (s * ZPoly.from_balanced_digits(d, bits) * mult,
-            int_change_basis(table, n, packed, inv), bits)
+    return s * ZPoly.from_balanced_digits(d, bits) * mult, constants, bits
 
 
 def packing_bits(g, table) -> int:
@@ -382,38 +385,19 @@ def verify_degeneration(cert: DegenerationCertificate, records: Records) -> Verd
 # --- closed sets ----------------------------------------------------------
 
 
-class _Triples(NamedTuple):
-    triples: tuple
-
-
-class ClosedSetSpec(_Triples):
-    """Conditions lambda(V_i, V_j) in V_k over the standard flag, its
-    triples held as int tuples.
-
-    Each triple (i, j, k) has 1 <= i, j <= n and 1 <= k <= n + 1, where
-    V_{n+1} = 0.  A triple hits every pair at or above (i, j), so the
-    strictest k of `_hit_pairs` never falls going up and the set is
-    stable under flag-preserving (lower triangular) changes;
-    `lower_triangular_invariance_probe` checks that on the pair map.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, triples):
-        return super().__new__(cls, tuple(tuple(map(int, t)) for t in triples))
-
-
 @lru_cache  # read once per sample; the tuple returned is safe to share
-def _hit_pairs(spec: ClosedSetSpec, n: int):
-    """((p, q, k), ...): each pair p < q (0-based) that a triple of `spec`
-    hits, with the strictest k of those triples, in pair order.
+def _hit_pairs(spec, n: int):
+    """((p, q, k), ...): each pair p < q (0-based) that a triple (i, j, k)
+    of the set `spec` hits, with the strictest k of those triples, in pair
+    order.  A triple hits every pair at or above (i, j) (V_{n+1} = 0), so
+    the strictest k never falls going up.
 
     The set's members are the tables whose product e_p e_q lies in V_k for
     each listed (p, q, k); k = n + 1 asks for a zero product.  Raises
     ValueError for a triple outside 1 <= i, j <= n, 1 <= k <= n + 1.
     """
     strictest = {}
-    for (i, j, k) in spec.triples:
+    for (i, j, k) in spec:
         if not (1 <= i <= n and 1 <= j <= n and 1 <= k <= n + 1):
             raise ValueError(
                 f"triple {(i, j, k)} outside dimension {n}: need "
@@ -437,18 +421,20 @@ def _orbit_meets(table, n: int, g, spans, pairs) -> bool:
         for p, q, k in pairs)
 
 
-def lower_triangular_invariance_probe(spec: ClosedSetSpec, dim: int) -> Verdict:
-    """Exact verdict on the stability of a flag-condition set under
-    flag-preserving (lower triangular) changes of basis, from its
-    `_hit_pairs` (`_pair_map_verdict`).  Raises ValueError when a triple
-    lies outside dimension `dim`.
-    """
-    return _pair_map_verdict(_hit_pairs(spec, dim), dim)
+def _in_set(table, n: int, g, spans, pairs, cone) -> bool:
+    """Membership of the orbit point of g: it meets the flag conditions of
+    `pairs` (`_orbit_meets`), and then, when `cone` is given, `cone` holds
+    of its integer table rows, those of the basis s g, s = d L
+    (`int_change_basis`)."""
+    return _orbit_meets(table, n, g, spans, pairs) and (
+        cone is None or cone(int_change_basis(table, n, g)[1]))
 
 
-def _pair_map_verdict(pairs, n: int) -> Verdict:
-    """pass iff the set of the pair map `pairs` ((p, q, k), p < q, 0-based)
-    is stable under the lower-triangular group B; a fail names both pairs.
+def lower_triangular_invariance_probe(spec, dim: int) -> Verdict:
+    """pass iff the flag-condition set `spec` is stable under the
+    lower-triangular group B in dimension `dim`, decided exactly on its
+    `_hit_pairs` ((p, q, k), p < q, 0-based); a fail names both pairs.
+    Raises ValueError when a triple lies outside dimension `dim`.
 
     Let k(p, q) be the listed k of a pair, 1 for an unlisted one.  The set
     is B-stable iff k({a, b}) >= k(p, q) for every listed (p, q), a >= p,
@@ -459,10 +445,11 @@ def _pair_map_verdict(pairs, n: int) -> Verdict:
     g_q = e_q + e_b (other rows e_r), leaves the set.  Taking a < b
     suffices: for a > b, the pair (b, a) has b >= q > p and a > b >= q.
     """
+    pairs = _hit_pairs(spec, dim)
     strictest = {(p, q): k for p, q, k in pairs}
     for p, q, k in pairs:
-        for a in range(p, n):
-            for b in range(max(q, a + 1), n):
+        for a in range(p, dim):
+            for b in range(max(q, a + 1), dim):
                 low = strictest.get((a, b), 1)
                 if low < k:
                     return Verdict(
@@ -475,7 +462,7 @@ def _pair_map_verdict(pairs, n: int) -> Verdict:
 
 # --- the bespoke closed set R of the seven-dimensional analysis -----------
 
-_R_FLAGS = ClosedSetSpec((
+_R_FLAGS = (
     (1, 7, 8),  # lambda(V, V_7) = 0
     (2, 6, 8),  # lambda(V_2, V_6) = 0
     (3, 5, 8),  # lambda(V_3, V_5) = 0
@@ -483,7 +470,7 @@ _R_FLAGS = ClosedSetSpec((
     (2, 3, 6),  # lambda(V_2, V_3) in V_6
     (1, 3, 5),  # lambda(V, V_3) in V_5
     (1, 1, 4),  # lambda(V, V) in V_4
-))
+)
 
 # quadratic relations as (monomial, monomial, sign) with monomials (i,j,k):
 # sum over entries of sign * l_{i,j}^k * l_{p,q}^r must vanish
@@ -498,21 +485,14 @@ _R_QUADRATICS = (
 )
 
 
-def _r_quadratics_hold(a: StructureTensor) -> bool:
-    """The quadratic relations of R, for a seven-dimensional table.  They
-    are homogeneous, so the integer table, scaled by mult, decides them;
-    every monomial (i, j, k) has i < j, a key of the table."""
-    c = {(i + 1, j + 1, k + 1): v for i, j, entries in a.table for k, v in entries}
+def _r_quadratics_hold(table) -> bool:
+    """The quadratic relations of R, for the integer table rows of a
+    seven-dimensional algebra.  They are homogeneous, so a table scaled by
+    any nonzero integer decides them; every monomial (i, j, k) has i < j,
+    a key of the table."""
+    c = {(i + 1, j + 1, k + 1): v for i, j, entries in table for k, v in entries}
     return not any(sum(sign * c.get(m1, 0) * c.get(m2, 0) for m1, m2, sign in relation)
                    for relation in _R_QUADRATICS)
-
-
-def _orbit_point(table, n: int, g) -> StructureTensor:
-    """The orbit point of the basis s g, s = d L, for a tensor's table, an
-    invertible integer basis g and (d, R) = int_scaled_inverse(g): its
-    integer table, with mult 1, exact for cone membership."""
-    inv = int_scaled_inverse(g)[1]
-    return StructureTensor(n, 1, int_change_basis(table, n, g, inv))
 
 
 def random_invertible(dim: int, rng: random.Random):
@@ -526,17 +506,18 @@ def random_invertible(dim: int, rng: random.Random):
 
 
 def randomized_orbit_refute(
-    b: StructureTensor, spec: ClosedSetSpec, trials: int,
-    seed: int, cone=None,
+    b: StructureTensor, spec, trials: int, seed: int, cone=None,
 ) -> Verdict:
     """Sample the orbit of b for members of a closed set: the flag
-    conditions `spec`, and the predicate `cone` when given.
+    conditions `spec`, triples (i, j, k), and the predicate `cone` when
+    given.
 
     refutation_not_found is evidence, never proof, that the orbit misses
     the set; a hit refutes the emptiness claim and returns the basis.
-    Each sample g is tested on its rows (`_orbit_meets`); only a sample
-    that meets `spec` is written out in full, and `cone` sees that integer
-    orbit point of s g, so it must be invariant under nonzero scaling.
+    Each sample g is tested by `_in_set`: on its rows first, and only a
+    sample that meets `spec` is written out in full, as the integer table
+    rows of s g that `cone` sees, so it must be invariant under nonzero
+    scaling.
     Raises ValueError when trials < 1 (zero samples are no evidence) or
     when a triple lies outside the dimension of b.
     """
@@ -548,8 +529,7 @@ def randomized_orbit_refute(
     table = b.table
     for trial in range(trials):
         g, spans = random_invertible(n, rng)
-        if _orbit_meets(table, n, g, spans, pairs) and (
-                cone is None or cone(_orbit_point(table, n, g))):
+        if _in_set(table, n, g, spans, pairs, cone):
             return Verdict(
                 "refuted",
                 f"orbit member found in the set at trial {trial}",
@@ -626,7 +606,7 @@ class _WitnessFields(NamedTuple):
     payload: dict
     provenance: str
     witness_id: str
-    spec: ClosedSetSpec | None
+    spec: tuple | None
     source_rows: tuple | None
     element: tuple | None
 
@@ -636,10 +616,11 @@ class NonDegenerationWitness(_WitnessFields):
     `WITNESS_KINDS`.  The payload fields its kind reads are read once,
     here, where n is the source dimension: ClosedSet `triples`, a list of
     integer triples (i, j, k) with 1 <= i, j <= n and 1 <= k <= n + 1, as
-    `spec`; a ClosedSet/BespokeR `source_basis`, when given, a list of n
-    basis rows, as parsed rows `source_rows`; IWDominance `element`, a
-    list of n rationals, as Fractions.  A malformed payload raises
-    ValueError naming its field.  `_replace` would skip that reading."""
+    `spec`, a tuple of int tuples; a ClosedSet/BespokeR `source_basis`,
+    when given, a list of n basis rows, as parsed rows `source_rows`;
+    IWDominance `element`, a list of n rationals, as Fractions.  A
+    malformed payload raises ValueError naming its field.  `_replace`
+    would skip that reading."""
 
     __slots__ = ()
 
@@ -661,7 +642,7 @@ class NonDegenerationWitness(_WitnessFields):
                 raise ValueError(
                     f"payload.triples must be a list of integer triples "
                     f"(i, j, k) with 1 <= i, j <= {n}, 1 <= k <= {n + 1}")
-            spec = ClosedSetSpec(triples)
+            spec = tuple(map(tuple, triples))
         rows = payload.get("source_basis")
         if kind in ("ClosedSet", "BespokeR") and rows is not None:
             if not (isinstance(rows, list) and len(rows) == n
@@ -748,8 +729,7 @@ def verify_nondegeneration(
     spans = int_suffix_spans(g)
     if spans is None:
         return Verdict("refuted", "stored source basis is singular at t = 0")
-    if not (_orbit_meets(table, n, g, spans, _hit_pairs(spec, n))
-            and (cone is None or cone(_orbit_point(table, n, g)))):
+    if not _in_set(table, n, g, spans, _hit_pairs(spec, n), cone):
         return Verdict("refuted", "stored source basis does not land in the set")
     verdict = randomized_orbit_refute(tgt, spec, trials, records.seed, cone)
     if verdict.status == "refuted":

@@ -13,13 +13,14 @@ image(E_m), each the `int_echelon` of the images of the rows before,
 stopped at 0 or at the first rank that repeats: the powers A^m of a
 tensor (`algebra`), the rank sequences of L_x (`contraction`) and
 `power_rank_sequence`.
-`int_scaled_inverse` (Bareiss) is the one inverse.  It runs on ints:
-the bases of `change_basis` and `invert`, the orbit points that the R
-quadratics read, and certificate bases in Z[t] packed into ints at
-t = 2^B, a bound that holds because each of its entries is a minor
-(`degeneration.packing_bits`).  It needs only + - * and exact // of its
-entries, so it runs over any integral domain with exact //, such as
-`exactnum.ZPoly`, unchanged, and scales rows lazily.
+`int_scaled_inverse` (Bareiss) is the one inverse, and two functions call
+it: `invert`, and `algebra.int_change_basis`, which owns the inverse of
+every basis change.  It runs on ints: the bases of `change_basis`, the
+orbit points that the R quadratics read, and certificate bases in Z[t]
+packed into ints at t = 2^B, a bound that holds because each of its
+entries is a minor (`degeneration.packing_bits`).  It needs only + - *
+and exact // of its entries, so it runs over any integral domain with
+exact //, such as `exactnum.ZPoly`, unchanged, and scales rows lazily.
 
 Rational input is scaled to integers by one of three scalers, each for
 its own input.  `int_scaled` scales rows of Fractions or ints by the lcm
@@ -35,8 +36,9 @@ off the `int_echelon` of [M^T | I], so spans and null spaces come out as
 integer echelon rows, and Fraction appears only in the result of
 `invert`.
 
-`partition_from_ranks` reads the block sizes of a nilpotent operator off
-the ranks of its powers (rank(N^m) = sum_i max(lambda_i - m, 0)).
+`Partition` holds Jordan block sizes, which
+`contraction.partition_from_rank_sequence` counts off the ranks of the
+powers of a nilpotent operator.
 """
 
 from __future__ import annotations
@@ -225,30 +227,8 @@ class Partition(tuple):
             raise ValueError("partition parts must be weakly decreasing")
         return super().__new__(cls, parts)
 
-    def conjugate(self) -> "Partition":
-        if not self:
-            return Partition()
-        return Partition(
-            tuple(sum(1 for p in self if p >= m) for m in range(1, self[0] + 1))
-        )
-
     def __repr__(self):
         return f"Partition{tuple(self)}"
-
-
-def partition_from_ranks(ranks, total: int) -> Partition:
-    """Jordan partition of a nilpotent operator on a `total`-dim space.
-
-    ranks is the sequence (rank N, rank N^2, ...) truncated at zero;
-    conjugate-partition entries are the rank differences.
-    """
-    rs = [total] + [r for r in ranks if r > 0]
-    conj = [rs[i] - rs[i + 1] for i in range(len(rs) - 1)]
-    conj.append(rs[-1])
-    conj = [c for c in conj if c > 0]
-    if any(conj[i] < conj[i + 1] for i in range(len(conj) - 1)):
-        raise ValueError(f"not the rank sequence of a nilpotent operator: {ranks}")
-    return Partition(conj).conjugate()
 
 
 def int_image_chain(n: int, first, image):

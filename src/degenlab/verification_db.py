@@ -423,7 +423,7 @@ def _probe_entry(w: NonDegenerationWitness) -> dict:
     witness's set, in its source dimension."""
     verdict = lower_triangular_invariance_probe(w.spec, w.source.dim)
     return {
-        "triples": [list(t) for t in w.spec.triples],
+        "triples": [list(t) for t in w.spec],
         "dim": w.source.dim,
         "first_witness": w.witness_id,
         "status": "PASS" if verdict.ok else "FAIL",
@@ -468,7 +468,7 @@ def run_ledger(ledger: ClaimLedger, seed: int = 0, trials: int = 200,
     witnesses = [w for w in ledger.witnesses if in_scope(w.source.dim)]
     witness_reports = [_witness_entry(w, records, trials) for w in witnesses]
     # each closed set once, under the first witness that names it
-    probes = {(w.spec.triples, w.source.dim): w
+    probes = {(w.spec, w.source.dim): w
               for w in reversed(witnesses) if w.kind == "ClosedSet"}
     probe_reports = [_probe_entry(w) for _, w in sorted(probes.items())]
     chain_reports = [_chain_entry(ch, cert_entries)

@@ -61,6 +61,9 @@ their conditions were read off the table's nonzero products
 (`dense_centralizer_dim`, `dense_annihilator`), and the pair loop of
 `int_change_basis` before it formed products from the basis' column
 supports (`pair_loop_change_basis`), are the references for those.
+The IW label's former reading through the conjugate partition
+(`partition_from_ranks` and `conjugate`, once `linalg`'s) is the
+reference for the block counts of `partition_from_rank_sequence`.
 """
 
 import contextlib
@@ -796,20 +799,19 @@ def qt_certificate_verdict(cert):
 
 def zpoly_apply_parameterized_basis(a, rows):
     """(den, N) of degeneration.apply_parameterized_basis, with
-    int_scaled_inverse and int_change_basis run on the ZPoly entries of G:
-    N is the table rows (i, j, ((k, ZPoly), ...)) of int_change_basis."""
+    int_change_basis, and so int_scaled_inverse, run on the ZPoly entries
+    of G: N is the table rows (i, j, ((k, ZPoly), ...)) of
+    int_change_basis."""
     from degenlab.algebra import int_change_basis
     from degenlab.degeneration import SingularFamily, clear_denominators
-    from degenlab.linalg import int_scaled_inverse
 
     n = a.dim
     s, flat = clear_denominators(f for row in rows for f in row)
     g = [flat[i * n:(i + 1) * n] for i in range(n)]
-    d, inv = int_scaled_inverse(g)
+    d, constants = int_change_basis(a.table, n, g)
     if not d:
         raise SingularFamily("parameterized basis has identically zero determinant")
-    mult, table = a.mult, a.table
-    return s * d * mult, int_change_basis(table, n, g, inv)
+    return s * d * a.mult, constants
 
 
 def bareiss_inverse_oracle(rows, seen=None):
@@ -1098,7 +1100,7 @@ def spec_forbids(spec, p, q, r):
     coordinate r of e_p e_q (1-based): r < k with p >= i, q >= j or
     q >= i, p >= j."""
     return any(r < k and ((p >= i and q >= j) or (q >= i and p >= j))
-               for (i, j, k) in spec.triples)
+               for (i, j, k) in spec)
 
 
 def project_to_spec(a, spec):
@@ -1194,6 +1196,34 @@ def generic_rank_sequence_oracle(a):
         cur = [[sum((row[t] * lx[t][c] for t in range(n)), field.zero)
                 for c in range(n)] for row in cur]
     return tuple(ranks)
+
+
+def conjugate(partition):
+    """The conjugate of a partition: part m counts the parts >= m."""
+    from degenlab.linalg import Partition
+
+    if not partition:
+        return Partition()
+    return Partition(sum(1 for p in partition if p >= m)
+                     for m in range(1, partition[0] + 1))
+
+
+def partition_from_ranks(ranks, total: int):
+    """Jordan partition of a nilpotent operator on a `total`-dim space, by
+    the conjugate partition: ranks is (rank N, rank N^2, ...) truncated at
+    zero, and the conjugate's parts are the rank differences.  The
+    reference for `contraction.partition_from_rank_sequence`'s block
+    counts; it drops a zero difference, so it labels a stalled sequence
+    such as (1, 1) on Q^3 that no nilpotent operator has."""
+    from degenlab.linalg import Partition
+
+    rs = [total] + [r for r in ranks if r > 0]
+    conj = [rs[i] - rs[i + 1] for i in range(len(rs) - 1)]
+    conj.append(rs[-1])
+    conj = [c for c in conj if c > 0]
+    if any(conj[i] < conj[i + 1] for i in range(len(conj) - 1)):
+        raise ValueError(f"not the rank sequence of a nilpotent operator: {ranks}")
+    return conjugate(Partition(conj))
 
 
 def iw_sequence(partition):
@@ -1301,13 +1331,12 @@ def inverse_orbit_point(table, n, g):
     `fraction_tensor(n, {(i, j): dense coordinates})`; None if g is
     singular."""
     from degenlab.algebra import int_change_basis
-    from degenlab.linalg import int_scaled_inverse
 
-    d, inv = int_scaled_inverse(g)
+    d, rows = int_change_basis(table, n, g)
     if not d:
         return None
     products = {}
-    for i, j, entries in int_change_basis(table, n, g, inv):
+    for i, j, entries in rows:
         vec = [0] * n
         for k, x in entries:
             vec[k] = x
@@ -1356,7 +1385,7 @@ def source_side_oracle(w, src):
         moved = inverse_orbit_point(src.table, src.dim, int_scaled(rows)[1])
         if moved is None:
             return "stored source basis is singular at t = 0"
-    if not (closed_set_member(moved, spec) and (cone is None or cone(moved))):
+    if not (closed_set_member(moved, spec) and (cone is None or cone(moved.table))):
         return "stored source basis does not land in the set"
     return None
 

@@ -28,7 +28,7 @@ from degenlab.degeneration import (
     randomized_orbit_refute,
     verify_degeneration,
 )
-from degenlab.linalg import Partition, partition_from_ranks, power_rank_sequence
+from degenlab.linalg import Partition, power_rank_sequence
 from degenlab.verification_db import (
     load_ledger,
     report_to_json_bytes,
@@ -38,6 +38,7 @@ from degenlab.verification_db import (
 
 from oracles import ann_dim_oracle, random_lower_triangular, square_dim_oracle
 from oracles import closed_set_member, fraction_inverse, matmul
+from oracles import partition_from_ranks
 
 SEED = 20240917
 
@@ -230,7 +231,7 @@ def test_criterion_6_bespoke_set_reproduction():
     perm = [0, 1, 2, 4, 5, 3, 6]
     rows = [[Fraction(int(j == perm[i])) for j in range(7)] for i in range(7)]
     moved = change_basis(special, rows)
-    inside = closed_set_member(moved, _R_FLAGS) and _r_quadratics_hold(moved)
+    inside = closed_set_member(moved, _R_FLAGS) and _r_quadratics_hold(moved.table)
     v1 = randomized_orbit_refute(
         instantiate("T22_e45", 7), _R_FLAGS, trials=1000, seed=SEED,
         cone=_r_quadratics_hold,

@@ -270,9 +270,11 @@ def test_int_change_basis_matches_the_pair_loop():
                 g = [[x << (50 * rng.randint(0, 2)) for x in row] for row in g]
             d, inv = int_scaled_inverse(g)
             if not d:
+                assert int_change_basis(a.table, n, g) == (0, None)
                 continue
-            got = int_change_basis(a.table, n, g, inv)
-            assert got == pair_loop_change_basis(a.table, n, g, inv), (kind, a, g)
+            assert int_change_basis(a.table, n, g) == (
+                d, pair_loop_change_basis(a.table, n, g, inv)), (kind, a, g)
+            got = int_change_basis(a.table, n, g)[1]
             seen.add((kind, bool(got)))
     assert {(kind, True) for kind in ("monomial", "shear", "dense", "packed")} <= seen
     assert ("monomial", False) in seen
@@ -746,11 +748,15 @@ def test_change_basis_fractional_tables_match_oracle():
 
 
 def test_change_basis_singular_basis_raises():
+    # int_change_basis owns the inverse: a singular basis gives (0, None),
+    # and change_basis turns that into Singular
     a = instantiate("T22", 5)
     rows = identity(5)
     rows[4] = rows[3]
     with pytest.raises(Singular):
         change_basis(a, rows)
+    assert int_change_basis(a.table, 5, int_scaled(rows)[1]) == (0, None)
+    assert int_change_basis(a.table, 5, [[0] * 5] * 5) == (0, None)
 
 
 def test_int_change_basis_is_the_scaled_orbit_point():
@@ -763,10 +769,10 @@ def test_int_change_basis_is_the_scaled_orbit_point():
         mult, table = a.mult, a.table
         for _ in range(5):
             g = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-            d, inv = int_scaled_inverse(g)
+            d, point = int_change_basis(table, n, g)
             if not d:
                 continue
-            point = int_change_basis(table, n, g, inv)
+            assert d == int_scaled_inverse(g)[0]
             want = change_basis_oracle(n, pairs_of(a), g)
             s = d * mult
             # the tensor's own rows: 0-based keys, nonzero entries, in order
@@ -1088,10 +1094,8 @@ def test_tables_compare_as_their_fraction_products(obj, other, rnd):
 def test_every_constructor_builds_the_integer_table():
     # one form: each constructor sets mult and table, holds only ints and
     # reads no Fraction products; `products` is a read-only view, made
-    # anew at each read; the orbit point is the table rows of
-    # int_change_basis, with mult 1
-    from degenlab.degeneration import _orbit_point
-
+    # anew at each read; an orbit point is the table rows of
+    # int_change_basis, in the constructor's own form, and no tensor
     half = Fraction(1, 2)
     a = _built(StructureTensor, 4, 2, [(0, 1, ((2, 1),)), (0, 2, ((3, 2),))])
     g = [[1, 0, 0, 0], [2, 1, 0, 0], [0, -1, 1, 0], [0, 0, 3, 1]]
@@ -1102,7 +1106,6 @@ def test_every_constructor_builds_the_integer_table():
             {"i": 1, "j": 2, "value": [0, 0, "1/2", 0]},
             {"i": 1, "j": 3, "value": [0, 0, 0, 1]}]}),
         "change_basis": _built(change_basis, a, g),
-        "_orbit_point": _built(_orbit_point, a.table, 4, g),
     }
     assert "products" not in StructureTensor.__slots__
     for name, b in built.items():
@@ -1113,16 +1116,16 @@ def test_every_constructor_builds_the_integer_table():
     assert a == fraction_tensor(4, {(1, 2): (0, 0, half, 0), (1, 3): (0, 0, 0, 1),
                                     (2, 3): (0, 0, 0, 0)})
     assert a == built["from_pairs"] == built["from_json_obj"]
-    point = built["_orbit_point"]
-    moved = int_change_basis(a.table, 4, g, int_scaled_inverse(g)[1])
-    assert point.mult == 1 and point.table == moved
+    d, moved = int_change_basis(a.table, 4, g)
+    assert d == int_scaled_inverse(g)[0] == 1
     dense = {}
     for i, j, entries in moved:
         vec = [0] * 4
         for k, x in entries:
             vec[k] = x
         dense[(i + 1, j + 1)] = tuple(vec)
-    assert point == fraction_tensor(4, dense)
+    point = fraction_tensor(4, dense)
+    assert point.mult == 1 and point.table == moved
     assert built["change_basis"] == fraction_tensor(
         4, change_basis_oracle(4, pairs_of(a), g))
 

@@ -1229,6 +1229,10 @@ def test_check_rejects_a_provenance_that_is_not_a_string(tmp_path, capsys, claim
     assert "provenance must be a string" in err
 
 
+# each command names the file it cannot read, in the ledger's wording
+_UNREADABLE = {"classify": "table", "check": "claim", "verify-paper": "ledger"}
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--file", "{path}"], ["check", "{path}"],
     ["verify-paper", "--ledger", "{path}", "--out", "{out}"],
@@ -1240,6 +1244,26 @@ def test_a_file_that_is_not_utf8_is_an_error_line(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot read {_UNREADABLE[argv[0]]} {path}: ")
+    assert "codec can't decode" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--file", "{path}"], ["check", "{path}"],
+    ["verify-paper", "--ledger", "{path}", "--out", "{out}"],
+], ids=["classify", "check", "verify-paper"])
+@pytest.mark.parametrize("text", [None, "", "{", "not json"],
+                         ids=["missing", "empty", "truncated", "text"])
+def test_a_file_that_cannot_be_read_is_named(tmp_path, capsys, argv, text):
+    path = tmp_path / "claim.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert main([a.format(path=path, out=tmp_path / "out") for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {_UNREADABLE[argv[0]]} {path}: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -1266,9 +1290,8 @@ def test_a_file_the_json_parser_gives_up_on_is_an_error_line(tmp_path, argv, tex
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
     assert "Traceback" not in done.stderr
-    if argv[0] == "verify-paper":
-        assert done.stderr.startswith(f"error: cannot read ledger {path}: ")
-        assert not (tmp_path / "out").exists()
+    assert done.stderr.startswith(f"error: cannot read {_UNREADABLE[argv[0]]} {path}: ")
+    assert not (tmp_path / "out").exists()
 
 
 # --- the dimension ceiling ---------------------------------------------------

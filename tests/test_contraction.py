@@ -38,6 +38,7 @@ from oracles import (
     is_nilpotent_oracle,
     iw_max_oracle,
     iw_sequence,
+    partition_from_ranks,
     power_rank_sequence_oracle,
     power_ideal_oracle,
     random_anticommutative,
@@ -192,18 +193,48 @@ def _partitions(n, largest=None):
 
 
 def test_partition_label_is_the_parts_above_one_of_every_partition():
-    # the label of a rank sequence is read off linalg.partition_from_ranks
+    # the block counts r_{m-1} - 2 r_m + r_{m+1} give the parts >= 2, as
+    # the former reading through the conjugate partition did
     count = 0
-    for dim in range(1, 12):
+    for dim in range(1, 13):
         for parts in _partitions(dim):
             # rank(N^m) = sum_i max(lambda_i - m, 0)
             seq = RankSequence(sum(max(p - m, 0) for p in parts)
                                for m in range(1, dim + 1))
             big = tuple(p for p in parts if p >= 2)
             want = Partition(big) if big else Partition((1,) * (dim - 1))
-            assert partition_from_rank_sequence(seq, dim) == want, parts
+            got = partition_from_rank_sequence(seq, dim)
+            assert got == want, parts
+            assert type(got) is Partition
+            assert partition_from_ranks(seq, dim) == Partition(parts), parts
+            if big:
+                assert got == tuple(p for p in partition_from_ranks(seq, dim)
+                                    if p >= 2), parts
             count += 1
-    assert count == 194  # p(1) + ... + p(11)
+    assert count == 271  # p(1) + ... + p(12)
+
+
+@pytest.mark.parametrize("seq, dim", [
+    ((1, 1), 3),  # rank N = rank N^2 = 1: a stall above 0
+    ((3, 1), 4),  # 3 blocks of size >= 2 but 1 of size >= 3 at dim 4
+    ((2, 2, 1), 5),
+    ((4,), 4),  # rank N = dim
+    ((5, 1), 4),  # a rank above dim
+    ((3, 2), 4),
+    ((2, 0, 1), 6),  # a rank after a zero
+], ids=str)
+def test_a_rank_sequence_no_nilpotent_operator_has_gets_no_label(seq, dim):
+    # a negative block count, m = 1 included, is refused
+    with pytest.raises(ValueError, match="not the rank sequence of a nilpotent"):
+        partition_from_rank_sequence(seq, dim)
+
+
+def test_the_conjugate_reading_labelled_a_stalled_sequence():
+    # the reference drops the zero difference r_1 - r_2 of (1, 1) at dim 3
+    # and reads (2, 1); the block counts refuse it
+    assert partition_from_ranks((1, 1), 3) == Partition((2, 1))
+    with pytest.raises(ValueError):
+        partition_from_rank_sequence(RankSequence((1, 1)), 3)
 
 
 # --- iw_max's exact stop and lazy pool against the full-scan oracle ---

@@ -16,10 +16,8 @@ from degenlab.degeneration import (
     _R_FLAGS,
     _hit_pairs,
     _orbit_meets,
-    _pair_map_verdict,
     _r_quadratics_hold,
     AlgebraRef,
-    ClosedSetSpec,
     DegenerationCertificate,
     NonDegenerationWitness,
     Records,
@@ -36,11 +34,11 @@ from degenlab.degeneration import (
 )
 from degenlab.exactnum import ZPOLY_ONE, ZPOLY_ZERO, ZPoly, parse_basis_row
 from degenlab.exactnum import parse_rational_function as parse
-from degenlab.linalg import int_scaled_inverse, int_suffix_spans
+from degenlab.linalg import int_suffix_spans
 from degenlab.verification_db import load_ledger, shipped_ledger_path
 
 from oracles import fraction_inverse, project_to_spec, qt_at_zero, qt_basis_row
-from oracles import constant, fraction_tensor, spec_forbids
+from oracles import fraction_tensor, spec_forbids
 from oracles import inverse_lower_triangular_probe, inverse_orbit_point
 from oracles import inverse_orbit_refute, row_reduce_dim, whole_table_draws
 from oracles import qt_certificate_verdict, qt_constants, qt_parse, qt_value
@@ -334,10 +332,9 @@ def test_packing_bits_bound_every_tested_and_unpacked_value(case):
         for j in range(i + 1, n):
             p = _int_product(table, n, g[i], g[j])
             assert all(_norm(x) <= top * r[i] * r[j] for x in p)
-    d, inv = int_scaled_inverse(g)
+    d, constants = int_change_basis(table, n, g)
     if d:
         assert _norm(d) <= big_m
-        constants = int_change_basis(table, n, g, inv)
         assert all(_norm(x) <= bound for _, _, entries in constants
                    for _, x in entries)
 
@@ -440,15 +437,15 @@ def test_rational_limits_are_compared_over_one_denominator(rows, target, reason)
 
 def test_closed_set_member_examples():
     z = fraction_tensor(5)
-    assert closed_set_member(z, ClosedSetSpec(((1, 1, 4), (2, 3, 6))))
+    assert closed_set_member(z, ((1, 1, 4), (2, 3, 6)))
     a = instantiate("T22", 5)
-    assert closed_set_member(a, ClosedSetSpec(((1, 1, 4),)))
+    assert closed_set_member(a, ((1, 1, 4),))
     b = instantiate("T22_e23", 6)
-    assert not closed_set_member(b, ClosedSetSpec(((1, 1, 5),)))
+    assert not closed_set_member(b, ((1, 1, 5),))
 
 
 def test_lower_triangular_probe_passes_on_flag_specs():
-    spec = ClosedSetSpec(((1, 1, 4), (2, 3, 7)))
+    spec = ((1, 1, 4), (2, 3, 7))
     assert lower_triangular_invariance_probe(spec, dim=6) == Verdict("pass")
 
 
@@ -523,7 +520,7 @@ def test_witness_iw_dominance():
 
 def _in_r(a):
     """Membership in the bespoke closed set R of dimension 7."""
-    return closed_set_member(a, _R_FLAGS) and _r_quadratics_hold(a)
+    return closed_set_member(a, _R_FLAGS) and _r_quadratics_hold(a.table)
 
 
 def test_ex222_membership_examples():
@@ -566,6 +563,41 @@ def test_bespoke_witness_runs_both_sides():
     assert verdict.status == "refutation_not_found"
 
 
+@pytest.mark.parametrize("trials", [1, 200])
+def test_judging_the_shipped_bespoke_witnesses_builds_one_tensor_per_label(
+        monkeypatch, trials):
+    # an orbit point is its table rows: the R quadratics read the rows of
+    # int_change_basis, so the only tensors built are the labels' own, one
+    # each, however many orbit points are tested
+    from degenlab import degeneration
+    from degenlab.algebra import StructureTensor
+
+    witnesses = [w for w in load_ledger(shipped_ledger_path()).witnesses
+                 if w.kind == "BespokeR"]
+    labels = {ref.label for w in witnesses for ref in (w.source, w.target)}
+    built, points = [], []
+    init, change = StructureTensor.__init__, degeneration.int_change_basis
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counted_change(*args):
+        points.append(args)
+        return change(*args)
+
+    monkeypatch.setattr(StructureTensor, "__init__", counted_init)
+    monkeypatch.setattr(degeneration, "int_change_basis", counted_change)
+    records = Records(20240917)
+    for w in witnesses:
+        verdict = verify_nondegeneration(w, records, trials=trials)
+        assert verdict.status == "refutation_not_found", w.witness_id
+    assert len(built) == len(labels) == 3
+    # each source side's stored basis meets R's flags, so its orbit point
+    # is written out and read by the quadratics
+    assert len(points) == len(witnesses) == 2
+
+
 def test_random_anticommutative_is_reproducible():
     a = random_anticommutative(5, random.Random(99))
     b = random_anticommutative(5, random.Random(99))
@@ -586,7 +618,7 @@ def _fraction_projected_sample(n, rng, spec):
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             vec = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-            for (p, q, k) in spec.triples:
+            for (p, q, k) in spec:
                 if (i >= p and j >= q) or (j >= p and i >= q):
                     for r in range(n if k == n + 1 else k - 1):
                         vec[r] = Fraction(0)
@@ -596,8 +628,7 @@ def _fraction_projected_sample(n, rng, spec):
 
 
 def test_int_samplers_match_the_fraction_samplers():
-    for spec_triples, n in _shipped_closed_set_specs():
-        spec = ClosedSetSpec(spec_triples)
+    for spec, n in _shipped_closed_set_specs():
         ref, a = random.Random(n), random.Random(n)
         for _ in range(5):
             want = _fraction_projected_sample(n, ref, spec)
@@ -631,7 +662,7 @@ def _specs_to_check():
     """Every shipped flag-condition set with its dimension, and 200 random
     specs at dims 2-8."""
     rng = random.Random(1401)
-    specs = [(ClosedSetSpec(t), n) for t, n in _shipped_closed_set_specs()]
+    specs = _shipped_closed_set_specs()
     specs.append((_R_FLAGS, 7))
     for _ in range(200):
         n = rng.randint(2, 8)
@@ -696,8 +727,7 @@ SCALES = (Fraction(2), Fraction(-3), Fraction(1, 5), Fraction(-7, 4))
 
 def test_closed_set_membership_is_scale_invariant():
     rng = random.Random(12)
-    for spec_triples, n in _shipped_closed_set_specs():
-        spec = ClosedSetSpec(spec_triples)
+    for spec, n in _shipped_closed_set_specs():
         seen = set()
         for _ in range(10):
             member = project_to_spec(random_anticommutative(n, rng), spec)
@@ -728,7 +758,7 @@ def test_bespoke_set_membership_is_scale_invariant():
 
 def test_orbit_refute_basis_renders_as_before():
     special = instantiate("T222_e7special", 7)
-    verdict = randomized_orbit_refute(special, ClosedSetSpec(()), trials=1, seed=5)
+    verdict = randomized_orbit_refute(special, (), trials=1, seed=5)
     rng = random.Random(5)
     want = [[str(Fraction(rng.randint(-5, 5))) for _ in range(7)] for _ in range(7)]
     assert verdict.status == "refuted"
@@ -754,7 +784,7 @@ def test_sampling_needs_a_sample(trials):
                                     (1, 1, 6), (2, 2, 0)])
 def test_a_triple_outside_the_dimension_is_refused(triple):
     # dimension 4: 1 <= i, j <= 4 and 1 <= k <= 5
-    spec = ClosedSetSpec(((1, 1, 4), triple))
+    spec = ((1, 1, 4), triple)
     with pytest.raises(ValueError, match="outside dimension 4"):
         lower_triangular_invariance_probe(spec, 4)
     with pytest.raises(ValueError, match="outside dimension 4"):
@@ -762,7 +792,7 @@ def test_a_triple_outside_the_dimension_is_refused(triple):
 
 
 def test_hit_pairs_keep_the_strictest_condition():
-    spec = ClosedSetSpec(((1, 1, 3), (2, 3, 5), (3, 1, 4), (1, 2, 1)))
+    spec = ((1, 1, 3), (2, 3, 5), (3, 1, 4), (1, 2, 1))
     # (2, 3, 5): pairs (2,3), (2,4), (3,4) must vanish; (3, 1, 4) moves
     # (1,3), (1,4) from V_3 to V_4; (1, 2, 1) asks nothing
     assert _hit_pairs(spec, 4) == ((0, 1, 3), (0, 2, 4), (0, 3, 4),
@@ -770,17 +800,21 @@ def test_hit_pairs_keep_the_strictest_condition():
 
 
 def test_a_spec_holds_int_tuples_and_keys_the_hit_pair_cache():
-    # the spec is a NamedTuple whose __new__ normalises its triples, so a
-    # list of lists and a tuple of tuples make one spec and one cache entry
-    spec = ClosedSetSpec([[1, 2, 3]])
-    assert spec.triples == ((1, 2, 3),)
-    assert type(spec.triples) is tuple and type(spec.triples[0]) is tuple
-    assert all(type(x) is int for x in spec.triples[0])
-    same = ClosedSetSpec((("1", 2.0, 3),))
-    assert same == spec and hash(same) == hash(spec)
-    assert _hit_pairs(same, 4) is _hit_pairs(spec, 4)
-    with pytest.raises(ValueError):
-        ClosedSetSpec([[1, "x", 3]])
+    # the payload reader stores a ClosedSet's list of lists as a tuple of
+    # int tuples, so it and the same triples written as tuples make one
+    # cache entry; an entry that is not an int is refused at the reader
+    def closed_set(triples):
+        return NonDegenerationWitness("ClosedSet", AlgebraRef("T3", 4),
+                                      AlgebraRef("T22", 4), {"triples": triples})
+
+    spec = closed_set([[1, 2, 3]]).spec
+    assert spec == ((1, 2, 3),)
+    assert type(spec) is tuple and type(spec[0]) is tuple
+    assert all(type(x) is int for x in spec[0])
+    assert _hit_pairs(((1, 2, 3),), 4) is _hit_pairs(spec, 4)
+    for bad in ([[1, "x", 3]], [["1", 2, 3]], [[1, 2.0, 3]], [(1, 2, 3)]):
+        with pytest.raises(ValueError, match="payload.triples"):
+            closed_set(bad)
 
 
 def test_a_default_verdict_carries_empty_read_only_data():
@@ -838,9 +872,9 @@ def test_records_with_the_shared_empty_default_copy_and_pickle():
 
 
 def _random_spec(n, rng):
-    return ClosedSetSpec(tuple(
+    return tuple(
         (rng.randint(1, n), rng.randint(1, n), rng.randint(1, n + 1))
-        for _ in range(rng.randint(1, 3))))
+        for _ in range(rng.randint(1, 3)))
 
 
 def test_hit_pairs_match_the_coordinate_rule_of_project_to_spec():
@@ -852,7 +886,7 @@ def test_hit_pairs_match_the_coordinate_rule_of_project_to_spec():
     for _ in range(240):
         n = rng.randint(2, 8)
         spec = _random_spec(n, rng)
-        swapped += any(i > j for i, j, _ in spec.triples)
+        swapped += any(i > j for i, j, _ in spec)
         want = []
         for p in range(1, n):
             for q in range(p + 1, n + 1):
@@ -866,10 +900,9 @@ def test_hit_pairs_match_the_coordinate_rule_of_project_to_spec():
 
 def test_exact_probe_agrees_with_the_sampled_oracle_on_shipped_specs():
     for triples, n in _shipped_closed_set_specs():
-        pairs = _hit_pairs(ClosedSetSpec(triples), n)
+        pairs = _hit_pairs(triples, n)
         assert sampled_lower_triangular_probe(pairs, n, 100, 20240917).ok
-        assert lower_triangular_invariance_probe(
-            ClosedSetSpec(triples), n) == Verdict("pass")
+        assert lower_triangular_invariance_probe(triples, n) == Verdict("pass")
 
 
 def test_exact_probe_agrees_with_the_sampled_oracle_on_random_specs():
@@ -880,7 +913,7 @@ def test_exact_probe_agrees_with_the_sampled_oracle_on_random_specs():
     for _ in range(320):
         n = rng.randint(2, 8)
         spec = _random_spec(n, rng)
-        swapped += any(i > j for i, j, _ in spec.triples)
+        swapped += any(i > j for i, j, _ in spec)
         assert lower_triangular_invariance_probe(spec, n) == Verdict("pass")
         assert sampled_lower_triangular_probe(
             _hit_pairs(spec, n), n, 20, rng.randint(0, 10 ** 6)).ok, spec
@@ -899,20 +932,31 @@ NOT_MONOTONE = [
 ]
 
 
+def _probe_of_pairs(monkeypatch, pairs, n):
+    """The probe's verdict on the pair map `pairs`, which no triples give
+    (the hit pairs of triples never fall going up): `_hit_pairs` is
+    patched to hand it over."""
+    from degenlab import degeneration
+
+    monkeypatch.setattr(degeneration, "_hit_pairs", lambda spec, dim: pairs)
+    return lower_triangular_invariance_probe((), n)
+
+
 @pytest.mark.parametrize("pairs, n", NOT_MONOTONE)
-def test_a_pair_map_that_falls_going_up_fails_both_probes(pairs, n):
-    assert _pair_map_verdict(pairs, n).status == "fail"
+def test_a_pair_map_that_falls_going_up_fails_both_probes(monkeypatch, pairs, n):
+    assert _probe_of_pairs(monkeypatch, pairs, n).status == "fail"
     assert sampled_lower_triangular_probe(pairs, n, 100, 1602).status == "fail"
 
 
-def test_a_failing_verdict_names_both_pairs():
-    verdict = _pair_map_verdict(NOT_MONOTONE[1][0], 4)
+def test_a_failing_verdict_names_both_pairs(monkeypatch):
+    verdict = _probe_of_pairs(monkeypatch, NOT_MONOTONE[1][0], 4)
     assert verdict.reason == (
         "e1e2 must lie in V_3, but a flag-preserving change mixes in e3e4, "
         "which need only lie in V_2")
 
 
-def test_hitting_only_the_pair_of_each_triple_fails_every_shipped_spec():
+def test_hitting_only_the_pair_of_each_triple_fails_every_shipped_spec(
+        monkeypatch):
     # the mutant reading of a triple (i, j, k) that hits e_i e_j alone and
     # not the pairs above it: no shipped set stays stable
     specs = _shipped_closed_set_specs()
@@ -924,7 +968,7 @@ def test_hitting_only_the_pair_of_each_triple_fails_every_shipped_spec():
                 pair = (min(i, j) - 1, max(i, j) - 1)
                 strictest[pair] = max(k, strictest.get(pair, 1))
         pairs = tuple((p, q, k) for (p, q), k in sorted(strictest.items()))
-        assert _pair_map_verdict(pairs, n).status == "fail", triples
+        assert _probe_of_pairs(monkeypatch, pairs, n).status == "fail", triples
         assert sampled_lower_triangular_probe(pairs, n, 100, 1603).status == "fail"
 
 
@@ -942,9 +986,10 @@ def _sparse_table(n, rng):
     return fraction_tensor(n, table)
 
 
-def _quadrant(t):
-    # a cone: scaling the table by c scales the product by c^2
-    return constant(t, 1, 2, 1) * constant(t, 1, 2, t.dim) >= 0
+def _quadrant(rows, n):
+    # a cone on table rows: scaling the table by c scales the product by c^2
+    e12 = next((dict(entries) for i, j, entries in rows if (i, j) == (0, 1)), {})
+    return e12.get(0, 0) * e12.get(n - 1, 0) >= 0
 
 
 def test_orbit_sampling_matches_the_inverse_path_on_random_specs():
@@ -956,12 +1001,12 @@ def test_orbit_sampling_matches_the_inverse_path_on_random_specs():
         n = rng.randint(2, 4)
         b = _sparse_table(n, rng)
         spec = _random_spec(n, rng)
-        cone = _quadrant if case % 3 == 0 else None
+        cone = (lambda rows, n=n: _quadrant(rows, n)) if case % 3 == 0 else None
         seed = rng.randint(0, 10 ** 6)
         got = randomized_orbit_refute(b, spec, 30, seed, cone)
         want = inverse_orbit_refute(
-            b, lambda t: closed_set_member(t, spec) and (cone is None or cone(t)),
-            30, seed)
+            b, lambda t: closed_set_member(t, spec) and (
+                cone is None or _quadrant(t.table, n)), 30, seed)
         assert got == want, (b.products, spec, cone, seed)
         statuses.add((got.status, cone is None))
     assert len(statuses) == 4
@@ -972,7 +1017,7 @@ def test_orbit_sampling_matches_the_inverse_path_on_shipped_witnesses():
     closed = [w for w in ledger.witnesses if w.kind == "ClosedSet"]
     assert closed
     for w in closed:
-        spec = ClosedSetSpec(tuple(tuple(t) for t in w.payload["triples"]))
+        spec = w.spec
         for side in (w.source, w.target):
             b = side.resolve()
             got = randomized_orbit_refute(b, spec, 20, 20240917)

