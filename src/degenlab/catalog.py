@@ -7,11 +7,14 @@ ledger depend on these exact coordinates, so nothing here renormalizes.
 Family keys are plain strings ("T22_e45", "eta3", "T2k2_e23_m4", ...) used
 uniformly by the CLI, the ledger files and the manifest.  Parameterized
 families carry their parameter inside the key.  Each family is declared
-once, in `_FAMILIES`: its spelling, its dimension bound, its products, the
-IW-max partition it promises and its levels, each a function of the
-parameter m.  Parsing, key spelling, tables, levels and the manifest all
-read that one declaration, and one range check (`_out_of_range`) serves
-`instantiate`, `level_lookup` and the ledger loader.
+once, in `_FAMILIES`, under its key less m ("T22", "eta", "T2k2_e23_m"):
+its dimension bound, its products, the IW-max partition it promises and
+its levels, each a function of the parameter m.  A decorated T-family
+reads its base's products and IW-max, so each partition is written once.
+A `CatalogName` is that spelling and m; parsing, tables, levels and the
+manifest all read the one declaration, and one range check
+(`_out_of_range`) serves `instantiate`, `level_lookup` and the ledger
+loader, which so give one reason for a dimension out of range.
 
 `classify_T22` follows the matrix-pair analysis behind the level <= 5
 classification of algebras whose dominant one-dimensional contraction has
@@ -53,13 +56,12 @@ class UnknownFamily(KeyError):
 
 
 class CatalogName(NamedTuple):
-    family: str
+    spelling: str  # the family's `_FAMILIES` key, less the parameter m
     m: int | None = None
-    partition: tuple | None = None
 
     @property
     def key(self) -> str:
-        return _family(self).spelling + ("" if self.m is None else str(self.m))
+        return self.spelling + ("" if self.m is None else str(self.m))
 
     def __str__(self):
         return self.key
@@ -109,7 +111,6 @@ class _Family(NamedTuple):
     """One family: each fact is a function of its parameter m (None for a
     family without one) and, for products and levels, of the dimension n."""
 
-    spelling: str  # the key, less the parameter m
     bound: Callable  # m -> (min_dim, max_dim or None for unbounded)
     pairs: Callable  # (n, m) -> nonzero products (i, j, k[, coeff])
     iw_max: Callable  # m -> the promised IW-max partition, or "ones"
@@ -133,12 +134,12 @@ def _twos(m, n):
     return [(1, i + 1, i + n - m) for i in range(1, m + 1)]
 
 
-def _decorated(spelling, lo, lam, extra, levels):
-    """T^lam with one more product, extra(n), from dimension lo on: it
-    promises the IW-max lam of T^lam."""
-    return _Family(spelling, _const((lo, None)),
-                   lambda n, m: _FAMILIES["T", lam].pairs(n, m) + [extra(n)],
-                   _const(lam), levels)
+def _decorated(base, lo, extra, levels):
+    """The T-family base with one more product, extra(n), from dimension lo
+    on: it promises base's IW-max."""
+    return _Family(_const((lo, None)),
+                   lambda n, m: _FAMILIES[base].pairs(n, m) + [extra(n)],
+                   lambda m: _FAMILIES[base].iw_max(m), levels)
 
 
 def _past_three(n, m):
@@ -146,100 +147,89 @@ def _past_three(n, m):
     return (">=7" if m == 4 else ">=6",)
 
 
-# (family, partition) -> declaration
+# the family's key, less the parameter m -> declaration
 _FAMILIES = {
     # the trivial family is tested at a small desk dimension
-    ("zero", None): _Family("zero", _const((1, None)), _const([]), _const("ones"),
-                            _const((0,)), first_tested=4),
-    ("n3", None): _Family("n3", _const((3, None)), lambda n, m: [(1, 2, n)],
-                          _const((2,)), _const((1,))),
-    ("eta", None): _Family("eta", lambda m: (2 * m + 1, None), lambda n, m: _eta(m),
-                           _const((2,)), lambda n, m: (m,), min_m=1),
-    ("eta_eps15", None): _Family(
-        "eta_eps15", _const((6, None)), lambda n, m: [(1, 2, 5), (3, 4, 5), (1, 5, n)],
+    "zero": _Family(_const((1, None)), _const([]), _const("ones"), _const((0,)),
+                    first_tested=4),
+    "n3": _Family(_const((3, None)), lambda n, m: [(1, 2, n)], _const((2,)),
+                  _const((1,))),
+    "eta": _Family(lambda m: (2 * m + 1, None), lambda n, m: _eta(m), _const((2,)),
+                   lambda n, m: (m,), min_m=1),
+    "eta_eps15": _Family(
+        _const((6, None)), lambda n, m: [(1, 2, 5), (3, 4, 5), (1, 5, n)],
         _const((3,)), lambda n, m: (">=6" if n == 6 else ">=7", ">=7")),
     # for m >= 2 a generic element composes a pair product with both
     # decorations, reaching rank sequence (3, 1); with one pair product it
     # stays at (2, 1), as eta_eps15 does
-    ("eta_eps_double", None): _Family(
-        "eta_eps_double", lambda m: (2 * m + 3, None),
+    "eta_eps_double": _Family(
+        lambda m: (2 * m + 3, None),
         lambda n, m: _eta(m) + [(1, 2 * m + 1, n - 1), (2, 2 * m + 1, n)],
         lambda m: (3,) if m == 1 else (3, 2),
         lambda n, m: (4,) if m == 1 else (">=7",), min_m=1),
-    ("T", (3,)): _Family("T3", _const((4, None)), lambda n, m: [(1, 2, 3), (1, 3, n)],
-                         _const((3,)), lambda n, m: (2 if n == 4 else 3, 3)),
-    ("T", (2, 2)): _Family("T22", _const((5, None)), lambda n, m: _twos(2, n),
-                           _const((2, 2)), _const((2,))),
-    ("T", (2, 2, 2)): _Family("T222", _const((7, None)), lambda n, m: _twos(3, n),
-                              _const((2, 2, 2)), _const((3,))),
-    ("T", (4,)): _Family("T4", _const((5, None)),
-                         lambda n, m: [(1, 2, 3), (1, 3, 4), (1, 4, n)],
-                         _const((4,)), lambda n, m: (4 if n == 5 else 5, 5)),
-    ("T", (3, 2)): _Family("T32", _const((6, None)),
-                           lambda n, m: [(1, 2, n - 1), (1, 3, 4), (1, 4, n)],
-                           _const((3, 2)), _const((4,))),
-    ("T", (2, 2, 2, 2)): _Family("T2222", _const((9, None)), lambda n, m: _twos(4, n),
-                                 _const((2, 2, 2, 2)), _const((4,))),
-    ("T", (3, 3)): _Family("T33", _const((7, 7)),
-                           _const([(1, 2, 3), (1, 3, 4), (1, 5, 6), (1, 6, 7)]),
-                           _const((3, 3)), _const((5, ">=6"))),
-    ("T", (3, 2, 2)): _Family(
-        "T322", _const((8, None)),
+    "T3": _Family(_const((4, None)), lambda n, m: [(1, 2, 3), (1, 3, n)],
+                  _const((3,)), lambda n, m: (2 if n == 4 else 3, 3)),
+    "T22": _Family(_const((5, None)), lambda n, m: _twos(2, n), _const((2, 2)),
+                   _const((2,))),
+    "T222": _Family(_const((7, None)), lambda n, m: _twos(3, n), _const((2, 2, 2)),
+                    _const((3,))),
+    "T4": _Family(_const((5, None)), lambda n, m: [(1, 2, 3), (1, 3, 4), (1, 4, n)],
+                  _const((4,)), lambda n, m: (4 if n == 5 else 5, 5)),
+    "T32": _Family(_const((6, None)),
+                   lambda n, m: [(1, 2, n - 1), (1, 3, 4), (1, 4, n)],
+                   _const((3, 2)), _const((4,))),
+    "T2222": _Family(_const((9, None)), lambda n, m: _twos(4, n),
+                     _const((2, 2, 2, 2)), _const((4,))),
+    "T33": _Family(_const((7, 7)),
+                   _const([(1, 2, 3), (1, 3, 4), (1, 5, 6), (1, 6, 7)]),
+                   _const((3, 3)), _const((5, ">=6"))),
+    "T322": _Family(
+        _const((8, None)),
         lambda n, m: [(1, 2, n - 2), (1, 3, n - 1), (1, 4, 5), (1, 5, n)],
         _const((3, 2, 2)), _const((5,))),
-    ("T", (2, 2, 2, 2, 2)): _Family(
-        "T22222", _const((11, None)), lambda n, m: _twos(5, n),
-        _const((2, 2, 2, 2, 2)), _const((5,))),
-    ("T22_e23", None): _decorated("T22_e23", 6, (2, 2), lambda n: (2, 3, n - 2),
-                                  _const((3,))),
-    ("T22_e24", None): _decorated("T22_e24", 6, (2, 2), lambda n: (2, 4, n),
-                                  _const((3,))),
-    ("T22_e34", None): _decorated("T22_e34", 6, (2, 2), lambda n: (3, 4, n),
-                                  _const((4,))),
-    ("T22_e45", None): _decorated("T22_e45", 7, (2, 2), lambda n: (4, 5, n),
-                                  _const((5,))),
-    ("T222_e23", None): _decorated("T222_e23", 7, (2, 2, 2), lambda n: (2, 3, n),
-                                   _const((4,))),
-    ("T222_e24", None): _decorated("T222_e24", 7, (2, 2, 2), lambda n: (2, 4, n),
-                                   _const((5,))),
-    ("T222_e7special", None): _Family(
-        "T222_e7special", _const((7, 7)),
+    "T22222": _Family(_const((11, None)), lambda n, m: _twos(5, n),
+                      _const((2, 2, 2, 2, 2)), _const((5,))),
+    "T22_e23": _decorated("T22", 6, lambda n: (2, 3, n - 2), _const((3,))),
+    "T22_e24": _decorated("T22", 6, lambda n: (2, 4, n), _const((3,))),
+    "T22_e34": _decorated("T22", 6, lambda n: (3, 4, n), _const((4,))),
+    "T22_e45": _decorated("T22", 7, lambda n: (4, 5, n), _const((5,))),
+    "T222_e23": _decorated("T222", 7, lambda n: (2, 3, n), _const((4,))),
+    "T222_e24": _decorated("T222", 7, lambda n: (2, 4, n), _const((5,))),
+    "T222_e7special": _Family(
+        _const((7, 7)),
         _const([(1, 2, 5), (1, 3, 6), (1, 4, 7), (2, 3, 4), (2, 6, 7, -1), (3, 5, 7)]),
         _const((2, 2, 2)), _const((5, ">=7"))),
     # the all-twos families start at m = 3: below it a table is not
     # nilpotent (T2k2_e23_m1 at n = 3) or not the family its level claims
-    ("T2k2_e23", None): _Family(
-        "T2k2_e23_m", lambda m: (2 * m + 1, None),
+    "T2k2_e23_m": _Family(
+        lambda m: (2 * m + 1, None),
         lambda n, m: _twos(m, n) + [(2, 3, n)], lambda m: (2,) * m,
         lambda n, m: (4,) if m == 3 else _past_three(n, m), min_m=3),
-    ("T2k2_e23_shift", None): _Family(
-        "T2k2_e23_shift_m", lambda m: (2 * m + 2, None),
+    "T2k2_e23_shift_m": _Family(
+        lambda m: (2 * m + 2, None),
         lambda n, m: _twos(m, n) + [(2, 3, n - m)], lambda m: (2,) * m,
         _past_three, min_m=3),
-    ("T2k2_special", None): _Family(
-        "T2k2_special_m", lambda m: (2 * m + 1, None),
+    "T2k2_special_m": _Family(
+        lambda m: (2 * m + 1, None),
         lambda n, m: _twos(m, n) + [(2, 3, m + 1), (2, 2 + n - m, n, -1),
                                     (3, 1 + n - m, n)],
         lambda m: (2,) * m,
         lambda n, m: (((5, ">=7") if n == 7 else (">=7",)) if m == 3
                       else _past_three(n, m)), min_m=3),
-    ("T2k2_e2m2", None): _Family(
-        "T2k2_e2m2_m", lambda m: (2 * m + 2, None),
+    "T2k2_e2m2_m": _Family(
+        lambda m: (2 * m + 2, None),
         lambda n, m: _twos(m, n) + [(2, m + 2, n)], lambda m: (2,) * m,
         _past_three, min_m=3),
-    ("T3_e23", None): _decorated("T3_e23", 5, (3,), lambda n: (2, 3, n - 1),
-                                 _const((4,))),
-    ("T3_e24", None): _decorated("T3_e24", 5, (3,), lambda n: (2, 4, n), _const((4,))),
-    ("T3_e34", None): _decorated("T3_e34", 5, (3,), lambda n: (3, 4, n), _const((5,))),
-    ("T3_e45", None): _decorated("T3_e45", 6, (3,), lambda n: (4, 5, n),
-                                 lambda n, m: (5, ">=6") if n == 6 else (">=6",)),
-    ("T32_e23", None): _decorated("T32_e23", 6, (3, 2), lambda n: (2, 3, n),
-                                  _const((5,))),
-    ("T4_e23", None): _Family(
-        "T4_e23", _const((5, 5)), _const([(1, 2, 3), (1, 3, 4), (1, 4, 5), (2, 3, 5)]),
+    "T3_e23": _decorated("T3", 5, lambda n: (2, 3, n - 1), _const((4,))),
+    "T3_e24": _decorated("T3", 5, lambda n: (2, 4, n), _const((4,))),
+    "T3_e34": _decorated("T3", 5, lambda n: (3, 4, n), _const((5,))),
+    "T3_e45": _decorated("T3", 6, lambda n: (4, 5, n),
+                         lambda n, m: (5, ">=6") if n == 6 else (">=6",)),
+    "T32_e23": _decorated("T32", 6, lambda n: (2, 3, n), _const((5,))),
+    "T4_e23": _Family(
+        _const((5, 5)), _const([(1, 2, 3), (1, 3, 4), (1, 4, 5), (2, 3, 5)]),
         _const((4,)), _const((5, ">=6"))),
 }
-_SPELLINGS = {fam.spelling: key for key, fam in _FAMILIES.items()}
 
 
 def _admits(fam: _Family, m) -> bool:
@@ -253,9 +243,9 @@ def _admits(fam: _Family, m) -> bool:
 def _family(name: CatalogName) -> _Family:
     """The declaration of name's family; UnknownFamily if there is none or
     the family does not admit name's parameter."""
-    fam = _FAMILIES.get((name.family, name.partition))
+    fam = _FAMILIES.get(name.spelling)
     if fam is None or not _admits(fam, name.m):
-        raise UnknownFamily(name.family)
+        raise UnknownFamily(name.spelling)
     return fam
 
 
@@ -269,10 +259,9 @@ def parse_name(key: str) -> CatalogName:
     UnknownFamily at every call."""
     stem = key.rstrip("0123456789")
     for spelling, m in ((key, ""), (stem, key[len(stem):])):
-        if spelling in _SPELLINGS:
-            family, partition = _SPELLINGS[spelling]
-            name = CatalogName(family, int(m) if m else None, partition)
-            if _admits(_FAMILIES[family, partition], name.m) and name.key == key:
+        if spelling in _FAMILIES:
+            name = CatalogName(spelling, int(m) if m else None)
+            if _admits(_FAMILIES[spelling], name.m) and name.key == key:
                 return name
     raise UnknownFamily(key)
 
@@ -329,10 +318,12 @@ def expected_iw_max(name) -> Partition | str:
 
 
 def level_lookup(name, n: int) -> LevelInfo:
-    """Level and infinite level of the family member at dimension n."""
+    """Level and infinite level of the family member at dimension n;
+    DimensionOutOfRange, as `instantiate`, outside its bound."""
     name = _as_name(name)
-    if _out_of_range(name, n):
-        raise DimensionOutOfRange(f"{name.key} not defined at n = {n}")
+    undefined = _out_of_range(name, n)
+    if undefined:
+        raise DimensionOutOfRange(undefined)
     levels = _family(name).levels(n, name.m)
     return LevelInfo(LevelValue.from_json_obj(levels[0]),
                      LevelValue.from_json_obj(levels[-1]))
@@ -537,7 +528,7 @@ def classify_T22(a: StructureTensor):
     r_gen = _pencil_generic_rank([[w[0] for w in row] for row in net],
                                  [[w[1] for w in row] for row in net])
     if r_gen <= 2:
-        return CatalogName("T", partition=(2, 2))
+        return CatalogName("T22")
     if r_gen >= 6:
         return LevelAtLeast6
     degree, kind = _pencil_divisor(_pfaffian_span(net)[1])

@@ -253,11 +253,11 @@ class Records:
     dim), parsed once (`basis_row`), and, keyed by label (one table each),
     the tensor of a label, resolved once, when first read, so that each of
     its invariants is computed once per run, and one `contraction.iw_scan`
-    of it, taken only as far as it is read.
-    A lazy audit (`iw_monotone`) may so leave a repair unreached, and never
-    raise the IncomparableMaxima that `contraction` says cannot happen for
-    Engel input.  A table that is not Engel raises NotEngelAt led by its
-    label."""
+    of it, read to its first best or to its end (`iw_sequence`).
+    An audit (`iw_monotone`) decided on a first best may so leave a repair
+    unreached, and never raise the IncomparableMaxima that `contraction`
+    says cannot happen for Engel input.  A table that is not Engel raises
+    NotEngelAt led by its label."""
 
     def __init__(self, seed: int = 0):
         self.seed, self._tensors, self._scans, self._rows = seed, {}, {}, {}
@@ -279,14 +279,15 @@ class Records:
             self._tensors[ref.label] = ref.resolve()
         return self._tensors[ref.label]
 
-    def _best(self, ref: AlgebraRef, enough=lambda seq: False):
-        """The label's running best, scanned on until `enough` holds of it
-        or the scan ends: then it is the sequence of its `iw_max` label."""
+    def iw_sequence(self, ref: AlgebraRef, whole: bool = True):
+        """The rank sequence of the label's `iw_max` label, its scan read to
+        its end; with whole=False, the best read so far (at least the
+        scan's first), a lower bound that reads on no further."""
         if ref.label not in self._scans:
             self._scans[ref.label] = [iw_scan(self.tensor(ref), self.seed), None]
         state = self._scans[ref.label]  # [the scan, its best so far]
         try:
-            while state[1] is None or not enough(state[1]):
+            while state[1] is None or whole:
                 state[1] = next(state[0])[1]
         except StopIteration:
             pass
@@ -297,23 +298,19 @@ class Records:
             raise
         return state[1]
 
-    def iw_sequence(self, ref: AlgebraRef):
-        return self._best(ref)
-
     def iw_monotone(self, src: AlgebraRef, tgt: AlgebraRef) -> bool:
-        """dominates(iw_sequence(src), iw_sequence(tgt)), read off running
-        bests, which every later best dominates.  A source that is not
-        nilpotent is scanned to its end, so NotEngelAt is raised as before;
-        True when the source's best dominates the target's exact
-        `_rank_bound`; else the target is scanned to its end, and the
-        source until its best dominates the target's sequence."""
+        """dominates(iw_sequence(src), iw_sequence(tgt)).  A source that is
+        not nilpotent is scanned to its end, so NotEngelAt is raised as
+        before; True when the source's first best dominates the target's
+        exact `_rank_bound`; else both are read whole.  Each best dominates
+        the ones before it, so some best dominates the target's sequence
+        iff the last one does."""
         if _rank_bound(self.tensor(src)) is None:
             self.iw_sequence(src)
         bound = _rank_bound(self.tensor(tgt))
-        if bound is not None and dominates(self._best(src, lambda s: True), bound):
+        if bound is not None and dominates(self.iw_sequence(src, whole=False), bound):
             return True
-        tgt_seq = self.iw_sequence(tgt)
-        return dominates(self._best(src, lambda s: dominates(s, tgt_seq)), tgt_seq)
+        return dominates(self.iw_sequence(src), self.iw_sequence(tgt))
 
     def rank_sequence(self, ref: AlgebraRef, element):
         """The rank sequence of L_element on the table of ref."""

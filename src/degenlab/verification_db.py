@@ -496,31 +496,27 @@ def run_ledger(ledger: ClaimLedger, seed: int = 0, trials: int = 200,
 
 def _composed_edges(ledger, cert_entries):
     """Transitive arrows implied by two verified certificates, each pair
-    once and none that a certificate states."""
-    by_dim = {}
-    for cert in ledger.certificates:
-        if cert.proper and cert_entries.get(cert.cert_id, {}).get("status") == "VERIFIED":
-            by_dim.setdefault(cert.source.dim, []).append(
-                (cert.source.label, cert.target.label, cert.cert_id)
-            )
+    once and none that a certificate states, in order of dimension and
+    then of the ledger.  A label names its dimension, so one map of
+    outgoing arrows serves every dimension."""
+    edges = sorted(((cert.source.dim, cert.source.label, cert.target.label, cert.cert_id)
+                    for cert in ledger.certificates if cert.proper
+                    and cert_entries.get(cert.cert_id, {}).get("status") == "VERIFIED"),
+                   key=lambda edge: edge[0])
+    outgoing = {}
+    for (_, s, t, cid) in edges:
+        outgoing.setdefault(s, []).append((t, cid))
     # the stated pairs, then each composed pair once it is listed
-    known = {
-        (s, t) for edges in by_dim.values() for (s, t, _) in edges
-    }
+    known = {(s, t) for (_, s, t, _) in edges}
     composed = []
-    for dim in sorted(by_dim):
-        edges = by_dim[dim]
-        outgoing = {}
-        for (s, t, cid) in edges:
-            outgoing.setdefault(s, []).append((t, cid))
-        for (s, t, cid) in edges:
-            for (t2, cid2) in outgoing.get(t, []):
-                if (s, t2) not in known and s != t2:
-                    known.add((s, t2))
-                    composed.append({
-                        "dim": dim, "source": s, "target": t2,
-                        "via": [cid, cid2],
-                    })
+    for (dim, s, t, cid) in edges:
+        for (t2, cid2) in outgoing.get(t, []):
+            if (s, t2) not in known and s != t2:
+                known.add((s, t2))
+                composed.append({
+                    "dim": dim, "source": s, "target": t2,
+                    "via": [cid, cid2],
+                })
     return composed
 
 

@@ -568,7 +568,7 @@ def classify_T22_oracle(a):
     net = skew_net_oracle(a, square)
     r_gen = pencil_generic_rank_oracle(*pencil_of(net))
     if r_gen <= 2:
-        return CatalogName("T", partition=(2, 2))
+        return CatalogName("T22")
     if r_gen >= 6:
         return LevelAtLeast6
     degree, kind = _pencil_divisor(pfaffian_span_oracle(net)[1])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenlab.algebra import (
+    MAX_DIM,
     StructureTensor,
     change_basis,
     power_ideal,
@@ -246,6 +247,19 @@ def test_level_lookup_examples():
         level_lookup("T22_e45", 6)
 
 
+def test_level_lookup_gives_the_range_reason_of_instantiate():
+    # one range check, one reason: below a family's bound and above MAX_DIM
+    # the level lookup raises the message instantiate raises
+    for key, n, reason in [
+            ("eta2", 2, "eta2 requires n >= 5, got n = 2"),
+            ("T33", 8, "T33 requires 7 <= n <= 7, got n = 8"),
+            ("zero", MAX_DIM + 1, f"zero: n = {MAX_DIM + 1} exceeds MAX_DIM = {MAX_DIM}")]:
+        for read in (level_lookup, instantiate):
+            with pytest.raises(DimensionOutOfRange) as info:
+                read(key, n)
+            assert str(info.value) == reason, (read.__name__, key)
+
+
 def test_infinite_level_is_the_stable_level():
     # for every manifest family the infinite level equals the level at the
     # largest encoded dimensions whenever the family is dimension-generic
@@ -287,9 +301,11 @@ def test_manifest_ships_and_matches_the_generator(tmp_path):
 
 
 def test_catalog_name_keys():
-    assert CatalogName("T", partition=(2, 2)).key == "T22"
+    # a name is its family's key less m, and m: the key reads no table
+    assert CatalogName("T22").key == "T22"
     assert CatalogName("eta", m=4).key == "eta4"
-    assert CatalogName("T2k2_special", m=4).key == "T2k2_special_m4"
+    assert CatalogName("T2k2_special_m", m=4).key == "T2k2_special_m4"
+    assert parse_name("T2k2_special_m4") == CatalogName("T2k2_special_m", 4)
 
 
 def test_pencil_divisor_is_exact_on_large_discriminants():

@@ -120,13 +120,13 @@ def test_every_accepted_family_parameter_gives_a_nilpotent_table(capsys):
     # its least two dims: the key round-trips, the table is nilpotent with
     # the promised IW-max and a level, and the bound is the whole range
     declared = catalog._FAMILIES
-    listed = {(name.family, name.partition)
+    listed = {name.spelling
               for name in map(catalog.parse_name, catalog.MANIFEST_FAMILIES)}
     assert listed == set(declared)
     refused = []
-    for (family, partition), fam in declared.items():
+    for spelling, fam in declared.items():
         for m in [None] if fam.min_m is None else range(1, 7):
-            key = fam.spelling + ("" if m is None else str(m))
+            key = spelling + ("" if m is None else str(m))
             try:
                 name = catalog.parse_name(key)
             except catalog.UnknownFamily:
@@ -135,7 +135,7 @@ def test_every_accepted_family_parameter_gives_a_nilpotent_table(capsys):
                 assert capsys.readouterr() == (
                     "", f"error: unknown catalog family '{key}'\n")
                 continue
-            assert name == catalog.CatalogName(family, m, partition)
+            assert name == catalog.CatalogName(spelling, m)
             assert name.key == key
             lo, hi = catalog._bound(name)
             want = catalog.expected_iw_max(name)

@@ -605,10 +605,10 @@ def test_tight_bound_dominates_the_generic_rank_sequence():
 def _catalog_labels(max_dim=12):
     """{label: table} for every catalog name at every dim up to max_dim."""
     tables = {}
-    for (family, partition), fam in _FAMILIES.items():
+    for spelling, fam in _FAMILIES.items():
         m = fam.min_m
         while fam.bound(m)[0] <= max_dim:
-            name = CatalogName(family, m, partition)
+            name = CatalogName(spelling, m)
             lo, hi = fam.bound(m)
             for n in range(lo, min(hi or max_dim, max_dim) + 1):
                 tables[f"{name.key}@{n}"] = instantiate(name, n)

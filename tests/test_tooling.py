@@ -711,8 +711,7 @@ def test_no_catalog_function_branches_on_a_family_name():
     # of one (==, in, startswith) would be a second declaration
     from degenlab import catalog
 
-    words = {family for family, _ in catalog._FAMILIES}
-    words |= {fam.spelling for fam in catalog._FAMILIES.values()}
+    words = set(catalog._FAMILIES)
 
     def names_a_family(text):
         try:
@@ -738,6 +737,26 @@ def test_no_catalog_function_branches_on_a_family_name():
             found += [(top.name, text) for operand in operands
                       for text in _strings(operand) if names_a_family(text)]
     assert found == []
+
+
+def test_a_catalog_family_is_named_once_by_its_key():
+    # a family's name is its `_FAMILIES` key: no second spelling field, no
+    # table mapping one name back to the other, a name that is the key and
+    # m, and a decorated T-family that states no partition of its own
+    from degenlab import catalog
+
+    assert not hasattr(catalog, "_SPELLINGS")
+    assert "spelling" not in catalog._Family._fields
+    assert catalog.CatalogName._fields == ("spelling", "m")
+    tree = ast.parse(Path(catalog.__file__).read_text(encoding="utf-8"))
+    (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == ["_FAMILIES"]]
+    decorated = {key.value: value.args[0].value
+                 for key, value in zip(table.keys, table.values)
+                 if isinstance(value, ast.Call) and ast.unparse(value.func) == "_decorated"}
+    assert len(decorated) == 11
+    for key, base in decorated.items():
+        assert catalog.expected_iw_max(key) == catalog.expected_iw_max(base), key
 
 
 def test_the_certificate_check_hands_only_ints_to_the_integer_kernels(monkeypatch):

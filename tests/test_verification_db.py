@@ -22,6 +22,7 @@ from degenlab.catalog import tested_dims as catalog_tested_dims
 from degenlab.contraction import dominates, iw_max, rank_sequence
 from degenlab.degeneration import AlgebraRef, Records
 from degenlab.verification_db import (
+    ClaimLedger,
     InconsistentLedger,
     ParseError,
     SEPARATORS,
@@ -359,7 +360,9 @@ def test_iw_monotone_is_the_dominance_of_full_scans(seed):
     # every shipped certificate pair, and its reverse (where dominance often
     # fails), against iw_max_oracle's full scan with no rank bound: once on
     # the run's shared store, whose scans earlier pairs have advanced, and
-    # once on a fresh store, whose scans start at their first candidate
+    # once on a fresh store, whose scans start at their first candidate;
+    # the audit's rule is the dominance of the two sequences that fresh
+    # stores read whole, whichever branch the audit took
     full = {}
 
     def oracle(ref):
@@ -373,10 +376,24 @@ def test_iw_monotone_is_the_dominance_of_full_scans(seed):
     for cert in load_ledger(shipped_ledger_path()).certificates:
         for src, tgt in ((cert.source, cert.target), (cert.target, cert.source)):
             want = dominates(oracle(src), oracle(tgt))
+            assert dominates(Records(seed).iw_sequence(src),
+                             Records(seed).iw_sequence(tgt)) == want
             assert shared.iw_monotone(src, tgt) == want, (src.label, tgt.label)
             assert degeneration.Records(seed).iw_monotone(src, tgt) == want
             answers[want] += 1
     assert answers[True] >= 133 and answers[False] > 0
+
+
+def test_an_audit_from_a_table_that_is_not_nilpotent_names_it():
+    # e1e3 = e2, e3e4 = -e3: L_e4 is not nilpotent, and the scan meets a
+    # new best first; the zero target's bound is met by any first best, so
+    # only the source's own scan can raise
+    x = AlgebraRef("X", 5, StructureTensor.from_pairs(5, [(1, 3, 2), (3, 4, 3, -1)]))
+    zero = AlgebraRef("zero", 5)
+    for src, tgt in ((x, zero), (x, x)):
+        with pytest.raises(contraction.NotEngelAt) as info:
+            Records().iw_monotone(src, tgt)
+        assert str(info.value) == "X@5: L_a is not nilpotent at a = (0, 0, 0, 1, 0)"
 
 
 def test_the_monotone_audit_names_each_invariant_a_reversed_arrow_breaks():
@@ -538,6 +555,29 @@ def test_transitivity_audit_reports_composed_arrows():
     # the stabilized form of the seven-dimensional exceptional structure
     # does reach the five-level three-block member one dimension up
     assert ("T2k2_special_m3@8", "T222_e24@8") in composed
+
+
+def test_composed_arrows_come_in_order_of_dim_then_of_the_ledger():
+    # a hand-made ledger, its dims interleaved (6, 5, 6) and a failed edge
+    # B -> C in the middle: the composed arrows are listed by dim, then in
+    # ledger order of their first edge, with no self-loop (P -> Q -> P), no
+    # stated pair (B -> D -> F, stated as s) and nothing through the failed
+    # edge (A -> B -> C, B -> C -> E)
+    edges = [("a", "A", "B", 6, "VERIFIED"), ("p", "P", "Q", 5, "VERIFIED"),
+             ("x", "B", "C", 6, "FAIL"), ("q", "Q", "P", 5, "VERIFIED"),
+             ("r", "Q", "R", 5, "VERIFIED"), ("b", "B", "D", 6, "VERIFIED"),
+             ("c", "C", "E", 6, "VERIFIED"), ("s", "B", "F", 6, "VERIFIED"),
+             ("d", "D", "F", 6, "VERIFIED")]
+    certs = [degeneration.DegenerationCertificate(
+        AlgebraRef(src, dim), AlgebraRef(tgt, dim), (), proper=True, cert_id=cid)
+        for cid, src, tgt, dim, _ in edges]
+    entries = {cid: {"status": status} for cid, _, _, _, status in edges}
+    composed = verification_db._composed_edges(ClaimLedger(certs, [], []), entries)
+    assert composed == [
+        {"dim": 5, "source": "P@5", "target": "R@5", "via": ["p", "r"]},
+        {"dim": 6, "source": "A@6", "target": "D@6", "via": ["a", "b"]},
+        {"dim": 6, "source": "A@6", "target": "F@6", "via": ["a", "s"]},
+    ]
 
 
 def test_chain_missing_field_is_a_parse_error():
