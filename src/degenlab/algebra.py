@@ -27,8 +27,8 @@ inverse: it takes (d, R = d g^-1) from `linalg.int_scaled_inverse` and
 returns d with the rows, or (0, None) for a singular basis.  Fraction
 appears only in output: `products`, a view made from the table at each
 read (for `to_json_obj` and `repr`), `product`'s result and the rows of
-`left_mult_matrix`.  Above this module it remains only in the `iw_max`
-witness and IWDominance elements (`degeneration`).
+`left_mult_matrix`.  Above this module it remains only in IWDominance
+elements (`degeneration`), rationals read from outside.
 `power_ideal` and `annihilator` return integer echelon rows: the tensor's
 `power(i)`, and the `linalg.kernel_basis` of the integer conditions
 x e_j = 0 that a product reaches, handed over as they stand.

@@ -40,7 +40,7 @@ from itertools import combinations
 from typing import Callable, NamedTuple
 
 from .algebra import MAX_DIM, StructureTensor, engel_degree
-from .linalg import Partition, _int_rank, int_echelon
+from .linalg import _int_rank, int_echelon
 
 
 class DimensionOutOfRange(ValueError):
@@ -306,15 +306,15 @@ def instantiate(name, n: int) -> StructureTensor:
     return StructureTensor.from_pairs(n, _pairs(name, n))
 
 
-def expected_iw_max(name) -> Partition | str:
-    """Partition the family name promises for its dominant contraction.
+def expected_iw_max(name) -> tuple | str:
+    """The partition, an int tuple, that the family name promises for its
+    dominant contraction.
 
     The zero algebra's label is dimension dependent (all ones); it is
     returned as the string "ones" and resolved per dimension by callers.
     """
     name = _as_name(name)
-    iw = _family(name).iw_max(name.m)
-    return iw if isinstance(iw, str) else Partition(iw)
+    return _family(name).iw_max(name.m)
 
 
 def level_lookup(name, n: int) -> LevelInfo:

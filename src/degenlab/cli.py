@@ -10,7 +10,8 @@ a seed gives the same report bytes from any checkout.
 Exit codes for `check`: 0 pass/proved, 2 fail/refuted, 3 sampling-only
 (refutation not found), 1 I/O, parse or argument errors (such as
 --trials below 1, for a certificate file as for a witness file, which
-`iwmax` refuses too).  `verify-paper` exits 0 exactly when the report
+`iwmax` and `verify-paper` refuse too: `main` checks it before any
+other argument).  `verify-paper` exits 0 exactly when the report
 contains no FAIL entries, 2 when it does and 1 on the same errors;
 `--dims` given with no value, or with values that select no certificate,
 witness or chain of the ledger, is such an error and writes no report.
@@ -33,11 +34,12 @@ unknown family or dimension for `info`, `iwmax`, `catalog table` and
 in a ledger.  `check` loads its claim as a one-claim ledger, so every
 loader rule holds for it (exit 1): an unknown family reads `algebra
 reference name@n: unknown catalog family 'name'`, a source and target
-that share a label but not a table read `label name@n names two different
-tables`, and a proper certificate between catalog levels that rule it out
-is refused; it judges a certificate as `verify-paper` does, by its exact
-check, monotone audit and separator.  A catalog name must be a family's
-exact key, here as in a ledger: a padded name (" eta2") or a parameter
+that share a label but not a table, or an inline table under a catalog
+member's label that is not its table, read `label name@n names two
+different tables`, and a proper certificate between catalog levels that
+rule it out is refused; it judges a certificate as `verify-paper` does,
+by its exact check, monotone audit and separator.  A catalog name must
+be a family's exact key, here as in a ledger: a padded name (" eta2") or a parameter
 with a leading zero ("eta02") is an unknown family.  No dimension may exceed
 `algebra.MAX_DIM` (64): a larger `--dim`, table `dim`, ledger reference
 `dim` or chain `dim` is refused before any table is built, with one
@@ -149,8 +151,6 @@ def cmd_info(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.trials < 1:
-        return _error(f"trials must be >= 1, got {args.trials}")
     try:
         obj = read_json(args.path, f"cannot read claim {args.path}: ")
     except ParseError as exc:
@@ -190,8 +190,6 @@ def _ledger_dims(ledger) -> set:
 
 
 def cmd_verify_paper(args) -> int:
-    if args.trials < 1:
-        return _error(f"trials must be >= 1, got {args.trials}")
     if args.dims == []:
         return _error("--dims needs at least one dimension")
     try:
@@ -250,8 +248,6 @@ def cmd_catalog_list(args) -> int:
 
 
 def cmd_iwmax(args) -> int:
-    if args.trials < 1:
-        return _error(f"trials must be >= 1, got {args.trials}")
     tensor = _instantiate(args)
     if tensor is None:
         return 1
@@ -352,6 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # every command with --trials checks it first: a repair or an orbit
+    # sample needs at least one
+    if getattr(args, "trials", 1) < 1:
+        return _error(f"trials must be >= 1, got {args.trials}")
     return args.func(args)
 
 

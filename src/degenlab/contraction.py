@@ -47,11 +47,12 @@ power keeps its rank.  The candidate pool is integer from the start
 (basis vectors, pair sums, random integer vectors and repairs
 b + alpha*v with an integer alpha), so iw_max scales nothing per
 candidate: it reads the tensor's own integer table, built once per
-tensor, and turns only the witness it returns into Fractions.  The public
+tensor, and returns its integer witness as it is.  The public
 `rank_sequence` scales its rational element once, by the lcm of its
-denominators.
+denominators.  No Fraction is made here.
 
-The IW label is read off the dominant rank sequence by one rule: since
+A rank sequence, an IW label and a witness are plain int tuples.  The
+IW label is read off the dominant rank sequence by one rule: since
 rank(N^m) = sum_i max(lambda_i - m, 0), N has r_{m-1} - 2 r_m + r_{m+1}
 Jordan blocks of size m, with r_0 = dim (`partition_from_rank_sequence`),
 and a negative count refuses a sequence that no nilpotent operator has.
@@ -60,12 +61,10 @@ and a negative count refuses a sequence that no nilpotent operator has.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .algebra import (DimensionMismatch, StructureTensor, _int_left_products,
                       _int_product, engel_degree)
-from .linalg import (Partition, _int_rank, int_image_chain, int_scaled,
-                     random_int_rows)
+from .linalg import _int_rank, int_image_chain, int_scaled, random_int_rows
 
 
 class NotEngelAt(ValueError):
@@ -85,37 +84,22 @@ class IncomparableMaxima(RuntimeError):
     """Sampled maximal rank sequences could not be made comparable."""
 
 
-class RankSequence(tuple):
-    """Weakly decreasing positive ranks (r_1, r_2, ...) truncated at zero."""
-
-    def __new__(cls, ranks=()):
-        ranks = tuple(int(r) for r in ranks)
-        if 0 in ranks:
-            ranks = ranks[: ranks.index(0)]
-        if any(ranks[i] < ranks[i + 1] for i in range(len(ranks) - 1)):
-            raise ValueError(f"ranks must be weakly decreasing: {ranks}")
-        return super().__new__(cls, ranks)
-
-    def __repr__(self):
-        return f"RankSequence{tuple(self)}"
-
-
-def _int_rank_sequence(table, n: int, x) -> RankSequence:
+def _int_rank_sequence(table, n: int, x) -> tuple:
     """Rank sequence of L_x for an integer vector x of length n on an
-    integer table (a tensor's `table`)."""
+    integer table (a tensor's `table`): the positive ranks, a tuple."""
     # the rows e_j x = -(x e_j) form P = -L_x^T, and P^m has the rank of
     # (L_x)^m; u P = sum_j u_j (e_j x) = u x, so the image chain of
     # u -> u P is that of u -> u x, and it stalls above 0 iff L_x is not
-    # nilpotent
+    # nilpotent; a falling chain ends at its one 0
     ranks = [n, *map(len, int_image_chain(
         n, _int_left_products(table, n, x),
         lambda u: [_int_product(table, n, u, x)]))]
     if ranks[-1]:
         raise NotEngelAt(x)
-    return RankSequence(ranks[1:])
+    return tuple(ranks[1:-1])
 
 
-def rank_sequence(a: StructureTensor, vec) -> RankSequence:
+def rank_sequence(a: StructureTensor, vec) -> tuple:
     """Exact rank sequence of L_vec; NotEngelAt when it never vanishes."""
     if len(vec) != a.dim:
         raise DimensionMismatch("vector must have the algebra dimension")
@@ -126,7 +110,7 @@ def rank_sequence(a: StructureTensor, vec) -> RankSequence:
         raise NotEngelAt(vec) from None
 
 
-def dominates(p: RankSequence, q: RankSequence) -> bool:
+def dominates(p: tuple, q: tuple) -> bool:
     """True iff p_m >= q_m for every m (missing entries are zero)."""
     if len(q) > len(p):
         return False
@@ -196,7 +180,7 @@ def _tight_bound(a: StructureTensor, x0, bound, cut=None):
             if low < r:
                 u[i], changed = low, True
     # (i) holds at every m, so u falls from r_0 = n; a 0 cuts it
-    return RankSequence(u)
+    return tuple(u[:u.index(0)] if 0 in u else u)
 
 
 class _CandidatePool:
@@ -284,39 +268,39 @@ def iw_scan(a: StructureTensor, seed: int = 0, trials: int = 20):
 
 
 def iw_max(a: StructureTensor, seed: int = 0, trials: int = 20):
-    """Dominant one-dimensional IW contraction as (Partition, witness): the
+    """Dominant one-dimensional IW contraction as (partition, witness): the
     last running best of `iw_scan`, whose rank bound reads the tensor's own
     power chain, so a tensor read before walks no chain twice.
     The partition is read off the dominant rank sequence through
     r_m = sum_i max(lambda_i - m, 0); parts of size one are invisible to
     that duality, so the label carries only parts >= 2 except for the zero
     sequence, which is reported as the all-ones partition of the quotient.
-    The witness is a tuple of Fractions.
+    Both are int tuples; the witness is the scan's integer vector.
     Raises ValueError when trials < 1: a repair needs a perturbation.
     """
     for best_vec, best_seq in iw_scan(a, seed, trials):
         pass
-    witness = tuple(map(Fraction, best_vec))
-    return partition_from_rank_sequence(best_seq, a.dim), witness
+    return partition_from_rank_sequence(best_seq, a.dim), best_vec
 
 
-def partition_from_rank_sequence(seq: RankSequence, dim: int) -> Partition:
-    """Partition label of a contraction with rank sequence seq, the ranks
-    r_1, r_2, ... of N, N^2, ... truncated at zero, on a `dim`-dim space.
+def partition_from_rank_sequence(seq, dim: int) -> tuple:
+    """The partition label, an int tuple, of a contraction with rank sequence
+    seq, the ranks r_1, r_2, ... of N, N^2, ... truncated at zero, on a
+    `dim`-dim space.
 
     rank(N^m) = sum_i max(lambda_i - m, 0), so N has
     r_{m-1} - 2 r_m + r_{m+1} Jordan blocks of size m, with r_0 = dim and
     r_m = 0 past seq.  A negative count, m = 1 included, means that no
     nilpotent operator has these ranks: ValueError.  The label is the
-    blocks of size >= 2; the zero sequence labels the abelian contraction
-    and is rendered as 1^(dim-1) (the zero operator on the quotient by the
-    witness line).
+    blocks of size >= 2, largest first; the zero sequence labels the
+    abelian contraction and is rendered as 1^(dim-1) (the zero operator on
+    the quotient by the witness line).
     """
     r = (dim, *seq, 0, 0)
     counts = [r[m - 1] - 2 * r[m] + r[m + 1] for m in range(1, len(r) - 1)]
     if min(counts) < 0:
         raise ValueError(f"not the rank sequence of a nilpotent operator: {seq}")
     if not seq:
-        return Partition((1,) * (dim - 1))
-    return Partition(m for m in range(len(counts), 1, -1)
-                     for _ in range(counts[m - 1]))
+        return (1,) * (dim - 1)
+    return tuple(m for m in range(len(counts), 1, -1)
+                 for _ in range(counts[m - 1]))

@@ -64,8 +64,8 @@ is a cone: the s g point is a member iff the g point is.  Sampling needs
 trials >= 1.
 
 Every check here reads integer tables.  Fraction remains only in output
-(a tensor's `products`, a mismatch message), in IWDominance elements
-(read with the payload) and in the `iw_max` witness.
+(a tensor's `products`, a mismatch message) and in IWDominance elements,
+rationals read with the payload; the `iw_max` witness is an int tuple.
 
 Stability of a flag-condition set under the lower-triangular group B is
 decided exactly, on its hit pairs alone
@@ -587,8 +587,8 @@ INVARIANTS = {
     # IWDominance, judged apart, reads the source's scanned maximum: a proof
     # where the scan met its exact bound, as each shipped source's does
     "iw_partition": Invariant(
-        lambda records, ref: tuple(partition_from_rank_sequence(
-            records.iw_sequence(ref), ref.dim)), kind="IWDominance"),
+        lambda records, ref: partition_from_rank_sequence(
+            records.iw_sequence(ref), ref.dim), kind="IWDominance"),
 }
 
 # the invariant tier, whose verdicts are proofs, then the closed-set tier
@@ -696,8 +696,8 @@ def verify_nondegeneration(
         if not dominates(src_seq, tgt_seq):
             return Verdict(
                 "proved",
-                f"IW-max sequence {tuple(src_seq)} does not dominate "
-                f"target sequence {tuple(tgt_seq)}",
+                f"IW-max sequence {src_seq} does not dominate "
+                f"target sequence {tgt_seq}",
             )
         return Verdict("refuted", "source IW-max dominates the target element")
     row = next((row for row in INVARIANTS.values() if row.kind == w.kind), None)

@@ -35,10 +35,6 @@ the integer table and need none.  A null space (`kernel_basis`) is read
 off the `int_echelon` of [M^T | I], so spans and null spaces come out as
 integer echelon rows, and Fraction appears only in the result of
 `invert`.
-
-`Partition` holds Jordan block sizes, which
-`contraction.partition_from_rank_sequence` counts off the ranks of the
-powers of a nilpotent operator.
 """
 
 from __future__ import annotations
@@ -214,21 +210,6 @@ def invert(rows):
     if not d:
         raise Singular("matrix has zero determinant")
     return [[Fraction(mult * x, d) for x in row] for row in inv]
-
-
-class Partition(tuple):
-    """Weakly decreasing positive integers (Jordan block sizes)."""
-
-    def __new__(cls, parts=()):
-        parts = tuple(int(p) for p in parts)
-        if any(p < 1 for p in parts):
-            raise ValueError("partition parts must be >= 1")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("partition parts must be weakly decreasing")
-        return super().__new__(cls, parts)
-
-    def __repr__(self):
-        return f"Partition{tuple(self)}"
 
 
 def int_image_chain(n: int, first, image):

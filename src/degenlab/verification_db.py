@@ -41,8 +41,8 @@ from collections import Counter
 from typing import NamedTuple
 
 from .algebra import MAX_DIM, StructureTensor, TableFormatError
-from .catalog import (UnknownFamily, _out_of_range, level_forbids, level_lookup,
-                      parse_name)
+from .catalog import (DimensionOutOfRange, UnknownFamily, _out_of_range,
+                      instantiate, level_forbids, level_lookup, parse_name)
 from .degeneration import (
     INVARIANT_KINDS,
     INVARIANTS,
@@ -235,11 +235,18 @@ def load_ledger(path) -> ClaimLedger:
 
 def check_references(claims):
     """InconsistentLedger unless each label names one table, as `Records`
-    keys them; then ParseError unless each catalog reference names a family
-    member, so a label bound inline and to the catalog reads as the first."""
+    keys them: an inline table whose label names a catalog member must be
+    that member's table.  Then ParseError unless each catalog reference
+    names a family member, so a label bound inline and to the catalog
+    reads as the first."""
     refs = [ref for claim in claims for ref in (claim.source, claim.target)]
     tables = {}
     for ref in refs:
+        if ref.tensor is not None and ref.label not in tables:
+            try:
+                tables[ref.label] = instantiate(ref.name, ref.dim)
+            except (UnknownFamily, DimensionOutOfRange):
+                pass  # no catalog member has this label
         if tables.setdefault(ref.label, ref.tensor) != ref.tensor:
             raise InconsistentLedger(f"label {ref.label} names two different tables")
     for ref in refs:

@@ -1200,12 +1200,10 @@ def generic_rank_sequence_oracle(a):
 
 def conjugate(partition):
     """The conjugate of a partition: part m counts the parts >= m."""
-    from degenlab.linalg import Partition
-
     if not partition:
-        return Partition()
-    return Partition(sum(1 for p in partition if p >= m)
-                     for m in range(1, partition[0] + 1))
+        return ()
+    return tuple(sum(1 for p in partition if p >= m)
+                 for m in range(1, partition[0] + 1))
 
 
 def partition_from_ranks(ranks, total: int):
@@ -1215,25 +1213,21 @@ def partition_from_ranks(ranks, total: int):
     reference for `contraction.partition_from_rank_sequence`'s block
     counts; it drops a zero difference, so it labels a stalled sequence
     such as (1, 1) on Q^3 that no nilpotent operator has."""
-    from degenlab.linalg import Partition
-
     rs = [total] + [r for r in ranks if r > 0]
     conj = [rs[i] - rs[i + 1] for i in range(len(rs) - 1)]
     conj.append(rs[-1])
     conj = [c for c in conj if c > 0]
     if any(conj[i] < conj[i + 1] for i in range(len(conj) - 1)):
         raise ValueError(f"not the rank sequence of a nilpotent operator: {ranks}")
-    return conjugate(Partition(conj))
+    return conjugate(conj)
 
 
 def iw_sequence(partition):
     """The rank sequence r_m = sum_i max(lambda_i - m, 0) of an `iw_max`
     label: exact, as the parts of size one `partition_from_rank_sequence`
     drops add 0 and its all-ones label of the zero sequence gives ()."""
-    from degenlab.contraction import RankSequence
-
-    return RankSequence(sum(max(p - m, 0) for p in partition)
-                        for m in range(1, max(partition, default=1)))
+    return tuple(sum(max(p - m, 0) for p in partition)
+                 for m in range(1, max(partition, default=1)))
 
 
 def whole_table_draws(dim, rng, spread=3):

@@ -28,7 +28,7 @@ from degenlab.degeneration import (
     randomized_orbit_refute,
     verify_degeneration,
 )
-from degenlab.linalg import Partition, power_rank_sequence
+from degenlab.linalg import power_rank_sequence
 from degenlab.verification_db import (
     load_ledger,
     report_to_json_bytes,
@@ -180,12 +180,12 @@ def test_criterion_4_iw_fidelity():
             tensor = instantiate(name, n)
             part, _ = iw_max(tensor, seed=SEED)
             if family["iw_max"] == "ones":
-                want = Partition((1,) * (n - 1))
+                want = (1,) * (n - 1)
             else:
-                want = Partition(tuple(family["iw_max"]))
+                want = tuple(family["iw_max"])
             checked += 1
             if part != want:
-                mismatches.append((family["name"], n, tuple(part), tuple(want)))
+                mismatches.append((family["name"], n, part, want))
     expected_count = sum(len(f["tested_dims"]) for f in manifest["families"])
     _report(
         4,

@@ -36,7 +36,7 @@ from degenlab.catalog import (
     pfaffian_conic_profile,
 )
 from degenlab.catalog import tested_dims as catalog_tested_dims
-from degenlab.linalg import Partition, int_echelon, int_scaled
+from degenlab.linalg import int_echelon, int_scaled
 from degenlab.verification_db import shipped_ledger_path
 
 from oracles import Subspace, binary_form_gcd, fraction_inverse, pencil_rank_oracle
@@ -277,14 +277,14 @@ def test_infinite_level_is_the_stable_level():
 
 
 def test_expected_iw_max_examples():
-    assert expected_iw_max("T22_e23") == Partition((2, 2))
-    assert expected_iw_max("eta3") == Partition((2,))
-    assert expected_iw_max("T32_e23") == Partition((3, 2))
-    assert expected_iw_max("T2k2_e23_m4") == Partition((2, 2, 2, 2))
+    assert expected_iw_max("T22_e23") == (2, 2)
+    assert expected_iw_max("eta3") == (2,)
+    assert expected_iw_max("T32_e23") == (3, 2)
+    assert expected_iw_max("T2k2_e23_m4") == (2, 2, 2, 2)
     assert expected_iw_max("zero") == "ones"
     # one pair product: a generic element reaches rank sequence (2, 1)
-    assert expected_iw_max("eta_eps_double1") == Partition((3,))
-    assert expected_iw_max("eta_eps_double2") == Partition((3, 2))
+    assert expected_iw_max("eta_eps_double1") == (3,)
+    assert expected_iw_max("eta_eps_double2") == (3, 2)
 
 
 def test_manifest_ships_and_matches_the_generator(tmp_path):
@@ -324,7 +324,7 @@ def _two_block_tables():
     hand-built examples, and random conjugates of them."""
     rng = random.Random(53)
     tables = [instantiate(key, n) for key in MANIFEST_FAMILIES
-              if expected_iw_max(key) == Partition((2, 2))
+              if expected_iw_max(key) == (2, 2)
               for n in catalog_tested_dims(key)]
     tables += [
         StructureTensor.from_pairs(6, [(1, 2, 5), (1, 3, 6), (3, 4, 5),
@@ -539,7 +539,7 @@ def test_the_classifier_runs_no_engel_test_when_the_cube_is_zero(monkeypatch):
     rng = random.Random(3217)
     labelled = 0
     for key in MANIFEST_FAMILIES:
-        if expected_iw_max(key) != Partition((2, 2)):
+        if expected_iw_max(key) != (2, 2):
             continue
         for n in catalog_tested_dims(key):
             a = instantiate(key, n)

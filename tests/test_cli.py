@@ -18,7 +18,6 @@ from degenlab.algebra import (
 from degenlab.cli import main
 from degenlab.degeneration import UnknownKind
 from degenlab.contraction import iw_max
-from degenlab.linalg import Partition
 from oracles import products_reads
 from paperdata import certificates, witnesses
 
@@ -142,7 +141,7 @@ def test_every_accepted_family_parameter_gives_a_nilpotent_table(capsys):
             for n in [n for n in (lo, lo + 1) if hi is None or n <= hi]:
                 a = catalog.instantiate(name, n)
                 assert is_nilpotent(a)[0], (key, n)
-                assert iw_max(a)[0] == (Partition((1,) * (n - 1))
+                assert iw_max(a)[0] == ((1,) * (n - 1)
                                         if want == "ones" else want), (key, n)
                 catalog.level_lookup(name, n)
                 assert main(["info", key, "--dim", str(n)]) == 0, (key, n)
@@ -670,6 +669,45 @@ def test_check_rejects_json_that_is_not_an_object(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _inline_n3_ledger(table_of):
+    """A one-certificate ledger from an inline table named n3@4, table_of's
+    table at dimension 4, to zero@4, with a chain for n3@4 through it."""
+    cert = {"id": "n3.zero.4", "source": {"name": "n3", **catalog.instantiate(
+                table_of, 4).to_json_obj()},
+            "target": {"name": "zero", "dim": 4},
+            "basis": ["t*e1", "t*e2", "t*e3", "t*e4"], "proper": True,
+            "separator": "dim_square"}
+    chain = {"id": "chain.n3.4", "algebra": "n3", "dim": 4,
+             "expected_level": 1, "edges": ["n3.zero.4"]}
+    return {"certificates": [cert], "witnesses": [], "chains": [chain]}
+
+
+def test_an_inline_table_under_a_catalog_label_must_be_the_catalog_table(
+        tmp_path, capsys):
+    # T3@4's table named n3@4 would pass as the catalog's n3@4: its arrow
+    # to zero@4 VERIFIED and PROVED, and n3@4's chain VERIFIED
+    error = ("", "error: label n3@4 names two different tables\n")
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(json.dumps(_inline_n3_ledger("T3")), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["verify-paper", "--ledger", str(ledger), "--out", str(out)]) == 1
+    assert capsys.readouterr() == error
+    assert not out.exists()
+    claim = tmp_path / "claim.json"
+    claim.write_text(json.dumps(_inline_n3_ledger("T3")["certificates"][0]),
+                     encoding="utf-8")
+    assert main(["check", str(claim)]) == 1
+    assert capsys.readouterr() == error
+    # an inline copy of the catalog's own table still loads and verifies
+    ledger.write_text(json.dumps(_inline_n3_ledger("n3")), encoding="utf-8")
+    assert main(["verify-paper", "--ledger", str(ledger), "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert [(e["source"], e["status"], e["nontrivial"])
+            for e in report["certificates"]] == [("n3@4", "VERIFIED", "PROVED")]
+    assert [e["status"] for e in report["chains"]] == ["VERIFIED"]
+
+
 def test_verify_paper_inconsistent_ledger(tmp_path, capsys):
     chain = {"id": "c", "algebra": "n3", "dim": 3, "expected_level": 1,
              "edges": []}
@@ -741,6 +779,19 @@ def test_iwmax_rejects_fewer_than_one_trial(capsys, name, dim, trials):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: trials must be >= 1, got {trials}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "missing.json"],
+    ["verify-paper", "--dims", "--ledger", "missing.json"],
+    ["iwmax", "nosuch", "--dim", "99"],
+], ids=lambda argv: argv[0])
+def test_too_few_trials_is_the_first_error_of_every_command(capsys, argv):
+    # each command's other arguments are errors too; trials is read first
+    assert main([*argv, "--trials", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: trials must be >= 1, got 0\n")
+    assert main(argv) == 1
+    assert "trials" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dims", [["99"], ["0", "12"]])

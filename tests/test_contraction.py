@@ -17,7 +17,6 @@ from degenlab.catalog import tested_dims as catalog_tested_dims
 from degenlab import contraction
 from degenlab.contraction import (
     NotEngelAt,
-    RankSequence,
     _engel_cut,
     _rank_bound,
     _tight_bound,
@@ -27,7 +26,7 @@ from degenlab.contraction import (
     partition_from_rank_sequence,
     rank_sequence,
 )
-from degenlab.linalg import Partition, Singular, power_rank_sequence
+from degenlab.linalg import Singular, power_rank_sequence
 from degenlab.verification_db import load_ledger, shipped_ledger_path
 from oracles import (
     _candidate_pool_oracle,
@@ -51,30 +50,30 @@ def e_vec(n, *idx):
 
 def test_rank_sequence_examples():
     a = instantiate("T32", 6)
-    assert rank_sequence(a, e_vec(6, 1)) == RankSequence((3, 1))
-    assert rank_sequence(a, (0,) * 6) == RankSequence(())
+    assert rank_sequence(a, e_vec(6, 1)) == (3, 1)
+    assert rank_sequence(a, (0,) * 6) == ()
     b = instantiate("T2222", 9)
-    assert rank_sequence(b, e_vec(9, 1)) == RankSequence((4,))
+    assert rank_sequence(b, e_vec(9, 1)) == (4,)
 
 
 def test_dominates_examples():
-    assert not dominates(RankSequence((3, 1)), RankSequence((2, 2)))
-    assert dominates(RankSequence((3, 1)), RankSequence(()))
-    assert not dominates(RankSequence((4,)), RankSequence((3, 1)))
-    assert not dominates(RankSequence((3, 1)), RankSequence((4,)))
+    assert not dominates((3, 1), (2, 2))
+    assert dominates((3, 1), ())
+    assert not dominates((4,), (3, 1))
+    assert not dominates((3, 1), (4,))
 
 
 def test_iw_max_examples():
     a = instantiate("T22_e45", 7)
     part, witness = iw_max(a, seed=5)
-    assert part == Partition((2, 2))
-    assert rank_sequence(a, witness) == RankSequence((2,))
+    assert part == (2, 2)
+    assert rank_sequence(a, witness) == (2,)
 
     z = fraction_tensor(5)
-    assert iw_max(z, seed=5)[0] == Partition((1, 1, 1, 1))
+    assert iw_max(z, seed=5)[0] == (1, 1, 1, 1)
 
     t4e = instantiate("T4_e23", 5)
-    assert iw_max(t4e, seed=5)[0] == Partition((4,))
+    assert iw_max(t4e, seed=5)[0] == (4,)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -109,7 +108,7 @@ def test_iw_max_witness_dominates_pool_members():
     rng = random.Random(33)
     a = instantiate("T322", 8)
     part, witness = iw_max(a, seed=12)
-    assert part == Partition((3, 2, 2))
+    assert part == (3, 2, 2)
     top = rank_sequence(a, witness)
     for _ in range(30):
         v = tuple(Fraction(rng.randint(-9, 9)) for _ in range(8))
@@ -164,8 +163,8 @@ def test_integer_rank_sequence_on_a_dense_fraction_conjugate():
     for vec in reference_vectors(6, rng):
         assert tuple(rank_sequence(a, vec)) == fraction_rank_sequence(a, vec)
     part, witness = iw_max(a, seed=3)
-    assert part == Partition((3, 2))
-    assert all(isinstance(x, Fraction) for x in witness)
+    assert part == (3, 2)
+    assert type(witness) is tuple and all(type(x) is int for x in witness)
 
 
 def test_integer_rank_sequence_error_cases():
@@ -199,14 +198,14 @@ def test_partition_label_is_the_parts_above_one_of_every_partition():
     for dim in range(1, 13):
         for parts in _partitions(dim):
             # rank(N^m) = sum_i max(lambda_i - m, 0)
-            seq = RankSequence(sum(max(p - m, 0) for p in parts)
-                               for m in range(1, dim + 1))
+            seq = tuple(filter(None, (sum(max(p - m, 0) for p in parts)
+                                      for m in range(1, dim + 1))))
             big = tuple(p for p in parts if p >= 2)
-            want = Partition(big) if big else Partition((1,) * (dim - 1))
+            want = big if big else (1,) * (dim - 1)
             got = partition_from_rank_sequence(seq, dim)
             assert got == want, parts
-            assert type(got) is Partition
-            assert partition_from_ranks(seq, dim) == Partition(parts), parts
+            assert type(got) is tuple
+            assert partition_from_ranks(seq, dim) == parts, parts
             if big:
                 assert got == tuple(p for p in partition_from_ranks(seq, dim)
                                     if p >= 2), parts
@@ -232,22 +231,24 @@ def test_a_rank_sequence_no_nilpotent_operator_has_gets_no_label(seq, dim):
 def test_the_conjugate_reading_labelled_a_stalled_sequence():
     # the reference drops the zero difference r_1 - r_2 of (1, 1) at dim 3
     # and reads (2, 1); the block counts refuse it
-    assert partition_from_ranks((1, 1), 3) == Partition((2, 1))
+    assert partition_from_ranks((1, 1), 3) == (2, 1)
     with pytest.raises(ValueError):
-        partition_from_rank_sequence(RankSequence((1, 1)), 3)
+        partition_from_rank_sequence((1, 1), 3)
 
 
 # --- iw_max's exact stop and lazy pool against the full-scan oracle ---
 
 
 def _outcome(search, a, seed):
-    """(partition, witness) of a search, or the type and text it raised."""
+    """(partition, witness) of a search, or the type and text it raised:
+    int tuples from iw_max, Fractions from the oracle's pool."""
     try:
         part, witness = search(a, seed=seed)
     except Exception as exc:  # noqa: BLE001 - compared, not swallowed
         return type(exc), str(exc)
-    assert type(witness) is tuple
-    assert all(type(x) is Fraction for x in witness)
+    assert type(part) is tuple and type(witness) is tuple
+    scalar = Fraction if search is iw_max_oracle else int
+    assert all(type(x) is scalar for x in witness)
     return part, witness
 
 
@@ -334,7 +335,7 @@ def _full_powers_rank_sequence(table, n, x):
     ranks = power_rank_sequence_oracle(_int_left_products(table, n, x), n + 1)
     if len(ranks) > n:
         raise NotEngelAt(x)
-    return RankSequence(ranks)
+    return ranks
 
 
 def test_iw_max_on_shipped_labels_is_that_of_full_matrix_powers(monkeypatch):
@@ -373,7 +374,7 @@ def test_rank_sequences_are_those_of_the_former_walk_and_of_full_powers():
                 raised += 1
                 continue
             assert len(walk) <= n
-            assert got == RankSequence(walk) == _full_powers_rank_sequence(
+            assert got == tuple(walk) == _full_powers_rank_sequence(
                 table, n, x), (a, x)
     assert raised > 20
 
@@ -434,7 +435,7 @@ def test_iw_max_repairs_with_the_rng_state_of_a_full_pool(monkeypatch):
 
 def test_iw_max_scans_to_the_end_when_the_table_is_not_nilpotent():
     assert _rank_bound(NOT_NILPOTENT) is None
-    assert rank_sequence(NOT_NILPOTENT, e_vec(3, 1)) == RankSequence((1,))
+    assert rank_sequence(NOT_NILPOTENT, e_vec(3, 1)) == (1,)
     with pytest.raises(NotEngelAt) as got:
         iw_max(NOT_NILPOTENT)
     with pytest.raises(NotEngelAt) as want:
@@ -507,10 +508,10 @@ def _counting_rank_sequences(monkeypatch):
 def test_iw_max_stops_once_the_best_sequence_meets_the_bound(monkeypatch):
     calls = _counting_rank_sequences(monkeypatch)
     assert _rank_bound(STRICT_FALL) == (2, 1)
-    assert iw_max(STRICT_FALL) == (Partition((3,)), e_vec(5, 1))
+    assert iw_max(STRICT_FALL) == ((3,), e_vec(5, 1))
     assert calls == [e_vec(5, 1)]
     calls.clear()
-    assert iw_max(fraction_tensor(4))[0] == Partition((1, 1, 1))
+    assert iw_max(fraction_tensor(4))[0] == (1, 1, 1)
     assert len(calls) == 1
 
 
@@ -544,7 +545,7 @@ def test_rank_bound_dominates_every_rank_sequence():
     met = 0
     for a in _manifest_algebras():
         n = a.dim
-        bound = RankSequence(_rank_bound(a))
+        bound = _rank_bound(a)
         seqs = [rank_sequence(a, vec) for vec in reference_vectors(n, rng)]
         assert all(dominates(bound, seq) for seq in seqs), a.products
         met += bound in seqs
@@ -577,10 +578,18 @@ def test_tight_bound_dominates_every_rank_sequence():
         seqs = [rank_sequence(a, vec) for vec in reference_vectors(a.dim, rng)]
         for x0 in _bound_points(a.dim, rng):
             bound = _tight(a, x0, cut)
-            assert type(bound) is RankSequence
+            assert type(bound) is tuple and 0 not in bound
             assert all(dominates(bound, seq) for seq in seqs), (a.products, x0)
             met += bound in seqs
     assert (len(cases), met) == (202, 1814)
+
+
+def test_a_tight_bound_lowered_to_zero_is_cut_there():
+    # a rank sequence stops before its first 0: the loose bound (1, 1) on
+    # n3@3 lowers its second rank to 0 (rule (i): 2 r_2 <= r_1 + 0), and
+    # the bound the scan compares with its best is (1,)
+    assert _tight_bound(instantiate("n3", 3), (1, 0, 0), (1, 1)) == (1,)
+    assert _tight_bound(instantiate("n3", 4), (1, 0, 0, 0), (1, 1, 1)) == (1,)
 
 
 def test_tight_bound_dominates_the_generic_rank_sequence():
@@ -734,10 +743,10 @@ def test_iw_sequence_inverts_the_partition_label():
                 for r in range(start, start + p - 1):
                     jordan[r][r + 1] = 1
                 start += p
-            ranks = RankSequence(power_rank_sequence_oracle(jordan, n))
+            ranks = power_rank_sequence_oracle(jordan, n)
             label = partition_from_rank_sequence(ranks, n)
             assert iw_sequence(label) == ranks, parts
-    assert iw_sequence(Partition((1, 1, 1))) == iw_sequence(Partition()) == ()
+    assert iw_sequence((1, 1, 1)) == iw_sequence(()) == ()
 
 
 def test_iw_sequence_is_the_rank_sequence_of_the_iw_max_witness():

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from degenlab.algebra import _int_product, int_change_basis
 from degenlab.degeneration import (
     _R_FLAGS,
     _hit_pairs,
+    _in_set,
     _orbit_meets,
     _r_quadratics_hold,
     AlgebraRef,
@@ -1033,6 +1035,32 @@ def test_bespoke_sampling_matches_the_inverse_path():
         got = randomized_orbit_refute(special, _R_FLAGS, 100, seed,
                                       cone=_r_quadratics_hold)
         assert got == inverse_orbit_refute(special, _in_r, 100, seed)
+
+
+def test_orbit_sampling_misses_a_member_of_r_that_permutations_find():
+    # a known blind spot of the sampled tier: T222_e7special lies in R, as
+    # 6 of the 5040 permutation bases show, yet 2000 dense integer draws
+    # land in R's flag conditions 0 times, so the cone is never read and
+    # the verdict is refutation_not_found.  A dense draw meets a proper
+    # closed set with probability about 0; a member would have to be
+    # solved for, not drawn (ROADMAP items 6, 8 and 20).  When sampling
+    # learns to land in the set, this test fails and the ledger's
+    # FALSIFICATION-ONLY rows are to be read again.
+    special = instantiate("T222_e7special", 7)
+    pairs = _hit_pairs(_R_FLAGS, 7)
+    members = 0
+    for perm in itertools.permutations(range(7)):
+        g = [[int(j == p) for j in range(7)] for p in perm]
+        members += _in_set(special.table, 7, g, int_suffix_spans(g), pairs,
+                           _r_quadratics_hold)
+    assert members == 6
+    rng = random.Random(0)
+    draws = [random_invertible(7, rng) for _ in range(2000)]
+    assert not any(_orbit_meets(special.table, 7, g, spans, pairs)
+                   for g, spans in draws)
+    verdict = randomized_orbit_refute(special, _R_FLAGS, trials=2000, seed=0,
+                                      cone=_r_quadratics_hold)
+    assert verdict.status == "refutation_not_found"
 
 
 def test_orbit_membership_matches_the_inverse_path():

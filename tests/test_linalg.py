@@ -13,7 +13,6 @@ from degenlab.degeneration import (
 from degenlab.exactnum import ZPoly
 from degenlab.exactnum import parse_rational_function as parse
 from degenlab.linalg import (
-    Partition,
     Singular,
     int_echelon,
     int_image_chain,
@@ -554,9 +553,9 @@ def test_image_chain_ends_after_zero_or_before_a_stall():
 
 
 def test_nilpotent_partition_examples():
-    assert block_sizes(zero(3)) == Partition((1, 1, 1))
+    assert block_sizes(zero(3)) == (1, 1, 1)
     block = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
-    assert block_sizes(block) == Partition((4,))
+    assert block_sizes(block) == (4,)
 
 
 def test_nilpotent_partition_of_induced_operator():
@@ -565,7 +564,7 @@ def test_nilpotent_partition_of_induced_operator():
     a = instantiate("T32", 6)
     full = left_mult_matrix(a, e_vec(6, 1))
     induced = [row[1:] for row in full[1:]]
-    assert block_sizes(induced) == Partition((3, 2))
+    assert block_sizes(induced) == (3, 2)
 
 
 def test_conjugation_invariance_spot():
@@ -585,7 +584,7 @@ def test_conjugation_invariance_spot():
 
 
 partitions = st.lists(st.integers(1, 5), min_size=1, max_size=5).map(
-    lambda parts: Partition(sorted(parts, reverse=True))
+    lambda parts: tuple(sorted(parts, reverse=True))
 )
 
 

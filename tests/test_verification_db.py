@@ -98,6 +98,19 @@ def test_contradictory_pair_is_rejected():
             ledger_from_obj(obj)
 
 
+def test_no_shipped_inline_table_takes_a_catalog_label():
+    # an inline table under a label that a catalog member has must be that
+    # member's table (test_cli pins the refusal); the shipped ledger's 36
+    # inline labels name no catalog family, so no shipped output moves
+    obj = shipped_obj()
+    labels = {(r["name"], r["dim"]) for c in obj["certificates"] + obj["witnesses"]
+              for r in (c["source"], c["target"]) if "products" in r}
+    assert len(labels) == 36
+    for name, _ in labels:
+        with pytest.raises(catalog.UnknownFamily):
+            catalog.parse_name(name)
+
+
 def test_a_proper_certificate_must_lower_the_catalog_level():
     # conn.n3_zero.4 reversed claims zero@4 -> n3@4 proper, from level 0
     # to level 1; the shipped ledger has no such certificate

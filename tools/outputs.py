@@ -9,7 +9,11 @@ checkout of the parent commit and the working tree) and compare the
 lines.  The runs, each one `degenlab` command:
 
   - `verify-paper` at seeds 20240917, 1, 2 and 99 (200 trials), on the
-    shipped ledger and with `--ledger` on a copy of it;
+    shipped ledger and with `--ledger` on a copy of it, and at the default
+    seed with `--dims 6` and with `--dims 7 8`;
+  - `--trials 0` for `verify-paper`, for `check` on the first certificate
+    and on the first witness, and for `iwmax` on the first manifest
+    family at its first tested dimension;
   - `check` and `--json check` on every certificate and every witness of
     the shipped ledger, each written out as a claim file;
   - `info`, `iwmax`, `classify` and `catalog table`, human and `--json`,
@@ -53,6 +57,15 @@ def _runs(catalog, ledger: dict):
         args = ["verify-paper", "--seed", str(seed), "--out", "out"]
         yield args, {}
         yield args + ["--ledger", "ledger.json"], {"ledger.json": text}
+    for dims in (["6"], ["7", "8"]):
+        yield ["verify-paper", "--dims", *dims, "--out", "out"], {}
+    yield ["verify-paper", "--trials", "0", "--out", "out"], {}
+    for claim in (ledger["certificates"][0], ledger["witnesses"][0]):
+        yield (["check", "claim.json", "--trials", "0"],
+               {"claim.json": json.dumps(claim)})
+    name = catalog.MANIFEST_FAMILIES[0]
+    yield ["iwmax", name, "--dim", str(catalog.tested_dims(name)[0]),
+           "--trials", "0"], {}
     for claim in ledger["certificates"] + ledger["witnesses"]:
         for fmt in ([], ["--json"]):
             yield fmt + ["check", "claim.json"], {"claim.json": json.dumps(claim)}
