@@ -7,10 +7,28 @@ of the source in that basis exactly, demands regularity at t = 0, and
 compares the limit with the target constants entry by entry.  A pole or a
 mismatch is a verdict, not an exception.
 
-The check is exact in Z[t].  Each entry of g parses to an unreduced pair
-(num, den) of integer polynomials (`exactnum.ZPoly`).  One scale s in
-Z[t], common to all entries (per-row scales would change the constants),
-gives G = s g in Z[t]^(n x n).
+Each entry of g parses to an unreduced pair (num, den) of integer
+polynomials (`exactnum.ZPoly`).  The check has two exact readings, picked
+by the basis' shape, and one verdict (`_limit_verdict`): a pole at the
+least (i, j, k) whose constant has one, else each nonzero limit num / den
+compared with the target's T / M as num M == T den, and a mismatch named
+at the least key that differs, the one place a Fraction is made.
+
+A monomial basis, one nonzero entry f_r in each row and in distinct
+columns (g_r = f_r e_c(r), c a permutation: a one-parameter subgroup of a
+torus after a permutation of the basis, as most shipped certificates are),
+maps products term by term (`_monomial_check`).  Each new constant is
+one term, C_pq^r = +-(f_p f_q / f_r) T_c(p)c(q)^c(r) / L, with no sum and
+so no cancellation, and in Q(t) orders add and lowest coefficients
+multiply: its order at t = 0 is o = ord f_p + ord f_q - ord f_r, a pole
+if o < 0, limit 0 if o > 0, and at o = 0 the limit is lead_p lead_q /
+lead_r T / L.  That reads each nonzero table entry once, in small ints.
+
+Every other basis, zero rows and repeated columns included, is checked
+in Z[t] (`_packed_check`), the one general check: it gives every
+SingularFamily verdict.  One scale s in Z[t], common to all entries
+(per-row scales would change the constants), gives G = s g in
+Z[t]^(n x n).
 `int_change_basis` on the table scaled by L takes d and R = d G^-1 from
 `int_scaled_inverse`, with exact divisions only (Bareiss, 1968), and
 gives d and the constants N in the basis d L G, so those of g are
@@ -24,10 +42,7 @@ ord_t N < v = ord_t(L s d), and otherwise its limit is N[v] / (L s d)[v],
 both read off packed N (`exactnum.packed_limit_at_zero`, which returns
 N[v]).  N is written in the tensor's own format, table rows
 (i, j, ((k, coeff), ...)) with the zero entries dropped.  Every limit has
-the one denominator D = (L s d)[v], so the limits equal the target's
-table T / M iff N[v] M = T D: one `==` of those integer entries passes a
-certificate, and a mismatch names the first entry that differs, the one
-place a Fraction is made.
+the one denominator D = (L s d)[v].
 
 Non-degenerations are two-tiered.  Invariant witnesses are proofs on
 closed invariants, each declared once, with its order under degeneration,
@@ -77,8 +92,8 @@ when it is verified, through the run's store, which parses each distinct
 (text, dim) once (`Records.basis_row`), and a witness's stored source
 basis once, with the rest of its payload, when the witness is built.
 Only the nonzero entries of parsed rows are read after that: they alone
-are put over one denominator (`_cleared_terms`), bound the packing and
-are packed.
+decide the shape, and in the packed check they alone are put over one
+denominator (`_cleared_terms`), bound the packing and are packed.
 """
 
 from __future__ import annotations
@@ -335,7 +350,10 @@ def verify_degeneration(cert: DegenerationCertificate, records: Records) -> Verd
     tables of the run's `records`.
 
     A basis of the wrong length, or a row that does not parse, is a fail
-    verdict (naming the row).
+    verdict (naming the row).  A monomial basis is read off its entries'
+    orders and lowest coefficients (`_monomial_check`), every other basis
+    by the packed check over Z[t] (`_packed_check`); both give the same
+    verdict, stated once by `_limit_verdict`.
     """
     src, tgt = records.tensor(cert.source), records.tensor(cert.target)
     if src.dim != tgt.dim:
@@ -351,32 +369,85 @@ def verify_degeneration(cert: DegenerationCertificate, records: Records) -> Verd
         except (ValueError, ZeroDivisionError) as exc:
             return Verdict("fail",
                            f"basis row {k} {text!r} does not parse: {exc}")
+    return _monomial_check(src, tgt, rows) or _packed_check(src, tgt, rows)
+
+
+def _limit_verdict(tgt: StructureTensor, limits, pole=None) -> Verdict:
+    """The verdict on the limits at t = 0 of a certificate's constants:
+    a fail at `pole`, the least (i, j, k) (0-based) whose constant has a
+    pole, when there is one; else pass iff `limits`, {(i, j, k): (num, den)}
+    for each nonzero limit num / den, are the target's constants T / M,
+    each tested as num M == T den; else a fail at the least key that
+    differs, naming both values."""
+    if pole is not None:
+        i, j, k = (x + 1 for x in pole)
+        return Verdict("fail", f"pole at t=0 in constant ({i},{j})^{k}",
+                       {"position": (i, j, k)})
+    mult = tgt.mult
+    target = {(i, j, k): v for i, j, entries in tgt.table for k, v in entries}
+    differ = target.keys() - limits.keys()  # limit 0, target not
+    differ.update(key for key, (num, den) in limits.items()
+                  if num * mult != target.get(key, 0) * den)
+    if not differ:
+        return Verdict("pass")
+    first = min(differ)
+    got = Fraction(*limits.get(first, (0, 1)))
+    want = Fraction(target.get(first, 0), mult)
+    i, j, k = (x + 1 for x in first)
+    return Verdict("fail", f"limit constant ({i},{j})^{k} is {got}, "
+                           f"target has {want}", {"position": (i, j, k)})
+
+
+def _packed_check(src: StructureTensor, tgt: StructureTensor, rows) -> Verdict:
+    """The certificate check over Z[t] (the module docstring): every limit
+    is N[v] / D, over the one denominator D = den[v]."""
     try:
         den, constants, bits = apply_parameterized_basis(src, rows)
     except SingularFamily as exc:
         return Verdict("fail", str(exc))
-    # a limit N[v] / D, D = den[v], equals a target constant T / M iff
-    # N[v] M = T D: the limit entries against the target's scaled by D
-    mult, lead = tgt.mult, den.coeffs[den.order()]
-    limits = {}
+    lead, limits = den.coeffs[den.order()], {}
     for i, j, entries in constants:
         for k, x in entries:
             x = packed_limit_at_zero(x, bits, den)
-            if x is None:
-                i, j, k = i + 1, j + 1, k + 1
-                return Verdict("fail", f"pole at t=0 in constant ({i},{j})^{k}",
-                               {"position": (i, j, k)})
+            if x is None:  # the constants come in key order
+                return _limit_verdict(tgt, limits, (i, j, k))
             if x:
-                limits[(i, j, k)] = mult * x
-    target = {(i, j, k): lead * v for i, j, entries in tgt.table for k, v in entries}
-    if limits == target:
-        return Verdict("pass")
-    first = min(key for key in limits.keys() | target.keys()
-                if limits.get(key) != target.get(key))
-    got, want = (Fraction(x.get(first, 0), mult * lead) for x in (limits, target))
-    i, j, k = (x + 1 for x in first)
-    return Verdict("fail", f"limit constant ({i},{j})^{k} is {got}, "
-                           f"target has {want}", {"position": (i, j, k)})
+                limits[(i, j, k)] = x, lead
+    return _limit_verdict(tgt, limits)
+
+
+def _monomial_check(src: StructureTensor, tgt: StructureTensor, rows):
+    """The certificate check of a monomial basis g_r = f_r e_c(r), c a
+    permutation: C_pq^r = +-(f_p f_q / f_r) T_c(p)c(q)^c(r) / L, one term
+    (negated for c(p) > c(q)), so its order at t = 0 is
+    ord f_p + ord f_q - ord f_r, and at order 0 its limit is the product
+    of the lowest coefficients (the module docstring).  None for rows that
+    are not monomial: a row with other than one nonzero entry, or two rows
+    in one column."""
+    n, mult = src.dim, src.mult
+    row_of, order, lead = [None] * n, [0] * n, [None] * n
+    for r, row in enumerate(rows):
+        cols = [k for k, (num, _) in enumerate(row) if num.coeffs]
+        if len(cols) != 1 or row_of[cols[0]] is not None:
+            return None
+        (k,) = cols
+        num, den = row[k]
+        u, w = num.order(), den.order()
+        row_of[k], order[r], lead[r] = r, u - w, (num.coeffs[u], den.coeffs[w])
+    limits, poles = {}, []
+    for a, b, entries in src.table:
+        p, q, sign = row_of[a], row_of[b], 1
+        if p > q:
+            p, q, sign = q, p, -1
+        (ap, bp), (aq, bq), o = lead[p], lead[q], order[p] + order[q]
+        for k, v in entries:
+            r = row_of[k]
+            if o < order[r]:
+                poles.append((p, q, r))
+            elif o == order[r]:
+                ar, br = lead[r]
+                limits[(p, q, r)] = sign * v * ap * aq * br, mult * bp * bq * ar
+    return _limit_verdict(tgt, limits, min(poles, default=None))
 
 
 # --- closed sets ----------------------------------------------------------

@@ -235,19 +235,24 @@ def load_ledger(path) -> ClaimLedger:
 
 def check_references(claims):
     """InconsistentLedger unless each label names one table, as `Records`
-    keys them: an inline table whose label names a catalog member must be
-    that member's table.  Then ParseError unless each catalog reference
-    names a family member, so a label bound inline and to the catalog
-    reads as the first."""
+    keys them: a catalog reference names instantiate(name, dim), and an
+    inline table whose label names a catalog member must be that member's
+    table; a label bound inline and to the catalog must so name a member.
+    Then ParseError unless each catalog reference names a family member."""
     refs = [ref for claim in claims for ref in (claim.source, claim.target)]
-    tables = {}
+    tables, loose = {}, set()  # loose: inline labels that name no member
     for ref in refs:
-        if ref.tensor is not None and ref.label not in tables:
+        if ref.tensor is None:
+            continue  # the member's table, which an inline one is held to
+        if ref.label not in tables:
             try:
                 tables[ref.label] = instantiate(ref.name, ref.dim)
             except (UnknownFamily, DimensionOutOfRange):
-                pass  # no catalog member has this label
+                loose.add(ref.label)
         if tables.setdefault(ref.label, ref.tensor) != ref.tensor:
+            raise InconsistentLedger(f"label {ref.label} names two different tables")
+    for ref in refs:
+        if ref.tensor is None and ref.label in loose:
             raise InconsistentLedger(f"label {ref.label} names two different tables")
     for ref in refs:
         if ref.tensor is None:

@@ -25,6 +25,8 @@ from degenlab.degeneration import (
     Records,
     SingularFamily,
     Verdict,
+    _monomial_check,
+    _packed_check,
     apply_parameterized_basis,
     clear_denominators,
     lower_triangular_invariance_probe,
@@ -34,7 +36,8 @@ from degenlab.degeneration import (
     verify_degeneration,
     verify_nondegeneration,
 )
-from degenlab.exactnum import ZPOLY_ONE, ZPOLY_ZERO, ZPoly, parse_basis_row
+from degenlab.exactnum import (ZPOLY_ONE, ZPOLY_ZERO, ZPoly, packed_limit_at_zero,
+                               parse_basis_row)
 from degenlab.exactnum import parse_rational_function as parse
 from degenlab.linalg import int_suffix_spans
 from degenlab.verification_db import load_ledger, shipped_ledger_path
@@ -399,10 +402,12 @@ def test_verify_paper_arrow_with_limit_mismatch_detected():
     assert "target has" in verdict.reason
 
 
-# Rational limits against a rational target: the check compares N[v] M
-# with T den[v] over the common denominator den[v] M, and names a mismatch
-# by its two Fractions.  The source and the targets have non-integer
-# constants (mult > 1); den[v] < 0 for every basis but the last.
+# Rational limits against a rational target: the packed check compares
+# N[v] M with T den[v], den[v] the one denominator of its limits, and the
+# monomial check, which reads every basis here but the last, compares
+# num M with T den for each limit num / den; both name a mismatch by its
+# two Fractions.  The source and the targets have non-integer constants
+# (mult > 1); den[v] < 0 for every basis but the last.
 _RATIONAL_SOURCE = {(1, 2): (0, 0, Fraction(2, 3), 0),
                     (1, 3): (0, 0, 0, Fraction(-5, 4)),
                     (2, 3): (0, 0, 0, Fraction(1, 6))}
@@ -435,6 +440,155 @@ def test_rational_limits_are_compared_over_one_denominator(rows, target, reason)
     got = _verdict(cert)
     assert got == qt_certificate_verdict(cert)
     assert got[:2] == ("fail" if reason else "pass", reason)
+    assert tuple(_packed_check(src, tgt, _parse_rows(rows, 4))) == got
+
+
+# A monomial basis, g_r = f_r e_c(r) with c a permutation, is read off the
+# orders and lowest coefficients of its entries (`_monomial_check`); every
+# other basis goes through the packed check, which stays the reference.
+# The two give byte-identical verdicts on every monomial basis.
+
+PACKED_CERTIFICATES = (
+    "T22deg.1.7", "T22deg.1.8", "T22deg.2.6", "T22deg.2.7",
+    "T22rest.iso2435.7", "T22rest.iso2435.8",
+    "T2k2rest1.more.m3.8", "T2k2rest1.more.m3.9", "T2k2rest1.more.m4.10",
+    "T2k2rest1.more.m4.11", "T2k2rest3.a1.m3.7", "T2k2rest3.a1.m3.8",
+    "T2k2rest3.a1.m4.9", "T2k2rest3.a1.m4.10", "T2k2rest3.a1.m5.11",
+    "T2k2rest3.a2.m3.8", "T2k2rest3.a3.m3.8", "T2k2rest3.a2.m3.9",
+    "T2k2rest3.a3.m3.9", "T2k2rest3.a2.m4.10", "T2k2rest3.a3.m4.10",
+    "T2k2rest3.a2.m4.11", "T2k2rest3.a3.m4.11", "T222lev.shift24.8",
+    "T222lev.e25_24.8", "T222lev.shift24.9", "T222lev.e25_24.9",
+    "T222lev.iso34mix.7", "T222lev.iso34mix.8", "T3lev.34to24.5",
+    "T3lev.34to24.6", "T3lev.45to24.6", "T3lev.eta15_45.6", "T3lev.45to24.7",
+    "T3lev.eta15_45.7", "T3lev.45to2245.7", "T3lev.45to2245.8",
+    "T3rest2.iso.7", "T3rest2.iso.8", "T32lev.case1.6", "T32lev.case1.7",
+    "T32lev.case2.7", "T32lev.case2.8", "conn.t3_t22.5", "conn.t3_t22.6",
+    "conn.t3_t22.7", "conn.t3_t22.8", "conn.t4_t32.6",
+    "conn.e24_222_to_e23.7", "conn.e24_222_to_e23.8",
+)
+
+
+def _monomial(rows):
+    """Whether parsed rows have one nonzero entry each, in distinct columns."""
+    cols = [[k for k, (num, _) in enumerate(row) if num] for row in rows]
+    return (all(len(c) == 1 for c in cols)
+            and len({c[0] for c in cols}) == len(rows))
+
+
+def _both_checks(src, tgt, rows):
+    """The Verdict tuple of each check on one monomial basis; the monomial
+    check gives None for any other basis."""
+    return (tuple(_monomial_check(src, tgt, rows) or ()),
+            tuple(_packed_check(src, tgt, rows)))
+
+
+def test_shipped_certificates_take_the_check_of_their_basis_shape(monkeypatch):
+    from degenlab import degeneration
+
+    taken = []  # the check that gave each verdict
+    for name in ("_monomial_check", "_packed_check"):
+        def spy(*args, name=name, check=getattr(degeneration, name)):
+            verdict = check(*args)
+            if verdict is not None:
+                taken.append(name)
+            return verdict
+        monkeypatch.setattr(degeneration, name, spy)
+    records, paths = Records(), {}
+    for cert in load_ledger(shipped_ledger_path()).certificates:
+        assert verify_degeneration(cert, records).ok, cert.cert_id
+        (paths[cert.cert_id],) = taken
+        taken.clear()
+        rows = _parse_rows(cert.basis_rows, cert.source.dim)
+        assert _monomial(rows) == (paths[cert.cert_id] == "_monomial_check")
+    packed = [cert_id for cert_id, name in paths.items() if name == "_packed_check"]
+    assert packed == list(PACKED_CERTIFICATES)
+    assert len(paths) - len(packed) == 83
+
+
+def _mutations(cert):
+    """The certificate, then with its target replaced by its source, t^2
+    read as t, 1/t as 2/t, its rows shuffled, and its first row twice."""
+    rows = cert.basis_rows
+    yield cert
+    yield cert._replace(target=cert.source)
+    yield cert._replace(basis_rows=tuple(r.replace("t^2", "t") for r in rows))
+    yield cert._replace(basis_rows=tuple(r.replace("1/t", "2/t") for r in rows))
+    shuffled = random.Random(cert.cert_id).sample(rows, len(rows))
+    yield cert._replace(basis_rows=tuple(shuffled))
+    yield cert._replace(basis_rows=(rows[0],) + rows[:1] + rows[2:])
+
+
+def test_monomial_check_equals_the_packed_check_on_shipped_certificates():
+    records, seen, count = Records(), set(), 0
+    for cert in load_ledger(shipped_ledger_path()).certificates:
+        for bad in _mutations(cert):
+            rows = _parse_rows(bad.basis_rows, bad.source.dim)
+            got, want = _both_checks(records.tensor(bad.source),
+                                     records.tensor(bad.target), rows)
+            if _monomial(rows):
+                assert got == want, (cert.cert_id, bad.basis_rows)
+                seen.add(want[1].split(" ")[0] or "pass")
+                count += 1
+            else:
+                assert got == (), (cert.cert_id, bad.basis_rows)
+    assert seen == {"pass", "pole", "limit"}
+    assert count > 83 * 4
+
+
+_LEADS = [x for x in range(-3, 4) if x]
+
+
+def _random_monomial_row(n, col, rng):
+    """The text of f e_col: f of order -3..3, lowest coefficients +-1..+-3
+    in num and den, and some f not a monomial, such as (t+1)/t^2."""
+    order = rng.randint(-3, 3)
+    w = max(0, -order) + rng.randint(0, 1)
+    num, den = f"{rng.choice(_LEADS)}*t^{order + w}", f"{rng.choice(_LEADS)}*t^{w}"
+    if rng.random() < 0.3:
+        num += f"+{rng.choice(_LEADS)}*t^{order + w + 1}"
+    if rng.random() < 0.3:
+        den += f"+{rng.choice(_LEADS)}*t^{w + 2}"
+    return f"(({num})/({den}))*e{col + 1}"
+
+
+def _limit_tensor(a, rows):
+    """The tensor of the limits at t = 0 of a's constants in the basis
+    `rows`, by the packed check; None at a pole."""
+    den, constants, bits = apply_parameterized_basis(a, rows)
+    lead, products = den.coeffs[den.order()], {}
+    for i, j, entries in constants:
+        vec = [0] * a.dim
+        for k, x in entries:
+            x = packed_limit_at_zero(x, bits, den)
+            if x is None:
+                return None
+            vec[k] = Fraction(x, lead)
+        products[(i + 1, j + 1)] = vec
+    return fraction_tensor(a.dim, products)
+
+
+def test_monomial_check_equals_the_packed_check_on_random_monomial_bases():
+    # catalog tables, random integer tables and a rational one, each in
+    # random monomial bases, against the source, the zero table and the
+    # limit itself
+    rng, seen = random.Random(5001), set()
+    sources = [instantiate(name, n) for name, n in SMALL_ALGEBRAS]
+    sources += [instantiate("T22_e45", 7), fraction_tensor(4, _RATIONAL_SOURCE)]
+    for trial in range(240):
+        a = (sources[trial % len(sources)] if trial % 3 else
+             random_anticommutative(rng.randint(2, 7), rng))
+        n = a.dim
+        cols = rng.sample(range(n), n)
+        rows = _parse_rows([_random_monomial_row(n, c, rng) for c in cols], n)
+        assert _monomial(rows)
+        limit = _limit_tensor(a, rows)
+        for tgt in (a, fraction_tensor(n), limit):
+            if tgt is not None:
+                got, want = _both_checks(a, tgt, rows)
+                assert got == want, (trial, cols)
+                seen.add(want[1].split(" ")[0] or "pass")
+        assert (limit is None) == want[1].startswith("pole")
+    assert seen == {"pass", "pole", "limit"}
 
 
 def test_closed_set_member_examples():

@@ -646,3 +646,41 @@ def test_label_bound_to_two_tables_is_rejected():
                "witnesses": [], "chains": []}
         with pytest.raises(InconsistentLedger):
             ledger_from_obj(obj)
+
+
+def _n3_claims(inline_of):
+    """Two certificates to zero@4: one from the catalog's n3@4, one from an
+    inline table named n3@4, `inline_of`'s table at dimension 4."""
+    basis = ("t*e1", "t*e2", "t*e3", "t*e4")
+    inline = AlgebraRef("n3", 4, instantiate(inline_of, 4))
+    return [degeneration.DegenerationCertificate(src, AlgebraRef("zero", 4), basis)
+            for src in (AlgebraRef("n3", 4), inline)]
+
+
+def test_a_catalog_label_and_an_inline_copy_of_its_table_load_together():
+    # the catalog reference names instantiate("n3", 4), which the inline
+    # copy equals, in either order of the claims
+    for claims in (_n3_claims("n3"), _n3_claims("n3")[::-1]):
+        verification_db.check_references(claims)
+        ledger = ledger_from_obj({"certificates": [
+            {"id": f"c{k}", "source": (
+                {"name": "n3", "dim": 4} if c.source.tensor is None
+                else {"name": "n3", **c.source.tensor.to_json_obj()}),
+             "target": {"name": "zero", "dim": 4}, "basis": list(c.basis_rows)}
+            for k, c in enumerate(claims)]})
+        records = Records()
+        assert [degeneration.verify_degeneration(c, records).status
+                for c in ledger.certificates] == ["pass", "pass"]
+
+
+def test_an_inline_table_unlike_the_catalogs_is_refused_beside_its_label():
+    # also an inline X@4, which no catalog member is, beside a catalog X@4
+    loose = [c._replace(source=AlgebraRef("X", 4, c.source.tensor))
+             if c.source.tensor else c._replace(source=AlgebraRef("X", 4))
+             for c in _n3_claims("T3")]
+    for claims in (_n3_claims("T3"), loose):
+        for ordered in (claims, claims[::-1]):
+            with pytest.raises(InconsistentLedger,
+                               match=f"label {claims[0].source.label} names two "
+                                     f"different tables"):
+                verification_db.check_references(ordered)

@@ -15,7 +15,10 @@ lines.  The runs, each one `degenlab` command:
     and on the first witness, and for `iwmax` on the first manifest
     family at its first tested dimension;
   - `check` and `--json check` on every certificate and every witness of
-    the shipped ledger, each written out as a claim file;
+    the shipped ledger, each written out as a claim file, and on the
+    failing n3@3 certificates of `FAILING_BASES`, which no shipped claim
+    reaches: a pole, a wrong limit, a singular basis and an unparsable
+    row, each with one term per row and with a row of two terms;
   - `info`, `iwmax`, `classify` and `catalog table`, human and `--json`,
     at every tested dimension of each manifest family, and `catalog list`.
 
@@ -36,6 +39,15 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (20240917, 1, 2, 99)
+# basis rows of failing n3@3 -> n3@3 certificates, in pairs: one term per
+# row (a monomial basis, but for the singular pair's repeated e1), then a
+# row of two terms
+FAILING_BASES = (
+    ("(1/t)*e1", "e2", "e3"), ("(1/t)*e1+e2", "e2", "e3"),  # a pole
+    ("e2", "e1", "e3"), ("e2", "e1+e2", "e3"),  # limit -1 where n3 has 1
+    ("e1", "t*e1", "e3"), ("e1+e2", "e1+e2", "e3"),  # singular
+    ("e1", "(1/0)*e2", "e3"), ("e1+e2", "e2", "e9"),  # does not parse
+)
 
 
 def _load(src: Path):
@@ -66,7 +78,10 @@ def _runs(catalog, ledger: dict):
     name = catalog.MANIFEST_FAMILIES[0]
     yield ["iwmax", name, "--dim", str(catalog.tested_dims(name)[0]),
            "--trials", "0"], {}
-    for claim in ledger["certificates"] + ledger["witnesses"]:
+    n3 = {"name": "n3", "dim": 3}
+    failing = [{"basis": list(rows), "source": n3, "target": n3}
+               for rows in FAILING_BASES]
+    for claim in ledger["certificates"] + ledger["witnesses"] + failing:
         for fmt in ([], ["--json"]):
             yield fmt + ["check", "claim.json"], {"claim.json": json.dumps(claim)}
     for name in catalog.MANIFEST_FAMILIES:
