@@ -7,7 +7,10 @@
 
 A rational function in t is an unreduced pair (num, den) of ZPolys with
 den nonzero.  The entries of parameterized bases such as
-(1/t)*e4 - (1/t^2)*e7 parse to such pairs with no gcd taken; the
+(1/t)*e4 - (1/t^2)*e7 parse to such pairs with no gcd taken.  A
+monomial basis, one entry per row in distinct columns, is checked on
+each entry's order ord_t num - ord_t den and lowest coefficients alone
+(`degeneration._monomial_check`); for every other basis the packed
 certificate check puts them over one common denominator once
 (`degeneration.clear_denominators`, using `poly_gcd`) and runs its
 linear algebra on the values at t = 2^B (`ZPoly.at_power_of_two`), reading
@@ -16,8 +19,8 @@ of num/den at t = 0 is None (a pole) iff num != 0 and ord_t num < ord_t
 den, and otherwise num[v] / den[v] with v = ord_t den, whether or not the
 pair is reduced.  The package reads it in two places, both as integers
 over one denominator: `packed_limit_at_zero` reads num[v] off num(2^B),
-or None at a pole, for the certificate check, which holds the one
-denominator den[v] of all its limits; the witness check reads a stored
+or None at a pole, for the packed certificate check, which holds the
+one denominator den[v] of all its limits; the witness check reads a stored
 source basis G / s at t = 0 as the rows G[v], v = ord_t s
 (`degeneration.verify_nondegeneration`).
 
