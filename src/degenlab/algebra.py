@@ -49,9 +49,10 @@ a product reaches, so the identity's one-entry rows make dim Ann cost
 what the table's nonzero entries cost.  `annihilator` hands the same
 conditions at i = 1 to `kernel_basis` in their (j, k) order; the zero
 conditions left out are zero columns of its [M^T | I], which change none
-of its rows.  `int_change_basis` forms each g_i g_j from the column
-supports of the basis: a table entry e_a e_b reaches only the rows
-nonzero at a and at b.
+of its rows.  `weight_spaces` reads the weights of the diagonal torus off
+the same table, one incidence row e_i + e_j - e_k per nonzero c_ij^k.
+`int_change_basis` forms each g_i g_j from the column supports of the
+basis: a table entry e_a e_b reaches only the rows nonzero at a and at b.
 The identity checks (Jacobi, Malcev, Engel) are homogeneous in the
 structure constants: scaling them by L multiplies the Jacobi defect by
 L^2, the Malcev defect by L^3 and (sum_i x_i L_{e_i})^m by L^m, so every
@@ -79,7 +80,9 @@ from .exactnum import rational_pair_from_obj, rational_to_obj
 from .linalg import (
     Singular,
     _int_rank,
+    _span_rows,
     int_image_chain,
+    int_reduce,
     int_scaled,
     int_scaled_inverse,
     kernel_basis,
@@ -437,6 +440,37 @@ def annihilator(a: StructureTensor):
     if not conds:
         return _int_identity(n)
     return kernel_basis([conds[key] for key in sorted(conds)])
+
+
+def weight_spaces(a: StructureTensor):
+    """The weight spaces of the diagonal torus of a's basis, as blocks of
+    coordinates (0-based), each in ascending order, ordered by their least
+    coordinate.
+
+    The torus is t -> diag(t^w_1, ..., t^w_n) over the weights w in
+    Z^n with w_i + w_j = w_k for every nonzero c_ij^k, those of the
+    derivations diagonal in a's basis, so it lies in Aut(a).  Coordinates
+    a and b share a weight space iff w_a = w_b for every such w, that is
+    iff e_a - e_b lies in the Q-row space of the incidence rows
+    e_i + e_j - e_k, iff e_a and e_b have one normal form modulo it.
+    `int_reduce` against the rows' `_span_rows` gives the normal form of
+    e_c times a nonzero integer, which an extra coordinate, 1 in e_c and
+    0 in every row, carries: the reduced vector made primitive, its last
+    entry positive, is the normal form's one integer key.
+    """
+    n, rows = a.dim, []
+    for i, j, entries in a.table:
+        for k, _ in entries:
+            row = [0] * (n + 1)
+            row[i], row[j] = 1, 1
+            row[k] -= 1
+            rows.append(row)
+    spans, blocks = _span_rows(rows), {}
+    for c in range(n):
+        v = int_reduce([int(k == c) for k in range(n)] + [1], spans)
+        g = gcd(*v) if v[n] > 0 else -gcd(*v)
+        blocks.setdefault(tuple(x // g for x in v), []).append(c)
+    return tuple(map(tuple, blocks.values()))
 
 
 def int_change_basis(table, n: int, rows):

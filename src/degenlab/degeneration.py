@@ -78,6 +78,25 @@ by c != 0 is a flag-preserving change, so each flag-condition set and R
 is a cone: the s g point is a member iff the g point is.  Sampling needs
 trials >= 1.
 
+Where it can, the target side is decided exactly first
+(`torus_fixed_flag_search`).  A set S that is closed and stable under the
+lower-triangular group B (the probe shows it for flag conditions, a test
+for R's quadratics) makes the flags whose adapted basis puts the target b
+in S a closed subvariety of the flag variety, and Aut(b) preserves it.
+The diagonal torus of b's basis (`algebra.weight_spaces`) lies in Aut(b)
+and is connected and solvable, so by Borel's fixed-point theorem
+(Humphreys, Linear Algebraic Groups, 21.2) that subvariety, if nonempty,
+holds a flag the torus fixes: O(b) meets S iff a torus-fixed flag does.
+With 1-dim weight spaces and at most one of dim 2, those flags are the
+coordinate flags and, on the plane, one P^1 of lines, and the search
+decides them exactly.  It answers "undecided" for a weight space of
+dim >= 3, two of dim 2, or a cone on a line family.  When it answers
+"misses", every draw would miss, so none is drawn: the verdict and reason
+are the sampled ones, byte for byte, and "N target orbit samples all
+miss it" stays true of the N draws the search proves would miss.  Every
+other target is sampled as before, and skipping one witness's draws
+moves no other's, since each call seeds its own generator.
+
 Every check here reads integer tables.  Fraction remains only in output
 (a tensor's `products`, a mismatch message) and in IWDominance elements,
 rationals read with the payload; the `iw_max` witness is an int tuple.
@@ -101,15 +120,16 @@ from __future__ import annotations
 import copyreg
 import random
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm, prod
+from functools import lru_cache, reduce
+from itertools import combinations
+from math import isqrt, lcm, prod
 from operator import ge, le
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from . import catalog
 from .algebra import (StructureTensor, _int_product, engel_degree,
-                      int_change_basis, jacobi_holds)
+                      int_change_basis, jacobi_holds, weight_spaces)
 from .contraction import (NotEngelAt, _rank_bound, dominates, iw_scan,
                           partition_from_rank_sequence, rank_sequence)
 from .exactnum import (
@@ -267,8 +287,9 @@ class Records:
     """One run's store at one seed: each distinct certificate row (text,
     dim), parsed once (`basis_row`), and, keyed by label (one table each),
     the tensor of a label, resolved once, when first read, so that each of
-    its invariants is computed once per run, and one `contraction.iw_scan`
-    of it, read to its first best or to its end (`iw_sequence`).
+    its invariants is computed once per run, one `contraction.iw_scan`
+    of it, read to its first best or to its end (`iw_sequence`), and one
+    torus-fixed flag search of it for each set (`flag_search`).
     An audit (`iw_monotone`) decided on a first best may so leave a repair
     unreached, and never raise the IncomparableMaxima that `contraction`
     says cannot happen for Engel input.  A table that is not Engel raises
@@ -276,6 +297,7 @@ class Records:
 
     def __init__(self, seed: int = 0):
         self.seed, self._tensors, self._scans, self._rows = seed, {}, {}, {}
+        self._searches = {}
 
     def basis_row(self, text, dim: int):
         """`parse_basis_row(text, dim)`, parsed once per run for each
@@ -326,6 +348,14 @@ class Records:
         if bound is not None and dominates(self.iw_sequence(src, whole=False), bound):
             return True
         return dominates(self.iw_sequence(src), self.iw_sequence(tgt))
+
+    def flag_search(self, ref: AlgebraRef, spec, cone=None):
+        """`torus_fixed_flag_search` on the table of ref, once per run for
+        each (label, set, cone)."""
+        key = (ref.label, spec, cone)
+        if key not in self._searches:
+            self._searches[key] = torus_fixed_flag_search(self.tensor(ref), spec, cone)
+        return self._searches[key]
 
     def rank_sequence(self, ref: AlgebraRef, element):
         """The rank sequence of L_element on the table of ref."""
@@ -609,6 +639,193 @@ def randomized_orbit_refute(
     )
 
 
+# --- torus-fixed flags ----------------------------------------------------
+
+
+def _form_roots(form):
+    """The zeros in P^1 of a nonzero binary form, its coefficients of
+    x^d, x^(d-1) y, ..., y^d (d = 1, 2), as integer points (x, y); None for
+    a quadratic with no rational zero (irreducible over Q)."""
+    if len(form) == 2:
+        return [(form[1], -form[0])]
+    r, s, t = form
+    if not r:  # y (s x + t y)
+        return [(1, 0), (t, -s)]
+    disc = s * s - 4 * r * t
+    root = isqrt(max(disc, 0))
+    return [(root - s, 2 * r), (-root - s, 2 * r)] if root * root == disc else None
+
+
+def _meet(line, form):
+    """The points of the line set `line` at which the binary form `form`
+    vanishes.  A line set is None (all of P^1), a list of integer points,
+    or an irreducible quadratic kept as its form: it shares no zero with a
+    form that has rational zeros, and both zeros with a multiple of it."""
+    if not any(form):
+        return line
+    if isinstance(line, list):
+        d = len(form) - 1
+        return [(x, y) for x, y in line
+                if not sum(f * x ** (d - i) * y ** i for i, f in enumerate(form))]
+    roots = _form_roots(form)
+    if line is None:
+        return form if roots is None else roots
+    if roots is None and not any(p * s - q * r for (p, q), (r, s)
+                                 in combinations(zip(line, form), 2)):
+        return line
+    return []
+
+
+def torus_fixed_flag_search(b: StructureTensor, spec, cone=None):
+    """(answer, basis): whether b's orbit meets the closed set of the flag
+    conditions `spec` (and `cone`, as in `_in_set`), decided on the flags
+    fixed by the diagonal torus of b's basis (`weight_spaces`).
+
+    "meets" comes with the integer rows of a basis that puts b in the set,
+    or None when the only such lines are irrational; "misses", with None,
+    is a proof (Borel, in the module docstring), since a set of triples is
+    B-stable (its hit pairs never fall going up) and so are R's
+    quadratics (a test).  The answer is "undecided" for a weight space of
+    dim >= 3, two of dim 2, or a cone on a line family.  Raises ValueError
+    for a triple outside dimension n.
+
+    A triple (i, j, k) asks A(W_i, W_j) in W_k, so the search places the
+    torus-stable W at the levels the triples name (every level, for a
+    cone), deepest first, each a coordinate bitmask holding the one below,
+    and tests a triple once its last level is placed.  A coordinate joins
+    W_l only if it maps the placed part of each W_j into W_k for the
+    triples that put it in W_i.  On a 2-dim weight space <e_a, e_c>, bit a
+    stands for the line u = x e_a + y e_c and bit c, never set without a,
+    for the rest of the plane; a W that holds only the line adds binary
+    forms in (x, y), whose common zeros are the lines left (`_meet`).
+    """
+    n, table = b.dim, b.table
+    _hit_pairs(spec, n)  # refuses a triple outside dimension n
+    blocks = [block for block in weight_spaces(b) if len(block) > 1]
+    if len(blocks) > 1 or blocks and len(blocks[0]) > 2:
+        return "undecided", None
+    a, c = blocks[0] if blocks else (None, None)
+    pa, pc = (1 << a, 1 << c) if blocks else (0, 0)
+    plane, bits = pa | pc, [1 << x for x in range(n)]
+    # each product e_i e_j: its pair's bits, its support off the plane and
+    # its coordinates on the plane
+    rows = [(1 << i, 1 << j, sum(1 << k for k, _ in e if not plane >> k & 1),
+             dict(e).get(a, 0), dict(e).get(c, 0)) for i, j, e in table]
+    # u e_d = x e_a e_d + y e_c e_d, for each d it does not kill: the
+    # forms (x-, y-coefficient) of its coordinates off the plane, and
+    # those its plane part adds for each way W_k meets the plane
+    mixed = {}
+    for i, j, e in table:
+        for p, d, sign in ((i, j, 1), (j, i, -1)):
+            if p in (a, c):
+                for k, v in e:
+                    mixed.setdefault(d, {}).setdefault(k, [0, 0])[p == c] += sign * v
+    line = []
+    for d, xy in mixed.items():
+        (xa, ya), (xc, yc) = xy.get(a, (0, 0)), xy.get(c, (0, 0))
+        on = {0: [(xa, ya), (xc, yc)], pa: [(-xc, xa - yc, ya)], plane: []}
+        line.append((1 << d, [(1 << k, tuple(f)) for k, f in xy.items() if not plane >> k & 1],
+                     {tk: [f for f in fs if any(f)] for tk, fs in on.items()}))
+
+    @lru_cache(maxsize=None)  # read once per placement
+    def forms(mi, mj, mk):
+        """The binary forms whose common zeros are the lines on which
+        A(W_i, W_j) lies in W_k; None when no line does."""
+        cbi, cbj = (m if m & pc else m & ~pa for m in (mi, mj))
+        tk, found = mk & plane, set()
+        for bp, bq, out, va, vc in rows:
+            if cbi & bp and cbj & bq or cbi & bq and cbj & bp:
+                if out & ~mk:
+                    return None
+                if va or vc:
+                    if not tk:
+                        return None
+                    if tk == pa:
+                        found.add((-vc, va))
+        for m, cb in ((mi, cbj), (mj, cbi)):
+            if pa and m & plane == pa:
+                for bit, off, on in line:
+                    if cb & bit:
+                        found.update(form for bit_k, form in off if not mk & bit_k)
+                        found.update(on[tk])
+        return found
+
+    def holds(state, triple):
+        """The line set `state` cut down to the lines on which the triple
+        holds, [] for none."""
+        i, j, k = triple
+        found = forms(w[i], w[j], w[k])
+        return [] if found is None else reduce(_meet, found, state) if found else state
+
+    @lru_cache(maxsize=None)
+    def fits(mj, mk):
+        """The coordinates (a bitmask) whose products with the coordinates
+        of W_j lie in W_k off the plane, and on it too when W_k misses the
+        plane; the plane's own coordinates pass."""
+        cbj, bad = mj if mj & pc else mj & ~pa, 0
+        for bp, bq, out, va, vc in rows:
+            if out & ~mk or (va or vc) and not mk & plane:
+                bad |= (bp if bq & cbj else 0) | (bq if bp & cbj else 0)
+        return ~bad | plane
+
+    levels = sorted({x for t in spec for x in t if 1 < x <= n}
+                    | set(range(2, n + 1) if cone else ()), reverse=True)
+    due, needs = {}, {}
+    for t in spec:
+        due.setdefault(min((x for x in t if 1 < x <= n), default=n + 1), []).append(t)
+    for level in levels:  # a coordinate joining W_l is in W_i for i <= l
+        needs[level] = {(j, k) for i0, j0, k in spec
+                        for i, j in ((i0, j0), (j0, i0)) if i <= level < k}
+    w = [0, (1 << n) - 1] + [0] * n
+
+    def leaf(state, order):
+        """The answer at a placement that meets every triple, its
+        coordinates `order` (bits) those of g_n, g_(n-1), ..., g_1."""
+        if blocks and cone:
+            return "undecided", None
+        point = (1, 0) if state is None else state[0] if isinstance(state, list) else None
+        if point is None:
+            return "meets", None
+        row = {bit.bit_length() - 1: n - 1 - r for r, bit in enumerate(order)}
+        if cone and not cone([
+                (min(p, q), max(p, q), tuple((row[k], v if p < q else -v) for k, v in e))
+                for i, j, e in table for p, q in [(row[i], row[j])]]):
+            return None
+        g = [[0] * n for _ in range(n)]
+        for x, r in row.items():
+            if x == a:
+                g[r][a], g[r][c] = point
+            else:
+                g[r][a if x == c and point[1] else x] = 1
+        return "meets", g
+
+    def place(depth, state, order):
+        below = w[levels[depth - 1]] if depth else 0
+        if depth == len(levels):
+            return leaf(state, order + tuple(bit for bit in bits if not below & bit))
+        level, allowed = levels[depth], ~below
+        for j, k in needs[level]:
+            allowed &= fits(w[j] if j == 1 or j > level else below, w[k])
+        free = [bit for bit in bits if allowed & bit]
+        for extra in combinations(free, n + 1 - level - below.bit_count()):
+            m = below | sum(extra)
+            if m & pc and not m & pa:
+                continue
+            w[level], st = m, state
+            for triple in due.get(level, ()):
+                st = holds(st, triple)
+                if st == []:
+                    break
+            else:
+                found = place(depth + 1, st, order + extra)
+                if found:
+                    return found
+        return None
+
+    state = reduce(holds, due.get(n + 1, ()), None)  # the triples naming no level
+    return state != [] and place(0, state, ()) or ("misses", None)
+
+
 # --- non-degeneration witnesses -------------------------------------------
 
 
@@ -753,8 +970,12 @@ def verify_nondegeneration(
     maximum is exact, which every shipped source's is (a test pins it) but
     the verdict does not check.  ClosedSet / BespokeR prove the source side
     with a stored basis and only falsify the target side by orbit sampling.
-    A witness between different dimensions, or a BespokeR witness outside
-    dimension 7, is a fail verdict.
+    The run's `records` first search the target's torus-fixed flags, once
+    per (target label, set): where the search answers "misses", every draw
+    would miss, and the sampled verdict and reason are returned with no
+    draw (Borel, in the module docstring); every other target, "meets" or
+    "undecided", is sampled.  A witness between different dimensions, or
+    a BespokeR witness outside dimension 7, is a fail verdict.
     """
     src, tgt = records.tensor(w.source), records.tensor(w.target)
     if src.dim != tgt.dim:
@@ -799,13 +1020,14 @@ def verify_nondegeneration(
         return Verdict("refuted", "stored source basis is singular at t = 0")
     if not _in_set(table, n, g, spans, _hit_pairs(spec, n), cone):
         return Verdict("refuted", "stored source basis does not land in the set")
-    verdict = randomized_orbit_refute(tgt, spec, trials, records.seed, cone)
-    if verdict.status == "refuted":
-        return Verdict(
-            "refuted",
-            "target orbit meets the set: " + verdict.reason,
-            verdict.data,
-        )
+    if records.flag_search(w.target, spec, cone)[0] != "misses":
+        verdict = randomized_orbit_refute(tgt, spec, trials, records.seed, cone)
+        if verdict.status == "refuted":
+            return Verdict(
+                "refuted",
+                "target orbit meets the set: " + verdict.reason,
+                verdict.data,
+            )
     return Verdict(
         "refutation_not_found",
         f"source meets the set; {trials} target orbit samples all miss it",

@@ -64,6 +64,11 @@ supports (`pair_loop_change_basis`), are the references for those.
 The IW label's former reading through the conjugate partition
 (`partition_from_ranks` and `conjugate`, once `linalg`'s) is the
 reference for the block counts of `partition_from_rank_sequence`.
+sympy's null space of the incidence rows e_i + e_j - e_k, the weights
+themselves, is the reference for `algebra.weight_spaces`, and every order
+of the coordinates as a full flag, with the line family's conditions
+solved by sympy in P^1, the reference for the nested placements of
+`degeneration.torus_fixed_flag_search`.
 """
 
 import contextlib
@@ -1533,3 +1538,128 @@ def from_pairs_oracle(dim, pairs):
 def tensor_eq_oracle(a, b):
     """`==` as it read `products`: the same dimension and the same dict."""
     return a.dim == b.dim and a.products == b.products
+
+
+def weight_spaces_oracle(a):
+    """The blocks of coordinates on which every weight of a's diagonal
+    torus agrees, read off sympy's null space of the incidence rows
+    e_i + e_j - e_k (no row: every weight, so one coordinate a block)."""
+    import sympy
+
+    n, rows = a.dim, []
+    for i, j, entries in a.table:
+        for k, _ in entries:
+            row = [0] * n
+            row[i] += 1
+            row[j] += 1
+            row[k] -= 1
+            rows.append(row)
+    weights = (sympy.Matrix(rows).nullspace() if rows
+               else [sympy.eye(n)[:, c] for c in range(n)])
+    blocks = {}
+    for c in range(n):
+        blocks.setdefault(tuple(w[c] for w in weights), []).append(c)
+    return tuple(map(tuple, blocks.values()))
+
+
+def torus_fixed_flag_oracle(b, spec, cone=None):
+    """"meets", "misses" or "undecided" for the torus-fixed flags of b in
+    the set of the flag conditions `spec` (and `cone`, read on the table
+    of the basis), by brute force over every order of the coordinates as a
+    full flag, g_r = e_perm[r].  On a 2-dim weight space <e_a, e_c>, a < c,
+    a placed deeper than c stands for the line u = x e_a + y e_c and c for
+    the rest of the plane; the conditions on (x, y) are sympy polynomials, with a
+    common zero in P^1 iff they vanish at (1, 0) or their values at y = 1
+    have a gcd of positive degree.  A cone on a line family, a weight
+    space of dim >= 3 or two of dim 2 are "undecided"."""
+    import itertools
+    import sympy
+
+    from degenlab.algebra import change_basis
+
+    n = b.dim
+    blocks = [block for block in weight_spaces_oracle(b) if len(block) > 1]
+    if len(blocks) > 1 or blocks and len(blocks[0]) > 2:
+        return "undecided"
+    plane = blocks[0] if blocks else ()
+    x, y = sympy.symbols("x y")
+    prod = {}
+    for i, j, entries in b.table:
+        vec = [0] * n
+        for k, v in entries:
+            vec[k] = v
+        prod[(i, j)], prod[(j, i)] = vec, [-v for v in vec]
+    zero = [0] * n
+
+    def mul(s, t):  # s, t: a coordinate, or "u" for the line
+        if s == "u" and t == "u":
+            return zero
+        if s == "u":
+            return [-v for v in mul(t, s)]
+        if t == "u":
+            a, c = plane
+            return [x * p + y * q for p, q in zip(prod.get((s, a), zero),
+                                                  prod.get((s, c), zero))]
+        return prod.get((s, t), zero)
+
+    for perm in itertools.permutations(range(n)):
+        if plane and perm.index(plane[0]) < perm.index(plane[1]):
+            continue
+        conds = []
+        for i, j, k in spec:
+            def basis(level):
+                coords = perm[level - 1:]
+                if plane and plane[0] in coords and plane[1] not in coords:
+                    return ["u" if cc == plane[0] else cc for cc in coords]
+                return list(coords)
+
+            inside = set(perm[k - 1:])
+            for s in basis(i):
+                for t in basis(j):
+                    v = mul(s, t)
+                    conds += [v[r] for r in range(n) if r not in inside and r not in plane]
+                    if plane:
+                        a, c = plane
+                        if c in inside:
+                            pass
+                        elif a in inside:  # W_k meets the plane in the line
+                            conds.append(v[a] * y - v[c] * x)
+                        else:
+                            conds += [v[a], v[c]]
+        if any(isinstance(e, int) and e for e in conds):
+            continue
+        conds = [e for e in map(sympy.expand, conds) if e != 0]
+        if any(not e.free_symbols for e in conds):
+            continue
+        if conds and any(e.subs({x: 1, y: 0}) != 0 for e in conds):
+            common = conds[0].subs(y, 1)
+            for e in conds[1:]:
+                common = sympy.gcd(common, e.subs(y, 1))
+            if sympy.degree(common, x) < 1:
+                continue
+        if cone is None:
+            return "meets"
+        if plane:
+            return "undecided"
+        g = [[Fraction(int(perm[r] == col)) for col in range(n)] for r in range(n)]
+        if cone(change_basis(b, g).table):
+            return "meets"
+    return "misses"
+
+
+def catalog_labels(max_dim=12):
+    """{label: table} for every catalog name at every dim up to max_dim."""
+    from degenlab.catalog import _FAMILIES, CatalogName, instantiate
+
+    tables = {}
+    for spelling, fam in _FAMILIES.items():
+        m = fam.min_m
+        while fam.bound(m)[0] <= max_dim:
+            name = CatalogName(spelling, m)
+            lo, hi = fam.bound(m)
+            for n in range(lo, min(hi or max_dim, max_dim) + 1):
+                tables[f"{name.key}@{n}"] = instantiate(name, n)
+            if m is None:
+                break
+            m += 1
+    return tables

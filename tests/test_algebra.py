@@ -25,6 +25,7 @@ from degenlab.algebra import (
     left_mult_matrix,
     power_ideal,
     product,
+    weight_spaces,
 )
 from degenlab.catalog import MANIFEST_FAMILIES, instantiate
 from degenlab.catalog import tested_dims as catalog_tested_dims
@@ -43,6 +44,8 @@ from oracles import from_json_obj_oracle, from_pairs_oracle, tensor_eq_oracle
 from oracles import fraction_tensor, int_centralizer_conditions
 from oracles import dense_annihilator, dense_centralizer_dim, pair_loop_change_basis
 from oracles import direct_sum_trivial, random_anticommutative, random_lower_triangular
+from oracles import weight_spaces_oracle
+from oracles import catalog_labels
 from oracles import (
     Subspace,
     annihilator_oracle,
@@ -1273,3 +1276,29 @@ def test_integer_layer_matches_fraction_oracles_on_random_tables():
         seen.add(_assert_layer_matches_oracles(a, rng)[0])
     assert seen == {True, False}
 
+
+
+def test_weight_spaces_match_the_nullspace_oracle_on_every_catalog_label():
+    # coordinates share a weight space iff every weight of the diagonal
+    # torus (sympy's null space of the incidence rows) agrees on them
+    sizes = collections.Counter()
+    for label, a in catalog_labels(11).items():
+        blocks = weight_spaces(a)
+        assert blocks == weight_spaces_oracle(a), label
+        assert sorted(x for block in blocks for x in block) == list(range(a.dim))
+        sizes[max(map(len, blocks))] += 1
+    # T22_e34, T3_e34 and T222_e24 have one 2-dim weight space at each dim
+    assert sizes[2] == 18 and set(sizes) == {1, 2}, sizes
+
+
+@pytest.mark.parametrize("n, products, blocks", [
+    (4, {}, ((0,), (1,), (2,), (3,))),  # the zero table: every weight
+    (4, {(1, 2): (0, 0, 1, 1)}, ((0,), (1,), (2, 3))),
+    (5, {(1, 2): (0, 0, 1, 1, 1)}, ((0,), (1,), (2, 3, 4))),
+    (6, {(1, 2): (0, 0, 1, 1, 0, 0), (1, 3): (0, 0, 0, 0, 1, -2)},
+     ((0,), (1,), (2, 3), (4, 5))),
+    (4, {(1, 3): (0, 0, 0, 1), (2, 3): (0, 0, 0, 1)}, ((0, 1), (2,), (3,))),
+])
+def test_weight_spaces_of_small_tables(n, products, blocks):
+    a = fraction_tensor(n, products)
+    assert weight_spaces(a) == blocks == weight_spaces_oracle(a)

@@ -1490,3 +1490,18 @@ def test_check_passes_exactly_the_certificates_the_report_verifies(
         status, reason = statuses[cert["id"]]
         assert (code == 0) == (status == "VERIFIED"), cert["id"]
         assert human == (f"fail: {reason}\n" if code else "pass\n")
+
+
+def test_too_few_trials_is_refused_before_any_flag_search(tmp_path, capsys, monkeypatch):
+    from degenlab import degeneration
+
+    def refuse(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(degeneration, "torus_fixed_flag_search", refuse)
+    path = tmp_path / "claim.json"
+    path.write_text(json.dumps(witness_by_id("W.T22deg.a.6")), encoding="utf-8")
+    for argv in (["check", str(path)], ["verify-paper", "--out", str(tmp_path / "out")]):
+        assert main([*argv, "--trials", "0"]) == 1
+        assert capsys.readouterr() == ("", "error: trials must be >= 1, got 0\n")
+    assert not (tmp_path / "out").exists()

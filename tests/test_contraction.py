@@ -12,7 +12,7 @@ from degenlab.algebra import (
     change_basis,
     left_mult_matrix,
 )
-from degenlab.catalog import _FAMILIES, MANIFEST_FAMILIES, CatalogName, instantiate
+from degenlab.catalog import MANIFEST_FAMILIES, instantiate
 from degenlab.catalog import tested_dims as catalog_tested_dims
 from degenlab import contraction
 from degenlab.contraction import (
@@ -31,6 +31,7 @@ from degenlab.verification_db import load_ledger, shipped_ledger_path
 from oracles import (
     _candidate_pool_oracle,
     annihilator_oracle,
+    catalog_labels,
     fraction_tensor,
     generic_rank_sequence_oracle,
     int_power_rank_walk,
@@ -611,22 +612,6 @@ def test_tight_bound_dominates_the_generic_rank_sequence():
     assert (len(cases), met) == (58, 347)
 
 
-def _catalog_labels(max_dim=12):
-    """{label: table} for every catalog name at every dim up to max_dim."""
-    tables = {}
-    for spelling, fam in _FAMILIES.items():
-        m = fam.min_m
-        while fam.bound(m)[0] <= max_dim:
-            name = CatalogName(spelling, m)
-            lo, hi = fam.bound(m)
-            for n in range(lo, min(hi or max_dim, max_dim) + 1):
-                tables[f"{name.key}@{n}"] = instantiate(name, n)
-            if m is None:
-                break
-            m += 1
-    return tables
-
-
 def _inline_tables():
     """{label: table} for the inline tables of the shipped ledger."""
     ledger = load_ledger(shipped_ledger_path())
@@ -647,7 +632,7 @@ CLOSED_LABELS = (
 
 
 def _closed_tables():
-    tables = dict(_catalog_labels(), **_inline_tables())
+    tables = dict(catalog_labels(), **_inline_tables())
     return {label: tables[label] for label in CLOSED_LABELS}
 
 
@@ -688,7 +673,7 @@ def test_the_lowered_bound_misses_only_T32_chain_a(monkeypatch):
     # the scans that still read their whole pool: the only labels whose
     # sampled maximum, (3, 1), the lowered bound, (4, 2), does not certify
     inline = _inline_tables()
-    tables = dict(_catalog_labels(), **inline)
+    tables = dict(catalog_labels(), **inline)
     assert (len(tables), len(inline)) == (286, 36)
     calls = _counting_rank_sequences(monkeypatch)
     loose, whole_pool = {}, {}

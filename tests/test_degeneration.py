@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import pickle
@@ -10,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenlab.algebra import change_basis
+from degenlab.algebra import change_basis, weight_spaces
 from degenlab.catalog import instantiate
 from degenlab.algebra import _int_product, int_change_basis
 from degenlab.degeneration import (
     _R_FLAGS,
+    _R_QUADRATICS,
     _hit_pairs,
     _in_set,
     _orbit_meets,
@@ -33,6 +35,7 @@ from degenlab.degeneration import (
     packing_bits,
     randomized_orbit_refute,
     random_invertible,
+    torus_fixed_flag_search,
     verify_degeneration,
     verify_nondegeneration,
 )
@@ -51,6 +54,8 @@ from oracles import flag_change_meets, random_anticommutative, random_member
 from oracles import random_lower_triangular, sampled_lower_triangular_probe
 from oracles import bareiss_entries, zpoly_apply_parameterized_basis
 from oracles import closed_set_member, source_side_oracle
+from oracles import torus_fixed_flag_oracle
+from oracles import catalog_labels
 
 
 def test_parse_basis_row_shapes():
@@ -1336,3 +1341,337 @@ def test_the_source_side_is_tested_as_the_inverse_path_tests_it():
                 assert verdict == Verdict("refuted", want), case
             seen[want] = seen.get(want, 0) + 1
     assert seen[None] and len(seen) == 4, seen
+
+
+# --- the torus-fixed flag search ------------------------------------------
+
+
+def test_r_is_stable_under_the_lower_triangular_group():
+    # the torus-fixed flag search decides BespokeR targets only because R
+    # is closed and B-stable: its flags pass the exact probe; each of its 7
+    # quadratic relations is homogeneous for the diagonal torus; and under
+    # each of the 21 elementary flag-preserving changes e_a -> e_a + s e_b
+    # (b > a), every coefficient of s in every image relation lies in the
+    # span of the 7 relations on R's flag space, one rank test.  B is the
+    # torus times those changes, and a homogeneous quadratic in that span
+    # vanishes wherever the relations do.
+    from degenlab.linalg import int_echelon
+
+    n = 7
+    assert lower_triangular_invariance_probe(_R_FLAGS, n).ok
+    for relation in _R_QUADRATICS:
+        weights = set()
+        for m1, m2, _ in relation:
+            w = [0] * n
+            for i, j, k in (m1, m2):
+                w[i - 1] += 1
+                w[j - 1] += 1
+                w[k - 1] -= 1
+            weights.add(tuple(w))
+        assert len(weights) == 1, relation
+    # the flag space: a product e_p e_q (p < q, 0-based) of a listed pair
+    # lies in V_k, coordinates k - 1 onward
+    low = {(p, q): k - 1 for p, q, k in _hit_pairs(_R_FLAGS, n)}
+    free = [(p, q, r) for p in range(n) for q in range(p + 1, n)
+            for r in range(low.get((p, q), 0), n)]
+    assert len(free) == 15
+
+    def const(p, q, r):  # c_pq^r of a generic member, as a linear form
+        if p == q:
+            return {}
+        sign, (p, q) = (1, (p, q)) if p < q else (-1, (q, p))
+        return {(p, q, r): sign} if (p, q, r) in free else {}
+
+    def times(f, g):  # two linear forms -> a quadratic form
+        out = {}
+        for u, x in f.items():
+            for v, y in g.items():
+                key = tuple(sorted((u, v)))
+                out[key] = out.get(key, 0) + x * y
+        return out
+
+    def add(f, g, c=1):
+        out = dict(f)
+        for key, x in g.items():
+            out[key] = out.get(key, 0) + c * x
+        return {key: x for key, x in out.items() if x}
+
+    def image(rel, a, b):
+        """The coefficients of s in the relation rel, read in the basis
+        g_a = e_a + s e_b, g_r = e_r: [form of s^0, s^1, s^2, ...]."""
+        def moved(p, q, r):  # the constant C'_pq^r as [coefficient of s^d]
+            # g_p g_q = e_p e_q + s [p = a] e_b e_q + s [q = a] e_p e_b,
+            # and e_a = g_a - s g_b, so coordinate b of g loses s (coord a)
+            terms = [{}, {}, {}]
+            pairs = [((p, q), 0)]
+            pairs += [((b, q), 1)] if p == a else []
+            pairs += [((p, b), 1)] if q == a else []
+            for (u, v), d in pairs:
+                terms[d] = add(terms[d], const(u, v, r))
+                if r == b:
+                    terms[d + 1] = add(terms[d + 1], const(u, v, a), -1)
+            return terms
+
+        out = [{} for _ in range(5)]
+        for m1, m2, sign in rel:
+            f = moved(*(x - 1 for x in m1))
+            g = moved(*(x - 1 for x in m2))
+            for d1, x in enumerate(f):
+                for d2, y in enumerate(g):
+                    out[d1 + d2] = add(out[d1 + d2], times(x, y), sign)
+        return out
+
+    assert all((i - 1, j - 1, k - 1) in free for rel in _R_QUADRATICS
+               for m1, m2, _ in rel for i, j, k in (m1, m2))
+    relations = [image(rel, 0, 1)[0] for rel in _R_QUADRATICS]  # at s = 0
+    images = [form for a in range(n) for b in range(a + 1, n)
+              for rel in _R_QUADRATICS for form in image(rel, a, b) if form]
+    monomials = sorted({key for form in relations + images for key in form})
+    rows = [[form.get(key, 0) for key in monomials] for form in relations]
+    assert len(int_echelon(rows)) == 7
+    assert len(int_echelon(rows + [[form.get(key, 0) for key in monomials]
+                                   for form in images])) == 7
+    assert len(images) == 154
+
+
+def _closed_set_witnesses():
+    return [w for w in load_ledger(shipped_ledger_path()).witnesses
+            if w.kind in ("ClosedSet", "BespokeR")]
+
+
+def _set_of(w):
+    return (w.spec, None) if w.kind == "ClosedSet" else (_R_FLAGS, _r_quadratics_hold)
+
+
+def _meets_in_set(b, spec, cone, g):
+    return _in_set(b.table, b.dim, g, int_suffix_spans(g), _hit_pairs(spec, b.dim), cone)
+
+
+def test_the_search_decides_the_shipped_closed_set_targets():
+    # every source meets its set, by a basis that `_in_set` confirms; 12
+    # targets miss theirs, and W.ex222.b.7's target needs the cone on a
+    # line family, so its draws stay
+    answers = {}
+    for w in _closed_set_witnesses():
+        spec, cone = _set_of(w)
+        src, tgt = w.source.resolve(), w.target.resolve()
+        answer, g = torus_fixed_flag_search(src, spec, cone)
+        assert answer == "meets" and _meets_in_set(src, spec, cone, g), w.witness_id
+        answers[w.witness_id] = torus_fixed_flag_search(tgt, spec, cone)
+    assert answers == dict.fromkeys(answers, ("misses", None)) | {
+        "W.ex222.b.7": ("undecided", None)}
+    assert len(answers) == 13
+
+
+def test_the_search_matches_the_brute_force_oracle():
+    # every catalog label at dims <= 6 with the shipped sets of its dim and
+    # random B-stable ones, and R at dim 7, against every coordinate order
+    # with the line family solved by sympy; each "meets" basis is a member
+    specs = {}
+    for w in _closed_set_witnesses():
+        specs.setdefault(w.source.dim, set()).add(_set_of(w))
+    rng, seen = random.Random(5200), collections.Counter()
+    cases = []
+    for label, b in catalog_labels(6).items():
+        for spec, cone in specs.get(b.dim, ()):
+            cases.append((label, b, spec, cone))
+        if max(map(len, weight_spaces(b))) == 2 or rng.random() < 0.2:
+            for _ in range(3):
+                spec = _random_spec(b.dim, rng)
+                if lower_triangular_invariance_probe(spec, b.dim).ok:
+                    cases.append((label, b, spec, None))
+    for key in ("T22_e45", "T222_e7special", "T222_e24", "T22_e24", "T3_e45"):
+        cases.append((f"{key}@7", instantiate(key, 7), _R_FLAGS, _r_quadratics_hold))
+    for label, b, spec, cone in cases:
+        answer, g = torus_fixed_flag_search(b, spec, cone)
+        assert answer == torus_fixed_flag_oracle(b, spec, cone), (label, spec)
+        if g is not None:
+            assert _meets_in_set(b, spec, cone, g), (label, spec)
+        seen[answer, max(map(len, weight_spaces(b)))] += 1
+    assert set(seen) == {("meets", 1), ("misses", 1), ("meets", 2),
+                         ("misses", 2), ("undecided", 2)}, seen
+
+
+def test_the_search_matches_the_oracle_on_random_graded_tables():
+    # tables graded by weights in Z^2 with two coordinates of one weight,
+    # so that products reach the plane and its line family carries linear
+    # and quadratic forms, rational and irrational; sets with k >= i, j
+    rng, seen = random.Random(5202), collections.Counter()
+    while sum(seen.values()) < 100:
+        n = rng.randint(3, 5)
+        w = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n)]
+        a, c = rng.sample(range(n), 2)
+        w[c] = w[a]
+        table = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                s = (w[i][0] + w[j][0], w[i][1] + w[j][1])
+                vec = tuple(rng.choice([1, -1, 2, -2, 3]) if w[k] == s and rng.random() < 0.8
+                            else 0 for k in range(n))
+                if any(vec):
+                    table[(i + 1, j + 1)] = vec
+        b = fraction_tensor(n, table)
+        if sorted(map(len, weight_spaces(b)))[-2:] != [1, 2]:
+            continue
+        spec = tuple((i, j, rng.randint(max(i, j), n + 1)) for i, j in
+                     [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(1, 4))])
+        answer, g = torus_fixed_flag_search(b, spec)
+        assert answer == torus_fixed_flag_oracle(b, spec), (table, spec)
+        if g is not None:
+            assert _meets_in_set(b, spec, None, g), (table, spec)
+        seen[answer, g is None] += 1
+    assert seen[("meets", False)] and seen[("misses", True)], seen
+
+
+@pytest.mark.parametrize("name, n, answer", [("zero", 3, "meets"), ("n3", 3, "misses")])
+def test_a_triple_that_names_no_level_is_tested_before_any_placement(name, n, answer):
+    # A(V, V) = 0 names only V and 0: no level is placed
+    assert torus_fixed_flag_search(instantiate(name, n), ((1, 1, n + 1),))[0] == answer
+
+
+@pytest.mark.parametrize("wid, dropped", [
+    ("W.T3lev.e.6", [(1, 3, 6), (3, 3, 7)]),
+    ("W.T3lev.k.7", [(1, 1, 6), (1, 3, 7), (2, 6, 8)]),
+    ("W.T4lev.a.5", [(1, 4, 5), (2, 4, 6), (2, 3, 5)]),
+])
+def test_the_targets_meet_their_sets_with_a_triple_dropped(wid, dropped):
+    # the controls of the exact closed-set tier: each of these triples is
+    # needed for the target to miss its set
+    w = next(w for w in _closed_set_witnesses() if w.witness_id == wid)
+    tgt = w.target.resolve()
+    for triple in dropped:
+        spec = tuple(t for t in w.spec if t != triple)
+        answer, g = torus_fixed_flag_search(tgt, spec)
+        assert answer == "meets" and _meets_in_set(tgt, spec, None, g), triple
+        assert torus_fixed_flag_oracle(tgt, spec) == "meets"
+
+
+def test_the_search_meets_a_set_through_a_line_off_the_coordinates():
+    # e1 e2 = e3 + e4 has the weight space <e3, e4>, and A(V, V) lies in the
+    # last line W_4 only for W_4 = <e3 + e4>: no coordinate flag is a
+    # member, so a search of coordinate flags alone would answer "misses"
+    b = fraction_tensor(4, {(1, 2): (0, 0, 1, 1)})
+    spec = ((1, 1, 4),)
+    answer, g = torus_fixed_flag_search(b, spec)
+    assert answer == "meets" and g[3] == [0, 0, 1, 1]
+    assert _meets_in_set(b, spec, None, g)
+    assert not any(
+        _meets_in_set(b, spec, None, [[int(x == p) for x in range(4)] for p in perm])
+        for perm in itertools.permutations(range(4)))
+    # a quadratic with rational zeros: (2 e3 + e4) and (e3 + e4) are the
+    # lines whose products with e1 and e2 stay in them
+    b = fraction_tensor(4, {(1, 2): (0, 0, 2, 1)})
+    assert torus_fixed_flag_search(b, spec)[1][3] == [0, 0, 2, 1]
+
+
+@pytest.mark.parametrize("n, products, spec, cone", [
+    # a 3-dim weight space <e3, e4, e5>
+    (5, {(1, 2): (0, 0, 1, 1, 1)}, ((1, 1, 5),), None),
+    # two 2-dim weight spaces
+    (6, {(1, 2): (0, 0, 1, 1, 0, 0), (1, 3): (0, 0, 0, 0, 1, -2)}, ((1, 1, 6),), None),
+    # a cone on the line family of <e3, e4>: the flags alone are met
+    (4, {(1, 2): (0, 0, 1, 1)}, ((1, 1, 4),), lambda rows: True),
+])
+def test_the_search_leaves_what_it_cannot_decide_undecided(n, products, spec, cone):
+    b = fraction_tensor(n, products)
+    assert torus_fixed_flag_search(b, spec, cone) == ("undecided", None)
+
+
+def test_the_zero_table_meets_every_set_on_its_coordinate_flags():
+    # the zero table's weight spaces are its coordinates, and it lies in
+    # every flag-condition set and in R
+    for n, spec, cone in [(4, ((1, 1, 5),), None), (7, _R_FLAGS, _r_quadratics_hold)]:
+        b = instantiate("zero", n)
+        assert weight_spaces(b) == tuple((x,) for x in range(n))
+        answer, g = torus_fixed_flag_search(b, spec, cone)
+        assert answer == "meets" and _meets_in_set(b, spec, cone, g)
+
+
+def _sampled_verdict(w, seed, trials):
+    """The target side as the draws decide it, `randomized_orbit_refute`
+    called directly, for a witness whose source side lands in its set."""
+    spec, cone = _set_of(w)
+    verdict = randomized_orbit_refute(w.target.resolve(), spec, trials, seed, cone)
+    if verdict.status == "refuted":
+        return Verdict("refuted", "target orbit meets the set: " + verdict.reason,
+                       verdict.data)
+    return Verdict("refutation_not_found",
+                   f"source meets the set; {trials} target orbit samples all miss it")
+
+
+def test_skipping_the_decided_draws_keeps_every_verdict(monkeypatch):
+    # every shipped witness, at the recorded seeds and at 1, 20 and 200
+    # trials: the verdict with the skip is the verdict of the draws, which
+    # for a closed-set witness is randomized_orbit_refute's called directly
+    from degenlab import degeneration
+
+    witnesses = load_ledger(shipped_ledger_path()).witnesses
+    drawn = []
+    draws = degeneration.randomized_orbit_refute
+
+    def counted(b, spec, trials, seed, cone=None):
+        drawn.append(b)
+        return draws(b, spec, trials, seed, cone)
+
+    monkeypatch.setattr(degeneration, "randomized_orbit_refute", counted)
+    for seed in (20240917, 1, 2, 99):
+        records = Records(seed)
+        for trials in (1, 20, 200):
+            drawn.clear()
+            for w in witnesses:
+                verdict = verify_nondegeneration(w, records, trials=trials)
+                if w.kind in ("ClosedSet", "BespokeR"):
+                    assert verdict == _sampled_verdict(w, seed, trials), w.witness_id
+            assert len(drawn) == 1  # W.ex222.b.7's target, undecided
+
+
+def test_the_skipped_witnesses_are_the_decided_targets(monkeypatch):
+    from degenlab import degeneration
+
+    drawn = []
+    monkeypatch.setattr(degeneration, "randomized_orbit_refute",
+                        lambda *args: drawn.append(current) or randomized_orbit_refute(*args))
+    records, skipped = Records(20240917), []
+    for w in _closed_set_witnesses():
+        current = w.witness_id
+        verify_nondegeneration(w, records, trials=20)
+        if current not in drawn:
+            skipped.append(current)
+    assert drawn == ["W.ex222.b.7"]
+    assert skipped == [
+        "W.T22deg.a.6", "W.T22deg.a.7", "W.T222lev.b.7", "W.T222lev.b.8",
+        "W.ex222.a.7", "W.T3lev.e.6", "W.T3lev.e.7", "W.T3lev.k.6",
+        "W.T3lev.k.7", "W.T32lev.f.7", "W.T32lev.f.8", "W.T4lev.a.5"]
+
+
+def test_a_target_that_meets_its_set_is_still_sampled(monkeypatch):
+    # T22_e24@6 lies in the set of W.T22deg.a.6's triples, so a witness
+    # from it to itself is searched "meets" and drawn as before
+    from degenlab import degeneration
+
+    calls = []
+    monkeypatch.setattr(degeneration, "randomized_orbit_refute",
+                        lambda *args: calls.append(args) or randomized_orbit_refute(*args))
+    ref = AlgebraRef("T22_e24", 6)
+    w = NonDegenerationWitness("ClosedSet", ref, ref,
+                               {"triples": [[1, 3, 6], [3, 3, 7]]})
+    records = Records(20240917)
+    assert records.flag_search(ref, w.spec)[0] == "meets"
+    verdict = verify_nondegeneration(w, records, trials=20)
+    assert len(calls) == 1
+    assert verdict == _sampled_verdict(w, 20240917, 20)
+
+
+def test_a_run_searches_each_label_and_set_once(monkeypatch):
+    from degenlab import degeneration
+    from degenlab.verification_db import run_ledger
+
+    searched = []
+    search = degeneration.torus_fixed_flag_search
+    monkeypatch.setattr(degeneration, "torus_fixed_flag_search",
+                        lambda b, spec, cone=None: searched.append((b, spec, cone))
+                        or search(b, spec, cone))
+    ledger = load_ledger(shipped_ledger_path())
+    run_ledger(ledger._replace(certificates=[], chains=[]), seed=1, trials=1)
+    keys = {(w.target.label, *_set_of(w)) for w in _closed_set_witnesses()}
+    assert len(searched) == len(keys) == 11

@@ -581,16 +581,18 @@ def test_the_output_digest_of_the_sources_is_pinned():
     # tools/outputs.py hashes every verify-paper report and .dot (four
     # seeds, with and without --ledger, and two --dims selections), both
     # checks of each of the 189 shipped claims and of 8 failing n3@3
-    # certificates, monomial and packed, both forms of each desk
-    # query at every tested dimension of the manifest families and the
-    # --trials 0 refusals of verify-paper, check and iwmax: a refactor
-    # keeps this line, and an intended output change updates it
+    # certificates, monomial and packed, checks at 1 and 200 trials of
+    # the 13 sampled witnesses and of one whose target is its source, both
+    # forms of each desk query at every tested dimension of the manifest
+    # families and the --trials 0 refusals of verify-paper, check and
+    # iwmax: a refactor keeps this line, and an intended output change
+    # updates it
     import outputs
 
     src = Path(__file__).resolve().parents[1] / "src"
     here = os.getcwd()
     assert outputs.digest(src) == (
-        978, "b32ede38583b808e7975d216c37060929de339c021f8226487ddea1af06bd06c")
+        1006, "4012e58ba19f082decd142d782aafdfd3c8f0e77731b91ccfe6a0b96f8689179")
     assert os.getcwd() == here
 
 

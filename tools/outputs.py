@@ -19,6 +19,10 @@ lines.  The runs, each one `degenlab` command:
     failing n3@3 certificates of `FAILING_BASES`, which no shipped claim
     reaches: a pole, a wrong limit, a singular basis and an unparsable
     row, each with one term per row and with a row of two terms;
+  - `check` at `--trials 1` and `--trials 200` on every ClosedSet and
+    BespokeR witness, the ones whose target side draws orbit samples, and
+    on `SELF_WITNESS`, a ClosedSet witness from T22_e24@6 to itself,
+    whose target meets the set;
   - `info`, `iwmax`, `classify` and `catalog table`, human and `--json`,
     at every tested dimension of each manifest family, and `catalog list`.
 
@@ -48,6 +52,13 @@ FAILING_BASES = (
     ("e1", "t*e1", "e3"), ("e1+e2", "e1+e2", "e3"),  # singular
     ("e1", "(1/0)*e2", "e3"), ("e1+e2", "e2", "e9"),  # does not parse
 )
+
+
+# W.T22deg.a.6's triples, with the source as the target too
+SELF_WITNESS = {"kind": "ClosedSet", "id": "W.self.6",
+                "source": {"name": "T22_e24", "dim": 6},
+                "target": {"name": "T22_e24", "dim": 6},
+                "payload": {"triples": [[1, 3, 6], [3, 3, 7]]}}
 
 
 def _load(src: Path):
@@ -84,6 +95,11 @@ def _runs(catalog, ledger: dict):
     for claim in ledger["certificates"] + ledger["witnesses"] + failing:
         for fmt in ([], ["--json"]):
             yield fmt + ["check", "claim.json"], {"claim.json": json.dumps(claim)}
+    sampled = [w for w in ledger["witnesses"] if w["kind"] in ("ClosedSet", "BespokeR")]
+    for claim in sampled + [SELF_WITNESS]:
+        for trials in ("1", "200"):
+            yield (["check", "claim.json", "--trials", trials],
+                   {"claim.json": json.dumps(claim)})
     for name in catalog.MANIFEST_FAMILIES:
         for dim in catalog.tested_dims(name):
             for command in (["info"], ["iwmax"], ["classify"], ["catalog", "table"]):
