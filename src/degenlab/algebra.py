@@ -121,8 +121,7 @@ class StructureTensor:
     cached invariant stays true.  `__eq__` and `__hash__` read only `dim`,
     `mult` and the table in key order, the one integer form of a rational
     table (the pairs are reduced, so the lcm of the denominators is the
-    same for equal tables).  A copy or a pickle is rebuilt from that form
-    by the constructor, with its caches empty (`__reduce__`).
+    same for equal tables).
     """
 
     # powers: the integer echelon rows of A^1, A^2, ...: the identity, then
@@ -163,10 +162,6 @@ class StructureTensor:
         return StructureTensor(dim, *_scaled_table({
             key: [(x.numerator, x.denominator) for x in vec]
             for key, vec in rows.items()}))
-
-    def __reduce__(self):
-        # the integer form alone: a copy starts with empty caches
-        return StructureTensor, (self.dim, self.mult, self.table)
 
     def __getattr__(self, name):
         # reached when normal lookup fails: fill the empty `powers` slot

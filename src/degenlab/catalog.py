@@ -20,23 +20,27 @@ loader, which so give one reason for a dimension out of range.
 classification of algebras whose dominant one-dimensional contraction has
 two Jordan blocks of size two: it rebuilds the algebra as a skew pair on
 the quotient modulo the square, and reads the canonical name off the pair
-pencil (generic rank plus the divisor of rank-two members).  When the
-decisive quadratic has no rational root the classifier reports that a
-field extension would be needed instead of guessing.  The pencil is the
-s = 2 case of the net of skew forms on A / A^2 (`_skew_net`), read off the
-tensor's integer table, which is scaled by the lcm L of its denominators:
-that scales the net by L and every Pfaffian quadric by L^2, so no rank
-and no span moves, and the classifier reads no Fraction.  The integer
-echelon rows spanning its 4 x 4 Pfaffian quadrics (`_pfaffian_span`, a
-sum over pairs of disjoint nonzero net entries) give both the pencil's
-divisor and the `pfaffian_conic` separator.
+pencil: its generic rank, then its rank-two members, the common zeros on
+P^1 of its Pfaffian forms.  When the decisive quadratic has no rational
+root the classifier reports that a field extension would be needed
+instead of guessing.  The pencil is the s = 2 case of the net of skew
+forms on A / A^2 (`_skew_net`), read off the tensor's integer table,
+which is scaled by the lcm L of its denominators: that scales the net by
+L and every Pfaffian quadric by L^2, so no rank and no span moves, and
+the classifier reads no Fraction.  The integer echelon rows spanning its
+4 x 4 Pfaffian quadrics (`_pfaffian_span`, a sum over pairs of disjoint
+nonzero net entries) give both the pencil's rank-two members and the
+`pfaffian_conic` separator.  For a pencil they are binary forms, whose
+common zeros `_meet` and `_form_roots` read: the package's one reading of
+integer binary forms of degree <= 2, which the torus-fixed flag search
+of `degeneration` reads too.
 """
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from math import isqrt
 from typing import Callable, NamedTuple
 
 from .algebra import MAX_DIM, StructureTensor, engel_degree
@@ -455,6 +459,43 @@ def _pfaffian_span(net):
     return monomials, int_echelon([rows[quad] for quad in sorted(rows)])
 
 
+def _form_roots(form):
+    """The zeros in P^1 of a nonzero binary form, its coefficients of
+    x^d, x^(d-1) y, ..., y^d (d = 1, 2), as integer points (x, y); None for
+    a quadratic with no rational zero (irreducible over Q).  A double zero
+    is listed twice, as two multiples of one point."""
+    if len(form) == 2:
+        return [(form[1], -form[0])]
+    r, s, t = form
+    if not r:  # y (s x + t y)
+        return [(1, 0), (t, -s)]
+    disc = s * s - 4 * r * t
+    root = isqrt(max(disc, 0))
+    return [(root - s, 2 * r), (-root - s, 2 * r)] if root * root == disc else None
+
+
+def _meet(line, form):
+    """The points of the line set `line` at which the binary form `form`
+    (a tuple or a list, such as an `int_echelon` row) vanishes, the one
+    reading of integer binary forms of degree <= 2.  A line set is None
+    (all of P^1), a list of integer points, or an irreducible quadratic
+    kept as its form, always a tuple: it shares no zero with a form that
+    has rational zeros, and both zeros with a multiple of it."""
+    if not any(form):
+        return line
+    if isinstance(line, list):
+        d = len(form) - 1
+        return [(x, y) for x, y in line
+                if not sum(f * x ** (d - i) * y ** i for i, f in enumerate(form))]
+    roots = _form_roots(form)
+    if line is None:
+        return tuple(form) if roots is None else roots
+    if roots is None and not any(p * s - q * r for (p, q), (r, s)
+                                 in combinations(zip(line, form), 2)):
+        return line
+    return []
+
+
 def pfaffian_conic_profile(a: StructureTensor):
     """(span dim, quadric rank) of the degree-2 Pfaffian ideal piece.
 
@@ -478,24 +519,6 @@ def pfaffian_conic_profile(a: StructureTensor):
     for (r, q), c in zip(monomials, span[0]):
         sym[r][q] = sym[q][r] = 2 * c if r == q else c
     return (1, _int_rank(sym))
-
-
-def _pencil_divisor(span):
-    """(degree, root kind) of the gcd of a pencil's Pfaffian forms, off the
-    rows of their span: three share no factor, two share one iff their
-    resultant is 0, and one is its own gcd, "double", "split" or
-    "irrational" as its discriminant is 0, a nonzero square or neither."""
-    if len(span) == 2:
-        (a, b, c), (p, q, r) = span
-        resultant = (a * r - p * c) ** 2 - (a * q - p * b) * (b * r - q * c)
-        return (0 if resultant else 1), None
-    if len(span) != 1:
-        return 0, None
-    a, b, c = span[0]
-    disc = b * b - 4 * a * c
-    if disc == 0:
-        return 2, "double"
-    return 2, "split" if disc > 0 and math.isqrt(disc) ** 2 == disc else "irrational"
 
 
 def classify_T22(a: StructureTensor):
@@ -531,13 +554,13 @@ def classify_T22(a: StructureTensor):
         return CatalogName("T22")
     if r_gen >= 6:
         return LevelAtLeast6
-    degree, kind = _pencil_divisor(_pfaffian_span(net)[1])
-    if degree == 0:
-        return LevelAtLeast6
-    if degree == 1:
-        return CatalogName("T22_e45")
-    if kind == "double":
-        return CatalogName("T22_e24")
-    if kind == "split":
-        return CatalogName("T22_e34")
-    return NeedsExtension
+    # the rank-two members are the common zeros of the Pfaffian forms: two
+    # independent forms share at most one, a lone form has its own two
+    span = _pfaffian_span(net)[1]
+    if len(span) != 1:
+        return CatalogName("T22_e45") if span and reduce(_meet, span, None) else LevelAtLeast6
+    roots = _form_roots(span[0])
+    if roots is None:
+        return NeedsExtension
+    (x, y), (u, v) = roots
+    return CatalogName("T22_e24" if x * v == y * u else "T22_e34")

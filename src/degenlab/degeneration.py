@@ -89,8 +89,11 @@ and is connected and solvable, so by Borel's fixed-point theorem
 holds a flag the torus fixes: O(b) meets S iff a torus-fixed flag does.
 With 1-dim weight spaces and at most one of dim 2, those flags are the
 coordinate flags and, on the plane, one P^1 of lines, and the search
-decides them exactly.  It answers "undecided" for a weight space of
-dim >= 3, two of dim 2, or a cone on a line family.  When it answers
+decides them exactly.  The lines left are the common zeros of integer
+binary forms in their coordinates, read by `catalog._meet`, the reading
+the T22 classifier gives its pencil's Pfaffian forms.  It answers
+"undecided" for a weight space of dim >= 3, two of dim 2, or a cone on a
+line family.  When it answers
 "misses", every draw would miss, so none is drawn: the verdict and reason
 are the sampled ones, byte for byte, and "N target orbit samples all
 miss it" stays true of the N draws the search proves would miss.  Every
@@ -104,7 +107,9 @@ rationals read with the payload; the `iw_max` witness is an int tuple.
 Stability of a flag-condition set under the lower-triangular group B is
 decided exactly, on its hit pairs alone
 (`lower_triangular_invariance_probe`), with no arithmetic and no random
-numbers, so a probe's pass is a proof.
+numbers, so a probe's pass is a proof.  A set of triples cannot fail it:
+a triple hits every pair at or above its own, so a pair's strictest k
+never falls going up, which is the probe's condition.
 
 Basis rows are text, read by `exactnum.parse_basis_row`: a certificate's
 when it is verified, through the run's store, which parses each distinct
@@ -117,12 +122,11 @@ denominator (`_cleared_terms`), bound the packing and are packed.
 
 from __future__ import annotations
 
-import copyreg
 import random
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import isqrt, lcm, prod
+from math import lcm, prod
 from operator import ge, le
 from types import MappingProxyType
 from typing import Callable, NamedTuple
@@ -258,12 +262,6 @@ class Verdict(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.status in ("pass", "proved")
-
-    def __reduce__(self):
-        # copy and every pickle protocol rebuild through the class, an
-        # omitted data with the shared default (protocols 0 and 1 would
-        # otherwise pickle the mappingproxy, which they cannot)
-        return type(self), (tuple(self[:2]) if self.data is _EMPTY else tuple(self))
 
 
 class AlgebraRef(NamedTuple):
@@ -532,7 +530,10 @@ def lower_triangular_invariance_probe(spec, dim: int) -> Verdict:
     """pass iff the flag-condition set `spec` is stable under the
     lower-triangular group B in dimension `dim`, decided exactly on its
     `_hit_pairs` ((p, q, k), p < q, 0-based); a fail names both pairs.
-    Raises ValueError when a triple lies outside dimension `dim`.
+    Raises ValueError when a triple lies outside dimension `dim`.  A set
+    of triples always passes: a triple hits every pair at or above its
+    own, so the strictest k never falls going up (`_hit_pairs`), and only
+    a pair map that no set of triples gives reaches the fail.
 
     Let k(p, q) be the listed k of a pair, 1 for an unlisted one.  The set
     is B-stable iff k({a, b}) >= k(p, q) for every listed (p, q), a >= p,
@@ -642,40 +643,6 @@ def randomized_orbit_refute(
 # --- torus-fixed flags ----------------------------------------------------
 
 
-def _form_roots(form):
-    """The zeros in P^1 of a nonzero binary form, its coefficients of
-    x^d, x^(d-1) y, ..., y^d (d = 1, 2), as integer points (x, y); None for
-    a quadratic with no rational zero (irreducible over Q)."""
-    if len(form) == 2:
-        return [(form[1], -form[0])]
-    r, s, t = form
-    if not r:  # y (s x + t y)
-        return [(1, 0), (t, -s)]
-    disc = s * s - 4 * r * t
-    root = isqrt(max(disc, 0))
-    return [(root - s, 2 * r), (-root - s, 2 * r)] if root * root == disc else None
-
-
-def _meet(line, form):
-    """The points of the line set `line` at which the binary form `form`
-    vanishes.  A line set is None (all of P^1), a list of integer points,
-    or an irreducible quadratic kept as its form: it shares no zero with a
-    form that has rational zeros, and both zeros with a multiple of it."""
-    if not any(form):
-        return line
-    if isinstance(line, list):
-        d = len(form) - 1
-        return [(x, y) for x, y in line
-                if not sum(f * x ** (d - i) * y ** i for i, f in enumerate(form))]
-    roots = _form_roots(form)
-    if line is None:
-        return form if roots is None else roots
-    if roots is None and not any(p * s - q * r for (p, q), (r, s)
-                                 in combinations(zip(line, form), 2)):
-        return line
-    return []
-
-
 def torus_fixed_flag_search(b: StructureTensor, spec, cone=None):
     """(answer, basis): whether b's orbit meets the closed set of the flag
     conditions `spec` (and `cone`, as in `_in_set`), decided on the flags
@@ -697,7 +664,7 @@ def torus_fixed_flag_search(b: StructureTensor, spec, cone=None):
     triples that put it in W_i.  On a 2-dim weight space <e_a, e_c>, bit a
     stands for the line u = x e_a + y e_c and bit c, never set without a,
     for the rest of the plane; a W that holds only the line adds binary
-    forms in (x, y), whose common zeros are the lines left (`_meet`).
+    forms in (x, y), whose common zeros are the lines left (`catalog._meet`).
     """
     n, table = b.dim, b.table
     _hit_pairs(spec, n)  # refuses a triple outside dimension n
@@ -755,7 +722,7 @@ def torus_fixed_flag_search(b: StructureTensor, spec, cone=None):
         holds, [] for none."""
         i, j, k = triple
         found = forms(w[i], w[j], w[k])
-        return [] if found is None else reduce(_meet, found, state) if found else state
+        return [] if found is None else reduce(catalog._meet, found, state) if found else state
 
     @lru_cache(maxsize=None)
     def fits(mj, mk):
@@ -949,14 +916,6 @@ class NonDegenerationWitness(_WitnessFields):
                     f"payload.element must be a list of {n} rationals") from None
         return super().__new__(cls, kind, source, target, payload, provenance,
                                witness_id, spec, source_rows, element)
-
-    def __reduce__(self):
-        # copy and every pickle protocol rebuild through __new__, an
-        # omitted payload with the shared default, as Verdict does
-        kind, source, target, payload, provenance, witness_id = self[:6]
-        given = {} if payload is _EMPTY else {"payload": payload}
-        return copyreg.__newobj_ex__, (type(self), (kind, source, target), dict(
-            given, provenance=provenance, witness_id=witness_id))
 
 
 def verify_nondegeneration(

@@ -457,8 +457,8 @@ def binary_form_gcd(forms):
 
     The former body of the T22 classifier's divisor, by polynomial gcds:
     each form is f = y^dinf g(x) with g = f(x, 1), so the gcd is y to the
-    least dinf times the gcd of the g.  The reference for
-    `catalog._pencil_divisor`, which reads the same answer off the span.
+    least dinf times the gcd of the g.  The reference for the classifier's
+    reading of the span, the common zeros on P^1 of `catalog._meet`.
     """
     from math import isqrt, lcm
 
@@ -555,8 +555,7 @@ def classify_T22_oracle(a):
     """The classifier's label on the Fraction net, or the PreconditionViolated
     message as a string, with the Engel test first."""
     from degenlab.algebra import engel_degree
-    from degenlab.catalog import (CatalogName, LevelAtLeast6, NeedsExtension,
-                                  _pencil_divisor)
+    from degenlab.catalog import CatalogName, LevelAtLeast6, NeedsExtension
 
     if engel_degree(a, 2) is None:
         return "not 2-Engel, so IW-max is not (2,2)"
@@ -576,7 +575,8 @@ def classify_T22_oracle(a):
         return CatalogName("T22")
     if r_gen >= 6:
         return LevelAtLeast6
-    degree, kind = _pencil_divisor(pfaffian_span_oracle(net)[1])
+    span = pfaffian_span_oracle(net)[1]
+    degree, kind = binary_form_gcd(span) if span else (0, None)
     if degree != 2:
         return (LevelAtLeast6, CatalogName("T22_e45"))[degree]
     return {"double": CatalogName("T22_e24"), "split": CatalogName("T22_e34"),

@@ -1,6 +1,4 @@
 import collections
-import copy
-import pickle
 import random
 from fractions import Fraction
 
@@ -1144,42 +1142,6 @@ def test_the_removed_constructor_forms_raise_type_error(args):
     # a wrong tensor
     with pytest.raises(TypeError):
         StructureTensor(*args)
-
-
-def _copies(a):
-    """copy, deepcopy and a pickle round trip at every protocol."""
-    return [copy.copy(a), copy.deepcopy(a)] + [
-        pickle.loads(pickle.dumps(a, protocol))
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-
-
-def test_a_tensor_copies_and_pickles_as_its_integer_table():
-    # a copy is rebuilt from (dim, mult, table) with its caches empty, so
-    # a filled cache is neither pickled nor shared; equality, hash and the
-    # invariants are the original's
-    fresh = [instantiate("T22", 5), instantiate("T4", 5),
-             fraction_tensor(3, {(1, 2): (0, 0, Fraction(1, 2))}),
-             fraction_tensor(3, {(1, 2): (0, 1, 0)}), fraction_tensor(2)]
-    for key, n in (("T22", 5), ("T4", 5), ("eta2", 5)):
-        a = instantiate(key, n)
-        a.power(2)  # fills the whole power chain
-        a.centralizer_dim(1)
-        fresh.append(a)
-    for a in fresh:
-        want = (a.dim, a.mult, a.table, hash(a))
-        with products_reads() as reads:
-            copies = _copies(a)
-        assert reads == []
-        for b in copies:
-            assert type(b) is StructureTensor and _int_form(b)
-            assert (b.dim, b.mult, b.table, hash(b)) == want
-            assert b == a and a == b and b.products == a.products
-            assert not _holds(b, "powers") and b._centralizers == {}
-            assert b.nilindex == is_nilpotent_oracle(a)[1]
-            assert b.ann_dim == ann_dim_oracle(a)
-            assert b.powers == a.powers and b.powers is not a.powers
-            assert b._centralizers is not a._centralizers
-        assert a.nilindex == is_nilpotent_oracle(a)[1]
 
 
 def test_is_nilpotent_detects_stabilization():

@@ -2,6 +2,7 @@ import collections
 import json
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -23,7 +24,8 @@ from degenlab.catalog import (
     MANIFEST_FAMILIES,
     PreconditionViolated,
     UnknownFamily,
-    _pencil_divisor,
+    _form_roots,
+    _meet,
     _pencil_generic_rank,
     _pfaffian_span,
     _skew_net,
@@ -139,17 +141,54 @@ def test_classify_needs_extension_for_irrational_eigenvalue():
     ([(1, 0, -1), (1, 0, 1)], (0, None)),
     ([(2, -6, 4), (Fraction(1, 3), -1, Fraction(2, 3))], (2, "split")),
     ([(3, 0, 3), (Fraction(-1, 2), 0, Fraction(-1, 2))], (2, "irrational")),
+    # forms given as lists, as `int_echelon` rows are
+    ([[1, 1, 2]], (2, "irrational")),
+    ([[1, 1, 2], [2, 2, 4]], (2, "irrational")),
+    ([[1, 1, 2], [1, 0, -1]], (0, None)),
+    ([[0, 1, 0], [0, 0, 1]], (1, None)),  # gcd y
+    ([[1, -2, 1]], (2, "double")),
 ])
 def test_binary_form_gcd_degree_and_root_kind(forms, want):
-    # the polynomial gcd of the forms and the divisor read off their span
+    # the polynomial gcd of the forms and the common zeros of their span
     assert binary_form_gcd(forms) == want
-    assert _pencil_divisor(_span(forms)) == want
+    assert _divisor(_span(forms)) == want
 
 
 def _span(forms):
     """The integer echelon rows spanning binary forms, as `_pfaffian_span`
-    returns them."""
+    returns them: lists."""
     return int_echelon(int_scaled(forms)[1])
+
+
+def _divisor(span):
+    """(degree, root kind) of the gcd of the forms that the echelon rows
+    `span` span, read off their common zeros on P^1 as `classify_T22`
+    reads them (`_meet`, `_form_roots`): independent forms share at most
+    one zero, and a lone form has its own two, or no rational one, when
+    the line set keeps it as its form, a tuple."""
+    zeros = reduce(_meet, span, None)
+    if len(span) != 1:
+        assert type(zeros) is list
+        return (1 if zeros else 0), None
+    roots = _form_roots(span[0])
+    if roots is None:
+        assert zeros == tuple(span[0]) and type(zeros) is tuple
+        return 2, "irrational"
+    assert zeros == roots
+    (x, y), (u, v) = roots
+    return 2, "double" if x * v == y * u else "split"
+
+
+def test_the_line_set_keeps_an_irreducible_form_as_a_tuple():
+    # an `int_echelon` row is a list; the line set keeps an irreducible
+    # quadratic as a tuple, so it is never read as a list of points
+    form = _meet(None, [1, 1, 2])
+    assert form == (1, 1, 2) and type(form) is tuple
+    assert _meet(form, [2, 2, 4]) is form  # a multiple keeps both zeros
+    assert _meet(form, [1, 0, -1]) == [] and _meet(form, [1, 1]) == []
+    assert _meet(form, [0, 0, 0]) is form
+    assert _meet(_meet(None, [1, 0, -1]), [1, -1]) == [(2, 2)]
+    assert _meet(_meet(None, (1, 0, -1)), (1, -1)) == [(2, 2)]
 
 
 def _times(u, v):
@@ -186,14 +225,14 @@ def _random_forms(rng):
 
 def test_pencil_divisor_matches_the_polynomial_gcd_on_random_forms():
     # every outcome the classifier branches on is reached, with forms that
-    # y divides and with fractional coefficients, and the divisor read off
-    # the span agrees with the polynomial gcd of the forms
+    # y divides and with fractional coefficients, and the common zeros of
+    # the span agree with the polynomial gcd of the forms
     rng = random.Random(2027)
     seen = collections.Counter()
     for _ in range(3000):
         forms = _random_forms(rng)
         want = binary_form_gcd(forms)
-        assert _pencil_divisor(_span(forms)) == want, forms
+        assert _divisor(_span(forms)) == want, forms
         seen[want] += 1
         seen["y divides every form"] += all(f[0] == 0 for f in forms)
         seen["fractional"] += any(Fraction(x).denominator > 1
@@ -312,11 +351,11 @@ def test_pencil_divisor_is_exact_on_large_discriminants():
     # x^2 + b xy with b = 10^30 + 7 has discriminant b^2, a square; a near
     # miss (b^2 + 4, from the form x^2 + b xy - y^2) is not
     b = 10**30 + 7
-    assert _pencil_divisor([[1, b, 0]]) == (2, "split")
-    assert _pencil_divisor([[1, b, -1]]) == (2, "irrational")
-    assert _pencil_divisor([[1, 0, -(10**200)]]) == (2, "split")
-    assert _pencil_divisor([[1, 0, -(10**200) + 1]]) == (2, "irrational")
-    assert _pencil_divisor([[1, 0, 4]]) == (2, "irrational")
+    assert _divisor([[1, b, 0]]) == (2, "split")
+    assert _divisor([[1, b, -1]]) == (2, "irrational")
+    assert _divisor([[1, 0, -(10**200)]]) == (2, "split")
+    assert _divisor([[1, 0, -(10**200) + 1]]) == (2, "irrational")
+    assert _divisor([[1, 0, 4]]) == (2, "irrational")
 
 
 def _two_block_tables():

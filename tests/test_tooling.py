@@ -930,9 +930,21 @@ def test_the_skew_net_has_one_pfaffian_reading_in_the_catalog():
     # names the skew net or its span, and the separators rank nothing
     package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
     assert "exactnum" not in _package_imports(package / "catalog.py")
-    assert _package_names({"_skew_net", "_pfaffian_span", "_pencil_divisor"},
-                          ("catalog",)) == []
+    assert _package_names({"_skew_net", "_pfaffian_span"}, ("catalog",)) == []
     assert "linalg" not in _package_imports(package / "verification_db.py")
+
+
+def test_integer_binary_forms_have_one_reading_in_the_catalog():
+    # the classifier's pencil and the flag search's line read where their
+    # binary forms vanish on P^1 with the catalog's `_form_roots` and
+    # `_meet`: no other module defines them or takes a square root
+    package = Path(__file__).resolve().parents[1] / "src" / "degenlab"
+    defined = [(path.stem, node.name) for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("_form_roots", "_meet")]
+    assert defined == [("catalog", "_form_roots"), ("catalog", "_meet")]
+    assert {module for module, _ in _package_names({"isqrt"}, ())} == {"catalog"}
 
 
 def test_ledger_text_has_one_grammar():
