@@ -93,12 +93,15 @@ decides them exactly.  The lines left are the common zeros of integer
 binary forms in their coordinates, read by `catalog._meet`, the reading
 the T22 classifier gives its pencil's Pfaffian forms.  It answers
 "undecided" for a weight space of dim >= 3, two of dim 2, or a cone on a
-line family.  When it answers
-"misses", every draw would miss, so none is drawn: the verdict and reason
-are the sampled ones, byte for byte, and "N target orbit samples all
-miss it" stays true of the N draws the search proves would miss.  Every
-other target is sampled as before, and skipping one witness's draws
-moves no other's, since each call seeds its own generator.
+line family.  When it answers "misses", every draw would miss, so none
+is drawn: the verdict and reason are the sampled ones, byte for byte,
+and "N target orbit samples all miss it" stays true of the N draws the
+search proves would miss.  When it answers "meets" with an integer
+basis, which `_in_set` confirms, that basis puts an orbit member in the
+set: the witness is refuted with it, and no draw is made.  Every other
+target ("meets" on an irrational line, or "undecided") is sampled as
+before, and skipping one witness's draws moves no other's, since each
+call seeds its own generator.
 
 Every check here reads integer tables.  Fraction remains only in output
 (a tensor's `products`, a mismatch message) and in IWDominance elements,
@@ -932,7 +935,9 @@ def verify_nondegeneration(
     The run's `records` first search the target's torus-fixed flags, once
     per (target label, set): where the search answers "misses", every draw
     would miss, and the sampled verdict and reason are returned with no
-    draw (Borel, in the module docstring); every other target, "meets" or
+    draw (Borel, in the module docstring); where it answers "meets" with a
+    basis that `_in_set` confirms, the witness is refuted with that basis
+    and no draw; every other target, "meets" on an irrational line or
     "undecided", is sampled.  A witness between different dimensions, or
     a BespokeR witness outside dimension 7, is a fail verdict.
     """
@@ -979,7 +984,12 @@ def verify_nondegeneration(
         return Verdict("refuted", "stored source basis is singular at t = 0")
     if not _in_set(table, n, g, spans, _hit_pairs(spec, n), cone):
         return Verdict("refuted", "stored source basis does not land in the set")
-    if records.flag_search(w.target, spec, cone)[0] != "misses":
+    answer, basis = records.flag_search(w.target, spec, cone)
+    spans = basis and int_suffix_spans(basis)
+    if spans and _in_set(tgt.table, n, basis, spans, _hit_pairs(spec, n), cone):
+        return Verdict("refuted", "target orbit meets the set: found on a torus-fixed flag",
+                       {"basis": [[str(x) for x in row] for row in basis]})
+    if answer != "misses":
         verdict = randomized_orbit_refute(tgt, spec, trials, records.seed, cone)
         if verdict.status == "refuted":
             return Verdict(

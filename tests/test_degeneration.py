@@ -1610,9 +1610,11 @@ def test_the_skipped_witnesses_are_the_decided_targets(monkeypatch):
         "W.T3lev.k.7", "W.T32lev.f.7", "W.T32lev.f.8", "W.T4lev.a.5"]
 
 
-def test_a_target_that_meets_its_set_is_still_sampled(monkeypatch):
+def test_a_target_that_meets_its_set_is_refuted_with_no_draw(monkeypatch):
     # T22_e24@6 lies in the set of W.T22deg.a.6's triples, so a witness
-    # from it to itself is searched "meets" and drawn as before
+    # from it to itself is searched "meets" with a basis that puts the
+    # target in the set: that refutes it, and no orbit sample is drawn,
+    # where 20 draws all miss
     from degenlab import degeneration
 
     calls = []
@@ -1622,10 +1624,35 @@ def test_a_target_that_meets_its_set_is_still_sampled(monkeypatch):
     w = NonDegenerationWitness("ClosedSet", ref, ref,
                                {"triples": [[1, 3, 6], [3, 3, 7]]})
     records = Records(20240917)
-    assert records.flag_search(ref, w.spec)[0] == "meets"
+    answer, basis = records.flag_search(ref, w.spec)
+    assert answer == "meets"
+    b = ref.resolve()
+    assert _in_set(b.table, 6, basis, int_suffix_spans(basis), _hit_pairs(w.spec, 6), None)
     verdict = verify_nondegeneration(w, records, trials=20)
-    assert len(calls) == 1
-    assert verdict == _sampled_verdict(w, 20240917, 20)
+    assert calls == []
+    assert verdict == Verdict(
+        "refuted", "target orbit meets the set: found on a torus-fixed flag",
+        {"basis": [[str(x) for x in row] for row in basis]})
+    assert _sampled_verdict(w, 20240917, 20).status == "refutation_not_found"
+
+
+def test_a_meets_with_no_basis_and_an_undecided_target_are_still_sampled(monkeypatch):
+    # an irrational line gives "meets" with no basis to test, and an
+    # undecided target has none either: both are drawn as before
+    from degenlab import degeneration
+
+    ref = AlgebraRef("T22_e24", 6)
+    w = NonDegenerationWitness("ClosedSet", ref, ref,
+                               {"triples": [[1, 3, 6], [3, 3, 7]]})
+    for answer in ("meets", "undecided"):
+        calls = []
+        monkeypatch.setattr(degeneration, "randomized_orbit_refute",
+                            lambda *args: calls.append(args) or randomized_orbit_refute(*args))
+        records = Records(20240917)
+        monkeypatch.setattr(records, "flag_search", lambda *args: (answer, None))
+        assert verify_nondegeneration(w, records, trials=20) == _sampled_verdict(
+            w, 20240917, 20)
+        assert len(calls) == 1
 
 
 def test_a_run_searches_each_label_and_set_once(monkeypatch):

@@ -592,7 +592,7 @@ def test_the_output_digest_of_the_sources_is_pinned():
     src = Path(__file__).resolve().parents[1] / "src"
     here = os.getcwd()
     assert outputs.digest(src) == (
-        1006, "4012e58ba19f082decd142d782aafdfd3c8f0e77731b91ccfe6a0b96f8689179")
+        1006, "d05185d420c09613591f2c130c8c9f71fd83ebf0c5f835b09a4edff9768bbcb2")
     assert os.getcwd() == here
 
 

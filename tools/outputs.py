@@ -20,9 +20,9 @@ lines.  The runs, each one `degenlab` command:
     reaches: a pole, a wrong limit, a singular basis and an unparsable
     row, each with one term per row and with a row of two terms;
   - `check` at `--trials 1` and `--trials 200` on every ClosedSet and
-    BespokeR witness, the ones whose target side draws orbit samples, and
-    on `SELF_WITNESS`, a ClosedSet witness from T22_e24@6 to itself,
-    whose target meets the set;
+    BespokeR witness, the ones whose target side is searched or drawn,
+    and on `SELF_WITNESS`, a ClosedSet witness from T22_e24@6 to itself,
+    whose target the flag search puts in the set, which refutes it;
   - `info`, `iwmax`, `classify` and `catalog table`, human and `--json`,
     at every tested dimension of each manifest family, and `catalog list`.
 
