@@ -1296,6 +1296,38 @@ def flag_change_meets(table, n, g, pairs):
                    for p, q, k in pairs)
 
 
+def exact_lower_triangular_probe(pairs, dim):
+    """The former exact lower-triangular probe, for any pair map `pairs`
+    ((p, q, k), p < q, 0-based): pass iff the set is stable under the
+    lower-triangular group B in dimension `dim`; a fail names both pairs.
+    A set of triples always passes (B fixes every V_k), so only a pair map
+    that no set of triples gives reaches the fail.
+
+    Let k(p, q) be the listed k of a pair, 1 for an unlisted one.  The set
+    is B-stable iff k({a, b}) >= k(p, q) for every listed (p, q), a >= p,
+    b >= q, a != b.  Sufficient: g in B has g_p in V_p, so
+    A(g_p, g_q) = sum g_pa g_qb A(e_a, e_b) over such a, b lies in
+    V_k(p, q) = span(g_k, ..., g_n).  Necessary: a member whose one nonzero
+    constant is coordinate k(p, q) - 1 of e_a e_b, moved by g_p = e_p + e_a,
+    g_q = e_q + e_b (other rows e_r), leaves the set.  Taking a < b
+    suffices: for a > b, the pair (b, a) has b >= q > p and a > b >= q.
+    """
+    from degenlab.degeneration import Verdict
+
+    strictest = {(p, q): k for p, q, k in pairs}
+    for p, q, k in pairs:
+        for a in range(p, dim):
+            for b in range(max(q, a + 1), dim):
+                low = strictest.get((a, b), 1)
+                if low < k:
+                    return Verdict(
+                        "fail",
+                        f"e{p + 1}e{q + 1} must lie in V_{k}, but a "
+                        f"flag-preserving change mixes in e{a + 1}e{b + 1}, "
+                        f"which need only lie in V_{low}")
+    return Verdict("pass")
+
+
 def sampled_lower_triangular_probe(pairs, dim, samples=100, seed=0):
     """The former sampled lower-triangular probe, for any pair map `pairs`
     ((p, q, k), p < q, 0-based): each sample draws a random member

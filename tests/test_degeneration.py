@@ -17,7 +17,6 @@ from degenlab.degeneration import (
     _R_QUADRATICS,
     _hit_pairs,
     _in_set,
-    _orbit_meets,
     _r_quadratics_hold,
     AlgebraRef,
     DegenerationCertificate,
@@ -50,6 +49,7 @@ from oracles import inverse_orbit_refute, row_reduce_dim, whole_table_draws
 from oracles import qt_certificate_verdict, qt_constants, qt_parse, qt_value
 from oracles import flag_change_meets, random_anticommutative, random_member
 from oracles import random_lower_triangular, sampled_lower_triangular_probe
+from oracles import exact_lower_triangular_probe
 from oracles import bareiss_entries, zpoly_apply_parameterized_basis
 from oracles import closed_set_member, source_side_oracle
 from oracles import torus_fixed_flag_oracle
@@ -1029,6 +1029,7 @@ def test_exact_probe_agrees_with_the_sampled_oracle_on_shipped_specs():
     for triples, n in _shipped_closed_set_specs():
         pairs = _hit_pairs(triples, n)
         assert sampled_lower_triangular_probe(pairs, n, 100, 20240917).ok
+        assert exact_lower_triangular_probe(pairs, n) == Verdict("pass")
         assert lower_triangular_invariance_probe(triples, n) == Verdict("pass")
 
 
@@ -1041,10 +1042,25 @@ def test_exact_probe_agrees_with_the_sampled_oracle_on_random_specs():
         n = rng.randint(2, 8)
         spec = _random_spec(n, rng)
         swapped += any(i > j for i, j, _ in spec)
-        assert lower_triangular_invariance_probe(spec, n) == Verdict("pass")
+        pairs = _hit_pairs(spec, n)
+        assert exact_lower_triangular_probe(pairs, n) == Verdict("pass")
         assert sampled_lower_triangular_probe(
-            _hit_pairs(spec, n), n, 20, rng.randint(0, 10 ** 6)).ok, spec
+            pairs, n, 20, rng.randint(0, 10 ** 6)).ok, spec
     assert swapped >= 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(1, n), st.integers(1, n), st.integers(1, n + 1)),
+    min_size=1, max_size=6))))
+def test_every_set_of_triples_is_stable_under_the_lower_triangular_group(case):
+    # the theorem the program's probe states: B fixes every V_k, so the
+    # hit pairs of any triples, i > j and k = n + 1 included, pass the
+    # exact criterion
+    n, triples = case
+    spec = tuple(triples)
+    assert exact_lower_triangular_probe(_hit_pairs(spec, n), n) == Verdict("pass")
+    assert lower_triangular_invariance_probe(spec, n) == Verdict("pass")
 
 
 NOT_MONOTONE = [
@@ -1059,31 +1075,22 @@ NOT_MONOTONE = [
 ]
 
 
-def _probe_of_pairs(monkeypatch, pairs, n):
-    """The probe's verdict on the pair map `pairs`, which no triples give
-    (the hit pairs of triples never fall going up): `_hit_pairs` is
-    patched to hand it over."""
-    from degenlab import degeneration
-
-    monkeypatch.setattr(degeneration, "_hit_pairs", lambda spec, dim: pairs)
-    return lower_triangular_invariance_probe((), n)
-
-
 @pytest.mark.parametrize("pairs, n", NOT_MONOTONE)
-def test_a_pair_map_that_falls_going_up_fails_both_probes(monkeypatch, pairs, n):
-    assert _probe_of_pairs(monkeypatch, pairs, n).status == "fail"
+def test_a_pair_map_that_falls_going_up_fails_both_probes(pairs, n):
+    # pair maps that no triples give: the exact criterion and the sampler
+    # both see them fall
+    assert exact_lower_triangular_probe(pairs, n).status == "fail"
     assert sampled_lower_triangular_probe(pairs, n, 100, 1602).status == "fail"
 
 
-def test_a_failing_verdict_names_both_pairs(monkeypatch):
-    verdict = _probe_of_pairs(monkeypatch, NOT_MONOTONE[1][0], 4)
+def test_a_failing_verdict_names_both_pairs():
+    verdict = exact_lower_triangular_probe(NOT_MONOTONE[1][0], 4)
     assert verdict.reason == (
         "e1e2 must lie in V_3, but a flag-preserving change mixes in e3e4, "
         "which need only lie in V_2")
 
 
-def test_hitting_only_the_pair_of_each_triple_fails_every_shipped_spec(
-        monkeypatch):
+def test_hitting_only_the_pair_of_each_triple_fails_every_shipped_spec():
     # the mutant reading of a triple (i, j, k) that hits e_i e_j alone and
     # not the pairs above it: no shipped set stays stable
     specs = _shipped_closed_set_specs()
@@ -1095,7 +1102,7 @@ def test_hitting_only_the_pair_of_each_triple_fails_every_shipped_spec(
                 pair = (min(i, j) - 1, max(i, j) - 1)
                 strictest[pair] = max(k, strictest.get(pair, 1))
         pairs = tuple((p, q, k) for (p, q), k in sorted(strictest.items()))
-        assert _probe_of_pairs(monkeypatch, pairs, n).status == "fail", triples
+        assert exact_lower_triangular_probe(pairs, n).status == "fail", triples
         assert sampled_lower_triangular_probe(pairs, n, 100, 1603).status == "fail"
 
 
@@ -1181,7 +1188,7 @@ def test_orbit_sampling_misses_a_member_of_r_that_permutations_find():
     assert members == 6
     rng = random.Random(0)
     draws = [random_invertible(7, rng) for _ in range(2000)]
-    assert not any(_orbit_meets(special.table, 7, g, spans, pairs)
+    assert not any(_in_set(special.table, 7, g, spans, pairs, None)
                    for g, spans in draws)
     verdict = randomized_orbit_refute(special, _R_FLAGS, trials=2000, seed=0,
                                       cone=_r_quadratics_hold)
@@ -1202,11 +1209,11 @@ def test_orbit_membership_matches_the_inverse_path():
         flag = random_lower_triangular(n, rng)
         want = closed_set_member(inverse_orbit_point(table, n, flag), spec)
         assert flag_change_meets(table, n, flag, pairs) == want
-        assert _orbit_meets(table, n, flag, int_suffix_spans(flag), pairs) == want
+        assert _in_set(table, n, flag, int_suffix_spans(flag), pairs, None) == want
         seen.add(want)
         g, spans = random_invertible(n, rng)
         want = closed_set_member(inverse_orbit_point(table, n, g), spec)
-        assert _orbit_meets(table, n, g, spans, pairs) == want
+        assert _in_set(table, n, g, spans, pairs, None) == want
         seen.add(("general", want))
     assert seen == {True, False, ("general", True), ("general", False)}
 
@@ -1314,17 +1321,17 @@ def test_the_source_side_is_tested_as_the_inverse_path_tests_it():
 
 def test_r_is_stable_under_the_lower_triangular_group():
     # the torus-fixed flag search decides BespokeR targets only because R
-    # is closed and B-stable: its flags pass the exact probe; each of its 7
-    # quadratic relations is homogeneous for the diagonal torus; and under
-    # each of the 21 elementary flag-preserving changes e_a -> e_a + s e_b
-    # (b > a), every coefficient of s in every image relation lies in the
-    # span of the 7 relations on R's flag space, one rank test.  B is the
-    # torus times those changes, and a homogeneous quadratic in that span
-    # vanishes wherever the relations do.
+    # is closed and B-stable: its flags pass the exact criterion; each of
+    # its 7 quadratic relations is homogeneous for the diagonal torus; and
+    # under each of the 21 elementary flag-preserving changes
+    # e_a -> e_a + s e_b (b > a), every coefficient of s in every image
+    # relation lies in the span of the 7 relations on R's flag space, one
+    # rank test.  B is the torus times those changes, and a homogeneous
+    # quadratic in that span vanishes wherever the relations do.
     from degenlab.linalg import int_echelon
 
     n = 7
-    assert lower_triangular_invariance_probe(_R_FLAGS, n).ok
+    assert exact_lower_triangular_probe(_hit_pairs(_R_FLAGS, n), n).ok
     for relation in _R_QUADRATICS:
         weights = set()
         for m1, m2, _ in relation:
@@ -1443,9 +1450,7 @@ def test_the_search_matches_the_brute_force_oracle():
             cases.append((label, b, spec, cone))
         if max(map(len, weight_spaces(b))) == 2 or rng.random() < 0.2:
             for _ in range(3):
-                spec = _random_spec(b.dim, rng)
-                if lower_triangular_invariance_probe(spec, b.dim).ok:
-                    cases.append((label, b, spec, None))
+                cases.append((label, b, _random_spec(b.dim, rng), None))
     for key in ("T22_e45", "T222_e7special", "T222_e24", "T22_e24", "T3_e45"):
         cases.append((f"{key}@7", instantiate(key, 7), _R_FLAGS, _r_quadratics_hold))
     for label, b, spec, cone in cases:

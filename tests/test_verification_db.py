@@ -68,6 +68,20 @@ def test_empty_ledger_is_vacuously_consistent():
     assert report["summary"]["failures"] == 0
 
 
+def test_a_run_calls_the_probe_once_per_closed_set_in_report_order(monkeypatch):
+    # the benchmark marks one segment per call of the probe through this
+    # module's name, so each distinct (triples, dim) must still reach it
+    calls = []
+    probe = verification_db.lower_triangular_invariance_probe
+    monkeypatch.setattr(verification_db, "lower_triangular_invariance_probe",
+                        lambda spec, dim: calls.append((spec, dim)) or probe(spec, dim))
+    ledger = load_ledger(shipped_ledger_path())
+    report = run_ledger(ledger._replace(certificates=[], chains=[]), seed=1, trials=1)
+    assert len(calls) == 9
+    assert calls == [(tuple(map(tuple, e["triples"])), e["dim"])
+                     for e in report["closed_set_probes"]]
+
+
 @pytest.mark.parametrize("trials", [0, -1])
 def test_run_ledger_needs_a_sample(trials):
     ledger = ledger_from_obj({"certificates": [], "witnesses": [], "chains": []})
