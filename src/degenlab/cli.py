@@ -171,7 +171,7 @@ def cmd_check(args) -> int:
     payload = {
         "status": verdict.status,
         "reason": verdict.reason,
-        "data": {k: str(v) for k, v in verdict.data.items()},
+        "data": dict(verdict.data),
     }
     _emit(args, [f"{verdict.status}: {verdict.reason}" if verdict.reason
                  else verdict.status], payload)

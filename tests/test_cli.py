@@ -303,7 +303,7 @@ def test_check_names_the_first_failing_constant_of_a_mutated_certificate(
     path.write_text(json.dumps(cert), encoding="utf-8")
     assert run(capsys, "check", str(path)) == (2, f"fail: {reason}\n")
     code, out = run(capsys, "--json", "check", str(path))
-    data = {"position": str(position)} if position else {}
+    data = {"position": list(position)} if position else {}
     assert (code, json.loads(out)) == (
         2, {"data": data, "reason": reason, "status": "fail"})
 
@@ -903,6 +903,21 @@ def test_check_bad_source_basis_is_refuted(tmp_path, capsys):
     code, out = run(capsys, "--json", "check", str(path), "--trials", "5")
     assert code == 2
     assert json.loads(out)["reason"] == "stored source basis has a pole at t = 0"
+
+
+def test_json_check_writes_a_refuting_basis_as_lists(tmp_path, capsys):
+    # the flag search puts T22_e24@6 in W.T22deg.a.6's set by a
+    # permutation basis, which --json check writes as JSON rows, not as
+    # one string
+    wit = json.loads(json.dumps(witness_by_id("W.T22deg.a.6")))
+    wit["target"] = wit["source"]
+    path = tmp_path / "wit.json"
+    path.write_text(json.dumps(wit), encoding="utf-8")
+    code, out = run(capsys, "--json", "check", str(path))
+    perm = (1, 0, 4, 3, 2, 5)
+    assert code == 2
+    assert json.loads(out)["data"] == {
+        "basis": [["1" if c == p else "0" for c in range(6)] for p in perm]}
 
 
 def test_verify_paper_bad_source_basis_is_a_fail_entry(tmp_path, capsys):

@@ -582,8 +582,8 @@ def test_the_output_digest_of_the_sources_is_pinned():
     # seeds, with and without --ledger, and two --dims selections), both
     # checks of each of the 189 shipped claims and of 8 failing n3@3
     # certificates, monomial and packed, checks at 1 and 200 trials of
-    # the 13 sampled witnesses and of one whose target is its source, both
-    # forms of each desk query at every tested dimension of the manifest
+    # the 13 sampled witnesses and of one whose target is its source, with
+    # --json check on that one, both forms of each desk query at every tested dimension of the manifest
     # families and the --trials 0 refusals of verify-paper, check and
     # iwmax: a refactor keeps this line, and an intended output change
     # updates it
@@ -592,7 +592,7 @@ def test_the_output_digest_of_the_sources_is_pinned():
     src = Path(__file__).resolve().parents[1] / "src"
     here = os.getcwd()
     assert outputs.digest(src) == (
-        1006, "d05185d420c09613591f2c130c8c9f71fd83ebf0c5f835b09a4edff9768bbcb2")
+        1007, "7f0d3c74bd12d61bf629c34fbd773c3931db7a88e02234c8f835b51af5be5df2")
     assert os.getcwd() == here
 
 

@@ -22,7 +22,8 @@ lines.  The runs, each one `degenlab` command:
   - `check` at `--trials 1` and `--trials 200` on every ClosedSet and
     BespokeR witness, the ones whose target side is searched or drawn,
     and on `SELF_WITNESS`, a ClosedSet witness from T22_e24@6 to itself,
-    whose target the flag search puts in the set, which refutes it;
+    whose target the flag search puts in the set, which refutes it, and
+    `--json check` on it, which writes the refuting basis;
   - `info`, `iwmax`, `classify` and `catalog table`, human and `--json`,
     at every tested dimension of each manifest family, and `catalog list`.
 
@@ -100,6 +101,7 @@ def _runs(catalog, ledger: dict):
         for trials in ("1", "200"):
             yield (["check", "claim.json", "--trials", trials],
                    {"claim.json": json.dumps(claim)})
+    yield ["--json", "check", "claim.json"], {"claim.json": json.dumps(SELF_WITNESS)}
     for name in catalog.MANIFEST_FAMILIES:
         for dim in catalog.tested_dims(name):
             for command in (["info"], ["iwmax"], ["classify"], ["catalog", "table"]):
