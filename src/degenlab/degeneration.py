@@ -622,9 +622,9 @@ def torus_fixed_flag_search(b: StructureTensor, spec, cone=None):
     "meets" comes with the integer rows of a basis that puts b in the set,
     or None when the only such lines are irrational; "misses", with None,
     is a proof (Borel, in the module docstring), since a set of triples is
-    B-stable by definition and so are R's quadratics (a test).  The answer is "undecided" for a weight space of
-    dim >= 3, two of dim 2, or a cone on a line family.  Raises ValueError
-    for a triple outside dimension n.
+    B-stable by definition and so are R's quadratics (a test).  The answer
+    is "undecided" for a weight space of dim >= 3, two of dim 2, or a cone
+    on a line family.  Raises ValueError for a triple outside dimension n.
 
     A triple (i, j, k) asks A(W_i, W_j) in W_k, so the search places the
     torus-stable W at the levels the triples name (every level, for a

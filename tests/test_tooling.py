@@ -622,6 +622,23 @@ def test_the_ci_installs_the_declared_test_dependencies():
     assert line[len(prefix):].split() == declared
 
 
+def test_the_ci_checks_the_outputs_on_the_declared_python_floor():
+    # the tier-1 workflow installs the floor that pyproject.toml declares
+    # beside its default Python and compares the outputs line of each
+    import tomllib
+
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    floor = project["project"]["requires-python"].removeprefix(">=")
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(
+        encoding="utf-8")
+    versions = workflow.split("python-version: |\n", 1)[1].split("\n")[:3]
+    assert [v.strip() for v in versions] == [floor, "3.13", "3.11"]
+    assert f"for version in {floor} 3.13; do" in workflow
+    assert 'got=$("python$version" tools/outputs.py src)' in workflow
+    assert 'test "$got" = "$want"' in workflow
+
+
 def test_the_ci_job_has_a_time_limit():
     # a hung subprocess or hypothesis run ends the tier-1 job within its
     # limit instead of holding a runner for the platform's default 6 h
