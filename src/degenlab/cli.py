@@ -38,19 +38,22 @@ that share a label but not a table, or an inline table under a catalog
 member's label that is not its table, read `label name@n names two
 different tables`, and a proper certificate between catalog levels that
 rule it out is refused; it judges a certificate as `verify-paper` does,
-by its exact check, monotone audit and separator.  A catalog name must
+by its exact check and separator.  A catalog name must
 be a family's exact key, here as in a ledger: a padded name (" eta2") or a parameter
 with a leading zero ("eta02") is an unknown family.  No dimension may exceed
 `algebra.MAX_DIM` (64): a larger `--dim`, table `dim`, ledger reference
 `dim` or chain `dim` is refused before any table is built, with one
 `error:` line and exit 1.  `classify` given a
 name or `--dim` together with `--file` is an argument error (exit 1), not
-a run on the file.  A table that is not Engel, where the run needs its
-rank sequences (the audit of a verified certificate, the source of an
-IWDominance witness or its target at the given element), is one `error:`
-line naming its label and an element a whose L_a is not nilpotent
+a run on the file.  A table that is not Engel, where the run reads its
+rank sequences (the `iw_partition` separator of a verified proper
+certificate, the source of an IWDominance witness or its target at the
+given element), is one `error:` line naming its label and an element a
+whose L_a is not nilpotent
 (`error: name@3: L_a is not nilpotent at a = (0, 1, 0)`), and exit 1:
-for `check` as for `verify-paper`, which then writes no report.
+for `check` as for `verify-paper`, which then writes no report.  No
+other step reads them: a certificate between such tables with another
+separator, or none, is judged by its exact check and separator alone.
 """
 
 from __future__ import annotations

@@ -36,9 +36,9 @@ nilpotent has no bound, so nothing is lowered.
 The pool is built only as far as it is read; its random block is drawn
 in one go, when the scan reaches it or a repair needs its first alpha,
 so every alpha comes from the rng state a fully built pool would leave.
-The scan, `iw_scan`, yields the running best after each candidate;
-`iw_max` reads it to its end, and `degeneration.Records` only as far as
-a dominance verdict needs.
+The scan, `iw_scan`, returns its last running best; `iw_max` reads its
+label off it, and `degeneration.Records` keeps its rank sequence, one
+scan per label and run.
 
 Rank sequences are computed over the integers.  The structure constants
 are scaled by the lcm of their denominators, which turns L_x into c * L_x
@@ -217,9 +217,8 @@ class _CandidatePool:
 
 
 def iw_scan(a: StructureTensor, seed: int = 0, trials: int = 20):
-    """`iw_max`'s scan of a table: yields the running best
-    (vector, rank sequence) after each candidate, each sequence dominating
-    the ones before it, so a caller that stops early holds a lower bound.
+    """`iw_max`'s scan of a table: its last running best
+    (vector, rank sequence), each best dominating the ones before it.
     On a nilpotent table it stops once the best meets `_rank_bound`, as
     cut by `_engel_cut` at its first lowering and lowered by
     `_tight_bound` at each new best; a table that is not nilpotent has
@@ -234,7 +233,6 @@ def iw_scan(a: StructureTensor, seed: int = 0, trials: int = 20):
     candidates = iter(pool)
     best_vec = next(candidates)
     best_seq = _int_rank_sequence(table, n, best_vec)
-    yield best_vec, best_seq
     stale, cut = True, None  # the bound has not read best_vec
     while best_seq != bound:
         if stale and bound is not None:
@@ -245,7 +243,7 @@ def iw_scan(a: StructureTensor, seed: int = 0, trials: int = 20):
             continue
         vec = next(candidates, None)
         if vec is None:
-            return
+            break
         seq = _int_rank_sequence(table, n, vec)
         if dominates(best_seq, seq):
             pass
@@ -264,12 +262,12 @@ def iw_scan(a: StructureTensor, seed: int = 0, trials: int = 20):
                     f"maxima {best_seq} and {seq} stayed incomparable after "
                     f"{trials} perturbations; input is not Engel or pool too small"
                 )
-        yield best_vec, best_seq
+    return best_vec, best_seq
 
 
 def iw_max(a: StructureTensor, seed: int = 0, trials: int = 20):
     """Dominant one-dimensional IW contraction as (partition, witness): the
-    last running best of `iw_scan`, whose rank bound reads the tensor's own
+    best that `iw_scan` returns, whose rank bound reads the tensor's own
     power chain, so a tensor read before walks no chain twice.
     The partition is read off the dominant rank sequence through
     r_m = sum_i max(lambda_i - m, 0); parts of size one are invisible to
@@ -278,8 +276,7 @@ def iw_max(a: StructureTensor, seed: int = 0, trials: int = 20):
     Both are int tuples; the witness is the scan's integer vector.
     Raises ValueError when trials < 1: a repair needs a perturbation.
     """
-    for best_vec, best_seq in iw_scan(a, seed, trials):
-        pass
+    best_vec, best_seq = iw_scan(a, seed, trials)
     return partition_from_rank_sequence(best_seq, a.dim), best_vec
 
 

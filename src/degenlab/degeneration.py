@@ -136,7 +136,7 @@ from typing import Callable, NamedTuple
 from . import catalog
 from .algebra import (StructureTensor, _int_product, engel_degree,
                       int_change_basis, jacobi_holds, weight_spaces)
-from .contraction import (NotEngelAt, _rank_bound, dominates, iw_scan,
+from .contraction import (NotEngelAt, dominates, iw_scan,
                           partition_from_rank_sequence, rank_sequence)
 from .exactnum import (
     ZPOLY_ONE,
@@ -287,16 +287,14 @@ class Records:
     """One run's store at one seed: each distinct certificate row (text,
     dim), parsed once (`basis_row`), and, keyed by label (one table each),
     the tensor of a label, resolved once, when first read, so that each of
-    its invariants is computed once per run, one `contraction.iw_scan`
-    of it, read to its first best or to its end (`iw_sequence`), and one
-    torus-fixed flag search of it for each set (`flag_search`).
-    An audit (`iw_monotone`) decided on a first best may so leave a repair
-    unreached, and never raise the IncomparableMaxima that `contraction`
-    says cannot happen for Engel input.  A table that is not Engel raises
-    NotEngelAt led by its label."""
+    its invariants is computed once per run, the rank sequence of one
+    `contraction.iw_scan` of it (`iw_sequence`), and one torus-fixed flag
+    search of it for each set (`flag_search`).  Only a witness or a
+    separator reads a rank sequence, and a table that is not Engel raises
+    NotEngelAt led by its label there, at each read."""
 
     def __init__(self, seed: int = 0):
-        self.seed, self._tensors, self._scans, self._rows = seed, {}, {}, {}
+        self.seed, self._tensors, self._sequences, self._rows = seed, {}, {}, {}
         self._searches = {}
 
     def basis_row(self, text, dim: int):
@@ -316,38 +314,16 @@ class Records:
             self._tensors[ref.label] = ref.resolve()
         return self._tensors[ref.label]
 
-    def iw_sequence(self, ref: AlgebraRef, whole: bool = True):
-        """The rank sequence of the label's `iw_max` label, its scan read to
-        its end; with whole=False, the best read so far (at least the
-        scan's first), a lower bound that reads on no further."""
-        if ref.label not in self._scans:
-            self._scans[ref.label] = [iw_scan(self.tensor(ref), self.seed), None]
-        state = self._scans[ref.label]  # [the scan, its best so far]
-        try:
-            while state[1] is None or whole:
-                state[1] = next(state[0])[1]
-        except StopIteration:
-            pass
-        except Exception as exc:
-            del self._scans[ref.label]  # a later read scans and raises again
-            if isinstance(exc, NotEngelAt):
+    def iw_sequence(self, ref: AlgebraRef):
+        """The rank sequence of the label's `iw_max` label, the sequence
+        of its scan's last best, scanned once per run; a scan that raises
+        keeps nothing, so a later read scans and raises again."""
+        if ref.label not in self._sequences:
+            try:
+                self._sequences[ref.label] = iw_scan(self.tensor(ref), self.seed)[1]
+            except NotEngelAt as exc:
                 raise exc.named(ref.label) from None
-            raise
-        return state[1]
-
-    def iw_monotone(self, src: AlgebraRef, tgt: AlgebraRef) -> bool:
-        """dominates(iw_sequence(src), iw_sequence(tgt)).  A source that is
-        not nilpotent is scanned to its end, so NotEngelAt is raised as
-        before; True when the source's first best dominates the target's
-        exact `_rank_bound`; else both are read whole.  Each best dominates
-        the ones before it, so some best dominates the target's sequence
-        iff the last one does."""
-        if _rank_bound(self.tensor(src)) is None:
-            self.iw_sequence(src)
-        bound = _rank_bound(self.tensor(tgt))
-        if bound is not None and dominates(self.iw_sequence(src, whole=False), bound):
-            return True
-        return dominates(self.iw_sequence(src), self.iw_sequence(tgt))
+        return self._sequences[ref.label]
 
     def flag_search(self, ref: AlgebraRef, spec, cone=None):
         """`torus_fixed_flag_search` on the table of ref, once per run for
@@ -770,14 +746,15 @@ class Invariant(NamedTuple):
     """A closed invariant: values of `read(records, ref)` that differ prove
     A != B.  A -> B only if `order(value of A, value of B)` holds
     (Grunewald-O'Halloran 1988; Burde-Steinhoff 1999): a failed order
-    proves a `kind` witness and fails the audit with `audit`."""
+    proves a `kind` witness.  Along a certificate that passes its exact
+    check every order holds, a theorem that the run does not check
+    again."""
 
     read: Callable
     order: Callable | None = None
     kind: str | None = None
     proved: str = ""
     refuted: str = ""
-    audit: str = ""
 
 
 def _classifier_label(records, ref: AlgebraRef):
@@ -792,12 +769,11 @@ INVARIANTS = {
     "dim_square": Invariant(
         lambda records, ref: records.tensor(ref).dim_square, ge, "DimSquare",
         "dim source^2 = {} < {} = dim target^2",
-        "dim source^2 = {} >= {} = dim target^2", "dim square grows: {} -> {}"),
+        "dim source^2 = {} >= {} = dim target^2"),
     "ann_dim": Invariant(
         lambda records, ref: records.tensor(ref).ann_dim, le, "AnnDim",
         "dim Ann(source) = {} > {} = dim Ann(target)",
-        "dim Ann(source) = {} <= {} = dim Ann(target)",
-        "annihilator shrinks: {} -> {}"),
+        "dim Ann(source) = {} <= {} = dim Ann(target)"),
     "nilindex": Invariant(lambda records, ref: records.tensor(ref).nilindex, ge),
     "engel_degree": Invariant(
         lambda records, ref: engel_degree(records.tensor(ref), ref.dim + 1), ge),

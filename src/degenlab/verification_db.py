@@ -21,13 +21,15 @@ Verdict statuses are kept tier-honest:
   PAPER-ASSERTED      resting on a non-isomorphism on the source's authority
   FAIL                anything that did not check out
 
-Beside each verified certificate the runner audits the rows of
-`degeneration.INVARIANTS` that have an audit text (dim A^2 down, dim Ann
-up) and the dominance of the dominant rank sequences, so a bad table or
-basis cannot slip through as a formally passing entry; every separator but
-`paper` is a row of that table.  A run keeps one `degeneration.Records`
-store, one tensor and one `iw_max` scan per label, each scan taken only as
-far as the audit or an `iw_partition` separator needs, and one function
+A certificate that passes its exact check is VERIFIED, and a proper one
+is then judged by its separator, a row of `degeneration.INVARIANTS` or
+`paper`.  Along a degeneration A -> B every closed invariant keeps the
+order its row declares, and A's dominant rank sequence dominates B's,
+since B lies in the closure of A's orbit (Grunewald-O'Halloran 1988;
+Burde-Steinhoff 1999): a theorem once the exact check has passed, so the
+run does not check it again.  A run keeps one `degeneration.Records`
+store, one tensor per label and one `iw_max` scan per label whose rank
+sequence a witness or an `iw_partition` separator reads, and one function
 per section (`_certificate_entry`, `_witness_entry`, `_probe_entry`,
 `_chain_entry`) makes its report entries from the store alone, so no label
 is scanned twice.  `degenlab check` judges its claim, loaded as a
@@ -360,34 +362,14 @@ def separator_check(kind: str, records: Records, src: AlgebraRef,
 # --- the run ----------------------------------------------------------------
 
 
-def _monotone_audit(records: Records, src: AlgebraRef, tgt: AlgebraRef):
-    """Closed-invariant sanity for a passing certificate src -> tgt: each
-    invariant with an audit text keeps its order, and src's dominant rank
-    sequence dominates tgt's (`Records.iw_monotone`)."""
-    problems = []
-    for row in INVARIANTS.values():
-        if row.audit:
-            a, b = row.read(records, src), row.read(records, tgt)
-            if not row.order(a, b):
-                problems.append(row.audit.format(a, b))
-    if not records.iw_monotone(src, tgt):
-        problems.append("dominant rank sequence not monotone")
-    return problems
-
-
 def judge_certificate(cert: DegenerationCertificate, records: Records):
     """(verdict, nontrivial) for one certificate: its exact check, then for
-    a pass the monotone audit and, for a proper one, its separator; a
-    failed audit or separator is a fail verdict.  `nontrivial` holds the
-    report fields of a passing proper certificate's tier ("nontrivial",
-    and "separator" when PROVED), and is empty otherwise."""
+    a passing proper one its separator; a failed separator is a fail
+    verdict.  `nontrivial` holds the report fields of a passing proper
+    certificate's tier ("nontrivial", and "separator" when PROVED), and is
+    empty otherwise."""
     verdict = verify_degeneration(cert, records)
-    if not verdict.ok:
-        return verdict, {}
-    problems = _monotone_audit(records, cert.source, cert.target)
-    if problems:
-        return Verdict("fail", "; ".join(problems)), {}
-    if not cert.proper:
+    if not (verdict.ok and cert.proper):
         return verdict, {}
     ok, detail = separator_check(cert.separator, records, cert.source,
                                  cert.target)

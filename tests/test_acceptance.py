@@ -20,7 +20,7 @@ from degenlab.catalog import (
     instantiate,
     parse_name,
 )
-from degenlab.contraction import iw_max
+from degenlab.contraction import dominates, iw_max
 from degenlab.degeneration import (
     _R_FLAGS,
     Records,
@@ -38,7 +38,7 @@ from degenlab.verification_db import (
 
 from oracles import ann_dim_oracle, random_lower_triangular, square_dim_oracle
 from oracles import closed_set_member, fraction_inverse, matmul
-from oracles import partition_from_ranks
+from oracles import iw_max_oracle, iw_sequence, partition_from_ranks
 
 SEED = 20240917
 
@@ -308,10 +308,26 @@ def test_criterion_8_classifier_round_trip():
 
 
 def test_criterion_9_property_suites(ledger, full_report):
-    # monotone-invariant audit over the full ledger: any violation turns a
-    # certificate entry into FAIL inside run_ledger
+    # the closed invariants keep their order along every verified
+    # certificate A -> B, read by the oracles: dim A^2 does not grow, dim
+    # Ann does not shrink, and the dominant rank sequence of a full scan
+    # with no rank bound dominates B's.  The run states this theorem and
+    # does not check it, so a defect in the checker shows here
     cert_fails = [e for e in full_report["certificates"]
                   if e["status"] != "VERIFIED"]
+    oracle = {}
+    for c in ledger.certificates:
+        for ref in (c.source, c.target):
+            if ref.label not in oracle:
+                a = ref.resolve()
+                oracle[ref.label] = (square_dim_oracle(a), ann_dim_oracle(a),
+                                     iw_sequence(iw_max_oracle(a, seed=SEED)[0]))
+    verified = [(e["source"], e["target"]) for e in full_report["certificates"]
+                if e["status"] == "VERIFIED"]
+    order_fails = [(s, t) for s, t in verified
+                   if not (oracle[s][0] >= oracle[t][0]
+                           and oracle[s][1] <= oracle[t][1]
+                           and dominates(oracle[s][2], oracle[t][2]))]
     probe_fails = [e for e in full_report["closed_set_probes"]
                    if e["status"] != "PASS"]
     specs = {tuple(tuple(t) for t in e["triples"])
@@ -335,10 +351,10 @@ def test_criterion_9_property_suites(ledger, full_report):
             conj_failures += 1
     _report(
         9,
-        not cert_fails and not probe_fails and conj_failures == 0
-        and len(specs) >= 4,
-        f"monotone audit clean on {len(full_report['certificates'])} "
-        f"certificates; {len(full_report['closed_set_probes'])} closed-set "
+        not cert_fails and not order_fails and not probe_fails
+        and conj_failures == 0 and len(specs) >= 4,
+        f"closed invariants keep their order on {len(verified)} verified "
+        f"certificates (oracles); {len(full_report['closed_set_probes'])} closed-set "
         f"probes pass; 500 conjugation invariance checks clean",
     )
 

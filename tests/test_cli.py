@@ -836,11 +836,13 @@ def test_verify_paper_does_not_hide_verifier_errors(tmp_path, monkeypatch):
 # e1e2 = e3, e2e3 = e3: L_{e2} is not nilpotent
 NOT_ENGEL = {"name": "notengel", "dim": 3, "products": [
     {"i": 1, "j": 2, "value": [0, 0, 1]}, {"i": 2, "j": 3, "value": [0, 0, 1]}]}
+# the identity certificate from that table to itself
+NOT_ENGEL_CERT = {"id": "c", "source": NOT_ENGEL, "target": NOT_ENGEL,
+                  "basis": ["e1", "e2", "e3"]}
 
 
 @pytest.mark.parametrize("claim", [
-    {"certificates": [{"id": "c", "source": NOT_ENGEL, "target": NOT_ENGEL,
-                       "basis": ["e1", "e2", "e3"]}]},
+    {"certificates": [dict(NOT_ENGEL_CERT, proper=True, separator="iw_partition")]},
     {"certificates": [], "witnesses": [{
         "id": "w", "kind": "IWDominance", "source": NOT_ENGEL,
         "target": {"name": "zero", "dim": 3},
@@ -850,6 +852,9 @@ NOT_ENGEL = {"name": "notengel", "dim": 3, "products": [
         "target": NOT_ENGEL, "payload": {"element": [0, 1, 0]}}]},
 ], ids=["certificate-audit", "iw-dominance-source", "iw-dominance-target"])
 def test_verify_paper_names_a_table_that_is_not_engel(tmp_path, capsys, claim):
+    # where a rank sequence of the table is read: the iw_partition
+    # separator of a verified certificate, the source of an IWDominance
+    # witness or its target at the element
     path = tmp_path / "ledger.json"
     path.write_text(json.dumps(claim), encoding="utf-8")
     code = main(["verify-paper", "--ledger", str(path), "--trials", "1",
@@ -858,12 +863,30 @@ def test_verify_paper_names_a_table_that_is_not_engel(tmp_path, capsys, claim):
     err = capsys.readouterr().err
     assert err == "error: notengel@3: L_a is not nilpotent at a = (0, 1, 0)\n"
     assert not (tmp_path / "out" / "report.json").exists()
-    if claim["certificates"]:
-        return
-    wit = tmp_path / "wit.json"
-    wit.write_text(json.dumps(claim["witnesses"][0]), encoding="utf-8")
-    assert main(["check", str(wit)]) == 1
-    assert capsys.readouterr().err == err
+    single = tmp_path / "claim.json"
+    single.write_text(json.dumps((claim["certificates"] + claim.get("witnesses", []))[0]),
+                      encoding="utf-8")
+    assert main(["check", str(single)]) == 1
+    assert capsys.readouterr() == ("", err)
+
+
+def test_a_certificate_between_tables_that_are_not_engel_is_judged_by_its_check(
+        tmp_path, capsys):
+    # with no separator that reads a rank sequence, nothing reads one: the
+    # exact check proves the identity certificate, so verify-paper reports
+    # it VERIFIED and check passes it
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps({"certificates": [NOT_ENGEL_CERT]}), encoding="utf-8")
+    assert main(["verify-paper", "--ledger", str(path), "--trials", "1",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [(e["id"], e["status"]) for e in report["certificates"]] == [("c", "VERIFIED")]
+    assert report["summary"] == {"counts": {"VERIFIED": 1}, "failures": 0}
+    claim = tmp_path / "cert.json"
+    claim.write_text(json.dumps(NOT_ENGEL_CERT), encoding="utf-8")
+    assert main(["check", str(claim)]) == 0
+    assert capsys.readouterr() == ("pass\n", "")
 
 
 # e1e3 = e2, e3e4 = -e3: the scan meets a new best, e1 + e3, before L_e4,
@@ -874,10 +897,12 @@ NEW_BEST_FIRST = {"name": "X", "dim": 5, "products": [
 
 
 def test_a_table_that_is_not_engel_is_named_after_a_new_best(tmp_path, capsys):
-    # the audit of a certificate from the table to itself: one error line,
-    # exit 1 and no report, for verify-paper as for check
+    # the iw_partition separator of a certificate from the table to
+    # itself: one error line, exit 1 and no report, for verify-paper as for
+    # check
     cert = {"id": "c", "source": NEW_BEST_FIRST, "target": NEW_BEST_FIRST,
-            "basis": ["e1", "e2", "e3", "e4", "e5"]}
+            "basis": ["e1", "e2", "e3", "e4", "e5"],
+            "proper": True, "separator": "iw_partition"}
     err = "error: X@5: L_a is not nilpotent at a = (0, 0, 0, 1, 0)\n"
     path = tmp_path / "ledger.json"
     path.write_text(json.dumps({"certificates": [cert]}), encoding="utf-8")
@@ -1461,18 +1486,6 @@ def test_check_fails_a_separator_that_does_not_separate(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 2
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["certificates"][0]["reason"] == reason
-
-
-def test_check_fails_a_certificate_whose_dominance_audit_fails(
-        tmp_path, capsys, monkeypatch):
-    from degenlab.degeneration import Records
-
-    monkeypatch.setattr(Records, "iw_monotone", lambda self, src, tgt: False)
-    reason = "dominant rank sequence not monotone"
-    code, human, out, err = _check_outputs(capsys, tmp_path,
-                                           cert_by_id("T22deg.2.6"))
-    assert (code, human, err) == (2, f"fail: {reason}\n", "")
-    assert json.loads(out) == {"status": "fail", "reason": reason, "data": {}}
 
 
 def test_check_applies_the_loaders_level_rule(tmp_path, capsys):

@@ -393,13 +393,12 @@ def test_iw_max_on_a_warm_tensor_is_iw_max_on_a_fresh_one():
 
 
 def test_iw_scan_bests_rise_to_the_iw_max_label():
-    # each running best dominates the ones before it, and the last one is
-    # the sequence of iw_max's label, so a caller that stops early holds a
-    # lower bound and one that reads to the end holds iw_max's answer
+    # the scan's last best is iw_max's witness, and its sequence is that of
+    # iw_max's label
     for seed, (label, a) in enumerate(sorted(_shipped_tables().items())):
-        bests = [seq for _, seq in iw_scan(a, seed)]
-        assert all(dominates(q, p) for p, q in zip(bests, bests[1:])), label
-        assert iw_sequence(iw_max(a, seed=seed)[0]) == bests[-1], label
+        best_vec, best_seq = iw_scan(a, seed)
+        partition, witness = iw_max(a, seed=seed)
+        assert (iw_sequence(partition), witness) == (best_seq, best_vec), label
 
 
 def test_the_candidate_pool_is_the_oracle_pool_in_integers():
@@ -451,16 +450,24 @@ NEW_BEST_BEFORE_RAISE = fraction_tensor(5, {(1, 3): (0, 1, 0, 0, 0),
                                             (3, 4): (0, 0, -1, 0, 0)})
 
 
-def test_a_new_best_on_a_table_that_is_not_nilpotent_lowers_no_bound():
+def test_a_new_best_on_a_table_that_is_not_nilpotent_lowers_no_bound(monkeypatch):
     # with no rank bound the scan lowers none: a new best before the
     # element that is not Engel gave a TypeError from _tight_bound
     a = NEW_BEST_BEFORE_RAISE
     assert _rank_bound(a) is None
-    bests = []
+    seqs, rank_seq = [], contraction._int_rank_sequence
+
+    def recorded(*args):
+        seqs.append(rank_seq(*args))
+        return seqs[-1]
+
+    monkeypatch.setattr(contraction, "_int_rank_sequence", recorded)
     with pytest.raises(NotEngelAt) as got:
-        for best in iw_scan(a):
-            bests.append(best)
-    assert len({seq for _, seq in bests}) > 1
+        iw_scan(a)
+    # the sequences read before the raise: the first best, (1,) at e1, and
+    # a new best that strictly dominates it
+    assert seqs[0] == (1,)
+    assert any(dominates(q, seqs[0]) and q != seqs[0] for q in seqs[1:])
     assert got.value.element == (0, 0, 0, 1, 0)
     with pytest.raises(NotEngelAt) as want:
         iw_max_oracle(a)
@@ -607,7 +614,7 @@ def test_tight_bound_dominates_the_generic_rank_sequence():
             bound = _tight(a, x0, cut)
             assert dominates(bound, generic), (a.products, x0)
             met += bound == generic
-        best_vec, best_seq = list(iw_scan(a))[-1]
+        best_vec, best_seq = iw_scan(a)
         assert best_seq == generic == _tight(a, best_vec, cut), a.products
     assert (len(cases), met) == (58, 347)
 
@@ -679,7 +686,7 @@ def test_the_lowered_bound_misses_only_T32_chain_a(monkeypatch):
     loose, whole_pool = {}, {}
     for label, a in tables.items():
         calls.clear()
-        best_vec, best_seq = list(iw_scan(a))[-1]
+        best_vec, best_seq = iw_scan(a)
         bound = _rank_bound(a)
         if bound is None:
             continue
@@ -705,7 +712,7 @@ def test_every_iw_dominance_source_meets_its_exact_bound():
     assert sorted(sources) == ["T22@5", "T22@6", "eta3@7"]
     for label, a in sources.items():
         for seed in (0, 1, 2, 99, 20240917):
-            assert list(iw_scan(a, seed))[-1][1] == _rank_bound(a), (label, seed)
+            assert iw_scan(a, seed)[1] == _rank_bound(a), (label, seed)
 
 
 def _partitions(n, largest=None):

@@ -458,7 +458,7 @@ def test_the_witness_check_and_the_per_claim_functions_read_the_store():
                            ["verify_nondegeneration"]) & banned == set()
     assert _function_names("verification_db", [
         "judge_certificate", "_certificate_entry", "_witness_entry",
-        "_probe_entry", "_chain_entry", "separator_check", "_monotone_audit",
+        "_probe_entry", "_chain_entry", "separator_check",
         "run_ledger"]) & banned == set()
     # so do the invariant table's readers, and the functions it names
     tree, table = _invariant_table()

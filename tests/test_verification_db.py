@@ -1,7 +1,6 @@
 import collections
 import copy
 import importlib.util
-import inspect
 import json
 import random
 import re
@@ -19,7 +18,7 @@ from degenlab.catalog import (
     pfaffian_conic_profile,
 )
 from degenlab.catalog import tested_dims as catalog_tested_dims
-from degenlab.contraction import dominates, iw_max, rank_sequence
+from degenlab.contraction import NotEngelAt, dominates, rank_sequence
 from degenlab.degeneration import AlgebraRef, Records
 from degenlab.verification_db import (
     ClaimLedger,
@@ -304,7 +303,7 @@ def test_the_loader_accepts_exactly_the_separators_the_check_knows():
 
 
 def test_the_run_reads_each_dominant_sequence_off_its_iw_max_label(monkeypatch):
-    # the audit needs no rank sequence beside iw_max: on the certificates
+    # no step reads a rank sequence beside iw_max's: on the certificates
     # and chains of the shipped ledger rank_sequence is never called, and
     # on the whole ledger only for the target elements of IWDominance
     def refuse(a, vec):
@@ -330,8 +329,8 @@ def test_the_run_reads_each_dominant_sequence_off_its_iw_max_label(monkeypatch):
 def test_the_run_builds_one_invariant_record_per_label(monkeypatch):
     # the run's Records store holds one tensor per label (160), witnesses
     # included, each a catalog or inline JSON table that carries its
-    # integer table from construction; the checks, the audit, the
-    # separators, iw_max and classify_T22 read that table, and no step of
+    # integer table from construction; the checks, the separators,
+    # iw_max and classify_T22 read that table, and no step of
     # the run reads the Fraction products (91 reads when the certificate
     # check compared Fraction limits)
     tensors, resolve = {}, AlgebraRef.resolve
@@ -359,8 +358,8 @@ def test_the_run_builds_one_invariant_record_per_label(monkeypatch):
 
 
 def test_an_iw_partition_separator_continues_the_audit_scan(monkeypatch):
-    # the separator reads each label's scan in the run's store, the one the
-    # dominance audit left: one iw_scan per label of the claim
+    # the separator reads each label's scan in the run's store, and no
+    # other step of the run scans: one iw_scan per label of the claim
     cert = {"id": "c", "source": {"name": "T222", "dim": 7},
             "target": {"name": "T22", "dim": 7},
             "basis": ["e1", "e2", "e3", "t*e4", "e7", "e5", "e6"],
@@ -384,12 +383,11 @@ def test_an_iw_partition_separator_continues_the_audit_scan(monkeypatch):
 
 @pytest.mark.parametrize("seed", [20240917, 1, 5])
 def test_iw_monotone_is_the_dominance_of_full_scans(seed):
-    # every shipped certificate pair, and its reverse (where dominance often
-    # fails), against iw_max_oracle's full scan with no rank bound: once on
-    # the run's shared store, whose scans earlier pairs have advanced, and
-    # once on a fresh store, whose scans start at their first candidate;
-    # the audit's rule is the dominance of the two sequences that fresh
-    # stores read whole, whichever branch the audit took
+    # the theorem that the run no longer checks: along A -> B, A's dominant
+    # rank sequence dominates B's, here read off iw_max_oracle's full scans
+    # with no rank bound.  It holds on every shipped certificate that
+    # passes; some reversed pair breaks it, so the oracle can fail; and the
+    # store's scan gives the oracle's sequence on every label
     full = {}
 
     def oracle(ref):
@@ -398,39 +396,48 @@ def test_iw_monotone_is_the_dominance_of_full_scans(seed):
             full[ref.label] = iw_sequence(partition)
         return full[ref.label]
 
-    shared = degeneration.Records(seed)
-    answers = collections.Counter()
-    for cert in load_ledger(shipped_ledger_path()).certificates:
-        for src, tgt in ((cert.source, cert.target), (cert.target, cert.source)):
-            want = dominates(oracle(src), oracle(tgt))
-            assert dominates(Records(seed).iw_sequence(src),
-                             Records(seed).iw_sequence(tgt)) == want
-            assert shared.iw_monotone(src, tgt) == want, (src.label, tgt.label)
-            assert degeneration.Records(seed).iw_monotone(src, tgt) == want
-            answers[want] += 1
-    assert answers[True] >= 133 and answers[False] > 0
+    records = Records(seed)
+    passing = [c for c in load_ledger(shipped_ledger_path()).certificates
+               if verification_db.judge_certificate(c, records)[0].ok]
+    assert len(passing) == 133
+    for cert in passing:
+        assert dominates(oracle(cert.source), oracle(cert.target)), cert.cert_id
+    assert any(not dominates(oracle(c.target), oracle(c.source)) for c in passing)
+    refs = {ref.label: ref for c in passing for ref in (c.source, c.target)}
+    for label, ref in refs.items():
+        assert records.iw_sequence(ref) == oracle(ref), label
 
 
 def test_an_audit_from_a_table_that_is_not_nilpotent_names_it():
     # e1e3 = e2, e3e4 = -e3: L_e4 is not nilpotent, and the scan meets a
-    # new best first; the zero target's bound is met by any first best, so
-    # only the source's own scan can raise
+    # new best first; a scan that raises leaves nothing in the store, so
+    # the second read scans again and raises the same named error
     x = AlgebraRef("X", 5, StructureTensor.from_pairs(5, [(1, 3, 2), (3, 4, 3, -1)]))
-    zero = AlgebraRef("zero", 5)
-    for src, tgt in ((x, zero), (x, x)):
-        with pytest.raises(contraction.NotEngelAt) as info:
-            Records().iw_monotone(src, tgt)
+    records = Records()
+    for _ in range(2):
+        with pytest.raises(NotEngelAt) as info:
+            records.iw_sequence(x)
         assert str(info.value) == "X@5: L_a is not nilpotent at a = (0, 0, 0, 1, 0)"
 
 
 def test_the_monotone_audit_names_each_invariant_a_reversed_arrow_breaks():
     # T2k2rest3.a1.m3.7 degenerates T222_e7special@7 to T222_e23@7; read
-    # backwards, the arrow raises dim A^2 and shrinks the annihilator
+    # backwards, the arrow breaks the order of each row of the invariant
+    # table named below (it raises dim A^2 and shrinks the annihilator),
+    # and read forwards none
     records = Records()
     src, tgt = AlgebraRef("T222_e23", 7), AlgebraRef("T222_e7special", 7)
-    assert verification_db._monotone_audit(records, src, tgt) == [
-        "dim square grows: 3 -> 4", "annihilator shrinks: 3 -> 1"]
-    assert verification_db._monotone_audit(records, tgt, src) == []
+
+    def broken(a, b):
+        values = {name: (row.read(records, a), row.read(records, b))
+                  for name, row in degeneration.INVARIANTS.items() if row.order}
+        return {name: ab for name, ab in values.items()
+                if not degeneration.INVARIANTS[name].order(*ab)}
+
+    assert broken(src, tgt) == {
+        "dim_square": (3, 4), "ann_dim": (3, 1), "nilindex": (3, 4),
+        "jacobi": (True, False), "centralizer_square": (7, 4)}
+    assert broken(tgt, src) == {}
 
 
 def test_each_declared_order_holds_on_every_passing_shipped_certificate():
@@ -458,44 +465,17 @@ def test_each_declared_order_holds_on_every_passing_shipped_certificate():
     assert strict == set(ordered)
 
 
-def test_a_failed_dominance_audit_fails_every_certificate(monkeypatch):
-    # with the dominant rank sequences made to fail the audit, each
-    # certificate that passes its exact check reads FAIL, with no tier
-    monkeypatch.setattr(Records, "iw_monotone", lambda self, src, tgt: False)
-    obj = shipped_obj()
-    report = run_ledger(ledger_from_obj({"certificates": obj["certificates"]}),
-                        seed=20240917, trials=1)
-    assert len(report["certificates"]) == len(obj["certificates"])
-    for entry in report["certificates"]:
-        assert (entry["status"], entry["reason"]) == (
-            "FAIL", "dominant rank sequence not monotone"), entry["id"]
-        assert "nontrivial" not in entry
-
-
-def test_a_scan_left_in_part_finishes_as_a_fresh_iw_max():
-    ledger = load_ledger(shipped_ledger_path())
-    records = degeneration.Records(20240917)
-    for cert in ledger.certificates:
-        assert records.iw_monotone(cert.source, cert.target)
-    refs = {ref.label: ref for cert in ledger.certificates
-            for ref in (cert.source, cert.target)}
-    left = [label for label, (scan, _) in records._scans.items()
-            if inspect.getgeneratorstate(scan) != inspect.GEN_CLOSED]
-    assert len(left) > 50
-    for label in left:
-        partition, _ = iw_max(refs[label].resolve(), seed=20240917)
-        assert records.iw_sequence(refs[label]) == iw_sequence(partition), label
-
-
 def test_a_certificate_run_builds_each_table_once_and_few_rank_sequences(
         monkeypatch):
-    # certificates only, as the ledger-certs benchmark runs them: the check,
-    # the audit and the separators read the store's tables, so each catalog
-    # label is instantiated once (331 calls when each certificate check
-    # resolved its own), and the audit scans each label only as far as its
-    # verdict needs, each scan stopping at the lowered bound of contraction
-    # (767 rank sequences when the scans stopped only at _rank_bound, 2222
-    # when every iw_max ran to its end)
+    # certificates only, as the ledger-certs benchmark runs them: the check
+    # and the separators read the store's tables, so each catalog label is
+    # instantiated once (331 calls when each certificate check resolved its
+    # own), and no step scans, since no shipped certificate is separated by
+    # iw_partition: no rank sequence and no rank bound (239 rank sequences
+    # here and 242 on the whole ledger when a monotone audit scanned each
+    # label as far as its verdict needed).  The whole ledger reads 6: one
+    # scan of each of the 3 IWDominance sources, each meeting its rank
+    # bound at its first candidate, and the 3 target elements
     counts = collections.Counter()
 
     def counted(name, fn):
@@ -512,10 +492,15 @@ def test_a_certificate_run_builds_each_table_once_and_few_rank_sequences(
                         counted("instantiate", catalog.instantiate))
     monkeypatch.setattr(contraction, "_int_rank_sequence",
                         counted("rank", contraction._int_rank_sequence))
+    monkeypatch.setattr(contraction, "_rank_bound",
+                        counted("bound", contraction._rank_bound))
     report = run_ledger(ledger, seed=20240917, trials=200)
     assert report["summary"] == {"counts": {"VERIFIED": 133}, "failures": 0}
     assert counts["instantiate"] == len(catalog_labels) == 108
-    assert counts["rank"] <= 250
+    assert (counts["rank"], counts["bound"]) == (0, 0)
+    counts.clear()
+    run_ledger(load_ledger(shipped_ledger_path()), seed=20240917, trials=200)
+    assert (counts["rank"], counts["bound"]) == (6, 3)
 
 
 def test_a_fresh_store_gives_each_witness_the_verdict_of_the_run():
