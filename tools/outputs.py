@@ -18,7 +18,8 @@ lines.  The runs, each one `degenlab` command:
     the shipped ledger, each written out as a claim file, and on the
     failing n3@3 certificates of `FAILING_BASES`, which no shipped claim
     reaches: a pole, a wrong limit, a singular basis and an unparsable
-    row, each with one term per row and with a row of two terms;
+    row, each with one term per row and with a row of two terms, and on
+    the two `NOT_ENGEL_CERTS`, from a table that is not Engel to itself;
   - `check` at `--trials 1` and `--trials 200` on every ClosedSet and
     BespokeR witness, the ones whose target side is searched or drawn,
     and on `SELF_WITNESS`, a ClosedSet witness from T22_e24@6 to itself,
@@ -53,6 +54,16 @@ FAILING_BASES = (
     ("e1", "t*e1", "e3"), ("e1+e2", "e1+e2", "e3"),  # singular
     ("e1", "(1/0)*e2", "e3"), ("e1+e2", "e2", "e9"),  # does not parse
 )
+
+
+# e1e2 = e3, e2e3 = e3: L_e2 is not nilpotent.  Its identity certificate
+# with no separator passes its exact check; with the iw_partition
+# separator, which reads a rank sequence, it is one `error:` line
+NOT_ENGEL = {"name": "notengel", "dim": 3, "products": [
+    {"i": 1, "j": 2, "value": [0, 0, 1]}, {"i": 2, "j": 3, "value": [0, 0, 1]}]}
+NOT_ENGEL_CERTS = tuple(
+    {"source": NOT_ENGEL, "target": NOT_ENGEL, "basis": ["e1", "e2", "e3"], **rest}
+    for rest in ({}, {"proper": True, "separator": "iw_partition"}))
 
 
 # W.T22deg.a.6's triples, with the source as the target too
@@ -93,7 +104,8 @@ def _runs(catalog, ledger: dict):
     n3 = {"name": "n3", "dim": 3}
     failing = [{"basis": list(rows), "source": n3, "target": n3}
                for rows in FAILING_BASES]
-    for claim in ledger["certificates"] + ledger["witnesses"] + failing:
+    for claim in (ledger["certificates"] + ledger["witnesses"] + failing
+                  + list(NOT_ENGEL_CERTS)):
         for fmt in ([], ["--json"]):
             yield fmt + ["check", "claim.json"], {"claim.json": json.dumps(claim)}
     sampled = [w for w in ledger["witnesses"] if w["kind"] in ("ClosedSet", "BespokeR")]
