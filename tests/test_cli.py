@@ -842,7 +842,8 @@ NOT_ENGEL_CERT = {"id": "c", "source": NOT_ENGEL, "target": NOT_ENGEL,
 
 
 @pytest.mark.parametrize("claim", [
-    {"certificates": [dict(NOT_ENGEL_CERT, proper=True, separator="iw_partition")]},
+    {"certificates": [dict(NOT_ENGEL_CERT, proper=True, separator="iw_partition")],
+     "witnesses": []},
     {"certificates": [], "witnesses": [{
         "id": "w", "kind": "IWDominance", "source": NOT_ENGEL,
         "target": {"name": "zero", "dim": 3},
@@ -864,7 +865,7 @@ def test_verify_paper_names_a_table_that_is_not_engel(tmp_path, capsys, claim):
     assert err == "error: notengel@3: L_a is not nilpotent at a = (0, 1, 0)\n"
     assert not (tmp_path / "out" / "report.json").exists()
     single = tmp_path / "claim.json"
-    single.write_text(json.dumps((claim["certificates"] + claim.get("witnesses", []))[0]),
+    single.write_text(json.dumps((claim["certificates"] + claim["witnesses"])[0]),
                       encoding="utf-8")
     assert main(["check", str(single)]) == 1
     assert capsys.readouterr() == ("", err)
