@@ -14,18 +14,34 @@ least (i, j, k) whose constant has one, else each nonzero limit num / den
 compared with the target's T / M as num M == T den, and a mismatch named
 at the least key that differs, the one place a Fraction is made.
 
-A monomial basis, one nonzero entry f_r in each row and in distinct
-columns (g_r = f_r e_c(r), c a permutation: a one-parameter subgroup of a
-torus after a permutation of the basis, as most shipped certificates are),
-maps products term by term (`_monomial_check`).  Each new constant is
-one term, C_pq^r = +-(f_p f_q / f_r) T_c(p)c(q)^c(r) / L, with no sum and
-so no cancellation, and in Q(t) orders add and lowest coefficients
-multiply: its order at t = 0 is o = ord f_p + ord f_q - ord f_r, a pole
-if o < 0, limit 0 if o > 0, and at o = 0 the limit is lead_p lead_q /
-lead_r T / L.  That reads each nonzero table entry once, in small ints.
+A basis that peels is read sparsely (`_sparse_check`).  Peeling takes,
+again and again, a row with exactly one nonzero entry in the columns not
+yet taken, its pivot; it takes every row iff the rows and columns of g
+can be permuted to make it lower triangular, as for a one-parameter
+subgroup of a torus composed with elementary shears (Grunewald and
+O'Halloran, 1988), the shape of every shipped certificate.  Each row
+splits as g_r = f_r l_r.  A one-term row keeps its entry f_r, any
+rational function, and l_r = e_c.  A row of several terms must have
+entries with one-term denominators (in Z[t, 1/t] over Q) and a one-term
+pivot: scaled by the lcm L_r of their coefficients' denominators it is
+l_r, with entries in Z[t, 1/t] and pivot c_r t^(e_r), and f_r = 1 / L_r.
+Then C_pq^r = (f_p f_q / f_r) C_pq^r(l).  In peeled order l is lower
+triangular with monomial pivots, so its inverse has entries in
+Z[t, 1/t][1 / prod c_r] and each C(l) is a Laurent polynomial.  The
+products D L l_p l_q, D = prod |c_r| and L the table's denominator, are
+solved for by back-substitution from the last peeled row, each division
+by a pivot exact, and give x_r = D L C_pq^r(l) in Z[t, 1/t].  In Q(t)
+orders add and lowest coefficients multiply: C_pq^r has order
+ord f_p + ord f_q - ord f_r + ord x_r at t = 0, read after the terms of
+x_r cancel, so a pole if it is < 0, limit 0 if > 0, and at 0 the limit
+is the product of the lowest coefficients, an int pair.  A monomial
+basis (one-term rows in distinct columns) reads each nonzero table entry
+once and solves for nothing.
 
-Every other basis, zero rows and repeated columns included, is checked
-in Z[t] (`_packed_check`), the one general check: it gives every
+Every other basis, one that does not peel (zero rows and repeated
+columns included), or with a row of several terms that has an entry
+outside Z[t, 1/t] or a pivot of several terms, is checked in Z[t]
+(`_packed_check`), the one general check: it gives every
 SingularFamily verdict.  One scale s in Z[t], common to all entries
 (per-row scales would change the constants), gives G = s g in
 Z[t]^(n x n).
@@ -356,9 +372,11 @@ def verify_degeneration(cert: DegenerationCertificate, records: Records) -> Verd
     tables of the run's `records`.
 
     A basis of the wrong length, or a row that does not parse, is a fail
-    verdict (naming the row).  A monomial basis is read off its entries'
-    orders and lowest coefficients (`_monomial_check`), every other basis
-    by the packed check over Z[t] (`_packed_check`); both give the same
+    verdict (naming the row).  A basis that peels to lower triangular is
+    read by back-substitution over Z[t, 1/t] (`_sparse_check`), as every
+    shipped certificate is; every other basis, and one with a row of
+    several terms outside Z[t, 1/t] or with a pivot of several terms, by
+    the packed check over Z[t] (`_packed_check`).  Both give the same
     verdict, stated once by `_limit_verdict`.
     """
     src, tgt = records.tensor(cert.source), records.tensor(cert.target)
@@ -375,7 +393,7 @@ def verify_degeneration(cert: DegenerationCertificate, records: Records) -> Verd
         except (ValueError, ZeroDivisionError) as exc:
             return Verdict("fail",
                            f"basis row {k} {text!r} does not parse: {exc}")
-    return _monomial_check(src, tgt, rows) or _packed_check(src, tgt, rows)
+    return _sparse_check(src, tgt, rows) or _packed_check(src, tgt, rows)
 
 
 def _limit_verdict(tgt: StructureTensor, limits, pole=None) -> Verdict:
@@ -422,37 +440,101 @@ def _packed_check(src: StructureTensor, tgt: StructureTensor, rows) -> Verdict:
     return _limit_verdict(tgt, limits)
 
 
-def _monomial_check(src: StructureTensor, tgt: StructureTensor, rows):
-    """The certificate check of a monomial basis g_r = f_r e_c(r), c a
-    permutation: C_pq^r = +-(f_p f_q / f_r) T_c(p)c(q)^c(r) / L, one term
-    (negated for c(p) > c(q)), so its order at t = 0 is
-    ord f_p + ord f_q - ord f_r, and at order 0 its limit is the product
-    of the lowest coefficients (the module docstring).  None for rows that
-    are not monomial: a row with other than one nonzero entry, or two rows
-    in one column."""
-    n, mult = src.dim, src.mult
-    row_of, order, lead = [None] * n, [0] * n, [None] * n
-    for r, row in enumerate(rows):
-        cols = [k for k, (num, _) in enumerate(row) if num.coeffs]
-        if len(cols) != 1 or row_of[cols[0]] is not None:
+_UNIT = ((0, 1),)  # the one term of l_r = e_c for a one-term row
+
+
+def _sparse_check(src: StructureTensor, tgt: StructureTensor, rows):
+    """The certificate check of a basis that peels to lower triangular,
+    g_r = f_r l_r (the module docstring): C_pq^r = (f_p f_q / f_r) C_pq^r(l),
+    with C(l) the Laurent polynomials x_r / (D L) of the products
+    D L l_p l_q, solved for by back-substitution, so its order at t = 0 is
+    ord f_p + ord f_q - ord f_r + ord x_r and at order 0 its limit is the
+    product of the lowest coefficients.  None for a basis that does not
+    peel, a multi-term row with an entry whose denominator is not one term,
+    or a multi-term pivot."""
+    n = src.dim
+    supports = [[k for k, (num, _) in enumerate(row) if num.coeffs] for row in rows]
+    row_of, peeled, pending = [None] * n, [], range(n)
+    while pending:  # peel: take each row with one column not yet taken
+        left = []
+        for r in pending:
+            free = supports[r]
+            if len(free) > 1:
+                free = [k for k in free if row_of[k] is None]
+                if len(free) > 1:
+                    left.append(r)
+                    continue
+            if not free or row_of[free[0]] is not None:
+                return None
+            row_of[free[0]] = r
+            peeled.append((r, free[0]))
+        if len(left) == len(pending):
             return None
-        (k,) = cols
-        num, den = row[k]
-        u, w = num.order(), den.order()
-        row_of[k], order[r], lead[r] = r, u - w, (num.coeffs[u], den.coeffs[w])
-    limits, poles = {}, []
+        pending = left
+    # f_r by its order and lowest coefficient; each column's terms in l:
+    # (row, ((exponent, coefficient), ...)); D = prod |c_r|; and the
+    # back-substitution step of each row of several terms, last peeled first
+    order, lead, terms = [0] * n, [None] * n, [[] for _ in range(n)]
+    scale, solve = 1, []
+    for r, c in reversed(peeled):
+        if len(supports[r]) == 1:
+            num, den = rows[r][c]
+            u, w = num.order(), den.order()
+            order[r], lead[r] = u - w, (num.coeffs[u], den.coeffs[w])
+            terms[c].append((r, _UNIT))
+            continue
+        cells = [(k, *rows[r][k]) for k in supports[r]]
+        if any(len(den.coeffs) != den.order() + 1 for _, _, den in cells):
+            return None
+        size = lcm(*(den.coeffs[-1] for _, _, den in cells))
+        laurent = {k: tuple((i - den.order(), x * (size // den.coeffs[-1]))
+                            for i, x in enumerate(num.coeffs) if x)
+                   for k, num, den in cells}
+        if len(laurent[c]) != 1:
+            return None
+        ((e, pivot),) = laurent.pop(c)
+        for k, ts in laurent.items():
+            terms[k].append((r, ts))
+        terms[c].append((r, ((e, pivot),)))
+        lead[r], scale = (1, size), scale * abs(pivot)
+        solve.append((r, c, e, pivot, tuple(laurent.items())))
+    coords = {}  # (p, q, k): {exponent: coefficient} of D L l_p l_q
     for a, b, entries in src.table:
-        p, q, sign = row_of[a], row_of[b], 1
-        if p > q:
-            p, q, sign = q, p, -1
-        (ap, bp), (aq, bq), o = lead[p], lead[q], order[p] + order[q]
-        for k, v in entries:
-            r = row_of[k]
-            if o < order[r]:
+        for p, ts in terms[a]:
+            for q, us in terms[b]:
+                if p == q:
+                    continue
+                lo, hi, sign = (p, q, scale) if p < q else (q, p, -scale)
+                for e, x in ts:
+                    for f, y in us:
+                        i, c = e + f, sign * x * y
+                        for k, v in entries:
+                            poly = coords.get((lo, hi, k))
+                            if poly is None:
+                                coords[(lo, hi, k)] = {i: c * v}
+                            else:
+                                poly[i] = poly.get(i, 0) + c * v
+    for p, q in {key[:2] for key in coords} if solve else ():
+        for r, c, e, pivot, off in solve:  # x_r replaces coordinate c
+            poly = coords.get((p, q, c))
+            if poly:
+                coords[(p, q, c)] = poly = {i - e: y // pivot for i, y in poly.items()}
+                for k, ts in off:
+                    out = coords.setdefault((p, q, k), {})
+                    for i, y in poly.items():
+                        for f, z in ts:
+                            out[i + f] = out.get(i + f, 0) - y * z
+    limits, poles, mult = {}, [], src.mult * scale
+    for (p, q, k), poly in coords.items():
+        orders = [i for i, y in poly.items() if y]
+        if orders:
+            r, low = row_of[k], min(orders)
+            o = order[p] + order[q] + low - order[r]
+            if o < 0:
                 poles.append((p, q, r))
-            elif o == order[r]:
-                ar, br = lead[r]
-                limits[(p, q, r)] = sign * v * ap * aq * br, mult * bp * bq * ar
+            elif o == 0:
+                (ap, bp), (aq, bq), (ar, br) = lead[p], lead[q], lead[r]
+                limits[(p, q, r)] = poly[low] * ap * aq * br, mult * bp * bq * ar
     return _limit_verdict(tgt, limits, min(poles, default=None))
 
 

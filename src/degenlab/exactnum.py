@@ -8,10 +8,11 @@
 A rational function in t is an unreduced pair (num, den) of ZPolys with
 den nonzero.  The entries of parameterized bases such as
 (1/t)*e4 - (1/t^2)*e7 parse to such pairs with no gcd taken.  A
-monomial basis, one entry per row in distinct columns, is checked on
-each entry's order ord_t num - ord_t den and lowest coefficients alone
-(`degeneration._monomial_check`); for every other basis the packed
-certificate check puts them over one common denominator once
+basis that peels to lower triangular is checked on the order
+ord_t num - ord_t den and the lowest coefficients of each one-term row's
+entry, and on the rows of several terms as Laurent polynomials with int
+coefficients (`degeneration._sparse_check`); for every other basis the
+packed certificate check puts them over one common denominator once
 (`degeneration.clear_denominators`, using `poly_gcd`) and runs its
 linear algebra on the values at t = 2^B (`ZPoly.at_power_of_two`), reading
 d back from its balanced digits (`ZPoly.from_balanced_digits`).  The value

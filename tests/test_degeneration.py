@@ -24,8 +24,8 @@ from degenlab.degeneration import (
     Records,
     SingularFamily,
     Verdict,
-    _monomial_check,
     _packed_check,
+    _sparse_check,
     apply_parameterized_basis,
     clear_denominators,
     lower_triangular_invariance_probe,
@@ -446,12 +446,14 @@ def test_rational_limits_are_compared_over_one_denominator(rows, target, reason)
     assert tuple(_packed_check(src, tgt, _parse_rows(rows, 4))) == got
 
 
-# A monomial basis, g_r = f_r e_c(r) with c a permutation, is read off the
-# orders and lowest coefficients of its entries (`_monomial_check`); every
-# other basis goes through the packed check, which stays the reference.
-# The two give byte-identical verdicts on every monomial basis.
+# A basis that peels to lower triangular, g_r = f_r l_r, is read by
+# back-substitution over Z[t, 1/t] (`_sparse_check`): every shipped
+# certificate is, the 83 monomial ones and the 50 sheared ones below, with
+# one to three rows of several terms.  Every other basis goes through the
+# packed check, which stays the reference: the two give byte-identical
+# verdicts on every basis that peels.
 
-PACKED_CERTIFICATES = (
+SHEARED_CERTIFICATES = (
     "T22deg.1.7", "T22deg.1.8", "T22deg.2.6", "T22deg.2.7",
     "T22rest.iso2435.7", "T22rest.iso2435.8",
     "T2k2rest1.more.m3.8", "T2k2rest1.more.m3.9", "T2k2rest1.more.m4.10",
@@ -479,33 +481,35 @@ def _monomial(rows):
 
 
 def _both_checks(src, tgt, rows):
-    """The Verdict tuple of each check on one monomial basis; the monomial
-    check gives None for any other basis."""
-    return (tuple(_monomial_check(src, tgt, rows) or ()),
+    """The Verdict tuple of each check on one basis; the sparse check gives
+    None, here (), for a basis it declines."""
+    return (tuple(_sparse_check(src, tgt, rows) or ()),
             tuple(_packed_check(src, tgt, rows)))
 
 
 def test_shipped_certificates_take_the_check_of_their_basis_shape(monkeypatch):
+    # every shipped basis peels: all 133 take the sparse check, none the
+    # packed one
     from degenlab import degeneration
 
     taken = []  # the check that gave each verdict
-    for name in ("_monomial_check", "_packed_check"):
+    for name in ("_sparse_check", "_packed_check"):
         def spy(*args, name=name, check=getattr(degeneration, name)):
             verdict = check(*args)
             if verdict is not None:
                 taken.append(name)
             return verdict
         monkeypatch.setattr(degeneration, name, spy)
-    records, paths = Records(), {}
-    for cert in load_ledger(shipped_ledger_path()).certificates:
+    records, sheared = Records(), []
+    certs = load_ledger(shipped_ledger_path()).certificates
+    for cert in certs:
         assert verify_degeneration(cert, records).ok, cert.cert_id
-        (paths[cert.cert_id],) = taken
+        assert taken == ["_sparse_check"], cert.cert_id
         taken.clear()
-        rows = _parse_rows(cert.basis_rows, cert.source.dim)
-        assert _monomial(rows) == (paths[cert.cert_id] == "_monomial_check")
-    packed = [cert_id for cert_id, name in paths.items() if name == "_packed_check"]
-    assert packed == list(PACKED_CERTIFICATES)
-    assert len(paths) - len(packed) == 83
+        if not _monomial(_parse_rows(cert.basis_rows, cert.source.dim)):
+            sheared.append(cert.cert_id)
+    assert sheared == list(SHEARED_CERTIFICATES)
+    assert len(certs) - len(sheared) == 83
 
 
 def _mutations(cert):
@@ -521,23 +525,29 @@ def _mutations(cert):
     yield cert._replace(basis_rows=(rows[0],) + rows[:1] + rows[2:])
 
 
-def test_monomial_check_equals_the_packed_check_on_shipped_certificates():
+def test_sparse_check_equals_the_packed_check_on_shipped_certificates():
+    # each shipped certificate and its mutations; only the basis with a
+    # repeated row does not peel, and the packed check finds it singular.
+    # The mutations of every tenth certificate are checked over Q(t) too
     records, seen, count = Records(), set(), 0
-    for cert in load_ledger(shipped_ledger_path()).certificates:
+    for index, cert in enumerate(load_ledger(shipped_ledger_path()).certificates):
         for bad in _mutations(cert):
             rows = _parse_rows(bad.basis_rows, bad.source.dim)
             got, want = _both_checks(records.tensor(bad.source),
                                      records.tensor(bad.target), rows)
-            if _monomial(rows):
-                assert got == want, (cert.cert_id, bad.basis_rows)
-                seen.add(want[1].split(" ")[0] or "pass")
-                count += 1
-            else:
-                assert got == (), (cert.cert_id, bad.basis_rows)
+            if bad.basis_rows[0] == bad.basis_rows[1]:
+                assert got == () and want[1] == _SINGULAR, cert.cert_id
+                continue
+            assert got == want, (cert.cert_id, bad.basis_rows)
+            if index % 10 == 0:
+                assert got == qt_certificate_verdict(bad), (cert.cert_id, bad.basis_rows)
+            seen.add(want[1].split(" ")[0] or "pass")
+            count += 1
     assert seen == {"pass", "pole", "limit"}
-    assert count > 83 * 4
+    assert count == 133 * 5
 
 
+_SINGULAR = "parameterized basis has identically zero determinant"
 _LEADS = [x for x in range(-3, 4) if x]
 
 
@@ -570,7 +580,27 @@ def _limit_tensor(a, rows):
     return fraction_tensor(a.dim, products)
 
 
-def test_monomial_check_equals_the_packed_check_on_random_monomial_bases():
+def _agree_on_targets(a, rows, cert=None):
+    """The sparse check's verdicts against the source, the zero table and
+    the limit itself, each equal to the packed check's (and, against the
+    source, to the Q(t) oracle's on the rows of `cert`, when given): the
+    set of verdict kinds seen, and whether the limit exists."""
+    n, seen = a.dim, set()
+    limit = _limit_tensor(a, rows)
+    for tgt in (a, fraction_tensor(n), limit):
+        if tgt is not None:
+            got, want = _both_checks(a, tgt, rows)
+            assert got == want
+            if cert is not None and tgt is a:
+                ref = cert._replace(source=AlgebraRef("S", n, a),
+                                    target=AlgebraRef("T", n, tgt))
+                assert got == qt_certificate_verdict(ref)
+            seen.add(want[1].split(" ")[0] or "pass")
+    assert (limit is None) == want[1].startswith("pole")
+    return seen, limit is not None
+
+
+def test_sparse_check_equals_the_packed_check_on_random_monomial_bases():
     # catalog tables, random integer tables and a rational one, each in
     # random monomial bases, against the source, the zero table and the
     # limit itself
@@ -584,14 +614,123 @@ def test_monomial_check_equals_the_packed_check_on_random_monomial_bases():
         cols = rng.sample(range(n), n)
         rows = _parse_rows([_random_monomial_row(n, c, rng) for c in cols], n)
         assert _monomial(rows)
-        limit = _limit_tensor(a, rows)
-        for tgt in (a, fraction_tensor(n), limit):
-            if tgt is not None:
-                got, want = _both_checks(a, tgt, rows)
-                assert got == want, (trial, cols)
-                seen.add(want[1].split(" ")[0] or "pass")
-        assert (limit is None) == want[1].startswith("pole")
+        seen |= _agree_on_targets(a, rows)[0]
     assert seen == {"pass", "pole", "limit"}
+
+
+def _laurent(rng, terms):
+    """The text of a Laurent polynomial of `terms` terms, coefficients
+    +-1..+-3 over 1..3, exponents -3..3."""
+    return "+".join(f"({rng.choice(_LEADS)}/{rng.randint(1, 3)})*t^{rng.randint(-3, 3)}"
+                    for _ in range(terms))
+
+
+def _random_triangular_rows(n, rng):
+    """The texts of a basis that peels: in a random column order, a row is
+    a one-term row of `_random_monomial_row` or a pivot +-1..+-3 t^(-3..3)
+    with Laurent entries of one or two terms in up to two earlier columns;
+    the rows shuffled."""
+    cols, rows = rng.sample(range(n), n), []
+    for m, c in enumerate(cols):
+        if not m or rng.random() < 0.3:
+            rows.append(_random_monomial_row(n, c, rng))
+            continue
+        terms = [f"({rng.choice(_LEADS)}*t^{rng.randint(-3, 3)})*e{c + 1}"]
+        for k in rng.sample(cols[:m], rng.randint(1, min(2, m))):
+            terms.append(f"({_laurent(rng, rng.randint(1, 2))})*e{k + 1}")
+        rows.append("+".join(terms))
+    return rng.sample(rows, n)
+
+
+def _graded_case(n, rng):
+    """(source, texts): a random table c on l_1, ..., l_n whose constant
+    c_pq^r is nonzero only where w_r <= w_p + w_q, for weights w in -3..3,
+    and the source whose constants in the integer basis l = A (lower
+    triangular in a random column order, pivots +-1..+-3) are c.  In the
+    basis t^(w_r) l_r the limit exists; each constant with w_r > w_p + w_q
+    is 0 only because its terms of negative order cancel."""
+    cols, w = rng.sample(range(n), n), [rng.randint(-3, 3) for _ in range(n)]
+    basis = [[0] * n for _ in range(n)]
+    for m, c in enumerate(cols):
+        basis[m][c] = rng.choice(_LEADS)
+        for k in cols[:m]:
+            basis[m][k] = rng.choice([0, 0, *_LEADS])
+    c = {}
+    for p in range(n):
+        for q in range(p + 1, n):
+            c[(p + 1, q + 1)] = [rng.randint(-2, 2) if w[r] <= w[p] + w[q] else 0
+                                 for r in range(n)]
+    source = change_basis(fraction_tensor(n, c), fraction_inverse(basis))
+    texts = ["+".join(f"({x}*t^{w[m]})*e{k + 1}" for k, x in enumerate(row) if x)
+             for m, row in enumerate(basis)]
+    return source, rng.sample(texts, n)
+
+
+def test_sparse_check_equals_the_packed_check_on_random_triangular_bases():
+    # catalog, random integer and rational tables in random bases that
+    # peel, and graded tables whose limit exists only through
+    # cancellation; one basis in ten is checked over Q(t) too
+    rng, seen, kept = random.Random(5801), set(), 0
+    sources = [instantiate(name, n) for name, n in SMALL_ALGEBRAS]
+    sources += [instantiate("T22_e45", 7), fraction_tensor(4, _RATIONAL_SOURCE)]
+    for trial in range(300):
+        if trial % 2:
+            a, texts = _graded_case(rng.randint(2, 6), rng)
+        else:
+            a = (sources[trial % len(sources)] if trial % 3 else
+                 random_anticommutative(rng.randint(2, 7), rng))
+            texts = _random_triangular_rows(a.dim, rng)
+        rows = _parse_rows(texts, a.dim)
+        assert _sparse_check(a, a, rows) is not None, texts
+        cert = (DegenerationCertificate(AlgebraRef("S", a.dim), AlgebraRef("S", a.dim),
+                                        tuple(texts)) if trial % 20 < 2 else None)
+        got, exists = _agree_on_targets(a, rows, cert)
+        seen |= got
+        if trial % 2:
+            assert exists, texts
+            kept += not _monomial(rows)
+    assert seen == {"pass", "pole", "limit"}
+    assert kept > 100
+
+
+def test_cancelled_negative_orders_leave_a_limit():
+    # e1 e2 = e1 e3 = e4: g1 g2 = (1/t)(e4 - e4) is 0 only because its two
+    # terms of order -1 cancel, and g1 g3 = g4 is the one constant left
+    src = fraction_tensor(4, {(1, 2): (0, 0, 0, 1), (1, 3): (0, 0, 0, 1)})
+    tgt = fraction_tensor(4, {(1, 3): (0, 0, 0, 1)})
+    rows = _parse_rows(("e1", "(1/t)*e2-(1/t)*e3", "e3", "e4"), 4)
+    assert _sparse_check(src, tgt, rows) == Verdict("pass")
+    assert tuple(_sparse_check(src, src, rows)) == tuple(_packed_check(src, src, rows))
+
+
+@pytest.mark.parametrize("texts", [
+    ("e1+(1/(t+1))*e2", "e2", "e3"),  # a multi-term row, a denominator t + 1
+    ("(1/(1+t))*e1+e2", "e2", "e3"),
+    ("(t+1)*e1+e2", "e2", "e3"),  # a multi-term pivot
+    ("(1/t+1)*e1-e2", "e2", "e3"),
+    ("e1", "e2-e2", "e3"),  # a zero row
+    ("e1", "t*e1", "e3"),  # a repeated column
+    ("e1+e2", "e1-e2", "e3"),  # a block that does not peel
+    ("(1/t)*e1+(1/t)*e2", "e1-e2", "e3"),
+])
+def test_the_sparse_check_declines_exactly_what_it_cannot_read(texts):
+    # each goes to the packed check, whose verdict is the Q(t) oracle's
+    a = instantiate("n3", 3)
+    assert _sparse_check(a, a, _parse_rows(texts, 3)) is None
+    cert = DegenerationCertificate(AlgebraRef("n3", 3), AlgebraRef("n3", 3), texts)
+    assert _verdict(cert) == qt_certificate_verdict(cert)
+
+
+@pytest.mark.parametrize("texts", [
+    ("((t+1)/(t^2+2*t^4))*e1", "e2", "e3"),  # one term, not Laurent
+    ("((t+1)/(t^2+2*t^4))*e1", "(3/t)*e2+(1/t^2)*e1", "e3"),
+    ("(2*t^-3)*e1+(1/2+t)*e3", "e2+(2/3)*e1", "(1/(t-1))*e3"),
+])
+def test_the_sparse_check_reads_one_term_rows_and_laurent_shears(texts):
+    a = instantiate("n3", 3)
+    rows = _parse_rows(texts, 3)
+    for tgt in (a, fraction_tensor(3)):
+        assert _both_checks(a, tgt, rows)[0] == _both_checks(a, tgt, rows)[1]
 
 
 def test_closed_set_member_examples():

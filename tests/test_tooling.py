@@ -789,25 +789,36 @@ def test_a_catalog_family_is_named_once_by_its_key():
         assert catalog.expected_iw_max(key) == catalog.expected_iw_max(base), key
 
 
-def _one_term_rows(cert):
-    """Whether each basis row of a shipped certificate is one term, in
-    distinct basis vectors: a monomial basis, which the check reads off
-    its entries' orders with no integer kernel."""
+def _blocked_bases():
+    """(shipped certificates, bases that do not peel): each shipped
+    certificate from its source to itself, with two of its one-term rows,
+    in columns a and b, replaced by e_a + e_b and e_a - e_b (a seeded
+    choice).  Every other row is zero in both columns or peels without
+    them, so the basis is invertible and only the packed check reads it."""
+    import random
     import re
 
-    cols = [re.findall(r"e(\d+)", row) for row in cert.basis_rows]
-    return (all(len(c) == 1 for c in cols)
-            and len({c[0] for c in cols}) == len(cols))
+    from degenlab.verification_db import load_ledger, shipped_ledger_path
+
+    certs, rng, blocked = load_ledger(shipped_ledger_path()).certificates, random.Random(58), []
+    for cert in certs:
+        one = [(r, cols[0]) for r, row in enumerate(cert.basis_rows)
+               for cols in [re.findall(r"e(\d+)", row)] if len(cols) == 1]
+        (r, a), (s, b) = rng.sample(one, 2)
+        rows = list(cert.basis_rows)
+        rows[r], rows[s] = f"e{a}+e{b}", f"e{a}-e{b}"
+        blocked.append(cert._replace(target=cert.source, basis_rows=tuple(rows)))
+    assert len(certs) == len(blocked) == 133
+    return certs, blocked
 
 
 def test_the_certificate_check_hands_only_ints_to_the_integer_kernels(monkeypatch):
     # the packed check packs Z[t] into ints at t = 2^B; a ZPoly reaching
     # the kernels would mean it silently went back to polynomial arithmetic
     # (the packed basis G, its inverse's d and R, the constants N).  Each
-    # of the 50 packed bases calls each kernel once; a monomial basis
-    # calls neither
+    # basis that does not peel calls each kernel once; a shipped basis,
+    # which peels, calls neither
     from degenlab import algebra, degeneration
-    from degenlab.verification_db import load_ledger, shipped_ledger_path
 
     calls = []
 
@@ -822,19 +833,17 @@ def test_the_certificate_check_hands_only_ints_to_the_integer_kernels(monkeypatc
                         spy(algebra.int_scaled_inverse))
     monkeypatch.setattr(degeneration, "int_change_basis",
                         spy(degeneration.int_change_basis))
-    certs = load_ledger(shipped_ledger_path()).certificates
+    certs, blocked = _blocked_bases()
     records = degeneration.Records()
-    packed = 0
     for cert in certs:
-        before = len(calls)
         assert degeneration.verify_degeneration(cert, records).ok
+    assert calls == []
+    for cert in blocked:
+        before = len(calls)
+        degeneration.verify_degeneration(cert, records)
         names = [name for name, _, _ in calls[before:]]
-        if _one_term_rows(cert):
-            assert names == [], cert.cert_id
-        else:
-            assert names == ["int_scaled_inverse", "int_change_basis"], cert.cert_id
-            packed += 1
-    assert packed == 50 and len(calls) == 2 * packed
+        assert names == ["int_scaled_inverse", "int_change_basis"], cert.cert_id
+    assert len(calls) == 2 * len(blocked)
     values = []
     for name, args, (d, out) in calls:
         basis = args[0] if name == "int_scaled_inverse" else args[2]
@@ -846,11 +855,10 @@ def test_the_certificate_check_hands_only_ints_to_the_integer_kernels(monkeypatc
 
 def test_the_certificate_check_unpacks_only_the_denominator(monkeypatch):
     # limits are read off the packed coordinates: one balanced-digit
-    # unpacking per packed certificate, of d, and none per coordinate;
-    # none for a monomial basis
+    # unpacking per packed check, of d, and none per coordinate; none for
+    # a shipped basis, which the sparse check reads
     from degenlab import degeneration
     from degenlab.exactnum import ZPoly
-    from degenlab.verification_db import load_ledger, shipped_ledger_path
 
     unpack, calls = ZPoly.from_balanced_digits, []
 
@@ -859,13 +867,15 @@ def test_the_certificate_check_unpacks_only_the_denominator(monkeypatch):
         return unpack(v, bits)
 
     monkeypatch.setattr(ZPoly, "from_balanced_digits", staticmethod(counted))
-    certs = load_ledger(shipped_ledger_path()).certificates
+    certs, blocked = _blocked_bases()
     records = degeneration.Records()
     for cert in certs:
-        before = len(calls)
         assert degeneration.verify_degeneration(cert, records).ok
-        assert len(calls) - before == (0 if _one_term_rows(cert) else 1), cert.cert_id
-    assert len(certs) == 133 and len(calls) == 50
+    assert calls == []
+    for cert in blocked:
+        before = len(calls)
+        degeneration.verify_degeneration(cert, records)
+        assert len(calls) - before == 1, cert.cert_id
 
 
 def test_proved_and_probe_verdicts_draw_no_random_numbers(monkeypatch):
