@@ -580,10 +580,11 @@ def test_the_line_counter_counts_code_lines_by_its_rules(
 def test_the_output_digest_of_the_sources_is_pinned():
     # tools/outputs.py hashes every verify-paper report and .dot (four
     # seeds, with and without --ledger, and two --dims selections), both
-    # checks of each of the 189 shipped claims, of 8 failing n3@3
-    # certificates, monomial and packed, and of the identity certificate
-    # of a table that is not Engel, with no separator and with
-    # iw_partition (1011 runs), checks at 1 and 200 trials of
+    # checks of each of the 189 shipped claims, of 10 failing n3@3
+    # certificates, monomial, sheared and not peeling to lower triangular,
+    # and of the identity certificate of a table that is not Engel, with
+    # no separator and with iw_partition (1015 runs), checks at 1 and 200
+    # trials of
     # the 13 sampled witnesses and of one whose target is its source, with
     # --json check on that one, both forms of each desk query at every tested dimension of the manifest
     # families and the --trials 0 refusals of verify-paper, check and
@@ -594,7 +595,7 @@ def test_the_output_digest_of_the_sources_is_pinned():
     src = Path(__file__).resolve().parents[1] / "src"
     here = os.getcwd()
     assert outputs.digest(src) == (
-        1011, "37e7d497aafc0020c01c2f7af5b2ae4c4d958a57817b0dca07d9cb124e1d2404")
+        1015, "5ecea11018813173b7dda7d7632ac6286ef8b53e9cbc0bedaa9e15c6c561e2f0")
     assert os.getcwd() == here
 
 

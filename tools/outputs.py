@@ -18,8 +18,10 @@ lines.  The runs, each one `degenlab` command:
     the shipped ledger, each written out as a claim file, and on the
     failing n3@3 certificates of `FAILING_BASES`, which no shipped claim
     reaches: a pole, a wrong limit, a singular basis and an unparsable
-    row, each with one term per row and with a row of two terms, and on
-    the two `NOT_ENGEL_CERTS`, from a table that is not Engel to itself;
+    row, each with one term per row and with a row of two terms, and a
+    pole and a wrong limit on a basis that does not peel to lower
+    triangular, and on the two `NOT_ENGEL_CERTS`, from a table that is
+    not Engel to itself;
   - `check` at `--trials 1` and `--trials 200` on every ClosedSet and
     BespokeR witness, the ones whose target side is searched or drawn,
     and on `SELF_WITNESS`, a ClosedSet witness from T22_e24@6 to itself,
@@ -47,12 +49,15 @@ from pathlib import Path
 SEEDS = (20240917, 1, 2, 99)
 # basis rows of failing n3@3 -> n3@3 certificates, in pairs: one term per
 # row (a monomial basis, but for the singular pair's repeated e1), then a
-# row of two terms
+# row of two terms, which peels but for the singular pair; then a pair
+# that does not peel, which only the packed check reads
 FAILING_BASES = (
     ("(1/t)*e1", "e2", "e3"), ("(1/t)*e1+e2", "e2", "e3"),  # a pole
     ("e2", "e1", "e3"), ("e2", "e1+e2", "e3"),  # limit -1 where n3 has 1
     ("e1", "t*e1", "e3"), ("e1+e2", "e1+e2", "e3"),  # singular
     ("e1", "(1/0)*e2", "e3"), ("e1+e2", "e2", "e9"),  # does not parse
+    ("(1/t)*e1+(1/t)*e2", "e1-e2", "e3"),  # a pole at (1,2)^3
+    ("e1+e2", "e1-e2", "e3"),  # limit -2 where n3 has 1
 )
 
 
