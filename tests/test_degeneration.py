@@ -407,10 +407,10 @@ def test_verify_paper_arrow_with_limit_mismatch_detected():
 
 # Rational limits against a rational target: the packed check compares
 # N[v] M with T den[v], den[v] the one denominator of its limits, and the
-# monomial check, which reads every basis here but the last, compares
-# num M with T den for each limit num / den; both name a mismatch by its
-# two Fractions.  The source and the targets have non-integer constants
-# (mult > 1); den[v] < 0 for every basis but the last.
+# sparse check, which reads every basis here, compares num M with T den
+# for each limit num / den; both name a mismatch by its two Fractions.
+# The source and the targets have non-integer constants (mult > 1);
+# den[v] < 0 for every basis but the last.
 _RATIONAL_SOURCE = {(1, 2): (0, 0, Fraction(2, 3), 0),
                     (1, 3): (0, 0, 0, Fraction(-5, 4)),
                     (2, 3): (0, 0, 0, Fraction(1, 6))}
